@@ -53,8 +53,8 @@ from repro.runtime.campaign import (
 )
 from repro.runtime.coordinator import (
     DEFAULT_LEASE_TTL,
-    LEASE_COMMAND,
-    MEMBER_COMMAND,
+    LEASE_KIND,
+    MEMBER_KIND,
     LeaseRecord,
     elastic_worker,
     lease_records,
@@ -76,8 +76,8 @@ from repro.runtime.service import (
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "LEASE_COMMAND",
-    "MEMBER_COMMAND",
+    "LEASE_KIND",
+    "MEMBER_KIND",
     "CampaignAnalysis",
     "CampaignCell",
     "CampaignReport",

@@ -7,15 +7,15 @@ partition with a **lease-based pull loop** over the same shared store
 ledger, so any number of workers — joining late, crashing, hanging or
 draining out — converge the campaign cooperatively:
 
-* **Membership.** Each worker registers a *heartbeat document* (command
-  :data:`MEMBER_COMMAND`) and renews it from a background thread every
+* **Membership.** Each worker registers a *heartbeat marker* (kind
+  :data:`MEMBER_KIND`) and renews it from a background thread every
   third of the lease TTL.  A worker whose newest heartbeat is older
   than the TTL is dead: its leases become stealable immediately, and a
   draining worker deregisters outright so survivors do not even wait
   out the TTL.
 * **Leases.** Pending cells are pulled in batches; each pulled cell is
-  leased (command :data:`LEASE_COMMAND`) with the owner, an **epoch**
-  counter and a creation stamp.  The heartbeat thread renews held
+  leased (a marker of kind :data:`LEASE_KIND`) with the owner, an
+  **epoch** counter and a creation stamp.  The heartbeat thread renews held
   leases while the wave executes — but stops renewing once the wave has
   provably overrun its :func:`~repro.runtime.service.batch_budget`
   deadline, so even a worker hung past every enforcement tier loses its
@@ -34,6 +34,18 @@ draining out — converge the campaign cooperatively:
   chaos bar: a run that loses a worker mid-wave and gains another late
   converges to a ledger digest identical to a fault-free run's.
 
+Heartbeats and leases live on the store's **marker plane**
+(:meth:`~repro.storage.base.ProfileStore.put_markers` / ``markers`` /
+``delete_markers``, scope = the campaign name), never as profile
+documents.  A wave costs two marker scans — one feeding membership,
+lease resolution and stale-marker GC, one confirming the acquisition —
+one batched lease write and one batched delete.  The worker's view of
+the ledger is **monotone**: it re-reads ``completed_cells`` only while
+the marker scan shows a foreign member or lease (or once per heartbeat
+interval regardless), and otherwise advances by the cells it persisted
+itself.  The ledger is append-only during a campaign, so a stale view
+can only miss a rival's cell — a bit-identical duplicate, same invariant.
+
 Fault points (:mod:`repro.faults`): ``coordinator.heartbeat`` fires on
 every beat (``crash`` mode kills the worker process mid-wave — the CI
 chaos smoke), ``coordinator.lease.renew`` on every lease renewal
@@ -42,9 +54,9 @@ stealability), ``coordinator.steal`` on every steal attempt.
 
 Telemetry: ``campaign.member.join`` / ``campaign.member.leave`` /
 ``campaign.member.steal`` events, ``coordinator.steals`` /
-``coordinator.waves`` counters, ``coordinator.lease.age.seconds``
-histogram (lease age at steal time) and a ``coordinator.members``
-gauge.
+``coordinator.waves`` / ``coordinator.ledger.rescans`` counters,
+``coordinator.lease.age.seconds`` histogram (lease age at steal time)
+and a ``coordinator.members`` gauge.
 """
 
 from __future__ import annotations
@@ -57,13 +69,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import ConfigError
-from repro.core.samples import Profile
 from repro.faults import inject
 from repro.runtime.campaign import (
     DEFAULT_CHECKPOINT,
     CampaignReport,
     CampaignSpec,
-    _delete_claims,
     _store_op,
     completed_cells,
 )
@@ -74,8 +84,8 @@ from repro.telemetry.spans import span
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "LEASE_COMMAND",
-    "MEMBER_COMMAND",
+    "LEASE_KIND",
+    "MEMBER_KIND",
     "LeaseRecord",
     "elastic_worker",
     "lease_records",
@@ -84,11 +94,11 @@ __all__ = [
     "run_elastic",
 ]
 
-#: Command under which member heartbeat documents are stored.
-MEMBER_COMMAND = "synapse:campaign-member"
+#: Marker kind of member heartbeats (field ``member``).
+MEMBER_KIND = "member"
 
-#: Command under which cell lease documents are stored.
-LEASE_COMMAND = "synapse:campaign-lease"
+#: Marker kind of cell leases (fields ``cell``, ``owner``, ``epoch``).
+LEASE_KIND = "lease"
 
 #: Seconds a lease (and a member heartbeat) stays live without renewal.
 #: Deliberately much shorter than the claim protocol's 900 s staleness
@@ -96,10 +106,13 @@ LEASE_COMMAND = "synapse:campaign-lease"
 #: crash is ~one TTL instead of fifteen minutes.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Marker documents (leases, heartbeats) older than ``ttl * this`` are
-#: garbage — superseded renewals of dead workers — and are expired
-#: server-side where the store supports it.
+#: Markers (leases, heartbeats) older than ``ttl * this`` are garbage —
+#: long dead, long since stolen from — and are deleted by whichever
+#: worker's wave scan sees them.
 STALE_MARKER_FACTOR = 4.0
+
+#: Clock behind the periodic ledger re-read (a seam for tests).
+_reread_clock = time.monotonic
 
 
 def _heartbeat_interval(ttl: float) -> float:
@@ -113,7 +126,7 @@ def _poll_interval(ttl: float) -> float:
 
 @dataclass(frozen=True)
 class LeaseRecord:
-    """One stored lease document, index-plane view (no payload read)."""
+    """One stored lease marker."""
 
     digest: str
     owner: str
@@ -134,12 +147,38 @@ class LeaseState:
     alive: bool
 
 
-def _tag_value(tags: tuple[str, ...], key: str) -> str | None:
-    prefix = f"{key}="
-    for tag in tags:
-        if tag.startswith(prefix):
-            return tag[len(prefix):]
-    return None
+def _owner(marker: Any) -> str | None:
+    """The worker a heartbeat or lease marker belongs to."""
+    return marker.fields.get("member", marker.fields.get("owner"))
+
+
+def _split(markers: list) -> tuple[dict[str, float], dict[str, list[LeaseRecord]]]:
+    """One marker scan as (newest heartbeat per member, leases per cell).
+
+    Malformed markers — a stranger's, or a newer version's — are
+    skipped, never fatal.
+    """
+    beats: dict[str, float] = {}
+    leases: dict[str, list[LeaseRecord]] = {}
+    for marker in markers:
+        fields = marker.fields
+        if marker.kind == MEMBER_KIND and "member" in fields:
+            member = fields["member"]
+            beats[member] = max(beats.get(member, 0.0), marker.created)
+        elif marker.kind == LEASE_KIND:
+            try:
+                record = LeaseRecord(
+                    fields["cell"], fields["owner"], int(fields["epoch"]),
+                    marker.created, marker.id,
+                )
+            except (KeyError, ValueError):
+                continue
+            leases.setdefault(record.digest, []).append(record)
+    return beats, leases
+
+
+def _live(beats: Mapping[str, float], ttl: float, now: float) -> dict[str, float]:
+    return {member: stamp for member, stamp in beats.items() if now - stamp <= ttl}
 
 
 def live_members(
@@ -147,38 +186,15 @@ def live_members(
 ) -> dict[str, float]:
     """Members of campaign ``name`` with a heartbeat fresher than ``ttl``.
 
-    Returns member id -> newest heartbeat stamp.  Index-plane only: a
-    membership scan costs one tag-filtered ``entries`` call, no payload
-    reads — the same economics as the claim scan it generalises.
+    Returns member id -> newest heartbeat stamp, from one marker scan.
     """
     now = time.time() if now is None else now
-    newest: dict[str, float] = {}
-    for entry in store.entries(MEMBER_COMMAND, tags=[f"campaign={name}"]):
-        member = _tag_value(entry.tags, "member")
-        if member is not None:
-            newest[member] = max(newest.get(member, 0.0), entry.created)
-    return {
-        member: stamp for member, stamp in newest.items() if now - stamp <= ttl
-    }
+    return _live(_split(store.markers(name))[0], ttl, now)
 
 
 def lease_records(store: Any, name: str) -> dict[str, list[LeaseRecord]]:
-    """All lease documents of campaign ``name``, grouped by cell digest."""
-    found: dict[str, list[LeaseRecord]] = {}
-    for entry in store.entries(LEASE_COMMAND, tags=[f"campaign={name}"]):
-        digest = _tag_value(entry.tags, "lease")
-        owner = _tag_value(entry.tags, "owner")
-        epoch = _tag_value(entry.tags, "epoch")
-        if digest is None or owner is None or epoch is None:
-            continue
-        try:
-            epoch_no = int(epoch)
-        except ValueError:
-            continue
-        found.setdefault(digest, []).append(
-            LeaseRecord(digest, owner, epoch_no, entry.created, entry.id)
-        )
-    return found
+    """All lease markers of campaign ``name``, grouped by cell digest."""
+    return _split(store.markers(name))[1]
 
 
 def resolve_lease(
@@ -210,20 +226,18 @@ def resolve_lease(
     return LeaseState(owner=owner, epoch=top, renewed=renewed, alive=alive)
 
 
-def _member_doc(name: str, worker: str) -> Profile:
-    return Profile(
-        command=MEMBER_COMMAND,
-        tags={"campaign": name, "member": worker},
-        created=time.time(),
-    )
+def _lease_row(digest: str, worker: str, epoch: int) -> dict[str, Any]:
+    return {"cell": digest, "owner": worker, "epoch": epoch}
 
 
-def _lease_doc(name: str, digest: str, worker: str, epoch: int) -> Profile:
-    return Profile(
-        command=LEASE_COMMAND,
-        tags={"campaign": name, "lease": digest, "owner": worker, "epoch": epoch},
-        created=time.time(),
-    )
+def _drop(store: Any, ids: list[str]) -> None:
+    """Best-effort marker deletion (leftovers age out and are swept)."""
+    if not ids:
+        return
+    try:
+        store.delete_markers(ids)
+    except Exception:  # noqa: BLE001 - cleanup must never fail a wave
+        pass
 
 
 class _Heartbeat(threading.Thread):
@@ -235,12 +249,13 @@ class _Heartbeat(threading.Thread):
     survivable by design, and exactly what the ``coordinator.heartbeat``
     / ``coordinator.lease.renew`` fault points simulate.
 
-    Lease renewal keeps two documents per held cell: the **anchor** (the
-    acquire-time document, whose ``created`` stamp is the cell's
-    priority in same-epoch tie-breaks) and the newest renewal.
-    Renewals past the wave ``deadline`` are withheld — the deadline
-    plumbing that lets survivors steal from a worker hung beyond its
-    whole :func:`~repro.runtime.service.batch_budget`.
+    Lease renewal keeps two markers per held cell: the **anchor** (the
+    acquire-time marker, whose ``created`` stamp is the cell's priority
+    in same-epoch tie-breaks) and the newest renewal.  A beat writes all
+    renewals in one batch and deletes everything they supersede in one
+    more.  Renewals past the wave ``deadline`` are withheld — the
+    deadline plumbing that lets survivors steal from a worker hung
+    beyond its whole :func:`~repro.runtime.service.batch_budget`.
     """
 
     def __init__(
@@ -257,21 +272,24 @@ class _Heartbeat(threading.Thread):
         self._halt = threading.Event()
         self._state = threading.Lock()
         self._member_id: str | None = None
-        #: digest -> {"epoch": int, "anchor": pid, "renewal": pid | None}
+        #: digest -> {"epoch": int, "anchor": id, "renewal": id | None}
         self._held: dict[str, dict[str, Any]] = {}
         self._deadline: float | None = None
+
+    def _put_member(self) -> str:
+        [marker_id] = self.store.put_markers(
+            self.campaign, MEMBER_KIND, [{"member": self.worker}]
+        )
+        return marker_id
 
     # -- main-thread API ------------------------------------------------------
 
     def register(self) -> None:
         """Write the initial member heartbeat (before the thread starts)."""
         with self.lock:
-            pid = _store_op(
-                "member.put",
-                lambda: self.store.put(_member_doc(self.campaign, self.worker)),
-            )
+            marker_id = _store_op("member.put", self._put_member)
         with self._state:
-            self._member_id = pid
+            self._member_id = marker_id
 
     def hold(self, leases: dict[str, tuple[int, str]], budget: float | None) -> None:
         """Start renewing these leases (digest -> (epoch, anchor id)).
@@ -290,7 +308,7 @@ class _Heartbeat(threading.Thread):
             )
 
     def release(self) -> list[str]:
-        """Stop renewing all held leases; returns their document ids."""
+        """Stop renewing all held leases; returns their marker ids."""
         with self._state:
             held, self._held = self._held, {}
             self._deadline = None
@@ -328,116 +346,85 @@ class _Heartbeat(threading.Thread):
             inject("coordinator.heartbeat", key=self.worker)
         except Exception:  # noqa: BLE001 - injected drop
             return
-        self._renew_member()
-        self._renew_leases()
+        renewing = self._leases_to_renew()
+        with self.lock:
+            superseded = self._renew_member() + self._renew_leases(renewing)
+            _drop(self.store, superseded)
 
-    def _renew_member(self) -> None:
+    def _renew_member(self) -> list[str]:
         try:
-            with self.lock:
-                pid = self.store.put(_member_doc(self.campaign, self.worker))
-                with self._state:
-                    previous, self._member_id = self._member_id, pid
-                if previous is not None:
-                    _delete_claims(self.store, [previous])
+            marker_id = self._put_member()
         except Exception:  # noqa: BLE001 - dropped heartbeat, survivable
-            pass
-
-    def _renew_leases(self) -> None:
+            return []
         with self._state:
-            past_deadline = (
-                self._deadline is not None
-                and time.monotonic() > self._deadline
-            )
-            held = dict(self._held)
-        if past_deadline:
-            # The wave overran its whole batch budget: stop defending
-            # its leases so survivors can steal the cells.
-            return
-        for digest, state in held.items():
+            previous, self._member_id = self._member_id, marker_id
+        return [] if previous is None else [previous]
+
+    def _leases_to_renew(self) -> list[tuple[str, int, str]]:
+        """``(digest, epoch, anchor)`` of the held leases this beat renews."""
+        with self._state:
+            if self._deadline is not None and time.monotonic() > self._deadline:
+                # The wave overran its whole batch budget: stop defending
+                # its leases so survivors can steal the cells.
+                return []
+            held = [
+                (digest, state["epoch"], state["anchor"])
+                for digest, state in self._held.items()
+            ]
+        renewing = []
+        for lease in held:
             try:
                 inject("coordinator.lease.renew", key=self.worker)
-                with self.lock:
-                    pid = self.store.put(
-                        _lease_doc(
-                            self.campaign, digest, self.worker, state["epoch"]
-                        )
-                    )
-                    stale = None
-                    with self._state:
-                        current = self._held.get(digest)
-                        if current is None or current["anchor"] != state["anchor"]:
-                            stale = pid  # released while we renewed
-                        else:
-                            stale, current["renewal"] = current["renewal"], pid
-                    if stale is not None:
-                        _delete_claims(self.store, [stale])
             except Exception:  # noqa: BLE001 - dropped renewal, survivable
                 continue
+            renewing.append(lease)
+        return renewing
 
-
-def _expire_stale_markers(store: Any, ttl: float) -> None:
-    """Best-effort server-side expiry of superseded marker documents."""
-    expire = getattr(store, "expire_markers", None)
-    if expire is None:
-        return
-    try:
-        expire(MEMBER_COMMAND, ttl * STALE_MARKER_FACTOR)
-        expire(LEASE_COMMAND, ttl * STALE_MARKER_FACTOR)
-    except Exception:  # noqa: BLE001 - cleanup must never fail a wave
-        pass
-
-
-def _gc_dead_markers(
-    store: Any, name: str, ttl: float, now: float,
-    horizon: float | None = None,
-) -> None:
-    """Best-effort deletion of marker docs no survivor will ever need.
-
-    Hard-killed workers leave their last heartbeat and lease documents
-    behind forever; once those age past the stale horizon (several
-    TTLs — long dead, long since stolen from) they are pure garbage
-    that every membership/lease scan would re-parse.  Live documents
-    are renewed every TTL/3, so nothing fresh is ever touched.  A
-    still-held lease's *anchor* document can age past the horizon on a
-    very long wave; deleting it merely shifts the owner's same-epoch
-    tie-break stamp to its newest renewal, which matters only during
-    acquisition races, never after a lease is won.
-
-    ``horizon`` overrides the default several-TTL staleness bound; the
-    fleet parent sweeps with ``horizon=ttl`` after every child has
-    exited, when anything older than one TTL is dead by definition
-    (live documents — a still-attached ``--join`` worker's — are
-    renewed every TTL/3 and stay fresher than that).
-    """
-    if horizon is None:
-        horizon = ttl * STALE_MARKER_FACTOR
-    try:
-        doomed = [
-            entry.id
-            for command in (MEMBER_COMMAND, LEASE_COMMAND)
-            for entry in store.entries(command, tags=[f"campaign={name}"])
-            if now - entry.created > horizon
-        ]
-    except Exception:  # noqa: BLE001 - GC must never fail a wave
-        return
-    _delete_claims(store, doomed)
-
-
-def _gc_worker_markers(store: Any, name: str, workers: list[str]) -> None:
-    """Best-effort deletion of the named workers' marker documents."""
-    targets = set(workers)
-    try:
-        doomed = [
-            entry.id
-            for command, key in (
-                (MEMBER_COMMAND, "member"), (LEASE_COMMAND, "owner"),
+    def _renew_leases(self, renewing: list[tuple[str, int, str]]) -> list[str]:
+        if not renewing:
+            return []
+        try:
+            ids = self.store.put_markers(
+                self.campaign, LEASE_KIND,
+                [_lease_row(digest, self.worker, epoch)
+                 for digest, epoch, _anchor in renewing],
             )
-            for entry in store.entries(command, tags=[f"campaign={name}"])
-            if _tag_value(entry.tags, key) in targets
+        except Exception:  # noqa: BLE001 - dropped renewals, survivable
+            return []
+        superseded: list[str] = []
+        with self._state:
+            for (digest, _epoch, anchor), marker_id in zip(renewing, ids):
+                current = self._held.get(digest)
+                if current is None or current["anchor"] != anchor:
+                    superseded.append(marker_id)  # released while we renewed
+                    continue
+                if current["renewal"] is not None:
+                    superseded.append(current["renewal"])
+                current["renewal"] = marker_id
+        return superseded
+
+
+def _sweep_markers(
+    store: Any, name: str, workers: list[str], horizon: float
+) -> None:
+    """Best-effort deletion of markers no survivor will ever need.
+
+    Hard-killed workers leave their last heartbeat and lease markers
+    behind.  The fleet parent sweeps after every child has exited:
+    every marker naming one of ``workers`` is certainly dead, and so is
+    anything older than ``horizon`` (live markers — a still-attached
+    ``--join`` worker's — are renewed every TTL/3 and stay fresher).
+    """
+    try:
+        now = time.time()
+        doomed = [
+            marker.id
+            for marker in store.markers(name)
+            if _owner(marker) in workers or now - marker.created > horizon
         ]
     except Exception:  # noqa: BLE001 - cleanup must never fail the fleet
         return
-    _delete_claims(store, doomed)
+    _drop(store, doomed)
 
 
 def elastic_worker(
@@ -495,10 +482,16 @@ def elastic_worker(
         with lock:
             return _store_op(what, fn)
 
-    done_at_start = locked_op(
-        "completed_cells", lambda: completed_cells(store, name)
-    )
-    skipped = len(set(cells) & done_at_start)
+    def ledger_cells() -> set[str]:
+        return locked_op("completed_cells", lambda: completed_cells(store, name))
+
+    # This worker's view of the ledger.  Monotone: it only grows — by
+    # our own persisted cells, and by a re-read whenever rivals are
+    # visible or a heartbeat interval has passed.
+    done = ledger_cells()
+    reread_at = _reread_clock()
+    reread_every = _heartbeat_interval(lease_ttl)
+    skipped = len(cells.keys() & done)
 
     executed = 0
     deferred = 0
@@ -528,6 +521,7 @@ def elastic_worker(
             skipped=skipped, assigned=0, waves=0, shard=None, owner=worker,
         )
         wave_no = 0
+        garbage: list[str] = []  # stale marker ids riding on the next delete
         try:
             while True:
                 if stop is not None and stop():
@@ -540,9 +534,25 @@ def elastic_worker(
                 if limit is not None and executed >= limit:
                     truncated = True
                     break
-                done = locked_op(
-                    "completed_cells", lambda: completed_cells(store, name)
-                )
+                # Markers first, ledger second: a rival that finished a
+                # cell and released its lease in between is then caught
+                # by the re-read instead of looking like a free cell.
+                scan = locked_op("marker.scan", lambda: store.markers(name))
+                now = time.time()
+                beats, leases = _split(scan)
+                members = _live(beats, lease_ttl, now)
+                registry.set_gauge("coordinator.members", float(len(members)))
+                garbage = [
+                    marker.id for marker in scan
+                    if now - marker.created > lease_ttl * STALE_MARKER_FACTOR
+                ]
+                if (
+                    any(_owner(marker) != worker for marker in scan)
+                    or _reread_clock() - reread_at > reread_every
+                ):
+                    registry.inc("coordinator.ledger.rescans")
+                    done |= ledger_cells()
+                    reread_at = _reread_clock()
                 pending = [
                     digest for digest in cells if digest not in done
                 ]
@@ -551,14 +561,6 @@ def elastic_worker(
                 workable = [d for d in pending if d not in failed_digests]
                 if not workable:
                     break  # everything left already failed here; give up
-                now = time.time()
-                with lock:
-                    _expire_stale_markers(store, lease_ttl)
-                    members = live_members(store, name, lease_ttl, now)
-                    leases = _store_op(
-                        "lease.scan", lambda: lease_records(store, name)
-                    )
-                registry.set_gauge("coordinator.members", float(len(members)))
                 # Deal this wave: free cells first, then stale leases to
                 # steal.  Cells under a live rival's lease are deferred.
                 step_now = step
@@ -629,12 +631,13 @@ def elastic_worker(
                         continue
                     interrupted = True
                     break
-                docs = [
-                    _lease_doc(name, digest, worker, epoch)
+                rows = [
+                    _lease_row(digest, worker, epoch)
                     for digest, epoch in wanted
                 ]
                 anchor_ids = locked_op(
-                    "lease.put", lambda: list(store.put_many(docs))
+                    "lease.put",
+                    lambda: store.put_markers(name, LEASE_KIND, rows),
                 )
                 anchors = {
                     digest: (epoch, anchor)
@@ -643,10 +646,16 @@ def elastic_worker(
                 # Confirm: re-read and keep only the cells we actually
                 # won — a racing rival acquiring/stealing the same cell
                 # resolves deterministically for everyone.
-                with lock:
-                    confirm = _store_op(
-                        "lease.confirm", lambda: lease_records(store, name)
-                    )
+                try:
+                    _, confirm = _split(locked_op(
+                        "lease.confirm", lambda: store.markers(name)
+                    ))
+                except BaseException:
+                    # Nobody owns the anchors yet: delete them or the
+                    # cells stay deferred to our corpse for a whole TTL.
+                    with lock:
+                        _drop(store, anchor_ids)
+                    raise
                 now = time.time()
                 won: dict[str, tuple[int, str]] = {}
                 lost_ids: list[str] = []
@@ -665,7 +674,7 @@ def elastic_worker(
                         lost_ids.append(anchor)
                 if lost_ids:
                     with lock:
-                        _delete_claims(store, lost_ids)
+                        _drop(store, lost_ids)
                 if not won:
                     continue
                 wave_no += 1
@@ -694,10 +703,11 @@ def elastic_worker(
                         results = svc.run(
                             requests, processes=processes, rethrow=False
                         )
-                        artifacts = []
+                        artifacts, stored = [], []
                         for cell, result in zip(runnable, results):
                             if result.ok:
                                 artifacts.append(cell.artifact(result.value))
+                                stored.append(cell.digest)
                                 executed += 1
                                 wave_executed += 1
                             else:
@@ -713,14 +723,14 @@ def elastic_worker(
                                 "artifacts.put",
                                 lambda: store.put_many(artifacts),
                             )
+                            done.update(stored)
                     finally:
                         with lock:
-                            _delete_claims(store, heartbeat.release())
+                            _drop(store, heartbeat.release() + garbage)
+                        garbage = []
                     wave_span.set(
                         executed=wave_executed, failed=wave_failed
                     )
-                with lock:
-                    _gc_dead_markers(store, name, lease_ttl, time.time())
                 summary = {
                     "campaign": name,
                     "member": worker,
@@ -741,7 +751,7 @@ def elastic_worker(
                     progress(dict(summary))
         finally:
             with lock:
-                _delete_claims(store, heartbeat.deregister())
+                _drop(store, heartbeat.deregister() + garbage)
             bus.event(
                 "campaign.member.leave", campaign=name, member=worker,
                 executed=executed, stolen=stolen, interrupted=interrupted,
@@ -756,9 +766,7 @@ def elastic_worker(
             seconds=time.perf_counter() - start,
         )
 
-    final_done = locked_op(
-        "completed_cells", lambda: completed_cells(store, name)
-    )
+    final_done = ledger_cells()
     remaining_failures = [
         failure for failure in failures if failure["cell"] not in final_done
     ]
@@ -917,14 +925,10 @@ def run_elastic(
     except Exception:  # noqa: BLE001 - queue drained (or a child died)
         pass
     crashed = sum(1 for child in children if child.exitcode not in (0, None))
-    # Crashed children leak their last heartbeat/lease documents.  All
-    # children have exited, so every marker naming one of *our* workers
-    # is certainly dead — sweep them (plus anything older than one TTL)
-    # so a chaos-heavy fleet leaves the store as clean as a calm one.
-    # A still-attached foreign ``--join`` worker's fresh documents are
-    # untouched.
-    _gc_worker_markers(store, spec.name, names)
-    _gc_dead_markers(store, spec.name, lease_ttl, time.time(), horizon=lease_ttl)
+    # Crashed children leak their last heartbeat/lease markers; sweep
+    # them so a chaos-heavy fleet leaves the store as clean as a calm
+    # one.
+    _sweep_markers(store, spec.name, names, horizon=lease_ttl)
     done_after = completed_cells(store, spec.name) & cells
     executed = len(done_after - done_before)
     failures: list[dict[str, str]] = []

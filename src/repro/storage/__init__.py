@@ -16,7 +16,7 @@ flushed to stable storage before returning (see
 from __future__ import annotations
 
 from repro.core.errors import StoreError
-from repro.storage.base import MemoryStore, ProfileStore, StoreEntry
+from repro.storage.base import Marker, MemoryStore, ProfileStore, StoreEntry
 from repro.storage.filestore import FileStore
 from repro.storage.mongostore import MAX_DOCUMENT_BYTES, Collection, MongoLite, MongoStore
 from repro.storage.query import compile_query
@@ -25,6 +25,7 @@ __all__ = [
     "Collection",
     "FileStore",
     "MAX_DOCUMENT_BYTES",
+    "Marker",
     "MemoryStore",
     "MongoLite",
     "MongoStore",

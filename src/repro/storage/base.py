@@ -5,7 +5,7 @@ the paper describes (§4): the profile method "stores the results on disk
 or in a MongoDB database; the application startup command and custom tags
 are used as search index".
 
-Two access planes, one contract:
+Three access planes, one contract:
 
 * **Payload plane** — :meth:`ProfileStore.find` / :meth:`get` /
   :meth:`get_many` return full :class:`~repro.core.samples.Profile`
@@ -15,6 +15,14 @@ Two access planes, one contract:
   ``(command, tags)`` index as lightweight :class:`StoreEntry` records,
   *without* deserialising profile payloads.  Campaign ledgers, claim
   scans and placement lookups live on this plane.
+* **Marker plane** — :meth:`ProfileStore.put_markers` /
+  :meth:`markers` / :meth:`delete_markers` hold payload-free,
+  short-lived coordination records (:class:`Marker`: a kind, a few
+  string fields, a creation stamp) grouped under a *scope*.  Elastic
+  campaigns keep their heartbeats and leases here.  Markers are not
+  profiles: no document-plane call (``entries``, ``count``, ``find``,
+  ...) ever sees one, and a marker scan is fresh across handles and
+  processes by construction — it never answers from a cache.
 
 The base class supplies brute-force implementations over
 :meth:`_iter_profiles` (every profile loaded and tested); concrete
@@ -26,8 +34,9 @@ test suite and ``benchmarks/bench_e9_store.py``.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any, NamedTuple
 
 from repro.core.errors import ProfileNotFoundError, StoreError
@@ -35,9 +44,9 @@ from repro.core.samples import Profile
 from repro.core.tags import normalize_command, normalize_tags, tags_match
 from repro.faults import inject
 from repro.storage.query import compile_query
-from repro.telemetry.metrics import timed
+from repro.telemetry.metrics import get_registry, timed
 
-__all__ = ["ProfileStore", "MemoryStore", "StoreEntry"]
+__all__ = ["Marker", "ProfileStore", "MemoryStore", "StoreEntry"]
 
 
 class StoreEntry(NamedTuple):
@@ -47,6 +56,16 @@ class StoreEntry(NamedTuple):
     id: str
     command: str
     tags: tuple[str, ...]
+    created: float
+
+
+class Marker(NamedTuple):
+    """One payload-free coordination record (see the marker plane)."""
+
+    #: Store-assigned id, usable with :meth:`ProfileStore.delete_markers`.
+    id: str
+    kind: str
+    fields: dict[str, str]
     created: float
 
 
@@ -78,6 +97,67 @@ class ProfileStore(ABC):
         payload and exists as the reference the indexed paths are pinned
         against (and as the fallback for stores without an index).
         """
+
+    # -- marker plane (payload-free coordination records) ---------------------
+
+    def put_markers(
+        self,
+        scope: str,
+        kind: str,
+        rows: Iterable[Mapping[str, Any]],
+        created: float | None = None,
+    ) -> list[str]:
+        """Write one marker per row under ``scope``; returns their ids.
+
+        Each row is a small mapping of fields (keys and values are
+        stored as strings); every marker of the batch carries the same
+        ``created`` stamp (default: now).  A batch that fails leaves no
+        marker behind.  Fires the ``store.put`` fault point with key
+        ``marker:<kind>``, so chaos plans aimed at store writes reach
+        lease and heartbeat traffic too.
+        """
+        fields = [{str(k): str(v) for k, v in row.items()} for row in rows]
+        stamp = time.time() if created is None else float(created)
+        inject("store.put", key=f"marker:{kind}")
+        with timed("store.markers.seconds"):
+            ids = self._put_markers(str(scope), str(kind), fields, stamp)
+        get_registry().inc("store.markers.put", len(ids))
+        return ids
+
+    def markers(self, scope: str) -> list[Marker]:
+        """Every marker under ``scope``, ordered by ``(created, id)``.
+
+        Always reads through to the backing medium: a marker another
+        handle or process wrote is visible to the very next scan.
+        Fires the ``store.entries`` fault point.
+        """
+        inject("store.entries")
+        get_registry().inc("store.markers.scan")
+        with timed("store.markers.seconds"):
+            found = self._markers(str(scope))
+        found.sort(key=lambda marker: (marker.created, marker.id))
+        return found
+
+    def delete_markers(self, ids: Iterable[str]) -> None:
+        """Remove markers by id; ids already gone are ignored."""
+        ids = list(ids)
+        get_registry().inc("store.markers.delete", len(ids))
+        with timed("store.markers.seconds"):
+            self._delete_markers(ids)
+
+    @abstractmethod
+    def _put_markers(
+        self, scope: str, kind: str, rows: list[dict[str, str]], created: float
+    ) -> list[str]:
+        """Backend write of one marker batch (all rows or none)."""
+
+    @abstractmethod
+    def _markers(self, scope: str) -> list[Marker]:
+        """Backend scan of one scope, in any order."""
+
+    @abstractmethod
+    def _delete_markers(self, ids: list[str]) -> None:
+        """Backend delete; missing ids are not an error."""
 
     # -- index plane (no payload deserialisation) -----------------------------
 
@@ -225,6 +305,9 @@ class MemoryStore(ProfileStore):
         self._profiles: dict[str, Profile] = {}
         self._by_key: dict[tuple[str, tuple[str, ...]], list[str]] = {}
         self._next_id = 0
+        #: marker id -> (scope, marker).
+        self._marks: dict[str, tuple[str, Marker]] = {}
+        self._next_mark = 0
 
     def put(self, profile: Profile) -> str:
         inject("store.put", key=profile.command)
@@ -252,6 +335,22 @@ class MemoryStore(ProfileStore):
         """Remove all stored profiles."""
         self._profiles.clear()
         self._by_key.clear()
+
+    def _put_markers(self, scope, kind, rows, created):
+        ids = []
+        for fields in rows:
+            mid = f"mark-{self._next_mark:012d}"
+            self._next_mark += 1
+            self._marks[mid] = (scope, Marker(mid, kind, fields, created))
+            ids.append(mid)
+        return ids
+
+    def _markers(self, scope):
+        return [marker for held, marker in self._marks.values() if held == scope]
+
+    def _delete_markers(self, ids):
+        for mid in ids:
+            self._marks.pop(mid, None)
 
     def _iter_profiles(self):
         yield from self._profiles.items()

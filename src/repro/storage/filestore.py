@@ -8,6 +8,7 @@ File layout::
 
     <root>/<key-hash>/<created-ns>-<writer>-<seq>.json   # one profile each
     <root>/<key-hash>/index.jsonl                        # sidecar index
+    <root>/.markers/<scope-hash>/<created-ns>-<writer>-<seq>,<kind>,<k>=<v>,...
 
 where ``key-hash`` identifies the ``(command, tags)`` group.  ``writer``
 is a per-store token (PID plus random suffix): several processes — or
@@ -53,6 +54,28 @@ sharded-campaign ledger depends on.  A group's ``(command, tags)``
 identity is immutable (the directory name is its hash), so groups ruled
 out by a query's command/tag filter are pruned from cache without any
 directory I/O.
+
+Marker plane (``.markers/``)
+----------------------------
+
+Markers (elastic-campaign heartbeats and leases; see
+:class:`~repro.storage.base.Marker`) are **zero-byte files** whose name
+is the record: creation stamp, writer token and sequence number (the
+same collision-free prefix profile files use), then the kind and the
+``key=value`` fields, each percent-escaped so arbitrary strings — ``/``,
+``~``, ``.``, commas, newlines — cannot break the name apart or out of
+the directory.  ``scope-hash`` identifies the marker scope (a campaign
+name).  A write is one ``O_CREAT|O_EXCL`` open, a scan is one
+listing of the scope directory — never cached, so it is fresh
+across handles and processes by construction — and a delete is one
+``unlink``.  There is no journal, index or group directory to maintain,
+and nothing to reconcile after a crash: a marker exists exactly when
+its file does.  A record too long for one file name (255 bytes) keeps
+its kind and fields in the file body instead: the name ends in ``,@``
+and the body is written before an atomic rename, so a scan never sees
+it half-written.  Markers are heartbeats, not data: ``durability="fsync"``
+does not apply to them (a marker lost to a power cut is a dropped
+heartbeat).  Dot-directories under the root are never profile groups.
 """
 
 from __future__ import annotations
@@ -67,12 +90,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+from urllib.parse import quote, unquote
 
 from repro.core.errors import ConfigError, CorruptArtifactError, StoreError
 from repro.core.samples import Profile
 from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
-from repro.storage.base import ProfileStore, StoreEntry
+from repro.storage.base import Marker, ProfileStore, StoreEntry
 from repro.storage.query import compile_query
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry, timed
@@ -87,6 +111,16 @@ INDEX_NAME = "index.jsonl"
 #: for as long as the ``(mtime_ns, size)`` stat signature matches.
 PAYLOAD_CACHE_SIZE = 512
 
+#: Directory under the store root holding the marker plane.
+MARKER_DIR = ".markers"
+
+#: Longest file name the marker plane will create (``NAME_MAX`` on every
+#: mainstream filesystem); longer records spill to the file body.
+MARKER_NAME_MAX = 255
+
+#: Name suffix of a marker whose kind and fields live in the file body.
+_SPILLED = "@"
+
 
 def _key_hash(command: str, tags: tuple[str, ...]) -> str:
     payload = json.dumps([command, list(tags)]).encode("utf-8")
@@ -96,6 +130,40 @@ def _key_hash(command: str, tags: tuple[str, ...]) -> str:
 def _payload_sum(data: bytes) -> str:
     """Integrity digest of one profile file's exact bytes."""
     return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _marker_name(stem: str, kind: str, fields: Mapping[str, str]) -> str:
+    """File name of one marker (see the module docstring's layout).
+
+    ``quote(..., safe="")`` leaves only ``A-Za-z0-9_.-~`` bare, so the
+    ``,`` / ``=`` / ``@`` separators can never come from a value.
+    """
+    parts = [stem, quote(kind, safe="")]
+    parts += [f"{quote(k, safe='')}={quote(v, safe='')}" for k, v in fields.items()]
+    return ",".join(parts)
+
+
+def _parse_marker(scope_hash: str, name: str, scope_dir: Path) -> Marker | None:
+    """The marker a file name encodes (``None`` for anything else)."""
+    stem, sep, rest = name.partition(",")
+    stamp = stem.partition("-")[0]
+    if not sep or not stamp.isdigit():
+        return None  # a writer's in-flight spill file, or a stranger
+    try:
+        if rest == _SPILLED:
+            kind, fields = json.loads((scope_dir / name).read_text(encoding="utf-8"))
+        else:
+            kind, _, packed = rest.partition(",")
+            kind = unquote(kind)
+            fields = {
+                unquote(key): unquote(value)
+                for key, _, value in (
+                    pair.partition("=") for pair in packed.split(",") if pair
+                )
+            }
+    except (OSError, ValueError, TypeError):
+        return None  # deleted under the scan, or torn by a stranger
+    return Marker(f"{scope_hash}/{name}", kind, fields, int(stamp) / 1e9)
 
 
 @dataclass
@@ -109,9 +177,20 @@ class _GroupIndex:
     #: write order within one writer).
     entries: list[tuple[str, float]] = field(default_factory=list)
 
-    @property
-    def names(self) -> set[str]:
-        return {name for name, _created in self.entries}
+    def __post_init__(self) -> None:
+        #: Kept beside ``tags``/``entries`` so a query neither rebuilds
+        #: the tag set per filter test nor the name set per validation.
+        self.tagset = frozenset(self.tags)
+        self.names = {name for name, _created in self.entries}
+
+    def add(self, name: str, created: float) -> None:
+        insort(self.entries, (name, created))
+        self.names.add(name)
+
+    def discard(self, name: str) -> None:
+        if name in self.names:
+            self.names.remove(name)
+            self.entries = [entry for entry in self.entries if entry[0] != name]
 
 
 class FileStore(ProfileStore):
@@ -282,29 +361,115 @@ class FileStore(ProfileStore):
         cached = self._groups.get(group.name)
         if cached is not None:
             for pid, profile in items:
-                insort(cached.entries, (pid.rpartition("/")[2], profile.created))
+                cached.add(pid.rpartition("/")[2], profile.created)
 
     def delete(self, pid: str) -> None:
         """Remove one stored profile by the id :meth:`put` returned.
 
-        The journal line is left behind; index loads drop lines whose
-        file is gone and eventually compact them away.
+        The journal line is left behind: the cached index just forgets
+        the entry (the mirror of ``_journal_append``'s in-place insert),
+        and the next cold load of the group drops lines whose file is
+        gone and compacts them away.  Only a group emptied by the delete
+        leaves the cache, so the next query's cold load garbage-collects
+        its directory.
         """
         path = self.root / pid
         try:
             path.unlink()
         except FileNotFoundError as exc:
             raise StoreError(f"no stored profile {pid!r}") from exc
-        self._groups.pop(path.parent.name, None)
+        gname = path.parent.name
+        cached = self._groups.get(gname)
+        if cached is not None:
+            cached.discard(path.name)
+            if not cached.entries:
+                del self._groups[gname]
         self._payloads.pop(pid, None)
         self._sums.pop(pid, None)
+
+    # -- marker plane ---------------------------------------------------------
+
+    def _scope_dir(self, scope: str) -> tuple[str, Path]:
+        scope_hash = hashlib.sha256(scope.encode("utf-8")).hexdigest()[:16]
+        return scope_hash, self.root / MARKER_DIR / scope_hash
+
+    def _put_markers(self, scope, kind, rows, created):
+        scope_hash, scope_dir = self._scope_dir(scope)
+        stamp = f"{int(created * 1e9):020d}-{self._writer}"
+        written: list[str] = []
+        try:
+            for fields in rows:
+                self._seq += 1
+                stem = f"{stamp}-{self._seq:06d}"
+                name = _marker_name(stem, kind, fields)
+                if len(name) > MARKER_NAME_MAX:
+                    name = self._spill_marker(scope_dir, stem, kind, fields)
+                else:
+                    self._create_marker(scope_dir, name)
+                written.append(name)
+        except OSError as exc:
+            for name in written:  # all rows or none
+                (scope_dir / name).unlink(missing_ok=True)
+            raise StoreError(f"cannot write marker under {scope_dir}: {exc}") from exc
+        return [f"{scope_hash}/{name}" for name in written]
+
+    @staticmethod
+    def _create_marker(scope_dir: Path, name: str) -> None:
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+        try:
+            fd = os.open(scope_dir / name, flags, 0o644)
+        except FileNotFoundError:  # first marker of this scope
+            scope_dir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(scope_dir / name, flags, 0o644)
+        os.close(fd)
+
+    @staticmethod
+    def _spill_marker(
+        scope_dir: Path, stem: str, kind: str, fields: Mapping[str, str]
+    ) -> str:
+        """Write a marker whose record outgrew one file name."""
+        name = f"{stem},{_SPILLED}"
+        scope_dir.mkdir(parents=True, exist_ok=True)
+        tmp = scope_dir / f".{stem}.tmp"
+        try:
+            tmp.write_text(json.dumps([kind, fields]), encoding="utf-8")
+            os.replace(tmp, scope_dir / name)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
+        return name
+
+    def _markers(self, scope):
+        scope_hash, scope_dir = self._scope_dir(scope)
+        try:
+            names = os.listdir(scope_dir)
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            raise StoreError(f"cannot scan markers under {scope_dir}: {exc}") from exc
+        parsed = (_parse_marker(scope_hash, name, scope_dir) for name in names)
+        return [marker for marker in parsed if marker is not None]
+
+    def _delete_markers(self, ids):
+        base = self.root / MARKER_DIR
+        for mid in ids:
+            try:
+                os.unlink(base / mid)
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                raise StoreError(f"cannot delete marker {mid!r}: {exc}") from exc
 
     # -- index plane ----------------------------------------------------------
 
     def _group_dirs(self) -> list[str]:
         try:
             with os.scandir(self.root) as it:
-                return sorted(entry.name for entry in it if entry.is_dir())
+                return sorted(
+                    entry.name
+                    for entry in it
+                    if not entry.name.startswith(".") and entry.is_dir()
+                )
         except OSError:
             return []
 
@@ -327,10 +492,13 @@ class FileStore(ProfileStore):
             self._groups.pop(gname, None)
             return None
         cached = self._groups.get(gname)
-        if cached is not None and len(cached.entries) == len(names):
-            if cached.names == set(names):
-                get_registry().inc("store.index.hit")
-                return cached
+        if (
+            cached is not None
+            and len(cached.entries) == len(names)
+            and cached.names.issuperset(names)
+        ):
+            get_registry().inc("store.index.hit")
+            return cached
         get_registry().inc("store.index.miss")
         self._loading.add(gname)
         try:
@@ -477,7 +645,7 @@ class FileStore(ProfileStore):
         def matches_filter(index: _GroupIndex) -> bool:
             if want_command is not None and index.command != want_command:
                 return False
-            return wanted <= set(index.tags)
+            return wanted <= index.tagset
 
         survivors: list[tuple[str, _GroupIndex]] = []
         for gname in self._group_dirs():
@@ -635,7 +803,7 @@ class FileStore(ProfileStore):
 
     def _iter_profiles(self):
         for group in sorted(self.root.iterdir()):
-            if not group.is_dir():
+            if group.name.startswith(".") or not group.is_dir():
                 continue
             for path in sorted(group.glob("*.json")):
                 try:

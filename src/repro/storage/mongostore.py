@@ -18,8 +18,8 @@ not available here, so this module implements a small, faithful stand-in:
   the horizon are expired server-side — here by a throttled lazy sweep
   on the read paths instead of a background thread — optionally scoped
   by a ``match`` query (the shape of a partial/filtered TTL index), so
-  claim/lease *markers* expire without ever touching real profiles in
-  the same collection.
+  shard-claim *marker documents* expire without ever touching real
+  profiles in the same collection.
 * :class:`MongoStore` — the :class:`~repro.storage.base.ProfileStore`
   backed by a ``MongoLite`` collection.  It creates indexes on
   ``command`` and ``tags`` (the paper's §4 search keys); because the
@@ -30,6 +30,8 @@ not available here, so this module implements a small, faithful stand-in:
   deserialised for confirmed matches.  When a profile document exceeds
   the size limit the store truncates trailing samples until it fits and
   flags the stored profile ``truncated`` (strict mode raises instead).
+  The marker plane (elastic heartbeats and leases) is a second
+  collection, ``markers``, indexed by scope.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Any
 from repro.core.errors import DocumentTooLargeError, StoreError
 from repro.core.samples import Profile
 from repro.core.tags import normalize_command, normalize_tags
-from repro.storage.base import ProfileStore, StoreEntry
+from repro.storage.base import Marker, ProfileStore, StoreEntry
 from repro.storage.query import compile_query
 from repro.telemetry.metrics import timed
 
@@ -132,8 +134,8 @@ class Collection:
         seconds; documents without a numeric value never expire — exactly
         like documents missing the indexed date field in Mongo).
         ``match`` scopes eligibility the way a partial/filtered TTL index
-        does — here it keeps expiry to *marker* documents (claims,
-        leases, heartbeats) sharing a collection with real profiles.
+        does — here it keeps expiry to shard-claim *marker* documents
+        sharing a collection with real profiles.
 
         Expiry is lazy: read paths sweep at most once per
         :data:`TTL_SWEEP_INTERVAL`; :meth:`expire_now` forces one.
@@ -461,6 +463,10 @@ class MongoStore(ProfileStore):
         self.strict = strict
         self.collection.create_index("command")
         self.collection.create_index("tags")
+        #: The marker plane: its own collection, indexed by scope, so
+        #: heartbeats and leases never mix with profile documents.
+        self.marks = self.db.collection("markers")
+        self.marks.create_index("scope")
 
     def put(self, profile: Profile) -> str:
         with timed("store.put.seconds"):
@@ -528,9 +534,10 @@ class MongoStore(ProfileStore):
         Installs (idempotently) a scoped TTL index — ``created`` older
         than ``seconds``, documents whose ``command`` equals the marker
         command — and sweeps immediately, returning the number expired.
-        Claim/lease/heartbeat markers stop accumulating between the
-        campaign layer's explicit GC passes; real profiles in the same
-        collection are untouched.  Later expirations happen lazily on
+        Shard-claim markers stop accumulating between the campaign
+        layer's explicit GC passes; real profiles in the same
+        collection are untouched.  (Elastic heartbeats and leases are
+        not documents: they live on the marker plane, below.)  Later expirations happen lazily on
         the read paths (throttled to :data:`TTL_SWEEP_INTERVAL`).
         """
         marker = normalize_command(command)
@@ -538,6 +545,39 @@ class MongoStore(ProfileStore):
             "created", float(seconds), match={"command": marker}
         )
         return self.collection.expire_now()
+
+    # -- marker plane ---------------------------------------------------------
+
+    def _put_markers(self, scope, kind, rows, created):
+        ids: list[int] = []
+        try:
+            for fields in rows:
+                ids.append(self.marks.insert_one({
+                    "scope": scope, "kind": kind, "fields": fields,
+                    "created": created,
+                }))
+        except StoreError:  # oversized document: all rows or none
+            self.marks.delete_many({"_id": {"$in": ids}})
+            raise
+        self.db.dump()
+        # Zero-padded so the ``(created, id)`` order is insertion order.
+        return [f"{doc_id:012d}" for doc_id in ids]
+
+    def _markers(self, scope):
+        return [
+            Marker(
+                f"{doc_id:012d}", doc["kind"], dict(doc["fields"]),
+                float(doc["created"]),
+            )
+            for doc_id in self.marks.ids_with("scope", scope)
+            for doc in (self.marks.document(doc_id),)
+            if doc is not None
+        ]
+
+    def _delete_markers(self, ids):
+        doomed = [int(mid) for mid in ids if str(mid).isdigit()]
+        if doomed and self.marks.delete_many({"_id": {"$in": doomed}}):
+            self.db.dump()
 
     # -- indexed fast paths ---------------------------------------------------
 

@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.core.samples import Profile
 from repro.faults.plan import FaultPlan
 from repro.faults.inject import injected_faults
 from repro.runtime import (
@@ -35,11 +34,11 @@ from repro.runtime import (
     run_elastic,
 )
 from repro.runtime.coordinator import (
-    LEASE_COMMAND,
-    MEMBER_COMMAND,
+    LEASE_KIND,
+    MEMBER_KIND,
     LeaseRecord,
     _Heartbeat,
-    _lease_doc,
+    _lease_row,
 )
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
@@ -85,9 +84,21 @@ def record(digest, owner, epoch, created, id="x") -> LeaseRecord:
 
 
 def marker_count(store, name: str) -> int:
-    return len(store.entries(MEMBER_COMMAND, tags=[f"campaign={name}"])) + len(
-        store.entries(LEASE_COMMAND, tags=[f"campaign={name}"])
+    return len(store.markers(name))
+
+
+def put_member(store, name: str, member: str, created: float) -> str:
+    [marker_id] = store.put_markers(
+        name, MEMBER_KIND, [{"member": member}], created=created
     )
+    return marker_id
+
+
+def put_lease(store, name, digest, owner, epoch, created=None) -> str:
+    [marker_id] = store.put_markers(
+        name, LEASE_KIND, [_lease_row(digest, owner, epoch)], created=created
+    )
+    return marker_id
 
 
 class TestResolveLease:
@@ -171,22 +182,14 @@ class TestMembership:
         store = MemoryStore()
         now = time.time()
         for member, age in (("fresh", 1.0), ("stale", 50.0)):
-            store.put(Profile(
-                command=MEMBER_COMMAND,
-                tags={"campaign": "m", "member": member},
-                created=now - age,
-            ))
+            put_member(store, "m", member, now - age)
         assert set(live_members(store, "m", ttl=10.0, now=now)) == {"fresh"}
 
     def test_newest_heartbeat_counts(self):
         store = MemoryStore()
         now = time.time()
         for age in (50.0, 1.0):
-            store.put(Profile(
-                command=MEMBER_COMMAND,
-                tags={"campaign": "m", "member": "w"},
-                created=now - age,
-            ))
+            put_member(store, "m", "w", now - age)
         assert set(live_members(store, "m", ttl=10.0, now=now)) == {"w"}
 
 
@@ -204,8 +207,7 @@ class TestHeartbeatThread:
         first = live_members(store, "hb-camp", 10.0)["w1"]
         time.sleep(0.01)
         hb.beat()
-        docs = store.entries(MEMBER_COMMAND, tags=["campaign=hb-camp"])
-        assert len(docs) == 1  # previous heartbeat deleted
+        assert marker_count(store, "hb-camp") == 1  # previous heartbeat deleted
         assert live_members(store, "hb-camp", 10.0)["w1"] > first
 
     def test_dropped_heartbeat_leaves_member_stale(self):
@@ -221,13 +223,15 @@ class TestHeartbeatThread:
         assert live_members(store, "hb-camp", 10.0)["w1"] == first
 
     def test_lease_renewal_preserves_anchor_priority(self):
-        """Renewals keep exactly two documents per held cell: the
+        """Renewals keep exactly two markers per held cell: the
         acquire-time anchor (earliest ``created`` — the same-epoch
         tie-break priority) and the newest renewal."""
         store = MemoryStore()
         hb = self.heartbeat(store)
-        anchor = store.put(_lease_doc("hb-camp", "d1", "w1", 1))
-        anchor_created = store.entries(LEASE_COMMAND)[0].created
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
+        [anchor_created] = [
+            r.created for r in lease_records(store, "hb-camp")["d1"]
+        ]
         hb.hold({"d1": (1, anchor)}, budget=None)
         for _ in range(3):
             time.sleep(0.01)
@@ -241,7 +245,7 @@ class TestHeartbeatThread:
     def test_dropped_renewal_ages_the_lease(self):
         store = MemoryStore()
         hb = self.heartbeat(store)
-        anchor = store.put(_lease_doc("hb-camp", "d1", "w1", 1))
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
         hb.hold({"d1": (1, anchor)}, budget=None)
         plan = FaultPlan.from_dict({
             "rules": [{"point": "coordinator.lease.renew", "mode": "error"}],
@@ -257,7 +261,7 @@ class TestHeartbeatThread:
         overrun wave, so survivors can steal it."""
         store = MemoryStore()
         hb = self.heartbeat(store)
-        anchor = store.put(_lease_doc("hb-camp", "d1", "w1", 1))
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
         hb.hold({"d1": (1, anchor)}, budget=0.0)
         time.sleep(0.01)
         before = live_members(store, "hb-camp", 10.0)["w1"]
@@ -269,7 +273,7 @@ class TestHeartbeatThread:
     def test_release_returns_every_held_doc(self):
         store = MemoryStore()
         hb = self.heartbeat(store)
-        anchor = store.put(_lease_doc("hb-camp", "d1", "w1", 1))
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
         hb.hold({"d1": (1, anchor)}, budget=None)
         time.sleep(0.01)
         hb.beat()
@@ -363,17 +367,8 @@ class TestTakeover:
         store = FileStore(tmp_path / "s")
         cell = spec.cells()[0]
         now = time.time()
-        store.put(Profile(
-            command=MEMBER_COMMAND,
-            tags={"campaign": spec.name, "member": "dead"},
-            created=now - self.age(1.0),
-        ))
-        store.put(Profile(
-            command=LEASE_COMMAND,
-            tags={"campaign": spec.name, "lease": cell.digest,
-                  "owner": "dead", "epoch": 1},
-            created=now - self.age(1.0),
-        ))
+        put_member(store, spec.name, "dead", now - self.age(1.0))
+        put_lease(store, spec.name, cell.digest, "dead", 1, now - self.age(1.0))
         before = get_registry().counter("coordinator.steals")
         report = elastic_worker(
             spec, store, worker="thief", lease_ttl=1.0, service=serial()
@@ -391,13 +386,9 @@ class TestTakeover:
         # The thief deregistered cleanly; the dead worker's markers are
         # stale but still inside the several-TTL GC horizon, so only
         # they may linger.
-        leftovers = store.entries(MEMBER_COMMAND, tags=[f"campaign={spec.name}"])
-        leftovers += store.entries(LEASE_COMMAND, tags=[f"campaign={spec.name}"])
         owners = {
-            tag.split("=", 1)[1]
-            for entry in leftovers
-            for tag in entry.tags
-            if tag.startswith(("member=", "owner="))
+            marker.fields.get("member", marker.fields.get("owner"))
+            for marker in store.markers(spec.name)
         }
         assert owners <= {"dead"}
 
@@ -410,17 +401,8 @@ class TestTakeover:
         store = FileStore(tmp_path / "s")
         cell = spec.cells()[0]
         now = time.time()
-        store.put(Profile(
-            command=MEMBER_COMMAND,
-            tags={"campaign": spec.name, "member": "hung"},
-            created=now,
-        ))
-        store.put(Profile(
-            command=LEASE_COMMAND,
-            tags={"campaign": spec.name, "lease": cell.digest,
-                  "owner": "hung", "epoch": 1},
-            created=now,
-        ))
+        put_member(store, spec.name, "hung", now)
+        put_lease(store, spec.name, cell.digest, "hung", 1, now)
         report = elastic_worker(
             spec, store, worker="survivor", lease_ttl=0.4, service=serial()
         )
@@ -439,12 +421,10 @@ class TestTakeover:
         spec, expected = reference
         store = FileStore(tmp_path / "s")
         cell = spec.cells()[0]
-        store.put(Profile(
-            command=LEASE_COMMAND,
-            tags={"campaign": spec.name, "lease": cell.digest,
-                  "owner": "dead", "epoch": 3},
-            created=time.time() - self.age(1.0),
-        ))
+        put_lease(
+            store, spec.name, cell.digest, "dead", 3,
+            time.time() - self.age(1.0),
+        )
         plan = FaultPlan.from_dict({
             "rules": [{"point": "coordinator.steal", "mode": "error", "at": 1}],
         })
@@ -686,3 +666,125 @@ class TestProcessFleet:
         done = len(completed_cells(store, spec.name))
         assert report.executed == done
         assert marker_count(store, spec.name) == 0
+
+
+class CountingStore:
+    """Delegating store wrapper that counts the calls made through it
+    (the coordinator's, not the store's own internal ones)."""
+
+    def __init__(self, target) -> None:
+        self.target = target
+        self.calls: dict[str, int] = {}
+
+    def __getattr__(self, name):
+        attr = getattr(self.target, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestMonotoneLedger:
+    """The worker's ``done`` set only grows: the ledger is re-read at
+    start, at exit, while the marker scan shows a rival, and once per
+    heartbeat interval — never per wave for a lone worker."""
+
+    SPEC64 = dict(SPEC, name="elastic-mono", seeds=list(range(16)))
+
+    def rescans(self) -> float:
+        return get_registry().counter("coordinator.ledger.rescans")
+
+    def test_lone_worker_reads_the_ledger_at_start_and_exit_only(self, tmp_path):
+        spec = CampaignSpec.from_dict(self.SPEC64)
+        assert spec.n_cells == 64
+        store = CountingStore(FileStore(tmp_path / "s"))
+        before = self.rescans()
+        report = elastic_worker(
+            spec, store, worker="solo", lease_ttl=30.0, service=serial()
+        )
+        assert report.complete and report.executed == 64
+        assert store.calls["entries"] <= 3
+        assert self.rescans() == before
+        # One marker scan to deal + one to confirm per wave, plus the join.
+        assert store.calls["markers"] <= 2 * 8 + 3
+        assert "put" not in store.calls  # no lease/heartbeat documents
+        assert store.calls["put_many"] == 8  # the artifact waves, nothing else
+        assert store.target.count() == 64
+        assert store.target.markers(spec.name) == []
+        groups = [p.name for p in (tmp_path / "s").iterdir()]
+        assert len(groups) == 64 + 1 and ".markers" in groups
+
+    def test_rival_joining_mid_run_resumes_per_wave_rereads(self, tmp_path):
+        """A rival that appears mid-run is seen by the next wave's marker
+        scan; from then on every wave re-reads the ledger, so the cells
+        the rival completed are never re-executed."""
+        spec = CampaignSpec.from_dict(self.SPEC64)
+        donor = MemoryStore()
+        assert run_campaign(spec, donor, service=serial()).complete
+        rival_cells = [cell.digest for cell in spec.cells()[-16:]]
+        store = CountingStore(FileStore(tmp_path / "s"))
+        entries_at_wave: list[int] = []
+
+        def progress(summary) -> None:
+            entries_at_wave.append(store.calls.get("entries", 0))
+            if summary["wave"] == 2:
+                # The rival joins, finishes two waves' worth of cells
+                # and stays registered.
+                put_member(store.target, spec.name, "rival", time.time())
+                store.target.put_many([
+                    profile
+                    for digest in rival_cells
+                    for profile in donor.find(tags=[f"cell={digest}"])
+                ])
+
+        before = self.rescans()
+        report = elastic_worker(
+            spec, store, worker="solo", lease_ttl=30.0, service=serial(),
+            progress=progress,
+        )
+        assert report.executed == 64 - 16  # the rival's cells never re-ran
+        assert report.complete
+        assert store.target.count() == 64  # ... so the ledger has no duplicate
+        waves = len(entries_at_wave)
+        assert waves == 6
+        # No re-read before the rival showed up, one per wave after.
+        assert entries_at_wave[0] == entries_at_wave[1]
+        assert all(
+            later > earlier
+            for earlier, later in zip(entries_at_wave[1:], entries_at_wave[2:])
+        )
+        assert self.rescans() >= before + (waves - 2)
+
+    def test_reread_once_a_heartbeat_interval_without_any_rival(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runtime import coordinator
+
+        spec = CampaignSpec.from_dict(self.SPEC64)
+        store = CountingStore(FileStore(tmp_path / "s"))
+        clock = {"now": 1000.0}
+        monkeypatch.setattr(coordinator, "_reread_clock", lambda: clock["now"])
+        ttl = 30.0
+        rescans_at_wave: list[float] = []
+
+        def progress(summary) -> None:
+            rescans_at_wave.append(self.rescans())
+            if summary["wave"] == 3:
+                clock["now"] += ttl / 3 + 0.001
+
+        before = self.rescans()
+        report = elastic_worker(
+            spec, store, worker="solo", lease_ttl=ttl, service=serial(),
+            progress=progress,
+        )
+        assert report.complete
+        # Waves 1-3: clock frozen, no re-read.  Wave 4 starts a heartbeat
+        # interval later: exactly one re-read, then none again.
+        assert [count - before for count in rescans_at_wave] == [
+            0, 0, 0, 1, 1, 1, 1, 1,
+        ]
+        assert store.calls["entries"] == 3

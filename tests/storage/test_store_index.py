@@ -243,6 +243,31 @@ class TestFileStoreSidecarIndex:
         rows = [json.loads(line) for line in index_path.read_text().splitlines()]
         assert sorted(row["id"] for row in rows) == sorted([ids[0], ids[2]])
 
+    def test_delete_edits_the_cached_index_in_place(self, tmp_path):
+        """Deleting one profile of a live group must not throw the
+        group's cached index away: the next query is a cache hit that
+        neither re-reads nor rewrites the journal — the stale line waits
+        for the next cold load (the test above)."""
+        from repro.telemetry.metrics import get_registry
+
+        store = FileStore(tmp_path / "p")
+        ids = store.put_many([make_profile(created=float(i)) for i in range(3)])
+        assert store.count() == 3  # index warm
+        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
+        journal = index_path.read_bytes()
+        misses = get_registry().counter("store.index.miss")
+        store.delete(ids[1])
+        assert [entry.id for entry in store.entries()] == [ids[0], ids[2]]
+        assert get_registry().counter("store.index.miss") == misses
+        assert index_path.read_bytes() == journal
+        # The in-place edit keeps later writes and deletes consistent.
+        new = store.put(make_profile(created=9.0))
+        store.delete(ids[0])
+        assert [entry.id for entry in store.entries()] == [ids[2], new]
+        assert [entry.id for entry in FileStore(tmp_path / "p").entries()] == [
+            ids[2], new,
+        ]
+
     def test_index_plane_never_opens_payloads(self, tmp_path, monkeypatch):
         """``count``/``keys``/``entries``/``ids_for`` answer from
         filenames and the sidecar index alone."""
