@@ -32,9 +32,12 @@ class NetworkAtom(AtomBase):
     def setup(self) -> None:
         self._local, self._remote = socket.socketpair()
         self._stop.clear()
+        # Set before the thread exists: the owner may close the pair at
+        # any time after that, and the thread must only ever see a
+        # closed socket as "stop".
+        self._remote.settimeout(0.1)
 
         def drain(remote: socket.socket) -> None:
-            remote.settimeout(0.1)
             while not self._stop.is_set():
                 try:
                     if not remote.recv(1 << 16):
@@ -78,7 +81,17 @@ class NetworkAtom(AtomBase):
             remaining -= len(chunk)
 
     def teardown(self) -> None:
+        # Stop and join the drain thread while the pair is still open,
+        # so it never calls into a closed descriptor.
         self._stop.set()
+        if self._drain is not None:
+            if self._local is not None:
+                try:  # end-of-stream wakes the thread out of recv() at once
+                    self._local.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass
+            self._drain.join(timeout=1.0)
+            self._drain = None
         for sock in (self._local, self._remote):
             if sock is not None:
                 try:
@@ -86,6 +99,3 @@ class NetworkAtom(AtomBase):
                 except OSError:
                     pass
         self._local = self._remote = None
-        if self._drain is not None:
-            self._drain.join(timeout=1.0)
-            self._drain = None

@@ -14,6 +14,7 @@ the emulator.  It captures every tunable the paper exposes:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
@@ -141,9 +142,10 @@ class SynapseConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a plain dict (stored inside every profile)."""
-        data = dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["watchers"] = list(self.watchers)
         data["atoms"] = list(self.atoms)
+        data["extra"] = copy.deepcopy(self.extra)
         return data
 
     @classmethod
@@ -156,3 +158,7 @@ class SynapseConfig:
         if "atoms" in kwargs:
             kwargs["atoms"] = tuple(kwargs["atoms"])
         return cls(**kwargs)
+
+
+#: Field names in declaration order (the key order of :meth:`to_dict`).
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SynapseConfig))

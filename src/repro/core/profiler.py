@@ -98,10 +98,9 @@ class Profiler:
         policy = policy_from_config(config)
 
         handle = self.backend.spawn(target, **spawn_kwargs)
+        machine_info = self.backend.machine_info()
         context = WatcherContext(
-            config=config,
-            machine_info=self.backend.machine_info(),
-            backend=self.backend,
+            config=config, machine_info=machine_info, backend=self.backend
         )
         watchers = [
             get_watcher(name)(handle, context) for name in config.watchers
@@ -122,7 +121,8 @@ class Profiler:
             now = self.backend.now() - t0
             counters_many = getattr(handle, "counters_many", None)
             if counters_many is not None and self._batchable(watchers):
-                self._sample_batch(watchers, [now], counters_many(np.asarray([now])))
+                drain = np.asarray([now])
+                self._sample_batch(watchers, drain, counters_many(drain))
             else:
                 for watcher in watchers:
                     self._safe_sample(watcher, now)
@@ -138,7 +138,9 @@ class Profiler:
                 watcher.result.info["finalize_error"] = repr(exc)
                 results[watcher.name] = watcher.result
 
-        profile = self._build_profile(results, handle, exit_code, command, tags, policy)
+        profile = self._build_profile(
+            results, handle, exit_code, command, tags, policy, machine_info
+        )
         if self.store is not None:
             self.store.put(profile)
         return profile
@@ -291,7 +293,8 @@ class Profiler:
             times.append(now - t0)
         clock.advance_to(now)
         if times:
-            self._sample_batch(watchers, times, counters_many(np.asarray(times)))
+            grid = np.asarray(times)
+            self._sample_batch(watchers, grid, counters_many(grid))
         return True
 
     @staticmethod
@@ -314,11 +317,11 @@ class Profiler:
     @staticmethod
     def _sample_batch(
         watchers: list[WatcherBase],
-        times: list[float],
+        times: np.ndarray,
         counters: dict[str, Any],
     ) -> None:
-        """Feed one batch of samples to every watcher, quarantining
-        plugin failures exactly like :meth:`_safe_sample`."""
+        """Feed one batch of samples (the same arrays) to every watcher,
+        quarantining plugin failures exactly like :meth:`_safe_sample`."""
         for watcher in watchers:
             try:
                 watcher.sample_batch(times, counters)
@@ -368,6 +371,7 @@ class Profiler:
         command: str | None,
         tags: object,
         policy: SamplingPolicy,
+        machine_info: dict[str, Any],
     ) -> Profile:
         config = self.config
         cumulative: dict[str, Any] = {}
@@ -409,7 +413,7 @@ class Profiler:
         return Profile(
             command=command if command is not None else _target_command(handle, info),
             tags=normalize_tags(tags),
-            machine=dict(self.backend.machine_info()),
+            machine=dict(machine_info),
             config=config.to_dict(),
             sample_rate=config.sample_rate,
             samples=samples,

@@ -257,43 +257,49 @@ class Profile:
         cumulative series are differenced across interval boundaries and
         level series are sampled at interval ends.
 
-        The merge is batched: every series is interpolated over the
-        whole grid in one :meth:`TimeSeries.values_at` shot and the
-        per-interval deltas come from one array difference — the same
-        packed-array treatment the sim plane's grid sampling got —
-        instead of one ``value_at`` call per metric per interval.
-        Results are bit-identical to the scalar merge (the test suite
-        pins the equivalence against a scalar reference
-        implementation): the array difference subtracts exactly the
-        float64 values the scalar loop tracked in ``prev_cum``, and
-        counters of a freshly spawned process start at zero — seeding
-        from the first *observation* instead would swallow everything
-        before the first watcher sample (the spawn-to-first-sample
-        offset the paper corrects with ``time -v``).
+        The merge is columnar: every series is interpolated over the
+        whole grid in one :meth:`TimeSeries.values_at` shot, cumulative
+        columns are differenced as arrays, and each column becomes
+        Python floats with one ``tolist()`` — one row of those per
+        sample — instead of one ``value_at`` / ``float()`` call per
+        metric per interval.  Results are bit-identical to the scalar
+        merge (the test suite pins the equivalence against a scalar
+        reference implementation): the array difference subtracts
+        exactly the float64 values the scalar loop tracked in
+        ``prev_cum``, and counters of a freshly spawned process start
+        at zero — seeding from the first *observation* instead would
+        swallow everything before the first watcher sample (the
+        spawn-to-first-sample offset the paper corrects with
+        ``time -v``).
         """
         intervals = list(grid)
         ends = np.fromiter(
             (t + dt for t, dt in intervals), dtype=float, count=len(intervals)
         )
-        cum_deltas = {
-            name: np.diff(series.values_at(ends), prepend=0.0)
-            for name, series in cumulative.items()
-        }
-        level_values = {
-            name: series.values_at(ends) for name, series in levels.items()
-        }
+        # Cumulative names first, then levels (a name in both keeps its
+        # first position and the level's value, as dict updates do).
+        names: list[str] = []
+        columns: list[list[float]] = []
+        for name, series in cumulative.items():
+            at_ends = series.values_at(ends)
+            deltas = at_ends.copy()
+            np.subtract(at_ends[1:], at_ends[:-1], out=deltas[1:])
+            names.append(name)
+            columns.append(deltas.tolist())
+        for name, series in levels.items():
+            names.append(name)
+            columns.append(series.values_at(ends).tolist())
+        rows = zip(*columns) if columns else [()] * len(intervals)
         wt = {k: list(v) for k, v in (watcher_times or {}).items()}
         samples: list[Sample] = []
-        for index, (t, dt) in enumerate(intervals):
-            values: dict[str, float] = {
-                name: float(deltas[index]) for name, deltas in cum_deltas.items()
-            }
-            for name, level in level_values.items():
-                values[name] = float(level[index])
+        for index, ((t, dt), row) in enumerate(zip(intervals, rows)):
             times = {
                 watcher: stamps[index]
                 for watcher, stamps in wt.items()
                 if index < len(stamps)
             }
-            samples.append(Sample(index=index, t=t, dt=dt, values=values, watcher_times=times))
+            samples.append(
+                Sample(index=index, t=t, dt=dt, values=dict(zip(names, row)),
+                       watcher_times=times)
+            )
         return samples

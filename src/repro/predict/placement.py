@@ -10,9 +10,10 @@ machines, and the plan's makespan is the sum over levels of the slowest
 machine's *wave* time.
 
 Wave times are contention-aware, mirroring the engine's phase model
-(:meth:`repro.sim.engine.Engine._phase_factors`): oversubscribing a
-machine's cores slows all compute on it proportionally, and concurrent
-I/O streams share the filesystem bandwidth.  Because predictor and
+(the contention stage of :meth:`repro.sim.engine.Engine.prepare`):
+oversubscribing a machine's cores slows all compute on it
+proportionally, and concurrent I/O streams share the filesystem
+bandwidth.  Because predictor and
 engine agree demand-by-demand, a plan's predicted makespan replays
 exactly on the sim plane (see :mod:`repro.predict.validate`).
 

@@ -5,10 +5,11 @@ The predictor maps a :class:`~repro.predict.models.DemandVector` onto any
 engine: each vector component is costed with the machine's sustained
 rates (IPC × clock for compute, latency + bandwidth for I/O, memory and
 network), reproducing the paper-companion's analytical placement model.
-The formulas are exactly the engine's per-demand costing
-(:meth:`repro.sim.engine.Engine._cost`), so a prediction equals the
-noise-free emulated runtime of the same vector — the property the
-closed-loop validation in :mod:`repro.predict.validate` measures.
+The formulas are exactly the engine's per-demand costing (the cost
+stage of :meth:`repro.sim.engine.Engine.prepare`), so a prediction
+equals the noise-free emulated runtime of the same vector — the
+property the closed-loop validation in :mod:`repro.predict.validate`
+measures.
 
 Two performance features make the predictor usable as a planner inner
 loop:

@@ -160,6 +160,10 @@ class CampaignSpec:
     config: dict[str, Any] = field(default_factory=dict)
     tags: dict[str, Any] = field(default_factory=dict)
     policy: RunPolicy | None = None
+    #: Application models by app string, filled by :meth:`app_model`.
+    _models: dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name or any(c in self.name for c in "=,\n"):
@@ -221,6 +225,21 @@ class CampaignSpec:
     @property
     def n_cells(self) -> int:
         return len(self.apps) * len(self.machines) * len(self.seeds) * self.repeats
+
+    def app_model(self, app: str) -> Any:
+        """The application model of one app string, parsed once per spec.
+
+        Every cell of the spec gets the *same* model object, so the run
+        service — which shares work between requests by target identity
+        — sees a wave of cells that differ only in ``(seed, rep)`` as
+        one target.
+        """
+        from repro.apps.registry import parse_app  # noqa: PLC0415 (cycle)
+
+        model = self._models.get(app)
+        if model is None:
+            model = self._models[app] = parse_app(app)
+        return model
 
     def cells(self) -> list["CampaignCell"]:
         """Expand the sweep into its cells, in deterministic spec order."""
@@ -284,9 +303,7 @@ class CampaignCell:
 
     def to_request(self) -> RunRequest:
         """The declarative run request this cell executes as."""
-        from repro.apps.registry import parse_app  # noqa: PLC0415 (cycle)
-
-        app = parse_app(self.app)
+        app = self.spec.app_model(self.app)
         if self.spec.kind == "profile":
             return RunRequest(
                 kind="profile",
@@ -321,7 +338,6 @@ class CampaignCell:
         a summary profile (statics only) so both kinds live in the same
         store and resume the same way.
         """
-        from repro.apps.registry import parse_app  # noqa: PLC0415 (cycle)
         from repro.sim.machines import get_machine  # noqa: PLC0415 (cycle)
 
         if self.spec.kind == "profile":
@@ -329,7 +345,7 @@ class CampaignCell:
         statics = dict(value["totals"])
         statics["time.runtime_rusage"] = value["duration"]
         return Profile(
-            command=parse_app(self.app).command(),
+            command=self.spec.app_model(self.app).command(),
             tags=self.cell_tags(),
             machine=dict(get_machine(self.machine).info()),
             config=dict(self.spec.config),

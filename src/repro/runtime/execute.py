@@ -26,9 +26,18 @@ from repro.runtime.service import RunRequest
 __all__ = ["dispatch"]
 
 
-def dispatch(request: RunRequest, target: Any, machine: Any) -> Any:
+def dispatch(
+    request: RunRequest, target: Any, machine: Any,
+    plans: dict[tuple[int, int], Any] | None = None,
+) -> Any:
     """Execute one request; ``target``/``machine`` are passed separately
-    because pooled requests ship them via the batch's shared payload."""
+    because pooled requests ship them via the batch's shared payload.
+
+    ``plans`` is the batch's plan table (see :func:`_prepared`): the run
+    service passes one per batch so requests sharing (target, machine)
+    prepare once and replay per seed.  Without it the request prepares
+    for itself alone.
+    """
     # Chaos plane: fires in whichever process executes the request — a
     # pool worker for pooled requests (so ``crash`` rules emulate real
     # worker death), the parent otherwise.
@@ -36,9 +45,9 @@ def dispatch(request: RunRequest, target: Any, machine: Any) -> Any:
     if request.kind == "call":
         return request.runner()  # type: ignore[misc]
     if request.kind == "engine":
-        return _execute_engine(request, target, machine)
+        return _execute_engine(request, target, machine, plans)
     if request.kind == "profile":
-        return _execute_profile(request, target, machine)
+        return _execute_profile(request, target, machine, plans)
     if request.kind == "emulate":
         return _execute_emulate(request, target, machine)
     raise WorkloadError(f"cannot execute run kind {request.kind!r}")
@@ -104,34 +113,63 @@ def _resolve_workload(target: Any, spec: Any):
     if callable(builder):
         return builder(spec)
     raise WorkloadError(
-        f"cannot execute {target!r} as an engine request: expected a "
+        f"cannot execute {target!r} on the sim plane: expected a "
         "SimWorkload, a PackedWorkload, or an object with "
         "build_workload(machine)"
     )
 
 
-def _execute_engine(request: RunRequest, target: Any, machine: Any) -> Any:
-    """Raw engine execution; yields an ``ExecutionRecord`` (or its
-    ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
+def _prepared(target: Any, machine: Any, plans: dict | None):
+    """The engine plan of ``(target, machine)``: machine resolved,
+    workload built and prepared by the first request of the batch that
+    needs it, replayed by every later one.
+
+    The table is keyed by identity, like the batch's shared target and
+    machine tables (which keep both objects alive as long as it lives),
+    and dies with the batch — so there is nothing to invalidate, and an
+    app mutated between batches is seen.  This runs inside the request's
+    attempt: a failure here is that request's failure, is retried under
+    its policy, and stores nothing — the next request builds again.
+    """
     from repro.sim.engine import Engine  # noqa: PLC0415 (cycle)
     from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
 
+    key = (id(target), id(machine))
+    plan = plans.get(key) if plans is not None else None
+    if plan is None:
+        spec = resolve_machine(machine)
+        plan = Engine(spec).prepare(_resolve_workload(target, spec))
+        if plans is not None:
+            plans[key] = plan
+    return plan
+
+
+def _execute_engine(
+    request: RunRequest, target: Any, machine: Any, plans: dict | None = None
+) -> Any:
+    """Raw engine execution; yields an ``ExecutionRecord`` (or its
+    ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
+    from repro.sim.engine import Engine  # noqa: PLC0415 (cycle)
+
     if machine is None:
         raise WorkloadError("engine requests need a machine model")
-    spec = resolve_machine(machine)
-    workload = _resolve_workload(target, spec)
-    record = Engine(spec, _noise_model(request, spec, workload)).run(workload)
+    plan = _prepared(target, machine, plans)
+    spec = plan.machine
+    record = Engine(spec, _noise_model(request, spec, plan)).run(plan)
     return _reduced(request, record)
 
 
-def _execute_profile(request: RunRequest, target: Any, machine: Any) -> Any:
+def _execute_profile(
+    request: RunRequest, target: Any, machine: Any, plans: dict | None = None
+) -> Any:
     """A full profiling run; yields a ``Profile`` (or its reduction)."""
     from repro.core.profiler import Profiler  # noqa: PLC0415 (cycle)
 
     backend = request.backend
     if backend is None:
         if machine is not None:
-            backend = _sim_backend(request, machine)
+            target = _prepared(target, machine, plans)
+            backend = _sim_backend(request, target.machine)
         else:
             from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)
 

@@ -361,9 +361,14 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
 
 
 def _attempt_request(
-    request: RunRequest, target: Any, machine: Any
+    request: RunRequest, target: Any, machine: Any,
+    plans: dict | None = None,
 ) -> tuple[bool, float, Any, int, float]:
     """Execute one request under its policy.
+
+    ``plans`` is the batch's engine plan table (``None`` for in-parent
+    requests, which share nothing); :func:`~repro.runtime.execute.dispatch`
+    fills and reads it inside the attempt.
 
     Returns ``(ok, seconds, value_or_exception, attempt, attempt_seconds)``
     where ``attempt`` is the 1-based attempt that produced the outcome,
@@ -391,7 +396,7 @@ def _attempt_request(
         for attempt in range(1, policy.attempts + 1):
             attempt_start = time.perf_counter()
             try:
-                value = dispatch(request, target, machine)
+                value = dispatch(request, target, machine, plans)
                 attempt_elapsed = time.perf_counter() - attempt_start
                 if policy.timeout is not None and attempt_elapsed > policy.timeout:
                     raise RunTimeoutError(
@@ -494,10 +499,19 @@ def _rethrow(
 def _execute_packed(
     item: tuple[RunRequest, int, int]
 ) -> tuple[bool, float, Any, int, float]:
-    """Execute one packed request against the shared target/machine tables."""
+    """Execute one packed request against the shared target/machine
+    tables and the plan table that rides with them.
+
+    The plan table starts empty with the batch: in a serial batch it is
+    one dict for the whole batch, in a pooled one each chunk unpickles
+    its own — either way it is dropped when the batch's shared payload
+    is uninstalled.
+    """
     request, target_slot, machine_slot = item
-    targets, machines = get_shared()
-    return _attempt_request(request, targets[target_slot], machines[machine_slot])
+    targets, machines, plans = get_shared()
+    return _attempt_request(
+        request, targets[target_slot], machines[machine_slot], plans
+    )
 
 
 #: Slack (seconds) past an item's policy budget before the supervisor
@@ -993,7 +1007,9 @@ class RunService:
             workers = self.resolve_workers(processes, len(pooled))
             if pooled:
                 targets, machines, items = _pack(requests, pooled)
-                shared = (targets, machines)
+                # Third slot: the batch-scoped engine plan table, filled
+                # lazily by the requests themselves (see _execute_packed).
+                shared = (targets, machines, {})
                 if workers <= 1:
                     supervised = [
                         ("ok", value, 0.0)

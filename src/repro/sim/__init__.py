@@ -15,7 +15,7 @@ from repro.sim.demands import (
     NetworkDemand,
     SleepDemand,
 )
-from repro.sim.engine import Engine, ExecutionRecord, IOEvent
+from repro.sim.engine import Engine, ExecutionRecord, IOEvent, Prepared
 from repro.sim.filesystem import FilesystemModel
 from repro.sim.machines import get_machine, list_machines
 from repro.sim.noise import NoiseModel, seed_from
@@ -37,6 +37,7 @@ __all__ = [
     "NetworkDemand",
     "NoiseModel",
     "Phase",
+    "Prepared",
     "SimBackend",
     "SimProcess",
     "SimWorkload",

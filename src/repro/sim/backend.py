@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.core.backend import ExecutionBackend, ProcessHandle
 from repro.core.errors import WorkloadError
 from repro.sim.clock import VirtualClock
-from repro.sim.engine import Engine, ExecutionRecord
+from repro.sim.engine import Engine, ExecutionRecord, Prepared
 from repro.sim.noise import NoiseModel, seed_from
 from repro.sim.packed import PackedWorkload
 from repro.sim.process import SimProcess
@@ -33,7 +33,7 @@ __all__ = ["SimBackend"]
 
 def _noise_for(
     machine: MachineSpec,
-    workload: SimWorkload | PackedWorkload,
+    workload: SimWorkload | PackedWorkload | Prepared,
     noisy: bool,
     seed: int,
     index: int,
@@ -110,11 +110,15 @@ class SimBackend(ExecutionBackend):
     def spawn(self, target: Any, **kwargs: Any) -> ProcessHandle:
         """Run a workload (or application model) as a virtual process.
 
-        ``target`` may be a :class:`SimWorkload` or any object with a
-        ``build_workload(machine) -> SimWorkload`` method (the
-        application models in :mod:`repro.apps`).
+        ``target`` may be a :class:`SimWorkload`, a
+        :class:`PackedWorkload`, any object with a ``build_packed`` /
+        ``build_workload(machine)`` method (the application models in
+        :mod:`repro.apps`), or a :class:`~repro.sim.engine.Prepared`
+        plan for this machine — the run service hands one plan to every
+        request of a batch that shares (target, machine); only the
+        spawn slot's noise differs between them.
         """
-        workload = self._resolve(target)
+        workload = target if isinstance(target, Prepared) else self._resolve(target)
         self._spawn_count += 1
         noise = _noise_for(
             self.machine, workload, self.noisy, self.seed, self._spawn_count

@@ -25,29 +25,39 @@ a target number of cycles) consumes ``target * cycle_bias`` cycles, where
 the bias is the machine's calibration-vs-sustained IPC ratio for that
 kernel class.
 
-Array-first execution model
----------------------------
+Prepare once, replay per seed
+-----------------------------
 
 :meth:`Engine.run` is written for throughput: many emulated runs per
-placement decision (closed-loop validation, E.7) make the engine itself
-the hot path.  One cheap Python pass *gathers* the workload — demand
-attributes land in flat per-type arrays, stream boundaries in index
-ranges — and everything afterwards is batched NumPy:
+placement decision (closed-loop validation, E.7) and many seeds per
+campaign cell make the engine itself the hot path.  It is split at the
+seed boundary, and the split is the only path:
 
-1. per-type cost kernels evaluate every compute/I-O/memory/network
-   demand of the workload at once (the closed-form per-demand formulas
-   of the scalar reference methods :meth:`Engine._cost_compute` & co.);
-2. noise is drawn as *one* RNG batch over a packed slot array holding,
-   per demand, its duration followed by its counter amounts — the slot
-   order and zero-skip rule reproduce the scalar draw stream bit for
-   bit, so seeded runs are identical to the pre-vectorisation engine;
-3. demand start/end times come from per-stream ``cumsum`` over the
-   noisy durations (left-associated, matching scalar accumulation);
-4. counter timelines are built from packed ``(t0, t1, amount)`` arrays
-   per counter name — no per-demand segment objects exist anywhere.
+* :meth:`Engine.prepare` does everything that depends on the
+  (workload, machine) pair alone and returns a read-only
+  :class:`Prepared` plan.  Packed workloads *bind* (machine parameters
+  resolved once per distinct class / paradigm / filesystem and fanned
+  out by interned code); object workloads *gather* (one Python pass
+  over the demand objects) — both produce the same flat per-type view.
+  Batched cost kernels then evaluate every compute / I-O / memory /
+  network demand at once (closed-form per-demand formulas; the scalar
+  reference lives in ``tests/sim/test_cost_oracle.py`` and the
+  analytical predictor mirrors it), phase contention scales the
+  durations, and the noise slot array is laid out: per demand, its
+  duration followed by its counter amounts — the order the scalar engine
+  made its draws in, so seeded runs reproduce its noise stream bit for
+  bit (zero values skip their draw in both).
+* the per-seed *replay* (:meth:`Engine._execute`) draws all noise as one
+  RNG batch over that slot array, turns noisy durations into demand
+  start/end times with per-stream ``cumsum`` (left-associated, matching
+  scalar accumulation) and builds counter and level timelines from
+  packed ``(t0, t1, amount)`` arrays — no per-demand objects anywhere.
 
-The scalar costing methods are kept as the single-demand reference
-implementation (the analytical predictor mirrors them) and for tests.
+``Engine.run(workload)`` is ``prepare`` + replay; ``Engine.run(prepared)``
+replays a plan someone else prepared — the run service prepares each
+distinct (target, machine) of a batch once and replays it per seed —
+and :class:`~repro.sim.stream.EngineStream` feeds every batch through
+the same two steps.
 """
 
 from __future__ import annotations
@@ -60,7 +70,6 @@ import numpy as np
 from repro.core.errors import WorkloadError
 from repro.sim.demands import (
     ComputeDemand,
-    Demand,
     IODemand,
     MemoryDemand,
     NetworkDemand,
@@ -69,11 +78,12 @@ from repro.sim.demands import (
 from repro.sim.noise import NoiseModel
 from repro.sim.packed import PackedWorkload
 from repro.sim.resource import MachineSpec
-from repro.sim.workload import Phase, SimWorkload
+from repro.sim.workload import SimWorkload
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 from repro.util.timeseries import TimeSeries
 
-__all__ = ["Engine", "ExecutionRecord", "IOEvent"]
+__all__ = ["Engine", "ExecutionRecord", "IOEvent", "Prepared"]
 
 
 class IOEvent(NamedTuple):
@@ -201,7 +211,12 @@ _EMPTY_POS = np.zeros(0, dtype=np.intp)
 
 
 class _Gather:
-    """Flat array-of-struct view of one workload (one Python pass).
+    """Flat per-type view of one workload bound to one machine.
+
+    The transient input of the cost stage: :meth:`Engine._bind` (packed
+    workloads) and :meth:`Engine._gather` (object workloads) produce it,
+    :meth:`Engine.prepare` consumes it and keeps only the
+    :class:`Prepared` plan.
 
     ``*_pos`` fields hold the global demand index of every demand of one
     type, in execution order; the companion tuples hold that type's
@@ -257,6 +272,45 @@ class _Gather:
         self.s_secs: tuple = ()
 
 
+def _frozen(data: Any, dtype: Any = None) -> np.ndarray:
+    """Read-only view of ``data`` as an array (the owner stays writable)."""
+    view = np.asarray(data, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+class Prepared:
+    """One workload bound to one machine, costed and laid out.
+
+    Everything :meth:`Engine.run` needs that no seed changes: demand
+    positions per kind, contention-scaled base durations and base
+    counter amounts, the noise slot layout, stream/phase structure and
+    the seed-independent halves of the level folds.  Built by
+    :meth:`Engine.prepare`; replayed any number of times, by any engine
+    on the same machine, each replay drawing its own noise.
+
+    Every array is a read-only view, so a plan shared by the requests
+    of a run-service batch cannot be altered by one of them.  The plan
+    does not track its source: mutate an object workload and prepare
+    again.  ``replays`` — how many runs have used the plan — is the
+    one field a replay touches; it is what telemetry reads to tell a
+    plan's first use (``built``) from a later one (``reused``).
+    """
+
+    __slots__ = (
+        "machine", "name", "base_rss", "metadata",
+        "n", "n_phases", "streams", "pos",
+        "durations", "amounts",
+        "slot_values", "slot_bases", "slot_groups",
+        "m_phase", "m_deltas", "t_pos", "t_extra",
+        "i_read", "i_written", "i_block", "i_fs",
+        "replays", "__weakref__",
+    )
+
+    def __init__(self) -> None:
+        self.replays = 0
+
+
 class _Frame(NamedTuple):
     """Result of executing one gathered window (a run or one batch)."""
 
@@ -271,119 +325,29 @@ class _Frame(NamedTuple):
 
 
 class Engine:
-    """Executes workloads against one machine model."""
+    """Executes workloads against one machine model.
+
+    :meth:`prepare` turns a workload into a seed-independent
+    :class:`Prepared` plan for this machine; :meth:`run` replays a plan
+    (preparing first when handed a workload) under this engine's noise
+    model.  An engine holds no per-workload state: plans belong to
+    whoever prepared them, and any engine over the same machine can
+    replay them.
+    """
 
     def __init__(self, machine: MachineSpec, noise: NoiseModel | None = None) -> None:
         self.machine = machine
         self.noise = noise if noise is not None else NoiseModel.silent()
-
-    # -- scalar demand costing (reference implementation) --------------------
-
-    def _cost_compute(self, demand: ComputeDemand) -> tuple[float, dict[str, float]]:
-        cpu = self.machine.cpu
-        spec = cpu.spec(demand.workload_class)
-        if demand.calibrated_cycles is not None:
-            cycles = demand.calibrated_cycles * spec.cycle_bias
-            instructions = cycles * spec.ipc
-        else:
-            instructions = demand.instructions
-            cycles = cpu.cycles_for(instructions, demand.workload_class)
-        scaling = self.machine.scaling_model(demand.paradigm)
-        workers = min(demand.threads, cpu.cores)
-        factor = scaling.time_factor(workers) if workers > 1 else 1.0
-        overhead = scaling.overhead_cycles_fraction(workers) if workers > 1 else 0.0
-        cycles_total = cycles * (1.0 + overhead)
-        instr_total = instructions * (1.0 + overhead)
-        duration = cpu.seconds_for_cycles(cycles) * factor
-        stall_ratio = (
-            demand.stall_ratio if demand.stall_ratio is not None else spec.stall_ratio
-        )
-        stalled = cycles_total * stall_ratio
-        counters = {
-            "cpu.instructions": instr_total,
-            "cpu.cycles_used": cycles_total,
-            "cpu.cycles_stalled_front": stalled * spec.stall_front_fraction,
-            "cpu.cycles_stalled_back": stalled * (1.0 - spec.stall_front_fraction),
-            "cpu.flops": instr_total * demand.flops_per_instruction,
-        }
-        return duration, counters
-
-    def _cost_io(self, demand: IODemand) -> tuple[float, dict[str, float]]:
-        fs = self.machine.filesystem(demand.filesystem)
-        duration = fs.io_time(demand.bytes_read, demand.bytes_written, demand.block_size)
-        counters = {
-            "io.bytes_read": float(demand.bytes_read),
-            "io.bytes_written": float(demand.bytes_written),
-        }
-        return duration, counters
-
-    def _cost_memory(self, demand: MemoryDemand) -> tuple[float, dict[str, float]]:
-        mem = self.machine.memory
-        duration = mem.alloc_time(demand.allocate, demand.block_size) + mem.free_time(
-            demand.free, demand.block_size
-        )
-        counters = {
-            "mem.allocated": float(demand.allocate),
-            "mem.freed": float(demand.free),
-        }
-        return duration, counters
-
-    def _cost_network(self, demand: NetworkDemand) -> tuple[float, dict[str, float]]:
-        nbytes = demand.bytes_sent + demand.bytes_received
-        ops = -(-nbytes // demand.block_size) if nbytes else 0
-        duration = ops * self.machine.net_latency + nbytes / self.machine.net_bandwidth
-        counters = {
-            "net.bytes_written": float(demand.bytes_sent),
-            "net.bytes_read": float(demand.bytes_received),
-        }
-        return duration, counters
-
-    def _cost(self, demand: Demand) -> tuple[float, dict[str, float]]:
-        if isinstance(demand, ComputeDemand):
-            return self._cost_compute(demand)
-        if isinstance(demand, IODemand):
-            return self._cost_io(demand)
-        if isinstance(demand, MemoryDemand):
-            return self._cost_memory(demand)
-        if isinstance(demand, NetworkDemand):
-            return self._cost_network(demand)
-        if isinstance(demand, SleepDemand):
-            return demand.seconds, {}
-        raise WorkloadError(f"unsupported demand type {type(demand).__name__}")
-
-    # -- contention -----------------------------------------------------------
-
-    def _phase_factors(self, phase: Phase) -> tuple[float, dict[str, float]]:
-        """CPU and per-filesystem slowdown factors for one phase."""
-        cores = self.machine.cpu.cores
-        cpu_workers = 0
-        fs_streams: dict[str, int] = {}
-        for stream in phase.streams:
-            threads = [
-                min(d.threads, cores)
-                for d in stream.demands
-                if isinstance(d, ComputeDemand)
-            ]
-            if threads:
-                cpu_workers += max(threads)
-            fs_hit = {
-                d.filesystem for d in stream.demands if isinstance(d, IODemand)
-            }
-            for fs in fs_hit:
-                fs_streams[fs] = fs_streams.get(fs, 0) + 1
-        f_cpu = max(1.0, cpu_workers / cores)
-        f_io = {fs: max(1.0, float(n)) for fs, n in fs_streams.items()}
-        return f_cpu, f_io
 
     # -- gather pass -------------------------------------------------------------
 
     def _gather(self, workload: SimWorkload) -> _Gather:
         """One Python pass: demand attributes into flat per-type arrays.
 
-        Phase contention bookkeeping (the per-phase CPU/filesystem
-        slowdown factors of :meth:`_phase_factors`) is folded into the
-        same pass, so the workload's demand objects are touched exactly
-        once.
+        The adapter from object workloads to :meth:`prepare`.  Phase
+        contention bookkeeping (per-phase CPU and per-filesystem
+        slowdown factors) is folded into the same pass, so the
+        workload's demand objects are touched exactly once.
         """
         cpu = self.machine.cpu
         cores = cpu.cores
@@ -694,7 +658,7 @@ class Engine:
     # -- batched cost kernels ----------------------------------------------------
 
     def _compute_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_compute` over all compute demands."""
+        """Duration and counter amounts of every compute demand."""
         instr_in = np.asarray(g.c_instr)
         cc = np.asarray(g.c_cc)
         ipc = np.asarray(g.c_ipc)
@@ -720,7 +684,7 @@ class Engine:
 
     @staticmethod
     def _io_costs(g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_io` over all I/O demands."""
+        """Duration and counter amounts of every I/O demand."""
         nread = np.asarray(g.i_read, dtype=float)
         nwritten = np.asarray(g.i_written, dtype=float)
         block = np.asarray(g.i_block, dtype=float)
@@ -741,7 +705,7 @@ class Engine:
         }
 
     def _memory_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_memory` over all memory demands."""
+        """Duration and counter amounts of every memory demand."""
         mem = self.machine.memory
         alloc = np.asarray(g.m_alloc, dtype=np.int64)
         freed = np.asarray(g.m_free, dtype=np.int64)
@@ -759,7 +723,7 @@ class Engine:
         }
 
     def _network_costs(self, g: _Gather) -> dict[str, np.ndarray]:
-        """Vectorised :meth:`_cost_network` over all network demands."""
+        """Duration and counter amounts of every network demand."""
         sent = np.asarray(g.n_sent, dtype=np.int64)
         recv = np.asarray(g.n_recv, dtype=np.int64)
         block = np.asarray(g.n_block, dtype=np.int64)
@@ -772,44 +736,146 @@ class Engine:
             "net.bytes_read": recv.astype(float),
         }
 
-    # -- execution ---------------------------------------------------------------
+    # -- prepare (seed-independent) ---------------------------------------------
 
-    def run(self, workload: SimWorkload | PackedWorkload) -> ExecutionRecord:
-        """Execute a workload; returns its full observable history.
+    def prepare(self, workload: SimWorkload | PackedWorkload) -> Prepared:
+        """Bind, cost and lay out a workload for this engine's machine.
 
-        Accepts the object form (``SimWorkload``) and the columnar form
-        (:class:`~repro.sim.packed.PackedWorkload`) interchangeably —
-        both produce bit-identical records; the packed form skips the
-        per-demand gather pass entirely.
+        Everything here depends on (workload, machine) alone, so one
+        plan serves every seed: replay it with :meth:`run` on any
+        engine over the same machine.  Accepts the object form
+        (``SimWorkload``, gathered in one Python pass) and the columnar
+        form (:class:`~repro.sim.packed.PackedWorkload`, bound without
+        touching a demand object) interchangeably — the plans, and so
+        the records, are bit-identical.
         """
-        with span(
-            "engine.run", workload=workload.name, machine=self.machine.name
-        ) as sp:
-            record = self._run(workload)
-            sp.set(demands=workload.n_demands, sim_duration=record.duration)
-        return record
-
-    def _run(self, workload: SimWorkload | PackedWorkload) -> ExecutionRecord:
         if isinstance(workload, PackedWorkload):
             g = self._bind(workload)
         else:
             g = self._gather(workload)
-        frame = self._execute(g, float(workload.base_rss))
-        metadata = dict(workload.metadata)
-        metadata.setdefault("workload_name", workload.name)
-        return ExecutionRecord(
-            machine=self.machine,
-            duration=frame.duration,
-            counters=frame.counters,
-            levels=frame.levels,
-            io_events=frame.io_events,
-            phase_bounds=frame.phase_bounds,
-            metadata=metadata,
+        plan = Prepared()
+        plan.machine = self.machine
+        plan.name = workload.name
+        plan.base_rss = float(workload.base_rss)
+        plan.metadata = dict(workload.metadata)
+        plan.n = g.n
+        plan.n_phases = g.n_phases
+        plan.streams = tuple(g.streams)
+        plan.pos = tuple(
+            _frozen(pos) for pos in (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)
         )
+
+        durations = np.zeros(g.n)
+        amounts: dict[str, np.ndarray] = {}
+        for kind, cost in (
+            (_COMPUTE, self._compute_costs),
+            (_IO, self._io_costs),
+            (_MEM, self._memory_costs),
+            (_NET, self._network_costs),
+        ):
+            pos = plan.pos[kind]
+            if pos.size:
+                group = cost(g)
+                durations[pos] = group["duration"]
+                for name in _KIND_COUNTERS[kind]:
+                    amounts[name] = _frozen(group[name])
+        if g.s_pos.size:
+            durations[g.s_pos] = g.s_secs
+        durations *= g.contention
+        plan.durations = _frozen(durations)
+        plan.amounts = amounts
+
+        # Noise slot layout, per demand in execution order: its duration,
+        # then its counter amounts in the fixed per-type order.  This is
+        # exactly the order the scalar engine made its ``duration()`` /
+        # ``counter()`` calls in, so seeded runs reproduce the scalar
+        # noise stream bit for bit (zero values skip their draw in both).
+        slots = _COUNTER_SLOTS[g.kinds] + 1
+        offsets = np.concatenate(([0], np.cumsum(slots)))
+        bases = offsets[:-1]
+        values = np.zeros(int(offsets[-1]))
+        values[bases] = durations
+        groups: dict[int, np.ndarray] = {}
+        for kind, names in _KIND_COUNTERS.items():
+            pos = plan.pos[kind]
+            if pos.size:
+                group_bases = bases[pos]
+                for slot, name in enumerate(names, start=1):
+                    values[group_bases + slot] = amounts[name]
+                groups[kind] = _frozen(group_bases)
+        plan.slot_values = _frozen(values)
+        plan.slot_bases = _frozen(bases)
+        plan.slot_groups = groups
+
+        # Seed-independent halves of the level folds: signed RSS change
+        # per memory demand, extra workers per multi-threaded compute.
+        plan.m_phase = _frozen(g.m_phase)
+        plan.m_deltas = _frozen(
+            (
+                np.asarray(g.m_alloc, dtype=np.int64)
+                - np.asarray(g.m_free, dtype=np.int64)
+            ).astype(float)
+        )
+        workers = np.asarray(g.c_workers, dtype=float)
+        multi = workers > 1
+        plan.t_pos = _frozen(g.c_pos[multi])
+        plan.t_extra = _frozen(workers[multi] - 1.0)
+
+        plan.i_read = _frozen(g.i_read)
+        plan.i_written = _frozen(g.i_written)
+        plan.i_block = _frozen(g.i_block)
+        plan.i_fs = g.i_fs if isinstance(g.i_fs, tuple) else _frozen(g.i_fs)
+        get_registry().inc("engine.plans.built")
+        return plan
+
+    # -- execution ---------------------------------------------------------------
+
+    def run(
+        self, workload: SimWorkload | PackedWorkload | Prepared
+    ) -> ExecutionRecord:
+        """Execute a workload; returns its full observable history.
+
+        ``run(workload)`` is :meth:`prepare` followed by one replay
+        under this engine's noise model; handing in a :class:`Prepared`
+        plan (for this machine) skips straight to the replay.  Both
+        produce bit-identical records.
+        """
+        with span(
+            "engine.run", workload=workload.name, machine=self.machine.name
+        ) as sp:
+            if isinstance(workload, Prepared):
+                plan = workload
+                if plan.machine is not self.machine and plan.machine != self.machine:
+                    raise WorkloadError(
+                        f"plan {plan.name!r} was prepared for machine "
+                        f"{plan.machine.name!r}, not {self.machine.name!r}"
+                    )
+            else:
+                plan = self.prepare(workload)
+            reused = plan.replays > 0
+            if reused:
+                get_registry().inc("engine.plans.reused")
+            frame = self._execute(plan, plan.base_rss)
+            metadata = dict(plan.metadata)
+            metadata.setdefault("workload_name", plan.name)
+            record = ExecutionRecord(
+                machine=self.machine,
+                duration=frame.duration,
+                counters=frame.counters,
+                levels=frame.levels,
+                io_events=frame.io_events,
+                phase_bounds=frame.phase_bounds,
+                metadata=metadata,
+            )
+            sp.set(
+                demands=plan.n, sim_duration=record.duration,
+                plan="reused" if reused else "built",
+            )
+        return record
 
     def _execute(
         self,
-        g: _Gather,
+        plan: Prepared,
         base_rss: float,
         *,
         t_start: float = 0.0,
@@ -817,49 +883,30 @@ class Engine:
         peak0: float | None = None,
         initial: dict[str, tuple[float, float, float]] | None = None,
     ) -> "_Frame":
-        """Cost, noise and timeline for one gathered window of demands.
+        """Per-seed replay: noise, timeline, counters and levels.
 
-        With the default arguments this executes a whole workload from
+        With the default arguments this executes a whole plan from
         virtual time zero (the :meth:`run` path).  The streaming path
         calls it once per arrival batch with the previous batch's end
         time, RSS level/peak and per-counter carries, which — because
         every accumulation here is a left-associated fold — continues
         the timelines bit-identically to an uninterrupted run.
         """
-        n = g.n
+        plan.replays += 1
+        durations, noisy = self._draw_noise(plan)
 
-        costs: dict[int, dict[str, np.ndarray]] = {}
-        base_duration = np.zeros(n)
-        if g.c_pos.size:
-            costs[_COMPUTE] = self._compute_costs(g)
-            base_duration[g.c_pos] = costs[_COMPUTE]["duration"]
-        if g.i_pos.size:
-            costs[_IO] = self._io_costs(g)
-            base_duration[g.i_pos] = costs[_IO]["duration"]
-        if g.m_pos.size:
-            costs[_MEM] = self._memory_costs(g)
-            base_duration[g.m_pos] = costs[_MEM]["duration"]
-        if g.n_pos.size:
-            costs[_NET] = self._network_costs(g)
-            base_duration[g.n_pos] = costs[_NET]["duration"]
-        if g.s_pos.size:
-            base_duration[g.s_pos] = g.s_secs
-
-        durations = base_duration * g.contention
-        noisy = self._draw_noise(g, durations, costs)
-        durations = noisy.pop("duration")
-
-        t0, t1, phase_bounds = self._timeline(g, durations, t_start)
+        t0, t1, phase_bounds = self._timeline(plan, durations, t_start)
         duration = phase_bounds[-1][1] if phase_bounds else t_start
 
         counters, carries = self._build_counters(
-            self._pack_counters(g, t0, t1, noisy), t_start, duration, initial
+            self._pack_counters(plan, t0, t1, noisy), t_start, duration, initial
         )
         levels, rss_end, peak_end = self._build_levels(
-            g, t0, t1, base_rss, t_start, duration, rss0, peak0
+            plan, t0, t1, base_rss, t_start, duration, rss0, peak0
         )
         io_events = _LazyIOEvents(
-            t0[g.i_pos], g.i_read, g.i_written, g.i_block, g.i_fs
+            t0[plan.pos[_IO]], plan.i_read, plan.i_written, plan.i_block,
+            plan.i_fs,
         )
         return _Frame(
             duration, counters, levels, io_events, phase_bounds,
@@ -918,56 +965,31 @@ class Engine:
     # -- batched noise ----------------------------------------------------------
 
     def _draw_noise(
-        self,
-        g: _Gather,
-        durations: np.ndarray,
-        costs: dict[int, dict[str, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """Draw all noise for the run in one batched RNG pass.
-
-        The slot layout is, per demand in execution order: its duration,
-        then its counter amounts in the fixed per-type order.  This is
-        exactly the order the scalar engine made its ``duration()`` /
-        ``counter()`` calls in, so seeded runs reproduce the scalar
-        noise stream bit for bit (zero values skip their draw in both).
+        self, plan: Prepared
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Noisy durations and counter amounts: one batched RNG pass
+        over the plan's slot array (see :meth:`prepare` for the layout).
         """
         noise = self.noise
         if noise.silent_model:
-            out: dict[str, np.ndarray] = {"duration": durations}
-            for kind, group in costs.items():
-                out.update(_named_counters(kind, group))
-            return out
+            return plan.durations, plan.amounts
 
-        slots = _COUNTER_SLOTS[g.kinds] + 1
-        offsets = np.concatenate(([0], np.cumsum(slots)))
-        bases = offsets[:-1]
-        total = int(offsets[-1])
-
-        values = np.zeros(total)
-        sigmas = np.full(total, noise.counter_sigma)
-        values[bases] = durations
+        bases = plan.slot_bases
+        sigmas = np.full(plan.slot_values.size, noise.counter_sigma)
         sigmas[bases] = noise.duration_sigma
-        for kind, group in costs.items():
-            pos = _positions(g, kind)
-            group_bases = bases[pos]
-            for slot, (_, amounts) in enumerate(_counter_items(kind, group), start=1):
-                values[group_bases + slot] = amounts
+        noisy = noise.apply(plan.slot_values, sigmas)
 
-        noisy = noise.apply(values, sigmas)
-
-        out = {"duration": noisy[bases]}
-        for kind, group in costs.items():
-            pos = _positions(g, kind)
-            group_bases = bases[pos]
-            for slot, (name, _) in enumerate(_counter_items(kind, group), start=1):
-                out[name] = noisy[group_bases + slot]
-        return out
+        amounts: dict[str, np.ndarray] = {}
+        for kind, group_bases in plan.slot_groups.items():
+            for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
+                amounts[name] = noisy[group_bases + slot]
+        return noisy[bases], amounts
 
     # -- timeline ----------------------------------------------------------------
 
     @staticmethod
     def _timeline(
-        g: _Gather, durations: np.ndarray, t_start: float = 0.0
+        plan: Prepared, durations: np.ndarray, t_start: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
         """Per-demand start/end times and phase bounds.
 
@@ -976,13 +998,13 @@ class Engine:
         start together at the phase start, and phases are barriers.  The
         first phase starts at ``t_start`` (nonzero for streamed batches).
         """
-        t0 = np.empty(g.n)
-        t1 = np.empty(g.n)
+        t0 = np.empty(plan.n)
+        t1 = np.empty(plan.n)
         phase_bounds: list[tuple[float, float]] = []
         t_phase = float(t_start)
-        stream_iter = iter(g.streams)
+        stream_iter = iter(plan.streams)
         pending = next(stream_iter, None)
-        for p_idx in range(g.n_phases):
+        for p_idx in range(plan.n_phases):
             phase_end = t_phase
             while pending is not None and pending[0] == p_idx:
                 _, first, end = pending
@@ -1002,7 +1024,7 @@ class Engine:
 
     @staticmethod
     def _pack_counters(
-        g: _Gather,
+        plan: Prepared,
         t0: np.ndarray,
         t1: np.ndarray,
         noisy: dict[str, np.ndarray],
@@ -1010,13 +1032,13 @@ class Engine:
         """Packed ``(t0, t1, amount)`` arrays per counter name."""
         packed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for kind, names in _KIND_COUNTERS.items():
-            pos = _positions(g, kind)
+            pos = plan.pos[kind]
             if not pos.size:
                 continue
             kt0 = t0[pos]
             kt1 = t1[pos]
             for name in names:
-                packed[name] = (kt0, kt1, np.asarray(noisy[name]))
+                packed[name] = (kt0, kt1, noisy[name])
         return packed
 
     @staticmethod
@@ -1095,7 +1117,7 @@ class Engine:
             raw_end = float(values[-1])
             # Guard against tiny negative drift from float cancellation.
             values = np.maximum.accumulate(np.maximum(values, guard0))
-            out[name] = TimeSeries.presorted(bps, values)
+            out[name] = TimeSeries.presorted(bps, values, monotone=True)
             carries[name] = (raw_end, float(values[-1]), float(running[-1]))
         return out, carries
 
@@ -1103,7 +1125,7 @@ class Engine:
 
     def _build_levels(
         self,
-        g: _Gather,
+        plan: Prepared,
         t0: np.ndarray,
         t1: np.ndarray,
         base_rss: float,
@@ -1119,7 +1141,8 @@ class Engine:
         from ``base_rss``).
         """
         rss = float(base_rss) if rss0 is None else rss0
-        if g.m_pos.size:
+        m_pos = plan.pos[_MEM]
+        if m_pos.size:
             # RSS changes apply in global time order *within* each phase
             # (barriers order the phases themselves), ties broken by
             # delta — the same total order the scalar fold used.  The
@@ -1128,12 +1151,9 @@ class Engine:
             # loop below runs once per *clamp* (usually never), not once
             # per demand, and each segment's cumsum reproduces the
             # scalar left fold bit for bit.
-            whens = t1[g.m_pos]
-            deltas = (
-                np.asarray(g.m_alloc, dtype=np.int64)
-                - np.asarray(g.m_free, dtype=np.int64)
-            ).astype(float)
-            order = np.lexsort((deltas, whens, np.asarray(g.m_phase)))
+            whens = t1[m_pos]
+            deltas = plan.m_deltas
+            order = np.lexsort((deltas, whens, plan.m_phase))
             whens = whens[order]
             deltas = deltas[order]
             folded = np.empty(deltas.size)
@@ -1162,7 +1182,7 @@ class Engine:
         levels = {
             "mem.rss": rss_series,
             "mem.peak": peak_series,
-            "cpu.threads": self._thread_level(g, t0, t1, t_lo, t_hi),
+            "cpu.threads": self._thread_level(plan, t0, t1, t_lo, t_hi),
         }
         levels["sys.load_cpu"] = TimeSeries.presorted(
             levels["cpu.threads"].times,
@@ -1172,7 +1192,7 @@ class Engine:
 
     @staticmethod
     def _thread_level(
-        g: _Gather, t0: np.ndarray, t1: np.ndarray, t_lo: float, t_hi: float
+        plan: Prepared, t0: np.ndarray, t1: np.ndarray, t_lo: float, t_hi: float
     ) -> TimeSeries:
         """Active-worker level series, fully vectorised.
 
@@ -1183,14 +1203,10 @@ class Engine:
         recorded levels clamp at one.  (No cross-window carry is needed:
         windows start at phase barriers, where every stream has joined.)
         """
-        if not g.c_pos.size:
+        pos = plan.t_pos
+        if not pos.size:
             return TimeSeries([t_lo, t_hi], [1.0, 1.0])
-        workers = np.asarray(g.c_workers, dtype=float)
-        multi = workers > 1
-        if not multi.any():
-            return TimeSeries([t_lo, t_hi], [1.0, 1.0])
-        extra = workers[multi] - 1.0
-        pos = g.c_pos[multi]
+        extra = plan.t_extra
         whens = np.concatenate([t0[pos], t1[pos]])
         deltas = np.concatenate([extra, -extra])
         order = np.lexsort((deltas, whens))
@@ -1220,10 +1236,6 @@ _KIND_COUNTERS: dict[int, tuple[str, ...]] = {
 }
 
 
-def _positions(g: _Gather, kind: int) -> np.ndarray:
-    return (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)[kind]
-
-
 def _idle_intervals(n_bps: int, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     """Boolean mask of breakpoint intervals with zero active spans.
 
@@ -1235,18 +1247,6 @@ def _idle_intervals(n_bps: int, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
     np.add.at(steps, i0, 1)
     np.add.at(steps, i1, -1)
     return np.cumsum(steps)[:-1] == 0
-
-
-def _counter_items(
-    kind: int, group: dict[str, np.ndarray]
-) -> list[tuple[str, np.ndarray]]:
-    return [(name, group[name]) for name in _KIND_COUNTERS[kind]]
-
-
-def _named_counters(
-    kind: int, group: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    return {name: group[name] for name in _KIND_COUNTERS[kind]}
 
 
 def _step_series(
@@ -1331,4 +1331,6 @@ def _running_max(series: TimeSeries, floor: float | None = None) -> TimeSeries:
     if not len(series):
         return series
     values = series.values if floor is None else np.maximum(series.values, floor)
-    return TimeSeries.presorted(series.times, np.maximum.accumulate(values))
+    return TimeSeries.presorted(
+        series.times, np.maximum.accumulate(values), monotone=True
+    )

@@ -71,9 +71,8 @@ class EngineStream:
         batches but idle in this one appear as flat carried series.
         """
         packed = batch if isinstance(batch, PackedWorkload) else pack_workload(batch)
-        g = self.engine._bind(packed)
         frame = self.engine._execute(
-            g,
+            self.engine.prepare(packed),
             float(self.base_rss),
             t_start=self.t,
             rss0=self._rss,

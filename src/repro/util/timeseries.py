@@ -74,7 +74,9 @@ class TimeSeries:
         self._vmax: float | None = None
 
     @classmethod
-    def presorted(cls, times: object, values: object) -> "TimeSeries":
+    def presorted(
+        cls, times: object, values: object, monotone: bool = False
+    ) -> "TimeSeries":
         """Wrap arrays the caller guarantees aligned and time-sorted.
 
         The engine's hot paths build breakpoint grids that are sorted by
@@ -82,6 +84,10 @@ class TimeSeries:
         that :meth:`__init__` runs.  Passing unsorted times is a caller
         bug and breaks interpolation silently — use ``__init__`` unless
         the ordering is structural.
+
+        ``monotone`` additionally promises non-decreasing *values* (a
+        cumulative counter out of a running maximum): the clamp range
+        is then the first and last value, and is never reduced for.
         """
         series = cls.__new__(cls)
         t = _as_floats(times)
@@ -91,8 +97,12 @@ class TimeSeries:
         series._times = t
         series._values = v
         series._n = int(t.size)
-        series._vmin = None
-        series._vmax = None
+        if monotone and t.size:
+            series._vmin = float(v[0])
+            series._vmax = float(v[-1])
+        else:
+            series._vmin = None
+            series._vmax = None
         return series
 
     # -- storage -----------------------------------------------------------
@@ -240,7 +250,7 @@ class TimeSeries:
             return np.zeros(grid.shape)
         out = np.interp(grid, self.times, self.values)
         lo, hi = self._value_range()
-        return np.clip(out, lo, hi)
+        return np.minimum(np.maximum(out, lo), hi)
 
     def deltas(self) -> np.ndarray:
         """Per-interval increments between consecutive samples."""

@@ -23,7 +23,9 @@ its nominal grid afterwards (watcher timestamps may drift, §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.backend import ProcessHandle
 from repro.core.config import SynapseConfig
@@ -77,6 +79,9 @@ class WatcherBase:
         self._lev: dict[str, list[tuple[float, float]]] = {
             name: [] for name in self.level_metrics
         }
+        #: Per metric, the ``(times, values)`` array pieces recorded by
+        #: :meth:`sample_batch`, in sampling order.
+        self._pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -99,7 +104,9 @@ class WatcherBase:
             if name in counters:
                 points.append((now, counters[name]))
 
-    def sample_batch(self, times: list[float], counters: Mapping[str, Any]) -> None:
+    def sample_batch(
+        self, times: Sequence[float] | np.ndarray, counters: Mapping[str, Any]
+    ) -> None:
         """Record many samples at once (the sim plane's grid fast path).
 
         ``times`` is the full sample grid and ``counters`` maps metric
@@ -107,30 +114,65 @@ class WatcherBase:
         exactly what per-point :meth:`sample` calls would have seen.
         The default implementation mirrors :meth:`sample`: it records
         every declared metric present in the snapshot and extends the
-        watcher's timestamps.  Plugins that override :meth:`sample` with
-        custom behaviour are *not* driven through this path unless they
-        also override ``sample_batch`` (see the profiler's fast-path
-        eligibility check).
+        watcher's timestamps.  The arrays are kept as they are (no
+        per-point tuples); scalar samples taken earlier in the run keep
+        their place before the batch.  Plugins that override
+        :meth:`sample` with custom behaviour are *not* driven through
+        this path unless they also override ``sample_batch`` (see the
+        profiler's fast-path eligibility check).
         """
-        self.result.timestamps.extend(times)
-        for name, points in self._cum.items():
-            series = counters.get(name)
-            if series is not None:
-                points.extend(zip(times, series.tolist()))
-        for name, points in self._lev.items():
-            series = counters.get(name)
-            if series is not None:
-                points.extend(zip(times, series.tolist()))
+        times = np.asarray(times, dtype=float)
+        self.result.timestamps.extend(times.tolist())
+        for group in (self._cum, self._lev):
+            for name, points in group.items():
+                values = counters.get(name)
+                if values is not None:
+                    self._settled(name, points).append((times, values))
+
+    def _settled(
+        self, name: str, points: list[tuple[float, float]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The metric's array pieces, after moving the scalar samples
+        recorded so far behind them (sampling order is kept)."""
+        pieces = self._pieces.setdefault(name, [])
+        if points:
+            times, values = zip(*points)
+            pieces.append(
+                (np.asarray(times, dtype=float), np.asarray(values, dtype=float))
+            )
+            points.clear()
+        return pieces
 
     def post_process(self) -> None:
         """Tear down the profiling environment; build raw series."""
-        for name, points in self._cum.items():
-            if points:
-                self.result.cumulative[name] = TimeSeries.from_points(points)
-        for name, points in self._lev.items():
-            if points:
-                self.result.levels[name] = TimeSeries.from_points(points)
+        # Metrics of one watcher are sampled together, so their batch
+        # pieces share the same time arrays: join and check each distinct
+        # sequence of them once per watcher, not once per metric.  (The
+        # watcher keeps every piece referenced, so ids cannot repeat.)
+        checked: dict[tuple[int, ...], np.ndarray] = {}
+        for group, out in (
+            (self._cum, self.result.cumulative),
+            (self._lev, self.result.levels),
+        ):
+            for name, points in group.items():
+                pieces = self._settled(name, points)
+                if not pieces:
+                    continue
+                key = tuple(id(times) for times, _ in pieces)
+                times = checked.get(key)
+                if times is None:
+                    times = _joined([times for times, _ in pieces])
+                    if np.any(np.diff(times) < 0):
+                        raise ValueError("timestamps must be non-decreasing")
+                    checked[key] = times
+                out[name] = TimeSeries.presorted(
+                    times, _joined([values for _, values in pieces])
+                )
 
     def finalize(self, all_results: Mapping[str, WatcherResult]) -> WatcherResult:
         """Post-process with access to every watcher's raw results."""
         return self.result
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

@@ -145,6 +145,25 @@ class TestNetworkAtom:
         atom.teardown()
         atom.teardown()
 
+    def test_teardown_never_leaves_the_drain_thread_on_a_closed_socket(
+        self, monkeypatch
+    ):
+        """The drain thread used to call ``settimeout`` on a socket its
+        owner might already have closed (``OSError: Bad file
+        descriptor`` in the thread).  Set-up then immediate teardown is
+        the racy schedule; the thread must be gone before the pair is."""
+        import threading
+
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        for _ in range(25):
+            atom = NetworkAtom(SynapseConfig())
+            atom.setup()
+            drain = atom._drain
+            atom.teardown()
+            assert not drain.is_alive()
+        assert crashes == []
+
     def test_wants(self):
         atom = NetworkAtom(SynapseConfig())
         assert atom.wants(AtomWork(sent_bytes=1))

@@ -82,6 +82,27 @@ class TestReplaceAndSerialise:
         back = SynapseConfig.from_dict(config.to_dict())
         assert back == config
 
+    def test_to_dict_equals_the_dataclass_walk(self):
+        """``to_dict`` builds its flat dict directly; it must read exactly
+        as ``dataclasses.asdict`` did — same keys, same order, tuples as
+        lists, ``extra`` copied deep."""
+        import dataclasses
+        import json
+
+        config = SynapseConfig(
+            sample_rate=2.0, watchers=("cpu", "rusage"), io_block_size_read="auto",
+            efficiency_target=0.5, extra={"nested": {"k": [1, 2]}},
+        )
+        reference = dataclasses.asdict(config)
+        reference["watchers"] = list(config.watchers)
+        reference["atoms"] = list(config.atoms)
+        data = config.to_dict()
+        assert data == reference
+        assert json.dumps(data) == json.dumps(reference)  # key order too
+        assert type(data["watchers"]) is list and type(data["atoms"]) is list
+        data["extra"]["nested"]["k"].append(3)
+        assert config.extra == {"nested": {"k": [1, 2]}}
+
     def test_from_dict_ignores_unknown(self):
         config = SynapseConfig.from_dict({"sample_rate": 2.0, "bogus": 1})
         assert config.sample_rate == 2.0

@@ -8,6 +8,8 @@ ends up exactly where the lockstep loop would have left it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.apps import GromacsModel, SyntheticApp
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
@@ -130,3 +132,56 @@ class TestFallback:
     def test_host_style_handles_unaffected(self):
         """Handles without counters_many (no sim record) still profile."""
         assert get_watcher("cpu").sample is WatcherBase.sample
+
+
+class FinalizeRecorder(WatcherBase):
+    """Default sampling; ``finalize`` snapshots what every watcher's
+    ``finalize`` hook is handed."""
+
+    name = "finalize-recorder"
+    cumulative_metrics = ("io.bytes_written",)
+    seen: list[dict] = []
+
+    def finalize(self, all_results):
+        FinalizeRecorder.seen.append({
+            (watcher, kind, metric): (series.times.copy(), series.values.copy())
+            for watcher, result in all_results.items()
+            for kind, group in (
+                ("cumulative", result.cumulative), ("levels", result.levels)
+            )
+            for metric, series in group.items()
+        } | {
+            (watcher, "timestamps", ""): (
+                np.asarray(result.timestamps), np.zeros(0)
+            )
+            for watcher, result in all_results.items()
+        })
+        return self.result
+
+
+class TestFinalizeInputs:
+    def test_finalize_hooks_see_the_scalar_drivers_series(self):
+        """The grid path keeps sampled counters as arrays end to end; the
+        ``TimeSeries`` a ``finalize`` hook reads must be, value for
+        value, the ones the per-sample driver builds from points."""
+        register(FinalizeRecorder)
+        FinalizeRecorder.seen = []
+        try:
+            app = SyntheticApp(
+                instructions=2e9, bytes_written=32 << 20,
+                memory_bytes=32 << 20, sleep_seconds=0.5, chunks=6,
+            )
+            _profiles(
+                app, machine="thinkie",
+                watchers=("system", "cpu", "memory", "storage", "rusage",
+                          "network", "finalize-recorder"),
+            )
+            fast, slow = FinalizeRecorder.seen
+        finally:
+            _REGISTRY.pop("finalize-recorder", None)
+        assert fast.keys() == slow.keys()
+        assert any(kind == "cumulative" for _, kind, _ in fast)
+        for key in fast:
+            for got, ref in zip(fast[key], slow[key]):
+                assert got.dtype == ref.dtype, key
+                assert np.array_equal(got, ref), key

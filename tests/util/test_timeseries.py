@@ -188,3 +188,26 @@ def test_value_at_within_range(ts, t):
 def test_max_is_upper_bound(ts):
     if len(ts):
         assert all(v <= ts.max() for v in ts.values)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0, 1e6, allow_nan=False), st.floats(0, 1e9, allow_nan=False)),
+        max_size=40,
+    ),
+    st.lists(st.floats(-10.0, 1e6, allow_nan=False), max_size=8),
+)
+def test_monotone_promise_reads_like_the_reduction(points, grid):
+    """``presorted(..., monotone=True)`` takes the clamp range from the
+    first and last value; every query must read as if it had reduced —
+    and the clamp must read as ``np.clip`` did."""
+    times = np.sort(np.asarray([t for t, _ in points], dtype=float))
+    values = np.sort(np.asarray([v for _, v in points], dtype=float))
+    reduced = TimeSeries(times, values)
+    promised = TimeSeries.presorted(times, values, monotone=True)
+    grid = np.asarray(grid, dtype=float)
+    assert np.array_equal(promised.values_at(grid), reduced.values_at(grid))
+    assert promised.max() == reduced.max()
+    if len(points):
+        reference = np.clip(np.interp(grid, times, values), values.min(), values.max())
+        assert np.array_equal(reduced.values_at(grid), reference)

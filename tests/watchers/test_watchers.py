@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.backend import ProcessHandle
@@ -105,6 +106,71 @@ class TestBaseSampling:
         watcher.sample(0.0)
         watcher.post_process()
         assert watcher.result.cumulative == {}
+
+
+class TestBatchSampling:
+    class W(WatcherBase):
+        name = "w"
+        cumulative_metrics = ("a", "absent")
+        level_metrics = ("b",)
+
+    def test_batch_series_equal_scalar_series(self):
+        times = [0.5, 1.0, 1.5, 1.5]
+        a = [1.0, 2.0, 4.0, 4.0]
+        b = [9.0, 7.0, 8.0, 8.0]
+        scalar = self.W(
+            FakeHandle([{"a": x, "b": y} for x, y in zip(a, b)]), make_context()
+        )
+        for t in times:
+            scalar.sample(t)
+        scalar.post_process()
+        batch = self.W(FakeHandle([]), make_context())
+        batch.sample_batch(
+            np.asarray(times[:3]),
+            {"a": np.asarray(a[:3]), "b": np.asarray(b[:3]), "c": np.zeros(3)},
+        )
+        batch.sample_batch(
+            np.asarray(times[3:]), {"a": np.asarray(a[3:]), "b": np.asarray(b[3:])}
+        )
+        batch.post_process()
+        assert batch.result.cumulative == scalar.result.cumulative
+        assert batch.result.levels == scalar.result.levels
+        assert set(batch.result.cumulative) == {"a"}
+        assert batch.result.timestamps == scalar.result.timestamps == times
+        assert all(type(t) is float for t in batch.result.timestamps)
+
+    def test_scalar_and_batch_samples_keep_chronological_order(self):
+        frames = [{"a": 1.0, "b": 10.0}, {"a": 4.0, "b": 40.0}]
+        watcher = self.W(FakeHandle(frames), make_context())
+        watcher.sample(0.0)
+        watcher.sample_batch(
+            [1.0, 2.0], {"a": np.asarray([2.0, 3.0]), "b": np.asarray([20.0, 30.0])}
+        )
+        watcher.sample(3.0)
+        watcher.sample_batch([4.0], {"a": np.asarray([5.0])})  # no "b" this time
+        watcher.post_process()
+        a = watcher.result.cumulative["a"]
+        b = watcher.result.levels["b"]
+        assert a.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert a.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert b.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert b.values.tolist() == [10.0, 20.0, 30.0, 40.0]
+        assert watcher.result.timestamps == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_batch_arrays_are_kept_not_copied(self):
+        watcher = self.W(FakeHandle([]), make_context())
+        times, a = np.asarray([1.0, 2.0]), np.asarray([3.0, 4.0])
+        watcher.sample_batch(times, {"a": a})
+        watcher.post_process()
+        series = watcher.result.cumulative["a"]
+        assert series.times is times and series.values is a
+
+    def test_backwards_batch_times_are_refused(self):
+        watcher = self.W(FakeHandle([]), make_context())
+        watcher.sample_batch([2.0], {"a": np.asarray([1.0])})
+        watcher.sample_batch([1.0], {"a": np.asarray([2.0])})
+        with pytest.raises(ValueError, match="non-decreasing"):
+            watcher.post_process()
 
 
 class TestMemoryWatcher:
