@@ -18,7 +18,11 @@ OpenMP chunks, the per-sample shape ``core/plan.py`` emits):
   engine (:meth:`Engine.open_stream`) consumes each wave once;
 * **memory** — subprocess peak RSS of streaming runs at two total
   sizes with the same per-wave batch size (bounded by batch, not
-  workload) against full-run and object-workload footprints.
+  workload) against full-run and object-workload footprints;
+* **seed blocks** — eight seeds of one 10⁴-demand plan through one
+  ``Engine.replay_many`` call (the campaign-cell regime: many seeds of
+  a small plan), digest-equal to eight ``Engine.run`` calls and under
+  the same RSS ceiling as the streaming runs.
 
 Baseline constants below were measured at the pre-PR commit
 (``1a7006d``, the seed of this PR) on the same machine class that
@@ -250,6 +254,27 @@ def _child(mode: str) -> None:
         t0 = time.perf_counter()
         engine.run(workload)
         out = {"seconds": time.perf_counter() - t0, "n": workload.n_demands}
+    elif kind == "replay":
+        n, rows = int(params[0]), int(params[1])
+        machine = get_machine(MACHINE)
+        plan = Engine(machine).prepare(build_packed_workload(n))
+        t0 = time.perf_counter()
+        block = Engine(machine).replay_many(
+            plan, [NoiseModel(seed=seed) for seed in range(rows)]
+        )
+        seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        singles = [
+            Engine(machine, NoiseModel(seed=seed)).run(plan) for seed in range(rows)
+        ]
+        out = {
+            "seconds": seconds,
+            "run_seconds": time.perf_counter() - t0,
+            "n": plan.n,
+            "rows": rows,
+            "digests_identical": [record_digest(r) for r in block]
+            == [record_digest(r) for r in singles],
+        }
     else:  # pragma: no cover - defensive
         raise SystemExit(f"unknown child mode {mode!r}")
     out["max_rss_mb"] = _peak_rss_mb()
@@ -331,6 +356,11 @@ def measure(n_demands: int = 1_000_000, waves: int = 24, quick: bool = False) ->
         memory["full_packed"] = _probe(f"full-packed:{n_demands}")
         memory["full_objects"] = _probe(f"full-objects:{n_demands}")
 
+    # Seed blocks, at the smoke size whatever the run's: a block exists
+    # for small plans, a 10⁶-demand plan replays row by row.
+    replay = _probe(f"replay:{min(n_demands, 10_000)}:8")
+    assert replay["digests_identical"], "replay_many diverged from eight runs"
+
     results = {
         "workload": {
             "machine": MACHINE,
@@ -358,6 +388,7 @@ def measure(n_demands: int = 1_000_000, waves: int = 24, quick: bool = False) ->
             "stream_demands_per_sec": packed.n / stream_seconds,
         },
         "memory": memory,
+        "replay_many": replay,
         "digest": packed_digest,
         "digests_identical": True,
     }
@@ -424,6 +455,13 @@ def as_table(results: dict) -> Table:
         f"{memory['stream_quarter']['max_rss_mb']:.0f}",
         f"ratio {memory['stream_rss_ratio_full_vs_quarter']:.2f}",
     ])
+    replay = results["replay_many"]
+    table.add_row([
+        f"{replay['rows']} seeds of {replay['n']} demands: runs vs one block (s)",
+        f"{replay['run_seconds']:.4f}",
+        f"{replay['seconds']:.4f}",
+        f"{replay['run_seconds'] / replay['seconds']:.1f}x",
+    ])
     return table
 
 
@@ -439,6 +477,8 @@ def test_e10_columnar_quick():
     # baseline, the committed full run holds the tight bound).
     assert results["memory"]["stream_rss_ratio_full_vs_quarter"] < 1.5
     assert results["memory"]["stream_full"]["max_rss_mb"] < 512
+    assert results["replay_many"]["digests_identical"]
+    assert results["replay_many"]["max_rss_mb"] < 512
     report("E10: columnar engine", str(as_table(results)))
 
 
@@ -466,6 +506,7 @@ def main() -> None:
     results = measure(n_demands=args.demands, waves=args.waves, quick=args.quick)
     if args.quick:
         assert results["memory"]["stream_full"]["max_rss_mb"] < 512
+        assert results["replay_many"]["max_rss_mb"] < 512
     from harness import write_json_result  # noqa: PLC0415 - script-only import
 
     name = "BENCH_e10_columnar" + ("_quick" if args.quick else "")

@@ -99,8 +99,8 @@ class _LockstepProfiler(Profiler):
 
     def _drive_grid(
         self, watchers, handle, policy: SamplingPolicy, t0: float
-    ) -> bool:
-        return False
+    ) -> None:
+        return None
 
 
 def record_totals(record) -> dict:
@@ -125,8 +125,8 @@ def measure_telemetry_overhead(
     """Cost of the always-on telemetry on the bare engine hot path.
 
     Compares best-of-N wall time of the instrumented ``Engine.run``
-    (dark-bus ``span()`` — no sink attached) against the uninstrumented
-    body ``Engine._run``.  Minimum-of-many is robust against scheduler
+    (dark-bus ``span()`` — no sink attached) against the same two steps
+    outside the span, ``prepare`` + ``Engine._records``.  Minimum-of-many is robust against scheduler
     noise, which on shared CI hosts dwarfs the ~2 µs span cost; the
     budget the telemetry plane commits to is < 3 %.
     """
@@ -135,8 +135,12 @@ def measure_telemetry_overhead(
     from repro.sim.noise import NoiseModel  # noqa: PLC0415
 
     engine = Engine(get_machine(MACHINE), NoiseModel(seed=0))
+
+    def bare_run() -> None:
+        engine._records(engine.prepare(workload), [engine.noise])
+
     for _ in range(min(50, per_round)):
-        engine._run(workload)  # warm-up
+        bare_run()  # warm-up
 
     def best(fn) -> float:
         times = []
@@ -149,7 +153,7 @@ def measure_telemetry_overhead(
     instrumented, bare = [], []
     for _ in range(rounds):
         instrumented.append(best(lambda: engine.run(workload)))
-        bare.append(best(lambda: engine._run(workload)))
+        bare.append(best(bare_run))
     inst_s, bare_s = min(instrumented), min(bare)
     return {
         "instrumented_best_seconds": inst_s,

@@ -110,22 +110,39 @@ class Profiler:
 
         t0 = self.backend.now()
         realtime = getattr(self.backend, "name", "") == "host"
+        grid = None
         if realtime:
             self._drive_threaded(watchers, handle, policy, t0)
         else:
-            self._drive_lockstep(watchers, handle, policy, t0)
+            grid = self._drive_grid(watchers, handle, policy, t0)
+            if grid is None:
+                self._drive_lockstep(watchers, handle, policy, t0)
         exit_code = handle.wait()
-
         # Drain: one final sample on the full-period boundary (§4.5).
-        if config.drain_final_sample:
-            now = self.backend.now() - t0
+        drain = (
+            [self.backend.now() - t0] if config.drain_final_sample else []
+        )
+        if grid is not None:
+            # Sim-plane fast path: the process's history is precomputed,
+            # so the grid and the drain point are interpolated in one
+            # pass and handed over as the two batches a sampling loop
+            # followed by a drain would have delivered.
+            times = np.asarray(grid + drain)
+            counters = handle.counters_many(times)
+            for lo, hi in ((0, len(grid)), (len(grid), len(times))):
+                if hi > lo:
+                    self._sample_batch(
+                        watchers, times[lo:hi],
+                        {name: values[lo:hi] for name, values in counters.items()},
+                    )
+        elif drain:
             counters_many = getattr(handle, "counters_many", None)
             if counters_many is not None and self._batchable(watchers):
-                drain = np.asarray([now])
-                self._sample_batch(watchers, drain, counters_many(drain))
+                times = np.asarray(drain)
+                self._sample_batch(watchers, times, counters_many(times))
             else:
                 for watcher in watchers:
-                    self._safe_sample(watcher, now)
+                    self._safe_sample(watcher, drain[0])
 
         for watcher in watchers:
             watcher.post_process()
@@ -243,8 +260,6 @@ class Profiler:
         t0: float,
     ) -> None:
         """Single-threaded sampling loop (simulation plane)."""
-        if self._drive_grid(watchers, handle, policy, t0):
-            return
         while handle.alive():
             elapsed = self.backend.now() - t0
             self.backend.sleep(policy.interval_at(elapsed))
@@ -258,29 +273,32 @@ class Profiler:
         handle: ProcessHandle,
         policy: SamplingPolicy,
         t0: float,
-    ) -> bool:
-        """Sim-plane fast path: sample the whole policy grid in one shot.
+    ) -> list[float] | None:
+        """Sim-plane fast path: the whole policy grid, up front.
 
         A sim process's history is precomputed, so instead of stepping
         the virtual clock sample by sample (one full counter snapshot
-        per watcher per step) the sample grid is materialised up front,
-        every counter series is interpolated over it in one vectorised
-        pass (:meth:`SimProcess.counters_many`), and the arrays are
-        handed to the watchers in batch.  The grid replicates the
-        lockstep loop's clock arithmetic exactly, so sample timestamps —
-        and therefore profiles — are identical to the scalar driver's.
+        per watcher per step) the sample grid is materialised here, the
+        clock moved to its end, and :meth:`_run` interpolates every
+        counter series over it in one vectorised pass
+        (:meth:`SimProcess.counters_many`) and hands the arrays to the
+        watchers in batch.  The grid replicates the lockstep loop's
+        clock arithmetic exactly, so sample timestamps — and therefore
+        profiles — are identical to the scalar driver's.
 
-        Returns False (caller falls back to lockstep stepping) when the
+        Returns None (caller falls back to lockstep stepping) when the
         handle cannot batch-evaluate or any watcher has custom
         per-sample behaviour without a matching batch implementation.
         """
-        counters_many = getattr(handle, "counters_many", None)
         end_time = getattr(handle, "end_time", None)
         clock = getattr(self.backend, "clock", None)
-        if counters_many is None or end_time is None or clock is None:
-            return False
-        if not self._batchable(watchers):
-            return False
+        if (
+            getattr(handle, "counters_many", None) is None
+            or end_time is None
+            or clock is None
+            or not self._batchable(watchers)
+        ):
+            return None
 
         # Replicate the lockstep loop: check liveness, advance by the
         # policy interval, sample — so the final sample lands on the
@@ -292,10 +310,7 @@ class Profiler:
             now = now + policy.interval_at(elapsed)
             times.append(now - t0)
         clock.advance_to(now)
-        if times:
-            grid = np.asarray(times)
-            self._sample_batch(watchers, grid, counters_many(grid))
-        return True
+        return times
 
     @staticmethod
     def _batchable(watchers: list[WatcherBase]) -> bool:

@@ -58,6 +58,7 @@ import random
 import secrets
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -262,9 +263,9 @@ class CampaignCell:
     seed: int
     rep: int
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Deterministic cell identity.
+        """Deterministic cell identity (computed once per cell object).
 
         Hashes the cell coordinates plus every spec setting that
         influences the cell's stored artifact (kind, noisy, config,

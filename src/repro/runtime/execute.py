@@ -23,20 +23,42 @@ from repro.core.errors import ConfigError, WorkloadError
 from repro.faults import inject
 from repro.runtime.service import RunRequest
 
-__all__ = ["dispatch"]
+__all__ = ["PlanGroup", "dispatch"]
+
+
+class PlanGroup:
+    """One entry of a batch's plan table: the ``engine``/``profile``
+    requests that share a (target, machine), and — once the first of
+    them to be attempted has built them — their engine plan and the
+    records replayed from it that nobody has taken yet.
+
+    ``block`` says whether the group's seeds may still be replayed as
+    one block; it is spent by the first attempt that gets as far as
+    replaying, whatever comes of it (see :func:`_replayed`).
+    """
+
+    __slots__ = ("requests", "plan", "records", "block")
+
+    def __init__(self, requests: Any = ()) -> None:
+        self.requests: list[RunRequest] = list(requests)
+        self.plan: Any = None
+        #: ``id(request)`` -> its ``ExecutionRecord``, until taken.
+        self.records: dict[int, Any] = {}
+        self.block = True
 
 
 def dispatch(
     request: RunRequest, target: Any, machine: Any,
-    plans: dict[tuple[int, int], Any] | None = None,
+    group: PlanGroup | None = None,
 ) -> Any:
     """Execute one request; ``target``/``machine`` are passed separately
     because pooled requests ship them via the batch's shared payload.
 
-    ``plans`` is the batch's plan table (see :func:`_prepared`): the run
-    service passes one per batch so requests sharing (target, machine)
-    prepare once and replay per seed.  Without it the request prepares
-    for itself alone.
+    ``group`` is the request's entry in the batch's plan table (see
+    :func:`_replayed`): the run service passes it so that requests
+    sharing (target, machine) prepare once and replay their seeds as one
+    block.  Without it the request prepares and replays for itself
+    alone.
     """
     # Chaos plane: fires in whichever process executes the request — a
     # pool worker for pooled requests (so ``crash`` rules emulate real
@@ -45,9 +67,9 @@ def dispatch(
     if request.kind == "call":
         return request.runner()  # type: ignore[misc]
     if request.kind == "engine":
-        return _execute_engine(request, target, machine, plans)
+        return _execute_engine(request, target, machine, group)
     if request.kind == "profile":
-        return _execute_profile(request, target, machine, plans)
+        return _execute_profile(request, target, machine, group)
     if request.kind == "emulate":
         return _execute_emulate(request, target, machine)
     raise WorkloadError(f"cannot execute run kind {request.kind!r}")
@@ -85,18 +107,20 @@ def _sim_backend(request: RunRequest, machine: Any):
 
 
 def _noise_model(request: RunRequest, spec: Any, workload: Any):
-    from repro.sim.noise import NoiseModel, seed_from  # noqa: PLC0415 (cycle)
+    """The request's noise model: the spawn-slot derivation of
+    :func:`repro.sim.backend._noise_for`, which ``noise_seed`` overrides
+    for ``engine`` requests (a profile is a spawn on a rebuilt backend,
+    and has always drawn its slot's noise)."""
+    from repro.sim.backend import _noise_for  # noqa: PLC0415 (cycle)
+    from repro.sim.noise import NoiseModel  # noqa: PLC0415 (cycle)
 
-    if not request.noisy:
-        return NoiseModel.silent()
-    seed = request.noise_seed
-    if seed is None:
-        seed = seed_from(spec.name, workload.name, request.seed, request.index)
-    return NoiseModel(
-        seed=seed,
-        duration_sigma=spec.noise_sigma,
-        counter_sigma=spec.noise_sigma / 3.0,
-    )
+    if request.noisy and request.kind == "engine" and request.noise_seed is not None:
+        return NoiseModel(
+            seed=request.noise_seed,
+            duration_sigma=spec.noise_sigma,
+            counter_sigma=spec.noise_sigma / 3.0,
+        )
+    return _noise_for(spec, workload, request.noisy, request.seed, request.index)
 
 
 def _resolve_workload(target: Any, spec: Any):
@@ -119,48 +143,76 @@ def _resolve_workload(target: Any, spec: Any):
     )
 
 
-def _prepared(target: Any, machine: Any, plans: dict | None):
-    """The engine plan of ``(target, machine)``: machine resolved,
-    workload built and prepared by the first request of the batch that
-    needs it, replayed by every later one.
+def _replayed(
+    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None
+):
+    """The request's ``ExecutionRecord``.
 
-    The table is keyed by identity, like the batch's shared target and
-    machine tables (which keep both objects alive as long as it lives),
-    and dies with the batch — so there is nothing to invalidate, and an
-    app mutated between batches is seen.  This runs inside the request's
-    attempt: a failure here is that request's failure, is retried under
-    its policy, and stores nothing — the next request builds again.
+    The first request of a group to be attempted resolves the machine,
+    builds the workload, prepares the plan *and* replays the seeds of
+    every request of the group as one block
+    (:meth:`~repro.sim.engine.Engine.replay_many`); the others take
+    their record from the group.  A request that finds the plan but no
+    record replays alone: it took its record and is being retried, or
+    the group's rows do not fit one block
+    (:func:`~repro.sim.engine.block_rows`).  Records wait in the group
+    until taken, so a group holds at most a block's worth of them; a
+    plan too big for that is still shared, and its records are made
+    one at a time.
+
+    All of it runs inside the request's attempt: a failure is that
+    request's failure, is retried under its policy, and stores nothing.
+    A failed *build* leaves the group as it was, so the next attempt
+    builds again.  A failed *block* is not tried twice: the next
+    attempt prepares again and replays alone, and so does every other
+    request of the group, so one request's trouble cannot fail the
+    others.
+
+    The group is an entry of the batch's plan table, which is keyed by
+    the slots of the batch's shared target and machine tables and dies
+    with the batch — so there is nothing to invalidate, and an app
+    mutated between batches is seen.
     """
-    from repro.sim.engine import Engine  # noqa: PLC0415 (cycle)
+    from repro.sim.engine import Engine, block_rows  # noqa: PLC0415 (cycle)
     from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
 
-    key = (id(target), id(machine))
-    plan = plans.get(key) if plans is not None else None
-    if plan is None:
-        spec = resolve_machine(machine)
-        plan = Engine(spec).prepare(_resolve_workload(target, spec))
-        if plans is not None:
-            plans[key] = plan
-    return plan
+    if group is None:
+        group = PlanGroup([request])
+    record = group.records.pop(id(request), None)
+    if record is not None:
+        return record
+    plan = group.plan
+    if plan is not None:
+        spec = plan.machine
+        return Engine(spec, _noise_model(request, spec, plan)).run(plan)
+    spec = resolve_machine(machine)
+    engine = Engine(spec)
+    plan = engine.prepare(_resolve_workload(target, spec))
+    rows = [request]
+    if group.block and len(group.requests) <= block_rows(plan):
+        rows = group.requests
+    group.block = False
+    records = dict(zip(
+        map(id, rows),
+        engine.replay_many(plan, [_noise_model(row, spec, plan) for row in rows]),
+    ))
+    record = records.pop(id(request))
+    group.plan, group.records = plan, records
+    return record
 
 
 def _execute_engine(
-    request: RunRequest, target: Any, machine: Any, plans: dict | None = None
+    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None = None
 ) -> Any:
     """Raw engine execution; yields an ``ExecutionRecord`` (or its
     ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
-    from repro.sim.engine import Engine  # noqa: PLC0415 (cycle)
-
     if machine is None:
         raise WorkloadError("engine requests need a machine model")
-    plan = _prepared(target, machine, plans)
-    spec = plan.machine
-    record = Engine(spec, _noise_model(request, spec, plan)).run(plan)
-    return _reduced(request, record)
+    return _reduced(request, _replayed(request, target, machine, group))
 
 
 def _execute_profile(
-    request: RunRequest, target: Any, machine: Any, plans: dict | None = None
+    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None = None
 ) -> Any:
     """A full profiling run; yields a ``Profile`` (or its reduction)."""
     from repro.core.profiler import Profiler  # noqa: PLC0415 (cycle)
@@ -168,7 +220,9 @@ def _execute_profile(
     backend = request.backend
     if backend is None:
         if machine is not None:
-            target = _prepared(target, machine, plans)
+            # The backend spawns the already replayed history: the run
+            # is this request's spawn slot either way.
+            target = _replayed(request, target, machine, group)
             backend = _sim_backend(request, target.machine)
         else:
             from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)

@@ -280,24 +280,69 @@ class RunResult:
         return self.request.key
 
 
-#: Chunks submitted per worker: >1 so the pool's dynamic dispatch
-#: rebalances heterogeneous batches (one chunk per worker would serialise
-#: a batch whose expensive items are contiguous, e.g. a campaign wave
-#: ordered app-outermost), while each chunk still amortises its pickle
-#: of the shared payload over many items.
+#: Chunks a batch is cut into per worker: >1 so the pool's dynamic
+#: dispatch rebalances heterogeneous batches (one chunk per worker would
+#: serialise a batch whose expensive items are contiguous, e.g. a
+#: campaign wave ordered app-outermost), while each chunk still
+#: amortises its pickle of the shared payload over many items.
 CHUNKS_PER_WORKER = 4
 
 
-def _split_chunks(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
-    """Contiguous near-equal chunks (order-preserving, no empty chunks)."""
-    n_chunks = max(1, min(n_chunks, len(items)))
-    base, extra = divmod(len(items), n_chunks)
+def _near_equal(items: Sequence[Any], pieces: int) -> list[list[Any]]:
+    """``items`` cut into ``pieces`` contiguous near-equal lists."""
+    base, extra = divmod(len(items), pieces)
+    bounds = [0]
+    for piece in range(pieces):
+        bounds.append(bounds[-1] + base + (1 if piece < extra else 0))
+    return [list(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _split_chunks(
+    items: Sequence[Any], workers: int, plans: Sequence[Any] | None = None
+) -> list[list[Any]]:
+    """Cut ``items`` into chunks for ``workers`` pool workers, plan by plan.
+
+    ``plans[i]`` names the engine plan item *i* will replay; items that
+    replay none carry a name of their own (``None`` for the whole
+    argument: no two items share anything).  Items of one plan travel
+    together, because a chunk is the scope of the plan table.  A plan
+    bigger than a chunk (``len(items) / (workers * CHUNKS_PER_WORKER)``,
+    rounded up) is shared out over at most ``workers`` near-equal chunks
+    of its own — so a one-plan batch becomes one chunk per worker, not
+    a row of singletons that share nothing.  The smaller ones are
+    packed whole, in order, into near-equal chunks, their share of the
+    ``workers * CHUNKS_PER_WORKER`` — items that share nothing are cut
+    exactly as evenly, and into as many chunks, as they always were.
+    Items keep their order within a plan; there are no empty chunks.
+    """
+    if not items:
+        return []
+    workers = max(1, workers)
+    n_chunks = min(len(items), workers * CHUNKS_PER_WORKER)
+    size = -(-len(items) // n_chunks)
+    by_plan: dict[Any, list[Any]] = {}
+    for i, item in enumerate(items):
+        by_plan.setdefault(i if plans is None else plans[i], []).append(item)
     chunks: list[list[Any]] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        chunks.append(list(items[start : start + size]))
-        start += size
+    small: list[list[Any]] = []
+    for members in by_plan.values():
+        if len(members) > size:
+            chunks.extend(
+                _near_equal(members, min(workers, -(-len(members) // size)))
+            )
+        else:
+            small.append(members)
+    if small:
+        count = sum(map(len, small))
+        pieces = min(len(small), -(-count * n_chunks // len(items)))
+        base, extra = divmod(count, pieces)
+        packed: list[list[Any]] = [[]]
+        for members in small:
+            target = base + (1 if len(packed) <= extra else 0)
+            if packed[-1] and len(packed[-1]) + len(members) > target:
+                packed.append([])
+            packed[-1].extend(members)
+        chunks.extend(packed)
     return chunks
 
 
@@ -362,13 +407,14 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
 
 def _attempt_request(
     request: RunRequest, target: Any, machine: Any,
-    plans: dict | None = None,
+    group: Any = None,
 ) -> tuple[bool, float, Any, int, float]:
     """Execute one request under its policy.
 
-    ``plans`` is the batch's engine plan table (``None`` for in-parent
-    requests, which share nothing); :func:`~repro.runtime.execute.dispatch`
-    fills and reads it inside the attempt.
+    ``group`` is the request's entry in the batch's engine plan table
+    (``None`` for in-parent requests, which share nothing);
+    :func:`~repro.runtime.execute.dispatch` fills and reads it inside
+    the attempt.
 
     Returns ``(ok, seconds, value_or_exception, attempt, attempt_seconds)``
     where ``attempt`` is the 1-based attempt that produced the outcome,
@@ -396,7 +442,7 @@ def _attempt_request(
         for attempt in range(1, policy.attempts + 1):
             attempt_start = time.perf_counter()
             try:
-                value = dispatch(request, target, machine, plans)
+                value = dispatch(request, target, machine, group)
                 attempt_elapsed = time.perf_counter() - attempt_start
                 if policy.timeout is not None and attempt_elapsed > policy.timeout:
                     raise RunTimeoutError(
@@ -500,17 +546,13 @@ def _execute_packed(
     item: tuple[RunRequest, int, int]
 ) -> tuple[bool, float, Any, int, float]:
     """Execute one packed request against the shared target/machine
-    tables and the plan table that rides with them.
-
-    The plan table starts empty with the batch: in a serial batch it is
-    one dict for the whole batch, in a pooled one each chunk unpickles
-    its own — either way it is dropped when the batch's shared payload
-    is uninstalled.
-    """
+    tables and the plan table that rides with them (see
+    :func:`_plan_table`)."""
     request, target_slot, machine_slot = item
     targets, machines, plans = get_shared()
     return _attempt_request(
-        request, targets[target_slot], machines[machine_slot], plans
+        request, targets[target_slot], machines[machine_slot],
+        plans.get((target_slot, machine_slot)),
     )
 
 
@@ -560,18 +602,22 @@ class _SupervisedRun:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         workers: int,
-        shared: Any,
+        share: Callable[[Sequence[Any]], Any],
         budgets: Sequence[float | None] | None = None,
         keys: Sequence[str | None] | None = None,
+        plans: Sequence[Any] | None = None,
     ) -> None:
         n = len(items)
         self.service = service
         self.fn = fn
         self.items = items
         self.workers = workers
-        self.shared = shared
+        #: ``share(chunk_items)`` is the shared payload of one chunk.
+        self.share = share
         self.budgets = list(budgets) if budgets is not None else [None] * n
         self.keys = list(keys) if keys is not None else [None] * n
+        #: Per item, the engine plan it replays (see :func:`_split_chunks`).
+        self.plans = plans
         self.outcomes: list[tuple[str, Any, float] | None] = [None] * n
         self.remaining = set(range(n))
         self.crashes = [0] * n
@@ -617,18 +663,17 @@ class _SupervisedRun:
             if self.budgets[i] is None and self.crashes[i] == 0
         ]
         chunks: list[list[int]] = [[i] for i in singles]
-        if bulk:
-            chunks.extend(
-                _split_chunks(bulk, self.workers * CHUNKS_PER_WORKER)
-            )
+        chunks.extend(_split_chunks(
+            bulk, self.workers,
+            None if self.plans is None else [self.plans[i] for i in bulk],
+        ))
         try:
-            payloads = [
-                pickle.dumps((
-                    self.fn, self.shared,
-                    [self.items[i] for i in chunk], self.telemetry,
+            payloads = []
+            for chunk in chunks:
+                items = [self.items[i] for i in chunk]
+                payloads.append(pickle.dumps(
+                    (self.fn, self.share(items), items, self.telemetry)
                 ))
-                for chunk in chunks
-            ]
             self.service._ensure_pool(self.workers)
         except Exception as exc:  # noqa: BLE001 - infra boundary
             return self._fallback(exc)
@@ -804,9 +849,8 @@ class _SupervisedRun:
             ParallelFallbackWarning,
             stacklevel=2,
         )
-        values = _serial_map(
-            self.fn, [self.items[i] for i in pending], self.shared
-        )
+        items = [self.items[i] for i in pending]
+        values = _serial_map(self.fn, items, self.share(items))
         for i, value in zip(pending, values):
             self.outcomes[i] = ("ok", value, 0.0)
             self.remaining.discard(i)
@@ -953,7 +997,9 @@ class RunService:
         workers = self.resolve_workers(processes, len(items))
         if workers <= 1:
             return _serial_map(fn, items, shared)
-        outcomes = self._supervised(fn, items, workers, shared, budgets, keys)
+        outcomes = self._supervised(
+            fn, items, workers, lambda _chunk: shared, budgets, keys
+        )
         results: list[Any] = []
         for status, value, _seconds in outcomes:
             if status != "ok":
@@ -966,13 +1012,14 @@ class RunService:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         workers: int,
-        shared: Any = None,
+        share: Callable[[Sequence[Any]], Any],
         budgets: Sequence[float | None] | None = None,
         keys: Sequence[str | None] | None = None,
+        plans: Sequence[Any] | None = None,
     ) -> list[tuple[str, Any, float]]:
         """Supervised pooled execution; see :class:`_SupervisedRun`."""
         return _SupervisedRun(
-            self, fn, items, workers, shared, budgets, keys
+            self, fn, items, workers, share, budgets, keys, plans
         ).execute()
 
     # -- request execution ---------------------------------------------------
@@ -1007,23 +1054,29 @@ class RunService:
             workers = self.resolve_workers(processes, len(pooled))
             if pooled:
                 targets, machines, items = _pack(requests, pooled)
-                # Third slot: the batch-scoped engine plan table, filled
-                # lazily by the requests themselves (see _execute_packed).
-                shared = (targets, machines, {})
+
+                def share(chunk: Sequence[Any]) -> Any:
+                    # Third slot: the engine plan table of the items
+                    # that execute together — the batch, or one chunk.
+                    return targets, machines, _plan_table(chunk)
+
                 if workers <= 1:
                     supervised = [
                         ("ok", value, 0.0)
-                        for value in _serial_map(_execute_packed, items, shared)
+                        for value in _serial_map(
+                            _execute_packed, items, share(items)
+                        )
                     ]
                 else:
                     supervised = self._supervised(
-                        _execute_packed, items, workers, shared,
+                        _execute_packed, items, workers, share,
                         budgets=[
                             requests[i].policy.budget
                             if requests[i].policy is not None else None
                             for i in pooled
                         ],
                         keys=[requests[i].key for i in pooled],
+                        plans=_plan_names(items),
                     )
                 for i, (status, payload, sup_seconds) in zip(pooled, supervised):
                     request = requests[i]
@@ -1120,6 +1173,43 @@ def _pack(
         lite = replace(request, target=None, machine=None)
         items.append((lite, target_slot, machine_slot))
     return targets, machines, items
+
+
+def _plan_names(items: Sequence[tuple[RunRequest, int, int]]) -> list[Any]:
+    """Per packed item, a name for the engine plan it will replay (what
+    :func:`_split_chunks` keeps together): the ``(target_slot,
+    machine_slot)`` of an ``engine``/``profile`` request — the key of
+    :func:`_plan_table` — and, for a request that replays no plan
+    (``emulate``), its position, which it shares with nobody."""
+    return [
+        item[1:] if item[0].kind in ("engine", "profile") else position
+        for position, item in enumerate(items)
+    ]
+
+
+def _plan_table(
+    items: Sequence[tuple[RunRequest, int, int]]
+) -> dict[tuple[int, int], Any]:
+    """The engine plan table of the packed items that execute together:
+    per ``(target_slot, machine_slot)``, the ``engine``/``profile``
+    requests that will replay that plan — the identities the first of
+    them to be attempted needs to replay all their seeds as one block.
+
+    It starts without plans and is dropped with the shared payload it
+    rides in: one table for a serial batch, one per chunk in a pool
+    (where table and items cross in one pickle, so the requests in it
+    are the chunk's own).
+    """
+    from repro.runtime.execute import PlanGroup  # noqa: PLC0415 (cycle)
+
+    table: dict[tuple[int, int], Any] = {}
+    for request, target_slot, machine_slot in items:
+        if request.kind in ("engine", "profile"):
+            group = table.get((target_slot, machine_slot))
+            if group is None:
+                group = table[target_slot, machine_slot] = PlanGroup()
+            group.requests.append(request)
+    return table
 
 
 def batch_budget(requests: Sequence[RunRequest]) -> float | None:

@@ -113,17 +113,23 @@ class SimBackend(ExecutionBackend):
         ``target`` may be a :class:`SimWorkload`, a
         :class:`PackedWorkload`, any object with a ``build_packed`` /
         ``build_workload(machine)`` method (the application models in
-        :mod:`repro.apps`), or a :class:`~repro.sim.engine.Prepared`
-        plan for this machine — the run service hands one plan to every
-        request of a batch that shares (target, machine); only the
-        spawn slot's noise differs between them.
+        :mod:`repro.apps`), a :class:`~repro.sim.engine.Prepared` plan
+        for this machine, or an :class:`ExecutionRecord` — a history
+        already replayed under this spawn slot's noise, which the run
+        service hands over when it replayed a batch's seeds of one
+        plan as one block.  Every form takes one spawn slot.
         """
-        workload = target if isinstance(target, Prepared) else self._resolve(target)
         self._spawn_count += 1
-        noise = _noise_for(
-            self.machine, workload, self.noisy, self.seed, self._spawn_count
-        )
-        record = Engine(self.machine, noise).run(workload)
+        if isinstance(target, ExecutionRecord):
+            record = target
+        else:
+            workload = (
+                target if isinstance(target, Prepared) else self._resolve(target)
+            )
+            noise = _noise_for(
+                self.machine, workload, self.noisy, self.seed, self._spawn_count
+            )
+            record = Engine(self.machine, noise).run(workload)
         return SimProcess(record, self.clock, start_time=self.clock.now())
 
     def spawn_many(

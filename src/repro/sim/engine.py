@@ -25,8 +25,8 @@ a target number of cycles) consumes ``target * cycle_bias`` cycles, where
 the bias is the machine's calibration-vs-sustained IPC ratio for that
 kernel class.
 
-Prepare once, replay per seed
------------------------------
+Prepare once, replay per seed — a block of seeds at a time
+----------------------------------------------------------
 
 :meth:`Engine.run` is written for throughput: many emulated runs per
 placement decision (closed-loop validation, E.7) and many seeds per
@@ -47,17 +47,25 @@ seed boundary, and the split is the only path:
   duration followed by its counter amounts — the order the scalar engine
   made its draws in, so seeded runs reproduce its noise stream bit for
   bit (zero values skip their draw in both).
-* the per-seed *replay* (:meth:`Engine._execute`) draws all noise as one
-  RNG batch over that slot array, turns noisy durations into demand
-  start/end times with per-stream ``cumsum`` (left-associated, matching
-  scalar accumulation) and builds counter and level timelines from
-  packed ``(t0, t1, amount)`` arrays — no per-demand objects anywhere.
+* :meth:`Engine.replay_many` replays a plan under any number of noise
+  models — the *rows* of a block.  Each model draws its own row of the
+  slot array as one RNG batch; everything after that runs once over
+  ``(rows, demands)`` arrays with every accumulation along ``axis=1``:
+  noisy durations become demand start/end times with per-stream
+  ``cumsum`` (left-associated, matching scalar accumulation), and
+  counter and level timelines are folded from packed
+  ``(t0, t1, amount)`` arrays — no per-demand objects, and no per-seed
+  Python pass, anywhere.  The plans a campaign replays are a few
+  hundred demands long, so per seed this work is NumPy call overhead,
+  not arithmetic; a block pays the calls once.  Rows share a block
+  while their arrays are rectangular: see :meth:`Engine._replay`.
 
-``Engine.run(workload)`` is ``prepare`` + replay; ``Engine.run(prepared)``
-replays a plan someone else prepared — the run service prepares each
-distinct (target, machine) of a batch once and replays it per seed —
-and :class:`~repro.sim.stream.EngineStream` feeds every batch through
-the same two steps.
+``Engine.run(workload)`` is ``prepare`` + the one-row ``replay_many``;
+``Engine.run(prepared)`` replays a plan someone else prepared — the run
+service prepares each distinct (target, machine) of a batch once and
+replays the batch's seeds of it as one block — and
+:class:`~repro.sim.stream.EngineStream` feeds every batch through the
+same two steps, one row at a time with its carries.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 from repro.util.timeseries import TimeSeries
 
-__all__ = ["Engine", "ExecutionRecord", "IOEvent", "Prepared"]
+__all__ = ["Engine", "ExecutionRecord", "IOEvent", "Prepared", "block_rows"]
 
 
 class IOEvent(NamedTuple):
@@ -300,7 +308,6 @@ class Prepared:
     __slots__ = (
         "machine", "name", "base_rss", "metadata",
         "n", "n_phases", "streams", "pos",
-        "durations", "amounts",
         "slot_values", "slot_bases", "slot_groups",
         "m_phase", "m_deltas", "t_pos", "t_extra",
         "i_read", "i_written", "i_block", "i_fs",
@@ -330,7 +337,8 @@ class Engine:
     :meth:`prepare` turns a workload into a seed-independent
     :class:`Prepared` plan for this machine; :meth:`run` replays a plan
     (preparing first when handed a workload) under this engine's noise
-    model.  An engine holds no per-workload state: plans belong to
+    model, :meth:`replay_many` under as many noise models as it is
+    handed.  An engine holds no per-workload state: plans belong to
     whoever prepared them, and any engine over the same machine can
     replay them.
     """
@@ -765,26 +773,6 @@ class Engine:
             _frozen(pos) for pos in (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)
         )
 
-        durations = np.zeros(g.n)
-        amounts: dict[str, np.ndarray] = {}
-        for kind, cost in (
-            (_COMPUTE, self._compute_costs),
-            (_IO, self._io_costs),
-            (_MEM, self._memory_costs),
-            (_NET, self._network_costs),
-        ):
-            pos = plan.pos[kind]
-            if pos.size:
-                group = cost(g)
-                durations[pos] = group["duration"]
-                for name in _KIND_COUNTERS[kind]:
-                    amounts[name] = _frozen(group[name])
-        if g.s_pos.size:
-            durations[g.s_pos] = g.s_secs
-        durations *= g.contention
-        plan.durations = _frozen(durations)
-        plan.amounts = amounts
-
         # Noise slot layout, per demand in execution order: its duration,
         # then its counter amounts in the fixed per-type order.  This is
         # exactly the order the scalar engine made its ``duration()`` /
@@ -794,15 +782,24 @@ class Engine:
         offsets = np.concatenate(([0], np.cumsum(slots)))
         bases = offsets[:-1]
         values = np.zeros(int(offsets[-1]))
-        values[bases] = durations
         groups: dict[int, np.ndarray] = {}
-        for kind, names in _KIND_COUNTERS.items():
+        for kind, cost in (
+            (_COMPUTE, self._compute_costs),
+            (_IO, self._io_costs),
+            (_MEM, self._memory_costs),
+            (_NET, self._network_costs),
+        ):
             pos = plan.pos[kind]
             if pos.size:
+                costs = cost(g)
                 group_bases = bases[pos]
-                for slot, name in enumerate(names, start=1):
-                    values[group_bases + slot] = amounts[name]
+                values[group_bases] = costs["duration"]
+                for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
+                    values[group_bases + slot] = costs[name]
                 groups[kind] = _frozen(group_bases)
+        if g.s_pos.size:
+            values[bases[g.s_pos]] = g.s_secs
+        values[bases] *= g.contention
         plan.slot_values = _frozen(values)
         plan.slot_bases = _frozen(bases)
         plan.slot_groups = groups
@@ -835,83 +832,183 @@ class Engine:
     ) -> ExecutionRecord:
         """Execute a workload; returns its full observable history.
 
-        ``run(workload)`` is :meth:`prepare` followed by one replay
-        under this engine's noise model; handing in a :class:`Prepared`
-        plan (for this machine) skips straight to the replay.  Both
-        produce bit-identical records.
+        ``run(workload)`` is :meth:`prepare` followed by the one-row
+        case of :meth:`replay_many` under this engine's noise model;
+        handing in a :class:`Prepared` plan (for this machine) skips
+        straight to the replay.  Both produce bit-identical records.
         """
         with span(
             "engine.run", workload=workload.name, machine=self.machine.name
         ) as sp:
-            if isinstance(workload, Prepared):
-                plan = workload
-                if plan.machine is not self.machine and plan.machine != self.machine:
-                    raise WorkloadError(
-                        f"plan {plan.name!r} was prepared for machine "
-                        f"{plan.machine.name!r}, not {self.machine.name!r}"
-                    )
-            else:
-                plan = self.prepare(workload)
-            reused = plan.replays > 0
-            if reused:
-                get_registry().inc("engine.plans.reused")
-            frame = self._execute(plan, plan.base_rss)
-            metadata = dict(plan.metadata)
-            metadata.setdefault("workload_name", plan.name)
-            record = ExecutionRecord(
-                machine=self.machine,
-                duration=frame.duration,
-                counters=frame.counters,
-                levels=frame.levels,
-                io_events=frame.io_events,
-                phase_bounds=frame.phase_bounds,
-                metadata=metadata,
+            plan = (
+                workload if isinstance(workload, Prepared)
+                else self.prepare(workload)
             )
+            reused = plan.replays > 0
+            (record,), _ = self._records(plan, [self.noise])
             sp.set(
                 demands=plan.n, sim_duration=record.duration,
                 plan="reused" if reused else "built",
             )
         return record
 
-    def _execute(
+    def replay_many(
+        self, plan: Prepared, noises: Sequence[NoiseModel]
+    ) -> list[ExecutionRecord]:
+        """Replay one plan once per noise model; one record per model.
+
+        The noise models are the rows of a block: each draws its own row
+        of the plan's noise slots, in order (so a model passed twice
+        continues its stream, and every record equals what
+        ``Engine(machine, noise).run(plan)`` returns for that model in
+        that order), and the timeline, counter and level folds then run
+        once over the whole ``(rows, demands)`` block — see
+        :meth:`_replay` for when a block is cut smaller.
+        """
+        with span(
+            "engine.replay", workload=plan.name, machine=self.machine.name
+        ) as sp:
+            records, blocks = self._records(plan, list(noises))
+            sp.set(demands=plan.n, rows=len(records), blocks=blocks)
+        return records
+
+    def _records(
+        self, plan: Prepared, noises: Sequence[NoiseModel]
+    ) -> tuple[list[ExecutionRecord], int]:
+        """The engine's only replay path, under :meth:`run` and
+        :meth:`replay_many` alike: one record per noise model, and the
+        number of blocks they were folded in."""
+        if plan.machine is not self.machine and plan.machine != self.machine:
+            raise WorkloadError(
+                f"plan {plan.name!r} was prepared for machine "
+                f"{plan.machine.name!r}, not {self.machine.name!r}"
+            )
+        # Every row but a fresh plan's first replays a used plan.
+        reused = len(noises) if plan.replays else max(0, len(noises) - 1)
+        get_registry().inc("engine.plans.reused", reused)
+        frames, blocks = self._replay(plan, noises, plan.base_rss)
+        metadata = dict(plan.metadata)
+        metadata.setdefault("workload_name", plan.name)
+        records = [
+            ExecutionRecord(
+                machine=self.machine,
+                duration=frame.duration,
+                counters=frame.counters,
+                levels=frame.levels,
+                io_events=frame.io_events,
+                phase_bounds=frame.phase_bounds,
+                metadata=dict(metadata),
+            )
+            for frame in frames
+        ]
+        return records, blocks
+
+    def _replay(
         self,
         plan: Prepared,
+        noises: Sequence[NoiseModel],
         base_rss: float,
         *,
         t_start: float = 0.0,
         rss0: float | None = None,
         peak0: float | None = None,
         initial: dict[str, tuple[float, float, float]] | None = None,
-    ) -> "_Frame":
-        """Per-seed replay: noise, timeline, counters and levels.
+    ) -> tuple[list["_Frame"], int]:
+        """Per-seed replay of a block of rows: noise, timeline, counters
+        and levels; returns one frame per noise model and the number of
+        rectangular blocks they were folded in.
 
-        With the default arguments this executes a whole plan from
-        virtual time zero (the :meth:`run` path).  The streaming path
-        calls it once per arrival batch with the previous batch's end
-        time, RSS level/peak and per-counter carries, which — because
-        every accumulation here is a left-associated fold — continues
-        the timelines bit-identically to an uninterrupted run.
+        With the default arguments every row executes the whole plan
+        from virtual time zero (the :meth:`replay_many` path).  The
+        streaming path calls it with one row per arrival batch and the
+        previous batch's end time, RSS level/peak and per-counter
+        carries, which — because every accumulation here is a
+        left-associated fold along the demand axis — continues the
+        timelines bit-identically to an uninterrupted run.
+
+        Rows fold together while the arrays they produce are
+        rectangular.  Two things cut a block smaller, and the smaller
+        blocks go through the same code: rows × noise slots may not
+        exceed :data:`_BLOCK_ELEMENTS` (a plan that large replays row by
+        row, in the memory one row takes), and rows whose breakpoint
+        structure differs (see :class:`_Ragged`) are regrouped by it.
         """
-        plan.replays += 1
-        durations, noisy = self._draw_noise(plan)
+        registry = get_registry()
+        plan.replays += len(noises)
+        window = (base_rss, t_start, rss0, peak0, initial)
+        per_block = block_rows(plan)
+        frames: list[_Frame] = []
+        sizes: list[int] = []
+        for start in range(0, len(noises), per_block):
+            noisy = self._draw_noise(plan, noises[start : start + per_block])
+            frames.extend(self._fold_rows(plan, noisy, window, sizes))
+        registry.inc("engine.replay.rows", len(frames))
+        registry.inc("engine.replay.blocks", len(sizes))
+        registry.inc("engine.replay.split_rows", len(frames) - max(sizes, default=0))
+        return frames, len(sizes)
 
-        t0, t1, phase_bounds = self._timeline(plan, durations, t_start)
-        duration = phase_bounds[-1][1] if phase_bounds else t_start
+    def _fold_rows(
+        self, plan: Prepared, noisy: np.ndarray, window: tuple, sizes: list[int]
+    ) -> list["_Frame"]:
+        """Fold the rows of ``noisy`` as one block, or — when they turn
+        out ragged — as one block per group of like rows; appends the
+        size of every block folded to ``sizes``."""
+        try:
+            frames = self._fold(plan, noisy, *window)
+        except _Ragged as ragged:
+            frames = [None] * len(noisy)  # type: ignore[list-item]
+            for key in np.unique(ragged.keys):
+                rows = np.flatnonzero(ragged.keys == key)
+                group = self._fold_rows(plan, noisy[rows], window, sizes)
+                for row, frame in zip(rows.tolist(), group):
+                    frames[row] = frame
+            return frames
+        sizes.append(len(noisy))
+        return frames
 
+    def _fold(
+        self,
+        plan: Prepared,
+        noisy: np.ndarray,
+        base_rss: float,
+        t_start: float,
+        rss0: float | None,
+        peak0: float | None,
+        initial: dict[str, tuple[float, float, float]] | None,
+    ) -> list["_Frame"]:
+        """One rectangular block: every stage over ``(rows, demands)``
+        arrays, every accumulation along ``axis=1``.  Raises
+        :class:`_Ragged` when the rows do not fit one rectangle."""
+        t0, t1, bounds = self._timeline(plan, noisy[:, plan.slot_bases], t_start)
+        if plan.n_phases:
+            t_hi = bounds[:, -1, 1]
+        else:
+            t_hi = np.full(len(noisy), float(t_start))
         counters, carries = self._build_counters(
-            self._pack_counters(plan, t0, t1, noisy), t_start, duration, initial
+            plan, t0, t1, noisy, t_start, t_hi, initial
         )
         levels, rss_end, peak_end = self._build_levels(
-            plan, t0, t1, base_rss, t_start, duration, rss0, peak0
+            plan, t0, t1, base_rss, t_start, t_hi, rss0, peak0
         )
-        io_events = _LazyIOEvents(
-            t0[plan.pos[_IO]], plan.i_read, plan.i_written, plan.i_block,
-            plan.i_fs,
-        )
-        return _Frame(
-            duration, counters, levels, io_events, phase_bounds,
-            rss_end, peak_end, carries,
-        )
+        io_starts = t0[:, plan.pos[_IO]]
+        return [
+            _Frame(
+                duration,
+                counters[row],
+                levels[row],
+                _LazyIOEvents(
+                    io_starts[row], plan.i_read, plan.i_written, plan.i_block,
+                    plan.i_fs,
+                ),
+                [(lo, hi) for lo, hi in phase_bounds],
+                rss_end[row],
+                peak_end[row],
+                carries[row],
+            )
+            for row, (duration, phase_bounds) in enumerate(
+                zip(t_hi.tolist(), bounds.tolist())
+            )
+        ]
 
     def run_many(
         self, workloads: Iterable[SimWorkload | PackedWorkload]
@@ -921,8 +1018,9 @@ class Engine:
         Runs share the engine's noise model, so the RNG stream continues
         across workloads exactly as consecutive :meth:`run` calls would —
         ``run_many(ws)`` is the batch equivalent of ``[run(w) for w in
-        ws]``.  For multi-core fan-out across engines see
-        :func:`repro.core.multiproc.parallel_map` and
+        ws]``.  For many seeds of *one* workload see :meth:`replay_many`;
+        for multi-core fan-out see
+        :class:`repro.runtime.service.RunService` and
         :meth:`repro.sim.backend.SimBackend.spawn_many`.
         """
         return [self.run(workload) for workload in workloads]
@@ -964,44 +1062,53 @@ class Engine:
 
     # -- batched noise ----------------------------------------------------------
 
-    def _draw_noise(
-        self, plan: Prepared
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Noisy durations and counter amounts: one batched RNG pass
-        over the plan's slot array (see :meth:`prepare` for the layout).
+    @staticmethod
+    def _draw_noise(plan: Prepared, noises: Sequence[NoiseModel]) -> np.ndarray:
+        """The plan's slot array under each noise model, one row each
+        (see :meth:`prepare` for the layout).
+
+        Every model draws for itself, in row order — one
+        ``standard_normal`` batch over the slots whose value and sigma
+        are both nonzero, exactly the draws :meth:`NoiseModel.apply`
+        makes — and the rows are then scaled together.  Slots without a
+        draw keep a zero exponent, so they come through unchanged.
         """
-        noise = self.noise
-        if noise.silent_model:
-            return plan.durations, plan.amounts
-
-        bases = plan.slot_bases
-        sigmas = np.full(plan.slot_values.size, noise.counter_sigma)
-        sigmas[bases] = noise.duration_sigma
-        noisy = noise.apply(plan.slot_values, sigmas)
-
-        amounts: dict[str, np.ndarray] = {}
-        for kind, group_bases in plan.slot_groups.items():
-            for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
-                amounts[name] = noisy[group_bases + slot]
-        return noisy[bases], amounts
+        values = plan.slot_values
+        shape = (len(noises), values.size)
+        if all(noise.silent_model for noise in noises):
+            return np.broadcast_to(values, shape)
+        is_duration = np.zeros(values.size, dtype=bool)
+        is_duration[plan.slot_bases] = True
+        sigmas = np.where(
+            is_duration,
+            np.array([[noise.duration_sigma] for noise in noises]),
+            np.array([[noise.counter_sigma] for noise in noises]),
+        )
+        drawn = (values != 0.0) & (sigmas != 0.0)
+        z = np.zeros(shape)
+        for row, noise in enumerate(noises):
+            z[row, drawn[row]] = noise.normals(int(np.count_nonzero(drawn[row])))
+        return values * np.exp(sigmas * z)
 
     # -- timeline ----------------------------------------------------------------
 
     @staticmethod
     def _timeline(
         plan: Prepared, durations: np.ndarray, t_start: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
-        """Per-demand start/end times and phase bounds.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row demand start/end times ``(rows, n)`` and phase bounds
+        ``(rows, phases, 2)``.
 
         Demands run serially within a stream (cumulative sum of noisy
         durations, left-associated like the scalar accumulation), streams
         start together at the phase start, and phases are barriers.  The
         first phase starts at ``t_start`` (nonzero for streamed batches).
         """
-        t0 = np.empty(plan.n)
-        t1 = np.empty(plan.n)
-        phase_bounds: list[tuple[float, float]] = []
-        t_phase = float(t_start)
+        rows = len(durations)
+        t0 = np.empty((rows, plan.n))
+        t1 = np.empty((rows, plan.n))
+        bounds = np.empty((rows, plan.n_phases, 2))
+        t_phase = np.full(rows, float(t_start))
         stream_iter = iter(plan.streams)
         pending = next(stream_iter, None)
         for p_idx in range(plan.n_phases):
@@ -1009,117 +1116,98 @@ class Engine:
             while pending is not None and pending[0] == p_idx:
                 _, first, end = pending
                 if end > first:
-                    bounds = np.cumsum(
-                        np.concatenate(([t_phase], durations[first:end]))
-                    )
-                    t0[first:end] = bounds[:-1]
-                    t1[first:end] = bounds[1:]
-                    phase_end = max(phase_end, float(bounds[-1]))
+                    steps = np.concatenate(
+                        (t_phase[:, None], durations[:, first:end]), axis=1
+                    ).cumsum(axis=1)
+                    t0[:, first:end] = steps[:, :-1]
+                    t1[:, first:end] = steps[:, 1:]
+                    phase_end = np.maximum(phase_end, steps[:, -1])
                 pending = next(stream_iter, None)
-            phase_bounds.append((t_phase, phase_end))
+            bounds[:, p_idx, 0] = t_phase
+            bounds[:, p_idx, 1] = phase_end
             t_phase = phase_end
-        return t0, t1, phase_bounds
+        return t0, t1, bounds
 
     # -- counter timelines ---------------------------------------------------------
 
     @staticmethod
-    def _pack_counters(
+    def _build_counters(
         plan: Prepared,
         t0: np.ndarray,
         t1: np.ndarray,
-        noisy: dict[str, np.ndarray],
-    ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Packed ``(t0, t1, amount)`` arrays per counter name."""
-        packed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for kind, names in _KIND_COUNTERS.items():
-            pos = plan.pos[kind]
-            if not pos.size:
-                continue
-            kt0 = t0[pos]
-            kt1 = t1[pos]
-            for name in names:
-                packed[name] = (kt0, kt1, noisy[name])
-        return packed
-
-    @staticmethod
-    def _build_counters(
-        packed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+        noisy: np.ndarray,
         t_lo: float,
-        t_hi: float,
+        t_hi: np.ndarray,
         initial: dict[str, tuple[float, float, float]] | None = None,
-    ) -> tuple[dict[str, TimeSeries], dict[str, tuple[float, float, float]]]:
+    ) -> tuple[
+        list[dict[str, TimeSeries]], list[dict[str, tuple[float, float, float]]]
+    ]:
         """Turn accrual spans into piecewise-linear cumulative series.
 
-        Series cover the window ``[t_lo, t_hi]`` (the whole run for the
-        batch path).  ``initial`` maps counter names to their
-        ``(raw, guarded)`` carry from the previous window: the raw
-        left-fold sum seeds this window's ``cumsum`` and the guarded
-        value floors the monotonic guard, so streamed windows reproduce
-        the uninterrupted series bit for bit.  Returns the series plus
-        this window's end carries.
+        Row *r*'s series cover the window ``[t_lo, t_hi[r]]`` (the whole
+        run for the batch path).  ``initial`` maps counter names to
+        their ``(raw, guarded, rate)`` carry from the previous window:
+        the raw left-fold sum seeds this window's ``cumsum``, the
+        guarded value floors the monotonic guard and the running rate
+        seeds the rate fold, so streamed windows reproduce the
+        uninterrupted series bit for bit.  Returns, per row, the series
+        and this window's end carries, both in sorted-name order.
         """
-        out: dict[str, TimeSeries] = {}
-        carries: dict[str, tuple[float, float, float]] = {}
+        rows = len(noisy)
         if initial is None:
             initial = {}
-        # Counters of one demand type share their span arrays; cache the
-        # breakpoint grid per (t0, t1) identity so the expensive sorts
-        # run once per type, not once per counter.
-        grid_cache: dict[tuple[int, int], tuple] = {}
-        for name in sorted(set(packed) | set(initial)):
-            raw0, guard0, rate0 = initial.get(name, (0.0, 0.0, 0.0))
-            spans = packed.get(name)
-            mask = None if spans is None else (spans[2] != 0.0)
-            if spans is None or not mask.any():
-                # Nothing accrues in this window: carry the level flat.
-                out[name] = TimeSeries([t_lo, t_hi], [guard0, guard0])
-                carries[name] = (raw0, guard0, rate0)
-                continue
-            t0a, t1a, amt = spans
-            if mask.all():
-                key = (id(t0a), id(t1a))
-                cached = grid_cache.get(key)
-                if cached is None:
-                    t1a = np.maximum(t1a, t0a + 1e-12)
-                    bps = np.unique(np.concatenate([[t_lo, t_hi], t0a, t1a]))
-                    i0 = np.searchsorted(bps, t0a)
-                    i1 = np.searchsorted(bps, t1a)
-                    idle = _idle_intervals(bps.size, i0, i1)
-                    widths = np.diff(bps)
-                    grid_cache[key] = (t0a, t1a, bps, i0, i1, idle, widths)
-                else:
-                    t0a, t1a, bps, i0, i1, idle, widths = cached
-            else:
-                t0a, t1a, amt = t0a[mask], t1a[mask], amt[mask]
-                t1a = np.maximum(t1a, t0a + 1e-12)
-                bps = np.unique(np.concatenate([[t_lo, t_hi], t0a, t1a]))
-                i0 = np.searchsorted(bps, t0a)
-                i1 = np.searchsorted(bps, t1a)
-                idle = _idle_intervals(bps.size, i0, i1)
-                widths = np.diff(bps)
-            rates = amt / (t1a - t0a)
-            # Two bins per breakpoint — span *ends* fold before span
-            # *starts* at the same timestamp.  This keeps the running
-            # rate a pure left fold that batch boundaries (always phase
-            # barriers) split cleanly, so streamed windows seeded with
-            # the carried running rate continue it bit for bit.
-            delta = np.zeros(2 * bps.size)
-            np.add.at(delta, 2 * i1, -rates)
-            np.add.at(delta, 2 * i0 + 1, rates)
-            running = np.cumsum(np.concatenate([[rate0], delta]))
-            rate_per_interval = running[2::2][: bps.size - 1].copy()
-            # Overlapping spans leave ~1-ulp fold residue after they all
-            # end; the exact integer span count pins idle intervals to a
-            # rate of exactly zero (and makes them exactly flat).
-            rate_per_interval[idle] = 0.0
-            increments = rate_per_interval * widths
-            values = np.cumsum(np.concatenate([[raw0], increments]))
-            raw_end = float(values[-1])
-            # Guard against tiny negative drift from float cancellation.
-            values = np.maximum.accumulate(np.maximum(values, guard0))
-            out[name] = TimeSeries.presorted(bps, values, monotone=True)
-            carries[name] = (raw_end, float(values[-1]), float(running[-1]))
-        return out, carries
+        # Which spans accrue is read off the zero pattern of the noisy
+        # slots.  Noise scales and never zeroes, so the rows agree —
+        # unless a draw under- or overflowed, which is a difference in
+        # structure like any other.
+        live = noisy != 0.0
+        if rows > 1 and (live != live[0]).any():
+            raise _Ragged(np.unique(live, axis=0, return_inverse=True)[1].ravel())
+        idle, groups = _accrual(live[0], plan.slot_groups)
+        edges = np.empty((rows, 2))
+        edges[:, 0] = t_lo
+        edges[:, 1] = t_hi
+        none = (0.0, 0.0, 0.0)
+        folded: dict[str, tuple[np.ndarray, np.ndarray, list]] = {}
+        carried = set(initial).difference(*(group[0] for group in groups))
+        for name in carried.union(idle):
+            # Nothing accrues in this window: carry the level flat.
+            carry = initial.get(name, none)
+            folded[name] = (edges, np.full((rows, 2), carry[1]), [carry] * rows)
+        kind_spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for names, kind, cols, slots in groups:
+            spans = kind_spans.get(kind)
+            if spans is None:
+                pos = plan.pos[kind]
+                spans = kind_spans[kind] = (t0[:, pos], t1[:, pos])
+            if cols is not None:
+                spans = (spans[0][:, cols], spans[1][:, cols])
+            grid = _Grid(*spans, edges)
+            # Counters on one grid fold as lanes of one array, as many
+            # at a time as the element budget allows.
+            lanes = max(1, _BLOCK_ELEMENTS // spans[0].size)
+            for first in range(0, len(names), lanes):
+                part = names[first : first + lanes]
+                values, ends = grid.accumulate(
+                    noisy[:, slots[first : first + lanes]],
+                    np.array([initial.get(name, none) for name in part]),
+                )
+                for lane, name in enumerate(part):
+                    folded[name] = (
+                        grid.bps, values[:, lane], ends[:, lane].tolist()
+                    )
+        series: list[dict[str, TimeSeries]] = [{} for _ in range(rows)]
+        carries: list[dict[str, tuple[float, float, float]]] = [
+            {} for _ in range(rows)
+        ]
+        for name in sorted(folded):
+            times, values, ends = folded[name]
+            for row in range(rows):
+                series[row][name] = TimeSeries.presorted(
+                    times[row], values[row], monotone=True
+                )
+                carries[row][name] = tuple(ends[row])
+        return series, carries
 
     # -- level timelines -----------------------------------------------------------
 
@@ -1130,91 +1218,93 @@ class Engine:
         t1: np.ndarray,
         base_rss: float,
         t_lo: float,
-        t_hi: float,
+        t_hi: np.ndarray,
         rss0: float | None = None,
         peak0: float | None = None,
-    ) -> tuple[dict[str, TimeSeries], float, float]:
-        """Level series over ``[t_lo, t_hi]``; returns end RSS and peak.
+    ) -> tuple[list[dict[str, TimeSeries]], list[float], list[float]]:
+        """Per-row level series over ``[t_lo, t_hi[r]]``, end RSS and peak.
 
         ``rss0``/``peak0`` carry the previous window's end level and
         running maximum into a streamed window (``None`` starts a run
         from ``base_rss``).
         """
-        rss = float(base_rss) if rss0 is None else rss0
+        rows = len(t0)
+        opening = float(base_rss) if rss0 is None else rss0
+        step_t = np.full((rows, 1), t_lo)
+        step_v = np.full((rows, 1), opening)
         m_pos = plan.pos[_MEM]
         if m_pos.size:
             # RSS changes apply in global time order *within* each phase
             # (barriers order the phases themselves), ties broken by
             # delta — the same total order the scalar fold used.  The
             # running level clamps at zero, a sequential dependency, but
-            # between clamps the fold is a plain cumulative sum, so the
-            # loop below runs once per *clamp* (usually never), not once
-            # per demand, and each segment's cumsum reproduces the
-            # scalar left fold bit for bit.
-            whens = t1[m_pos]
-            deltas = plan.m_deltas
-            order = np.lexsort((deltas, whens, plan.m_phase))
-            whens = whens[order]
-            deltas = deltas[order]
-            folded = np.empty(deltas.size)
-            start = 0
-            while start < deltas.size:
-                seg = np.cumsum(np.concatenate(([rss], deltas[start:])))[1:]
-                below = np.flatnonzero(seg < 0.0)
-                if not below.size:
-                    folded[start:] = seg
-                    rss = float(seg[-1])
-                    break
-                cut = int(below[0])
-                folded[start : start + cut] = seg[:cut]
-                folded[start + cut] = 0.0
-                rss = 0.0
-                start += cut + 1
-            rss_series = _step_series_arrays(
-                np.concatenate(([t_lo], whens)),
-                np.concatenate(([float(base_rss) if rss0 is None else rss0], folded)),
-                t_lo,
-                t_hi,
-            )
-        else:
-            rss_series = _step_series([(t_lo, rss)], t_lo, t_hi)
-        peak_series = _running_max(rss_series, peak0)
-        levels = {
-            "mem.rss": rss_series,
-            "mem.peak": peak_series,
-            "cpu.threads": self._thread_level(plan, t0, t1, t_lo, t_hi),
-        }
-        levels["sys.load_cpu"] = TimeSeries.presorted(
-            levels["cpu.threads"].times,
-            levels["cpu.threads"].values / self.machine.cpu.cores,
+            # between clamps the fold is a plain cumulative sum, so only
+            # rows that do clamp (usually none) leave the stacked cumsum
+            # for :func:`_clamped_fold`.
+            keys = np.empty((3, rows, m_pos.size))
+            keys[0] = plan.m_deltas
+            keys[1] = t1[:, m_pos]
+            keys[2] = plan.m_phase
+            order = np.lexsort(keys)
+            whens = _by_row(keys[1], order)
+            deltas = plan.m_deltas[order]
+            folded = np.concatenate((step_v, deltas), axis=1).cumsum(axis=1)[:, 1:]
+            for row in np.flatnonzero((folded < 0.0).any(axis=1)):
+                folded[row] = _clamped_fold(opening, deltas[row])
+            step_t = np.concatenate((step_t, whens), axis=1)
+            step_v = np.concatenate((step_v, folded), axis=1)
+        rss_t, rss_v = _step_series_arrays(step_t, step_v, t_lo, t_hi)
+        peak_v = np.maximum.accumulate(
+            rss_v if peak0 is None else np.maximum(rss_v, peak0), axis=1
         )
-        return levels, rss, float(peak_series.values[-1])
+        threads_t, threads_v = self._thread_level(plan, t0, t1, t_lo, t_hi)
+        load_v = threads_v / self.machine.cpu.cores
+        levels = [
+            {
+                "mem.rss": TimeSeries.presorted(rss_t[row], rss_v[row]),
+                "mem.peak": TimeSeries.presorted(
+                    rss_t[row], peak_v[row], monotone=True
+                ),
+                "cpu.threads": TimeSeries.presorted(threads_t[row], threads_v[row]),
+                "sys.load_cpu": TimeSeries.presorted(threads_t[row], load_v[row]),
+            }
+            for row in range(rows)
+        ]
+        return levels, step_v[:, -1].tolist(), peak_v[:, -1].tolist()
 
     @staticmethod
     def _thread_level(
-        plan: Prepared, t0: np.ndarray, t1: np.ndarray, t_lo: float, t_hi: float
-    ) -> TimeSeries:
-        """Active-worker level series, fully vectorised.
+        plan: Prepared, t0: np.ndarray, t1: np.ndarray, t_lo: float, t_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Active-worker level series as ``(times, values)`` row arrays.
 
-        Equivalent to feeding every multi-threaded compute demand's
-        ``(start, +workers-1)`` / ``(end, -(workers-1))`` event pair into
-        the scalar :func:`_thread_series` accumulation: events sort by
-        ``(time, delta)``, the running level starts at one worker, and
-        recorded levels clamp at one.  (No cross-window carry is needed:
-        windows start at phase barriers, where every stream has joined.)
+        Every multi-threaded compute demand contributes a
+        ``(start, +workers-1)`` / ``(end, -(workers-1))`` event pair:
+        events sort by ``(time, delta)``, the running level starts at
+        one worker, and recorded levels clamp at one (the scalar
+        accumulation kept as the oracle in
+        ``tests/sim/test_engine_levels.py``).  No cross-window carry is
+        needed: windows start at phase barriers, where every stream has
+        joined.
         """
+        rows = len(t0)
         pos = plan.t_pos
         if not pos.size:
-            return TimeSeries([t_lo, t_hi], [1.0, 1.0])
-        extra = plan.t_extra
-        whens = np.concatenate([t0[pos], t1[pos]])
-        deltas = np.concatenate([extra, -extra])
-        order = np.lexsort((deltas, whens))
-        whens = whens[order]
-        levels = np.maximum(1.0, 1.0 + np.cumsum(deltas[order]))
+            return (
+                np.stack((np.full(rows, t_lo), t_hi), axis=1),
+                np.ones((rows, 2)),
+            )
+        keys = np.empty((2, rows, 2 * pos.size))
+        keys[0, :, : pos.size] = plan.t_extra
+        keys[0, :, pos.size :] = -plan.t_extra
+        keys[1, :, : pos.size] = t0[:, pos]
+        keys[1, :, pos.size :] = t1[:, pos]
+        order = np.lexsort(keys)
+        whens = _by_row(keys[1], order)
+        levels = np.maximum(1.0, 1.0 + _by_row(keys[0], order).cumsum(axis=1))
         return _step_series_arrays(
-            np.concatenate(([t_lo], whens)),
-            np.concatenate(([1.0], levels)),
+            np.concatenate((np.full((rows, 1), t_lo), whens), axis=1),
+            np.concatenate((np.ones((rows, 1)), levels), axis=1),
             t_lo,
             t_hi,
         )
@@ -1235,102 +1325,233 @@ _KIND_COUNTERS: dict[int, tuple[str, ...]] = {
     _NET: ("net.bytes_written", "net.bytes_read"),
 }
 
+#: Most ``rows × noise slots`` one replay block may hold.  It bounds the
+#: block's temporaries (a dozen or so float64 arrays of that many
+#: elements, ~1 MB each), so stacking seeds never scales memory with
+#: demand count: a plan with more slots than this replays row by row.
+_BLOCK_ELEMENTS = 1 << 17
 
-def _idle_intervals(n_bps: int, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
-    """Boolean mask of breakpoint intervals with zero active spans.
 
-    The active-span count is exact integer arithmetic, so idle intervals
-    are identified identically by a full run and by its streamed
-    windows — which is what lets both pin their rates to exactly zero.
+def block_rows(plan: Prepared) -> int:
+    """How many rows of ``plan`` one replay block may hold (at least 1)."""
+    return max(1, _BLOCK_ELEMENTS // max(1, plan.slot_values.size))
+
+
+class _Ragged(Exception):
+    """The rows of a block do not fit one rectangle.
+
+    Rows stack only while every array they produce has the same length
+    in each of them — the number of distinct breakpoints of a counter
+    grid, of accruing spans of a counter, of positive-time level steps.
+    Those counts are structural in the normal case (coincident
+    breakpoints are ``t1[i] == t0[i+1]``, phase starts, ``t_hi``), but a
+    seed may add a coincidence of its own.  ``keys`` holds the count
+    that differed, one per row; :meth:`Engine._fold_rows` regroups the
+    rows by it and folds each group as a smaller block.
     """
-    steps = np.zeros(n_bps, dtype=np.int64)
-    np.add.at(steps, i0, 1)
-    np.add.at(steps, i1, -1)
-    return np.cumsum(steps)[:-1] == 0
+
+    def __init__(self, keys: np.ndarray) -> None:
+        super().__init__("rows of a replay block differ in structure")
+        self.keys = keys
 
 
-def _step_series(
-    steps: Sequence[tuple[float, float]], t_lo: float, t_hi: float
-) -> TimeSeries:
-    """Build a piecewise-constant series from (time, new_level) steps.
+class _Grid:
+    """The breakpoint grid of one set of accrual spans, per row.
 
-    The series opens at ``t_lo`` and closes at ``max(t_hi, last step
-    time)``.  Steps at absolute time zero only set the opening level;
-    steps at any later time emit a level transition — including steps
-    exactly at a window's ``t_lo``, which an uninterrupted run (where
-    that instant is interior) would have emitted too.
+    Built from ``(rows, k)`` span starts and ends and the ``(rows, 2)``
+    window edges: ``bps`` are each row's sorted distinct breakpoints
+    (``t_lo``, ``t_hi`` and every span boundary — what ``np.unique``
+    returns for that row, found here with a per-row stable argsort and
+    an adjacent-duplicate mask so that the rows stay one array), with
+    every span's start and end located on them.  :meth:`accumulate`
+    folds counters' amounts over the grid.
     """
-    steps = sorted(steps)
-    times: list[float] = []
-    values: list[float] = []
-    level = steps[0][1] if steps else 0.0
-    times.append(t_lo)
-    values.append(level)
-    for when, new_level in steps:
-        if when > 0.0:
-            times.extend([when, when])
-            values.extend([level, new_level])
-        level = new_level
-    times.append(max(t_hi, times[-1]))
-    values.append(level)
-    return TimeSeries(times, values)
+
+    __slots__ = ("bps", "widths", "lengths", "idle", "bins", "n_bins")
+
+    def __init__(self, t0a: np.ndarray, t1a: np.ndarray, edges: np.ndarray) -> None:
+        rows, k = t0a.shape
+        t1a = np.maximum(t1a, t0a + 1e-12)
+        points = np.concatenate((edges, t0a, t1a), axis=1)
+        width = 2 * k + 2
+        order = points.argsort(axis=1, kind="stable")
+        if rows > 1:
+            order += np.arange(0, rows * width, width)[:, None]
+        ranked = points.ravel()[order]
+        fresh = np.empty(points.shape, dtype=bool)
+        fresh[:, 0] = True
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=fresh[:, 1:])
+        rank = fresh.cumsum(axis=1)
+        n_bps = int(rank[0, -1])
+        if rows > 1 and (rank[:, -1] != n_bps).any():
+            raise _Ragged(rank[:, -1])
+        # Position of every point on its row's grid, one-based: the
+        # inverse ``np.unique(return_inverse=True)`` gives, row by row.
+        index = np.empty(points.shape, dtype=np.intp)
+        index.ravel()[order.ravel()] = rank.ravel()
+        self.bps = ranked[fresh].reshape(rows, n_bps)
+        self.widths = self.bps[:, 1:] - self.bps[:, :-1]
+        self.lengths = t1a - t0a
+        # Two bins per breakpoint — span *ends* fold before span
+        # *starts* at the same timestamp.  This keeps the running rate a
+        # pure left fold that batch boundaries (always phase barriers)
+        # split cleanly, so streamed windows seeded with the carried
+        # running rate continue it bit for bit.
+        self.n_bins = 2 * n_bps
+        self.bins = bins = 2 * index[:, 2:] - 2
+        bins[:, :k] += 1
+        # The active-span count is exact integer arithmetic, so idle
+        # intervals are identified identically by a full run and by its
+        # streamed windows — which is what lets both pin their rates to
+        # exactly zero.
+        lanes = np.arange(0, rows * self.n_bins, self.n_bins)[:, None]
+        hits = np.bincount(
+            (bins + lanes).ravel(), minlength=rows * self.n_bins
+        ).reshape(rows, n_bps, 2)
+        self.idle = (hits[:, :-1, 1] - hits[:, :-1, 0]).cumsum(axis=1) == 0
+
+    def accumulate(
+        self, amounts: np.ndarray, start: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold ``(rows, counters, k)`` amounts over the grid.
+
+        ``start`` holds one ``(raw, guarded, rate)`` carry per counter.
+        Returns the cumulative values ``(rows, counters, breakpoints)``
+        and the end carries ``(rows, counters, 3)``.
+        """
+        rows, lanes, k = amounts.shape
+        rates = amounts / self.lengths[:, None, :]
+        weights = np.empty((rows, lanes, 2 * k))
+        weights[:, :, :k] = rates
+        np.negative(rates, out=weights[:, :, k:])
+        bins = self.bins[:, None, :] + np.arange(
+            0, rows * lanes * self.n_bins, self.n_bins
+        ).reshape(rows, lanes, 1)
+        # Weighted ``bincount`` adds a bin's weights in index order from
+        # zero — the accumulation ``np.add.at`` makes.
+        running = np.empty((rows, lanes, self.n_bins + 1))
+        running[:, :, 0] = start[:, 2]
+        running[:, :, 1:] = np.bincount(
+            bins.ravel(), weights=weights.ravel(),
+            minlength=rows * lanes * self.n_bins,
+        ).reshape(rows, lanes, self.n_bins)
+        running = running.cumsum(axis=2)
+        values = np.empty((rows, lanes, self.n_bins // 2))
+        values[:, :, 0] = start[:, 0]
+        np.multiply(
+            running[:, :, 2:-1:2], self.widths[:, None, :], out=values[:, :, 1:]
+        )
+        # Overlapping spans leave ~1-ulp fold residue after they all
+        # end; the exact integer span count pins idle intervals to a
+        # rate of exactly zero (and makes them exactly flat).
+        np.copyto(values[:, :, 1:], 0.0, where=self.idle[:, None, :])
+        values = values.cumsum(axis=2)
+        ends = np.empty((rows, lanes, 3))
+        ends[:, :, 0] = values[:, :, -1]
+        ends[:, :, 2] = running[:, :, -1]
+        # Guard against tiny negative drift from float cancellation.
+        values = np.maximum.accumulate(
+            np.maximum(values, start[:, 1][:, None]), axis=2
+        )
+        ends[:, :, 1] = values[:, :, -1]
+        return values, ends
+
+
+def _accrual(
+    live: np.ndarray, slot_groups: dict[int, np.ndarray]
+) -> tuple[list[str], list[tuple]]:
+    """How a block's counters fold, read off which noise slots are
+    nonzero: the names that accrue nothing (flat series), and the rest
+    grouped by breakpoint grid as ``(names, kind, cols, slots)`` —
+    counters of one demand type whose every amount is nonzero share the
+    type's grid (``cols`` is None), a counter with zero amounts has its
+    own over the spans ``cols`` that do accrue; ``slots[c]`` are counter
+    *c*'s amount slots on that grid."""
+    idle: list[str] = []
+    groups: list[tuple] = []
+    for kind, group_bases in slot_groups.items():
+        names = _KIND_COUNTERS[kind]
+        slots = group_bases + np.arange(1, len(names) + 1)[:, None]
+        accrues = live[slots]
+        full = []
+        for lane, count in enumerate(accrues.sum(axis=1).tolist()):
+            if count == group_bases.size:
+                full.append(lane)
+            elif count:
+                cols = np.flatnonzero(accrues[lane])
+                groups.append(((names[lane],), kind, cols, slots[lane : lane + 1, cols]))
+            else:
+                idle.append(names[lane])
+        if full:
+            groups.append((tuple(names[lane] for lane in full), kind, None, slots[full]))
+    return idle, groups
+
+
+def _by_row(array: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(array, order, axis=1)`` for a C-contiguous
+    2-D array, without its per-call overhead."""
+    rows, width = array.shape
+    return array.ravel()[order + np.arange(0, rows * width, width)[:, None]]
+
+
+def _clamped_fold(level: float, deltas: np.ndarray) -> np.ndarray:
+    """Running level of one row whose fold clamps at zero.
+
+    Between clamps the fold is a plain cumulative sum, so the loop runs
+    once per *clamp*, not once per delta, and each segment's ``cumsum``
+    reproduces the scalar left fold bit for bit.
+    """
+    folded = np.empty(deltas.size)
+    start = 0
+    while start < deltas.size:
+        seg = np.cumsum(np.concatenate(([level], deltas[start:])))[1:]
+        below = np.flatnonzero(seg < 0.0)
+        if not below.size:
+            folded[start:] = seg
+            break
+        cut = int(below[0])
+        folded[start : start + cut] = seg[:cut]
+        folded[start + cut] = 0.0
+        level = 0.0
+        start += cut + 1
+    return folded
 
 
 def _step_series_arrays(
-    times: np.ndarray, values: np.ndarray, t_lo: float, t_hi: float
-) -> TimeSeries:
-    """Vectorised :func:`_step_series` over ``(time, new_level)`` arrays.
+    times: np.ndarray, values: np.ndarray, t_lo: float, t_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant series from ``(rows, m)`` ``(time, new_level)``
+    steps, as ``(times, values)`` row arrays.
 
-    Replicates the scalar loop exactly: steps sort by ``(time, level)``,
-    each positive-time step emits the level just before and just after
-    it, and the series is closed at ``max(t_hi, last step time)``.
+    Row by row: steps sort by ``(time, level)``; the series opens at
+    ``t_lo`` with the first step's level and closes at ``max(t_hi, last
+    step time)``.  Steps at absolute time zero only set the opening
+    level; steps at any later time emit the level just before and just
+    after them — including steps exactly at a window's ``t_lo``, which
+    an uninterrupted run (where that instant is interior) would have
+    emitted too.
     """
-    if not times.size:
-        return _step_series([], t_lo, t_hi)
+    rows = len(times)
     order = np.lexsort((values, times))
-    times = times[order]
-    values = values[order]
+    times = _by_row(times, order)
+    values = _by_row(values, order)
     keep = times > 0.0
-    kept_t = times[keep]
+    sizes = keep.sum(axis=1)
+    k = int(sizes[0])
+    if (sizes != k).any():
+        raise _Ragged(sizes)
+    kept_t = times[keep].reshape(rows, k)
     prev = np.empty_like(values)
-    prev[0] = values[0]
-    prev[1:] = values[:-1]
-    k = kept_t.size
-    out_t = np.empty(2 * k + 2)
-    out_v = np.empty(2 * k + 2)
-    out_t[0] = t_lo
-    out_v[0] = values[0]
-    out_t[1:-1:2] = kept_t
-    out_t[2:-1:2] = kept_t
-    out_v[1:-1:2] = prev[keep]
-    out_v[2:-1:2] = values[keep]
-    last_t = kept_t[-1] if k else t_lo
-    out_t[-1] = t_hi if t_hi > last_t else last_t
-    out_v[-1] = values[-1]
-    return TimeSeries.presorted(out_t, out_v)
-
-
-def _thread_series(deltas: Sequence[tuple[float, float]], duration: float) -> TimeSeries:
-    """Active-worker level over time from +/- delta events (base 1)."""
-    if not deltas:
-        return TimeSeries([0.0, duration], [1.0, 1.0])
-    events = sorted(deltas)
-    steps: list[tuple[float, float]] = []
-    level = 1.0
-    for when, delta in events:
-        level += delta
-        steps.append((when, max(1.0, level)))
-    return _step_series([(0.0, 1.0)] + steps, 0.0, duration)
-
-
-def _running_max(series: TimeSeries, floor: float | None = None) -> TimeSeries:
-    """Monotone running maximum of a level series (peak RSS).
-
-    ``floor`` carries a previous window's peak into a streamed window.
-    """
-    if not len(series):
-        return series
-    values = series.values if floor is None else np.maximum(series.values, floor)
-    return TimeSeries.presorted(
-        series.times, np.maximum.accumulate(values), monotone=True
-    )
+    prev[:, 0] = values[:, 0]
+    prev[:, 1:] = values[:, :-1]
+    out_t = np.empty((rows, 2 * k + 2))
+    out_v = np.empty((rows, 2 * k + 2))
+    out_t[:, 0] = t_lo
+    out_v[:, 0] = values[:, 0]
+    out_t[:, 1:-1:2] = kept_t
+    out_t[:, 2:-1:2] = kept_t
+    out_v[:, 1:-1:2] = prev[keep].reshape(rows, k)
+    out_v[:, 2:-1:2] = values[keep].reshape(rows, k)
+    out_t[:, -1] = np.maximum(t_hi, kept_t[:, -1] if k else t_lo)
+    out_v[:, -1] = values[:, -1]
+    return out_t, out_v

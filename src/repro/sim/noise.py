@@ -84,10 +84,20 @@ class NoiseModel:
         n_draws = int(np.count_nonzero(drawn))
         if n_draws == 0:
             return values.copy()
-        z = self._rng.standard_normal(n_draws)
+        z = self.normals(n_draws)
         out = values.copy()
         out[drawn] = values[drawn] * np.exp(sigmas[drawn] * z)
         return out
+
+    def normals(self, count: int) -> np.ndarray:
+        """The model's next ``count`` standard-normal draws, in order.
+
+        The raw material of :meth:`apply` (which is ``values *
+        exp(sigmas * normals(n))`` over the slots that draw): the engine
+        takes one row of these per model and scales a whole block of
+        rows at once.
+        """
+        return self._rng.standard_normal(count)
 
     def durations(self, values: np.ndarray) -> np.ndarray:
         """Batched :meth:`duration`: one draw per nonzero entry, in order."""

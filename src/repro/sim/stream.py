@@ -71,8 +71,9 @@ class EngineStream:
         batches but idle in this one appear as flat carried series.
         """
         packed = batch if isinstance(batch, PackedWorkload) else pack_workload(batch)
-        frame = self.engine._execute(
+        (frame,), _ = self.engine._replay(
             self.engine.prepare(packed),
+            [self.engine.noise],
             float(self.base_rss),
             t_start=self.t,
             rss0=self._rss,

@@ -22,7 +22,7 @@ class LockstepOnlyProfiler(Profiler):
     """Profiler with the grid fast path disabled."""
 
     def _drive_grid(self, watchers, handle, policy, t0):
-        return False
+        return None
 
 
 def _profiles(app, machine="comet", rate=2.0, seed=5, **config_kwargs):
@@ -98,6 +98,35 @@ class TestGridFastPath:
         slow = [slow_profiler.run(app) for _ in range(2)]
         for fast_profile, slow_profile in zip(fast, slow):
             assert_profiles_identical(fast_profile, slow_profile)
+
+
+class TestOracleIsLockstep:
+    """The comparisons above mean something only while the two profilers
+    really take different roads."""
+
+    @staticmethod
+    def _scalar_samples(profiler_cls, monkeypatch) -> tuple[int, int]:
+        calls = []
+        scalar = Profiler._safe_sample
+        monkeypatch.setattr(
+            Profiler, "_safe_sample",
+            staticmethod(lambda watcher, now: (calls.append(now), scalar(watcher, now))),
+        )
+        config = SynapseConfig(sample_rate=2.0)
+        profile = profiler_cls(
+            SimBackend("comet", noisy=True, seed=5), config=config
+        ).run(GromacsModel(iterations=150_000))
+        # The drain point may arrive as a batch: count grid samples only.
+        return len(calls), (profile.n_samples - 1) * len(config.watchers)
+
+    def test_lockstep_profiler_samples_one_by_one(self, monkeypatch):
+        calls, expected = self._scalar_samples(LockstepOnlyProfiler, monkeypatch)
+        # Every grid sample of every watcher is a scalar call.
+        assert calls >= expected > 0
+
+    def test_fast_profiler_never_samples_one_by_one(self, monkeypatch):
+        calls, expected = self._scalar_samples(Profiler, monkeypatch)
+        assert expected > 0 and calls == 0
 
 
 class SampleCountingWatcher(WatcherBase):

@@ -1,9 +1,11 @@
-"""Prepare once, replay per seed — inside one run-service batch.
+"""Prepare once, replay the seeds as one block — inside one
+run-service batch.
 
 A batch's requests that share ``(target, machine)`` share one engine
-plan: the first of them resolves the machine, builds the workload and
-prepares it *inside its own attempt*; the rest replay it under their
-own noise.  The plan table lives and dies with the batch.  Pinned here:
+plan: the first of them to be attempted resolves the machine, builds
+the workload, prepares it and replays the seeds of the whole group as
+one block *inside its own attempt*; the rest take their record from the
+group.  The plan table lives and dies with the batch.  Pinned here:
 
 * equivalence — a batch, the same requests one per batch, and
   sequential ``Profiler(SimBackend(...)).run(...)`` produce
@@ -14,14 +16,21 @@ own noise.  The plan table lives and dies with the batch.  Pinned here:
 * scope — an app mutated between two batches is seen, and nothing keeps
   a plan alive after ``run()`` returns;
 * the program-side counts: a 512-cell, checkpoint-8 profile campaign
-  builds 64 plans and reuses 448.
+  builds 64 plans and reuses 448, in 64 blocks of 8 rows;
+* blocks — one per group; a request retried after taking its record
+  replays alone; a fault on a group's first request, or a failed block,
+  does not fail the siblings;
+* chunks — ``_split_chunks`` keeps plans together, and a pooled batch
+  equals the serial one.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +41,13 @@ from repro.apps import GromacsModel, SleeperApp
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
 from repro.runtime import CampaignSpec, RunRequest, RunService, run_campaign
-from repro.runtime.service import RunPolicy
+from repro.runtime.service import (
+    CHUNKS_PER_WORKER,
+    RunPolicy,
+    _pack,
+    _plan_names,
+    _split_chunks,
+)
 from repro.sim import engine as engine_module
 from repro.sim.backend import SimBackend
 from repro.sim.engine import Engine, Prepared
@@ -81,6 +96,14 @@ def plan_counts() -> tuple[float, float]:
     return (
         counters.get("engine.plans.built", 0.0),
         counters.get("engine.plans.reused", 0.0),
+    )
+
+
+def replay_counts() -> tuple[float, float, float]:
+    counters = get_registry().snapshot()["counters"]
+    return tuple(
+        counters.get(f"engine.replay.{name}", 0.0)
+        for name in ("blocks", "rows", "split_rows")
     )
 
 
@@ -206,11 +229,15 @@ def test_campaign_builds_one_plan_per_wave_and_reuses_it():
     })
     assert spec.n_cells == 512
     built0, reused0 = plan_counts()
+    replayed0 = replay_counts()
     with RunService(processes=1) as svc:
         report = run_campaign(spec, MemoryStore(), service=svc, checkpoint=8)
     built1, reused1 = plan_counts()
+    replayed1 = replay_counts()
     assert report.executed == 512 and not report.failed
     assert (built1 - built0, reused1 - reused0) == (64, 448)
+    # ... and every wave replayed as one block of 8, none split.
+    assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (64, 512, 0)
 
 
 def test_cells_of_one_spec_share_one_app_model():
@@ -387,3 +414,243 @@ def test_packed_target_shared_by_identity(service):
     durations = {result.value.duration for result in results}
     assert len(durations) == 5  # five seeds, five noise draws
     assert np.isfinite(list(durations)).all()
+
+
+# -- one block per group ---------------------------------------------------------
+
+
+def test_group_replays_as_one_block():
+    app = GromacsModel(iterations=4_000)
+    requests = profile_requests(app, "comet", seeds=list(range(8)), repeats=1)
+    blocks0, rows0, _ = replay_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+    blocks1, rows1, _ = replay_counts()
+    assert all(result.ok for result in results)
+    assert (blocks1 - blocks0, rows1 - rows0) == (1, 8)
+
+
+class FailsOnce:
+    """A ``reduce`` that fails the first time it sees a record — after
+    the request has taken that record out of its group."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, record):
+        self.calls += 1
+        if self.calls == 1:
+            raise OSError("reduce failed")
+        return record
+
+
+def test_request_retried_after_taking_its_record_replays_alone():
+    app = GromacsModel(iterations=4_000)
+    reduce = FailsOnce()
+    requests = [
+        RunRequest(kind="engine", target=app, machine="thinkie", seed=seed,
+                   reduce=reduce if seed == 1 else None,
+                   policy=RunPolicy(retries=1))
+        for seed in range(4)
+    ]
+    blocks0, rows0, _ = replay_counts()
+    built0, _ = plan_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+    blocks1, rows1, _ = replay_counts()
+    built1, _ = plan_counts()
+    assert reduce.calls == 2
+    # One block of four, then the retried request's own row; one plan.
+    assert (blocks1 - blocks0, rows1 - rows0) == (2, 5)
+    assert built1 - built0 == 1
+    direct = [
+        record_key(SimBackend("thinkie", seed=seed).spawn(app).record)
+        for seed in range(4)
+    ]
+    assert [record_key(result.value) for result in results] == direct
+
+
+def test_fault_on_the_first_request_of_a_group_spares_its_siblings():
+    from repro.faults import FaultPlan, injected_faults
+
+    app = GromacsModel(iterations=4_000)
+    requests = [
+        RunRequest(kind="profile", target=app, machine="thinkie", seed=seed,
+                   config=dict(CONFIG), key=f"cell-{seed}")
+        for seed in range(4)
+    ]
+    reference = [
+        exact(result.value) for result in RunService(processes=1).run(requests)
+    ]
+    plan = FaultPlan.from_dict({"rules": [
+        {"point": "worker.execute", "mode": "error", "at": 1},
+    ]})
+    blocks0, rows0, _ = replay_counts()
+    with injected_faults(plan):
+        results = RunService(processes=1).run(requests, rethrow=False)
+    blocks1, rows1, _ = replay_counts()
+    assert [result.ok for result in results] == [False, True, True, True]
+    assert "profile request key=cell-0 (attempt 1/1" in results[0].error
+    # The second request became the first to be attempted: it replayed
+    # the group's block, the failed request's row included.
+    assert (blocks1 - blocks0, rows1 - rows0) == (1, 4)
+    assert [exact(result.value) for result in results[1:]] == reference[1:]
+
+
+def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
+    replay_many = Engine.replay_many
+
+    def blocks_fail(self, plan, noises):
+        if len(noises) > 1:
+            raise OSError("block failed")
+        return replay_many(self, plan, noises)
+
+    app = BrokenApp(failures=0)
+    requests = [
+        RunRequest(kind="engine", target=app, machine="thinkie", seed=seed,
+                   key=f"cell-{seed}")
+        for seed in range(4)
+    ]
+    reference = [
+        record_key(result.value)
+        for result in RunService(processes=1).run(requests)
+    ]
+    app.builds = 0
+    monkeypatch.setattr(engine_module.Engine, "replay_many", blocks_fail)
+    results = RunService(processes=1).run(requests, rethrow=False)
+    assert [result.ok for result in results] == [False, True, True, True]
+    assert "engine request key=cell-0 (attempt 1/1" in results[0].error
+    assert "block failed" in results[0].error
+    # The failed block stored nothing; the next request built again,
+    # replayed alone and left its plan for the other two.
+    assert app.builds == 2
+    assert [record_key(result.value) for result in results[1:]] == reference[1:]
+
+    # With a retry, the request that paid for the failed block recovers too.
+    retried = RunService(processes=1).run(
+        [replace(request, policy=RunPolicy(retries=1)) for request in requests]
+    )
+    assert [record_key(result.value) for result in retried] == reference
+
+
+def test_group_over_the_block_budget_shares_the_plan_and_replays_row_by_row(
+    monkeypatch,
+):
+    """Records wait in the group until taken, so a group whose rows do
+    not fit one block must not be replayed ahead of its requests."""
+    app = GromacsModel(iterations=4_000)
+    requests = [
+        RunRequest(kind="engine", target=app, machine="thinkie", seed=seed)
+        for seed in range(4)
+    ]
+    reference = [
+        record_key(result.value)
+        for result in RunService(processes=1).run(requests)
+    ]
+    slots = Engine(get_machine("thinkie")).prepare(
+        app.build_packed(get_machine("thinkie"))
+    ).slot_values.size
+    monkeypatch.setattr(engine_module, "_BLOCK_ELEMENTS", 3 * slots)
+    blocks0, rows0, _ = replay_counts()
+    built0, reused0 = plan_counts()
+    results = RunService(processes=1).run(requests)
+    built1, reused1 = plan_counts()
+    blocks1, rows1, _ = replay_counts()
+    assert (blocks1 - blocks0, rows1 - rows0) == (4, 4)  # nothing replayed ahead
+    assert (built1 - built0, reused1 - reused0) == (1, 3)
+    assert [record_key(result.value) for result in results] == reference
+
+
+# -- plan-aware chunks -----------------------------------------------------------
+
+
+chunk_cases = st.tuples(
+    st.lists(st.integers(0, 5), min_size=0, max_size=60),
+    st.integers(1, 6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=chunk_cases)
+def test_split_chunks_keeps_plans_together(case):
+    plans, workers = case
+    items = list(range(len(plans)))
+    chunks = _split_chunks(items, workers, plans)
+    assert sorted(i for chunk in chunks for i in chunk) == items  # a partition
+    assert all(chunks) or not items  # no empty chunks
+    size = -(-len(items) // (workers * CHUNKS_PER_WORKER)) if items else 0
+    for chunk in chunks:
+        seen = {plans[i] for i in chunk}
+        # A chunk mixes plans only when each of them is smaller than a chunk.
+        if len(seen) > 1:
+            assert all(plans.count(plan) <= size for plan in seen)
+            assert len(chunk) <= size
+    for plan in set(plans):
+        holding = [chunk for chunk in chunks if any(plans[i] == plan for i in chunk)]
+        # A plan is cut only when it is bigger than a chunk, and then
+        # into no more pieces than there are workers.
+        assert len(holding) <= (workers if plans.count(plan) > size else 1)
+        members = [i for chunk in holding for i in chunk if plans[i] == plan]
+        assert members == sorted(members)  # order kept within a plan
+
+
+def test_one_plan_batch_is_one_chunk_per_worker():
+    assert [len(c) for c in _split_chunks(list(range(8)), 2, [("t", "m")] * 8)] == [4, 4]
+    # Without plan names every item is its own plan: chunks of the old size.
+    assert [len(c) for c in _split_chunks(list(range(8)), 2)] == [1] * 8
+    assert _split_chunks([], 2, []) == []
+
+
+def test_only_engine_plans_are_named_for_chunking():
+    """An emulation replays no engine plan: emulating one profile N
+    times must stay ``workers * CHUNKS_PER_WORKER`` chunks, not become
+    one chunk per worker."""
+    app = SleeperApp(sleep_seconds=1.0)
+    profile = Profiler(SimBackend("thinkie"), config=SynapseConfig(**CONFIG)).run(app)
+    requests = [
+        RunRequest(kind="emulate", target=profile, machine="comet", seed=seed)
+        for seed in range(16)
+    ] + [
+        RunRequest(kind="engine", target=app, machine="comet", seed=seed)
+        for seed in range(16)
+    ]
+    _, _, items = _pack(requests, list(range(len(requests))))
+    names = _plan_names(items)
+    assert len(set(names[:16])) == 16 and len(set(names[16:])) == 1
+    sizes = [len(chunk) for chunk in _split_chunks(items, 2, names)]
+    assert sizes == [8, 8] + [4] * 4  # the plan: one chunk per worker
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_items_that_share_nothing_are_cut_near_equally(named):
+    """As many chunks as ever (``workers * CHUNKS_PER_WORKER``), sizes
+    one apart at most, items in order — whether the items go unnamed
+    (``map``) or each carries a name of its own (emulations)."""
+    for n in range(1, 70):
+        for workers in range(1, 6):
+            items = list(range(n))
+            chunks = _split_chunks(items, workers, items if named else None)
+            assert [i for chunk in chunks for i in chunk] == items
+            assert len(chunks) == min(n, workers * CHUNKS_PER_WORKER)
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) - min(sizes) <= 1
+    assert [len(c) for c in _split_chunks(list(range(9)), 2)] == [2] + [1] * 7
+
+
+def test_two_plan_batch_pooled_equals_serial(service):
+    apps = [GromacsModel(iterations=6_000), SleeperApp(sleep_seconds=1.5)]
+    requests = [
+        RunRequest(
+            kind="profile", target=app, machine="stampede", config=dict(CONFIG),
+            seed=seed, tags=app.tags(), command=app.command(),
+        )
+        for seed in range(8) for app in apps
+    ]
+    assert len(requests) == 16
+    def digests(processes: int) -> list[str]:
+        return [
+            hashlib.sha256(exact(result.value).encode()).hexdigest()
+            for result in service.run(requests, processes=processes)
+        ]
+
+    assert digests(2) == digests(1)

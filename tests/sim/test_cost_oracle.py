@@ -25,11 +25,18 @@ from repro.sim.demands import (
     NetworkDemand,
     SleepDemand,
 )
-from repro.sim.engine import Engine
+from repro.sim.engine import _KIND_COUNTERS, Engine
 from repro.sim.machines import get_machine
 from repro.sim.packed import pack_workload
 
 MACHINES = ("thinkie", "stampede", "comet", "archer")
+
+#: Counter name -> (demand kind, its noise slot after the duration's).
+SLOT_OF = {
+    name: (kind, slot)
+    for kind, names in _KIND_COUNTERS.items()
+    for slot, name in enumerate(names, start=1)
+}
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -192,9 +199,10 @@ def test_prepared_durations_and_amounts_match_the_scalar_oracle(
             duration *= f_cpu
         elif isinstance(demand, IODemand):
             duration *= f_io[demand.filesystem]
-        assert plan.durations[index] == duration
+        assert plan.slot_values[plan.slot_bases[index]] == duration
         for name, amount in counters.items():
             row = seen.get(name, 0)
-            assert plan.amounts[name][row] == amount, name
+            kind, slot = SLOT_OF[name]
+            assert plan.slot_values[plan.slot_groups[kind][row] + slot] == amount, name
             seen[name] = row + 1
     assert plan.n == workload.n_demands

@@ -35,12 +35,11 @@ def _arrays(plan: Prepared) -> dict[str, np.ndarray]:
     out = {
         name: getattr(plan, name)
         for name in (
-            "durations", "slot_values", "slot_bases", "m_phase", "m_deltas",
+            "slot_values", "slot_bases", "m_phase", "m_deltas",
             "t_pos", "t_extra", "i_read", "i_written", "i_block",
         )
     }
     out.update({f"pos[{kind}]": pos for kind, pos in enumerate(plan.pos)})
-    out.update({f"amounts[{name}]": a for name, a in plan.amounts.items()})
     out.update({f"slot_groups[{k}]": a for k, a in plan.slot_groups.items()})
     return out
 
