@@ -84,8 +84,8 @@ class ProfileNotFoundError(StoreError):
 class CorruptArtifactError(StoreError):
     """A stored payload failed its integrity check (checksum mismatch).
 
-    Raised by the file store when a profile file's bytes no longer hash
-    to the blake2b digest its sidecar journal recorded at ``put`` time —
+    Raised by the file store when a stored profile's bytes no longer hash
+    to the blake2b digest recorded beside them at ``put`` time —
     bit rot, a torn overwrite, or tampering.  Deliberately **fatal**
     (``retryable = False``): re-reading corrupt bytes returns the same
     corrupt bytes, so retry loops must surface the damage immediately

@@ -4,7 +4,7 @@ Trustworthy emulation of long-running workloads on unreliable resources
 (the paper's value proposition) needs the failure paths exercised as
 deliberately as the happy paths.  This package provides first-class,
 *seedable* fault injection at named points across every layer — store
-writes/reads, the file store's index journal, worker execution, the
+writes/reads, index scans, worker execution, the
 campaign claim protocol — replacing ad-hoc monkeypatching in tests and
 enabling chaos soak runs of real campaigns:
 

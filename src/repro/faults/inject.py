@@ -23,7 +23,6 @@ Point inventory (grep for ``inject(`` to verify):
 ``store.put``             profile writes (file / memory stores)
 ``store.get``             payload reads (``get_many``)
 ``store.entries``         index-plane scans
-``store.journal``         the file store's sidecar-index append
 ``worker.execute``        request dispatch (parent or pool worker); the
                           context key is the request key (cell digest)
 ``campaign.claim``        the claim protocol's marker read-back

@@ -20,9 +20,10 @@ Each rule names one injection ``point`` and a ``mode``:
 
 ``error``
     Raise an exception: :class:`InjectedFault` (retryable) by default,
-    ``"error": "os"`` raises :class:`OSError` (for sites whose
-    best-effort handling swallows OS errors, e.g. the file store's
-    journal append), ``"error": "store"`` raises
+    ``"error": "os"`` raises :class:`OSError` (for sites with their
+    own handling of OS errors, e.g. the file store's segment write,
+    which unlinks its tmp file and raises ``StoreError``),
+    ``"error": "store"`` raises
     :class:`~repro.core.errors.StoreError`.
 ``delay``
     Sleep ``delay`` seconds (default 0.05) — hangs, slow NFS, GC pauses.

@@ -116,10 +116,12 @@ def _store_op(what: str, fn: Callable[[], Any]) -> Any:
     hiccup, injected chaos): retryable failures (per
     :func:`~repro.core.errors.is_retryable`) get
     :data:`STORE_ATTEMPTS` tries with a small deterministic-jitter
-    sleep; fatal errors and exhausted budgets propagate.  A retried
-    ``put_many`` that partially landed can store duplicate artifacts —
-    bit-identical, deduped by digest on resume and analysis (the
-    module-docstring invariant: ugly, never wrong).
+    sleep; fatal errors and exhausted budgets propagate.  On the file
+    store a ``put_many`` is all-or-nothing (one segment, renamed into
+    place), so a retried wave stores exactly the wave; backends without
+    that guarantee may leave duplicate artifacts behind a partial
+    failure — bit-identical, deduped by digest on resume and analysis
+    (the module-docstring invariant: ugly, never wrong).
     """
     for attempt in range(1, STORE_ATTEMPTS + 1):
         try:

@@ -84,8 +84,8 @@ class ProfileStore(ABC):
     def put_many(self, profiles) -> list[str]:
         """Persist a batch of profiles; returns their ids in order.
 
-        The default stores one by one; implementations may batch the
-        shared setup (the file store creates each group directory once).
+        The default stores one by one; implementations may batch (the
+        file store writes the whole batch as one all-or-nothing segment).
         """
         return [self.put(profile) for profile in profiles]
 

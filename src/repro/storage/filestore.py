@@ -1,59 +1,73 @@
-"""File-based profile storage with a per-group sidecar index.
+"""File-based profile storage: one immutable segment per ``put``/``put_many``.
 
-One JSON document per profile, stored under a root directory.  The paper
-notes file-based storage "poses no limit on the number of samples"
-(§4.5) — unlike the Mongo backend — and that property is preserved here.
+The paper notes file-based storage "poses no limit on the number of
+samples" (§4.5) — unlike the Mongo backend — and that property is
+preserved here: documents are streamed to disk one at a time.
 
 File layout::
 
-    <root>/<key-hash>/<created-ns>-<writer>-<seq>.json   # one profile each
-    <root>/<key-hash>/index.jsonl                        # sidecar index
+    <root>/<created-ns>-<writer>-<seq>.seg           # one per put/put_many call
+    <root>/<created-ns>-<writer>-<seq>.seg.<n>.del   # tombstone of its record n
     <root>/.markers/<scope-hash>/<created-ns>-<writer>-<seq>,<kind>,<k>=<v>,...
+    <root>/<key-hash>/{<file>.json, index.jsonl}     # v1 groups, read-only
 
-where ``key-hash`` identifies the ``(command, tags)`` group.  ``writer``
-is a per-store token (PID plus random suffix): several processes — or
-several stores in one process — writing the same group in the same
-nanosecond produce distinct filenames instead of silently clobbering
-each other (the per-store sequence number alone restarts from zero in
-every new process).
+``created-ns`` is the first profile's creation stamp, ``writer`` a
+per-store token (PID plus random suffix) and ``seq`` a per-store counter:
+several processes — or several stores in one process — writing in the
+same nanosecond produce distinct names instead of clobbering each other.
 
-Sidecar index (``index.jsonl``)
--------------------------------
+Segments
+--------
 
-Each group carries an append-only journal with one JSON line per stored
-profile::
+A segment holds the profiles of one ``put``/``put_many`` call: one JSON
+document per line, then one *index line* — a JSON list with a
+``{"command", "tags", "created", "sum", "offset", "length"}`` row per
+record — then a fixed-width footer, ``synapse-segment-index@<offset of
+the index line, 20 digits>``.  It is written to ``<name>.seg.tmp``,
+renamed into place and never changed afterwards, so a segment is either
+absent or complete: a call lands all of its profiles or none (a retried
+campaign wave cannot half-land), a failed call unlinks its tmp file and
+leaves the root as it was, and a crash leaves nothing worse than
+``*.tmp`` debris, which every reader ignores.  A ``.seg`` file without a
+valid footer (truncated behind the store's back) reads as absent.
+``durability="fsync"`` costs one file and one directory fsync per call.
 
-    {"id": "<key-hash>/<file>.json", "command": ..., "tags": [...],
-     "created": ..., "sum": "<blake2b-128 of the payload bytes>"}
+Record ids are ``<segment file name>/<n>``, ``n`` zero-padded, so
+``(created, id)`` order is write order.  ``sum`` is the blake2b-128 of
+the record's exact bytes: the first payload read of a record (cache
+misses only — the decoded-payload LRU never re-verifies) re-hashes them
+against it and raises :class:`~repro.core.errors.CorruptArtifactError`
+on mismatch (bit rot, a torn overwrite, tampering), emitting a
+``store.corrupt`` event.
 
-``put``/``put_many`` append a line after writing the profile file, so
-queries answer "which profiles match this command/tag filter" from the
-index alone — no profile payload is opened until a match is confirmed.
-The ``sum`` field is the integrity record: the first payload read of a
-profile (cache misses only — the decoded-payload LRU never re-verifies)
-re-hashes the file bytes against it and raises
-:class:`~repro.core.errors.CorruptArtifactError` on mismatch (bit rot,
-a torn overwrite, tampering), emitting a ``store.corrupt`` event.
-Journal lines written before this field existed verify-on-first-read
-instead: the computed digest is adopted and checked thereafter.
-The journal is advisory, never authoritative: the ``*.json`` files in
-the group directory are the truth, and every index load re-lists the
-directory (names only, via ``scandir``) and reconciles:
-
-* profile files missing from the journal (a writer crashed between the
-  rename and the append, or a concurrent writer's append is mid-flight)
-  are *healed* — their metadata is read once and journal-appended;
-* journal lines whose file is gone (deleted profiles) are dropped;
-* corrupt/truncated lines (torn concurrent appends, partial disk
-  writes) are skipped and trigger a compacting rewrite of the journal.
-
-Because validation compares directory listings rather than timestamps,
-a second writer appending to a group is visible to every reader's next
+Every query takes one names-only listing of the root and brings a cache
+of index lines (keyed by segment name; immutable, so never re-read) in
+line with it: unknown segments are loaded, vanished ones dropped, new
+tombstones applied.  Because validation compares listings rather than
+timestamps, a rival writer's segment is visible to every reader's next
 query even within one filesystem-timestamp tick — the invariant the
-sharded-campaign ledger depends on.  A group's ``(command, tags)``
-identity is immutable (the directory name is its hash), so groups ruled
-out by a query's command/tag filter are pruned from cache without any
-directory I/O.
+shared campaign ledger depends on.  An in-memory ``(command, tags) ->
+entries`` map answers the command/tag filter, and no payload is opened
+until a match is confirmed.
+
+``delete`` of a segment's last live record unlinks the segment and
+sweeps its tombstones; any other delete drops a zero-byte
+``O_CREAT|O_EXCL`` tombstone (the marker plane's trick: the name is the
+record, creation is atomic, a second delete of the same record fails).
+A crash in between leaves tombstones without a segment, which mean
+nothing: segment names are never reused.
+
+v1 stores (read-only shim)
+--------------------------
+
+Earlier versions kept one directory per ``(command, tags)`` group, one
+``*.json`` file per profile in it and an ``index.jsonl`` journal.  A
+non-dot directory under the root is such a group: its ``*.json`` files
+are listed as one-record entries under their old ``<group>/<file>.json``
+ids (index fields read from the document; the integrity ``sum`` from the
+journal where it recorded one, else adopted on first read), and can be
+fetched and deleted.  v1 groups are never written, healed, compacted or
+garbage-collected; new writes land beside them as segments.
 
 Marker plane (``.markers/``)
 ----------------------------
@@ -61,21 +75,21 @@ Marker plane (``.markers/``)
 Markers (elastic-campaign heartbeats and leases; see
 :class:`~repro.storage.base.Marker`) are **zero-byte files** whose name
 is the record: creation stamp, writer token and sequence number (the
-same collision-free prefix profile files use), then the kind and the
+same collision-free prefix segments use), then the kind and the
 ``key=value`` fields, each percent-escaped so arbitrary strings — ``/``,
 ``~``, ``.``, commas, newlines — cannot break the name apart or out of
 the directory.  ``scope-hash`` identifies the marker scope (a campaign
 name).  A write is one ``O_CREAT|O_EXCL`` open, a scan is one
 listing of the scope directory — never cached, so it is fresh
 across handles and processes by construction — and a delete is one
-``unlink``.  There is no journal, index or group directory to maintain,
+``unlink``.  There is no journal or index to maintain,
 and nothing to reconcile after a crash: a marker exists exactly when
 its file does.  A record too long for one file name (255 bytes) keeps
 its kind and fields in the file body instead: the name ends in ``,@``
 and the body is written before an atomic rename, so a scan never sees
 it half-written.  Markers are heartbeats, not data: ``durability="fsync"``
 does not apply to them (a marker lost to a power cut is a dropped
-heartbeat).  Dot-directories under the root are never profile groups.
+heartbeat).  Dot-directories under the root are never v1 groups.
 """
 
 from __future__ import annotations
@@ -84,12 +98,12 @@ import hashlib
 import json
 import os
 import secrets
-from bisect import insort
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote, unquote
 
 from repro.core.errors import ConfigError, CorruptArtifactError, StoreError
@@ -101,14 +115,24 @@ from repro.storage.query import compile_query
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry, timed
 
-__all__ = ["FileStore", "INDEX_NAME", "PAYLOAD_CACHE_SIZE"]
+__all__ = ["FileStore", "PAYLOAD_CACHE_SIZE"]
 
-#: Name of the per-group sidecar index journal.
-INDEX_NAME = "index.jsonl"
+#: File name suffixes of segments, tombstones and in-flight writes.
+SEGMENT_SUFFIX = ".seg"
+TOMBSTONE_SUFFIX = ".del"
+TMP_SUFFIX = ".tmp"
 
-#: Decoded-payload LRU capacity (documents, not bytes).  Profile files
-#: are immutable once renamed into place, so a cached parse stays valid
-#: for as long as the ``(mtime_ns, size)`` stat signature matches.
+#: Last line of every segment: where its index line starts.
+_FOOTER = b"synapse-segment-index@%020d\n"
+_FOOTER_LEN = len(_FOOTER % 0)
+
+#: The journal a v1 group kept beside its payload files.
+V1_INDEX_NAME = "index.jsonl"
+
+#: Decoded-payload LRU capacity (documents, not bytes).  Segments and v1
+#: profile files are immutable once renamed into place, so a cached
+#: parse stays valid for as long as the ``(mtime_ns, size)`` stat
+#: signature of the file holding it matches.
 PAYLOAD_CACHE_SIZE = 512
 
 #: Directory under the store root holding the marker plane.
@@ -121,15 +145,82 @@ MARKER_NAME_MAX = 255
 #: Name suffix of a marker whose kind and fields live in the file body.
 _SPILLED = "@"
 
+#: ``(created, id)``: the order every listing is returned in.
+_WRITE_ORDER = itemgetter(3, 0)
 
-def _key_hash(command: str, tags: tuple[str, ...]) -> str:
-    payload = json.dumps([command, list(tags)]).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
+
+class _Record(NamedTuple):
+    """Where one live profile is and what its bytes must hash to."""
+
+    entry: StoreEntry
+    sum: str
+    offset: int
+    #: ``-1``: the whole file (a v1 profile file).
+    length: int
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _create_exclusive(path: str | os.PathLike) -> None:
+    """Create a zero-byte file whose name is the record; fails if it exists."""
+    os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644))
 
 
 def _payload_sum(data: bytes) -> str:
-    """Integrity digest of one profile file's exact bytes."""
+    """Integrity digest of one stored document's exact bytes."""
     return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _tombstone(pid: str) -> str:
+    """Root entry whose existence deletes segment record ``pid``."""
+    return pid.replace("/", ".") + TOMBSTONE_SUFFIX
+
+
+def _is_v1_group(name: str) -> bool:
+    """Whether a root entry's name can be a v1 group directory."""
+    return not name.startswith(".") and not name.endswith(
+        (SEGMENT_SUFFIX, TOMBSTONE_SUFFIX, TMP_SUFFIX)
+    )
+
+
+def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
+    """Every record of segment ``name``; none if it is not complete.
+
+    A missing file, a missing or malformed footer, a footer pointing
+    outside the file and an index line that does not describe records
+    inside the file all read as "no segment here".
+    """
+    try:
+        with open(os.path.join(root, name), "rb") as handle:
+            body = handle.seek(0, os.SEEK_END) - _FOOTER_LEN
+            if body < 0:
+                return []
+            handle.seek(body)
+            footer = handle.read(_FOOTER_LEN)
+            at = int(footer[-21:])
+            if footer != _FOOTER % at or not 0 <= at < body:
+                return []
+            handle.seek(at)
+            records = [
+                _Record(
+                    StoreEntry(
+                        f"{name}/{n:06d}", str(row["command"]),
+                        tuple(str(tag) for tag in row["tags"]), float(row["created"]),
+                    ),
+                    str(row["sum"]), int(row["offset"]), int(row["length"]),
+                )
+                for n, row in enumerate(json.loads(handle.read(body - at)))
+            ]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    if any(r.offset < 0 or r.length < 0 or r.offset + r.length > at for r in records):
+        return []
+    return records
 
 
 def _marker_name(stem: str, kind: str, fields: Mapping[str, str]) -> str:
@@ -166,42 +257,15 @@ def _parse_marker(scope_hash: str, name: str, scope_dir: Path) -> Marker | None:
     return Marker(f"{scope_hash}/{name}", kind, fields, int(stamp) / 1e9)
 
 
-@dataclass
-class _GroupIndex:
-    """Cached view of one group directory: identity + live files."""
-
-    command: str
-    tags: tuple[str, ...]
-    #: ``(filename, created)`` for every live profile, filename-sorted
-    #: (filenames start with the creation timestamp, so this is also
-    #: write order within one writer).
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        #: Kept beside ``tags``/``entries`` so a query neither rebuilds
-        #: the tag set per filter test nor the name set per validation.
-        self.tagset = frozenset(self.tags)
-        self.names = {name for name, _created in self.entries}
-
-    def add(self, name: str, created: float) -> None:
-        insort(self.entries, (name, created))
-        self.names.add(name)
-
-    def discard(self, name: str) -> None:
-        if name in self.names:
-            self.names.remove(name)
-            self.entries = [entry for entry in self.entries if entry[0] != name]
-
-
 class FileStore(ProfileStore):
     """Profile store rooted at a directory (created on demand).
 
-    Queries are index-first: group directories are pruned by their
-    cached ``(command, tags)`` identity, surviving groups are validated
-    against a names-only directory listing, and profile payloads are
-    parsed only for confirmed candidates (lazily —
-    ``find(query=...)`` matches the raw stored document and only builds
-    :class:`~repro.core.samples.Profile` objects for accepted ones).
+    Queries are index-first: the cached segment index is validated
+    against a names-only listing of the root, the command/tag filter is
+    answered from it, and profile payloads are parsed only for confirmed
+    candidates (lazily — ``find(query=...)`` matches the raw stored
+    document and only builds :class:`~repro.core.samples.Profile`
+    objects for accepted ones).
     """
 
     #: Accepted ``durability`` modes (see ``__init__``).
@@ -210,13 +274,12 @@ class FileStore(ProfileStore):
     def __init__(
         self, root: str | os.PathLike, durability: str = "default"
     ) -> None:
-        """``durability="fsync"`` makes :meth:`put` crash-durable: the
-        profile file is fsynced before the atomic rename, the group
-        directory entry after it, and journal appends before returning —
-        a power loss after ``put`` returns cannot tear or lose the
-        profile.  The default leaves flushing to the OS (atomic renames
-        already prevent torn reads; a crash can only lose the very last
-        writes)."""
+        """``durability="fsync"`` makes :meth:`put`/:meth:`put_many`
+        crash-durable: the segment is fsynced before the atomic rename
+        and the root directory entry after it — a power loss after the
+        call returns cannot tear or lose its profiles.  The default
+        leaves flushing to the OS (atomic renames already prevent torn
+        reads; a crash can only lose the very last writes)."""
         if durability not in self.DURABILITY_MODES:
             raise ConfigError(
                 f"unknown FileStore durability {durability!r}; expected "
@@ -227,16 +290,95 @@ class FileStore(ProfileStore):
         self.durability = durability
         self._seq = 0
         self._writer = f"{os.getpid():x}{secrets.token_hex(4)}"
-        self._groups: dict[str, _GroupIndex] = {}
-        #: pid -> ((mtime_ns, size), decoded document), LRU-ordered.
+        #: Root entries as of the last listing, plus this store's writes.
+        self._listing: set[str] = set()
+        #: The names in it that may be v1 group directories.
+        self._v1_groups: list[str] = []
+        #: Segment file or v1 group name -> its live records by id.  A
+        #: segment with nothing live (or nothing readable) keeps an
+        #: empty dict, so it is not loaded again.
+        self._files: dict[str, dict[str, _Record]] = {}
+        #: (command, tags) -> (tags as a set, live entries by id).
+        self._by_key: dict[
+            tuple[str, tuple[str, ...]], tuple[frozenset[str], dict[str, StoreEntry]]
+        ] = {}
+        #: pid -> ((mtime_ns, size) of its file, decoded document), LRU-ordered.
         self._payloads: OrderedDict[str, tuple[tuple[int, int], dict[str, Any]]] = (
             OrderedDict()
         )
-        #: pid -> expected payload digest (own writes + journal loads).
-        self._sums: dict[str, str] = {}
-        #: Groups whose journal is mid-load: heal-path payload reads must
-        #: not re-enter ``_group_index`` for them (see ``_cached_doc``).
-        self._loading: set[str] = set()
+
+    # -- writes ---------------------------------------------------------------
+
+    def put(self, profile: Profile) -> str:
+        return self.put_many((profile,))[0]
+
+    def put_many(self, profiles: Sequence[Profile] | Iterable[Profile]) -> list[str]:
+        """Store a batch of profiles as one segment; returns their ids.
+
+        All or nothing: the segment appears under its final name only
+        once every document, the index line and the footer are written;
+        a failure on the way unlinks the tmp file.  An empty batch
+        writes nothing.
+        """
+        with timed("store.put.seconds"):
+            batch = iter(profiles)
+            first = next(batch, None)
+            if first is None:
+                return []
+            self._seq += 1
+            name = (
+                f"{int(first.created * 1e9):020d}-{self._writer}"
+                f"-{self._seq:06d}{SEGMENT_SUFFIX}"
+            )
+            path = os.path.join(self.root, name)
+            tmp = path + TMP_SUFFIX
+            records: list[_Record] = []
+            end = 0
+            try:
+                with open(tmp, "wb") as handle:
+                    for profile in chain((first,), batch):
+                        inject("store.put", key=profile.command)
+                        data = json.dumps(profile.to_dict()).encode("utf-8")
+                        handle.write(data)
+                        handle.write(b"\n")
+                        entry = StoreEntry(
+                            f"{name}/{len(records):06d}",
+                            profile.command, profile.tags, profile.created,
+                        )
+                        records.append(
+                            _Record(entry, _payload_sum(data), end, len(data))
+                        )
+                        end += len(data) + 1
+                    index = [
+                        {
+                            "command": entry.command, "tags": entry.tags,
+                            "created": entry.created, "sum": digest,
+                            "offset": offset, "length": length,
+                        }
+                        for entry, digest, offset, length in records
+                    ]
+                    index_line = json.dumps(index).encode("utf-8") + b"\n"
+                    handle.write(index_line)
+                    handle.write(_FOOTER % end)
+                    if self.durability == "fsync":
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                os.replace(tmp, path)
+            except BaseException as exc:
+                _unlink_quietly(tmp)
+                if isinstance(exc, OSError):
+                    raise StoreError(f"cannot write segment {path}: {exc}") from exc
+                raise
+            if self.durability == "fsync":
+                self._fsync_dir(self.root)
+            self._listing.add(name)
+            self._files[name] = {}
+            for record in records:
+                self._add(name, record)
+            registry = get_registry()
+            registry.inc("store.put.records", len(records))
+            registry.inc("store.put.bytes", end + len(index_line) + _FOOTER_LEN)
+        return [record.entry.id for record in records]
 
     def _fsync_dir(self, path: Path) -> None:
         """Flush a directory entry (rename/create) to stable storage."""
@@ -249,143 +391,37 @@ class FileStore(ProfileStore):
         finally:
             os.close(fd)
 
-    # -- writes ---------------------------------------------------------------
-
-    def put(self, profile: Profile) -> str:
-        with timed("store.put.seconds"):
-            group = self.root / _key_hash(profile.command, profile.tags)
-            group.mkdir(parents=True, exist_ok=True)
-            pid = self._write(group, profile)
-            self._journal_append(group, [(pid, profile)])
-        return pid
-
-    def put_many(self, profiles: Sequence[Profile] | Iterable[Profile]) -> list[str]:
-        """Store a batch of profiles; returns their ids in order.
-
-        Group directories are created and journal appends flushed once
-        per distinct ``(command, tags)`` key instead of once per profile
-        — the batch counterpart of :meth:`put` for experiment fan-out
-        (``spawn_many`` replays, campaign waves, repeated profiling).
-        """
-        with timed("store.put.seconds"):
-            profiles = list(profiles)
-            groups: dict[str, Path] = {}
-            written: dict[str, list[tuple[str, Profile]]] = {}
-            ids: list[str] = []
-            for profile in profiles:
-                key = _key_hash(profile.command, profile.tags)
-                group = groups.get(key)
-                if group is None:
-                    group = self.root / key
-                    group.mkdir(parents=True, exist_ok=True)
-                    groups[key] = group
-                pid = self._write(group, profile)
-                written.setdefault(key, []).append((pid, profile))
-                ids.append(pid)
-            for key, items in written.items():
-                self._journal_append(groups[key], items)
-        return ids
-
-    def _write(self, group: Path, profile: Profile) -> str:
-        self._seq += 1
-        name = f"{int(profile.created * 1e9):020d}-{self._writer}-{self._seq:06d}.json"
-        path = group / name
-        tmp = path.with_suffix(".tmp")
-        data = json.dumps(profile.to_dict()).encode("utf-8")
-        # One retry after re-creating the group: a reader's empty-group
-        # GC (see _load_group_index) may rmdir the directory between our
-        # mkdir and this first write.
-        inject("store.put", key=profile.command)
-        for attempt in (0, 1):
-            try:
-                with open(tmp, "wb") as handle:
-                    handle.write(data)
-                    if self.durability == "fsync":
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
-                if self.durability == "fsync":
-                    self._fsync_dir(group)
-                break
-            except OSError as exc:  # vanished group, disk full, permissions, ...
-                if attempt == 0 and not group.is_dir():
-                    group.mkdir(parents=True, exist_ok=True)
-                    continue
-                raise StoreError(f"cannot write profile to {path}: {exc}") from exc
-        pid = str(path.relative_to(self.root))
-        self._sums[pid] = _payload_sum(data)
-        return pid
-
-    @staticmethod
-    def _journal_line(
-        pid: str,
-        command: str,
-        tags: tuple[str, ...],
-        created: float,
-        digest: str | None = None,
-    ) -> str:
-        """One sidecar index record (see the module docstring's layout)."""
-        row: dict[str, Any] = {
-            "id": pid, "command": command, "tags": list(tags), "created": created,
-        }
-        if digest is not None:
-            row["sum"] = digest
-        return json.dumps(row) + "\n"
-
-    def _journal_append(self, group: Path, items: list[tuple[str, Profile]]) -> None:
-        """Append index lines for freshly written profiles (best-effort).
-
-        The profile files are authoritative; a failed or torn append is
-        healed by the next index load, so journal trouble never fails a
-        ``put``.
-        """
-        lines = "".join(
-            self._journal_line(
-                pid, profile.command, profile.tags, profile.created,
-                digest=self._sums.get(pid),
-            )
-            for pid, profile in items
-        )
-        try:
-            # Inside the best-effort boundary: an injected OSError
-            # (``"error": "os"`` rules) exercises the journal-loss
-            # healing path without failing the put.
-            inject("store.journal", key=group.name)
-            with open(group / INDEX_NAME, "a", encoding="utf-8") as handle:
-                handle.write(lines)
-                if self.durability == "fsync":
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except OSError:
-            pass
-        cached = self._groups.get(group.name)
-        if cached is not None:
-            for pid, profile in items:
-                cached.add(pid.rpartition("/")[2], profile.created)
-
     def delete(self, pid: str) -> None:
         """Remove one stored profile by the id :meth:`put` returned.
 
-        The journal line is left behind: the cached index just forgets
-        the entry (the mirror of ``_journal_append``'s in-place insert),
-        and the next cold load of the group drops lines whose file is
-        gone and compacts them away.  Only a group emptied by the delete
-        leaves the cache, so the next query's cold load garbage-collects
-        its directory.
+        A segment's last live record takes the segment file (and its
+        tombstones) with it; any other record gets a tombstone.
         """
-        path = self.root / pid
+        self._refresh()
+        container = pid.rpartition("/")[0]
+        live = self._files.get(container, {})
+        record = live.get(pid)
         try:
-            path.unlink()
-        except FileNotFoundError as exc:
+            if record is None:
+                raise FileNotFoundError(pid)
+            if record.length < 0:  # a v1 profile file
+                os.unlink(os.path.join(self.root, pid))
+            elif len(live) > 1:
+                name = _tombstone(pid)
+                _create_exclusive(os.path.join(self.root, name))
+                self._listing.add(name)
+            else:
+                os.unlink(os.path.join(self.root, container))
+                swept = [n for n in self._listing if n.startswith(container + ".")]
+                for name in swept:
+                    _unlink_quietly(os.path.join(self.root, name))
+                self._listing.difference_update(swept, [container])
+                del self._files[container]
+        except (FileNotFoundError, FileExistsError) as exc:
             raise StoreError(f"no stored profile {pid!r}") from exc
-        gname = path.parent.name
-        cached = self._groups.get(gname)
-        if cached is not None:
-            cached.discard(path.name)
-            if not cached.entries:
-                del self._groups[gname]
-        self._payloads.pop(pid, None)
-        self._sums.pop(pid, None)
+        except OSError as exc:
+            raise StoreError(f"cannot delete profile {pid!r}: {exc}") from exc
+        self._forget(live, pid)
 
     # -- marker plane ---------------------------------------------------------
 
@@ -415,13 +451,11 @@ class FileStore(ProfileStore):
 
     @staticmethod
     def _create_marker(scope_dir: Path, name: str) -> None:
-        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(scope_dir / name, flags, 0o644)
+            _create_exclusive(scope_dir / name)
         except FileNotFoundError:  # first marker of this scope
             scope_dir.mkdir(parents=True, exist_ok=True)
-            fd = os.open(scope_dir / name, flags, 0o644)
-        os.close(fd)
+            _create_exclusive(scope_dir / name)
 
     @staticmethod
     def _spill_marker(
@@ -462,305 +496,248 @@ class FileStore(ProfileStore):
 
     # -- index plane ----------------------------------------------------------
 
-    def _group_dirs(self) -> list[str]:
-        try:
-            with os.scandir(self.root) as it:
-                return sorted(
-                    entry.name
-                    for entry in it
-                    if not entry.name.startswith(".") and entry.is_dir()
-                )
-        except OSError:
-            return []
+    def _add(self, container: str, record: _Record) -> None:
+        entry = record.entry
+        self._files[container][entry.id] = record
+        held = self._by_key.get((entry.command, entry.tags))
+        if held is None:
+            held = self._by_key[entry.command, entry.tags] = (
+                frozenset(entry.tags), {},
+            )
+        held[1][entry.id] = entry
 
-    def _group_index(self, gname: str) -> _GroupIndex | None:
-        """Validated index of one group (``None`` when empty/unreadable).
+    def _forget(self, live: dict[str, _Record], pid: str) -> int:
+        """Drop one record from the cached index (``0`` if not held)."""
+        record = live.pop(pid, None)
+        if record is None:
+            return 0
+        key = (record.entry.command, record.entry.tags)
+        entries = self._by_key[key][1]
+        del entries[pid]
+        if not entries:
+            del self._by_key[key]
+        self._payloads.pop(pid, None)
+        return 1
 
-        Always re-lists the directory (names only) and reuses the cached
-        parse when the live file set is unchanged; otherwise reloads and
-        reconciles the journal.
+    def _drop(self, container: str) -> int:
+        """Drop a vanished segment or v1 group; returns records dropped."""
+        live = self._files.pop(container)
+        return sum(self._forget(live, pid) for pid in list(live))
+
+    def _refresh(self) -> None:
+        """Bring the cached index in line with one listing of the root.
+
+        Names only: segments are immutable, so a name seen before is
+        never opened again.  Only v1 groups, whose directories can lose
+        files, are re-listed every time.
         """
-        group = self.root / gname
         try:
-            with os.scandir(group) as it:
-                names = sorted(
-                    entry.name
-                    for entry in it
-                    if entry.name.endswith(".json") and entry.is_file()
-                )
+            listing = set(os.listdir(self.root))
         except OSError:
-            self._groups.pop(gname, None)
-            return None
-        cached = self._groups.get(gname)
-        if (
-            cached is not None
-            and len(cached.entries) == len(names)
-            and cached.names.issuperset(names)
-        ):
-            get_registry().inc("store.index.hit")
-            return cached
-        get_registry().inc("store.index.miss")
-        self._loading.add(gname)
-        try:
-            index = self._load_group_index(group, names)
-        finally:
-            self._loading.discard(gname)
-        if index is not None:
-            self._groups[gname] = index
-        else:
-            self._groups.pop(gname, None)
-        return index
+            listing = set()
+        moved = 0  # records loaded from, or dropped after, what is on disk
+        if listing != self._listing:
+            for name in self._files.keys() - listing:
+                moved += self._drop(name)
+            fresh = listing - self._listing
+            for name in sorted(fresh):
+                if name.endswith(SEGMENT_SUFFIX):
+                    moved += self._load_segment(name, listing)
+                elif name.endswith(TOMBSTONE_SUFFIX):
+                    segment, _, n = name[: -len(TOMBSTONE_SUFFIX)].rpartition(".")
+                    moved += self._forget(
+                        self._files.get(segment, {}), f"{segment}/{n}"
+                    )
+            self._listing = listing
+            self._v1_groups = [name for name in listing if _is_v1_group(name)]
+        for name in self._v1_groups:
+            moved += self._sync_v1_group(name)
+        get_registry().inc("store.index.miss" if moved else "store.index.hit")
 
-    def _load_group_index(
-        self, group: Path, names: list[str]
-    ) -> _GroupIndex | None:
-        """Parse + reconcile one group's journal against its live files."""
-        known: dict[str, tuple[str, tuple[str, ...], float, str | None]] = {}
-        dirty = False  # corrupt lines or stale entries -> compact
+    def _load_segment(self, name: str, listing: set[str]) -> int:
+        get_registry().inc("store.segments.loaded")
+        self._files[name] = {}
+        for record in _read_index(self.root, name):
+            if _tombstone(record.entry.id) not in listing:
+                self._add(name, record)
+        return len(self._files[name])
+
+    def _sync_v1_group(self, gname: str) -> int:
+        """Reconcile one v1 group with its directory; never writes to it."""
         try:
-            with open(group / INDEX_NAME, encoding="utf-8") as handle:
+            names = os.listdir(os.path.join(self.root, gname))
+        except OSError:  # not a directory after all
+            names = []
+        on_disk = {f"{gname}/{name}" for name in names if name.endswith(".json")}
+        live = self._files.setdefault(gname, {})
+        moved = sum(self._forget(live, pid) for pid in live.keys() - on_disk)
+        fresh = sorted(on_disk - live.keys())
+        if fresh:
+            recorded = self._v1_sums(gname)
+            for pid in fresh:
+                try:
+                    with open(os.path.join(self.root, pid), "rb") as handle:
+                        data = handle.read()
+                except OSError:
+                    continue  # deleted under the scan
+                doc, actual = self._decode(pid, data, recorded.get(pid))
+                try:
+                    entry = StoreEntry(
+                        pid, str(doc["command"]),
+                        tuple(str(tag) for tag in doc.get("tags", ())),
+                        float(doc.get("created", 0.0)),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise StoreError(f"corrupt profile file {pid}: {exc!r}") from exc
+                self._add(gname, _Record(entry, actual, 0, -1))
+                moved += 1
+        return moved
+
+    def _v1_sums(self, gname: str) -> dict[str, str]:
+        """pid -> digest, from the complete lines of a v1 group's journal."""
+        recorded: dict[str, str] = {}
+        try:
+            with open(
+                os.path.join(self.root, gname, V1_INDEX_NAME), encoding="utf-8"
+            ) as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
                         row = json.loads(line)
-                        name = str(row["id"]).rpartition("/")[2]
-                        digest = row.get("sum")
-                        record = (
-                            str(row["command"]),
-                            tuple(str(tag) for tag in row["tags"]),
-                            float(row["created"]),
-                            str(digest) if digest is not None else None,
-                        )
+                        recorded.setdefault(str(row["id"]), str(row["sum"]))
                     except (ValueError, KeyError, TypeError):
-                        dirty = True  # torn append / partial write
-                        continue
-                    known.setdefault(name, record)
-        except FileNotFoundError:
-            pass
-        except OSError:
-            dirty = True
-        live = set(names)
-        if set(known) - live:
-            dirty = True  # deleted profiles left stale journal lines
-        # Adopt the journal's integrity digests before any payload read
-        # below, so healing verifies against them where they exist.
-        for name, record in known.items():
-            if record[3] is not None and name in live:
-                self._sums.setdefault(f"{group.name}/{name}", record[3])
-        missing = [name for name in names if name not in known]
-        healed: dict[str, tuple[str, tuple[str, ...], float, str | None]] = {}
-        for name in missing:
-            # Only the index fields are needed — read them off the raw
-            # document instead of deserialising every sample.  Healing
-            # goes through the payload cache so a follow-up ``get`` of
-            # the same profile reuses this parse (and records the file's
-            # digest, journal-appended with the healed line).
-            pid = f"{group.name}/{name}"
-            doc = self._cached_doc(pid)
-            healed[name] = (
-                str(doc["command"]),
-                tuple(str(tag) for tag in doc.get("tags", ())),
-                float(doc.get("created", 0.0)),
-                self._sums.get(pid),
-            )
-        if not live:
-            # Garbage-collect a dead group (every profile deleted — e.g.
-            # a cleaned-up campaign claim): drop the stale journal and
-            # the directory itself so future queries stop re-scanning
-            # it.  A concurrent writer reviving the group wins the race:
-            # rmdir fails on a non-empty directory, and ``_write``
-            # re-creates a directory GC'd out from under it and retries.
-            try:
-                (group / INDEX_NAME).unlink(missing_ok=True)
-                os.rmdir(group)
-            except OSError:
-                pass
-            return None
-        merged = {name: known.get(name) or healed[name] for name in names}
-        first = merged[names[0]]
-        index = _GroupIndex(
-            command=first[0],
-            tags=first[1],
-            entries=[(name, merged[name][2]) for name in names],
-        )
-        if dirty:
-            self._journal_rewrite(group, merged)
-        elif healed:
-            self._journal_append_records(group, healed)
-        return index
-
-    def _journal_append_records(
-        self,
-        group: Path,
-        records: Mapping[str, tuple[str, tuple[str, ...], float, str | None]],
-    ) -> None:
-        lines = "".join(
-            self._journal_line(f"{group.name}/{name}", command, tags, created, digest)
-            for name, (command, tags, created, digest) in records.items()
-        )
-        try:
-            with open(group / INDEX_NAME, "a", encoding="utf-8") as handle:
-                handle.write(lines)
+                        continue  # torn, or written before sums existed
         except OSError:
             pass
+        return recorded
 
-    def _journal_rewrite(
-        self,
-        group: Path,
-        records: Mapping[str, tuple[str, tuple[str, ...], float, str | None]],
-    ) -> None:
-        """Atomically compact the journal to exactly the live records.
-
-        A concurrent writer's append racing this rewrite can lose its
-        line, never its profile file — the next load heals the journal.
-        """
-        tmp = group / f"{INDEX_NAME}.{self._writer}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for name in sorted(records):
-                    command, tags, created, digest = records[name]
-                    handle.write(
-                        self._journal_line(
-                            f"{group.name}/{name}", command, tags, created, digest
-                        )
-                    )
-            os.replace(tmp, group / INDEX_NAME)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-    def _matching_groups(
-        self, command: object, tags: object
-    ) -> list[tuple[str, _GroupIndex]]:
-        """Group indexes surviving the command/tag filter, name-sorted.
-
-        A group's identity is immutable, so cached non-matching groups
-        are pruned without any directory I/O; only matching (or not yet
-        cached) groups pay the names-only listing.
-        """
+    def _matching(self, command: object, tags: object) -> list[StoreEntry]:
+        """Live entries surviving the command/tag filter, in any order."""
+        self._refresh()
         want_command = normalize_command(command) if command is not None else None
         wanted = set(normalize_tags(tags))
-
-        def matches_filter(index: _GroupIndex) -> bool:
-            if want_command is not None and index.command != want_command:
-                return False
-            return wanted <= index.tagset
-
-        survivors: list[tuple[str, _GroupIndex]] = []
-        for gname in self._group_dirs():
-            cached = self._groups.get(gname)
-            if cached is not None and not matches_filter(cached):
+        found: list[StoreEntry] = []
+        for (held_command, _tags), (tagset, entries) in self._by_key.items():
+            if want_command is not None and held_command != want_command:
                 continue
-            index = self._group_index(gname)
-            if index is not None and matches_filter(index):
-                survivors.append((gname, index))
-        return survivors
+            if wanted <= tagset:
+                found.extend(entries.values())
+        return found
 
     def entries(
         self, command: object = None, tags: object = None
     ) -> list[StoreEntry]:
         inject("store.entries")
         with timed("store.entries.seconds"):
-            found = [
-                StoreEntry(f"{gname}/{name}", index.command, index.tags, created)
-                for gname, index in self._matching_groups(command, tags)
-                for name, created in index.entries
-            ]
-        # Ids are ``<group>/<file>`` with fixed-width components, so the
-        # (created, id) sort reproduces the reference scan's order:
-        # created oldest-first, ties in directory-walk order.
-        found.sort(key=lambda entry: (entry.created, entry.id))
+            found = self._matching(command, tags)
+            # Ids are fixed-width, so this reproduces the reference
+            # scan's order: created oldest-first, ties in walk order.
+            found.sort(key=_WRITE_ORDER)
         return found
 
     # -- payload plane --------------------------------------------------------
 
-    def _read_doc(self, pid: str, path: Path) -> dict[str, Any]:
-        """Read + integrity-check + parse one profile file.
+    def _decode(
+        self, pid: str, data: bytes, expected: str | None
+    ) -> tuple[dict[str, Any], str]:
+        """Integrity-check + parse one record's bytes.
 
-        The file's bytes are re-hashed against the digest the sidecar
-        journal (or this store's own ``put``) recorded; a mismatch is
-        **fatal** — re-reading corrupt bytes returns the same corrupt
-        bytes — so it raises :class:`CorruptArtifactError` instead of a
-        retryable :class:`StoreError`.  Files without a recorded digest
-        (journals predating the ``sum`` field) adopt the computed one,
-        pinning all subsequent reads.
+        The bytes are re-hashed against the digest recorded with them; a
+        mismatch is **fatal** — re-reading corrupt bytes returns the same
+        corrupt bytes — so it raises :class:`CorruptArtifactError`
+        instead of a retryable :class:`StoreError`.  A v1 file whose
+        journal recorded no digest adopts the computed one (returned
+        beside the document), pinning all subsequent reads.
         """
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError as exc:
-            raise StoreError(
-                f"no stored profile {str(path.relative_to(self.root))!r}"
-            ) from exc
-        except OSError as exc:
-            raise StoreError(f"corrupt profile file {path}: {exc}") from exc
         actual = _payload_sum(data)
-        expected = self._sums.get(pid)
-        if expected is None:
-            self._sums[pid] = actual
-        elif actual != expected:
+        if expected is not None and actual != expected:
             get_registry().inc("store.corrupt")
             get_bus().event(
                 "store.corrupt", level="error", id=pid,
                 expected=expected, actual=actual,
             )
             raise CorruptArtifactError(
-                f"stored profile {pid!r} failed its integrity check: journal "
-                f"recorded blake2b {expected}, file bytes hash to {actual}"
+                f"stored profile {pid!r} failed its integrity check: recorded "
+                f"blake2b {expected}, stored bytes hash to {actual}"
             )
         try:
-            return json.loads(data)
+            return json.loads(data), actual
         except (ValueError, UnicodeDecodeError) as exc:
-            raise StoreError(f"corrupt profile file {path}: {exc}") from exc
+            raise StoreError(f"corrupt profile {pid!r}: {exc}") from exc
 
-    def _cached_doc(self, pid: str) -> dict[str, Any]:
-        """Decoded document of one profile, via the payload LRU.
+    def _docs(self, pids: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
+        """``(pid, decoded document)`` of live records, via the payload LRU.
 
-        Profile files never change in place (writes are rename-only), so
-        a ``(mtime_ns, size)`` stat signature decides reuse: a match
-        skips open+parse (and integrity verification) entirely; any
-        mismatch — or a replaced file — re-reads, re-verifies and
-        refreshes the cache.  Callers must not mutate the returned
-        document (``Profile.from_dict`` copies what it keeps).
+        Grouped by file, so each segment is stat'ed once and opened at
+        most once however many of its records are wanted.  Files never
+        change in place (writes are rename-only), so a ``(mtime_ns,
+        size)`` stat signature decides reuse: a match skips read, parse
+        and integrity verification; any mismatch — or a replaced file —
+        re-reads, re-verifies and refreshes the cache.  Callers must not
+        mutate the documents (``Profile.from_dict`` copies what it keeps).
         """
-        path = self.root / pid
-        try:
-            st = os.stat(path)
-            sig = (st.st_mtime_ns, st.st_size)
-        except OSError:
-            sig = None
-        if sig is not None:
-            cached = self._payloads.get(pid)
-            if cached is not None and cached[0] == sig:
-                self._payloads.move_to_end(pid)
-                get_registry().inc("store.payload.hit")
-                return cached[1]
-        get_registry().inc("store.payload.miss")
-        # A direct ``get`` of an id this store never wrote or indexed
-        # (cross-process reads) loads the group journal first so its
-        # recorded digest — not trust-on-first-read — judges the bytes.
-        gname = pid.partition("/")[0]
-        if (
-            pid not in self._sums
-            and gname not in self._groups
-            and gname not in self._loading
-        ):
-            self._group_index(gname)
-        doc = self._read_doc(pid, path)
-        if sig is not None:
-            self._payloads[pid] = (sig, doc)
-            self._payloads.move_to_end(pid)
-            while len(self._payloads) > PAYLOAD_CACHE_SIZE:
-                self._payloads.popitem(last=False)
-        return doc
+        by_file: dict[str, list[_Record]] = {}
+        for pid in pids:
+            container = pid.rpartition("/")[0]
+            record = self._files.get(container, {}).get(pid)
+            if record is None:
+                raise StoreError(f"no stored profile {pid!r}")
+            by_file.setdefault(
+                container if record.length >= 0 else pid, []
+            ).append(record)
+        registry = get_registry()
+        for fname, records in by_file.items():
+            path = os.path.join(self.root, fname)
+            handle = None
+            try:
+                st = os.stat(path)
+                sig = (st.st_mtime_ns, st.st_size)
+                for record in records:
+                    pid = record.entry.id
+                    cached = self._payloads.get(pid)
+                    if cached is not None and cached[0] == sig:
+                        self._payloads.move_to_end(pid)
+                        registry.inc("store.payload.hit")
+                        yield pid, cached[1]
+                        continue
+                    registry.inc("store.payload.miss")
+                    if handle is None:
+                        handle = open(path, "rb")
+                    handle.seek(record.offset)
+                    doc, _sum = self._decode(
+                        pid, handle.read(record.length), record.sum
+                    )
+                    self._payloads[pid] = (sig, doc)
+                    while len(self._payloads) > PAYLOAD_CACHE_SIZE:
+                        self._payloads.popitem(last=False)
+                    yield pid, doc
+            except FileNotFoundError as exc:
+                raise StoreError(
+                    f"no stored profile {records[0].entry.id!r}"
+                ) from exc
+            except OSError as exc:
+                raise StoreError(f"cannot read {path}: {exc}") from exc
+            finally:
+                if handle is not None:
+                    handle.close()
 
     def get_many(self, ids) -> list[Profile]:
         ids = list(ids)
         if ids:
             inject("store.get", key=str(ids[0]))
         with timed("store.get.seconds"):
-            return [Profile.from_dict(self._cached_doc(pid)) for pid in ids]
+            self._refresh()
+            docs = dict(self._docs(ids))
+            return [Profile.from_dict(docs[pid]) for pid in ids]
+
+    def _scan_docs(
+        self, command: object, tags: object, query: Mapping[str, Any] | None
+    ) -> Iterator[tuple[float, str, dict[str, Any]]]:
+        """``(created, pid, document)`` of every match, in any order."""
+        matcher = compile_query(query) if query is not None else None
+        created = {entry.id: entry.created for entry in self._matching(command, tags)}
+        for pid, doc in self._docs(created):
+            if matcher is None or matcher(doc):
+                yield created[pid], pid, doc
 
     def find(
         self,
@@ -769,16 +746,11 @@ class FileStore(ProfileStore):
         query: Mapping[str, Any] | None = None,
     ) -> list[Profile]:
         with timed("store.find.seconds"):
-            matcher = compile_query(query) if query is not None else None
-            found: list[tuple[float, str, Profile]] = []
-            for gname, index in self._matching_groups(command, tags):
-                for name, created in index.entries:
-                    pid = f"{gname}/{name}"
-                    doc = self._cached_doc(pid)
-                    if matcher is not None and not matcher(doc):
-                        continue
-                    found.append((created, pid, Profile.from_dict(doc)))
-            found.sort(key=lambda item: item[:2])
+            found = [
+                (created, pid, Profile.from_dict(doc))
+                for created, pid, doc in self._scan_docs(command, tags, query)
+            ]
+            found.sort(key=itemgetter(0, 1))
         return [profile for _created, _pid, profile in found]
 
     def find_ids(
@@ -789,26 +761,34 @@ class FileStore(ProfileStore):
     ) -> list[str]:
         if query is None:
             return [entry.id for entry in self.entries(command, tags)]
-        matcher = compile_query(query)
-        found = [
-            (created, f"{gname}/{name}")
-            for gname, index in self._matching_groups(command, tags)
-            for name, created in index.entries
-            if matcher(self._cached_doc(f"{gname}/{name}"))
-        ]
-        found.sort()
+        found = sorted(
+            (created, pid) for created, pid, _doc in self._scan_docs(command, tags, query)
+        )
         return [pid for _created, pid in found]
 
     # -- brute-force reference ------------------------------------------------
 
     def _iter_profiles(self):
-        for group in sorted(self.root.iterdir()):
-            if group.name.startswith(".") or not group.is_dir():
-                continue
-            for path in sorted(group.glob("*.json")):
-                try:
-                    with open(path, encoding="utf-8") as handle:
-                        data = json.load(handle)
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise StoreError(f"corrupt profile file {path}: {exc}") from exc
-                yield str(path.relative_to(self.root)), Profile.from_dict(data)
+        """Every live profile, straight off the disk (no cache, no sums)."""
+        names = sorted(os.listdir(self.root))
+        tombstones = {name for name in names if name.endswith(TOMBSTONE_SUFFIX)}
+        for name in names:
+            path = os.path.join(self.root, name)
+            try:
+                if name.endswith(SEGMENT_SUFFIX):
+                    with open(path, "rb") as handle:
+                        for record in _read_index(self.root, name):
+                            pid = record.entry.id
+                            if _tombstone(pid) in tombstones:
+                                continue
+                            handle.seek(record.offset)
+                            data = json.loads(handle.read(record.length))
+                            yield pid, Profile.from_dict(data)
+                elif _is_v1_group(name) and os.path.isdir(path):
+                    for fname in sorted(os.listdir(path)):
+                        if fname.endswith(".json"):
+                            with open(os.path.join(path, fname), "rb") as handle:
+                                data = json.load(handle)
+                            yield f"{name}/{fname}", Profile.from_dict(data)
+            except (OSError, ValueError) as exc:
+                raise StoreError(f"corrupt profile file {path}: {exc}") from exc

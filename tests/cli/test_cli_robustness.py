@@ -107,9 +107,7 @@ class TestSigtermDrain:
         store_dir = tmp_path / "store"
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if store_dir.is_dir() and any(
-                entry.is_dir() for entry in store_dir.iterdir()
-            ):
+            if any(store_dir.glob("*.seg")):
                 break
             if proc.poll() is not None:
                 break

@@ -125,12 +125,15 @@ class TestStoreEdgeCases:
         store.put(
             __import__("repro").Profile(command="ok")
         )
-        # Corrupt a stored document.
-        group = next(d for d in tmp_path.iterdir() if d.is_dir())
-        victim = next(group.glob("*.json"))
-        victim.write_text("{not json")
+        # Corrupt a stored document: same length, so the segment's
+        # index line and footer still stand.
+        [victim] = tmp_path.glob("*.seg")
+        data = victim.read_bytes()
+        victim.write_bytes(b"{not json" + data[9:])
         with pytest.raises(StoreError):
             store.find()
+        with pytest.raises(StoreError):
+            FileStore(tmp_path).find()
 
     def test_mongostore_rejects_unknown_delete(self):
         from repro.core.errors import StoreError

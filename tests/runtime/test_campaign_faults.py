@@ -86,8 +86,8 @@ class TestCorruptLedgerEntries:
         spec, expected = reference
         store = FileStore(tmp_path)
         run_campaign(spec, store)
-        group = next(d for d in tmp_path.iterdir() if d.is_dir())
-        (group / "00000000-dead-000000.tmp").write_text("{trunca", encoding="utf-8")
+        debris = tmp_path / "00000000000000000000-dead-000001.seg.tmp"
+        debris.write_text("{trunca", encoding="utf-8")
         report = run_campaign(spec, store)
         assert report.executed == 0 and report.skipped == spec.n_cells
         assert _ledger_dict(store, spec.name) == expected

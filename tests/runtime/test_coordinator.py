@@ -715,8 +715,8 @@ class TestMonotoneLedger:
         assert store.calls["put_many"] == 8  # the artifact waves, nothing else
         assert store.target.count() == 64
         assert store.target.markers(spec.name) == []
-        groups = [p.name for p in (tmp_path / "s").iterdir()]
-        assert len(groups) == 64 + 1 and ".markers" in groups
+        names = [p.name for p in (tmp_path / "s").iterdir()]
+        assert len(names) == 8 + 1 and ".markers" in names  # a segment a wave
 
     def test_rival_joining_mid_run_resumes_per_wave_rereads(self, tmp_path):
         """A rival that appears mid-run is seen by the next wave's marker

@@ -1,24 +1,30 @@
-"""FileStore payload integrity: journal checksums + CorruptArtifactError.
+"""FileStore payload integrity: recorded checksums + CorruptArtifactError.
 
-Every ``put`` records a blake2b digest of the exact payload bytes in the
-sidecar journal line; payload reads (cache misses) re-hash the file and
-raise a **fatal** :class:`CorruptArtifactError` on mismatch.  These tests
-flip bits on disk the way bit rot / torn overwrites would and assert the
-damage is surfaced, typed, non-retryable, and observable.
+Every ``put`` records a blake2b digest of each record's exact bytes in
+its segment's index line (v1 groups: in their ``index.jsonl`` journal);
+payload reads (cache misses) re-hash the bytes and raise a **fatal**
+:class:`CorruptArtifactError` on mismatch.  These tests flip bits on
+disk the way bit rot / torn overwrites would and assert the damage is
+surfaced, typed, non-retryable, and observable.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 
 import pytest
 
 from repro.core.errors import CorruptArtifactError, StoreError, is_retryable
 from repro.core.samples import Profile, Sample
 from repro.storage import FileStore
-from repro.storage.filestore import INDEX_NAME
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
+from tests.storage.conftest import (
+    damage_record,
+    read_segment,
+    segment_files,
+    write_v1,
+)
 
 
 def make_profile(command="app x", tags=("k=1",), created=1.0):
@@ -29,11 +35,9 @@ def make_profile(command="app x", tags=("k=1",), created=1.0):
     return Profile(command=command, tags=tags, samples=samples, created=created)
 
 
-def corrupt_file(path):
-    """Flip one payload byte in place, keeping the file valid JSON."""
-    doc = json.loads(path.read_text())
-    doc["command"] = doc["command"] + "!"
-    path.write_text(json.dumps(doc))
+def corrupt_file(store, pid):
+    """Flip one payload byte in place, keeping the document valid JSON."""
+    damage_record(store.root, pid, b'"command": "app x"', b'"command": "app y"')
 
 
 @pytest.fixture
@@ -47,75 +51,52 @@ def counter(name: str) -> float:
 
 class TestChecksumRecording:
     def test_put_records_sum_in_journal(self, store):
+        """The journal of a put is its segment's index line."""
         pid = store.put(make_profile())
-        group = store.root / pid.split("/")[0]
-        [line] = (group / INDEX_NAME).read_text().splitlines()
-        row = json.loads(line)
-        assert row["id"] == pid
-        assert len(row["sum"]) == 32  # blake2b digest_size=16, hex
+        [segment] = segment_files(store.root)
+        [row], [data] = read_segment(segment)
+        assert pid == f"{segment.name}/000000"
+        assert row["sum"] == hashlib.blake2b(data, digest_size=16).hexdigest()
 
     def test_put_many_records_sums(self, store):
         ids = store.put_many([make_profile(created=float(i)) for i in range(4)])
-        group = store.root / ids[0].split("/")[0]
-        rows = [
-            json.loads(line)
-            for line in (group / INDEX_NAME).read_text().splitlines()
+        [segment] = segment_files(store.root)
+        rows, records = read_segment(segment)
+        assert ids == [f"{segment.name}/{n:06d}" for n in range(4)]
+        assert [row["sum"] for row in rows] == [
+            hashlib.blake2b(data, digest_size=16).hexdigest() for data in records
         ]
-        assert [row["id"] for row in rows] == ids
-        assert all(len(row["sum"]) == 32 for row in rows)
-
-    def test_healed_journal_lines_carry_sums(self, store):
-        """A profile whose journal line was lost (torn append) gets its
-        digest recorded when the index load heals it."""
-        pid = store.put(make_profile())
-        group = store.root / pid.split("/")[0]
-        (group / INDEX_NAME).unlink()
-        fresh = FileStore(store.root)
-        assert fresh.get("app x").command == "app x"  # heals the journal
-        [line] = (group / INDEX_NAME).read_text().splitlines()
-        assert len(json.loads(line)["sum"]) == 32
-
-    def test_compacted_journal_keeps_sums(self, store):
-        pid_keep = store.put(make_profile(created=1.0))
-        pid_gone = store.put(make_profile(created=2.0))
-        store.delete(pid_gone)
-        fresh = FileStore(store.root)
-        fresh.find("app x")  # stale line -> compacting rewrite
-        group = store.root / pid_keep.split("/")[0]
-        [line] = (group / INDEX_NAME).read_text().splitlines()
-        row = json.loads(line)
-        assert row["id"] == pid_keep
-        assert len(row["sum"]) == 32
 
 
 class TestCorruptionDetection:
     def test_same_store_detects_corruption(self, store):
         pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         with pytest.raises(CorruptArtifactError):
             store.get_many([pid])
 
     def test_fresh_store_detects_corruption_via_journal(self, store):
-        """A brand-new store instance judges the bytes against the
-        journal's recorded digest, not trust-on-first-read."""
-        pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        """A v1 payload is judged against the digest its group's
+        journal recorded, not trust-on-first-read."""
+        [pid] = write_v1(store.root, [make_profile()])
+        corrupt_file(store, pid)
         fresh = FileStore(store.root)
         with pytest.raises(CorruptArtifactError):
             fresh.get_many([pid])
 
     def test_direct_get_without_prior_index_load_detects(self, store):
-        """``get_many`` by raw id on a cold store loads the group journal
-        before reading the payload, so corruption is still caught."""
+        """``get_many`` by raw id on a cold store loads the segment's
+        index line before reading the payload, so corruption is still
+        caught."""
         pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         fresh = FileStore(store.root)
         with pytest.raises(CorruptArtifactError):
             fresh.get_many([pid])  # no find()/entries() beforehand
 
     def test_corruption_is_fatal_not_retryable(self, store):
         pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         with pytest.raises(CorruptArtifactError) as err:
             store.get_many([pid])
         assert not is_retryable(err.value)
@@ -123,7 +104,7 @@ class TestCorruptionDetection:
 
     def test_corruption_emits_event_and_metric(self, store):
         pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         sink = get_bus().add_sink(MemorySink())
         before = counter("store.corrupt")
         try:
@@ -139,7 +120,7 @@ class TestCorruptionDetection:
 
     def test_find_detects_corruption(self, store):
         pid = store.put(make_profile())
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         fresh = FileStore(store.root)
         with pytest.raises(CorruptArtifactError):
             fresh.find("app x")
@@ -147,25 +128,14 @@ class TestCorruptionDetection:
 
 class TestCompatibilityAndCaching:
     def test_legacy_journal_without_sums_still_reads(self, store):
-        """Journals written before the ``sum`` field verify on first
+        """v1 journals written before the ``sum`` field verify on first
         read (digest adopted), then pin subsequent reads."""
-        pid = store.put(make_profile())
-        group = store.root / pid.split("/")[0]
-        # Rewrite the journal the way the pre-checksum format did.
-        rows = [
-            json.loads(line)
-            for line in (group / INDEX_NAME).read_text().splitlines()
-        ]
-        for row in rows:
-            row.pop("sum", None)
-        (group / INDEX_NAME).write_text(
-            "".join(json.dumps(row) + "\n" for row in rows)
-        )
+        [pid] = write_v1(store.root, [make_profile()], sums=False)
         fresh = FileStore(store.root)
         assert fresh.get_many([pid])[0].command == "app x"
         # ... and the adopted digest now guards against later damage.
         fresh._payloads.clear()
-        corrupt_file(store.root / pid)
+        corrupt_file(store, pid)
         with pytest.raises(CorruptArtifactError):
             fresh.get_many([pid])
 
@@ -177,11 +147,9 @@ class TestCompatibilityAndCaching:
 
         pid = store.put(make_profile())
         assert store.get_many([pid])[0].command == "app x"
-        path = store.root / pid
+        [path] = segment_files(store.root)
         st = os.stat(path)
-        data = bytearray(path.read_bytes())
-        data[data.index(b"app x")] = ord("z")  # flip one byte, same size
-        path.write_bytes(bytes(data))
+        damage_record(store.root, pid, b"app x", b"zpp x")  # one byte, same size
         os.utime(path, ns=(st.st_mtime_ns, st.st_mtime_ns))
         assert store.get_many([pid])[0].command == "app x"  # stale hit
         store._payloads.clear()  # the entry drops (LRU eviction)

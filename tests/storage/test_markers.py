@@ -229,8 +229,8 @@ class TestFileLayout:
         assert [m.kind for m in store.markers("camp")] == ["member"]
 
     def test_dot_directories_are_not_groups(self, tmp_path):
-        """An empty ``.markers`` tree must neither count as a profile
-        group nor be garbage-collected as a dead one."""
+        """An empty ``.markers`` tree must neither count as a v1 profile
+        group nor be swept away."""
         root = tmp_path / "s"
         store = FileStore(root)
         pid = store.put(Profile(command="app"))
@@ -240,7 +240,7 @@ class TestFileLayout:
         assert fresh.count() == 1
         assert fresh.keys() == [("app", (), 1)]
         assert [p for p, _ in fresh._iter_profiles()] == [pid]
-        assert fresh._group_dirs() == [pid.split("/")[0]]
+        assert fresh._v1_groups == []
         assert (root / MARKER_DIR / mid.split("/")[0]).is_dir()
 
     def test_second_process_sees_marker_on_next_scan(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.core.samples import Profile, Sample
 from repro.storage import FileStore
 from repro.storage.filestore import PAYLOAD_CACHE_SIZE
 from repro.telemetry.metrics import get_registry
+from tests.storage.conftest import damage_record
 
 
 def make_profile(command="app x", tags=("k=1",), n_samples=3):
@@ -55,18 +56,13 @@ def test_cache_serves_find_and_find_ids(store):
 def test_cache_invalidated_on_file_replacement(store):
     [pid] = store.put_many([make_profile(command="mut")])
     assert store.get_many([pid])[0].n_samples == 3
-    # Replace the file on disk behind the store's back with a different
-    # mtime/size — the stat signature mismatch must force a re-read,
-    # which now trips the integrity check (the replaced bytes no longer
-    # hash to the digest recorded at put time).
-    path = store.root / pid
-    replacement = make_profile(command="mut", n_samples=7)
-    import json
-
+    # Replace the segment on disk behind the store's back with a
+    # different mtime — the stat signature mismatch must force a
+    # re-read, which now trips the integrity check (the replaced bytes
+    # no longer hash to the digest recorded at put time).
     from repro.core.errors import CorruptArtifactError
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(replacement.to_dict(), handle)
+    path = damage_record(store.root, pid, b'"mut"', b'"MUT"')
     os.utime(path, ns=(1, 1))
     with pytest.raises(CorruptArtifactError):
         store.get_many([pid])

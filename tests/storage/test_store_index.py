@@ -1,11 +1,11 @@
-"""Store index fast paths: equivalence pinning + sidecar index behaviour.
+"""Store index fast paths: equivalence pinning + segment index behaviour.
 
 The indexed ``find``/``entries``/``get`` paths must be *bit-identical*
 to the brute-force full scan they replace (``ProfileStore.find`` on the
 base class, which loads and tests every profile).  These tests pin that
 on randomized stores across all three backends, then exercise the
-FileStore sidecar index's failure modes: concurrent writers, truncated
-journal lines, deleted/missing index files, and the no-payload
+FileStore segment index: its layout, rival writers and deleters, v1
+groups with a torn, missing or garbage journal, and the no-payload
 guarantees of the index plane.
 """
 
@@ -20,7 +20,12 @@ from repro.core.errors import ProfileNotFoundError, StoreError
 from repro.core.samples import Profile, Sample
 from repro.storage import FileStore, MemoryStore, MongoStore
 from repro.storage.base import ProfileStore, StoreEntry
-from repro.storage.filestore import INDEX_NAME
+from tests.storage.conftest import (
+    V1_INDEX_NAME,
+    read_segment,
+    segment_files,
+    write_v1,
+)
 
 COMMANDS = ("app alpha", "app beta", "gmx mdrun")
 TAG_POOL = ("k=1", "j=2", "m=3", "campaign=camp", "cell=0123456789abcdef")
@@ -131,6 +136,37 @@ class TestIndexedEquivalence:
             ]
         assert store.count() == 30
 
+    def test_equivalence_survives_two_interleaved_handles(self, store):
+        """``put``/``put_many``/``delete`` interleaved from two handles
+        on one root: after every step both agree with the full scan."""
+        rng = random.Random(29)
+        other = FileStore(store.root) if isinstance(store, FileStore) else store
+        handles = (store, other)
+        live: list[str] = []
+        for step in range(60):
+            actor, observer = rng.sample(handles, 2) if other is not store \
+                else (store, store)
+            roll = rng.random()
+            if roll < 0.3:
+                live.append(actor.put(random_profile(rng, 1000.0 + step)))
+            elif roll < 0.6 or not live:
+                live.extend(actor.put_many(
+                    [random_profile(rng, 1000.0 + step + rng.random())
+                     for _ in range(rng.randint(0, 4))]
+                ))
+            else:
+                actor.delete(live.pop(rng.randrange(len(live))))
+            assert sorted(observer.ids_for()) == sorted(live)
+        for handle in handles:
+            for command, tags, query in PROBES:
+                assert [p.to_dict() for p in handle.find(command, tags, query)] == [
+                    p.to_dict()
+                    for p in ProfileStore.find(handle, command, tags, query)
+                ]
+                assert [tuple(e) for e in handle.entries(command, tags)] == [
+                    tuple(e) for e in ProfileStore.entries(handle, command, tags)
+                ]
+
     def test_get_many_unknown_id_raises(self, store):
         store.put(make_profile())
         with pytest.raises(StoreError):
@@ -151,27 +187,49 @@ class TestIndexedEquivalence:
 
 
 class TestFileStoreSidecarIndex:
-    """`index.jsonl` journal: layout, healing, cross-process visibility."""
+    """The segment index: layout, cross-process visibility, debris, and
+    the read-only view of v1 groups whose journal is damaged."""
 
     def test_sidecar_journal_layout(self, tmp_path):
-        store = FileStore(tmp_path / "p")
-        pid = store.put(make_profile(created=5.0))
-        group = (tmp_path / "p" / pid).parent
-        lines = [json.loads(line) for line in
-                 (group / INDEX_NAME).read_text().splitlines()]
-        [line] = lines
-        digest = line.pop("sum")
-        assert line == {
-            "id": pid, "command": "app x", "tags": ["k=1"], "created": 5.0,
-        }
-        # The recorded digest is the blake2b-128 of the payload bytes.
+        """One put is one segment: the document, then the index line
+        that journals it, then the footer pointing at that line."""
         import hashlib
 
-        data = (tmp_path / "p" / pid).read_bytes()
-        assert digest == hashlib.blake2b(data, digest_size=16).hexdigest()
+        store = FileStore(tmp_path / "p")
+        pid = store.put(make_profile(created=5.0))
+        [segment] = (tmp_path / "p").iterdir()
+        assert pid == f"{segment.name}/000000"
+        assert segment.name.startswith("00000000005000000000-")
+        assert segment.name.endswith("-000001.seg")
+        [row], [data] = read_segment(segment)
+        assert json.loads(data) == make_profile(created=5.0).to_dict()
+        # The recorded digest is the blake2b-128 of the record's bytes.
+        assert row == {
+            "command": "app x", "tags": ["k=1"], "created": 5.0,
+            "sum": hashlib.blake2b(data, digest_size=16).hexdigest(),
+            "offset": 0, "length": len(data),
+        }
+
+    def test_put_many_is_one_segment(self, tmp_path):
+        store = FileStore(tmp_path / "p")
+        profiles = [make_profile(command=f"c{i}", created=float(i)) for i in range(8)]
+        ids = store.put_many(profiles)
+        [segment] = (tmp_path / "p").iterdir()
+        assert ids == [f"{segment.name}/{n:06d}" for n in range(8)]
+        rows, records = read_segment(segment)
+        assert [row["command"] for row in rows] == [f"c{i}" for i in range(8)]
+        assert [json.loads(data) for data in records] == [
+            profile.to_dict() for profile in profiles
+        ]
+
+    def test_put_many_of_nothing_writes_nothing(self, tmp_path):
+        store = FileStore(tmp_path / "p")
+        assert store.put_many([]) == []
+        assert store.put_many(iter(())) == []
+        assert list((tmp_path / "p").iterdir()) == []
 
     def test_second_writer_invalidates_cached_index(self, tmp_path):
-        """Writer B appends to a group after writer A cached its index;
+        """Writer B adds a segment after writer A cached its index;
         A's next ``find``/``get`` must see B's profiles."""
         root = tmp_path / "p"
         writer_a, writer_b = FileStore(root), FileStore(root)
@@ -191,75 +249,78 @@ class TestFileStoreSidecarIndex:
         assert len(writer_a.find("b")) == 1
 
     def test_second_writer_delete_is_visible(self, tmp_path):
+        """Both kinds of delete reach a rival's warm cache: a tombstone
+        beside a segment that lives on, and a segment unlinked whole."""
         root = tmp_path / "p"
         writer_a, writer_b = FileStore(root), FileStore(root)
         pid = writer_a.put(make_profile(created=1.0))
-        writer_a.put(make_profile(created=2.0))
-        assert writer_b.count() == 2  # warm B's cache
+        pair = writer_a.put_many([make_profile(created=2.0), make_profile(created=3.0)])
+        assert writer_b.count() == 3  # warm B's cache
         writer_a.delete(pid)
+        writer_a.delete(pair[0])
         assert writer_b.count() == 1
-        assert len(writer_b.find("app x")) == 1
+        assert [p.created for p in writer_b.find("app x")] == [3.0]
+        with pytest.raises(StoreError):
+            writer_b.get_many([pair[0]])
+        with pytest.raises(StoreError):
+            writer_b.delete(pair[0])  # already deleted: the tombstone is there
 
     def test_truncated_journal_line_replays(self, tmp_path):
-        """A torn concurrent append (truncated trailing line) is healed
-        from the profile files and the journal compacts back."""
-        store = FileStore(tmp_path / "p")
-        ids = store.put_many([make_profile(created=float(i)) for i in range(3)])
-        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
+        """A v1 group whose journal ends in a torn line still lists all
+        its files — and the shim leaves the journal as it found it."""
+        root = tmp_path / "p"
+        ids = write_v1(root, [make_profile(created=float(i)) for i in range(3)])
+        index_path = (root / ids[0]).parent / V1_INDEX_NAME
         text = index_path.read_text(encoding="utf-8")
         index_path.write_text(text[: text.rfind('"created"')], encoding="utf-8")
-        fresh = FileStore(tmp_path / "p")
+        torn = index_path.read_bytes()
+        fresh = FileStore(root)
         assert fresh.count() == 3
         assert [p.created for p in fresh.find("app x")] == [0.0, 1.0, 2.0]
-        healed = [json.loads(line) for line in
-                  index_path.read_text().splitlines()]
-        assert sorted(row["id"] for row in healed) == sorted(ids)
+        assert fresh.ids_for() == ids
+        assert index_path.read_bytes() == torn
 
     def test_missing_journal_rebuilds_from_files(self, tmp_path):
-        store = FileStore(tmp_path / "p")
-        ids = store.put_many([make_profile(created=float(i)) for i in range(3)])
-        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
-        index_path.unlink()
-        fresh = FileStore(tmp_path / "p")
+        root = tmp_path / "p"
+        ids = write_v1(
+            root, [make_profile(created=float(i)) for i in range(3)], journal=False
+        )
+        fresh = FileStore(root)
         assert fresh.count() == 3
-        assert index_path.exists()  # journal regrown for the next reader
+        assert fresh.ids_for() == ids
+        # Rebuilt in memory only: v1 groups are never written.
+        assert not ((root / ids[0]).parent / V1_INDEX_NAME).exists()
 
     def test_garbage_journal_rebuilds(self, tmp_path):
-        store = FileStore(tmp_path / "p")
-        ids = store.put_many([make_profile(created=float(i)) for i in range(2)])
-        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
+        root = tmp_path / "p"
+        ids = write_v1(root, [make_profile(created=float(i)) for i in range(2)])
+        index_path = (root / ids[0]).parent / V1_INDEX_NAME
         index_path.write_text("not json at all\n{\n", encoding="utf-8")
-        fresh = FileStore(tmp_path / "p")
+        fresh = FileStore(root)
         assert fresh.count() == 2
         assert len(fresh.find("app x")) == 2
 
-    def test_stale_journal_lines_after_delete_compact(self, tmp_path):
-        store = FileStore(tmp_path / "p")
-        ids = store.put_many([make_profile(created=float(i)) for i in range(3)])
-        store.delete(ids[1])
-        fresh = FileStore(tmp_path / "p")
-        assert fresh.count() == 2
-        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
-        rows = [json.loads(line) for line in index_path.read_text().splitlines()]
-        assert sorted(row["id"] for row in rows) == sorted([ids[0], ids[2]])
-
     def test_delete_edits_the_cached_index_in_place(self, tmp_path):
-        """Deleting one profile of a live group must not throw the
-        group's cached index away: the next query is a cache hit that
-        neither re-reads nor rewrites the journal — the stale line waits
-        for the next cold load (the test above)."""
+        """Deleting one record of a live segment must not throw the
+        cached index away: the next query loads nothing, and the segment
+        file itself is never rewritten — a tombstone stands beside it."""
         from repro.telemetry.metrics import get_registry
 
         store = FileStore(tmp_path / "p")
         ids = store.put_many([make_profile(created=float(i)) for i in range(3)])
         assert store.count() == 3  # index warm
-        index_path = (tmp_path / "p" / ids[0]).parent / INDEX_NAME
-        journal = index_path.read_bytes()
+        [segment] = segment_files(tmp_path / "p")
+        stored = segment.read_bytes()
         misses = get_registry().counter("store.index.miss")
+        loaded = get_registry().counter("store.segments.loaded")
         store.delete(ids[1])
         assert [entry.id for entry in store.entries()] == [ids[0], ids[2]]
         assert get_registry().counter("store.index.miss") == misses
-        assert index_path.read_bytes() == journal
+        assert get_registry().counter("store.segments.loaded") == loaded
+        assert segment.read_bytes() == stored
+        assert sorted(p.name for p in (tmp_path / "p").iterdir()) == [
+            segment.name, f"{segment.name}.000001.del",
+        ]
         # The in-place edit keeps later writes and deletes consistent.
         new = store.put(make_profile(created=9.0))
         store.delete(ids[0])
@@ -270,16 +331,16 @@ class TestFileStoreSidecarIndex:
 
     def test_index_plane_never_opens_payloads(self, tmp_path, monkeypatch):
         """``count``/``keys``/``entries``/``ids_for`` answer from
-        filenames and the sidecar index alone."""
+        the segments' index lines alone."""
         store = FileStore(tmp_path / "p")
         store.put_many([make_profile(command=c, created=float(i))
                         for i, c in enumerate(["a", "a", "b"])])
         fresh = FileStore(tmp_path / "p")
 
-        def explode(self, path):
-            raise AssertionError(f"payload opened: {path}")
+        def explode(self, pid, data, expected):
+            raise AssertionError(f"payload opened: {pid}")
 
-        monkeypatch.setattr(FileStore, "_read_doc", explode)
+        monkeypatch.setattr(FileStore, "_decode", explode)
         assert fresh.count() == 3
         assert fresh.keys() == [("a", ("k=1",), 2), ("b", ("k=1",), 1)]
         assert len(fresh.entries(tags=["k=1"])) == 3
@@ -290,48 +351,67 @@ class TestFileStoreSidecarIndex:
         store.put_many([make_profile(created=float(i)) for i in range(5)])
         fresh = FileStore(tmp_path / "p")
         opened = []
-        original = FileStore._read_doc
+        original = FileStore._decode
 
-        def counting(self, pid, path):
-            opened.append(path)
-            return original(self, pid, path)
+        def counting(self, pid, data, expected):
+            opened.append(pid)
+            return original(self, pid, data, expected)
 
-        monkeypatch.setattr(FileStore, "_read_doc", counting)
+        monkeypatch.setattr(FileStore, "_decode", counting)
         assert fresh.get("app x").created == 4.0
         assert len(opened) == 1
 
+    def test_get_many_opens_each_segment_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        store = FileStore(tmp_path / "p")
+        ids = store.put_many([make_profile(created=float(i)) for i in range(6)])
+        ids += store.put_many([make_profile(created=float(i)) for i in range(6, 9)])
+        fresh = FileStore(tmp_path / "p")
+        fresh.count()  # index lines loaded; payloads are not
+        opened = []
+        real_open = builtins.open
+
+        def counting(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        profiles = fresh.get_many(ids[::-1])
+        monkeypatch.undo()
+        assert [p.created for p in profiles] == [float(i) for i in range(8, -1, -1)]
+        assert sorted(opened) == [str(p) for p in segment_files(tmp_path / "p")]
+
     def test_dead_groups_are_garbage_collected(self, tmp_path):
-        """A group whose every profile was deleted (a cleaned-up
-        campaign claim) disappears entirely instead of being re-scanned
-        by every later query."""
+        """A batch whose every profile was deleted (a cleaned-up wave of
+        campaign claims) disappears entirely — segment and tombstones —
+        instead of being listed by every later query."""
         root = tmp_path / "p"
         store = FileStore(root)
         keep = store.put(make_profile(command="keep"))
-        doomed = store.put(make_profile(command="claim marker"))
-        store.delete(doomed)
-        assert store.find("claim marker") == []  # triggers the lazy GC
-        assert [d.name for d in root.iterdir()] == [keep.split("/")[0]]
-        # The group revives cleanly if the key is ever written again.
+        doomed = store.put_many(
+            [make_profile(command="claim marker", created=float(i)) for i in range(3)]
+        )
+        for pid in doomed[:2]:
+            store.delete(pid)
+        assert len(list(root.iterdir())) == 4  # two segments, two tombstones
+        store.delete(doomed[2])
+        assert [p.name for p in root.iterdir()] == [keep.split("/")[0]]
+        assert store.find("claim marker") == []
+        assert FileStore(root).count() == 1
+        # The key comes back cleanly if it is ever written again.
         store.put(make_profile(command="claim marker"))
         assert len(store.find("claim marker")) == 1
 
-    def test_write_survives_concurrent_group_gc(self, tmp_path):
-        """A reader's empty-group GC can rmdir the directory between a
-        writer's mkdir and its first file write; the write must recover
-        by re-creating the group, not fail the put."""
-        store = FileStore(tmp_path / "p")
-        group = tmp_path / "p" / "deadbeefdeadbeef"  # GC'd: does not exist
-        pid = store._write(group, make_profile())
-        assert (tmp_path / "p" / pid).is_file()
-
     def test_tmp_debris_is_ignored_by_the_index(self, tmp_path):
         store = FileStore(tmp_path / "p")
-        pid = store.put(make_profile())
-        group = (tmp_path / "p" / pid).parent
-        (group / "00000000-dead-000000.tmp").write_text("{trunca", encoding="utf-8")
+        store.put(make_profile())
+        debris = tmp_path / "p" / "00000000000000000000-dead-000001.seg.tmp"
+        debris.write_text("{trunca", encoding="utf-8")
         fresh = FileStore(tmp_path / "p")
         assert fresh.count() == 1
         assert len(fresh.find("app x")) == 1
+        assert len(ProfileStore.find(fresh, "app x")) == 1
 
 
 class TestMongoCollectionIndexes:

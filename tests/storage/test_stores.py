@@ -104,16 +104,20 @@ class TestFileStore:
         with pytest.raises(StoreError):
             store.delete("nope.json")
 
-    def test_groups_by_key_hash(self, tmp_path):
+    def test_one_segment_per_put(self, tmp_path):
+        """Whatever the keys: a call is a file, never a directory."""
         root = tmp_path / "p"
         store = FileStore(root)
         store.put(make_profile(command="a"))
-        store.put(make_profile(command="b"))
-        assert len(list(root.iterdir())) == 2
+        store.put(make_profile(command="a"))
+        store.put_many([make_profile(command="a"), make_profile(command="b")])
+        assert len(list(root.iterdir())) == 3
+        assert all(p.is_file() and p.suffix == ".seg" for p in root.iterdir())
+        assert store.keys() == [("a", ("k=1",), 3), ("b", ("k=1",), 1)]
 
     def test_concurrent_writers_never_clobber(self, tmp_path):
         """Two stores (two processes' worth of sequence counters) writing
-        the same group at the same creation timestamp keep both files."""
+        the same key at the same creation timestamp keep both segments."""
         root = tmp_path / "p"
         first, second = FileStore(root), FileStore(root)
         profile = make_profile(created=1234.5)
@@ -234,7 +238,6 @@ class TestFileStoreDurability:
         pid = store.put(make_profile())
         [loaded] = store.get_many([pid])
         assert loaded.command == "app x"
-        # The sidecar journal still accrues (fsynced) entries.
         assert FileStore(tmp_path / "durable").count() == 1
 
     def test_fsync_mode_actually_syncs(self, tmp_path, monkeypatch):
@@ -247,9 +250,13 @@ class TestFileStoreDurability:
         )
         FileStore(tmp_path / "plain").put(make_profile())
         assert synced == []  # default mode: no fsync on the write path
-        FileStore(tmp_path / "durable", durability="fsync").put(make_profile())
-        # Payload file + group directory + journal, at minimum.
-        assert len(synced) >= 3
+        durable = FileStore(tmp_path / "durable", durability="fsync")
+        durable.put(make_profile())
+        assert len(synced) == 2  # the segment, then the root directory
+        # ... per call, not per profile.
+        durable.put_many([make_profile(command=f"c{i}") for i in range(8)])
+        assert len(synced) == 4
+        assert durable.count() == 9
 
     def test_unknown_durability_rejected(self, tmp_path):
         from repro.core.errors import ConfigError

@@ -168,14 +168,21 @@ class TestStoreMetrics:
 
     def test_index_hit_and_miss_counters(self, tmp_path):
         registry = get_registry()
+        FileStore(tmp_path / "store").put_many(
+            [Profile(command="mdrun", tags=("grid=a",))] * 3
+        )
+        assert registry.counter("store.put.records") == 3
+        [segment] = (tmp_path / "store").iterdir()
+        assert registry.counter("store.put.bytes") == segment.stat().st_size
         store = FileStore(tmp_path / "store")
-        store.put(Profile(command="mdrun", tags=("grid=a",)))
-        store.entries("mdrun")  # first validation parses the journal
-        misses = registry.counter("store.index.miss")
-        assert misses >= 1
-        store.entries("mdrun")  # unchanged file set -> cached index
-        assert registry.counter("store.index.hit") >= 1
-        assert registry.counter("store.index.miss") == misses
+        store.entries("mdrun")  # a cold handle reads the segment's index line
+        assert registry.counter("store.index.miss") == 1
+        assert registry.counter("store.segments.loaded") == 1
+        hits = registry.counter("store.index.hit")
+        store.entries("mdrun")  # unchanged listing -> cached index
+        assert registry.counter("store.index.hit") == hits + 1
+        assert registry.counter("store.index.miss") == 1
+        assert registry.counter("store.segments.loaded") == 1
 
     def test_memory_store_observes_too(self):
         registry = get_registry()
