@@ -125,16 +125,13 @@ class Profiler:
         if grid is not None:
             # Sim-plane fast path: the process's history is precomputed,
             # so the grid and the drain point are interpolated in one
-            # pass and handed over as the two batches a sampling loop
-            # followed by a drain would have delivered.
+            # pass and handed over as one batch — the samples a sampling
+            # loop followed by a drain would have delivered.
             times = np.asarray(grid + drain)
-            counters = handle.counters_many(times)
-            for lo, hi in ((0, len(grid)), (len(grid), len(times))):
-                if hi > lo:
-                    self._sample_batch(
-                        watchers, times[lo:hi],
-                        {name: values[lo:hi] for name, values in counters.items()},
-                    )
+            if len(times):
+                self._sample_batch(
+                    watchers, times, handle.counters_many(times)
+                )
         elif drain:
             counters_many = getattr(handle, "counters_many", None)
             if counters_many is not None and self._batchable(watchers):

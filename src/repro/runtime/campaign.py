@@ -65,6 +65,7 @@ from typing import Any, Callable, Mapping
 from repro.core.errors import ConfigError, is_retryable
 from repro.core.samples import Profile
 from repro.faults import inject
+from repro.runtime.execute import PlanScope, plan_scope
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
 from repro.telemetry.events import get_bus
 from repro.telemetry.spans import span
@@ -304,6 +305,12 @@ class CampaignCell:
             "rep": self.rep,
         }
 
+    @property
+    def row(self) -> tuple[bool, int, int, None]:
+        """The noise identity of :meth:`to_request`'s request
+        (:func:`repro.runtime.execute.noise_row`), without building it."""
+        return (self.spec.noisy, self.seed, self.rep + 1, None)
+
     def to_request(self) -> RunRequest:
         """The declarative run request this cell executes as."""
         app = self.spec.app_model(self.app)
@@ -439,6 +446,38 @@ class CampaignReport:
              self.deferred, self.remaining]
         )
         return table
+
+
+def _by_pair(cells: Any) -> dict[tuple[str, str], list[CampaignCell]]:
+    """``cells`` by (app, machine), each pair's in the order given."""
+    pairs: dict[tuple[str, str], list[CampaignCell]] = {}
+    for cell in cells:
+        pairs.setdefault((cell.app, cell.machine), []).append(cell)
+    return pairs
+
+
+def _declare_wave(
+    plans: PlanScope,
+    pairs: Mapping[tuple[str, str], list[CampaignCell]],
+    wave: list[CampaignCell],
+    requests: list[RunRequest],
+    done: Any = frozenset(),
+) -> None:
+    """Declare in ``plans`` every (app, machine) pair of a wave that is
+    not live there: the rows that pair's cells outside ``done`` — this
+    wave's and the later ones' — will ask for.
+
+    One tuple per pending cell of the pair, for as long as the pair is
+    live; the requests are still built wave by wave.  Rows that are
+    never asked for (``limit``, ``stop``, a failed cell, a rival's
+    lease) may be replayed in a block, and are dropped with the scope.
+    """
+    for cell, request in zip(wave, requests):
+        if plans.group(request.target, request.machine) is None:
+            plans.declare(request.target, request.machine, [
+                each.row for each in pairs[cell.app, cell.machine]
+                if each.digest not in done
+            ])
 
 
 def parse_shard(shard: Any) -> tuple[int, int]:
@@ -807,10 +846,15 @@ def run_campaign(
     start = time.perf_counter()
     step = max(1, checkpoint)
     n_waves = (len(pending) + step - 1) // step
+    pairs = _by_pair(pending)
+    # One plan scope for the sweep: every wave's ``svc.run`` executes in
+    # it, so an (app, machine) pair is prepared once and its seeds
+    # replay a block at a time, however small the waves.  The targets
+    # are the spec's own models, which nothing mutates meanwhile.
     with span(
         "campaign.run", level="info", campaign=spec.name, total=len(cells),
         skipped=skipped, assigned=assigned, shard=shard_label, owner=owner,
-    ) as campaign_span:
+    ) as campaign_span, plan_scope() as plans:
         bus.event(
             "campaign.start", campaign=spec.name, total=len(cells),
             skipped=skipped, assigned=assigned, waves=n_waves,
@@ -861,6 +905,7 @@ def run_campaign(
                                  "machine": cell.machine, "error": repr(exc)}
                             )
                             wave_failed += 1
+                    _declare_wave(plans, pairs, runnable, requests)
                     results = svc.run(requests, processes=processes, rethrow=False)
                     artifacts = []
                     for cell, result in zip(runnable, results):

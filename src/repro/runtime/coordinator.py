@@ -74,9 +74,12 @@ from repro.runtime.campaign import (
     DEFAULT_CHECKPOINT,
     CampaignReport,
     CampaignSpec,
+    _by_pair,
+    _declare_wave,
     _store_op,
     completed_cells,
 )
+from repro.runtime.execute import plan_scope
 from repro.runtime.service import RunService, batch_budget, get_service
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
@@ -504,10 +507,14 @@ def elastic_worker(
     step = max(1, batch)
 
     heartbeat = _Heartbeat(store, lock, name, worker, lease_ttl)
+    pairs = _by_pair(cells.values())
+    # One plan scope for this worker's stay, as in ``run_campaign``: a
+    # pair's first wave declares the cells of it still missing from the
+    # ledger as this worker sees it — rivals may take some of them.
     with span(
         "campaign.run", level="info", campaign=name, total=len(cells),
         skipped=skipped, owner=worker, elastic=True,
-    ) as campaign_span:
+    ) as campaign_span, plan_scope() as plans:
         heartbeat.register()
         heartbeat.start()
         members = live_members(store, name, lease_ttl)
@@ -700,6 +707,7 @@ def elastic_worker(
                             wave_failed += 1
                     heartbeat.hold(won, batch_budget(requests))
                     try:
+                        _declare_wave(plans, pairs, runnable, requests, done)
                         results = svc.run(
                             requests, processes=processes, rethrow=False
                         )

@@ -16,48 +16,186 @@ service, and this module must stay importable from either side.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import contextlib
+from collections.abc import Iterable, Iterator, Mapping
+from contextvars import ContextVar
 from typing import Any
 
 from repro.core.errors import ConfigError, WorkloadError
 from repro.faults import inject
 from repro.runtime.service import RunRequest
 
-__all__ = ["PlanGroup", "dispatch"]
+__all__ = ["PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope"]
+
+#: What determines a record given the plan: ``(noisy, seed, index,
+#: noise_seed)``.  Rows are keyed by it, not by request identity, because
+#: a request object does not outlive its batch.
+NoiseRow = tuple[bool, int, int, int | None]
+
+
+def noise_row(request: RunRequest) -> NoiseRow:
+    """The noise identity of an ``engine``/``profile`` request
+    (``noise_seed`` only overrides the derivation of ``engine`` ones,
+    see :func:`_noise_model`)."""
+    return (
+        request.noisy, request.seed, request.index,
+        request.noise_seed if request.kind == "engine" else None,
+    )
 
 
 class PlanGroup:
-    """One entry of a batch's plan table: the ``engine``/``profile``
-    requests that share a (target, machine), and — once the first of
-    them to be attempted has built them — their engine plan and the
-    records replayed from it that nobody has taken yet.
+    """One (target, machine) pair of a :class:`PlanScope`: the rows
+    declared for it that no block has replayed yet, and — once a request
+    has built it — the pair's engine plan and the records replayed from
+    it that nobody has taken.
 
-    ``block`` says whether the group's seeds may still be replayed as
-    one block; it is spent by the first attempt that gets as far as
-    replaying, whatever comes of it (see :func:`_replayed`).
+    It keeps ``target`` and ``machine`` alive because the scope finds it
+    by their identity.
     """
 
-    __slots__ = ("requests", "plan", "records", "block")
+    __slots__ = ("target", "machine", "pending", "plan", "records")
 
-    def __init__(self, requests: Any = ()) -> None:
-        self.requests: list[RunRequest] = list(requests)
+    def __init__(
+        self, target: Any, machine: Any, rows: Iterable[NoiseRow] = ()
+    ) -> None:
+        self.target = target
+        self.machine = machine
+        #: Declared rows in declaration order; equal rows stay apart.
+        self.pending: list[NoiseRow] = list(rows)
         self.plan: Any = None
-        #: ``id(request)`` -> its ``ExecutionRecord``, until taken.
-        self.records: dict[int, Any] = {}
-        self.block = True
+        #: Row -> the ``ExecutionRecord`` of each request still to ask
+        #: for it; never more than one block's worth in all.
+        self.records: dict[NoiseRow, list[Any]] = {}
+
+    def take(self, row: NoiseRow) -> Any:
+        """A waiting record of ``row``, or ``None``."""
+        waiting = self.records.get(row)
+        if not waiting:
+            return None
+        record = waiting.pop()
+        if not waiting:
+            del self.records[row]
+        return record
+
+    def claim(self, row: NoiseRow, limit: int) -> list[NoiseRow]:
+        """Take the next block out of the pending rows: up to ``limit``
+        of them from ``row`` on, wrapping round to the rows declared
+        before it; nothing when ``row`` is not pending."""
+        try:
+            at = self.pending.index(row)
+        except ValueError:
+            return []
+        order = self.pending[at:] + self.pending[:at]
+        self.pending = order[limit:]
+        return order[:limit]
+
+
+class PlanScope:
+    """The ``(target, machine) -> PlanGroup`` table and whoever opened
+    it (see :func:`plan_scope`): one run-service batch, one pooled
+    chunk, or one ``run_campaign``/``elastic_worker`` invocation.
+
+    Pairs are found by the *identity* of target and machine.  The owner
+    answers for what that takes: the objects are not mutated while the
+    scope is open, and the scope dies with the invocation that opened
+    it.  What it holds is bounded per live pair — the plan and under a
+    block of records — and a pair stops being live when its last
+    declared row is taken.
+
+    It also resolves each distinct request config mapping once.
+    """
+
+    def __init__(self) -> None:
+        self.groups: dict[tuple[int, int], PlanGroup] = {}
+        self._configs: dict[Any, Any] = {}
+
+    def group(self, target: Any, machine: Any) -> PlanGroup | None:
+        return self.groups.get((id(target), id(machine)))
+
+    def declare(
+        self, target: Any, machine: Any, rows: Iterable[NoiseRow]
+    ) -> None:
+        """Say which rows requests for (target, machine) will ask for,
+        in the order they will; a pair that is live keeps its rows."""
+        key = (id(target), id(machine))
+        if key not in self.groups:
+            self.groups[key] = PlanGroup(target, machine, rows)
+
+    def drop(self, group: PlanGroup) -> None:
+        self.groups.pop((id(group.target), id(group.machine)), None)
+
+    def close(self) -> None:
+        self.groups.clear()
+        self._configs.clear()
+
+    def config(self, config: Any):
+        """:func:`_as_config`, once per distinct mapping (by the types
+        and values of its items; one with an unhashable value is
+        resolved on every call).  A mapping that does not validate
+        raises here and caches nothing."""
+        if not isinstance(config, Mapping):
+            return _as_config(config)
+        try:
+            key = frozenset((k, type(v), v) for k, v in config.items())
+            resolved = self._configs.get(key)
+        except TypeError:
+            return _as_config(config)
+        if resolved is None:
+            resolved = self._configs[key] = _as_config(config)
+        return resolved
+
+    # A pooled chunk's scope crosses to the worker in the same pickle as
+    # the chunk's targets and machines, so the groups' objects are the
+    # worker's copies of those: re-key by their identity there.
+
+    def __getstate__(self) -> list[PlanGroup]:
+        return list(self.groups.values())
+
+    def __setstate__(self, groups: list[PlanGroup]) -> None:
+        self.__init__()
+        for group in groups:
+            self.groups[id(group.target), id(group.machine)] = group
+
+
+_ACTIVE: ContextVar[PlanScope | None] = ContextVar("repro_plan_scope", default=None)
+
+
+@contextlib.contextmanager
+def plan_scope() -> Iterator[PlanScope]:
+    """The plan scope requests execute in: the active one if there is
+    one, else a new one that is closed on exit.
+
+    ``RunService.run`` executes its batch in it, so a batch on its own
+    prepares each (target, machine) once for itself, and the batches
+    run inside one ``with plan_scope():`` — a campaign's waves — once
+    for all of them.  It travels as a context variable, like spans,
+    because services are wrapped and overridden at ``run(requests,
+    processes, rethrow)``.
+    """
+    plans = _ACTIVE.get()
+    if plans is not None:
+        yield plans
+        return
+    plans = PlanScope()
+    token = _ACTIVE.set(plans)
+    try:
+        yield plans
+    finally:
+        _ACTIVE.reset(token)
+        plans.close()
 
 
 def dispatch(
     request: RunRequest, target: Any, machine: Any,
-    group: PlanGroup | None = None,
+    plans: PlanScope | None = None,
 ) -> Any:
     """Execute one request; ``target``/``machine`` are passed separately
     because pooled requests ship them via the batch's shared payload.
 
-    ``group`` is the request's entry in the batch's plan table (see
+    ``plans`` is the scope the request executes in (see
     :func:`_replayed`): the run service passes it so that requests
-    sharing (target, machine) prepare once and replay their seeds as one
-    block.  Without it the request prepares and replays for itself
+    sharing (target, machine) prepare once and replay their seeds in
+    blocks.  Without it the request prepares and replays for itself
     alone.
     """
     # Chaos plane: fires in whichever process executes the request — a
@@ -67,9 +205,9 @@ def dispatch(
     if request.kind == "call":
         return request.runner()  # type: ignore[misc]
     if request.kind == "engine":
-        return _execute_engine(request, target, machine, group)
+        return _execute_engine(request, target, machine, plans)
     if request.kind == "profile":
-        return _execute_profile(request, target, machine, group)
+        return _execute_profile(request, target, machine, plans)
     if request.kind == "emulate":
         return _execute_emulate(request, target, machine)
     raise WorkloadError(f"cannot execute run kind {request.kind!r}")
@@ -106,21 +244,22 @@ def _sim_backend(request: RunRequest, machine: Any):
     )
 
 
-def _noise_model(request: RunRequest, spec: Any, workload: Any):
-    """The request's noise model: the spawn-slot derivation of
+def _noise_model(row: NoiseRow, spec: Any, workload: Any):
+    """The noise model of one row: the spawn-slot derivation of
     :func:`repro.sim.backend._noise_for`, which ``noise_seed`` overrides
     for ``engine`` requests (a profile is a spawn on a rebuilt backend,
     and has always drawn its slot's noise)."""
     from repro.sim.backend import _noise_for  # noqa: PLC0415 (cycle)
     from repro.sim.noise import NoiseModel  # noqa: PLC0415 (cycle)
 
-    if request.noisy and request.kind == "engine" and request.noise_seed is not None:
+    noisy, seed, index, noise_seed = row
+    if noisy and noise_seed is not None:
         return NoiseModel(
-            seed=request.noise_seed,
+            seed=noise_seed,
             duration_sigma=spec.noise_sigma,
             counter_sigma=spec.noise_sigma / 3.0,
         )
-    return _noise_for(spec, workload, request.noisy, request.seed, request.index)
+    return _noise_for(spec, workload, noisy, seed, index)
 
 
 def _resolve_workload(target: Any, spec: Any):
@@ -144,75 +283,79 @@ def _resolve_workload(target: Any, spec: Any):
 
 
 def _replayed(
-    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None
+    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None
 ):
     """The request's ``ExecutionRecord``.
 
-    The first request of a group to be attempted resolves the machine,
-    builds the workload, prepares the plan *and* replays the seeds of
-    every request of the group as one block
-    (:meth:`~repro.sim.engine.Engine.replay_many`); the others take
-    their record from the group.  A request that finds the plan but no
-    record replays alone: it took its record and is being retried, or
-    the group's rows do not fit one block
-    (:func:`~repro.sim.engine.block_rows`).  Records wait in the group
-    until taken, so a group holds at most a block's worth of them; a
-    plan too big for that is still shared, and its records are made
-    one at a time.
+    A request whose record is waiting in its pair's group takes it.
+    Otherwise it replays one block itself: the first of a pair to get
+    here resolves the machine, builds the workload and prepares the
+    plan, and every one replays the next
+    :func:`~repro.sim.engine.block_rows` declared rows from its own on
+    (:meth:`PlanGroup.claim`) with
+    :meth:`~repro.sim.engine.Engine.replay_many`, keeps its own record
+    and leaves the others waiting.  A request whose row is not pending —
+    its pair was never declared, or it took its record and is being
+    retried — replays alone.  A new block replaces what the one before
+    left (rows nobody came for), so under a block of records wait per
+    pair, and the pair is dropped from the scope with its plan when its
+    last declared row is taken.
 
     All of it runs inside the request's attempt: a failure is that
     request's failure, is retried under its policy, and stores nothing.
     A failed *build* leaves the group as it was, so the next attempt
-    builds again.  A failed *block* is not tried twice: the next
-    attempt prepares again and replays alone, and so does every other
-    request of the group, so one request's trouble cannot fail the
-    others.
-
-    The group is an entry of the batch's plan table, which is keyed by
-    the slots of the batch's shared target and machine tables and dies
-    with the batch — so there is nothing to invalidate, and an app
-    mutated between batches is seen.
+    builds again.  A failed *block* is not tried twice: the pair's
+    pending rows are forgotten, so the next attempt and every other
+    request of the pair replay alone (sharing the plan the first of
+    them prepares), and one request's trouble cannot fail the others.
     """
     from repro.sim.engine import Engine, block_rows  # noqa: PLC0415 (cycle)
     from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
 
+    group = plans.group(target, machine) if plans is not None else None
     if group is None:
-        group = PlanGroup([request])
-    record = group.records.pop(id(request), None)
-    if record is not None:
-        return record
-    plan = group.plan
-    if plan is not None:
+        group = PlanGroup(target, machine)  # shares nothing
+    row = noise_row(request)
+    record = group.take(row)
+    declared = record is not None
+    if record is None:
+        plan = group.plan
+        if plan is None:
+            spec = resolve_machine(machine)
+            plan = Engine(spec).prepare(_resolve_workload(target, spec))
         spec = plan.machine
-        return Engine(spec, _noise_model(request, spec, plan)).run(plan)
-    spec = resolve_machine(machine)
-    engine = Engine(spec)
-    plan = engine.prepare(_resolve_workload(target, spec))
-    rows = [request]
-    if group.block and len(group.requests) <= block_rows(plan):
-        rows = group.requests
-    group.block = False
-    records = dict(zip(
-        map(id, rows),
-        engine.replay_many(plan, [_noise_model(row, spec, plan) for row in rows]),
-    ))
-    record = records.pop(id(request))
-    group.plan, group.records = plan, records
+        rows = group.claim(row, block_rows(plan))
+        declared = bool(rows)
+        rows = rows or [row]
+        try:
+            record, *others = Engine(spec).replay_many(
+                plan, [_noise_model(each, spec, plan) for each in rows]
+            )
+        except Exception:
+            group.pending = []
+            raise
+        group.plan = plan
+        if declared:
+            group.records = {}
+            for each, other in zip(rows[1:], others):
+                group.records.setdefault(each, []).append(other)
+    if declared and plans is not None and not (group.pending or group.records):
+        plans.drop(group)  # its last declared row was taken
     return record
 
 
 def _execute_engine(
-    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None = None
+    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
 ) -> Any:
     """Raw engine execution; yields an ``ExecutionRecord`` (or its
     ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
     if machine is None:
         raise WorkloadError("engine requests need a machine model")
-    return _reduced(request, _replayed(request, target, machine, group))
+    return _reduced(request, _replayed(request, target, machine, plans))
 
 
 def _execute_profile(
-    request: RunRequest, target: Any, machine: Any, group: PlanGroup | None = None
+    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
 ) -> Any:
     """A full profiling run; yields a ``Profile`` (or its reduction)."""
     from repro.core.profiler import Profiler  # noqa: PLC0415 (cycle)
@@ -222,13 +365,17 @@ def _execute_profile(
         if machine is not None:
             # The backend spawns the already replayed history: the run
             # is this request's spawn slot either way.
-            target = _replayed(request, target, machine, group)
+            target = _replayed(request, target, machine, plans)
             backend = _sim_backend(request, target.machine)
         else:
             from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)
 
             backend = default_backend_for(target)
-    profiler = Profiler(backend, config=_as_config(request.config))
+    config = (
+        plans.config(request.config) if plans is not None
+        else _as_config(request.config)
+    )
+    profiler = Profiler(backend, config=config)
     profile = profiler.run(target, tags=request.tags, command=request.command)
     return _reduced(request, profile)
 

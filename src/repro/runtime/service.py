@@ -305,7 +305,7 @@ def _split_chunks(
     ``plans[i]`` names the engine plan item *i* will replay; items that
     replay none carry a name of their own (``None`` for the whole
     argument: no two items share anything).  Items of one plan travel
-    together, because a chunk is the scope of the plan table.  A plan
+    together, because a chunk has a plan scope of its own.  A plan
     bigger than a chunk (``len(items) / (workers * CHUNKS_PER_WORKER)``,
     rounded up) is shared out over at most ``workers`` near-equal chunks
     of its own — so a one-plan batch becomes one chunk per worker, not
@@ -407,12 +407,12 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
 
 def _attempt_request(
     request: RunRequest, target: Any, machine: Any,
-    group: Any = None,
+    plans: Any = None,
 ) -> tuple[bool, float, Any, int, float]:
     """Execute one request under its policy.
 
-    ``group`` is the request's entry in the batch's engine plan table
-    (``None`` for in-parent requests, which share nothing);
+    ``plans`` is the plan scope the request executes in (``None`` for
+    in-parent requests, which share nothing);
     :func:`~repro.runtime.execute.dispatch` fills and reads it inside
     the attempt.
 
@@ -442,7 +442,7 @@ def _attempt_request(
         for attempt in range(1, policy.attempts + 1):
             attempt_start = time.perf_counter()
             try:
-                value = dispatch(request, target, machine, group)
+                value = dispatch(request, target, machine, plans)
                 attempt_elapsed = time.perf_counter() - attempt_start
                 if policy.timeout is not None and attempt_elapsed > policy.timeout:
                     raise RunTimeoutError(
@@ -546,13 +546,12 @@ def _execute_packed(
     item: tuple[RunRequest, int, int]
 ) -> tuple[bool, float, Any, int, float]:
     """Execute one packed request against the shared target/machine
-    tables and the plan table that rides with them (see
-    :func:`_plan_table`)."""
+    tables and the plan scope that rides with them (see
+    :func:`_declared`)."""
     request, target_slot, machine_slot = item
     targets, machines, plans = get_shared()
     return _attempt_request(
-        request, targets[target_slot], machines[machine_slot],
-        plans.get((target_slot, machine_slot)),
+        request, targets[target_slot], machines[machine_slot], plans
     )
 
 
@@ -1038,7 +1037,14 @@ class RunService:
         re-raises its exception; ``rethrow=False`` captures failures as
         ``ok=False`` results instead — campaign ledgers use this to
         record partial sweeps.
+
+        The batch executes in the active plan scope
+        (:func:`~repro.runtime.execute.plan_scope` — a campaign's), or
+        in one of its own that is dropped on return: requests of a
+        scope that share (target, machine) prepare it once.
         """
+        from repro.runtime.execute import PlanScope, plan_scope  # noqa: PLC0415 (cycle)
+
         requests = list(requests)
         self.stats["batches"] += 1
         self.stats["requests"] += len(requests)
@@ -1049,16 +1055,21 @@ class RunService:
         with span(
             "service.run", requests=len(requests),
             pooled=sum(1 for request in requests if request.poolable),
-        ) as sp:
+        ) as sp, plan_scope() as plans:
             pooled = [i for i, request in enumerate(requests) if request.poolable]
             workers = self.resolve_workers(processes, len(pooled))
             if pooled:
                 targets, machines, items = _pack(requests, pooled)
 
                 def share(chunk: Sequence[Any]) -> Any:
-                    # Third slot: the engine plan table of the items
-                    # that execute together — the batch, or one chunk.
-                    return targets, machines, _plan_table(chunk)
+                    # Third slot: the plan scope of the items that
+                    # execute together — the active one (this batch's,
+                    # or its campaign's) in this process, one per chunk
+                    # in a pool, which a scope cannot cross into.
+                    return targets, machines, _declared(
+                        plans if workers <= 1 else PlanScope(),
+                        targets, machines, chunk,
+                    )
 
                 if workers <= 1:
                     supervised = [
@@ -1178,8 +1189,8 @@ def _pack(
 def _plan_names(items: Sequence[tuple[RunRequest, int, int]]) -> list[Any]:
     """Per packed item, a name for the engine plan it will replay (what
     :func:`_split_chunks` keeps together): the ``(target_slot,
-    machine_slot)`` of an ``engine``/``profile`` request — the key of
-    :func:`_plan_table` — and, for a request that replays no plan
+    machine_slot)`` of an ``engine``/``profile`` request — its pair in
+    the chunk's plan scope — and, for a request that replays no plan
     (``emulate``), its position, which it shares with nobody."""
     return [
         item[1:] if item[0].kind in ("engine", "profile") else position
@@ -1187,29 +1198,29 @@ def _plan_names(items: Sequence[tuple[RunRequest, int, int]]) -> list[Any]:
     ]
 
 
-def _plan_table(
-    items: Sequence[tuple[RunRequest, int, int]]
-) -> dict[tuple[int, int], Any]:
-    """The engine plan table of the packed items that execute together:
-    per ``(target_slot, machine_slot)``, the ``engine``/``profile``
-    requests that will replay that plan — the identities the first of
-    them to be attempted needs to replay all their seeds as one block.
-
-    It starts without plans and is dropped with the shared payload it
-    rides in: one table for a serial batch, one per chunk in a pool
-    (where table and items cross in one pickle, so the requests in it
-    are the chunk's own).
+def _declared(
+    plans: Any,
+    targets: Sequence[Any],
+    machines: Sequence[Any],
+    items: Sequence[tuple[RunRequest, int, int]],
+) -> Any:
+    """``plans``, after declaring in it the rows the ``engine``/
+    ``profile`` requests among the packed ``items`` will ask for —
+    what the first of a pair to be attempted needs to replay their
+    seeds as blocks.  A pair that is live in the scope (a campaign
+    declared it, with the rows of its later waves too) keeps its rows.
     """
-    from repro.runtime.execute import PlanGroup  # noqa: PLC0415 (cycle)
+    from repro.runtime.execute import noise_row  # noqa: PLC0415 (cycle)
 
-    table: dict[tuple[int, int], Any] = {}
+    rows: dict[tuple[int, int], list[Any]] = {}
     for request, target_slot, machine_slot in items:
         if request.kind in ("engine", "profile"):
-            group = table.get((target_slot, machine_slot))
-            if group is None:
-                group = table[target_slot, machine_slot] = PlanGroup()
-            group.requests.append(request)
-    return table
+            rows.setdefault((target_slot, machine_slot), []).append(
+                noise_row(request)
+            )
+    for (target_slot, machine_slot), pair_rows in rows.items():
+        plans.declare(targets[target_slot], machines[machine_slot], pair_rows)
+    return plans
 
 
 def batch_budget(requests: Sequence[RunRequest]) -> float | None:

@@ -68,14 +68,16 @@ class SimProcess(ProcessHandle):
         return self.record.counters_many(rel)
 
     def rusage(self) -> dict[str, float]:
-        totals = self.record.totals()
+        # The two of ``record.totals()`` that are read here.
+        cycles = self.record.counters.get("cpu.cycles_used")
+        peak = self.record.levels.get("mem.peak")
         freq = self.record.machine.cpu.frequency
-        cpu_seconds = totals.get("cpu.cycles_used", 0.0) / freq
+        cpu_seconds = (cycles.last() if cycles else 0.0) / freq
         return {
             "time.runtime": self.record.duration,
             "time.utime": cpu_seconds,
             "time.stime": 0.02 * cpu_seconds,
-            "mem.peak": totals.get("mem.peak", 0.0),
+            "mem.peak": peak.max() if peak is not None else 0.0,
         }
 
     def info(self) -> dict[str, Any]:

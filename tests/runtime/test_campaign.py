@@ -12,6 +12,7 @@ from repro.runtime import (
     RunService,
     completed_cells,
     ledger,
+    ledger_digest,
     run_campaign,
 )
 from repro.storage.base import MemoryStore
@@ -199,3 +200,65 @@ class TestRunCampaign:
         assert doc["executed"] == 2
         assert doc["truncated"] is True
         assert doc["complete"] is False
+
+
+class TestScopeShapes:
+    """A sweep executes in one plan scope, and how its waves cut the
+    (app, machine) pairs decides which rows replay together — never what
+    lands in the ledger."""
+
+    SPEC = {
+        **SPEC, "name": "shapes", "seeds": [5, 6, 7, 8], "repeats": 2,
+    }  # 4 pairs of 8 cells
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Every cell's request alone in a batch of its own."""
+        spec = CampaignSpec.from_dict(self.SPEC)
+        store = MemoryStore()
+        with RunService(processes=1) as svc:
+            store.put_many([
+                cell.artifact(svc.run([cell.to_request()])[0].value)
+                for cell in spec.cells()
+            ])
+        return ledger_digest(store, spec.name)
+
+    @pytest.mark.parametrize("checkpoint", [1, 3, 8, 64])
+    def test_digest_is_the_same_for_every_wave_size(
+        self, reference, checkpoint
+    ):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        store = MemoryStore()
+        with RunService(processes=1) as svc:
+            report = run_campaign(spec, store, service=svc, checkpoint=checkpoint)
+        assert report.complete and report.executed == 32
+        assert ledger_digest(store, spec.name) == reference
+
+    def test_sweep_interrupted_mid_pair_and_resumed(self, reference):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        store = MemoryStore()
+        stops = iter([False, False, True])
+        with RunService(processes=1) as svc:
+            # 5 of the first pair's 8 cells; then two waves of 3 into the
+            # next pair and a drain; then whatever is left.
+            assert run_campaign(spec, store, service=svc, limit=5).executed == 5
+            drained = run_campaign(
+                spec, store, service=svc, checkpoint=3, stop=lambda: next(stops)
+            )
+            assert drained.interrupted and drained.executed == 6
+            assert run_campaign(spec, store, service=svc).complete
+        assert store.count() == 32
+        assert ledger_digest(store, spec.name) == reference
+
+    def test_two_shard_union_equals_unsharded(self, reference):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        store = MemoryStore()
+        with RunService(processes=1) as svc:
+            reports = [
+                run_campaign(spec, store, service=svc, shard=(index, 2), checkpoint=3)
+                for index in range(2)
+            ]
+        assert sum(report.executed for report in reports) == 32
+        assert min(report.executed for report in reports) > 0
+        assert store.count() == 32
+        assert ledger_digest(store, spec.name) == reference

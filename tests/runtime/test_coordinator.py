@@ -13,6 +13,7 @@ finishing a wave its thief already re-executed.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.runtime import (
     completed_cells,
     elastic_worker,
     lease_records,
+    ledger_digest,
     live_members,
     resolve_lease,
     run_campaign,
@@ -355,6 +357,68 @@ class TestElasticWorkerSingle:
         assert leave.attrs["executed"] == spec.n_cells
         assert sink.named("campaign.wave.finish")
         assert get_registry().gauge("coordinator.members") is not None
+
+
+class TestPlanScopes:
+    """Every worker executes in a plan scope of its own: it declares
+    the cells of a pair it saw pending, and may replay rows that a
+    rival ends up executing.  None of it shows in the ledger."""
+
+    SPEC = dict(SPEC, name="elastic-scopes", seeds=[3, 4, 5, 6], repeats=2)
+
+    def replayed_rows(self) -> float:
+        return get_registry().counter("engine.replay.rows")
+
+    def test_lone_worker_equals_run_campaign(self):
+        spec = CampaignSpec.from_dict(self.SPEC)  # 4 pairs of 8 cells
+        unsharded = MemoryStore()
+        assert run_campaign(spec, unsharded, service=serial()).complete
+        for batch in (3, 8):
+            store = MemoryStore()
+            rows = self.replayed_rows()
+            report = elastic_worker(
+                spec, store, lease_ttl=30.0, batch=batch, service=serial()
+            )
+            assert report.complete and report.executed == 32
+            assert self.replayed_rows() - rows == 32
+            assert ledger_digest(store, spec.name) == ledger_digest(
+                unsharded, spec.name
+            )
+
+    def test_two_workers_replay_rows_they_never_take(self):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        unsharded = MemoryStore()
+        assert run_campaign(spec, unsharded, service=serial()).complete
+        store = MemoryStore()
+        # A registered bystander keeps both workers re-reading the
+        # ledger every wave, so neither re-executes the other's cells.
+        put_member(store, spec.name, "bystander", time.time())
+        helped: list[int] = []
+
+        def help_out(summary) -> None:
+            # After each of its waves the first worker lets a second one
+            # in for one wave — in a context of its own, as a thread or
+            # a process would be, so with a scope of its own.
+            report = contextvars.Context().run(
+                elastic_worker, spec, store, worker="second", lease_ttl=30.0,
+                batch=3, limit=3, service=serial(),
+            )
+            helped.append(report.executed)
+
+        rows = self.replayed_rows()
+        first = elastic_worker(
+            spec, store, worker="first", lease_ttl=30.0, batch=3,
+            service=serial(), progress=help_out,
+        )
+        assert first.complete and 0 < first.executed < 32
+        assert first.executed + sum(helped) == 32
+        # Both declared more than they came to execute ...
+        assert self.replayed_rows() - rows > 32
+        # ... and every cell is in the ledger once, bit for bit.
+        assert store.count() == 32
+        assert ledger_digest(store, spec.name) == ledger_digest(
+            unsharded, spec.name
+        )
 
 
 class TestTakeover:

@@ -1,25 +1,32 @@
-"""Prepare once, replay the seeds as one block — inside one
-run-service batch.
+"""Prepare once, replay the seeds in blocks — inside one plan scope.
 
-A batch's requests that share ``(target, machine)`` share one engine
-plan: the first of them to be attempted resolves the machine, builds
-the workload, prepares it and replays the seeds of the whole group as
-one block *inside its own attempt*; the rest take their record from the
-group.  The plan table lives and dies with the batch.  Pinned here:
+Requests that share ``(target, machine)`` inside a plan scope share one
+engine plan: the first of them to be attempted resolves the machine,
+builds the workload, prepares it and replays the next block of the
+pair's declared rows *inside its own attempt*; the rest take their
+record from the group.  A run-service batch on its own is a scope; a
+campaign (``run_campaign``, ``elastic_worker``) is one scope for all its
+waves.  Pinned here:
 
 * equivalence — a batch, the same requests one per batch, and
   sequential ``Profiler(SimBackend(...)).run(...)`` produce
   ``to_dict()``-equal profiles, for ``processes=1`` and ``2``; same for
   ``engine`` requests and ``SimBackend.run_many``;
 * failure — a plan that cannot be built fails *each* request with the
-  enriched message, is never cached, and a retry rebuilds;
+  enriched message, is never cached, and a retry rebuilds; so does a
+  config that does not validate;
 * scope — an app mutated between two batches is seen, and nothing keeps
-  a plan alive after ``run()`` returns;
+  a plan or a record alive after ``run()`` or ``run_campaign()``
+  returns, whatever ended the sweep;
 * the program-side counts: a 512-cell, checkpoint-8 profile campaign
-  builds 64 plans and reuses 448, in 64 blocks of 8 rows;
-* blocks — one per group; a request retried after taking its record
-  replays alone; a fault on a group's first request, or a failed block,
-  does not fail the siblings;
+  builds 8 plans and reuses 504, in 8 blocks of 64 rows;
+* blocks — a pair bigger than a block replays a block at a time and
+  never has more than one waiting; a request retried after taking its
+  record replays alone; a fault on a group's first request, or a failed
+  block, does not fail the siblings; rows are told apart by noise
+  identity, and equal ones each get a record;
+* the scope reaches the executor through services that override or
+  wrap ``run(requests, processes, rethrow)``;
 * chunks — ``_split_chunks`` keeps plans together, and a pooled batch
   equals the serial one.
 """
@@ -40,7 +47,17 @@ from hypothesis import strategies as st
 from repro.apps import GromacsModel, SleeperApp
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
-from repro.runtime import CampaignSpec, RunRequest, RunService, run_campaign
+from repro.runtime import (
+    CampaignSpec,
+    RunRequest,
+    RunService,
+    elastic_worker,
+    ledger_digest,
+    run_campaign,
+)
+from repro.runtime import execute as execute_module
+from repro.runtime.campaign import _engine_summary
+from repro.runtime.execute import noise_row, plan_scope
 from repro.runtime.service import (
     CHUNKS_PER_WORKER,
     RunPolicy,
@@ -105,6 +122,42 @@ def replay_counts() -> tuple[float, float, float]:
         counters.get(f"engine.replay.{name}", 0.0)
         for name in ("blocks", "rows", "split_rows")
     )
+
+
+def block_budget(monkeypatch, app, machine: str, rows: int) -> None:
+    """Make one replay block of ``app`` on ``machine`` hold ``rows`` rows."""
+    spec = get_machine(machine)
+    slots = Engine(spec).prepare(app.build_packed(spec)).slot_values.size
+    monkeypatch.setattr(engine_module, "_BLOCK_ELEMENTS", rows * slots)
+
+
+def spy_on_blocks(monkeypatch) -> tuple[list[int], list[weakref.ref]]:
+    """The size of every block replayed from here on, and a weak
+    reference to every record made."""
+    sizes: list[int] = []
+    records: list[weakref.ref] = []
+    replay_many = Engine.replay_many
+
+    def spying(self, plan, noises):
+        made = replay_many(self, plan, noises)
+        sizes.append(len(made))
+        records.extend(map(weakref.ref, made))
+        return made
+
+    monkeypatch.setattr(engine_module.Engine, "replay_many", spying)
+    return sizes, records
+
+
+def pair_spec(name: str, kind: str = "profile", seeds: int = 4, **extra):
+    """Two (app, machine) pairs of ``2 * seeds`` cells each."""
+    return CampaignSpec.from_dict({
+        "name": name, "kind": kind,
+        "apps": ["gromacs:iterations=2000", "sleeper:sleep_seconds=1"],
+        "machines": ["thinkie"],
+        "seeds": list(range(seeds)), "repeats": 2,
+        "config": dict(CONFIG) if kind == "profile" else {},
+        **extra,
+    })
 
 
 apps = st.one_of(
@@ -217,9 +270,10 @@ def test_run_many_equals_sequential_spawns(service, processes):
 # -- the counts ------------------------------------------------------------------
 
 
-def test_campaign_builds_one_plan_per_wave_and_reuses_it():
-    """512 cells in waves of 8 over 8 (app, machine) pairs: every wave
-    shares exactly one pair, so 64 plans are built and 448 runs reuse."""
+def test_campaign_builds_one_plan_per_pair_and_reuses_it():
+    """512 cells in waves of 8 over 8 (app, machine) pairs: the waves
+    execute in the campaign's scope, so 8 plans are built and 504 runs
+    reuse."""
     spec = CampaignSpec.from_dict({
         "name": "counts", "kind": "profile",
         "apps": ["gromacs:iterations=2000", "sleeper:sleep_seconds=1"],
@@ -235,9 +289,9 @@ def test_campaign_builds_one_plan_per_wave_and_reuses_it():
     built1, reused1 = plan_counts()
     replayed1 = replay_counts()
     assert report.executed == 512 and not report.failed
-    assert (built1 - built0, reused1 - reused0) == (64, 448)
-    # ... and every wave replayed as one block of 8, none split.
-    assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (64, 512, 0)
+    assert (built1 - built0, reused1 - reused0) == (8, 504)
+    # ... and every pair replayed as one block of 64, none split.
+    assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (8, 512, 0)
 
 
 def test_cells_of_one_spec_share_one_app_model():
@@ -288,6 +342,56 @@ def test_unknown_machine_fails_each_request_with_its_own_context():
         assert f"profile request key=cell-{seed}" in result.error
         assert "attempt 2/2" in result.error  # KeyError is retried
         assert "nosuchmachine" in result.error
+
+
+def test_bad_config_fails_each_request_with_its_own_context():
+    app = SleeperApp(sleep_seconds=1.0)
+    requests = [
+        RunRequest(
+            kind="profile", target=app, machine="thinkie", seed=seed,
+            key=f"cell-{seed}", policy=RunPolicy(retries=1),
+            config={"sample_rate": -1.0} if seed else dict(CONFIG),
+        )
+        for seed in range(3)
+    ]
+    with RunService(processes=1) as svc:
+        results = svc.run(requests, rethrow=False)
+    assert [result.ok for result in results] == [True, False, False]
+    for seed in (1, 2):
+        assert f"profile request key=cell-{seed}" in results[seed].error
+        assert "attempt 1/2" in results[seed].error  # a ConfigError is fatal
+        assert "sample_rate" in results[seed].error
+
+
+def test_config_mapping_is_resolved_once_per_distinct_mapping(monkeypatch):
+    resolved: list = []
+    as_config = execute_module._as_config
+
+    def counting(config):
+        resolved.append(config)
+        return as_config(config)
+
+    app = SleeperApp(sleep_seconds=1.0)
+    configs = (
+        [dict(CONFIG) for _ in range(4)]
+        + [{"sample_rate": 4.0}] * 2
+        + [{"sample_rate": 2}]  # equal to CONFIG's, but an int in the profile
+        + [{**CONFIG, "extra": {"unhashable": []}} for _ in range(2)]
+        + [SynapseConfig(**CONFIG), None]
+    )
+    requests = [
+        RunRequest(kind="profile", target=app, machine="thinkie", seed=seed,
+                   config=config)
+        for seed, config in enumerate(configs)
+    ]
+    with RunService(processes=1) as svc:
+        singles = [exact(svc.run([request])[0].value) for request in requests]
+        monkeypatch.setattr(execute_module, "_as_config", counting)
+        batch = [exact(result.value) for result in svc.run(requests)]
+    assert batch == singles
+    # One each for the three hashable mappings, one per request otherwise.
+    assert len(resolved) == 3 + 2 + 2
+    assert '"sample_rate": 2.0' in batch[0] and '"sample_rate": 2,' in batch[6]
 
 
 def test_failed_build_is_never_cached():
@@ -497,7 +601,8 @@ def test_fault_on_the_first_request_of_a_group_spares_its_siblings():
     assert [exact(result.value) for result in results[1:]] == reference[1:]
 
 
-def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
+def fail_blocks(monkeypatch) -> None:
+    """From here on a replay of more than one row fails."""
     replay_many = Engine.replay_many
 
     def blocks_fail(self, plan, noises):
@@ -505,6 +610,10 @@ def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
             raise OSError("block failed")
         return replay_many(self, plan, noises)
 
+    monkeypatch.setattr(engine_module.Engine, "replay_many", blocks_fail)
+
+
+def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
     app = BrokenApp(failures=0)
     requests = [
         RunRequest(kind="engine", target=app, machine="thinkie", seed=seed,
@@ -516,7 +625,7 @@ def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
         for result in RunService(processes=1).run(requests)
     ]
     app.builds = 0
-    monkeypatch.setattr(engine_module.Engine, "replay_many", blocks_fail)
+    fail_blocks(monkeypatch)
     results = RunService(processes=1).run(requests, rethrow=False)
     assert [result.ok for result in results] == [False, True, True, True]
     assert "engine request key=cell-0 (attempt 1/1" in results[0].error
@@ -533,32 +642,233 @@ def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
     assert [record_key(result.value) for result in retried] == reference
 
 
-def test_group_over_the_block_budget_shares_the_plan_and_replays_row_by_row(
-    monkeypatch,
-):
-    """Records wait in the group until taken, so a group whose rows do
-    not fit one block must not be replayed ahead of its requests."""
+def test_failed_block_in_a_campaign_degrades_the_pair(monkeypatch):
+    spec = pair_spec("failedblock", seeds=3)
+    clean = MemoryStore()
+    run_campaign(spec, clean, service=RunService(processes=1))
+    store = MemoryStore()
+    with monkeypatch.context() as patch:
+        fail_blocks(patch)
+        built0, _ = plan_counts()
+        blocks0, rows0, _ = replay_counts()
+        report = run_campaign(
+            spec, store, service=RunService(processes=1), checkpoint=2
+        )
+        built1, _ = plan_counts()
+        blocks1, rows1, _ = replay_counts()
+    # Each pair lost the cell that paid for its block, and only that one.
+    first = {cells[0].digest for cells in (spec.cells()[:6], spec.cells()[6:])}
+    assert {failure["cell"] for failure in report.failed} == first
+    assert all("block failed" in failure["error"] for failure in report.failed)
+    assert report.executed == 10
+    assert (blocks1 - blocks0, rows1 - rows0) == (10, 10)
+    assert built1 - built0 == 4  # per pair: the failed attempt's, and one shared
+    resumed = run_campaign(spec, store, service=RunService(processes=1))
+    assert resumed.executed == 2 and resumed.complete
+    assert ledger_digest(store, spec.name) == ledger_digest(clean, spec.name)
+
+
+def test_group_over_the_block_budget_replays_a_block_at_a_time(monkeypatch):
+    """Records wait in the group until taken, so a request replays no
+    more than one block ahead of itself."""
     app = GromacsModel(iterations=4_000)
     requests = [
         RunRequest(kind="engine", target=app, machine="thinkie", seed=seed)
-        for seed in range(4)
+        for seed in range(7)
     ]
     reference = [
         record_key(result.value)
         for result in RunService(processes=1).run(requests)
     ]
-    slots = Engine(get_machine("thinkie")).prepare(
-        app.build_packed(get_machine("thinkie"))
-    ).slot_values.size
-    monkeypatch.setattr(engine_module, "_BLOCK_ELEMENTS", 3 * slots)
+    block_budget(monkeypatch, app, "thinkie", 3)
+    sizes, _ = spy_on_blocks(monkeypatch)
     blocks0, rows0, _ = replay_counts()
     built0, reused0 = plan_counts()
     results = RunService(processes=1).run(requests)
     built1, reused1 = plan_counts()
     blocks1, rows1, _ = replay_counts()
-    assert (blocks1 - blocks0, rows1 - rows0) == (4, 4)  # nothing replayed ahead
-    assert (built1 - built0, reused1 - reused0) == (1, 3)
+    assert sizes == [3, 3, 1]
+    assert (blocks1 - blocks0, rows1 - rows0) == (3, 7)
+    assert (built1 - built0, reused1 - reused0) == (1, 6)
     assert [record_key(result.value) for result in results] == reference
+    assert reference == [
+        record_key(SimBackend("thinkie", seed=seed).spawn(app).record)
+        for seed in range(7)
+    ]
+
+
+class WatchingService(RunService):
+    """Overrides ``run`` with the signature campaigns call it by; keeps
+    every value, and how many records waited in the active scope after
+    each batch."""
+
+    def __init__(self) -> None:
+        super().__init__(processes=1)
+        self.values: list = []
+        self.waiting: list[int] = []
+        self.live: list[int] = []
+
+    def run(self, requests, processes=None, rethrow=True):
+        results = super().run(requests, processes=processes, rethrow=rethrow)
+        self.values.extend(result.value for result in results)
+        with plan_scope() as plans:
+            self.waiting.append(sum(
+                len(records)
+                for group in plans.groups.values()
+                for records in group.records.values()
+            ))
+            self.live.append(len(plans.groups))
+        return results
+
+
+def test_campaign_pair_over_the_block_budget_waits_one_block(monkeypatch):
+    spec = CampaignSpec.from_dict({
+        "name": "bigpair", "kind": "run",
+        "apps": ["gromacs:iterations=2000"], "machines": ["comet"],
+        "seeds": list(range(10)), "repeats": 2,
+    })
+    app = spec.app_model(spec.apps[0])
+    block_budget(monkeypatch, app, "comet", 6)
+    sizes, _ = spy_on_blocks(monkeypatch)
+    svc = WatchingService()
+    built0, reused0 = plan_counts()
+    report = run_campaign(spec, MemoryStore(), service=svc, checkpoint=4)
+    built1, reused1 = plan_counts()
+    assert report.executed == 20 and report.complete
+    # 20 rows, 6 to a block, taken 4 at a time.
+    assert sizes == [6, 6, 6, 2]
+    assert svc.waiting == [2, 4, 0, 2, 0]
+    assert svc.live == [1, 1, 1, 1, 0]  # dropped with its last row
+    assert (built1 - built0, reused1 - reused0) == (1, 19)
+    # Bit-identical to one ``Engine.run`` per cell on its spawn slot.
+    assert svc.values == [
+        _engine_summary(
+            SimBackend("comet", seed=cell.seed, spawn_offset=cell.rep)
+            .spawn(app).record
+        )
+        for cell in spec.cells()
+    ]
+
+
+def test_requests_with_equal_noise_identity_each_get_their_record():
+    app = GromacsModel(iterations=4_000)
+    twin = RunRequest(kind="engine", target=app, machine="thinkie", seed=3)
+    requests = [
+        twin,
+        replace(twin),
+        replace(twin, seed=4),
+        replace(twin, noise_seed=99),  # another stream on the same slot
+        replace(twin, kind="profile", config=dict(CONFIG), noise_seed=99),
+    ]
+    assert noise_row(requests[0]) == noise_row(requests[1]) == noise_row(requests[4])
+    assert len({noise_row(request) for request in requests}) == 3
+    blocks0, rows0, _ = replay_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+        singles = [svc.run([request])[0].value for request in requests]
+    blocks1, rows1, _ = replay_counts()
+    assert (blocks1 - blocks0, rows1 - rows0) == (1 + 5, 5 + 5)
+    assert results[0].value is not results[1].value
+    keys = [record_key(result.value) for result in results[:4]]
+    assert keys == [record_key(single) for single in singles[:4]]
+    assert keys[0] == keys[1] and len(set(keys)) == 3
+    assert exact(results[4].value) == exact(singles[4])
+    # A profile draws its slot's noise whatever ``noise_seed`` says.
+    assert results[4].value.statics["time.runtime_rusage"] == results[0].value.duration
+
+
+@pytest.mark.parametrize("kind", ["profile", "run"])
+def test_a_cells_row_is_its_requests_noise_identity(kind):
+    spec = pair_spec("rows", kind=kind, noisy=False)
+    assert all(cell.row == noise_row(cell.to_request()) for cell in spec.cells())
+
+
+# -- the scope reaches the executor ----------------------------------------------
+
+
+class Wrapping:
+    """A delegating proxy around a service, as the E12 tracer makes."""
+
+    def __init__(self, inner: RunService) -> None:
+        self.inner = inner
+        self.batches = 0
+
+    def run(self, requests, processes=None, rethrow=True):
+        self.batches += 1
+        return self.inner.run(requests, processes, rethrow)
+
+
+@pytest.mark.parametrize("double", ["overriding", "wrapping"])
+def test_service_double_runs_in_the_campaign_scope(double):
+    spec = pair_spec("doubles", seeds=3)
+    svc = WatchingService() if double == "overriding" else Wrapping(
+        RunService(processes=1)
+    )
+    built0, _ = plan_counts()
+    blocks0, rows0, _ = replay_counts()
+    report = run_campaign(spec, MemoryStore(), service=svc, checkpoint=2)
+    built1, _ = plan_counts()
+    blocks1, rows1, _ = replay_counts()
+    assert report.executed == 12 and report.complete
+    assert (built1 - built0, blocks1 - blocks0, rows1 - rows0) == (2, 2, 12)
+    if double == "overriding":
+        assert svc.live == [1, 1, 0, 1, 1, 0]
+    else:
+        assert svc.batches == 6
+
+
+# -- nothing outlives the invocation ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ending", ["complete", "limit", "stop", "failed-cell", "elastic-limit"]
+)
+def test_nothing_outlives_a_campaign(monkeypatch, ending):
+    from repro.faults import FaultPlan, injected_faults
+
+    plans: list[weakref.ref] = []
+    prepare = Engine.prepare
+
+    def tracking_prepare(self, workload):
+        plan = prepare(self, workload)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(engine_module.Engine, "prepare", tracking_prepare)
+    sizes, records = spy_on_blocks(monkeypatch)
+    spec = pair_spec(f"held-{ending}")
+    store = MemoryStore()
+    svc = RunService(processes=1)
+    faults = FaultPlan.from_dict({"rules": [
+        {"point": "worker.execute", "mode": "error", "at": 2},
+    ] if ending == "failed-cell" else []})
+    with injected_faults(faults):
+        if ending == "elastic-limit":
+            report = elastic_worker(
+                spec, store, lease_ttl=30.0, batch=4, limit=4, service=svc
+            )
+        else:
+            stops = iter([False, True])
+            report = run_campaign(
+                spec, store, service=svc, checkpoint=4,
+                limit=6 if ending == "limit" else None,
+                stop=(lambda: next(stops)) if ending == "stop" else None,
+            )
+    # What was replayed and never asked for is what the close had to drop.
+    executed, untaken = {
+        "complete": (16, 0),
+        "limit": (6, 0),  # rows past the limit were never declared
+        "stop": (4, 4),
+        "failed-cell": (15, 1),
+        "elastic-limit": (4, 4),
+    }[ending]
+    assert report.executed == executed
+    assert sum(sizes) - executed == untaken
+    gc.collect()
+    assert plans and [ref() for ref in plans] == [None] * len(plans)
+    assert [ref() for ref in records] == [None] * len(records)
+    assert not any(isinstance(obj, Prepared) for obj in gc.get_objects())
+    svc.close()
 
 
 # -- plan-aware chunks -----------------------------------------------------------
