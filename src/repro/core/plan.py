@@ -1,8 +1,11 @@
 """Emulation plans: the bridge from a profile to atom workloads.
 
 A plan is the ordered list of per-sample resource quanta the emulator
-will replay.  Building it from a profile preserves two invariants the
-paper's fidelity rests on (§4 and §4.4):
+will replay, held as columns (:class:`PlanColumns`: one array per
+resource, one entry per sample) so that building, tuning and packing a
+plan cost array operations, not a Python pass per sample.  Building it
+from a profile preserves two invariants the paper's fidelity rests on
+(§4 and §4.4):
 
 * **conservation** — per resource, the plan's total equals the profile's
   recorded total (emulation "attempts to consume the same amount of
@@ -18,7 +21,10 @@ simulation workload for any target machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from repro.atoms.base import AtomWork
 from repro.core.config import SynapseConfig
@@ -30,7 +36,13 @@ from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
-__all__ = ["PlanSample", "EmulationPlan", "EMULATOR_STARTUP_SLEEP", "EMULATOR_STARTUP_INSTRUCTIONS"]
+__all__ = [
+    "PlanSample",
+    "PlanColumns",
+    "EmulationPlan",
+    "EMULATOR_STARTUP_SLEEP",
+    "EMULATOR_STARTUP_INSTRUCTIONS",
+]
 
 #: Emulator startup delay components (§5 E.2: "the Synapse Emulator
 #: startup delay (~1 sec)"): mostly waiting on the profile fetch and
@@ -51,16 +63,135 @@ class PlanSample:
     work: AtomWork
 
 
+#: The quanta of an :class:`~repro.atoms.base.AtomWork`, in field order,
+#: with the profile metric each is read from.  The first two are float
+#: quantities; the rest are byte counts, truncated to integers.
+_QUANTA = (
+    ("cycles", "cpu.cycles_used"),
+    ("flops", "cpu.flops"),
+    ("alloc_bytes", "mem.allocated"),
+    ("free_bytes", "mem.freed"),
+    ("read_bytes", "io.bytes_read"),
+    ("write_bytes", "io.bytes_written"),
+    ("sent_bytes", "net.bytes_written"),
+    ("received_bytes", "net.bytes_read"),
+)
+_N_FLOAT = 2
+#: Largest value each quantum may hold: any finite float, or an int64.
+_LIMITS = np.array([np.inf] * _N_FLOAT + [2.0**63] * (len(_QUANTA) - _N_FLOAT))
+
+
+def _byte_counts(values: np.ndarray, name: str) -> np.ndarray:
+    """Byte counts as int64; float ones truncate as ``int()`` does,
+    after checking that every one of them is a number an int64 holds
+    (``astype`` would wrap the others silently)."""
+    if values.dtype.kind == "f" and not (np.abs(values) < 2.0**63).all():
+        raise EmulationError(f"{name}: byte counts must be finite and below 2**63")
+    return values.astype(np.int64, copy=False)
+
+
+def _left_sums(column: np.ndarray, width: int) -> np.ndarray:
+    """Sums of every ``width`` consecutive entries of ``column``, each
+    accumulated left to right from zero as ``AtomWork.__add__`` chains
+    do (``cumsum`` is sequential; ``sum``/``reduceat`` add floats
+    pairwise).  The last chunk may be short: its padding adds zeros."""
+    if column.dtype.kind == "i" and column.size:
+        if max(-int(column.min()), int(column.max())) * min(width, column.size) >= 2**63:
+            raise EmulationError("summed byte counts must stay below 2**63")
+    steps = np.zeros((-(-column.size // width), width + 1), dtype=column.dtype)
+    steps[:, 1:].flat[: column.size] = column
+    return steps.cumsum(axis=1)[:, -1]
+
+
+class PlanColumns:
+    """The quanta of a plan: the sample ``index`` and one column per
+    :class:`~repro.atoms.base.AtomWork` field (``cycles`` and ``flops``
+    float64, the byte counts int64), all of one length.
+
+    Reads like the ``list[PlanSample]`` it replaces — indexing, slicing,
+    iteration, ``len`` and ``==`` hand out :class:`PlanSample` /
+    :class:`AtomWork` objects built on demand.
+    """
+
+    def __init__(self, index: Any, *quanta: Any) -> None:
+        self.index = np.asarray(index, dtype=np.int64)
+        if len(quanta) != len(_QUANTA):
+            raise EmulationError(f"a plan has {len(_QUANTA)} quanta columns")
+        for position, ((name, _), column) in enumerate(zip(_QUANTA, quanta)):
+            if position < _N_FLOAT:
+                column = np.asarray(column, dtype=np.float64)
+            else:
+                column = _byte_counts(np.asarray(column), name)
+            if column.shape != self.index.shape or column.ndim != 1:
+                raise EmulationError(f"plan column {name!r} does not match the index")
+            setattr(self, name, column)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[PlanSample]) -> "PlanColumns":
+        """Columns of an explicit list of plan samples."""
+        samples = list(samples)
+        works = [sample.work for sample in samples]
+        return cls(
+            [sample.index for sample in samples],
+            *([getattr(work, name) for work in works] for name, _ in _QUANTA),
+        )
+
+    def quanta(self) -> tuple[np.ndarray, ...]:
+        """The eight quanta columns, in ``AtomWork`` field order."""
+        return tuple(getattr(self, name) for name, _ in _QUANTA)
+
+    def rows(self) -> Iterator[tuple]:
+        """``(index, cycles, flops, alloc_bytes, ...)`` per sample, as
+        Python numbers."""
+        return zip(self.index.tolist(), *(col.tolist() for col in self.quanta()))
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self) -> Iterator[PlanSample]:
+        for index, *quanta in self.rows():
+            yield PlanSample(index, AtomWork(*quanta))
+
+    def __getitem__(self, item: int | slice) -> PlanSample | list[PlanSample]:
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        return PlanSample(
+            int(self.index[item]), AtomWork(*(col[item].item() for col in self.quanta()))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PlanColumns):
+            return np.array_equal(self.index, other.index) and all(
+                np.array_equal(a, b) for a, b in zip(self.quanta(), other.quanta())
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<plan columns n={len(self)}>"
+
+
 @dataclass
 class EmulationPlan:
-    """Ordered atom workloads derived from one profile."""
+    """Ordered atom workloads derived from one profile.
 
-    samples: list[PlanSample]
+    ``samples`` is held as :class:`PlanColumns`; a ``list[PlanSample]``
+    handed to the constructor is converted.
+    """
+
+    samples: PlanColumns
     command: str = ""
     tags: tuple[str, ...] = ()
     source_machine: dict[str, Any] = field(default_factory=dict)
     sample_rate: float = 1.0
     info: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.samples, PlanColumns):
+            self.samples = PlanColumns.from_samples(self.samples)
 
     # -- construction -------------------------------------------------------
 
@@ -69,33 +200,33 @@ class EmulationPlan:
         """Translate a profile's samples into replay quanta.
 
         Counter deltas can carry tiny negative noise (unsynchronised
-        watcher clocks); they are clamped at zero, which keeps the
-        conservation error bounded by the noise floor.
+        watcher clocks); they are clamped at zero (NaN too), which keeps
+        the conservation error bounded by the noise floor.  A quantum
+        that is infinite, or a byte count no int64 holds, is an error.
         """
-        if profile.n_samples == 0:
+        n = profile.n_samples
+        if n == 0:
             raise EmulationError("cannot build an emulation plan from an empty profile")
-        samples: list[PlanSample] = []
-        for sample in profile.samples:
-            get = sample.values.get
-
-            def positive(name: str) -> float:
-                value = get(name, 0.0)
-                return value if value > 0.0 else 0.0
-
-            work = AtomWork(
-                cycles=positive("cpu.cycles_used"),
-                flops=positive("cpu.flops"),
-                alloc_bytes=int(positive("mem.allocated")),
-                free_bytes=int(positive("mem.freed")),
-                read_bytes=int(positive("io.bytes_read")),
-                write_bytes=int(positive("io.bytes_written")),
-                sent_bytes=int(positive("net.bytes_written")),
-                received_bytes=int(positive("net.bytes_read")),
+        values = [sample.values for sample in profile.samples]
+        table = np.fromiter(
+            chain.from_iterable(
+                map(dict.get, values, repeat(metric), repeat(0.0))
+                for _, metric in _QUANTA
+            ),
+            dtype=float,
+            count=len(_QUANTA) * n,
+        ).reshape(len(_QUANTA), n)
+        table = np.where(table > 0.0, table, 0.0)
+        unfit = table >= _LIMITS[:, None]
+        if unfit.any():
+            column, row = np.argwhere(unfit)[0].tolist()
+            raise EmulationError(
+                f"sample {profile.samples[row].index}: {_QUANTA[column][1]} = "
+                f"{table[column, row]!r} is not a quantum that can be replayed"
             )
-            samples.append(PlanSample(index=sample.index, work=work))
         info: dict[str, Any] = {
             "source_tx": profile.tx,
-            "source_samples": profile.n_samples,
+            "source_samples": n,
         }
         # Block sizes inferred by the experimental blktrace watcher (§6):
         # carried along so "auto" block-size emulation can use them.
@@ -103,7 +234,11 @@ class EmulationPlan:
             if key in profile.statics:
                 info[key] = float(profile.statics[key])
         return cls(
-            samples=samples,
+            samples=PlanColumns(
+                [sample.index for sample in profile.samples],
+                *table[:_N_FLOAT],
+                *table[_N_FLOAT:].astype(np.int64),
+            ),
             command=profile.command,
             tags=profile.tags,
             source_machine=dict(profile.machine),
@@ -120,10 +255,13 @@ class EmulationPlan:
 
     def totals(self) -> AtomWork:
         """Summed resource consumption across all plan samples."""
-        total = AtomWork()
-        for sample in self.samples:
-            total = total + sample.work
-        return total
+        quanta = self.samples.quanta()
+        # Floats fold left to right from zero (``cumsum`` is sequential);
+        # byte counts add as Python integers.
+        return AtomWork(
+            *(float(np.cumsum((0.0, *col.tolist()))[-1]) for col in quanta[:_N_FLOAT]),
+            *(sum(col.tolist()) for col in quanta[_N_FLOAT:]),
+        )
 
     # -- malleability (requirement E.3) ---------------------------------------
 
@@ -137,22 +275,18 @@ class EmulationPlan:
         """Rescale resource dimensions (tuning beyond the original app)."""
         if min(cpu, io, mem, net) < 0:
             raise EmulationError("scale factors must be non-negative")
-        scaled = [
-            PlanSample(
-                index=s.index,
-                work=AtomWork(
-                    cycles=s.work.cycles * cpu,
-                    flops=s.work.flops * cpu,
-                    alloc_bytes=int(s.work.alloc_bytes * mem),
-                    free_bytes=int(s.work.free_bytes * mem),
-                    read_bytes=int(s.work.read_bytes * io),
-                    write_bytes=int(s.work.write_bytes * io),
-                    sent_bytes=int(s.work.sent_bytes * net),
-                    received_bytes=int(s.work.received_bytes * net),
-                ),
-            )
-            for s in self.samples
-        ]
+        s = self.samples
+        scaled = PlanColumns(
+            s.index,
+            s.cycles * cpu,
+            s.flops * cpu,
+            s.alloc_bytes * mem,
+            s.free_bytes * mem,
+            s.read_bytes * io,
+            s.write_bytes * io,
+            s.sent_bytes * net,
+            s.received_bytes * net,
+        )
         plan = replace(self, samples=scaled)
         plan.info = dict(self.info, scaled={"cpu": cpu, "io": io, "mem": mem, "net": net})
         return plan
@@ -166,14 +300,8 @@ class EmulationPlan:
         """
         if factor < 1:
             raise EmulationError("regrid factor must be >= 1")
-        merged: list[PlanSample] = []
-        for start in range(0, len(self.samples), factor):
-            chunk = self.samples[start : start + factor]
-            work = AtomWork()
-            for sample in chunk:
-                work = work + sample.work
-            merged.append(PlanSample(index=len(merged), work=work))
-        plan = replace(self, samples=merged)
+        merged = [_left_sums(col, factor) for col in self.samples.quanta()]
+        plan = replace(self, samples=PlanColumns(np.arange(merged[0].size), *merged))
         plan.sample_rate = self.sample_rate / factor
         plan.info = dict(self.info, regrid=factor)
         return plan
@@ -351,19 +479,25 @@ class EmulationPlan:
         )
 
         load_fraction = config.cpu_load
-        for plan_sample in self.samples:
-            work = plan_sample.work
-            if work.empty:
+        workload_class = kernel.workload_class
+        read_block = int(config.io_block_size_read)
+        write_block = int(config.io_block_size_write)
+        mem_block = int(config.mem_block_size)
+        net_block = int(config.net_block_size)
+        for index, cycles, flops, alloc, freed, read, written, sent, received in (
+            self.samples.rows()
+        ):
+            # ``AtomWork.empty``: nothing but (possibly) flops.
+            if not (cycles or alloc or freed or read or written or sent or received):
                 continue
-            b.phase(f"sample-{plan_sample.index}")
-            if work.cycles > 0:
-                flop_frac = min(1.0, work.flops / work.cycles) if work.cycles else 0.0
+            b.phase(f"sample-{index}")
+            if cycles > 0:
                 b.stream("compute")
                 b.compute(
                     instructions=0.0,
-                    workload_class=kernel.workload_class,
-                    calibrated_cycles=work.cycles,
-                    flops_per_instruction=flop_frac,
+                    workload_class=workload_class,
+                    calibrated_cycles=cycles,
+                    flops_per_instruction=min(1.0, flops / cycles),
                     threads=threads,
                     paradigm=paradigm,
                     stall_ratio=stall_override,
@@ -372,35 +506,19 @@ class EmulationPlan:
                     b.stream("cpu-load")
                     b.compute(
                         instructions=0.0,
-                        workload_class=kernel.workload_class,
-                        calibrated_cycles=work.cycles * load_fraction,
+                        workload_class=workload_class,
+                        calibrated_cycles=cycles * load_fraction,
                     )
-            if work.read_bytes > 0 or work.write_bytes > 0:
+            if read > 0 or written > 0:
                 b.stream("storage")
-                if work.read_bytes > 0:
-                    b.io(
-                        bytes_read=work.read_bytes,
-                        block_size=int(config.io_block_size_read),
-                        filesystem=fs,
-                    )
-                if work.write_bytes > 0:
-                    b.io(
-                        bytes_written=work.write_bytes,
-                        block_size=int(config.io_block_size_write),
-                        filesystem=fs,
-                    )
-            if work.alloc_bytes > 0 or work.free_bytes > 0:
+                if read > 0:
+                    b.io(bytes_read=read, block_size=read_block, filesystem=fs)
+                if written > 0:
+                    b.io(bytes_written=written, block_size=write_block, filesystem=fs)
+            if alloc > 0 or freed > 0:
                 b.stream("memory")
-                b.memory(
-                    allocate=work.alloc_bytes,
-                    free=work.free_bytes,
-                    block_size=int(config.mem_block_size),
-                )
-            if work.sent_bytes > 0 or work.received_bytes > 0:
+                b.memory(allocate=alloc, free=freed, block_size=mem_block)
+            if sent > 0 or received > 0:
                 b.stream("network")
-                b.network(
-                    bytes_sent=work.sent_bytes,
-                    bytes_received=work.received_bytes,
-                    block_size=int(config.net_block_size),
-                )
+                b.network(bytes_sent=sent, bytes_received=received, block_size=net_block)
         return b.build()

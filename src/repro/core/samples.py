@@ -120,10 +120,31 @@ class Profile:
         Prefers the rusage-recorded runtime total; falls back to the sum
         of sample intervals when the rusage watcher was disabled.
         """
-        runtime = self.totals().get("time.runtime")
+        runtime = self._total("time.runtime")
         if runtime is not None and runtime > 0:
             return runtime
         return float(sum(s.dt for s in self.samples))
+
+    def _total(self, name: str) -> float | None:
+        """``totals().get(name)`` without totalling every other metric:
+        the same statics override, level/cumulative rule and
+        left-to-right accumulation, over one metric's values."""
+        static = self.statics.get(name)
+        if isinstance(static, (int, float)):
+            return float(static)
+        found = [s.values[name] for s in self.samples if name in s.values]
+        if not found:
+            return None
+        spec = _metrics.REGISTRY.get(name)
+        if spec is not None and spec.kind is MetricKind.LEVEL:
+            total = float("-inf")
+            for value in found:
+                total = max(total, value)
+        else:
+            total = 0.0
+            for value in found:
+                total = total + value
+        return total
 
     def metric_names(self) -> list[str]:
         """All metric names appearing in samples or statics."""
@@ -257,8 +278,9 @@ class Profile:
         cumulative series are differenced across interval boundaries and
         level series are sampled at interval ends.
 
-        The merge is columnar: every series is interpolated over the
-        whole grid in one :meth:`TimeSeries.values_at` shot, cumulative
+        The merge is columnar: every series is evaluated over the
+        whole grid in one shot (an index lookup where the grid ends are
+        its timestamps, :meth:`TimeSeries.values_at` otherwise), cumulative
         columns are differenced as arrays, and each column becomes
         Python floats with one ``tolist()`` — one row of those per
         sample — instead of one ``value_at`` / ``float()`` call per
@@ -276,19 +298,43 @@ class Profile:
         ends = np.fromiter(
             (t + dt for t, dt in intervals), dtype=float, count=len(intervals)
         )
+        # On the sim plane the grid ends *are* the sample timestamps, so
+        # a series is read off by index where every end hits one: the
+        # value at the last timestamp equal to the end, which is
+        # ``np.interp``'s own answer (the drain sample repeats the last
+        # grid timestamp and carries the value that counts) and lies in
+        # the value range, so needs no clamp.  Series sampled together
+        # share one time array and are located once; anything else
+        # (host-plane drift, an end outside the samples) interpolates.
+        located: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+
+        def at_ends(series: TimeSeries) -> np.ndarray:
+            times = series.times
+            # The entry keeps ``times`` alive, so its id stays its own.
+            entry = located.get(id(times))
+            if entry is None:
+                at = None
+                if ends.size and times.size:
+                    at = times.searchsorted(ends, side="right") - 1
+                    if at[0] < 0 or (times[at] != ends).any():
+                        at = None
+                entry = located[id(times)] = (times, at)
+            at = entry[1]
+            return series.values_at(ends) if at is None else series.values[at]
+
         # Cumulative names first, then levels (a name in both keeps its
         # first position and the level's value, as dict updates do).
         names: list[str] = []
         columns: list[list[float]] = []
         for name, series in cumulative.items():
-            at_ends = series.values_at(ends)
-            deltas = at_ends.copy()
-            np.subtract(at_ends[1:], at_ends[:-1], out=deltas[1:])
+            values = at_ends(series)
+            deltas = values.copy()
+            np.subtract(values[1:], values[:-1], out=deltas[1:])
             names.append(name)
             columns.append(deltas.tolist())
         for name, series in levels.items():
             names.append(name)
-            columns.append(series.values_at(ends).tolist())
+            columns.append(at_ends(series).tolist())
         rows = zip(*columns) if columns else [()] * len(intervals)
         wt = {k: list(v) for k, v in (watcher_times or {}).items()}
         samples: list[Sample] = []

@@ -52,7 +52,9 @@ seed boundary, and the split is the only path:
   slot array as one RNG batch; everything after that runs once over
   ``(rows, demands)`` arrays with every accumulation along ``axis=1``:
   noisy durations become demand start/end times with per-stream
-  ``cumsum`` (left-associated, matching scalar accumulation), and
+  ``cumsum`` (left-associated, matching scalar accumulation) — or, for
+  a run of phases whose streams are one demand each, with one ``cumsum``
+  over the run's phase maxima (see :func:`_timeline_layout`) — and
   counter and level timelines are folded from packed
   ``(t0, t1, amount)`` arrays — no per-demand objects, and no per-seed
   Python pass, anywhere.  The plans a campaign replays are a few
@@ -249,7 +251,9 @@ class _Gather:
         self.kinds: np.ndarray = _EMPTY_POS
         self.contention: np.ndarray = np.zeros(0)
         #: per stream: (phase index, first demand index, end demand index)
-        self.streams: list[tuple[int, int, int]] = []
+        #: — a list of tuples from the gather, a ``(streams, 3)`` array
+        #: from the bind.
+        self.streams: list[tuple[int, int, int]] | np.ndarray = []
         self.n_phases = 0
         self.c_pos = self.i_pos = self.m_pos = self.n_pos = self.s_pos = _EMPTY_POS
         self.c_instr: tuple = ()
@@ -292,22 +296,25 @@ class Prepared:
 
     Everything :meth:`Engine.run` needs that no seed changes: demand
     positions per kind, contention-scaled base durations and base
-    counter amounts, the noise slot layout, stream/phase structure and
-    the seed-independent halves of the level folds.  Built by
+    counter amounts, the noise slot layout, stream/phase structure (and
+    how the timeline walks it: see :func:`_timeline_layout`) and the
+    seed-independent halves of the level folds.  Built by
     :meth:`Engine.prepare`; replayed any number of times, by any engine
     on the same machine, each replay drawing its own noise.
 
     Every array is a read-only view, so a plan shared by the requests
     of a run-service batch cannot be altered by one of them.  The plan
     does not track its source: mutate an object workload and prepare
-    again.  ``replays`` — how many runs have used the plan — is the
+    again.  ``streams`` is the raw ``(streams, 3)`` table of ``(phase,
+    first demand, end demand)``; ``segments`` is the same structure cut
+    the way :meth:`Engine._timeline` walks it.  ``replays`` — how many runs have used the plan — is the
     one field a replay touches; it is what telemetry reads to tell a
     plan's first use (``built``) from a later one (``reused``).
     """
 
     __slots__ = (
         "machine", "name", "base_rss", "metadata",
-        "n", "n_phases", "streams", "pos",
+        "n", "n_phases", "streams", "segments", "run_phases", "pos",
         "slot_values", "slot_bases", "slot_groups",
         "m_phase", "m_deltas", "t_pos", "t_extra",
         "i_read", "i_written", "i_block", "i_fs",
@@ -548,9 +555,10 @@ class Engine:
         g.n = p.n
         g.n_phases = p.n_phases
         g.kinds = p.kinds
-        g.streams = list(
-            zip(p.stream_phase.tolist(), p.stream_first.tolist(), p.stream_end.tolist())
-        )
+        g.streams = np.empty((p.stream_phase.size, 3), dtype=np.intp)
+        g.streams[:, 0] = p.stream_phase
+        g.streams[:, 1] = p.stream_first
+        g.streams[:, 2] = p.stream_end
         counts = p.stream_end - p.stream_first
         demand_phase = np.repeat(p.stream_phase, counts)
         contention = np.ones(p.n)
@@ -768,7 +776,9 @@ class Engine:
         plan.metadata = dict(workload.metadata)
         plan.n = g.n
         plan.n_phases = g.n_phases
-        plan.streams = tuple(g.streams)
+        streams = np.asarray(g.streams, dtype=np.intp).reshape(-1, 3)
+        plan.streams = _frozen(streams)
+        plan.segments, plan.run_phases = _timeline_layout(g.n_phases, streams)
         plan.pos = tuple(
             _frozen(pos) for pos in (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)
         )
@@ -848,7 +858,7 @@ class Engine:
             (record,), _ = self._records(plan, [self.noise])
             sp.set(
                 demands=plan.n, sim_duration=record.duration,
-                plan="reused" if reused else "built",
+                plan="reused" if reused else "built", run_phases=plan.run_phases,
             )
         return record
 
@@ -869,7 +879,10 @@ class Engine:
             "engine.replay", workload=plan.name, machine=self.machine.name
         ) as sp:
             records, blocks = self._records(plan, list(noises))
-            sp.set(demands=plan.n, rows=len(records), blocks=blocks)
+            sp.set(
+                demands=plan.n, rows=len(records), blocks=blocks,
+                run_phases=plan.run_phases,
+            )
         return records
 
     def _records(
@@ -945,6 +958,10 @@ class Engine:
         registry.inc("engine.replay.rows", len(frames))
         registry.inc("engine.replay.blocks", len(sizes))
         registry.inc("engine.replay.split_rows", len(frames) - max(sizes, default=0))
+        registry.inc("engine.timeline.run_phases", plan.run_phases * len(frames))
+        registry.inc(
+            "engine.timeline.loop_phases", (plan.n_phases - plan.run_phases) * len(frames)
+        )
         return frames, len(sizes)
 
     def _fold_rows(
@@ -1103,29 +1120,54 @@ class Engine:
         durations, left-associated like the scalar accumulation), streams
         start together at the phase start, and phases are barriers.  The
         first phase starts at ``t_start`` (nonzero for streamed batches).
+        The plan's segments say which phases fold as a run and which are
+        walked stream by stream; both make the same additions (the
+        per-stream walk alone is the oracle of
+        ``tests/sim/test_timeline_oracle.py``).
         """
         rows = len(durations)
         t0 = np.empty((rows, plan.n))
         t1 = np.empty((rows, plan.n))
         bounds = np.empty((rows, plan.n_phases, 2))
         t_phase = np.full(rows, float(t_start))
-        stream_iter = iter(plan.streams)
-        pending = next(stream_iter, None)
-        for p_idx in range(plan.n_phases):
-            phase_end = t_phase
-            while pending is not None and pending[0] == p_idx:
-                _, first, end = pending
-                if end > first:
-                    steps = np.concatenate(
-                        (t_phase[:, None], durations[:, first:end]), axis=1
-                    ).cumsum(axis=1)
-                    t0[:, first:end] = steps[:, :-1]
-                    t1[:, first:end] = steps[:, 1:]
-                    phase_end = np.maximum(phase_end, steps[:, -1])
-                pending = next(stream_iter, None)
-            bounds[:, p_idx, 0] = t_phase
-            bounds[:, p_idx, 1] = phase_end
-            t_phase = phase_end
+        for segment in plan.segments:
+            if type(segment) is _Run:
+                # Every stream of these phases is one demand, so a phase
+                # ends at ``max_s fl(t + d_s)`` — which is ``fl(t + max_s
+                # d_s)``, rounding being monotone — and the phase starts
+                # are the left fold of those maxima: the same additions
+                # the per-stream ``cumsum``s below make, made at once.
+                first, end = segment.demands
+                spans = durations[:, first:end]
+                steps = np.empty((rows, len(segment.firsts) + 1))
+                steps[:, 0] = t_phase
+                np.maximum.reduceat(spans, segment.firsts, axis=1, out=steps[:, 1:])
+                steps = steps.cumsum(axis=1)
+                starts = steps[:, segment.phase_of]
+                t0[:, first:end] = starts
+                np.add(starts, spans, out=t1[:, first:end])
+                lo, hi = segment.phases
+                bounds[:, lo:hi, 0] = steps[:, :-1]
+                bounds[:, lo:hi, 1] = steps[:, 1:]
+                t_phase = steps[:, -1]
+                continue
+            stream_iter = iter(segment.streams)
+            pending = next(stream_iter, None)
+            for p_idx in range(*segment.phases):
+                phase_end = t_phase
+                while pending is not None and pending[0] == p_idx:
+                    _, first, end = pending
+                    if end > first:
+                        steps = np.concatenate(
+                            (t_phase[:, None], durations[:, first:end]), axis=1
+                        ).cumsum(axis=1)
+                        t0[:, first:end] = steps[:, :-1]
+                        t1[:, first:end] = steps[:, 1:]
+                        phase_end = np.maximum(phase_end, steps[:, -1])
+                    pending = next(stream_iter, None)
+                bounds[:, p_idx, 0] = t_phase
+                bounds[:, p_idx, 1] = phase_end
+                t_phase = phase_end
         return t0, t1, bounds
 
     # -- counter timelines ---------------------------------------------------------
@@ -1335,6 +1377,105 @@ _BLOCK_ELEMENTS = 1 << 17
 def block_rows(plan: Prepared) -> int:
     """How many rows of ``plan`` one replay block may hold (at least 1)."""
     return max(1, _BLOCK_ELEMENTS // max(1, plan.slot_values.size))
+
+
+class _Run(NamedTuple):
+    """Consecutive phases whose every stream holds exactly one demand:
+    :meth:`Engine._timeline` folds them with array operations."""
+
+    #: ``(first, end)`` phase indices.
+    phases: tuple[int, int]
+    #: ``(first, end)`` demand indices: one demand per stream, in order.
+    demands: tuple[int, int]
+    #: Per phase, the offset of its first demand within ``demands``.
+    firsts: np.ndarray
+    #: Per demand, the offset of its phase within ``phases``.
+    phase_of: np.ndarray
+
+
+class _Loop(NamedTuple):
+    """Consecutive phases of any other shape, walked stream by stream."""
+
+    #: ``(first, end)`` phase indices.
+    phases: tuple[int, int]
+    #: Their streams as ``(phase, first demand, end demand)``, in order.
+    streams: tuple[tuple[int, int, int], ...]
+
+
+#: Shortest run of single-demand phases worth leaving the stream loop
+#: for.  Finding a run and folding it cost about what the loop spends on
+#: eight single-demand streams (≈ 55 µs against ≈ 7 µs a stream), so
+#: shorter runs — the 2- and 5-sample emulation plans — stay in the loop.
+_MIN_RUN = 8
+
+
+def _single_runs(n_phases: int, streams: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Runs of at least :data:`_MIN_RUN` consecutive phases that have
+    streams, each of exactly one demand, as ``(first phase, end phase,
+    first stream, end stream)`` — from the ``(streams, 3)`` layout."""
+    if n_phases < _MIN_RUN or len(streams) < _MIN_RUN:
+        return []
+    phase, first, end = streams.T
+    ones = end - first == 1
+    # Runs slice demands and streams by range: the streams must tile the
+    # demands in phase order (every builder's layout).
+    if not (
+        np.count_nonzero(ones) >= _MIN_RUN
+        and (first[1:] == end[:-1]).all()
+        and (phase[1:] >= phase[:-1]).all()
+    ):
+        return []
+    per_phase = np.bincount(phase, minlength=n_phases)
+    single = np.zeros(n_phases + 2, dtype=bool)
+    single[1:-1] = per_phase == np.bincount(phase, weights=ones, minlength=n_phases)
+    single[1:-1] &= per_phase > 0
+    edges = np.flatnonzero(single[1:] != single[:-1])
+    lo, hi = edges[::2], edges[1::2]
+    long = hi - lo >= _MIN_RUN
+    lo, hi = lo[long], hi[long]
+    first_stream = np.zeros(n_phases + 1, dtype=np.intp)
+    np.cumsum(per_phase, out=first_stream[1:])
+    return list(zip(
+        lo.tolist(), hi.tolist(), first_stream[lo].tolist(), first_stream[hi].tolist()
+    ))
+
+
+def _timeline_layout(
+    n_phases: int, streams: np.ndarray
+) -> tuple[tuple[_Run | _Loop, ...], int]:
+    """Cut a plan's phases into :class:`_Run` and :class:`_Loop`
+    segments, from its ``(streams, 3)`` layout alone; also returns how
+    many phases the runs hold.
+
+    A phase belongs to a run when it has streams and each holds exactly
+    one demand (an emulation plan's sample phases: one stream per atom);
+    runs shorter than :data:`_MIN_RUN` phases, and every other phase,
+    stay with the stream loop.
+    """
+    segments: list[_Run | _Loop] = []
+    p_done = s_done = run_phases = 0
+
+    def loop_until(p_end: int, s_end: int) -> None:
+        if p_end > p_done:
+            segments.append(
+                _Loop((p_done, p_end), tuple(map(tuple, streams[s_done:s_end].tolist())))
+            )
+
+    for p_lo, p_hi, s_lo, s_hi in _single_runs(n_phases, streams):
+        loop_until(p_lo, s_lo)
+        phase_of = streams[s_lo:s_hi, 0] - p_lo
+        firsts = np.flatnonzero(phase_of[1:] != phase_of[:-1])
+        firsts += 1
+        segments.append(_Run(
+            (p_lo, p_hi),
+            (int(streams[s_lo, 1]), int(streams[s_hi - 1, 2])),
+            _frozen(np.concatenate(([0], firsts))),
+            _frozen(phase_of),
+        ))
+        p_done, s_done = p_hi, s_hi
+        run_phases += p_hi - p_lo
+    loop_until(n_phases, len(streams))
+    return tuple(segments), run_phases
 
 
 class _Ragged(Exception):

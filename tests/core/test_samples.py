@@ -47,6 +47,33 @@ class TestTotals:
         profile = make_profile([{}, {}, {}])
         assert profile.tx == pytest.approx(3.0)
 
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(["time.runtime", "cpu.cycles_used", "mem.rss"]),
+                st.floats(-1e3, 1e9, allow_nan=False, width=32),
+                max_size=3,
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([None, 7, 2.5, 0.0, "n/a"]),
+    )
+    def test_tx_reads_what_totals_holds(self, values, static):
+        """``tx`` totals one metric; it must be ``totals()``'s number —
+        same accumulation order, same statics override, same fallback."""
+        statics = {} if static is None else {"time.runtime": static}
+        profile = make_profile(values, statics=statics)
+        runtime = profile.totals().get("time.runtime")
+        if runtime is not None and runtime > 0:
+            assert profile.tx == runtime
+        else:
+            assert profile.tx == float(len(values))
+
+    def test_total_of_one_metric_follows_the_level_rule(self):
+        profile = make_profile([{"mem.rss": 10.0}, {}, {"mem.rss": 30.0}])
+        assert profile._total("mem.rss") == profile.totals()["mem.rss"] == 30.0
+        assert profile._total("cpu.flops") is None
+
     def test_derived_uses_totals(self):
         profile = make_profile(
             [{"cpu.cycles_used": 8.0, "cpu.cycles_stalled_front": 2.0}]
@@ -216,6 +243,64 @@ class TestBatchedMergeEquivalence:
     def test_degenerate_duplicate_timestamps_match(self):
         series = TimeSeries([1.0, 1.0, 1.0], [0.0, 5.0, 5.0])
         self._compare([(0.0, 1.0), (1.0, 1.0)], {"c": series}, {"l": series})
+
+    # -- grid ends that are the sample timestamps (the sim plane) ----------
+
+    GRID = [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (1.5, 0.25)]
+    ENDS = [t + dt for t, dt in GRID]
+
+    def _shared(self, times, seed=3):
+        """Two counters and a level sampled together (one time array)."""
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        times = np.asarray(times, dtype=float)
+        cum = {
+            name: TimeSeries.presorted(
+                times, np.cumsum(rng.uniform(0.0, 5.0, times.size)), monotone=True
+            )
+            for name in ("c1", "c2")
+        }
+        lev = {"l1": TimeSeries.presorted(times, rng.uniform(0.0, 9.0, times.size))}
+        return cum, lev
+
+    def test_every_end_hits_with_drain_duplicate(self):
+        """The drain sample repeats the last grid timestamp with its own
+        value: that later value is the one read."""
+        cum, lev = self._shared([0.0, *self.ENDS, self.ENDS[-1]])
+        self._compare(self.GRID, cum, lev)
+        merged = Profile.merge_watcher_series(self.GRID, cum, lev)
+        assert lev["l1"].values[-1] != lev["l1"].values[-2]
+        assert merged[-1].values["l1"] == lev["l1"].values[-1]
+        total = sum(s.values["c1"] for s in merged)
+        assert total == pytest.approx(cum["c1"].values[-1])
+
+    def test_duplicate_inside_the_grid(self):
+        times = [self.ENDS[0], self.ENDS[1], self.ENDS[1], *self.ENDS[2:]]
+        self._compare(self.GRID, *self._shared(times))
+
+    def test_grid_end_before_first_timestamp(self):
+        self._compare(self.GRID, *self._shared(self.ENDS[1:]))
+
+    def test_grid_end_after_last_timestamp(self):
+        self._compare(self.GRID, *self._shared(self.ENDS[:-1]))
+
+    def test_partial_hit_takes_the_fallback_whole(self):
+        times = list(self.ENDS)
+        times[2] += 0.125
+        cum, lev = self._shared(times)
+        self._compare(self.GRID, cum, lev)
+        merged = Profile.merge_watcher_series(self.GRID, cum, lev)
+        assert merged[2].values["l1"] == lev["l1"].value_at(self.ENDS[2])
+
+    def test_series_with_their_own_time_arrays(self):
+        cum, _ = self._shared(self.ENDS)
+        _, lev = self._shared([0.25, 0.75, 1.9], seed=4)
+        self._compare(self.GRID, cum, lev)
+
+    def test_empty_grid_with_series(self):
+        cum, lev = self._shared(self.ENDS)
+        assert Profile.merge_watcher_series([], cum, lev) == []
 
 
 class TestNormalisationOnInit:

@@ -1,29 +1,42 @@
 """Generate the golden-equivalence fixtures for the sim-plane fast path.
 
-Run as a script to (re)create ``tests/sim/fixtures/golden_records.json``::
+Run as a script to (re)create the fixtures under ``tests/sim/fixtures``
+(all of them, or the ones named)::
 
-    PYTHONPATH=src python tests/sim/gen_golden_fixtures.py
+    PYTHONPATH=src python tests/sim/gen_golden_fixtures.py [records] [emulations]
 
-The committed fixture was produced by the *scalar* engine and lockstep
+``golden_records.json`` was produced by the *scalar* engine and lockstep
 profiler (pre vectorisation, PR 2); ``test_golden_equivalence.py`` then
 pins the vectorised implementation to those numbers within 1e-9 relative
-tolerance.  Regenerate only when the execution *model* changes on
+tolerance.  ``golden_emulations.json`` holds whole emulation records —
+profile → plan → packed workload → noisy replay — generated by the
+per-sample plan builder and the per-stream timeline (before PR 19) and
+pinned *exactly*: floats are stored by ``repr`` and series as digests of
+their bytes.  Regenerate only when the execution *model* changes on
 purpose (new cost formula, new noise semantics) — never to paper over an
 accidental behaviour change.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from repro.apps import EnsembleApp, GromacsModel, SleeperApp, SyntheticApp
 from repro.apps.ensemble import EnsembleStage
 from repro.core.api import profile
 from repro.core.config import SynapseConfig
+from repro.core.emulator import Emulator
+from repro.core.plan import EmulationPlan
 from repro.sim.backend import SimBackend
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_records.json"
+EMULATION_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_emulations.json"
 
 #: (case name, machine, seed, app factory) — one seeded noisy run each.
 CASES = [
@@ -56,6 +69,17 @@ PROFILE_CASES = [
         overlap_io=True, chunks=24)),
 ]
 
+#: (case name, profiled gromacs iterations, profile seed, emulating
+#: machine, emulation seed, emulation config) — one noisy emulation each.
+#: Profiles are taken on thinkie at 2 Hz: 10^7 iterations are 426
+#: samples, 10^6 are 44 (the sizes of E12's ``small_runs``).
+EMULATION_CASES = [
+    ("emulate-426-thinkie", 10_000_000, 0, "thinkie", 3, {}),
+    ("emulate-426-comet-load", 10_000_000, 0, "comet", 4, {"cpu_load": 0.5}),
+    ("emulate-44-thinkie-load", 1_000_000, 1, "thinkie", 5, {"cpu_load": 0.25}),
+    ("emulate-44-stampede", 1_000_000, 1, "stampede", 6, {}),
+]
+
 
 def record_case(machine: str, seed: int, factory) -> dict:
     backend = SimBackend(machine, noisy=True, seed=seed)
@@ -80,8 +104,57 @@ def profile_case(machine: str, seed: int, rate: float, factory) -> dict:
     }
 
 
-def main() -> None:
-    out = {
+def _digest(*arrays) -> str:
+    """Digest of the exact float64 bytes of ``arrays``."""
+    h = hashlib.blake2b(digest_size=16)
+    for array in arrays:
+        h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def emulation_case(
+    iterations: int, profile_seed: int, machine: str, seed: int, config: dict
+) -> dict:
+    """Profile gromacs on thinkie, emulate the profile on ``machine``."""
+    prof = profile(
+        GromacsModel(iterations=iterations),
+        backend=SimBackend("thinkie", noisy=True, seed=profile_seed),
+        config=SynapseConfig(sample_rate=2.0),
+    )
+    emulation_config = SynapseConfig(**config)
+    plan = EmulationPlan.from_profile(prof, emulation_config)
+    result = Emulator(
+        backend=SimBackend(machine, noisy=True, seed=seed), config=emulation_config
+    ).replay(plan)
+    record = result.handle.record
+    series = {**record.counters, **record.levels}
+    return {
+        "n_samples": prof.n_samples,
+        "source_tx": repr(prof.tx),
+        "plan_totals": {k: repr(v) for k, v in asdict(plan.totals()).items()},
+        "tx": repr(result.tx),
+        "startup_delay": repr(result.startup_delay),
+        "totals": {k: repr(v) for k, v in sorted(record.totals().items())},
+        "n_phases": len(record.phase_bounds),
+        "phase_bounds": _digest(record.phase_bounds),
+        "n_io_events": len(record.io_events),
+        "io_events": _digest([e.t for e in record.io_events]),
+        "series": {
+            name: [len(ts), _digest(ts.times, ts.values)]
+            for name, ts in sorted(series.items())
+        },
+    }
+
+
+def _write(path: Path, out: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(out, handle, indent=1, sort_keys=True)
+    print(f"wrote {path}")
+
+
+def write_records() -> None:
+    _write(FIXTURE_PATH, {
         "records": {
             name: record_case(machine, seed, factory)
             for name, machine, seed, factory in CASES
@@ -90,12 +163,20 @@ def main() -> None:
             name: profile_case(machine, seed, rate, factory)
             for name, machine, seed, rate, factory in PROFILE_CASES
         },
-    }
-    FIXTURE_PATH.parent.mkdir(exist_ok=True)
-    with open(FIXTURE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(out, handle, indent=1, sort_keys=True)
-    print(f"wrote {FIXTURE_PATH}")
+    })
+
+
+def write_emulations() -> None:
+    _write(EMULATION_FIXTURE_PATH, {
+        name: emulation_case(*case) for name, *case in EMULATION_CASES
+    })
+
+
+def main(argv: list[str]) -> None:
+    writers = {"records": write_records, "emulations": write_emulations}
+    for name in argv or list(writers):
+        writers[name]()
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -5,6 +5,11 @@ The fixtures in ``fixtures/golden_records.json`` were produced by the
 ``gen_golden_fixtures.py``); these tests pin today's array-first
 implementation to those numbers within 1e-9 relative tolerance — seeded
 noisy runs must be indistinguishable before and after the rewrite.
+
+``fixtures/golden_emulations.json`` pins whole emulation records
+(profile → plan → packed workload → noisy replay) *exactly*: it was
+generated by the per-sample plan builder and the per-stream timeline,
+and the columnar emulate path must reproduce every bit of it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import pytest
 
 from gen_golden_fixtures import (
     CASES,
+    EMULATION_CASES,
+    EMULATION_FIXTURE_PATH,
     FIXTURE_PATH,
     PROFILE_CASES,
+    emulation_case,
     profile_case,
     record_case,
 )
@@ -73,3 +81,23 @@ def test_sampled_profile_matches_golden(name, machine, seed, rate, factory):
             assert got_sample["values"][key] == pytest.approx(
                 value, rel=RTOL, abs=1e-12
             ), (got_sample["t"], key)
+
+
+def test_emulation_fixture_is_committed():
+    with open(EMULATION_FIXTURE_PATH, encoding="utf-8") as handle:
+        assert set(json.load(handle)) == {name for name, *_ in EMULATION_CASES}
+
+
+@pytest.mark.parametrize(
+    "name,iterations,profile_seed,machine,seed,config",
+    EMULATION_CASES,
+    ids=[c[0] for c in EMULATION_CASES],
+)
+def test_emulation_matches_golden_exactly(
+    name, iterations, profile_seed, machine, seed, config
+):
+    with open(EMULATION_FIXTURE_PATH, encoding="utf-8") as handle:
+        expected = json.load(handle)[name]
+    got = emulation_case(iterations, profile_seed, machine, seed, config)
+    # Through JSON, as the fixture went: series entries become lists.
+    assert json.loads(json.dumps(got)) == expected

@@ -35,7 +35,7 @@ def _arrays(plan: Prepared) -> dict[str, np.ndarray]:
     out = {
         name: getattr(plan, name)
         for name in (
-            "slot_values", "slot_bases", "m_phase", "m_deltas",
+            "streams", "slot_values", "slot_bases", "m_phase", "m_deltas",
             "t_pos", "t_extra", "i_read", "i_written", "i_block",
         )
     }
@@ -71,7 +71,10 @@ def test_object_and_packed_plans_are_identical():
         assert np.array_equal(array, from_packed[name]), name
     # Filesystem names: a tuple from the gather, an object array from the bind.
     assert list(object_plan.i_fs) == list(packed_plan.i_fs)
-    assert object_plan.streams == packed_plan.streams
+    for ours, theirs in zip(object_plan.segments, packed_plan.segments, strict=True):
+        assert type(ours) is type(theirs)
+        for left, right in zip(ours, theirs, strict=True):
+            assert np.array_equal(left, right)
 
 
 def test_plan_reused_across_100_seeds_never_changes():
