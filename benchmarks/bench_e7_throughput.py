@@ -40,7 +40,6 @@ import time
 
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
-from repro.core.sampling import SamplingPolicy
 from repro.runtime import RunService
 from repro.sim.backend import SimBackend
 from repro.sim.demands import (
@@ -97,9 +96,7 @@ def heavy_workload(n_demands: int = 1200, name: str = "e7-heavy") -> SimWorkload
 class _LockstepProfiler(Profiler):
     """Profiler with the grid fast path disabled (scalar lockstep)."""
 
-    def _drive_grid(
-        self, watchers, handle, policy: SamplingPolicy, t0: float
-    ) -> None:
+    def _blocks(self, handles) -> None:
         return None
 
 

@@ -279,11 +279,10 @@ class Profile:
         level series are sampled at interval ends.
 
         The merge is columnar: every series is evaluated over the
-        whole grid in one shot (an index lookup where the grid ends are
-        its timestamps, :meth:`TimeSeries.values_at` otherwise), cumulative
-        columns are differenced as arrays, and each column becomes
-        Python floats with one ``tolist()`` — one row of those per
-        sample — instead of one ``value_at`` / ``float()`` call per
+        whole grid in one shot (:meth:`TimeSeries.values_at`),
+        cumulative columns are differenced as arrays, and each column
+        becomes Python floats with one ``tolist()`` — one row of those
+        per sample — instead of one ``value_at`` / ``float()`` call per
         metric per interval.  Results are bit-identical to the scalar
         merge (the test suite pins the equivalence against a scalar
         reference implementation): the array difference subtracts
@@ -298,43 +297,19 @@ class Profile:
         ends = np.fromiter(
             (t + dt for t, dt in intervals), dtype=float, count=len(intervals)
         )
-        # On the sim plane the grid ends *are* the sample timestamps, so
-        # a series is read off by index where every end hits one: the
-        # value at the last timestamp equal to the end, which is
-        # ``np.interp``'s own answer (the drain sample repeats the last
-        # grid timestamp and carries the value that counts) and lies in
-        # the value range, so needs no clamp.  Series sampled together
-        # share one time array and are located once; anything else
-        # (host-plane drift, an end outside the samples) interpolates.
-        located: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-
-        def at_ends(series: TimeSeries) -> np.ndarray:
-            times = series.times
-            # The entry keeps ``times`` alive, so its id stays its own.
-            entry = located.get(id(times))
-            if entry is None:
-                at = None
-                if ends.size and times.size:
-                    at = times.searchsorted(ends, side="right") - 1
-                    if at[0] < 0 or (times[at] != ends).any():
-                        at = None
-                entry = located[id(times)] = (times, at)
-            at = entry[1]
-            return series.values_at(ends) if at is None else series.values[at]
-
         # Cumulative names first, then levels (a name in both keeps its
         # first position and the level's value, as dict updates do).
         names: list[str] = []
         columns: list[list[float]] = []
         for name, series in cumulative.items():
-            values = at_ends(series)
+            values = series.values_at(ends)
             deltas = values.copy()
             np.subtract(values[1:], values[:-1], out=deltas[1:])
             names.append(name)
             columns.append(deltas.tolist())
         for name, series in levels.items():
             names.append(name)
-            columns.append(at_ends(series).tolist())
+            columns.append(series.values_at(ends).tolist())
         rows = zip(*columns) if columns else [()] * len(intervals)
         wt = {k: list(v) for k, v in (watcher_times or {}).items()}
         samples: list[Sample] = []
@@ -349,3 +324,65 @@ class Profile:
                        watcher_times=times)
             )
         return samples
+
+    @staticmethod
+    def merge_watcher_rows(
+        grid: list[tuple[float, float]],
+        n_samples: np.ndarray,
+        cumulative: Mapping[str, Any],
+        levels: Mapping[str, Any],
+        times: np.ndarray,
+        counts: np.ndarray,
+        drain: int,
+        watchers: list[str],
+    ) -> list[tuple[list[Sample], float]]:
+        """:meth:`merge_watcher_series` for a block of rows sampled on
+        one grid: per row, its samples and its first sample offset.
+
+        The series are :class:`~repro.util.timeseries.SeriesRows` on the
+        ``(rows, samples)`` table ``times``, of which row *r* owns the
+        first ``counts[r]`` columns: a grid column each, then ``drain``
+        repeats of the last.  ``grid`` holds the intervals of the
+        longest row — interval *i* ends at column *i*'s timestamp — and
+        row *r* uses the first ``n_samples[r]`` of them.  Each end
+        therefore *is* a timestamp, and the value there is read off by
+        index: the last column with that timestamp (the drain sample
+        where it repeats a row's last grid column), which is
+        ``np.interp``'s own answer.  The whole block is gathered and
+        differenced as one array and becomes Python floats with one
+        ``tolist()``.  ``watchers`` are the watchers that stamped the
+        samples.
+        """
+        rows = len(counts)
+        width = int(n_samples.max())
+        names = [*cumulative, *levels]
+        if names:
+            columns = np.arange(width)
+            at = columns + ((columns == (counts - drain)[:, None] - 1) & bool(drain))
+            stacked = np.array(
+                [series.values for series in (*cumulative.values(), *levels.values())]
+            )[:, np.arange(rows)[:, None], at]
+            table = stacked.copy()
+            accrued = len(cumulative)
+            np.subtract(
+                stacked[:accrued, :, 1:], stacked[:accrued, :, :-1],
+                out=table[:accrued, :, 1:],
+            )
+            values = table.transpose(1, 2, 0).tolist()
+        stamps = times.tolist()
+        merged = []
+        for row, (n, count) in enumerate(zip(n_samples.tolist(), counts.tolist())):
+            samples = [
+                Sample(
+                    index=index, t=t, dt=dt,
+                    # A row that was never sampled has no metrics.
+                    values=dict(zip(names, values[row][index])) if count and names else {},
+                    watcher_times=(
+                        dict.fromkeys(watchers, stamps[row][index])
+                        if index < count else {}
+                    ),
+                )
+                for index, (t, dt) in enumerate(grid[:n])
+            ]
+            merged.append((samples, stamps[row][0] if count and watchers else 0.0))
+        return merged

@@ -17,6 +17,7 @@ service, and this module must stay importable from either side.
 from __future__ import annotations
 
 import contextlib
+import time
 from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from typing import Any
@@ -24,6 +25,7 @@ from typing import Any
 from repro.core.errors import ConfigError, WorkloadError
 from repro.faults import inject
 from repro.runtime.service import RunRequest
+from repro.telemetry.spans import span
 
 __all__ = ["PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope"]
 
@@ -47,13 +49,14 @@ class PlanGroup:
     """One (target, machine) pair of a :class:`PlanScope`: the rows
     declared for it that no block has replayed yet, and — once a request
     has built it — the pair's engine plan and the records replayed from
-    it that nobody has taken.
+    it that nobody has taken, with the profiles a ``profile`` request
+    took of them under its config.
 
     It keeps ``target`` and ``machine`` alive because the scope finds it
     by their identity.
     """
 
-    __slots__ = ("target", "machine", "pending", "plan", "records")
+    __slots__ = ("target", "machine", "pending", "plan", "records", "profiles", "config")
 
     def __init__(
         self, target: Any, machine: Any, rows: Iterable[NoiseRow] = ()
@@ -66,16 +69,25 @@ class PlanGroup:
         #: Row -> the ``ExecutionRecord`` of each request still to ask
         #: for it; never more than one block's worth in all.
         self.records: dict[NoiseRow, list[Any]] = {}
+        #: Row -> the ``Profile`` of each of those records, in step with
+        #: ``records`` (empty when the block was not profiled), taken
+        #: under ``config``.
+        self.profiles: dict[NoiseRow, list[Any]] = {}
+        self.config: Any = None
 
-    def take(self, row: NoiseRow) -> Any:
-        """A waiting record of ``row``, or ``None``."""
+    def take(self, row: NoiseRow) -> tuple[Any, Any]:
+        """A waiting record of ``row`` and the profile waiting with it;
+        ``None`` for what is not there."""
         waiting = self.records.get(row)
         if not waiting:
-            return None
+            return None, None
         record = waiting.pop()
+        profiles = self.profiles.get(row)
+        profile = profiles.pop() if profiles else None
         if not waiting:
             del self.records[row]
-        return record
+            self.profiles.pop(row, None)
+        return record, profile
 
     def claim(self, row: NoiseRow, limit: int) -> list[NoiseRow]:
         """Take the next block out of the pending rows: up to ``limit``
@@ -284,8 +296,10 @@ def _resolve_workload(target: Any, spec: Any):
 
 def _replayed(
     request: RunRequest, target: Any, machine: Any, plans: PlanScope | None
-):
-    """The request's ``ExecutionRecord``.
+) -> tuple[Any, Any, PlanGroup, list[tuple[NoiseRow, Any]]]:
+    """The request's ``ExecutionRecord``; with it the profile that
+    waited beside it (or ``None``), the pair's group, and the rows and
+    records this call replayed and left waiting in the group.
 
     A request whose record is waiting in its pair's group takes it.
     Otherwise it replays one block itself: the first of a pair to get
@@ -297,9 +311,9 @@ def _replayed(
     and leaves the others waiting.  A request whose row is not pending —
     its pair was never declared, or it took its record and is being
     retried — replays alone.  A new block replaces what the one before
-    left (rows nobody came for), so under a block of records wait per
-    pair, and the pair is dropped from the scope with its plan when its
-    last declared row is taken.
+    left (rows nobody came for, and their profiles), so under a block
+    of records wait per pair, and the pair is dropped from the scope
+    with its plan when its last declared row is taken.
 
     All of it runs inside the request's attempt: a failure is that
     request's failure, is retried under its policy, and stores nothing.
@@ -316,8 +330,9 @@ def _replayed(
     if group is None:
         group = PlanGroup(target, machine)  # shares nothing
     row = noise_row(request)
-    record = group.take(row)
+    record, profile = group.take(row)
     declared = record is not None
+    left: list[tuple[NoiseRow, Any]] = []
     if record is None:
         plan = group.plan
         if plan is None:
@@ -336,12 +351,13 @@ def _replayed(
             raise
         group.plan = plan
         if declared:
-            group.records = {}
-            for each, other in zip(rows[1:], others):
+            group.records, group.profiles = {}, {}
+            left = list(zip(rows[1:], others))
+            for each, other in left:
                 group.records.setdefault(each, []).append(other)
     if declared and plans is not None and not (group.pending or group.records):
         plans.drop(group)  # its last declared row was taken
-    return record
+    return record, profile, group, left
 
 
 def _execute_engine(
@@ -351,32 +367,76 @@ def _execute_engine(
     ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
     if machine is None:
         raise WorkloadError("engine requests need a machine model")
-    return _reduced(request, _replayed(request, target, machine, plans))
+    return _reduced(request, _replayed(request, target, machine, plans)[0])
 
 
 def _execute_profile(
     request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
 ) -> Any:
-    """A full profiling run; yields a ``Profile`` (or its reduction)."""
+    """A full profiling run; yields a ``Profile`` (or its reduction).
+
+    On the sim plane the request that replays a block also profiles it
+    — its own record and the ones it leaves waiting, in one
+    :meth:`~repro.core.profiler.Profiler.run_many` under its config —
+    and leaves the profiles waiting beside the records.  A request
+    whose record waits with a profile taken under the config it asks
+    for takes both, and the profile is its own from there on: its tags
+    and command go on it, and the time and the pid of the process it
+    would have started now.  Anything else — another config, a retry,
+    watchers that cannot watch rows — profiles its record alone, and a
+    block pass that fails is the failure of the request that made it:
+    the records stay, the rest of the pair profile alone.
+    """
     from repro.core.profiler import Profiler  # noqa: PLC0415 (cycle)
+    from repro.core.tags import normalize_command, normalize_tags  # noqa: PLC0415 (cycle)
+    from repro.sim.backend import SimBackend  # noqa: PLC0415 (cycle)
+    from repro.sim.process import SimProcess  # noqa: PLC0415 (cycle)
 
-    backend = request.backend
-    if backend is None:
-        if machine is not None:
-            # The backend spawns the already replayed history: the run
-            # is this request's spawn slot either way.
-            target = _replayed(request, target, machine, plans)
-            backend = _sim_backend(request, target.machine)
-        else:
-            from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)
-
-            backend = default_backend_for(target)
     config = (
         plans.config(request.config) if plans is not None
         else _as_config(request.config)
     )
-    profiler = Profiler(backend, config=config)
-    profile = profiler.run(target, tags=request.tags, command=request.command)
+    backend = request.backend
+    if backend is None and machine is None:
+        from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)
+
+        backend = default_backend_for(target)
+    if backend is not None:
+        profile = Profiler(backend, config=config).run(
+            target, tags=request.tags, command=request.command
+        )
+        return _reduced(request, profile)
+
+    record, profile, group, left = _replayed(request, target, machine, plans)
+    if profile is not None and group.config is not config:
+        profile = None  # taken under another config
+    block = None
+    if profile is None and left:
+        # Every row on the clock of a backend of its own: at zero.
+        block = Profiler(SimBackend(record.machine), config=config)
+    if profile is None and not (block is not None and block.watches_rows):
+        # The backend spawns the already replayed history: the run is
+        # this request's spawn slot either way.
+        profile = Profiler(_sim_backend(request, record.machine), config=config).run(
+            record, tags=request.tags, command=request.command
+        )
+        return _reduced(request, profile)
+    with span("profile.run", backend="sim") as sp:
+        if profile is None:
+            profile, *others = block.run_many([record, *(each for _, each in left)])
+            group.config = config
+            for (row, _), other in zip(left, others):
+                group.profiles.setdefault(row, []).append(other)
+        else:
+            profile.created = time.time()
+            profile.info["process"]["pid"] = SimProcess.next_pid()
+        profile.tags = normalize_tags(request.tags)
+        if request.command is not None:
+            profile.command = normalize_command(request.command)
+        sp.set(
+            command=profile.command, samples=profile.n_samples,
+            exit_code=int(profile.info.get("exit_code", 0)),
+        )
     return _reduced(request, profile)
 
 

@@ -147,9 +147,16 @@ class SimBackend(ExecutionBackend):
         :class:`~repro.runtime.service.RunService` pool).  Records are
         bit-identical either way: spawn slot *i* always draws its noise
         from the same per-index seed the sequential :meth:`spawn` path
-        would use.
+        would use.  Targets that are all :class:`ExecutionRecord`s are
+        not run again.
         """
-        records = self.run_many(targets, processes=processes)
+        targets = list(targets)
+        if targets and all(isinstance(each, ExecutionRecord) for each in targets):
+            # Histories replayed already (see :meth:`spawn`): a slot each.
+            self._spawn_count += len(targets)
+            records = targets
+        else:
+            records = self.run_many(targets, processes=processes)
         start = self.clock.now()
         return [
             SimProcess(record, self.clock, start_time=start) for record in records

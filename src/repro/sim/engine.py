@@ -93,7 +93,10 @@ from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 from repro.util.timeseries import TimeSeries
 
-__all__ = ["Engine", "ExecutionRecord", "IOEvent", "Prepared", "block_rows"]
+__all__ = [
+    "Engine", "ExecutionRecord", "IOEvent", "Prepared", "RecordBlock",
+    "block_rows", "rows_run",
+]
 
 
 class IOEvent(NamedTuple):
@@ -171,6 +174,121 @@ class _LazyIOEvents(Sequence):
         return (list, (self._materialise(),))
 
 
+def rows_run(rows: Sequence[int] | slice) -> slice | list[int]:
+    """Row indices as what cuts them out of a table cheapest: a slice
+    where they are a run (the rows of one fold come in one, a lone
+    record is a run of one), else the list they are."""
+    if isinstance(rows, slice):
+        return rows
+    run = list(rows)
+    if run == list(range(run[0], run[0] + len(run))):
+        return slice(run[0], run[0] + len(run))
+    return run
+
+
+class RecordBlock:
+    """The series of the records of one fold, stacked: what
+    :meth:`Engine._fold` computes before it slices rows out of it.
+
+    ``series`` maps a name to its ``(times, values)`` tables, each
+    ``(rows, breakpoints)`` — the arrays the records' ``TimeSeries`` are
+    row views of, so a block holds no memory of its own — counters
+    first, then levels, as :meth:`ExecutionRecord.counters_at` orders
+    them.  :meth:`counters_many` samples any of its rows at once.
+    """
+
+    __slots__ = ("durations", "series", "__weakref__")
+
+    def __init__(
+        self, durations: np.ndarray, series: dict[str, tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        self.durations = durations
+        self.series = series
+
+    @classmethod
+    def of(cls, record: "ExecutionRecord") -> "RecordBlock":
+        """The block of one that a record built by hand (or unpickled) is."""
+        return cls(
+            np.array([record.duration]),
+            {
+                name: (series.times[None, :], series.values[None, :])
+                for group in (record.counters, record.levels)
+                for name, series in group.items()
+            },
+        )
+
+    def counters_many(
+        self, rows: Sequence[int] | slice, ts: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Every series of the given rows (ascending) at ``(len(rows),
+        samples)`` query times: one ``(len(rows), samples)`` array per
+        name, each entry bit-equal to :meth:`TimeSeries.values_at` on
+        that row's series, plus ``time.runtime``.
+
+        The series are the *lanes* of one sorted table — complex keys
+        order lexicographically, so ``(lane · rows + row) + time·j``
+        sorts by segment, then time — and every query of every row is
+        located by one ``searchsorted``: comparisons only, so the index
+        is ``np.interp``'s own (the last breakpoint at or before the
+        query).  The arithmetic is ``np.interp``'s too, operation for
+        operation: ``fp[j]`` where the query hits ``xp[j]`` or ``j`` is
+        the last breakpoint, else ``slope * (x - xp[j]) + fp[j]`` with
+        ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, then the
+        clamp into the series' value range.  A call costs some fifty
+        array operations whatever the number of rows and series; the
+        table is built for the call and dropped with it.
+        """
+        n, samples = ts.shape
+        run = rows_run(rows)
+        out: dict[str, Any] = {}
+        names: list[str] = []
+        tables: list[np.ndarray] = []
+        values: list[np.ndarray] = []
+        for name, (times, series_values) in self.series.items():
+            if times.shape[1]:
+                names.append(name)
+                tables.append(times[run].ravel())
+                values.append(series_values[run].ravel())
+            # An empty series reads zero; the others keep their place.
+            out[name] = None if times.shape[1] else np.zeros(ts.shape)
+        out["time.runtime"] = np.minimum(
+            np.maximum(ts, 0.0), self.durations[run][:, None]
+        )
+        if not names:
+            return out
+        # Segment (lane, row) of the table: ``widths`` breakpoints from ``first``.
+        widths = np.repeat([table.size // n for table in tables], n)
+        first = (widths.cumsum() - widths).reshape(len(names), n, 1)
+        last = first + (widths.reshape(first.shape) - 1)
+        xp, fp = np.concatenate(tables), np.concatenate(values)
+        segment = np.arange(widths.size)
+        keys = np.empty(xp.size, dtype=complex)
+        keys.real = np.repeat(segment, widths)
+        keys.imag = xp
+        queries = np.empty((len(names), n, samples), dtype=complex)
+        queries.real = segment.reshape(first.shape)
+        queries.imag = ts
+        at = keys.searchsorted(queries.ravel(), side="right").reshape(queries.shape)
+        at -= 1
+        j = np.maximum(at, first)  # a query before xp[0] reads fp[0]
+        j1 = np.minimum(j + 1, last)
+        x0, x1, f0, f1 = xp[j], xp[j1], fp[j], fp[j1]
+        held = (at < first) | (j == last) | (x0 == ts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (f1 - f0) / (x1 - x0)
+            found = np.where(held, f0, slope * (ts - x0) + f0)
+            if np.isnan(found).any():
+                # np.interp's way round a non-finite product.
+                other = slope * (ts - x1) + f1
+                other = np.where(np.isnan(other) & (f0 == f1), f0, other)
+                found = np.where(np.isnan(found) & ~held, other, found)
+        bounds = first.ravel()
+        lo = np.minimum.reduceat(fp, bounds).reshape(first.shape)
+        hi = np.maximum.reduceat(fp, bounds).reshape(first.shape)
+        out.update(zip(names, np.minimum(np.maximum(found, lo), hi)))
+        return out
+
+
 @dataclass
 class ExecutionRecord:
     """Complete observable history of one simulated process execution."""
@@ -182,6 +300,18 @@ class ExecutionRecord:
     io_events: Sequence[IOEvent]
     phase_bounds: list[tuple[float, float]]
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: The fold this record is row ``row`` of, set by the engine; ``None``
+    #: for a record built by hand, unpickled or made by
+    #: ``dataclasses.replace`` (not ``init`` fields, so a record with
+    #: other series never keeps them), which samples as a block of one.
+    block: RecordBlock | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    row: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A record crosses a process boundary as its own row only.
+        return {**self.__dict__, "block": None, "row": 0}
 
     def counters_at(self, t: float) -> dict[str, float]:
         """All cumulative counters and levels evaluated at time ``t``."""
@@ -193,15 +323,14 @@ class ExecutionRecord:
     def counters_many(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Vectorised :meth:`counters_at`: one array per metric.
 
-        ``ts`` is an array of (relative) sample times; every counter and
-        level series is interpolated over the whole grid in one shot.
-        Entry *i* of each array equals ``counters_at(ts[i])[name]``.
+        ``ts`` is an array of (relative) sample times; entry *i* of each
+        array equals ``counters_at(ts[i])[name]``.  It is the one-row
+        call of :meth:`RecordBlock.counters_many`.
         """
         ts = np.asarray(ts, dtype=float)
-        out = {name: s.values_at(ts) for name, s in self.counters.items()}
-        out.update({name: s.values_at(ts) for name, s in self.levels.items()})
-        out["time.runtime"] = np.minimum(np.maximum(ts, 0.0), self.duration)
-        return out
+        block = self.block if self.block is not None else RecordBlock.of(self)
+        sampled = block.counters_many([self.row], ts[None, :])
+        return {name: values[0] for name, values in sampled.items()}
 
     def totals(self) -> dict[str, float]:
         """Final counter values (cumulative) and maxima (levels)."""
@@ -336,6 +465,25 @@ class _Frame(NamedTuple):
     rss_end: float
     peak_end: float
     carries: dict[str, tuple[float, float, float]]
+    #: The fold's stacked series, and this frame's row of them.
+    block: RecordBlock
+    row: int
+
+    def record(
+        self, machine: MachineSpec, metadata: dict[str, Any]
+    ) -> ExecutionRecord:
+        """The frame as a record that samples through its fold."""
+        record = ExecutionRecord(
+            machine=machine,
+            duration=self.duration,
+            counters=self.counters,
+            levels=self.levels,
+            io_events=self.io_events,
+            phase_bounds=self.phase_bounds,
+            metadata=metadata,
+        )
+        record.block, record.row = self.block, self.row
+        return record
 
 
 class Engine:
@@ -902,18 +1050,7 @@ class Engine:
         frames, blocks = self._replay(plan, noises, plan.base_rss)
         metadata = dict(plan.metadata)
         metadata.setdefault("workload_name", plan.name)
-        records = [
-            ExecutionRecord(
-                machine=self.machine,
-                duration=frame.duration,
-                counters=frame.counters,
-                levels=frame.levels,
-                io_events=frame.io_events,
-                phase_bounds=frame.phase_bounds,
-                metadata=dict(metadata),
-            )
-            for frame in frames
-        ]
+        records = [frame.record(self.machine, dict(metadata)) for frame in frames]
         return records, blocks
 
     def _replay(
@@ -1001,12 +1138,15 @@ class Engine:
             t_hi = bounds[:, -1, 1]
         else:
             t_hi = np.full(len(noisy), float(t_start))
-        counters, carries = self._build_counters(
+        tables, carries = self._build_counters(
             plan, t0, t1, noisy, t_start, t_hi, initial
         )
-        levels, rss_end, peak_end = self._build_levels(
+        counters = _row_series(len(noisy), tables, monotone=tables)
+        level_tables, rss_end, peak_end = self._build_levels(
             plan, t0, t1, base_rss, t_start, t_hi, rss0, peak0
         )
+        levels = _row_series(len(noisy), level_tables, monotone=("mem.peak",))
+        block = RecordBlock(t_hi, {**tables, **level_tables})
         io_starts = t0[:, plan.pos[_IO]]
         return [
             _Frame(
@@ -1021,6 +1161,8 @@ class Engine:
                 rss_end[row],
                 peak_end[row],
                 carries[row],
+                block,
+                row,
             )
             for row, (duration, phase_bounds) in enumerate(
                 zip(t_hi.tolist(), bounds.tolist())
@@ -1182,7 +1324,8 @@ class Engine:
         t_hi: np.ndarray,
         initial: dict[str, tuple[float, float, float]] | None = None,
     ) -> tuple[
-        list[dict[str, TimeSeries]], list[dict[str, tuple[float, float, float]]]
+        dict[str, tuple[np.ndarray, np.ndarray]],
+        list[dict[str, tuple[float, float, float]]],
     ]:
         """Turn accrual spans into piecewise-linear cumulative series.
 
@@ -1192,8 +1335,9 @@ class Engine:
         the raw left-fold sum seeds this window's ``cumsum``, the
         guarded value floors the monotonic guard and the running rate
         seeds the rate fold, so streamed windows reproduce the
-        uninterrupted series bit for bit.  Returns, per row, the series
-        and this window's end carries, both in sorted-name order.
+        uninterrupted series bit for bit.  Returns the series as
+        ``(rows, breakpoints)`` time and value tables and, per row, this
+        window's end carries, both in sorted-name order.
         """
         rows = len(noisy)
         if initial is None:
@@ -1238,18 +1382,16 @@ class Engine:
                     folded[name] = (
                         grid.bps, values[:, lane], ends[:, lane].tolist()
                     )
-        series: list[dict[str, TimeSeries]] = [{} for _ in range(rows)]
+        tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         carries: list[dict[str, tuple[float, float, float]]] = [
             {} for _ in range(rows)
         ]
         for name in sorted(folded):
             times, values, ends = folded[name]
+            tables[name] = (times, values)
             for row in range(rows):
-                series[row][name] = TimeSeries.presorted(
-                    times[row], values[row], monotone=True
-                )
                 carries[row][name] = tuple(ends[row])
-        return series, carries
+        return tables, carries
 
     # -- level timelines -----------------------------------------------------------
 
@@ -1263,8 +1405,9 @@ class Engine:
         t_hi: np.ndarray,
         rss0: float | None = None,
         peak0: float | None = None,
-    ) -> tuple[list[dict[str, TimeSeries]], list[float], list[float]]:
-        """Per-row level series over ``[t_lo, t_hi[r]]``, end RSS and peak.
+    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], list[float], list[float]]:
+        """Level series over ``[t_lo, t_hi[r]]`` as ``(rows, breakpoints)``
+        time and value tables, and per row the end RSS and peak.
 
         ``rss0``/``peak0`` carry the previous window's end level and
         running maximum into a streamed window (``None`` starts a run
@@ -1301,17 +1444,12 @@ class Engine:
         )
         threads_t, threads_v = self._thread_level(plan, t0, t1, t_lo, t_hi)
         load_v = threads_v / self.machine.cpu.cores
-        levels = [
-            {
-                "mem.rss": TimeSeries.presorted(rss_t[row], rss_v[row]),
-                "mem.peak": TimeSeries.presorted(
-                    rss_t[row], peak_v[row], monotone=True
-                ),
-                "cpu.threads": TimeSeries.presorted(threads_t[row], threads_v[row]),
-                "sys.load_cpu": TimeSeries.presorted(threads_t[row], load_v[row]),
-            }
-            for row in range(rows)
-        ]
+        levels = {
+            "mem.rss": (rss_t, rss_v),
+            "mem.peak": (rss_t, peak_v),
+            "cpu.threads": (threads_t, threads_v),
+            "sys.load_cpu": (threads_t, load_v),
+        }
         return levels, step_v[:, -1].tolist(), peak_v[:, -1].tolist()
 
     @staticmethod
@@ -1372,6 +1510,22 @@ _KIND_COUNTERS: dict[int, tuple[str, ...]] = {
 #: elements, ~1 MB each), so stacking seeds never scales memory with
 #: demand count: a plan with more slots than this replays row by row.
 _BLOCK_ELEMENTS = 1 << 17
+
+
+def _row_series(
+    rows: int,
+    tables: dict[str, tuple[np.ndarray, np.ndarray]],
+    monotone: Iterable[str],
+) -> list[dict[str, TimeSeries]]:
+    """Each row of a fold's tables as its own ``TimeSeries`` (views)."""
+    series: list[dict[str, TimeSeries]] = [{} for _ in range(rows)]
+    for name, (times, values) in tables.items():
+        rising = name in monotone
+        for row in range(rows):
+            series[row][name] = TimeSeries.presorted(
+                times[row], values[row], monotone=rising
+            )
+    return series
 
 
 def block_rows(plan: Prepared) -> int:

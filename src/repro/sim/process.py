@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.core.backend import ProcessHandle
 from repro.sim.clock import VirtualClock
-from repro.sim.engine import ExecutionRecord
+from repro.sim.engine import ExecutionRecord, RecordBlock, rows_run
 
-__all__ = ["SimProcess"]
+__all__ = ["SimProcess", "SimProcessBlock"]
 
 
 class SimProcess(ProcessHandle):
@@ -35,8 +36,13 @@ class SimProcess(ProcessHandle):
         self.clock = clock
         self.start_time = start_time
         self.exit_code = exit_code
+        self.pid = SimProcess.next_pid()
+
+    @staticmethod
+    def next_pid() -> int:
+        """The pid of the next process to start."""
         SimProcess._next_pid += 1
-        self.pid = SimProcess._next_pid
+        return SimProcess._next_pid
 
     # -- ProcessHandle ---------------------------------------------------------
 
@@ -66,6 +72,30 @@ class SimProcess(ProcessHandle):
             np.maximum(np.asarray(ts, dtype=float), 0.0), self.record.duration
         )
         return self.record.counters_many(rel)
+
+    @staticmethod
+    def blocks(
+        handles: Sequence[ProcessHandle],
+    ) -> list[tuple[list[int], "SimProcessBlock"]] | None:
+        """The handles as :class:`SimProcessBlock`s — per block, which
+        of the handles it holds — or ``None`` when they are not all sim
+        processes.  Processes share a block when they share a clock, a
+        start time and the fold their records come from."""
+        groups: dict[tuple, list[int]] = {}
+        for index, handle in enumerate(handles):
+            if type(handle) is not SimProcess:
+                return None
+            fold = handle.record.block
+            key = (
+                id(handle.clock), handle.start_time,
+                id(fold if fold is not None else handle.record),
+            )
+            groups.setdefault(key, []).append(index)
+        blocks = []
+        for indices in groups.values():
+            indices.sort(key=lambda i: handles[i].record.row)
+            blocks.append((indices, SimProcessBlock([handles[i] for i in indices])))
+        return blocks
 
     def rusage(self) -> dict[str, float]:
         # The two of ``record.totals()`` that are read here.
@@ -99,3 +129,64 @@ class SimProcess(ProcessHandle):
     def duration(self) -> float:
         """Tx of the virtual process."""
         return self.record.duration
+
+
+class SimProcessBlock:
+    """Concurrent sim processes of one fold, as one handle whose answers
+    carry a leading row axis: what a block of rows is to the profiler's
+    grid pass and its watchers (``rusage()`` yields one array per
+    total, ``counters_many`` one ``(rows, samples)`` array per metric).
+    """
+
+    def __init__(self, processes: Sequence[SimProcess]) -> None:
+        self.processes = list(processes)
+        first = self.processes[0]
+        self.clock = first.clock
+        self.start_time = first.start_time
+        fold = first.record.block
+        self._fold = fold if fold is not None else RecordBlock.of(first.record)
+        #: Their rows of the fold, ascending (see :meth:`SimProcess.blocks`).
+        self._run = rows_run([process.record.row for process in self.processes])
+        self._durations = self._fold.durations[self._run]
+
+    def __len__(self) -> int:
+        return len(self.processes)
+
+    @property
+    def end_times(self) -> np.ndarray:
+        """Virtual time at which each process exits."""
+        return self.start_time + self._durations
+
+    def wait(self) -> list[int]:
+        for process in self.processes:
+            process.wait()
+        return [process.exit_code for process in self.processes]
+
+    def counters_many(self, ts: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`SimProcess.counters_many` of every process: row *r* of
+        each array is what process *r* reports at the times ``ts[r]``."""
+        rel = np.minimum(np.maximum(ts, 0.0), self._durations[:, None])
+        return self._fold.counters_many(self._run, rel)
+
+    def rusage(self) -> dict[str, Any]:
+        """:meth:`SimProcess.rusage`, one array per total."""
+        zeros = np.zeros(len(self))
+        cycles = self._fold.series.get("cpu.cycles_used")
+        peak = self._fold.series.get("mem.peak")
+        freq = self.processes[0].record.machine.cpu.frequency
+        if cycles is not None and cycles[1].shape[1]:
+            cpu_seconds = cycles[1][self._run, -1] / freq
+        else:
+            cpu_seconds = zeros
+        return {
+            "time.runtime": self._durations,
+            "time.utime": cpu_seconds,
+            "time.stime": 0.02 * cpu_seconds,
+            "mem.peak": (
+                peak[1][self._run].max(axis=1)
+                if peak is not None and peak[1].shape[1] else zeros
+            ),
+        }
+
+    def info(self) -> list[dict[str, Any]]:
+        return [process.info() for process in self.processes]

@@ -100,15 +100,7 @@ class EngineStream:
         metadata = dict(self.metadata)
         metadata.setdefault("workload_name", self.name)
         metadata["stream_batch"] = index
-        return ExecutionRecord(
-            machine=self.engine.machine,
-            duration=frame.duration,
-            counters=frame.counters,
-            levels=frame.levels,
-            io_events=frame.io_events,
-            phase_bounds=frame.phase_bounds,
-            metadata=metadata,
-        )
+        return frame.record(self.engine.machine, metadata)
 
     def feed_many(
         self, batches: Iterable[SimWorkload | PackedWorkload]

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["TimeSeries"]
+__all__ = ["TimeSeries", "SeriesRows"]
 
 
 def _as_floats(data: object) -> np.ndarray:
@@ -263,6 +263,15 @@ class TimeSeries:
         grid = _as_floats(grid)
         return TimeSeries(grid, self.values_at(grid))
 
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
+        """A series of other values at this one's timestamps."""
+        return TimeSeries.presorted(self.times, values)
+
+    @property
+    def final(self) -> np.ndarray:
+        """Mask of the last sample (see :attr:`SeriesRows.final`)."""
+        return np.arange(self._n) == self._n - 1
+
     def shifted(self, dt: float) -> "TimeSeries":
         """Return a copy with all timestamps shifted by ``dt``."""
         return TimeSeries(self.times + dt, np.array(self.values))
@@ -276,3 +285,39 @@ class TimeSeries:
     def to_points(self) -> list[tuple[float, float]]:
         """Serialise to a plain list of ``(t, value)`` pairs."""
         return [(float(t), float(v)) for t, v in zip(self.times, self.values)]
+
+
+class SeriesRows:
+    """One metric of a block of rows that were sampled together.
+
+    ``times`` and ``values`` are ``(rows, samples)`` tables; row *r*'s
+    own samples are its first ``counts[r]`` columns and the columns
+    after them repeat its last one.  It answers to what code written
+    along the last axis needs of a :class:`TimeSeries` — ``times``,
+    ``values``, :meth:`with_values`, :attr:`final` — so such code serves
+    a lone process and a block alike; :meth:`row` cuts one row's
+    ``TimeSeries`` out for whoever needs the full container.
+    """
+
+    __slots__ = ("times", "values", "counts")
+
+    def __init__(self, times: np.ndarray, values: np.ndarray, counts: np.ndarray) -> None:
+        self.times = times
+        self.values = values
+        self.counts = counts
+
+    def with_values(self, values: np.ndarray) -> "SeriesRows":
+        """The same rows and timestamps with other values."""
+        return SeriesRows(self.times, values, self.counts)
+
+    @property
+    def final(self) -> np.ndarray:
+        """Mask of each row's last sample and its repeats."""
+        return np.arange(self.values.shape[-1]) >= self.counts[:, None] - 1
+
+    def row(self, index: int) -> TimeSeries:
+        """Row ``index`` as a series of its own samples."""
+        count = self.counts[index]
+        return TimeSeries.presorted(
+            self.times[index, :count], self.values[index, :count]
+        )

@@ -1,6 +1,13 @@
 """Watcher plugins: the profiling half of Synapse's architecture (Fig 1)."""
 
-from repro.watchers.base import WatcherBase, WatcherContext, WatcherResult
+from repro.watchers.base import (
+    PerRow,
+    WatcherBase,
+    WatcherContext,
+    WatcherResult,
+    per_row,
+    rowwise,
+)
 from repro.watchers.blktrace import BlktraceWatcher
 from repro.watchers.cpu import CPUWatcher
 from repro.watchers.memory import MemoryWatcher
@@ -13,6 +20,7 @@ __all__ = [
     "BlktraceWatcher",
     "CPUWatcher",
     "MemoryWatcher",
+    "PerRow",
     "RusageWatcher",
     "StorageWatcher",
     "SystemWatcher",
@@ -21,5 +29,7 @@ __all__ = [
     "WatcherResult",
     "get_watcher",
     "list_watchers",
+    "per_row",
     "register",
+    "rowwise",
 ]

@@ -18,6 +18,19 @@ accepts the resulting plugin dependencies to avoid double sampling.
 
 Each watcher accumulates raw time series; the profiler merges them onto
 its nominal grid afterwards (watcher timestamps may drift, §4.1).
+
+Rows
+----
+
+On the simulation plane one set of watchers observes a whole *block* of
+concurrent processes: the handle answers with a leading row axis
+(:class:`~repro.sim.process.SimProcessBlock`), ``sample_batch`` is
+handed ``(rows, samples)`` arrays, and results hold
+:class:`~repro.util.timeseries.SeriesRows` and :class:`PerRow` values.
+A hook that is written along the last axis — so that it serves a lone
+process and a block alike — says so with :func:`rowwise`; the profiler
+sends a call whose watchers override a hook without saying so down its
+per-process drivers.
 """
 
 from __future__ import annotations
@@ -29,9 +42,44 @@ import numpy as np
 
 from repro.core.backend import ProcessHandle
 from repro.core.config import SynapseConfig
-from repro.util.timeseries import TimeSeries
+from repro.util.timeseries import SeriesRows, TimeSeries
 
-__all__ = ["WatcherBase", "WatcherResult", "WatcherContext"]
+__all__ = [
+    "WatcherBase", "WatcherResult", "WatcherContext", "PerRow", "per_row",
+    "rowwise",
+]
+
+
+def rowwise(hook: Any) -> Any:
+    """Mark a protocol hook as written along the last axis."""
+    hook.rowwise = True
+    return hook
+
+
+class PerRow(list):
+    """A static or info value that differs between the rows of a block:
+    one entry per row, ``None`` where a row has none."""
+
+
+def per_row(values: Any, where: Any = True) -> Any:
+    """``values`` where ``where`` holds, else nothing: the value itself
+    or ``None`` for a lone process, a :class:`PerRow` for the ``(rows,)``
+    arrays of a block (``where`` is then ``True`` or an array like
+    them).  A ``dict`` of such values becomes one ``dict`` per row.
+    """
+    if type(values) is dict:
+        columns = [per_row(value) for value in values.values()]
+        if not columns or type(columns[0]) is not PerRow:
+            return dict(values)
+        return PerRow(dict(zip(values, row)) for row in zip(*columns))
+    if not isinstance(values, np.ndarray):
+        return values if where else None
+    if where is True:
+        return PerRow(values.tolist())
+    return PerRow(
+        value if held else None
+        for value, held in zip(values.tolist(), where.tolist())
+    )
 
 
 @dataclass
@@ -55,8 +103,45 @@ class WatcherResult:
     statics: dict[str, Any] = field(default_factory=dict)
     #: Free-form extra information for the profile's ``info`` dict.
     info: dict[str, Any] = field(default_factory=dict)
-    #: Actual sampling timestamps of this watcher.
-    timestamps: list[float] = field(default_factory=list)
+    #: Actual sampling timestamps of this watcher; for a block of rows,
+    #: the ``(rows, samples)`` table its series share.
+    timestamps: Any = field(default_factory=list)
+    #: For a block of rows: how many of each row's samples are its own.
+    counts: np.ndarray | None = None
+
+    def row(self, index: int) -> "WatcherResult":
+        """What a lone watcher of row ``index`` of a block would hold,
+        the containers its own."""
+        stamps = self.timestamps
+        if self.counts is not None:
+            stamps = stamps[index, : self.counts[index]].tolist()
+        return WatcherResult(
+            cumulative=row_of(self.cumulative, index),
+            levels=row_of(self.levels, index),
+            statics=row_of(self.statics, index),
+            info=row_of(self.info, index),
+            timestamps=list(stamps),
+        )
+
+
+def row_of(values: Mapping[str, Any], index: int) -> dict[str, Any]:
+    """Row ``index`` of a block's series, statics or info: series cut,
+    :class:`PerRow` values picked (and dropped where the row has none),
+    every container copied so that no two rows share one."""
+    picked = {
+        key: value[index] if type(value) is PerRow
+        else value.row(index) if type(value) is SeriesRows else value
+        for key, value in values.items()
+    }
+    return {key: _own(value) for key, value in picked.items() if value is not None}
+
+
+def _own(value: Any) -> Any:
+    if type(value) is dict:
+        return {key: _own(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_own(item) for item in value]
+    return value
 
 
 class WatcherBase:
@@ -105,9 +190,12 @@ class WatcherBase:
                 points.append((now, counters[name]))
 
     def sample_batch(
-        self, times: Sequence[float] | np.ndarray, counters: Mapping[str, Any]
+        self,
+        times: Sequence[float] | np.ndarray,
+        counters: Mapping[str, Any],
+        counts: np.ndarray | None = None,
     ) -> None:
-        """Record many samples at once (the sim plane's grid fast path).
+        """Record many samples at once (the sim plane's grid pass).
 
         ``times`` is the full sample grid and ``counters`` maps metric
         names to arrays aligned with it — one snapshot per grid point,
@@ -116,13 +204,18 @@ class WatcherBase:
         every declared metric present in the snapshot and extends the
         watcher's timestamps.  The arrays are kept as they are (no
         per-point tuples); scalar samples taken earlier in the run keep
-        their place before the batch.  Plugins that override
-        :meth:`sample` with custom behaviour are *not* driven through
-        this path unless they also override ``sample_batch`` (see the
-        profiler's fast-path eligibility check).
+        their place before the batch.
+
+        For a block of rows the arrays are ``(rows, samples)`` tables
+        and ``counts`` says how many of each row's samples are its own
+        (the columns after them repeat its last); the block is sampled
+        once, and the table stays the stamps of every row.
         """
         times = np.asarray(times, dtype=float)
-        self.result.timestamps.extend(times.tolist())
+        if counts is None:
+            self.result.timestamps.extend(times.tolist())
+        else:
+            self.result.timestamps, self.result.counts = times, counts
         for group in (self._cum, self._lev):
             for name, points in group.items():
                 values = counters.get(name)
@@ -157,6 +250,12 @@ class WatcherBase:
             for name, points in group.items():
                 pieces = self._settled(name, points)
                 if not pieces:
+                    continue
+                counts = self.result.counts
+                if counts is not None:
+                    # A block's one table; whoever cut it checked it.
+                    (times, values), = pieces
+                    out[name] = SeriesRows(times, values, counts)
                     continue
                 key = tuple(id(times) for times, _ in pieces)
                 times = checked.get(key)

@@ -12,10 +12,10 @@ the degraded behaviour of an experimental plugin.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.util.timeseries import TimeSeries
-from repro.watchers.base import WatcherBase, WatcherResult
+from repro.watchers.base import PerRow, WatcherBase, WatcherResult, rowwise
 
 __all__ = ["BlktraceWatcher"]
 
@@ -25,12 +25,36 @@ class BlktraceWatcher(WatcherBase):
 
     name = "blktrace"
 
+    @rowwise
     def finalize(self, all_results: Mapping[str, WatcherResult]) -> WatcherResult:
-        record = getattr(self.handle, "record", None)
+        processes = getattr(self.handle, "processes", None)
+        if processes is None:
+            parts = self._traced(self.handle)
+        else:
+            # A block of rows: each key of each row's findings, per row.
+            traced = [self._traced(process) for process in processes]
+            parts = [
+                {
+                    key: PerRow(row[part].get(key) for row in traced)
+                    for key in dict.fromkeys(k for row in traced for k in row[part])
+                }
+                for part in range(3)
+            ]
+        for found, kept in zip(
+            parts, (self.result.levels, self.result.statics, self.result.info)
+        ):
+            kept.update(found)
+        return self.result
+
+    @staticmethod
+    def _traced(handle: Any) -> tuple[dict, dict, dict]:
+        """The levels, statics and info one process's I/O events yield."""
+        levels: dict[str, TimeSeries] = {}
+        statics: dict[str, float] = {}
+        record = getattr(handle, "record", None)
         events = getattr(record, "io_events", None)
         if not events:
-            self.result.info["blktrace"] = "no block-level data (host plane)"
-            return self.result
+            return levels, statics, {"blktrace": "no block-level data (host plane)"}
         histogram: dict[str, Counter] = {"read": Counter(), "write": Counter()}
         series: dict[str, list[tuple[float, float]]] = {"read": [], "write": []}
         for event in events:
@@ -39,12 +63,11 @@ class BlktraceWatcher(WatcherBase):
         for op, metric in (("read", "io.block_size_read"), ("write", "io.block_size_write")):
             if series[op]:
                 points = sorted(series[op])
-                self.result.levels[metric] = TimeSeries.from_points(points)
+                levels[metric] = TimeSeries.from_points(points)
                 total = sum(histogram[op].values())
                 mean = sum(bs * b for bs, b in histogram[op].items()) / total
-                self.result.statics[f"{metric}_mean"] = mean
-        self.result.info["blktrace_histogram"] = {
+                statics[f"{metric}_mean"] = mean
+        return levels, statics, {"blktrace_histogram": {
             op: {str(bs): count for bs, count in hist.items()}
             for op, hist in histogram.items()
-        }
-        return self.result
+        }}

@@ -15,8 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.util.timeseries import TimeSeries
-from repro.watchers.base import WatcherBase, WatcherResult
+from repro.watchers.base import WatcherBase, WatcherResult, rowwise
 
 __all__ = ["MemoryWatcher"]
 
@@ -28,16 +27,29 @@ class MemoryWatcher(WatcherBase):
     cumulative_metrics = ("mem.allocated", "mem.freed")
     level_metrics = ("mem.rss", "mem.peak")
 
+    @rowwise
     def finalize(self, all_results: Mapping[str, WatcherResult]) -> WatcherResult:
         result = self.result
         rss = result.levels.get("mem.rss")
-        if rss is not None and "mem.allocated" not in result.cumulative and len(rss) > 0:
-            deltas = rss.deltas()
-            allocated = np.concatenate([[rss.first()], np.where(deltas > 0, deltas, 0.0)])
-            freed = np.concatenate([[0.0], np.where(deltas < 0, -deltas, 0.0)])
-            result.cumulative["mem.allocated"] = TimeSeries(
-                rss.times, np.cumsum(allocated)
+        if (
+            rss is not None
+            and "mem.allocated" not in result.cumulative
+            and rss.values.shape[-1] > 0
+        ):
+            levels = rss.values
+            deltas = np.diff(levels, axis=-1)
+            allocated = np.concatenate(
+                [levels[..., :1], np.where(deltas > 0, deltas, 0.0)], axis=-1
             )
-            result.cumulative["mem.freed"] = TimeSeries(rss.times, np.cumsum(freed))
+            freed = np.concatenate(
+                [np.zeros_like(levels[..., :1]), np.where(deltas < 0, -deltas, 0.0)],
+                axis=-1,
+            )
+            result.cumulative["mem.allocated"] = rss.with_values(
+                np.cumsum(allocated, axis=-1)
+            )
+            result.cumulative["mem.freed"] = rss.with_values(
+                np.cumsum(freed, axis=-1)
+            )
             result.info["mem.alloc_provider"] = "derived-from-rss"
         return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.watchers.base import WatcherBase, WatcherResult
+from repro.watchers.base import WatcherBase, WatcherResult, rowwise
 
 __all__ = ["NetworkWatcher"]
 
@@ -29,6 +29,7 @@ class NetworkWatcher(WatcherBase):
     name = "network"
     cumulative_metrics = ("net.bytes_read", "net.bytes_written")
 
+    @rowwise
     def finalize(self, all_results: Mapping[str, WatcherResult]) -> WatcherResult:
         if not self.result.cumulative:
             self.result.info["network"] = (

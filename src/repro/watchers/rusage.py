@@ -14,8 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.util.timeseries import TimeSeries
-from repro.watchers.base import WatcherBase, WatcherResult
+from repro.watchers.base import WatcherBase, WatcherResult, per_row, rowwise
 
 __all__ = ["RusageWatcher"]
 
@@ -26,20 +25,27 @@ class RusageWatcher(WatcherBase):
     name = "rusage"
     cumulative_metrics = ("time.runtime",)
 
+    @rowwise
     def finalize(self, all_results: Mapping[str, WatcherResult]) -> WatcherResult:
         result = self.result
+        # Floats for a lone process, ``(rows,)`` arrays for a block.
         usage = self.handle.rusage()
-        result.info["rusage"] = dict(usage)
+        result.info["rusage"] = per_row(usage)
         runtime = usage.get("time.runtime", 0.0)
-        if runtime > 0:
+        ran = runtime > 0
+        series = result.cumulative.get("time.runtime")
+        if series is not None and series.values.shape[-1] > 0 and np.any(ran):
             # Pin the cumulative runtime series' end to the rusage value:
             # this corrects the spawn-to-first-sample offset.
-            series = result.cumulative.get("time.runtime")
-            if series is not None and len(series) > 0:
-                values = np.minimum(series.values, runtime)
-                values[-1] = runtime
-                result.cumulative["time.runtime"] = TimeSeries(series.times, values)
-            result.statics["time.runtime_rusage"] = runtime
-        if usage.get("mem.peak", 0.0) > 0:
-            result.statics["mem.peak_rusage"] = usage["mem.peak"]
+            limit = np.where(ran, runtime, np.inf)[..., None]
+            values = np.minimum(series.values, limit)
+            np.copyto(values, limit, where=series.final & np.asarray(ran)[..., None])
+            result.cumulative["time.runtime"] = series.with_values(values)
+        peak = usage.get("mem.peak", 0.0)
+        for name, static in (
+            ("time.runtime_rusage", per_row(runtime, ran)),
+            ("mem.peak_rusage", per_row(peak, peak > 0)),
+        ):
+            if static is not None:
+                result.statics[name] = static
         return result

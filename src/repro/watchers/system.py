@@ -7,7 +7,7 @@ the CPU load level is sampled when the plane exposes it.
 
 from __future__ import annotations
 
-from repro.watchers.base import WatcherBase
+from repro.watchers.base import WatcherBase, rowwise
 
 __all__ = ["SystemWatcher"]
 
@@ -18,6 +18,7 @@ class SystemWatcher(WatcherBase):
     name = "system"
     level_metrics = ("sys.load_cpu",)
 
+    @rowwise
     def pre_process(self, config) -> None:
         info = self.context.machine_info
         statics = self.result.statics

@@ -72,6 +72,8 @@ from repro.sim.machines import get_machine
 from repro.sim.packed import pack_workload
 from repro.storage.base import MemoryStore
 from repro.telemetry.metrics import get_registry
+from repro.watchers.base import WatcherBase
+from repro.watchers.registry import _REGISTRY, register
 
 MACHINES = ("thinkie", "comet", "stampede", "archer")
 CONFIG = {"sample_rate": 2.0}
@@ -124,6 +126,14 @@ def replay_counts() -> tuple[float, float, float]:
     )
 
 
+def profile_counts() -> tuple[float, float]:
+    counters = get_registry().snapshot()["counters"]
+    return (
+        counters.get("profile.blocks", 0.0),
+        counters.get("profile.block_rows", 0.0),
+    )
+
+
 def block_budget(monkeypatch, app, machine: str, rows: int) -> None:
     """Make one replay block of ``app`` on ``machine`` hold ``rows`` rows."""
     spec = get_machine(machine)
@@ -133,18 +143,27 @@ def block_budget(monkeypatch, app, machine: str, rows: int) -> None:
 
 def spy_on_blocks(monkeypatch) -> tuple[list[int], list[weakref.ref]]:
     """The size of every block replayed from here on, and a weak
-    reference to every record made."""
+    reference to every record made, to the fold's block they share, and
+    to every profile a block pass takes of them."""
     sizes: list[int] = []
     records: list[weakref.ref] = []
     replay_many = Engine.replay_many
+    run_many = Profiler.run_many
 
     def spying(self, plan, noises):
         made = replay_many(self, plan, noises)
         sizes.append(len(made))
         records.extend(map(weakref.ref, made))
+        records.extend({id(r.block): weakref.ref(r.block) for r in made}.values())
+        return made
+
+    def spying_on_profiles(self, targets, tags=None, command=None):
+        made = run_many(self, targets, tags, command)
+        records.extend(map(weakref.ref, made))
         return made
 
     monkeypatch.setattr(engine_module.Engine, "replay_many", spying)
+    monkeypatch.setattr(Profiler, "run_many", spying_on_profiles)
     return sizes, records
 
 
@@ -284,14 +303,18 @@ def test_campaign_builds_one_plan_per_pair_and_reuses_it():
     assert spec.n_cells == 512
     built0, reused0 = plan_counts()
     replayed0 = replay_counts()
+    profiled0 = profile_counts()
     with RunService(processes=1) as svc:
         report = run_campaign(spec, MemoryStore(), service=svc, checkpoint=8)
     built1, reused1 = plan_counts()
     replayed1 = replay_counts()
+    profiled1 = profile_counts()
     assert report.executed == 512 and not report.failed
     assert (built1 - built0, reused1 - reused0) == (8, 504)
-    # ... and every pair replayed as one block of 64, none split.
+    # ... and every pair replayed as one block of 64, none split,
     assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (8, 512, 0)
+    # and was profiled as that block.
+    assert tuple(b - a for a, b in zip(profiled0, profiled1)) == (8, 512)
 
 
 def test_cells_of_one_spec_share_one_app_model():
@@ -492,6 +515,28 @@ def test_nothing_holds_a_plan_after_run_returns(monkeypatch):
     svc.close()
 
 
+def test_nothing_waits_after_run_returns(monkeypatch):
+    """A batch that stops early leaves records and profiles waiting in
+    its scope; the scope goes with the batch."""
+    from repro.faults import FaultPlan, injected_faults
+
+    sizes, made = spy_on_blocks(monkeypatch)
+    app = GromacsModel(iterations=5_000)
+    requests = profile_requests(app, "thinkie", seeds=[1, 2, 3, 4], repeats=1)
+    faults = FaultPlan.from_dict({"rules": [
+        {"point": "worker.execute", "mode": "error", "at": 2},
+    ]})
+    svc = RunService(processes=1)
+    with injected_faults(faults), pytest.raises(Exception, match="injected"):
+        svc.run(requests)  # rethrows at the second request
+    assert sizes == [4]
+    # 4 records, their block, and the 4 profiles of the block pass.
+    assert len(made) == 9
+    gc.collect()
+    assert [ref() for ref in made] == [None] * 9
+    svc.close()
+
+
 def test_prepared_plans_survive_the_pool_boundary(service):
     """Pooled chunks rebuild their own tables; results stay identical
     however the batch is chunked."""
@@ -640,6 +685,180 @@ def test_failed_block_fails_its_request_and_the_rest_replay_alone(monkeypatch):
         [replace(request, policy=RunPolicy(retries=1)) for request in requests]
     )
     assert [record_key(result.value) for result in retried] == reference
+
+
+def fail_block_passes(monkeypatch) -> list[int]:
+    """From here on a profiler pass over more than one row fails;
+    returns the sizes of the passes asked for."""
+    asked: list[int] = []
+    run_many = Profiler.run_many
+
+    def passes_fail(self, targets, tags=None, command=None):
+        targets = list(targets)
+        asked.append(len(targets))
+        if len(targets) > 1:
+            raise OSError("block pass failed")
+        return run_many(self, targets, tags, command)
+
+    monkeypatch.setattr(Profiler, "run_many", passes_fail)
+    return asked
+
+
+def test_failed_block_pass_fails_its_request_and_the_rest_profile_alone(monkeypatch):
+    app = GromacsModel(iterations=4_000)
+    requests = [
+        RunRequest(kind="profile", target=app, machine="thinkie", seed=seed,
+                   config=dict(CONFIG), key=f"cell-{seed}")
+        for seed in range(4)
+    ]
+    reference = [
+        exact(result.value) for result in RunService(processes=1).run(requests)
+    ]
+    with monkeypatch.context() as patch:
+        asked = fail_block_passes(patch)
+        blocks0, rows0, _ = replay_counts()
+        profiled0 = profile_counts()
+        results = RunService(processes=1).run(requests, rethrow=False)
+        blocks1, rows1, _ = replay_counts()
+        profiled1 = profile_counts()
+    assert [result.ok for result in results] == [False, True, True, True]
+    assert "profile request key=cell-0 (attempt 1/1" in results[0].error
+    assert "block pass failed" in results[0].error
+    # The records of the block were there for the taking; each of the
+    # others profiled its own, alone.
+    assert asked == [4]
+    assert (blocks1 - blocks0, rows1 - rows0) == (1, 4)
+    assert tuple(b - a for a, b in zip(profiled0, profiled1)) == (3, 3)
+    assert [exact(result.value) for result in results[1:]] == reference[1:]
+
+    # With a retry, the request that paid for the failed pass recovers too.
+    with monkeypatch.context() as patch:
+        fail_block_passes(patch)
+        retried = RunService(processes=1).run(
+            [replace(request, policy=RunPolicy(retries=1)) for request in requests]
+        )
+    assert [exact(result.value) for result in retried] == reference
+
+
+def test_two_configs_on_one_pair_each_get_their_own_profiles():
+    app = GromacsModel(iterations=40_000)
+    fast, slow = {"sample_rate": 10.0}, {"sample_rate": 1.0}
+    requests = [
+        RunRequest(kind="profile", target=app, machine="comet", seed=seed,
+                   config=dict(fast if seed % 2 else slow))
+        for seed in range(6)
+    ] + [RunRequest(kind="engine", target=app, machine="comet", seed=6)]
+    blocks0, rows0, _ = replay_counts()
+    profiled0 = profile_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+        singles = [svc.run([request])[0].value for request in requests]
+    blocks1, rows1, _ = replay_counts()
+    profiled1 = profile_counts()
+    # One replay block for the batch (and one per single) ...
+    assert (blocks1 - blocks0, rows1 - rows0) == (1 + 7, 7 + 7)
+    # ... profiled once, as a block, under the first request's config;
+    # the three of the other config profiled their records alone.
+    assert tuple(b - a for a, b in zip(profiled0, profiled1)) == (1 + 3 + 6, 7 + 3 + 6)
+    for request, result, single in zip(requests[:6], results, singles):
+        assert result.value.config["sample_rate"] == request.config["sample_rate"]
+        assert exact(result.value) == exact(single)
+    assert len({result.value.n_samples for result in results[:6]}) > 1
+    assert record_key(results[6].value) == record_key(singles[6])
+
+
+def test_a_waiting_profile_is_handed_out_once():
+    """Twins — requests with one noise identity — each get a profile of
+    their own, and their own tags."""
+    app = GromacsModel(iterations=4_000)
+    twin = RunRequest(kind="profile", target=app, machine="thinkie", seed=3,
+                      config=dict(CONFIG), tags={"twin": 1}, command="first")
+    requests = [twin, replace(twin, tags={"twin": 2}, command=None),
+                replace(twin, seed=4, tags=None)]
+    with RunService(processes=1) as svc:
+        first, second, third = (result.value for result in svc.run(requests))
+    assert first is not second and first.samples is not second.samples
+    assert (first.command, first.tags) == ("first", ("twin=1",))
+    assert (second.command, second.tags) == (app.command(), ("twin=2",))
+    assert (third.command, third.tags) == ("first", ())
+    assert [s.values for s in first.samples] == [s.values for s in second.samples]
+
+
+def test_a_taken_profile_is_stamped_when_it_is_taken():
+    """Requests that come in another order than they were declared in:
+    the profiles' pids and creation times follow the order the requests
+    were served in (the order their profiles are written in), not the
+    order of the block's rows."""
+    app, machine = GromacsModel(iterations=4_000), get_machine("thinkie")
+    requests = [
+        RunRequest(kind="profile", target=app, machine=machine, seed=seed,
+                   config=dict(CONFIG))
+        for seed in range(5)
+    ]
+    with RunService(processes=1) as svc:
+        reference = [exact(result.value) for result in svc.run(requests)]
+        served = [requests[at] for at in (3, 0, 4, 2, 1)]
+        profiled0 = profile_counts()
+        with plan_scope() as plans:
+            plans.declare(app, machine, [noise_row(request) for request in requests])
+            profiles = [result.value for result in svc.run(served)]
+        assert tuple(
+            b - a for a, b in zip(profiled0, profile_counts())
+        ) == (1, 5)  # one block pass, in the declared rows' order from row 3 on
+    assert [exact(profile) for profile in profiles] == [
+        reference[at] for at in (3, 0, 4, 2, 1)
+    ]
+    pids = [profile.info["process"]["pid"] for profile in profiles]
+    created = [profile.created for profile in profiles]
+    assert pids == sorted(set(pids))
+    assert created == sorted(created)
+
+
+class StepsAlone(WatcherBase):
+    """A plugin with per-sample behaviour of its own and no array form."""
+
+    name = "steps-alone"
+    cumulative_metrics = ("cpu.cycles_used",)
+
+    def sample(self, now):
+        super().sample(now)
+        self.result.info["stepped"] = self.result.info.get("stepped", 0) + 1
+
+
+def test_watchers_that_cannot_watch_rows_profile_each_request_alone():
+    register(StepsAlone)
+    try:
+        app = GromacsModel(iterations=4_000)
+        config = {"sample_rate": 2.0, "watchers": ("cpu", "rusage", "steps-alone")}
+        requests = [
+            RunRequest(kind="profile", target=app, machine="thinkie", seed=seed,
+                       config=dict(config))
+            for seed in range(4)
+        ]
+        blocks0, rows0, _ = replay_counts()
+        profiled0 = profile_counts()
+        with RunService(processes=1) as svc:
+            profiles = [result.value for result in svc.run(requests)]
+        # One replay block, no block pass: every request stepped its record.
+        assert tuple(
+            b - a for a, b in zip((blocks0, rows0), replay_counts())
+        ) == (1, 4)
+        assert profile_counts() == profiled0
+        sequential = [
+            Profiler(
+                SimBackend("thinkie", seed=request.seed),
+                config=SynapseConfig(**config),
+            ).run(app)
+            for request in requests
+        ]
+    finally:
+        _REGISTRY.pop("steps-alone", None)
+    assert [exact(profile) for profile in profiles] == [
+        exact(profile) for profile in sequential
+    ]
+    for profile in profiles:
+        stepped = profile.info["watcher.steps-alone"]["stepped"]
+        assert stepped == profile.n_samples + 1  # ... and the drain sample
 
 
 def test_failed_block_in_a_campaign_degrades_the_pair(monkeypatch):
@@ -864,6 +1083,10 @@ def test_nothing_outlives_a_campaign(monkeypatch, ending):
     }[ending]
     assert report.executed == executed
     assert sum(sizes) - executed == untaken
+    # Records, their blocks, and the profiles taken of them (16 cells
+    # of 2 pairs: the store holds the profiles that were asked for).
+    assert len(records) > sum(sizes) + len(sizes)
+    del store
     gc.collect()
     assert plans and [ref() for ref in plans] == [None] * len(plans)
     assert [ref() for ref in records] == [None] * len(records)
