@@ -13,9 +13,9 @@ path:
 * **latest-profile ``get`` and batched ``get_many``** — the index plane
   resolves candidates first, then loads exactly the payloads needed;
 * **campaign ledger bookkeeping** — ``completed_cells`` (the resume /
-  wave re-scan cost), ``claims`` read-back and the ``--report`` ledger
-  build on a ledger-shaped store (one group per cell — the worst case
-  for group pruning, where the win is payload-free index entries);
+  wave re-scan cost) and the ``--report`` ledger build on a
+  ledger-shaped store (one group per cell — the worst case for group
+  pruning, where the win is payload-free index entries);
 * **campaign resume** — a full ``run_campaign`` over an already
   complete ledger (pure bookkeeping, zero cells executed).
 
@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 from repro.core.samples import Profile, Sample
-from repro.runtime import CampaignSpec, claims, completed_cells, ledger, run_campaign
+from repro.runtime import CampaignSpec, completed_cells, ledger, run_campaign
 from repro.storage import FileStore
 from repro.storage.base import ProfileStore
 from repro.util.tables import Table
@@ -123,21 +123,6 @@ def _reference_completed_cells(store, name: str) -> set[str]:
     return digests
 
 
-def _reference_claims(store, name: str) -> dict:
-    found: dict[str, list] = {}
-    for marker in ProfileStore.find(store, "synapse:campaign-claim",
-                                    tags=[f"campaign={name}"]):
-        digest = owner = None
-        for tag in marker.tags:
-            if tag.startswith("claim="):
-                digest = tag[len("claim="):]
-            elif tag.startswith("owner="):
-                owner = tag[len("owner="):]
-        if digest and owner:
-            found.setdefault(digest, []).append((marker.created, owner))
-    return found
-
-
 def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
             ledger_seeds: int = 250, warm_rounds: int = 10,
             scan_rounds: int = 3) -> dict:
@@ -199,27 +184,14 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
         # group pruning; the index answers from sidecar entries).
         spec = make_ledger_spec(ledger_seeds)
         ledger_store = build_ledger_store(Path(tmp) / "ledger", spec)
-        wave_digests = sorted(completed_cells(ledger_store, spec.name))[:8]
-        ledger_store.put_many([
-            Profile(command="synapse:campaign-claim",
-                    tags={"campaign": spec.name, "claim": digest,
-                          "owner": "bench-rival"})
-            for digest in wave_digests
-        ])
         assert (completed_cells(ledger_store, spec.name)
                 == _reference_completed_cells(ledger_store, spec.name))
-        assert claims(ledger_store, spec.name) == _reference_claims(
-            ledger_store, spec.name)
 
         cells_scan_s = _timeit(
             lambda: _reference_completed_cells(ledger_store, spec.name),
             scan_rounds)
         cells_idx_s = _timeit(
             lambda: completed_cells(ledger_store, spec.name), warm_rounds)
-        claims_scan_s = _timeit(
-            lambda: _reference_claims(ledger_store, spec.name), scan_rounds)
-        claims_idx_s = _timeit(
-            lambda: claims(ledger_store, spec.name), warm_rounds)
         ledger_s = _timeit(
             lambda: ledger(ledger_store, spec.name), max(1, warm_rounds // 2))
         results["campaign_ledger"] = {
@@ -227,9 +199,6 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
             "completed_cells_scan_seconds": cells_scan_s,
             "completed_cells_indexed_seconds": cells_idx_s,
             "completed_cells_speedup": cells_scan_s / cells_idx_s,
-            "claims_scan_seconds": claims_scan_s,
-            "claims_indexed_seconds": claims_idx_s,
-            "claims_speedup": claims_scan_s / claims_idx_s,
             "ledger_build_seconds": ledger_s,
             "ledger_cells_per_sec": spec.n_cells / ledger_s if ledger_s else 0.0,
         }
@@ -265,9 +234,6 @@ def as_table(results: dict) -> Table:
     table.add_row(["completed_cells", campaign["completed_cells_scan_seconds"],
                    campaign["completed_cells_indexed_seconds"],
                    f"{campaign['completed_cells_speedup']:.1f}x"])
-    table.add_row(["claims read-back", campaign["claims_scan_seconds"],
-                   campaign["claims_indexed_seconds"],
-                   f"{campaign['claims_speedup']:.1f}x"])
     table.add_row(["resume (no-op run)", "-",
                    results["campaign_resume"]["seconds"], "-"])
     return table

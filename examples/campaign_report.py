@@ -8,8 +8,8 @@ sampling-overhead columns.  ``repro.runtime.analyze`` rebuilds those
 tables from any campaign ledger; this example:
 
 1. executes a (2 apps x 2 machines x 3 seeds x 2 repeats) campaign —
-   sharded in two, to show the analysis is oblivious to *how* the
-   ledger was filled;
+   split between two elastic workers, to show the analysis is oblivious
+   to *how* the ledger was filled;
 2. aggregates it with ``core.api.campaign_report`` and prints the
    consistency/error table (reference machine: first in the spec);
 3. drills into one group's per-metric lines and the JSON/CSV forms the
@@ -20,7 +20,7 @@ Run:  python examples/campaign_report.py
 
 import repro as synapse
 from repro.core.api import campaign_report
-from repro.runtime import CampaignSpec, run_campaign
+from repro.runtime import CampaignSpec, elastic_worker
 
 SPEC = {
     "name": "report-demo",
@@ -38,10 +38,10 @@ def main() -> None:
     spec = CampaignSpec.from_dict(SPEC)
     store = synapse.MemoryStore()
 
-    # 1. Fill the ledger as two shards would on two hosts.
-    for index in range(2):
-        report = run_campaign(spec, store, shard=(index, 2))
-        print(f"shard {index}/2: executed {report.executed} cells")
+    # 1. Fill the ledger as two workers would on two hosts.
+    for worker, limit in (("host-0", spec.n_cells // 2), ("host-1", None)):
+        report = elastic_worker(spec, store, worker=worker, limit=limit)
+        print(f"worker {worker}: executed {report.executed} cells")
     print()
 
     # 2. The paper-style consistency/error table.

@@ -14,32 +14,30 @@ This example walks the loop:
 1. declare a (2 apps x 2 machines x 2 seeds) campaign;
 2. run only part of it (``limit=3`` stands in for an interruption);
 3. resume: the second run executes only the missing cells;
-4. verify the ledger is complete and query it like any profile store.
+4. verify the ledger is complete and query it like any profile store;
+5. fill a second store with two elastic workers and compare digests.
 
-Sharded campaigns (multi-host sweeps)
--------------------------------------
+Sharing a sweep (multi-host sweeps)
+-----------------------------------
 
 The same ledger scales a sweep across hosts.  Point every host at one
-shared store (an NFS-mounted ``file://`` root or a Mongo URL) and give
-each its shard of the pending cells::
+shared store (an NFS-mounted ``file://`` root or a Mongo URL) and let
+each join as an elastic worker::
 
-    host-0$ repro --store file:///shared/sweep campaign spec.json --shard 0/3
-    host-1$ repro --store file:///shared/sweep campaign spec.json --shard 1/3
-    host-2$ repro --store file:///shared/sweep campaign spec.json --shard 2/3
+    host-0$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-0
+    host-1$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-1
+    host-2$ repro --store file:///shared/sweep campaign spec.json --elastic --join host-2
 
-Cells are partitioned by their digest (``run_campaign(spec, store,
-shard=(i, n))`` in the API), so the shards are disjoint by
-construction; each shard additionally *claims* its wave's cells in the
-ledger, so a restarted or overlapping invocation defers to whoever got
-there first instead of computing a cell twice.  If a host dies, re-run
-its shard — or any shard, or an unsharded invocation: every run
-completes only the union's missing cells, and the final ledger is
-bit-identical to a single-host run because each cell's noise derives
-from its own identity, never from where or when it executed.  Flaky
-cells are handled declaratively: a spec-level ``"policy"`` (retries /
-timeout / backoff) makes a bad cell fail its shard gracefully.  Once
-the ledger is complete, any host can aggregate it into the paper-style
-tables::
+Each worker *leases* the cells of its next wave in the ledger
+(``elastic_worker(spec, store, worker=name)`` in the API), so nobody
+computes a cell somebody else holds, and a dead host's leases are stolen
+by the survivors (see ``examples/elastic_campaign.py``).  Step 5 below
+does it in-process with two workers.  The final ledger is bit-identical
+to a single-host run because each cell's noise derives from its own
+identity, never from where or when it executed.  Flaky cells are
+handled declaratively: a spec-level ``"policy"`` (retries / timeout /
+backoff) makes a bad cell fail its wave gracefully.  Once the ledger is
+complete, any host can aggregate it into the paper-style tables::
 
     $ repro --store file:///shared/sweep campaign spec.json --report
 
@@ -49,7 +47,13 @@ Run:  python examples/campaign_sweep.py
 """
 
 import repro as synapse
-from repro.runtime import CampaignSpec, ledger, run_campaign
+from repro.runtime import (
+    CampaignSpec,
+    elastic_worker,
+    ledger,
+    ledger_digest,
+    run_campaign,
+)
 
 SPEC = {
     "name": "demo-sweep",
@@ -92,6 +96,15 @@ def main() -> None:
     again = run_campaign(spec, store)
     assert again.executed == 0 and again.skipped == spec.n_cells
     print("\nre-run executed 0 cells (ledger already complete)")
+
+    # 5. Two workers sharing a store, as two hosts would: each leases
+    # the waves it runs, and the ledger comes out the same.
+    shared = synapse.MemoryStore()
+    first = elastic_worker(spec, shared, worker="host-0", limit=5)
+    second = elastic_worker(spec, shared, worker="host-1")
+    assert (first.executed, second.executed) == (5, 3) and second.complete
+    assert ledger_digest(shared, spec.name) == ledger_digest(store, spec.name)
+    print("two elastic workers (5 + 3 cells) filled a bit-identical ledger")
 
 
 if __name__ == "__main__":

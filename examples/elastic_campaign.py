@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Elastic campaigns: lease-based work stealing over the shared ledger.
 
-``examples/campaign_sweep.py`` scales a sweep across hosts with static
-``--shard i/n`` partitions.  That works — until a shard host dies and
-strands its partition until a human notices.  The elastic coordinator
-(:mod:`repro.runtime.coordinator`) replaces the static split with a
-**pull loop**: every worker heartbeats its membership into the store,
+Splitting a sweep between hosts ahead of time works — until a host
+dies and strands its part until a human notices.  The elastic
+coordinator (:mod:`repro.runtime.coordinator`) shares a sweep with a
+**pull loop** instead: every worker heartbeats its membership into the store,
 pulls pending cells in *leased* batches, and steals the leases of
 workers that crashed, hung or drained away.  Because every cell's
 artifact derives only from the cell's own identity, the worst races —
@@ -68,7 +67,7 @@ SPEC = {
 def main() -> None:
     spec = CampaignSpec.from_dict(SPEC)
 
-    # 1. The reference: a fault-free, single-process, unsharded run.
+    # 1. The reference: a fault-free, single-process run of the lone loop.
     reference_store = MemoryStore()
     reference = run_campaign(spec, reference_store)
     print(f"reference run: {reference.executed} cells, "

@@ -19,12 +19,12 @@ methods" (§4).  Subcommands:
 * ``synapse campaign <spec.json>``               — run/resume a
   declarative sweep through the unified run service
   (``repro.runtime``), with a resumable on-store ledger;
-  ``--shard i/n`` executes one host's digest-assigned partition of the
-  pending cells (n hosts sharing one store split the sweep), and
+  ``--elastic --join NAME`` attaches one lease-holding worker to a
+  sweep that invocations or hosts sharing the store split, and
   ``--report`` aggregates a finished (or partial) ledger into the
   paper-style consistency/error tables (``--format table|json|csv``).
   SIGTERM/SIGINT drain gracefully: the in-flight wave finishes and is
-  checkpointed, claims are released, and the run resumes later.
+  checkpointed, leases are released, and the run resumes later.
 
 Every subcommand also accepts ``--faults PLAN`` (JSON file or inline
 JSON), activating the deterministic fault-injection plane
@@ -239,21 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, help="write a machine-readable summary JSON here"
     )
     p_campaign.add_argument(
-        "--shard", default=None, metavar="I/N",
-        help="execute only this shard's digest-assigned partition of the "
-             "pending cells (e.g. 0/2; run every shard against one store)",
-    )
-    p_campaign.add_argument(
-        "--claim-ttl", type=float, default=None, metavar="SECONDS",
-        help="how long a foreign cell claim defers a cell before its owner "
-             "is presumed dead (sharded runs; default 900)",
-    )
-    p_campaign.add_argument(
         "--elastic", action="store_true",
         help="lease-based elastic execution: workers pull pending cells in "
              "leased batches from the shared store and steal leases from "
-             "crashed, hung or drained members (replaces static --shard "
-             "partitions; any number of invocations may share one store)",
+             "crashed, hung or drained members (any number of invocations "
+             "may share one store)",
     )
     p_campaign.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -477,7 +467,6 @@ def _cmd_apps(args: argparse.Namespace, out) -> int:
 
 def _cmd_campaign(args: argparse.Namespace, out) -> int:
     from repro.runtime.campaign import (  # noqa: PLC0415 (lazy)
-        DEFAULT_CLAIM_TTL,
         CampaignSpec,
         run_campaign,
     )
@@ -489,7 +478,6 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
     if args.report:
         rejected = [
             name for name, value in (
-                ("--shard", args.shard), ("--claim-ttl", args.claim_ttl),
                 ("--limit", args.limit), ("--processes", args.processes),
                 ("--elastic", args.elastic or None),
                 ("--workers", args.workers), ("--join", args.join),
@@ -516,21 +504,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            if args.claim_ttl is not None and args.shard is None:
-                print(
-                    "error: --claim-ttl requires --shard (claims only run "
-                    "sharded)",
-                    file=sys.stderr,
-                )
-                return 2
         else:
-            if args.shard is not None or args.claim_ttl is not None:
-                print(
-                    "error: --elastic replaces static partitioning; drop "
-                    "--shard/--claim-ttl (leases supersede claims)",
-                    file=sys.stderr,
-                )
-                return 2
             if args.workers is not None and args.join is not None:
                 print(
                     "error: --workers spawns a local fleet, --join attaches "
@@ -573,8 +547,10 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         print(
             f"wave {summary['wave']}/{summary['waves']}: "
             f"{summary['executed']} executed"
-            + (f", {summary['failed']} failed" if summary["failed"] else "")
-            + (f", {summary['deferred']} deferred" if summary["deferred"] else "")
+            + "".join(
+                f", {summary[what]} {what}"
+                for what in ("failed", "stolen", "deferred") if summary[what]
+            )
             + f", completed {summary['completed']}/{summary['total']}"
             f" ({summary['pending']} pending), "
             f"{summary['elapsed']:.1f}s elapsed",
@@ -585,7 +561,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
 
     # Graceful shutdown: the first SIGTERM/SIGINT asks the campaign to
     # drain — the in-flight wave finishes, its artifacts and ledger
-    # checkpoint land on the store, claim markers are released, and the
+    # checkpoint land on the store, leases are released, and the
     # run reports ``interrupted`` (resumable later).  A second signal
     # aborts hard via the default KeyboardInterrupt path.
     import signal  # noqa: PLC0415 (lazy)
@@ -623,21 +599,6 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                 else DEFAULT_LEASE_TTL
             )
 
-            def elastic_progress(summary: dict) -> None:
-                print(
-                    f"wave {summary['wave']}: "
-                    f"{summary['executed']} executed"
-                    + (f", {summary['failed']} failed"
-                       if summary["failed"] else "")
-                    + (f", {summary['stolen']} stolen"
-                       if summary["stolen"] else "")
-                    + f", completed {summary['completed']}/{summary['total']}"
-                    f", {summary['elapsed']:.1f}s elapsed",
-                    file=out,
-                )
-                if hasattr(out, "flush"):
-                    out.flush()
-
             if args.workers is not None:
                 report = run_elastic(
                     spec, args.store,
@@ -652,7 +613,7 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                     lease_ttl=lease_ttl,
                     processes=args.processes,
                     limit=args.limit,
-                    progress=None if args.quiet else elastic_progress,
+                    progress=None if args.quiet else progress,
                     stop=lambda: stop_flag["stop"],
                 )
         else:
@@ -660,11 +621,6 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                 spec, store,
                 processes=args.processes,
                 limit=args.limit,
-                shard=args.shard,
-                claim_ttl=(
-                    args.claim_ttl if args.claim_ttl is not None
-                    else DEFAULT_CLAIM_TTL
-                ),
                 progress=None if args.quiet else progress,
                 stop=lambda: stop_flag["stop"],
             )

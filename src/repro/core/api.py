@@ -19,8 +19,8 @@ All execution funnels through the unified run service
 (:mod:`repro.runtime`): ``profile(repeats=...)``, ``emulate`` and plan
 validation submit run requests to one persistent-pool runtime, and
 :func:`campaign` exposes its declarative sweep layer (apps x machines x
-seeds x repeats with a resumable on-store ledger, shardable across
-hosts).  :func:`campaign_report` aggregates a finished ledger into the
+seeds x repeats with a resumable on-store ledger).
+:func:`campaign_report` aggregates a finished ledger into the
 paper's consistency/error tables.
 """
 
@@ -211,7 +211,6 @@ def campaign(
     store: ProfileStore,
     processes: int | None = None,
     limit: int | None = None,
-    shard: Any = None,
 ):
     """Run (or resume) a declarative experiment campaign.
 
@@ -220,16 +219,15 @@ def campaign(
     machines x seeds x repeats) executes through the shared run service
     and records every cell in ``store``; cells already present are
     skipped, so interrupted campaigns resume where they stopped.
-    ``shard=(i, n)`` (or ``"i/n"``) executes only this host's
-    digest-assigned partition of the pending cells, so several hosts
-    sharing one store split the sweep between them.
+    Several hosts sharing one store split a sweep with
+    :func:`repro.runtime.coordinator.elastic_worker`.
     Returns the :class:`~repro.runtime.campaign.CampaignReport`.
     """
     from repro.runtime.campaign import run_campaign  # noqa: PLC0415 (lazy)
 
     return run_campaign(
         _resolve_campaign_spec(spec), store,
-        processes=processes, limit=limit, shard=shard,
+        processes=processes, limit=limit,
     )
 
 

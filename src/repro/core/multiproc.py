@@ -1,4 +1,4 @@
-"""Multi-process utilities: profile aggregation and parallel fan-out.
+"""Multi-process utilities: per-rank profile aggregation.
 
 §4.5 ("Multiprocessing"): "Synapse can be used to profile and emulate
 multi-process and multi-core applications: each process is handled
@@ -17,107 +17,18 @@ that aggregation:
 TCP/MPI communication between the ranks is NOT captured — the paper's
 explicit limitation — and the combined profile documents the rank count
 in its info for OpenMP/MPI replay configuration.
-
-The module also hosts the worker-side ``shared`` payload plumbing
-(:func:`get_shared`) used by the run service's pool
-(:class:`repro.runtime.service.RunService` — the fan-out engine behind
-``SimBackend.spawn_many``, ``validate_plan`` and the benchmarks), plus
-:func:`parallel_map`, a one-shot-pool convenience wrapper over it:
-simulated experiments are pure CPU-bound Python, so many independent
-emulated runs scale with cores only across processes.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from repro.core import metrics as _metrics
 from repro.core.errors import SynapseError
 from repro.core.metrics import MetricKind
 from repro.core.samples import Profile, Sample
 
-__all__ = ["ParallelFallbackWarning", "combine_process_profiles", "parallel_map"]
-
-
-class ParallelFallbackWarning(RuntimeWarning):
-    """A process pool could not be used; the batch ran serially instead.
-
-    Emitted by :func:`parallel_map` and
-    :class:`repro.runtime.service.RunService` when pool creation or the
-    configured start method fails on constrained hosts (no fork
-    permission, missing semaphores, sandboxed CI runners, ...).  The
-    computation still completes — serially — so callers get correct
-    results plus a signal that parallel speedup was unavailable.
-    """
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: Per-thread payload installed by :func:`parallel_map`'s ``shared``
-#: argument (one pickle per worker instead of one per item).  Thread-
-#: local rather than a plain global: concurrent serial batches in one
-#: process — e.g. several elastic campaign workers sharing a store —
-#: each install/restore their own tables without clobbering each other.
-_shared_state = threading.local()
-
-
-def _install_shared(payload: Any) -> None:
-    _shared_state.payload = payload
-
-
-def get_shared() -> Any:
-    """The current :func:`parallel_map` ``shared`` payload (worker side)."""
-    return getattr(_shared_state, "payload", None)
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    processes: int | None = None,
-    shared: Any = None,
-) -> list[_R]:
-    """Order-preserving map over a one-shot process pool.
-
-    ``processes=None`` uses all cores; ``processes<=1`` (or a single
-    item) runs serially in-process, with no pool overhead.  ``fn`` and
-    the items should be picklable (module-level function, plain-data
-    arguments) and ``fn`` should be pure: when the *pool* cannot be
-    used — forbidden fork, unpicklable ``fn``/items, a worker dying —
-    the map falls back to running the whole batch serially (with a
-    :class:`ParallelFallbackWarning`), re-evaluating ``fn`` from
-    scratch.  Exceptions raised by ``fn`` itself are not swallowed into
-    that fallback: the first one (in item order) re-raises in the
-    parent, exactly like the serial path.
-
-    ``shared`` ships one bulky payload per worker chunk instead of once
-    per item; workers — and the serial path — read it back with
-    :func:`get_shared`.  Use it for payloads that are large relative to
-    the items (a workload object fanned out over many seeds, a machine
-    table, ...).
-
-    This is a convenience wrapper over a throwaway
-    :class:`repro.runtime.service.RunService` (one pool per call, torn
-    down afterwards); batch-after-batch callers should hold a service —
-    or use the process-wide default — so the pool is reused.
-    """
-    from repro.runtime.service import RunService  # noqa: PLC0415 (cycle)
-
-    with RunService(processes=processes) as service:
-        return service.map(fn, items, shared=shared)
-
-
-def _serial_map(fn: Callable[[_T], _R], items: list[_T], shared: Any) -> list[_R]:
-    if shared is None:
-        return [fn(item) for item in items]
-    previous = get_shared()
-    _install_shared(shared)
-    try:
-        return [fn(item) for item in items]
-    finally:
-        _install_shared(previous)
-
-
+__all__ = ["combine_process_profiles"]
 
 
 def combine_process_profiles(profiles: Sequence[Profile]) -> Profile:

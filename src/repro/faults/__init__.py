@@ -5,7 +5,7 @@ Trustworthy emulation of long-running workloads on unreliable resources
 deliberately as the happy paths.  This package provides first-class,
 *seedable* fault injection at named points across every layer — store
 writes/reads, index scans, worker execution, the
-campaign claim protocol — replacing ad-hoc monkeypatching in tests and
+elastic lease protocol — replacing ad-hoc monkeypatching in tests and
 enabling chaos soak runs of real campaigns:
 
 * :class:`FaultPlan` / :class:`FaultRule` — a declarative, JSON-loadable

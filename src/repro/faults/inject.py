@@ -25,8 +25,6 @@ Point inventory (grep for ``inject(`` to verify):
 ``store.entries``         index-plane scans
 ``worker.execute``        request dispatch (parent or pool worker); the
                           context key is the request key (cell digest)
-``campaign.claim``        the claim protocol's marker read-back
-``campaign.gc``           stale-claim garbage collection
 ``coordinator.heartbeat`` every elastic-worker heartbeat beat; the context
                           key is the worker name (``crash`` kills the
                           worker mid-wave, ``error`` drops the beat)

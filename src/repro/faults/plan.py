@@ -11,7 +11,7 @@ or JSON file)::
         {"point": "store.put", "mode": "error", "probability": 0.05},
         {"point": "worker.execute", "mode": "crash", "at": 1,
          "once": true, "fuse": "/tmp/crash.fuse"},
-        {"point": "campaign.claim", "mode": "delay", "delay": 0.2,
+        {"point": "coordinator.heartbeat", "mode": "delay", "delay": 0.2,
          "every": 3}
       ]
     }

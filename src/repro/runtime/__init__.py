@@ -22,14 +22,14 @@ subsystem:
 * :mod:`repro.runtime.campaign` — a declarative sweep spec
   (apps x machines x seeds x repeats) expanded to requests and executed
   with a resumable on-:class:`~repro.storage.base.ProfileStore` ledger;
-  ``run_campaign(spec, store, shard=(i, n))`` partitions the pending
-  cells by digest so several hosts sharing one store split a sweep,
-  with claim markers serialising overlapping invocations;
-* :mod:`repro.runtime.coordinator` — the elastic alternative to static
-  shards: workers register TTL-leased membership, pull pending cells in
-  leased batches and steal expired leases from crashed/hung/drained
-  rivals, so fleets grow, shrink and fail mid-sweep while the ledger
-  still converges (``elastic_worker`` / ``run_elastic``);
+  ``run_campaign(spec, store)`` is the lone, protocol-free loop;
+* :mod:`repro.runtime.coordinator` — how several invocations or hosts
+  share one sweep, and the only mutual-exclusion protocol: workers
+  register TTL-leased membership, pull pending cells in leased batches
+  and steal expired leases from crashed/hung/drained rivals, so fleets
+  grow, shrink and fail mid-sweep while the ledger still converges
+  (``elastic_worker`` / ``run_elastic``); both loops execute a wave
+  through one body in the campaign module;
 * :mod:`repro.runtime.analyze` — aggregates a finished ledger into the
   paper's consistency/error tables (``repro campaign --report``).
 """
@@ -41,15 +41,11 @@ from repro.runtime.campaign import (
     CampaignCell,
     CampaignReport,
     CampaignSpec,
-    claims,
     comparable_artifact,
     completed_cells,
     ledger,
     ledger_digest,
-    parse_shard,
     run_campaign,
-    shard_cells,
-    shard_index,
 )
 from repro.runtime.coordinator import (
     DEFAULT_LEASE_TTL,
@@ -91,7 +87,6 @@ __all__ = [
     "RunService",
     "RunTimeoutError",
     "analyze_campaign",
-    "claims",
     "comparable_artifact",
     "completed_cells",
     "elastic_worker",
@@ -100,11 +95,8 @@ __all__ = [
     "ledger",
     "ledger_digest",
     "live_members",
-    "parse_shard",
     "reset_service",
     "resolve_lease",
     "run_campaign",
     "run_elastic",
-    "shard_cells",
-    "shard_index",
 ]

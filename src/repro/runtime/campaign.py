@@ -31,26 +31,21 @@ Spec form (dict or JSON file)::
       "policy": {"retries": 1, "timeout": null, "backoff": 0.0}
     }
 
-Sharding (multi-host sweeps): ``run_campaign(spec, store, shard=(i, n))``
-deterministically partitions the *pending* cells by cell digest, so *n*
-hosts sharing one store ledger execute disjoint subsets — any shard's
-re-run completes only the union's missing cells, and an unsharded run
-finishes whatever is left.  Sharded invocations additionally *claim*
-their wave's cells in the ledger (lightweight marker documents tagged
-``claim=<digest>``) before executing them: two claim-checking
-invocations that overlap — the same shard restarted, racing shards —
-defer to the earlier claim instead of computing a cell twice.
-Unsharded runs skip the protocol by default (pass ``claim=True`` to
-opt in), so racing an unsharded run against a live shard can double-
-execute a cell.  Claims are deleted once their wave is stored;
-leftovers from a killed shard go stale after ``claim_ttl`` seconds and
-are ignored.  Because every cell's result derives only from its own
-identity, any double execution stores a bit-identical duplicate that
-resume and analysis dedupe by digest — ugly, never wrong.
+Several invocations on one store: :func:`run_campaign` is the lone,
+protocol-free loop — it reads the ledger once and executes what was
+missing then.  Invocations that share a sweep (several hosts, a local
+fleet, a late joiner) go through
+:func:`repro.runtime.coordinator.elastic_worker` instead, whose leases
+are the one mutual-exclusion protocol; both loops execute a wave through
+the same body (:class:`_Sweep`).  Because every cell's result derives
+only from its own identity, a double execution — a lone loop raced
+against anything, a steal window — stores a bit-identical duplicate that
+resume and analysis dedupe by digest: ugly, never wrong.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -64,7 +59,6 @@ from typing import Any, Callable, Mapping
 
 from repro.core.errors import ConfigError, is_retryable
 from repro.core.samples import Profile
-from repro.faults import inject
 from repro.runtime.execute import PlanScope, plan_scope
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
 from repro.telemetry.events import get_bus
@@ -75,15 +69,11 @@ __all__ = [
     "CampaignCell",
     "CampaignReport",
     "CampaignSpec",
-    "claims",
     "comparable_artifact",
     "completed_cells",
     "ledger",
     "ledger_digest",
-    "parse_shard",
     "run_campaign",
-    "shard_cells",
-    "shard_index",
 ]
 
 _KINDS = ("profile", "run")
@@ -96,17 +86,8 @@ _SPEC_KEYS = frozenset(
 #: finished wave in the ledger and resumes from the next one.
 DEFAULT_CHECKPOINT = 8
 
-#: Command under which cell-claim markers are stored (kept distinct from
-#: every profilable command so claims never collide with real artifacts).
-CLAIM_COMMAND = "synapse:campaign-claim"
-
-#: Seconds a foreign claim stays live.  A claim older than this with no
-#: stored artifact belongs to a dead shard and is ignored; fresher ones
-#: mark a concurrent shard working the cell right now.
-DEFAULT_CLAIM_TTL = 900.0
-
-#: Attempts per ledger store operation (scans, artifact/claim writes)
-#: before a transient store failure fails the campaign.
+#: Attempts per ledger store operation (scans, artifact and marker
+#: writes) before a transient store failure fails the campaign.
 STORE_ATTEMPTS = 3
 
 
@@ -135,7 +116,7 @@ def _store_op(what: str, fn: Callable[[], Any]) -> Any:
                 attempt=attempt, attempts=STORE_ATTEMPTS, error=repr(exc),
             )
             # Deterministic full jitter (seeded per op/attempt): retries
-            # desynchronise across shards without touching global RNG.
+            # desynchronise across invocations without touching global RNG.
             time.sleep(
                 0.05 * attempt * random.Random(f"{what}|{attempt}").random()
             )
@@ -375,7 +356,7 @@ def _engine_summary(record: Any) -> dict[str, Any]:
 
 @dataclass
 class CampaignReport:
-    """Outcome of one :func:`run_campaign` invocation."""
+    """Outcome of one :func:`run_campaign` / ``elastic_worker`` invocation."""
 
     name: str
     total: int
@@ -384,13 +365,7 @@ class CampaignReport:
     failed: list[dict[str, str]] = field(default_factory=list)
     seconds: float = 0.0
     truncated: bool = False
-    #: ``"i/n"`` when this invocation executed one shard of the sweep.
-    shard: str | None = None
-    #: Pending cells this invocation was responsible for (the shard's
-    #: partition of the missing cells; equals ``total - skipped`` when
-    #: unsharded).
-    assigned: int = 0
-    #: Cells left to a concurrent invocation holding an earlier claim.
+    #: Cells left to a live rival's lease (elastic invocations).
     deferred: int = 0
     #: True when a ``stop`` request (SIGTERM/SIGINT drain) ended the
     #: sweep early: the current wave was finished and persisted, the
@@ -401,9 +376,9 @@ class CampaignReport:
     def remaining(self) -> int:
         """Cells still missing from the ledger after this invocation.
 
-        Sweep-wide view: for a shard run this includes every other
-        shard's pending cells, so ``complete`` only turns true once the
-        *union* of shards has filled the ledger.
+        Sweep-wide view: it includes the cells a rival is working on,
+        so ``complete`` only turns true once the *union* of the
+        invocations has filled the ledger.
         """
         return self.total - self.skipped - self.executed
 
@@ -422,258 +397,24 @@ class CampaignReport:
             "complete": self.complete,
             "seconds": self.seconds,
             "truncated": self.truncated,
-            "shard": self.shard,
-            "assigned": self.assigned,
             "deferred": self.deferred,
             "interrupted": self.interrupted,
         }
 
     def table(self) -> Table:
-        shard = f" shard {self.shard}" if self.shard is not None else ""
         state = "complete" if self.complete else "partial"
         if self.interrupted:
             state = "interrupted (drained)"
         table = Table(
             ["cells", "skipped (ledger)", "executed", "failed", "deferred",
              "remaining"],
-            title=(
-                f"campaign {self.name!r}{shard}: {state} "
-                f"in {self.seconds:.2f}s"
-            ),
+            title=f"campaign {self.name!r}: {state} in {self.seconds:.2f}s",
         )
         table.add_row(
             [self.total, self.skipped, self.executed, len(self.failed),
              self.deferred, self.remaining]
         )
         return table
-
-
-def _by_pair(cells: Any) -> dict[tuple[str, str], list[CampaignCell]]:
-    """``cells`` by (app, machine), each pair's in the order given."""
-    pairs: dict[tuple[str, str], list[CampaignCell]] = {}
-    for cell in cells:
-        pairs.setdefault((cell.app, cell.machine), []).append(cell)
-    return pairs
-
-
-def _declare_wave(
-    plans: PlanScope,
-    pairs: Mapping[tuple[str, str], list[CampaignCell]],
-    wave: list[CampaignCell],
-    requests: list[RunRequest],
-    done: Any = frozenset(),
-) -> None:
-    """Declare in ``plans`` every (app, machine) pair of a wave that is
-    not live there: the rows that pair's cells outside ``done`` — this
-    wave's and the later ones' — will ask for.
-
-    One tuple per pending cell of the pair, for as long as the pair is
-    live; the requests are still built wave by wave.  Rows that are
-    never asked for (``limit``, ``stop``, a failed cell, a rival's
-    lease) may be replayed in a block, and are dropped with the scope.
-    """
-    for cell, request in zip(wave, requests):
-        if plans.group(request.target, request.machine) is None:
-            plans.declare(request.target, request.machine, [
-                each.row for each in pairs[cell.app, cell.machine]
-                if each.digest not in done
-            ])
-
-
-def parse_shard(shard: Any) -> tuple[int, int]:
-    """Normalise a shard selector into ``(index, count)``.
-
-    Accepts an ``(index, count)`` pair or the CLI spelling ``"i/n"``.
-    """
-    if isinstance(shard, str):
-        head, sep, tail = shard.partition("/")
-        if not sep:
-            raise ConfigError(f"shard must look like 'i/n', not {shard!r}")
-        shard = (head, tail)
-    try:
-        index, count = shard
-        index, count = int(index), int(count)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"shard must be an (index, count) pair or 'i/n' string, not {shard!r}"
-        ) from exc
-    if count < 1 or not 0 <= index < count:
-        raise ConfigError(
-            f"shard index must satisfy 0 <= index < count, got {index}/{count}"
-        )
-    return index, count
-
-
-def shard_index(digest: str, count: int) -> int:
-    """Deterministic shard owning a cell digest (digests are hex)."""
-    return int(digest, 16) % count
-
-
-def shard_cells(cells: list[CampaignCell], shard: Any) -> list[CampaignCell]:
-    """The subset of ``cells`` that shard ``(index, count)`` executes.
-
-    Partitioning is by cell digest, so it is independent of execution
-    order, ledger state and which cells other shards have finished —
-    the property that makes *n* hosts sharing one store collision-free.
-    """
-    index, count = parse_shard(shard)
-    return [cell for cell in cells if shard_index(cell.digest, count) == index]
-
-
-def claims(store: Any, name: str) -> dict[str, list[tuple[float, str]]]:
-    """Live + stale claim markers of campaign ``name``.
-
-    Returns cell digest -> list of ``(created, owner)`` pairs, one per
-    marker.  Callers decide staleness (see ``claim_ttl``).  Everything a
-    claim carries (digest, owner, creation time) lives in its tags, so
-    the scan runs on the store's index plane — no marker payloads are
-    deserialised, and the per-wave read-back cost is O(live markers)
-    instead of O(ledger).
-    """
-    found: dict[str, list[tuple[float, str]]] = {}
-    for entry in store.entries(CLAIM_COMMAND, tags=[f"campaign={name}"]):
-        digest = owner = None
-        for tag in entry.tags:
-            if tag.startswith("claim="):
-                digest = tag[len("claim="):]
-            elif tag.startswith("owner="):
-                owner = tag[len("owner="):]
-        if digest and owner:
-            found.setdefault(digest, []).append((entry.created, owner))
-    return found
-
-
-def _claim_wave(
-    store: Any,
-    name: str,
-    wave: list[CampaignCell],
-    owner: str,
-    ttl: float,
-    scan: bool = True,
-) -> tuple[list[CampaignCell], list[CampaignCell], list[str], bool]:
-    """Claim a wave's cells; returns ``(mine, deferred, claim_ids, rivals)``.
-
-    Writes one marker per cell, re-reads all markers, and keeps only the
-    cells whose earliest *live* claim is ours — ties and races resolve
-    deterministically on ``(created, owner)``.  Cells lost to an earlier
-    live claim are deferred (another invocation is computing them right
-    now); claims older than ``ttl`` belong to dead invocations and are
-    ignored.
-
-    ``scan=False`` skips the read-back (the caller saw no live foreign
-    claims recently): markers are still written so *rivals* defer to
-    us, but the wave runs unfiltered.  ``rivals`` reports whether any
-    live foreign claim was seen, letting the caller decide whether the
-    next wave needs a scan — the read-back is an index-plane scan of
-    the campaign's markers (O(live claims), no payloads), but even that
-    only makes sense to pay per wave while someone else is actually in
-    there.
-    """
-    now = time.time()
-    markers = [
-        Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": name, "claim": cell.digest, "owner": owner},
-            info={"cell": cell.digest},
-            created=now,
-        )
-        for cell in wave
-    ]
-    claim_ids = list(
-        _store_op("claim.put", lambda: store.put_many(markers))
-    )
-    if not scan:
-        return list(wave), [], claim_ids, False
-    try:
-        # Chaos plane: a fault here exercises the marker-cleanup path
-        # below (a read-back failure must not leak this wave's claims).
-        inject("campaign.claim", key=name)
-        existing = claims(store, name)
-        stale_seen = sum(
-            1
-            for entries in existing.values()
-            for entry in entries
-            if now - entry[0] > ttl
-        )
-        if stale_seen:
-            get_bus().event(
-                "campaign.claim.gc", campaign=name, stale=stale_seen, ttl=ttl
-            )
-            _gc_stale_claims(store, name, ttl, now)
-        # Any live foreign claim — even on a cell outside this wave —
-        # means a concurrent invocation is active and later waves must
-        # keep scanning.
-        rivals = any(
-            entry[1] != owner and now - entry[0] <= ttl
-            for entries in existing.values()
-            for entry in entries
-        )
-        mine: list[CampaignCell] = []
-        deferred: list[CampaignCell] = []
-        for cell in wave:
-            live = [
-                entry for entry in existing.get(cell.digest, [])
-                if now - entry[0] <= ttl
-            ]
-            winner = min(live, default=(now, owner))
-            (mine if winner[1] == owner else deferred).append(cell)
-        if deferred:
-            get_bus().event(
-                "campaign.claim.contention", level="warning",
-                campaign=name, owner=owner, deferred=len(deferred),
-                cells=[cell.digest for cell in deferred],
-            )
-    except BaseException:
-        # The read-back died (store error mid-scan, Ctrl-C) before the
-        # caller could take ownership of claim_ids: delete our markers
-        # now or an immediate re-run defers to this invocation's corpse
-        # for a full claim_ttl.
-        _delete_claims(store, claim_ids)
-        raise
-    return mine, deferred, claim_ids, rivals
-
-
-def _delete_claims(store: Any, claim_ids: list[str]) -> None:
-    """Best-effort removal of this invocation's claim markers."""
-    delete = getattr(store, "delete", None)
-    if delete is None:
-        return
-    for pid in claim_ids:
-        try:
-            delete(pid)
-        except Exception:  # noqa: BLE001 - already gone / read-only store
-            pass
-
-
-def _gc_stale_claims(store: Any, name: str, ttl: float, now: float) -> None:
-    """Best-effort deletion of expired claim markers.
-
-    Hard-killed shards never clean up after themselves; without GC
-    their markers accumulate in a long-lived shared store forever (and
-    every claim scan re-parses them).  Only markers already ignored as
-    stale are touched, so this can never steal a live rival's claim.
-    """
-    expire = getattr(store, "expire_markers", None)
-    if expire is not None:
-        # Server-side TTL expiry (Mongo-like stores): the store sweeps
-        # its own stale markers; the scan below then only mops up
-        # whatever raced past the sweep.
-        try:
-            expire(CLAIM_COMMAND, ttl)
-        except Exception:  # noqa: BLE001 - GC must never fail a wave
-            pass
-    if getattr(store, "delete", None) is None:
-        return
-    try:
-        inject("campaign.gc", key=name)
-        stale = [
-            entry.id
-            for entry in store.entries(CLAIM_COMMAND, tags=[f"campaign={name}"])
-            if now - entry.created > ttl
-        ]
-    except Exception:  # noqa: BLE001 - GC must never fail a wave
-        return
-    _delete_claims(store, stale)
 
 
 #: Cell digests are the first 16 hex chars of a SHA-256 (see
@@ -693,8 +434,8 @@ def _ledger_ids(store: Any, name: str) -> list[tuple[str, str]]:
     skipped: they can never correspond to a spec cell, so treating them
     as completed would silently drop cells from a resumed sweep.  The
     scan runs on the store's index plane (cell digests live in the
-    tags), so ledger bookkeeping — resume checks, shard partitioning —
-    never deserialises artifact payloads.
+    tags), so ledger bookkeeping (resume checks) never deserialises
+    artifact payloads.
     """
     pairs: list[tuple[str, str]] = []
     for entry in store.entries(tags=[f"campaign={name}"]):
@@ -709,8 +450,8 @@ def _ledger_ids(store: Any, name: str) -> list[tuple[str, str]]:
 def completed_cells(store: Any, name: str) -> set[str]:
     """Digests of all cells of campaign ``name`` already in the ledger.
 
-    Index-plane only: a campaign resume (or shard partition) costs one
-    tag-filtered index scan, not a full-ledger deserialisation.
+    Index-plane only: a campaign resume costs one tag-filtered index
+    scan, not a full-ledger deserialisation.
     """
     return {digest for digest, _pid in _ledger_ids(store, name)}
 
@@ -720,8 +461,7 @@ def ledger(store: Any, name: str) -> dict[str, Any]:
 
     Resolves digests on the index plane, then batch-loads exactly the
     artifact payloads via ``get_many`` (duplicate digests — racing
-    shards' bit-identical artifacts — dedupe to the newest entry, as
-    before).
+    invocations' bit-identical artifacts — dedupe to the newest entry).
     """
     pairs = _ledger_ids(store, name)
     profiles = store.get_many([pid for _digest, pid in pairs])
@@ -735,7 +475,7 @@ def comparable_artifact(profile: Any) -> dict[str, Any]:
     noise streams); only *when* and *by which process* a cell ran leaks
     into its stored document.  Dropping the wall-clock ``created`` stamp
     and the recording process id leaves exactly the fields that must be
-    bit-identical across reruns, shards, resumes and chaos runs.
+    bit-identical across reruns, workers, resumes and chaos runs.
     """
     doc = profile.to_dict() if hasattr(profile, "to_dict") else dict(profile)
     doc = json.loads(json.dumps(doc, sort_keys=True, default=str))
@@ -750,7 +490,7 @@ def ledger_digest(store: Any, name: str) -> str:
     """Canonical digest of campaign ``name``'s ledger.
 
     Two campaign runs converged to the same results — regardless of
-    execution order, sharding, worker count, interruptions, retries or
+    execution order, worker count, interruptions, retries or
     injected faults — produce the same digest.  The chaos smoke test
     (and CI job) pins a faulted run against a fault-free one with this.
     """
@@ -764,6 +504,242 @@ def ledger_digest(store: Any, name: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def new_member() -> str:
+    """An id for one invocation: who ran a wave, who holds a lease."""
+    return f"{os.getpid():x}-{secrets.token_hex(4)}"
+
+
+@dataclass
+class _Sweep:
+    """One invocation's stay in a campaign: its view of the ledger, its
+    running totals and the body of a wave.
+
+    :func:`run_campaign` and
+    :func:`~repro.runtime.coordinator.elastic_worker` differ in how they
+    *choose* a wave (a slice of the pending list / a leased batch) and in
+    what they hold while it runs (nothing / the leases); everything a
+    chosen wave goes through is :meth:`run_wave`, and the report both
+    return is :meth:`report`.
+    """
+
+    spec: CampaignSpec
+    store: Any
+    member: str
+    service: RunService | None = None
+    processes: int | None = None
+    progress: Any = None
+    #: How a ledger store operation is run (the elastic worker also
+    #: serialises it against its heartbeat thread).
+    store_op: Callable[[str, Callable[[], Any]], Any] = _store_op
+    #: The ledger as this invocation knows it.  Monotone: it grows by
+    #: the waves persisted here and by :meth:`reread`.
+    done: set[str] = field(default_factory=set)
+    executed: int = 0
+    deferred: int = 0
+    stolen: int = 0
+    failures: list[dict[str, str]] = field(default_factory=list)
+    truncated: bool = False
+    interrupted: bool = False
+    plans: PlanScope | None = None
+
+    def __post_init__(self) -> None:
+        if self.service is None:
+            self.service = get_service()
+        self.cells = {cell.digest: cell for cell in self.spec.cells()}
+        #: The cells this invocation may execute, in spec order (a
+        #: caller that narrows it does so before its first wave).
+        self.scope = list(self.cells.values())
+        self.reread()
+        #: Cells somebody had stored before this invocation started.
+        self.skipped = len(self.cells.keys() & self.done)
+        self.start = time.perf_counter()
+        self._reported = self.counts()
+
+    @property
+    def total(self) -> int:
+        return len(self.cells)
+
+    @cached_property
+    def pairs(self) -> dict[tuple[str, str], list[CampaignCell]]:
+        """The cells in scope by (app, machine), each pair's in order."""
+        pairs: dict[tuple[str, str], list[CampaignCell]] = {}
+        for cell in self.scope:
+            pairs.setdefault((cell.app, cell.machine), []).append(cell)
+        return pairs
+
+    def counts(self) -> dict[str, int]:
+        """The running totals a summary reports."""
+        return {
+            "executed": self.executed, "failed": len(self.failures),
+            "deferred": self.deferred, "stolen": self.stolen,
+        }
+
+    def reread(self) -> None:
+        """Add what the ledger holds now to :attr:`done`."""
+        self.done |= self.store_op(
+            "completed_cells", lambda: completed_cells(self.store, self.spec.name)
+        )
+
+    def pending(self) -> list[CampaignCell]:
+        """The cells in scope and outside :attr:`done`, in spec order."""
+        return [cell for cell in self.scope if cell.digest not in self.done]
+
+    def interrupt(self, wave_no: int) -> None:
+        """A ``stop`` request arrived: the waves run so far are
+        persisted, no other one starts."""
+        self.interrupted = True
+        get_bus().event(
+            "campaign.interrupted", level="warning", campaign=self.spec.name,
+            member=self.member, wave=wave_no, executed=self.executed,
+            pending=self.total - self.skipped - self.executed,
+        )
+
+    def _fail(self, cell: CampaignCell, error: str) -> None:
+        self.failures.append(
+            {"cell": cell.digest, "app": cell.app, "machine": cell.machine,
+             "error": error}
+        )
+
+    def _declare(self, wave: list[CampaignCell], requests: list[RunRequest]) -> None:
+        """Declare in the plan scope every (app, machine) pair of a wave
+        that is not live there: the rows that pair's cells outside
+        :attr:`done` — this wave's and the later ones' — will ask for.
+
+        One tuple per pending cell of the pair, for as long as the pair
+        is live; the requests are still built wave by wave.  Rows that
+        are never asked for (``limit``, ``stop``, a failed cell, a
+        rival's lease) may be replayed in a block, and are dropped with
+        the scope.
+        """
+        for cell, request in zip(wave, requests):
+            if self.plans.group(request.target, request.machine) is None:
+                self.plans.declare(request.target, request.machine, [
+                    each.row for each in self.pairs[cell.app, cell.machine]
+                    if each.digest not in self.done
+                ])
+
+    def run_wave(
+        self,
+        wave_no: int,
+        n_waves: int,
+        wave: list[CampaignCell],
+        held: Callable[[list[RunRequest]], Any] = contextlib.nullcontext,
+    ) -> None:
+        """Execute one wave and persist it, then say so.
+
+        Builds the cells' requests (a cell whose request cannot be built
+        fails here, like one whose run fails), runs them through the
+        service inside the sweep's plan scope, stores the artifacts of
+        the ones that succeeded in one ``put_many`` and emits the wave's
+        ``campaign.wave.finish`` summary (also handed to ``progress``).
+        ``held(requests)`` is a context manager around the run and the
+        store: what the caller keeps alive meanwhile.
+
+        In the summary ``executed`` / ``failed`` / ``deferred`` /
+        ``stolen`` count what happened since the previous summary;
+        ``completed`` / ``pending`` are sweep-wide, as this invocation
+        knows them.
+        """
+        name = self.spec.name
+        with span(
+            "campaign.wave", level="info", campaign=name, member=self.member,
+            wave=wave_no, waves=n_waves, cells=len(wave),
+        ) as wave_span:
+            requests, runnable = [], []
+            for cell in wave:
+                try:
+                    requests.append(cell.to_request())
+                    runnable.append(cell)
+                except Exception as exc:  # unknown app spec, bad config, ...
+                    self._fail(cell, repr(exc))
+            with held(requests):
+                self._declare(runnable, requests)
+                results = self.service.run(
+                    requests, processes=self.processes, rethrow=False
+                )
+                artifacts, stored = [], []
+                for cell, result in zip(runnable, results):
+                    if result.ok:
+                        artifacts.append(cell.artifact(result.value))
+                        stored.append(cell.digest)
+                    else:
+                        self._fail(cell, result.error or "unknown error")
+                if artifacts:
+                    self.store_op(
+                        "artifacts.put", lambda: self.store.put_many(artifacts)
+                    )
+                    self.done.update(stored)
+                    self.executed += len(stored)
+            counts = self.counts()
+            since = {what: n - self._reported[what] for what, n in counts.items()}
+            self._reported = counts
+            wave_span.set(**since)
+        summary = {
+            "campaign": name,
+            "member": self.member,
+            "wave": wave_no,
+            "waves": n_waves,
+            "total": self.total,
+            "cells": len(wave),
+            **since,
+            "completed": self.skipped + self.executed,
+            "pending": self.total - self.skipped - self.executed,
+            "elapsed": time.perf_counter() - self.start,
+        }
+        get_bus().event("campaign.wave.finish", **summary)
+        if self.progress is not None:
+            self.progress(dict(summary))
+
+    def report(self) -> CampaignReport:
+        return CampaignReport(
+            name=self.spec.name,
+            total=self.total,
+            # Everything in the ledger that somebody else put there — at
+            # the start or while this invocation ran — so ``remaining``
+            # is the sweep-wide state as last read.
+            skipped=len(self.cells.keys() & self.done) - self.executed,
+            executed=self.executed,
+            failed=[
+                failure for failure in self.failures
+                if failure["cell"] not in self.done
+            ],
+            seconds=time.perf_counter() - self.start,
+            truncated=self.truncated,
+            deferred=self.deferred,
+            interrupted=self.interrupted,
+        )
+
+
+@contextlib.contextmanager
+def _sweep(spec: CampaignSpec | Mapping[str, Any], store: Any, **settings: Any):
+    """A :class:`_Sweep` inside its ``campaign.run`` span and its plan
+    scope, between its ``campaign.start`` and ``campaign.finish`` events.
+
+    One plan scope for the invocation: every wave's ``service.run``
+    executes in it, so an (app, machine) pair is prepared once and its
+    seeds replay a block at a time, however small the waves.  The
+    targets are the spec's own models, which nothing mutates meanwhile.
+    """
+    if not isinstance(spec, CampaignSpec):
+        spec = CampaignSpec.from_dict(spec)
+    sweep = _Sweep(spec, store, **settings)
+    bus = get_bus()
+    identity = {
+        "campaign": spec.name, "total": sweep.total, "skipped": sweep.skipped,
+        "owner": sweep.member,
+    }
+    with span("campaign.run", level="info", **identity) as run_span, \
+            plan_scope() as sweep.plans:
+        bus.event("campaign.start", **identity)
+        yield sweep
+        outcome = {**sweep.counts(), "interrupted": sweep.interrupted}
+        run_span.set(**outcome)
+        bus.event(
+            "campaign.finish", campaign=spec.name,
+            seconds=time.perf_counter() - sweep.start, **outcome,
+        )
+
+
 def run_campaign(
     spec: CampaignSpec | Mapping[str, Any],
     store: Any,
@@ -771,9 +747,6 @@ def run_campaign(
     service: RunService | None = None,
     limit: int | None = None,
     checkpoint: int = DEFAULT_CHECKPOINT,
-    shard: Any = None,
-    claim: bool | None = None,
-    claim_ttl: float = DEFAULT_CLAIM_TTL,
     progress: Any = None,
     stop: Callable[[], bool] | None = None,
 ) -> CampaignReport:
@@ -787,186 +760,50 @@ def run_campaign(
     invocation (handy for smoke tests and incremental sweeps); failures
     are recorded in the report, never stored as completed cells.
 
-    ``shard=(i, n)`` (or ``"i/n"``) restricts this invocation to its
-    digest-assigned partition of the pending cells so *n* hosts sharing
-    one store divide the sweep; see the module docstring.  ``claim``
-    toggles the wave-level cell claiming that serialises overlapping
-    invocations (default: on exactly when sharded); ``claim_ttl`` is
-    how long a foreign claim defers a cell before it is presumed dead.
+    This loop takes part in no mutual-exclusion protocol: it reads the
+    ledger once and works through what was missing then.  Racing it
+    against another invocation can therefore store a bit-identical
+    duplicate of a cell, which resume and analysis dedupe by digest;
+    sweeps shared between invocations or hosts use
+    :func:`~repro.runtime.coordinator.elastic_worker`
+    (``--elastic --join NAME``).
 
-    ``progress`` is an optional per-wave callback receiving a summary
-    dict (``wave``, ``waves``, ``claimed``, ``executed``, ``failed``,
-    ``deferred``, ``completed``, ``pending``, ``elapsed``) after each
-    wave is persisted — the CLI's live progress lines.
+    ``progress`` is an optional per-wave callback receiving the wave's
+    summary dict (see :meth:`_Sweep.run_wave`) after the wave is
+    persisted — the CLI's live progress lines.
 
     ``stop`` is an optional zero-argument drain predicate checked
     between waves (the CLI wires its SIGTERM/SIGINT handler here): once
-    it returns true the current wave is finished, persisted and its
-    claims released, the remaining waves never start, and the report
-    comes back with ``interrupted=True`` — a graceful shutdown loses
-    nothing and a re-run resumes from the ledger.
+    it returns true the current wave is finished and persisted, the
+    remaining waves never start, and the report comes back with
+    ``interrupted=True`` — a graceful shutdown loses nothing and a
+    re-run resumes from the ledger.
 
-    Ledger store operations (resume scan, artifact and claim-marker
-    writes) retry transient failures :data:`STORE_ATTEMPTS` times (with
-    deterministic jitter) before failing the campaign.
+    Ledger store operations (resume scan, artifact writes) retry
+    transient failures :data:`STORE_ATTEMPTS` times (with deterministic
+    jitter) before failing the campaign.
 
     Telemetry: the sweep runs under a ``campaign.run`` span with one
     ``campaign.wave`` span per wave (pooled per-request spans stitch
     under it) and emits ``campaign.start`` / ``campaign.wave.finish`` /
-    ``campaign.claim.contention`` / ``campaign.claim.gc`` /
     ``campaign.store.retry`` / ``campaign.interrupted`` /
     ``campaign.finish`` events on the process bus.
     """
-    if not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    svc = service if service is not None else get_service()
-    shard_id = None if shard is None else parse_shard(shard)
-    use_claims = claim if claim is not None else shard_id is not None
-    owner = f"{os.getpid():x}-{secrets.token_hex(4)}"
-    shard_label = None if shard_id is None else f"{shard_id[0]}/{shard_id[1]}"
-    cells = spec.cells()
-    done = _store_op(
-        "completed_cells", lambda: completed_cells(store, spec.name)
-    )
-    pending = [cell for cell in cells if cell.digest not in done]
-    skipped = len(cells) - len(pending)
-    if shard_id is not None:
-        pending = shard_cells(pending, shard_id)
-    assigned = len(pending)
-    truncated = False
-    if limit is not None and len(pending) > limit:
-        pending = pending[: max(0, limit)]
-        truncated = True
-
-    bus = get_bus()
-    executed = 0
-    deferred = 0
-    interrupted = False
-    failures: list[dict[str, str]] = []
-    start = time.perf_counter()
-    step = max(1, checkpoint)
-    n_waves = (len(pending) + step - 1) // step
-    pairs = _by_pair(pending)
-    # One plan scope for the sweep: every wave's ``svc.run`` executes in
-    # it, so an (app, machine) pair is prepared once and its seeds
-    # replay a block at a time, however small the waves.  The targets
-    # are the spec's own models, which nothing mutates meanwhile.
-    with span(
-        "campaign.run", level="info", campaign=spec.name, total=len(cells),
-        skipped=skipped, assigned=assigned, shard=shard_label, owner=owner,
-    ) as campaign_span, plan_scope() as plans:
-        bus.event(
-            "campaign.start", campaign=spec.name, total=len(cells),
-            skipped=skipped, assigned=assigned, waves=n_waves,
-            shard=shard_label, owner=owner,
-        )
-        # The first claimed wave always scans for rivals; later waves only
-        # keep paying the marker read-back while rivals are actually
-        # live.  A rival appearing *after* scanning stops goes unseen — the
-        # worst case is a duplicate, bit-identical artifact, which resume
-        # and analysis dedupe by digest.
-        scan_claims = True
-        for wave_no, wave_start in enumerate(range(0, len(pending), step), start=1):
+    with _sweep(
+        spec, store, member=new_member(), service=service,
+        processes=processes, progress=progress,
+    ) as sweep:
+        pending = sweep.pending()
+        if limit is not None and len(pending) > limit:
+            pending = sweep.scope = pending[: max(0, limit)]
+            sweep.truncated = True
+        step = max(1, checkpoint)
+        n_waves = (len(pending) + step - 1) // step
+        for wave_no in range(1, n_waves + 1):
             if stop is not None and stop():
-                # Drain semantics: the wave that was running when the
-                # stop request arrived has already been persisted and
-                # its claims released; just never start the next one.
-                interrupted = True
-                bus.event(
-                    "campaign.interrupted", level="warning",
-                    campaign=spec.name, wave=wave_no, waves=n_waves,
-                    executed=executed,
-                    pending=len(cells) - skipped - executed,
-                )
+                sweep.interrupt(wave_no)
                 break
-            wave = pending[wave_start : wave_start + step]
-            wave_executed = wave_failed = wave_deferred = 0
-            with span(
-                "campaign.wave", level="info", campaign=spec.name,
-                wave=wave_no, waves=n_waves, cells=len(wave),
-            ) as wave_span:
-                claim_ids: list[str] = []
-                if use_claims:
-                    wave, lost, claim_ids, rivals = _claim_wave(
-                        store, spec.name, wave, owner, claim_ttl, scan=scan_claims
-                    )
-                    scan_claims = rivals
-                    deferred += len(lost)
-                    wave_deferred = len(lost)
-                try:
-                    requests, runnable = [], []
-                    for cell in wave:
-                        try:
-                            requests.append(cell.to_request())
-                            runnable.append(cell)
-                        except Exception as exc:  # unknown app spec, bad config, ...
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine, "error": repr(exc)}
-                            )
-                            wave_failed += 1
-                    _declare_wave(plans, pairs, runnable, requests)
-                    results = svc.run(requests, processes=processes, rethrow=False)
-                    artifacts = []
-                    for cell, result in zip(runnable, results):
-                        if result.ok:
-                            artifacts.append(cell.artifact(result.value))
-                            executed += 1
-                            wave_executed += 1
-                        else:
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine,
-                                 "error": result.error or "unknown error"}
-                            )
-                            wave_failed += 1
-                    if artifacts:
-                        _store_op(
-                            "artifacts.put", lambda: store.put_many(artifacts)
-                        )
-                finally:
-                    # Claims outlive an invocation only when it is killed hard
-                    # (no chance to clean up) — exactly the case claim_ttl
-                    # staleness exists for.
-                    _delete_claims(store, claim_ids)
-                wave_span.set(
-                    executed=wave_executed, failed=wave_failed,
-                    deferred=wave_deferred,
-                )
-            summary = {
-                "campaign": spec.name,
-                "wave": wave_no,
-                "waves": n_waves,
-                "total": len(cells),
-                "claimed": len(wave),
-                "executed": wave_executed,
-                "failed": wave_failed,
-                "deferred": wave_deferred,
-                "completed": skipped + executed,
-                "pending": len(cells) - skipped - executed,
-                "elapsed": time.perf_counter() - start,
-            }
-            bus.event("campaign.wave.finish", **summary)
-            if progress is not None:
-                progress(dict(summary))
-        campaign_span.set(executed=executed, failed=len(failures),
-                          deferred=deferred, interrupted=interrupted)
-        bus.event(
-            "campaign.finish", campaign=spec.name, executed=executed,
-            failed=len(failures), deferred=deferred, interrupted=interrupted,
-            seconds=time.perf_counter() - start,
-        )
-
-    return CampaignReport(
-        name=spec.name,
-        total=len(cells),
-        skipped=skipped,
-        executed=executed,
-        failed=failures,
-        seconds=time.perf_counter() - start,
-        truncated=truncated,
-        shard=None if shard_id is None else f"{shard_id[0]}/{shard_id[1]}",
-        assigned=assigned,
-        deferred=deferred,
-        interrupted=interrupted,
-    )
+            sweep.run_wave(
+                wave_no, n_waves, pending[(wave_no - 1) * step : wave_no * step]
+            )
+    return sweep.report()

@@ -1,11 +1,14 @@
 """Elastic campaign coordination: heartbeats, leases, work stealing.
 
-Static ``--shard i/n`` partitions (see :mod:`repro.runtime.campaign`)
-divide a sweep *a priori*: a dead or slow shard strands its whole
-partition until a human re-invokes it.  This module replaces the static
-partition with a **lease-based pull loop** over the same shared store
-ledger, so any number of workers — joining late, crashing, hanging or
-draining out — converge the campaign cooperatively:
+A lone :func:`~repro.runtime.campaign.run_campaign` takes part in no
+protocol; dividing a sweep *a priori* between invocations would strand
+a dead or slow one's part until a human re-invoked it.  This module is
+the one way several invocations share a sweep: a **lease-based pull
+loop** over the shared store ledger — the campaign layer's only
+mutual-exclusion protocol — so any number of workers — joining late,
+crashing, hanging or draining out — converge the campaign
+cooperatively (each wave they win runs through the campaign module's
+one wave body, ``_Sweep.run_wave``):
 
 * **Membership.** Each worker registers a *heartbeat marker* (kind
   :data:`MEMBER_KIND`) and renews it from a background thread every
@@ -23,8 +26,8 @@ draining out — converge the campaign cooperatively:
 * **Stealing.** A lease is *live* while its newest record is fresher
   than the TTL **and** its owner's heartbeat is live.  Anything else is
   stolen: the thief writes a lease at ``epoch + 1``.  Lease resolution
-  generalises the claim protocol's tie-break — highest epoch wins, ties
-  resolve on ``(created, owner)`` — so a resurrected owner's late
+  is deterministic for everyone — highest epoch wins, ties resolve on
+  ``(created, owner)`` — so a resurrected owner's late
   renewal (old epoch) defers to the thief instead of fighting it.
 * **Exactly-once ledger.** Every cell's artifact derives only from the
   cell's own identity, so the pathological races (two workers executing
@@ -61,7 +64,7 @@ and a ``coordinator.members`` gauge.
 
 from __future__ import annotations
 
-import os
+import contextlib
 import secrets
 import threading
 import time
@@ -74,16 +77,14 @@ from repro.runtime.campaign import (
     DEFAULT_CHECKPOINT,
     CampaignReport,
     CampaignSpec,
-    _by_pair,
-    _declare_wave,
     _store_op,
+    _sweep,
     completed_cells,
+    new_member,
 )
-from repro.runtime.execute import plan_scope
-from repro.runtime.service import RunService, batch_budget, get_service
+from repro.runtime.service import RunService, batch_budget
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.spans import span
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -104,9 +105,8 @@ MEMBER_KIND = "member"
 LEASE_KIND = "lease"
 
 #: Seconds a lease (and a member heartbeat) stays live without renewal.
-#: Deliberately much shorter than the claim protocol's 900 s staleness
-#: horizon: heartbeats renew at TTL/3, so takeover latency after a hard
-#: crash is ~one TTL instead of fifteen minutes.
+#: Heartbeats renew at TTL/3, so takeover latency after a hard crash is
+#: ~one TTL.
 DEFAULT_LEASE_TTL = 60.0
 
 #: Markers (leases, heartbeats) older than ``ttl * this`` are garbage —
@@ -208,10 +208,10 @@ def resolve_lease(
 ) -> LeaseState | None:
     """Resolve one cell's lease records to their current holder.
 
-    The claim tie-break generalised to epochs: the **highest epoch**
-    wins outright (a steal supersedes everything before it), and same-
-    epoch races — two workers acquiring or stealing concurrently —
-    resolve on the claim protocol's ``(created, owner)`` minimum.  The
+    The **highest epoch** wins outright (a steal supersedes everything
+    before it), and same-epoch races — two workers acquiring or
+    stealing concurrently — resolve on the ``(created, owner)``
+    minimum.  The
     winning lease is *alive* while its newest record is fresher than
     ``ttl`` **and** its owner appears in ``live`` — a deregistered or
     dead owner's lease is stealable immediately, which is what makes
@@ -448,11 +448,13 @@ def elastic_worker(
     renewal), then pulls **leased batches** of pending cells until the
     ledger is complete: free cells are leased outright, cells whose
     lease has gone stale — owner crashed, hung past its batch budget,
-    or drained away — are stolen at a bumped epoch.  Each wave is
-    executed through the run service and persisted before its leases
-    are released, so an interruption loses at most one wave of work and
-    any number of workers can run this function concurrently against
-    the same store (locally or from different hosts).
+    or drained away — are stolen at a bumped epoch.  Each wave goes
+    through the body ``run_campaign`` uses too (``_Sweep.run_wave``: run
+    service, one ``put_many``, the ``campaign.wave.finish`` summary)
+    before its leases are released, so an interruption loses at most
+    one wave of work and any number of workers can run this function
+    concurrently against the same store (locally or from different
+    hosts).
 
     ``stop`` drains gracefully: the in-flight wave finishes and
     persists, held leases are released and the membership deregisters —
@@ -464,57 +466,36 @@ def elastic_worker(
     deferred cells to live rivals) reports ``complete=False`` while the
     fleet as a whole still converges.
     """
-    if not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
     if worker is None:
-        worker = f"{os.getpid():x}-{secrets.token_hex(4)}"
+        worker = new_member()
     if any(c in worker for c in "=,\n"):
         raise ConfigError(
             f"worker name {worker!r} must be free of '=', ',' and newlines"
         )
     if lease_ttl <= 0:
         raise ConfigError("lease_ttl must be positive")
-    svc = service if service is not None else get_service()
     bus = get_bus()
     registry = get_registry()
-    name = spec.name
-    cells = {cell.digest: cell for cell in spec.cells()}
     lock = threading.Lock()
 
     def locked_op(what: str, fn: Callable[[], Any]) -> Any:
         with lock:
             return _store_op(what, fn)
 
-    def ledger_cells() -> set[str]:
-        return locked_op("completed_cells", lambda: completed_cells(store, name))
-
-    # This worker's view of the ledger.  Monotone: it only grows — by
-    # our own persisted cells, and by a re-read whenever rivals are
-    # visible or a heartbeat interval has passed.
-    done = ledger_cells()
-    reread_at = _reread_clock()
-    reread_every = _heartbeat_interval(lease_ttl)
-    skipped = len(cells.keys() & done)
-
-    executed = 0
-    deferred = 0
-    stolen = 0
-    truncated = False
-    interrupted = False
-    failures: list[dict[str, str]] = []
-    failed_digests: set[str] = set()
-    start = time.perf_counter()
     step = max(1, batch)
-
-    heartbeat = _Heartbeat(store, lock, name, worker, lease_ttl)
-    pairs = _by_pair(cells.values())
-    # One plan scope for this worker's stay, as in ``run_campaign``: a
-    # pair's first wave declares the cells of it still missing from the
-    # ledger as this worker sees it — rivals may take some of them.
-    with span(
-        "campaign.run", level="info", campaign=name, total=len(cells),
-        skipped=skipped, owner=worker, elastic=True,
-    ) as campaign_span, plan_scope() as plans:
+    # The sweep's ``done`` is this worker's view of the ledger.
+    # Monotone: it only grows — by our own persisted cells, and by a
+    # re-read whenever rivals are visible or a heartbeat interval has
+    # passed.  A pair's first wave declares the cells of it still
+    # missing from that view — rivals may take some of them.
+    with _sweep(
+        spec, store, member=worker, service=service, processes=processes,
+        progress=progress, store_op=locked_op,
+    ) as sweep:
+        name = sweep.spec.name
+        reread_at = _reread_clock()
+        reread_every = _heartbeat_interval(lease_ttl)
+        heartbeat = _Heartbeat(store, lock, name, worker, lease_ttl)
         heartbeat.register()
         heartbeat.start()
         members = live_members(store, name, lease_ttl)
@@ -523,23 +504,28 @@ def elastic_worker(
             "campaign.member.join", campaign=name, member=worker,
             members=sorted(members), lease_ttl=lease_ttl,
         )
-        bus.event(
-            "campaign.start", campaign=name, total=len(cells),
-            skipped=skipped, assigned=0, waves=0, shard=None, owner=worker,
-        )
         wave_no = 0
         garbage: list[str] = []  # stale marker ids riding on the next delete
+        won: dict[str, tuple[int, str]] = {}
+
+        @contextlib.contextmanager
+        def held(requests):
+            """Renew the wave's leases while it runs; drop them after."""
+            heartbeat.hold(won, batch_budget(requests))
+            try:
+                yield
+            finally:
+                with lock:
+                    _drop(store, heartbeat.release() + garbage)
+                garbage.clear()
+
         try:
             while True:
                 if stop is not None and stop():
-                    interrupted = True
-                    bus.event(
-                        "campaign.interrupted", level="warning", campaign=name,
-                        wave=wave_no, executed=executed, member=worker,
-                    )
+                    sweep.interrupt(wave_no)
                     break
-                if limit is not None and executed >= limit:
-                    truncated = True
+                if limit is not None and sweep.executed >= limit:
+                    sweep.truncated = True
                     break
                 # Markers first, ledger second: a rival that finished a
                 # cell and released its lease in between is then caught
@@ -549,7 +535,7 @@ def elastic_worker(
                 beats, leases = _split(scan)
                 members = _live(beats, lease_ttl, now)
                 registry.set_gauge("coordinator.members", float(len(members)))
-                garbage = [
+                garbage[:] = [
                     marker.id for marker in scan
                     if now - marker.created > lease_ttl * STALE_MARKER_FACTOR
                 ]
@@ -558,21 +544,20 @@ def elastic_worker(
                     or _reread_clock() - reread_at > reread_every
                 ):
                     registry.inc("coordinator.ledger.rescans")
-                    done |= ledger_cells()
+                    sweep.reread()
                     reread_at = _reread_clock()
-                pending = [
-                    digest for digest in cells if digest not in done
-                ]
+                pending = sweep.pending()
                 if not pending:
                     break
-                workable = [d for d in pending if d not in failed_digests]
+                failed = {failure["cell"] for failure in sweep.failures}
+                workable = [c.digest for c in pending if c.digest not in failed]
                 if not workable:
                     break  # everything left already failed here; give up
                 # Deal this wave: free cells first, then stale leases to
                 # steal.  Cells under a live rival's lease are deferred.
                 step_now = step
                 if limit is not None:
-                    step_now = min(step, limit - executed)
+                    step_now = min(step, limit - sweep.executed)
                 to_acquire: list[tuple[str, int]] = []
                 to_steal: list[tuple[str, int, LeaseState]] = []
                 blocked = 0
@@ -593,25 +578,17 @@ def elastic_worker(
                     else:
                         to_steal.append((digest, state.epoch + 1, state))
                 if not to_acquire and not to_steal:
-                    if blocked and (set(members) - {worker}):
-                        # Live rivals hold everything pending: wait for
-                        # leases to resolve rather than busy-scanning.
-                        if _wait(stop, _poll_interval(lease_ttl)):
-                            continue
-                        interrupted = True
-                        break
                     if not blocked:
                         # Nothing acquirable and nobody live holds the
                         # pending cells (all remaining failed here).
                         break
-                    # Leases look alive but their owners are gone — the
-                    # records will age past the TTL; rescan shortly.
-                    if _wait(stop, _poll_interval(lease_ttl)):
-                        continue
-                    interrupted = True
-                    break
+                    # Live rivals hold everything pending — or leases
+                    # that look alive whose owners are gone, and will age
+                    # past the TTL: wait rather than busy-scan (a stop
+                    # request ends the wait and is seen at the top).
+                    _wait(stop, _poll_interval(lease_ttl))
+                    continue
                 wanted = list(to_acquire)
-                stolen_now = 0
                 for digest, epoch, state in to_steal:
                     try:
                         # An injected fault here is a failed takeover
@@ -620,7 +597,7 @@ def elastic_worker(
                         # on the next scan.
                         inject("coordinator.steal", key=digest)
                     except Exception:  # noqa: BLE001 - injected steal failure
-                        deferred += 1
+                        sweep.deferred += 1
                         continue
                     age = now - state.renewed
                     registry.inc("coordinator.steals")
@@ -631,13 +608,10 @@ def elastic_worker(
                         from_owner=state.owner, epoch=epoch, lease_age=age,
                     )
                     wanted.append((digest, epoch))
-                    stolen_now += 1
-                stolen += stolen_now
+                    sweep.stolen += 1
                 if not wanted:
-                    if _wait(stop, _poll_interval(lease_ttl)):
-                        continue
-                    interrupted = True
-                    break
+                    _wait(stop, _poll_interval(lease_ttl))
+                    continue
                 rows = [
                     _lease_row(digest, worker, epoch)
                     for digest, epoch in wanted
@@ -646,10 +620,6 @@ def elastic_worker(
                     "lease.put",
                     lambda: store.put_markers(name, LEASE_KIND, rows),
                 )
-                anchors = {
-                    digest: (epoch, anchor)
-                    for (digest, epoch), anchor in zip(wanted, anchor_ids)
-                }
                 # Confirm: re-read and keep only the cells we actually
                 # won — a racing rival acquiring/stealing the same cell
                 # resolves deterministically for everyone.
@@ -664,9 +634,9 @@ def elastic_worker(
                         _drop(store, anchor_ids)
                     raise
                 now = time.time()
-                won: dict[str, tuple[int, str]] = {}
+                won.clear()
                 lost_ids: list[str] = []
-                for digest, (epoch, anchor) in anchors.items():
+                for (digest, epoch), anchor in zip(wanted, anchor_ids):
                     state = resolve_lease(
                         confirm.get(digest, []), now, lease_ttl, {worker: now}
                     )
@@ -677,7 +647,7 @@ def elastic_worker(
                     ):
                         won[digest] = (epoch, anchor)
                     else:
-                        deferred += 1
+                        sweep.deferred += 1
                         lost_ids.append(anchor)
                 if lost_ids:
                     with lock:
@@ -685,125 +655,35 @@ def elastic_worker(
                 if not won:
                     continue
                 wave_no += 1
-                wave_cells = [cells[digest] for digest in won]
-                wave_executed = wave_failed = 0
                 registry.inc("coordinator.waves")
-                with span(
-                    "campaign.wave", level="info", campaign=name,
-                    wave=wave_no, cells=len(wave_cells), member=worker,
-                    stolen=stolen_now,
-                ) as wave_span:
-                    requests, runnable = [], []
-                    for cell in wave_cells:
-                        try:
-                            requests.append(cell.to_request())
-                            runnable.append(cell)
-                        except Exception as exc:  # unknown app, bad config
-                            failures.append(
-                                {"cell": cell.digest, "app": cell.app,
-                                 "machine": cell.machine, "error": repr(exc)}
-                            )
-                            failed_digests.add(cell.digest)
-                            wave_failed += 1
-                    heartbeat.hold(won, batch_budget(requests))
-                    try:
-                        _declare_wave(plans, pairs, runnable, requests, done)
-                        results = svc.run(
-                            requests, processes=processes, rethrow=False
-                        )
-                        artifacts, stored = [], []
-                        for cell, result in zip(runnable, results):
-                            if result.ok:
-                                artifacts.append(cell.artifact(result.value))
-                                stored.append(cell.digest)
-                                executed += 1
-                                wave_executed += 1
-                            else:
-                                failures.append(
-                                    {"cell": cell.digest, "app": cell.app,
-                                     "machine": cell.machine,
-                                     "error": result.error or "unknown error"}
-                                )
-                                failed_digests.add(cell.digest)
-                                wave_failed += 1
-                        if artifacts:
-                            locked_op(
-                                "artifacts.put",
-                                lambda: store.put_many(artifacts),
-                            )
-                            done.update(stored)
-                    finally:
-                        with lock:
-                            _drop(store, heartbeat.release() + garbage)
-                        garbage = []
-                    wave_span.set(
-                        executed=wave_executed, failed=wave_failed
-                    )
-                summary = {
-                    "campaign": name,
-                    "member": worker,
-                    "wave": wave_no,
-                    "waves": wave_no,
-                    "total": len(cells),
-                    "claimed": len(wave_cells),
-                    "executed": wave_executed,
-                    "failed": wave_failed,
-                    "deferred": deferred,
-                    "stolen": stolen_now,
-                    "completed": skipped + executed,
-                    "pending": len(pending) - wave_executed,
-                    "elapsed": time.perf_counter() - start,
-                }
-                bus.event("campaign.wave.finish", **summary)
-                if progress is not None:
-                    progress(dict(summary))
+                # Waves: this one and, at this batch size, the ones the
+                # cells still takeable after it would fill.
+                rest = len(workable) - len(won)
+                if limit is not None:
+                    rest = min(rest, limit - sweep.executed - len(won))
+                sweep.run_wave(
+                    wave_no, wave_no + -(-rest // step),
+                    [sweep.cells[digest] for digest in won], held,
+                )
         finally:
             with lock:
                 _drop(store, heartbeat.deregister() + garbage)
             bus.event(
                 "campaign.member.leave", campaign=name, member=worker,
-                executed=executed, stolen=stolen, interrupted=interrupted,
+                executed=sweep.executed, stolen=sweep.stolen,
+                interrupted=sweep.interrupted,
             )
-        campaign_span.set(
-            executed=executed, failed=len(failures), deferred=deferred,
-            stolen=stolen, interrupted=interrupted,
-        )
-        bus.event(
-            "campaign.finish", campaign=name, executed=executed,
-            failed=len(failures), deferred=deferred, interrupted=interrupted,
-            seconds=time.perf_counter() - start,
-        )
-
-    final_done = ledger_cells()
-    remaining_failures = [
-        failure for failure in failures if failure["cell"] not in final_done
-    ]
-    return CampaignReport(
-        name=name,
-        total=len(cells),
-        # ``skipped`` counts everything completed by someone else — at
-        # start or by rivals while we ran — so ``remaining`` reflects
-        # the sweep-wide ledger state, exactly like sharded reports.
-        skipped=len(set(cells) & final_done) - executed,
-        executed=executed,
-        failed=remaining_failures,
-        seconds=time.perf_counter() - start,
-        truncated=truncated,
-        shard=None,
-        assigned=executed,
-        deferred=deferred,
-        interrupted=interrupted,
-    )
+    # ``skipped`` counts everything completed by someone else — at start
+    # or by rivals while we ran — as of this last read.
+    sweep.reread()
+    return sweep.report()
 
 
-def _wait(stop: Callable[[], bool] | None, seconds: float) -> bool:
-    """Sleep in small stop-aware slices; False when asked to stop."""
+def _wait(stop: Callable[[], bool] | None, seconds: float) -> None:
+    """Sleep in small slices, until ``stop`` asks for an end at the latest."""
     deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        if stop is not None and stop():
-            return False
+    while time.monotonic() < deadline and not (stop is not None and stop()):
         time.sleep(min(0.02, seconds))
-    return True
 
 
 # -- local fleets -------------------------------------------------------------
@@ -963,8 +843,6 @@ def run_elastic(
         executed=executed,
         failed=failures,
         seconds=time.perf_counter() - start,
-        shard=None,
-        assigned=executed,
         deferred=sum(int(report.get("deferred", 0)) for report in reports),
         interrupted=interrupted,
     )

@@ -26,7 +26,7 @@ emits ``supervisor.*`` telemetry events and metrics.
 
 When the pool cannot be created at all (constrained hosts, forbidden
 fork, unpicklable payloads) the service degrades to the serial path
-with a :class:`~repro.core.multiproc.ParallelFallbackWarning` — it
+with a :class:`ParallelFallbackWarning` — it
 never fails a batch because of pool infrastructure.
 """
 
@@ -35,13 +35,13 @@ from __future__ import annotations
 import contextlib
 import os
 import random
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import PoisonRequestError, is_retryable
-from repro.core.multiproc import ParallelFallbackWarning, _serial_map, get_shared
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import activate_context, pack_context, span
@@ -56,12 +56,52 @@ __all__ = [
     "RunTimeoutError",
     "batch_budget",
     "get_service",
+    "get_shared",
     "reset_service",
 ]
 
 #: Request kinds the service knows how to execute (see
 #: :mod:`repro.runtime.execute` for their semantics).
 KINDS = ("engine", "profile", "emulate", "call")
+
+
+class ParallelFallbackWarning(RuntimeWarning):
+    """A process pool could not be used; the batch ran serially instead.
+
+    Emitted by :class:`RunService` when pool creation or the configured
+    start method fails on constrained hosts (no fork permission,
+    missing semaphores, sandboxed CI runners, ...).  The computation
+    still completes — serially — so callers get correct results plus a
+    signal that parallel speedup was unavailable.
+    """
+
+
+#: Per-thread payload installed by :meth:`RunService.map`'s ``shared``
+#: argument (one pickle per worker chunk instead of one per item).
+#: Thread-local rather than a plain global: concurrent serial batches in
+#: one process — e.g. several elastic campaign workers sharing a store —
+#: each install/restore their own tables without clobbering each other.
+_shared_state = threading.local()
+
+
+def _install_shared(payload: Any) -> None:
+    _shared_state.payload = payload
+
+
+def get_shared() -> Any:
+    """The current ``shared`` payload of :meth:`RunService.map` (worker side)."""
+    return getattr(_shared_state, "payload", None)
+
+
+def _serial_map(fn: Callable[[Any], Any], items: list[Any], shared: Any) -> list[Any]:
+    if shared is None:
+        return [fn(item) for item in items]
+    previous = get_shared()
+    _install_shared(shared)
+    try:
+        return [fn(item) for item in items]
+    finally:
+        _install_shared(previous)
 
 
 class RunTimeoutError(Exception):
@@ -104,7 +144,7 @@ class RunPolicy:
         ``backoff * k`` seconds before the next attempt.
     jitter:
         With jitter (the default) the actual sleep is drawn uniformly
-        from ``[0, backoff * k)`` — *full jitter*, so many shards
+        from ``[0, backoff * k)`` — *full jitter*, so many workers
         retrying the same contended resource desynchronise instead of
         thundering-herding in lockstep.  The draw is seeded from the
         request's own identity (key, seed, index, attempt), never from
@@ -373,8 +413,7 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
     deadlock ProcessPoolExecutor shutdown on some CPython versions.
     The shared payload installs once per chunk, not per item, and
     ``fn``'s own exceptions are separated from pool infrastructure
-    failures exactly like :func:`repro.core.multiproc.parallel_map`'s
-    contract requires.
+    failures, as :meth:`RunService.map`'s contract requires.
 
     ``telemetry`` is the parent's packed span context (or ``None`` when
     the parent's bus is dark): the chunk runs under it, every event the
@@ -384,8 +423,6 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
     submitted the batch.
     """
     import pickle  # noqa: PLC0415 - worker side
-
-    from repro.core.multiproc import _install_shared  # noqa: PLC0415 (cycle)
 
     fn, shared, chunk, telemetry = pickle.loads(payload)
     previous = get_shared()
@@ -979,14 +1016,21 @@ class RunService:
     ) -> list[Any]:
         """Order-preserving supervised map over the persistent pool.
 
-        The persistent-pool counterpart of
-        :func:`repro.core.multiproc.parallel_map`: same semantics
-        (``shared`` ships once per worker chunk, ``fn`` exceptions
-        re-raise in the parent, infrastructure failures degrade to a
-        serial re-run with a warning) but without paying pool startup
-        per call — and supervised: a worker crash restarts the pool and
-        requeues the unfinished items exactly once per crash (an item
-        that keeps killing the pool raises
+        ``processes=None`` uses the service's workers; ``processes<=1``
+        (or a single item) runs serially in-process.  ``fn`` and the
+        items should be picklable and ``fn`` pure: when the *pool*
+        cannot be used — forbidden fork, unpicklable ``fn``/items — the
+        map re-runs the whole batch serially with a
+        :class:`ParallelFallbackWarning`.  Exceptions raised by ``fn``
+        itself are not swallowed into that fallback: the first one (in
+        item order) re-raises in the parent, exactly like the serial
+        path.  ``shared`` ships one bulky payload per worker chunk
+        instead of once per item; workers — and the serial path — read
+        it back with :func:`get_shared`.
+
+        Supervised: a worker crash restarts the pool and requeues the
+        unfinished items exactly once per crash (an item that keeps
+        killing the pool raises
         :class:`~repro.core.errors.PoisonRequestError` after
         :data:`POISON_CRASH_LIMIT` crashes), and an item with a
         ``budgets`` entry is killed and raises :class:`RunTimeoutError`

@@ -13,8 +13,8 @@ Three access planes, one contract:
 * **Index plane** — :meth:`ProfileStore.entries` / :meth:`ids_for` /
   :meth:`find_ids` answer "which profiles match" from the store's
   ``(command, tags)`` index as lightweight :class:`StoreEntry` records,
-  *without* deserialising profile payloads.  Campaign ledgers, claim
-  scans and placement lookups live on this plane.
+  *without* deserialising profile payloads.  Campaign ledgers and
+  placement lookups live on this plane.
 * **Marker plane** — :meth:`ProfileStore.put_markers` /
   :meth:`markers` / :meth:`delete_markers` hold payload-free,
   short-lived coordination records (:class:`Marker`: a kind, a few
@@ -186,8 +186,8 @@ class ProfileStore(ABC):
         """Ids of all profiles matching command/tags, oldest-first.
 
         The public replacement for reaching into ``_iter_profiles``:
-        callers that only need identities (ledger bookkeeping, claim GC,
-        targeted deletes) get them without payload I/O.
+        callers that only need identities (ledger bookkeeping, targeted
+        deletes) get them without payload I/O.
         """
         return [entry.id for entry in self.entries(command, tags)]
 

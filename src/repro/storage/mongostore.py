@@ -12,19 +12,12 @@ not available here, so this module implements a small, faithful stand-in:
 * :class:`Collection` — supports **equality indexes**
   (:meth:`Collection.create_index`): a ``value -> [doc ids]`` map per
   indexed field, multikey over arrays exactly like MongoDB's array
-  indexes, maintained on every insert/delete/replace.  **TTL indexes**
-  (:meth:`Collection.create_ttl_index`) mirror MongoDB's
-  ``expireAfterSeconds``: documents whose timestamp field has aged past
-  the horizon are expired server-side — here by a throttled lazy sweep
-  on the read paths instead of a background thread — optionally scoped
-  by a ``match`` query (the shape of a partial/filtered TTL index), so
-  shard-claim *marker documents* expire without ever touching real
-  profiles in the same collection.
+  indexes, maintained on every insert/delete/replace.
 * :class:`MongoStore` — the :class:`~repro.storage.base.ProfileStore`
   backed by a ``MongoLite`` collection.  It creates indexes on
   ``command`` and ``tags`` (the paper's §4 search keys); because the
   tags index is multikey over the full tag strings, campaign-ledger
-  lookups by ``campaign=``/``claim=``/``cell=`` tags and tag-prefix
+  lookups by ``campaign=``/``cell=`` tags and tag-prefix
   scans resolve to index walks instead of collection scans, and query
   matching runs on the raw stored documents — profiles are only
   deserialised for confirmed matches.  When a profile document exceeds
@@ -38,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
@@ -55,18 +47,10 @@ __all__ = [
     "Collection",
     "MongoStore",
     "MAX_DOCUMENT_BYTES",
-    "TTL_SWEEP_INTERVAL",
 ]
 
 #: MongoDB's BSON document size limit (16 MB), as cited by the paper.
 MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
-
-#: Minimum seconds between lazy TTL sweeps of one collection.  Real
-#: MongoDB's TTL monitor runs every 60 s; reads here are the trigger
-#: instead of a background thread, so the throttle keeps hot read loops
-#: from re-scanning the collection on every call.
-TTL_SWEEP_INTERVAL = 1.0
-
 
 def document_bytes(document: Mapping[str, Any]) -> int:
     """Serialised size of a document (JSON stands in for BSON)."""
@@ -102,9 +86,6 @@ class Collection:
         #: field -> [doc ids] whose value could not be hashed; always
         #: included in candidate sets so indexing never loses documents.
         self._unindexable: dict[str, list[Any]] = {}
-        #: TTL index configs: ``{"field", "expire_after", "match"}``.
-        self._ttls: list[dict[str, Any]] = []
-        self._ttl_next_sweep = 0.0
 
     # -- indexes --------------------------------------------------------------
 
@@ -120,68 +101,6 @@ class Collection:
         self._unindexable[field] = []
         for doc_id, doc in self._docs.items():
             self._index_field(field, doc_id, doc)
-
-    def create_ttl_index(
-        self,
-        field: str,
-        expire_after: float,
-        match: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Expire documents whose ``field`` timestamp ages past a horizon.
-
-        MongoDB's ``expireAfterSeconds`` semantics: a document is doomed
-        once ``doc[field] + expire_after <= now`` (``field`` holding unix
-        seconds; documents without a numeric value never expire — exactly
-        like documents missing the indexed date field in Mongo).
-        ``match`` scopes eligibility the way a partial/filtered TTL index
-        does — here it keeps expiry to shard-claim *marker* documents
-        sharing a collection with real profiles.
-
-        Expiry is lazy: read paths sweep at most once per
-        :data:`TTL_SWEEP_INTERVAL`; :meth:`expire_now` forces one.
-        Idempotent per ``(field, match)`` — a repeat call updates the
-        horizon.
-        """
-        match = dict(match) if match else None
-        key = (field, json.dumps(match, sort_keys=True) if match else None)
-        for ttl in self._ttls:
-            existing = (
-                ttl["field"],
-                json.dumps(ttl["match"], sort_keys=True) if ttl["match"] else None,
-            )
-            if existing == key:
-                ttl["expire_after"] = float(expire_after)
-                return
-        self._ttls.append(
-            {"field": field, "expire_after": float(expire_after), "match": match}
-        )
-
-    def expire_now(self) -> int:
-        """Sweep every TTL index immediately; returns documents removed."""
-        removed = 0
-        now = time.time()
-        for ttl in self._ttls:
-            horizon = now - ttl["expire_after"]
-            eligible = compile_query(ttl["match"]) if ttl["match"] else None
-            field = ttl["field"]
-            doomed = [
-                doc_id
-                for doc_id, doc in self._docs.items()
-                if isinstance(doc.get(field), (int, float))
-                and doc[field] <= horizon
-                and (eligible is None or eligible(doc))
-            ]
-            for doc_id in doomed:
-                self._index_remove(doc_id, self._docs[doc_id])
-                del self._docs[doc_id]
-            removed += len(doomed)
-        self._ttl_next_sweep = time.monotonic() + TTL_SWEEP_INTERVAL
-        return removed
-
-    def _maybe_expire(self) -> None:
-        if not self._ttls or time.monotonic() < self._ttl_next_sweep:
-            return
-        self.expire_now()
 
     def _index_add(self, doc_id: Any, doc: Mapping[str, Any]) -> None:
         for field in self._indexes:
@@ -226,7 +145,6 @@ class Collection:
         scan).  Ids come back in insertion order, plus any documents the
         index could not cover.
         """
-        self._maybe_expire()
         index = self._indexes.get(field)
         if index is None:
             return None
@@ -237,8 +155,7 @@ class Collection:
     def index_values(self, field: str, prefix: str = "") -> list[Any]:
         """Distinct indexed values of ``field`` (optionally by string
         prefix) without touching any document — the tag-prefix lookup
-        behind ``claim=``/``cell=`` ledger scans."""
-        self._maybe_expire()
+        behind ``cell=`` ledger scans."""
         index = self._indexes.get(field)
         if index is None:
             raise StoreError(f"no index on field {field!r} of {self.name!r}")
@@ -252,7 +169,6 @@ class Collection:
 
     def ids(self) -> list[Any]:
         """All document ids, in insertion order."""
-        self._maybe_expire()
         return list(self._docs)
 
     def document(self, doc_id: Any) -> dict[str, Any] | None:
@@ -320,13 +236,11 @@ class Collection:
 
     def find(self, query: Mapping[str, Any] | None = None) -> list[dict[str, Any]]:
         """All documents matching the Mongo-style query (insertion order)."""
-        self._maybe_expire()
         match = compile_query(query)
         return [dict(doc) for doc in self._docs.values() if match(doc)]
 
     def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         """First matching document or ``None``."""
-        self._maybe_expire()
         match = compile_query(query)
         for doc in self._docs.values():
             if match(doc):
@@ -335,7 +249,6 @@ class Collection:
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Number of matching documents."""
-        self._maybe_expire()
         match = compile_query(query)
         return sum(1 for doc in self._docs.values() if match(doc))
 
@@ -354,27 +267,21 @@ class Collection:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialisable snapshot of the collection."""
-        snapshot: dict[str, Any] = {
+        return {
             "name": self.name,
             "limit_bytes": self.limit_bytes,
             "docs": list(self._docs.values()),
             "next_id": self._next_id,
         }
-        if self._ttls:
-            snapshot["ttls"] = [dict(ttl) for ttl in self._ttls]
-        return snapshot
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Collection":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (keys it does not know — an older
+        dump's ``ttls`` — are ignored)."""
         coll = cls(data["name"], int(data.get("limit_bytes", MAX_DOCUMENT_BYTES)))
         for doc in data.get("docs", []):
             coll._docs[doc["_id"]] = dict(doc)
         coll._next_id = int(data.get("next_id", len(coll._docs)))
-        for ttl in data.get("ttls", []):
-            coll.create_ttl_index(
-                str(ttl["field"]), float(ttl["expire_after"]), ttl.get("match")
-            )
         return coll
 
 
@@ -527,24 +434,6 @@ class MongoStore(ProfileStore):
         if not removed:
             raise StoreError(f"no stored profile {pid!r}")
         self.db.dump()
-
-    def expire_markers(self, command: object, seconds: float) -> int:
-        """Server-side TTL expiry for marker documents of one command.
-
-        Installs (idempotently) a scoped TTL index — ``created`` older
-        than ``seconds``, documents whose ``command`` equals the marker
-        command — and sweeps immediately, returning the number expired.
-        Shard-claim markers stop accumulating between the campaign
-        layer's explicit GC passes; real profiles in the same
-        collection are untouched.  (Elastic heartbeats and leases are
-        not documents: they live on the marker plane, below.)  Later expirations happen lazily on
-        the read paths (throttled to :data:`TTL_SWEEP_INTERVAL`).
-        """
-        marker = normalize_command(command)
-        self.collection.create_ttl_index(
-            "created", float(seconds), match={"command": marker}
-        )
-        return self.collection.expire_now()
 
     # -- marker plane ---------------------------------------------------------
 

@@ -60,7 +60,7 @@ class Event:
     """One structured telemetry record.
 
     Plain events (``kind="event"``) are point-in-time facts (a campaign
-    wave finished, a claim was deferred).  Span events (``kind="span"``)
+    wave finished, a lease was stolen).  Span events (``kind="span"``)
     are emitted *once, at span exit*, and additionally carry the span
     identity (``span_id``/``parent_id``) and its wall/CPU timings —
     ``ts`` is then the span's *start* time so exporters can lay spans

@@ -1,4 +1,4 @@
-"""CLI campaign command (run, shard, report) and registry listings."""
+"""CLI campaign command (run, elastic, report) and registry listings."""
 
 from __future__ import annotations
 
@@ -75,43 +75,16 @@ class TestCampaignCommand:
         assert code == 1
 
 
-class TestShardFlag:
-    def test_shards_split_and_complete_the_sweep(self, tmp_path):
-        store = f"file://{tmp_path / 'store'}"
-        spec = _spec_file(tmp_path)
-        summaries = []
-        for shard in ("0/2", "1/2"):
-            out = tmp_path / f"shard-{shard.replace('/', '-')}.json"
-            code, text = run_cli(
-                "--store", store, "campaign", spec,
-                "--shard", shard, "--json", str(out),
-            )
-            assert code == 0
-            assert f"shard {shard}" in text
-            summaries.append(json.loads(out.read_text(encoding="utf-8")))
-        assert [doc["shard"] for doc in summaries] == ["0/2", "1/2"]
-        assert sum(doc["executed"] for doc in summaries) == 4
-        assert summaries[-1]["complete"]
-
-    def test_invalid_shard_errors(self, tmp_path):
-        code, _ = run_cli("campaign", _spec_file(tmp_path), "--shard", "2/2")
-        assert code == 1
-        code, _ = run_cli("campaign", _spec_file(tmp_path), "--shard", "nope")
-        assert code == 1
-
     def test_mode_dependent_flags_fail_fast(self, tmp_path, capsys):
-        """Report-only / shard-only flags outside their mode must error,
-        not silently run (or skip) a sweep."""
+        """Report-only / execution-only flags outside their mode must
+        error, not silently run (or skip) a sweep."""
         spec = _spec_file(tmp_path)
         code, _ = run_cli("campaign", spec, "--format", "json")
         assert code == 2
         assert "require --report" in capsys.readouterr().err
         code, _ = run_cli("campaign", spec, "--reference", "comet")
         assert code == 2
-        code, _ = run_cli("campaign", spec, "--claim-ttl", "60")
-        assert code == 2
-        assert "requires --shard" in capsys.readouterr().err
-        code, _ = run_cli("campaign", spec, "--report", "--shard", "0/2")
+        code, _ = run_cli("campaign", spec, "--report", "--limit", "1")
         assert code == 2
         assert "--report does not execute" in capsys.readouterr().err
 
@@ -125,7 +98,7 @@ class TestElasticFlag:
             "--elastic", "--lease-ttl", "5", "--json", str(summary),
         )
         assert code == 0
-        assert "wave 1:" in text and "completed 4/4" in text
+        assert "wave 1/1:" in text and "completed 4/4" in text
         doc = json.loads(summary.read_text(encoding="utf-8"))
         assert doc["executed"] == 4 and doc["complete"]
 
@@ -163,9 +136,6 @@ class TestElasticFlag:
 
     def test_elastic_flag_validation(self, tmp_path, capsys):
         spec = _spec_file(tmp_path)
-        code, _ = run_cli("campaign", spec, "--elastic", "--shard", "0/2")
-        assert code == 2
-        assert "leases supersede claims" in capsys.readouterr().err
         code, _ = run_cli("campaign", spec, "--workers", "2")
         assert code == 2
         assert "require --elastic" in capsys.readouterr().err

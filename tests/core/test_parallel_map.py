@@ -1,10 +1,16 @@
-"""The process-pool fan-out primitive (``repro.core.multiproc``)."""
+"""The process-pool fan-out primitive (``RunService.map``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.multiproc import ParallelFallbackWarning, get_shared, parallel_map
+from repro.runtime.service import ParallelFallbackWarning, RunService, get_shared
+
+
+def parallel_map(fn, items, processes, shared=None):
+    """``RunService.map`` on a throwaway service sized ``processes``."""
+    with RunService(processes=processes) as service:
+        return service.map(fn, items, shared=shared)
 
 
 def _square(x: int) -> int:

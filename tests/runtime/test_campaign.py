@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.runtime import (
     CampaignSpec,
     RunService,
     completed_cells,
+    elastic_worker,
     ledger,
     ledger_digest,
     run_campaign,
@@ -18,6 +20,11 @@ from repro.runtime import (
 from repro.storage.base import MemoryStore
 
 from tests.runtime.conftest import comparable_profile as _comparable
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "campaign_seed_golden.json")
+    .read_text(encoding="utf-8")
+)
 
 SPEC = {
     "name": "camp",
@@ -250,15 +257,122 @@ class TestScopeShapes:
         assert store.count() == 32
         assert ledger_digest(store, spec.name) == reference
 
-    def test_two_shard_union_equals_unsharded(self, reference):
+    def test_two_worker_union_equals_lone(self, reference):
+        """Two invocations that split the sweep mid-pair — elastic
+        workers, the way invocations share one — fill the same ledger."""
         spec = CampaignSpec.from_dict(self.SPEC)
         store = MemoryStore()
         with RunService(processes=1) as svc:
             reports = [
-                run_campaign(spec, store, service=svc, shard=(index, 2), checkpoint=3)
-                for index in range(2)
+                elastic_worker(
+                    spec, store, worker=worker, service=svc, batch=3, limit=limit
+                )
+                for worker, limit in (("a", 13), ("b", None))
             ]
-        assert sum(report.executed for report in reports) == 32
-        assert min(report.executed for report in reports) > 0
+        assert [report.executed for report in reports] == [13, 19]
         assert store.count() == 32
+        assert store.markers(spec.name) == []
         assert ledger_digest(store, spec.name) == reference
+
+
+class TestSeedGoldens:
+    """Pin the digest scheme and per-cell noise-seed derivation: a
+    change to either the cell-digest scheme or ``seed_from`` fails these
+    tests instead of silently invalidating every stored ledger."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Reference run of the golden spec (shared; read-only)."""
+        spec = CampaignSpec.from_dict(GOLDEN["spec"])
+        store = MemoryStore()
+        assert run_campaign(spec, store).complete
+        return spec, store
+
+    def test_digests_match_golden(self):
+        cells = {c.digest: c for c in CampaignSpec.from_dict(GOLDEN["spec"]).cells()}
+        assert len(GOLDEN["cells"]) == len(cells)
+        for pin in GOLDEN["cells"]:
+            cell = cells.get(pin["digest"])
+            assert cell is not None, f"digest {pin['digest']} disappeared"
+            assert (cell.app, cell.machine, cell.seed, cell.rep) == (
+                pin["app"], pin["machine"], pin["seed"], pin["rep"]
+            )
+
+    def test_noise_seeds_match_golden(self):
+        """The exact seed each cell's engine noise stream derives from.
+
+        ``seed_from(machine, workload, seed, index)`` is the spawn-slot
+        derivation the sim backend and the run service share; the pins
+        make any change to it (or to the workload naming it hashes)
+        loud.
+        """
+        from repro.apps.registry import parse_app
+        from repro.sim.machines import resolve_machine
+        from repro.sim.noise import seed_from
+
+        for pin in GOLDEN["cells"]:
+            workload = parse_app(pin["app"]).build_workload(
+                resolve_machine(pin["machine"])
+            )
+            assert workload.name == pin["workload"]
+            assert (
+                seed_from(pin["machine"], workload.name, pin["seed"], pin["rep"] + 1)
+                == pin["noise_seed"]
+            )
+
+    def test_executed_profiles_draw_the_pinned_streams(self, reference):
+        """End to end: two independent runs of the pinned spec agree on
+        every noisy duration, so the goldens really pin the streams the
+        ledger stores."""
+        spec, ref_store = reference
+        store = MemoryStore()
+        run_campaign(spec, store)
+        reference_entries = ledger(ref_store, spec.name)
+        for digest, profile in ledger(store, spec.name).items():
+            assert profile.tx == reference_entries[digest].tx
+
+
+class TestOneWaveBody:
+    """``run_campaign`` and ``elastic_worker`` choose waves differently
+    and execute them through the same body."""
+
+    SPEC = {**SPEC, "name": "body", "apps": ["gromacs:iterations=20000", "nosuchapp"]}
+
+    def run_both(self):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        outcomes = []
+        with RunService(processes=1) as svc:
+            for loop, waves in (
+                (run_campaign, {"checkpoint": 3}),
+                (elastic_worker, {"batch": 3, "worker": "w"}),
+            ):
+                store, seen = MemoryStore(), []
+                report = loop(
+                    spec, store, service=svc, progress=seen.append, **waves
+                )
+                outcomes.append((report, seen, ledger_digest(store, spec.name)))
+        return outcomes
+
+    def test_wave_summaries_have_the_same_keys_and_meaning(self):
+        (lone, lone_seen, lone_digest), (worker, seen, digest) = self.run_both()
+        assert lone_digest == digest
+        assert len(lone_seen) == len(seen) == 3  # 8 cells in waves of 3
+        for mine, theirs in zip(lone_seen, seen):
+            assert mine.keys() == theirs.keys()
+            transient = ("member", "elapsed")
+            assert {k: v for k, v in mine.items() if k not in transient} == {
+                k: v for k, v in theirs.items() if k not in transient
+            }
+        # Per wave since the previous summary / sweep-wide.
+        assert [s["executed"] for s in seen] == [3, 1, 0]
+        assert [s["failed"] for s in seen] == [0, 2, 2]
+        assert [s["deferred"] for s in seen] == [0, 0, 0]
+        assert [s["completed"] for s in seen] == [3, 4, 4]
+        assert [s["pending"] for s in seen] == [5, 4, 4]
+
+    def test_a_failing_request_build_is_recorded_identically(self):
+        (lone, _, _), (worker, _, _) = self.run_both()
+        assert lone.failed == worker.failed and len(lone.failed) == 4
+        assert all("nosuchapp" in failure["error"] for failure in lone.failed)
+        assert lone.to_dict().keys() == worker.to_dict().keys()
+        assert (lone.executed, lone.remaining) == (worker.executed, worker.remaining)

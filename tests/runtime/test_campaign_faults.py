@@ -1,16 +1,14 @@
-"""Fault injection against the campaign ledger and its claim protocol.
+"""Fault injection against the campaign ledger.
 
 A distributed, resumable ledger fails silently when it is wrong, so the
-failure modes are exercised directly: corrupt/partial cell tags, a
-shard killed mid-wave, stale and live foreign claims (double-claimed
-cells), and duplicated artifacts.  The invariant under every fault:
+failure modes are exercised directly: corrupt/partial cell tags, an
+invocation killed mid-wave, leftovers of an older version's protocol
+and duplicated artifacts.  The invariant under every fault:
 a re-run recovers by executing exactly the missing cells, and the final
 ledger equals the undisturbed reference.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -18,12 +16,10 @@ from repro.core.samples import Profile
 from repro.runtime import (
     CampaignSpec,
     RunService,
-    claims,
     completed_cells,
+    ledger_digest,
     run_campaign,
-    shard_cells,
 )
-from repro.runtime.campaign import CLAIM_COMMAND
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
 
@@ -93,7 +89,7 @@ class TestCorruptLedgerEntries:
         assert _ledger_dict(store, spec.name) == expected
 
     def test_duplicate_artifacts_are_tolerated(self, reference):
-        """Double execution (two racing shards) stores duplicate,
+        """Double execution (two racing invocations) stores duplicate,
         bit-identical artifacts; resume and analysis dedupe by digest."""
         spec, expected = reference
         store = MemoryStore()
@@ -123,136 +119,51 @@ class DyingService(RunService):
 
 class TestShardCrashRecovery:
     def test_shard_killed_mid_wave_resumes(self, reference):
+        """An invocation killed mid-wave loses that wave only, and a
+        re-run completes exactly the rest."""
         spec, expected = reference
         store = MemoryStore()
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                spec, store, shard=(0, 2), service=DyingService(1), checkpoint=2
-            )
+            run_campaign(spec, store, service=DyingService(1), checkpoint=2)
         survived = len(completed_cells(store, spec.name))
         assert survived == 2  # exactly the checkpointed first wave
-        # The interrupted invocation cleaned its claims up on the way
-        # out, so the re-run isn't deferred by its own corpse.
-        assert claims(store, spec.name) == {}
-        resumed = run_campaign(spec, store, shard=(0, 2))
+        resumed = run_campaign(spec, store)
         assert resumed.skipped == survived
-        run_campaign(spec, store, shard=(1, 2))
+        assert resumed.executed == spec.n_cells - survived
+        assert resumed.complete
         assert _ledger_dict(store, spec.name) == expected
 
-    def test_claims_cleaned_when_readback_fails(self, reference):
-        """If the claim read-back itself dies (store error mid-scan),
-        the just-written markers are deleted on the way out — an
-        immediate re-run must not defer to this invocation's corpse.
-        The failure arrives through the chaos plane's ``campaign.claim``
-        point — the same fault a ``--faults`` soak run can inject."""
-        from repro.core.errors import StoreError
-        from repro.faults import FaultPlan, injected_faults
 
-        spec, expected = reference
-        store = MemoryStore()
-        plan = FaultPlan.from_dict({"rules": [
-            {"point": "campaign.claim", "mode": "error", "error": "store",
-             "at": 1},
-        ]})
-        with injected_faults(plan):
-            with pytest.raises(StoreError):
-                run_campaign(spec, store, shard=(0, 2))
-        assert claims(store, spec.name) == {}
-        report = run_campaign(spec, store, shard=(0, 2))
-        assert report.deferred == 0 and report.executed == report.assigned
-        run_campaign(spec, store, shard=(1, 2))
-        assert _ledger_dict(store, spec.name) == expected
+class TestParentStores:
+    """Stores written before the claim protocol was deleted may hold its
+    leftover marker documents (command ``synapse:campaign-claim``, tags
+    ``campaign=`` / ``claim=`` / ``owner=``): they carry no ``cell=``
+    tag, so they are neither completed cells nor part of the digest."""
 
-    def test_stale_claims_from_a_killed_shard_are_ignored(self, reference):
-        """A hard-killed shard (no cleanup chance) leaves claim markers;
-        once they age past claim_ttl a re-run executes right through."""
+    @pytest.mark.parametrize("make_store", [
+        lambda tmp_path: MemoryStore(),
+        lambda tmp_path: FileStore(tmp_path / "store"),
+    ], ids=["memory", "file"])
+    def test_leftover_claim_documents_do_not_disturb_resume(
+        self, reference, tmp_path, make_store
+    ):
         spec, expected = reference
-        store = MemoryStore()
-        dead_wave = shard_cells(spec.cells(), (0, 2))[:2]
-        for cell in dead_wave:
-            store.put(Profile(
-                command=CLAIM_COMMAND,
+        store = make_store(tmp_path)
+        assert run_campaign(spec, store, limit=3).executed == 3
+        before = ledger_digest(store, spec.name)
+        store.put_many([
+            Profile(
+                command="synapse:campaign-claim",
                 tags={"campaign": spec.name, "claim": cell.digest,
                       "owner": "dead-shard"},
-                created=time.time() - 3600.0,
-            ))
-        report = run_campaign(spec, store, shard=(0, 2), claim_ttl=60.0)
-        assert report.deferred == 0
-        assert report.executed == report.assigned
-        # The expired markers were garbage-collected, not just ignored:
-        # they must not pollute the shared store forever.
-        assert claims(store, spec.name) == {}
-        run_campaign(spec, store, shard=(1, 2))
-        assert _ledger_dict(store, spec.name) == expected
-
-
-class TestDoubleClaimedCells:
-    def test_live_foreign_claim_defers_the_cell(self, reference):
-        """A fresh claim by a concurrent invocation wins the cell; this
-        invocation defers it instead of computing it twice."""
-        spec, expected = reference
-        store = MemoryStore()
-        contested = shard_cells(spec.cells(), (0, 2))[0]
-        rival = store.put(Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": spec.name, "claim": contested.digest,
-                  "owner": "a-rival"},
-            created=time.time() - 1.0,  # earlier than ours -> rival wins
-        ))
-        report = run_campaign(spec, store, shard=(0, 2))
-        assert report.deferred == 1
-        assert report.executed == report.assigned - 1
-        assert contested.digest not in completed_cells(store, spec.name)
-        # The rival died without storing the cell: drop its claim and
-        # re-run -> only the contested cell executes.
-        store.delete(rival)
-        recovery = run_campaign(spec, store, shard=(0, 2))
-        assert recovery.executed == 1 and recovery.deferred == 0
-        run_campaign(spec, store, shard=(1, 2))
-        assert _ledger_dict(store, spec.name) == expected
-
-    def test_claiming_can_protect_unsharded_runs(self, reference):
-        """claim=True opts an unsharded run into the same protocol."""
-        spec, expected = reference
-        store = MemoryStore()
-        report = run_campaign(spec, store, claim=True)
-        assert report.complete and report.deferred == 0
-        assert store.count() == spec.n_cells  # claims cleaned up
-        assert _ledger_dict(store, spec.name) == expected
-
-    def test_claim_scans_stop_when_no_rivals_are_live(self, reference):
-        """The store-wide claim read-back is paid per wave only while a
-        rival is actually live; a lone invocation scans exactly once."""
-        spec, _ = reference
-
-        class CountingStore(MemoryStore):
-            claim_scans = 0
-
-            def entries(self, command=None, tags=None):
-                if command == CLAIM_COMMAND:
-                    self.claim_scans += 1
-                return super().entries(command, tags)
-
-        store = CountingStore()
-        report = run_campaign(spec, store, claim=True, checkpoint=2)
-        assert report.complete
-        assert len(spec.cells()) > 2  # several waves ran...
-        assert store.claim_scans == 1  # ...but only the first scanned
-
-    def test_double_execution_recovers_on_rerun(self, reference):
-        """Claims off + overlapping invocations: the worst case is
-        duplicate bit-identical artifacts, and a re-run is a no-op."""
-        spec, expected = reference
-        store = MemoryStore()
-        run_campaign(spec, store, shard=(0, 2), claim=False)
-        # The "overlap": the same shard runs again against a copy of the
-        # ledger state it started from, re-executing its cells.
-        rerun_store = MemoryStore()
-        run_campaign(spec, rerun_store, shard=(0, 2), claim=False)
-        store.put_many(rerun_store.get_many(rerun_store.ids_for()))
-        assert store.count() == 2 * len(shard_cells(spec.cells(), (0, 2)))
-        report = run_campaign(spec, store)  # completes shard 1's cells
-        assert report.complete
+                info={"cell": cell.digest},
+            )
+            for cell in spec.cells()[2:5]
+        ])
+        assert len(completed_cells(store, spec.name)) == 3
+        assert ledger_digest(store, spec.name) == before
+        resumed = run_campaign(spec, store)
+        assert resumed.skipped == 3 and resumed.complete
         assert _ledger_dict(store, spec.name) == expected
 
 
@@ -326,13 +237,13 @@ class TestChaosConvergence:
 class TestGracefulDrain:
     def test_stop_drains_the_wave_and_checkpoints(self, reference):
         """A stop request (the SIGTERM handler's flag) finishes the
-        in-flight wave, persists it, releases claims and reports
-        ``interrupted``; a re-run completes exactly the remainder."""
+        in-flight wave, persists it and reports ``interrupted``; a
+        re-run completes exactly the remainder."""
         spec, expected = reference
         store = MemoryStore()
         waves: list[dict] = []
         report = run_campaign(
-            spec, store, checkpoint=2, claim=True,
+            spec, store, checkpoint=2,
             progress=waves.append, stop=lambda: len(waves) >= 1,
         )
         assert report.interrupted
@@ -340,7 +251,7 @@ class TestGracefulDrain:
         assert report.executed == 2  # exactly the drained first wave
         assert not report.complete
         assert len(completed_cells(store, spec.name)) == 2
-        assert claims(store, spec.name) == {}  # no claim debris left
+        assert store.count() == 2  # nothing but the artifacts
         resumed = run_campaign(spec, store)
         assert not resumed.interrupted
         assert resumed.skipped == 2 and resumed.complete

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.errors import DocumentTooLargeError, StoreError
@@ -110,104 +108,34 @@ class TestMongoLite:
         second = reloaded["c"].insert_one({"a": 2})
         assert second != first
 
-    def test_in_memory_dump_is_noop(self):
-        MongoLite().dump()  # must not raise
+    def test_dump_with_ttl_indexes_still_loads(self, tmp_path):
+        """Dumps written while collections had TTL indexes carry a
+        ``ttls`` key; it loads, nothing expires, and the store built on
+        it queries its (long stale) marker documents like any profile."""
+        import json
 
-
-class TestTTLIndexes:
-    """Server-side TTL expiry (``create_ttl_index`` / ``expire_markers``)."""
-
-    def test_expired_documents_are_swept(self):
-        coll = Collection("c")
-        coll.create_ttl_index("created", 10.0)
-        now = time.time()
-        coll.insert_one({"created": now - 60.0, "kind": "old"})
-        coll.insert_one({"created": now, "kind": "new"})
-        assert coll.expire_now() == 1
-        assert [doc["kind"] for doc in coll.find()] == ["new"]
-
-    def test_match_scopes_expiry_to_markers(self):
-        """A scoped TTL index must never expire documents outside its
-        match — real profiles sharing the collection with markers."""
-        coll = Collection("c")
-        coll.create_ttl_index("created", 10.0, match={"command": "marker"})
-        stale = time.time() - 60.0
-        coll.insert_one({"created": stale, "command": "marker"})
-        coll.insert_one({"created": stale, "command": "real work"})
-        assert coll.expire_now() == 1
-        [survivor] = coll.find()
-        assert survivor["command"] == "real work"
-
-    def test_documents_without_field_never_expire(self):
-        coll = Collection("c")
-        coll.create_ttl_index("created", 0.0)
-        coll.insert_one({"name": "timeless"})
-        coll.insert_one({"created": "not a number"})
-        assert coll.expire_now() == 0
-        assert coll.count_documents() == 2
-
-    def test_lazy_sweep_on_read_paths(self, monkeypatch):
-        coll = Collection("c")
-        coll.create_ttl_index("created", 10.0)
-        coll.insert_one({"created": time.time() - 60.0})
-        coll._ttl_next_sweep = 0.0  # force the throttled sweep to be due
-        assert coll.find() == []
-
-    def test_sweep_is_throttled(self):
-        coll = Collection("c")
-        coll.create_ttl_index("created", 10.0)
-        coll.expire_now()  # arms the throttle window
-        coll.insert_one({"created": time.time() - 60.0})
-        # Within the throttle window reads do not sweep ...
-        assert coll.count_documents() == 1
-        # ... but a forced sweep does.
-        assert coll.expire_now() == 1
-
-    def test_repeat_create_updates_horizon(self):
-        coll = Collection("c")
-        coll.create_ttl_index("created", 1000.0)
-        coll.create_ttl_index("created", 10.0)
-        assert len(coll._ttls) == 1
-        coll.insert_one({"created": time.time() - 60.0})
-        assert coll.expire_now() == 1
-
-    def test_ttl_config_survives_dump_and_load(self, tmp_path):
-        path = tmp_path / "db.json"
-        db = MongoLite(path)
-        db["c"].create_ttl_index("created", 10.0, match={"command": "m"})
-        db["c"].insert_one({"created": time.time() - 60.0, "command": "m"})
-        db.dump()
-        reloaded = MongoLite(path)
-        assert reloaded["c"].expire_now() == 1
-
-    def test_expiry_maintains_equality_indexes(self):
-        coll = Collection("c")
-        coll.create_index("command")
-        coll.create_ttl_index("created", 10.0)
-        coll.insert_one({"created": time.time() - 60.0, "command": "m"})
-        assert coll._indexes["command"].get("m")  # indexed before expiry
-        coll.expire_now()
-        assert coll._indexes["command"].get("m") is None  # index entry gone
-        assert coll.ids_with("command", "m") == []
-
-
-class TestMongoStoreExpireMarkers:
-    def test_markers_expire_profiles_survive(self):
-        from repro.core.samples import Profile, Sample
+        from repro.core.samples import Profile
         from repro.storage.mongostore import MongoStore
 
-        store = MongoStore()
-        stale = time.time() - 3600.0
-        marker = Profile(
-            command="synapse:campaign-claim", tags=("campaign=c", "claim=x"),
-            samples=[], created=stale,
-        )
-        real = Profile(
-            command="sleep 1", tags=("k=1",),
-            samples=[Sample(index=0, t=0.0, dt=1.0, values={})], created=stale,
-        )
-        store.put_many([marker, real])
-        assert store.expire_markers("synapse:campaign-claim", 900.0) == 1
-        assert store.count() == 1
-        assert store.find("sleep 1")
-        assert store.find("synapse:campaign-claim") == []
+        path = tmp_path / "db.json"
+        stale = MongoStore(MongoLite(path))
+        stale.put_many([
+            Profile(command="synapse:campaign-claim",
+                    tags=("campaign=c", "claim=x"), created=1.0),
+            Profile(command="sleep 1", tags=("k=1",), created=1.0),
+        ])
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["profiles"]["ttls"] = [{
+            "field": "created", "expire_after": 900.0,
+            "match": {"command": "synapse:campaign-claim"},
+        }]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store = MongoStore(MongoLite(path))
+        assert store.count() == 2
+        assert len(store.entries(tags=["campaign=c"])) == 1
+        assert store.find("sleep 1")[0].tags == ("k=1",)
+        store.put(Profile(command="sleep 2"))
+        assert "ttls" not in json.loads(path.read_text(encoding="utf-8"))["profiles"]
+
+    def test_in_memory_dump_is_noop(self):
+        MongoLite().dump()  # must not raise

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import time
-
-from repro.core.multiproc import parallel_map
 from repro.core.samples import Profile
 from repro.runtime import CampaignSpec, RunRequest, RunService, run_campaign
-from repro.runtime.campaign import CLAIM_COMMAND
 from repro.sim.demands import ComputeDemand
 from repro.sim.workload import SimWorkload
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
-from repro.telemetry import get_bus, get_registry, span
+from repro.telemetry import get_registry, span
 
 SPEC = {
     "name": "tel-camp",
@@ -41,10 +37,8 @@ class TestPoolSpanStitching:
     def test_parallel_map_spans_stitch_under_submitting_span(self, sink):
         """Worker-side spans replay into the parent's sinks, parented
         under the span that was open when the batch was submitted."""
-        with span("batch.submit") as submit:
-            assert parallel_map(_triple, range(6), processes=2) == [
-                3 * x for x in range(6)
-            ]
+        with span("batch.submit") as submit, RunService(processes=2) as service:
+            assert service.map(_triple, range(6)) == [3 * x for x in range(6)]
         items = sink.spans("item.work")
         assert len(items) == 6
         assert sorted(e.attrs["item"] for e in items) == list(range(6))
@@ -113,39 +107,6 @@ class TestCampaignEvents:
         waves = sink.spans("campaign.wave")
         assert len(waves) == 2
         assert all(e.parent_id == campaign_span.span_id for e in waves)
-
-    def test_claim_contention_event(self, sink):
-        spec = CampaignSpec.from_dict(SPEC)
-        store = MemoryStore()
-        contested = spec.cells()[0]
-        store.put(Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": spec.name, "claim": contested.digest,
-                  "owner": "a-rival"},
-            created=time.time() - 1.0,
-        ))
-        report = run_campaign(spec, store, claim=True)
-        assert report.deferred == 1
-        contention = sink.named("campaign.claim.contention")
-        assert len(contention) == 1
-        assert contention[0].level == "warning"
-        assert contention[0].attrs["deferred"] == 1
-        assert contention[0].attrs["cells"] == [contested.digest]
-
-    def test_stale_claim_gc_event(self, sink):
-        spec = CampaignSpec.from_dict(SPEC)
-        store = MemoryStore()
-        stale = spec.cells()[0]
-        store.put(Profile(
-            command=CLAIM_COMMAND,
-            tags={"campaign": spec.name, "claim": stale.digest,
-                  "owner": "dead-shard"},
-            created=time.time() - 3600.0,
-        ))
-        report = run_campaign(spec, store, claim=True, claim_ttl=60.0)
-        assert report.deferred == 0 and report.complete
-        gc_events = sink.named("campaign.claim.gc")
-        assert gc_events and gc_events[0].attrs["stale"] == 1
 
 
 class TestStoreMetrics:
