@@ -364,10 +364,20 @@ def _execute_engine(
     request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
 ) -> Any:
     """Raw engine execution; yields an ``ExecutionRecord`` (or its
-    ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``."""
+    ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``.
+
+    A ``reduce`` that reads only ``duration`` / ``phase_bounds`` /
+    ``io_events`` / ``metadata`` never pays for the counter and level
+    folds.  A record returned as it is — no ``reduce``, or one that hands
+    it back — leaves folded: an unfolded one holds the plan and the noise
+    of its replay block, and those go with the batch."""
     if machine is None:
         raise WorkloadError("engine requests need a machine model")
-    return _reduced(request, _replayed(request, target, machine, plans)[0])
+    record = _replayed(request, target, machine, plans)[0]
+    outcome = _reduced(request, record)
+    if outcome is record:
+        record.block  # noqa: B018 (read for the fold)
+    return outcome
 
 
 def _execute_profile(

@@ -61,6 +61,11 @@ seed boundary, and the split is the only path:
   hundred demands long, so per seed this work is NumPy call overhead,
   not arithmetic; a block pays the calls once.  Rows share a block
   while their arrays are rectangular: see :meth:`Engine._replay`.
+* A replay stops where a reader of Tx does.  Noise and timeline run in
+  ``replay_many`` (RNG order, ``duration``, ``phase_bounds`` and
+  ``io_events`` are fixed there); the counter and level folds of the
+  block run when somebody first reads a series of one of its records —
+  see :class:`RecordBlock` — and never for a record nobody reads.
 
 ``Engine.run(workload)`` is ``prepare`` + the one-row ``replay_many``;
 ``Engine.run(prepared)`` replays a plan someone else prepared — the run
@@ -72,7 +77,7 @@ same two steps, one row at a time with its carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -186,29 +191,66 @@ def rows_run(rows: Sequence[int] | slice) -> slice | list[int]:
     return run
 
 
+#: The level series of a replayed record, in the order
+#: :meth:`Engine._build_levels` makes them; its other series are counters.
+_LEVELS = ("mem.rss", "mem.peak", "cpu.threads", "sys.load_cpu")
+
+
 class RecordBlock:
-    """The series of the records of one fold, stacked: what
-    :meth:`Engine._fold` computes before it slices rows out of it.
+    """The series of the records of one replay block, stacked — folded
+    when someone first reads them.
 
     ``series`` maps a name to its ``(times, values)`` tables, each
     ``(rows, breakpoints)`` — the arrays the records' ``TimeSeries`` are
-    row views of, so a block holds no memory of its own — counters
-    first, then levels, as :meth:`ExecutionRecord.counters_at` orders
-    them.  :meth:`counters_many` samples any of its rows at once.
+    row views of — counters first, then the ``levels``, as
+    :meth:`ExecutionRecord.counters_at` orders them.
+    :meth:`counters_many` samples any of its rows at once.
+
+    A replay computes what a Tx reader needs (noise, timeline) and
+    leaves the rest here: the block keeps the plan, the demand times and
+    the noisy amounts (three arrays of at most ``rows × slots``, inside
+    :data:`_BLOCK_ELEMENTS`) until its ``series`` are first asked for,
+    folds counters and levels once (:meth:`_fold`) and drops them.
+    Rows that turn out ragged there (see :class:`_Ragged`) fold as
+    smaller blocks of their own: :meth:`part` says where a row ended up,
+    and a block that was cut has no ``series`` itself.  ``ends`` holds
+    the fold's per-row window end state ``(carries, rss_end,
+    peak_end)`` — what a streamed window hands to the next.
     """
 
-    __slots__ = ("durations", "series", "__weakref__")
+    __slots__ = (
+        "durations", "levels", "ends", "_series", "_parts", "_pending",
+        "__weakref__",
+    )
 
     def __init__(
-        self, durations: np.ndarray, series: dict[str, tuple[np.ndarray, np.ndarray]]
+        self,
+        durations: np.ndarray,
+        series: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:
         self.durations = durations
-        self.series = series
+        self.levels: Sequence[str] = _LEVELS
+        self.ends: tuple[list, list, list] | None = None
+        self._series = series
+        self._parts: list[tuple["RecordBlock", int]] | None = None
+        #: ``(plan, t0, t1, noisy, window)`` of a block still to fold.
+        self._pending: tuple | None = None
+
+    @classmethod
+    def unfolded(
+        cls, durations: np.ndarray, plan: "Prepared", t0: np.ndarray,
+        t1: np.ndarray, noisy: np.ndarray, window: tuple,
+    ) -> "RecordBlock":
+        """The block of replayed rows nobody has read a series of yet:
+        what :func:`_fold_rows` takes, kept until somebody does."""
+        block = cls(durations)
+        block._pending = (plan, t0, t1, noisy, window)
+        return block
 
     @classmethod
     def of(cls, record: "ExecutionRecord") -> "RecordBlock":
         """The block of one that a record built by hand (or unpickled) is."""
-        return cls(
+        block = cls(
             np.array([record.duration]),
             {
                 name: (series.times[None, :], series.values[None, :])
@@ -216,6 +258,75 @@ class RecordBlock:
                 for name, series in group.items()
             },
         )
+        block.levels = tuple(record.levels)
+        return block
+
+    @property
+    def series(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        if self._pending is not None:
+            self._fold()
+        return self._series  # type: ignore[return-value]
+
+    def part(self, row: int) -> tuple["RecordBlock", int]:
+        """The block that holds the series of this block's ``row``, and
+        its row there: the block itself unless its rows were ragged."""
+        if self._pending is not None:
+            self._fold()
+        return (self, row) if self._parts is None else self._parts[row]
+
+    def _fold(self) -> None:
+        """Fold the pending rows.  Every result is assigned at the end,
+        the inputs dropped last: a fold that raises leaves the block as
+        it was, and two readers that fold at once assign equal tables."""
+        pending = self._pending
+        if pending is None:  # another reader got here first
+            return
+        plan, t0, t1, noisy, window = pending
+        rows = len(noisy)
+        with span("engine.fold", workload=plan.name, rows=rows) as sp:
+            try:
+                groups = _fold_rows(plan, self.durations, t0, t1, noisy, window)
+            except Exception as exc:
+                if hasattr(exc, "add_note"):  # Python >= 3.11
+                    exc.add_note(
+                        f"while folding {rows} row(s) of plan {plan.name!r}"
+                    )
+                raise
+            sp.set(blocks=len(groups))
+        registry = get_registry()
+        registry.inc("engine.fold.rows", rows)
+        registry.inc("engine.fold.blocks", len(groups))
+        if len(groups) == 1:
+            ((_, self._series, self.ends),) = groups
+        else:
+            # The regrouping is counted where it happens: the replay
+            # counted these rows as one block, and ``split_rows`` gets
+            # the share of this chunk alone (its rows outside its
+            # largest group), whatever the call's other chunks do.
+            registry.inc("engine.replay.blocks", len(groups) - 1)
+            registry.inc(
+                "engine.replay.split_rows",
+                rows - max(len(members) for members, _, _ in groups),
+            )
+            parts: list = [None] * rows
+            for members, series, ends in groups:
+                block = RecordBlock(self.durations[members], series)
+                block.ends = ends
+                for at, row in enumerate(members.tolist()):
+                    parts[row] = (block, at)
+            self._parts = parts
+        self._pending = None
+
+    def total(self, name: str, rows: Any) -> Any:
+        """Series ``name`` totalled over ``rows`` (one index, or what
+        cuts several out of a table): a counter's final value, a level's
+        maximum — ``TimeSeries.last()`` / ``.max()`` read off the tables
+        — and zero for a series that is empty or not there."""
+        _, values = self.series.get(name, (None, None))
+        if values is None or not values.shape[1]:
+            return np.zeros(len(self.durations))[rows]
+        values = values[rows]
+        return values.max(axis=-1) if name in self.levels else values[..., -1]
 
     def counters_many(
         self, rows: Sequence[int] | slice, ts: np.ndarray
@@ -291,7 +402,15 @@ class RecordBlock:
 
 @dataclass
 class ExecutionRecord:
-    """Complete observable history of one simulated process execution."""
+    """Complete observable history of one simulated process execution.
+
+    A record built by hand (or unpickled, or made by
+    ``dataclasses.replace``) simply holds its series.  A replayed one
+    holds ``duration``, ``phase_bounds``, ``io_events`` and ``metadata``
+    and reads the rest from its replay block on demand (see
+    :meth:`__getattr__`): what reads only those four never pays for the
+    counter and level folds.
+    """
 
     machine: MachineSpec
     duration: float
@@ -300,18 +419,64 @@ class ExecutionRecord:
     io_events: Sequence[IOEvent]
     phase_bounds: list[tuple[float, float]]
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: The fold this record is row ``row`` of, set by the engine; ``None``
-    #: for a record built by hand, unpickled or made by
-    #: ``dataclasses.replace`` (not ``init`` fields, so a record with
-    #: other series never keeps them), which samples as a block of one.
-    block: RecordBlock | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    row: int = field(default=0, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _replayed(
+        cls, block: RecordBlock, row: int, **held: Any
+    ) -> "ExecutionRecord":
+        """Row ``row`` of a replay block, holding only what the replay
+        computed (``held``: every field but the series)."""
+        record = cls.__new__(cls)
+        record.__dict__.update(held, _replay=(block, row))
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        """What a replayed record does not hold until it is read:
+
+        * ``block`` / ``row`` — the fold this record is a row of
+          (``None`` / 0 for a record that holds its own series, which
+          samples as a block of one); reading them folds the block;
+        * ``counters`` / ``levels`` — that row as ``TimeSeries`` (views
+          of the block's tables), built on first read.
+
+        The answers are kept, so a record is asked once.
+        """
+        if name not in ("counters", "levels", "block", "row"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        state = self.__dict__
+        replay = state.get("_replay")
+        if replay is None:
+            if name == "block":
+                return None
+            if name == "row":
+                return 0
+            raise AttributeError(name)
+        block, row = replay[0].part(replay[1])
+        if name in ("counters", "levels"):
+            # A counter out of the fold never decreases, nor does the peak.
+            series = {
+                each: TimeSeries.presorted(
+                    times[row], values[row],
+                    monotone=each == "mem.peak" or each not in block.levels,
+                )
+                for each, (times, values) in block.series.items()
+            }
+            state["levels"] = {each: series.pop(each) for each in block.levels}
+            state["counters"] = series
+        state["block"], state["row"] = block, row
+        return state[name]
 
     def __getstate__(self) -> dict[str, Any]:
         # A record crosses a process boundary as its own row only.
-        return {**self.__dict__, "block": None, "row": 0}
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
+
+    def tables(self) -> tuple[RecordBlock, int]:
+        """The block whose tables hold this record's series, and its
+        row of them (a record that holds its own is a block of one)."""
+        block = self.block
+        return (RecordBlock.of(self), 0) if block is None else (block, self.row)
 
     def counters_at(self, t: float) -> dict[str, float]:
         """All cumulative counters and levels evaluated at time ``t``."""
@@ -328,16 +493,31 @@ class ExecutionRecord:
         call of :meth:`RecordBlock.counters_many`.
         """
         ts = np.asarray(ts, dtype=float)
-        block = self.block if self.block is not None else RecordBlock.of(self)
-        sampled = block.counters_many([self.row], ts[None, :])
+        block, row = self.tables()
+        sampled = block.counters_many([row], ts[None, :])
         return {name: values[0] for name, values in sampled.items()}
+
+    def total(self, name: str) -> float:
+        """One of :meth:`totals`: the final value of a counter, the
+        maximum of a level, zero for a series the record has not."""
+        block = self.block
+        if block is not None:  # off its tables: no per-row series is built
+            return float(block.total(name, self.row))
+        if name in self.levels:
+            return self.levels[name].max()
+        series = self.counters.get(name)
+        return series.last() if series else 0.0
 
     def totals(self) -> dict[str, float]:
         """Final counter values (cumulative) and maxima (levels)."""
-        out = {name: ts.last() if len(ts) else 0.0 for name, ts in self.counters.items()}
-        out.update({name: ts.max() for name, ts in self.levels.items()})
+        block = self.block
+        names = block.series if block is not None else (*self.counters, *self.levels)
+        out = {name: self.total(name) for name in names}
         out["time.runtime"] = self.duration
         return out
+
+
+_RECORD_FIELDS = tuple(each.name for each in fields(ExecutionRecord))
 
 
 #: Demand-type codes used by the gather pass.
@@ -452,38 +632,6 @@ class Prepared:
 
     def __init__(self) -> None:
         self.replays = 0
-
-
-class _Frame(NamedTuple):
-    """Result of executing one gathered window (a run or one batch)."""
-
-    duration: float
-    counters: dict[str, TimeSeries]
-    levels: dict[str, TimeSeries]
-    io_events: Sequence[IOEvent]
-    phase_bounds: list[tuple[float, float]]
-    rss_end: float
-    peak_end: float
-    carries: dict[str, tuple[float, float, float]]
-    #: The fold's stacked series, and this frame's row of them.
-    block: RecordBlock
-    row: int
-
-    def record(
-        self, machine: MachineSpec, metadata: dict[str, Any]
-    ) -> ExecutionRecord:
-        """The frame as a record that samples through its fold."""
-        record = ExecutionRecord(
-            machine=machine,
-            duration=self.duration,
-            counters=self.counters,
-            levels=self.levels,
-            io_events=self.io_events,
-            phase_bounds=self.phase_bounds,
-            metadata=metadata,
-        )
-        record.block, record.row = self.block, self.row
-        return record
 
 
 class Engine:
@@ -1019,9 +1167,10 @@ class Engine:
         of the plan's noise slots, in order (so a model passed twice
         continues its stream, and every record equals what
         ``Engine(machine, noise).run(plan)`` returns for that model in
-        that order), and the timeline, counter and level folds then run
-        once over the whole ``(rows, demands)`` block — see
-        :meth:`_replay` for when a block is cut smaller.
+        that order), and the timeline — and, once somebody reads a
+        record's series, the counter and level folds — run once over
+        the whole ``(rows, demands)`` block; see :meth:`_replay` for
+        when a block is cut smaller.
         """
         with span(
             "engine.replay", workload=plan.name, machine=self.machine.name
@@ -1038,7 +1187,7 @@ class Engine:
     ) -> tuple[list[ExecutionRecord], int]:
         """The engine's only replay path, under :meth:`run` and
         :meth:`replay_many` alike: one record per noise model, and the
-        number of blocks they were folded in."""
+        number of blocks they were replayed in."""
         if plan.machine is not self.machine and plan.machine != self.machine:
             raise WorkloadError(
                 f"plan {plan.name!r} was prepared for machine "
@@ -1047,127 +1196,85 @@ class Engine:
         # Every row but a fresh plan's first replays a used plan.
         reused = len(noises) if plan.replays else max(0, len(noises) - 1)
         get_registry().inc("engine.plans.reused", reused)
-        frames, blocks = self._replay(plan, noises, plan.base_rss)
         metadata = dict(plan.metadata)
         metadata.setdefault("workload_name", plan.name)
-        records = [frame.record(self.machine, dict(metadata)) for frame in frames]
-        return records, blocks
+        return self._replay(plan, noises, plan.base_rss, metadata)
 
     def _replay(
         self,
         plan: Prepared,
         noises: Sequence[NoiseModel],
         base_rss: float,
+        metadata: dict[str, Any],
         *,
         t_start: float = 0.0,
         rss0: float | None = None,
         peak0: float | None = None,
         initial: dict[str, tuple[float, float, float]] | None = None,
-    ) -> tuple[list["_Frame"], int]:
-        """Per-seed replay of a block of rows: noise, timeline, counters
-        and levels; returns one frame per noise model and the number of
-        rectangular blocks they were folded in.
+    ) -> tuple[list[ExecutionRecord], int]:
+        """Per-seed replay of a block of rows, as far as a Tx reader
+        needs it: noise and timeline.  Returns one record per noise
+        model (each with a copy of ``metadata``) and the number of
+        blocks they were replayed in; the counter and level folds wait
+        in the records' :class:`RecordBlock` for a first reader.
 
         With the default arguments every row executes the whole plan
         from virtual time zero (the :meth:`replay_many` path).  The
         streaming path calls it with one row per arrival batch and the
         previous batch's end time, RSS level/peak and per-counter
-        carries, which — because every accumulation here is a
-        left-associated fold along the demand axis — continues the
-        timelines bit-identically to an uninterrupted run.
+        carries, which — because every accumulation is a left-associated
+        fold along the demand axis — continues the timelines
+        bit-identically to an uninterrupted run.
 
-        Rows fold together while the arrays they produce are
-        rectangular.  Two things cut a block smaller, and the smaller
-        blocks go through the same code: rows × noise slots may not
-        exceed :data:`_BLOCK_ELEMENTS` (a plan that large replays row by
-        row, in the memory one row takes), and rows whose breakpoint
-        structure differs (see :class:`_Ragged`) are regrouped by it.
+        Rows replay together while the arrays they produce are
+        rectangular.  Rows × noise slots may not exceed
+        :data:`_BLOCK_ELEMENTS` (a plan that large replays row by row,
+        in the memory one row takes); rows whose breakpoint structure
+        differs (see :class:`_Ragged`) are found, and regrouped, by the
+        fold.
         """
         registry = get_registry()
         plan.replays += len(noises)
         window = (base_rss, t_start, rss0, peak0, initial)
         per_block = block_rows(plan)
-        frames: list[_Frame] = []
-        sizes: list[int] = []
+        records: list[ExecutionRecord] = []
+        blocks = 0
         for start in range(0, len(noises), per_block):
             noisy = self._draw_noise(plan, noises[start : start + per_block])
-            frames.extend(self._fold_rows(plan, noisy, window, sizes))
-        registry.inc("engine.replay.rows", len(frames))
-        registry.inc("engine.replay.blocks", len(sizes))
-        registry.inc("engine.replay.split_rows", len(frames) - max(sizes, default=0))
-        registry.inc("engine.timeline.run_phases", plan.run_phases * len(frames))
-        registry.inc(
-            "engine.timeline.loop_phases", (plan.n_phases - plan.run_phases) * len(frames)
-        )
-        return frames, len(sizes)
-
-    def _fold_rows(
-        self, plan: Prepared, noisy: np.ndarray, window: tuple, sizes: list[int]
-    ) -> list["_Frame"]:
-        """Fold the rows of ``noisy`` as one block, or — when they turn
-        out ragged — as one block per group of like rows; appends the
-        size of every block folded to ``sizes``."""
-        try:
-            frames = self._fold(plan, noisy, *window)
-        except _Ragged as ragged:
-            frames = [None] * len(noisy)  # type: ignore[list-item]
-            for key in np.unique(ragged.keys):
-                rows = np.flatnonzero(ragged.keys == key)
-                group = self._fold_rows(plan, noisy[rows], window, sizes)
-                for row, frame in zip(rows.tolist(), group):
-                    frames[row] = frame
-            return frames
-        sizes.append(len(noisy))
-        return frames
-
-    def _fold(
-        self,
-        plan: Prepared,
-        noisy: np.ndarray,
-        base_rss: float,
-        t_start: float,
-        rss0: float | None,
-        peak0: float | None,
-        initial: dict[str, tuple[float, float, float]] | None,
-    ) -> list["_Frame"]:
-        """One rectangular block: every stage over ``(rows, demands)``
-        arrays, every accumulation along ``axis=1``.  Raises
-        :class:`_Ragged` when the rows do not fit one rectangle."""
-        t0, t1, bounds = self._timeline(plan, noisy[:, plan.slot_bases], t_start)
-        if plan.n_phases:
-            t_hi = bounds[:, -1, 1]
-        else:
-            t_hi = np.full(len(noisy), float(t_start))
-        tables, carries = self._build_counters(
-            plan, t0, t1, noisy, t_start, t_hi, initial
-        )
-        counters = _row_series(len(noisy), tables, monotone=tables)
-        level_tables, rss_end, peak_end = self._build_levels(
-            plan, t0, t1, base_rss, t_start, t_hi, rss0, peak0
-        )
-        levels = _row_series(len(noisy), level_tables, monotone=("mem.peak",))
-        block = RecordBlock(t_hi, {**tables, **level_tables})
-        io_starts = t0[:, plan.pos[_IO]]
-        return [
-            _Frame(
-                duration,
-                counters[row],
-                levels[row],
-                _LazyIOEvents(
-                    io_starts[row], plan.i_read, plan.i_written, plan.i_block,
-                    plan.i_fs,
-                ),
-                [(lo, hi) for lo, hi in phase_bounds],
-                rss_end[row],
-                peak_end[row],
-                carries[row],
-                block,
-                row,
-            )
+            t0, t1, bounds = self._timeline(plan, noisy[:, plan.slot_bases], t_start)
+            if plan.n_phases:
+                t_hi = bounds[:, -1, 1]
+            else:
+                t_hi = np.full(len(noisy), float(t_start))
+            block = RecordBlock.unfolded(t_hi, plan, t0, t1, noisy, window)
+            blocks += 1
+            io_starts = t0[:, plan.pos[_IO]]
             for row, (duration, phase_bounds) in enumerate(
                 zip(t_hi.tolist(), bounds.tolist())
-            )
-        ]
+            ):
+                records.append(ExecutionRecord._replayed(
+                    block,
+                    row,
+                    machine=self.machine,
+                    duration=duration,
+                    io_events=_LazyIOEvents(
+                        io_starts[row], plan.i_read, plan.i_written,
+                        plan.i_block, plan.i_fs,
+                    ),
+                    phase_bounds=[(lo, hi) for lo, hi in phase_bounds],
+                    metadata=dict(metadata),
+                ))
+        registry.inc("engine.replay.rows", len(records))
+        registry.inc("engine.replay.blocks", blocks)
+        registry.inc(
+            "engine.replay.split_rows", len(records) - min(per_block, len(records))
+        )
+        registry.inc("engine.timeline.run_phases", plan.run_phases * len(records))
+        registry.inc(
+            "engine.timeline.loop_phases",
+            (plan.n_phases - plan.run_phases) * len(records),
+        )
+        return records, blocks
 
     def run_many(
         self, workloads: Iterable[SimWorkload | PackedWorkload]
@@ -1395,8 +1502,8 @@ class Engine:
 
     # -- level timelines -----------------------------------------------------------
 
+    @staticmethod
     def _build_levels(
-        self,
         plan: Prepared,
         t0: np.ndarray,
         t1: np.ndarray,
@@ -1442,14 +1549,11 @@ class Engine:
         peak_v = np.maximum.accumulate(
             rss_v if peak0 is None else np.maximum(rss_v, peak0), axis=1
         )
-        threads_t, threads_v = self._thread_level(plan, t0, t1, t_lo, t_hi)
-        load_v = threads_v / self.machine.cpu.cores
-        levels = {
-            "mem.rss": (rss_t, rss_v),
-            "mem.peak": (rss_t, peak_v),
-            "cpu.threads": (threads_t, threads_v),
-            "sys.load_cpu": (threads_t, load_v),
-        }
+        threads_t, threads_v = Engine._thread_level(plan, t0, t1, t_lo, t_hi)
+        load_v = threads_v / plan.machine.cpu.cores
+        levels = dict(zip(_LEVELS, (
+            (rss_t, rss_v), (rss_t, peak_v), (threads_t, threads_v), (threads_t, load_v),
+        )))
         return levels, step_v[:, -1].tolist(), peak_v[:, -1].tolist()
 
     @staticmethod
@@ -1512,20 +1616,39 @@ _KIND_COUNTERS: dict[int, tuple[str, ...]] = {
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _row_series(
-    rows: int,
-    tables: dict[str, tuple[np.ndarray, np.ndarray]],
-    monotone: Iterable[str],
-) -> list[dict[str, TimeSeries]]:
-    """Each row of a fold's tables as its own ``TimeSeries`` (views)."""
-    series: list[dict[str, TimeSeries]] = [{} for _ in range(rows)]
-    for name, (times, values) in tables.items():
-        rising = name in monotone
-        for row in range(rows):
-            series[row][name] = TimeSeries.presorted(
-                times[row], values[row], monotone=rising
-            )
-    return series
+def _fold_rows(
+    plan: Prepared,
+    t_hi: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    noisy: np.ndarray,
+    window: tuple,
+) -> list[tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]], tuple]]:
+    """The counter and level folds of replayed rows, every accumulation
+    along ``axis=1``: as one rectangular block, or — when the rows turn
+    out ragged — as one block per group of like rows.  Per block folded:
+    which rows it holds, their series tables (counters, then levels) and
+    their window end state ``(carries, rss_end, peak_end)``."""
+    base_rss, t_start, rss0, peak0, initial = window
+    try:
+        tables, carries = Engine._build_counters(
+            plan, t0, t1, noisy, t_start, t_hi, initial
+        )
+        levels, rss_end, peak_end = Engine._build_levels(
+            plan, t0, t1, base_rss, t_start, t_hi, rss0, peak0
+        )
+    except _Ragged as ragged:
+        groups = []
+        for key in np.unique(ragged.keys):
+            rows = np.flatnonzero(ragged.keys == key)
+            for members, series, ends in _fold_rows(
+                plan, t_hi[rows], t0[rows], t1[rows], noisy[rows], window
+            ):
+                groups.append((rows[members], series, ends))
+        return groups
+    return [(
+        np.arange(len(noisy)), {**tables, **levels}, (carries, rss_end, peak_end)
+    )]
 
 
 def block_rows(plan: Prepared) -> int:
@@ -1641,7 +1764,7 @@ class _Ragged(Exception):
     Those counts are structural in the normal case (coincident
     breakpoints are ``t1[i] == t0[i+1]``, phase starts, ``t_hi``), but a
     seed may add a coincidence of its own.  ``keys`` holds the count
-    that differed, one per row; :meth:`Engine._fold_rows` regroups the
+    that differed, one per row; :func:`_fold_rows` regroups the
     rows by it and folds each group as a smaller block.
     """
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.backend import ProcessHandle
 from repro.sim.clock import VirtualClock
-from repro.sim.engine import ExecutionRecord, RecordBlock, rows_run
+from repro.sim.engine import ExecutionRecord, rows_run
 
 __all__ = ["SimProcess", "SimProcessBlock"]
 
@@ -99,15 +99,14 @@ class SimProcess(ProcessHandle):
 
     def rusage(self) -> dict[str, float]:
         # The two of ``record.totals()`` that are read here.
-        cycles = self.record.counters.get("cpu.cycles_used")
-        peak = self.record.levels.get("mem.peak")
-        freq = self.record.machine.cpu.frequency
-        cpu_seconds = (cycles.last() if cycles else 0.0) / freq
+        cpu_seconds = (
+            self.record.total("cpu.cycles_used") / self.record.machine.cpu.frequency
+        )
         return {
             "time.runtime": self.record.duration,
             "time.utime": cpu_seconds,
             "time.stime": 0.02 * cpu_seconds,
-            "mem.peak": peak.max() if peak is not None else 0.0,
+            "mem.peak": self.record.total("mem.peak"),
         }
 
     def info(self) -> dict[str, Any]:
@@ -143,8 +142,7 @@ class SimProcessBlock:
         first = self.processes[0]
         self.clock = first.clock
         self.start_time = first.start_time
-        fold = first.record.block
-        self._fold = fold if fold is not None else RecordBlock.of(first.record)
+        self._fold, _ = first.record.tables()
         #: Their rows of the fold, ascending (see :meth:`SimProcess.blocks`).
         self._run = rows_run([process.record.row for process in self.processes])
         self._durations = self._fold.durations[self._run]
@@ -170,22 +168,13 @@ class SimProcessBlock:
 
     def rusage(self) -> dict[str, Any]:
         """:meth:`SimProcess.rusage`, one array per total."""
-        zeros = np.zeros(len(self))
-        cycles = self._fold.series.get("cpu.cycles_used")
-        peak = self._fold.series.get("mem.peak")
         freq = self.processes[0].record.machine.cpu.frequency
-        if cycles is not None and cycles[1].shape[1]:
-            cpu_seconds = cycles[1][self._run, -1] / freq
-        else:
-            cpu_seconds = zeros
+        cpu_seconds = self._fold.total("cpu.cycles_used", self._run) / freq
         return {
             "time.runtime": self._durations,
             "time.utime": cpu_seconds,
             "time.stime": 0.02 * cpu_seconds,
-            "mem.peak": (
-                peak[1][self._run].max(axis=1)
-                if peak is not None and peak[1].shape[1] else zeros
-            ),
+            "mem.peak": self._fold.total("mem.peak", self._run),
         }
 
     def info(self) -> list[dict[str, Any]]:

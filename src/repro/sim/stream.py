@@ -71,21 +71,28 @@ class EngineStream:
         batches but idle in this one appear as flat carried series.
         """
         packed = batch if isinstance(batch, PackedWorkload) else pack_workload(batch)
-        (frame,), _ = self.engine._replay(
+        index = self.batches_done
+        metadata = dict(self.metadata)
+        metadata.setdefault("workload_name", self.name)
+        metadata["stream_batch"] = index
+        (record,), _ = self.engine._replay(
             self.engine.prepare(packed),
             [self.engine.noise],
             float(self.base_rss),
+            metadata,
             t_start=self.t,
             rss0=self._rss,
             peak0=self._peak,
             initial=self._carries if self._carries else None,
         )
-        self.t = frame.duration
-        self._rss = frame.rss_end
-        self._peak = frame.peak_end
-        self._carries = frame.carries
-        self.phases_done += len(frame.phase_bounds)
-        index = self.batches_done
+        # The next batch continues from where this one's folds end, so
+        # a streamed record is folded at once.
+        carries, rss_end, peak_end = record.block.ends
+        self.t = record.duration
+        self._rss = rss_end[record.row]
+        self._peak = peak_end[record.row]
+        self._carries = carries[record.row]
+        self.phases_done += len(record.phase_bounds)
         self.batches_done = index + 1
         get_bus().event(
             "engine.stream.batch",
@@ -94,13 +101,10 @@ class EngineStream:
             machine=self.engine.machine.name,
             batch=index,
             demands=packed.n,
-            phases=len(frame.phase_bounds),
+            phases=len(record.phase_bounds),
             t_end=self.t,
         )
-        metadata = dict(self.metadata)
-        metadata.setdefault("workload_name", self.name)
-        metadata["stream_batch"] = index
-        return frame.record(self.engine.machine, metadata)
+        return record
 
     def feed_many(
         self, batches: Iterable[SimWorkload | PackedWorkload]

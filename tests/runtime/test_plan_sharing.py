@@ -134,6 +134,14 @@ def profile_counts() -> tuple[float, float]:
     )
 
 
+def fold_counts() -> tuple[float, float]:
+    counters = get_registry().snapshot()["counters"]
+    return (
+        counters.get("engine.fold.blocks", 0.0),
+        counters.get("engine.fold.rows", 0.0),
+    )
+
+
 def block_budget(monkeypatch, app, machine: str, rows: int) -> None:
     """Make one replay block of ``app`` on ``machine`` hold ``rows`` rows."""
     spec = get_machine(machine)
@@ -304,17 +312,93 @@ def test_campaign_builds_one_plan_per_pair_and_reuses_it():
     built0, reused0 = plan_counts()
     replayed0 = replay_counts()
     profiled0 = profile_counts()
+    folded0 = fold_counts()
     with RunService(processes=1) as svc:
         report = run_campaign(spec, MemoryStore(), service=svc, checkpoint=8)
     built1, reused1 = plan_counts()
     replayed1 = replay_counts()
     profiled1 = profile_counts()
+    folded1 = fold_counts()
     assert report.executed == 512 and not report.failed
     assert (built1 - built0, reused1 - reused0) == (8, 504)
     # ... and every pair replayed as one block of 64, none split,
     assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (8, 512, 0)
     # and was profiled as that block.
     assert tuple(b - a for a, b in zip(profiled0, profiled1)) == (8, 512)
+    # Every record is profiled, so every block is folded — once.
+    assert tuple(b - a for a, b in zip(folded0, folded1)) == (8, 512)
+
+
+def _tx(record) -> float:
+    return record.duration
+
+
+def test_a_tx_only_batch_folds_nothing():
+    """``engine`` requests whose ``reduce`` reads only Tx replay their
+    rows and never build a counter or level series."""
+    app = GromacsModel(iterations=4_000)
+    requests = [
+        RunRequest(kind="engine", target=app, machine=machine, seed=seed, reduce=_tx)
+        for machine in ("thinkie", "comet") for seed in range(6)
+    ]
+    replayed0, folded0 = replay_counts(), fold_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+    replayed1, folded1 = replay_counts(), fold_counts()
+    assert all(result.ok and result.value > 0.0 for result in results)
+    assert tuple(b - a for a, b in zip(replayed0, replayed1)) == (2, 12, 0)
+    assert folded1 == folded0
+    # The same Tx as the records of requests that return them whole.
+    with RunService(processes=1) as svc:
+        whole = svc.run([replace(request, reduce=None) for request in requests])
+    assert [r.value.duration for r in whole] == [r.value for r in results]
+
+
+def test_validate_plan_folds_nothing():
+    from repro.predict.models import DemandVector, Task
+    from repro.predict.placement import plan_greedy_eft
+    from repro.predict.validate import validate_plan
+
+    tasks = [
+        Task(name=f"sim{i}", demand=DemandVector(
+            instructions=4e9, workload_class="app.md", io_write_bytes=16 << 20,
+        ))
+        for i in range(6)
+    ]
+    plan = plan_greedy_eft(tasks, ("titan", "comet", "supermic"))
+    replayed0, folded0 = replay_counts(), fold_counts()
+    report = validate_plan(plan, tasks, noisy=True, processes=1)
+    assert report.emulated_makespan > 0.0
+    assert replay_counts()[1] > replayed0[1]
+    assert fold_counts() == folded0
+
+
+def _unread(record):
+    return record
+
+
+@pytest.mark.parametrize("reduce", [None, _unread])
+def test_an_unreduced_engine_request_returns_a_folded_record(reduce):
+    """What leaves a batch holds no plan: the record of a request
+    without ``reduce`` — or with one that hands it back unread — is
+    folded before it is returned, alone or as a row of a block whose
+    other rows are only read for Tx."""
+    app = GromacsModel(iterations=4_000)
+    requests = [
+        RunRequest(kind="engine", target=app, machine="comet", seed=seed,
+                   reduce=reduce if seed == 2 else _tx)
+        for seed in range(4)
+    ]
+    folded0 = fold_counts()
+    with RunService(processes=1) as svc:
+        results = svc.run(requests)
+    assert tuple(b - a for a, b in zip(folded0, fold_counts())) == (1, 4)
+    record = results[2].value
+    block, row = record.__dict__["_replay"]
+    assert block._pending is None and record.tables() == (block, row)
+    gc.collect()
+    assert not any(isinstance(obj, Prepared) for obj in gc.get_objects())
+    assert record.totals()["cpu.instructions"] > 0.0
 
 
 def test_cells_of_one_spec_share_one_app_model():

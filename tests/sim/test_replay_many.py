@@ -141,7 +141,7 @@ def twin_streams() -> SimWorkload:
     return workload
 
 
-def test_row_with_extra_coincident_breakpoints_leaves_the_block():
+def test_row_with_extra_coincident_breakpoints_leaves_the_block(monkeypatch):
     machine = get_machine("thinkie")
     plan = Engine(machine).prepare(twin_streams())
     specs = [(1, 0.02, 0.007), (0, 0.0, 0.0), (2, 0.02, 0.007), (3, 0.02, 0.007)]
@@ -153,8 +153,31 @@ def test_row_with_extra_coincident_breakpoints_leaves_the_block():
     sizes = [len(record.counters["cpu.instructions"]) for record in records]
     assert sizes[1] < sizes[0] == sizes[2] == sizes[3]
     # One call of four rows: a block of three and a block of one; then
-    # four runs of one row each.
+    # four runs of one row each.  Read after the series: the regrouping
+    # is found, and counted, by the fold.
     assert counts == (2 + 4, 4 + 4, 1)
+    unread: list = []
+    replayed = counts_of(
+        lambda: unread.extend(Engine(machine).replay_many(plan, make_noises(specs)))
+    )
+    assert replayed == (1, 4, 0)  # one rectangle, as far as a replay goes
+    assert counts_of(lambda: unread[0].counters) == (1, 0, 1)
+    # Cut by the budget as well: two chunks of four, the second ragged.
+    # The replay counts the rows beyond its first chunk, each fold the
+    # rows of its own chunk outside that chunk's largest group.
+    monkeypatch.setattr(
+        engine_module, "_BLOCK_ELEMENTS", 4 * plan.slot_values.size
+    )
+    cut = [(seed, 0.02, 0.007) for seed in range(4, 8)] + specs
+    chunked: list = []
+    replayed = counts_of(
+        lambda: chunked.extend(Engine(machine).replay_many(plan, make_noises(cut)))
+    )
+    assert replayed == (2, 8, 4)
+    assert counts_of(lambda: chunked[0].counters) == (0, 0, 0)
+    assert counts_of(lambda: chunked[4].counters) == (1, 0, 1)
+    singles = [Engine(machine, noise).run(plan) for noise in make_noises(cut)]
+    assert [record_digest(r) for r in chunked] == [record_digest(r) for r in singles]
 
 
 def test_plan_over_the_element_budget_replays_row_by_row():
