@@ -40,8 +40,10 @@ contention-aware refinement pass, and ``validate=True`` replays the plan
 through the simulation engine to report predicted-vs-emulated error.
 The CLI mirrors both calls as ``repro predict`` and ``repro place``.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-versus-measured record.
+See README.md for the architecture, plane by plane (*Performance*,
+*Traffic*, *Observability*, *Robustness*), and ``benchmarks/`` — the
+paper's experiments E.1–E.6, committed results under
+``benchmarks/results/`` — for the paper-versus-measured record.
 """
 
 from repro.core import (

@@ -18,9 +18,7 @@ as a single black box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.apps.base import ApplicationModel
 from repro.core.errors import WorkloadError
@@ -28,7 +26,18 @@ from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = ["SkeletonApp", "chain", "fan_out_fan_in"]
+
+
+def _empty_graph() -> nx.DiGraph:
+    # networkx is imported where a graph is first touched, not with the
+    # module: `import repro` reaches this file, and most runs build no DAG.
+    import networkx as nx  # noqa: PLC0415 (lazy)
+
+    return nx.DiGraph()
 
 
 @dataclass
@@ -50,10 +59,12 @@ class SkeletonApp(ApplicationModel):
     split into multiple DAG nodes).
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: nx.DiGraph = field(default_factory=_empty_graph)
     name: str = field(default="skeleton", repr=False)
 
     def __post_init__(self) -> None:
+        import networkx as nx  # noqa: PLC0415 (lazy)
+
         if not isinstance(self.graph, nx.DiGraph):
             raise WorkloadError("SkeletonApp needs a networkx.DiGraph")
         if self.graph.number_of_nodes() == 0:
@@ -71,6 +82,8 @@ class SkeletonApp(ApplicationModel):
 
     def generations(self) -> list[list[str]]:
         """Topological generations: the concurrent ready-sets in order."""
+        import networkx as nx  # noqa: PLC0415 (lazy)
+
         return [sorted(gen) for gen in nx.topological_generations(self.graph)]
 
     def component(self, node: str) -> ApplicationModel:
@@ -134,7 +147,7 @@ def chain(components: Mapping[str, ApplicationModel], name: str = "skeleton-chai
     """A linear pipeline: components execute strictly in mapping order."""
     if not components:
         raise WorkloadError("chain needs at least one component")
-    graph = nx.DiGraph()
+    graph = _empty_graph()
     previous = None
     for node, app in components.items():
         graph.add_node(node, app=app)
@@ -153,7 +166,7 @@ def fan_out_fan_in(
     """The canonical scatter/gather skeleton: prepare -> workers -> collect."""
     if not workers:
         raise WorkloadError("fan_out_fan_in needs at least one worker")
-    graph = nx.DiGraph()
+    graph = _empty_graph()
     graph.add_node("prepare", app=prepare)
     graph.add_node("collect", app=collect)
     for node, app in workers.items():

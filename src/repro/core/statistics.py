@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import stats as sstats
 
 from repro.core.errors import SynapseError
 from repro.core.samples import Profile
@@ -89,7 +88,12 @@ def _stats_from_values(name: str, values: list[float]) -> MetricStats:
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
     if n > 1 and std > 0:
-        ci99 = float(sstats.t.ppf(0.995, n - 1) * std / math.sqrt(n))
+        # Imported at first use: scipy is most of a cold `import repro`,
+        # and a run that aggregates nothing never needs it.  stdtrit is
+        # the kernel behind scipy.stats.t.ppf, bit for bit.
+        from scipy.special import stdtrit
+
+        ci99 = float(stdtrit(n - 1, 0.995) * std / math.sqrt(n))
     else:
         ci99 = 0.0
     return MetricStats(
