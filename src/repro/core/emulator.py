@@ -48,7 +48,8 @@ class EmulationResult:
     #: Wall duration of each replayed sample (host plane only).
     sample_durations: list[float] = field(default_factory=list)
     #: The spawned virtual process (simulation plane only); lets callers
-    #: re-profile the emulation — the paper's E.2 sanity check.
+    #: re-profile the emulation — the paper's E.2 sanity check.  Its
+    #: record's counters (``handle.record.totals()``) fold on first read.
     handle: Any = None
     info: dict[str, Any] = field(default_factory=dict)
 
@@ -152,11 +153,7 @@ class Emulator:
             backend="sim",
             machine=self.backend.machine_info(),
             handle=handle,
-            info={
-                "startup_delay": startup,
-                "kernel": self.config.compute_kernel,
-                "totals": record.totals(),
-            },
+            info={"startup_delay": startup, "kernel": self.config.compute_kernel},
         )
 
     # -- host plane -----------------------------------------------------------------

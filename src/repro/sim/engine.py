@@ -37,8 +37,9 @@ seed boundary, and the split is the only path:
   (workload, machine) pair alone and returns a read-only
   :class:`Prepared` plan.  Packed workloads *bind* (machine parameters
   resolved once per distinct class / paradigm / filesystem and fanned
-  out by interned code); object workloads *gather* (one Python pass
-  over the demand objects) — both produce the same flat per-type view.
+  out by interned code); object workloads are packed first (one Python
+  pass over the demand objects, :func:`~repro.sim.packed.pack_workload`)
+  and then bound — one way in, one flat per-type view.
   Batched cost kernels then evaluate every compute / I-O / memory /
   network demand at once (closed-form per-demand formulas; the scalar
   reference lives in ``tests/sim/test_cost_oracle.py`` and the
@@ -83,15 +84,8 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.errors import WorkloadError
-from repro.sim.demands import (
-    ComputeDemand,
-    IODemand,
-    MemoryDemand,
-    NetworkDemand,
-    SleepDemand,
-)
 from repro.sim.noise import NoiseModel
-from repro.sim.packed import PackedWorkload
+from repro.sim.packed import PackedWorkload, pack_workload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 from repro.telemetry.metrics import get_registry
@@ -520,28 +514,27 @@ class ExecutionRecord:
 _RECORD_FIELDS = tuple(each.name for each in fields(ExecutionRecord))
 
 
-#: Demand-type codes used by the gather pass.
+#: Demand-type codes (the packed workload's ``KIND_*``).
 _COMPUTE, _IO, _MEM, _NET, _SLEEP = range(5)
 #: Counter slots per demand type (for noise-slot packing).
 _COUNTER_SLOTS = np.array([5, 2, 2, 2, 0], dtype=np.int64)
 
 
-_EMPTY_POS = np.zeros(0, dtype=np.intp)
-
-
 class _Gather:
     """Flat per-type view of one workload bound to one machine.
 
-    The transient input of the cost stage: :meth:`Engine._bind` (packed
-    workloads) and :meth:`Engine._gather` (object workloads) produce it,
-    :meth:`Engine.prepare` consumes it and keeps only the
+    The transient input of the cost stage: :meth:`Engine._bind` produces
+    it, :meth:`Engine.prepare` consumes it and keeps only the
     :class:`Prepared` plan.
 
     ``*_pos`` fields hold the global demand index of every demand of one
-    type, in execution order; the companion tuples hold that type's
-    attributes, unzipped from one row tuple per demand.  ``contention``
-    is the per-demand phase slowdown factor (CPU oversubscription for
-    compute, shared-filesystem streams for I/O, 1.0 otherwise).
+    type, in execution order; the companion arrays hold that type's
+    attributes in the same order (the machine-derived ones — ``c_ipc``
+    … ``c_over``, ``i_rlat`` … ``i_wbw`` — only when the type has
+    demands).  ``streams`` is the ``(streams, 3)`` table of ``(phase,
+    first demand, end demand)``; ``contention`` is the per-demand phase
+    slowdown factor (CPU oversubscription for compute, shared-filesystem
+    streams for I/O, 1.0 otherwise).
     """
 
     __slots__ = (
@@ -554,43 +547,6 @@ class _Gather:
         "n_pos", "n_sent", "n_recv", "n_block",
         "s_pos", "s_secs",
     )
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.kinds: np.ndarray = _EMPTY_POS
-        self.contention: np.ndarray = np.zeros(0)
-        #: per stream: (phase index, first demand index, end demand index)
-        #: — a list of tuples from the gather, a ``(streams, 3)`` array
-        #: from the bind.
-        self.streams: list[tuple[int, int, int]] | np.ndarray = []
-        self.n_phases = 0
-        self.c_pos = self.i_pos = self.m_pos = self.n_pos = self.s_pos = _EMPTY_POS
-        self.c_instr: tuple = ()
-        self.c_cc: tuple = ()
-        self.c_ipc: tuple = ()
-        self.c_bias: tuple = ()
-        self.c_sr: tuple = ()
-        self.c_ff: tuple = ()
-        self.c_fpi: tuple = ()
-        self.c_factor: tuple = ()
-        self.c_over: tuple = ()
-        self.c_workers: tuple = ()
-        self.i_read: tuple = ()
-        self.i_written: tuple = ()
-        self.i_block: tuple = ()
-        self.i_fs: tuple = ()
-        self.i_rlat: tuple = ()
-        self.i_wlat: tuple = ()
-        self.i_rblend: tuple = ()
-        self.i_wbw: tuple = ()
-        self.m_phase: tuple = ()
-        self.m_alloc: tuple = ()
-        self.m_free: tuple = ()
-        self.m_block: tuple = ()
-        self.n_sent: tuple = ()
-        self.n_recv: tuple = ()
-        self.n_block: tuple = ()
-        self.s_secs: tuple = ()
 
 
 def _frozen(data: Any, dtype: Any = None) -> np.ndarray:
@@ -650,200 +606,16 @@ class Engine:
         self.machine = machine
         self.noise = noise if noise is not None else NoiseModel.silent()
 
-    # -- gather pass -------------------------------------------------------------
-
-    def _gather(self, workload: SimWorkload) -> _Gather:
-        """One Python pass: demand attributes into flat per-type arrays.
-
-        The adapter from object workloads to :meth:`prepare`.  Phase
-        contention bookkeeping (per-phase CPU and per-filesystem
-        slowdown factors) is folded into the same pass, so the
-        workload's demand objects are touched exactly once.
-        """
-        cpu = self.machine.cpu
-        cores = cpu.cores
-        g = _Gather()
-        g.n_phases = len(workload.phases)
-        spec_cache: dict[str, tuple[float, float, float, float]] = {}
-        scale_cache: dict[tuple[str, int], tuple[float, float]] = {}
-        fs_cache: dict[str, tuple[float, float, float, float]] = {}
-
-        c_rows: list[tuple] = []
-        i_rows: list[tuple] = []
-        m_rows: list[tuple] = []
-        n_rows: list[tuple] = []
-        s_rows: list[tuple] = []
-        streams = g.streams
-        phase_firsts: list[int] = []
-        phase_f_cpu: list[float] = []
-        phase_f_io: list[dict[str, float]] = []
-
-        index = 0
-        for p_idx, phase in enumerate(workload.phases):
-            phase_firsts.append(index)
-            cpu_workers = 0
-            fs_streams: dict[str, int] = {}
-            for stream in phase.streams:
-                first = index
-                stream_workers = 0
-                stream_fs: set[str] | None = None
-                for demand in stream.demands:
-                    if isinstance(demand, ComputeDemand):
-                        wc = demand.workload_class
-                        spec_row = spec_cache.get(wc)
-                        if spec_row is None:
-                            spec = cpu.spec(wc)
-                            spec_row = (
-                                spec.ipc,
-                                spec.cycle_bias,
-                                spec.stall_ratio,
-                                spec.stall_front_fraction,
-                            )
-                            spec_cache[wc] = spec_row
-                        workers = demand.threads if demand.threads < cores else cores
-                        if workers > 1:
-                            key = (demand.paradigm, workers)
-                            scale_row = scale_cache.get(key)
-                            if scale_row is None:
-                                scaling = self.machine.scaling_model(demand.paradigm)
-                                scale_row = (
-                                    scaling.time_factor(workers),
-                                    scaling.overhead_cycles_fraction(workers),
-                                )
-                                scale_cache[key] = scale_row
-                        else:
-                            scale_row = (1.0, 0.0)
-                        stall = demand.stall_ratio
-                        c_rows.append((
-                            index,
-                            demand.instructions,
-                            np.nan
-                            if demand.calibrated_cycles is None
-                            else demand.calibrated_cycles,
-                            spec_row[0],
-                            spec_row[1],
-                            spec_row[2] if stall is None else stall,
-                            spec_row[3],
-                            demand.flops_per_instruction,
-                            scale_row[0],
-                            scale_row[1],
-                            workers,
-                        ))
-                        if workers > stream_workers:
-                            stream_workers = workers
-                    elif isinstance(demand, IODemand):
-                        fs_name = demand.filesystem
-                        fs_row = fs_cache.get(fs_name)
-                        if fs_row is None:
-                            fs = self.machine.filesystem(fs_name)
-                            hit = fs.cache_hit_fraction
-                            fs_row = (
-                                fs.read_latency,
-                                fs.write_latency,
-                                hit / fs.cache_bandwidth
-                                + (1.0 - hit) / fs.read_bandwidth,
-                                fs.write_bandwidth,
-                            )
-                            fs_cache[fs_name] = fs_row
-                        i_rows.append((
-                            index,
-                            demand.bytes_read,
-                            demand.bytes_written,
-                            demand.block_size,
-                            fs_name,
-                            fs_row[0],
-                            fs_row[1],
-                            fs_row[2],
-                            fs_row[3],
-                        ))
-                        if stream_fs is None:
-                            stream_fs = {fs_name}
-                        else:
-                            stream_fs.add(fs_name)
-                    elif isinstance(demand, MemoryDemand):
-                        m_rows.append((
-                            index,
-                            p_idx,
-                            demand.allocate,
-                            demand.free,
-                            demand.block_size,
-                        ))
-                    elif isinstance(demand, NetworkDemand):
-                        n_rows.append((
-                            index,
-                            demand.bytes_sent,
-                            demand.bytes_received,
-                            demand.block_size,
-                        ))
-                    elif isinstance(demand, SleepDemand):
-                        s_rows.append((index, demand.seconds))
-                    else:
-                        raise WorkloadError(
-                            f"unsupported demand type {type(demand).__name__}"
-                        )
-                    index += 1
-                streams.append((p_idx, first, index))
-                if stream_workers:
-                    cpu_workers += stream_workers
-                if stream_fs:
-                    for fs_name in stream_fs:
-                        fs_streams[fs_name] = fs_streams.get(fs_name, 0) + 1
-            phase_f_cpu.append(max(1.0, cpu_workers / cores))
-            phase_f_io.append(
-                {fs: max(1.0, float(count)) for fs, count in fs_streams.items()}
-            )
-        g.n = index
-
-        if c_rows:
-            (pos, g.c_instr, g.c_cc, g.c_ipc, g.c_bias, g.c_sr, g.c_ff,
-             g.c_fpi, g.c_factor, g.c_over, g.c_workers) = zip(*c_rows)
-            g.c_pos = np.asarray(pos, dtype=np.intp)
-        if i_rows:
-            (pos, g.i_read, g.i_written, g.i_block, g.i_fs,
-             g.i_rlat, g.i_wlat, g.i_rblend, g.i_wbw) = zip(*i_rows)
-            g.i_pos = np.asarray(pos, dtype=np.intp)
-        if m_rows:
-            pos, g.m_phase, g.m_alloc, g.m_free, g.m_block = zip(*m_rows)
-            g.m_pos = np.asarray(pos, dtype=np.intp)
-        if n_rows:
-            pos, g.n_sent, g.n_recv, g.n_block = zip(*n_rows)
-            g.n_pos = np.asarray(pos, dtype=np.intp)
-        if s_rows:
-            pos, g.s_secs = zip(*s_rows)
-            g.s_pos = np.asarray(pos, dtype=np.intp)
-
-        g.kinds = np.zeros(index, dtype=np.int64)
-        g.kinds[g.i_pos] = _IO
-        g.kinds[g.m_pos] = _MEM
-        g.kinds[g.n_pos] = _NET
-        g.kinds[g.s_pos] = _SLEEP
-
-        contention = np.ones(index)
-        if g.c_pos.size:
-            counts = np.diff(np.asarray(phase_firsts + [index]))
-            f_cpu_per_demand = np.repeat(np.asarray(phase_f_cpu), counts)
-            contention[g.c_pos] = f_cpu_per_demand[g.c_pos]
-        if g.i_pos.size:
-            i_phases = np.searchsorted(
-                np.asarray(phase_firsts), g.i_pos, side="right"
-            ) - 1
-            contention[g.i_pos] = [
-                phase_f_io[p][fs] for p, fs in zip(i_phases, g.i_fs)
-            ]
-        g.contention = contention
-        return g
-
-    # -- columnar bind pass ------------------------------------------------------
+    # -- bind pass ---------------------------------------------------------------
 
     def _bind(self, p: PackedWorkload) -> _Gather:
-        """Bind packed columns to this machine: the zero-object gather.
+        """Bind packed columns to this machine.
 
-        The per-demand Python loop of :meth:`_gather` collapses to a
-        handful of vectorised lookups — machine parameters are resolved
+        A handful of vectorised lookups: machine parameters are resolved
         once per *distinct* workload class / paradigm / filesystem name
-        and fanned out to demands by interned code.  The resulting view
-        is value-identical to gathering the equivalent object workload,
-        so execution downstream is bit-identical.
+        and fanned out to demands by interned code, and the phase
+        contention factors are counted from the stream table.  Object
+        workloads reach it through :func:`~repro.sim.packed.pack_workload`.
         """
         cpu = self.machine.cpu
         cores = cpu.cores
@@ -859,12 +631,12 @@ class Engine:
         demand_phase = np.repeat(p.stream_phase, counts)
         contention = np.ones(p.n)
 
-        workers = _EMPTY_POS
+        g.c_pos = p.c_pos
+        g.c_instr = p.c_instr
+        g.c_cc = p.c_cc
+        g.c_fpi = p.c_fpi
+        g.c_workers = workers = np.minimum(p.c_threads, cores)
         if p.c_pos.size:
-            g.c_pos = p.c_pos
-            g.c_instr = p.c_instr
-            g.c_cc = p.c_cc
-            g.c_fpi = p.c_fpi
             n_cls = len(p.class_names)
             ipc_t = np.empty(n_cls)
             bias_t = np.empty(n_cls)
@@ -881,8 +653,6 @@ class Engine:
             g.c_bias = bias_t[cls]
             g.c_ff = ff_t[cls]
             g.c_sr = np.where(np.isnan(p.c_sr), sr_t[cls], p.c_sr)
-            workers = np.minimum(p.c_threads, cores)
-            g.c_workers = workers
             factor = np.ones(workers.size)
             over = np.zeros(workers.size)
             multi = workers > 1
@@ -918,11 +688,12 @@ class Engine:
             f_cpu = np.maximum(1.0, phase_workers / cores)
             contention[p.c_pos] = f_cpu[demand_phase[p.c_pos]]
 
+        g.i_pos = p.i_pos
+        g.i_read = p.i_read
+        g.i_written = p.i_written
+        g.i_block = p.i_block
+        g.i_fs = np.asarray(p.fs_names, dtype=object)[p.i_fs]
         if p.i_pos.size:
-            g.i_pos = p.i_pos
-            g.i_read = p.i_read
-            g.i_written = p.i_written
-            g.i_block = p.i_block
             n_fs = len(p.fs_names)
             rlat = np.empty(n_fs)
             wlat = np.empty(n_fs)
@@ -939,7 +710,6 @@ class Engine:
             g.i_wlat = wlat[p.i_fs]
             g.i_rblend = rblend[p.i_fs]
             g.i_wbw = wbw[p.i_fs]
-            g.i_fs = np.asarray(p.fs_names, dtype=object)[p.i_fs]
 
             # Per-(phase, filesystem) stream counts → I/O contention.
             i_stream = np.searchsorted(p.stream_first, p.i_pos, side="right") - 1
@@ -949,21 +719,17 @@ class Engine:
             f_io = np.maximum(1.0, fs_streams)
             contention[p.i_pos] = f_io[demand_phase[p.i_pos], p.i_fs]
 
-        if p.m_pos.size:
-            g.m_pos = p.m_pos
-            g.m_alloc = p.m_alloc
-            g.m_free = p.m_free
-            g.m_block = p.m_block
-            g.m_phase = demand_phase[p.m_pos]
-        if p.net_pos.size:
-            g.n_pos = p.net_pos
-            g.n_sent = p.net_sent
-            g.n_recv = p.net_recv
-            g.n_block = p.net_block
-        if p.s_pos.size:
-            g.s_pos = p.s_pos
-            g.s_secs = p.s_secs
-
+        g.m_pos = p.m_pos
+        g.m_alloc = p.m_alloc
+        g.m_free = p.m_free
+        g.m_block = p.m_block
+        g.m_phase = demand_phase[p.m_pos]
+        g.n_pos = p.net_pos
+        g.n_sent = p.net_sent
+        g.n_recv = p.net_recv
+        g.n_block = p.net_block
+        g.s_pos = p.s_pos
+        g.s_secs = p.s_secs
         g.contention = contention
         return g
 
@@ -971,44 +737,36 @@ class Engine:
 
     def _compute_costs(self, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every compute demand."""
-        instr_in = np.asarray(g.c_instr)
-        cc = np.asarray(g.c_cc)
-        ipc = np.asarray(g.c_ipc)
-        bias = np.asarray(g.c_bias)
+        cc, ipc = g.c_cc, g.c_ipc
         with np.errstate(invalid="ignore"):
             has_cc = ~np.isnan(cc)
-            cycles = np.where(has_cc, cc * bias, instr_in / ipc)
-            instructions = np.where(has_cc, cycles * ipc, instr_in)
-        over = np.asarray(g.c_over)
-        cycles_total = cycles * (1.0 + over)
-        instr_total = instructions * (1.0 + over)
-        duration = (cycles / self.machine.cpu.frequency) * np.asarray(g.c_factor)
-        stalled = cycles_total * np.asarray(g.c_sr)
-        front_fraction = np.asarray(g.c_ff)
+            cycles = np.where(has_cc, cc * g.c_bias, g.c_instr / ipc)
+            instructions = np.where(has_cc, cycles * ipc, g.c_instr)
+        cycles_total = cycles * (1.0 + g.c_over)
+        instr_total = instructions * (1.0 + g.c_over)
+        duration = (cycles / self.machine.cpu.frequency) * g.c_factor
+        stalled = cycles_total * g.c_sr
+        front_fraction = g.c_ff
         return {
             "duration": duration,
             "cpu.instructions": instr_total,
             "cpu.cycles_used": cycles_total,
             "cpu.cycles_stalled_front": stalled * front_fraction,
             "cpu.cycles_stalled_back": stalled * (1.0 - front_fraction),
-            "cpu.flops": instr_total * np.asarray(g.c_fpi),
+            "cpu.flops": instr_total * g.c_fpi,
         }
 
     @staticmethod
     def _io_costs(g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every I/O demand."""
-        nread = np.asarray(g.i_read, dtype=float)
-        nwritten = np.asarray(g.i_written, dtype=float)
-        block = np.asarray(g.i_block, dtype=float)
+        nread = g.i_read.astype(float)
+        nwritten = g.i_written.astype(float)
+        block = g.i_block.astype(float)
         read_ops = np.ceil(nread / block)
         write_ops = np.ceil(nwritten / block)
-        read_time = np.where(
-            nread > 0, read_ops * np.asarray(g.i_rlat) + nread * np.asarray(g.i_rblend), 0.0
-        )
+        read_time = np.where(nread > 0, read_ops * g.i_rlat + nread * g.i_rblend, 0.0)
         write_time = np.where(
-            nwritten > 0,
-            write_ops * np.asarray(g.i_wlat) + nwritten / np.asarray(g.i_wbw),
-            0.0,
+            nwritten > 0, write_ops * g.i_wlat + nwritten / g.i_wbw, 0.0
         )
         return {
             "duration": read_time + write_time,
@@ -1019,9 +777,7 @@ class Engine:
     def _memory_costs(self, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every memory demand."""
         mem = self.machine.memory
-        alloc = np.asarray(g.m_alloc, dtype=np.int64)
-        freed = np.asarray(g.m_free, dtype=np.int64)
-        block = np.asarray(g.m_block, dtype=np.int64)
+        alloc, freed, block = g.m_alloc, g.m_free, g.m_block
         alloc_ops = np.maximum(1, -(-alloc // block))
         free_ops = np.maximum(1, -(-freed // block))
         alloc_time = np.where(
@@ -1036,11 +792,9 @@ class Engine:
 
     def _network_costs(self, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every network demand."""
-        sent = np.asarray(g.n_sent, dtype=np.int64)
-        recv = np.asarray(g.n_recv, dtype=np.int64)
-        block = np.asarray(g.n_block, dtype=np.int64)
+        sent, recv = g.n_sent, g.n_recv
         nbytes = sent + recv
-        ops = -(-nbytes // block)
+        ops = -(-nbytes // g.n_block)
         duration = ops * self.machine.net_latency + nbytes / self.machine.net_bandwidth
         return {
             "duration": duration,
@@ -1055,16 +809,15 @@ class Engine:
 
         Everything here depends on (workload, machine) alone, so one
         plan serves every seed: replay it with :meth:`run` on any
-        engine over the same machine.  Accepts the object form
-        (``SimWorkload``, gathered in one Python pass) and the columnar
-        form (:class:`~repro.sim.packed.PackedWorkload`, bound without
-        touching a demand object) interchangeably — the plans, and so
-        the records, are bit-identical.
+        engine over the same machine.  Accepts the columnar form
+        (:class:`~repro.sim.packed.PackedWorkload`, bound without
+        touching a demand object) and the object form (``SimWorkload``,
+        packed in one Python pass first) — the plans, and so the
+        records, are bit-identical.
         """
-        if isinstance(workload, PackedWorkload):
-            g = self._bind(workload)
-        else:
-            g = self._gather(workload)
+        if not isinstance(workload, PackedWorkload):
+            workload = pack_workload(workload)
+        g = self._bind(workload)
         plan = Prepared()
         plan.machine = self.machine
         plan.name = workload.name
@@ -1072,9 +825,8 @@ class Engine:
         plan.metadata = dict(workload.metadata)
         plan.n = g.n
         plan.n_phases = g.n_phases
-        streams = np.asarray(g.streams, dtype=np.intp).reshape(-1, 3)
-        plan.streams = _frozen(streams)
-        plan.segments, plan.run_phases = _timeline_layout(g.n_phases, streams)
+        plan.streams = _frozen(g.streams)
+        plan.segments, plan.run_phases = _timeline_layout(g.n_phases, g.streams)
         plan.pos = tuple(
             _frozen(pos) for pos in (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)
         )
@@ -1113,13 +865,8 @@ class Engine:
         # Seed-independent halves of the level folds: signed RSS change
         # per memory demand, extra workers per multi-threaded compute.
         plan.m_phase = _frozen(g.m_phase)
-        plan.m_deltas = _frozen(
-            (
-                np.asarray(g.m_alloc, dtype=np.int64)
-                - np.asarray(g.m_free, dtype=np.int64)
-            ).astype(float)
-        )
-        workers = np.asarray(g.c_workers, dtype=float)
+        plan.m_deltas = _frozen((g.m_alloc - g.m_free).astype(float))
+        workers = g.c_workers.astype(float)
         multi = workers > 1
         plan.t_pos = _frozen(g.c_pos[multi])
         plan.t_extra = _frozen(workers[multi] - 1.0)
@@ -1127,7 +874,7 @@ class Engine:
         plan.i_read = _frozen(g.i_read)
         plan.i_written = _frozen(g.i_written)
         plan.i_block = _frozen(g.i_block)
-        plan.i_fs = g.i_fs if isinstance(g.i_fs, tuple) else _frozen(g.i_fs)
+        plan.i_fs = _frozen(g.i_fs)
         get_registry().inc("engine.plans.built")
         return plan
 

@@ -5,14 +5,14 @@ A :class:`PackedWorkload` holds the exact information content of a
 segmentation, phase barriers — as flat NumPy columns instead of
 per-demand Python objects.  It is the zero-object input format of the
 engine's hot path: :meth:`repro.sim.engine.Engine.run` binds the columns
-to a machine model with a handful of vectorised lookups (the per-demand
-"gather" pass of the object path becomes a no-op), so a 10⁶-demand run
-never materialises 10⁶ ``Demand`` instances.
+to a machine model with a handful of vectorised lookups, so a
+10⁶-demand run never materialises 10⁶ ``Demand`` instances.
 
 Three ways to obtain one:
 
 * :func:`pack_workload` compiles an existing object workload in one
-  pass (the compatibility path — bit-identical execution guaranteed);
+  pass (the engine's only way in for object workloads: ``Engine.prepare``
+  packs them, then binds the columns);
 * :class:`PackedBuilder` builds columns directly with the same
   phase/stream/demand vocabulary as ``SimWorkload`` (what the
   application models' ``build_packed`` methods use);
@@ -50,7 +50,7 @@ from repro.telemetry.spans import span
 
 __all__ = ["PackedWorkload", "PackedBuilder", "pack_workload"]
 
-#: Demand-kind codes (shared with the engine's gather pass).
+#: Demand-kind codes (the engine's ``_COMPUTE`` … ``_SLEEP``).
 KIND_COMPUTE, KIND_IO, KIND_MEM, KIND_NET, KIND_SLEEP = range(5)
 
 _EMPTY_IDX = np.zeros(0, dtype=np.intp)
@@ -615,60 +615,124 @@ class PackedBuilder:
         )
 
 
+#: The demand classes :func:`pack_workload` dispatches on.
+_DEMAND_TYPES = (ComputeDemand, IODemand, MemoryDemand, NetworkDemand, SleepDemand)
+
+_IDX, _I64, _F64 = np.intp, np.int64, np.float64
+#: Per kind: the packed column of each field of its row tuples, and the
+#: field's dtype — or, for a name column, the name table it interns into.
+_C_FIELDS = (
+    ("c_pos", _IDX), ("c_instr", _F64), ("c_cc", _F64), ("c_class", "class_names"),
+    ("c_fpi", _F64), ("c_threads", _I64), ("c_paradigm", "paradigm_names"),
+    ("c_sr", _F64),
+)
+_I_FIELDS = (
+    ("i_pos", _IDX), ("i_read", _I64), ("i_written", _I64), ("i_block", _I64),
+    ("i_fs", "fs_names"),
+)
+_M_FIELDS = (("m_pos", _IDX), ("m_alloc", _I64), ("m_free", _I64), ("m_block", _I64))
+_N_FIELDS = (
+    ("net_pos", _IDX), ("net_sent", _I64), ("net_recv", _I64), ("net_block", _I64),
+)
+_S_FIELDS = (("s_pos", _IDX), ("s_secs", _F64))
+
+
+def _demand_type(demand: object) -> type:
+    """The demand class a subclass instance packs as."""
+    for base in _DEMAND_TYPES:
+        if isinstance(demand, base):
+            return base
+    raise WorkloadError(f"unsupported demand type {type(demand).__name__}")
+
+
 def pack_workload(workload: SimWorkload) -> PackedWorkload:
     """Compile an object workload into columns (one Python pass).
 
     The compiled form executes **bit-identically** to the original:
     demand order, stream segmentation and attribute values are preserved
     exactly, so seeded noisy runs of the packed and object forms draw
-    the same RNG stream and produce the same record.
+    the same RNG stream and produce the same record.  The columns and
+    name tables are those :class:`PackedBuilder` makes of the same
+    demands; demands validated themselves when they were constructed, so
+    the pass does not check them again.
     """
     with span("engine.pack", workload=workload.name) as sp:
-        builder = PackedBuilder(
-            workload.name,
+        c_rows: list[tuple] = []
+        i_rows: list[tuple] = []
+        m_rows: list[tuple] = []
+        n_rows: list[tuple] = []
+        s_rows: list[tuple] = []
+        stream_phase: list[int] = []
+        stream_first: list[int] = []
+        stream_end: list[int] = []
+        n = 0
+        for p_idx, phase in enumerate(workload.phases):
+            for stream in phase.streams:
+                demands = stream.demands
+                stream_phase.append(p_idx)
+                stream_first.append(n)
+                for index, d in enumerate(demands, n):
+                    kind = type(d)
+                    if kind not in _DEMAND_TYPES:
+                        kind = _demand_type(d)
+                    if kind is ComputeDemand:
+                        c_rows.append((
+                            index, d.instructions, d.calibrated_cycles,
+                            d.workload_class, d.flops_per_instruction, d.threads,
+                            d.paradigm, d.stall_ratio,
+                        ))
+                    elif kind is IODemand:
+                        i_rows.append((
+                            index, d.bytes_read, d.bytes_written, d.block_size,
+                            d.filesystem,
+                        ))
+                    elif kind is MemoryDemand:
+                        m_rows.append((index, d.allocate, d.free, d.block_size))
+                    elif kind is NetworkDemand:
+                        n_rows.append(
+                            (index, d.bytes_sent, d.bytes_received, d.block_size)
+                        )
+                    else:
+                        s_rows.append((index, d.seconds))
+                n += len(demands)
+                stream_end.append(n)
+
+        # Unzipped field by field: ``None`` optionals become NaN in their
+        # float64 columns (a column nobody set is filled at once: NumPy's
+        # per-element ``None`` conversion is the slow one), names become
+        # codes in first-seen order.
+        columns: dict[str, Any] = {}
+        kinds = np.zeros(n, dtype=_I64)
+        for rows, kind_code, fields in (
+            (c_rows, KIND_COMPUTE, _C_FIELDS), (i_rows, KIND_IO, _I_FIELDS),
+            (m_rows, KIND_MEM, _M_FIELDS), (n_rows, KIND_NET, _N_FIELDS),
+            (s_rows, KIND_SLEEP, _S_FIELDS),
+        ):
+            if not rows:
+                continue
+            for (name, dtype), values in zip(fields, zip(*rows)):
+                if isinstance(dtype, str):
+                    codes = {each: code for code, each in enumerate(dict.fromkeys(values))}
+                    columns[dtype] = tuple(codes)
+                    columns[name] = np.fromiter(
+                        map(codes.__getitem__, values), _IDX, len(values)
+                    )
+                elif values[0] is None and values.count(None) == len(values):
+                    columns[name] = np.full(len(values), np.nan)
+                else:
+                    columns[name] = np.array(values, dtype=dtype)
+            kinds[columns[fields[0][0]]] = kind_code
+        packed = PackedWorkload(
+            name=workload.name,
             base_rss=workload.base_rss,
             metadata=dict(workload.metadata),
+            n=n,
+            n_phases=len(workload.phases),
+            kinds=kinds,
+            stream_phase=np.array(stream_phase, dtype=_IDX),
+            stream_first=np.array(stream_first, dtype=_IDX),
+            stream_end=np.array(stream_end, dtype=_IDX),
+            **columns,
         )
-        for phase in workload.phases:
-            builder.phase()
-            for stream in phase.streams:
-                builder.stream()
-                for demand in stream.demands:
-                    if isinstance(demand, ComputeDemand):
-                        builder.compute(
-                            instructions=demand.instructions,
-                            workload_class=demand.workload_class,
-                            flops_per_instruction=demand.flops_per_instruction,
-                            threads=demand.threads,
-                            paradigm=demand.paradigm,
-                            calibrated_cycles=demand.calibrated_cycles,
-                            stall_ratio=demand.stall_ratio,
-                        )
-                    elif isinstance(demand, IODemand):
-                        builder.io(
-                            bytes_read=demand.bytes_read,
-                            bytes_written=demand.bytes_written,
-                            block_size=demand.block_size,
-                            filesystem=demand.filesystem,
-                        )
-                    elif isinstance(demand, MemoryDemand):
-                        builder.memory(
-                            allocate=demand.allocate,
-                            free=demand.free,
-                            block_size=demand.block_size,
-                        )
-                    elif isinstance(demand, NetworkDemand):
-                        builder.network(
-                            bytes_sent=demand.bytes_sent,
-                            bytes_received=demand.bytes_received,
-                            block_size=demand.block_size,
-                        )
-                    elif isinstance(demand, SleepDemand):
-                        builder.sleep(demand.seconds)
-                    else:
-                        raise WorkloadError(
-                            f"unsupported demand type {type(demand).__name__}"
-                        )
-        packed = builder.build()
         sp.set(demands=packed.n, nbytes=packed.nbytes())
     return packed

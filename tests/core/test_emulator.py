@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.apps import GromacsModel
 from repro.atoms.base import AtomWork
+from repro.core.api import profile as api_profile
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
 from repro.core.errors import EmulationError
 from repro.core.plan import EmulationPlan, PlanSample
 from repro.core.profiler import Profiler
 from repro.core.samples import Profile, Sample
+from repro.runtime import RunRequest, RunService
+from repro.sim.backend import SimBackend
 from repro.storage import MemoryStore
+from repro.telemetry.metrics import get_registry
 
 from tests.conftest import make_backend
+from tests.sim.gen_golden_fixtures import EMULATION_CASES, EMULATION_FIXTURE_PATH
 
 
 def small_plan(cycles=1e6, n=3, **work_kw):
@@ -122,6 +130,66 @@ class TestSimReplayFidelity:
         # Phases are barriers: each starts exactly where the previous ended.
         for (_, prev_end), (start, _) in zip(bounds, bounds[1:]):
             assert start == pytest.approx(prev_end)
+
+
+def fold_counts() -> tuple[float, float]:
+    counters = get_registry().snapshot()["counters"]
+    return (
+        counters.get("engine.fold.blocks", 0.0),
+        counters.get("engine.fold.rows", 0.0),
+    )
+
+
+class TestFoldOnRead:
+    """An emulation is judged by its Tx: its record's counter and level
+    series fold when somebody reads them, not when it runs."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(EMULATION_FIXTURE_PATH, encoding="utf-8") as handle:
+            expected = json.load(handle)
+        requests = []
+        for name, iterations, profile_seed, machine, seed, config in EMULATION_CASES:
+            profile = api_profile(
+                GromacsModel(iterations=iterations),
+                backend=SimBackend("thinkie", noisy=True, seed=profile_seed),
+                config=SynapseConfig(sample_rate=2.0),
+            )
+            requests.append(RunRequest(
+                kind="emulate", target=profile, machine=machine,
+                config=dict(config), seed=seed,
+            ))
+        return requests, [expected[case[0]] for case in EMULATION_CASES]
+
+    @staticmethod
+    def exact(totals: dict[str, float]) -> dict[str, str]:
+        return {name: repr(value) for name, value in sorted(totals.items())}
+
+    def test_a_batch_folds_nothing_and_a_read_folds_once(self, golden):
+        requests, expected = golden
+        before = fold_counts()
+        with RunService(processes=1) as svc:
+            results = [result.value for result in svc.run(requests)]
+        assert fold_counts() == before
+        assert [repr(r.tx) for r in results] == [e["tx"] for e in expected]
+        assert all("totals" not in r.info for r in results)
+        for n, (result, case) in enumerate(zip(results, expected), start=1):
+            record = result.handle.record
+            assert self.exact(record.totals()) == case["totals"]
+            assert fold_counts() == (before[0] + n, before[1] + n)
+            assert self.exact(record.totals()) == case["totals"]
+            assert fold_counts() == (before[0] + n, before[1] + n)
+
+    def test_a_pooled_batch_returns_folded_records(self, golden):
+        requests, expected = golden
+        with RunService(processes=2) as svc:
+            results = [result.value for result in svc.run(requests, processes=2)]
+        for result, case in zip(results, expected):
+            record = result.handle.record
+            # Pickled home: the record holds its own series, no replay block.
+            assert "_replay" not in vars(record) and "counters" in vars(record)
+            assert repr(result.tx) == case["tx"]
+            assert self.exact(record.totals()) == case["totals"]
 
 
 class TestHostReplay:

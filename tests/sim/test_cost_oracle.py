@@ -153,7 +153,7 @@ def test_batched_cost_kernels_match_the_scalar_oracle(seed, machine_name):
     machine = get_machine(machine_name)
     workload = random_workload(np.random.default_rng(seed), machine)
     engine = Engine(machine)
-    g = engine._gather(workload)
+    g = engine._bind(pack_workload(workload))
     kernels = {
         ComputeDemand: engine._compute_costs,
         IODemand: engine._io_costs,

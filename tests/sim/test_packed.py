@@ -1,10 +1,11 @@
 """Columnar (packed) workloads: builder fidelity and engine bit-identity.
 
-The packed plane's contract is *exact* equivalence, not tolerance: the
-engine's ``_bind`` over a :class:`PackedWorkload` must produce the same
-gather — and therefore bit-identical records — as ``_gather`` over the
-equivalent :class:`SimWorkload`, silent or noisy.  These tests pin that
-on randomised workloads covering all five demand types, contention
+The packed plane's contract is *exact* equivalence, not tolerance: an
+object :class:`SimWorkload` and its :class:`PackedWorkload` must run to
+bit-identical records, silent or noisy (the engine packs object
+workloads itself, so this pins that packing is all it does to them;
+``test_pack_oracle.py`` pins the packer to the builder).  These tests
+cover randomised workloads with all five demand types, contention
 phases, and every direct ``build_packed`` builder in the tree.
 """
 

@@ -107,7 +107,7 @@ def test_preparing_does_not_freeze_the_packed_workload():
 
 
 def test_object_workload_is_not_memoised_across_runs():
-    """A mutable object workload is gathered afresh by every ``run``."""
+    """A mutable object workload is packed afresh by every ``run``."""
     machine = get_machine("thinkie")
     workload = random_workload(np.random.default_rng(5), machine)
     engine = Engine(machine)
