@@ -4,14 +4,16 @@ An *application model* is a parameterised generator of resource demands:
 the simulation plane's stand-in for a real executable.  The profiler
 treats it as a black box — it only ever sees the counters the engine
 produces — so the models only need to reproduce the resource-consumption
-*trace shape* of the application they replace (see DESIGN.md §2 for the
-Gromacs substitution argument).
+*trace shape* of the application they replace; a Gromacs model whose
+counters grow as the paper reports is as good a profiling subject as
+the binary.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro.core.errors import WorkloadError
 from repro.sim.packed import PackedWorkload, pack_workload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
@@ -36,14 +38,19 @@ class ApplicationModel(ABC):
         """
 
     def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Columnar form of :meth:`build_workload` (same demands).
+        """Columnar form of :meth:`build_workload` (same demands), which
+        the engine executes bit-identically.
 
-        The default compiles the object workload; models override it
-        with a direct column builder so large workloads never
-        materialise per-demand objects at all.  Both forms execute
-        bit-identically.
+        A demand the model's parameters make invalid raises
+        :class:`WorkloadError`, not the demand's ``ValueError``: the
+        failure is the request's own, and a retry policy must not
+        re-attempt it.
         """
-        return pack_workload(self.build_workload(machine))
+        try:
+            workload = self.build_workload(machine)
+        except ValueError as exc:
+            raise WorkloadError(str(exc)) from exc
+        return pack_workload(workload)
 
     def command(self) -> str:
         """The command string under which profiles of this app are indexed."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
 from repro.sim.demands import ComputeDemand, IODemand
-from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -79,26 +78,6 @@ class EnsembleApp(ApplicationModel):
                         )
                     )
         return workload
-
-    def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Direct columnar build mirroring :meth:`build_workload`."""
-        b = PackedBuilder(self.command(), metadata={"app": "ensemble"})
-        for number, stage in enumerate(self.stages):
-            b.phase(f"stage-{number}")
-            for task in range(stage.tasks):
-                b.stream(f"task-{task}")
-                b.compute(
-                    instructions=stage.instructions,
-                    workload_class=stage.workload_class,
-                    flops_per_instruction=0.3,
-                )
-                if stage.bytes_written:
-                    b.io(
-                        bytes_written=stage.bytes_written,
-                        block_size=256 << 10,
-                        filesystem=machine.default_fs,
-                    )
-        return b.build()
 
     def command(self) -> str:
         return f"ensemble x{len(self.stages)}"

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
 from repro.sim.demands import ComputeDemand, IODemand, MemoryDemand
-from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -170,52 +169,6 @@ class GromacsModel(ApplicationModel):
             ComputeDemand(instructions=2e7, workload_class="app.startup")
         )
         return workload
-
-    def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Direct columnar build mirroring :meth:`build_workload`."""
-        b = PackedBuilder(
-            self.command(),
-            base_rss=_BASE_RSS,
-            metadata={"app": "gromacs", "iterations": self.iterations},
-        )
-        fs = machine.default_fs
-
-        b.phase("startup")
-        b.stream("main")
-        b.compute(
-            instructions=_STARTUP_INSTRUCTIONS * 0.3, workload_class="app.startup"
-        )
-        b.io(bytes_read=self.bytes_read(), block_size=256 << 10, filesystem=fs)
-        ramp_steps = 8
-        for _ in range(ramp_steps):
-            b.memory(allocate=_HEAP_BYTES // ramp_steps, block_size=256 << 10)
-            b.compute(
-                instructions=_STARTUP_INSTRUCTIONS * 0.7 / ramp_steps,
-                workload_class="app.startup",
-            )
-
-        b.phase("mdrun")
-        b.stream("main")
-        instructions = self.instructions(machine)
-        out_bytes = self.bytes_written()
-        for chunk in range(self.chunks):
-            b.compute(
-                instructions=instructions / self.chunks,
-                workload_class="app.md",
-                flops_per_instruction=_FLOP_FRACTION,
-                threads=self.threads,
-                paradigm=self.paradigm,
-            )
-            lo = out_bytes * chunk // self.chunks
-            hi = out_bytes * (chunk + 1) // self.chunks
-            if hi > lo:
-                b.io(bytes_written=hi - lo, block_size=64 << 10, filesystem=fs)
-
-        b.phase("teardown")
-        b.stream("main")
-        b.memory(free=_HEAP_BYTES, block_size=1 << 20)
-        b.compute(instructions=2e7, workload_class="app.startup")
-        return b.build()
 
     # -- profile indexing -----------------------------------------------------
 

@@ -77,7 +77,9 @@ def parse_app(spec: str) -> ApplicationModel:
             kwargs[key.strip()] = _coerce(value)
     try:
         return _FACTORIES[name](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
+        # A model's own ValueError is as much the spec's fault as an
+        # unknown parameter; retry policies count a bare one transient.
         raise ConfigError(f"bad parameters for app {name!r}: {exc}") from exc
 
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.apps.base import ApplicationModel
 from repro.core.errors import WorkloadError
-from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -116,22 +115,6 @@ class SkeletonApp(ApplicationModel):
                     for inner_stream in inner_phase.streams:
                         stream.demands.extend(inner_stream.demands)
         return workload
-
-    def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Direct columnar build: components' packed workloads are
-        flattened (their columns appended serially) into one stream per
-        DAG node per generation — the columnar twin of the object
-        flattening in :meth:`build_workload`."""
-        b = PackedBuilder(
-            self.command(),
-            metadata={"app": "skeleton", "components": self.n_components},
-        )
-        for number, generation in enumerate(self.generations()):
-            b.phase(f"generation-{number}")
-            for node in generation:
-                b.stream(str(node))
-                b.append_flat(self.component(node).build_packed(machine))
-        return b.build()
 
     def command(self) -> str:
         return f"skeleton n{self.n_components} d{self.critical_path_length()}"

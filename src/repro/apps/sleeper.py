@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
 from repro.sim.demands import ComputeDemand, SleepDemand
-from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -43,17 +42,6 @@ class SleeperApp(ApplicationModel):
         stream.add(SleepDemand(self.sleep_seconds))
         stream.add(ComputeDemand(instructions=self.instructions / 2, workload_class="app.startup"))
         return workload
-
-    def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Direct columnar build mirroring :meth:`build_workload`."""
-        del machine
-        b = PackedBuilder(self.command(), metadata={"app": "sleeper"})
-        b.phase("main")
-        b.stream("main")
-        b.compute(instructions=self.instructions / 2, workload_class="app.startup")
-        b.sleep(self.sleep_seconds)
-        b.compute(instructions=self.instructions / 2, workload_class="app.startup")
-        return b.build()
 
     def command(self) -> str:
         return f"sleep {self.sleep_seconds:g}"

@@ -24,7 +24,6 @@ from repro.sim.demands import (
     NetworkDemand,
     SleepDemand,
 )
-from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
 
@@ -115,57 +114,6 @@ class SyntheticApp(ApplicationModel):
                 MemoryDemand(free=self.memory_bytes, block_size=self.mem_block_size)
             )
         return workload
-
-    def build_packed(self, machine: MachineSpec) -> PackedWorkload:
-        """Direct columnar build: same demands as :meth:`build_workload`,
-        in the same global order, with zero per-demand objects."""
-        b = PackedBuilder(
-            self.command(), base_rss=2 << 20, metadata={"app": "synthetic"}
-        )
-        fs = self.filesystem if self.filesystem != "default" else machine.default_fs
-
-        def emit_io(chunk: int) -> None:
-            read_lo = self.bytes_read * chunk // self.chunks
-            read_hi = self.bytes_read * (chunk + 1) // self.chunks
-            write_lo = self.bytes_written * chunk // self.chunks
-            write_hi = self.bytes_written * (chunk + 1) // self.chunks
-            if read_hi > read_lo or write_hi > write_lo:
-                b.io(
-                    bytes_read=read_hi - read_lo,
-                    bytes_written=write_hi - write_lo,
-                    block_size=self.io_block_size,
-                    filesystem=fs,
-                )
-
-        b.phase("main")
-        b.stream("compute")
-        if self.memory_bytes:
-            b.memory(allocate=self.memory_bytes, block_size=self.mem_block_size)
-        if self.sleep_seconds:
-            b.sleep(self.sleep_seconds)
-        for chunk in range(self.chunks):
-            if self.instructions:
-                b.compute(
-                    instructions=self.instructions / self.chunks,
-                    workload_class=self.workload_class,
-                    flops_per_instruction=self.flop_fraction,
-                    threads=self.threads,
-                    paradigm=self.paradigm,
-                )
-            if not self.overlap_io:
-                emit_io(chunk)
-        if self.net_sent or self.net_received:
-            b.network(bytes_sent=self.net_sent, bytes_received=self.net_received)
-        if self.overlap_io:
-            b.stream("io")
-            for chunk in range(self.chunks):
-                emit_io(chunk)
-
-        if self.memory_bytes:
-            b.phase("teardown")
-            b.stream("main")
-            b.memory(free=self.memory_bytes, block_size=self.mem_block_size)
-        return b.build()
 
     def command(self) -> str:
         return self.name

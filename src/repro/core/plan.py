@@ -31,10 +31,8 @@ from repro.core.config import SynapseConfig
 from repro.core.errors import EmulationError
 from repro.core.samples import Profile
 from repro.kernels.registry import get_kernel
-from repro.sim.demands import ComputeDemand, IODemand, MemoryDemand, NetworkDemand, SleepDemand
 from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
-from repro.sim.workload import SimWorkload
 
 __all__ = [
     "PlanSample",
@@ -329,123 +327,18 @@ class EmulationPlan:
 
     # -- simulation-plane translation ---------------------------------------------
 
-    def build_sim_workload(
-        self, config: SynapseConfig, machine: MachineSpec | None = None
-    ) -> SimWorkload:
-        """Express this plan as a simulation workload (Fig 2 semantics).
-
-        Each plan sample becomes one phase; each atom with work becomes a
-        concurrent stream inside it.  Compute demands carry the selected
-        kernel's workload class and the target cycle budget, so the
-        machine's calibration bias applies exactly as on real hardware.
-        """
-        config = self.effective_config(config)
-        kernel = get_kernel(config.compute_kernel)
-        threads = max(config.openmp_threads, 1)
-        paradigm = "openmp"
-        if config.mpi_processes > 1:
-            threads = config.mpi_processes
-            paradigm = "mpi"
-        fs = config.io_filesystem
-        # CPU-efficiency targeting (Table 1: partially supported, manual):
-        # efficiency = used/(used+stalled)  =>  stalled/used = 1/eff - 1.
-        stall_override = None
-        if config.efficiency_target is not None:
-            stall_override = 1.0 / config.efficiency_target - 1.0
-
-        workload = SimWorkload(
-            name=f"synapse-emulate {self.command}",
-            base_rss=EMULATOR_BASE_RSS,
-            metadata={
-                "emulation_of": self.command,
-                "kernel": kernel.name,
-                "command": f"synapse-emulate {self.command}",
-            },
-        )
-
-        startup = workload.phase("emulator-startup")
-        stream = startup.stream("driver")
-        stream.add(SleepDemand(EMULATOR_STARTUP_SLEEP))
-        stream.add(
-            ComputeDemand(
-                instructions=EMULATOR_STARTUP_INSTRUCTIONS,
-                workload_class="app.startup",
-            )
-        )
-
-        load_fraction = config.cpu_load
-        for plan_sample in self.samples:
-            work = plan_sample.work
-            if work.empty:
-                continue
-            phase = workload.phase(f"sample-{plan_sample.index}")
-            if work.cycles > 0:
-                flop_frac = min(1.0, work.flops / work.cycles) if work.cycles else 0.0
-                phase.stream("compute").add(
-                    ComputeDemand(
-                        instructions=0.0,
-                        workload_class=kernel.workload_class,
-                        calibrated_cycles=work.cycles,
-                        flops_per_instruction=flop_frac,
-                        threads=threads,
-                        paradigm=paradigm,
-                        stall_ratio=stall_override,
-                    )
-                )
-                if load_fraction > 0:
-                    # Artificial background load (§4.3): co-scheduled CPU
-                    # work proportional to the sample's own cycle budget.
-                    phase.stream("cpu-load").add(
-                        ComputeDemand(
-                            instructions=0.0,
-                            workload_class=kernel.workload_class,
-                            calibrated_cycles=work.cycles * load_fraction,
-                        )
-                    )
-            if work.read_bytes > 0 or work.write_bytes > 0:
-                storage = phase.stream("storage")
-                if work.read_bytes > 0:
-                    storage.add(
-                        IODemand(
-                            bytes_read=work.read_bytes,
-                            block_size=int(config.io_block_size_read),
-                            filesystem=fs,
-                        )
-                    )
-                if work.write_bytes > 0:
-                    storage.add(
-                        IODemand(
-                            bytes_written=work.write_bytes,
-                            block_size=int(config.io_block_size_write),
-                            filesystem=fs,
-                        )
-                    )
-            if work.alloc_bytes > 0 or work.free_bytes > 0:
-                phase.stream("memory").add(
-                    MemoryDemand(
-                        allocate=work.alloc_bytes,
-                        free=work.free_bytes,
-                        block_size=int(config.mem_block_size),
-                    )
-                )
-            if work.sent_bytes > 0 or work.received_bytes > 0:
-                phase.stream("network").add(
-                    NetworkDemand(
-                        bytes_sent=work.sent_bytes,
-                        bytes_received=work.received_bytes,
-                        block_size=int(config.net_block_size),
-                    )
-                )
-        return workload
-
     def build_packed_workload(
         self, config: SynapseConfig, machine: MachineSpec | None = None
     ) -> PackedWorkload:
-        """Columnar twin of :meth:`build_sim_workload`.
+        """Express this plan as a packed simulation workload (Fig 2
+        semantics).
 
-        Emits the exact same demands in the same phase/stream order but
-        straight into packed columns, so replaying large plans (one phase
-        per profile sample) never materialises per-demand objects.
+        Each non-empty plan sample becomes one phase; each atom with work
+        becomes a concurrent stream inside it.  Compute demands carry the
+        selected kernel's workload class and the target cycle budget, so
+        the machine's calibration bias applies exactly as on real
+        hardware.  The demands go straight into columns: a plan of
+        thousands of samples never materialises per-demand objects.
         """
         del machine
         config = self.effective_config(config)
@@ -456,6 +349,8 @@ class EmulationPlan:
             threads = config.mpi_processes
             paradigm = "mpi"
         fs = config.io_filesystem
+        # CPU-efficiency targeting (Table 1: partially supported, manual):
+        # efficiency = used/(used+stalled)  =>  stalled/used = 1/eff - 1.
         stall_override = None
         if config.efficiency_target is not None:
             stall_override = 1.0 / config.efficiency_target - 1.0
@@ -503,6 +398,8 @@ class EmulationPlan:
                     stall_ratio=stall_override,
                 )
                 if load_fraction > 0:
+                    # Artificial background load (§4.3): co-scheduled CPU
+                    # work proportional to the sample's own cycle budget.
                     b.stream("cpu-load")
                     b.compute(
                         instructions=0.0,

@@ -6,7 +6,7 @@ callable via ``multiprocessing`` — the paper's ``profile(command)``
 accepts both), its pid is handed to the watchers, and counters come from
 ``/proc``.  Hardware-counter metrics (cycles, instructions) use a
 model-based provider anchored at the host's nominal frequency, replacing
-``perf stat`` (substitution documented in DESIGN.md §2).
+``perf stat``, which needs perf-events permissions.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ the POSIX rusage call" (§4.1).  ``perf stat`` needs perf-events
 permissions that portable deployments often lack — the exact motivation
 the paper gives for preferring standard system utilities over PAPI — so
 this reproduction reads scheduler CPU time from ``/proc/<pid>/stat`` and
-derives cycle counts with the host's nominal frequency (a documented
-model-based provider, DESIGN.md §2).
+derives cycle counts with the host's nominal frequency (a model-based
+provider: CPU time × frequency, not a hardware counter).
 
 All readers return ``None`` when the process has already exited or the
 file is unreadable; callers keep their last good snapshot.

@@ -6,7 +6,7 @@ the system while emulating an application, thus emulating the application
 execution in a stressed environment".  Loads are context managers: they
 start background activity on entry and stop it cleanly on exit.  On the
 simulation plane, artificial load is expressed as extra streams in the
-emulation workload instead (see :meth:`EmulationPlan.build_sim_workload`).
+emulation workload instead (see :meth:`EmulationPlan.build_packed_workload`).
 """
 
 from __future__ import annotations

@@ -274,26 +274,6 @@ def _noise_model(row: NoiseRow, spec: Any, workload: Any):
     return _noise_for(spec, workload, noisy, seed, index)
 
 
-def _resolve_workload(target: Any, spec: Any):
-    from repro.sim.packed import PackedWorkload  # noqa: PLC0415 (cycle)
-    from repro.sim.workload import SimWorkload  # noqa: PLC0415 (cycle)
-
-    if isinstance(target, (SimWorkload, PackedWorkload)):
-        return target
-    # Prefer the columnar builder — same demands, no per-demand objects.
-    builder = getattr(target, "build_packed", None)
-    if callable(builder):
-        return builder(spec)
-    builder = getattr(target, "build_workload", None)
-    if callable(builder):
-        return builder(spec)
-    raise WorkloadError(
-        f"cannot execute {target!r} on the sim plane: expected a "
-        "SimWorkload, a PackedWorkload, or an object with "
-        "build_workload(machine)"
-    )
-
-
 def _replayed(
     request: RunRequest, target: Any, machine: Any, plans: PlanScope | None
 ) -> tuple[Any, Any, PlanGroup, list[tuple[NoiseRow, Any]]]:
@@ -323,6 +303,7 @@ def _replayed(
     request of the pair replay alone (sharing the plan the first of
     them prepares), and one request's trouble cannot fail the others.
     """
+    from repro.sim.backend import _resolve_target  # noqa: PLC0415 (cycle)
     from repro.sim.engine import Engine, block_rows  # noqa: PLC0415 (cycle)
     from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
 
@@ -337,7 +318,7 @@ def _replayed(
         plan = group.plan
         if plan is None:
             spec = resolve_machine(machine)
-            plan = Engine(spec).prepare(_resolve_workload(target, spec))
+            plan = Engine(spec).prepare(_resolve_target(target, spec))
         spec = plan.machine
         rows = group.claim(row, block_rows(plan))
         declared = bool(rows)

@@ -3,7 +3,8 @@
 This subpackage lets the *same* profiler/emulator code that observes real
 Linux processes run against deterministic models of the paper's six
 experiment machines — the "profile once, emulate anywhere" loop without
-the testbed.  See DESIGN.md §2 for the substitution rationale.
+the testbed.  The profiler sees only counters, so a model that produces
+the counters the paper reports stands in for the hardware.
 """
 
 from repro.sim.backend import SimBackend

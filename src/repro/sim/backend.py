@@ -55,6 +55,24 @@ def _noise_for(
     )
 
 
+def _resolve_target(target: Any, machine: MachineSpec) -> SimWorkload | PackedWorkload:
+    """The workload ``target`` runs on ``machine``: a workload as it is,
+    else what its ``build_packed`` or ``build_workload`` builds.  The
+    one target resolution of the sim plane — the run service's engine
+    executor (:mod:`repro.runtime.execute`) resolves through it too."""
+    if isinstance(target, (SimWorkload, PackedWorkload)):
+        return target
+    for method in ("build_packed", "build_workload"):
+        builder = getattr(target, method, None)
+        if callable(builder):
+            return builder(machine)
+    raise WorkloadError(
+        f"cannot execute {target!r} on the sim plane: expected a "
+        "SimWorkload, a PackedWorkload, or an object with "
+        "build_workload(machine)"
+    )
+
+
 class SimBackend(ExecutionBackend):
     """Execution backend over one simulated machine.
 
@@ -124,7 +142,8 @@ class SimBackend(ExecutionBackend):
             record = target
         else:
             workload = (
-                target if isinstance(target, Prepared) else self._resolve(target)
+                target if isinstance(target, Prepared)
+                else _resolve_target(target, self.machine)
             )
             noise = _noise_for(
                 self.machine, workload, self.noisy, self.seed, self._spawn_count
@@ -186,7 +205,7 @@ class SimBackend(ExecutionBackend):
         """
         from repro.runtime.service import RunRequest, get_service  # noqa: PLC0415 (cycle)
 
-        workloads = [self._resolve(target) for target in targets]
+        workloads = [_resolve_target(target, self.machine) for target in targets]
         first_index = self._spawn_count + 1
         self._spawn_count += len(workloads)
         requests = [
@@ -203,20 +222,3 @@ class SimBackend(ExecutionBackend):
         ]
         svc = service if service is not None else get_service()
         return [result.value for result in svc.run(requests, processes=processes)]
-
-    def _resolve(self, target: Any) -> SimWorkload | PackedWorkload:
-        if isinstance(target, (SimWorkload, PackedWorkload)):
-            return target
-        # Columnar fast path: application models that build packed
-        # workloads directly skip per-demand object materialisation.
-        builder = getattr(target, "build_packed", None)
-        if callable(builder):
-            return builder(self.machine)
-        builder = getattr(target, "build_workload", None)
-        if callable(builder):
-            return builder(self.machine)
-        raise WorkloadError(
-            f"cannot execute {target!r} on the sim backend: expected a "
-            "SimWorkload, a PackedWorkload, or an object with "
-            "build_workload(machine)"
-        )

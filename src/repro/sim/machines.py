@@ -3,7 +3,7 @@
 Each entry reproduces the documented hardware of one machine used in the
 paper, with per-workload-class IPC / stall / calibration-bias parameters
 chosen so the *measured* experiment outcomes land where the paper reports
-them (see EXPERIMENTS.md for the paper-vs-measured comparison):
+them:
 
 * ``thinkie``  — Intel Core i7 M620 laptop, 4 cores, 8 GB, local SSD;
   the machine all profiling runs use (E.1/E.2).

@@ -8,17 +8,20 @@ engine's hot path: :meth:`repro.sim.engine.Engine.run` binds the columns
 to a machine model with a handful of vectorised lookups, so a
 10⁶-demand run never materialises 10⁶ ``Demand`` instances.
 
-Three ways to obtain one:
+Who builds the columns:
 
-* :func:`pack_workload` compiles an existing object workload in one
-  pass (the engine's only way in for object workloads: ``Engine.prepare``
-  packs them, then binds the columns);
-* :class:`PackedBuilder` builds columns directly with the same
-  phase/stream/demand vocabulary as ``SimWorkload`` (what the
-  application models' ``build_packed`` methods use);
+* :func:`pack_workload` compiles an object workload in one pass: every
+  application model's ``build_packed`` is the pack of its
+  ``build_workload``, and ``Engine.prepare`` packs object workloads
+  itself;
+* :class:`PackedBuilder` appends demands with the same
+  phase/stream/demand vocabulary as ``SimWorkload``: emulation plans'
+  ``build_packed_workload`` uses it (a few demands per profile sample,
+  with no objects in between);
 * :meth:`PackedBuilder.compute_many` & friends append whole column
-  chunks at once (what synthetic traffic generators and benchmarks
-  use to build million-demand workloads in milliseconds).
+  chunks at once, and :mod:`repro.traffic.workload` fills the columns
+  itself: bulk request traffic and benchmarks build million-demand
+  workloads in milliseconds.
 
 String-valued demand attributes (workload class, paradigm, filesystem)
 are interned into small name tables with integer codes per demand, so
@@ -33,7 +36,7 @@ through the run-service pool exactly like object workloads do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -170,10 +173,6 @@ class _Interner:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.codes)
-
-    def remap(self, other: Sequence[str]) -> np.ndarray:
-        """Code-translation array for another table's codes into this one."""
-        return np.asarray([self(name) for name in other], dtype=np.intp)
 
 
 class PackedBuilder:
@@ -511,58 +510,6 @@ class PackedBuilder:
         n["sent"].extend(np.asarray(sent).tolist())
         n["recv"].extend(np.asarray(recv).tolist())
         n["block"].extend(np.asarray(block).tolist())
-        return self
-
-    # -- composition --------------------------------------------------------
-
-    def append_flat(self, inner: PackedWorkload) -> "PackedBuilder":
-        """Append every demand of ``inner`` serially to the current stream.
-
-        This is the flattening composition the DAG skeleton uses: the
-        inner workload's phase/stream structure is discarded and its
-        demands run serially, in global demand order, as part of the
-        current stream.  Name tables are re-interned into this builder.
-        """
-        if inner.n == 0:
-            return self
-        first = self._bulk_slots(inner.n)
-        self._kinds.extend(inner.kinds.tolist())
-        if inner.c_pos.size:
-            cls_map = self._classes.remap(inner.class_names)
-            par_map = self._paradigms.remap(inner.paradigm_names)
-            c = self._c
-            c["pos"].extend((inner.c_pos + first).tolist())
-            c["instr"].extend(inner.c_instr.tolist())
-            c["cc"].extend(inner.c_cc.tolist())
-            c["cls"].extend(cls_map[inner.c_class].tolist())
-            c["fpi"].extend(inner.c_fpi.tolist())
-            c["threads"].extend(inner.c_threads.tolist())
-            c["paradigm"].extend(par_map[inner.c_paradigm].tolist())
-            c["sr"].extend(inner.c_sr.tolist())
-        if inner.i_pos.size:
-            fs_map = self._fs.remap(inner.fs_names)
-            i = self._i
-            i["pos"].extend((inner.i_pos + first).tolist())
-            i["read"].extend(inner.i_read.tolist())
-            i["written"].extend(inner.i_written.tolist())
-            i["block"].extend(inner.i_block.tolist())
-            i["fs"].extend(fs_map[inner.i_fs].tolist())
-        if inner.m_pos.size:
-            m = self._m
-            m["pos"].extend((inner.m_pos + first).tolist())
-            m["alloc"].extend(inner.m_alloc.tolist())
-            m["free"].extend(inner.m_free.tolist())
-            m["block"].extend(inner.m_block.tolist())
-        if inner.net_pos.size:
-            net = self._net
-            net["pos"].extend((inner.net_pos + first).tolist())
-            net["sent"].extend(inner.net_sent.tolist())
-            net["recv"].extend(inner.net_recv.tolist())
-            net["block"].extend(inner.net_block.tolist())
-        if inner.s_pos.size:
-            s = self._s
-            s["pos"].extend((inner.s_pos + first).tolist())
-            s["secs"].extend(inner.s_secs.tolist())
         return self
 
     # -- finalisation -------------------------------------------------------

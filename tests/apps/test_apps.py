@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import EnsembleApp, EnsembleStage, GromacsModel, SleeperApp, SyntheticApp
+from repro.core.errors import WorkloadError
+from repro.runtime import RunRequest, RunService
+from repro.runtime.service import RunPolicy
 from repro.sim.demands import ComputeDemand, IODemand
 from repro.sim.engine import Engine
 from repro.sim.machines import get_machine
@@ -191,3 +194,36 @@ class TestEnsembleApp:
             EnsembleApp(stages=())
         with pytest.raises(ValueError):
             EnsembleStage(tasks=0, instructions=1.0)
+
+
+#: Apps whose constructor accepts them but whose demands are invalid.
+INVALID_DEMANDS = {
+    "threads=0": dict(instructions=1e9, threads=0),
+    "flop_fraction=2": dict(instructions=1e9, flop_fraction=2),
+    "memory_bytes=-1": dict(memory_bytes=-1),
+    "sleep_seconds=-1": dict(sleep_seconds=-1),
+    "io_block_size=0": dict(bytes_written=1 << 20, io_block_size=0),
+    "net_sent=-3": dict(net_sent=-3),
+}
+
+
+class TestInvalidDemands:
+    """An app whose demands are invalid fails the same way every time:
+    ``build_packed`` raises :class:`WorkloadError`, which no retry
+    policy re-attempts."""
+
+    @pytest.mark.parametrize("kind", ["profile", "engine"])
+    @pytest.mark.parametrize("params", INVALID_DEMANDS.values(), ids=INVALID_DEMANDS)
+    def test_request_fails_after_one_attempt(self, params, kind):
+        request = RunRequest(
+            kind=kind, target=SyntheticApp(**params), machine="thinkie",
+            config={"sample_rate": 2.0} if kind == "profile" else None,
+            key="bad", policy=RunPolicy(retries=2),
+        )
+        with RunService(processes=1) as svc:
+            (result,) = svc.run([request], rethrow=False)
+            with pytest.raises(WorkloadError):
+                svc.run([request])
+        assert not result.ok
+        assert f"{kind} request key=bad (attempt 1/3" in result.error
+        assert "WorkloadError(" in result.error

@@ -62,6 +62,12 @@ class TestParseApp:
         with pytest.raises(ConfigError):
             parse_app("gromacs:warp_factor=9")
 
+    @pytest.mark.parametrize("spec", ["gromacs:iterations=0", "synthetic:chunks=0"])
+    def test_model_value_error_is_a_config_error(self, spec):
+        # A retry policy would re-attempt a bare ValueError.
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            parse_app(spec)
+
 
 class TestRegistry:
     def test_builtin_apps_listed(self):

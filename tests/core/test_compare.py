@@ -88,7 +88,7 @@ class TestEndToEnd:
         from tests.conftest import make_backend
 
         plan = EmulationPlan.from_profile(gromacs_profile)
-        workload = plan.build_sim_workload(SynapseConfig())
+        workload = plan.build_packed_workload(SynapseConfig())
         emu_profile = Profiler(
             make_backend(), config=SynapseConfig(sample_rate=2.0)
         ).run(workload)

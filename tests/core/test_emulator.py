@@ -96,7 +96,7 @@ class TestSimReplayFidelity:
         # Profile a fresh emulation run through the ordinary profiler.
         backend2 = make_backend("thinkie")
         plan = EmulationPlan.from_profile(gromacs_profile)
-        workload = plan.build_sim_workload(SynapseConfig(compute_kernel="asm"))
+        workload = plan.build_packed_workload(SynapseConfig(compute_kernel="asm"))
         reprofiled = Profiler(backend2, config=SynapseConfig(sample_rate=2.0)).run(
             workload
         )

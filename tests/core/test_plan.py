@@ -14,7 +14,7 @@ from repro.core.config import SynapseConfig
 from repro.core.errors import EmulationError
 from repro.core.plan import EmulationPlan, PlanColumns, PlanSample
 from repro.core.samples import Profile, Sample
-from repro.sim.demands import ComputeDemand, IODemand, MemoryDemand
+from repro.sim.packed import KIND_COMPUTE, KIND_IO, KIND_MEM, KIND_SLEEP
 
 
 def profile_from_values(values_per_sample) -> Profile:
@@ -361,7 +361,23 @@ class TestMalleability:
             EmulationPlan.from_profile(profile).regrid(0)
 
 
+def phase_streams(packed, phase: int) -> list[list[int]]:
+    """Demand-kind codes of each stream of ``phase``, in stream order."""
+    return [
+        packed.kinds[first:end].tolist()
+        for p, first, end in zip(
+            packed.stream_phase.tolist(),
+            packed.stream_first.tolist(),
+            packed.stream_end.tolist(),
+        )
+        if p == phase
+    ]
+
+
 class TestSimWorkloadBuild:
+    """``build_packed_workload``: packed workloads keep no phase or
+    stream names, so streams are told apart by their demand kinds."""
+
     def test_phase_per_nonempty_sample(self):
         profile = profile_from_values(
             [
@@ -371,10 +387,13 @@ class TestSimWorkloadBuild:
             ]
         )
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig())
+        workload = plan.build_packed_workload(SynapseConfig())
         # startup phase + two non-empty sample phases
-        assert len(workload.phases) == 3
-        assert workload.phases[0].name == "emulator-startup"
+        assert workload.n_phases == 3
+        # The emulator's startup: one stream, a sleep then compute.
+        assert phase_streams(workload, 0) == [[KIND_SLEEP, KIND_COMPUTE]]
+        assert phase_streams(workload, 1) == [[KIND_COMPUTE]]
+        assert phase_streams(workload, 2) == [[KIND_IO]]
 
     def test_atoms_become_streams(self):
         profile = profile_from_values(
@@ -387,49 +406,46 @@ class TestSimWorkloadBuild:
             ]
         )
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig())
-        sample_phase = workload.phases[1]
-        names = {s.name for s in sample_phase.streams}
-        assert names == {"compute", "storage", "memory"}
+        workload = plan.build_packed_workload(SynapseConfig())
+        # compute, storage and memory: one concurrent stream each.
+        assert phase_streams(workload, 1) == [[KIND_COMPUTE], [KIND_IO], [KIND_MEM]]
 
     def test_kernel_class_applied(self):
         profile = profile_from_values([{"cpu.cycles_used": 10.0}])
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig(compute_kernel="c"))
-        demand = workload.phases[1].streams[0].demands[0]
-        assert isinstance(demand, ComputeDemand)
-        assert demand.workload_class == "kernel.c"
-        assert demand.calibrated_cycles == pytest.approx(10.0)
+        workload = plan.build_packed_workload(SynapseConfig(compute_kernel="c"))
+        assert phase_streams(workload, 1) == [[KIND_COMPUTE]]
+        # Compute demand 0 is the emulator's startup.
+        assert workload.class_names[workload.c_class[1]] == "kernel.c"
+        assert workload.c_cc[1] == pytest.approx(10.0)
 
     def test_block_sizes_applied(self):
         profile = profile_from_values([{"io.bytes_read": 10.0, "io.bytes_written": 10.0}])
         plan = EmulationPlan.from_profile(profile)
         config = SynapseConfig(io_block_size_read="4KB", io_block_size_write="1MB")
-        workload = plan.build_sim_workload(config)
-        demands = workload.phases[1].streams[0].demands
-        assert all(isinstance(d, IODemand) for d in demands)
-        assert demands[0].block_size == 4096
-        assert demands[1].block_size == 1 << 20
+        workload = plan.build_packed_workload(config)
+        assert phase_streams(workload, 1) == [[KIND_IO, KIND_IO]]
+        assert workload.i_read.tolist() == [10, 0]
+        assert workload.i_block.tolist() == [4096, 1 << 20]
 
     def test_mpi_config_sets_paradigm(self):
         profile = profile_from_values([{"cpu.cycles_used": 10.0}])
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig(mpi_processes=4))
-        demand = workload.phases[1].streams[0].demands[0]
-        assert demand.paradigm == "mpi"
-        assert demand.threads == 4
+        workload = plan.build_packed_workload(SynapseConfig(mpi_processes=4))
+        assert workload.paradigm_names[workload.c_paradigm[1]] == "mpi"
+        assert workload.c_threads[1] == 4
 
     def test_cpu_load_adds_stream(self):
         profile = profile_from_values([{"cpu.cycles_used": 10.0}])
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig(cpu_load=0.5))
-        names = [s.name for s in workload.phases[1].streams]
-        assert "cpu-load" in names
+        workload = plan.build_packed_workload(SynapseConfig(cpu_load=0.5))
+        assert phase_streams(workload, 1) == [[KIND_COMPUTE], [KIND_COMPUTE]]
+        assert workload.c_cc[1:].tolist() == [10.0, 5.0]
 
     def test_memory_demand_block_size(self):
         profile = profile_from_values([{"mem.allocated": 100.0}])
         plan = EmulationPlan.from_profile(profile)
-        workload = plan.build_sim_workload(SynapseConfig(mem_block_size="4KB"))
-        demand = workload.phases[1].streams[0].demands[0]
-        assert isinstance(demand, MemoryDemand)
-        assert demand.block_size == 4096
+        workload = plan.build_packed_workload(SynapseConfig(mem_block_size="4KB"))
+        assert phase_streams(workload, 1) == [[KIND_MEM]]
+        assert workload.m_alloc.tolist() == [100]
+        assert workload.m_block.tolist() == [4096]

@@ -3,6 +3,7 @@ partial support) and blktrace-informed 'auto' block sizes (§6)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.apps import GromacsModel, SyntheticApp
@@ -11,7 +12,6 @@ from repro.core.emulator import Emulator
 from repro.core.errors import ConfigError
 from repro.core.plan import EmulationPlan
 from repro.core.profiler import Profiler
-from repro.sim.demands import IODemand
 
 from tests.conftest import make_backend
 
@@ -25,22 +25,23 @@ class TestEfficiencyTargeting:
 
     def test_stall_override_in_workload(self):
         plan = self.make_plan()
-        workload = plan.build_sim_workload(SynapseConfig(efficiency_target=0.8))
-        demand = workload.phases[1].streams[0].demands[0]
+        workload = plan.build_packed_workload(SynapseConfig(efficiency_target=0.8))
+        # Compute demand 0 is the emulator's startup (the class default);
+        # every sample's compute carries the override.
+        assert np.isnan(workload.c_sr[0])
         # efficiency 0.8 => stalled/used = 0.25
-        assert demand.stall_ratio == pytest.approx(0.25)
+        assert workload.c_sr[1:] == pytest.approx([0.25] * (workload.c_sr.size - 1))
 
     def test_no_target_uses_machine_default(self):
         plan = self.make_plan()
-        workload = plan.build_sim_workload(SynapseConfig())
-        demand = workload.phases[1].streams[0].demands[0]
-        assert demand.stall_ratio is None
+        workload = plan.build_packed_workload(SynapseConfig())
+        assert np.isnan(workload.c_sr).all()  # NaN: the class default
 
     def test_emulation_hits_target_efficiency(self):
         """Re-profiling a targeted emulation reports the tuned efficiency."""
         plan = self.make_plan()
         target = 0.8
-        workload = plan.build_sim_workload(
+        workload = plan.build_packed_workload(
             SynapseConfig(efficiency_target=target, compute_kernel="asm")
         )
         emu_profile = Profiler(
@@ -54,7 +55,7 @@ class TestEfficiencyTargeting:
         plan = self.make_plan()
         efficiencies = {}
         for target in (0.5, 0.9):
-            workload = plan.build_sim_workload(SynapseConfig(efficiency_target=target))
+            workload = plan.build_packed_workload(SynapseConfig(efficiency_target=target))
             emu_profile = Profiler(
                 make_backend(), config=SynapseConfig(sample_rate=2.0)
             ).run(workload)
@@ -80,18 +81,11 @@ class TestAutoBlockSizes:
         prof = self.profile_io_app(block_size=256 << 10)
         plan = EmulationPlan.from_profile(prof)
         assert plan.info["io.block_size_read_mean"] == pytest.approx(256 << 10)
-        workload = plan.build_sim_workload(
+        workload = plan.build_packed_workload(
             SynapseConfig(io_block_size_read="auto", io_block_size_write="auto")
         )
-        io_demands = [
-            d
-            for phase in workload.phases
-            for stream in phase.streams
-            for d in stream.demands
-            if isinstance(d, IODemand)
-        ]
-        assert io_demands
-        assert all(d.block_size == 256 << 10 for d in io_demands)
+        assert workload.i_block.size
+        assert (workload.i_block == 256 << 10).all()
 
     def test_auto_without_blktrace_falls_back(self):
         app = SyntheticApp(bytes_written=4 << 20, chunks=2)

@@ -1,9 +1,10 @@
 """Property-based round-trip tests across the full pipeline.
 
-The chain profile -> plan -> sim workload -> engine -> record must
+The chain profile -> plan -> packed workload -> engine -> record must
 conserve resources end to end for *arbitrary* profiles, not just the
 ones our app models produce.  Hypothesis generates random profiles and
-checks the conservation and ordering invariants of DESIGN.md §5.
+checks that every resource total survives the replay and that plan
+samples replay as one barrier phase each, in order.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ CONFIG = SynapseConfig(atoms=("compute", "memory", "storage", "network"))
 
 def replay_record(profile: Profile):
     plan = EmulationPlan.from_profile(profile)
-    workload = plan.build_sim_workload(CONFIG, MACHINE)
+    workload = plan.build_packed_workload(CONFIG, MACHINE)
     return plan, Engine(MACHINE, NoiseModel.silent()).run(workload)
 
 
@@ -98,8 +99,8 @@ def test_regrid_invariant_replay(profile, factor):
     """Coarser plans consume identical totals (only concurrency differs)."""
     plan = EmulationPlan.from_profile(profile)
     merged = plan.regrid(factor)
-    workload_a = plan.build_sim_workload(CONFIG, MACHINE)
-    workload_b = merged.build_sim_workload(CONFIG, MACHINE)
+    workload_a = plan.build_packed_workload(CONFIG, MACHINE)
+    workload_b = merged.build_packed_workload(CONFIG, MACHINE)
     engine = Engine(MACHINE, NoiseModel.silent())
     totals_a = engine.run(workload_a).totals()
     totals_b = engine.run(workload_b).totals()

@@ -1,9 +1,9 @@
 """Generate the golden-equivalence fixtures for the sim-plane fast path.
 
 Run as a script to (re)create the fixtures under ``tests/sim/fixtures``
-(all of them, or the ones named)::
+(the records and emulations, or the ones named)::
 
-    PYTHONPATH=src python tests/sim/gen_golden_fixtures.py [records] [emulations]
+    PYTHONPATH=src python tests/sim/gen_golden_fixtures.py [records] [emulations] [packed]
 
 ``golden_records.json`` was produced by the *scalar* engine and lockstep
 profiler (pre vectorisation, PR 2); ``test_golden_equivalence.py`` then
@@ -12,7 +12,14 @@ tolerance.  ``golden_emulations.json`` holds whole emulation records —
 profile → plan → packed workload → noisy replay — generated by the
 per-sample plan builder and the per-stream timeline (before PR 19) and
 pinned *exactly*: floats are stored by ``repr`` and series as digests of
-their bytes.  Regenerate only when the execution *model* changes on
+their bytes.  ``golden_app_packed.json`` holds one digest per packed
+workload (every column, name table and stream table) of
+:data:`APP_CASES` on :data:`PACKED_MACHINES` and of :func:`packed_plan`
+under :data:`PLAN_CONFIGS`; the application digests were taken from the
+direct column builders the models had before ``build_packed`` became
+``pack_workload(build_workload())``, so they pin the one demand model to
+what the hand-written twins emitted — never regenerate that one.
+Regenerate the others only when the execution *model* changes on
 purpose (new cost formula, new noise semantics) — never to paper over an
 accidental behaviour change.
 """
@@ -29,14 +36,19 @@ import numpy as np
 
 from repro.apps import EnsembleApp, GromacsModel, SleeperApp, SyntheticApp
 from repro.apps.ensemble import EnsembleStage
+from repro.apps.skeleton import chain, fan_out_fan_in
+from repro.atoms.base import AtomWork
 from repro.core.api import profile
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
-from repro.core.plan import EmulationPlan
+from repro.core.plan import EmulationPlan, PlanSample
 from repro.sim.backend import SimBackend
+from repro.sim.machines import get_machine
+from repro.sim.packed import PackedWorkload
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_records.json"
 EMULATION_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_emulations.json"
+PACKED_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_app_packed.json"
 
 #: (case name, machine, seed, app factory) — one seeded noisy run each.
 CASES = [
@@ -79,6 +91,40 @@ EMULATION_CASES = [
     ("emulate-44-thinkie-load", 1_000_000, 1, "thinkie", 5, {"cpu_load": 0.25}),
     ("emulate-44-stampede", 1_000_000, 1, "stampede", 6, {}),
 ]
+
+#: (case name, app factory) — every application shape, packed on every
+#: machine of :data:`PACKED_MACHINES`.
+APP_CASES = [
+    ("synthetic-full", lambda: SyntheticApp(
+        instructions=5e8, bytes_read=1 << 22, bytes_written=1 << 21,
+        memory_bytes=1 << 24, net_sent=1 << 20, net_received=1 << 19,
+        sleep_seconds=0.2, threads=4, overlap_io=True, chunks=12)),
+    ("synthetic-serial", lambda: SyntheticApp(
+        instructions=3e8, bytes_written=1 << 20, chunks=5)),
+    ("synthetic-empty-overlap", lambda: SyntheticApp(overlap_io=True, chunks=3)),
+    ("gromacs-threads", lambda: GromacsModel(iterations=20_000, threads=4)),
+    ("gromacs-mpi", lambda: GromacsModel(iterations=30_000, threads=8, paradigm="mpi")),
+    ("sleeper", lambda: SleeperApp(sleep_seconds=1.5)),
+    ("ensemble", lambda: EnsembleApp(stages=(
+        EnsembleStage(tasks=4, instructions=1e9, bytes_written=4096),
+        EnsembleStage(tasks=1, instructions=5e8)))),
+    ("skeleton-chain", lambda: chain(
+        {"a": SleeperApp(sleep_seconds=0.1), "b": GromacsModel(iterations=2000)})),
+    ("skeleton-fan", lambda: fan_out_fan_in(
+        SyntheticApp(bytes_read=1 << 20, chunks=2),
+        {"w1": GromacsModel(iterations=1000), "w2": SleeperApp(sleep_seconds=0.2)},
+        SyntheticApp(bytes_written=1 << 20, chunks=2))),
+]
+
+#: The machines of E12's campaigns.
+PACKED_MACHINES = ("thinkie", "comet", "stampede", "archer")
+
+#: Emulation configs :func:`packed_plan` is packed under.
+PLAN_CONFIGS = {
+    "default": {},
+    "load-efficiency": {"cpu_load": 0.5, "efficiency_target": 0.8},
+    "mpi-lustre": {"mpi_processes": 4, "io_filesystem": "lustre"},
+}
 
 
 def record_case(machine: str, seed: int, factory) -> dict:
@@ -146,6 +192,43 @@ def emulation_case(
     }
 
 
+def packed_plan() -> EmulationPlan:
+    """A 25-sample plan with every quantum, about half the samples
+    without cycles."""
+    rng = np.random.default_rng(11)
+    samples = [
+        PlanSample(
+            index=i,
+            work=AtomWork(
+                cycles=float(rng.integers(0, 2)) * float(rng.uniform(1e6, 1e9)),
+                flops=float(rng.uniform(0, 5e8)),
+                alloc_bytes=int(rng.integers(0, 1 << 22)),
+                free_bytes=int(rng.integers(0, 1 << 20)),
+                read_bytes=int(rng.integers(0, 1 << 22)),
+                write_bytes=int(rng.integers(0, 1 << 22)),
+                sent_bytes=int(rng.integers(0, 1 << 16)),
+                received_bytes=int(rng.integers(0, 1 << 16)),
+            ),
+        )
+        for i in range(25)
+    ]
+    return EmulationPlan(samples=samples, command="cmd")
+
+
+def packed_digest(packed: PackedWorkload) -> str:
+    """Digest of everything a packed workload holds: identity, name
+    tables, and every column's dtype and bytes."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(json.dumps([
+        packed.name, packed.base_rss, packed.metadata, packed.n, packed.n_phases,
+        packed.class_names, packed.paradigm_names, packed.fs_names,
+    ], sort_keys=True).encode("utf-8"))
+    for name, column in packed.column_arrays().items():
+        h.update(f"{name}:{column.dtype.str}:".encode("utf-8"))
+        h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()
+
+
 def _write(path: Path, out: dict) -> None:
     path.parent.mkdir(exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -172,9 +255,29 @@ def write_emulations() -> None:
     })
 
 
+def write_packed() -> None:
+    plan = packed_plan()
+    _write(PACKED_FIXTURE_PATH, {
+        "apps": {
+            name: {
+                machine: packed_digest(factory().build_packed(get_machine(machine)))
+                for machine in PACKED_MACHINES
+            }
+            for name, factory in APP_CASES
+        },
+        "plans": {
+            name: packed_digest(plan.build_packed_workload(SynapseConfig(**config)))
+            for name, config in PLAN_CONFIGS.items()
+        },
+    })
+
+
 def main(argv: list[str]) -> None:
-    writers = {"records": write_records, "emulations": write_emulations}
-    for name in argv or list(writers):
+    writers = {
+        "records": write_records, "emulations": write_emulations, "packed": write_packed,
+    }
+    # ``packed`` is written only when named: see the module docstring.
+    for name in argv or ["records", "emulations"]:
         writers[name]()
 
 

@@ -5,24 +5,30 @@ object :class:`SimWorkload` and its :class:`PackedWorkload` must run to
 bit-identical records, silent or noisy (the engine packs object
 workloads itself, so this pins that packing is all it does to them;
 ``test_pack_oracle.py`` pins the packer to the builder).  These tests
-cover randomised workloads with all five demand types, contention
-phases, and every direct ``build_packed`` builder in the tree.
+cover randomised workloads with all five demand types and contention
+phases; the applications' and emulation plans' packed workloads are
+pinned to digests in ``fixtures/golden_app_packed.json``.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
 import pytest
+from gen_golden_fixtures import (
+    APP_CASES,
+    PACKED_FIXTURE_PATH,
+    PACKED_MACHINES,
+    PLAN_CONFIGS,
+    packed_digest,
+    packed_plan,
+)
 
-from repro.apps import EnsembleApp, GromacsModel, SleeperApp, SyntheticApp
-from repro.apps.ensemble import EnsembleStage
-from repro.apps.skeleton import chain, fan_out_fan_in
-from repro.atoms.base import AtomWork
+from repro.apps import GromacsModel
 from repro.core.config import SynapseConfig
 from repro.core.errors import WorkloadError
-from repro.core.plan import EmulationPlan, PlanSample
 from repro.sim.backend import SimBackend
 from repro.sim.demands import (
     ComputeDemand,
@@ -225,69 +231,32 @@ def test_lazy_io_events_behave_like_lists():
     assert pickle.loads(pickle.dumps(events)) == list(events)
 
 
-# -- direct builders ---------------------------------------------------------
-
-APP_CASES = [
-    ("synthetic-full", lambda: SyntheticApp(
-        instructions=5e8, bytes_read=1 << 22, bytes_written=1 << 21,
-        memory_bytes=1 << 24, net_sent=1 << 20, net_received=1 << 19,
-        sleep_seconds=0.2, threads=4, overlap_io=True, chunks=12)),
-    ("synthetic-serial", lambda: SyntheticApp(
-        instructions=3e8, bytes_written=1 << 20, chunks=5)),
-    ("synthetic-empty-overlap", lambda: SyntheticApp(overlap_io=True, chunks=3)),
-    ("gromacs-threads", lambda: GromacsModel(iterations=20_000, threads=4)),
-    ("sleeper", lambda: SleeperApp(sleep_seconds=1.5)),
-    ("ensemble", lambda: EnsembleApp(stages=(
-        EnsembleStage(tasks=4, instructions=1e9, bytes_written=4096),
-        EnsembleStage(tasks=1, instructions=5e8)))),
-    ("skeleton-chain", lambda: chain(
-        {"a": SleeperApp(sleep_seconds=0.1), "b": GromacsModel(iterations=2000)})),
-    ("skeleton-fan", lambda: fan_out_fan_in(
-        SyntheticApp(bytes_read=1 << 20, chunks=2),
-        {"w1": GromacsModel(iterations=1000), "w2": SleeperApp(sleep_seconds=0.2)},
-        SyntheticApp(bytes_written=1 << 20, chunks=2))),
-]
+# -- application and plan builders ---------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "factory", [case[1] for case in APP_CASES], ids=[case[0] for case in APP_CASES]
-)
-def test_app_build_packed_matches_compiler(factory):
-    machine = get_machine("stampede")
-    app = factory()
-    assert_packed_equal(
-        app.build_packed(machine), pack_workload(app.build_workload(machine))
-    )
+@pytest.fixture(scope="module")
+def packed_golden():
+    with open(PACKED_FIXTURE_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
-def test_plan_build_packed_workload_matches_compiler():
-    rng = np.random.default_rng(11)
-    samples = [
-        PlanSample(
-            index=i,
-            work=AtomWork(
-                cycles=float(rng.integers(0, 2)) * float(rng.uniform(1e6, 1e9)),
-                flops=float(rng.uniform(0, 5e8)),
-                alloc_bytes=int(rng.integers(0, 1 << 22)),
-                free_bytes=int(rng.integers(0, 1 << 20)),
-                read_bytes=int(rng.integers(0, 1 << 22)),
-                write_bytes=int(rng.integers(0, 1 << 22)),
-                sent_bytes=int(rng.integers(0, 1 << 16)),
-                received_bytes=int(rng.integers(0, 1 << 16)),
-            ),
-        )
-        for i in range(25)
-    ]
-    plan = EmulationPlan(samples=samples, command="cmd")
-    for config in (
-        SynapseConfig(),
-        SynapseConfig(cpu_load=0.5, efficiency_target=0.8),
-        SynapseConfig(mpi_processes=4, io_filesystem="lustre"),
-    ):
-        assert_packed_equal(
-            plan.build_packed_workload(config),
-            pack_workload(plan.build_sim_workload(config)),
-        )
+@pytest.mark.parametrize("name, factory", APP_CASES, ids=[name for name, _ in APP_CASES])
+def test_app_build_packed_matches_compiler(name, factory, packed_golden):
+    """An app's ``build_packed`` is the pack of its ``build_workload``;
+    the digests were taken from the hand-written column builders the
+    models had before, so the compiler reproduces what each emitted."""
+    for machine in PACKED_MACHINES:
+        packed = factory().build_packed(get_machine(machine))
+        assert packed_digest(packed) == packed_golden["apps"][name][machine], machine
+
+
+def test_plan_build_packed_workload_matches_compiler(packed_golden):
+    """The plan builder's columns equal the pack of the per-demand object
+    workload it was once checked against (digests taken then)."""
+    plan = packed_plan()
+    for name, config in PLAN_CONFIGS.items():
+        packed = plan.build_packed_workload(SynapseConfig(**config))
+        assert packed_digest(packed) == packed_golden["plans"][name], name
 
 
 def test_backend_resolves_packed_targets():
@@ -379,29 +348,6 @@ def test_bulk_builders_reject_invalid_demands():
         b.network_many(bytes_sent=[-1])
     with pytest.raises(WorkloadError):
         b.network_many(bytes_sent=[1], block_size=0)
-
-
-def test_append_flat_reinterns_name_tables():
-    inner = PackedBuilder("inner")
-    inner.phase("p").stream("s")
-    inner.compute(instructions=1e6, workload_class="app.md", paradigm="mpi")
-    inner.io(bytes_read=1024, filesystem="lustre")
-    inner_packed = inner.build()
-
-    outer = PackedBuilder("outer")
-    outer.phase("p0").stream("s0")
-    outer.compute(instructions=2e6, workload_class="app.generic")
-    outer.io(bytes_written=2048, filesystem="local")
-    outer.append_flat(inner_packed)
-    packed = outer.build()
-
-    assert packed.n == 4
-    assert "app.md" in packed.class_names
-    assert "mpi" in packed.paradigm_names
-    assert "lustre" in packed.fs_names
-    # The inner demands keep their own codes through the remap.
-    assert packed.class_names[packed.c_class[1]] == "app.md"
-    assert packed.fs_names[packed.i_fs[1]] == "lustre"
 
 
 # -- satellite: slotted demand/workload objects ------------------------------

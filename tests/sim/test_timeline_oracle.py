@@ -238,19 +238,6 @@ def test_emulation_records_equal_under_either_timeline(
     assert_records_identical(single, oracle[0])
 
 
-@pytest.mark.parametrize("which", ["plain", "cpu-load"])
-def test_object_and_packed_emulation_workloads_stay_digest_equal(emulation_plans, which):
-    plan, config = emulation_plans[which]
-    machine = get_machine("stampede")
-    noise = dict(seed=11, duration_sigma=0.02, counter_sigma=0.007)
-    from_object = Engine(machine, NoiseModel(**noise)).run(plan.build_sim_workload(config))
-    from_packed = Engine(machine, NoiseModel(**noise)).run(
-        plan.build_packed_workload(config)
-    )
-    assert record_digest(from_object) == record_digest(from_packed)
-    assert_records_identical(from_packed, from_object)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_random_workloads_equal_under_either_timeline(per_stream_engine, seed):
     """Mostly multi-demand phases: the loop side of the selection."""
