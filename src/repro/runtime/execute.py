@@ -202,7 +202,7 @@ def dispatch(
     plans: PlanScope | None = None,
 ) -> Any:
     """Execute one request; ``target``/``machine`` are passed separately
-    because pooled requests ship them via the batch's shared payload.
+    because pooled requests ship them in their chunk's tables.
 
     ``plans`` is the scope the request executes in (see
     :func:`_replayed`): the run service passes it so that requests

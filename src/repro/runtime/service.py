@@ -7,7 +7,11 @@ the service's **persistent** process pool — the pool survives across
 batches, so repeated ``run_many`` / campaign waves pay worker startup
 once per service instead of once per batch (the PR 2 follow-up).
 Host-plane requests and requests carrying live backend objects or
-opaque runners execute serially in the parent process.
+opaque runners execute serially in the parent process — as does a whole
+batch that resolves to one worker.  There is one way to run a request
+in the parent (:func:`_attempt_request` on the request's own target and
+machine) and one in a pool worker (the same call, on the chunk's
+unpickled tables: :func:`_run_chunk`).
 
 Determinism: each request carries ``(seed, index)`` (or an explicit
 ``noise_seed``) from which its noise stream derives, so results are
@@ -24,18 +28,18 @@ that keeps killing the pool with a
 :data:`RunService.POISON_CRASH_LIMIT` crashes.  Every recovery action
 emits ``supervisor.*`` telemetry events and metrics.
 
-When the pool cannot be created at all (constrained hosts, forbidden
-fork, unpicklable payloads) the service degrades to the serial path
-with a :class:`ParallelFallbackWarning` — it
-never fails a batch because of pool infrastructure.
+When the pool cannot be used at all (constrained hosts, forbidden
+fork, unpicklable payloads) the requests it has not resolved run in the
+parent, with a :class:`ParallelFallbackWarning` — the service never
+fails a batch because of pool infrastructure.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -56,7 +60,6 @@ __all__ = [
     "RunTimeoutError",
     "batch_budget",
     "get_service",
-    "get_shared",
     "reset_service",
 ]
 
@@ -66,42 +69,16 @@ KINDS = ("engine", "profile", "emulate", "call")
 
 
 class ParallelFallbackWarning(RuntimeWarning):
-    """A process pool could not be used; the batch ran serially instead.
+    """A process pool could not be used; the rest of the batch ran
+    serially in the parent instead.
 
     Emitted by :class:`RunService` when pool creation or the configured
     start method fails on constrained hosts (no fork permission,
-    missing semaphores, sandboxed CI runners, ...).  The computation
-    still completes — serially — so callers get correct results plus a
+    missing semaphores, sandboxed CI runners, ...) or a request does
+    not pickle.  The computation still completes — serially — so
+    callers get correct results plus a
     signal that parallel speedup was unavailable.
     """
-
-
-#: Per-thread payload installed by :meth:`RunService.map`'s ``shared``
-#: argument (one pickle per worker chunk instead of one per item).
-#: Thread-local rather than a plain global: concurrent serial batches in
-#: one process — e.g. several elastic campaign workers sharing a store —
-#: each install/restore their own tables without clobbering each other.
-_shared_state = threading.local()
-
-
-def _install_shared(payload: Any) -> None:
-    _shared_state.payload = payload
-
-
-def get_shared() -> Any:
-    """The current ``shared`` payload of :meth:`RunService.map` (worker side)."""
-    return getattr(_shared_state, "payload", None)
-
-
-def _serial_map(fn: Callable[[Any], Any], items: list[Any], shared: Any) -> list[Any]:
-    if shared is None:
-        return [fn(item) for item in items]
-    previous = get_shared()
-    _install_shared(shared)
-    try:
-        return [fn(item) for item in items]
-    finally:
-        _install_shared(previous)
 
 
 class RunTimeoutError(Exception):
@@ -160,10 +137,13 @@ class RunPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("RunPolicy retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("RunPolicy timeout must be positive (or None)")
-        if self.backoff < 0:
-            raise ValueError("RunPolicy backoff must be >= 0")
+        # Chained comparisons are False for NaN, so it fails them too.
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(
+                "RunPolicy timeout must be positive and finite (or None)"
+            )
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("RunPolicy backoff must be finite and >= 0")
 
     @property
     def attempts(self) -> int:
@@ -194,14 +174,18 @@ class RunPolicy:
         if unknown:
             raise ValueError(f"unknown run policy keys: {sorted(unknown)}")
         timeout = data.get("timeout")
+        jitter = data.get("jitter", True)
+        if not isinstance(jitter, bool):
+            raise ValueError(f"run policy jitter must be a bool, not {jitter!r}")
         try:
             return cls(
                 retries=int(data.get("retries", 0)),
                 timeout=float(timeout) if timeout is not None else None,
                 backoff=float(data.get("backoff", 0.0)),
-                jitter=bool(data.get("jitter", True)),
+                jitter=jitter,
             )
-        except TypeError as exc:  # non-numeric values -> one error type
+        # Non-numeric values (and int(Infinity)) -> one error type.
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"invalid run policy values: {exc}") from exc
 
 
@@ -324,7 +308,7 @@ class RunResult:
 #: dispatch rebalances heterogeneous batches (one chunk per worker would
 #: serialise a batch whose expensive items are contiguous, e.g. a
 #: campaign wave ordered app-outermost), while each chunk still
-#: amortises its pickle of the shared payload over many items.
+#: amortises its pickle of the target and machine tables over many items.
 CHUNKS_PER_WORKER = 4
 
 
@@ -338,13 +322,12 @@ def _near_equal(items: Sequence[Any], pieces: int) -> list[list[Any]]:
 
 
 def _split_chunks(
-    items: Sequence[Any], workers: int, plans: Sequence[Any] | None = None
+    items: Sequence[Any], workers: int, plans: Sequence[Any]
 ) -> list[list[Any]]:
     """Cut ``items`` into chunks for ``workers`` pool workers, plan by plan.
 
     ``plans[i]`` names the engine plan item *i* will replay; items that
-    replay none carry a name of their own (``None`` for the whole
-    argument: no two items share anything).  Items of one plan travel
+    replay none carry a name of their own.  Items of one plan travel
     together, because a chunk has a plan scope of its own.  A plan
     bigger than a chunk (``len(items) / (workers * CHUNKS_PER_WORKER)``,
     rounded up) is shared out over at most ``workers`` near-equal chunks
@@ -361,8 +344,8 @@ def _split_chunks(
     n_chunks = min(len(items), workers * CHUNKS_PER_WORKER)
     size = -(-len(items) // n_chunks)
     by_plan: dict[Any, list[Any]] = {}
-    for i, item in enumerate(items):
-        by_plan.setdefault(i if plans is None else plans[i], []).append(item)
+    for item, plan in zip(items, plans):
+        by_plan.setdefault(plan, []).append(item)
     chunks: list[list[Any]] = []
     small: list[list[Any]] = []
     for members in by_plan.values():
@@ -403,17 +386,24 @@ def _worker_init() -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
+#: What running one request resolves to: ``(ok, seconds,
+#: value_or_exception, attempt, attempt_seconds)`` — see
+#: :func:`_attempt_request`.
+Outcome = tuple[bool, float, Any, int, float | None]
+
+
+def _run_chunk(payload: bytes) -> tuple[list[Outcome], list[Any]]:
     """Worker-side chunk executor.
 
-    ``payload`` is the parent-pickled ``(fn, shared, chunk, telemetry)``
-    tuple: pickling in the parent (instead of the executor's queue-feeder
-    thread) turns an unpicklable ``fn``/payload into a synchronous
-    error the serial fallback handles — feeder-thread pickling failures
-    deadlock ProcessPoolExecutor shutdown on some CPython versions.
-    The shared payload installs once per chunk, not per item, and
-    ``fn``'s own exceptions are separated from pool infrastructure
-    failures, as :meth:`RunService.map`'s contract requires.
+    ``payload`` is the parent-pickled ``(targets, machines, plans, chunk,
+    telemetry)`` tuple; each packed request of ``chunk`` runs against
+    the batch's target and machine tables and the chunk's plan scope
+    (see :func:`_pack`).  Pickling in the parent (instead of the
+    executor's queue-feeder thread) turns an unpicklable payload into a
+    synchronous error the fallback handles — feeder-thread pickling
+    failures deadlock ProcessPoolExecutor shutdown on some CPython
+    versions.  An exception that escapes a request's retry loop fails
+    that request, not the pool.
 
     ``telemetry`` is the parent's packed span context (or ``None`` when
     the parent's bus is dark): the chunk runs under it, every event the
@@ -424,32 +414,26 @@ def _run_chunk(payload: bytes) -> tuple[list[tuple[bool, Any]], list[Any]]:
     """
     import pickle  # noqa: PLC0415 - worker side
 
-    fn, shared, chunk, telemetry = pickle.loads(payload)
-    previous = get_shared()
-    if shared is not None:
-        _install_shared(shared)
-    try:
-        with activate_context(telemetry) as events:
-            outcomes: list[tuple[bool, Any]] = []
-            for item in chunk:
-                try:
-                    outcomes.append((True, fn(item)))
-                except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-                    outcomes.append((False, exc))
-            return outcomes, list(events) if events is not None else []
-    finally:
-        if shared is not None:
-            _install_shared(previous)
+    targets, machines, plans, chunk, telemetry = pickle.loads(payload)
+    with activate_context(telemetry) as events:
+        outcomes: list[Outcome] = []
+        for request, target, machine in chunk:
+            try:
+                outcomes.append(_attempt_request(
+                    request, targets[target], machines[machine], plans
+                ))
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+                outcomes.append(_failed(request, exc))
+        return outcomes, list(events) if events is not None else []
 
 
 def _attempt_request(
-    request: RunRequest, target: Any, machine: Any,
-    plans: Any = None,
-) -> tuple[bool, float, Any, int, float]:
+    request: RunRequest, target: Any, machine: Any, plans: Any
+) -> Outcome:
     """Execute one request under its policy.
 
     ``plans`` is the plan scope the request executes in (``None`` for
-    in-parent requests, which share nothing);
+    non-poolable requests, which share nothing);
     :func:`~repro.runtime.execute.dispatch` fills and reads it inside
     the attempt.
 
@@ -555,40 +539,32 @@ def _failure_context(
     )
 
 
-def _failure_message(
-    request: RunRequest, exc: BaseException, attempt: int,
-    attempt_seconds: float | None = None,
-) -> str:
-    return f"{_failure_context(request, attempt, attempt_seconds)}: {exc!r}"
+def _failed(request: RunRequest, exc: BaseException, seconds: float = 0.0) -> Outcome:
+    """The outcome of a request that failed outside its retry loop (an
+    exception escaped it, or the supervisor killed or quarantined it):
+    charged to the whole policy budget."""
+    policy = request.policy if request.policy is not None else RunPolicy()
+    return False, seconds, exc, policy.attempts, None
 
 
-def _rethrow(
-    request: RunRequest, exc: BaseException, attempt: int,
-    attempt_seconds: float | None = None,
-) -> None:
-    """Re-raise a request's exception, annotated with its context.
+def _result(request: RunRequest, outcome: Outcome, rethrow: bool) -> RunResult:
+    """The :class:`RunResult` of a request's outcome, pooled or in-parent.
 
-    The original exception type is preserved (callers match on it); the
-    request context travels as an exception note where the runtime
-    supports them (3.11+).
+    With ``rethrow`` a failure re-raises instead, annotated with the
+    request context: the original exception type is preserved (callers
+    match on it); the context travels as an exception note where the
+    runtime supports them (3.11+).
     """
-    if hasattr(exc, "add_note"):
-        exc.add_note(
-            f"while executing {_failure_context(request, attempt, attempt_seconds)}"
-        )
-    raise exc
-
-
-def _execute_packed(
-    item: tuple[RunRequest, int, int]
-) -> tuple[bool, float, Any, int, float]:
-    """Execute one packed request against the shared target/machine
-    tables and the plan scope that rides with them (see
-    :func:`_declared`)."""
-    request, target_slot, machine_slot = item
-    targets, machines, plans = get_shared()
-    return _attempt_request(
-        request, targets[target_slot], machines[machine_slot], plans
+    ok, seconds, value, attempt, attempt_seconds = outcome
+    if ok:
+        return RunResult(request=request, ok=True, value=value, seconds=seconds)
+    context = _failure_context(request, attempt, attempt_seconds)
+    if rethrow:
+        if hasattr(value, "add_note"):
+            value.add_note(f"while executing {context}")
+        raise value
+    return RunResult(
+        request=request, ok=False, error=f"{context}: {value!r}", seconds=seconds
     )
 
 
@@ -603,22 +579,15 @@ _POLL_INTERVAL = 0.05
 
 
 class _SupervisedRun:
-    """One supervised pooled batch: the engine behind :meth:`RunService.map`.
+    """One supervised pooled batch of poolable requests.
 
-    Resolves every item to an outcome ``(status, value, seconds)``:
-
-    ``ok``
-        ``fn`` returned ``value`` (``seconds`` unused — pooled request
-        timings travel inside the value).
-    ``error``
-        ``fn`` raised ``value``; the worker survived.
-    ``killed``
-        The item outlived its budget; the supervisor killed the pool
-        and failed it with a :class:`RunTimeoutError` after ``seconds``.
-    ``poison``
-        The item's chunk killed the pool
-        :data:`RunService.POISON_CRASH_LIMIT` times; failed with a
-        :class:`~repro.core.errors.PoisonRequestError`.
+    Resolves every request to its :data:`Outcome`: the one its worker
+    returned, or a failure the supervisor charges to it — a
+    :class:`RunTimeoutError` when it outlived its budget and the pool
+    was killed, a :class:`~repro.core.errors.PoisonRequestError` when
+    its chunk killed the pool :data:`RunService.POISON_CRASH_LIMIT`
+    times.  When the pool proves unusable, the requests still
+    unresolved keep ``None`` and run in the parent.
 
     Dispatch is parent-side windowed: at most ``workers`` chunks are
     submitted at any moment, so a submitted chunk is *executing*, which
@@ -633,35 +602,27 @@ class _SupervisedRun:
     """
 
     def __init__(
-        self,
-        service: "RunService",
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        workers: int,
-        share: Callable[[Sequence[Any]], Any],
-        budgets: Sequence[float | None] | None = None,
-        keys: Sequence[str | None] | None = None,
-        plans: Sequence[Any] | None = None,
+        self, service: "RunService", requests: Sequence[RunRequest], workers: int
     ) -> None:
-        n = len(items)
+        n = len(requests)
         self.service = service
-        self.fn = fn
-        self.items = items
+        self.requests = requests
+        self.targets, self.machines, self.items = _pack(requests)
         self.workers = workers
-        #: ``share(chunk_items)`` is the shared payload of one chunk.
-        self.share = share
-        self.budgets = list(budgets) if budgets is not None else [None] * n
-        self.keys = list(keys) if keys is not None else [None] * n
+        self.budgets = [
+            request.policy.budget if request.policy is not None else None
+            for request in requests
+        ]
         #: Per item, the engine plan it replays (see :func:`_split_chunks`).
-        self.plans = plans
-        self.outcomes: list[tuple[str, Any, float] | None] = [None] * n
+        self.plans = _plan_names(self.items)
+        self.outcomes: list[Outcome | None] = [None] * n
         self.remaining = set(range(n))
         self.crashes = [0] * n
         self.bus = get_bus()
         self.registry = get_registry()
         self.telemetry = pack_context()
 
-    def execute(self) -> list[tuple[str, Any, float]]:
+    def execute(self) -> list[Outcome | None]:
         while self.remaining:
             suspected = [
                 i for i in sorted(self.remaining) if self.crashes[i] > 0
@@ -672,20 +633,22 @@ class _SupervisedRun:
             # itself with one clean probe and is never quarantined.
             batch = suspected[:1] if suspected else sorted(self.remaining)
             if not self._round(batch):
-                break  # serial fallback resolved everything left
-        return self.outcomes  # type: ignore[return-value]
+                break  # the pool is unusable: the rest run in the parent
+        return self.outcomes
 
     # -- one submission round -----------------------------------------------
 
     def _round(self, pending: Sequence[int]) -> bool:
         """Submit ``pending`` and watch it to quiescence.
 
-        Returns False when the pool proved unusable and the serial
-        fallback resolved everything remaining; True otherwise (the
-        round either resolved its items or left requeued ones in
-        ``remaining`` for the next round).
+        Returns False when the pool proved unusable (see
+        :meth:`_fallback`); True otherwise (the round either resolved
+        its items or left requeued ones in ``remaining`` for the next
+        round).
         """
         import pickle  # noqa: PLC0415 - parallel path only
+
+        from repro.runtime.execute import PlanScope  # noqa: PLC0415 (cycle)
 
         # Budget-bearing and crash-suspected items ride in singleton
         # chunks so deadlines and crash blame attach to one request;
@@ -700,16 +663,21 @@ class _SupervisedRun:
         ]
         chunks: list[list[int]] = [[i] for i in singles]
         chunks.extend(_split_chunks(
-            bulk, self.workers,
-            None if self.plans is None else [self.plans[i] for i in bulk],
+            bulk, self.workers, [self.plans[i] for i in bulk]
         ))
         try:
-            payloads = []
-            for chunk in chunks:
-                items = [self.items[i] for i in chunk]
-                payloads.append(pickle.dumps(
-                    (self.fn, self.share(items), items, self.telemetry)
+            # Each chunk gets a plan scope of its own (a scope cannot
+            # cross into a pool), declared from the chunk's requests;
+            # its groups and the tables pickle as one graph, so the
+            # worker's copies keep their identities.
+            payloads = [
+                pickle.dumps((
+                    self.targets, self.machines,
+                    _declared(PlanScope(), [self.requests[i] for i in chunk]),
+                    [self.items[i] for i in chunk], self.telemetry,
                 ))
+                for chunk in chunks
+            ]
             self.service._ensure_pool(self.workers)
         except Exception as exc:  # noqa: BLE001 - infra boundary
             return self._fallback(exc)
@@ -753,10 +721,8 @@ class _SupervisedRun:
                 else:
                     if events:
                         self.bus.replay(events)
-                    for i, (ok, value) in zip(chunk, chunk_outcomes):
-                        self.outcomes[i] = (
-                            "ok" if ok else "error", value, 0.0,
-                        )
+                    for i, outcome in zip(chunk, chunk_outcomes):
+                        self.outcomes[i] = outcome
                         self.remaining.discard(i)
             if crashed:
                 self._handle_crash(crashed + list(futures.values()))
@@ -794,14 +760,14 @@ class _SupervisedRun:
         )
         self.bus.event(
             "supervisor.pool.crash", level="warning",
-            suspects=[self.keys[i] if self.keys[i] is not None else i
-                      for i in suspects],
+            suspects=[self.requests[i].key if self.requests[i].key is not None
+                      else i for i in suspects],
             chunks_in_flight=len(in_flight),
         )
         for i in suspects:
             self.crashes[i] += 1
             if self.crashes[i] >= service.POISON_CRASH_LIMIT:
-                key = self.keys[i]
+                key = self.requests[i].key
                 label = f"key={key}" if key is not None else f"#{i}"
                 exc = PoisonRequestError(
                     f"request {label} killed the worker pool "
@@ -809,7 +775,7 @@ class _SupervisedRun:
                     f"{service.POISON_CRASH_LIMIT}) and was quarantined",
                     key=key, crashes=self.crashes[i],
                 )
-                self.outcomes[i] = ("poison", exc, 0.0)
+                self.outcomes[i] = _failed(self.requests[i], exc)
                 self.remaining.discard(i)
                 service.stats["quarantined"] += 1
                 self.registry.inc("supervisor.quarantined")
@@ -853,13 +819,13 @@ class _SupervisedRun:
                 f"budget (+{DEADLINE_GRACE:g}s grace); worker killed by "
                 f"the supervisor"
             )
-            self.outcomes[i] = ("killed", exc, elapsed)
+            self.outcomes[i] = _failed(self.requests[i], exc, elapsed)
             self.remaining.discard(i)
             service.stats["deadline_kills"] += 1
             self.registry.inc("supervisor.deadline.kills")
             self.bus.event(
                 "supervisor.deadline.kill", level="warning",
-                key=self.keys[i], budget=budget, elapsed=elapsed,
+                key=self.requests[i].key, budget=budget, elapsed=elapsed,
             )
         service._kill_pool()
         survivors = sorted(
@@ -874,22 +840,16 @@ class _SupervisedRun:
             )
 
     def _fallback(self, exc: BaseException) -> bool:
-        """Pool infrastructure is unusable: degrade to the serial path."""
-        service = self.service
-        service._shutdown_pool()
-        service.stats["fallbacks"] += 1
-        pending = sorted(self.remaining)
+        """Pool infrastructure is unusable: leave the unresolved requests
+        to the parent (:meth:`RunService.run` runs them serially)."""
+        self.service._shutdown_pool()
+        self.service.stats["fallbacks"] += 1
         warnings.warn(
             f"run service pool unavailable ({exc!r}); running "
-            f"{len(pending)} items serially",
+            f"{len(self.remaining)} items serially",
             ParallelFallbackWarning,
             stacklevel=2,
         )
-        items = [self.items[i] for i in pending]
-        values = _serial_map(self.fn, items, self.share(items))
-        for i, value in zip(pending, values):
-            self.outcomes[i] = ("ok", value, 0.0)
-            self.remaining.discard(i)
         return False
 
 
@@ -1003,68 +963,6 @@ class RunService:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- low-level map ------------------------------------------------------
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        processes: int | None = None,
-        shared: Any = None,
-        budgets: Sequence[float | None] | None = None,
-        keys: Sequence[str | None] | None = None,
-    ) -> list[Any]:
-        """Order-preserving supervised map over the persistent pool.
-
-        ``processes=None`` uses the service's workers; ``processes<=1``
-        (or a single item) runs serially in-process.  ``fn`` and the
-        items should be picklable and ``fn`` pure: when the *pool*
-        cannot be used — forbidden fork, unpicklable ``fn``/items — the
-        map re-runs the whole batch serially with a
-        :class:`ParallelFallbackWarning`.  Exceptions raised by ``fn``
-        itself are not swallowed into that fallback: the first one (in
-        item order) re-raises in the parent, exactly like the serial
-        path.  ``shared`` ships one bulky payload per worker chunk
-        instead of once per item; workers — and the serial path — read
-        it back with :func:`get_shared`.
-
-        Supervised: a worker crash restarts the pool and requeues the
-        unfinished items exactly once per crash (an item that keeps
-        killing the pool raises
-        :class:`~repro.core.errors.PoisonRequestError` after
-        :data:`POISON_CRASH_LIMIT` crashes), and an item with a
-        ``budgets`` entry is killed and raises :class:`RunTimeoutError`
-        once over budget.  ``keys`` label items in supervisor telemetry.
-        """
-        items = list(items)
-        workers = self.resolve_workers(processes, len(items))
-        if workers <= 1:
-            return _serial_map(fn, items, shared)
-        outcomes = self._supervised(
-            fn, items, workers, lambda _chunk: shared, budgets, keys
-        )
-        results: list[Any] = []
-        for status, value, _seconds in outcomes:
-            if status != "ok":
-                raise value
-            results.append(value)
-        return results
-
-    def _supervised(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        workers: int,
-        share: Callable[[Sequence[Any]], Any],
-        budgets: Sequence[float | None] | None = None,
-        keys: Sequence[str | None] | None = None,
-        plans: Sequence[Any] | None = None,
-    ) -> list[tuple[str, Any, float]]:
-        """Supervised pooled execution; see :class:`_SupervisedRun`."""
-        return _SupervisedRun(
-            self, fn, items, workers, share, budgets, keys, plans
-        ).execute()
-
     # -- request execution ---------------------------------------------------
 
     def run(
@@ -1076,18 +974,19 @@ class RunService:
         """Execute a batch of requests; returns results in request order.
 
         Poolable requests fan out over the worker pool (respecting
-        ``processes``); the rest run serially in the parent, in request
-        order.  With ``rethrow`` (default) the first failing request
-        re-raises its exception; ``rethrow=False`` captures failures as
-        ``ok=False`` results instead — campaign ledgers use this to
-        record partial sweeps.
+        ``processes``) or, when the batch resolves to one worker, run
+        in the parent, in request order; the rest run in the parent
+        after them, in request order.  With ``rethrow`` (default) the
+        first failing request re-raises its exception; ``rethrow=False``
+        captures failures as ``ok=False`` results instead — campaign
+        ledgers use this to record partial sweeps.
 
         The batch executes in the active plan scope
         (:func:`~repro.runtime.execute.plan_scope` — a campaign's), or
         in one of its own that is dropped on return: requests of a
         scope that share (target, machine) prepare it once.
         """
-        from repro.runtime.execute import PlanScope, plan_scope  # noqa: PLC0415 (cycle)
+        from repro.runtime.execute import plan_scope  # noqa: PLC0415 (cycle)
 
         requests = list(requests)
         self.stats["batches"] += 1
@@ -1100,67 +999,33 @@ class RunService:
             "service.run", requests=len(requests),
             pooled=sum(1 for request in requests if request.poolable),
         ) as sp, plan_scope() as plans:
+
+            def in_parent(request: RunRequest) -> Outcome:
+                return _attempt_request(
+                    request, request.target, request.machine,
+                    plans if request.poolable else None,
+                )
+
             pooled = [i for i, request in enumerate(requests) if request.poolable]
             workers = self.resolve_workers(processes, len(pooled))
-            if pooled:
-                targets, machines, items = _pack(requests, pooled)
-
-                def share(chunk: Sequence[Any]) -> Any:
-                    # Third slot: the plan scope of the items that
-                    # execute together — the active one (this batch's,
-                    # or its campaign's) in this process, one per chunk
-                    # in a pool, which a scope cannot cross into.
-                    return targets, machines, _declared(
-                        plans if workers <= 1 else PlanScope(),
-                        targets, machines, chunk,
-                    )
-
-                if workers <= 1:
-                    supervised = [
-                        ("ok", value, 0.0)
-                        for value in _serial_map(
-                            _execute_packed, items, share(items)
-                        )
-                    ]
-                else:
-                    supervised = self._supervised(
-                        _execute_packed, items, workers, share,
-                        budgets=[
-                            requests[i].policy.budget
-                            if requests[i].policy is not None else None
-                            for i in pooled
-                        ],
-                        keys=[requests[i].key for i in pooled],
-                        plans=_plan_names(items),
-                    )
-                for i, (status, payload, sup_seconds) in zip(pooled, supervised):
-                    request = requests[i]
-                    if status == "ok":
-                        ok, seconds, value, attempt, in_attempt = payload
-                    else:
-                        # "error" (fn raised), "killed" (deadline) and
-                        # "poison" (quarantine) all resolve to a failed
-                        # result charged to the whole policy budget.
-                        policy = (
-                            request.policy if request.policy is not None
-                            else RunPolicy()
-                        )
-                        ok, seconds, value = False, sup_seconds, payload
-                        attempt, in_attempt = policy.attempts, None
-                    if not ok and rethrow:
-                        _rethrow(request, value, attempt, in_attempt)
-                    results[i] = RunResult(
-                        request=request,
-                        ok=ok,
-                        value=value if ok else None,
-                        error=None if ok else _failure_message(
-                            request, value, attempt, in_attempt
-                        ),
-                        seconds=seconds,
-                    )
+            outcomes: list[Outcome | None] = [None] * len(requests)
+            if workers > 1:
+                supervised = _SupervisedRun(
+                    self, [requests[i] for i in pooled], workers
+                ).execute()
+                for i, outcome in zip(pooled, supervised):
+                    outcomes[i] = outcome
+            # What no pool ran (a one-worker batch, or the rest of one
+            # whose pool was unusable) runs here, in the active scope.
+            left = [i for i in pooled if outcomes[i] is None]
+            _declared(plans, [requests[i] for i in left])
+            for i in left:
+                outcomes[i] = in_parent(requests[i])
+            for i in pooled:
+                results[i] = _result(requests[i], outcomes[i], rethrow)
             for i, request in enumerate(requests):
-                if results[i] is None:
-                    results[i] = self._execute_local(request, rethrow)
+                if not request.poolable:
+                    results[i] = _result(request, in_parent(request), rethrow)
             sp.set(workers=workers)
 
         # Telemetry-derived service metrics (always on; the benchmark
@@ -1182,48 +1047,30 @@ class RunService:
                 registry.set_gauge("service.pool.utilization", utilization)
         return results  # type: ignore[return-value]
 
-    @staticmethod
-    def _execute_local(request: RunRequest, rethrow: bool) -> RunResult:
-        ok, seconds, value, attempt, in_attempt = _attempt_request(
-            request, request.target, request.machine
-        )
-        if ok:
-            return RunResult(request=request, ok=True, value=value, seconds=seconds)
-        if rethrow:
-            _rethrow(request, value, attempt, in_attempt)
-        return RunResult(
-            request=request, ok=False,
-            error=_failure_message(request, value, attempt, in_attempt),
-            seconds=seconds,
-        )
-
 
 def _pack(
-    requests: Sequence[RunRequest], indices: Sequence[int]
+    requests: Sequence[RunRequest],
 ) -> tuple[list[Any], list[Any], list[tuple[RunRequest, int, int]]]:
-    """Strip bulky objects out of poolable requests.
+    """Strip bulky objects out of pooled requests for pickling: each
+    becomes ``(request copy without target and machine, target_slot,
+    machine_slot)``.
 
-    Distinct targets and machines ship once per batch (in the shared
-    payload) no matter how many requests reference them — fanning one
-    workload over many seeds costs one pickle, as the pre-service
-    ``spawn_many`` path did.
+    Distinct targets and machines ship once per chunk (in its payload)
+    no matter how many requests reference them — fanning one workload
+    over many seeds costs one pickle, as the pre-service ``spawn_many``
+    path did.
     """
     targets: list[Any] = []
     target_slots: dict[int, int] = {}
     machines: list[Any] = []
     machine_slots: dict[int, int] = {}
     items: list[tuple[RunRequest, int, int]] = []
-    for i in indices:
-        request = requests[i]
-        target_slot = target_slots.get(id(request.target))
-        if target_slot is None:
-            target_slot = len(targets)
-            target_slots[id(request.target)] = target_slot
+    for request in requests:
+        target_slot = target_slots.setdefault(id(request.target), len(targets))
+        if target_slot == len(targets):
             targets.append(request.target)
-        machine_slot = machine_slots.get(id(request.machine))
-        if machine_slot is None:
-            machine_slot = len(machines)
-            machine_slots[id(request.machine)] = machine_slot
+        machine_slot = machine_slots.setdefault(id(request.machine), len(machines))
+        if machine_slot == len(machines):
             machines.append(request.machine)
         lite = replace(request, target=None, machine=None)
         items.append((lite, target_slot, machine_slot))
@@ -1242,28 +1089,25 @@ def _plan_names(items: Sequence[tuple[RunRequest, int, int]]) -> list[Any]:
     ]
 
 
-def _declared(
-    plans: Any,
-    targets: Sequence[Any],
-    machines: Sequence[Any],
-    items: Sequence[tuple[RunRequest, int, int]],
-) -> Any:
+def _declared(plans: Any, requests: Sequence[RunRequest]) -> Any:
     """``plans``, after declaring in it the rows the ``engine``/
-    ``profile`` requests among the packed ``items`` will ask for —
-    what the first of a pair to be attempted needs to replay their
-    seeds as blocks.  A pair that is live in the scope (a campaign
-    declared it, with the rows of its later waves too) keeps its rows.
+    ``profile`` requests among ``requests`` will ask for, pair by
+    (target, machine) identity — what the first of a pair to be
+    attempted needs to replay their seeds as blocks.  A pair that is
+    live in the scope (a campaign declared it, with the rows of its
+    later waves too) keeps its rows.
     """
     from repro.runtime.execute import noise_row  # noqa: PLC0415 (cycle)
 
-    rows: dict[tuple[int, int], list[Any]] = {}
-    for request, target_slot, machine_slot in items:
+    pairs: dict[tuple[int, int], tuple[Any, Any, list[Any]]] = {}
+    for request in requests:
         if request.kind in ("engine", "profile"):
-            rows.setdefault((target_slot, machine_slot), []).append(
-                noise_row(request)
-            )
-    for (target_slot, machine_slot), pair_rows in rows.items():
-        plans.declare(targets[target_slot], machines[machine_slot], pair_rows)
+            pairs.setdefault(
+                (id(request.target), id(request.machine)),
+                (request.target, request.machine, []),
+            )[2].append(noise_row(request))
+    for target, machine, rows in pairs.values():
+        plans.declare(target, machine, rows)
     return plans
 
 

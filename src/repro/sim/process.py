@@ -58,21 +58,6 @@ class SimProcess(ProcessHandle):
         rel = min(max(rel, 0.0), self.record.duration)
         return self.record.counters_at(rel)
 
-    def counters_many(self, ts: np.ndarray) -> dict[str, np.ndarray]:
-        """Counters at many *relative* sample times, one array per metric.
-
-        This is the profiler's sim-plane fast path: instead of stepping
-        the virtual clock per sample and interpolating every series per
-        step, the whole sampling grid is evaluated in one vectorised
-        pass per series.  Entry ``i`` of each returned array equals what
-        :meth:`counters` would report with the clock at
-        ``start_time + ts[i]``.
-        """
-        rel = np.minimum(
-            np.maximum(np.asarray(ts, dtype=float), 0.0), self.record.duration
-        )
-        return self.record.counters_many(rel)
-
     @staticmethod
     def blocks(
         handles: Sequence[ProcessHandle],
@@ -161,8 +146,10 @@ class SimProcessBlock:
         return [process.exit_code for process in self.processes]
 
     def counters_many(self, ts: np.ndarray) -> dict[str, np.ndarray]:
-        """:meth:`SimProcess.counters_many` of every process: row *r* of
-        each array is what process *r* reports at the times ``ts[r]``."""
+        """Counters of every process at many *relative* sample times, one
+        ``(rows, samples)`` array per metric: entry ``[r, i]`` is what
+        process *r*'s :meth:`SimProcess.counters` reports with the clock
+        at ``start_time + ts[r, i]``."""
         rel = np.minimum(np.maximum(ts, 0.0), self._durations[:, None])
         return self._fold.counters_many(self._run, rel)
 

@@ -1,94 +1,107 @@
-"""The process-pool fan-out primitive (``RunService.map``)."""
+"""The process-pool fan-out of ``RunService.run``: pooled batches equal
+serial ones, and a pool that cannot be used degrades to the parent."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime.service import ParallelFallbackWarning, RunService, get_shared
+from repro.runtime.service import ParallelFallbackWarning, RunRequest, RunService
+from repro.sim.demands import ComputeDemand
+from repro.sim.workload import SimWorkload
+
+WORKLOAD = SimWorkload(name="fan-out")
+WORKLOAD.phase("main").stream("main").add(
+    ComputeDemand(instructions=2e8, workload_class="app.md")
+)
 
 
-def parallel_map(fn, items, processes, shared=None):
-    """``RunService.map`` on a throwaway service sized ``processes``."""
+def _duration(record) -> float:
+    return record.duration
+
+
+def _explode(record) -> float:
+    raise RuntimeError("boom")
+
+
+def requests(n: int, reduce=_duration, bad: int | None = None) -> list[RunRequest]:
+    """``n`` seeds of one workload; request ``bad`` reduces with
+    :func:`_explode`."""
+    return [
+        RunRequest(
+            kind="engine", target=WORKLOAD, machine="thinkie", seed=4,
+            index=i + 1, reduce=_explode if i == bad else reduce, key=f"r{i}",
+        )
+        for i in range(n)
+    ]
+
+
+def parallel_run(batch: list[RunRequest], processes: int) -> list:
+    """``RunService.run`` on a throwaway service sized ``processes``."""
     with RunService(processes=processes) as service:
-        return service.map(fn, items, shared=shared)
+        return [result.value for result in service.run(batch)]
 
 
-def _square(x: int) -> int:
-    return x * x
+def one_by_one(batch: list[RunRequest]) -> list:
+    with RunService(processes=1) as service:
+        return [service.run([request])[0].value for request in batch]
 
 
-def _scaled(x: int) -> int:
-    return x * get_shared()["factor"]
+def _pool_unavailable(monkeypatch, exc: Exception) -> None:
+    import concurrent.futures
 
+    def explode(*args, **kwargs):
+        raise exc
 
-def _explode(x: int) -> int:
-    if x == 3:
-        raise RuntimeError("boom")
-    return x
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", explode)
 
 
 class TestParallelMap:
     def test_preserves_order_serial(self):
-        assert parallel_map(_square, range(8), processes=1) == [
-            x * x for x in range(8)
-        ]
+        batch = requests(8)
+        assert parallel_run(batch, processes=1) == one_by_one(batch)
 
     def test_preserves_order_pooled(self):
-        assert parallel_map(_square, range(20), processes=2) == [
-            x * x for x in range(20)
-        ]
+        batch = requests(20)
+        assert parallel_run(batch, processes=2) == one_by_one(batch)
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], processes=4) == []
+        assert parallel_run([], processes=4) == []
 
     def test_single_item_runs_serially(self):
-        assert parallel_map(_square, [3], processes=8) == [9]
-
-    def test_shared_payload_serial(self):
-        out = parallel_map(_scaled, [1, 2, 3], processes=1, shared={"factor": 10})
-        assert out == [10, 20, 30]
-        assert get_shared() is None  # restored after the map
-
-    def test_shared_payload_pooled(self):
-        out = parallel_map(_scaled, list(range(10)), processes=2, shared={"factor": 3})
-        assert out == [3 * x for x in range(10)]
+        with RunService(processes=8) as service:
+            [result] = service.run(requests(1))
+            assert result.ok
+            assert service.stats["pool_starts"] == 0
 
     def test_fn_exception_propagates_from_pool(self):
-        """An error raised by fn re-raises in the parent instead of
+        """A request's own error re-raises in the parent instead of
         silently re-running the batch through the serial fallback."""
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_explode, [0, 1, 2, 3], processes=2)
+            parallel_run(requests(4, bad=3), processes=2)
 
     def test_fn_exception_propagates_serially(self):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_explode, [0, 1, 2, 3], processes=1)
+            parallel_run(requests(4, bad=3), processes=1)
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        offset = 10
+        offset = 10.0
+        batch = requests(3, reduce=lambda record: record.duration + offset)
         with pytest.warns(ParallelFallbackWarning):
-            out = parallel_map(lambda x: x + offset, [1, 2, 3], processes=2)
-        assert out == [11, 12, 13]
+            out = parallel_run(batch, processes=2)
+        assert out == parallel_run(batch, processes=1)
 
     def test_pool_creation_failure_degrades_with_warning(self, monkeypatch):
         """Constrained hosts (no fork / missing start method) get a
         serial result plus a warning, never an exception."""
-        import concurrent.futures
-
-        def explode(*args, **kwargs):
-            raise PermissionError("fork blocked by sandbox")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", explode)
+        batch = requests(4)
+        serial = parallel_run(batch, processes=1)
+        _pool_unavailable(monkeypatch, PermissionError("fork blocked by sandbox"))
         with pytest.warns(ParallelFallbackWarning, match="running 4 items serially"):
-            out = parallel_map(_square, [1, 2, 3, 4], processes=2)
-        assert out == [1, 4, 9, 16]
+            out = parallel_run(batch, processes=2)
+        assert out == serial
 
     def test_fallback_still_reraises_fn_exceptions(self, monkeypatch):
-        import concurrent.futures
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("no start method")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", explode)
+        _pool_unavailable(monkeypatch, RuntimeError("no start method"))
         with pytest.warns(ParallelFallbackWarning):
             with pytest.raises(RuntimeError, match="boom"):
-                parallel_map(_explode, [0, 1, 2, 3], processes=2)
+                parallel_run(requests(4, bad=3), processes=2)

@@ -1213,8 +1213,6 @@ def test_split_chunks_keeps_plans_together(case):
 
 def test_one_plan_batch_is_one_chunk_per_worker():
     assert [len(c) for c in _split_chunks(list(range(8)), 2, [("t", "m")] * 8)] == [4, 4]
-    # Without plan names every item is its own plan: chunks of the old size.
-    assert [len(c) for c in _split_chunks(list(range(8)), 2)] == [1] * 8
     assert _split_chunks([], 2, []) == []
 
 
@@ -1231,27 +1229,27 @@ def test_only_engine_plans_are_named_for_chunking():
         RunRequest(kind="engine", target=app, machine="comet", seed=seed)
         for seed in range(16)
     ]
-    _, _, items = _pack(requests, list(range(len(requests))))
+    _, _, items = _pack(requests)
     names = _plan_names(items)
     assert len(set(names[:16])) == 16 and len(set(names[16:])) == 1
     sizes = [len(chunk) for chunk in _split_chunks(items, 2, names)]
     assert sizes == [8, 8] + [4] * 4  # the plan: one chunk per worker
 
 
-@pytest.mark.parametrize("named", [False, True])
-def test_items_that_share_nothing_are_cut_near_equally(named):
+def test_items_that_share_nothing_are_cut_near_equally():
     """As many chunks as ever (``workers * CHUNKS_PER_WORKER``), sizes
-    one apart at most, items in order — whether the items go unnamed
-    (``map``) or each carries a name of its own (emulations)."""
+    one apart at most, items in order, when each item carries a name of
+    its own (emulations)."""
     for n in range(1, 70):
         for workers in range(1, 6):
             items = list(range(n))
-            chunks = _split_chunks(items, workers, items if named else None)
+            chunks = _split_chunks(items, workers, items)
             assert [i for chunk in chunks for i in chunk] == items
             assert len(chunks) == min(n, workers * CHUNKS_PER_WORKER)
             sizes = [len(chunk) for chunk in chunks]
             assert max(sizes) - min(sizes) <= 1
-    assert [len(c) for c in _split_chunks(list(range(9)), 2)] == [2] + [1] * 7
+    nine = list(range(9))
+    assert [len(c) for c in _split_chunks(nine, 2, nine)] == [2] + [1] * 7
 
 
 def test_two_plan_batch_pooled_equals_serial(service):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from repro.core.config import SynapseConfig
@@ -31,12 +34,39 @@ def _workload(instructions: float = 5e8, name: str = "svc-wl") -> SimWorkload:
     return workload
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
 def _duration(record) -> float:
     return record.duration
+
+
+def _profile_digest(profile) -> str:
+    """A profile's samples and totals: what does not depend on when and
+    in which process it ran."""
+    doc = profile.to_dict()
+    return json.dumps([doc["samples"], profile.totals()], sort_keys=True)
+
+
+def _tx(result) -> float:
+    return result.tx
+
+
+def _pool_unavailable(monkeypatch) -> None:
+    import concurrent.futures
+
+    def explode(*args, **kwargs):
+        raise OSError("no fork for you")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", explode)
+
+
+def _engine_requests(n: int = 10) -> list[RunRequest]:
+    workload = _workload()
+    return [
+        RunRequest(
+            kind="engine", target=workload, machine="comet",
+            seed=1, index=i + 1, reduce=_duration,
+        )
+        for i in range(n)
+    ]
 
 
 class TestRunRequest:
@@ -60,37 +90,102 @@ class TestRunRequest:
 
 
 class TestMap:
+    """A batch fanned out over the pool: order, emptiness, persistence,
+    degradation."""
+
     def test_order_preserving(self):
+        requests = _engine_requests()
         with RunService() as service:
-            assert service.map(_square, range(10), processes=2) == [
-                x * x for x in range(10)
-            ]
+            pooled = service.run(requests, processes=2)
+            serial = service.run(requests, processes=1)
+        assert all(r.request is q for r, q in zip(pooled, requests))
+        assert [r.value for r in pooled] == [r.value for r in serial]
 
     def test_empty(self):
         with RunService() as service:
-            assert service.map(_square, [], processes=4) == []
+            assert service.run([], processes=4) == []
 
     def test_pool_persists_across_batches(self):
         with RunService(processes=2) as service:
-            service.map(_square, range(8))
-            service.map(_square, range(8))
-            service.map(_square, range(8))
+            for _ in range(3):
+                service.run(_engine_requests(8))
             assert service.stats["pool_starts"] <= 1  # 0 on 1-core hosts
 
     def test_pool_creation_failure_degrades_serially(self, monkeypatch):
-        import concurrent.futures
-
-        def explode(*args, **kwargs):
-            raise OSError("no fork for you")
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", explode
-        )
+        requests = _engine_requests(6)
+        with RunService() as service:
+            serial = [r.value for r in service.run(requests, processes=1)]
+        _pool_unavailable(monkeypatch)
         with RunService() as service:
             with pytest.warns(ParallelFallbackWarning):
-                out = service.map(_square, range(6), processes=2)
-            assert out == [x * x for x in range(6)]
+                out = [r.value for r in service.run(requests, processes=2)]
+            assert out == serial
             assert service.stats["fallbacks"] == 1
+
+
+class TestInParentPath:
+    """A request that runs in the parent runs the same whichever way it
+    got there: a one-worker batch, a non-poolable request, or the rest
+    of a batch whose pool was unavailable."""
+
+    def test_mixed_batch_runs_alike_in_parent_pool_and_fallback(
+        self, monkeypatch, gromacs_profile
+    ):
+        from repro.apps import SleeperApp
+        from repro.faults import FaultPlan, injected_faults
+
+        workload, app = _workload(), SleeperApp(sleep_seconds=1.0)
+        config = SynapseConfig(sample_rate=2.0)
+        requests = [
+            RunRequest(kind="engine", target=workload, machine="comet",
+                       seed=1, index=1, reduce=_duration),
+            RunRequest(kind="call", runner=lambda: "called", key="call"),
+            RunRequest(kind="profile", target=app, machine="thinkie",
+                       config=config, seed=2, reduce=_profile_digest),
+            RunRequest(kind="emulate", target=gromacs_profile, machine="comet",
+                       seed=3, reduce=_tx),
+            RunRequest(kind="engine", target=workload, machine="comet",
+                       seed=1, index=2, reduce=_duration, key="fail"),
+            RunRequest(kind="profile", target=app, machine="thinkie",
+                       config=config, seed=2, index=2, reduce=_profile_digest),
+            RunRequest(kind="engine", target=workload, machine="comet",
+                       seed=1, index=3, reduce=_duration),
+        ]
+        plan = FaultPlan.from_dict({"rules": [
+            {"point": "worker.execute", "mode": "error", "match_key": "fail"},
+        ]})
+
+        def outcomes(processes: int) -> tuple[dict, list[tuple]]:
+            with injected_faults(plan), RunService() as service:
+                results = service.run(requests, processes=processes, rethrow=False)
+                stats = dict(service.stats)
+            assert all(r.request is q for r, q in zip(results, requests))
+            return stats, [
+                (r.ok, r.value,
+                 r.error and re.sub(r"[\d.]+s in attempt", "s in attempt", r.error))
+                for r in results
+            ]
+
+        serial_stats, serial = outcomes(1)
+        assert serial_stats["pool_starts"] == 0
+        assert [ok for ok, _, _ in serial] == [True] * 4 + [False, True, True]
+        assert "key=fail" in serial[4][2] and "InjectedFault" in serial[4][2]
+        assert serial[1][1] == "called"
+        pooled_stats, pooled = outcomes(2)
+        assert pooled_stats["pool_starts"] == 1
+        assert pooled == serial
+        _pool_unavailable(monkeypatch)
+        with pytest.warns(ParallelFallbackWarning, match="items serially"):
+            fallback_stats, fallback = outcomes(2)
+        assert fallback == serial
+        assert fallback_stats["fallbacks"] == 1
+        # No batch too small for a pool touches the (unusable) pool.
+        with RunService(processes=8) as service:
+            assert service.run([]) == []
+            [result] = service.run(_engine_requests(1))
+            assert result.ok
+            assert service.stats["pool_starts"] == 0
+            assert service.pool_workers == 0
 
 
 class TestEngineRequests:
@@ -321,6 +416,23 @@ class TestRunPolicy:
         with pytest.raises(ValueError):
             RunPolicy.from_dict({"retries": [1]})
 
+    @pytest.mark.parametrize("field", ["timeout", "backoff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_numbers(self, field, value):
+        """A NaN timeout would switch enforcement off, an infinite
+        backoff would sleep forever (or overflow ``time.sleep``)."""
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            RunPolicy(**{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            RunPolicy.from_dict({field: value})
+
+    def test_from_dict_needs_a_bool_jitter_and_a_finite_retry_count(self):
+        with pytest.raises(ValueError, match="jitter must be a bool"):
+            RunPolicy.from_dict({"jitter": "false"})
+        with pytest.raises(ValueError, match="invalid run policy values"):
+            RunPolicy.from_dict({"retries": float("inf")})
+        assert RunPolicy.from_dict({"jitter": False}).jitter is False
+
     def test_flaky_request_succeeds_after_retry(self):
         calls = []
 
@@ -429,6 +541,26 @@ class TestRunPolicy:
                 "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
                 "policy": {"timeout": {}},  # non-numeric, not just unknown
             })
+
+    @pytest.mark.parametrize("policy", [
+        '{"backoff": Infinity, "retries": 1}',
+        '{"backoff": NaN}',
+        '{"timeout": NaN}',
+        '{"timeout": Infinity}',
+        '{"jitter": "false"}',
+    ])
+    def test_campaign_spec_rejects_non_finite_policy(self, policy):
+        """Python's ``json`` parses ``NaN`` and ``Infinity``, so a spec
+        file can carry them; the spec fails instead of a run."""
+        from repro.core.errors import ConfigError
+        from repro.runtime import CampaignSpec
+
+        spec = json.loads(
+            '{"name": "pol", "apps": ["sleeper"], "machines": ["thinkie"], '
+            f'"policy": {policy}}}'
+        )
+        with pytest.raises(ConfigError, match="invalid campaign policy"):
+            CampaignSpec.from_dict(spec)
 
 
 class TestFailureContext:

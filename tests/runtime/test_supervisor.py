@@ -191,23 +191,37 @@ class TestPoolCrashRecovery:
 
 
 class TestSupervisedMap:
+    """A supervised pooled batch with nothing to recover from."""
+
     def test_map_still_propagates_fn_errors(self):
+        """A request's own error (here its ``reduce``) re-raises in the
+        parent — the first in request order — instead of sending the
+        batch to the serial fallback."""
+        requests = [
+            RunRequest(kind="engine", target=_workload(), machine="thinkie",
+                       noisy=False, index=i, key=f"r{i}",
+                       reduce=_reject if i % 2 else _duration)
+            for i in range(6)
+        ]
         with RunService() as service:
-            with pytest.raises(ValueError, match="odd"):
-                service.map(_reject_odd, range(6), processes=2)
+            with pytest.raises(ValueError, match="rejected") as excinfo:
+                service.run(requests, processes=2)
+            assert service.stats["fallbacks"] == 0
+        notes = getattr(excinfo.value, "__notes__", [])
+        if hasattr(excinfo.value, "add_note"):  # 3.11+
+            assert any("key=r1" in note for note in notes)
 
     def test_map_results_match_serial(self):
+        requests = [
+            RunRequest(kind="engine", target=_workload(), machine="thinkie",
+                       seed=5, index=i, reduce=_duration)
+            for i in range(20)
+        ]
         with RunService() as service:
-            assert service.map(_square, range(20), processes=2) == [
-                x * x for x in range(20)
-            ]
+            pooled = [r.value for r in service.run(requests, processes=2)]
+            serial = [r.value for r in service.run(requests, processes=1)]
+        assert pooled == serial
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
-def _reject_odd(x: int) -> int:
-    if x % 2:
-        raise ValueError(f"odd: {x}")
-    return x
+def _reject(record) -> float:
+    raise ValueError("rejected")

@@ -28,24 +28,31 @@ def _workload(name: str = "tel-wl") -> SimWorkload:
     return workload
 
 
-def _triple(x: int) -> int:
-    with span("item.work", item=x):
-        return 3 * x
+def _duration(record) -> float:
+    with span("item.work", duration=record.duration):
+        return record.duration
 
 
 class TestPoolSpanStitching:
     def test_parallel_map_spans_stitch_under_submitting_span(self, sink):
         """Worker-side spans replay into the parent's sinks, parented
         under the span that was open when the batch was submitted."""
+        requests = [
+            RunRequest(
+                kind="engine", target=_workload(), machine="thinkie",
+                seed=7, index=index, reduce=_duration,
+            )
+            for index in range(6)
+        ]
         with span("batch.submit") as submit, RunService(processes=2) as service:
-            assert service.map(_triple, range(6)) == [3 * x for x in range(6)]
+            durations = [result.value for result in service.run(requests)]
         items = sink.spans("item.work")
         assert len(items) == 6
-        assert sorted(e.attrs["item"] for e in items) == list(range(6))
+        assert sorted(e.attrs["duration"] for e in items) == sorted(durations)
         for item in items:
             chain = [e.name for e in sink.ancestors(item)]
-            assert chain[-1] == "batch.submit"
-        assert {e.parent_id for e in items} == {submit.span_id}
+            assert chain == ["run.request", "service.run", "batch.submit"]
+        assert {e.parent_id for e in sink.spans("service.run")} == {submit.span_id}
 
     def test_persistent_pool_spans_stitch_across_batches(self, sink):
         requests = [
