@@ -49,15 +49,16 @@ def combine_process_profiles(profiles: Sequence[Profile]) -> Profile:
     first = profiles[0]
     n_samples = max(p.n_samples for p in profiles)
 
+    ranks = [list(prof.samples) for prof in profiles]
     samples: list[Sample] = []
     for index in range(n_samples):
         values: dict[str, float] = {}
         t = None
         dt = None
-        for prof in profiles:
-            if index >= prof.n_samples:
+        for rank in ranks:
+            if index >= len(rank):
                 continue
-            sample = prof.samples[index]
+            sample = rank[index]
             if t is None:
                 t, dt = sample.t, sample.dt
             for name, value in sample.values.items():

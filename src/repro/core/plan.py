@@ -21,7 +21,6 @@ simulation workload for any target machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -202,29 +201,21 @@ class EmulationPlan:
         the conservation error bounded by the noise floor.  A quantum
         that is infinite, or a byte count no int64 holds, is an error.
         """
-        n = profile.n_samples
-        if n == 0:
+        samples = profile.samples
+        if not len(samples):
             raise EmulationError("cannot build an emulation plan from an empty profile")
-        values = [sample.values for sample in profile.samples]
-        table = np.fromiter(
-            chain.from_iterable(
-                map(dict.get, values, repeat(metric), repeat(0.0))
-                for _, metric in _QUANTA
-            ),
-            dtype=float,
-            count=len(_QUANTA) * n,
-        ).reshape(len(_QUANTA), n)
+        table = np.array([samples.column(metric) for _, metric in _QUANTA])
         table = np.where(table > 0.0, table, 0.0)
         unfit = table >= _LIMITS[:, None]
         if unfit.any():
             column, row = np.argwhere(unfit)[0].tolist()
             raise EmulationError(
-                f"sample {profile.samples[row].index}: {_QUANTA[column][1]} = "
+                f"sample {samples.index[row]}: {_QUANTA[column][1]} = "
                 f"{table[column, row]!r} is not a quantum that can be replayed"
             )
         info: dict[str, Any] = {
             "source_tx": profile.tx,
-            "source_samples": n,
+            "source_samples": len(samples),
         }
         # Block sizes inferred by the experimental blktrace watcher (§6):
         # carried along so "auto" block-size emulation can use them.
@@ -233,7 +224,7 @@ class EmulationPlan:
                 info[key] = float(profile.statics[key])
         return cls(
             samples=PlanColumns(
-                [sample.index for sample in profile.samples],
+                samples.index,
                 *table[:_N_FLOAT],
                 *table[_N_FLOAT:].astype(np.int64),
             ),

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.backend import ExecutionBackend, ProcessHandle
 from repro.core.config import SynapseConfig
 from repro.core.errors import ProfilingError
-from repro.core.samples import Profile
+from repro.core.samples import Profile, SampleTable
 from repro.core.sampling import SamplingPolicy, policy_from_config
 from repro.core.tags import normalize_command, normalize_tags
 from repro.storage.base import ProfileStore
@@ -494,7 +494,7 @@ class Profiler:
     @staticmethod
     def _merged_alone(
         results: dict[str, WatcherResult], policy: SamplingPolicy
-    ) -> tuple[dict[str, Any], dict[str, Any], list[Any], float]:
+    ) -> tuple[dict[str, Any], dict[str, Any], SampleTable, float]:
         """One process's watcher results as its profile's statics,
         watcher info, samples and first sample offset."""
         cumulative: dict[str, Any] = {}
@@ -534,7 +534,7 @@ class Profiler:
         starts: list[float],
         dts: list[float],
         covered: float,
-    ) -> list[tuple[list[Any], float]] | None:
+    ) -> list[tuple[SampleTable, float]] | None:
         """:meth:`_merged_alone`'s samples and offset for every row of a
         block at once, where the intervals ``starts``/``dts`` of the
         walked grid (which ends at ``covered``) are each row's
@@ -572,7 +572,7 @@ class Profiler:
         exit_code: int,
         statics: dict[str, Any],
         watcher_info: dict[str, Any],
-        samples: list[Any],
+        samples: SampleTable,
         first_sample_offset: float,
         command: str | None,
         tags: object,

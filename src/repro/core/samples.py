@@ -12,14 +12,23 @@ Timestamps of different watchers are intentionally *not* synchronised
 (the paper accepts drift rather than paying synchronisation overhead);
 each sample therefore optionally carries per-watcher timestamps alongside
 the nominal grid time.
+
+A profile holds its samples as columns (:class:`SampleTable`): one
+float64 array per quantity, a ``(samples, metrics)`` array of values and
+a ``(samples, watchers)`` array of watcher timestamps.  The profiler
+builds them as arrays, :class:`~repro.core.plan.EmulationPlan` and the
+totals read them as arrays, and the file store writes them as binary
+columns; a :class:`Sample` exists only when somebody asks for one.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from itertools import chain, compress
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from repro.core.metrics import MetricKind
 from repro.core.tags import normalize_command, normalize_tags
 from repro.util.timeseries import TimeSeries
 
-__all__ = ["Sample", "Profile"]
+__all__ = ["Sample", "SampleTable", "Profile"]
 
 
 @dataclass
@@ -84,16 +93,272 @@ class Sample:
         )
 
 
+def _cells(
+    rows: list[Mapping[str, Any]],
+) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """Names (first-seen order), ``(rows, names)`` values and presence
+    mask (``None``: every row has every name) of a list of mappings."""
+    names = list(dict.fromkeys(chain.from_iterable(rows)))
+    width = len(names)
+    if all(len(row) == width for row in rows):
+        cells = np.array(
+            [[row[name] for name in names] for row in rows], dtype=np.float64
+        ).reshape(len(rows), width)
+        return names, cells, None
+    position = {name: j for j, name in enumerate(names)}
+    cells = np.zeros((len(rows), width))
+    has = np.zeros((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        for name, value in row.items():
+            cells[i, position[name]] = value
+            has[i, position[name]] = True
+    return names, cells, has
+
+
+def _unique(names: list[str], values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Columns (last axis) named ``names`` with each name once, as
+    ``dict(zip(names, row))`` keeps it: at its first position, with its
+    last value."""
+    last = {name: j for j, name in enumerate(names)}
+    if len(last) == len(names):
+        return names, values
+    return list(last), values[..., list(last.values())]
+
+
+class SampleTable:
+    """The samples of a profile, as columns.
+
+    ``index`` (int64), ``t`` and ``dt`` (float64) hold one entry per
+    sample; ``values`` is the ``(samples, metrics)`` float64 array of the
+    metrics named by ``metrics``, ``times`` the ``(samples, watchers)``
+    float64 array of the watcher timestamps named by ``watchers``.  When
+    some sample lacks a metric or a watcher stamp (a never-sampled row's
+    ``values`` is ``{}``; a watcher that stopped early), ``has_values`` /
+    ``has_times`` are boolean masks of the same shape and the absent
+    cells hold ``0.0``; otherwise the mask is ``None``.  A metric or
+    watcher no sample has is not a column.
+
+    Reads like the ``list[Sample]`` it replaces — ``len``, iteration,
+    indexing, slicing (a table again), ``==`` (also against a list of
+    samples) and pickling — handing out :class:`Sample` copies built on
+    demand.  A table is never changed in place: editing a sample handed
+    out changes nothing, and stores share decoded tables between reads.
+    """
+
+    __slots__ = (
+        "metrics", "watchers", "index", "t", "dt", "values", "times",
+        "has_values", "has_times",
+    )
+
+    def __init__(
+        self,
+        metrics: Iterable[str] = (),
+        watchers: Iterable[str] = (),
+        index: Any = (),
+        t: Any = (),
+        dt: Any = (),
+        values: Any = None,
+        times: Any = None,
+        has_values: Any = None,
+        has_times: Any = None,
+    ) -> None:
+        self.index = np.asarray(index, dtype=np.int64)
+        n = self.index.size
+        if self.index.shape != (n,):
+            raise ValueError("a sample table's index is one-dimensional")
+        self.t = _floats(t, (n,), "t")
+        self.dt = _floats(dt, (n,), "dt")
+        self.metrics, self.values, self.has_values = _columns(
+            metrics, values, has_values, n, "values"
+        )
+        self.watchers, self.times, self.has_times = _columns(
+            watchers, times, has_times, n, "times"
+        )
+
+    # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Sample]) -> "SampleTable":
+        """The table of an explicit list of samples."""
+        return cls.from_dicts(sample.to_dict() for sample in samples)
+
+    @classmethod
+    def from_dicts(cls, samples: Iterable[Mapping[str, Any]]) -> "SampleTable":
+        """The table of a list of :meth:`Sample.to_dict` documents."""
+        samples = list(samples)
+        metrics, values, has_values = _cells([s.get("values", {}) for s in samples])
+        watchers, times, has_times = _cells(
+            [s.get("watcher_times", {}) for s in samples]
+        )
+        return cls(
+            metrics, watchers,
+            [s["index"] for s in samples], [s["t"] for s in samples],
+            [s["dt"] for s in samples],
+            values, times, has_values, has_times,
+        )
+
+    # -- columns ----------------------------------------------------------------
+
+    def column(self, name: str) -> np.ndarray:
+        """Metric ``name`` per sample, ``0.0`` where a sample lacks it."""
+        try:
+            j = self.metrics.index(name)
+        except ValueError:
+            return np.zeros(len(self))
+        return self.values[:, j]
+
+    def found(self, name: str) -> list[float]:
+        """Metric ``name`` in the samples that have it, in sample order."""
+        try:
+            j = self.metrics.index(name)
+        except ValueError:
+            return []
+        column = self.values[:, j]
+        if self.has_values is not None:
+            column = column[self.has_values[:, j]]
+        return column.tolist()
+
+    def to_dicts(self) -> list[dict[str, Any]]:
+        """One :meth:`Sample.to_dict` document per sample."""
+        return [
+            {"index": index, "t": t, "dt": dt, "values": values, "watcher_times": times}
+            for index, t, dt, values, times in self._rows()
+        ]
+
+    def _rows(self) -> Iterator[tuple[int, float, float, dict, dict]]:
+        """``(index, t, dt, values, watcher_times)`` per sample, as
+        Python objects."""
+        return zip(
+            self.index.tolist(), self.t.tolist(), self.dt.tolist(),
+            _dicts(self.metrics, self.values, self.has_values),
+            _dicts(self.watchers, self.times, self.has_times),
+        )
+
+    # -- the list it reads like -------------------------------------------------
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self) -> Iterator[Sample]:
+        for row in self._rows():
+            yield Sample(*row)
+
+    def __getitem__(self, item: Any) -> Any:
+        if isinstance(item, slice):
+            return SampleTable(
+                self.metrics, self.watchers, self.index[item], self.t[item],
+                self.dt[item], self.values[item], self.times[item],
+                None if self.has_values is None else self.has_values[item],
+                None if self.has_times is None else self.has_times[item],
+            )
+        i = operator.index(item)
+        if not -len(self) <= i < len(self):
+            raise IndexError("sample index out of range")
+        return next(iter(self[i:i + 1 or None]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SampleTable):
+            if self.metrics != other.metrics or self.watchers != other.watchers:
+                return list(self) == list(other)
+            return all(
+                (a is None and b is None)
+                or (a is not None and b is not None and np.array_equal(a, b))
+                for a, b in zip(self._arrays(), other._arrays())
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _arrays(self) -> tuple[np.ndarray | None, ...]:
+        return (
+            self.index, self.t, self.dt, self.values, self.times,
+            self.has_values, self.has_times,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"<sample table n={len(self)} metrics={len(self.metrics)} "
+            f"watchers={len(self.watchers)}>"
+        )
+
+
+def _floats(column: Any, shape: tuple[int, ...], name: str) -> np.ndarray:
+    array = np.asarray(column, dtype=np.float64)
+    if array.shape != shape:
+        raise ValueError(f"sample column {name!r} has shape {array.shape}, not {shape}")
+    return array
+
+
+def _columns(
+    names: Iterable[str], values: Any, has: Any, n: int, label: str
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+    """Checked ``(names, values, mask)`` in the canonical form: absent
+    cells ``0.0``, no column absent everywhere, no mask without an
+    absent cell."""
+    names = tuple(names)
+    shape = (n, len(names))
+    values = np.zeros(shape) if values is None else _floats(values, shape, label)
+    if has is None:
+        return names, values, None
+    has = np.asarray(has, dtype=bool)
+    if has.shape != shape:
+        raise ValueError(f"presence mask of {label!r} has shape {has.shape}, not {shape}")
+    if has.all():
+        return names, values, None
+    keep = has.any(axis=0)
+    if not keep.all():
+        names = tuple(compress(names, keep.tolist()))
+        values, has = values[:, keep], has[:, keep]
+    return names, np.where(has, values, 0.0), None if has.all() else has
+
+
+def _dicts(
+    names: tuple[str, ...], values: np.ndarray, has: np.ndarray | None
+) -> list[dict[str, float]]:
+    """One ``{name: value}`` dict per row, without absent cells."""
+    if has is None:
+        return [dict(zip(names, row)) for row in values.tolist()]
+    return [
+        dict(compress(zip(names, row), present))
+        for row, present in zip(values.tolist(), has.tolist())
+    ]
+
+
+def _is_level(name: str) -> bool:
+    spec = _metrics.REGISTRY.get(name)
+    return spec is not None and spec.kind is MetricKind.LEVEL
+
+
+def _fold(name: str, found: list[float]) -> float:
+    """A metric's total over its values in sample order: the maximum for
+    level metrics, the left-to-right sum from zero for the rest."""
+    if _is_level(name):
+        total = float("-inf")
+        for value in found:
+            total = max(total, value)
+    else:
+        total = 0.0
+        for value in found:
+            total = total + value
+    return total
+
+
 @dataclass
 class Profile:
-    """A stored profiling result for one application run."""
+    """A stored profiling result for one application run.
+
+    ``samples`` is held as a :class:`SampleTable`; a ``list[Sample]``
+    handed to the constructor is converted.
+    """
 
     command: str
     tags: tuple[str, ...] = ()
     machine: dict[str, Any] = field(default_factory=dict)
     config: dict[str, Any] = field(default_factory=dict)
     sample_rate: float = 1.0
-    samples: list[Sample] = field(default_factory=list)
+    samples: SampleTable = field(default_factory=SampleTable)
     #: Static metrics (core count, clock frequency, filesystem name, ...).
     statics: dict[str, Any] = field(default_factory=dict)
     #: Free-form run information (backend, exit code, watcher list, ...).
@@ -105,6 +370,8 @@ class Profile:
     def __post_init__(self) -> None:
         self.command = normalize_command(self.command)
         self.tags = normalize_tags(self.tags)
+        if not isinstance(self.samples, SampleTable):
+            self.samples = SampleTable.from_samples(self.samples)
 
     # -- basic queries ------------------------------------------------------
 
@@ -123,7 +390,7 @@ class Profile:
         runtime = self._total("time.runtime")
         if runtime is not None and runtime > 0:
             return runtime
-        return float(sum(s.dt for s in self.samples))
+        return float(sum(self.samples.dt.tolist()))
 
     def _total(self, name: str) -> float | None:
         """``totals().get(name)`` without totalling every other metric:
@@ -132,26 +399,12 @@ class Profile:
         static = self.statics.get(name)
         if isinstance(static, (int, float)):
             return float(static)
-        found = [s.values[name] for s in self.samples if name in s.values]
-        if not found:
-            return None
-        spec = _metrics.REGISTRY.get(name)
-        if spec is not None and spec.kind is MetricKind.LEVEL:
-            total = float("-inf")
-            for value in found:
-                total = max(total, value)
-        else:
-            total = 0.0
-            for value in found:
-                total = total + value
-        return total
+        found = self.samples.found(name)
+        return _fold(name, found) if found else None
 
     def metric_names(self) -> list[str]:
         """All metric names appearing in samples or statics."""
-        names: set[str] = set(self.statics)
-        for sample in self.samples:
-            names.update(sample.values)
-        return sorted(names)
+        return sorted(set(self.statics).union(self.samples.metrics))
 
     def totals(self) -> dict[str, float]:
         """Integrated totals per metric (Table 1 'Tot.' column semantics).
@@ -162,13 +415,10 @@ class Profile:
         """
         sums: dict[str, float] = {}
         maxima: dict[str, float] = {}
-        for sample in self.samples:
-            for name, value in sample.values.items():
-                spec = _metrics.REGISTRY.get(name)
-                if spec is not None and spec.kind is MetricKind.LEVEL:
-                    maxima[name] = max(maxima.get(name, float("-inf")), value)
-                else:
-                    sums[name] = sums.get(name, 0.0) + value
+        for name in self.samples.metrics:
+            (maxima if _is_level(name) else sums)[name] = _fold(
+                name, self.samples.found(name)
+            )
         totals: dict[str, float] = {}
         totals.update(sums)
         totals.update(maxima)
@@ -187,19 +437,12 @@ class Profile:
         Cumulative metrics are re-accumulated from their deltas (starting
         at zero); level metrics are returned as sampled.
         """
-        spec = _metrics.REGISTRY.get(name)
-        level = spec is not None and spec.kind is MetricKind.LEVEL
-        times: list[float] = []
-        values: list[float] = []
-        running = 0.0
-        for sample in self.samples:
-            times.append(sample.t + sample.dt)
-            if level:
-                values.append(sample.get(name))
-            else:
-                running += sample.get(name)
-                values.append(running)
-        return TimeSeries(times, values)
+        samples = self.samples
+        values = samples.column(name)
+        if not _is_level(name):
+            # Sequential from zero, as a running ``+=`` adds.
+            values = np.cumsum(np.concatenate(([0.0], values)))[1:]
+        return TimeSeries(samples.t + samples.dt, values)
 
     # -- editing -------------------------------------------------------------
 
@@ -209,34 +452,35 @@ class Profile:
         The copy is flagged ``truncated`` — this is what the Mongo-like
         store does when a document would exceed its 16 MB limit.
         """
-        clone = Profile(
+        return Profile(
             command=self.command,
             tags=self.tags,
             machine=dict(self.machine),
             config=dict(self.config),
             sample_rate=self.sample_rate,
-            samples=[
-                Sample(s.index, s.t, s.dt, dict(s.values), dict(s.watcher_times))
-                for s in self.samples[:n_samples]
-            ],
+            samples=self.samples[:n_samples],
             statics=dict(self.statics),
             info=dict(self.info),
             truncated=True,
             created=self.created,
         )
-        return clone
 
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise the full profile to a JSON-compatible dict."""
+        return self.document(self.samples.to_dicts())
+
+    def document(self, samples: Any) -> dict[str, Any]:
+        """:meth:`to_dict` with ``samples`` in place of its sample list:
+        the record of a store that encodes samples its own way."""
         return {
             "command": self.command,
             "tags": list(self.tags),
             "machine": dict(self.machine),
             "config": dict(self.config),
             "sample_rate": self.sample_rate,
-            "samples": [s.to_dict() for s in self.samples],
+            "samples": samples,
             "statics": dict(self.statics),
             "info": dict(self.info),
             "truncated": self.truncated,
@@ -245,14 +489,19 @@ class Profile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Profile":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (whose ``samples`` may also be a
+        :class:`SampleTable` already, as a store's decoded record is)."""
+        samples = data.get("samples", [])
         return cls(
             command=data["command"],
             tags=tuple(data.get("tags", ())),
             machine=dict(data.get("machine", {})),
             config=dict(data.get("config", {})),
             sample_rate=float(data.get("sample_rate", 1.0)),
-            samples=[Sample.from_dict(s) for s in data.get("samples", [])],
+            samples=(
+                samples if isinstance(samples, SampleTable)
+                else SampleTable.from_dicts(samples)
+            ),
             statics=dict(data.get("statics", {})),
             info=dict(data.get("info", {})),
             truncated=bool(data.get("truncated", False)),
@@ -269,8 +518,8 @@ class Profile:
         cumulative: Mapping[str, TimeSeries],
         levels: Mapping[str, TimeSeries],
         watcher_times: Mapping[str, Iterable[float]] | None = None,
-    ) -> list[Sample]:
-        """Combine per-watcher time series into the unified sample list.
+    ) -> SampleTable:
+        """Combine per-watcher time series into the unified sample table.
 
         This is the post-processing step of §4.1: the individual watcher
         series (with drifting timestamps) are aligned onto the profiler's
@@ -278,52 +527,49 @@ class Profile:
         cumulative series are differenced across interval boundaries and
         level series are sampled at interval ends.
 
-        The merge is columnar: every series is evaluated over the
-        whole grid in one shot (:meth:`TimeSeries.values_at`),
-        cumulative columns are differenced as arrays, and each column
-        becomes Python floats with one ``tolist()`` — one row of those
-        per sample — instead of one ``value_at`` / ``float()`` call per
-        metric per interval.  Results are bit-identical to the scalar
-        merge (the test suite pins the equivalence against a scalar
-        reference implementation): the array difference subtracts
-        exactly the float64 values the scalar loop tracked in
-        ``prev_cum``, and counters of a freshly spawned process start
-        at zero — seeding from the first *observation* instead would
-        swallow everything before the first watcher sample (the
-        spawn-to-first-sample offset the paper corrects with
-        ``time -v``).
+        The merge is columnar: every series is evaluated over the whole
+        grid in one shot (:meth:`TimeSeries.values_at`) and cumulative
+        columns are differenced as arrays, straight into the table's
+        values.  Results are bit-identical to the scalar merge (the test
+        suite pins the equivalence against a scalar reference
+        implementation): the array difference subtracts exactly the
+        float64 values the scalar loop tracked in ``prev_cum``, and
+        counters of a freshly spawned process start at zero — seeding
+        from the first *observation* instead would swallow everything
+        before the first watcher sample (the spawn-to-first-sample offset
+        the paper corrects with ``time -v``).  A watcher's stamps beyond
+        its last one are absent.
         """
         intervals = list(grid)
-        ends = np.fromiter(
-            (t + dt for t, dt in intervals), dtype=float, count=len(intervals)
-        )
+        n = len(intervals)
+        starts = np.array([t for t, _ in intervals], dtype=np.float64)
+        dts = np.array([dt for _, dt in intervals], dtype=np.float64)
+        ends = starts + dts
         # Cumulative names first, then levels (a name in both keeps its
         # first position and the level's value, as dict updates do).
         names: list[str] = []
-        columns: list[list[float]] = []
+        columns: list[np.ndarray] = []
         for name, series in cumulative.items():
             values = series.values_at(ends)
             deltas = values.copy()
             np.subtract(values[1:], values[:-1], out=deltas[1:])
             names.append(name)
-            columns.append(deltas.tolist())
+            columns.append(deltas)
         for name, series in levels.items():
             names.append(name)
-            columns.append(series.values_at(ends).tolist())
-        rows = zip(*columns) if columns else [()] * len(intervals)
-        wt = {k: list(v) for k, v in (watcher_times or {}).items()}
-        samples: list[Sample] = []
-        for index, ((t, dt), row) in enumerate(zip(intervals, rows)):
-            times = {
-                watcher: stamps[index]
-                for watcher, stamps in wt.items()
-                if index < len(stamps)
-            }
-            samples.append(
-                Sample(index=index, t=t, dt=dt, values=dict(zip(names, row)),
-                       watcher_times=times)
-            )
-        return samples
+            columns.append(series.values_at(ends))
+        values = np.stack(columns, axis=1) if columns else np.empty((n, 0))
+        names, values = _unique(names, values)
+        stamps = {name: list(each)[:n] for name, each in (watcher_times or {}).items()}
+        times = np.zeros((n, len(stamps)))
+        has_times = np.zeros((n, len(stamps)), dtype=bool)
+        for j, each in enumerate(stamps.values()):
+            times[: len(each), j] = each
+            has_times[: len(each), j] = True
+        return SampleTable(
+            names, stamps, np.arange(n), starts, dts, values, times,
+            has_times=has_times,
+        )
 
     @staticmethod
     def merge_watcher_rows(
@@ -335,9 +581,9 @@ class Profile:
         counts: np.ndarray,
         drain: int,
         watchers: list[str],
-    ) -> list[tuple[list[Sample], float]]:
+    ) -> list[tuple[SampleTable, float]]:
         """:meth:`merge_watcher_series` for a block of rows sampled on
-        one grid: per row, its samples and its first sample offset.
+        one grid: per row, its sample table and its first sample offset.
 
         The series are :class:`~repro.util.timeseries.SeriesRows` on the
         ``(rows, samples)`` table ``times``, of which row *r* owns the
@@ -349,16 +595,21 @@ class Profile:
         index: the last column with that timestamp (the drain sample
         where it repeats a row's last grid column), which is
         ``np.interp``'s own answer.  The whole block is gathered and
-        differenced as one array and becomes Python floats with one
-        ``tolist()``.  ``watchers`` are the watchers that stamped the
-        samples.
+        differenced as one ``(rows, samples, metrics)`` array; each row's
+        table holds a slice of it.  ``watchers`` are the watchers that
+        stamped the samples: every one of them stamped a sample at that
+        sample's column timestamp, and a row never sampled has no
+        metrics.
         """
         rows = len(counts)
         width = int(n_samples.max())
         names = [*cumulative, *levels]
+        starts = np.array([t for t, _ in grid[:width]], dtype=np.float64)
+        dts = np.array([dt for _, dt in grid[:width]], dtype=np.float64)
+        index = np.arange(width)
+        values = np.empty((rows, width, 0))
         if names:
-            columns = np.arange(width)
-            at = columns + ((columns == (counts - drain)[:, None] - 1) & bool(drain))
+            at = index + ((index == (counts - drain)[:, None] - 1) & bool(drain))
             stacked = np.array(
                 [series.values for series in (*cumulative.values(), *levels.values())]
             )[:, np.arange(rows)[:, None], at]
@@ -368,21 +619,27 @@ class Profile:
                 stacked[:accrued, :, 1:], stacked[:accrued, :, :-1],
                 out=table[:accrued, :, 1:],
             )
-            values = table.transpose(1, 2, 0).tolist()
-        stamps = times.tolist()
+            names, values = _unique(
+                names, np.ascontiguousarray(table.transpose(1, 2, 0))
+            )
+        names, watchers = tuple(names), tuple(watchers)
+        # Every watcher's stamp of a sample is its column's timestamp.
+        stamps = np.zeros((rows, width, len(watchers)))
+        stamped = min(width, times.shape[1])
+        stamps[:, :stamped] = times[:, :stamped, None]
+        firsts = times[:, 0].tolist() if times.shape[1] else [0.0] * rows
         merged = []
         for row, (n, count) in enumerate(zip(n_samples.tolist(), counts.tolist())):
-            samples = [
-                Sample(
-                    index=index, t=t, dt=dt,
-                    # A row that was never sampled has no metrics.
-                    values=dict(zip(names, values[row][index])) if count and names else {},
-                    watcher_times=(
-                        dict.fromkeys(watchers, stamps[row][index])
-                        if index < count else {}
+            if not count:  # never sampled: no metrics, no stamps
+                samples = SampleTable((), (), index[:n], starts[:n], dts[:n])
+            else:
+                samples = SampleTable(
+                    names, watchers, index[:n], starts[:n], dts[:n], values[row, :n],
+                    stamps[row, :n],
+                    has_times=(
+                        np.repeat((index[:n] < count)[:, None], len(watchers), axis=1)
+                        if n > count else None
                     ),
                 )
-                for index, (t, dt) in enumerate(grid[:n])
-            ]
-            merged.append((samples, stamps[row][0] if count and watchers else 0.0))
+            merged.append((samples, firsts[row] if count and watchers else 0.0))
         return merged

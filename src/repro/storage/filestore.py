@@ -20,25 +20,48 @@ Segments
 --------
 
 A segment holds the profiles of one ``put``/``put_many`` call: one JSON
-document per line, then one *index line* — a JSON list with a
-``{"command", "tags", "created", "sum", "offset", "length"}`` row per
-record — then a fixed-width footer, ``synapse-segment-index@<offset of
-the index line, 20 digits>``.  It is written to ``<name>.seg.tmp``,
-renamed into place and never changed afterwards, so a segment is either
-absent or complete: a call lands all of its profiles or none (a retried
-campaign wave cannot half-land), a failed call unlinks its tmp file and
-leaves the root as it was, and a crash leaves nothing worse than
-``*.tmp`` debris, which every reader ignores.  A ``.seg`` file without a
-valid footer (truncated behind the store's back) reads as absent.
+record per line, then one *index line* — ``{"version": 3, "records":
+[...]}`` with a ``{"command", "tags", "created", "sum", "offset",
+"length"}`` row per record — then a fixed-width footer,
+``synapse-segment-index@<offset of the index line, 20 digits>``.
+
+A record is the profile's :meth:`~repro.core.samples.Profile.to_dict`
+document except for ``samples``, which is a *columns object*: the
+:class:`~repro.core.samples.SampleTable` as ``{"metrics": [...],
+"watchers": [...], "index", "t", "dt", "values", "times"}`` (plus
+``"has_values"`` / ``"has_times"`` when the samples are ragged), every
+array base64 of its little-endian bytes — int64 ``index``, float64
+``t``/``dt``/``values``/``times`` (row-major ``(samples, metrics)`` and
+``(samples, watchers)``), one byte per cell for the masks.  Binary
+columns are exact for every float, NaN, ±inf, −0.0 and subnormals
+included, and a read decodes them with ``np.frombuffer`` instead of
+parsing a number per sample and metric.
+
+Only version 3 is written.  An index line that is a bare JSON list is a
+version-2 segment, whose records hold ``to_dict`` documents as they are;
+both stay readable side by side.  An index line with any other version
+reads as no segment at all.  ``find(query=...)`` matches every record
+in its ``to_dict`` shape, whatever its version.
+
+A segment is written to ``<name>.seg.tmp``, renamed into place and
+never changed afterwards, so a segment is either absent or complete: a
+call lands all of its profiles or none (a retried campaign wave cannot
+half-land), a failed call unlinks its tmp file and leaves the root as it
+was, and a crash leaves nothing worse than ``*.tmp`` debris, which
+every reader ignores.  A ``.seg`` file without a valid footer
+(truncated behind the store's back) reads as absent.
 ``durability="fsync"`` costs one file and one directory fsync per call.
 
 Record ids are ``<segment file name>/<n>``, ``n`` zero-padded, so
-``(created, id)`` order is write order.  ``sum`` is the blake2b-128 of
-the record's exact bytes: the first payload read of a record (cache
-misses only — the decoded-payload LRU never re-verifies) re-hashes them
-against it and raises :class:`~repro.core.errors.CorruptArtifactError`
-on mismatch (bit rot, a torn overwrite, tampering), emitting a
-``store.corrupt`` event.
+``(created, id)`` order is write order; a profile whose ``created`` is
+not a finite stamp is refused with :class:`~repro.core.errors.StoreError`
+and nothing is written.  ``sum`` is the blake2b-128 of the record's
+exact bytes: the first payload read of a record (cache misses only —
+the decoded-payload LRU never re-verifies) re-hashes them against it
+and raises :class:`~repro.core.errors.CorruptArtifactError` on mismatch
+(bit rot, a torn overwrite, tampering), emitting a ``store.corrupt``
+event.  Bytes that hash right but do not decode (a writer's bug: a torn
+column, a record that is not JSON) raise the same error.
 
 Every query takes one names-only listing of the root and brings a cache
 of index lines (keyed by segment name; immutable, so never re-read) in
@@ -94,6 +117,7 @@ heartbeat).  Dot-directories under the root are never v1 groups.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -106,8 +130,10 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote, unquote
 
+import numpy as np
+
 from repro.core.errors import ConfigError, CorruptArtifactError, StoreError
-from repro.core.samples import Profile
+from repro.core.samples import Profile, SampleTable
 from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
 from repro.storage.base import Marker, ProfileStore, StoreEntry
@@ -125,6 +151,12 @@ TMP_SUFFIX = ".tmp"
 #: Last line of every segment: where its index line starts.
 _FOOTER = b"synapse-segment-index@%020d\n"
 _FOOTER_LEN = len(_FOOTER % 0)
+
+#: The segment format :meth:`FileStore.put_many` writes.
+FORMAT_VERSION = 3
+
+#: ``json.dumps`` without the cycle check: a record is a tree.
+_dumps = json.JSONEncoder(check_circular=False).encode
 
 #: The journal a v1 group kept beside its payload files.
 V1_INDEX_NAME = "index.jsonl"
@@ -176,6 +208,76 @@ def _payload_sum(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def _stamp(created: float) -> int:
+    """A profile's creation stamp in nanoseconds, as names carry it."""
+    try:
+        return int(created * 1e9)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise StoreError(
+            f"cannot store a profile created at {created!r}: not a finite stamp"
+        ) from exc
+
+
+def _b64(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode("ascii")
+
+
+def _unb64(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype)
+
+
+def _encode_samples(samples: SampleTable) -> dict[str, Any]:
+    """The columns object a v3 record holds in place of its samples."""
+    columns = {
+        "metrics": list(samples.metrics),
+        "watchers": list(samples.watchers),
+        "index": _b64(samples.index, "<i8"),
+        "t": _b64(samples.t, "<f8"),
+        "dt": _b64(samples.dt, "<f8"),
+        "values": _b64(samples.values, "<f8"),
+        "times": _b64(samples.times, "<f8"),
+    }
+    if samples.has_values is not None:
+        columns["has_values"] = _b64(samples.has_values, "u1")
+    if samples.has_times is not None:
+        columns["has_times"] = _b64(samples.has_times, "u1")
+    return columns
+
+
+def _decode_samples(samples: Any) -> SampleTable:
+    """A record's samples as a table: a v3 columns object, or the list
+    of sample documents of an older record."""
+    if not isinstance(samples, Mapping):
+        return SampleTable.from_dicts(samples)
+    metrics, watchers = samples["metrics"], samples["watchers"]
+    index = _unb64(samples["index"], "<i8")
+    by_metric = (index.size, len(metrics))
+    by_watcher = (index.size, len(watchers))
+    has_values, has_times = samples.get("has_values"), samples.get("has_times")
+    return SampleTable(
+        metrics, watchers, index,
+        _unb64(samples["t"], "<f8"),
+        _unb64(samples["dt"], "<f8"),
+        _unb64(samples["values"], "<f8").reshape(by_metric),
+        _unb64(samples["times"], "<f8").reshape(by_watcher),
+        None if has_values is None else _unb64(has_values, "u1").reshape(by_metric),
+        None if has_times is None else _unb64(has_times, "u1").reshape(by_watcher),
+    )
+
+
+def _parse(data: bytes) -> dict[str, Any]:
+    """One record's document, ``samples`` decoded into a table.
+
+    Raises ``ValueError`` / ``KeyError`` / ``TypeError`` for bytes that
+    are not a record.
+    """
+    doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a record is a JSON object, not {type(doc).__name__}")
+    doc["samples"] = _decode_samples(doc.get("samples", []))
+    return doc
+
+
 def _tombstone(pid: str) -> str:
     """Root entry whose existence deletes segment record ``pid``."""
     return pid.replace("/", ".") + TOMBSTONE_SUFFIX
@@ -192,8 +294,9 @@ def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
     """Every record of segment ``name``; none if it is not complete.
 
     A missing file, a missing or malformed footer, a footer pointing
-    outside the file and an index line that does not describe records
-    inside the file all read as "no segment here".
+    outside the file, an index line of a format version this store does
+    not read and one that does not describe records inside the file all
+    read as "no segment here".
     """
     try:
         with open(os.path.join(root, name), "rb") as handle:
@@ -206,6 +309,9 @@ def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
             if footer != _FOOTER % at or not 0 <= at < body:
                 return []
             handle.seek(at)
+            index = json.loads(handle.read(body - at))
+            if isinstance(index, dict):  # v3 onwards; a bare list is v2
+                index = index["records"] if index.get("version") == FORMAT_VERSION else []
             records = [
                 _Record(
                     StoreEntry(
@@ -214,7 +320,7 @@ def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
                     ),
                     str(row["sum"]), int(row["offset"]), int(row["length"]),
                 )
-                for n, row in enumerate(json.loads(handle.read(body - at)))
+                for n, row in enumerate(index)
             ]
     except (OSError, ValueError, KeyError, TypeError):
         return []
@@ -263,9 +369,9 @@ class FileStore(ProfileStore):
     Queries are index-first: the cached segment index is validated
     against a names-only listing of the root, the command/tag filter is
     answered from it, and profile payloads are parsed only for confirmed
-    candidates (lazily — ``find(query=...)`` matches the raw stored
-    document and only builds :class:`~repro.core.samples.Profile`
-    objects for accepted ones).
+    candidates (lazily — ``find(query=...)`` matches the stored document
+    and only builds :class:`~repro.core.samples.Profile` objects for
+    accepted ones).
     """
 
     #: Accepted ``durability`` modes (see ``__init__``).
@@ -316,8 +422,9 @@ class FileStore(ProfileStore):
         """Store a batch of profiles as one segment; returns their ids.
 
         All or nothing: the segment appears under its final name only
-        once every document, the index line and the footer are written;
-        a failure on the way unlinks the tmp file.  An empty batch
+        once every record, the index line and the footer are written;
+        a failure on the way — a profile whose ``created`` is not a
+        finite stamp is one — unlinks the tmp file.  An empty batch
         writes nothing.
         """
         with timed("store.put.seconds"):
@@ -325,11 +432,9 @@ class FileStore(ProfileStore):
             first = next(batch, None)
             if first is None:
                 return []
+            stamp = _stamp(first.created)
             self._seq += 1
-            name = (
-                f"{int(first.created * 1e9):020d}-{self._writer}"
-                f"-{self._seq:06d}{SEGMENT_SUFFIX}"
-            )
+            name = f"{stamp:020d}-{self._writer}-{self._seq:06d}{SEGMENT_SUFFIX}"
             path = os.path.join(self.root, name)
             tmp = path + TMP_SUFFIX
             records: list[_Record] = []
@@ -338,7 +443,10 @@ class FileStore(ProfileStore):
                 with open(tmp, "wb") as handle:
                     for profile in chain((first,), batch):
                         inject("store.put", key=profile.command)
-                        data = json.dumps(profile.to_dict()).encode("utf-8")
+                        _stamp(profile.created)
+                        data = _dumps(
+                            profile.document(_encode_samples(profile.samples))
+                        ).encode("utf-8")
                         handle.write(data)
                         handle.write(b"\n")
                         entry = StoreEntry(
@@ -357,7 +465,9 @@ class FileStore(ProfileStore):
                         }
                         for entry, digest, offset, length in records
                     ]
-                    index_line = json.dumps(index).encode("utf-8") + b"\n"
+                    index_line = _dumps(
+                        {"version": FORMAT_VERSION, "records": index}
+                    ).encode("utf-8") + b"\n"
                     handle.write(index_line)
                     handle.write(_FOOTER % end)
                     if self.durability == "fsync":
@@ -639,14 +749,15 @@ class FileStore(ProfileStore):
     def _decode(
         self, pid: str, data: bytes, expected: str | None
     ) -> tuple[dict[str, Any], str]:
-        """Integrity-check + parse one record's bytes.
+        """Integrity-check + parse one record's bytes (:func:`_parse`).
 
         The bytes are re-hashed against the digest recorded with them; a
         mismatch is **fatal** — re-reading corrupt bytes returns the same
         corrupt bytes — so it raises :class:`CorruptArtifactError`
-        instead of a retryable :class:`StoreError`.  A v1 file whose
-        journal recorded no digest adopts the computed one (returned
-        beside the document), pinning all subsequent reads.
+        instead of a retryable :class:`StoreError`, and so do bytes that
+        are not a record.  A v1 file whose journal recorded no digest
+        adopts the computed one (returned beside the document), pinning
+        all subsequent reads.
         """
         actual = _payload_sum(data)
         if expected is not None and actual != expected:
@@ -660,9 +771,11 @@ class FileStore(ProfileStore):
                 f"blake2b {expected}, stored bytes hash to {actual}"
             )
         try:
-            return json.loads(data), actual
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise StoreError(f"corrupt profile {pid!r}: {exc}") from exc
+            return _parse(data), actual
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptArtifactError(
+                f"stored profile {pid!r} is not a readable record: {exc!r}"
+            ) from exc
 
     def _docs(self, pids: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
         """``(pid, decoded document)`` of live records, via the payload LRU.
@@ -673,7 +786,8 @@ class FileStore(ProfileStore):
         size)`` stat signature decides reuse: a match skips read, parse
         and integrity verification; any mismatch — or a replaced file —
         re-reads, re-verifies and refreshes the cache.  Callers must not
-        mutate the documents (``Profile.from_dict`` copies what it keeps).
+        mutate the documents (``Profile.from_dict`` copies what it keeps
+        but the sample table, which nobody changes in place).
         """
         by_file: dict[str, list[_Record]] = {}
         for pid in pids:
@@ -732,11 +846,12 @@ class FileStore(ProfileStore):
     def _scan_docs(
         self, command: object, tags: object, query: Mapping[str, Any] | None
     ) -> Iterator[tuple[float, str, dict[str, Any]]]:
-        """``(created, pid, document)`` of every match, in any order."""
+        """``(created, pid, document)`` of every match, in any order; the
+        query sees each document in its ``to_dict`` shape."""
         matcher = compile_query(query) if query is not None else None
         created = {entry.id: entry.created for entry in self._matching(command, tags)}
         for pid, doc in self._docs(created):
-            if matcher is None or matcher(doc):
+            if matcher is None or matcher({**doc, "samples": doc["samples"].to_dicts()}):
                 yield created[pid], pid, doc
 
     def find(
@@ -782,13 +897,13 @@ class FileStore(ProfileStore):
                             if _tombstone(pid) in tombstones:
                                 continue
                             handle.seek(record.offset)
-                            data = json.loads(handle.read(record.length))
+                            data = _parse(handle.read(record.length))
                             yield pid, Profile.from_dict(data)
                 elif _is_v1_group(name) and os.path.isdir(path):
                     for fname in sorted(os.listdir(path)):
                         if fname.endswith(".json"):
                             with open(os.path.join(path, fname), "rb") as handle:
-                                data = json.load(handle)
+                                data = _parse(handle.read())
                             yield f"{name}/{fname}", Profile.from_dict(data)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise StoreError(f"corrupt profile file {path}: {exc}") from exc

@@ -25,6 +25,14 @@ not available here, so this module implements a small, faithful stand-in:
   flags the stored profile ``truncated`` (strict mode raises instead).
   The marker plane (elastic heartbeats and leases) is a second
   collection, ``markers``, indexed by scope.
+
+A stored profile document is exactly the profile's
+:meth:`~repro.core.samples.Profile.to_dict` — samples as a list of
+per-sample documents, the shape MongoDB users query — and nothing else
+writes one.  Unlike :class:`~repro.storage.filestore.FileStore`, which
+keeps samples as binary columns, this store therefore pays a number per
+sample and metric on every write and read; its size limit is measured
+on that same document.
 """
 
 from __future__ import annotations

@@ -285,8 +285,11 @@ class TestConstruction:
     def test_infinite_quantum_rejected(self, metric):
         """A corrupted stored document: named, not a bare OverflowError
         (and never an int64 that wrapped)."""
-        profile = profile_from_values([{metric: 1.0}, {metric: 2.0}, {metric: float("inf")}])
-        profile.samples[2].index = 17
+        profile = Profile(command="planned app", samples=[
+            Sample(0, 0.0, 1.0, {metric: 1.0}),
+            Sample(1, 1.0, 1.0, {metric: 2.0}),
+            Sample(17, 2.0, 1.0, {metric: float("inf")}),
+        ])
         with pytest.raises(EmulationError, match=f"sample 17: {metric}"):
             EmulationPlan.from_profile(profile)
 

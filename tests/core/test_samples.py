@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.samples import Profile, Sample
+from repro.core.samples import Profile, Sample, SampleTable
 from repro.util.timeseries import TimeSeries
 
 
@@ -301,6 +301,112 @@ class TestBatchedMergeEquivalence:
     def test_empty_grid_with_series(self):
         cum, lev = self._shared(self.ENDS)
         assert Profile.merge_watcher_series([], cum, lev) == []
+
+
+class TestSampleTableReadsLikeTheList:
+    """``Profile.samples`` is a column table; everything a
+    ``list[Sample]`` answered, it answers the same."""
+
+    SAMPLES = [
+        Sample(3, 0.0, 0.5, {"a": 1.0, "b": -0.0}, {"w": 0.4}),
+        Sample(9, 0.5, 0.5, {}, {}),  # a never-sampled row's shape
+        Sample(4, 1.0, 0.25, {"b": 2.0, "c": 5e-324}, {"w": 1.1, "v": 1.2}),
+    ]
+
+    def table(self):
+        return Profile(command="x", samples=self.SAMPLES).samples
+
+    def test_the_list_is_converted(self):
+        table = self.table()
+        assert isinstance(table, SampleTable)
+        assert table.metrics == ("a", "b", "c")
+        assert table.watchers == ("w", "v")
+        assert table.values.shape == (3, 3) and table.times.shape == (3, 2)
+        assert table.has_values is not None and table.has_times is not None
+
+    def test_len_iteration_and_indexing(self):
+        table = self.table()
+        assert len(table) == 3
+        assert list(table) == self.SAMPLES
+        assert [table[i] for i in range(3)] == self.SAMPLES
+        assert table[-1] == self.SAMPLES[-1]
+        assert table[1].values == {} and table[1].watcher_times == {}
+        assert isinstance(table[0].index, int) and isinstance(table[0].t, float)
+        with pytest.raises(IndexError):
+            table[3]
+        with pytest.raises(IndexError):
+            table[-4]
+
+    def test_slicing(self):
+        table = self.table()
+        for cut in (slice(1, None), slice(None, 2), slice(None, None, -1), slice(5, 9)):
+            assert isinstance(table[cut], SampleTable)
+            assert table[cut] == self.SAMPLES[cut]
+            assert list(table[cut]) == self.SAMPLES[cut]
+        # A slice without ragged rows is a table without masks.
+        assert table[:1].has_values is None and table[:1].metrics == ("a", "b")
+
+    def test_equality(self):
+        table = self.table()
+        assert table == self.SAMPLES
+        assert table == SampleTable.from_samples(self.SAMPLES)
+        assert table == SampleTable.from_dicts([s.to_dict() for s in self.SAMPLES])
+        assert table != self.SAMPLES[::-1]
+        assert table != self.SAMPLES[:2]
+        assert table != SampleTable.from_samples(self.SAMPLES[:2])
+        # Same samples, columns in another order: still equal.
+        reordered = [Sample(s.index, s.t, s.dt, dict(reversed(list(s.values.items()))),
+                            s.watcher_times) for s in self.SAMPLES]
+        assert SampleTable.from_samples(reordered) == table
+
+    def test_pickle(self):
+        import pickle
+
+        profile = Profile(command="x", samples=self.SAMPLES)
+        again = pickle.loads(pickle.dumps(profile))
+        assert again.samples == profile.samples == self.SAMPLES
+        assert again == profile
+
+    def test_truncate(self):
+        profile = Profile(command="x", samples=self.SAMPLES)
+        for n in range(5):
+            cut = profile.truncate(n)
+            assert cut.samples == self.SAMPLES[:n]
+            assert cut.to_dict()["samples"] == [s.to_dict() for s in self.SAMPLES[:n]]
+
+    def test_handed_out_samples_are_copies(self):
+        table = self.table()
+        table[0].values["a"] = 99.0
+        for sample in table:
+            sample.watcher_times.clear()
+        assert list(table) == self.SAMPLES
+
+    def test_to_dict_is_the_list_shape(self):
+        profile = Profile(command="x", samples=self.SAMPLES)
+        assert profile.to_dict()["samples"] == [s.to_dict() for s in self.SAMPLES]
+        back = Profile.from_dict(profile.to_dict())
+        assert back.samples == self.SAMPLES
+
+    def test_totals_and_series_read_the_columns(self):
+        profile = Profile(command="x", samples=self.SAMPLES)
+        assert profile.totals() == {"a": 1.0, "b": 2.0, "c": 5e-324}
+        assert profile.metric_names() == ["a", "b", "c"]
+        assert profile._total("b") == 2.0 and profile._total("zz") is None
+        assert list(profile.series("b").values) == [0.0, 0.0, 2.0]
+        assert list(profile.series("b").times) == [0.5, 1.0, 1.25]
+        assert profile.tx == 1.25
+
+    def test_canonical_form(self):
+        """A column no sample has is dropped, and a mask without an
+        absent cell is no mask."""
+        table = SampleTable(
+            ["a", "b"], [], [0, 1], [0.0, 1.0], [1.0, 1.0],
+            [[5.0, 7.0], [6.0, 8.0]], has_values=[[True, False], [True, False]],
+        )
+        assert table.metrics == ("a",) and table.has_values is None
+        assert table.values.tolist() == [[5.0], [6.0]]
+        with pytest.raises(ValueError):
+            SampleTable(["a"], [], [0, 1], [0.0], [1.0, 1.0])
 
 
 class TestNormalisationOnInit:

@@ -56,8 +56,10 @@ class TestCSV:
         assert rows[1]["io.bytes_read"] == ""  # missing metric stays empty
 
     def test_values_lossless(self):
-        profile = make_profile()
-        profile.samples[0].values["cpu.cycles_used"] = 1.2345678901234567e18
+        profile = Profile(
+            command="exported app",
+            samples=[Sample(0, 0.0, 1.0, {"cpu.cycles_used": 1.2345678901234567e18})],
+        )
         rows = rows_from_csv(profile_to_csv(profile))
         assert float(rows[0]["cpu.cycles_used"]) == 1.2345678901234567e18
 

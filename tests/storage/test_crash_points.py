@@ -9,11 +9,17 @@ and payload planes never raise on debris and never return a torn
 document.  One case crashes a real child process mid-wave through
 ``repro.faults`` crash mode, and the failed-write cases check that a
 ``put_many`` that raises leaves the root exactly as it was.
+
+The root every case starts from holds an older *v2* segment, and the
+segments the cases write are the current *v3* format, so every read is
+of a mixed root; :class:`TestSampleColumns` damages the v3 columns
+themselves and the index line's version.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -22,12 +28,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import StoreError
+from repro.core.errors import CorruptArtifactError, StoreError
 from repro.core.samples import Profile, Sample
 from repro.faults import FaultPlan, InjectedFault, injected_faults
 from repro.storage import FileStore
 from repro.storage.base import ProfileStore
-from tests.storage.conftest import build_segment
+from tests.storage.conftest import (
+    build_segment,
+    decode_record,
+    encode_record,
+    read_segment,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -49,8 +60,8 @@ NEW_WAVE = [make_profile(f"new {c}", 2.0 + i) for i, c in enumerate("abc")]
 
 @pytest.fixture
 def root(tmp_path):
-    """A root holding one complete, older segment (``OLD_WAVE``)."""
-    (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE))
+    """A root holding one complete, older v2 segment (``OLD_WAVE``)."""
+    (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE, version=2))
     return tmp_path
 
 
@@ -283,3 +294,95 @@ class TestFailedPutLeavesNoTrace:
         with pytest.raises(RuntimeError):
             store.put_many(wave())
         assert self.listing(root) == before
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("created", [math.nan, math.inf, -math.inf, 1e300])
+    def test_created_that_is_no_stamp(self, root, created, position):
+        """A segment's name and its write order are creation stamps: a
+        profile without a finite one is refused as a store error, first
+        of its wave or not, and nothing lands."""
+        store = FileStore(root)
+        before = self.listing(root)
+        wave = list(NEW_WAVE)
+        wave[position] = make_profile("no stamp", created)
+        with pytest.raises(StoreError, match="not a finite stamp"):
+            store.put_many(wave)
+        assert self.listing(root) == before
+        assert read_back(root) == docs_of(OLD_WAVE)
+
+
+def _with_values(profile, edit) -> bytes:
+    """``profile``'s v3 record with its ``values`` column edited."""
+    doc = json.loads(encode_record(profile))
+    doc["samples"]["values"] = edit(doc["samples"]["values"])
+    return json.dumps(doc).encode("utf-8")
+
+
+class TestSampleColumns:
+    """Damage to the v3 sample columns and to the index line's version."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-4],              # torn: three bytes short of a float
+        lambda text: text[:-12],             # truncated: one float short
+        lambda text: text + "AAAAAAAAAAA=",  # one float too many
+        lambda text: text[:-1] + "!",        # not base64
+        lambda text: None,                   # not a column
+    ], ids=["torn", "truncated", "overlong", "not-base64", "missing"])
+    def test_bad_column_under_a_good_sum_is_corrupt(self, root, edit):
+        """A writer that wrote bad columns, its sum covering them: the
+        index plane still lists the records, every payload read refuses
+        them with the typed, non-retryable error, and the v2 neighbour
+        reads as before."""
+        records = [_with_values(profile, edit) for profile in NEW_WAVE]
+        (root / NEW).write_bytes(build_segment(NEW_WAVE, records=records))
+        store = FileStore(root)
+        ids = store.find_ids()
+        assert len(ids) == len(OLD_WAVE) + len(NEW_WAVE)
+        new = [pid for pid in ids if pid.startswith(NEW)]
+        old = [pid for pid in ids if pid.startswith(OLD)]
+        for pid in new:
+            with pytest.raises(CorruptArtifactError, match="not a readable record"):
+                store.get_many([pid])
+        with pytest.raises(CorruptArtifactError):
+            store.find()
+        with pytest.raises(StoreError):
+            ProfileStore.find(store)
+        assert [p.to_dict() for p in store.get_many(old)] == docs_of(OLD_WAVE)
+
+    def test_bit_rot_in_a_column_fails_the_sum(self, root):
+        segment = build_segment(NEW_WAVE)
+        column = json.loads(encode_record(NEW_WAVE[1]))["samples"]["values"]
+        flipped = ("B" if column[0] == "A" else "A") + column[1:]
+        (root / NEW).write_bytes(
+            segment.replace(column.encode(), flipped.encode(), 1)
+        )
+        store = FileStore(root)
+        with pytest.raises(CorruptArtifactError, match="integrity check"):
+            store.get_many([f"{NEW}/000000"])
+
+    @pytest.mark.parametrize("version", [4, 1, "3", None])
+    def test_unknown_index_version_is_absent(self, root, version):
+        (root / NEW).write_bytes(build_segment(NEW_WAVE, version=version))
+        assert read_back(root) == docs_of(OLD_WAVE)
+
+    def test_index_line_without_a_version_is_absent(self, root):
+        segment = build_segment(NEW_WAVE)
+        (root / NEW).write_bytes(segment.replace(b'{"version": 3, "records"', b'{"records"'))
+        assert read_back(root) == docs_of(OLD_WAVE)
+
+    def test_mixed_root_reads_consistently(self, tmp_path):
+        """v3 older than v2 (a downgrade and back), then a put through
+        the store: every read path agrees with the others and with the
+        records decoded by hand."""
+        put = make_profile("put c", 9.0)
+        (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE, version=3))
+        (tmp_path / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
+        FileStore(tmp_path).put_many([put])
+        docs = read_back(tmp_path)
+        assert docs == docs_of(OLD_WAVE, NEW_WAVE, [put])
+        by_hand = [
+            decode_record(data)
+            for path in sorted(tmp_path.glob("*.seg"))
+            for data in read_segment(path)[1]
+        ]
+        assert by_hand == docs

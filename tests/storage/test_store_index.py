@@ -11,7 +11,6 @@ guarantees of the index plane.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -22,6 +21,8 @@ from repro.storage import FileStore, MemoryStore, MongoStore
 from repro.storage.base import ProfileStore, StoreEntry
 from tests.storage.conftest import (
     V1_INDEX_NAME,
+    decode_record,
+    encode_record,
     read_segment,
     segment_files,
     write_v1,
@@ -202,7 +203,9 @@ class TestFileStoreSidecarIndex:
         assert segment.name.startswith("00000000005000000000-")
         assert segment.name.endswith("-000001.seg")
         [row], [data] = read_segment(segment)
-        assert json.loads(data) == make_profile(created=5.0).to_dict()
+        # A v3 record: the ``to_dict`` document, samples as binary columns.
+        assert data == encode_record(make_profile(created=5.0))
+        assert decode_record(data) == make_profile(created=5.0).to_dict()
         # The recorded digest is the blake2b-128 of the record's bytes.
         assert row == {
             "command": "app x", "tags": ["k=1"], "created": 5.0,
@@ -218,7 +221,7 @@ class TestFileStoreSidecarIndex:
         assert ids == [f"{segment.name}/{n:06d}" for n in range(8)]
         rows, records = read_segment(segment)
         assert [row["command"] for row in rows] == [f"c{i}" for i in range(8)]
-        assert [json.loads(data) for data in records] == [
+        assert [decode_record(data) for data in records] == [
             profile.to_dict() for profile in profiles
         ]
 
