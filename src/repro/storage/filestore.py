@@ -9,7 +9,6 @@ File layout::
     <root>/<created-ns>-<writer>-<seq>.seg           # one per put/put_many call
     <root>/<created-ns>-<writer>-<seq>.seg.<n>.del   # tombstone of its record n
     <root>/.markers/<scope-hash>/<created-ns>-<writer>-<seq>,<kind>,<k>=<v>,...
-    <root>/<key-hash>/{<file>.json, index.jsonl}     # v1 groups, read-only
 
 ``created-ns`` is the first profile's creation stamp, ``writer`` a
 per-store token (PID plus random suffix) and ``seq`` a per-store counter:
@@ -37,11 +36,15 @@ columns are exact for every float, NaN, ±inf, −0.0 and subnormals
 included, and a read decodes them with ``np.frombuffer`` instead of
 parsing a number per sample and metric.
 
-Only version 3 is written.  An index line that is a bare JSON list is a
-version-2 segment, whose records hold ``to_dict`` documents as they are;
-both stay readable side by side.  An index line with any other version
-reads as no segment at all.  ``find(query=...)`` matches every record
-in its ``to_dict`` shape, whatever its version.
+Version 3 is the only format written or read.  An index line with any
+other version reads as no segment at all, except for the two older
+layouts, which a query refuses with a :class:`~repro.core.errors.StoreError`
+naming ``repro migrate`` (:mod:`repro.storage.migrate` rewrites them as
+v3): a *v2 segment*, whose index line is a bare JSON list of rows and
+whose records hold ``to_dict`` documents, and a *v1 group*, a non-dot
+directory holding one ``*.json`` file per profile and an ``index.jsonl``
+journal.  ``find(query=...)`` matches every record in its ``to_dict``
+shape.
 
 A segment is written to ``<name>.seg.tmp``, renamed into place and
 never changed afterwards, so a segment is either absent or complete: a
@@ -80,18 +83,6 @@ record, creation is atomic, a second delete of the same record fails).
 A crash in between leaves tombstones without a segment, which mean
 nothing: segment names are never reused.
 
-v1 stores (read-only shim)
---------------------------
-
-Earlier versions kept one directory per ``(command, tags)`` group, one
-``*.json`` file per profile in it and an ``index.jsonl`` journal.  A
-non-dot directory under the root is such a group: its ``*.json`` files
-are listed as one-record entries under their old ``<group>/<file>.json``
-ids (index fields read from the document; the integrity ``sum`` from the
-journal where it recorded one, else adopted on first read), and can be
-fetched and deleted.  v1 groups are never written, healed, compacted or
-garbage-collected; new writes land beside them as segments.
-
 Marker plane (``.markers/``)
 ----------------------------
 
@@ -112,7 +103,7 @@ its kind and fields in the file body instead: the name ends in ``,@``
 and the body is written before an atomic rename, so a scan never sees
 it half-written.  Markers are heartbeats, not data: ``durability="fsync"``
 does not apply to them (a marker lost to a power cut is a dropped
-heartbeat).  Dot-directories under the root are never v1 groups.
+heartbeat).
 """
 
 from __future__ import annotations
@@ -161,10 +152,10 @@ _dumps = json.JSONEncoder(check_circular=False).encode
 #: The journal a v1 group kept beside its payload files.
 V1_INDEX_NAME = "index.jsonl"
 
-#: Decoded-payload LRU capacity (documents, not bytes).  Segments and v1
-#: profile files are immutable once renamed into place, so a cached
-#: parse stays valid for as long as the ``(mtime_ns, size)`` stat
-#: signature of the file holding it matches.
+#: Decoded-payload LRU capacity (documents, not bytes).  Segments are
+#: immutable once renamed into place, so a cached parse stays valid for
+#: as long as the ``(mtime_ns, size)`` stat signature of the segment
+#: holding it matches.
 PAYLOAD_CACHE_SIZE = 512
 
 #: Directory under the store root holding the marker plane.
@@ -187,7 +178,6 @@ class _Record(NamedTuple):
     entry: StoreEntry
     sum: str
     offset: int
-    #: ``-1``: the whole file (a v1 profile file).
     length: int
 
 
@@ -244,11 +234,8 @@ def _encode_samples(samples: SampleTable) -> dict[str, Any]:
     return columns
 
 
-def _decode_samples(samples: Any) -> SampleTable:
-    """A record's samples as a table: a v3 columns object, or the list
-    of sample documents of an older record."""
-    if not isinstance(samples, Mapping):
-        return SampleTable.from_dicts(samples)
+def _decode_samples(samples: Mapping[str, Any]) -> SampleTable:
+    """A v3 record's columns object as a table."""
     metrics, watchers = samples["metrics"], samples["watchers"]
     index = _unb64(samples["index"], "<i8")
     by_metric = (index.size, len(metrics))
@@ -265,17 +252,36 @@ def _decode_samples(samples: Any) -> SampleTable:
     )
 
 
-def _parse(data: bytes) -> dict[str, Any]:
-    """One record's document, ``samples`` decoded into a table.
+def _decode(
+    pid: str, data: bytes, expected: str | None, samples=_decode_samples
+) -> dict[str, Any]:
+    """One record's document, its ``samples`` decoded into a table by
+    ``samples`` (a v3 columns object by default).
 
-    Raises ``ValueError`` / ``KeyError`` / ``TypeError`` for bytes that
-    are not a record.
+    The bytes are first re-hashed against the digest recorded with them
+    (``None``: none to check); a mismatch is **fatal** — re-reading
+    corrupt bytes returns the same corrupt bytes — so it raises
+    :class:`CorruptArtifactError` instead of a retryable
+    :class:`StoreError`, and so do bytes that are not a record.
     """
-    doc = json.loads(data)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a record is a JSON object, not {type(doc).__name__}")
-    doc["samples"] = _decode_samples(doc.get("samples", []))
-    return doc
+    actual = _payload_sum(data)
+    if expected is not None and actual != expected:
+        get_registry().inc("store.corrupt")
+        get_bus().event(
+            "store.corrupt", level="error", id=pid, expected=expected, actual=actual,
+        )
+        raise CorruptArtifactError(
+            f"stored profile {pid!r} failed its integrity check: recorded "
+            f"blake2b {expected}, stored bytes hash to {actual}"
+        )
+    try:
+        doc = json.loads(data)
+        doc["samples"] = samples(doc["samples"])  # TypeError unless an object
+        return doc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptArtifactError(
+            f"stored profile {pid!r} is not a readable record: {exc!r}"
+        ) from exc
 
 
 def _tombstone(pid: str) -> str:
@@ -283,35 +289,53 @@ def _tombstone(pid: str) -> str:
     return pid.replace("/", ".") + TOMBSTONE_SUFFIX
 
 
-def _is_v1_group(name: str) -> bool:
-    """Whether a root entry's name can be a v1 group directory."""
-    return not name.startswith(".") and not name.endswith(
+def _is_v1_group(root: str | os.PathLike, name: str) -> bool:
+    """Whether root entry ``name`` is a v1 group: a non-dot directory
+    holding profile files or their journal."""
+    if name.startswith(".") or name.endswith(
         (SEGMENT_SUFFIX, TOMBSTONE_SUFFIX, TMP_SUFFIX)
+    ):
+        return False
+    try:
+        held = os.listdir(os.path.join(root, name))
+    except OSError:  # a file, or gone
+        return False
+    return any(n.endswith(".json") or n == V1_INDEX_NAME for n in held)
+
+
+def _unmigrated(root: str | os.PathLike, name: str) -> StoreError:
+    """The refusal of a root entry in an older on-disk format."""
+    return StoreError(
+        f"{os.path.join(root, name)} is in an older on-disk format; rewrite "
+        f"the store as v3 with `repro --store file://{root} migrate` first"
     )
 
 
-def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
-    """Every record of segment ``name``; none if it is not complete.
+def _read_index(root: str | os.PathLike, name: str) -> tuple[int, list[_Record]]:
+    """``(format version, records)`` of segment ``name``; ``(0, [])`` if
+    it is not a complete segment.
 
     A missing file, a missing or malformed footer, a footer pointing
-    outside the file, an index line of a format version this store does
-    not read and one that does not describe records inside the file all
+    outside the file, an index line that is neither a v3 one nor a bare
+    v2 list and one that does not describe records inside the file all
     read as "no segment here".
     """
     try:
         with open(os.path.join(root, name), "rb") as handle:
             body = handle.seek(0, os.SEEK_END) - _FOOTER_LEN
             if body < 0:
-                return []
+                return 0, []
             handle.seek(body)
             footer = handle.read(_FOOTER_LEN)
             at = int(footer[-21:])
             if footer != _FOOTER % at or not 0 <= at < body:
-                return []
+                return 0, []
             handle.seek(at)
             index = json.loads(handle.read(body - at))
-            if isinstance(index, dict):  # v3 onwards; a bare list is v2
-                index = index["records"] if index.get("version") == FORMAT_VERSION else []
+            version = 2  # a bare list of rows
+            if isinstance(index, dict):
+                version = index.get("version")
+                index = index["records"] if version == FORMAT_VERSION else []
             records = [
                 _Record(
                     StoreEntry(
@@ -323,10 +347,90 @@ def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
                 for n, row in enumerate(index)
             ]
     except (OSError, ValueError, KeyError, TypeError):
-        return []
-    if any(r.offset < 0 or r.length < 0 or r.offset + r.length > at for r in records):
-        return []
+        return 0, []
+    if not records or any(
+        r.offset < 0 or r.length < 0 or r.offset + r.length > at for r in records
+    ):
+        return 0, []
+    return version, records
+
+
+def _current_records(root: str | os.PathLike, name: str) -> list[_Record]:
+    """Segment ``name``'s records, refusing a v2 segment."""
+    version, records = _read_index(root, name)
+    if version != FORMAT_VERSION and records:
+        raise _unmigrated(root, name)
     return records
+
+
+def _write_segment(
+    root: str | os.PathLike, name: str, profiles: Iterable[Profile], fsync: bool
+) -> tuple[list[_Record], int]:
+    """Write ``profiles`` as v3 segment ``name``; returns its records
+    and its size in bytes.
+
+    All or nothing: the segment is written to ``<name>.tmp`` and renamed
+    over ``name`` once every record, the index line and the footer are
+    in it; a failure on the way — a profile whose ``created`` is not a
+    finite stamp is one — unlinks the tmp file.
+    """
+    path = os.path.join(root, name)
+    tmp = path + TMP_SUFFIX
+    records: list[_Record] = []
+    end = 0
+    try:
+        with open(tmp, "wb") as handle:
+            for profile in profiles:
+                inject("store.put", key=profile.command)
+                _stamp(profile.created)
+                data = _dumps(
+                    profile.document(_encode_samples(profile.samples))
+                ).encode("utf-8")
+                handle.write(data)
+                handle.write(b"\n")
+                entry = StoreEntry(
+                    f"{name}/{len(records):06d}",
+                    profile.command, profile.tags, profile.created,
+                )
+                records.append(_Record(entry, _payload_sum(data), end, len(data)))
+                end += len(data) + 1
+            index = [
+                {
+                    "command": entry.command, "tags": entry.tags,
+                    "created": entry.created, "sum": digest,
+                    "offset": offset, "length": length,
+                }
+                for entry, digest, offset, length in records
+            ]
+            index_line = _dumps(
+                {"version": FORMAT_VERSION, "records": index}
+            ).encode("utf-8") + b"\n"
+            handle.write(index_line)
+            handle.write(_FOOTER % end)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        _unlink_quietly(tmp)
+        if isinstance(exc, OSError):
+            raise StoreError(f"cannot write segment {path}: {exc}") from exc
+        raise
+    if fsync:
+        _fsync_dir(root)
+    return records, end + len(index_line) + _FOOTER_LEN
+
+
+def _fsync_dir(path: str | os.PathLike) -> None:
+    """Flush a directory entry (rename/create) to stable storage."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # platform without directory fds
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _marker_name(stem: str, kind: str, fields: Mapping[str, str]) -> str:
@@ -398,11 +502,9 @@ class FileStore(ProfileStore):
         self._writer = f"{os.getpid():x}{secrets.token_hex(4)}"
         #: Root entries as of the last listing, plus this store's writes.
         self._listing: set[str] = set()
-        #: The names in it that may be v1 group directories.
-        self._v1_groups: list[str] = []
-        #: Segment file or v1 group name -> its live records by id.  A
-        #: segment with nothing live (or nothing readable) keeps an
-        #: empty dict, so it is not loaded again.
+        #: Segment file name -> its live records by id.  A segment with
+        #: nothing live (or nothing readable) keeps an empty dict, so it
+        #: is not loaded again.
         self._files: dict[str, dict[str, _Record]] = {}
         #: (command, tags) -> (tags as a set, live entries by id).
         self._by_key: dict[
@@ -421,11 +523,8 @@ class FileStore(ProfileStore):
     def put_many(self, profiles: Sequence[Profile] | Iterable[Profile]) -> list[str]:
         """Store a batch of profiles as one segment; returns their ids.
 
-        All or nothing: the segment appears under its final name only
-        once every record, the index line and the footer are written;
-        a failure on the way — a profile whose ``created`` is not a
-        finite stamp is one — unlinks the tmp file.  An empty batch
-        writes nothing.
+        All or nothing (:func:`_write_segment`); an empty batch writes
+        nothing.
         """
         with timed("store.put.seconds"):
             batch = iter(profiles)
@@ -435,71 +534,17 @@ class FileStore(ProfileStore):
             stamp = _stamp(first.created)
             self._seq += 1
             name = f"{stamp:020d}-{self._writer}-{self._seq:06d}{SEGMENT_SUFFIX}"
-            path = os.path.join(self.root, name)
-            tmp = path + TMP_SUFFIX
-            records: list[_Record] = []
-            end = 0
-            try:
-                with open(tmp, "wb") as handle:
-                    for profile in chain((first,), batch):
-                        inject("store.put", key=profile.command)
-                        _stamp(profile.created)
-                        data = _dumps(
-                            profile.document(_encode_samples(profile.samples))
-                        ).encode("utf-8")
-                        handle.write(data)
-                        handle.write(b"\n")
-                        entry = StoreEntry(
-                            f"{name}/{len(records):06d}",
-                            profile.command, profile.tags, profile.created,
-                        )
-                        records.append(
-                            _Record(entry, _payload_sum(data), end, len(data))
-                        )
-                        end += len(data) + 1
-                    index = [
-                        {
-                            "command": entry.command, "tags": entry.tags,
-                            "created": entry.created, "sum": digest,
-                            "offset": offset, "length": length,
-                        }
-                        for entry, digest, offset, length in records
-                    ]
-                    index_line = _dumps(
-                        {"version": FORMAT_VERSION, "records": index}
-                    ).encode("utf-8") + b"\n"
-                    handle.write(index_line)
-                    handle.write(_FOOTER % end)
-                    if self.durability == "fsync":
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except BaseException as exc:
-                _unlink_quietly(tmp)
-                if isinstance(exc, OSError):
-                    raise StoreError(f"cannot write segment {path}: {exc}") from exc
-                raise
-            if self.durability == "fsync":
-                self._fsync_dir(self.root)
+            records, size = _write_segment(
+                self.root, name, chain((first,), batch), self.durability == "fsync"
+            )
             self._listing.add(name)
             self._files[name] = {}
             for record in records:
                 self._add(name, record)
             registry = get_registry()
             registry.inc("store.put.records", len(records))
-            registry.inc("store.put.bytes", end + len(index_line) + _FOOTER_LEN)
+            registry.inc("store.put.bytes", size)
         return [record.entry.id for record in records]
-
-    def _fsync_dir(self, path: Path) -> None:
-        """Flush a directory entry (rename/create) to stable storage."""
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:  # platform without directory fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def delete(self, pid: str) -> None:
         """Remove one stored profile by the id :meth:`put` returned.
@@ -514,9 +559,7 @@ class FileStore(ProfileStore):
         try:
             if record is None:
                 raise FileNotFoundError(pid)
-            if record.length < 0:  # a v1 profile file
-                os.unlink(os.path.join(self.root, pid))
-            elif len(live) > 1:
+            if len(live) > 1:
                 name = _tombstone(pid)
                 _create_exclusive(os.path.join(self.root, name))
                 self._listing.add(name)
@@ -630,7 +673,7 @@ class FileStore(ProfileStore):
         return 1
 
     def _drop(self, container: str) -> int:
-        """Drop a vanished segment or v1 group; returns records dropped."""
+        """Drop a vanished segment; returns records dropped."""
         live = self._files.pop(container)
         return sum(self._forget(live, pid) for pid in list(live))
 
@@ -638,8 +681,9 @@ class FileStore(ProfileStore):
         """Bring the cached index in line with one listing of the root.
 
         Names only: segments are immutable, so a name seen before is
-        never opened again.  Only v1 groups, whose directories can lose
-        files, are re-listed every time.
+        never opened again.  A new name in an older on-disk format — a
+        v2 segment, a v1 group — raises :class:`StoreError`, and does so
+        again on every later call until ``repro migrate`` rewrites it.
         """
         try:
             listing = set(os.listdir(self.root))
@@ -658,67 +702,21 @@ class FileStore(ProfileStore):
                     moved += self._forget(
                         self._files.get(segment, {}), f"{segment}/{n}"
                     )
+                elif _is_v1_group(self.root, name):
+                    raise _unmigrated(self.root, name)
             self._listing = listing
-            self._v1_groups = [name for name in listing if _is_v1_group(name)]
-        for name in self._v1_groups:
-            moved += self._sync_v1_group(name)
         get_registry().inc("store.index.miss" if moved else "store.index.hit")
 
     def _load_segment(self, name: str, listing: set[str]) -> int:
         get_registry().inc("store.segments.loaded")
+        records = _current_records(self.root, name)
+        # A refresh cut short by a refusal may have loaded it already.
+        moved = self._drop(name) if name in self._files else 0
         self._files[name] = {}
-        for record in _read_index(self.root, name):
+        for record in records:
             if _tombstone(record.entry.id) not in listing:
                 self._add(name, record)
-        return len(self._files[name])
-
-    def _sync_v1_group(self, gname: str) -> int:
-        """Reconcile one v1 group with its directory; never writes to it."""
-        try:
-            names = os.listdir(os.path.join(self.root, gname))
-        except OSError:  # not a directory after all
-            names = []
-        on_disk = {f"{gname}/{name}" for name in names if name.endswith(".json")}
-        live = self._files.setdefault(gname, {})
-        moved = sum(self._forget(live, pid) for pid in live.keys() - on_disk)
-        fresh = sorted(on_disk - live.keys())
-        if fresh:
-            recorded = self._v1_sums(gname)
-            for pid in fresh:
-                try:
-                    with open(os.path.join(self.root, pid), "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue  # deleted under the scan
-                doc, actual = self._decode(pid, data, recorded.get(pid))
-                try:
-                    entry = StoreEntry(
-                        pid, str(doc["command"]),
-                        tuple(str(tag) for tag in doc.get("tags", ())),
-                        float(doc.get("created", 0.0)),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise StoreError(f"corrupt profile file {pid}: {exc!r}") from exc
-                self._add(gname, _Record(entry, actual, 0, -1))
-                moved += 1
-        return moved
-
-    def _v1_sums(self, gname: str) -> dict[str, str]:
-        """pid -> digest, from the complete lines of a v1 group's journal."""
-        recorded: dict[str, str] = {}
-        try:
-            with open(
-                os.path.join(self.root, gname, V1_INDEX_NAME), encoding="utf-8"
-            ) as handle:
-                for line in handle:
-                    try:
-                        row = json.loads(line)
-                        recorded.setdefault(str(row["id"]), str(row["sum"]))
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn, or written before sums existed
-        except OSError:
-            pass
-        return recorded
+        return moved + len(self._files[name])
 
     def _matching(self, command: object, tags: object) -> list[StoreEntry]:
         """Live entries surviving the command/tag filter, in any order."""
@@ -746,37 +744,6 @@ class FileStore(ProfileStore):
 
     # -- payload plane --------------------------------------------------------
 
-    def _decode(
-        self, pid: str, data: bytes, expected: str | None
-    ) -> tuple[dict[str, Any], str]:
-        """Integrity-check + parse one record's bytes (:func:`_parse`).
-
-        The bytes are re-hashed against the digest recorded with them; a
-        mismatch is **fatal** — re-reading corrupt bytes returns the same
-        corrupt bytes — so it raises :class:`CorruptArtifactError`
-        instead of a retryable :class:`StoreError`, and so do bytes that
-        are not a record.  A v1 file whose journal recorded no digest
-        adopts the computed one (returned beside the document), pinning
-        all subsequent reads.
-        """
-        actual = _payload_sum(data)
-        if expected is not None and actual != expected:
-            get_registry().inc("store.corrupt")
-            get_bus().event(
-                "store.corrupt", level="error", id=pid,
-                expected=expected, actual=actual,
-            )
-            raise CorruptArtifactError(
-                f"stored profile {pid!r} failed its integrity check: recorded "
-                f"blake2b {expected}, stored bytes hash to {actual}"
-            )
-        try:
-            return _parse(data), actual
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptArtifactError(
-                f"stored profile {pid!r} is not a readable record: {exc!r}"
-            ) from exc
-
     def _docs(self, pids: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
         """``(pid, decoded document)`` of live records, via the payload LRU.
 
@@ -795,9 +762,7 @@ class FileStore(ProfileStore):
             record = self._files.get(container, {}).get(pid)
             if record is None:
                 raise StoreError(f"no stored profile {pid!r}")
-            by_file.setdefault(
-                container if record.length >= 0 else pid, []
-            ).append(record)
+            by_file.setdefault(container, []).append(record)
         registry = get_registry()
         for fname, records in by_file.items():
             path = os.path.join(self.root, fname)
@@ -817,9 +782,7 @@ class FileStore(ProfileStore):
                     if handle is None:
                         handle = open(path, "rb")
                     handle.seek(record.offset)
-                    doc, _sum = self._decode(
-                        pid, handle.read(record.length), record.sum
-                    )
+                    doc = _decode(pid, handle.read(record.length), record.sum)
                     self._payloads[pid] = (sig, doc)
                     while len(self._payloads) > PAYLOAD_CACHE_SIZE:
                         self._payloads.popitem(last=False)
@@ -888,22 +851,19 @@ class FileStore(ProfileStore):
         names = sorted(os.listdir(self.root))
         tombstones = {name for name in names if name.endswith(TOMBSTONE_SUFFIX)}
         for name in names:
+            if _is_v1_group(self.root, name):
+                raise _unmigrated(self.root, name)
+            if not name.endswith(SEGMENT_SUFFIX):
+                continue
             path = os.path.join(self.root, name)
             try:
-                if name.endswith(SEGMENT_SUFFIX):
-                    with open(path, "rb") as handle:
-                        for record in _read_index(self.root, name):
-                            pid = record.entry.id
-                            if _tombstone(pid) in tombstones:
-                                continue
-                            handle.seek(record.offset)
-                            data = _parse(handle.read(record.length))
-                            yield pid, Profile.from_dict(data)
-                elif _is_v1_group(name) and os.path.isdir(path):
-                    for fname in sorted(os.listdir(path)):
-                        if fname.endswith(".json"):
-                            with open(os.path.join(path, fname), "rb") as handle:
-                                data = _parse(handle.read())
-                            yield f"{name}/{fname}", Profile.from_dict(data)
+                with open(path, "rb") as handle:
+                    for record in _current_records(self.root, name):
+                        pid = record.entry.id
+                        if _tombstone(pid) in tombstones:
+                            continue
+                        handle.seek(record.offset)
+                        doc = _decode(pid, handle.read(record.length), None)
+                        yield pid, Profile.from_dict(doc)
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise StoreError(f"corrupt profile file {path}: {exc}") from exc

@@ -10,10 +10,11 @@ document.  One case crashes a real child process mid-wave through
 ``repro.faults`` crash mode, and the failed-write cases check that a
 ``put_many`` that raises leaves the root exactly as it was.
 
-The root every case starts from holds an older *v2* segment, and the
-segments the cases write are the current *v3* format, so every read is
-of a mixed root; :class:`TestSampleColumns` damages the v3 columns
-themselves and the index line's version.
+The root every case starts from holds an older complete segment;
+:class:`TestSampleColumns` damages the v3 sample columns themselves and
+the index line's version, and :class:`TestMigrateCrashPoints` cuts
+``migrate`` short at every step: a root it left behind is refused or
+reads whole, and a rerun finishes it without landing a profile twice.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,11 +35,13 @@ from repro.core.samples import Profile, Sample
 from repro.faults import FaultPlan, InjectedFault, injected_faults
 from repro.storage import FileStore
 from repro.storage.base import ProfileStore
+from repro.storage.migrate import migrate
 from tests.storage.conftest import (
     build_segment,
     decode_record,
     encode_record,
     read_segment,
+    write_v1,
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -60,8 +64,8 @@ NEW_WAVE = [make_profile(f"new {c}", 2.0 + i) for i, c in enumerate("abc")]
 
 @pytest.fixture
 def root(tmp_path):
-    """A root holding one complete, older v2 segment (``OLD_WAVE``)."""
-    (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE, version=2))
+    """A root holding one complete, older segment (``OLD_WAVE``)."""
+    (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE))
     return tmp_path
 
 
@@ -331,8 +335,8 @@ class TestSampleColumns:
     def test_bad_column_under_a_good_sum_is_corrupt(self, root, edit):
         """A writer that wrote bad columns, its sum covering them: the
         index plane still lists the records, every payload read refuses
-        them with the typed, non-retryable error, and the v2 neighbour
-        reads as before."""
+        them with the typed, non-retryable error, and the older
+        neighbour reads as before."""
         records = [_with_values(profile, edit) for profile in NEW_WAVE]
         (root / NEW).write_bytes(build_segment(NEW_WAVE, records=records))
         store = FileStore(root)
@@ -372,12 +376,15 @@ class TestSampleColumns:
 
     def test_mixed_root_reads_consistently(self, tmp_path):
         """v3 older than v2 (a downgrade and back), then a put through
-        the store: every read path agrees with the others and with the
-        records decoded by hand."""
+        the store: refused until ``migrate``, then every read path
+        agrees with the others and with the records decoded by hand."""
         put = make_profile("put c", 9.0)
         (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE, version=3))
         (tmp_path / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
         FileStore(tmp_path).put_many([put])
+        with pytest.raises(StoreError, match="older on-disk format"):
+            read_back(tmp_path)
+        assert tuple(migrate(tmp_path)) == (1, 0, len(NEW_WAVE))
         docs = read_back(tmp_path)
         assert docs == docs_of(OLD_WAVE, NEW_WAVE, [put])
         by_hand = [
@@ -386,3 +393,113 @@ class TestSampleColumns:
             for data in read_segment(path)[1]
         ]
         assert by_hand == docs
+
+
+
+#: One v1 group (same command, same tags) of three profiles.
+GROUP_WAVE = [make_profile("v1 app", 10.0 + i) for i in range(3)]
+
+
+class TestMigrateCrashPoints:
+    """``migrate`` cut short at every step, built by hand."""
+
+    @pytest.fixture
+    def twin(self, tmp_path) -> Path:
+        """The segment ``migrate`` writes for :data:`GROUP_WAVE`'s group
+        (its name and bytes depend on the group alone)."""
+        scratch = tmp_path / "scratch"
+        write_v1(scratch, GROUP_WAVE)
+        migrate(scratch)
+        [segment] = scratch.glob("*.seg")
+        return segment
+
+    @pytest.fixture
+    def v1root(self, tmp_path) -> Path:
+        """An older segment and :data:`GROUP_WAVE`'s v1 group."""
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / OLD).write_bytes(build_segment(OLD_WAVE))
+        write_v1(root, GROUP_WAVE)
+        return root
+
+    def refused(self, root) -> None:
+        with pytest.raises(StoreError, match="older on-disk format"):
+            read_back(root)
+
+    def test_v2_rewrite_tmp_debris(self, root):
+        """Crash while writing a v2 segment's v3 twin: the v2 segment is
+        still there (and refused), and the rerun replaces it."""
+        (root / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
+        twin = build_segment(NEW_WAVE)
+        for cut in (0, 1, len(twin) // 2, len(twin)):
+            (root / f"{NEW}.tmp").write_bytes(twin[:cut])
+            self.refused(root)
+        assert tuple(migrate(root)) == (1, 0, len(NEW_WAVE))
+        assert sorted(p.name for p in root.iterdir()) == [OLD, NEW]
+        assert read_back(root) == docs_of(OLD_WAVE, NEW_WAVE)
+        assert tuple(migrate(root)) == (0, 0, 0)
+
+    def test_v2_tombstones_keep_their_records(self, root):
+        """The rewrite keeps each record's position, so a tombstone
+        dropped on a v2 segment still deletes the same record."""
+        (root / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
+        (root / f"{NEW}.000001.del").touch()
+        migrate(root)
+        assert read_back(root) == docs_of(OLD_WAVE, [NEW_WAVE[0], NEW_WAVE[2]])
+
+    def test_v1_segment_tmp_debris(self, v1root, twin):
+        """Crash while writing a group's segment: the group is whole."""
+        data = twin.read_bytes()
+        for cut in (0, len(data) // 2, len(data)):
+            (v1root / f"{twin.name}.tmp").write_bytes(data[:cut])
+            self.refused(v1root)
+        assert tuple(migrate(v1root)) == (0, 1, len(GROUP_WAVE))
+        assert sorted(p.name for p in v1root.iterdir()) == [OLD, twin.name]
+        assert read_back(v1root) == docs_of(OLD_WAVE, GROUP_WAVE)
+
+    def test_v1_group_removal_cut_at_every_file(self, v1root, twin, tmp_path):
+        """Crash after the group's segment landed, with the first ``k``
+        of the group's files removed: refused while any file is left,
+        and the rerun only finishes the removal."""
+        [group] = [p.name for p in v1root.iterdir() if p.is_dir()]
+        order = sorted(p.name for p in (v1root / group).glob("*.json"))
+        order.append("index.jsonl")
+        for k in range(len(order)):
+            case = tmp_path / f"case{k}"
+            shutil.copytree(v1root, case)
+            shutil.copy(twin, case)
+            for name in order[:k]:
+                (case / group / name).unlink()
+            self.refused(case)
+            assert tuple(migrate(case)) == (0, 1, 0)
+            assert sorted(p.name for p in case.iterdir()) == [OLD, twin.name]
+            assert read_back(case) == docs_of(OLD_WAVE, GROUP_WAVE)
+
+    def test_emptied_group_directory_is_no_group(self, root, twin):
+        """Crash between the group's last unlink and its ``rmdir``."""
+        shutil.copy(twin, root)
+        (root / "0123456789abcdef").mkdir()
+        assert read_back(root) == docs_of(OLD_WAVE, GROUP_WAVE)
+        assert tuple(migrate(root)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("at", [1, 3, 4, 6])
+    def test_real_crash_mid_migration_then_rerun(self, v1root, at):
+        """A child process dies (``os._exit``) at the ``at``-th profile
+        it rewrites: the root is refused, and a rerun lands every
+        profile exactly once."""
+        (v1root / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
+        script = (
+            "import sys; from repro.storage.migrate import migrate; "
+            "migrate(sys.argv[1])"
+        )
+        plan = {"rules": [{"point": "store.put", "mode": "crash", "at": at}]}
+        env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_FAULTS=json.dumps(plan))
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(v1root)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert child.returncode == 13, child.stderr
+        self.refused(v1root)
+        migrate(v1root)
+        assert read_back(v1root) == docs_of(OLD_WAVE, NEW_WAVE, GROUP_WAVE)
+        assert not any(p.name.endswith(".tmp") for p in v1root.iterdir())

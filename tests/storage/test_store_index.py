@@ -4,8 +4,8 @@ The indexed ``find``/``entries``/``get`` paths must be *bit-identical*
 to the brute-force full scan they replace (``ProfileStore.find`` on the
 base class, which loads and tests every profile).  These tests pin that
 on randomized stores across all three backends, then exercise the
-FileStore segment index: its layout, rival writers and deleters, v1
-groups with a torn, missing or garbage journal, and the no-payload
+FileStore segment index: its layout, rival writers and deleters, the
+migration of v1 groups with a torn, missing or garbage journal, and the no-payload
 guarantees of the index plane.
 """
 
@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.errors import ProfileNotFoundError, StoreError
 from repro.core.samples import Profile, Sample
-from repro.storage import FileStore, MemoryStore, MongoStore
+from repro.storage import FileStore, MemoryStore, MongoStore, filestore
 from repro.storage.base import ProfileStore, StoreEntry
+from repro.storage.migrate import migrate
 from tests.storage.conftest import (
     V1_INDEX_NAME,
     decode_record,
@@ -189,7 +190,7 @@ class TestIndexedEquivalence:
 
 class TestFileStoreSidecarIndex:
     """The segment index: layout, cross-process visibility, debris, and
-    the read-only view of v1 groups whose journal is damaged."""
+    the migration of v1 groups whose journal is damaged."""
 
     def test_sidecar_journal_layout(self, tmp_path):
         """One put is one segment: the document, then the index line
@@ -269,36 +270,30 @@ class TestFileStoreSidecarIndex:
             writer_b.delete(pair[0])  # already deleted: the tombstone is there
 
     def test_truncated_journal_line_replays(self, tmp_path):
-        """A v1 group whose journal ends in a torn line still lists all
-        its files — and the shim leaves the journal as it found it."""
+        """``migrate`` rewrites every file of a v1 group whose journal
+        ends in a torn line (the torn line's digest is not checked)."""
         root = tmp_path / "p"
-        ids = write_v1(root, [make_profile(created=float(i)) for i in range(3)])
-        index_path = (root / ids[0]).parent / V1_INDEX_NAME
+        write_v1(root, [make_profile(created=float(i)) for i in range(3)])
+        [index_path] = root.glob(f"*/{V1_INDEX_NAME}")
         text = index_path.read_text(encoding="utf-8")
         index_path.write_text(text[: text.rfind('"created"')], encoding="utf-8")
-        torn = index_path.read_bytes()
+        assert migrate(root).profiles == 3
         fresh = FileStore(root)
         assert fresh.count() == 3
         assert [p.created for p in fresh.find("app x")] == [0.0, 1.0, 2.0]
-        assert fresh.ids_for() == ids
-        assert index_path.read_bytes() == torn
 
     def test_missing_journal_rebuilds_from_files(self, tmp_path):
         root = tmp_path / "p"
-        ids = write_v1(
-            root, [make_profile(created=float(i)) for i in range(3)], journal=False
-        )
-        fresh = FileStore(root)
-        assert fresh.count() == 3
-        assert fresh.ids_for() == ids
-        # Rebuilt in memory only: v1 groups are never written.
-        assert not ((root / ids[0]).parent / V1_INDEX_NAME).exists()
+        write_v1(root, [make_profile(created=float(i)) for i in range(3)], journal=False)
+        assert migrate(root).profiles == 3
+        assert [p.created for p in FileStore(root).find("app x")] == [0.0, 1.0, 2.0]
 
     def test_garbage_journal_rebuilds(self, tmp_path):
         root = tmp_path / "p"
-        ids = write_v1(root, [make_profile(created=float(i)) for i in range(2)])
-        index_path = (root / ids[0]).parent / V1_INDEX_NAME
+        write_v1(root, [make_profile(created=float(i)) for i in range(2)])
+        [index_path] = root.glob(f"*/{V1_INDEX_NAME}")
         index_path.write_text("not json at all\n{\n", encoding="utf-8")
+        assert migrate(root).profiles == 2
         fresh = FileStore(root)
         assert fresh.count() == 2
         assert len(fresh.find("app x")) == 2
@@ -340,10 +335,10 @@ class TestFileStoreSidecarIndex:
                         for i, c in enumerate(["a", "a", "b"])])
         fresh = FileStore(tmp_path / "p")
 
-        def explode(self, pid, data, expected):
+        def explode(pid, data, expected):
             raise AssertionError(f"payload opened: {pid}")
 
-        monkeypatch.setattr(FileStore, "_decode", explode)
+        monkeypatch.setattr(filestore, "_decode", explode)
         assert fresh.count() == 3
         assert fresh.keys() == [("a", ("k=1",), 2), ("b", ("k=1",), 1)]
         assert len(fresh.entries(tags=["k=1"])) == 3
@@ -354,13 +349,13 @@ class TestFileStoreSidecarIndex:
         store.put_many([make_profile(created=float(i)) for i in range(5)])
         fresh = FileStore(tmp_path / "p")
         opened = []
-        original = FileStore._decode
+        original = filestore._decode
 
-        def counting(self, pid, data, expected):
+        def counting(pid, data, expected):
             opened.append(pid)
-            return original(self, pid, data, expected)
+            return original(pid, data, expected)
 
-        monkeypatch.setattr(FileStore, "_decode", counting)
+        monkeypatch.setattr(filestore, "_decode", counting)
         assert fresh.get("app x").created == 4.0
         assert len(opened) == 1
 
