@@ -8,7 +8,7 @@ path:
 * **tag-filtered ``find``** — cold (fresh store instance, sidecar index
   loaded from disk) and warm (index cached, validated by names-only
   directory listings) against the brute-force full scan
-  (``ProfileStore.find``: every profile parsed and tested) on a
+  (``ReferenceScan.find``: every profile parsed and tested) on a
   5k-profile FileStore;
 * **latest-profile ``get`` and batched ``get_many``** — the index plane
   resolves candidates first, then loads exactly the payloads needed;
@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.core.samples import Profile, Sample
 from repro.runtime import CampaignSpec, completed_cells, ledger, run_campaign
 from repro.storage import FileStore
-from repro.storage.base import ProfileStore
+from repro.storage.base import ReferenceScan
 from repro.util.tables import Table
 
 #: Tag every benchmark profile carries (so one tag filter spans the store).
@@ -116,7 +116,7 @@ def build_ledger_store(root: Path, spec: CampaignSpec) -> FileStore:
 def _reference_completed_cells(store, name: str) -> set[str]:
     """The pre-index implementation: full scan, payloads and all."""
     digests = set()
-    for profile in ProfileStore.find(store, tags=[f"campaign={name}"]):
+    for profile in ReferenceScan(store).find(tags=[f"campaign={name}"]):
         for tag in profile.tags:
             if tag.startswith("cell="):
                 digests.add(tag[len("cell="):])
@@ -138,12 +138,11 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
 
         # Correctness gate: indexed results bit-identical to the scan.
         indexed = [p.to_dict() for p in writer.find(tags=[target_tag])]
-        reference = [p.to_dict()
-                     for p in ProfileStore.find(writer, tags=[target_tag])]
+        scan = ReferenceScan(writer)
+        reference = [p.to_dict() for p in scan.find(tags=[target_tag])]
         assert indexed == reference and indexed, "indexed find diverged"
 
-        scan_s = _timeit(
-            lambda: ProfileStore.find(writer, tags=[target_tag]), scan_rounds)
+        scan_s = _timeit(lambda: scan.find(tags=[target_tag]), scan_rounds)
         cold_s = _timeit(
             lambda: FileStore(root).find(tags=[target_tag]), warm_rounds)
         warm_store = FileStore(root)
@@ -162,7 +161,7 @@ def measure(n_profiles: int = 5000, n_groups: int = 50, n_samples: int = 20,
         assert (warm_store.get(target_cmd, [target_tag]).to_dict()
                 == reference[-1]), "indexed get diverged"
         get_scan_s = _timeit(
-            lambda: ProfileStore.find(writer, target_cmd, [target_tag])[-1],
+            lambda: scan.find(target_cmd, [target_tag])[-1],
             scan_rounds)
         get_s = _timeit(
             lambda: warm_store.get(target_cmd, [target_tag]), warm_rounds)

@@ -20,7 +20,7 @@ the points are always-on like the metrics registry.  A plan activates
 Point inventory (grep for ``inject(`` to verify):
 
 ========================  ====================================================
-``store.put``             profile writes (file / memory stores)
+``store.put``             profile writes (every store)
 ``store.get``             payload reads (``get_many``)
 ``store.entries``         index-plane scans
 ``worker.execute``        request dispatch (parent or pool worker); the

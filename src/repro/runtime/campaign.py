@@ -131,6 +131,17 @@ def _str_list(value: Any, what: str) -> tuple[str, ...]:
     return items
 
 
+def _converted(
+    data: Mapping[str, Any], key: str, convert: Callable[[Any], Any], default: Any
+) -> Any:
+    """``convert`` of spec field ``key`` (or of ``default``); a value it
+    cannot convert is a :class:`ConfigError` naming the key."""
+    try:
+        return convert(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"campaign {key} is malformed: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Validated campaign description (see module docstring for the form)."""
@@ -184,16 +195,21 @@ class CampaignSpec:
                 policy = RunPolicy.from_dict(policy)
             except ValueError as exc:
                 raise ConfigError(f"invalid campaign policy: {exc}") from exc
+        noisy = data.get("noisy", True)
+        if not isinstance(noisy, bool):
+            raise ConfigError(f"campaign noisy must be true or false, not {noisy!r}")
         return cls(
             name=str(data["name"]),
             apps=_str_list(data["apps"], "apps"),
             machines=_str_list(data["machines"], "machines"),
             kind=str(data.get("kind", "profile")),
-            seeds=tuple(int(seed) for seed in data.get("seeds", (0,))),
-            repeats=int(data.get("repeats", 1)),
-            noisy=bool(data.get("noisy", True)),
-            config=dict(data.get("config", {})),
-            tags=dict(data.get("tags", {})),
+            seeds=_converted(
+                data, "seeds", lambda seeds: tuple(int(seed) for seed in seeds), (0,)
+            ),
+            repeats=_converted(data, "repeats", int, 1),
+            noisy=noisy,
+            config=_converted(data, "config", dict, {}),
+            tags=_converted(data, "tags", dict, {}),
             policy=policy,
         )
 

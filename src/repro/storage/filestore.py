@@ -66,15 +66,16 @@ and raises :class:`~repro.core.errors.CorruptArtifactError` on mismatch
 event.  Bytes that hash right but do not decode (a writer's bug: a torn
 column, a record that is not JSON) raise the same error.
 
-Every query takes one names-only listing of the root and brings a cache
-of index lines (keyed by segment name; immutable, so never re-read) in
-line with it: unknown segments are loaded, vanished ones dropped, new
-tombstones applied.  Because validation compares listings rather than
-timestamps, a rival writer's segment is visible to every reader's next
-query even within one filesystem-timestamp tick — the invariant the
-shared campaign ledger depends on.  An in-memory ``(command, tags) ->
-entries`` map answers the command/tag filter, and no payload is opened
-until a match is confirmed.
+Every query takes one names-only listing of the root (the store's
+``_sync``) and brings a cache of index lines (keyed by segment name;
+immutable, so never re-read) in line with it: unknown segments are
+loaded, vanished ones dropped, new tombstones applied, and each record
+that lands or leaves is handed to the ``(command, tags)`` search index
+:class:`~repro.storage.base.ProfileStore` keeps.  Because validation
+compares listings rather than timestamps, a rival writer's segment is
+visible to every reader's next query even within one
+filesystem-timestamp tick — the invariant the shared campaign ledger
+depends on.  No payload is opened until a match is confirmed.
 
 ``delete`` of a segment's last live record unlinks the segment and
 sweeps its tombstones; any other delete drops a zero-byte
@@ -125,10 +126,8 @@ import numpy as np
 
 from repro.core.errors import ConfigError, CorruptArtifactError, StoreError
 from repro.core.samples import Profile, SampleTable
-from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
 from repro.storage.base import Marker, ProfileStore, StoreEntry
-from repro.storage.query import compile_query
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry, timed
 
@@ -168,7 +167,8 @@ MARKER_NAME_MAX = 255
 #: Name suffix of a marker whose kind and fields live in the file body.
 _SPILLED = "@"
 
-#: ``(created, id)``: the order every listing is returned in.
+#: ``(created, id)``: ids sort by segment name, then record, which is
+#: the reference scan's order.
 _WRITE_ORDER = itemgetter(3, 0)
 
 
@@ -472,14 +472,14 @@ class FileStore(ProfileStore):
 
     Queries are index-first: the cached segment index is validated
     against a names-only listing of the root, the command/tag filter is
-    answered from it, and profile payloads are parsed only for confirmed
-    candidates (lazily — ``find(query=...)`` matches the stored document
-    and only builds :class:`~repro.core.samples.Profile` objects for
-    accepted ones).
+    answered by the base class's index, and profile payloads are parsed
+    only for confirmed candidates.
     """
 
     #: Accepted ``durability`` modes (see ``__init__``).
     DURABILITY_MODES = ("default", "fsync")
+
+    _order = staticmethod(_WRITE_ORDER)
 
     def __init__(
         self, root: str | os.PathLike, durability: str = "default"
@@ -495,6 +495,7 @@ class FileStore(ProfileStore):
                 f"unknown FileStore durability {durability!r}; expected "
                 f"one of {self.DURABILITY_MODES}"
             )
+        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.durability = durability
@@ -506,10 +507,6 @@ class FileStore(ProfileStore):
         #: nothing live (or nothing readable) keeps an empty dict, so it
         #: is not loaded again.
         self._files: dict[str, dict[str, _Record]] = {}
-        #: (command, tags) -> (tags as a set, live entries by id).
-        self._by_key: dict[
-            tuple[str, tuple[str, ...]], tuple[frozenset[str], dict[str, StoreEntry]]
-        ] = {}
         #: pid -> ((mtime_ns, size) of its file, decoded document), LRU-ordered.
         self._payloads: OrderedDict[str, tuple[tuple[int, int], dict[str, Any]]] = (
             OrderedDict()
@@ -552,7 +549,7 @@ class FileStore(ProfileStore):
         A segment's last live record takes the segment file (and its
         tombstones) with it; any other record gets a tombstone.
         """
-        self._refresh()
+        self._sync()
         container = pid.rpartition("/")[0]
         live = self._files.get(container, {})
         record = live.get(pid)
@@ -647,28 +644,18 @@ class FileStore(ProfileStore):
             except OSError as exc:
                 raise StoreError(f"cannot delete marker {mid!r}: {exc}") from exc
 
-    # -- index plane ----------------------------------------------------------
+    # -- the cached segment index ---------------------------------------------
 
     def _add(self, container: str, record: _Record) -> None:
-        entry = record.entry
-        self._files[container][entry.id] = record
-        held = self._by_key.get((entry.command, entry.tags))
-        if held is None:
-            held = self._by_key[entry.command, entry.tags] = (
-                frozenset(entry.tags), {},
-            )
-        held[1][entry.id] = entry
+        self._files[container][record.entry.id] = record
+        self._index(record.entry)
 
     def _forget(self, live: dict[str, _Record], pid: str) -> int:
         """Drop one record from the cached index (``0`` if not held)."""
         record = live.pop(pid, None)
         if record is None:
             return 0
-        key = (record.entry.command, record.entry.tags)
-        entries = self._by_key[key][1]
-        del entries[pid]
-        if not entries:
-            del self._by_key[key]
+        self._unindex(record.entry)
         self._payloads.pop(pid, None)
         return 1
 
@@ -677,7 +664,7 @@ class FileStore(ProfileStore):
         live = self._files.pop(container)
         return sum(self._forget(live, pid) for pid in list(live))
 
-    def _refresh(self) -> None:
+    def _sync(self) -> None:
         """Bring the cached index in line with one listing of the root.
 
         Names only: segments are immutable, so a name seen before is
@@ -717,30 +704,6 @@ class FileStore(ProfileStore):
             if _tombstone(record.entry.id) not in listing:
                 self._add(name, record)
         return moved + len(self._files[name])
-
-    def _matching(self, command: object, tags: object) -> list[StoreEntry]:
-        """Live entries surviving the command/tag filter, in any order."""
-        self._refresh()
-        want_command = normalize_command(command) if command is not None else None
-        wanted = set(normalize_tags(tags))
-        found: list[StoreEntry] = []
-        for (held_command, _tags), (tagset, entries) in self._by_key.items():
-            if want_command is not None and held_command != want_command:
-                continue
-            if wanted <= tagset:
-                found.extend(entries.values())
-        return found
-
-    def entries(
-        self, command: object = None, tags: object = None
-    ) -> list[StoreEntry]:
-        inject("store.entries")
-        with timed("store.entries.seconds"):
-            found = self._matching(command, tags)
-            # Ids are fixed-width, so this reproduces the reference
-            # scan's order: created oldest-first, ties in walk order.
-            found.sort(key=_WRITE_ORDER)
-        return found
 
     # -- payload plane --------------------------------------------------------
 
@@ -797,52 +760,13 @@ class FileStore(ProfileStore):
                 if handle is not None:
                     handle.close()
 
-    def get_many(self, ids) -> list[Profile]:
-        ids = list(ids)
-        if ids:
-            inject("store.get", key=str(ids[0]))
-        with timed("store.get.seconds"):
-            self._refresh()
-            docs = dict(self._docs(ids))
-            return [Profile.from_dict(docs[pid]) for pid in ids]
+    def _load_many(self, ids):
+        docs = dict(self._docs(ids))
+        return [Profile.from_dict(docs[pid]) for pid in ids]
 
-    def _scan_docs(
-        self, command: object, tags: object, query: Mapping[str, Any] | None
-    ) -> Iterator[tuple[float, str, dict[str, Any]]]:
-        """``(created, pid, document)`` of every match, in any order; the
-        query sees each document in its ``to_dict`` shape."""
-        matcher = compile_query(query) if query is not None else None
-        created = {entry.id: entry.created for entry in self._matching(command, tags)}
-        for pid, doc in self._docs(created):
-            if matcher is None or matcher({**doc, "samples": doc["samples"].to_dicts()}):
-                yield created[pid], pid, doc
-
-    def find(
-        self,
-        command: object = None,
-        tags: object = None,
-        query: Mapping[str, Any] | None = None,
-    ) -> list[Profile]:
-        with timed("store.find.seconds"):
-            found = [
-                (created, pid, Profile.from_dict(doc))
-                for created, pid, doc in self._scan_docs(command, tags, query)
-            ]
-            found.sort(key=itemgetter(0, 1))
-        return [profile for _created, _pid, profile in found]
-
-    def find_ids(
-        self,
-        command: object = None,
-        tags: object = None,
-        query: Mapping[str, Any] | None = None,
-    ) -> list[str]:
-        if query is None:
-            return [entry.id for entry in self.entries(command, tags)]
-        found = sorted(
-            (created, pid) for created, pid, _doc in self._scan_docs(command, tags, query)
-        )
-        return [pid for _created, pid in found]
+    def _documents(self, ids):
+        for pid, doc in self._docs(ids):
+            yield pid, {**doc, "samples": doc["samples"].to_dicts()}
 
     # -- brute-force reference ------------------------------------------------
 

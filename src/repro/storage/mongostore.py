@@ -9,22 +9,21 @@ not available here, so this module implements a small, faithful stand-in:
   limit**.  The paper calls this limit out explicitly (§4.5): it caps the
   number of samples a profile can hold and caused the largest E.1
   configuration to lose a sample.
-* :class:`Collection` — supports **equality indexes**
-  (:meth:`Collection.create_index`): a ``value -> [doc ids]`` map per
-  indexed field, multikey over arrays exactly like MongoDB's array
-  indexes, maintained on every insert/delete/replace.
+* :class:`Collection` — one named collection.  It keeps no secondary
+  index: every query scans its documents.  A ``version`` counter, bumped
+  by every write, tells a reader whether anything changed since it last
+  looked.
 * :class:`MongoStore` — the :class:`~repro.storage.base.ProfileStore`
-  backed by a ``MongoLite`` collection.  It creates indexes on
-  ``command`` and ``tags`` (the paper's §4 search keys); because the
-  tags index is multikey over the full tag strings, campaign-ledger
-  lookups by ``campaign=``/``cell=`` tags and tag-prefix
-  scans resolve to index walks instead of collection scans, and query
-  matching runs on the raw stored documents — profiles are only
+  backed by a ``MongoLite`` collection.  The ``(command, tags)`` search
+  index (the paper's §4 search keys) is the base class's: this handle's
+  writes and deletes update it, and it is rebuilt from the collection
+  when another handle on the same ``MongoLite`` changed the collection.
+  Query matching runs on the raw stored documents, so profiles are only
   deserialised for confirmed matches.  When a profile document exceeds
   the size limit the store truncates trailing samples until it fits and
   flags the stored profile ``truncated`` (strict mode raises instead).
   The marker plane (elastic heartbeats and leases) is a second
-  collection, ``markers``, indexed by scope.
+  collection, ``markers``, scanned by scope.
 
 A stored profile document is exactly the profile's
 :meth:`~repro.core.samples.Profile.to_dict` — samples as a list of
@@ -45,7 +44,7 @@ from typing import Any
 
 from repro.core.errors import DocumentTooLargeError, StoreError
 from repro.core.samples import Profile
-from repro.core.tags import normalize_command, normalize_tags
+from repro.faults import inject
 from repro.storage.base import Marker, ProfileStore, StoreEntry
 from repro.storage.query import compile_query
 from repro.telemetry.metrics import timed
@@ -65,22 +64,6 @@ def document_bytes(document: Mapping[str, Any]) -> int:
     return len(json.dumps(document).encode("utf-8"))
 
 
-def _index_keys(value: Any) -> list[Any]:
-    """Hashable index keys of one field value (multikey over arrays)."""
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = (value,)
-    keys = []
-    for item in items:
-        try:
-            hash(item)
-        except TypeError:
-            continue
-        keys.append(item)
-    return keys
-
-
 class Collection:
     """One named collection of documents inside a :class:`MongoLite`."""
 
@@ -89,91 +72,8 @@ class Collection:
         self.limit_bytes = limit_bytes
         self._docs: dict[int, dict[str, Any]] = {}
         self._next_id = 0
-        #: field -> value -> [doc ids] (insertion order preserved).
-        self._indexes: dict[str, dict[Any, list[Any]]] = {}
-        #: field -> [doc ids] whose value could not be hashed; always
-        #: included in candidate sets so indexing never loses documents.
-        self._unindexable: dict[str, list[Any]] = {}
-
-    # -- indexes --------------------------------------------------------------
-
-    def create_index(self, field: str) -> None:
-        """Maintain an equality index on a top-level field.
-
-        Array values are indexed per element (MongoDB's multikey
-        behaviour) — exactly what profile ``tags`` need.  Idempotent.
-        """
-        if field in self._indexes:
-            return
-        self._indexes[field] = {}
-        self._unindexable[field] = []
-        for doc_id, doc in self._docs.items():
-            self._index_field(field, doc_id, doc)
-
-    def _index_add(self, doc_id: Any, doc: Mapping[str, Any]) -> None:
-        for field in self._indexes:
-            self._index_field(field, doc_id, doc)
-
-    def _index_field(self, field: str, doc_id: Any, doc: Mapping[str, Any]) -> None:
-        if field not in doc:
-            return
-        value = doc[field]
-        keys = _index_keys(value)
-        if not keys and not isinstance(value, (list, tuple)):
-            self._unindexable[field].append(doc_id)
-            return
-        if isinstance(value, (list, tuple)) and len(keys) != len(value):
-            self._unindexable[field].append(doc_id)
-        index = self._indexes[field]
-        for key in keys:
-            index.setdefault(key, []).append(doc_id)
-
-    def _index_remove(self, doc_id: Any, doc: Mapping[str, Any]) -> None:
-        for field, index in self._indexes.items():
-            if field not in doc:
-                continue
-            for key in _index_keys(doc[field]):
-                ids = index.get(key)
-                if ids is None:
-                    continue
-                try:
-                    ids.remove(doc_id)
-                except ValueError:
-                    pass
-                if not ids:
-                    del index[key]
-            unhashed = self._unindexable[field]
-            if doc_id in unhashed:
-                unhashed.remove(doc_id)
-
-    def ids_with(self, field: str, value: Any) -> list[Any] | None:
-        """Doc ids whose indexed ``field`` equals/contains ``value``.
-
-        Returns ``None`` when no index exists on ``field`` (caller must
-        scan).  Ids come back in insertion order, plus any documents the
-        index could not cover.
-        """
-        index = self._indexes.get(field)
-        if index is None:
-            return None
-        ids = list(index.get(value, ()))
-        ids.extend(self._unindexable.get(field, ()))
-        return ids
-
-    def index_values(self, field: str, prefix: str = "") -> list[Any]:
-        """Distinct indexed values of ``field`` (optionally by string
-        prefix) without touching any document — the tag-prefix lookup
-        behind ``cell=`` ledger scans."""
-        index = self._indexes.get(field)
-        if index is None:
-            raise StoreError(f"no index on field {field!r} of {self.name!r}")
-        if not prefix:
-            return list(index)
-        return [
-            value
-            for value in index
-            if isinstance(value, str) and value.startswith(prefix)
-        ]
+        #: Bumped by every write: equal versions, same documents.
+        self.version = 0
 
     def ids(self) -> list[Any]:
         """All document ids, in insertion order."""
@@ -206,7 +106,7 @@ class Collection:
             raise StoreError(f"duplicate _id {doc_id!r} in collection {self.name!r}")
         self._next_id = max(self._next_id, int(doc_id) + 1) if isinstance(doc_id, int) else self._next_id + 1
         self._docs[doc_id] = doc
-        self._index_add(doc_id, doc)
+        self.version += 1
         return doc_id
 
     def insert_many(self, documents) -> list[int]:
@@ -218,8 +118,9 @@ class Collection:
         match = compile_query(query)
         doomed = [doc_id for doc_id, doc in self._docs.items() if match(doc)]
         for doc_id in doomed:
-            self._index_remove(doc_id, self._docs[doc_id])
             del self._docs[doc_id]
+        if doomed:
+            self.version += 1
         return len(doomed)
 
     def replace_one(self, query: Mapping[str, Any], document: Mapping[str, Any]) -> bool:
@@ -234,9 +135,8 @@ class Collection:
                     raise DocumentTooLargeError(
                         f"replacement document of {size} bytes exceeds the limit"
                     )
-                self._index_remove(doc_id, doc)
                 self._docs[doc_id] = new_doc
-                self._index_add(doc_id, new_doc)
+                self.version += 1
                 return True
         return False
 
@@ -350,6 +250,13 @@ class MongoLite:
         }
 
 
+def _profile_entry(doc_id: int, doc: Mapping[str, Any]) -> StoreEntry:
+    return StoreEntry(
+        str(doc_id), doc["command"], tuple(doc.get("tags", ())),
+        float(doc.get("created", 0.0)),
+    )
+
+
 class MongoStore(ProfileStore):
     """Profile store backed by a :class:`MongoLite` collection.
 
@@ -372,32 +279,31 @@ class MongoStore(ProfileStore):
         limit_bytes: int = MAX_DOCUMENT_BYTES,
         strict: bool = False,
     ) -> None:
+        super().__init__()
         self.db = db if db is not None else MongoLite(limit_bytes=limit_bytes)
         self.collection = self.db.collection("profiles")
         self.collection.limit_bytes = limit_bytes
         self.strict = strict
-        self.collection.create_index("command")
-        self.collection.create_index("tags")
-        #: The marker plane: its own collection, indexed by scope, so
-        #: heartbeats and leases never mix with profile documents.
+        #: The collection version the index reflects (``None``: not built).
+        self._seen: int | None = None
+        #: The marker plane: its own collection, so heartbeats and leases
+        #: never mix with profile documents.
         self.marks = self.db.collection("markers")
-        self.marks.create_index("scope")
 
     def put(self, profile: Profile) -> str:
-        with timed("store.put.seconds"):
-            stored = self._fit(profile)
-            doc = stored.to_dict()
-            doc_id = self.collection.insert_one(doc)
-            self.db.dump()
-        return str(doc_id)
+        return self.put_many((profile,))[0]
 
     def put_many(self, profiles) -> list[str]:
         """Persist a batch; the database file is dumped once, not per put."""
         with timed("store.put.seconds"):
-            ids = [
-                str(self.collection.insert_one(self._fit(profile).to_dict()))
-                for profile in profiles
-            ]
+            self._sync()
+            ids = []
+            for profile in profiles:
+                inject("store.put", key=profile.command)
+                doc_id = self.collection.insert_one(self._fit(profile).to_dict())
+                self._index(_profile_entry(doc_id, self.collection.document(doc_id)))
+                self._seen = self.collection.version
+                ids.append(str(doc_id))
             self.db.dump()
         return ids
 
@@ -437,11 +343,24 @@ class MongoStore(ProfileStore):
             return 0
 
     def delete(self, pid: str) -> None:
-        """Remove one stored profile by id."""
-        removed = self.collection.delete_many({"_id": int(pid)})
-        if not removed:
-            raise StoreError(f"no stored profile {pid!r}")
+        """Remove one stored profile by id (unknown ids raise ``StoreError``)."""
+        self._sync()
+        doc_id = self._doc_id(pid)
+        entry = _profile_entry(doc_id, self.collection.document(doc_id))
+        self.collection.delete_many({"_id": doc_id})
+        self._unindex(entry)
+        self._seen = self.collection.version
         self.db.dump()
+
+    def _doc_id(self, pid: str) -> int:
+        """The document id of stored profile ``pid`` (``StoreError`` if none)."""
+        try:
+            doc_id = int(pid)
+        except (TypeError, ValueError):
+            doc_id = None
+        if self.collection.document(doc_id) is None:
+            raise StoreError(f"no stored profile {pid!r}")
+        return doc_id
 
     # -- marker plane ---------------------------------------------------------
 
@@ -463,12 +382,10 @@ class MongoStore(ProfileStore):
     def _markers(self, scope):
         return [
             Marker(
-                f"{doc_id:012d}", doc["kind"], dict(doc["fields"]),
+                f"{doc['_id']:012d}", doc["kind"], dict(doc["fields"]),
                 float(doc["created"]),
             )
-            for doc_id in self.marks.ids_with("scope", scope)
-            for doc in (self.marks.document(doc_id),)
-            if doc is not None
+            for doc in self.marks.find({"scope": scope})
         ]
 
     def _delete_markers(self, ids):
@@ -476,107 +393,30 @@ class MongoStore(ProfileStore):
         if doomed and self.marks.delete_many({"_id": {"$in": doomed}}):
             self.db.dump()
 
-    # -- indexed fast paths ---------------------------------------------------
+    # -- storage behind the base class's index --------------------------------
 
-    def _candidate_docs(
-        self, command: object, tags: object
-    ) -> list[tuple[Any, dict[str, Any]]]:
-        """``(doc_id, raw doc)`` candidates in insertion order.
+    def _sync(self) -> None:
+        """Re-index the collection if a write did not come through this
+        handle (another ``MongoStore`` on the same ``MongoLite``)."""
+        if self._seen == self.collection.version:
+            return
+        self._by_key.clear()
+        for doc_id in self.collection.ids():
+            self._index(_profile_entry(doc_id, self.collection.document(doc_id)))
+        self._seen = self.collection.version
 
-        Prunes through the command/tags indexes, then verifies the
-        filter on the raw documents (covers multikey false positives and
-        unindexable leftovers) — no profile deserialisation.
-        """
-        want_command = normalize_command(command) if command is not None else None
-        wanted = normalize_tags(tags)
-        id_lists: list[list[Any]] = []
-        if want_command is not None:
-            ids = self.collection.ids_with("command", want_command)
-            if ids is not None:
-                id_lists.append(ids)
-        for tag in wanted:
-            ids = self.collection.ids_with("tags", tag)
-            if ids is not None:
-                id_lists.append(ids)
-        if id_lists:
-            # Walk the rarest list; membership-check the rest.
-            id_lists.sort(key=len)
-            first, rest = id_lists[0], [set(ids) for ids in id_lists[1:]]
-            candidate_ids = [
-                doc_id
-                for doc_id in dict.fromkeys(first)
-                if all(doc_id in other for other in rest)
-            ]
-        else:
-            candidate_ids = self.collection.ids()
-        wanted_set = set(wanted)
-        candidates: list[tuple[Any, dict[str, Any]]] = []
-        for doc_id in candidate_ids:
-            doc = self.collection.document(doc_id)
-            if doc is None:
-                continue
-            if want_command is not None and doc.get("command") != want_command:
-                continue
-            if wanted_set and not wanted_set <= set(doc.get("tags", ())):
-                continue
-            candidates.append((doc_id, doc))
-        return candidates
+    def _load_many(self, ids):
+        return [
+            Profile.from_dict(self.collection.document(self._doc_id(pid)))
+            for pid in ids
+        ]
 
-    def entries(
-        self, command: object = None, tags: object = None
-    ) -> list[StoreEntry]:
-        with timed("store.entries.seconds"):
-            found = [
-                StoreEntry(
-                    str(doc_id),
-                    doc["command"],
-                    tuple(doc.get("tags", ())),
-                    float(doc.get("created", 0.0)),
-                )
-                for doc_id, doc in self._candidate_docs(command, tags)
-            ]
-            found.sort(key=lambda entry: entry.created)
-        return found
-
-    def get_many(self, ids) -> list[Profile]:
-        with timed("store.get.seconds"):
-            profiles = []
-            for pid in ids:
-                try:
-                    doc = self.collection.document(int(pid))
-                except (TypeError, ValueError):
-                    doc = None
-                if doc is None:
-                    raise StoreError(f"no stored profile {pid!r}")
-                profiles.append(Profile.from_dict(doc))
-        return profiles
-
-    def find(
-        self,
-        command: object = None,
-        tags: object = None,
-        query: Mapping[str, Any] | None = None,
-    ) -> list[Profile]:
-        with timed("store.find.seconds"):
-            matcher = compile_query(query) if query is not None else None
-            found: list[tuple[float, int, Profile]] = []
-            for position, (doc_id, doc) in enumerate(
-                self._candidate_docs(command, tags)
-            ):
-                if matcher is not None:
-                    # Match the raw stored document (minus the store-private
-                    # id, mirroring the profile's dict form) — built once per
-                    # candidate and reused across every query branch.
-                    probe = {key: value for key, value in doc.items() if key != "_id"}
-                    if not matcher(probe):
-                        continue
-                found.append(
-                    (float(doc.get("created", 0.0)), position, Profile.from_dict(doc))
-                )
-            found.sort(key=lambda item: item[:2])
-        return [profile for _created, _position, profile in found]
-
-    # -- brute-force reference ------------------------------------------------
+    def _documents(self, ids):
+        for pid in ids:
+            doc = self.collection.document(self._doc_id(pid))
+            # The raw stored document minus the store-private id: the
+            # profile's dict form, without building the profile.
+            yield pid, {key: value for key, value in doc.items() if key != "_id"}
 
     def _iter_profiles(self):
         for doc in self.collection.find():

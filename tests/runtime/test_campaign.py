@@ -80,6 +80,29 @@ class TestSpec:
         with pytest.raises(ConfigError, match="need"):
             CampaignSpec.from_dict({"name": "x", "apps": ["sleeper"]})
 
+    @pytest.mark.parametrize("key, value", [
+        ("noisy", "false"),
+        ("noisy", 0),
+        ("noisy", None),
+        ("seeds", ["a"]),
+        ("seeds", 3),
+        ("seeds", [None]),
+        ("repeats", "many"),
+        ("repeats", None),
+        ("config", "fast"),
+        ("config", 5),
+        ("tags", ["x"]),
+        ("tags", 1),
+    ])
+    def test_malformed_field_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"campaign {key}"):
+            CampaignSpec.from_dict({**SPEC, key: value})
+
+    def test_well_formed_noisy_keeps_digests(self):
+        digest = CampaignSpec.from_dict(SPEC).cells()[0].digest
+        assert CampaignSpec.from_dict({**SPEC, "noisy": True}).cells()[0].digest == digest
+        assert CampaignSpec.from_dict({**SPEC, "noisy": False}).cells()[0].digest != digest
+
     def test_bad_kind_and_name(self):
         with pytest.raises(ConfigError, match="kind"):
             CampaignSpec.from_dict({**SPEC, "kind": "teleport"})

@@ -34,7 +34,7 @@ from repro.core.errors import CorruptArtifactError, StoreError
 from repro.core.samples import Profile, Sample
 from repro.faults import FaultPlan, InjectedFault, injected_faults
 from repro.storage import FileStore
-from repro.storage.base import ProfileStore
+from repro.storage.base import ReferenceScan
 from repro.storage.migrate import migrate
 from tests.storage.conftest import (
     build_segment,
@@ -82,7 +82,7 @@ def read_back(root) -> list[dict]:
     assert store.count() == len(ids)
     docs = [profile.to_dict() for profile in store.get_many(ids)]
     assert docs == [profile.to_dict() for profile in store.find()]
-    assert docs == [profile.to_dict() for profile in ProfileStore.find(store)]
+    assert docs == [profile.to_dict() for profile in ReferenceScan(store).find()]
     assert [entry.command for entry in listed] == [doc["command"] for doc in docs]
     return docs
 
@@ -350,7 +350,7 @@ class TestSampleColumns:
         with pytest.raises(CorruptArtifactError):
             store.find()
         with pytest.raises(StoreError):
-            ProfileStore.find(store)
+            ReferenceScan(store).find()
         assert [p.to_dict() for p in store.get_many(old)] == docs_of(OLD_WAVE)
 
     def test_bit_rot_in_a_column_fails_the_sum(self, root):

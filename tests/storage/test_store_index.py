@@ -1,12 +1,13 @@
-"""Store index fast paths: equivalence pinning + segment index behaviour.
+"""The one search index: equivalence pinning + segment index behaviour.
 
 The indexed ``find``/``entries``/``get`` paths must be *bit-identical*
-to the brute-force full scan they replace (``ProfileStore.find`` on the
-base class, which loads and tests every profile).  These tests pin that
-on randomized stores across all three backends, then exercise the
-FileStore segment index: its layout, rival writers and deleters, the
-migration of v1 groups with a torn, missing or garbage journal, and the no-payload
-guarantees of the index plane.
+to the brute-force :class:`~repro.storage.base.ReferenceScan`, which
+loads and tests every profile.  These tests pin that on randomized
+stores across all three backends, check that the index plane loads no
+payload and that a second handle sees the first's changes on every
+backend, then exercise the FileStore segment index: its layout, rival
+writers and deleters, the migration of v1 groups with a torn, missing or
+garbage journal, and the no-payload guarantees of the index plane.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.core.errors import ProfileNotFoundError, StoreError
 from repro.core.samples import Profile, Sample
 from repro.storage import FileStore, MemoryStore, MongoStore, filestore
-from repro.storage.base import ProfileStore, StoreEntry
+from repro.storage.base import ReferenceScan, StoreEntry
 from repro.storage.migrate import migrate
 from tests.storage.conftest import (
     V1_INDEX_NAME,
@@ -85,6 +86,16 @@ def store(request, tmp_path):
     return MongoStore()
 
 
+def second_handle(store):
+    """Another handle on the same backing medium (a memory store has
+    only the one)."""
+    if isinstance(store, FileStore):
+        return FileStore(store.root)
+    if isinstance(store, MongoStore):
+        return MongoStore(store.db)
+    return store
+
+
 def populate(store, rng: random.Random, n: int = 40) -> None:
     for i in range(n):
         store.put(random_profile(rng, created=1000.0 + i * rng.uniform(0.5, 2.0)))
@@ -97,7 +108,7 @@ class TestIndexedEquivalence:
         populate(store, random.Random(7))
         for command, tags, query in PROBES:
             indexed = store.find(command, tags, query)
-            reference = ProfileStore.find(store, command, tags, query)
+            reference = ReferenceScan(store).find(command, tags, query)
             assert [p.to_dict() for p in indexed] == [
                 p.to_dict() for p in reference
             ], (command, tags, query)
@@ -106,7 +117,7 @@ class TestIndexedEquivalence:
         populate(store, random.Random(11))
         for command, tags, _query in PROBES:
             indexed = store.entries(command, tags)
-            reference = ProfileStore.entries(store, command, tags)
+            reference = ReferenceScan(store).entries(command, tags)
             assert [tuple(e) for e in indexed] == [tuple(e) for e in reference]
             assert all(isinstance(e, StoreEntry) for e in indexed)
 
@@ -121,7 +132,7 @@ class TestIndexedEquivalence:
     def test_get_matches_reference_latest(self, store):
         populate(store, random.Random(17))
         for command in COMMANDS:
-            reference = ProfileStore.find(store, command)
+            reference = ReferenceScan(store).find(command)
             if not reference:
                 continue
             assert store.get(command).to_dict() == reference[-1].to_dict()
@@ -134,7 +145,7 @@ class TestIndexedEquivalence:
             store.delete(pid)
         for command, tags, query in PROBES:
             assert [p.to_dict() for p in store.find(command, tags, query)] == [
-                p.to_dict() for p in ProfileStore.find(store, command, tags, query)
+                p.to_dict() for p in ReferenceScan(store).find(command, tags, query)
             ]
         assert store.count() == 30
 
@@ -163,10 +174,10 @@ class TestIndexedEquivalence:
             for command, tags, query in PROBES:
                 assert [p.to_dict() for p in handle.find(command, tags, query)] == [
                     p.to_dict()
-                    for p in ProfileStore.find(handle, command, tags, query)
+                    for p in ReferenceScan(handle).find(command, tags, query)
                 ]
                 assert [tuple(e) for e in handle.entries(command, tags)] == [
-                    tuple(e) for e in ProfileStore.entries(handle, command, tags)
+                    tuple(e) for e in ReferenceScan(handle).entries(command, tags)
                 ]
 
     def test_get_many_unknown_id_raises(self, store):
@@ -409,46 +420,65 @@ class TestFileStoreSidecarIndex:
         fresh = FileStore(tmp_path / "p")
         assert fresh.count() == 1
         assert len(fresh.find("app x")) == 1
-        assert len(ProfileStore.find(fresh, "app x")) == 1
+        assert len(ReferenceScan(fresh).find("app x")) == 1
 
 
-class TestMongoCollectionIndexes:
-    def test_ids_with_tracks_writes_and_deletes(self):
-        store = MongoStore()
-        pid_a = store.put(make_profile(command="a", tags=("t=1",)))
-        store.put(make_profile(command="a", tags=("t=2",)))
-        assert store.collection.ids_with("command", "a") == [0, 1]
-        assert store.collection.ids_with("tags", "t=1") == [0]
-        store.delete(pid_a)
-        assert store.collection.ids_with("command", "a") == [1]
-        assert store.collection.ids_with("tags", "t=1") == []
+class TestEveryBackend:
+    """One index over three kinds of storage: what it loads, and what a
+    second handle on the same medium sees."""
 
-    def test_unindexed_field_returns_none(self):
-        store = MongoStore()
-        store.put(make_profile())
-        assert store.collection.ids_with("machine", {}) is None
+    def test_index_plane_is_payload_free(self, store, monkeypatch):
+        """``count``/``keys``/``entries``/``ids_for`` build no profile,
+        ``get`` builds exactly one, and neither ``find(query=...)`` nor
+        ``find_ids(query=...)`` builds a profile it rejects (a memory
+        store hands out the profiles it holds and builds none).  The
+        FileStore tests below also check that no payload bytes are read."""
+        store.put_many([make_profile(command=c, created=float(i))
+                        for i, c in enumerate(["a", "a", "b"])])
+        handle = second_handle(store)  # cold, where the medium allows
+        built = []
+        from_dict = Profile.from_dict.__func__
 
-    def test_index_values_prefix_lookup(self):
-        """The tag-prefix lookup behind claim=/cell= ledger scans."""
-        store = MongoStore()
-        store.put(make_profile(tags=("campaign=c", "cell=abc")))
-        store.put(make_profile(tags=("campaign=c", "cell=def")))
-        store.put(make_profile(tags=("campaign=c", "claim=abc")))
-        assert sorted(store.collection.index_values("tags", "cell=")) == [
-            "cell=abc", "cell=def",
-        ]
-        assert store.collection.index_values("tags", "claim=") == ["claim=abc"]
+        def counting_from_dict(cls, data):
+            built.append(data["created"])
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(Profile, "from_dict", classmethod(counting_from_dict))
+        assert handle.count() == 3
+        assert handle.keys() == [("a", ("k=1",), 2), ("b", ("k=1",), 1)]
+        assert len(handle.entries(tags=["k=1"])) == 3
+        assert len(handle.ids_for("a")) == 2
+        assert built == []
+
+        payloads = 0 if isinstance(handle, MemoryStore) else 1
+        assert handle.get("a").created == 1.0
+        assert built == [1.0] * payloads
+        built.clear()
+        query = {"created": {"$gte": 2.0}}
+        assert [p.created for p in handle.find(query=query)] == [2.0]
+        assert built == [2.0] * payloads
+        built.clear()
+        assert len(handle.find_ids(query=query)) == 1
+        assert built == []
+
+    def test_second_handle_sees_writes_and_deletes(self, store):
+        other = second_handle(store)
+        assert other.ids_for() == []  # a warm, empty view first
+        first = store.put(make_profile(command="a", created=1.0))
+        pair = store.put_many([
+            make_profile(command="b", created=2.0),
+            make_profile(command="a", created=3.0),
+        ])
+        assert other.ids_for() == [first, *pair]
+        assert other.get("a").created == 3.0
+        store.delete(pair[1])
+        assert other.ids_for("a") == [first]
+        assert other.get("a").created == 1.0
+        other.delete(first)
+        assert store.ids_for() == [pair[0]]
+        assert [p.command for p in store.find()] == ["b"]
         with pytest.raises(StoreError):
-            store.collection.index_values("nope", "x")
-
-    def test_index_survives_persistence_roundtrip(self, tmp_path):
-        from repro.storage.mongostore import MongoLite
-
-        path = tmp_path / "db.json"
-        MongoStore(MongoLite(path)).put(make_profile(command="a"))
-        reloaded = MongoStore(MongoLite(path))
-        assert reloaded.collection.ids_with("command", "a") == [0]
-        assert len(reloaded.find("a")) == 1
+            store.delete(first)
 
 
 class TestMemoryStoreIndex:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.errors import DocumentTooLargeError, ProfileNotFoundError, StoreError
 from repro.core.samples import Profile, Sample
+from repro.faults import FaultPlan, InjectedFault
+from repro.faults.inject import injected_faults
 from repro.storage import FileStore, MemoryStore, MongoStore, open_store
 from repro.storage.mongostore import MongoLite
 
@@ -72,6 +74,28 @@ class TestStoreContract:
         assert ("a", (), 2) in keys
         assert ("b", ("t=1",), 1) in keys
 
+    def test_delete_missing(self, store):
+        store.put(make_profile())
+        for pid in ("nope", "nope.json", "999", "mem-999", ""):
+            with pytest.raises(StoreError, match="no stored profile"):
+                store.delete(pid)
+        assert store.count() == 1
+
+    @pytest.mark.parametrize("point", ["store.put", "store.entries", "store.get"])
+    def test_fault_points_fire(self, store, point):
+        """A chaos plan aimed at a store point reaches every backend."""
+        store.put(make_profile())
+        calls = {
+            "store.put": lambda: store.put(make_profile()),
+            "store.entries": store.entries,
+            "store.get": lambda: store.get("app x"),
+        }
+        plan = FaultPlan.from_dict({"rules": [{"point": point, "mode": "error"}]})
+        with injected_faults(plan):
+            with pytest.raises(InjectedFault, match=point):
+                calls[point]()
+        assert store.count() == 1
+
 
 class TestMemoryStore:
     def test_delete(self):
@@ -98,11 +122,6 @@ class TestFileStore:
         pid = store.put(make_profile())
         store.delete(pid)
         assert store.count() == 0
-
-    def test_delete_missing(self, tmp_path):
-        store = FileStore(tmp_path / "p")
-        with pytest.raises(StoreError):
-            store.delete("nope.json")
 
     def test_one_segment_per_put(self, tmp_path):
         """Whatever the keys: a call is a file, never a directory."""

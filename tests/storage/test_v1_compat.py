@@ -19,7 +19,7 @@ import pytest
 from repro.core.errors import CorruptArtifactError, StoreError
 from repro.runtime import CampaignSpec, ledger_digest, run_campaign
 from repro.storage import FileStore
-from repro.storage.base import MemoryStore, ProfileStore
+from repro.storage.base import MemoryStore, ReferenceScan
 from repro.storage.migrate import migrate
 from tests.storage.conftest import damage_record, segment_files, write_v1
 from tests.storage.test_store_index import PROBES, random_profile
@@ -52,21 +52,22 @@ def mixed(tmp_path):
 
 
 def assert_matches_scan(store) -> None:
+    reference = ReferenceScan(store)
     for command, tags, query in PROBES:
         found = store.find(command, tags, query)
         assert [p.to_dict() for p in found] == [
-            p.to_dict() for p in ProfileStore.find(store, command, tags, query)
+            p.to_dict() for p in reference.find(command, tags, query)
         ], (command, tags, query)
         assert [tuple(e) for e in store.entries(command, tags)] == [
-            tuple(e) for e in ProfileStore.entries(store, command, tags)
+            tuple(e) for e in reference.entries(command, tags)
         ]
         ids = store.find_ids(command, tags, query)
-        assert ids == ProfileStore.find_ids(store, command, tags, query)
+        assert ids == reference.find_ids(command, tags, query)
         assert [p.to_dict() for p in store.get_many(ids)] == [
             p.to_dict() for p in found
         ]
     assert store.count() == sum(1 for _ in store._iter_profiles())
-    assert store.keys() == ProfileStore.keys(store)
+    assert store.keys() == reference.keys()
 
 
 def assert_refused(root) -> None:

@@ -23,7 +23,7 @@ import pytest
 from repro.core.errors import StoreError
 from repro.runtime import ledger_digest, run_campaign
 from repro.storage import FileStore
-from repro.storage.base import ProfileStore
+from repro.storage.base import ReferenceScan
 from repro.storage.migrate import migrate
 from tests.storage.conftest import read_segment
 
@@ -97,7 +97,7 @@ def test_reads_as_the_v2_writer_read_it(ledger):
         )
         expected = [EXPECTED["documents"][pid] for pid in ids]
         assert [sha(p) for p in store.find()] == expected
-        assert [sha(p) for p in ProfileStore.find(store)] == expected
+        assert [sha(p) for p in ReferenceScan(store).find()] == expected
         assert ledger_digest(store, "ci-smoke") == EXPECTED["ledger_digest"]
 
 
