@@ -467,7 +467,7 @@ def as_table(results: dict) -> Table:
 
 def test_e10_columnar_quick():
     """CI-speed smoke: bit-identity + bounded streaming memory."""
-    from conftest import report  # noqa: PLC0415 - pytest-only plumbing
+    from harness import report  # noqa: PLC0415 - pytest-only plumbing
 
     results = measure(n_demands=10_000, waves=4, quick=True)
     assert results["digests_identical"]

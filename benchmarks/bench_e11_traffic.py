@@ -263,7 +263,7 @@ def as_table(results: dict) -> Table:
 
 def test_e11_traffic_quick():
     """CI-speed smoke: digest stability + finite tail + bounded RSS."""
-    from conftest import report  # noqa: PLC0415 - pytest-only plumbing
+    from harness import report  # noqa: PLC0415 - pytest-only plumbing
 
     results = measure(n_requests=20_000, quick=True)
     assert results["determinism"]["rerun_identical"]

@@ -6,14 +6,17 @@ companion paper needs *many* emulated runs per decision, so simulator
 throughput is a first-class metric (the ROADMAP's "as fast as the
 hardware allows").  This benchmark measures, on a demand-heavy workload:
 
-* **engine runs/sec** — bare ``Engine.run`` via ``SimBackend.spawn``;
+* **engine runs/sec** — ``Engine.run`` via ``SimBackend.spawn``, each
+  run's counter series read (``record.totals()``), because a replay
+  folds its counters only when somebody reads them;
 * **profiled runs/sec (grid fast path)** — a full profile run where the
   sim plane samples the whole policy grid in one vectorised shot;
 * **profiled runs/sec (lockstep)** — the same run forced through the
   scalar per-sample lockstep driver (the host-plane-equivalent path),
   isolating what grid sampling buys;
-* **batch scaling** — ``spawn_many`` across worker processes vs serial;
-* **pool reuse** — repeated ``run_many`` batches through one persistent
+* **batch scaling** — a batch of ``engine`` run requests through
+  :class:`~repro.runtime.RunService` across worker processes vs one;
+* **pool reuse** — repeated batches of them through one persistent
   :class:`~repro.runtime.RunService` pool vs a fresh pool per batch,
   isolating the per-batch pool-startup cost the persistent service
   amortises away.
@@ -40,7 +43,7 @@ import time
 
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
-from repro.runtime import RunService
+from repro.runtime import RunRequest, RunService
 from repro.sim.backend import SimBackend
 from repro.sim.demands import (
     ComputeDemand,
@@ -105,6 +108,18 @@ def record_totals(record) -> dict:
     return record.totals()
 
 
+def engine_requests(
+    workload: SimWorkload, n: int, reduce=record_totals
+) -> list[RunRequest]:
+    """Spawn slots 1..n of ``SimBackend(MACHINE, seed=0)`` running
+    ``workload``, as engine requests whose totals fold in the worker."""
+    return [
+        RunRequest(kind="engine", target=workload, machine=MACHINE,
+                   seed=0, index=index, reduce=reduce)
+        for index in range(1, n + 1)
+    ]
+
+
 def _rate(fn, seconds: float, min_rounds: int = 3) -> float:
     """Executions per second of ``fn`` over a fixed wall-clock window."""
     fn()  # warm-up (also keeps one-time import costs out of the window)
@@ -166,24 +181,19 @@ def measure_pool_reuse(
     batch_size: int = 8,
     processes: int = 2,
 ) -> dict:
-    """Per-batch cost of repeated ``run_many`` calls, fresh pool vs
+    """Per-batch cost of repeated engine batches, fresh pool vs
     persistent service pool.
 
-    ``fresh`` closes the service after every batch (the pre-service
-    behaviour: pool startup per ``run_many`` call); ``persistent``
+    ``fresh`` closes the service after every batch (pool startup per
+    batch); ``persistent``
     reuses one service, so only its first batch pays startup.  Results
     are bit-identical across both modes — only the wall time differs.
     """
 
     def one_batch(service: RunService) -> float:
-        backend = SimBackend(MACHINE, noisy=True, seed=0)
+        requests = engine_requests(workload, batch_size)
         start = time.perf_counter()
-        backend.run_many(
-            [workload] * batch_size,
-            processes=processes,
-            reduce=record_totals,
-            service=service,
-        )
+        service.run(requests, processes=processes)
         return time.perf_counter() - start
 
     fresh = []
@@ -227,7 +237,9 @@ def measure(
     workload = heavy_workload(n_demands)
 
     engine_backend = SimBackend(MACHINE, noisy=True, seed=0)
-    engine_rate = _rate(lambda: engine_backend.spawn(workload), seconds)
+    engine_rate = _rate(
+        lambda: engine_backend.spawn(workload).record.totals(), seconds
+    )
 
     config = SynapseConfig(sample_rate=SAMPLE_RATE)
 
@@ -248,16 +260,14 @@ def measure(
     # on a single-core host the pool measures pure overhead, so the
     # cpu_count is part of the result.
     cores = os.cpu_count() or 1
-    targets = [workload] * batch
-    serial_backend = SimBackend(MACHINE, noisy=True, seed=0)
-    t0 = time.perf_counter()
-    serial_backend.run_many(targets, processes=1, reduce=record_totals)
-    serial_seconds = time.perf_counter() - t0
+    with RunService() as service:
+        t0 = time.perf_counter()
+        service.run(engine_requests(workload, batch), processes=1)
+        serial_seconds = time.perf_counter() - t0
 
-    parallel_backend = SimBackend(MACHINE, noisy=True, seed=0)
-    t0 = time.perf_counter()
-    parallel_backend.run_many(targets, processes=processes, reduce=record_totals)
-    parallel_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        service.run(engine_requests(workload, batch), processes=processes)
+        parallel_seconds = time.perf_counter() - t0
 
     pool_reuse = measure_pool_reuse(
         workload,
@@ -331,7 +341,7 @@ def as_table(results: dict) -> Table:
         else f"n/a ({results['host_cpu_count']} core host)"
     )
     table.add_row([
-        f"run_many x{batch['n_workloads']} on {batch['processes']} procs",
+        f"engine batch x{batch['n_workloads']} on {batch['processes']} procs",
         batch["n_workloads"] / batch["parallel_seconds"],
         note,
     ])
@@ -355,7 +365,7 @@ def as_table(results: dict) -> Table:
 
 def test_e7_throughput():
     """Pytest entry: quick measurement + report registration."""
-    from conftest import report  # noqa: PLC0415 - pytest-only plumbing
+    from harness import report  # noqa: PLC0415 - pytest-only plumbing
 
     results = measure(seconds=0.5, batch=8, processes=2)
     assert results["engine_runs_per_sec"] > 0

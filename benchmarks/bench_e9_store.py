@@ -240,7 +240,7 @@ def as_table(results: dict) -> Table:
 
 def test_e9_store():
     """Pytest entry: quick measurement + report registration."""
-    from conftest import report  # noqa: PLC0415 - pytest-only plumbing
+    from harness import report  # noqa: PLC0415 - pytest-only plumbing
 
     results = measure(n_profiles=400, n_groups=10, n_samples=5,
                       ledger_seeds=20, warm_rounds=3, scan_rounds=1)

@@ -1,45 +1,15 @@
 """Benchmark-harness plumbing.
 
-Every benchmark regenerates one table/figure of the paper's §5 and
-registers its result table here; the tables are printed in the terminal
-summary (so ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
-captures them) and written to ``benchmarks/results/<name>.txt``.
+The benchmarks register their result tables with
+:func:`harness.report`; the tables are printed in the terminal summary
+(so ``pytest benchmarks/bench_e7_throughput.py | tee out.txt`` captures
+them) and written to ``benchmarks/results/<name>.txt``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-_REPORTS: list[tuple[str, str]] = []
-_RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def report(title: str, text: str) -> None:
-    """Register a result table for terminal + file output."""
-    _REPORTS.append((title, text))
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    slug = title.split(":")[0].strip().lower().replace(" ", "_").replace("/", "-")
-    path = _RESULTS_DIR / f"{slug}.txt"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(f"== {title} ==\n{text}\n\n")
-
-
-def pytest_sessionstart(session):
-    # Fresh result files per session.
-    if _RESULTS_DIR.exists():
-        for old in _RESULTS_DIR.glob("*.txt"):
-            old.unlink()
+from harness import print_reports
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _REPORTS:
-        return
-    terminalreporter.write_line("")
-    terminalreporter.write_line("=" * 72)
-    terminalreporter.write_line("PAPER FIGURE / TABLE REPRODUCTIONS")
-    terminalreporter.write_line("=" * 72)
-    for title, text in _REPORTS:
-        terminalreporter.write_line("")
-        terminalreporter.write_line(f"== {title} ==")
-        for line in text.splitlines():
-            terminalreporter.write_line(line)
+    print_reports(terminalreporter)

@@ -1,4 +1,5 @@
-"""Shared experiment harness used by the per-figure benchmarks.
+"""Shared experiment harness used by the paper's figure and table checks
+(``tests/paper``) and the throughput benchmarks.
 
 All benchmarks run on the simulation plane with deterministic noise:
 ``repeat`` indices seed independent draws, so means and confidence
@@ -7,8 +8,8 @@ over repeated runs).
 
 Execution goes through the unified run service (:mod:`repro.runtime`):
 the helpers below build declarative :class:`~repro.runtime.RunRequest`s
-and submit them to the process-wide service, so every ``bench_e*``
-script — whether it calls the single-run helpers or batches whole
+and submit them to the process-wide service, so every figure check —
+whether it calls the single-run helpers or batches whole
 sweeps via :func:`submit` — shares one persistent worker pool and the
 deterministic per-request seeding (``seed=repeat``, spawn slot 1 —
 exactly what a fresh per-repeat backend drew before).
@@ -86,6 +87,42 @@ def write_json_result(name: str, payload: dict, out: str | Path | None = None) -
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+#: Result tables registered by :func:`report`, in registration order.
+REPORTS: list[tuple[str, str]] = []
+_REPORTED: set[Path] = set()
+
+
+def report(title: str, text: str) -> None:
+    """Register a result table for the terminal summary
+    (:func:`print_reports`) and write it to
+    ``benchmarks/results/<figure>.txt``, fresh in each process."""
+    REPORTS.append((title, text))
+    RESULTS_DIR.mkdir(exist_ok=True)
+    slug = title.split(":")[0].strip().lower().replace(" ", "_").replace("/", "-")
+    path = RESULTS_DIR / f"{slug}.txt"
+    with open(path, "a" if path in _REPORTED else "w", encoding="utf-8") as handle:
+        handle.write(f"== {title} ==\n{text}\n\n")
+    _REPORTED.add(path)
+
+
+def print_reports(terminalreporter) -> None:
+    """Print the registered tables in pytest's terminal summary, once:
+    a second conftest calling it finds nothing left."""
+    if not REPORTS:
+        return
+    terminalreporter.write_line("")
+    terminalreporter.write_line("=" * 72)
+    terminalreporter.write_line("PAPER FIGURE / TABLE REPRODUCTIONS")
+    terminalreporter.write_line("=" * 72)
+    for title, text in REPORTS:
+        terminalreporter.write_line("")
+        terminalreporter.write_line(f"== {title} ==")
+        for line in text.splitlines():
+            terminalreporter.write_line(line)
+    REPORTS.clear()
+
 
 #: Iteration sweep of E.1/E.2 (Fig 4-7).
 E1_SIZES = (10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000)

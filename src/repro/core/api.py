@@ -15,11 +15,12 @@ prediction & placement subsystem (:mod:`repro.predict`): analytical
 runtime prediction of stored profiles on machines they never ran on, and
 placement planning of task sets across heterogeneous machine sets.
 
-All execution funnels through the unified run service
-(:mod:`repro.runtime`): ``profile(repeats=...)``, ``emulate`` and plan
-validation submit run requests to one persistent-pool runtime, and
-:func:`campaign` exposes its declarative sweep layer (apps x machines x
-seeds x repeats with a resumable on-store ledger).
+Batches of runs go through the unified run service
+(:mod:`repro.runtime`), which sits above the profiler and the emulator:
+sim-plane ``profile(repeats=...)`` and plan validation submit run
+requests to its persistent-pool runtime, and :func:`campaign` exposes
+its declarative sweep layer (apps x machines x seeds x repeats with a
+resumable on-store ledger).
 :func:`campaign_report` aggregates a finished ledger into the
 paper's consistency/error tables.
 """
@@ -32,11 +33,12 @@ from repro.apps.base import ApplicationModel
 from repro.core.backend import ExecutionBackend
 from repro.core.config import SynapseConfig
 from repro.core.emulator import EmulationResult, Emulator
-from repro.core.errors import WorkloadError
+from repro.core.errors import ProfilingError, WorkloadError
 from repro.core.profiler import Profiler
 from repro.core.samples import Profile
 from repro.core.statistics import ProfileStats, aggregate
 from repro.core.tags import normalize_command, normalize_tags
+from repro.sim.backend import SimBackend
 from repro.sim.workload import SimWorkload
 from repro.storage.base import ProfileStore
 
@@ -87,6 +89,12 @@ def profile(
     sim workload.  Profiles are written to ``store`` when given.  For
     application models, command and tags default to the model's own
     ``command()`` / ``tags()``.
+
+    ``repeats`` profiles that many independent executions under one
+    search key (the paper's consistency statistics, E.1 / E.3).  On a
+    :class:`~repro.sim.backend.SimBackend` they are profile requests to
+    the shared run service, which may fan them over its worker pool;
+    on any other backend they are ``repeats`` profiler runs.
     """
     if backend is None:
         backend = default_backend_for(target)
@@ -103,7 +111,34 @@ def profile(
     profiler = Profiler(backend, config=config, store=store)
     if repeats == 1:
         return profiler.run(target, tags=tags, command=command)
-    return profiler.run_repeats(target, repeats, tags=tags, command=command)
+    if repeats < 1:
+        raise ProfilingError("repeats must be >= 1")
+    if type(backend) is not SimBackend:
+        # A host or custom backend (a SimBackend subclass may override
+        # what a request cannot describe) runs its repeats itself.
+        return [
+            profiler.run(target, tags=tags, command=command)
+            for _ in range(repeats)
+        ]
+    from repro.runtime.service import RunRequest, get_service  # noqa: PLC0415 (lazy)
+
+    # One declarative request per repeat, in the spawn slots this many
+    # run() calls would take, so the profiles are theirs bit for bit
+    # and later spawns on the backend draw the same seeds either way.
+    first_index = backend._spawn_count + 1
+    backend._spawn_count += repeats
+    results = get_service().run(
+        RunRequest(
+            kind="profile", target=target, machine=backend.machine,
+            config=profiler.config, noisy=backend.noisy, seed=backend.seed,
+            index=first_index + offset, tags=tags, command=command,
+        )
+        for offset in range(repeats)
+    )
+    profiles = [result.value for result in results]
+    if store is not None:
+        store.put_many(profiles)
+    return profiles
 
 
 def emulate(

@@ -75,47 +75,14 @@ class Emulator:
     # -- public API ----------------------------------------------------------
 
     def run(
-        self,
-        source: Profile | EmulationPlan | str,
-        tags: object = None,
-        service: Any = None,
+        self, source: Profile | EmulationPlan | str, tags: object = None
     ) -> EmulationResult:
-        """Emulate a profile, a prepared plan, or a stored command.
-
-        The resolved plan executes as one emulate request through the
-        run service (:mod:`repro.runtime`).  Because the request
-        carries this emulator's live backend it runs in-parent — single
-        emulations keep their exact pre-service semantics — while
-        campaign sweeps submit the same request kind declaratively and
-        fan out across the service's worker pool.
-        """
-        import functools  # noqa: PLC0415 - tiny, call-path only
-
-        from repro.runtime.service import RunRequest, get_service  # noqa: PLC0415 (cycle)
-
-        plan = self._resolve_plan(source, tags)
-        if type(self) is Emulator:
-            request = RunRequest(
-                kind="emulate", target=plan, backend=self.backend, config=self.config
-            )
-        else:
-            # Subclasses may override the plane drivers; route their
-            # replay through the service as an opaque call so the
-            # executor cannot rebuild a base-class emulator around it.
-            request = RunRequest(
-                kind="call", runner=functools.partial(self.replay, plan)
-            )
-        svc = service if service is not None else get_service()
-        [result] = svc.run([request])
-        return result.value
+        """Emulate a profile, a prepared plan, or a stored command."""
+        return self.replay(self._resolve_plan(source, tags))
 
     def replay(self, plan: EmulationPlan) -> EmulationResult:
-        """Execute one resolved plan directly on this emulator's backend.
-
-        This is the plane dispatch *below* the run service —
-        the service's emulate executor calls it, so it must never
-        submit back to the service.
-        """
+        """Execute one resolved plan on this emulator's backend — the
+        run service's emulate executor calls it too."""
         if self.backend is not None and getattr(self.backend, "name", "") == "sim":
             return self._run_sim(plan)
         return self._run_host(plan)

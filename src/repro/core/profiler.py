@@ -25,10 +25,8 @@ merged onto the nominal grid and the profile is optionally stored.
 
 from __future__ import annotations
 
-import functools
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -51,19 +49,7 @@ from repro.watchers.base import (
 )
 from repro.watchers.registry import get_watcher
 
-__all__ = ["Profiler", "ProfileRun"]
-
-
-@dataclass
-class ProfileRun:
-    """Bookkeeping for one profiling run (returned via ``Profile.info``)."""
-
-    exit_code: int = 0
-    watcher_names: tuple[str, ...] = ()
-    n_samples: int = 0
-    sample_rate: float = 1.0
-    first_sample_offset: float = 0.0
-    extra: dict[str, Any] = field(default_factory=dict)
+__all__ = ["Profiler"]
 
 
 #: The hooks a watcher class may override only with a
@@ -147,75 +133,6 @@ class Profiler:
                 self.store.put_many(profiles)
             sp.set(samples=sum(profile.n_samples for profile in profiles))
         return profiles
-
-    def run_repeats(
-        self,
-        target: Any,
-        repeats: int,
-        tags: object = None,
-        command: str | None = None,
-        processes: int | None = None,
-        service: Any = None,
-    ) -> list[Profile]:
-        """Profile ``repeats`` independent executions of ``target``.
-
-        The paper collects multiple profiles per command/tag combination
-        for its consistency statistics (E.1, E.3); all repeats share the
-        same search key.
-
-        The repeats execute through the run service
-        (:mod:`repro.runtime`).  On the simulation plane each repeat
-        becomes a declarative profile request carrying the spawn slot it
-        would have drawn sequentially, so the service may fan repeats
-        across its persistent worker pool (``processes``; ``None`` lets
-        the service decide) and the profiles stay bit-identical to
-        sequential :meth:`run` calls.  Host-plane and custom backends —
-        and profiler subclasses with custom drivers — run serially
-        in-parent, exactly as before.
-        """
-        if repeats < 1:
-            raise ProfilingError("repeats must be >= 1")
-        from repro.runtime.service import RunRequest, get_service  # noqa: PLC0415 (cycle)
-        from repro.sim.backend import SimBackend  # noqa: PLC0415 (cycle)
-
-        svc = service if service is not None else get_service()
-        backend = self.backend
-        # Exact-type checks on purpose: a Profiler or SimBackend
-        # *subclass* may override behaviour the declarative request
-        # cannot describe, so subclasses take the in-parent call path.
-        if type(self) is Profiler and type(backend) is SimBackend:
-            # Declarative path: reserve the spawn slots this sequence of
-            # run() calls would have used, so later spawns on this
-            # backend draw the same seeds either way.
-            first_index = backend._spawn_count + 1
-            backend._spawn_count += repeats
-            requests = [
-                RunRequest(
-                    kind="profile",
-                    target=target,
-                    machine=backend.machine,
-                    config=self.config,
-                    noisy=backend.noisy,
-                    seed=backend.seed,
-                    index=first_index + offset,
-                    tags=tags,
-                    command=command,
-                )
-                for offset in range(repeats)
-            ]
-            results = svc.run(requests, processes=processes)
-            profiles = [result.value for result in results]
-            if self.store is not None:
-                self.store.put_many(profiles)
-            return profiles
-        requests = [
-            RunRequest(
-                kind="call",
-                runner=functools.partial(self.run, target, tags=tags, command=command),
-            )
-            for _ in range(repeats)
-        ]
-        return [result.value for result in svc.run(requests)]
 
     # -- watching -------------------------------------------------------------
 

@@ -18,7 +18,8 @@ loop:
   triples — planners re-evaluate the same pair many times;
 * :meth:`Predictor.predict_many`, a vectorised batch API evaluating a
   full ``workloads × machines`` cost matrix in one numpy pass
-  (thousands of pairs per millisecond, see ``bench_e6_placement``).
+  (thousands of pairs per millisecond, see
+  ``tests/paper/test_e6_placement.py``).
 
 ``calibrated=True`` additionally charges each machine's kernel
 calibration bias (``calib_ipc / ipc``, fitted by :mod:`repro.sim.calibrate`

@@ -1,24 +1,22 @@
 """Unified run service & campaign layer.
 
-Every plane of this reproduction ultimately *executes runs*: the
-profiler repeats profiling runs, the emulator replays plans, the sim
-backend fans experiment batches across cores, plan validation replays
-placements, and the benchmarks sweep workloads over machines and noise
-seeds.  Before this package each of those call sites hand-rolled its own
-repeat/fan-out/collect loop; :mod:`repro.runtime` turns them into one
-subsystem:
+Every batch of runs in this reproduction goes through one subsystem:
+profile repeats on the sim plane, plan validation, campaign sweeps and
+the benchmarks' workload-by-machine-by-seed fan-outs.  It sits on top of
+the profiler, the emulator and the sim backend, and none of those calls
+back into it:
 
 * :class:`RunRequest` / :class:`RunResult` — a declarative description
-  of one run (profile / emulate / raw engine execution / opaque
-  callable) with deterministic per-request noise seeds, and its outcome;
-* :class:`RunService` — executes any mix of requests, owning a
+  of one sim-plane run (profile / emulate / raw engine execution on a
+  machine model) with deterministic per-request noise seeds, and its
+  outcome;
+* :class:`RunService` — executes any batch of requests, owning a
   **persistent, reusable worker pool** so repeated batches do not pay
-  pool startup per batch; sim-plane requests fan out across processes,
-  host-plane requests run in-parent (profiling a real process from a
-  pool worker would perturb it);
+  pool startup per batch; a batch that resolves to one worker runs in
+  the parent;
 * :func:`get_service` — the process-wide default service shared by
-  ``Profiler.run_repeats``, ``Emulator.run``, ``SimBackend.run_many``,
-  ``predict.validate.validate_plan`` and the benchmark harness;
+  ``repro.profile(..., repeats=n)``, ``predict.validate.validate_plan``,
+  the campaign runner and the benchmark harness;
 * :mod:`repro.runtime.campaign` — a declarative sweep spec
   (apps x machines x seeds x repeats) expanded to requests and executed
   with a resumable on-:class:`~repro.storage.base.ProfileStore` ledger;

@@ -9,9 +9,8 @@ the per-spawn-slot derivation :meth:`repro.sim.backend.SimBackend.spawn`
 uses, so service execution is bit-identical to the sequential paths it
 replaced, regardless of worker count or chunking.
 
-All imports of the execution planes happen lazily inside the executors:
-the planes themselves (profiler, emulator, sim backend) import the run
-service, and this module must stay importable from either side.
+The executors call down into the profiler, the emulator and the sim
+engine; nothing below the run service calls back up into it.
 """
 
 from __future__ import annotations
@@ -22,9 +21,20 @@ from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from typing import Any
 
+from repro.core.config import SynapseConfig
+from repro.core.emulator import Emulator
 from repro.core.errors import ConfigError, WorkloadError
+from repro.core.plan import EmulationPlan
+from repro.core.profiler import Profiler
+from repro.core.samples import Profile
+from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
 from repro.runtime.service import RunRequest
+from repro.sim.backend import SimBackend, _noise_for, _resolve_target
+from repro.sim.engine import Engine, block_rows
+from repro.sim.machines import resolve_machine
+from repro.sim.noise import NoiseModel
+from repro.sim.process import SimProcess
 from repro.telemetry.spans import span
 
 __all__ = ["PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope"]
@@ -214,8 +224,6 @@ def dispatch(
     # pool worker for pooled requests (so ``crash`` rules emulate real
     # worker death), the parent otherwise.
     inject("worker.execute", key=request.key)
-    if request.kind == "call":
-        return request.runner()  # type: ignore[misc]
     if request.kind == "engine":
         return _execute_engine(request, target, machine, plans)
     if request.kind == "profile":
@@ -229,9 +237,7 @@ def _reduced(request: RunRequest, outcome: Any) -> Any:
     return request.reduce(outcome) if request.reduce is not None else outcome
 
 
-def _as_config(config: Any):
-    from repro.core.config import SynapseConfig  # noqa: PLC0415 (cycle)
-
+def _as_config(config: Any) -> SynapseConfig:
     if config is None:
         return SynapseConfig()
     if isinstance(config, SynapseConfig):
@@ -246,8 +252,6 @@ def _as_config(config: Any):
 
 def _sim_backend(request: RunRequest, machine: Any):
     """Fresh sim backend reproducing the request's spawn-slot identity."""
-    from repro.sim.backend import SimBackend  # noqa: PLC0415 (cycle)
-
     return SimBackend(
         machine,
         noisy=request.noisy,
@@ -261,9 +265,6 @@ def _noise_model(row: NoiseRow, spec: Any, workload: Any):
     :func:`repro.sim.backend._noise_for`, which ``noise_seed`` overrides
     for ``engine`` requests (a profile is a spawn on a rebuilt backend,
     and has always drawn its slot's noise)."""
-    from repro.sim.backend import _noise_for  # noqa: PLC0415 (cycle)
-    from repro.sim.noise import NoiseModel  # noqa: PLC0415 (cycle)
-
     noisy, seed, index, noise_seed = row
     if noisy and noise_seed is not None:
         return NoiseModel(
@@ -303,10 +304,6 @@ def _replayed(
     request of the pair replay alone (sharing the plan the first of
     them prepares), and one request's trouble cannot fail the others.
     """
-    from repro.sim.backend import _resolve_target  # noqa: PLC0415 (cycle)
-    from repro.sim.engine import Engine, block_rows  # noqa: PLC0415 (cycle)
-    from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
-
     group = plans.group(target, machine) if plans is not None else None
     if group is None:
         group = PlanGroup(target, machine)  # shares nothing
@@ -352,8 +349,6 @@ def _execute_engine(
     folds.  A record returned as it is — no ``reduce``, or one that hands
     it back — leaves folded: an unfolded one holds the plan and the noise
     of its replay block, and those go with the batch."""
-    if machine is None:
-        raise WorkloadError("engine requests need a machine model")
     record = _replayed(request, target, machine, plans)[0]
     outcome = _reduced(request, record)
     if outcome is record:
@@ -378,26 +373,10 @@ def _execute_profile(
     block pass that fails is the failure of the request that made it:
     the records stay, the rest of the pair profile alone.
     """
-    from repro.core.profiler import Profiler  # noqa: PLC0415 (cycle)
-    from repro.core.tags import normalize_command, normalize_tags  # noqa: PLC0415 (cycle)
-    from repro.sim.backend import SimBackend  # noqa: PLC0415 (cycle)
-    from repro.sim.process import SimProcess  # noqa: PLC0415 (cycle)
-
     config = (
         plans.config(request.config) if plans is not None
         else _as_config(request.config)
     )
-    backend = request.backend
-    if backend is None and machine is None:
-        from repro.core.api import default_backend_for  # noqa: PLC0415 (cycle)
-
-        backend = default_backend_for(target)
-    if backend is not None:
-        profile = Profiler(backend, config=config).run(
-            target, tags=request.tags, command=request.command
-        )
-        return _reduced(request, profile)
-
     record, profile, group, left = _replayed(request, target, machine, plans)
     if profile is not None and group.config is not config:
         profile = None  # taken under another config
@@ -433,14 +412,7 @@ def _execute_profile(
 
 def _execute_emulate(request: RunRequest, target: Any, machine: Any) -> Any:
     """Replay a profile or plan; yields an ``EmulationResult``."""
-    from repro.core.emulator import Emulator  # noqa: PLC0415 (cycle)
-    from repro.core.plan import EmulationPlan  # noqa: PLC0415 (cycle)
-    from repro.core.samples import Profile  # noqa: PLC0415 (cycle)
-
     config = _as_config(request.config)
-    backend = request.backend
-    if backend is None and machine is not None:
-        backend = _sim_backend(request, machine)
     if isinstance(target, EmulationPlan):
         plan = target
     elif isinstance(target, Profile):
@@ -451,5 +423,5 @@ def _execute_emulate(request: RunRequest, target: Any, machine: Any) -> Any:
             "service: expected a Profile or EmulationPlan (resolve "
             "stored commands before building the request)"
         )
-    emulator = Emulator(backend=backend, config=config)
+    emulator = Emulator(backend=_sim_backend(request, machine), config=config)
     return _reduced(request, emulator.replay(plan))

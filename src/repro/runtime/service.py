@@ -1,17 +1,16 @@
-"""The run service: one execution runtime behind every plane.
+"""The run service: one execution runtime on top of every plane.
 
-A :class:`RunRequest` describes one run declaratively; the
-:class:`RunService` executes batches of them.  Sim-plane requests (a
-machine model, no live backend object) are picklable and fan out over
-the service's **persistent** process pool — the pool survives across
-batches, so repeated ``run_many`` / campaign waves pay worker startup
-once per service instead of once per batch (the PR 2 follow-up).
-Host-plane requests and requests carrying live backend objects or
-opaque runners execute serially in the parent process — as does a whole
-batch that resolves to one worker.  There is one way to run a request
-in the parent (:func:`_attempt_request` on the request's own target and
-machine) and one in a pool worker (the same call, on the chunk's
-unpickled tables: :func:`_run_chunk`).
+A :class:`RunRequest` describes one sim-plane run declaratively — plain
+data and a machine model, so it pickles — and the :class:`RunService`
+executes batches of them.  The service is the top of the execution
+stack: the profiler, the emulator and the sim backend below it never
+call it.  Batches fan out over the service's **persistent** process
+pool — the pool survives across batches, so repeated batches and
+campaign waves pay worker startup once per service instead of once per
+batch.  A batch that resolves to one worker runs in the parent.  There
+is one way to run a request in the parent (:func:`_attempt_request` on
+the request's own target and machine) and one in a pool worker (the
+same call, on the chunk's unpickled tables: :func:`_run_chunk`).
 
 Determinism: each request carries ``(seed, index)`` (or an explicit
 ``noise_seed``) from which its noise stream derives, so results are
@@ -65,7 +64,7 @@ __all__ = [
 
 #: Request kinds the service knows how to execute (see
 #: :mod:`repro.runtime.execute` for their semantics).
-KINDS = ("engine", "profile", "emulate", "call")
+KINDS = ("engine", "profile", "emulate")
 
 
 class ParallelFallbackWarning(RuntimeWarning):
@@ -90,11 +89,11 @@ class RunTimeoutError(Exception):
       supervisor kills the worker once the request's whole policy
       budget (attempts x timeout + backoff) is exhausted, so even a
       request that hangs forever fails in bounded wall-clock.
-    * **In-parent requests** (host plane, live backends, opaque
-      runners) cannot be preempted; there the timeout is classified
-      *after* the attempt returns, guaranteeing an over-budget cell is
-      recorded as failed — and retried or surfaced — instead of being
-      silently accepted.
+    * **In-parent requests** (a batch that resolves to one worker, or
+      what an unusable pool left) cannot be preempted; there the
+      timeout is classified *after* the attempt returns, guaranteeing
+      an over-budget cell is recorded as failed — and retried or
+      surfaced — instead of being silently accepted.
     """
 
 
@@ -191,7 +190,7 @@ class RunPolicy:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """Declarative description of one run.
+    """Declarative description of one sim-plane run.
 
     Attributes
     ----------
@@ -201,17 +200,15 @@ class RunRequest:
         ``"profile"`` — a full profiling run yielding a
         :class:`~repro.core.samples.Profile`;
         ``"emulate"`` — replay of a profile/plan yielding an
-        :class:`~repro.core.emulator.EmulationResult`;
-        ``"call"`` — an opaque in-parent callable (``runner``), the
-        escape hatch for custom backends and profiler subclasses.
+        :class:`~repro.core.emulator.EmulationResult`.
     target:
-        What to run: a workload / application model (engine, profile),
-        a profile or emulation plan (emulate), or a shell command /
-        callable (host-plane profile).
+        What to run: a workload / application model (engine, profile)
+        or a profile or emulation plan (emulate).
     machine:
         Simulated machine (name or :class:`~repro.sim.resource.MachineSpec`)
-        the run executes on; ``None`` selects the host plane, which
-        always executes in-parent.
+        the run executes on; required.  Host-plane runs and custom
+        backends are the profiler's and emulator's own business
+        (``Profiler.run``, ``Emulator.run``), not requests.
     config:
         :class:`~repro.core.config.SynapseConfig` or a kwargs mapping
         for one (profile / emulate kinds).
@@ -226,12 +223,6 @@ class RunRequest:
         Optional picklable ``outcome -> value`` callable applied
         *inside* the worker, so fan-outs that only need summaries never
         ship full histories across the pool.
-    runner:
-        In-parent thunk for ``kind="call"``.
-    backend:
-        A live :class:`~repro.core.backend.ExecutionBackend` to run on;
-        forces in-parent execution (live backends are stateful and not
-        meaningfully picklable).
     key:
         Caller-assigned identity (campaign cell digest, machine name).
     policy:
@@ -256,8 +247,6 @@ class RunRequest:
     tags: Any = None
     command: str | None = None
     reduce: Callable[[Any], Any] | None = None
-    runner: Callable[[], Any] | None = None
-    backend: Any = None
     key: str | None = None
     policy: RunPolicy | None = None
     metadata: dict = field(default_factory=dict)
@@ -265,23 +254,8 @@ class RunRequest:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown run kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "call" and self.runner is None:
-            raise ValueError("kind='call' requests need a runner")
-
-    @property
-    def poolable(self) -> bool:
-        """Whether this request may execute in a pool worker.
-
-        Only declarative sim-plane requests qualify: they are rebuilt
-        from plain data inside the worker.  Live backends, opaque
-        runners and host-plane runs stay in the parent.
-        """
-        return (
-            self.kind in ("engine", "profile", "emulate")
-            and self.machine is not None
-            and self.backend is None
-            and self.runner is None
-        )
+        if self.machine is None:
+            raise ValueError(f"{self.kind} requests need a machine")
 
 
 @dataclass
@@ -432,8 +406,7 @@ def _attempt_request(
 ) -> Outcome:
     """Execute one request under its policy.
 
-    ``plans`` is the plan scope the request executes in (``None`` for
-    non-poolable requests, which share nothing);
+    ``plans`` is the plan scope the request executes in;
     :func:`~repro.runtime.execute.dispatch` fills and reads it inside
     the attempt.
 
@@ -579,7 +552,7 @@ _POLL_INTERVAL = 0.05
 
 
 class _SupervisedRun:
-    """One supervised pooled batch of poolable requests.
+    """One supervised pooled batch of requests.
 
     Resolves every request to its :data:`Outcome`: the one its worker
     returned, or a failure the supervisor charges to it — a
@@ -973,11 +946,10 @@ class RunService:
     ) -> list[RunResult]:
         """Execute a batch of requests; returns results in request order.
 
-        Poolable requests fan out over the worker pool (respecting
-        ``processes``) or, when the batch resolves to one worker, run
-        in the parent, in request order; the rest run in the parent
-        after them, in request order.  With ``rethrow`` (default) the
-        first failing request re-raises its exception; ``rethrow=False``
+        The batch fans out over the worker pool (respecting
+        ``processes``) or, when it resolves to one worker, runs in the
+        parent, in request order.  With ``rethrow`` (default) the first
+        failing request re-raises its exception; ``rethrow=False``
         captures failures as ``ok=False`` results instead — campaign
         ledgers use this to record partial sweeps.
 
@@ -991,41 +963,27 @@ class RunService:
         requests = list(requests)
         self.stats["batches"] += 1
         self.stats["requests"] += len(requests)
-        results: list[RunResult | None] = [None] * len(requests)
         registry = get_registry()
         batch_start = time.perf_counter()
 
-        with span(
-            "service.run", requests=len(requests),
-            pooled=sum(1 for request in requests if request.poolable),
-        ) as sp, plan_scope() as plans:
-
-            def in_parent(request: RunRequest) -> Outcome:
-                return _attempt_request(
-                    request, request.target, request.machine,
-                    plans if request.poolable else None,
-                )
-
-            pooled = [i for i, request in enumerate(requests) if request.poolable]
-            workers = self.resolve_workers(processes, len(pooled))
+        with span("service.run", requests=len(requests)) as sp, \
+                plan_scope() as plans:
+            workers = self.resolve_workers(processes, len(requests))
             outcomes: list[Outcome | None] = [None] * len(requests)
             if workers > 1:
-                supervised = _SupervisedRun(
-                    self, [requests[i] for i in pooled], workers
-                ).execute()
-                for i, outcome in zip(pooled, supervised):
-                    outcomes[i] = outcome
+                outcomes = _SupervisedRun(self, requests, workers).execute()
             # What no pool ran (a one-worker batch, or the rest of one
             # whose pool was unusable) runs here, in the active scope.
-            left = [i for i in pooled if outcomes[i] is None]
+            left = [i for i, outcome in enumerate(outcomes) if outcome is None]
             _declared(plans, [requests[i] for i in left])
             for i in left:
-                outcomes[i] = in_parent(requests[i])
-            for i in pooled:
-                results[i] = _result(requests[i], outcomes[i], rethrow)
-            for i, request in enumerate(requests):
-                if not request.poolable:
-                    results[i] = _result(request, in_parent(request), rethrow)
+                outcomes[i] = _attempt_request(
+                    requests[i], requests[i].target, requests[i].machine, plans
+                )
+            results = [
+                _result(request, outcome, rethrow)
+                for request, outcome in zip(requests, outcomes)
+            ]
             sp.set(workers=workers)
 
         # Telemetry-derived service metrics (always on; the benchmark
@@ -1039,26 +997,26 @@ class RunService:
                 "service.requests.ok" if result.ok else "service.requests.failed"
             )
             busy += result.seconds
-        if pooled and workers > 1:
+        if workers > 1:
             wall = time.perf_counter() - batch_start
             if wall > 0:
                 utilization = min(1.0, busy / (wall * workers))
                 registry.observe("service.pool.utilization", utilization)
                 registry.set_gauge("service.pool.utilization", utilization)
-        return results  # type: ignore[return-value]
+        return results
 
 
 def _pack(
     requests: Sequence[RunRequest],
 ) -> tuple[list[Any], list[Any], list[tuple[RunRequest, int, int]]]:
     """Strip bulky objects out of pooled requests for pickling: each
-    becomes ``(request copy without target and machine, target_slot,
-    machine_slot)``.
+    becomes ``(request copy without its target, whose machine is
+    machine_slot, target_slot, machine_slot)`` — a request always names
+    a machine.
 
     Distinct targets and machines ship once per chunk (in its payload)
     no matter how many requests reference them — fanning one workload
-    over many seeds costs one pickle, as the pre-service ``spawn_many``
-    path did.
+    over many seeds costs one pickle.
     """
     targets: list[Any] = []
     target_slots: dict[int, int] = {}
@@ -1072,7 +1030,7 @@ def _pack(
         machine_slot = machine_slots.setdefault(id(request.machine), len(machines))
         if machine_slot == len(machines):
             machines.append(request.machine)
-        lite = replace(request, target=None, machine=None)
+        lite = replace(request, target=None, machine=machine_slot)
         items.append((lite, target_slot, machine_slot))
     return targets, machines, items
 
@@ -1140,10 +1098,10 @@ _default_service: RunService | None = None
 def get_service() -> RunService:
     """The process-wide default :class:`RunService` (created lazily).
 
-    Shared by every refactored entry point — ``Profiler.run_repeats``,
-    ``Emulator.run``, ``SimBackend.run_many``, ``validate_plan``, the
-    campaign runner and the benchmark harness — so they all amortise
-    one pool.  The pool is released at interpreter exit.
+    Shared by the clients above the service — ``repro.profile(...,
+    repeats=n)`` on the sim plane, ``validate_plan``, the campaign
+    runner and the benchmark harness — so they all amortise one pool.
+    The pool is released at interpreter exit.
     """
     global _default_service
     if _default_service is None:

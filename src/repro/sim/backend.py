@@ -6,17 +6,16 @@ shared virtual clock.  Spawning is eager — the engine computes the whole
 counter history — but the returned handle reveals it only as virtual time
 passes, preserving black-box profiling semantics.
 
-:meth:`SimBackend.spawn_many` is the batch entry point: it executes a
-whole list of targets, optionally fanned out over the persistent worker
-pool of the process-wide :class:`~repro.runtime.service.RunService`.
-Parallel spawning is deterministic — each slot's noise seed derives from
-its spawn index, so the records are identical to sequential
-:meth:`spawn` calls.
+:meth:`SimBackend.spawn_many` starts a batch of targets together, one
+spawn slot each: each slot's noise seed derives from its spawn index, so
+the records are identical to sequential :meth:`spawn` calls.  The
+backend runs everything in-process; the run service above it fans
+engine runs over a worker pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.backend import ExecutionBackend, ProcessHandle
 from repro.core.errors import WorkloadError
@@ -137,88 +136,33 @@ class SimBackend(ExecutionBackend):
         service hands over when it replayed a batch's seeds of one
         plan as one block.  Every form takes one spawn slot.
         """
-        self._spawn_count += 1
-        if isinstance(target, ExecutionRecord):
-            record = target
-        else:
-            workload = (
-                target if isinstance(target, Prepared)
-                else _resolve_target(target, self.machine)
-            )
-            noise = _noise_for(
-                self.machine, workload, self.noisy, self.seed, self._spawn_count
-            )
-            record = Engine(self.machine, noise).run(workload)
-        return SimProcess(record, self.clock, start_time=self.clock.now())
+        return SimProcess(self._record(target), self.clock, start_time=self.clock.now())
 
-    def spawn_many(
-        self,
-        targets: Iterable[Any],
-        processes: int | None = 1,
-    ) -> list[SimProcess]:
+    def spawn_many(self, targets: Iterable[Any]) -> list[SimProcess]:
         """Run a batch of targets; returns one handle per target.
 
         All processes start at the current virtual time (they are
-        concurrent from the profiler's point of view).  With
-        ``processes=1`` (default) the engine runs serially in-process;
-        ``processes=None`` fans the engine runs out over all cores, and
-        any other value over that many worker processes (the shared
-        :class:`~repro.runtime.service.RunService` pool).  Records are
-        bit-identical either way: spawn slot *i* always draws its noise
-        from the same per-index seed the sequential :meth:`spawn` path
-        would use.  Targets that are all :class:`ExecutionRecord`s are
-        not run again.
+        concurrent from the profiler's point of view), and each takes
+        one spawn slot, so the records equal those of sequential
+        :meth:`spawn` calls.  Pooled fan-out of engine runs is the run
+        service's (``RunService.run`` with ``engine`` requests).
         """
-        targets = list(targets)
-        if targets and all(isinstance(each, ExecutionRecord) for each in targets):
-            # Histories replayed already (see :meth:`spawn`): a slot each.
-            self._spawn_count += len(targets)
-            records = targets
-        else:
-            records = self.run_many(targets, processes=processes)
+        records = [self._record(target) for target in targets]
         start = self.clock.now()
         return [
             SimProcess(record, self.clock, start_time=start) for record in records
         ]
 
-    def run_many(
-        self,
-        targets: Sequence[Any],
-        processes: int | None = 1,
-        reduce: Callable[[ExecutionRecord], Any] | None = None,
-        service: Any = None,
-    ) -> list[Any]:
-        """Batch-execute targets; returns raw engine output per target.
-
-        The batch is submitted as engine requests to the run service
-        (``service`` overrides the process-wide default), whose
-        **persistent** pool fans them out — repeated ``run_many`` calls
-        reuse the same workers instead of paying pool startup per
-        batch.  Without ``reduce`` this yields one
-        :class:`ExecutionRecord` per target.  ``reduce`` — a picklable,
-        module-level callable ``record -> value`` — runs *inside* the
-        worker processes, so parallel experiment fan-out that only
-        needs summaries (totals, durations, phase bounds) never
-        serialises full counter histories across the pool.  Determinism
-        matches :meth:`spawn_many`: distinct workload objects still
-        ship once per batch however many requests reference them.
-        """
-        from repro.runtime.service import RunRequest, get_service  # noqa: PLC0415 (cycle)
-
-        workloads = [_resolve_target(target, self.machine) for target in targets]
-        first_index = self._spawn_count + 1
-        self._spawn_count += len(workloads)
-        requests = [
-            RunRequest(
-                kind="engine",
-                target=workload,
-                machine=self.machine,
-                noisy=self.noisy,
-                seed=self.seed,
-                index=first_index + offset,
-                reduce=reduce,
-            )
-            for offset, workload in enumerate(workloads)
-        ]
-        svc = service if service is not None else get_service()
-        return [result.value for result in svc.run(requests, processes=processes)]
+    def _record(self, target: Any) -> ExecutionRecord:
+        """The history of ``target`` in the next spawn slot."""
+        self._spawn_count += 1
+        if isinstance(target, ExecutionRecord):
+            return target
+        workload = (
+            target if isinstance(target, Prepared)
+            else _resolve_target(target, self.machine)
+        )
+        noise = _noise_for(
+            self.machine, workload, self.noisy, self.seed, self._spawn_count
+        )
+        return Engine(self.machine, noise).run(workload)

@@ -1032,9 +1032,9 @@ class Engine:
         across workloads exactly as consecutive :meth:`run` calls would —
         ``run_many(ws)`` is the batch equivalent of ``[run(w) for w in
         ws]``.  For many seeds of *one* workload see :meth:`replay_many`;
-        for multi-core fan-out see
-        :class:`repro.runtime.service.RunService` and
-        :meth:`repro.sim.backend.SimBackend.spawn_many`.
+        for multi-core fan-out, submit ``engine`` requests to
+        :class:`repro.runtime.service.RunService` (the engine never
+        calls it).
         """
         return [self.run(workload) for workload in workloads]
 

@@ -24,7 +24,7 @@ Semantics:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.errors import WorkloadError
 from repro.sim.engine import Engine, ExecutionRecord
@@ -105,13 +105,6 @@ class EngineStream:
             t_end=self.t,
         )
         return record
-
-    def feed_many(
-        self, batches: Iterable[SimWorkload | PackedWorkload]
-    ) -> Iterable[ExecutionRecord]:
-        """Generator form of :meth:`feed` over an arrival iterable."""
-        for batch in batches:
-            yield self.feed(batch)
 
     def totals(self) -> dict[str, float]:
         """Cumulative counter totals and peak levels reached so far."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import GromacsModel, SleeperApp
+from repro.core.api import profile
 from repro.core.config import SynapseConfig
 from repro.core.errors import ProfilingError
 from repro.core.profiler import Profiler
@@ -101,22 +102,25 @@ class TestSamplingRateEffects:
 
 
 class TestRepeats:
+    """``repro.profile(repeats=n)``: n profiles under one search key."""
+
     def test_run_repeats_count(self):
-        backend = make_backend(noisy=True)
-        profiler = Profiler(backend, config=SynapseConfig(sample_rate=2.0))
-        profiles = profiler.run_repeats(GromacsModel(iterations=20_000), 3)
+        profiles = profile(
+            GromacsModel(iterations=20_000), backend=make_backend(noisy=True),
+            config=SynapseConfig(sample_rate=2.0), repeats=3,
+        )
         assert len(profiles) == 3
 
     def test_repeats_differ_under_noise(self):
-        backend = make_backend(noisy=True)
-        profiler = Profiler(backend, config=SynapseConfig(sample_rate=2.0))
-        profiles = profiler.run_repeats(GromacsModel(iterations=20_000), 2)
+        profiles = profile(
+            GromacsModel(iterations=20_000), backend=make_backend(noisy=True),
+            config=SynapseConfig(sample_rate=2.0), repeats=2,
+        )
         assert profiles[0].tx != profiles[1].tx
 
     def test_repeats_validation(self):
-        profiler = Profiler(make_backend())
         with pytest.raises(ProfilingError):
-            profiler.run_repeats(GromacsModel(iterations=100), 0)
+            profile(GromacsModel(iterations=100), backend=make_backend(), repeats=0)
 
 
 class TestStoreIntegration:

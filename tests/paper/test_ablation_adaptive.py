@@ -12,8 +12,7 @@ rates *miss* in Fig 6 (bottom) — is captured.
 
 from __future__ import annotations
 
-from conftest import report
-from harness import backend
+from harness import backend, report
 
 from repro.apps import GromacsModel
 from repro.core.api import profile
@@ -51,8 +50,8 @@ def compute_ablation():
     return results
 
 
-def test_adaptive_sampling_ablation(benchmark):
-    results = benchmark.pedantic(compute_ablation, rounds=1, iterations=1)
+def test_adaptive_sampling_ablation():
+    results = compute_ablation()
     table = Table(
         ["iterations", "policy", "Tx [s]", "samples", "peak RSS seen [MB]"],
         title="adaptive sampling ablation (thinkie)",

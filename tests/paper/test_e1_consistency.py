@@ -12,8 +12,7 @@ quickly stabilize".
 
 from __future__ import annotations
 
-from conftest import report
-from harness import E1_RATES, profile_request, submit
+from harness import E1_RATES, profile_request, report, submit
 
 from repro.util.tables import Table
 
@@ -43,8 +42,8 @@ def compute_fig6():
     return operations, rss
 
 
-def test_fig6_profiling_consistency(benchmark):
-    operations, rss = benchmark.pedantic(compute_fig6, rounds=1, iterations=1)
+def test_fig6_profiling_consistency():
+    operations, rss = compute_fig6()
 
     top = Table(
         ["iterations"] + [f"{rate}Hz" for rate in E1_RATES] + ["spread %"],

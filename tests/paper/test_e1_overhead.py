@@ -11,8 +11,7 @@ the Mongo-like store at its document limit.
 
 from __future__ import annotations
 
-from conftest import report
-from harness import E1_RATES, E1_SIZES, err_pct, profile_app, run_app
+from harness import E1_RATES, E1_SIZES, err_pct, profile_app, report, run_app
 
 from repro.storage import MongoStore
 from repro.util.tables import Table
@@ -61,8 +60,8 @@ def render(rows) -> Table:
     return table
 
 
-def test_fig4_profiling_overhead(benchmark):
-    rows = benchmark.pedantic(compute_fig4, rounds=1, iterations=1)
+def test_fig4_profiling_overhead():
+    rows = compute_fig4()
     table = render(rows)
 
     # DB-limit artifact: store the largest-config profile against a

@@ -11,8 +11,7 @@ converging to ~33 %.
 from __future__ import annotations
 
 import pytest
-from conftest import report
-from harness import E1_SIZES, emulate_profile, err_pct, profile_app, run_app
+from harness import E1_SIZES, emulate_profile, err_pct, profile_app, report, run_app
 
 from repro.util.tables import Table
 
@@ -39,8 +38,8 @@ def compute_fig7():
     return results
 
 
-def test_fig7_emulation_portability(benchmark):
-    results = benchmark.pedantic(compute_fig7, rounds=1, iterations=1)
+def test_fig7_emulation_portability():
+    results = compute_fig7()
     text = []
     for machine, rows in results.items():
         table = Table(

@@ -8,8 +8,7 @@ larger than the Synapse startup delay (~1 sec)".
 
 from __future__ import annotations
 
-from conftest import report
-from harness import E1_SIZES, emulate_profile, err_pct, profile_app, run_app
+from harness import E1_SIZES, emulate_profile, err_pct, profile_app, report, run_app
 
 from repro.util.tables import Table
 
@@ -32,8 +31,8 @@ def compute_fig5():
     return rows
 
 
-def test_fig5_same_resource_emulation(benchmark):
-    rows = benchmark.pedantic(compute_fig5, rounds=1, iterations=1)
+def test_fig5_same_resource_emulation():
+    rows = compute_fig5()
     table = Table(
         ["tag_step", "execution Tx [s]", "emulation Tx [s]", "diff %"],
         title="Fig 5: Emulation vs Execution (thinkie)",

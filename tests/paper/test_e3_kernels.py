@@ -19,8 +19,7 @@ paper ("no more than 6.6 % of the value of the data point").
 from __future__ import annotations
 
 import pytest
-from conftest import report
-from harness import E3_SIZES, Series, emulate_profile, err_pct, profile_app
+from harness import E3_SIZES, emulate_profile, err_pct, profile_app, report, Series
 
 from repro.util.tables import Table
 
@@ -132,8 +131,8 @@ def render_ipc(data, machine: str) -> Table:
     return table
 
 
-def test_e3_kernel_fidelity(benchmark):
-    data = benchmark.pedantic(compute_e3, rounds=1, iterations=1)
+def test_e3_kernel_fidelity():
+    data = compute_e3()
 
     figures = {
         "Fig 8: cycles used": "cycles",

@@ -16,8 +16,7 @@ application").
 
 from __future__ import annotations
 
-from conftest import report
-from harness import Series, backend, emulate_profile, profile_app
+from harness import backend, emulate_profile, profile_app, report, Series
 
 from repro.apps import GromacsModel
 from repro.util.tables import Table
@@ -78,8 +77,8 @@ def render_curves(curves, core_counts, title) -> Table:
     return table
 
 
-def test_e4_parallel_emulation(benchmark):
-    data = benchmark.pedantic(compute_e4, rounds=1, iterations=1)
+def test_e4_parallel_emulation():
+    data = compute_e4()
 
     text = "\n\n".join(
         render_curves(

@@ -12,8 +12,7 @@ significantly"; Titan's local filesystem far outperforms Supermic's.
 from __future__ import annotations
 
 import pytest
-from conftest import report
-from harness import backend
+from harness import backend, report
 
 from repro.apps import SyntheticApp
 from repro.core.api import emulate, profile
@@ -61,8 +60,8 @@ def compute_fig15():
     return data
 
 
-def test_fig15_io_granularity(benchmark):
-    data = benchmark.pedantic(compute_fig15, rounds=1, iterations=1)
+def test_fig15_io_granularity():
+    data = compute_fig15()
 
     tables = []
     for machine, fs in TARGETS:

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import report
+from harness import report
 
 from repro.predict.models import DemandVector, Task
 from repro.predict.placement import plan, wave_time
@@ -120,8 +120,8 @@ def compute_e6() -> dict:
     }
 
 
-def test_e6_prediction_and_placement(benchmark):
-    results = benchmark.pedantic(compute_e6, rounds=1, iterations=1)
+def test_e6_prediction_and_placement():
+    results = compute_e6()
 
     throughput = results["throughput"]
     table = Table(

@@ -4,7 +4,7 @@ The paper's "Overheads" subsection quantifies Synapse's own costs:
 profiler start-up is "constant and on the order of < O(1) seconds", the
 first watcher sample lands ~5 ms after startup, the profiler uses
 ~150 MB of memory, and the emulator shows a similar footprint that "does
-show up in the profiles of the emulation runs".  This benchmark measures
+show up in the profiles of the emulation runs".  This check measures
 all of these on the live implementation (host plane for real process
 costs, sim plane for the emulator footprint).
 """
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import report
-from harness import backend, profile_app
+from harness import backend, profile_app, report
 
 from repro.core.api import emulate, profile
 from repro.core.config import SynapseConfig
@@ -66,8 +65,8 @@ def compute_budget():
     return rows
 
 
-def test_overhead_budget(benchmark):
-    rows = benchmark.pedantic(compute_budget, rounds=1, iterations=1)
+def test_overhead_budget():
+    rows = compute_budget()
     table = Table(["quantity", "measured"], title="§4.5 overhead budget")
     for row in rows:
         table.add_row(row)

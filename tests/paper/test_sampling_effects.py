@@ -19,8 +19,7 @@
 
 from __future__ import annotations
 
-from conftest import report
-from harness import backend
+from harness import backend, report
 
 from repro.core.api import emulate, profile
 from repro.core.config import SynapseConfig
@@ -98,10 +97,9 @@ def compute_fig3():
     return order_ok, checked, flips
 
 
-def test_fig2_sampling_rate_vs_replay_speedup(benchmark):
-    (app_tx, rows), (order_ok, checked, flips) = benchmark.pedantic(
-        lambda: (compute_fig2(), compute_fig3()), rounds=1, iterations=1
-    )
+def test_fig2_sampling_rate_vs_replay_speedup():
+    app_tx, rows = compute_fig2()
+    order_ok, checked, flips = compute_fig3()
     table = Table(
         ["rate [Hz]", "samples", "replay Tx [s]", "app/replay speed-up"],
         title=f"Fig 2 ablation: serial burst app (Tx={app_tx:.1f}s) replayed",

@@ -11,7 +11,7 @@ waves.  Pinned here:
 * equivalence — a batch, the same requests one per batch, and
   sequential ``Profiler(SimBackend(...)).run(...)`` produce
   ``to_dict()``-equal profiles, for ``processes=1`` and ``2``; same for
-  ``engine`` requests and ``SimBackend.run_many``;
+  ``engine`` requests and sequential ``SimBackend.spawn`` calls;
 * failure — a plan that cannot be built fails *each* request with the
   enriched message, is never cached, and a retry rebuilds; so does a
   config that does not validate;
@@ -286,9 +286,17 @@ def test_run_many_equals_sequential_spawns(service, processes):
     app = GromacsModel(iterations=20_000)
     packed = app.build_packed(get_machine("comet"))
     targets = [app, packed, app, packed, app]
-    many = SimBackend("comet", seed=5).run_many(
-        targets, processes=processes, service=service
-    )
+    many = [
+        result.value
+        for result in service.run(
+            [
+                RunRequest(kind="engine", target=target, machine="comet",
+                           seed=5, index=index)
+                for index, target in enumerate(targets, 1)
+            ],
+            processes=processes,
+        )
+    ]
     backend = SimBackend("comet", seed=5)
     sequential = [backend.spawn(target).record for target in targets]
     assert [record_key(r) for r in many] == [record_key(r) for r in sequential]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+from repro.core.api import profile
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
 from repro.core.profiler import Profiler
@@ -58,6 +61,17 @@ def _pool_unavailable(monkeypatch) -> None:
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", explode)
 
 
+@contextlib.contextmanager
+def _faults(rule: dict):
+    """``rule`` at ``worker.execute`` — where every request attempt
+    starts — for the ``with`` block."""
+    from repro.faults import FaultPlan, injected_faults
+
+    plan = FaultPlan.from_dict({"rules": [{"point": "worker.execute", **rule}]})
+    with injected_faults(plan):
+        yield
+
+
 def _engine_requests(n: int = 10) -> list[RunRequest]:
     workload = _workload()
     return [
@@ -74,19 +88,17 @@ class TestRunRequest:
         with pytest.raises(ValueError, match="unknown run kind"):
             RunRequest(kind="teleport")
 
-    def test_call_needs_runner(self):
-        with pytest.raises(ValueError, match="runner"):
-            RunRequest(kind="call")
-
     def test_poolable_requires_declarative_sim_plane(self):
+        """Every request is a declarative sim-plane run: one without a
+        machine is rejected when it is built."""
+        from repro.runtime.service import KINDS
+
         workload = _workload()
-        assert RunRequest(kind="engine", target=workload, machine="thinkie").poolable
-        assert not RunRequest(kind="engine", target=workload).poolable  # no machine
-        assert not RunRequest(
-            kind="profile", target=workload, machine="thinkie",
-            backend=make_backend(),
-        ).poolable  # live backend
-        assert not RunRequest(kind="call", runner=lambda: 1).poolable
+        assert KINDS == ("engine", "profile", "emulate")
+        assert RunRequest(kind="engine", target=workload, machine="thinkie").machine
+        for kind in KINDS:
+            with pytest.raises(ValueError, match=f"{kind} requests need a machine"):
+                RunRequest(kind=kind, target=workload)
 
 
 class TestMap:
@@ -125,8 +137,8 @@ class TestMap:
 
 class TestInParentPath:
     """A request that runs in the parent runs the same whichever way it
-    got there: a one-worker batch, a non-poolable request, or the rest
-    of a batch whose pool was unavailable."""
+    got there: a one-worker batch, or the rest of a batch whose pool was
+    unavailable."""
 
     def test_mixed_batch_runs_alike_in_parent_pool_and_fallback(
         self, monkeypatch, gromacs_profile
@@ -139,7 +151,6 @@ class TestInParentPath:
         requests = [
             RunRequest(kind="engine", target=workload, machine="comet",
                        seed=1, index=1, reduce=_duration),
-            RunRequest(kind="call", runner=lambda: "called", key="call"),
             RunRequest(kind="profile", target=app, machine="thinkie",
                        config=config, seed=2, reduce=_profile_digest),
             RunRequest(kind="emulate", target=gromacs_profile, machine="comet",
@@ -168,9 +179,8 @@ class TestInParentPath:
 
         serial_stats, serial = outcomes(1)
         assert serial_stats["pool_starts"] == 0
-        assert [ok for ok, _, _ in serial] == [True] * 4 + [False, True, True]
-        assert "key=fail" in serial[4][2] and "InjectedFault" in serial[4][2]
-        assert serial[1][1] == "called"
+        assert [ok for ok, _, _ in serial] == [True] * 3 + [False, True, True]
+        assert "key=fail" in serial[3][2] and "InjectedFault" in serial[3][2]
         pooled_stats, pooled = outcomes(2)
         assert pooled_stats["pool_starts"] == 1
         assert pooled == serial
@@ -283,7 +293,9 @@ class TestProfileAndEmulateRequests:
     def test_mixed_batch_preserves_order(self, gromacs_profile):
         workload = _workload()
         requests = [
-            RunRequest(kind="call", runner=lambda: "called"),
+            RunRequest(kind="profile", target=workload, machine="thinkie",
+                       config=SynapseConfig(sample_rate=2.0), noisy=False,
+                       reduce=_profile_digest),
             RunRequest(kind="engine", target=workload, machine="thinkie",
                        noisy=False, reduce=_duration),
             RunRequest(kind="emulate", target=gromacs_profile, machine="thinkie",
@@ -291,14 +303,15 @@ class TestProfileAndEmulateRequests:
         ]
         with RunService() as service:
             results = service.run(requests)
-        assert results[0].value == "called"
+        assert isinstance(results[0].value, str)
         assert isinstance(results[1].value, float)
         assert results[2].value.backend == "sim"
 
 
 class TestEntryPointsUseService:
     def test_run_repeats_matches_sequential_runs(self):
-        """Service-backed run_repeats == the old sequential loop."""
+        """``profile(repeats=3)`` through the service == three
+        ``Profiler.run`` calls."""
         app_workload = _workload(name="repeat-wl")
         config = SynapseConfig(sample_rate=2.0)
         sequential_backend = SimBackend("thinkie", noisy=True, seed=7)
@@ -306,8 +319,8 @@ class TestEntryPointsUseService:
         sequential = [sequential_profiler.run(app_workload) for _ in range(3)]
 
         service_backend = SimBackend("thinkie", noisy=True, seed=7)
-        profiles = Profiler(service_backend, config=config).run_repeats(
-            app_workload, 3
+        profiles = profile(
+            app_workload, backend=service_backend, config=config, repeats=3
         )
         for left, right in zip(sequential, profiles):
             assert left.totals() == right.totals()
@@ -320,8 +333,8 @@ class TestEntryPointsUseService:
         )
 
     def test_emulator_subclass_overrides_survive_service_routing(self, gromacs_profile):
-        """An Emulator subclass's replay customisation must execute even
-        though run() routes through the service."""
+        """An Emulator subclass's replay customisation executes:
+        ``run()`` is the subclass's own ``replay``."""
 
         class MarkingEmulator(Emulator):
             def replay(self, plan):
@@ -338,7 +351,7 @@ class TestEntryPointsUseService:
 
     def test_run_repeats_preserves_backend_subclasses(self):
         """A SimBackend subclass cannot be rebuilt declaratively in a
-        worker, so run_repeats must keep using the live instance."""
+        worker, so ``profile(repeats=)`` keeps using the live instance."""
 
         class CountingBackend(SimBackend):
             spawns = 0
@@ -348,9 +361,10 @@ class TestEntryPointsUseService:
                 return super().spawn(target, **kwargs)
 
         backend = CountingBackend("thinkie", noisy=False)
-        profiles = Profiler(
-            backend, config=SynapseConfig(sample_rate=2.0)
-        ).run_repeats(_workload(), 2)
+        profiles = profile(
+            _workload(), backend=backend, config=SynapseConfig(sample_rate=2.0),
+            repeats=2,
+        )
         assert CountingBackend.spawns == 2
         assert len(profiles) == 2
 
@@ -358,11 +372,11 @@ class TestEntryPointsUseService:
         from repro.storage.base import MemoryStore
 
         store = MemoryStore()
-        profiler = Profiler(
-            make_backend("thinkie"), config=SynapseConfig(sample_rate=2.0),
-            store=store,
+        profiles = profile(
+            _workload(), backend=make_backend("thinkie"),
+            config=SynapseConfig(sample_rate=2.0), store=store,
+            command="stored-wl", repeats=2,
         )
-        profiles = profiler.run_repeats(_workload(), 2, command="stored-wl")
         assert store.count() == 2
         assert [p.command for p in profiles] == ["stored-wl", "stored-wl"]
 
@@ -434,49 +448,38 @@ class TestRunPolicy:
         assert RunPolicy.from_dict({"jitter": False}).jitter is False
 
     def test_flaky_request_succeeds_after_retry(self):
-        calls = []
+        from repro.telemetry.metrics import get_registry
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise OSError("transient")
-            return "ok"
-
-        request = RunRequest(
-            kind="call", runner=flaky, policy=RunPolicy(retries=1)
-        )
+        request = _engine_requests(1)[0]
         with RunService() as service:
-            [result] = service.run([request])
-        assert result.ok and result.value == "ok"
-        assert len(calls) == 2
+            [clean] = service.run([request])
+            before = get_registry().counter("faults.injected")
+            with _faults({"mode": "error", "at": 1}):
+                [result] = service.run([replace(request, policy=RunPolicy(retries=1))])
+        assert result.ok and result.value == clean.value
+        assert get_registry().counter("faults.injected") == before + 1
 
     def test_exhausted_retries_fail_with_last_error(self):
-        def always_broken():
-            raise OSError("still broken")
-
-        request = RunRequest(
-            kind="call", runner=always_broken, key="cell-x",
-            policy=RunPolicy(retries=2),
+        request = replace(
+            _engine_requests(1)[0], key="cell-x", policy=RunPolicy(retries=2)
         )
-        with RunService() as service:
+        with RunService() as service, _faults({"mode": "error", "error": "os"}):
             [result] = service.run([request], rethrow=False)
         assert not result.ok
         assert "attempt 3/3" in result.error
-        assert "OSError('still broken')" in result.error
+        assert "OSError('injected fault at worker.execute (key=cell-x)')" in result.error
 
     def test_backoff_sleeps_between_attempts(self):
         import time as _time
 
-        def broken():
-            raise ValueError("nope")
-
-        request = RunRequest(
-            kind="call", runner=broken,
+        request = replace(
+            _engine_requests(1)[0],
             policy=RunPolicy(retries=2, backoff=0.01, jitter=False),
         )
         start = _time.perf_counter()
-        with RunService() as service:
+        with RunService() as service, _faults({"mode": "error"}):
             [result] = service.run([request], rethrow=False)
+        assert "attempt 3/3" in result.error
         # Fixed linear backoff (jitter off): 0.01 after attempt 1 +
         # 0.02 after attempt 2.
         assert _time.perf_counter() - start >= 0.03
@@ -486,7 +489,7 @@ class TestRunPolicy:
         from repro.runtime.service import _backoff_sleep
 
         policy = RunPolicy(retries=2, backoff=0.5)  # jitter defaults on
-        request = RunRequest(kind="call", runner=lambda: None, key="cell-j")
+        request = replace(_engine_requests(1)[0], key="cell-j")
         sleeps = [_backoff_sleep(policy, request, k) for k in (1, 2)]
         # Full jitter: uniform in [0, backoff * attempt).
         assert 0.0 <= sleeps[0] < 0.5
@@ -494,23 +497,15 @@ class TestRunPolicy:
         # Seeded by request identity: same request -> same draw ...
         assert sleeps == [_backoff_sleep(policy, request, k) for k in (1, 2)]
         # ... different request identity -> decorrelated draw.
-        other = RunRequest(kind="call", runner=lambda: None, key="cell-k")
+        other = replace(request, key="cell-k")
         assert _backoff_sleep(policy, other, 1) != sleeps[0]
         # jitter=False restores the fixed schedule.
         fixed = RunPolicy(retries=2, backoff=0.5, jitter=False)
         assert _backoff_sleep(fixed, request, 2) == 1.0
 
     def test_timeout_classifies_slow_requests_as_failed(self):
-        import time as _time
-
-        def slow():
-            _time.sleep(0.03)
-            return "too late"
-
-        request = RunRequest(
-            kind="call", runner=slow, policy=RunPolicy(timeout=0.005)
-        )
-        with RunService() as service:
+        request = replace(_engine_requests(1)[0], policy=RunPolicy(timeout=0.005))
+        with RunService() as service, _faults({"mode": "delay", "delay": 0.03}):
             [result] = service.run([request], rethrow=False)
         assert not result.ok
         assert "RunTimeoutError" in result.error

@@ -1,11 +1,13 @@
 """Batch execution APIs: ``Engine.run_many``, ``SimBackend.spawn_many``
-and the process-pool fan-out (``run_many(processes=...)``)."""
+and the process-pool fan-out above them (``engine`` requests to a
+``RunService``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.apps import GromacsModel, SyntheticApp
+from repro.runtime import RunRequest, RunService
 from repro.sim.backend import SimBackend
 from repro.sim.demands import ComputeDemand, IODemand
 from repro.sim.engine import Engine
@@ -24,6 +26,16 @@ def _workload(instructions: float = 1e9, name: str = "wl") -> SimWorkload:
 
 def _reduce_duration(record) -> float:
     return record.duration
+
+
+def _engine_requests(targets, machine: str, seed: int, reduce=None) -> list[RunRequest]:
+    """The spawn slots 1, 2, ... of a fresh ``SimBackend(machine,
+    seed=seed)`` as engine requests."""
+    return [
+        RunRequest(kind="engine", target=target, machine=machine, seed=seed,
+                   index=index, reduce=reduce)
+        for index, target in enumerate(targets, 1)
+    ]
 
 
 class TestEngineRunMany:
@@ -64,14 +76,16 @@ class TestSpawnMany:
             assert left.record.totals() == right.record.totals()
 
     def test_parallel_identical_to_serial(self):
+        """The batch equals its pooled fan-out through the run service."""
         apps = [SyntheticApp(instructions=1e9, bytes_written=4 << 20, chunks=4)
                 for _ in range(6)]
-        serial = SimBackend("comet", noisy=True, seed=1).spawn_many(apps, processes=1)
-        parallel = SimBackend("comet", noisy=True, seed=1).spawn_many(apps, processes=2)
+        serial = SimBackend("comet", noisy=True, seed=1).spawn_many(apps)
+        with RunService() as service:
+            parallel = service.run(_engine_requests(apps, "comet", 1), processes=2)
         for left, right in zip(serial, parallel):
-            assert left.record.duration == right.record.duration
-            assert left.record.totals() == right.record.totals()
-            assert left.record.phase_bounds == right.record.phase_bounds
+            assert left.record.duration == right.value.duration
+            assert left.record.totals() == right.value.totals()
+            assert left.record.phase_bounds == right.value.phase_bounds
 
     def test_spawn_count_advances(self):
         backend = SimBackend("thinkie", noisy=True, seed=0)
@@ -97,12 +111,11 @@ class TestSpawnMany:
 
     def test_run_many_reduce_runs_in_worker(self):
         workload = _workload()
-        backend = SimBackend("thinkie", noisy=True, seed=0)
-        durations = backend.run_many(
-            [workload] * 3, processes=2, reduce=_reduce_duration
-        )
-        reference = SimBackend("thinkie", noisy=True, seed=0).run_many([workload] * 3)
-        assert durations == [record.duration for record in reference]
+        requests = _engine_requests([workload] * 3, "thinkie", 0, _reduce_duration)
+        with RunService() as service:
+            durations = [result.value for result in service.run(requests, processes=2)]
+        reference = SimBackend("thinkie", noisy=True, seed=0).spawn_many([workload] * 3)
+        assert durations == [handle.record.duration for handle in reference]
 
     def test_rejects_unrunnable_target(self):
         from repro.core.errors import WorkloadError

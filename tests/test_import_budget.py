@@ -9,6 +9,7 @@ subprocess — this test session has long since imported both.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -137,3 +138,43 @@ def test_cli_package_still_exports_its_functions():
         "    print(exc)\n",
     )
     assert "no attribute 'nope'" in out
+
+
+#: The planes the run service sits on: none of their modules imports
+#: ``repro.runtime``, at module level or inside a function.  ``core.api``
+#: is the facade above both and may.
+BELOW_THE_SERVICE = (
+    "core", "sim", "storage", "watchers", "atoms", "kernels", "apps", "host",
+    "telemetry", "faults", "util", "load", "parallel", "analysis", "export",
+)
+
+
+def _runtime_imports(path: Path) -> list[int]:
+    """Lines of ``path`` that import ``repro.runtime`` (or a module in it)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+            if node.module == "repro":
+                modules += [f"repro.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "repro.runtime" or m.startswith("repro.runtime.") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_nothing_below_the_run_service_imports_it():
+    package = SRC / "repro"
+    offenders = []
+    for plane in BELOW_THE_SERVICE:
+        assert (package / plane / "__init__.py").is_file(), plane
+        for path in sorted((package / plane).rglob("*.py")):
+            if path == package / "core" / "api.py":
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{line}" for line in _runtime_imports(path)
+            ]
+    assert offenders == []
