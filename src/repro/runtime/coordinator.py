@@ -1,65 +1,69 @@
 """Elastic campaign coordination: heartbeats, leases, work stealing.
 
 A lone :func:`~repro.runtime.campaign.run_campaign` takes part in no
-protocol; dividing a sweep *a priori* between invocations would strand
-a dead or slow one's part until a human re-invoked it.  This module is
-the one way several invocations share a sweep: a **lease-based pull
-loop** over the shared store ledger — the campaign layer's only
-mutual-exclusion protocol — so any number of workers — joining late,
-crashing, hanging or draining out — converge the campaign
-cooperatively (each wave they win runs through the campaign module's
-one wave body, ``_Sweep.run_wave``):
+protocol.  This module is the one way several invocations share a
+sweep: a **lease-based pull loop** over the shared store ledger — the
+campaign layer's only mutual-exclusion protocol — so any number of
+workers, joining late, crashing, hanging or draining out, converge the
+campaign cooperatively:
 
 * **Membership.** Each worker registers a *heartbeat marker* (kind
   :data:`MEMBER_KIND`) and renews it from a background thread every
   third of the lease TTL.  A worker whose newest heartbeat is older
-  than the TTL is dead: its leases become stealable immediately, and a
-  draining worker deregisters outright so survivors do not even wait
-  out the TTL.
-* **Leases.** Pending cells are pulled in batches; each pulled cell is
-  leased (a marker of kind :data:`LEASE_KIND`) with the owner, an
-  **epoch** counter and a creation stamp.  The heartbeat thread renews held
-  leases while the wave executes — but stops renewing once the wave has
-  provably overrun its :func:`~repro.runtime.service.batch_budget`
-  deadline, so even a worker hung past every enforcement tier loses its
-  leases.
+  than the TTL is dead; a draining worker deregisters outright.
+* **Leases.** Each pulled cell is leased (a marker of kind
+  :data:`LEASE_KIND`) with the owner, an **epoch** and a creation
+  stamp.  The heartbeat renews held leases while the wave executes,
+  until the wave overruns its :func:`~repro.runtime.service.batch_budget`
+  deadline — then even a hung worker loses them.
 * **Stealing.** A lease is *live* while its newest record is fresher
   than the TTL **and** its owner's heartbeat is live.  Anything else is
-  stolen: the thief writes a lease at ``epoch + 1``.  Lease resolution
-  is deterministic for everyone — highest epoch wins, ties resolve on
-  ``(created, owner)`` — so a resurrected owner's late
-  renewal (old epoch) defers to the thief instead of fighting it.
-* **Exactly-once ledger.** Every cell's artifact derives only from the
-  cell's own identity, so the pathological races (two workers executing
-  one cell during a steal window, a resurrected worker storing after
-  its thief) store bit-identical duplicates the ledger dedupes by
-  digest — the campaign module's "ugly, never wrong" invariant.  The
-  chaos bar: a run that loses a worker mid-wave and gains another late
-  converges to a ledger digest identical to a fault-free run's.
+  stolen at ``epoch + 1``.  Resolution is the same for everyone —
+  highest epoch wins, ties resolve on ``(created, owner)`` — so a
+  resurrected owner's late renewal defers to the thief.
+* **Exactly-once ledger.** A cell's artifact derives only from the
+  cell's identity, so the races (two workers executing one cell during
+  a steal window) store bit-identical duplicates the ledger dedupes by
+  digest: a run that loses a worker mid-wave and gains another late
+  converges to a fault-free run's ledger digest.
+
+**Steps.** A worker (:class:`_Worker`) is explicit steps, the next one
+named by its ``phase``: ``scan`` (one marker scan: members, leases,
+stale-marker GC, the ledger re-read) → ``deal`` (free cells, then
+stale leases to steal; a live rival's cells are deferred, and a worker
+with nothing else to take goes ``idle``) → ``acquire`` (one batched
+lease write, then a confirming scan that keeps the cells it won) →
+``execute`` (the campaign's one wave body, ``_Sweep.run_wave``) →
+``release`` (one batched delete) → ``scan``, until ``done``.
+:func:`elastic_worker` is the only loop over them.
+
+**One clock.** A worker and its heartbeat read one ``clock`` callable
+(``time.time`` in production): it stamps every marker they write and
+alone decides liveness, the re-read cadence and the wave deadline.  A
+Hypothesis state machine (``tests/runtime/test_coordinator_machine.py``)
+steps workers on one virtual clock and checks after every step: stored
+duplicates are bit-identical, no two workers hold a cell at its winning
+epoch while that lease is live, a steal writes ``epoch + 1``, and no
+ledger view holds a cell the store lacks.  The largest clock skew
+between hosts (as a share of the TTL) they tolerate is not measured.
 
 Heartbeats and leases live on the store's **marker plane**
 (:meth:`~repro.storage.base.ProfileStore.put_markers` / ``markers`` /
-``delete_markers``, scope = the campaign name), never as profile
-documents.  A wave costs two marker scans — one feeding membership,
-lease resolution and stale-marker GC, one confirming the acquisition —
-one batched lease write and one batched delete.  The worker's view of
+``delete_markers``, scope = the campaign name).  A wave costs two
+marker scans, one lease write and one delete.  The worker's view of
 the ledger is **monotone**: it re-reads ``completed_cells`` only while
-the marker scan shows a foreign member or lease (or once per heartbeat
-interval regardless), and otherwise advances by the cells it persisted
-itself.  The ledger is append-only during a campaign, so a stale view
-can only miss a rival's cell — a bit-identical duplicate, same invariant.
+a scan shows a foreign member or lease (or once per heartbeat
+interval), and otherwise grows by the cells it persisted itself; a
+stale view can only miss a rival's cell — a bit-identical duplicate.
 
-Fault points (:mod:`repro.faults`): ``coordinator.heartbeat`` fires on
-every beat (``crash`` mode kills the worker process mid-wave — the CI
-chaos smoke), ``coordinator.lease.renew`` on every lease renewal
-(``error`` mode drops renewals, ageing a live worker's leases into
-stealability), ``coordinator.steal`` on every steal attempt.
-
-Telemetry: ``campaign.member.join`` / ``campaign.member.leave`` /
-``campaign.member.steal`` events, ``coordinator.steals`` /
-``coordinator.waves`` / ``coordinator.ledger.rescans`` counters,
-``coordinator.lease.age.seconds`` histogram (lease age at steal time)
-and a ``coordinator.members`` gauge.
+Fault points (:mod:`repro.faults`): ``coordinator.heartbeat`` on every
+beat (``crash`` kills the worker mid-wave — the CI chaos smoke),
+``coordinator.lease.renew`` on every lease renewal (``error`` drops
+it), ``coordinator.steal`` on every steal attempt.  Telemetry:
+``campaign.member.join`` / ``.leave`` / ``.steal`` events,
+``coordinator.steals`` / ``.waves`` / ``.ledger.rescans`` counters, the
+``coordinator.lease.age.seconds`` histogram and the
+``coordinator.members`` gauge.
 """
 
 from __future__ import annotations
@@ -104,18 +108,13 @@ MEMBER_KIND = "member"
 #: Marker kind of cell leases (fields ``cell``, ``owner``, ``epoch``).
 LEASE_KIND = "lease"
 
-#: Seconds a lease (and a member heartbeat) stays live without renewal.
-#: Heartbeats renew at TTL/3, so takeover latency after a hard crash is
-#: ~one TTL.
+#: Seconds a lease (and a member heartbeat) stays live without renewal;
+#: heartbeats renew at TTL/3, so a hard crash is taken over in ~one TTL.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Markers (leases, heartbeats) older than ``ttl * this`` are garbage —
-#: long dead, long since stolen from — and are deleted by whichever
-#: worker's wave scan sees them.
+#: Markers older than ``ttl * this`` are garbage — long dead, long since
+#: stolen from — and deleted by whichever worker's wave scan sees them.
 STALE_MARKER_FACTOR = 4.0
-
-#: Clock behind the periodic ledger re-read (a seam for tests).
-_reread_clock = time.monotonic
 
 
 def _heartbeat_interval(ttl: float) -> float:
@@ -211,11 +210,10 @@ def resolve_lease(
     The **highest epoch** wins outright (a steal supersedes everything
     before it), and same-epoch races — two workers acquiring or
     stealing concurrently — resolve on the ``(created, owner)``
-    minimum.  The
-    winning lease is *alive* while its newest record is fresher than
-    ``ttl`` **and** its owner appears in ``live`` — a deregistered or
-    dead owner's lease is stealable immediately, which is what makes
-    the SIGTERM drain hand work over without waiting out the TTL.
+    minimum.  The winning lease is *alive* while its newest record is
+    fresher than ``ttl`` **and** its owner appears in ``live`` — a
+    deregistered or dead owner's lease is stealable at once, which is
+    what makes the SIGTERM drain hand work over without waiting.
     """
     if not records:
         return None
@@ -227,6 +225,20 @@ def resolve_lease(
     )
     alive = (now - renewed <= ttl) and owner in live
     return LeaseState(owner=owner, epoch=top, renewed=renewed, alive=alive)
+
+
+def _won(records: list[LeaseRecord], worker: str, epoch: int) -> bool:
+    """Whether ``worker``'s lease at ``epoch`` holds its cell: nobody
+    wrote a higher epoch, and its first record at this one is strictly
+    older than every rival's.  :func:`resolve_lease` breaks an equal
+    stamp on the owner, but that rival may have confirmed alone before
+    this write landed — so the writer counts a tie as lost."""
+    mine = [r.created for r in records if r.epoch == epoch and r.owner == worker]
+    return bool(mine) and all(
+        r.epoch < epoch
+        or (r.epoch == epoch and (r.owner == worker or r.created > min(mine)))
+        for r in records
+    )
 
 
 def _lease_row(digest: str, worker: str, epoch: int) -> dict[str, Any]:
@@ -246,11 +258,10 @@ def _drop(store: Any, ids: list[str]) -> None:
 class _Heartbeat(threading.Thread):
     """Renews the member heartbeat and held leases in the background.
 
-    All store traffic from this thread is serialised against the main
-    pull loop through ``lock`` (profile stores are not thread-safe) and
-    is strictly best-effort: a failed beat is a *dropped* heartbeat —
-    survivable by design, and exactly what the ``coordinator.heartbeat``
-    / ``coordinator.lease.renew`` fault points simulate.
+    Its store traffic is serialised against the worker's through
+    ``lock`` (profile stores are not thread-safe) and is best-effort: a
+    failed beat is a *dropped* heartbeat, survivable by design — what
+    the ``coordinator.heartbeat`` / ``.lease.renew`` fault points do.
 
     Lease renewal keeps two markers per held cell: the **anchor** (the
     acquire-time marker, whose ``created`` stamp is the cell's priority
@@ -259,18 +270,19 @@ class _Heartbeat(threading.Thread):
     more.  Renewals past the wave ``deadline`` are withheld — the
     deadline plumbing that lets survivors steal from a worker hung
     beyond its whole :func:`~repro.runtime.service.batch_budget`.
+    Marker stamps and the deadline come from ``clock``.
     """
 
     def __init__(
         self, store: Any, lock: threading.Lock, campaign: str, worker: str,
-        ttl: float,
+        ttl: float, clock: Callable[[], float] = time.time,
     ) -> None:
         super().__init__(name=f"heartbeat-{worker}", daemon=True)
         self.store = store
         self.lock = lock
         self.campaign = campaign
         self.worker = worker
-        self.ttl = ttl
+        self.clock = clock
         self.interval = _heartbeat_interval(ttl)
         self._halt = threading.Event()
         self._state = threading.Lock()
@@ -279,10 +291,11 @@ class _Heartbeat(threading.Thread):
         self._held: dict[str, dict[str, Any]] = {}
         self._deadline: float | None = None
 
+    def _put(self, kind: str, rows: list[dict[str, Any]]) -> list[str]:
+        return self.store.put_markers(self.campaign, kind, rows, created=self.clock())
+
     def _put_member(self) -> str:
-        [marker_id] = self.store.put_markers(
-            self.campaign, MEMBER_KIND, [{"member": self.worker}]
-        )
+        [marker_id] = self._put(MEMBER_KIND, [{"member": self.worker}])
         return marker_id
 
     # -- main-thread API ------------------------------------------------------
@@ -297,7 +310,7 @@ class _Heartbeat(threading.Thread):
     def hold(self, leases: dict[str, tuple[int, str]], budget: float | None) -> None:
         """Start renewing these leases (digest -> (epoch, anchor id)).
 
-        ``budget`` is the wave's wall-clock bound: past it renewals stop
+        ``budget`` is the wave's time bound: past it renewals stop
         and the leases age into stealability (``None`` = renew as long
         as this process lives).
         """
@@ -306,26 +319,23 @@ class _Heartbeat(threading.Thread):
                 self._held[digest] = {
                     "epoch": epoch, "anchor": anchor, "renewal": None,
                 }
-            self._deadline = (
-                None if budget is None else time.monotonic() + budget
-            )
+            self._deadline = None if budget is None else self.clock() + budget
 
     def release(self) -> list[str]:
         """Stop renewing all held leases; returns their marker ids."""
         with self._state:
             held, self._held = self._held, {}
             self._deadline = None
-        ids: list[str] = []
-        for state in held.values():
-            ids.append(state["anchor"])
-            if state["renewal"] is not None:
-                ids.append(state["renewal"])
-        return ids
+        return [
+            marker_id for state in held.values()
+            for marker_id in (state["anchor"], state["renewal"]) if marker_id
+        ]
 
     def deregister(self) -> list[str]:
-        """Stop the thread; returns every marker id still to delete."""
+        """Stop the thread (if it runs); returns the marker ids to delete."""
         self._halt.set()
-        self.join(timeout=max(2.0, self.interval * 4))
+        if self.is_alive():
+            self.join(timeout=max(2.0, self.interval * 4))
         ids = self.release()
         with self._state:
             if self._member_id is not None:
@@ -366,7 +376,7 @@ class _Heartbeat(threading.Thread):
     def _leases_to_renew(self) -> list[tuple[str, int, str]]:
         """``(digest, epoch, anchor)`` of the held leases this beat renews."""
         with self._state:
-            if self._deadline is not None and time.monotonic() > self._deadline:
+            if self._deadline is not None and self.clock() > self._deadline:
                 # The wave overran its whole batch budget: stop defending
                 # its leases so survivors can steal the cells.
                 return []
@@ -387,11 +397,10 @@ class _Heartbeat(threading.Thread):
         if not renewing:
             return []
         try:
-            ids = self.store.put_markers(
-                self.campaign, LEASE_KIND,
-                [_lease_row(digest, self.worker, epoch)
-                 for digest, epoch, _anchor in renewing],
-            )
+            ids = self._put(LEASE_KIND, [
+                _lease_row(digest, self.worker, epoch)
+                for digest, epoch, _anchor in renewing
+            ])
         except Exception:  # noqa: BLE001 - dropped renewals, survivable
             return []
         superseded: list[str] = []
@@ -430,6 +439,235 @@ def _sweep_markers(
     _drop(store, doomed)
 
 
+class _Worker:
+    """One elastic worker's stay in a campaign, as explicit steps.
+
+    :meth:`step` runs the step named by :attr:`phase` and moves
+    :attr:`phase` on (see the module docstring for the cycle); the
+    state between steps — the last scan's ``view``, the dealt
+    ``wanted`` leases, the ``won`` ones, the sweep's ``done`` ledger
+    view — is plain attributes a test can read.  Every store operation
+    is serialised against the heartbeat thread, and ``clock`` is the
+    only time source (the heartbeat gets the same one).
+    """
+
+    def __init__(
+        self, sweep: Any, ttl: float, batch: int = DEFAULT_CHECKPOINT,
+        limit: int | None = None, stop: Callable[[], bool] | None = None,
+        clock: Callable[[], float] = time.time,
+    ) -> None:
+        self.sweep, self.store = sweep, sweep.store
+        self.name, self.campaign = sweep.member, sweep.spec.name
+        self.ttl, self.batch, self.limit = ttl, max(1, batch), limit
+        self.stop, self.clock = stop, clock
+        self.lock = threading.Lock()
+        sweep.store_op = self._op  # ledger reads queue behind the heartbeat
+        self.heartbeat = _Heartbeat(
+            self.store, self.lock, self.campaign, self.name, ttl, clock
+        )
+        self.phase = "scan"
+        self.wave_no = 0
+        self.reread_at = clock()
+        #: ``(now, live members, leases per cell)`` of the last scan.
+        self.view: tuple[float, dict, dict[str, list[LeaseRecord]]] | None = None
+        self.workable: list[str] = []
+        self.garbage: list[str] = []  # stale marker ids riding on a delete
+        self.wanted: list[tuple[str, int]] = []
+        self.won: dict[str, tuple[int, str]] = {}
+
+    def _op(self, what: str, fn: Callable[[], Any]) -> Any:
+        with self.lock:
+            return _store_op(what, fn)
+
+    def _delete(self, ids: list[str]) -> None:
+        with self.lock:
+            _drop(self.store, ids)
+
+    def join(self) -> None:
+        """Register the member heartbeat and announce the join."""
+        self.heartbeat.register()
+        members = self._op("marker.scan", lambda: live_members(
+            self.store, self.campaign, self.ttl, self.clock()
+        ))
+        get_registry().set_gauge("coordinator.members", float(len(members)))
+        get_bus().event(
+            "campaign.member.join", campaign=self.campaign, member=self.name,
+            members=sorted(members), lease_ttl=self.ttl,
+        )
+
+    def leave(self) -> None:
+        """Deregister: drop every marker still held, announce the leave."""
+        self._delete(self.heartbeat.deregister() + self.garbage)
+        self.garbage, self.won = [], {}
+        get_bus().event(
+            "campaign.member.leave", campaign=self.campaign, member=self.name,
+            executed=self.sweep.executed, stolen=self.sweep.stolen,
+            interrupted=self.sweep.interrupted,
+        )
+
+    def step(self) -> str:
+        """Run the step :attr:`phase` names; returns the next phase."""
+        {"scan": self.scan, "idle": self.scan, "deal": self.deal,
+         "acquire": self.acquire, "execute": self.execute,
+         "release": self.release}[self.phase]()
+        return self.phase
+
+    def scan(self) -> None:
+        """Stop, or read the markers — and the ledger while a rival
+        shows — and list the cells still workable here."""
+        sweep = self.sweep
+        if self.stop is not None and self.stop():
+            sweep.interrupt(self.wave_no)
+            self.phase = "done"
+            return
+        if self.limit is not None and sweep.executed >= self.limit:
+            sweep.truncated = True
+            self.phase = "done"
+            return
+        # Markers first, ledger second: a rival that finished a cell and
+        # released its lease in between is then caught by the re-read
+        # instead of looking like a free cell.
+        scan = self._op("marker.scan", lambda: self.store.markers(self.campaign))
+        now = self.clock()
+        beats, leases = _split(scan)
+        members = _live(beats, self.ttl, now)
+        get_registry().set_gauge("coordinator.members", float(len(members)))
+        self.garbage = [
+            marker.id for marker in scan
+            if now - marker.created > self.ttl * STALE_MARKER_FACTOR
+        ]
+        if (
+            any(_owner(marker) != self.name for marker in scan)
+            or now - self.reread_at > _heartbeat_interval(self.ttl)
+        ):
+            get_registry().inc("coordinator.ledger.rescans")
+            sweep.reread()
+            self.reread_at = self.clock()
+        failed = {failure["cell"] for failure in sweep.failures}
+        self.workable = [
+            cell.digest for cell in sweep.pending() if cell.digest not in failed
+        ]
+        self.view = (now, members, leases)
+        # Nothing workable: complete, or everything left failed here.
+        self.phase = "deal" if self.workable else "done"
+
+    def deal(self) -> None:
+        """Choose the wave: free cells first, then stale leases to steal
+        at ``epoch + 1``; cells under a live rival's lease are deferred."""
+        sweep = self.sweep
+        now, members, leases = self.view
+        room = self.batch
+        if self.limit is not None:
+            room = min(room, self.limit - sweep.executed)
+        wanted: list[tuple[str, int]] = []
+        steals: list[tuple[str, int, LeaseState]] = []
+        blocked = 0
+        for digest in self.workable:
+            if len(wanted) + len(steals) >= room:
+                break
+            state = resolve_lease(leases.get(digest, []), now, self.ttl, members)
+            if state is None:
+                wanted.append((digest, 1))
+            elif state.alive and state.owner != self.name:
+                blocked += 1
+            elif state.alive:
+                # A leftover of our own (failed release): renew in place.
+                wanted.append((digest, state.epoch))
+            else:
+                steals.append((digest, state.epoch + 1, state))
+        for digest, epoch, state in steals:
+            try:
+                # An injected fault here is a failed takeover (the store
+                # rejected the steal write): the cell stays deferred and
+                # is re-examined on the next scan.
+                inject("coordinator.steal", key=digest)
+            except Exception:  # noqa: BLE001 - injected steal failure
+                sweep.deferred += 1
+                continue
+            age = now - state.renewed
+            get_registry().inc("coordinator.steals")
+            get_registry().observe("coordinator.lease.age.seconds", age)
+            get_bus().event(
+                "campaign.member.steal", level="warning",
+                campaign=self.campaign, member=self.name, cell=digest,
+                from_owner=state.owner, epoch=epoch, lease_age=age,
+            )
+            wanted.append((digest, epoch))
+            sweep.stolen += 1
+        self.wanted = wanted
+        if wanted:
+            self.phase = "acquire"
+        else:
+            # Live rivals hold everything workable (or leases that look
+            # alive and will age past the TTL): wait rather than
+            # busy-scan.  Nobody holding it means all of it failed here.
+            self.phase = "idle" if blocked or steals else "done"
+
+    def acquire(self) -> None:
+        """Write the dealt leases, then re-read them and keep only the
+        cells this worker won — a racing rival acquiring or stealing
+        the same cell resolves deterministically for everyone."""
+        rows = [_lease_row(digest, self.name, epoch) for digest, epoch in self.wanted]
+        anchors = self._op("lease.put", lambda: self.store.put_markers(
+            self.campaign, LEASE_KIND, rows, created=self.clock()
+        ))
+        try:
+            _, confirm = _split(self._op(
+                "lease.confirm", lambda: self.store.markers(self.campaign)
+            ))
+        except BaseException:
+            # Nobody owns the anchors yet: delete them or the cells stay
+            # deferred to our corpse for a whole TTL.
+            self._delete(anchors)
+            raise
+        self.won, lost = {}, []
+        for (digest, epoch), anchor in zip(self.wanted, anchors):
+            if _won(confirm.get(digest, []), self.name, epoch):
+                self.won[digest] = (epoch, anchor)
+            else:
+                self.sweep.deferred += 1
+                lost.append(anchor)
+        if lost:
+            self._delete(lost)
+        self.phase = "execute" if self.won else "scan"
+
+    def execute(self) -> None:
+        """Run the won cells through the campaign's one wave body while
+        the heartbeat renews their leases."""
+        sweep = self.sweep
+        self.wave_no += 1
+        get_registry().inc("coordinator.waves")
+        # Waves: this one and, at this batch size, the ones the cells
+        # still takeable after it would fill.
+        rest = len(self.workable) - len(self.won)
+        if self.limit is not None:
+            rest = min(rest, self.limit - sweep.executed - len(self.won))
+        sweep.run_wave(
+            self.wave_no, self.wave_no + -(-rest // self.batch),
+            [sweep.cells[digest] for digest in self.won], self._hold,
+        )
+        self.phase = "release"
+
+    def _hold(self, requests: list[Any]) -> contextlib.nullcontext:
+        self.heartbeat.hold(self.won, batch_budget(requests))
+        return contextlib.nullcontext()
+
+    def release(self) -> None:
+        """Drop the wave's leases, with the stale markers the scan saw."""
+        self._delete(self.heartbeat.release() + self.garbage)
+        self.garbage, self.won = [], {}
+        self.phase = "scan"
+
+
+def _check_ttl(ttl: float) -> None:
+    """A lease TTL must be positive, finite and short enough for the
+    heartbeat's longest wait (its ``4/3 · ttl`` join) to be a timeout
+    :mod:`threading` accepts."""
+    if not 0 < ttl <= threading.TIMEOUT_MAX * 0.75:
+        limit = threading.TIMEOUT_MAX * 0.75
+        raise ConfigError(f"lease_ttl must be in (0, {limit:.3g}] seconds, not {ttl!r}")
+
+
 def elastic_worker(
     spec: CampaignSpec | Mapping[str, Any],
     store: Any,
@@ -444,237 +682,40 @@ def elastic_worker(
 ) -> CampaignReport:
     """Run one elastic worker against a campaign's shared store ledger.
 
-    The worker joins the campaign's membership (heartbeat + background
-    renewal), then pulls **leased batches** of pending cells until the
-    ledger is complete: free cells are leased outright, cells whose
-    lease has gone stale — owner crashed, hung past its batch budget,
-    or drained away — are stolen at a bumped epoch.  Each wave goes
-    through the body ``run_campaign`` uses too (``_Sweep.run_wave``: run
-    service, one ``put_many``, the ``campaign.wave.finish`` summary)
-    before its leases are released, so an interruption loses at most
-    one wave of work and any number of workers can run this function
-    concurrently against the same store (locally or from different
-    hosts).
+    The worker joins the membership, then steps (:class:`_Worker`)
+    through leased waves of pending cells until the ledger is complete:
+    free cells are leased outright, cells whose lease went stale —
+    owner crashed, hung past its batch budget or drained away — are
+    stolen at a bumped epoch, and each wave persists before its leases
+    are released, so an interruption loses at most one wave and any
+    number of workers (local or on other hosts) can share a sweep.
 
     ``stop`` drains gracefully: the in-flight wave finishes and
     persists, held leases are released and the membership deregisters —
     survivors steal the remainder immediately instead of waiting out
     ``lease_ttl``.  ``limit`` caps the cells executed by *this* worker.
-
-    Returns the familiar :class:`CampaignReport`; ``remaining`` counts
-    sweep-wide missing cells, so a worker that drained early (or
-    deferred cells to live rivals) reports ``complete=False`` while the
-    fleet as a whole still converges.
+    Returns a :class:`CampaignReport` whose ``remaining`` counts
+    sweep-wide missing cells.
     """
-    if worker is None:
-        worker = new_member()
+    worker = new_member() if worker is None else worker
     if any(c in worker for c in "=,\n"):
-        raise ConfigError(
-            f"worker name {worker!r} must be free of '=', ',' and newlines"
-        )
-    if lease_ttl <= 0:
-        raise ConfigError("lease_ttl must be positive")
-    bus = get_bus()
-    registry = get_registry()
-    lock = threading.Lock()
-
-    def locked_op(what: str, fn: Callable[[], Any]) -> Any:
-        with lock:
-            return _store_op(what, fn)
-
-    step = max(1, batch)
-    # The sweep's ``done`` is this worker's view of the ledger.
-    # Monotone: it only grows — by our own persisted cells, and by a
-    # re-read whenever rivals are visible or a heartbeat interval has
-    # passed.  A pair's first wave declares the cells of it still
-    # missing from that view — rivals may take some of them.
+        raise ConfigError(f"worker name {worker!r} must be free of '=', ',' and newlines")
+    _check_ttl(lease_ttl)
     with _sweep(
         spec, store, member=worker, service=service, processes=processes,
-        progress=progress, store_op=locked_op,
+        progress=progress,
     ) as sweep:
-        name = sweep.spec.name
-        reread_at = _reread_clock()
-        reread_every = _heartbeat_interval(lease_ttl)
-        heartbeat = _Heartbeat(store, lock, name, worker, lease_ttl)
-        heartbeat.register()
-        heartbeat.start()
-        members = live_members(store, name, lease_ttl)
-        registry.set_gauge("coordinator.members", float(len(members)))
-        bus.event(
-            "campaign.member.join", campaign=name, member=worker,
-            members=sorted(members), lease_ttl=lease_ttl,
-        )
-        wave_no = 0
-        garbage: list[str] = []  # stale marker ids riding on the next delete
-        won: dict[str, tuple[int, str]] = {}
-
-        @contextlib.contextmanager
-        def held(requests):
-            """Renew the wave's leases while it runs; drop them after."""
-            heartbeat.hold(won, batch_budget(requests))
-            try:
-                yield
-            finally:
-                with lock:
-                    _drop(store, heartbeat.release() + garbage)
-                garbage.clear()
-
+        steps = _Worker(sweep, lease_ttl, batch, limit, stop)
+        steps.join()
+        steps.heartbeat.start()
         try:
-            while True:
-                if stop is not None and stop():
-                    sweep.interrupt(wave_no)
-                    break
-                if limit is not None and sweep.executed >= limit:
-                    sweep.truncated = True
-                    break
-                # Markers first, ledger second: a rival that finished a
-                # cell and released its lease in between is then caught
-                # by the re-read instead of looking like a free cell.
-                scan = locked_op("marker.scan", lambda: store.markers(name))
-                now = time.time()
-                beats, leases = _split(scan)
-                members = _live(beats, lease_ttl, now)
-                registry.set_gauge("coordinator.members", float(len(members)))
-                garbage[:] = [
-                    marker.id for marker in scan
-                    if now - marker.created > lease_ttl * STALE_MARKER_FACTOR
-                ]
-                if (
-                    any(_owner(marker) != worker for marker in scan)
-                    or _reread_clock() - reread_at > reread_every
-                ):
-                    registry.inc("coordinator.ledger.rescans")
-                    sweep.reread()
-                    reread_at = _reread_clock()
-                pending = sweep.pending()
-                if not pending:
-                    break
-                failed = {failure["cell"] for failure in sweep.failures}
-                workable = [c.digest for c in pending if c.digest not in failed]
-                if not workable:
-                    break  # everything left already failed here; give up
-                # Deal this wave: free cells first, then stale leases to
-                # steal.  Cells under a live rival's lease are deferred.
-                step_now = step
-                if limit is not None:
-                    step_now = min(step, limit - sweep.executed)
-                to_acquire: list[tuple[str, int]] = []
-                to_steal: list[tuple[str, int, LeaseState]] = []
-                blocked = 0
-                for digest in workable:
-                    if len(to_acquire) + len(to_steal) >= step_now:
-                        break
-                    state = resolve_lease(
-                        leases.get(digest, []), now, lease_ttl, members
-                    )
-                    if state is None:
-                        to_acquire.append((digest, 1))
-                    elif state.alive and state.owner != worker:
-                        blocked += 1
-                    elif state.alive and state.owner == worker:
-                        # A leftover of our own (failed release): renew
-                        # in place at the same epoch.
-                        to_acquire.append((digest, state.epoch))
-                    else:
-                        to_steal.append((digest, state.epoch + 1, state))
-                if not to_acquire and not to_steal:
-                    if not blocked:
-                        # Nothing acquirable and nobody live holds the
-                        # pending cells (all remaining failed here).
-                        break
-                    # Live rivals hold everything pending — or leases
-                    # that look alive whose owners are gone, and will age
-                    # past the TTL: wait rather than busy-scan (a stop
-                    # request ends the wait and is seen at the top).
+            while steps.step() != "done":
+                if steps.phase == "idle":
                     _wait(stop, _poll_interval(lease_ttl))
-                    continue
-                wanted = list(to_acquire)
-                for digest, epoch, state in to_steal:
-                    try:
-                        # An injected fault here is a failed takeover
-                        # (store rejected the steal write): the cell
-                        # stays deferred this wave and is re-examined
-                        # on the next scan.
-                        inject("coordinator.steal", key=digest)
-                    except Exception:  # noqa: BLE001 - injected steal failure
-                        sweep.deferred += 1
-                        continue
-                    age = now - state.renewed
-                    registry.inc("coordinator.steals")
-                    registry.observe("coordinator.lease.age.seconds", age)
-                    bus.event(
-                        "campaign.member.steal", level="warning",
-                        campaign=name, member=worker, cell=digest,
-                        from_owner=state.owner, epoch=epoch, lease_age=age,
-                    )
-                    wanted.append((digest, epoch))
-                    sweep.stolen += 1
-                if not wanted:
-                    _wait(stop, _poll_interval(lease_ttl))
-                    continue
-                rows = [
-                    _lease_row(digest, worker, epoch)
-                    for digest, epoch in wanted
-                ]
-                anchor_ids = locked_op(
-                    "lease.put",
-                    lambda: store.put_markers(name, LEASE_KIND, rows),
-                )
-                # Confirm: re-read and keep only the cells we actually
-                # won — a racing rival acquiring/stealing the same cell
-                # resolves deterministically for everyone.
-                try:
-                    _, confirm = _split(locked_op(
-                        "lease.confirm", lambda: store.markers(name)
-                    ))
-                except BaseException:
-                    # Nobody owns the anchors yet: delete them or the
-                    # cells stay deferred to our corpse for a whole TTL.
-                    with lock:
-                        _drop(store, anchor_ids)
-                    raise
-                now = time.time()
-                won.clear()
-                lost_ids: list[str] = []
-                for (digest, epoch), anchor in zip(wanted, anchor_ids):
-                    state = resolve_lease(
-                        confirm.get(digest, []), now, lease_ttl, {worker: now}
-                    )
-                    if (
-                        state is not None
-                        and state.owner == worker
-                        and state.epoch == epoch
-                    ):
-                        won[digest] = (epoch, anchor)
-                    else:
-                        sweep.deferred += 1
-                        lost_ids.append(anchor)
-                if lost_ids:
-                    with lock:
-                        _drop(store, lost_ids)
-                if not won:
-                    continue
-                wave_no += 1
-                registry.inc("coordinator.waves")
-                # Waves: this one and, at this batch size, the ones the
-                # cells still takeable after it would fill.
-                rest = len(workable) - len(won)
-                if limit is not None:
-                    rest = min(rest, limit - sweep.executed - len(won))
-                sweep.run_wave(
-                    wave_no, wave_no + -(-rest // step),
-                    [sweep.cells[digest] for digest in won], held,
-                )
         finally:
-            with lock:
-                _drop(store, heartbeat.deregister() + garbage)
-            bus.event(
-                "campaign.member.leave", campaign=name, member=worker,
-                executed=sweep.executed, stolen=sweep.stolen,
-                interrupted=sweep.interrupted,
-            )
-    # ``skipped`` counts everything completed by someone else — at start
-    # or by rivals while we ran — as of this last read.
+            steps.leave()
+    # ``skipped`` counts everything completed by someone else as of
+    # this last read.
     sweep.reread()
     return sweep.report()
 
@@ -690,34 +731,21 @@ def _wait(stop: Callable[[], bool] | None, seconds: float) -> None:
 
 
 def _fleet_child(
-    spec_data: dict[str, Any],
-    store_url: str,
-    worker: str,
-    lease_ttl: float,
-    batch: int,
-    queue: Any,
+    spec: CampaignSpec, store_url: str, worker: str, lease_ttl: float,
+    batch: int, queue: Any,
 ) -> None:
-    """Entry point of one fleet worker process."""
+    """Entry point of one fleet worker process: SIGTERM / SIGINT drain it."""
     import signal  # noqa: PLC0415 - child-only setup
 
     from repro.storage import open_store  # noqa: PLC0415 - child-only
 
-    stop_flag = {"stop": False}
-
-    def _drain(signum, frame) -> None:  # noqa: ARG001 - signal signature
-        stop_flag["stop"] = True
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    store = open_store(store_url)
+    draining = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda signum, frame: draining.set())
     report = elastic_worker(
-        CampaignSpec.from_dict(spec_data),
-        store,
-        worker=worker,
-        lease_ttl=lease_ttl,
-        batch=batch,
+        spec, open_store(store_url), worker=worker, lease_ttl=lease_ttl, batch=batch,
         processes=1,  # serial inside the child; the fleet is the pool
-        stop=lambda: stop_flag["stop"],
+        stop=draining.is_set,
     )
     try:
         queue.put(report.to_dict())
@@ -736,15 +764,12 @@ def run_elastic(
     """Spawn a local fleet of elastic workers and converge the campaign.
 
     Each worker is a separate OS process with its own store handle (the
-    fleet shares state only through the store, exactly like a
-    multi-host deployment) executing cells serially — the fleet *is*
-    the pool.  Workers inherit the active fault plan through
-    ``REPRO_FAULTS``, so chaos rules with cross-process ``fuse`` files
-    can kill exactly one of them mid-wave; survivors steal the dead
-    worker's leases and the campaign still converges.  A worker can be
-    attached to the same campaign later (another ``run_elastic``, a
-    ``--join`` CLI invocation, a different host) — late joiners simply
-    become members and start pulling.
+    fleet shares state only through the store, like a multi-host
+    deployment) executing cells serially — the fleet *is* the pool.
+    Workers inherit the active fault plan through ``REPRO_FAULTS``, so
+    a chaos rule with a cross-process ``fuse`` file can kill exactly one
+    of them mid-wave; survivors steal its leases.  Late joiners (a
+    ``--join`` invocation, another host) simply become members.
 
     ``stop`` drains the whole fleet: children receive SIGTERM, finish
     their in-flight wave, release leases and deregister.  The report
@@ -757,6 +782,7 @@ def run_elastic(
         spec = CampaignSpec.from_dict(spec)
     if workers < 1:
         raise ConfigError("run_elastic needs at least one worker")
+    _check_ttl(lease_ttl)  # here, not in every child it would kill
     if store_url in ("memory://", "mongo://"):
         raise ConfigError(
             f"a fleet shares state only through the store; {store_url!r} is "
@@ -776,10 +802,7 @@ def run_elastic(
     children = [
         ctx.Process(
             target=_fleet_child,
-            args=(
-                spec_to_dict(spec), store_url, name,
-                lease_ttl, batch, queue,
-            ),
+            args=(spec, store_url, name, lease_ttl, batch, queue),
             daemon=False,
         )
         for name in names
@@ -846,26 +869,3 @@ def run_elastic(
         deferred=sum(int(report.get("deferred", 0)) for report in reports),
         interrupted=interrupted,
     )
-
-
-def spec_to_dict(spec: CampaignSpec) -> dict[str, Any]:
-    """Serialise a spec back to its JSON form (fleet child handoff)."""
-    data: dict[str, Any] = {
-        "name": spec.name,
-        "kind": spec.kind,
-        "apps": list(spec.apps),
-        "machines": list(spec.machines),
-        "seeds": list(spec.seeds),
-        "repeats": spec.repeats,
-        "noisy": spec.noisy,
-        "config": dict(spec.config),
-        "tags": dict(spec.tags),
-    }
-    if spec.policy is not None:
-        data["policy"] = {
-            "retries": spec.policy.retries,
-            "timeout": spec.policy.timeout,
-            "backoff": spec.policy.backoff,
-            "jitter": spec.policy.jitter,
-        }
-    return data

@@ -157,25 +157,34 @@ class EngineStream:
             raise WorkloadError(
                 f"cannot restore engine stream checkpoint version {version!r}"
             )
-        if machine is None:
-            machine = state["machine"]
-        if isinstance(machine, str):
-            from repro.sim.machines import resolve_machine  # noqa: PLC0415 (cycle)
 
-            machine = resolve_machine(machine)
-        engine = Engine(machine, NoiseModel.from_state(state["noise"]))
+        def read(field: str, convert: Any = lambda value: value) -> Any:
+            try:
+                return convert(state[field])
+            except Exception as exc:  # noqa: BLE001 - named and retyped
+                raise WorkloadError(
+                    f"engine stream checkpoint field {field!r} is missing or "
+                    f"malformed: {exc!r}"
+                ) from exc
+
+        from repro.sim.machines import get_machine, resolve_machine  # noqa: PLC0415
+
+        if machine is None:
+            machine = read("machine", get_machine)
+        machine = resolve_machine(machine)
+        engine = Engine(machine, read("noise", NoiseModel.from_state))
         stream = cls(
             engine,
-            name=state["name"],
-            base_rss=state["base_rss"],
-            metadata=state["metadata"],
+            name=read("name"),
+            base_rss=read("base_rss", int),
+            metadata=read("metadata", dict),
         )
-        stream.t = state["t"]
-        stream.phases_done = state["phases_done"]
-        stream.batches_done = state["batches_done"]
-        stream._rss = state["rss"]
-        stream._peak = state["peak"]
-        stream._carries = {
-            name: tuple(carry) for name, carry in state["counters"].items()
-        }
+        stream.t = read("t")
+        stream.phases_done = read("phases_done")
+        stream.batches_done = read("batches_done")
+        stream._rss = read("rss")
+        stream._peak = read("peak")
+        stream._carries = read("counters", lambda counters: {
+            name: tuple(carry) for name, carry in counters.items()
+        })
         return stream

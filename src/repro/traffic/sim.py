@@ -353,19 +353,30 @@ class TrafficSim:
         version = state.get("version")
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"cannot restore traffic checkpoint version {version!r}")
+
+        def read(field: str, convert: Any = lambda value: value) -> Any:
+            try:
+                return convert(state[field])
+            except Exception as exc:  # noqa: BLE001 - named and retyped
+                raise ValueError(
+                    f"traffic checkpoint field {field!r} is missing or "
+                    f"malformed: {exc}"
+                ) from exc
+
         sim = cls.__new__(cls)
-        sim.process = restore_process(state["process"], trace=trace)
-        sim.fleet = Fleet.restore(state["fleet"], keep_records=keep_records)
+        sim.process = read("process", lambda s: restore_process(s, trace=trace))
+        sim.fleet = read("fleet", lambda s: Fleet.restore(s, keep_records=keep_records))
         sim.mix = sim.fleet.mix
-        policy = state["autoscale"]
-        sim.autoscale = AutoscalePolicy(**policy) if policy else None
-        sim.name = state["name"]
-        sim.n_done = int(state["n_done"])
-        sim._window = LatencyHistogram.restore(state["window"])
-        sim._next_eval = int(state["next_eval"])
-        sim._cool = int(state["cool"])
-        sim.autoscale_events = list(state["events"])
-        sim._wall = float(state["wall"])
+        sim.autoscale = read(
+            "autoscale", lambda policy: AutoscalePolicy(**policy) if policy else None
+        )
+        sim.name = read("name")
+        sim.n_done = read("n_done", int)
+        sim._window = read("window", LatencyHistogram.restore)
+        sim._next_eval = read("next_eval", int)
+        sim._cool = read("cool", int)
+        sim.autoscale_events = read("events", list)
+        sim._wall = read("wall", float)
         sim._finished = False
         return sim
 

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from repro.cli.main import main
 
 
@@ -133,6 +135,16 @@ class TestElasticFlag:
             "--elastic", "--workers", "2",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf", "0", "-1", "1e300"])
+    @pytest.mark.parametrize("fleet", [[], ["--workers", "2"]], ids=["join", "fleet"])
+    def test_bad_lease_ttl_exits_1(self, tmp_path, capsys, ttl, fleet):
+        code, _ = run_cli(
+            "--store", f"file://{tmp_path / 'store'}", "campaign",
+            _spec_file(tmp_path), "--elastic", "--lease-ttl", ttl, *fleet,
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_elastic_flag_validation(self, tmp_path, capsys):
         spec = _spec_file(tmp_path)

@@ -12,6 +12,7 @@ rates *miss* in Fig 6 (bottom) — is captured.
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import backend, report
 
 from repro.apps import GromacsModel
@@ -52,6 +53,7 @@ def compute_ablation():
 
 def test_adaptive_sampling_ablation():
     results = compute_ablation()
+    pin("ablation_adaptive", results)
     table = Table(
         ["iterations", "policy", "Tx [s]", "samples", "peak RSS seen [MB]"],
         title="adaptive sampling ablation (thinkie)",

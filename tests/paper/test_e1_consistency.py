@@ -12,6 +12,7 @@ quickly stabilize".
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import E1_RATES, profile_request, report, submit
 
 from repro.util.tables import Table
@@ -43,7 +44,8 @@ def compute_fig6():
 
 
 def test_fig6_profiling_consistency():
-    operations, rss = compute_fig6()
+    operations, rss = data = compute_fig6()
+    pin("fig6", data)
 
     top = Table(
         ["iterations"] + [f"{rate}Hz" for rate in E1_RATES] + ["spread %"],

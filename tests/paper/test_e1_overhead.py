@@ -11,6 +11,7 @@ the Mongo-like store at its document limit.
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import E1_RATES, E1_SIZES, err_pct, profile_app, report, run_app
 
 from repro.storage import MongoStore
@@ -62,6 +63,7 @@ def render(rows) -> Table:
 
 def test_fig4_profiling_overhead():
     rows = compute_fig4()
+    pin("fig4", rows)
     table = render(rows)
 
     # DB-limit artifact: store the largest-config profile against a

@@ -11,6 +11,7 @@ converging to ~33 %.
 from __future__ import annotations
 
 import pytest
+from figure_golden import pin
 from harness import E1_SIZES, emulate_profile, err_pct, profile_app, report, run_app
 
 from repro.util.tables import Table
@@ -40,6 +41,7 @@ def compute_fig7():
 
 def test_fig7_emulation_portability():
     results = compute_fig7()
+    pin("fig7", results)
     text = []
     for machine, rows in results.items():
         table = Table(

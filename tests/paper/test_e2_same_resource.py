@@ -8,6 +8,7 @@ larger than the Synapse startup delay (~1 sec)".
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import E1_SIZES, emulate_profile, err_pct, profile_app, report, run_app
 
 from repro.util.tables import Table
@@ -33,6 +34,7 @@ def compute_fig5():
 
 def test_fig5_same_resource_emulation():
     rows = compute_fig5()
+    pin("fig5", rows)
     table = Table(
         ["tag_step", "execution Tx [s]", "emulation Tx [s]", "diff %"],
         title="Fig 5: Emulation vs Execution (thinkie)",

@@ -19,6 +19,7 @@ paper ("no more than 6.6 % of the value of the data point").
 from __future__ import annotations
 
 import pytest
+from figure_golden import pin
 from harness import E3_SIZES, emulate_profile, err_pct, profile_app, report, Series
 
 from repro.util.tables import Table
@@ -133,6 +134,7 @@ def render_ipc(data, machine: str) -> Table:
 
 def test_e3_kernel_fidelity():
     data = compute_e3()
+    pin("e3", data)
 
     figures = {
         "Fig 8: cycles used": "cycles",

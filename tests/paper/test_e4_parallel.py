@@ -16,6 +16,7 @@ application").
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import backend, emulate_profile, profile_app, report, Series
 
 from repro.apps import GromacsModel
@@ -79,6 +80,7 @@ def render_curves(curves, core_counts, title) -> Table:
 
 def test_e4_parallel_emulation():
     data = compute_e4()
+    pin("e4", data)
 
     text = "\n\n".join(
         render_curves(

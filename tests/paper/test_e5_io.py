@@ -12,6 +12,7 @@ significantly"; Titan's local filesystem far outperforms Supermic's.
 from __future__ import annotations
 
 import pytest
+from figure_golden import pin
 from harness import backend, report
 
 from repro.apps import SyntheticApp
@@ -62,6 +63,7 @@ def compute_fig15():
 
 def test_fig15_io_granularity():
     data = compute_fig15()
+    pin("fig15", data)
 
     tables = []
     for machine, fs in TARGETS:

@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+from figure_golden import pin
 from harness import backend, report
 
 from repro.core.api import emulate, profile
@@ -98,8 +99,10 @@ def compute_fig3():
 
 
 def test_fig2_sampling_rate_vs_replay_speedup():
-    app_tx, rows = compute_fig2()
-    order_ok, checked, flips = compute_fig3()
+    app_tx, rows = fig2 = compute_fig2()
+    order_ok, checked, flips = fig3 = compute_fig3()
+    pin("fig2", fig2)
+    pin("fig3", fig3)
     table = Table(
         ["rate [Hz]", "samples", "replay Tx [s]", "app/replay speed-up"],
         title=f"Fig 2 ablation: serial burst app (Tx={app_tx:.1f}s) replayed",

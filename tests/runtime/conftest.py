@@ -8,6 +8,18 @@ only *some* comparisons flaky.
 
 from __future__ import annotations
 
+from hypothesis import HealthCheck, settings
+
+#: The wide search of ``test_coordinator_machine.py`` (tier-1 runs a
+#: small derandomized one): ``--hypothesis-profile=coordinator-machine
+#: --hypothesis-seed=N``.  Registered here, before pytest loads the
+#: profile named on its command line.
+MACHINE_PROFILE = "coordinator-machine"
+settings.register_profile(
+    MACHINE_PROFILE, max_examples=300, stateful_step_count=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
 
 def comparable_profile(profile) -> dict:
     """Profile dict minus transient run identity.
@@ -30,3 +42,19 @@ def ledger_dict(store, name: str) -> dict:
         digest: comparable_profile(profile)
         for digest, profile in ledger(store, name).items()
     }
+
+
+class VirtualClock:
+    """A clock only the test moves: ``clock()`` reads it, ``advance``
+    moves it.  Handed to the coordinator's workers and heartbeats, it
+    stamps their markers and decides liveness, so lease expiry happens
+    when the test says and never by waiting."""
+
+    def __init__(self, now: float = 1_000.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds

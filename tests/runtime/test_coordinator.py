@@ -3,12 +3,14 @@
 The elastic plane's whole claim is that a fleet of workers — joining
 late, crashing, hanging, draining — converges a campaign to the exact
 ledger a fault-free single run produces.  These tests pin the lease
-resolution algebra directly, drive the heartbeat thread's renewal
-bookkeeping deterministically (no sleeps, ``beat()`` by hand), and then
-run real multi-worker races: thread fleets sharing one FileStore root
-(each worker its own store handle — the multi-process sharing model),
-seeded fault plans dropping heartbeats, and a resurrected worker
-finishing a wave its thief already re-executed.
+resolution algebra directly, drive the heartbeat's renewal bookkeeping
+deterministically (``beat()`` by hand on a virtual clock), and then run
+real multi-worker races: thread fleets sharing one FileStore root (each
+worker its own store handle — the multi-process sharing model), seeded
+fault plans dropping heartbeats, and a resurrected worker finishing a
+wave its thief already re-executed.  No test waits for wall time to
+pass: lease expiry follows a clock the test advances, and thread
+interleavings follow events.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from repro.runtime import (
     run_campaign,
     run_elastic,
 )
+from repro.runtime.campaign import _sweep
 from repro.runtime.coordinator import (
     LEASE_KIND,
     MEMBER_KIND,
     LeaseRecord,
     _Heartbeat,
     _lease_row,
+    _Worker,
 )
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
@@ -48,6 +52,7 @@ from repro.storage.mongostore import MongoLite, MongoStore
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
 
+from tests.runtime.conftest import VirtualClock
 from tests.runtime.conftest import ledger_dict as _ledger_dict
 
 SPEC = {
@@ -101,6 +106,29 @@ def put_lease(store, name, digest, owner, epoch, created=None) -> str:
         name, LEASE_KIND, [_lease_row(digest, owner, epoch)], created=created
     )
     return marker_id
+
+
+def drive(spec, store, clock, worker, ttl=30.0, batch=8, progress=None,
+          after_step=None):
+    """What :func:`elastic_worker` does, on the test's ``clock``: join,
+    run the heartbeat thread, step until done, leave.  ``after_step``
+    sees the worker after each step (to pause it at a phase).  Nothing
+    sleeps: a worker that goes idle rescans at once, spinning until some
+    other thread moves ``clock``."""
+    with _sweep(
+        spec, store, member=worker, service=serial(), progress=progress
+    ) as sweep:
+        steps = _Worker(sweep, ttl, batch, clock=clock)
+        steps.join()
+        steps.heartbeat.start()
+        try:
+            while steps.step() != "done":
+                if after_step is not None:
+                    after_step(steps)
+        finally:
+            steps.leave()
+    sweep.reread()
+    return sweep.report()
 
 
 class TestResolveLease:
@@ -196,58 +224,56 @@ class TestMembership:
 
 
 class TestHeartbeatThread:
-    """Drive ``beat()`` by hand — no timing, no thread."""
+    """Drive ``beat()`` by hand on a virtual clock — no thread, no waits."""
 
-    def heartbeat(self, store, ttl=10.0) -> _Heartbeat:
-        hb = _Heartbeat(store, threading.Lock(), "hb-camp", "w1", ttl)
+    def heartbeat(self, store, clock, ttl=10.0) -> _Heartbeat:
+        hb = _Heartbeat(store, threading.Lock(), "hb-camp", "w1", ttl, clock)
         hb.register()
         return hb
 
+    def beat_of(self, store, clock) -> float:
+        return live_members(store, "hb-camp", 10.0, clock())["w1"]
+
     def test_beat_renews_member_and_keeps_one_doc(self):
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        first = live_members(store, "hb-camp", 10.0)["w1"]
-        time.sleep(0.01)
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        first = self.beat_of(store, clock)
+        clock.advance(1.0)
         hb.beat()
         assert marker_count(store, "hb-camp") == 1  # previous heartbeat deleted
-        assert live_members(store, "hb-camp", 10.0)["w1"] > first
+        assert self.beat_of(store, clock) == first + 1.0
 
     def test_dropped_heartbeat_leaves_member_stale(self):
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        first = live_members(store, "hb-camp", 10.0)["w1"]
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        first = self.beat_of(store, clock)
         plan = FaultPlan.from_dict({
             "rules": [{"point": "coordinator.heartbeat", "mode": "error"}],
         })
         with injected_faults(plan):
-            time.sleep(0.01)
+            clock.advance(1.0)
             hb.beat()
-        assert live_members(store, "hb-camp", 10.0)["w1"] == first
+        assert self.beat_of(store, clock) == first
 
     def test_lease_renewal_preserves_anchor_priority(self):
         """Renewals keep exactly two markers per held cell: the
         acquire-time anchor (earliest ``created`` — the same-epoch
         tie-break priority) and the newest renewal."""
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
-        [anchor_created] = [
-            r.created for r in lease_records(store, "hb-camp")["d1"]
-        ]
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1, clock())
         hb.hold({"d1": (1, anchor)}, budget=None)
         for _ in range(3):
-            time.sleep(0.01)
+            clock.advance(1.0)
             hb.beat()
         records = lease_records(store, "hb-camp")["d1"]
-        assert len(records) == 2
-        assert min(r.created for r in records) == anchor_created
-        assert max(r.created for r in records) > anchor_created
+        assert sorted(r.created for r in records) == [clock() - 3.0, clock()]
         assert {r.id for r in records} >= {anchor}
 
     def test_dropped_renewal_ages_the_lease(self):
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1, clock())
         hb.hold({"d1": (1, anchor)}, budget=None)
         plan = FaultPlan.from_dict({
             "rules": [{"point": "coordinator.lease.renew", "mode": "error"}],
@@ -261,23 +287,25 @@ class TestHeartbeatThread:
         """A wave hung beyond its whole batch budget loses its leases:
         the heartbeat keeps the *member* alive but stops defending the
         overrun wave, so survivors can steal it."""
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
-        hb.hold({"d1": (1, anchor)}, budget=0.0)
-        time.sleep(0.01)
-        before = live_members(store, "hb-camp", 10.0)["w1"]
-        time.sleep(0.01)
-        hb.beat()
-        assert len(lease_records(store, "hb-camp")["d1"]) == 1  # no renewal
-        assert live_members(store, "hb-camp", 10.0)["w1"] > before
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1, clock())
+        hb.hold({"d1": (1, anchor)}, budget=5.0)
+        clock.advance(5.0)
+        hb.beat()  # at the deadline: still renewed
+        assert len(lease_records(store, "hb-camp")["d1"]) == 2
+        before = self.beat_of(store, clock)
+        clock.advance(0.5)
+        hb.beat()  # past it: the member only
+        assert max(r.created for r in lease_records(store, "hb-camp")["d1"]) == before
+        assert self.beat_of(store, clock) == before + 0.5
 
     def test_release_returns_every_held_doc(self):
-        store = MemoryStore()
-        hb = self.heartbeat(store)
-        anchor = put_lease(store, "hb-camp", "d1", "w1", 1)
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1", "w1", 1, clock())
         hb.hold({"d1": (1, anchor)}, budget=None)
-        time.sleep(0.01)
+        clock.advance(1.0)
         hb.beat()
         ids = hb.release()
         assert anchor in ids and len(ids) == 2
@@ -357,6 +385,29 @@ class TestElasticWorkerSingle:
         assert leave.attrs["executed"] == spec.n_cells
         assert sink.named("campaign.wave.finish")
         assert get_registry().gauge("coordinator.members") is not None
+
+
+BAD_TTLS = [float("nan"), float("inf"), 0.0, -1.0, 1e300]
+
+
+class TestLeaseTtl:
+    """A TTL that is not a positive, finite number of seconds the
+    heartbeat can wait on is a configuration error, raised before any
+    work: NaN made every lease stealable, and a TTL past
+    ``threading.TIMEOUT_MAX`` killed the heartbeat thread."""
+
+    @pytest.mark.parametrize("ttl", BAD_TTLS, ids=repr)
+    def test_elastic_worker_rejects(self, tmp_path, ttl):
+        store = FileStore(tmp_path / "s")
+        with pytest.raises(ConfigError, match="lease_ttl"):
+            elastic_worker(SPEC, store, lease_ttl=ttl, service=serial())
+        assert store.count() == 0 and marker_count(store, SPEC["name"]) == 0
+
+    @pytest.mark.parametrize("ttl", BAD_TTLS, ids=repr)
+    def test_run_elastic_rejects_before_spawning(self, tmp_path, ttl):
+        with pytest.raises(ConfigError, match="lease_ttl"):
+            run_elastic(SPEC, f"file://{tmp_path / 's'}", lease_ttl=ttl)
+        assert not (tmp_path / "s").exists()  # the store was never opened
 
 
 class TestPlanScopes:
@@ -521,20 +572,26 @@ class TestThreadFleet:
     the same sharing model as separate processes/hosts, minus the spawn
     overhead, so races are actually exercised."""
 
-    def run_fleet(self, root, spec, workers, ttl=2.0, batch=2, stagger=0.0):
+    def run_fleet(self, root, spec, workers, ttl=2.0, batch=2, staggered=False):
+        """``staggered``: each worker joins once the one before it has
+        persisted a wave (or left) — a fleet of late joiners."""
         reports = [None] * workers
         errors = []
+        ready = [threading.Event() for _ in range(workers)]
 
         def work(index: int) -> None:
             try:
-                if stagger:
-                    time.sleep(index * stagger)
+                if staggered and index:
+                    assert ready[index - 1].wait(timeout=120)
                 reports[index] = elastic_worker(
                     spec, FileStore(root), worker=f"t{index}",
                     lease_ttl=ttl, batch=batch, service=serial(),
+                    progress=lambda summary: ready[index].set(),
                 )
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
+            finally:
+                ready[index].set()
 
         threads = [
             threading.Thread(target=work, args=(index,))
@@ -565,66 +622,72 @@ class TestThreadFleet:
     def test_late_joiner_attaches_and_helps(self, tmp_path, reference):
         spec, expected = reference
         root = tmp_path / "s"
-        self.run_fleet(root, spec, workers=3, stagger=0.05)
+        self.run_fleet(root, spec, workers=3, staggered=True)
         store = FileStore(root)
         assert _ledger_dict(store, spec.name) == expected
 
     def test_dropped_heartbeats_trigger_steal_and_still_converge(
         self, tmp_path, sink, reference
     ):
-        """The resurrection race end to end, under a seeded FaultPlan:
-        the victim's member heartbeats are dropped (it looks dead) and
-        one of its cells is slowed, so the thief steals mid-wave while
-        the victim is still executing; the victim's late artifacts are
-        bit-identical duplicates and the ledger matches the reference.
-        """
+        """The resurrection race end to end, two threads on one virtual
+        clock under a seeded FaultPlan: the victim t0 leases every cell
+        in one wave and pauses before executing it; its heartbeats are
+        dropped, so once the clock passes the TTL it looks dead and the
+        thief t1 steals the whole wave.  Only then does t0 execute: both
+        run every cell, t0's late artifacts are bit-identical duplicates
+        and the ledger matches the reference."""
         spec, expected = reference
         root = tmp_path / "s"
-        slow_cell = spec.cells()[0]
+        clock, ttl = VirtualClock(), 0.3
+        acquired, stolen = threading.Event(), threading.Event()
         plan = FaultPlan.from_dict({
             "seed": 11,
-            "rules": [
-                {"point": "coordinator.heartbeat", "mode": "error",
-                 "match_key": "t0"},
-                {"point": "worker.execute", "mode": "delay", "delay": 1.2,
-                 "match_key": slow_cell.digest},
-            ],
+            "rules": [{"point": "coordinator.heartbeat", "mode": "error",
+                       "match_key": "t0"}],
         })
+        reports = {}
+
+        def victim() -> None:
+            def pause(steps) -> None:
+                if steps.phase == "execute" and not acquired.is_set():
+                    steps.heartbeat.beat()  # dropped: the member ages
+                    acquired.set()
+                    assert stolen.wait(timeout=120)
+
+            reports["t0"] = drive(
+                spec, FileStore(root), clock, "t0", ttl, spec.n_cells,
+                after_step=pause,
+            )
+
+        def thief() -> None:
+            assert acquired.wait(timeout=120)
+            clock.advance(ttl * 1.5)
+            reports["t1"] = drive(
+                spec, FileStore(root), clock, "t1", ttl, spec.n_cells,
+                after_step=lambda steps: steps.phase == "execute" and stolen.set(),
+            )
+
         with injected_faults(plan):
-            # t0 grabs everything in one big wave (batch = n_cells) and
-            # goes dark; t1 starts after the TTL and steals.
-            reports = [None, None]
-
-            def victim() -> None:
-                reports[0] = elastic_worker(
-                    spec, FileStore(root), worker="t0", lease_ttl=0.3,
-                    batch=spec.n_cells, service=serial(),
-                )
-
-            def thief() -> None:
-                time.sleep(0.45)
-                reports[1] = elastic_worker(
-                    spec, FileStore(root), worker="t1", lease_ttl=0.3,
-                    batch=spec.n_cells, service=serial(),
-                )
-
             threads = [threading.Thread(target=victim),
                        threading.Thread(target=thief)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-        assert all(report is not None for report in reports)
+        assert set(reports) == {"t0", "t1"}
         steals = [
             event for event in sink.named("campaign.member.steal")
             if event.attrs["member"] == "t1"
             and event.attrs["from_owner"] == "t0"
         ]
-        assert steals, "expected t1 to steal from the silent t0"
-        # Both workers executed overlapping cells; the ledger dedupes
-        # the duplicates and equals the fault-free reference.
-        assert sum(report.executed for report in reports) >= spec.n_cells
-        assert _ledger_dict(FileStore(root), spec.name) == expected
+        assert len(steals) == spec.n_cells
+        assert {event.attrs["epoch"] for event in steals} == {2}
+        # Both workers executed every cell; the ledger dedupes the
+        # duplicates and equals the fault-free reference.
+        assert [reports[w].executed for w in ("t0", "t1")] == [spec.n_cells] * 2
+        store = FileStore(root)
+        assert _ledger_dict(store, spec.name) == expected
+        assert marker_count(store, spec.name) == 0
 
 
 class TestMongoElastic:
@@ -823,28 +886,20 @@ class TestMonotoneLedger:
         )
         assert self.rescans() >= before + (waves - 2)
 
-    def test_reread_once_a_heartbeat_interval_without_any_rival(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.runtime import coordinator
-
+    def test_reread_once_a_heartbeat_interval_without_any_rival(self, tmp_path):
         spec = CampaignSpec.from_dict(self.SPEC64)
         store = CountingStore(FileStore(tmp_path / "s"))
-        clock = {"now": 1000.0}
-        monkeypatch.setattr(coordinator, "_reread_clock", lambda: clock["now"])
+        clock = VirtualClock()
         ttl = 30.0
         rescans_at_wave: list[float] = []
 
         def progress(summary) -> None:
             rescans_at_wave.append(self.rescans())
             if summary["wave"] == 3:
-                clock["now"] += ttl / 3 + 0.001
+                clock.advance(ttl / 3 + 0.001)
 
         before = self.rescans()
-        report = elastic_worker(
-            spec, store, worker="solo", lease_ttl=ttl, service=serial(),
-            progress=progress,
-        )
+        report = drive(spec, store, clock, "solo", ttl, progress=progress)
         assert report.complete
         # Waves 1-3: clock frozen, no re-read.  Wave 4 starts a heartbeat
         # interval later: exactly one re-read, then none again.

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import WorkloadError
 from repro.sim.engine import Engine
@@ -22,6 +24,7 @@ from repro.sim.packed import pack_workload
 from repro.sim.stream import EngineStream
 from repro.sim.workload import SimWorkload
 
+from gen_stream_checkpoint import FIXTURE, gromacs_batches, open_stream
 from test_packed import assert_records_identical, random_workload
 
 
@@ -173,6 +176,57 @@ def test_restore_rejects_unknown_version():
     state["version"] = 999
     with pytest.raises(WorkloadError):
         EngineStream.restore(state)
+
+
+def test_golden_checkpoint_resumes_the_uninterrupted_run():
+    """A checkpoint saved by an earlier engine still restores, and its
+    third batch equals the one an uninterrupted stream feeds."""
+    uninterrupted = open_stream()
+    reference = [uninterrupted.feed(batch) for batch in gromacs_batches()]
+    state = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    resumed = EngineStream.restore(state)
+    assert resumed.batches_done == 2
+    assert_records_identical(resumed.feed(gromacs_batches()[2]), reference[2])
+    assert resumed.totals() == uninterrupted.totals()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("machine", None), ("counters", []), ("noise", None), ("metadata", 3),
+     ("machine", "nowhere"), ("noise", {"rng": "x"})],
+)
+def test_restore_names_a_malformed_field(field, value):
+    state = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    if value is None and field == "machine":
+        del state[field]
+    else:
+        state[field] = value
+    with pytest.raises(WorkloadError, match=f"field '{field}'"):
+        EngineStream.restore(state)
+
+
+GARBAGE = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_restoring_garbage_raises_workload_error(data):
+    """Any field dropped or replaced: the restore works or says which
+    field it could not read — never a bare ``KeyError`` or ``TypeError``."""
+    state = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    field = data.draw(st.sampled_from(sorted(set(state) - {"version"})))
+    if data.draw(st.booleans()):
+        del state[field]
+    else:
+        state[field] = data.draw(GARBAGE)
+    try:
+        EngineStream.restore(state)
+    except WorkloadError as exc:
+        assert repr(field) in str(exc)
 
 
 def test_stream_totals_track_time_and_peak():

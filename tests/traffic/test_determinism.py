@@ -163,3 +163,24 @@ class TestCheckpointRestore:
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             TrafficSim.restore(state)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fleet", None), ("process", {}), ("window", []), ("autoscale", [1]),
+         ("n_done", "many"), ("wall", None), ("events", 3)],
+    )
+    def test_restore_names_a_malformed_field(self, field, value):
+        sim = _sim(machines=("thinkie",))
+        sim.feed(100)
+        state = json.loads(json.dumps(sim.checkpoint()))
+        state[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            TrafficSim.restore(state)
+
+    def test_restore_names_a_missing_field(self):
+        sim = _sim(machines=("thinkie",))
+        sim.feed(100)
+        state = sim.checkpoint()
+        del state["fleet"]
+        with pytest.raises(ValueError, match="field 'fleet'"):
+            TrafficSim.restore(state)
