@@ -562,8 +562,6 @@ class _Sweep:
         if self.service is None:
             self.service = get_service()
         self.cells = {cell.digest: cell for cell in self.spec.cells()}
-        #: The cells this invocation may execute, in spec order (a
-        #: caller that narrows it does so before its first wave).
         self.scope = list(self.cells.values())
         self.reread()
         #: Cells somebody had stored before this invocation started.
@@ -574,6 +572,17 @@ class _Sweep:
     @property
     def total(self) -> int:
         return len(self.cells)
+
+    @property
+    def scope(self) -> list[CampaignCell]:
+        """The cells this invocation may execute, in spec order (a
+        caller that narrows it does so before its first wave)."""
+        return self._scope
+
+    @scope.setter
+    def scope(self, cells: list[CampaignCell]) -> None:
+        # _cursor: how many leading cells of it pending() found done.
+        self._scope, self._cursor = cells, 0
 
     @cached_property
     def pairs(self) -> dict[tuple[str, str], list[CampaignCell]]:
@@ -597,8 +606,16 @@ class _Sweep:
         )
 
     def pending(self) -> list[CampaignCell]:
-        """The cells in scope and outside :attr:`done`, in spec order."""
-        return [cell for cell in self.scope if cell.digest not in self.done]
+        """The cells in scope and outside :attr:`done`, in spec order.
+
+        :attr:`done` only grows, so a leading run of done cells stays
+        done: a cursor steps over it once instead of on every call.
+        """
+        scope, done, start = self._scope, self.done, self._cursor
+        while start < len(scope) and scope[start].digest in done:
+            start += 1
+        self._cursor = start
+        return [cell for cell in scope[start:] if cell.digest not in done]
 
     def interrupt(self, wave_no: int) -> None:
         """A ``stop`` request arrived: the waves run so far are

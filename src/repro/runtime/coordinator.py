@@ -11,11 +11,17 @@ campaign cooperatively:
   :data:`MEMBER_KIND`) and renews it from a background thread every
   third of the lease TTL.  A worker whose newest heartbeat is older
   than the TTL is dead; a draining worker deregisters outright.
-* **Leases.** Each pulled cell is leased (a marker of kind
-  :data:`LEASE_KIND`) with the owner, an **epoch** and a creation
-  stamp.  The heartbeat renews held leases while the wave executes,
+* **Leases.** Each pulled cell is leased with the owner, an **epoch**
+  and a creation stamp.  A wave's cells at one epoch share **one**
+  marker (kind :data:`LEASE_KIND`, its ``cell`` field their digests
+  joined with ``.``), which :func:`lease_records` expands into one
+  record per cell; resolution stays per cell.  The heartbeat renews
+  held leases (again one marker per epoch) while the wave executes,
   until the wave overruns its :func:`~repro.runtime.service.batch_budget`
-  deadline — then even a hung worker loses them.
+  deadline — then even a hung worker loses them.  A worker older than
+  the shared marker reads a multi-cell one as one unknown cell and may
+  re-run its cells as bit-identical duplicates: upgrade a fleet
+  together.
 * **Stealing.** A lease is *live* while its newest record is fresher
   than the TTL **and** its owner's heartbeat is live.  Anything else is
   stolen at ``epoch + 1``.  Resolution is the same for everyone —
@@ -31,8 +37,8 @@ campaign cooperatively:
 named by its ``phase``: ``scan`` (one marker scan: members, leases,
 stale-marker GC, the ledger re-read) → ``deal`` (free cells, then
 stale leases to steal; a live rival's cells are deferred, and a worker
-with nothing else to take goes ``idle``) → ``acquire`` (one batched
-lease write, then a confirming scan that keeps the cells it won) →
+with nothing else to take goes ``idle``) → ``acquire`` (one lease
+marker per epoch, then a confirming scan that keeps the cells it won) →
 ``execute`` (the campaign's one wave body, ``_Sweep.run_wave``) →
 ``release`` (one batched delete) → ``scan``, until ``done``.
 :func:`elastic_worker` is the only loop over them.
@@ -41,7 +47,8 @@ lease write, then a confirming scan that keeps the cells it won) →
 (``time.time`` in production): it stamps every marker they write and
 alone decides liveness, the re-read cadence and the wave deadline.  A
 Hypothesis state machine (``tests/runtime/test_coordinator_machine.py``)
-steps workers on one virtual clock and checks after every step: stored
+steps workers (a ``MemoryStore`` or a ``FileStore``, waves of one to
+three cells) on one virtual clock and checks after every step: stored
 duplicates are bit-identical, no two workers hold a cell at its winning
 epoch while that lease is live, a steal writes ``epoch + 1``, and no
 ledger view holds a cell the store lacks.  The largest clock skew
@@ -50,7 +57,8 @@ between hosts (as a share of the TTL) they tolerate is not measured.
 Heartbeats and leases live on the store's **marker plane**
 (:meth:`~repro.storage.base.ProfileStore.put_markers` / ``markers`` /
 ``delete_markers``, scope = the campaign name).  A wave costs two
-marker scans, one lease write and one delete.  The worker's view of
+marker scans, one lease marker per epoch it takes cells at (one, for a
+wave of fresh cells) and one delete.  The worker's view of
 the ledger is **monotone**: it re-reads ``completed_cells`` only while
 a scan shows a foreign member or lease (or once per heartbeat
 interval), and otherwise grows by the cells it persisted itself; a
@@ -73,7 +81,7 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.errors import ConfigError
 from repro.faults import inject
@@ -105,8 +113,12 @@ __all__ = [
 #: Marker kind of member heartbeats (field ``member``).
 MEMBER_KIND = "member"
 
-#: Marker kind of cell leases (fields ``cell``, ``owner``, ``epoch``).
+#: Marker kind of cell leases (fields ``cell`` — one or more digests
+#: joined with :data:`CELL_SEP` — ``owner`` and ``epoch``).
 LEASE_KIND = "lease"
+
+#: Joins the cell digests of one lease marker (hex digests never hold it).
+CELL_SEP = "."
 
 #: Seconds a lease (and a member heartbeat) stays live without renewal;
 #: heartbeats renew at TTL/3, so a hard crash is taken over in ~one TTL.
@@ -128,7 +140,12 @@ def _poll_interval(ttl: float) -> float:
 
 @dataclass(frozen=True)
 class LeaseRecord:
-    """One stored lease marker."""
+    """One cell's lease, as a stored lease marker holds it.
+
+    A marker leases every cell of a wave at one epoch, so several
+    records share its ``id`` and ``created`` stamp: deleting that id
+    drops them all.
+    """
 
     digest: str
     owner: str
@@ -157,8 +174,9 @@ def _owner(marker: Any) -> str | None:
 def _split(markers: list) -> tuple[dict[str, float], dict[str, list[LeaseRecord]]]:
     """One marker scan as (newest heartbeat per member, leases per cell).
 
-    Malformed markers — a stranger's, or a newer version's — are
-    skipped, never fatal.
+    A lease marker expands into one record per cell it names, all with
+    its id and stamp.  Malformed markers — a stranger's, or a newer
+    version's — are skipped, never fatal.
     """
     beats: dict[str, float] = {}
     leases: dict[str, list[LeaseRecord]] = {}
@@ -169,13 +187,14 @@ def _split(markers: list) -> tuple[dict[str, float], dict[str, list[LeaseRecord]
             beats[member] = max(beats.get(member, 0.0), marker.created)
         elif marker.kind == LEASE_KIND:
             try:
-                record = LeaseRecord(
-                    fields["cell"], fields["owner"], int(fields["epoch"]),
-                    marker.created, marker.id,
-                )
+                cells, owner = fields["cell"], fields["owner"]
+                epoch = int(fields["epoch"])
             except (KeyError, ValueError):
                 continue
-            leases.setdefault(record.digest, []).append(record)
+            for digest in cells.split(CELL_SEP):
+                leases.setdefault(digest, []).append(
+                    LeaseRecord(digest, owner, epoch, marker.created, marker.id)
+                )
     return beats, leases
 
 
@@ -195,7 +214,12 @@ def live_members(
 
 
 def lease_records(store: Any, name: str) -> dict[str, list[LeaseRecord]]:
-    """All lease markers of campaign ``name``, grouped by cell digest."""
+    """The leases of campaign ``name`` as records grouped by cell digest.
+
+    A record per cell a lease marker names: the records of one marker
+    share its id, so :meth:`~repro.storage.base.ProfileStore.delete_markers`
+    on it drops every one of them.
+    """
     return _split(store.markers(name))[1]
 
 
@@ -241,8 +265,19 @@ def _won(records: list[LeaseRecord], worker: str, epoch: int) -> bool:
     )
 
 
-def _lease_row(digest: str, worker: str, epoch: int) -> dict[str, Any]:
-    return {"cell": digest, "owner": worker, "epoch": epoch}
+def _lease_row(cell: str, worker: str, epoch: int) -> dict[str, Any]:
+    """One lease marker's fields; ``cell`` is one digest or several
+    joined with :data:`CELL_SEP`."""
+    return {"cell": cell, "owner": worker, "epoch": epoch}
+
+
+def _by_epoch(leases: Iterable[tuple[str, int]]) -> dict[int, str]:
+    """``(digest, epoch)`` pairs as one ``cell`` field per epoch, the
+    digests in order."""
+    rows: dict[int, list[str]] = {}
+    for digest, epoch in leases:
+        rows.setdefault(epoch, []).append(digest)
+    return {epoch: CELL_SEP.join(cells) for epoch, cells in rows.items()}
 
 
 def _drop(store: Any, ids: list[str]) -> None:
@@ -263,11 +298,13 @@ class _Heartbeat(threading.Thread):
     failed beat is a *dropped* heartbeat, survivable by design — what
     the ``coordinator.heartbeat`` / ``.lease.renew`` fault points do.
 
-    Lease renewal keeps two markers per held cell: the **anchor** (the
+    Lease renewal keeps two records per held cell: the **anchor** (the
     acquire-time marker, whose ``created`` stamp is the cell's priority
-    in same-epoch tie-breaks) and the newest renewal.  A beat writes all
-    renewals in one batch and deletes everything they supersede in one
-    more.  Renewals past the wave ``deadline`` are withheld — the
+    in same-epoch tie-breaks) and the newest renewal.  Markers are
+    shared: a beat writes one renewal marker per epoch for every cell it
+    renews, then deletes each renewal marker no held cell names any
+    more, in one batch; a cell whose renewal was dropped keeps its
+    previous one.  Renewals past the wave ``deadline`` are withheld — the
     deadline plumbing that lets survivors steal from a worker hung
     beyond its whole :func:`~repro.runtime.service.batch_budget`.
     Marker stamps and the deadline come from ``clock``.
@@ -322,14 +359,15 @@ class _Heartbeat(threading.Thread):
             self._deadline = None if budget is None else self.clock() + budget
 
     def release(self) -> list[str]:
-        """Stop renewing all held leases; returns their marker ids."""
+        """Stop renewing all held leases; returns their marker ids, each
+        shared one once."""
         with self._state:
             held, self._held = self._held, {}
             self._deadline = None
-        return [
+        return list(dict.fromkeys(
             marker_id for state in held.values()
             for marker_id in (state["anchor"], state["renewal"]) if marker_id
-        ]
+        ))
 
     def deregister(self) -> list[str]:
         """Stop the thread (if it runs); returns the marker ids to delete."""
@@ -394,26 +432,30 @@ class _Heartbeat(threading.Thread):
         return renewing
 
     def _renew_leases(self, renewing: list[tuple[str, int, str]]) -> list[str]:
+        """Write one renewal marker per epoch; returns the renewal ids
+        no held cell names any more (superseded, or written for cells
+        released while we renewed)."""
         if not renewing:
             return []
+        rows = _by_epoch((digest, epoch) for digest, epoch, _anchor in renewing)
         try:
             ids = self._put(LEASE_KIND, [
-                _lease_row(digest, self.worker, epoch)
-                for digest, epoch, _anchor in renewing
+                _lease_row(cells, self.worker, epoch) for epoch, cells in rows.items()
             ])
         except Exception:  # noqa: BLE001 - dropped renewals, survivable
             return []
-        superseded: list[str] = []
+        renewal = dict(zip(rows, ids))
         with self._state:
-            for (digest, _epoch, anchor), marker_id in zip(renewing, ids):
+            before = [state["renewal"] for state in self._held.values()]
+            for digest, epoch, anchor in renewing:
                 current = self._held.get(digest)
-                if current is None or current["anchor"] != anchor:
-                    superseded.append(marker_id)  # released while we renewed
-                    continue
-                if current["renewal"] is not None:
-                    superseded.append(current["renewal"])
-                current["renewal"] = marker_id
-        return superseded
+                if current is not None and current["anchor"] == anchor:
+                    current["renewal"] = renewal[epoch]
+            named = {state["renewal"] for state in self._held.values()}
+        return list(dict.fromkeys(
+            marker_id for marker_id in before + ids
+            if marker_id is not None and marker_id not in named
+        ))
 
 
 def _sweep_markers(
@@ -604,12 +646,19 @@ class _Worker:
             self.phase = "idle" if blocked or steals else "done"
 
     def acquire(self) -> None:
-        """Write the dealt leases, then re-read them and keep only the
-        cells this worker won — a racing rival acquiring or stealing
-        the same cell resolves deterministically for everyone."""
-        rows = [_lease_row(digest, self.name, epoch) for digest, epoch in self.wanted]
-        anchors = self._op("lease.put", lambda: self.store.put_markers(
-            self.campaign, LEASE_KIND, rows, created=self.clock()
+        """Write the dealt leases — one marker per epoch — then re-read
+        them and keep only the cells this worker won: a racing rival
+        acquiring or stealing the same cell resolves deterministically
+        for everyone.
+
+        A marker none of whose cells was won is deleted at once; one
+        won in part stays until :meth:`release`, its lost cells
+        resolving to the rival's older or higher-epoch record."""
+        rows = _by_epoch(self.wanted)
+        ids = self._op("lease.put", lambda: self.store.put_markers(
+            self.campaign, LEASE_KIND,
+            [_lease_row(cells, self.name, epoch) for epoch, cells in rows.items()],
+            created=self.clock(),
         ))
         try:
             _, confirm = _split(self._op(
@@ -618,15 +667,17 @@ class _Worker:
         except BaseException:
             # Nobody owns the anchors yet: delete them or the cells stay
             # deferred to our corpse for a whole TTL.
-            self._delete(anchors)
+            self._delete(ids)
             raise
-        self.won, lost = {}, []
-        for (digest, epoch), anchor in zip(self.wanted, anchors):
+        anchors = dict(zip(rows, ids))
+        self.won = {}
+        for digest, epoch in self.wanted:
             if _won(confirm.get(digest, []), self.name, epoch):
-                self.won[digest] = (epoch, anchor)
+                self.won[digest] = (epoch, anchors[epoch])
             else:
                 self.sweep.deferred += 1
-                lost.append(anchor)
+        kept = {anchor for _epoch, anchor in self.won.values()}
+        lost = [marker_id for marker_id in ids if marker_id not in kept]
         if lost:
             self._delete(lost)
         self.phase = "execute" if self.won else "scan"

@@ -102,9 +102,12 @@ and nothing to reconcile after a crash: a marker exists exactly when
 its file does.  A record too long for one file name (255 bytes) keeps
 its kind and fields in the file body instead: the name ends in ``,@``
 and the body is written before an atomic rename, so a scan never sees
-it half-written.  Markers are heartbeats, not data: ``durability="fsync"``
-does not apply to them (a marker lost to a power cut is a dropped
-heartbeat).
+it half-written.  An elastic wave's lease is one marker naming all its
+cells (``cell=<digest>.<digest>...``): a wave of eight under a
+generated worker name takes ≈ 215 bytes, and one of more than about ten
+cells (fewer under a long worker name) spills.  Markers are heartbeats,
+not data: ``durability="fsync"`` does not apply to them (a marker lost
+to a power cut is a dropped heartbeat).
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
 from repro.runtime import (
@@ -17,6 +19,7 @@ from repro.runtime import (
     ledger_digest,
     run_campaign,
 )
+from repro.runtime.campaign import _Sweep
 from repro.storage.base import MemoryStore
 
 from tests.runtime.conftest import comparable_profile as _comparable
@@ -399,3 +402,37 @@ class TestOneWaveBody:
         assert all("nosuchapp" in failure["error"] for failure in lone.failed)
         assert lone.to_dict().keys() == worker.to_dict().keys()
         assert (lone.executed, lone.remaining) == (worker.executed, worker.remaining)
+
+
+class TestPending:
+    """``_Sweep.pending()`` skips the done prefix of its scope with a
+    cursor; it must still equal the brute-force filter however the
+    ledger view grows and whatever narrowed the scope."""
+
+    SPEC = CampaignSpec.from_dict({**SPEC, "name": "pending", "seeds": [0, 1, 2]})
+    SERVICE = RunService(processes=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_brute_force_filter(self, data):
+        sweep = _Sweep(self.SPEC, MemoryStore(), member="m", service=self.SERVICE)
+        cells = list(sweep.scope)
+        # What the ledger held at the start (a resume), then the limit.
+        sweep.done.update(data.draw(
+            st.sets(st.sampled_from([cell.digest for cell in cells])), label="resumed"
+        ))
+        limit = data.draw(st.none() | st.integers(0, len(cells)), label="limit")
+        if limit is not None:  # as run_campaign narrows it
+            sweep.scope = sweep.pending()[:limit]
+        # The order the ledger view learns cells in: a rival's first,
+        # this invocation's own, or any mix.
+        order = data.draw(st.permutations(cells), label="order")
+        cuts = data.draw(
+            st.lists(st.integers(0, len(cells)), max_size=6), label="cuts"
+        )
+        for cut in [*sorted(cuts), len(cells)]:
+            sweep.done.update(cell.digest for cell in order[:cut])
+            assert sweep.pending() == [
+                cell for cell in sweep.scope if cell.digest not in sweep.done
+            ]
+        assert sweep.pending() == []

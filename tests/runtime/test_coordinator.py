@@ -37,17 +37,19 @@ from repro.runtime import (
     run_campaign,
     run_elastic,
 )
-from repro.runtime.campaign import _sweep
+from repro.runtime.campaign import _sweep, new_member
 from repro.runtime.coordinator import (
+    CELL_SEP,
     LEASE_KIND,
     MEMBER_KIND,
     LeaseRecord,
     _Heartbeat,
     _lease_row,
+    _split,
     _Worker,
 )
-from repro.storage import FileStore
-from repro.storage.base import MemoryStore
+from repro.storage import FileStore, open_store
+from repro.storage.base import Marker, MemoryStore
 from repro.storage.mongostore import MongoLite, MongoStore
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
@@ -310,6 +312,136 @@ class TestHeartbeatThread:
         ids = hb.release()
         assert anchor in ids and len(ids) == 2
         assert hb.release() == []
+
+    def test_renewal_is_one_marker_and_release_returns_each_id_once(self):
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1.d2.d3", "w1", 1, clock())
+        hb.hold({d: (1, anchor) for d in ("d1", "d2", "d3")}, budget=None)
+        for _ in range(2):
+            clock.advance(1.0)
+            hb.beat()
+        leases = [m for m in store.markers("hb-camp") if m.kind == LEASE_KIND]
+        assert len(leases) == 2  # the anchor and the newest renewal
+        ids = hb.release()
+        assert sorted(ids) == sorted(m.id for m in leases)
+        assert len(set(ids)) == len(ids)
+
+    def test_a_dropped_renewal_keeps_that_cells_previous_one(self):
+        store, clock = MemoryStore(), VirtualClock()
+        hb = self.heartbeat(store, clock)
+        anchor = put_lease(store, "hb-camp", "d1.d2.d3", "w1", 1, clock())
+        hb.hold({d: (1, anchor) for d in ("d1", "d2", "d3")}, budget=None)
+        clock.advance(1.0)
+        hb.beat()
+        [first] = {r.id for r in lease_records(store, "hb-camp")["d2"]} - {anchor}
+        plan = FaultPlan.from_dict({"rules": [
+            {"point": "coordinator.lease.renew", "mode": "error", "at": 2},
+        ]})
+        with injected_faults(plan):  # d2's renewal (the second) is dropped
+            clock.advance(1.0)
+            hb.beat()
+        records = lease_records(store, "hb-camp")
+        assert {r.id for r in records["d2"]} == {anchor, first}
+        assert max(r.created for r in records["d2"]) == clock() - 1.0
+        for digest in ("d1", "d3"):
+            assert max(r.created for r in records[digest]) == clock()
+            assert first in {r.id for r in records[digest]}  # still d2's
+        clock.advance(1.0)
+        hb.beat()  # all renewed again: the first renewal goes at last
+        records = lease_records(store, "hb-camp")
+        assert all(
+            {r.created for r in records[d]} == {clock() - 3.0, clock()}
+            for d in ("d1", "d2", "d3")
+        )
+        assert len(hb.release()) == 2
+
+
+class TestLeaseMarkers:
+    """One lease marker per (wave, epoch): its ``cell`` field joins the
+    wave's digests, and a scan expands it into one record per cell."""
+
+    def test_split_expands_a_marker_into_records_sharing_its_id(self):
+        marker = Marker(
+            "m1", LEASE_KIND, {"cell": "a.b.c", "owner": "w", "epoch": "2"}, 5.0
+        )
+        _, leases = _split([marker])
+        assert leases == {
+            digest: [LeaseRecord(digest, "w", 2, 5.0, "m1")] for digest in "abc"
+        }
+
+    def test_a_single_cell_marker_still_resolves(self):
+        """A one-digest marker — the only shape an older worker writes —
+        is one record, resolved as before."""
+        store = MemoryStore()
+        put_member(store, "lm-camp", "old", 100.0)
+        marker_id = put_lease(store, "lm-camp", "d1", "old", 3, created=100.0)
+        records = lease_records(store, "lm-camp")
+        assert records == {"d1": [LeaseRecord("d1", "old", 3, 100.0, marker_id)]}
+        state = resolve_lease(records["d1"], 101.0, 10.0, {"old"})
+        assert (state.owner, state.epoch, state.alive) == ("old", 3, True)
+
+    def test_a_fresh_wave_is_one_marker(self):
+        spec = CampaignSpec.from_dict(SPEC)
+        store, clock = MemoryStore(), VirtualClock()
+        with _sweep(spec, store, member="w1", service=serial()) as sweep:
+            steps = _Worker(sweep, 30.0, 3, clock=clock)
+            steps.join()
+            while steps.phase != "execute":
+                steps.step()
+            [lease] = [m for m in store.markers(spec.name) if m.kind == LEASE_KIND]
+            assert lease.fields["cell"].split(CELL_SEP) == list(steps.won)
+            assert {anchor for _, anchor in steps.won.values()} == {lease.id}
+            steps.leave()
+
+    def test_a_partly_won_marker_stays_until_release(self, tmp_path):
+        """A rival leases one of the wave's cells between deal and
+        acquire: the wave keeps the rest, its marker stays (the lost
+        cell resolving to the rival's older record) until release."""
+        spec = CampaignSpec.from_dict(SPEC)
+        store, clock = FileStore(tmp_path / "s"), VirtualClock()
+        with _sweep(spec, store, member="w1", service=serial()) as sweep:
+            steps = _Worker(sweep, 30.0, 3, clock=clock)
+            steps.join()
+            assert steps.step() == "deal" and steps.step() == "acquire"
+            first, *rest = [digest for digest, _ in steps.wanted]
+            put_member(store, spec.name, "rival", clock())
+            put_lease(store, spec.name, first, "rival", 1, created=clock() - 1)
+            assert steps.step() == "execute"
+            assert list(steps.won) == rest and sweep.deferred == 1
+            [anchor] = {anchor for _, anchor in steps.won.values()}
+            records = lease_records(store, spec.name)
+            assert anchor in {record.id for record in records[first]}
+            live = live_members(store, spec.name, 30.0, clock())
+            assert resolve_lease(records[first], clock(), 30.0, live).owner == "rival"
+            assert steps.step() == "release" and steps.step() == "scan"
+            assert anchor not in {m.id for m in store.markers(spec.name)}
+            after = lease_records(store, spec.name)[first]
+            assert {record.owner for record in after} == {"rival"}
+            steps.leave()
+
+    @pytest.mark.parametrize("backend", ["file", "mongo"])
+    def test_a_sixteen_cell_lease_round_trips(self, tmp_path, backend):
+        """Past about ten cells a FileStore lease name outgrows 255
+        bytes and spills to the file body; Mongo keeps it as fields."""
+        store = open_store("mongo://" if backend == "mongo" else f"file://{tmp_path}")
+        owner = new_member()
+        cells = [f"{index:016x}" for index in range(16)]
+        marker_id = put_lease(store, "lm-camp", CELL_SEP.join(cells), owner, 2, 100.0)
+        if backend == "file":
+            assert marker_id.endswith(",@")
+        records = lease_records(store, "lm-camp")
+        assert records == {
+            cell: [LeaseRecord(cell, owner, 2, 100.0, marker_id)] for cell in cells
+        }
+        store.delete_markers([marker_id])
+        assert lease_records(store, "lm-camp") == {}
+
+    def test_a_wave_of_eight_fits_one_file_name(self, tmp_path):
+        store = FileStore(tmp_path / "s")
+        cells = [f"{index:016x}" for index in range(8)]
+        marker_id = put_lease(store, "lm-camp", CELL_SEP.join(cells), new_member(), 1)
+        assert not marker_id.endswith(",@")
 
 
 class TestElasticWorkerSingle:
@@ -688,6 +820,30 @@ class TestThreadFleet:
         store = FileStore(root)
         assert _ledger_dict(store, spec.name) == expected
         assert marker_count(store, spec.name) == 0
+
+
+class TestMarkerBudget:
+    """A lone worker's marker traffic: the heartbeat, then one lease
+    marker and one delete per wave, two scans per wave (deal, confirm)
+    plus the join's and the last one's."""
+
+    def test_lone_worker_writes_one_lease_marker_a_wave(self, tmp_path):
+        spec = CampaignSpec.from_dict(TestMonotoneLedger.SPEC64)
+        registry = get_registry()
+        names = ("store.markers.put", "store.markers.delete",
+                 "store.markers.scan", "coordinator.waves")
+        before = {name: registry.counter(name) for name in names}
+        report = elastic_worker(
+            spec, FileStore(tmp_path / "s"), worker="solo", batch=8,
+            lease_ttl=3600.0,  # no heartbeat beats during the run
+            service=serial(),
+        )
+        assert report.complete and report.executed == 64
+        put, delete, scan, waves = (
+            registry.counter(name) - before[name] for name in names
+        )
+        assert waves == 8
+        assert (put, delete, scan) == (waves + 1, waves + 1, 2 * waves + 2)
 
 
 class TestMongoElastic:

@@ -1,15 +1,21 @@
 """The elastic coordinator's lease protocol, explored step by step.
 
 A Hypothesis state machine drives one to three live ``_Worker``s at a
-time against one ``MemoryStore`` on a shared virtual clock.  A rule steps one worker
-(``scan`` → ``deal`` → ``acquire`` → ``execute`` → ``release``), beats
-its heartbeat by hand (no thread runs), moves the clock, crashes a
-worker (dropped where it stands, leases and all), drains one, lets a
-late one join or loses a random marker.  After every rule:
+time on a shared virtual clock, against one store it draws: a
+``MemoryStore``, or a ``FileStore`` in a temporary directory that each
+worker opens a handle of its own on (so its name-encoded marker ids and
+stamps are explored too).  It also draws each worker's wave size (one
+to three cells), so multi-cell lease markers come up.  A rule steps one
+worker (``scan`` → ``deal`` → ``acquire`` → ``execute`` →
+``release``), races two through ``deal`` into ``acquire`` (so a wide
+wave loses the cells a narrow rival took first and wins the rest of its
+marker), beats a heartbeat by hand (no thread runs), moves the clock,
+crashes a worker (dropped where it stands, leases and all), drains one,
+lets a late one join or loses a random marker.  After every rule:
 
 * every stored duplicate of a cell is bit-identical;
 * no two workers hold a cell at its winning epoch while that lease is
-  live (not claimed for a cell whose lease marker was lost: a lost
+  live (not claimed for the cells of a lost lease marker: a lost
   lease looks exactly like a free cell);
 * a steal writes the loser's epoch + 1;
 * each worker's ``done`` view is a subset of the stored ledger.
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import shutil
+import tempfile
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -53,7 +61,13 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.runtime.campaign import _sweep
-from repro.runtime.coordinator import LEASE_KIND, STALE_MARKER_FACTOR, _Worker
+from repro.runtime.coordinator import (
+    CELL_SEP,
+    LEASE_KIND,
+    STALE_MARKER_FACTOR,
+    _Worker,
+)
+from repro.storage import FileStore
 from repro.storage.base import MemoryStore
 
 from tests.runtime.conftest import MACHINE_PROFILE, VirtualClock
@@ -67,13 +81,13 @@ SPEC = CampaignSpec.from_dict({
     "config": {"sample_rate": 2.0},
 })
 TTL = 6.0
-BATCH = 2
 SERVICE = RunService(processes=1)
 #: Steps one survivor may take in the teardown before the fleet counts
 #: as not terminating.
 MAX_STEPS = 100
 
 WORKER = st.integers(min_value=0, max_value=2)
+BATCH = st.integers(min_value=1, max_value=3)
 
 
 @functools.cache
@@ -87,14 +101,14 @@ class Member:
     """One simulated worker: a ``_Worker`` in a context of its own (its
     span and plan scope), as a thread or a process would have."""
 
-    def __init__(self, name: str, store, clock) -> None:
+    def __init__(self, name: str, store, clock, batch: int) -> None:
         self.name = name
         self.draining = False
         self.context = contextvars.Context()
         self.session = _sweep(SPEC, store, member=name, service=SERVICE)
         sweep = self.context.run(self.session.__enter__)
         self.steps = self.context.run(
-            _Worker, sweep, TTL, BATCH, stop=lambda: self.draining, clock=clock
+            _Worker, sweep, TTL, batch, stop=lambda: self.draining, clock=clock
         )
         self.context.run(self.steps.join)
         self.open = True
@@ -119,7 +133,7 @@ class LeaseProtocol(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.clock = VirtualClock()
-        self.store = MemoryStore()
+        self.root: str | None = None
         self.members: list[Member] = []
         self.everyone: list[Member] = []
         self.joined = 0
@@ -129,9 +143,20 @@ class LeaseProtocol(RuleBasedStateMachine):
         #: Profile id -> its comparable artifact (stored profiles never change).
         self.artifacts: dict[str, dict] = {}
 
-    def join(self, name: str | None = None) -> Member:
+    def handle(self):
+        """A worker's own handle on the shared store.  A FileStore
+        handle's writer token (a marker id's middle, so a scan's order
+        among same-stamp markers) is random; the machine numbers them
+        instead, so an example replays exactly."""
+        if self.root is None:
+            return self.store
+        store = FileStore(self.root)
+        store._writer = f"{self.joined:04x}"
+        return store
+
+    def join(self, batch: int, name: str | None = None) -> Member:
         self.joined += 1
-        member = Member(name or f"w{self.joined}", self.store, self.clock)
+        member = Member(name or f"w{self.joined}", self.handle(), self.clock, batch)
         self.members.append(member)
         self.everyone.append(member)
         return member
@@ -141,15 +166,23 @@ class LeaseProtocol(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    @initialize(workers=st.integers(min_value=1, max_value=3))
-    def start(self, workers: int) -> None:
-        for _ in range(workers):
-            self.join()
+    @initialize(
+        batches=st.lists(BATCH, min_size=1, max_size=3),
+        store=st.sampled_from(["memory", "file"]),
+    )
+    def start(self, batches: list[int], store: str) -> None:
+        if store == "file":
+            self.root = tempfile.mkdtemp(prefix="lease-machine-")
+            self.store = FileStore(self.root)
+        else:
+            self.store = MemoryStore()
+        for batch in batches:
+            self.join(batch)
 
     @precondition(lambda self: len(self.members) < 3)
-    @rule()
-    def late_join(self) -> None:
-        self.join()
+    @rule(batch=BATCH)
+    def late_join(self, batch: int) -> None:
+        self.join(batch)
 
     @precondition(lambda self: self.members)
     @rule(index=WORKER, steps=st.integers(min_value=1, max_value=3))
@@ -159,6 +192,24 @@ class LeaseProtocol(RuleBasedStateMachine):
             if member.step():
                 self.members.remove(member)
                 return
+
+    @precondition(lambda self: len(self.members) > 1)
+    @rule(first=WORKER, second=WORKER)
+    def race(self, first: int, second: int) -> None:
+        racers = [self.pick(first), self.pick(second)]
+        if racers[0] is racers[1]:
+            return
+        # Each deals before either writes a lease, then both acquire.
+        for member in racers:
+            for _ in range(4):  # execute -> release -> scan -> deal
+                if member.steps.phase == "acquire":
+                    break
+                if member.step():
+                    self.members.remove(member)
+                    return
+        for member in racers:
+            if member.steps.phase == "acquire":
+                member.step()
 
     @precondition(lambda self: self.members)
     @rule(index=WORKER)
@@ -187,7 +238,7 @@ class LeaseProtocol(RuleBasedStateMachine):
         markers = self.store.markers(SPEC.name)
         marker = markers[index % len(markers)]
         if marker.kind == LEASE_KIND:
-            self.unguarded.add(marker.fields["cell"])
+            self.unguarded.update(marker.fields["cell"].split(CELL_SEP))
         self.store.delete_markers([marker.id])
 
     # -- invariants ----------------------------------------------------------
@@ -268,6 +319,8 @@ class LeaseProtocol(RuleBasedStateMachine):
         finally:
             for member in self.everyone:
                 member.close()
+            if self.root is not None:
+                shutil.rmtree(self.root, ignore_errors=True)
 
     def converge(self) -> None:
         for member in list(self.members):
@@ -281,7 +334,7 @@ class LeaseProtocol(RuleBasedStateMachine):
         # Past the garbage horizon a late joiner completes whatever the
         # crashed and drained left and sweeps the crashed workers' markers.
         self.clock.advance(TTL * STALE_MARKER_FACTOR + 1)
-        self.finish(self.join("late"))
+        self.finish(self.join(3, "late"))
         assert self.store.markers(SPEC.name) == []
         assert ledger_digest(self.store, SPEC.name) == reference_digest()
 
