@@ -129,3 +129,36 @@ class TestTelemetryFlags:
         trace = tmp_path / "trace.json"
         run_cli("machines", "--trace", str(trace))
         assert not get_bus().active
+
+
+class TestEmulateTrace:
+    """A stored profile emulated twice: the same output, and one
+    ``engine.run`` span each (a single emulation is the engine's one-row
+    replay) whose sample phases ran as runs, with nothing folded."""
+
+    def test_two_emulations_print_the_same_and_fold_nothing(self, tmp_path):
+        store = f"file://{tmp_path / 's'}"
+        code, _, _ = run_cli(
+            "--store", store, "profile-app", "gromacs:iterations=10000000",
+            "--machine", "thinkie", "--rate", "2",
+        )
+        assert code == 0
+        outputs = []
+        for index in range(2):
+            trace = tmp_path / f"emulate{index}.json"
+            code, text, _ = run_cli(
+                "--store", store, "emulate", "gmx mdrun -nsteps 10000000",
+                "--machine", "comet", "--trace", str(trace),
+            )
+            assert code == 0, text
+            outputs.append(text)
+            events = json.loads(trace.read_text(encoding="utf-8"))["traceEvents"]
+            [span] = [e for e in events if e["name"] in ("engine.run", "engine.replay")]
+            assert span["name"] == "engine.run"
+            run = span["args"]
+            # A few hundred samples, one phase each, every stream one demand.
+            assert run["run_phases"] > 100, run
+            assert run["demands"] > run["run_phases"], run
+            # The CLI prints Tx and the startup delay only: no series read.
+            assert not [e for e in events if e["name"] == "engine.fold"]
+        assert outputs[0] == outputs[1]

@@ -7,7 +7,19 @@ import pytest
 from repro.apps import GromacsModel
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
+from repro.faults import ENV_VAR, reset
 from repro.sim.backend import SimBackend
+
+
+@pytest.fixture(autouse=True)
+def clean_faults(monkeypatch):
+    """Every test starts and ends with no fault plan and no env
+    activation, so a plan one test activates never slows or breaks the
+    tests after it."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    reset()
+    yield
+    reset()
 
 
 def make_backend(machine: str = "thinkie", noisy: bool = False, seed: int = 0) -> SimBackend:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, settings
 
+from repro.runtime import RunService
+
 #: The wide search of ``test_coordinator_machine.py`` (tier-1 runs a
 #: small derandomized one): ``--hypothesis-profile=coordinator-machine
 #: --hypothesis-seed=N``.  Registered here, before pytest loads the
@@ -17,6 +19,13 @@ from hypothesis import HealthCheck, settings
 MACHINE_PROFILE = "coordinator-machine"
 settings.register_profile(
     MACHINE_PROFILE, max_examples=300, stateful_step_count=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+#: The wide search of ``test_campaign_determinism.py``, the same way:
+#: ``--hypothesis-profile=determinism --hypothesis-seed=N``.
+DETERMINISM_PROFILE = "determinism"
+settings.register_profile(
+    DETERMINISM_PROFILE, max_examples=300, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
@@ -58,3 +67,22 @@ class VirtualClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+class DyingService(RunService):
+    """A run service whose process is killed after ``batches`` batches:
+    the next batch raises ``KeyboardInterrupt``, after ``death`` (what
+    else dies with the process) ran."""
+
+    def __init__(
+        self, batches: int, processes: int | None = None, death=lambda: None
+    ) -> None:
+        super().__init__(processes=processes)
+        self.batches, self.death = batches, death
+
+    def run(self, requests, processes=None, rethrow=True):
+        if self.batches <= 0:
+            self.death()
+            raise KeyboardInterrupt
+        self.batches -= 1
+        return super().run(requests, processes=processes, rethrow=rethrow)

@@ -22,6 +22,7 @@ from repro.runtime import (
 from repro.runtime.campaign import _Sweep
 from repro.storage.base import MemoryStore
 
+from tests.runtime.conftest import DyingService
 from tests.runtime.conftest import comparable_profile as _comparable
 
 GOLDEN = json.loads(
@@ -202,18 +203,6 @@ class TestRunCampaign:
 
     def test_checkpoint_waves_persist_incrementally(self):
         """A service dying mid-sweep loses at most one checkpoint wave."""
-
-        class DyingService(RunService):
-            def __init__(self, die_after_batches: int) -> None:
-                super().__init__()
-                self._die_after = die_after_batches
-
-            def run(self, requests, processes=None, rethrow=True):
-                if self._die_after <= 0:
-                    raise KeyboardInterrupt
-                self._die_after -= 1
-                return super().run(requests, processes=processes, rethrow=rethrow)
-
         spec = CampaignSpec.from_dict(SPEC)
         store = MemoryStore()
         with pytest.raises(KeyboardInterrupt):

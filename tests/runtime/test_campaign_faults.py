@@ -5,7 +5,9 @@ failure modes are exercised directly: corrupt/partial cell tags, an
 invocation killed mid-wave, leftovers of an older version's protocol
 and duplicated artifacts.  The invariant under every fault:
 a re-run recovers by executing exactly the missing cells, and the final
-ledger equals the undisturbed reference.
+ledger equals the undisturbed reference.  The same invariant drawn
+across backends, topologies, kills and seeded fault plans is the
+property in ``test_campaign_determinism.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.runtime import (
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
 
+from tests.runtime.conftest import DyingService
 from tests.runtime.conftest import ledger_dict as _ledger_dict
 
 SPEC = {
@@ -103,20 +106,6 @@ class TestCorruptLedgerEntries:
         assert _ledger_dict(store, spec.name) == expected
 
 
-class DyingService(RunService):
-    """Run service that dies (hard) after N successful batches."""
-
-    def __init__(self, die_after_batches: int) -> None:
-        super().__init__()
-        self._die_after = die_after_batches
-
-    def run(self, requests, processes=None, rethrow=True):
-        if self._die_after <= 0:
-            raise KeyboardInterrupt
-        self._die_after -= 1
-        return super().run(requests, processes=processes, rethrow=rethrow)
-
-
 class TestShardCrashRecovery:
     def test_shard_killed_mid_wave_resumes(self, reference):
         """An invocation killed mid-wave loses that wave only, and a
@@ -168,9 +157,10 @@ class TestParentStores:
 
 
 class TestChaosConvergence:
-    """The headline robustness invariant (the CI chaos job pins the same
-    thing end to end through the CLI): a campaign run under injected
-    faults converges to a ledger bit-identical to a fault-free run."""
+    """The headline robustness invariant (``test_campaign_determinism.py``
+    draws it across backends and topologies): a campaign run under
+    injected faults converges to a ledger bit-identical to a fault-free
+    run."""
 
     def test_store_faults_converge_to_the_reference_digest(self, reference):
         from repro.faults import FaultPlan, injected_faults

@@ -2,15 +2,17 @@
 
 The elastic plane's whole claim is that a fleet of workers — joining
 late, crashing, hanging, draining — converges a campaign to the exact
-ledger a fault-free single run produces.  These tests pin the lease
-resolution algebra directly, drive the heartbeat's renewal bookkeeping
+ledger a fault-free single run produces; that claim across backends,
+topologies, kills and fault plans is the property in
+``test_campaign_determinism.py``.  These tests pin the lease resolution
+algebra directly, drive the heartbeat's renewal bookkeeping
 deterministically (``beat()`` by hand on a virtual clock), and then run
 real multi-worker races: thread fleets sharing one FileStore root (each
 worker its own store handle — the multi-process sharing model), seeded
 fault plans dropping heartbeats, and a resurrected worker finishing a
-wave its thief already re-executed.  No test waits for wall time to
-pass: lease expiry follows a clock the test advances, and thread
-interleavings follow events.
+wave its thief already re-executed.  No test waits
+for wall time to pass: lease expiry follows a clock the test advances,
+and thread interleavings follow events.
 """
 
 from __future__ import annotations
@@ -893,7 +895,7 @@ class TestProcessFleet:
         Survivors steal the dead worker's leases, the fleet converges,
         and a late ``--join``-style worker finds a complete ledger.
         """
-        from repro.faults.inject import deactivate, reset
+        from repro.faults.inject import active_plan, deactivate, reset
 
         # A bigger sweep than the shared fixture: the fleet must still
         # be mid-flight when the doomed worker's second heartbeat lands
@@ -921,6 +923,9 @@ class TestProcessFleet:
                 spec, self.url(tmp_path), workers=3, lease_ttl=0.45, batch=4
             )
         finally:
+            # Unset first: a reset under a set REPRO_FAULTS lets the next
+            # injection point in this process env-activate the plan.
+            monkeypatch.delenv("REPRO_FAULTS")
             reset()
         assert fuse.exists(), "the crash rule never fired"
         [finish] = sink.named("campaign.fleet.finish")
@@ -936,6 +941,7 @@ class TestProcessFleet:
         )
         assert late.complete and late.executed == 0
         assert late.skipped == spec.n_cells
+        assert active_plan() is None  # the children's plan stayed theirs
 
     def test_drain_stops_the_fleet_gracefully(self, tmp_path, reference):
         spec, _ = reference

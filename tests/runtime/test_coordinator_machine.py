@@ -11,7 +11,11 @@ worker (``scan`` → ``deal`` → ``acquire`` → ``execute`` →
 wave loses the cells a narrow rival took first and wins the rest of its
 marker), beats a heartbeat by hand (no thread runs), moves the clock,
 crashes a worker (dropped where it stands, leases and all), drains one,
-lets a late one join or loses a random marker.  After every rule:
+lets a late one join, loses a random marker or hangs a worker's wave:
+every request has a timeout, so a wave has a finite batch budget, and a
+hung wave overruns it on the clock while its heartbeat keeps beating —
+its renewals must stop and a rival must steal its cells at epoch + 1.
+After every rule:
 
 * every stored duplicate of a cell is bit-identical;
 * no two workers hold a cell at its winning epoch while that lease is
@@ -67,6 +71,7 @@ from repro.runtime.coordinator import (
     STALE_MARKER_FACTOR,
     _Worker,
 )
+from repro.runtime.service import batch_budget
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
 
@@ -79,6 +84,8 @@ SPEC = CampaignSpec.from_dict({
     "machines": ["thinkie", "comet"],
     "seeds": [0, 1, 2],
     "config": {"sample_rate": 2.0},
+    # A finite batch budget (the policy is not part of a cell's digest).
+    "policy": {"timeout": 6.0},
 })
 TTL = 6.0
 SERVICE = RunService(processes=1)
@@ -97,6 +104,21 @@ def reference_digest() -> str:
     return ledger_digest(store, SPEC.name)
 
 
+class Stalling(RunService):
+    """A worker's run service: ``stall``, when set, runs inside the
+    worker's next wave — its leases held, its cells not yet run."""
+
+    def __init__(self) -> None:
+        super().__init__(processes=1)
+        self.stall = None
+
+    def run(self, requests, processes=None, rethrow=True):
+        stall, self.stall = self.stall, None
+        if stall is not None:
+            stall()
+        return super().run(requests, processes=processes, rethrow=rethrow)
+
+
 class Member:
     """One simulated worker: a ``_Worker`` in a context of its own (its
     span and plan scope), as a thread or a process would have."""
@@ -105,7 +127,8 @@ class Member:
         self.name = name
         self.draining = False
         self.context = contextvars.Context()
-        self.session = _sweep(SPEC, store, member=name, service=SERVICE)
+        self.service = Stalling()
+        self.session = _sweep(SPEC, store, member=name, service=self.service)
         sweep = self.context.run(self.session.__enter__)
         self.steps = self.context.run(
             _Worker, sweep, TTL, batch, stop=lambda: self.draining, clock=clock
@@ -231,6 +254,48 @@ class LeaseProtocol(RuleBasedStateMachine):
     @rule(index=WORKER)
     def drain(self, index: int) -> None:
         self.pick(index).draining = True
+
+    @precondition(lambda self: len(self.members) < 3 and any(
+        member.steps.phase == "execute" for member in self.members
+    ))
+    @rule(index=WORKER)
+    def hang(self, index: int) -> None:
+        """A wave overruns its batch budget while its heartbeat beats;
+        a rival that joins then steals the wave's cells at epoch + 1."""
+        hung = [m for m in self.members if m.steps.phase == "execute"]
+        member = hung[index % len(hung)]
+        thief = self.join(SPEC.n_cells, f"thief{self.joined + 1}")
+        member.service.stall = functools.partial(self.overrun, member, thief)
+        if member.step():
+            self.members.remove(member)
+
+    def overrun(self, member: Member, thief: Member) -> None:
+        steps = member.steps
+        cells = [steps.sweep.cells[cell] for cell in steps.won]
+        budget = batch_budget([cell.to_request() for cell in cells])
+        end = self.clock() + budget + TTL
+        while self.clock() <= end:
+            self.clock.advance(TTL / 3)
+            steps.heartbeat.beat()
+        now = self.clock()
+        live = live_members(self.store, SPEC.name, TTL, now)
+        assert member.name in live  # the heartbeat kept the member alive ...
+        leases = lease_records(self.store, SPEC.name)
+        mine = {}
+        for cell, (epoch, _anchor) in steps.won.items():
+            state = resolve_lease(leases.get(cell, []), now, TTL, live)
+            if state is not None and state.owner == member.name:
+                assert not state.alive, (cell, state)  # ... but not its wave
+                if cell not in self.unguarded:
+                    mine[cell] = epoch
+        for _ in range(2):  # scan, deal
+            if thief.step():
+                self.members.remove(thief)
+                return
+        stolen = dict(thief.steps.wanted)
+        for cell, epoch in mine.items():
+            if cell not in thief.steps.sweep.done:
+                assert stolen.get(cell) == epoch + 1, (cell, epoch, stolen)
 
     @precondition(lambda self: self.store.markers(SPEC.name))
     @rule(index=st.integers(min_value=0, max_value=63))
