@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -91,30 +92,27 @@ class SynapseConfig:
             raise ConfigError(
                 f"sample_rate must be in (0, {MAX_SAMPLE_RATE}] Hz, got {self.sample_rate}"
             )
-        try:
-            if self.io_block_size_read != "auto":
-                self.io_block_size_read = parse_bytes(self.io_block_size_read)
-                if self.io_block_size_read <= 0:
-                    raise ConfigError("I/O block sizes must be positive")
-            if self.io_block_size_write != "auto":
-                self.io_block_size_write = parse_bytes(self.io_block_size_write)
-                if self.io_block_size_write <= 0:
-                    raise ConfigError("I/O block sizes must be positive")
-            self.mem_block_size = parse_bytes(self.mem_block_size)
-            self.net_block_size = parse_bytes(self.net_block_size)
-            self.mem_load = parse_bytes(self.mem_load)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.mem_block_size <= 0:
-            raise ConfigError("memory block size must be positive")
-        if self.openmp_threads < 1:
-            raise ConfigError("openmp_threads must be >= 1")
-        if self.mpi_processes < 1:
-            raise ConfigError("mpi_processes must be >= 1")
-        if not (0.0 <= self.cpu_load):
-            raise ConfigError("cpu_load must be non-negative")
-        if self.disk_load < 0:
-            raise ConfigError("disk_load must be non-negative")
+        blocks = [
+            name for name in ("io_block_size_read", "io_block_size_write")
+            if getattr(self, name) != "auto"
+        ] + ["mem_block_size", "net_block_size"]
+        for name in (*blocks, "mem_load"):
+            try:
+                setattr(self, name, parse_bytes(getattr(self, name)))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        for name in blocks:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("openmp_threads", "mpi_processes"):
+            value = getattr(self, name)
+            # ``% 1`` is NaN for infinities; a NaN fails both tests.
+            if not (value >= 1 and value % 1 == 0):
+                raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
+        for name in ("cpu_load", "disk_load"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
         if self.efficiency_target is not None and not (0.0 < self.efficiency_target <= 1.0):
             raise ConfigError("efficiency_target must be in (0, 1]")
         if not self.watchers:

@@ -80,11 +80,19 @@ class Emulator:
         """Emulate a profile, a prepared plan, or a stored command."""
         return self.replay(self._resolve_plan(source, tags))
 
-    def replay(self, plan: EmulationPlan) -> EmulationResult:
-        """Execute one resolved plan on this emulator's backend — the
-        run service's emulate executor calls it too."""
+    def replay(self, plan: EmulationPlan, record: Any = None) -> EmulationResult:
+        """Execute one resolved plan on this emulator's backend.
+
+        ``record`` (sim plane only) is the plan's history already
+        replayed for the backend's next spawn slot — what the run
+        service's emulate executor hands over after replaying a batch's
+        seeds of one compiled plan as one block; the backend spawns it
+        as it is instead of building and running the plan.
+        """
         if self.backend is not None and getattr(self.backend, "name", "") == "sim":
-            return self._run_sim(plan)
+            return self._run_sim(plan, record)
+        if record is not None:
+            raise EmulationError("only a sim backend spawns a replayed record")
         return self._run_host(plan)
 
     def _resolve_plan(self, source: Profile | EmulationPlan | str, tags: object) -> EmulationPlan:
@@ -106,11 +114,13 @@ class Emulator:
 
     # -- simulation plane --------------------------------------------------------
 
-    def _run_sim(self, plan: EmulationPlan) -> EmulationResult:
+    def _run_sim(self, plan: EmulationPlan, record: Any) -> EmulationResult:
         assert self.backend is not None
-        machine = getattr(self.backend, "machine", None)
-        workload = plan.build_packed_workload(self.config, machine)
-        handle = self.backend.spawn(workload)
+        target = record
+        if target is None:
+            machine = getattr(self.backend, "machine", None)
+            target = plan.build_packed_workload(self.config, machine)
+        handle = self.backend.spawn(target)
         handle.wait()
         record = handle.record
         startup = record.phase_bounds[0][1] if record.phase_bounds else 0.0

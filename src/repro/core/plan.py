@@ -21,7 +21,7 @@ simulation workload for any target machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,13 @@ from repro.core.samples import Profile
 from repro.kernels.registry import get_kernel
 from repro.sim.packed import PackedBuilder, PackedWorkload
 from repro.sim.resource import MachineSpec
+from repro.telemetry.spans import span
 
 __all__ = [
     "PlanSample",
     "PlanColumns",
     "EmulationPlan",
+    "BuildSettings",
     "EMULATOR_STARTUP_SLEEP",
     "EMULATOR_STARTUP_INSTRUCTIONS",
 ]
@@ -169,6 +171,24 @@ class PlanColumns:
 
     def __repr__(self) -> str:
         return f"<plan columns n={len(self)}>"
+
+
+class BuildSettings(NamedTuple):
+    """What :meth:`EmulationPlan.build_packed_workload` reads of a
+    config, resolved against the plan (:meth:`EmulationPlan.build_settings`):
+    one plan builds equal workloads under configs with equal settings."""
+
+    compute_kernel: str
+    threads: int
+    paradigm: str
+    filesystem: str
+    #: Stalled per used cycle from ``efficiency_target``, or ``None``.
+    stall_ratio: float | None
+    cpu_load: float
+    read_block: int
+    write_block: int
+    mem_block: int
+    net_block: int
 
 
 @dataclass
@@ -318,11 +338,37 @@ class EmulationPlan:
 
     # -- simulation-plane translation ---------------------------------------------
 
+    def build_settings(self, config: SynapseConfig) -> BuildSettings:
+        """The values :meth:`build_packed_workload` builds with, read from
+        ``config`` once ``"auto"`` block sizes are resolved against this
+        plan (:meth:`effective_config`)."""
+        config = self.effective_config(config)
+        threads, paradigm = max(config.openmp_threads, 1), "openmp"
+        if config.mpi_processes > 1:
+            threads, paradigm = config.mpi_processes, "mpi"
+        # CPU-efficiency targeting (Table 1: partially supported, manual):
+        # efficiency = used/(used+stalled)  =>  stalled/used = 1/eff - 1.
+        stall_ratio = None
+        if config.efficiency_target is not None:
+            stall_ratio = 1.0 / config.efficiency_target - 1.0
+        return BuildSettings(
+            compute_kernel=config.compute_kernel,
+            threads=threads,
+            paradigm=paradigm,
+            filesystem=config.io_filesystem,
+            stall_ratio=stall_ratio,
+            cpu_load=config.cpu_load,
+            read_block=int(config.io_block_size_read),
+            write_block=int(config.io_block_size_write),
+            mem_block=int(config.mem_block_size),
+            net_block=int(config.net_block_size),
+        )
+
     def build_packed_workload(
         self, config: SynapseConfig, machine: MachineSpec | None = None
     ) -> PackedWorkload:
         """Express this plan as a packed simulation workload (Fig 2
-        semantics).
+        semantics), under ``config``'s :meth:`build_settings`.
 
         Each non-empty plan sample becomes one phase; each atom with work
         becomes a concurrent stream inside it.  Compute demands carry the
@@ -330,22 +376,17 @@ class EmulationPlan:
         the machine's calibration bias applies exactly as on real
         hardware.  The demands go straight into columns: a plan of
         thousands of samples never materialises per-demand objects.
+        The build does not depend on ``machine``.  Emits one
+        ``emulate.compile`` span (``samples=``, ``demands=``).
         """
         del machine
-        config = self.effective_config(config)
-        kernel = get_kernel(config.compute_kernel)
-        threads = max(config.openmp_threads, 1)
-        paradigm = "openmp"
-        if config.mpi_processes > 1:
-            threads = config.mpi_processes
-            paradigm = "mpi"
-        fs = config.io_filesystem
-        # CPU-efficiency targeting (Table 1: partially supported, manual):
-        # efficiency = used/(used+stalled)  =>  stalled/used = 1/eff - 1.
-        stall_override = None
-        if config.efficiency_target is not None:
-            stall_override = 1.0 / config.efficiency_target - 1.0
+        with span("emulate.compile", samples=self.n_samples) as sp:
+            workload = self._build(self.build_settings(config))
+            sp.set(demands=workload.n)
+        return workload
 
+    def _build(self, settings: BuildSettings) -> PackedWorkload:
+        kernel = get_kernel(settings.compute_kernel)
         b = PackedBuilder(
             f"synapse-emulate {self.command}",
             base_rss=EMULATOR_BASE_RSS,
@@ -364,12 +405,12 @@ class EmulationPlan:
             workload_class="app.startup",
         )
 
-        load_fraction = config.cpu_load
-        workload_class = kernel.workload_class
-        read_block = int(config.io_block_size_read)
-        write_block = int(config.io_block_size_write)
-        mem_block = int(config.mem_block_size)
-        net_block = int(config.net_block_size)
+        # The loop reads plain locals: it runs once per plan sample.
+        threads, paradigm = settings.threads, settings.paradigm
+        stall_ratio, load_fraction = settings.stall_ratio, settings.cpu_load
+        fs, workload_class = settings.filesystem, kernel.workload_class
+        read_block, write_block = settings.read_block, settings.write_block
+        mem_block, net_block = settings.mem_block, settings.net_block
         for index, cycles, flops, alloc, freed, read, written, sent, received in (
             self.samples.rows()
         ):
@@ -386,7 +427,7 @@ class EmulationPlan:
                     flops_per_instruction=min(1.0, flops / cycles),
                     threads=threads,
                     paradigm=paradigm,
-                    stall_ratio=stall_override,
+                    stall_ratio=stall_ratio,
                 )
                 if load_fraction > 0:
                     # Artificial background load (§4.3): co-scheduled CPU

@@ -507,8 +507,10 @@ def ledger_digest(store: Any, name: str) -> str:
 
     Two campaign runs converged to the same results — regardless of
     execution order, worker count, interruptions, retries or
-    injected faults — produce the same digest.  The chaos smoke test
-    (and CI job) pins a faulted run against a fault-free one with this.
+    injected faults — produce the same digest.  The determinism
+    property (``tests/runtime/test_campaign_determinism.py``) pins every
+    topology, interruption and fault plan it draws against a lone
+    fault-free run with this.
     """
     led = ledger(store, name)
     payload = json.dumps(

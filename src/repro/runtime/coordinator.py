@@ -526,11 +526,16 @@ class _Worker:
             _drop(self.store, ids)
 
     def join(self) -> None:
-        """Register the member heartbeat and announce the join."""
+        """Register the member heartbeat and announce the join.  A join
+        whose scan fails deregisters before the error propagates."""
         self.heartbeat.register()
-        members = self._op("marker.scan", lambda: live_members(
-            self.store, self.campaign, self.ttl, self.clock()
-        ))
+        try:
+            members = self._op("marker.scan", lambda: live_members(
+                self.store, self.campaign, self.ttl, self.clock()
+            ))
+        except BaseException:
+            self._delete(self.heartbeat.deregister())
+            raise
         get_registry().set_gauge("coordinator.members", float(len(members)))
         get_bus().event(
             "campaign.member.join", campaign=self.campaign, member=self.name,

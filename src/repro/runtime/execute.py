@@ -24,7 +24,7 @@ from typing import Any
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
 from repro.core.errors import ConfigError, WorkloadError
-from repro.core.plan import EmulationPlan
+from repro.core.plan import BuildSettings, EmulationPlan
 from repro.core.profiler import Profiler
 from repro.core.samples import Profile
 from repro.core.tags import normalize_command, normalize_tags
@@ -37,7 +37,9 @@ from repro.sim.noise import NoiseModel
 from repro.sim.process import SimProcess
 from repro.telemetry.spans import span
 
-__all__ = ["PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope"]
+__all__ = [
+    "Emulation", "PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope",
+]
 
 #: What determines a record given the plan: ``(noisy, seed, index,
 #: noise_seed)``.  Rows are keyed by it, not by request identity, because
@@ -112,6 +114,44 @@ class PlanGroup:
         return order[:limit]
 
 
+class Emulation:
+    """A profile or plan emulated under one :class:`BuildSettings`: the
+    ``target`` of its pairs in a plan scope, one per machine.
+
+    ``source`` is what the requests name (the scope finds the emulation
+    by its identity and the settings), ``plan`` the emulation plan made
+    of it.  :meth:`build_packed` compiles the plan the first time a pair
+    prepares and hands every later pair the same workload, since the
+    build does not depend on the machine.  ``pairs`` counts the scope's
+    live pairs of it.
+    """
+
+    __slots__ = ("source", "plan", "config", "settings", "workload", "pairs")
+
+    def __init__(self, source: Any, plan: EmulationPlan, config: SynapseConfig) -> None:
+        self.source, self.plan, self.config = source, plan, config
+        self.settings: BuildSettings = plan.build_settings(config)
+        self.workload: Any = None
+        self.pairs = 0
+
+    def build_packed(self, machine: Any) -> Any:
+        if self.workload is None:
+            self.workload = self.plan.build_packed_workload(self.config, machine)
+        return self.workload
+
+
+def _emulation_plan(target: Any, config: SynapseConfig) -> EmulationPlan:
+    if isinstance(target, EmulationPlan):
+        return target
+    if isinstance(target, Profile):
+        return EmulationPlan.from_profile(target, config)
+    raise WorkloadError(
+        f"cannot emulate {type(target).__name__} through the run "
+        "service: expected a Profile or EmulationPlan (resolve "
+        "stored commands before building the request)"
+    )
+
+
 class PlanScope:
     """The ``(target, machine) -> PlanGroup`` table and whoever opened
     it (see :func:`plan_scope`): one run-service batch, one pooled
@@ -124,11 +164,16 @@ class PlanScope:
     block of records — and a pair stops being live when its last
     declared row is taken.
 
-    It also resolves each distinct request config mapping once.
+    An ``emulate`` request's pair is (:class:`Emulation`, machine): the
+    scope keeps an emulation, and the workload compiled for it, while a
+    pair of it is live.  It also resolves each distinct request config
+    mapping once.
     """
 
     def __init__(self) -> None:
         self.groups: dict[tuple[int, int], PlanGroup] = {}
+        #: ``id(source) -> {settings: Emulation}``.
+        self.emulations: dict[int, dict[BuildSettings, Emulation]] = {}
         self._configs: dict[Any, Any] = {}
 
     def group(self, target: Any, machine: Any) -> PlanGroup | None:
@@ -142,12 +187,69 @@ class PlanScope:
         key = (id(target), id(machine))
         if key not in self.groups:
             self.groups[key] = PlanGroup(target, machine, rows)
+            if isinstance(target, Emulation):
+                self._keep(target)
+                target.pairs += 1
+
+    def declare_requests(self, requests: Iterable[RunRequest]) -> "PlanScope":
+        """Declare the rows ``requests`` will ask for, pair by pair, in
+        request order (what the first of a pair to be attempted needs to
+        replay their seeds as blocks); returns the scope.
+
+        An ``emulate`` request's emulation is found or made here, and
+        kept, so every machine it is emulated on shares one compile.  A
+        request whose emulation cannot be made (its config or target
+        does not resolve) declares nothing: its attempt meets the same
+        error as its own failure.
+        """
+        pairs: dict[tuple[int, int], tuple[Any, Any, list[NoiseRow]]] = {}
+        for request in requests:
+            target = request.target
+            if request.kind == "emulate":
+                try:
+                    target = self.emulation(target, self.config(request.config))
+                except Exception:  # noqa: BLE001 - the request's own failure
+                    continue
+                self._keep(target)
+            pairs.setdefault(
+                (id(target), id(request.machine)), (target, request.machine, [])
+            )[2].append(noise_row(request))
+        for target, machine, rows in pairs.values():
+            self.declare(target, machine, rows)
+        return self
+
+    def emulation(self, source: Any, config: SynapseConfig) -> Emulation:
+        """The emulation of ``source`` under ``config``'s build settings
+        that the scope keeps, else a new one it does not keep (its plan
+        made once per source while the scope keeps any)."""
+        kept = self.emulations.get(id(source))
+        if kept:
+            plan = next(iter(kept.values())).plan
+            found = kept.get(plan.build_settings(config))
+            return found if found is not None else Emulation(source, plan, config)
+        return Emulation(source, _emulation_plan(source, config), config)
+
+    def _keep(self, emulation: Emulation) -> None:
+        self.emulations.setdefault(id(emulation.source), {}).setdefault(
+            emulation.settings, emulation
+        )
 
     def drop(self, group: PlanGroup) -> None:
-        self.groups.pop((id(group.target), id(group.machine)), None)
+        """Forget a pair (and an emulation with its last live pair)."""
+        if self.groups.pop((id(group.target), id(group.machine)), None) is None:
+            return
+        emulation = group.target
+        if isinstance(emulation, Emulation):
+            emulation.pairs -= 1
+            kept = self.emulations.get(id(emulation.source), {})
+            if not emulation.pairs and kept.get(emulation.settings) is emulation:
+                del kept[emulation.settings]
+                if not kept:
+                    del self.emulations[id(emulation.source)]
 
     def close(self) -> None:
         self.groups.clear()
+        self.emulations.clear()
         self._configs.clear()
 
     def config(self, config: Any):
@@ -177,6 +279,8 @@ class PlanScope:
         self.__init__()
         for group in groups:
             self.groups[id(group.target), id(group.machine)] = group
+            if isinstance(group.target, Emulation):
+                self._keep(group.target)
 
 
 _ACTIVE: ContextVar[PlanScope | None] = ContextVar("repro_plan_scope", default=None)
@@ -229,7 +333,7 @@ def dispatch(
     if request.kind == "profile":
         return _execute_profile(request, target, machine, plans)
     if request.kind == "emulate":
-        return _execute_emulate(request, target, machine)
+        return _execute_emulate(request, target, machine, plans)
     raise WorkloadError(f"cannot execute run kind {request.kind!r}")
 
 
@@ -410,18 +514,28 @@ def _execute_profile(
     return _reduced(request, profile)
 
 
-def _execute_emulate(request: RunRequest, target: Any, machine: Any) -> Any:
-    """Replay a profile or plan; yields an ``EmulationResult``."""
-    config = _as_config(request.config)
-    if isinstance(target, EmulationPlan):
-        plan = target
-    elif isinstance(target, Profile):
-        plan = EmulationPlan.from_profile(target, config)
-    else:
-        raise WorkloadError(
-            f"cannot emulate {type(target).__name__} through the run "
-            "service: expected a Profile or EmulationPlan (resolve "
-            "stored commands before building the request)"
-        )
-    emulator = Emulator(backend=_sim_backend(request, machine), config=config)
-    return _reduced(request, emulator.replay(plan))
+def _execute_emulate(
+    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
+) -> Any:
+    """Replay a profile or plan; yields an ``EmulationResult`` (or its
+    reduction).
+
+    The request's :class:`Emulation` — the scope's, or one of its own —
+    is the target of its pair, so the pair replays through
+    :func:`_replayed` like any other: the first of the emulation's pairs
+    to prepare compiles the plan, and each pair replays its seeds as
+    blocks.  The record reaches the result through the emulator's
+    ``replay(plan, record)``, which spawns it on a backend in the
+    request's spawn slot.
+    """
+    config = (
+        plans.config(request.config) if plans is not None
+        else _as_config(request.config)
+    )
+    emulation = (
+        plans.emulation(target, config) if plans is not None
+        else Emulation(target, _emulation_plan(target, config), config)
+    )
+    record = _replayed(request, emulation, machine, plans)[0]
+    emulator = Emulator(backend=_sim_backend(request, record.machine), config=config)
+    return _reduced(request, emulator.replay(emulation.plan, record))

@@ -646,7 +646,7 @@ class _SupervisedRun:
             payloads = [
                 pickle.dumps((
                     self.targets, self.machines,
-                    _declared(PlanScope(), [self.requests[i] for i in chunk]),
+                    PlanScope().declare_requests([self.requests[i] for i in chunk]),
                     [self.items[i] for i in chunk], self.telemetry,
                 ))
                 for chunk in chunks
@@ -975,7 +975,7 @@ class RunService:
             # What no pool ran (a one-worker batch, or the rest of one
             # whose pool was unusable) runs here, in the active scope.
             left = [i for i, outcome in enumerate(outcomes) if outcome is None]
-            _declared(plans, [requests[i] for i in left])
+            plans.declare_requests([requests[i] for i in left])
             for i in left:
                 outcomes[i] = _attempt_request(
                     requests[i], requests[i].target, requests[i].machine, plans
@@ -1039,34 +1039,14 @@ def _plan_names(items: Sequence[tuple[RunRequest, int, int]]) -> list[Any]:
     """Per packed item, a name for the engine plan it will replay (what
     :func:`_split_chunks` keeps together): the ``(target_slot,
     machine_slot)`` of an ``engine``/``profile`` request — its pair in
-    the chunk's plan scope — and, for a request that replays no plan
-    (``emulate``), its position, which it shares with nobody."""
+    the chunk's plan scope — and, for an ``emulate`` request, its
+    position, which it shares with nobody: its plan is the compile of
+    its target under its config's build settings, and emulations of one
+    profile spread over the pool as items that share nothing do."""
     return [
         item[1:] if item[0].kind in ("engine", "profile") else position
         for position, item in enumerate(items)
     ]
-
-
-def _declared(plans: Any, requests: Sequence[RunRequest]) -> Any:
-    """``plans``, after declaring in it the rows the ``engine``/
-    ``profile`` requests among ``requests`` will ask for, pair by
-    (target, machine) identity — what the first of a pair to be
-    attempted needs to replay their seeds as blocks.  A pair that is
-    live in the scope (a campaign declared it, with the rows of its
-    later waves too) keeps its rows.
-    """
-    from repro.runtime.execute import noise_row  # noqa: PLC0415 (cycle)
-
-    pairs: dict[tuple[int, int], tuple[Any, Any, list[Any]]] = {}
-    for request in requests:
-        if request.kind in ("engine", "profile"):
-            pairs.setdefault(
-                (id(request.target), id(request.machine)),
-                (request.target, request.machine, []),
-            )[2].append(noise_row(request))
-    for target, machine, rows in pairs.values():
-        plans.declare(target, machine, rows)
-    return plans
 
 
 def batch_budget(requests: Sequence[RunRequest]) -> float | None:

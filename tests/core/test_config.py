@@ -46,6 +46,32 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SynapseConfig(disk_load=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cpu_load", float("inf")),
+        ("cpu_load", float("nan")),
+        ("disk_load", float("inf")),
+        ("disk_load", float("nan")),
+        ("net_block_size", 0),
+        ("net_block_size", "-1KB"),
+        ("net_block_size", float("inf")),
+        ("mem_block_size", 0),
+        ("openmp_threads", 2.5),
+        ("openmp_threads", float("inf")),
+        ("mpi_processes", 1.5),
+        ("mpi_processes", float("nan")),
+    ])
+    def test_values_that_would_fail_mid_run_fail_at_construction(self, field, value):
+        """Each used to pass construction: an infinite load made the
+        emulated Tx infinite, a zero network block raised only once a
+        profile had network bytes, fractional counts were truncated."""
+        with pytest.raises(ConfigError, match=field):
+            SynapseConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["openmp_threads", "mpi_processes"])
+    def test_whole_parallelism_counts_pass(self, field):
+        assert getattr(SynapseConfig(**{field: 4}), field) == 4
+        assert getattr(SynapseConfig(**{field: 4.0}), field) == 4.0
+
     @pytest.mark.parametrize("target", [0.0, 1.5, -0.2])
     def test_efficiency_target_bounds(self, target):
         with pytest.raises(ConfigError):

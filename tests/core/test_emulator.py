@@ -193,6 +193,12 @@ class TestFoldOnRead:
 
 
 class TestHostReplay:
+    def test_a_replayed_record_needs_a_sim_backend(self):
+        workload = small_plan().build_packed_workload(SynapseConfig())
+        record = make_backend("comet").spawn(workload).record
+        with pytest.raises(EmulationError, match="sim backend"):
+            Emulator(config=SynapseConfig()).replay(small_plan(), record)
+
     def test_tiny_plan_executes(self):
         plan = small_plan(cycles=5e7, n=2, write_bytes=4096, alloc_bytes=1 << 20)
         result = Emulator(config=SynapseConfig(compute_kernel="asm")).run(plan)

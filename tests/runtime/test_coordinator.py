@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, InjectedFault
 from repro.faults.inject import injected_faults
 from repro.runtime import (
     CampaignSpec,
@@ -39,7 +39,7 @@ from repro.runtime import (
     run_campaign,
     run_elastic,
 )
-from repro.runtime.campaign import _sweep, new_member
+from repro.runtime.campaign import STORE_ATTEMPTS, _sweep, new_member
 from repro.runtime.coordinator import (
     CELL_SEP,
     LEASE_KIND,
@@ -485,6 +485,21 @@ class TestElasticWorkerSingle:
         )
         assert report.interrupted and report.executed == 0
         assert marker_count(store, spec.name) == 0  # member deregistered
+
+    def test_a_failed_join_leaves_no_member_marker(self, tmp_path, reference):
+        """The join's marker scan runs out of store retries: the error
+        propagates and the member marker the join wrote goes with it.
+        The first ``store.entries`` hit is the sweep's ledger read; a
+        rule stops counting hits once one before it fires, so each of
+        these rules fires on the next hit from the second on."""
+        spec, _ = reference
+        store = FileStore(tmp_path / "s")
+        plan = FaultPlan.from_dict({"rules": [
+            {"point": "store.entries", "mode": "error", "at": 2}
+        ] * STORE_ATTEMPTS})
+        with injected_faults(plan), pytest.raises(InjectedFault):
+            elastic_worker(spec, store, worker="w", lease_ttl=5.0, service=serial())
+        assert store.markers(spec.name) == []
 
     def test_mixed_failures_recorded_not_stored(self, tmp_path):
         spec = CampaignSpec.from_dict(

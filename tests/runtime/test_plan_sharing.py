@@ -1225,7 +1225,8 @@ def test_one_plan_batch_is_one_chunk_per_worker():
 
 
 def test_only_engine_plans_are_named_for_chunking():
-    """An emulation replays no engine plan: emulating one profile N
+    """An emulation's engine plan is known only once its target is
+    compiled, so emulations are named per item: emulating one profile N
     times must stay ``workers * CHUNKS_PER_WORKER`` chunks, not become
     one chunk per worker."""
     app = SleeperApp(sleep_seconds=1.0)
