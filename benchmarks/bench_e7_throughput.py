@@ -131,41 +131,39 @@ def _rate(fn, seconds: float, min_rounds: int = 3) -> float:
     return rounds / (time.perf_counter() - start)
 
 
-def measure_telemetry_overhead(
-    workload: SimWorkload, rounds: int = 4, per_round: int = 100
-) -> dict:
+def measure_telemetry_overhead(workload: SimWorkload, calls: int = 400) -> dict:
     """Cost of the always-on telemetry on the bare engine hot path.
 
-    Compares best-of-N wall time of the instrumented ``Engine.run``
-    (dark-bus ``span()`` — no sink attached) against the same two steps
-    outside the span, ``prepare`` + ``Engine._records``.  Minimum-of-many is robust against scheduler
-    noise, which on shared CI hosts dwarfs the ~2 µs span cost; the
-    budget the telemetry plane commits to is < 3 %.
+    Compares best-of-N wall time of the instrumented ``Engine.run`` of
+    one kept plan (dark-bus ``span()`` — no sink attached) against the
+    same replay outside the span, ``Engine._records`` of that plan, so
+    the difference is the span alone: an engine keeps the plan of a
+    repeated object workload, so timing ``run(workload)`` against a
+    bare ``prepare`` would credit the kept plan to the span.
+    Minimum-of-many over alternating calls is robust against scheduler
+    noise and host speed phases, which on shared CI hosts dwarf the
+    ~2 µs span cost; the budget the telemetry plane commits to is < 3 %.
     """
     from repro.sim.engine import Engine  # noqa: PLC0415 - measurement-only
     from repro.sim.machines import get_machine  # noqa: PLC0415
     from repro.sim.noise import NoiseModel  # noqa: PLC0415
 
     engine = Engine(get_machine(MACHINE), NoiseModel(seed=0))
+    plan = engine.prepare(workload)
 
     def bare_run() -> None:
-        engine._records(engine.prepare(workload), [engine.noise])
+        engine._records(plan, [engine.noise])
 
-    for _ in range(min(50, per_round)):
+    for _ in range(min(50, calls)):
         bare_run()  # warm-up
 
-    def best(fn) -> float:
-        times = []
-        for _ in range(per_round):
+    # Calls alternate, so both sides see the same host speed phases.
+    instrumented, bare = [], []
+    for _ in range(calls):
+        for fn, times in ((lambda: engine.run(plan), instrumented), (bare_run, bare)):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-        return min(times)
-
-    instrumented, bare = [], []
-    for _ in range(rounds):
-        instrumented.append(best(lambda: engine.run(workload)))
-        bare.append(best(bare_run))
     inst_s, bare_s = min(instrumented), min(bare)
     return {
         "instrumented_best_seconds": inst_s,
@@ -275,8 +273,10 @@ def measure(
         processes=min(2, processes),
     )
 
+    # A replay of the quick mode's 200 demands takes ~0.1 ms: 800 calls
+    # a side keep the best-of minimum steady even there.
     telemetry_overhead = measure_telemetry_overhead(
-        workload, per_round=max(20, int(50 * seconds))
+        workload, calls=max(800, int(200 * seconds))
     )
 
     return {
@@ -379,7 +379,7 @@ def test_e7_throughput():
     assert reuse["persistent_warm_mean_seconds"] > 0
     # Dark-bus instrumentation stays inside its budget (generous slack
     # for noisy CI hosts; the committed full run measures < 1 %).
-    assert results["telemetry_overhead"]["overhead_pct"] < 10.0
+    assert abs(results["telemetry_overhead"]["overhead_pct"]) < 10.0
     report("E7: sim-plane throughput", str(as_table(results)))
 
 

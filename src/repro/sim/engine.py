@@ -68,7 +68,11 @@ seed boundary, and the split is the only path:
   block run when somebody first reads a series of one of its records —
   see :class:`RecordBlock` — and never for a record nobody reads.
 
-``Engine.run(workload)`` is ``prepare`` + the one-row ``replay_many``;
+``Engine.run(workload)`` is ``prepare`` + the one-row ``replay_many``,
+except that an engine keeps the plan of the last object workload it ran
+and replays it while that workload still holds the very same demand
+objects (see :meth:`Engine.run`), so a seed sweep over one unchanged
+``SimWorkload`` packs and prepares it once;
 ``Engine.run(prepared)`` replays a plan someone else prepared — the run
 service prepares each distinct (target, machine) of a batch once and
 replays the batch's seeds of it as one block — and
@@ -79,6 +83,7 @@ same two steps, one row at a time with its carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import is_
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -556,6 +561,41 @@ def _frozen(data: Any, dtype: Any = None) -> np.ndarray:
     return view
 
 
+def _snapshot(workload: SimWorkload) -> tuple:
+    """What :func:`_unchanged` compares: the fields a plan reads, with a
+    shallow copy of every container the workload could be edited in."""
+    return (
+        workload.name, workload.base_rss, dict(workload.metadata),
+        [[list(s.demands) for s in p.streams] for p in workload.phases],
+    )
+
+
+def _unchanged(workload: SimWorkload, snapshot: tuple) -> bool:
+    """Whether ``workload`` still packs to the plan of ``snapshot``:
+    every field, metadata item and demand is the same object, in the
+    same place."""
+    name, base_rss, metadata, phases = snapshot
+    current = workload.metadata
+    if (
+        workload.name is not name
+        or workload.base_rss is not base_rss
+        or len(current) != len(metadata)
+        or not all(map(is_, current, metadata))
+        or not all(map(is_, current.values(), metadata.values()))
+        or len(workload.phases) != len(phases)
+    ):
+        return False
+    for phase, streams in zip(workload.phases, phases):
+        if len(phase.streams) != len(streams):
+            return False
+        for stream, demands in zip(phase.streams, streams):
+            if len(stream.demands) != len(demands) or not all(
+                map(is_, stream.demands, demands)
+            ):
+                return False
+    return True
+
+
 class Prepared:
     """One workload bound to one machine, costed and laid out.
 
@@ -569,9 +609,10 @@ class Prepared:
 
     Every array is a read-only view, so a plan shared by the requests
     of a run-service batch cannot be altered by one of them.  The plan
-    does not track its source: mutate an object workload and prepare
-    again.  ``streams`` is the raw ``(streams, 3)`` table of ``(phase,
-    first demand, end demand)``; ``segments`` is the same structure cut
+    does not track its source: :meth:`Engine.prepare` always builds a
+    new one, and only :meth:`Engine.run` checks a kept plan against the
+    object workload it was built from.  ``streams`` is the raw
+    ``(streams, 3)`` table of ``(phase, first demand, end demand)``; ``segments`` is the same structure cut
     the way :meth:`Engine._timeline` walks it.  ``replays`` — how many runs have used the plan — is the
     one field a replay touches; it is what telemetry reads to tell a
     plan's first use (``built``) from a later one (``reused``).
@@ -597,14 +638,18 @@ class Engine:
     :class:`Prepared` plan for this machine; :meth:`run` replays a plan
     (preparing first when handed a workload) under this engine's noise
     model, :meth:`replay_many` under as many noise models as it is
-    handed.  An engine holds no per-workload state: plans belong to
-    whoever prepared them, and any engine over the same machine can
-    replay them.
+    handed.  Plans belong to whoever prepared them, and any engine over
+    the same machine can replay them.  The one per-workload state an
+    engine holds is the plan :meth:`run` built for the last object
+    workload it was handed (see there).
     """
 
     def __init__(self, machine: MachineSpec, noise: NoiseModel | None = None) -> None:
         self.machine = machine
         self.noise = noise if noise is not None else NoiseModel.silent()
+        # (snapshot, plan) of the last object workload ``run`` prepared;
+        # replaced whole, so a shared engine can at worst prepare twice.
+        self._memo: tuple[tuple, Prepared] | None = None
 
     # -- bind pass ---------------------------------------------------------------
 
@@ -889,14 +934,25 @@ class Engine:
         case of :meth:`replay_many` under this engine's noise model;
         handing in a :class:`Prepared` plan (for this machine) skips
         straight to the replay.  Both produce bit-identical records.
+
+        An object workload's plan is kept for the next call, and
+        replayed again while the workload has the same name, base RSS
+        and metadata and holds the same demand objects in the same
+        streams and phases.  Everything is compared by identity, so an
+        equal-valued twin (``-0.0`` for ``0.0``, ``1.0`` for ``1``)
+        counts as an edit; demands are frozen, so the same objects pack
+        to the same columns.  After any edit the workload is prepared
+        afresh, and that plan is kept instead.
         """
         with span(
             "engine.run", workload=workload.name, machine=self.machine.name
         ) as sp:
-            plan = (
-                workload if isinstance(workload, Prepared)
-                else self.prepare(workload)
-            )
+            if isinstance(workload, Prepared):
+                plan = workload
+            elif isinstance(workload, PackedWorkload):
+                plan = self.prepare(workload)
+            else:
+                plan = self._object_plan(workload)
             reused = plan.replays > 0
             (record,), _ = self._records(plan, [self.noise])
             sp.set(
@@ -904,6 +960,16 @@ class Engine:
                 plan="reused" if reused else "built", run_phases=plan.run_phases,
             )
         return record
+
+    def _object_plan(self, workload: SimWorkload) -> Prepared:
+        """The kept plan if ``workload`` is unchanged since it was
+        built (see :meth:`run`), else a new one, which is kept."""
+        memo = self._memo
+        if memo is not None and _unchanged(workload, memo[0]):
+            return memo[1]
+        plan = self.prepare(workload)
+        self._memo = (_snapshot(workload), plan)
+        return plan
 
     def replay_many(
         self, plan: Prepared, noises: Sequence[NoiseModel]

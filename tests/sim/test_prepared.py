@@ -107,7 +107,8 @@ def test_preparing_does_not_freeze_the_packed_workload():
 
 
 def test_object_workload_is_not_memoised_across_runs():
-    """A mutable object workload is packed afresh by every ``run``."""
+    """An edited object workload is not served the plan kept from
+    before the edit (``test_plan_memo.py`` explores every edit)."""
     machine = get_machine("thinkie")
     workload = random_workload(np.random.default_rng(5), machine)
     engine = Engine(machine)
@@ -162,3 +163,33 @@ def test_plan_telemetry_tells_built_from_reused():
     assert (built1 - built0, reused1 - reused0) == (2, 2)
     plans = [event.attrs["plan"] for event in sink.named("engine.run")]
     assert plans == ["built", "built", "reused", "reused"]
+
+
+def test_one_engine_prepares_a_repeated_object_workload_once():
+    machine = get_machine("thinkie")
+    workload = random_workload(np.random.default_rng(1), machine)
+    registry = get_registry()
+
+    def counts() -> tuple[float, float]:
+        counters = registry.snapshot()["counters"]
+        return (
+            counters.get("engine.plans.built", 0.0),
+            counters.get("engine.plans.reused", 0.0),
+        )
+
+    sink = MemorySink()
+    bus = get_bus()
+    bus.add_sink(sink)
+    try:
+        built0, reused0 = counts()
+        engine = Engine(machine, _noise(True, 7))
+        for _ in range(3):
+            engine.run(workload)
+        built1, reused1 = counts()
+    finally:
+        bus.remove_sink(sink)
+    assert (built1 - built0, reused1 - reused0) == (1, 2)
+    plans = [event.attrs["plan"] for event in sink.named("engine.run")]
+    assert plans == ["built", "reused", "reused"]
+    assert len(sink.named("engine.pack")) == 1
+    assert engine.prepare(workload) is not engine.prepare(workload)
