@@ -10,6 +10,23 @@ the emulator.  It captures every tunable the paper exposes:
 * artificial background loads (§4.3, "stress"-like);
 * the optional CPU efficiency target (Table 1 lists efficiency emulation
   as partially supported: it is a manual tunable).
+
+The three loads take effect when an emulation plan is built for the
+simulation plane (:meth:`~repro.core.plan.EmulationPlan.build_packed_workload`):
+
+* ``cpu_load`` adds a ``cpu-load`` stream to each sample with cycles,
+  burning ``cpu_load`` times the sample's cycle budget beside it;
+* ``disk_load`` adds a ``disk-load`` stream to each sample with I/O,
+  writing ``disk_load`` times the sample's read plus written bytes to
+  the same filesystem.  Filesystem bandwidth is shared by stream count,
+  so any non-zero ``disk_load`` takes one stream's share;
+* ``mem_load`` is memory held resident for the whole emulation: it
+  raises ``mem.rss`` and ``mem.peak`` by exactly its size and changes
+  nothing else.
+
+The host plane applies no load: an emulation there refuses a non-zero
+load with :class:`~repro.core.errors.ConfigError` instead of silently
+running without it.
 """
 
 from __future__ import annotations
@@ -68,6 +85,9 @@ class SynapseConfig:
     io_block_size_read: int | str = "1MB"
     io_block_size_write: int | str = "1MB"
     io_filesystem: str = "default"
+    #: Fixed at 1: the storage atom replays into one file.  The field
+    #: stays because every profile stores ``to_dict()`` of its config,
+    #: which feeds each ledger digest.
     io_file_count: int = 1
     mem_block_size: int | str = "1MB"
     net_block_size: int | str = "64KB"
@@ -76,9 +96,12 @@ class SynapseConfig:
     openmp_threads: int = 1
     mpi_processes: int = 1
 
-    # --- artificial load (§4.3) --------------------------------------------
+    # --- artificial load (§4.3; simulation plane only, see above) ---------
+    #: Extra CPU work as a fraction of each sample's cycles.
     cpu_load: float = 0.0
+    #: Bytes held resident for the whole emulation.
     mem_load: int | str = 0
+    #: Extra bytes written as a fraction of each sample's I/O bytes.
     disk_load: float = 0.0
 
     # --- partially supported tunables (Table 1) -----------------------------
@@ -113,6 +136,11 @@ class SynapseConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.io_file_count != 1:
+            raise ConfigError(
+                f"io_file_count must be 1 (the storage atom writes one file), "
+                f"got {self.io_file_count!r}"
+            )
         if self.efficiency_target is not None and not (0.0 < self.efficiency_target <= 1.0):
             raise ConfigError("efficiency_target must be in (0, 1]")
         if not self.watchers:
@@ -126,8 +154,16 @@ class SynapseConfig:
             raise ConfigError(
                 f"adaptive_initial_rate must be in (0, {MAX_SAMPLE_RATE}]"
             )
-        if self.adaptive_settle_seconds < 0:
-            raise ConfigError("adaptive_settle_seconds must be non-negative")
+        if not 0.0 <= self.adaptive_settle_seconds < math.inf:
+            raise ConfigError(
+                "adaptive_settle_seconds must be finite and non-negative, "
+                f"got {self.adaptive_settle_seconds!r}"
+            )
+        if self.sampling_policy == "adaptive":
+            # The profiler builds the policy only once a run starts.
+            from repro.core.sampling import policy_from_config  # noqa: PLC0415 (cycle)
+
+            policy_from_config(self)
 
     @property
     def sample_interval(self) -> float:

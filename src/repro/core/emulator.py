@@ -25,7 +25,7 @@ from repro.atoms.base import AtomBase
 from repro.atoms.registry import get_atom
 from repro.core.backend import ExecutionBackend
 from repro.core.config import SynapseConfig
-from repro.core.errors import EmulationError
+from repro.core.errors import ConfigError, EmulationError
 from repro.core.plan import EmulationPlan
 from repro.core.samples import Profile
 from repro.storage.base import ProfileStore
@@ -138,6 +138,12 @@ class Emulator:
     def _run_host(self, plan: EmulationPlan) -> EmulationResult:
         import threading
 
+        for knob in ("cpu_load", "disk_load", "mem_load"):
+            if getattr(self.config, knob):
+                raise ConfigError(
+                    f"{knob}: the host plane applies no artificial load; "
+                    "emulate on a sim backend, or set it to 0"
+                )
         config = plan.effective_config(self.config)
         atoms: list[AtomBase] = [get_atom(name)(config) for name in config.atoms]
         t_begin = time.perf_counter()

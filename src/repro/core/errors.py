@@ -27,6 +27,7 @@ from __future__ import annotations
 __all__ = [
     "SynapseError",
     "ConfigError",
+    "UnknownNameError",
     "WorkloadError",
     "BackendError",
     "CalibrationError",
@@ -49,6 +50,16 @@ class SynapseError(Exception):
 
 class ConfigError(SynapseError):
     """Invalid configuration value (bad sample rate, unknown kernel, ...)."""
+
+
+class UnknownNameError(ConfigError, KeyError):
+    """A name that no registry holds (a machine, a filesystem of one).
+
+    Still a ``KeyError`` for lookups that catch one, but fatal: the name
+    is as unknown on the next attempt.
+    """
+
+    __str__ = Exception.__str__  # the message as given, not KeyError's repr
 
 
 class WorkloadError(SynapseError):

@@ -185,6 +185,9 @@ class BuildSettings(NamedTuple):
     #: Stalled per used cycle from ``efficiency_target``, or ``None``.
     stall_ratio: float | None
     cpu_load: float
+    disk_load: float
+    #: Bytes held resident on top of the emulator's own footprint.
+    mem_load: int
     read_block: int
     write_block: int
     mem_block: int
@@ -358,6 +361,8 @@ class EmulationPlan:
             filesystem=config.io_filesystem,
             stall_ratio=stall_ratio,
             cpu_load=config.cpu_load,
+            disk_load=config.disk_load,
+            mem_load=int(config.mem_load),
             read_block=int(config.io_block_size_read),
             write_block=int(config.io_block_size_write),
             mem_block=int(config.mem_block_size),
@@ -378,6 +383,15 @@ class EmulationPlan:
         thousands of samples never materialises per-demand objects.
         The build does not depend on ``machine``.  Emits one
         ``emulate.compile`` span (``samples=``, ``demands=``).
+
+        The artificial loads of §4.3 are built in here.  ``cpu_load``
+        adds a ``cpu-load`` stream burning that fraction of each sample's
+        cycles.  ``disk_load`` adds a ``disk-load`` stream writing that
+        fraction of each sample's read plus written bytes to the same
+        filesystem; the engine shares a filesystem's bandwidth by stream
+        count, so every ``disk_load > 0`` takes the same share, as extra
+        workers do for ``cpu_load``.  ``mem_load`` raises the workload's
+        ``base_rss``: memory held for the whole run, with no demand.
         """
         del machine
         with span("emulate.compile", samples=self.n_samples) as sp:
@@ -389,7 +403,7 @@ class EmulationPlan:
         kernel = get_kernel(settings.compute_kernel)
         b = PackedBuilder(
             f"synapse-emulate {self.command}",
-            base_rss=EMULATOR_BASE_RSS,
+            base_rss=EMULATOR_BASE_RSS + settings.mem_load,
             metadata={
                 "emulation_of": self.command,
                 "kernel": kernel.name,
@@ -408,6 +422,7 @@ class EmulationPlan:
         # The loop reads plain locals: it runs once per plan sample.
         threads, paradigm = settings.threads, settings.paradigm
         stall_ratio, load_fraction = settings.stall_ratio, settings.cpu_load
+        disk_load = settings.disk_load
         fs, workload_class = settings.filesystem, kernel.workload_class
         read_block, write_block = settings.read_block, settings.write_block
         mem_block, net_block = settings.mem_block, settings.net_block
@@ -444,6 +459,14 @@ class EmulationPlan:
                     b.io(bytes_read=read, block_size=read_block, filesystem=fs)
                 if written > 0:
                     b.io(bytes_written=written, block_size=write_block, filesystem=fs)
+                if disk_load > 0:
+                    # Its I/O twin: writes sized from the sample's own bytes.
+                    b.stream("disk-load")
+                    b.io(
+                        bytes_written=round((read + written) * disk_load),
+                        block_size=write_block,
+                        filesystem=fs,
+                    )
             if alloc > 0 or freed > 0:
                 b.stream("memory")
                 b.memory(allocate=alloc, free=freed, block_size=mem_block)

@@ -16,6 +16,7 @@ exactly the property the paper claims of the original codebase.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -105,8 +106,10 @@ class AdaptiveRate(SamplingPolicy):
                 )
         if self.initial_rate < self.base_rate:
             raise ConfigError("initial_rate must be >= base_rate")
-        if self.settle_seconds < 0:
-            raise ConfigError("settle_seconds must be non-negative")
+        if not 0.0 <= self.settle_seconds < math.inf:
+            raise ConfigError(
+                f"settle_seconds must be finite and non-negative, got {self.settle_seconds!r}"
+            )
 
     def interval_at(self, elapsed: float) -> float:
         # The epsilon absorbs float accumulation when grid timestamps are

@@ -22,8 +22,8 @@ loop:
   ``tests/paper/test_e6_placement.py``).
 
 ``calibrated=True`` additionally charges each machine's kernel
-calibration bias (``calib_ipc / ipc``, fitted by :mod:`repro.sim.calibrate`
-and encoded per workload class) — use it when the placed workload is an
+calibration bias (``calib_ipc / ipc``, set per machine and workload
+class in :mod:`repro.sim.machines`) — use it when the placed workload is an
 emulation kernel rather than a real application (E.3 semantics).
 """
 

@@ -28,6 +28,7 @@ for both resources", while the local filesystems differ strongly.
 
 from __future__ import annotations
 
+from repro.core.errors import UnknownNameError
 from repro.parallel.scaling import ScalingModel
 from repro.sim.filesystem import FilesystemModel
 from repro.sim.resource import CPUModel, MachineSpec, MemoryModel, WorkloadClassSpec
@@ -331,7 +332,7 @@ _CACHE: dict[str, MachineSpec] = {}
 def get_machine(name: str) -> MachineSpec:
     """Look up a machine model by name (specs are shared and read-only)."""
     if name not in MACHINES:
-        raise KeyError(f"unknown machine {name!r}; available: {sorted(MACHINES)}")
+        raise UnknownNameError(f"unknown machine {name!r}; available: {sorted(MACHINES)}")
     if name not in _CACHE:
         _CACHE[name] = MACHINES[name]()
     return _CACHE[name]

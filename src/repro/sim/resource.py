@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.errors import UnknownNameError
 from repro.parallel.scaling import ScalingModel
 from repro.sim.filesystem import FilesystemModel
 
@@ -154,7 +155,7 @@ class MachineSpec:
         """Look up a mounted filesystem (``None``/"default" -> default)."""
         key = name if name not in (None, "", "default") else self.default_fs
         if key not in self.filesystems:
-            raise KeyError(
+            raise UnknownNameError(
                 f"machine {self.name!r} has no filesystem {key!r}; "
                 f"available: {sorted(self.filesystems)}"
             )

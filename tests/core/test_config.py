@@ -59,13 +59,28 @@ class TestValidation:
         ("openmp_threads", float("inf")),
         ("mpi_processes", 1.5),
         ("mpi_processes", float("nan")),
+        ("adaptive_settle_seconds", float("nan")),
+        ("adaptive_settle_seconds", float("inf")),
+        ("io_file_count", 2),
+        ("io_file_count", 0),
     ])
     def test_values_that_would_fail_mid_run_fail_at_construction(self, field, value):
         """Each used to pass construction: an infinite load made the
         emulated Tx infinite, a zero network block raised only once a
-        profile had network bytes, fractional counts were truncated."""
+        profile had network bytes, fractional counts were truncated, a
+        NaN settle time sampled at the base rate throughout, and a file
+        count other than 1 was ignored."""
         with pytest.raises(ConfigError, match=field):
             SynapseConfig(**{field: value})
+
+    def test_adaptive_rates_are_checked_at_construction(self):
+        """A startup rate below the base rate used to pass construction
+        and fail once the profiler built its policy."""
+        with pytest.raises(ConfigError, match="initial_rate"):
+            SynapseConfig(
+                sampling_policy="adaptive", adaptive_initial_rate=1.0, sample_rate=5.0
+            )
+        SynapseConfig(sampling_policy="adaptive", adaptive_initial_rate=5.0, sample_rate=5.0)
 
     @pytest.mark.parametrize("field", ["openmp_threads", "mpi_processes"])
     def test_whole_parallelism_counts_pass(self, field):

@@ -11,7 +11,7 @@ from repro.atoms.base import AtomWork
 from repro.core.api import profile as api_profile
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
-from repro.core.errors import EmulationError
+from repro.core.errors import ConfigError, EmulationError
 from repro.core.plan import EmulationPlan, PlanSample
 from repro.core.profiler import Profiler
 from repro.core.samples import Profile, Sample
@@ -198,6 +198,15 @@ class TestHostReplay:
         record = make_backend("comet").spawn(workload).record
         with pytest.raises(EmulationError, match="sim backend"):
             Emulator(config=SynapseConfig()).replay(small_plan(), record)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("cpu_load", 0.5), ("disk_load", 0.5), ("mem_load", "1MB"),
+    ])
+    def test_a_load_is_refused_not_ignored(self, knob, value):
+        """The host plane applies no artificial load, so a config that
+        asks for one fails before any atom runs."""
+        with pytest.raises(ConfigError, match=knob):
+            Emulator(config=SynapseConfig(**{knob: value})).run(small_plan())
 
     def test_tiny_plan_executes(self):
         plan = small_plan(cycles=5e7, n=2, write_bytes=4096, alloc_bytes=1 << 20)

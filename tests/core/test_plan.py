@@ -445,6 +445,29 @@ class TestSimWorkloadBuild:
         assert phase_streams(workload, 1) == [[KIND_COMPUTE], [KIND_COMPUTE]]
         assert workload.c_cc[1:].tolist() == [10.0, 5.0]
 
+    def test_disk_load_adds_stream(self):
+        """The I/O twin of ``cpu_load``: written bytes sized from the
+        sample's read plus written bytes, to the same filesystem at the
+        write block size."""
+        profile = profile_from_values([{"io.bytes_read": 10.0, "io.bytes_written": 30.0}])
+        plan = EmulationPlan.from_profile(profile)
+        config = SynapseConfig(disk_load=0.25, io_block_size_write="4KB")
+        workload = plan.build_packed_workload(config)
+        assert phase_streams(workload, 1) == [[KIND_IO, KIND_IO], [KIND_IO]]
+        assert workload.i_read.tolist() == [10, 0, 0]
+        assert workload.i_written.tolist() == [0, 30, 10]
+        assert workload.i_block.tolist() == [1 << 20, 4096, 4096]
+        assert len(set(workload.i_fs.tolist())) == 1
+
+    def test_mem_load_is_held_for_the_whole_run(self):
+        profile = profile_from_values([{"cpu.cycles_used": 10.0, "mem.allocated": 7.0}])
+        plan = EmulationPlan.from_profile(profile)
+        plain = plan.build_packed_workload(SynapseConfig())
+        loaded = plan.build_packed_workload(SynapseConfig(mem_load="512MB"))
+        assert loaded.base_rss == plain.base_rss + (512 << 20)
+        assert phase_streams(loaded, 1) == phase_streams(plain, 1)
+        assert loaded.n == plain.n
+
     def test_memory_demand_block_size(self):
         profile = profile_from_values([{"mem.allocated": 100.0}])
         plan = EmulationPlan.from_profile(profile)

@@ -103,6 +103,8 @@ def test_two_seeds_on_one_pair_replay_as_one_block(gromacs_profile):
     ({"io_block_size_write": "4KB"}, 2),
     ({"sample_rate": 2.0}, 1),  # the build does not read it
     ({}, 1),  # a fresh but equal config
+    ({"disk_load": 0.5}, 2),
+    ({"mem_load": "512MB"}, 2),
 ])
 def test_configs_share_a_compile_when_their_build_settings_are_equal(
     gromacs_profile, change, compiles

@@ -455,7 +455,7 @@ def test_unknown_machine_fails_each_request_with_its_own_context():
     for seed, result in enumerate(results):
         assert not result.ok
         assert f"profile request key=cell-{seed}" in result.error
-        assert "attempt 2/2" in result.error  # KeyError is retried
+        assert "attempt 1/2" in result.error  # an unknown name is fatal
         assert "nosuchmachine" in result.error
 
 

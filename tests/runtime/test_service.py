@@ -575,6 +575,25 @@ class TestFailureContext:
         assert "attempt 1/2" in result.error
         assert "WorkloadError" in result.error
 
+    @pytest.mark.parametrize("machine, config, name", [
+        ("frontier", SynapseConfig(), "frontier"),
+        ("stampede", SynapseConfig(io_filesystem="nope"), "nope"),
+        ("stampede", SynapseConfig(compute_kernel="nope"), "nope"),
+    ])
+    def test_an_unknown_name_fails_at_the_first_attempt(
+        self, gromacs_profile, machine, config, name
+    ):
+        """A machine, filesystem or kernel that nothing registers is as
+        unknown on the next attempt, so no retry or backoff is spent."""
+        request = RunRequest(
+            kind="emulate", target=gromacs_profile, machine=machine, config=config,
+            policy=RunPolicy(retries=3, backoff=0.2),
+        )
+        with RunService() as service:
+            [result] = service.run([request], rethrow=False, processes=1)
+        assert "attempt 1/4" in result.error
+        assert repr(name) in result.error
+
     def test_pooled_failures_carry_the_same_context(self):
         requests = [
             RunRequest(
@@ -620,5 +639,5 @@ class TestFailureContext:
         failure = report.failed[0]
         message = failure["error"]
         assert f"key={failure['cell']}" in message
-        assert "attempt 2/2" in message
+        assert "attempt 1/2" in message  # an unknown machine is fatal
         assert "profile request" in message

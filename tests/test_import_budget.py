@@ -145,9 +145,8 @@ def test_cli_package_still_exports_its_functions():
 #: is the facade above both and may.
 BELOW_THE_SERVICE = (
     "core", "sim", "storage", "watchers", "atoms", "kernels", "apps", "host",
-    "telemetry", "faults", "util", "load", "parallel", "analysis", "export",
+    "telemetry", "faults", "util", "parallel", "analysis", "export",
 )
-
 
 def _runtime_imports(path: Path) -> list[int]:
     """Lines of ``path`` that import ``repro.runtime`` (or a module in it)."""
@@ -178,3 +177,64 @@ def test_nothing_below_the_run_service_imports_it():
                 f"{path.relative_to(SRC)}:{line}" for line in _runtime_imports(path)
             ]
     assert offenders == []
+
+
+#: Where a user comes in: ``import repro``, ``python -m repro`` and the
+#: ``repro`` console script.
+ENTRY_POINTS = ("repro", "repro.__main__", "repro.cli.main")
+
+
+def _source_modules() -> dict[str, Path]:
+    """Dotted name -> file of every module under ``src/repro``."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _named_imports(name: str, path: Path) -> set[str]:
+    """Every module name ``path`` may import: ``import`` and ``from``
+    statements anywhere in the file (relative ones resolved, each
+    imported name also tried as a submodule) and ``import_module``
+    calls with a literal name."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                root = package.rsplit(".", node.level - 1)[0]
+                base = f"{root}.{base}" if base else root
+            named.add(base)
+            named.update(f"{base}.{alias.name}" for alias in node.names)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "import_module"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            named.add(node.args[0].value)
+    return named
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    """A module no entry point can import is code nothing runs: wire it
+    to a caller or delete it."""
+    modules = _source_modules()
+    reached: set[str] = set()
+    todo = list(ENTRY_POINTS)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        parts = name.split(".")
+        todo += [".".join(parts[:i]) for i in range(1, len(parts))]  # its packages
+        todo += _named_imports(name, modules[name])
+    unreached = sorted(set(modules) - reached)
+    assert not unreached, f"no entry point imports {unreached}"
