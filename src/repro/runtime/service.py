@@ -16,16 +16,20 @@ Determinism: each request carries ``(seed, index)`` (or an explicit
 ``noise_seed``) from which its noise stream derives, so results are
 bit-identical regardless of worker count, chunking or execution order.
 
-Supervision: pooled batches run under a parent-side supervisor that
-*enforces* per-attempt :class:`RunPolicy` timeout budgets (a hung
-worker is killed, its request failed with :class:`RunTimeoutError`,
-instead of stalling the batch forever), detects worker death
-(``BrokenProcessPool``), restarts the pool and requeues the in-flight
-requests exactly once per crash — and quarantines a *poison* request
-that keeps killing the pool with a
+Supervision: pooled batches run under a parent-side supervisor,
+:class:`_SupervisedRun`, as explicit steps — fill the dispatch window,
+settle what finished, recover — on three seams of the service (the
+pool, the wait on its futures, the clock; a test swaps them, nothing
+else can).  It *enforces* per-attempt :class:`RunPolicy` timeout
+budgets (a hung worker is killed, its request failed with
+:class:`RunTimeoutError`), detects worker death (``BrokenProcessPool``),
+restarts the pool and requeues the in-flight requests exactly once per
+crash — and quarantines a *poison* request with a
 :class:`~repro.core.errors.PoisonRequestError` after
 :data:`RunService.POISON_CRASH_LIMIT` crashes.  Every recovery action
-emits ``supervisor.*`` telemetry events and metrics.
+(crash, requeue, deadline kill, quarantine, fallback) emits a
+``supervisor.*`` event and counter.  Its invariants are explored by the
+state machine in ``tests/runtime/test_supervisor_machine.py``.
 
 When the pool cannot be used at all (constrained hosts, forbidden
 fork, unpicklable payloads) the requests it has not resolved run in the
@@ -134,9 +138,18 @@ class RunPolicy:
     jitter: bool = True
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("RunPolicy retries must be >= 0")
-        # Chained comparisons are False for NaN, so it fails them too.
+        # Comparisons are False for NaN (and ``inf % 1`` is NaN), so the
+        # non-finite fail the checks too; a bool is no count or duration.
+        if isinstance(self.retries, bool) or not (
+            self.retries >= 0 and self.retries % 1 == 0
+        ):
+            raise ValueError(
+                f"RunPolicy retries must be a finite whole number >= 0, "
+                f"got {self.retries!r}"
+            )
+        object.__setattr__(self, "retries", int(self.retries))
+        if isinstance(self.timeout, bool) or isinstance(self.backoff, bool):
+            raise ValueError("RunPolicy timeout and backoff must be numbers, not bools")
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise ValueError(
                 "RunPolicy timeout must be positive and finite (or None)"
@@ -172,19 +185,16 @@ class RunPolicy:
         unknown = set(data) - {"retries", "timeout", "backoff", "jitter"}
         if unknown:
             raise ValueError(f"unknown run policy keys: {sorted(unknown)}")
-        timeout = data.get("timeout")
         jitter = data.get("jitter", True)
         if not isinstance(jitter, bool):
             raise ValueError(f"run policy jitter must be a bool, not {jitter!r}")
         try:
             return cls(
-                retries=int(data.get("retries", 0)),
-                timeout=float(timeout) if timeout is not None else None,
-                backoff=float(data.get("backoff", 0.0)),
-                jitter=jitter,
+                retries=data.get("retries", 0), timeout=data.get("timeout"),
+                backoff=data.get("backoff", 0.0), jitter=jitter,
             )
-        # Non-numeric values (and int(Infinity)) -> one error type.
-        except (TypeError, OverflowError) as exc:
+        # Non-numeric and out-of-range values -> one error type.
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid run policy values: {exc}") from exc
 
 
@@ -427,7 +437,7 @@ def _attempt_request(
     """
     from repro.runtime.execute import dispatch  # noqa: PLC0415 (cycle)
 
-    policy = request.policy if request.policy is not None else RunPolicy()
+    policy = _policy(request)
     with span("run.request", kind=request.kind, key=request.key) as sp:
         start = time.perf_counter()
         outcome: Any = None
@@ -501,7 +511,7 @@ def _failure_context(
     that attempt ran before failing (so a stuck cell is distinguishable
     from an instant crash in the campaign's failure report).
     """
-    policy = request.policy if request.policy is not None else RunPolicy()
+    policy = _policy(request)
     key = f" key={request.key}" if request.key is not None else ""
     elapsed = (
         f", {attempt_seconds:.3f}s in attempt" if attempt_seconds is not None else ""
@@ -516,8 +526,12 @@ def _failed(request: RunRequest, exc: BaseException, seconds: float = 0.0) -> Ou
     """The outcome of a request that failed outside its retry loop (an
     exception escaped it, or the supervisor killed or quarantined it):
     charged to the whole policy budget."""
-    policy = request.policy if request.policy is not None else RunPolicy()
-    return False, seconds, exc, policy.attempts, None
+    return False, seconds, exc, _policy(request).attempts, None
+
+
+def _policy(request: RunRequest) -> RunPolicy:
+    """The policy ``request`` runs under (the default one when it has none)."""
+    return request.policy if request.policy is not None else RunPolicy()
 
 
 def _result(request: RunRequest, outcome: Outcome, rethrow: bool) -> RunResult:
@@ -551,27 +565,79 @@ DEADLINE_GRACE = 0.25
 _POLL_INTERVAL = 0.05
 
 
+class _ProcessPools:
+    """The pool seam's default: real worker processes."""
+
+    @staticmethod
+    def start(workers: int) -> Any:
+        import concurrent.futures  # noqa: PLC0415 - keep off the serial path
+
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init
+        )
+
+    @staticmethod
+    def stop(pool: Any, kill: bool) -> None:
+        """Shut ``pool`` down, with ``kill`` killing its workers first
+        (``shutdown()`` alone would *join* a hung worker forever).
+        ``wait=True``: a management thread left behind deadlocks
+        concurrent.futures' atexit join; idle workers make it cheap."""
+        if not kill:
+            pool.shutdown(wait=True, cancel_futures=True)
+            return
+        for process in list((pool._processes or {}).values()):
+            with contextlib.suppress(OSError):  # already gone
+                process.kill()
+        with contextlib.suppress(Exception):  # broken-pool teardown is best effort
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _wait_first(futures: set[Any]) -> set[Any]:
+    """The wait seam's default: the ``futures`` done within one poll."""
+    import concurrent.futures as cf  # noqa: PLC0415 - parallel path only
+
+    return cf.wait(futures, _POLL_INTERVAL, cf.FIRST_COMPLETED).done
+
+
+#: Per supervisor recovery action: its ``RunService.stats`` key, its
+#: registry counter and its bus event.
+_RECOVERIES = {
+    "pool_crashes": ("supervisor.pool.crashes", "supervisor.pool.crash"),
+    "deadline_kills": ("supervisor.deadline.kills", "supervisor.deadline.kill"),
+    "requeued": ("supervisor.requeued", "supervisor.requeue"),
+    "quarantined": ("supervisor.quarantined", "supervisor.quarantine"),
+    "fallbacks": ("supervisor.fallbacks", "supervisor.fallback"),
+}
+
+
 class _SupervisedRun:
-    """One supervised pooled batch of requests.
+    """One supervised pooled batch of requests, run as explicit steps.
 
     Resolves every request to its :data:`Outcome`: the one its worker
     returned, or a failure the supervisor charges to it — a
-    :class:`RunTimeoutError` when it outlived its budget and the pool
-    was killed, a :class:`~repro.core.errors.PoisonRequestError` when
-    its chunk killed the pool :data:`RunService.POISON_CRASH_LIMIT`
-    times.  When the pool proves unusable, the requests still
-    unresolved keep ``None`` and run in the parent.
+    :class:`RunTimeoutError` when it outlived its budget, a
+    :class:`~repro.core.errors.PoisonRequestError` when it was in
+    flight at :data:`RunService.POISON_CRASH_LIMIT` pool crashes.  When
+    the pool proves unusable, the requests still unresolved keep
+    ``None`` and run in the parent.
 
-    Dispatch is parent-side windowed: at most ``workers`` chunks are
-    submitted at any moment, so a submitted chunk is *executing*, which
-    makes deadline clocks honest (an item queued behind a hog never
-    burns its budget waiting) and crash blame precise (only chunks that
-    were actually on a worker when the pool broke are suspected).
+    A :meth:`step` is :meth:`settle` (take what finished, enforce
+    deadlines), then :meth:`fill` (top the dispatch window up, planning
+    the next round once the last is over); either may end in one
+    recovery — :meth:`_crash`, :meth:`_deadline` (both end the round in
+    :meth:`_requeue`) or :meth:`_fallback`.  The steps read the pool,
+    the wait and the clock from the service's seams (``_pools``,
+    ``_wait``, ``_clock``); ``tests/runtime/test_supervisor_machine.py``
+    drives them on a fake pool and a virtual clock.
+
+    At most ``workers`` chunks are in flight, so a submitted chunk is
+    *executing*: deadline clocks are honest (an item queued behind a
+    hog never burns its budget waiting) and crash blame is precise.
 
     Invariants: each item resolves exactly once; a pool crash requeues
-    each unresolved in-flight item exactly once (crash-suspected items
-    re-run one at a time — probe rounds — so a repeat crash attributes
-    to exactly one request before quarantine).
+    each unresolved in-flight item exactly once; crash suspects re-run
+    one at a time (probe rounds), so a repeat crash blames one request
+    and a bystander of a poison chunk is never quarantined.
     """
 
     def __init__(
@@ -582,248 +648,196 @@ class _SupervisedRun:
         self.requests = requests
         self.targets, self.machines, self.items = _pack(requests)
         self.workers = workers
-        self.budgets = [
-            request.policy.budget if request.policy is not None else None
-            for request in requests
-        ]
+        self.budgets = [_policy(request).budget for request in requests]
         #: Per item, the engine plan it replays (see :func:`_split_chunks`).
         self.plans = _plan_names(self.items)
         self.outcomes: list[Outcome | None] = [None] * n
         self.remaining = set(range(n))
         self.crashes = [0] * n
+        #: The round's chunks not yet submitted, in submission order.
+        self.queue: list[tuple[list[int], bytes]] = []
+        #: Submitted future -> (its chunk, the clock at submission).
+        self.in_flight: dict[Any, tuple[list[int], float]] = {}
+        self.usable = True
         self.bus = get_bus()
         self.registry = get_registry()
         self.telemetry = pack_context()
 
     def execute(self) -> list[Outcome | None]:
-        while self.remaining:
-            suspected = [
-                i for i in sorted(self.remaining) if self.crashes[i] > 0
-            ]
-            # Probe crash suspects one at a time: with a single chunk in
-            # flight, a repeat crash attributes to exactly one request —
-            # an innocent bystander of a poison request's chunk clears
-            # itself with one clean probe and is never quarantined.
-            batch = suspected[:1] if suspected else sorted(self.remaining)
-            if not self._round(batch):
-                break  # the pool is unusable: the rest run in the parent
+        while self.remaining and self.usable:
+            self.step()
         return self.outcomes
 
-    # -- one submission round -----------------------------------------------
+    def step(self) -> None:
+        self.settle()
+        self.fill()
 
-    def _round(self, pending: Sequence[int]) -> bool:
-        """Submit ``pending`` and watch it to quiescence.
+    def settle(self) -> None:
+        """Take the chunks that finished, then enforce deadlines."""
+        import concurrent.futures as cf  # noqa: PLC0415 - parallel path only
 
-        Returns False when the pool proved unusable (see
-        :meth:`_fallback`); True otherwise (the round either resolved
-        its items or left requeued ones in ``remaining`` for the next
-        round).
-        """
+        if not self.in_flight:
+            return
+        done = self.service._wait(set(self.in_flight))
+        broken = False
+        for future in [future for future in self.in_flight if future in done]:
+            try:
+                chunk_outcomes, events = future.result()
+            except cf.BrokenExecutor:
+                broken = True  # stays in flight: the crash blames it
+                continue
+            except Exception as exc:  # noqa: BLE001 - infra boundary
+                return self._fallback(exc)
+            chunk, _ = self.in_flight.pop(future)
+            self.bus.replay(events)
+            for i, outcome in zip(chunk, chunk_outcomes):
+                self.outcomes[i] = outcome
+                self.remaining.discard(i)
+        if broken:
+            return self._crash()
+        now = self.service._clock()
+        victims = [
+            (chunk[0], now - started)
+            for chunk, started in self.in_flight.values()
+            if len(chunk) == 1 and self.budgets[chunk[0]] is not None
+            and now - started > self.budgets[chunk[0]] + DEADLINE_GRACE
+        ]
+        if victims:
+            self._deadline(victims)
+
+    def fill(self) -> None:
+        """Submit queued chunks while fewer than ``workers`` are in flight."""
+        import concurrent.futures as cf  # noqa: PLC0415 - parallel path only
+
+        try:
+            if self.usable and not self.queue and not self.in_flight:
+                self.queue = self._plan()
+            while self.queue and len(self.in_flight) < self.workers:
+                chunk, payload = self.queue.pop(0)
+                pool = self.service._ensure_pool(self.workers)
+                future = pool.submit(_run_chunk, payload)
+                self.in_flight[future] = (chunk, self.service._clock())
+        except cf.BrokenExecutor:
+            self._crash()
+        except Exception as exc:  # noqa: BLE001 - infra boundary
+            self._fallback(exc)
+
+    def _plan(self) -> list[tuple[list[int], bytes]]:
+        """The next round's ``(chunk, payload)`` list: the first crash
+        suspect alone (a probe), or else every remaining item — budgeted
+        ones in singleton chunks, so a deadline attaches to one request,
+        the rest chunked."""
         import pickle  # noqa: PLC0415 - parallel path only
 
         from repro.runtime.execute import PlanScope  # noqa: PLC0415 (cycle)
 
-        # Budget-bearing and crash-suspected items ride in singleton
-        # chunks so deadlines and crash blame attach to one request;
-        # everything else keeps the chunked fast path.
-        singles = [
-            i for i in pending
-            if self.budgets[i] is not None or self.crashes[i] > 0
-        ]
-        bulk = [
-            i for i in pending
-            if self.budgets[i] is None and self.crashes[i] == 0
-        ]
-        chunks: list[list[int]] = [[i] for i in singles]
-        chunks.extend(_split_chunks(
+        pending = sorted(self.remaining)
+        singles: list[int] = []
+        bulk: list[int] = []
+        for i in [i for i in pending if self.crashes[i]][:1] or pending:
+            (bulk if self.budgets[i] is None else singles).append(i)
+        chunks = [[i] for i in singles] + _split_chunks(
             bulk, self.workers, [self.plans[i] for i in bulk]
-        ))
-        try:
-            # Each chunk gets a plan scope of its own (a scope cannot
-            # cross into a pool), declared from the chunk's requests;
-            # its groups and the tables pickle as one graph, so the
-            # worker's copies keep their identities.
-            payloads = [
-                pickle.dumps((
-                    self.targets, self.machines,
-                    PlanScope().declare_requests([self.requests[i] for i in chunk]),
-                    [self.items[i] for i in chunk], self.telemetry,
-                ))
-                for chunk in chunks
-            ]
-            self.service._ensure_pool(self.workers)
-        except Exception as exc:  # noqa: BLE001 - infra boundary
-            return self._fallback(exc)
-        return self._watch(list(zip(chunks, payloads)))
-
-    def _watch(self, work: list[tuple[list[int], bytes]]) -> bool:
-        import concurrent.futures as cf  # noqa: PLC0415
-
-        queue = list(reversed(work))  # pop() from the front of `work`
-        futures: dict[Any, list[int]] = {}
-        started: dict[Any, float] = {}
-        while queue or futures:
-            try:
-                while queue and len(futures) < self.workers:
-                    chunk, payload = queue.pop()
-                    future = self.service._ensure_pool(self.workers).submit(
-                        _run_chunk, payload
-                    )
-                    futures[future] = chunk
-                    started[future] = time.monotonic()
-            except cf.BrokenExecutor:
-                self._handle_crash(list(futures.values()))
-                return True
-            except Exception as exc:  # noqa: BLE001 - infra boundary
-                return self._fallback(exc)
-            done, _ = cf.wait(
-                set(futures), timeout=_POLL_INTERVAL,
-                return_when=cf.FIRST_COMPLETED,
-            )
-            now = time.monotonic()
-            crashed: list[list[int]] = []
-            for future in done:
-                chunk = futures.pop(future)
-                started.pop(future, None)
-                try:
-                    chunk_outcomes, events = future.result()
-                except cf.BrokenExecutor:
-                    crashed.append(chunk)
-                except Exception as exc:  # noqa: BLE001 - infra boundary
-                    return self._fallback(exc)
-                else:
-                    if events:
-                        self.bus.replay(events)
-                    for i, outcome in zip(chunk, chunk_outcomes):
-                        self.outcomes[i] = outcome
-                        self.remaining.discard(i)
-            if crashed:
-                self._handle_crash(crashed + list(futures.values()))
-                return True  # fresh pool next round
-            victims = [
-                future for future in futures
-                if len(futures[future]) == 1
-                and self.budgets[futures[future][0]] is not None
-                and now - started[future]
-                > self.budgets[futures[future][0]] + DEADLINE_GRACE
-            ]
-            if victims:
-                self._enforce_deadlines(victims, futures, started, now)
-                return True
-        return True
+        )
+        # Each chunk gets a plan scope of its own (a scope cannot cross
+        # into a pool), declared from the chunk's requests; its groups
+        # and the tables pickle as one graph, so the worker's copies
+        # keep their identities.
+        return [
+            (chunk, pickle.dumps((
+                self.targets, self.machines,
+                PlanScope().declare_requests([self.requests[i] for i in chunk]),
+                [self.items[i] for i in chunk], self.telemetry,
+            )))
+            for chunk in chunks
+        ]
 
     # -- recovery actions ----------------------------------------------------
 
-    def _handle_crash(self, in_flight: list[list[int]]) -> None:
-        """A worker died and broke the pool: blame, quarantine, requeue.
-
-        ``in_flight`` are the chunks that were on a worker when the pool
-        broke — under windowed dispatch, exactly the executing ones.
-        Each of their unresolved items gets one crash strike; an item
-        reaching :data:`RunService.POISON_CRASH_LIMIT` strikes is
-        quarantined with :class:`PoisonRequestError`, the rest stay in
-        ``remaining`` and requeue exactly once into the next round.
-        """
-        service = self.service
-        service._shutdown_pool()  # broken: discard, restart lazily
-        service.stats["pool_crashes"] += 1
-        self.registry.inc("supervisor.pool.crashes")
-        suspects = sorted(
-            {i for chunk in in_flight for i in chunk} & self.remaining
+    def _crash(self) -> None:
+        """A worker died and broke the pool: each unresolved item in
+        flight gets a crash strike; one at the limit is quarantined
+        with :class:`PoisonRequestError`, the rest requeue."""
+        self.service._shutdown_pool()  # broken: discard, restart lazily
+        suspects = self._in_flight_items()
+        keys = [self.requests[i].key for i in suspects]
+        self._record(
+            "pool_crashes", 1, "warning", chunks_in_flight=len(self.in_flight),
+            suspects=[i if key is None else key for i, key in zip(suspects, keys)],
         )
-        self.bus.event(
-            "supervisor.pool.crash", level="warning",
-            suspects=[self.requests[i].key if self.requests[i].key is not None
-                      else i for i in suspects],
-            chunks_in_flight=len(in_flight),
-        )
-        for i in suspects:
+        limit = self.service.POISON_CRASH_LIMIT
+        for i, key in zip(suspects, keys):
             self.crashes[i] += 1
-            if self.crashes[i] >= service.POISON_CRASH_LIMIT:
-                key = self.requests[i].key
+            if self.crashes[i] >= limit:
                 label = f"key={key}" if key is not None else f"#{i}"
-                exc = PoisonRequestError(
-                    f"request {label} killed the worker pool "
-                    f"{self.crashes[i]} times (limit "
-                    f"{service.POISON_CRASH_LIMIT}) and was quarantined",
+                self._charge(i, PoisonRequestError(
+                    f"request {label} killed the worker pool {self.crashes[i]} "
+                    f"times (limit {limit}) and was quarantined",
                     key=key, crashes=self.crashes[i],
-                )
-                self.outcomes[i] = _failed(self.requests[i], exc)
-                self.remaining.discard(i)
-                service.stats["quarantined"] += 1
-                self.registry.inc("supervisor.quarantined")
-                self.bus.event(
-                    "supervisor.quarantine", level="error",
-                    key=key, crashes=self.crashes[i],
-                )
-        survivors = sorted(
-            {i for chunk in in_flight for i in chunk} & self.remaining
-        )
-        if survivors:
-            service.stats["requeued"] += len(survivors)
-            self.registry.inc("supervisor.requeued", len(survivors))
-            self.bus.event(
-                "supervisor.requeue", level="info", count=len(survivors),
-            )
+                ), "quarantined", "error", crashes=self.crashes[i])
+        self._requeue()
 
-    def _enforce_deadlines(
-        self,
-        victims: list[Any],
-        futures: dict[Any, list[int]],
-        started: dict[Any, float],
-        now: float,
-    ) -> None:
-        """Kill the pool to stop over-budget items; fail them, requeue rest.
-
-        ProcessPoolExecutor cannot cancel a running call, so enforcement
-        is pool-wide: the victims fail with :class:`RunTimeoutError`,
-        every *other* in-flight item stays in ``remaining`` and requeues
-        (blame-free — the kill cause is known) on the fresh pool.
-        """
-        service = self.service
-        victim_items = set()
-        for future in victims:
-            i = futures[future][0]
-            victim_items.add(i)
-            elapsed = now - started[future]
+    def _deadline(self, victims: list[tuple[int, float]]) -> None:
+        """Fail the over-budget items and kill the pool (a running call
+        cannot be cancelled); the rest requeue blame-free."""
+        for i, elapsed in victims:
             budget = self.budgets[i]
-            exc = RunTimeoutError(
+            self._charge(i, RunTimeoutError(
                 f"request ran {elapsed:.3f}s, past its {budget:g}s policy "
                 f"budget (+{DEADLINE_GRACE:g}s grace); worker killed by "
                 f"the supervisor"
-            )
-            self.outcomes[i] = _failed(self.requests[i], exc, elapsed)
-            self.remaining.discard(i)
-            service.stats["deadline_kills"] += 1
-            self.registry.inc("supervisor.deadline.kills")
-            self.bus.event(
-                "supervisor.deadline.kill", level="warning",
-                key=self.requests[i].key, budget=budget, elapsed=elapsed,
-            )
-        service._kill_pool()
-        survivors = sorted(
-            {i for chunk in futures.values() for i in chunk}
-            & self.remaining
-        )
-        if survivors:
-            service.stats["requeued"] += len(survivors)
-            self.registry.inc("supervisor.requeued", len(survivors))
-            self.bus.event(
-                "supervisor.requeue", level="info", count=len(survivors),
-            )
+            ), "deadline_kills", "warning", elapsed, budget=budget, elapsed=elapsed)
+        self.service._shutdown_pool(kill=True)
+        self._requeue()
 
-    def _fallback(self, exc: BaseException) -> bool:
+    def _requeue(self) -> None:
+        """End the round: the unresolved items that were in flight stay
+        in ``remaining`` for the next one — each requeued once."""
+        survivors = self._in_flight_items()
+        self.in_flight.clear()
+        self.queue.clear()
+        if survivors:
+            self._record("requeued", len(survivors), "info", count=len(survivors))
+
+    def _fallback(self, exc: BaseException) -> None:
         """Pool infrastructure is unusable: leave the unresolved requests
         to the parent (:meth:`RunService.run` runs them serially)."""
         self.service._shutdown_pool()
-        self.service.stats["fallbacks"] += 1
+        self.usable = False
+        self.in_flight.clear()
+        self.queue.clear()
+        self._record(
+            "fallbacks", 1, "warning", items=len(self.remaining), error=repr(exc)
+        )
         warnings.warn(
             f"run service pool unavailable ({exc!r}); running "
             f"{len(self.remaining)} items serially",
             ParallelFallbackWarning,
             stacklevel=2,
         )
-        return False
+
+    def _in_flight_items(self) -> list[int]:
+        """The unresolved items in flight."""
+        return sorted(
+            {i for chunk, _ in self.in_flight.values() for i in chunk}
+            & self.remaining
+        )
+
+    def _charge(
+        self, i: int, exc: BaseException, stat: str, level: str,
+        seconds: float = 0.0, **attrs: Any,
+    ) -> None:
+        """Fail item ``i`` with ``exc``, a failure the supervisor charges."""
+        self.outcomes[i] = _failed(self.requests[i], exc, seconds)
+        self.remaining.discard(i)
+        self._record(stat, 1, level, key=self.requests[i].key, **attrs)
+
+    def _record(self, stat: str, amount: int, level: str, **attrs: Any) -> None:
+        """One recovery action: its stat, its counter and its event."""
+        counter, event = _RECOVERIES[stat]
+        self.service.stats[stat] += amount
+        self.registry.inc(counter, amount)
+        self.bus.event(event, level=level, **attrs)
 
 
 class RunService:
@@ -855,6 +869,12 @@ class RunService:
         self._processes = processes
         self._pool: Any = None
         self._pool_workers = 0
+        # The supervisor's seams (a test overrides them; no public
+        # option): how pools start and are killed, how it waits on
+        # pooled futures, and its clock.
+        self._pools: Any = _ProcessPools
+        self._wait: Callable[[set[Any]], set[Any]] = _wait_first
+        self._clock: Callable[[], float] = time.monotonic
         self.stats: dict[str, int] = {
             "batches": 0,
             "requests": 0,
@@ -886,44 +906,18 @@ class RunService:
         if self._pool is not None and self._pool_workers < workers:
             self._shutdown_pool()
         if self._pool is None:
-            import concurrent.futures  # noqa: PLC0415 - keep off the serial path
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init
-            )
+            self._pool = self._pools.start(workers)
             self._pool_workers = workers
             self.stats["pool_starts"] += 1
         return self._pool
 
-    def _shutdown_pool(self) -> None:
-        # wait=True: leaving the executor's management thread behind
-        # deadlocks concurrent.futures' atexit join at interpreter
-        # shutdown; the workers are idle between batches, so waiting is
-        # cheap.
+    def _shutdown_pool(self, kill: bool = False) -> None:
+        """Release the pool (``kill``: terminate its workers, for
+        deadline enforcement); the next parallel batch, or supervision
+        round, lazily starts a fresh one."""
         pool, self._pool, self._pool_workers = self._pool, None, 0
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _kill_pool(self) -> None:
-        """Forcibly terminate every pool worker (deadline enforcement).
-
-        ``shutdown()`` alone would *join* a hung worker and block
-        forever; killing the worker processes first makes the executor
-        notice the breakage and release everything.  The next batch (or
-        supervision round) lazily starts a fresh pool.
-        """
-        pool, self._pool, self._pool_workers = self._pool, None, 0
-        if pool is None:
-            return
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.kill()
-            except OSError:  # already gone
-                pass
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - broken-pool teardown is best effort
-            pass
+            self._pools.stop(pool, kill)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent); the service stays usable
@@ -1065,7 +1059,7 @@ def batch_budget(requests: Sequence[RunRequest]) -> float | None:
     """
     total = 0.0
     for request in requests:
-        budget = request.policy.budget if request.policy is not None else None
+        budget = _policy(request).budget
         if budget is None:
             return None
         total += budget

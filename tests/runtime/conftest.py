@@ -21,6 +21,13 @@ settings.register_profile(
     MACHINE_PROFILE, max_examples=300, stateful_step_count=60, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The wide search of ``test_supervisor_machine.py``, the same way:
+#: ``--hypothesis-profile=supervisor-machine --hypothesis-seed=N``.
+SUPERVISOR_PROFILE = "supervisor-machine"
+settings.register_profile(
+    SUPERVISOR_PROFILE, max_examples=1000, stateful_step_count=50,
+    deadline=None, suppress_health_check=[HealthCheck.too_slow],
+)
 #: The wide search of ``test_campaign_determinism.py``, the same way:
 #: ``--hypothesis-profile=determinism --hypothesis-seed=N``.
 DETERMINISM_PROFILE = "determinism"

@@ -408,6 +408,7 @@ class TestRunPolicy:
     def test_validation(self):
         assert RunPolicy().attempts == 1
         assert RunPolicy(retries=2).attempts == 3
+        assert type(RunPolicy(retries=2.0).retries) is int
         with pytest.raises(ValueError, match="retries"):
             RunPolicy(retries=-1)
         with pytest.raises(ValueError, match="timeout"):
@@ -430,7 +431,7 @@ class TestRunPolicy:
         with pytest.raises(ValueError):
             RunPolicy.from_dict({"retries": [1]})
 
-    @pytest.mark.parametrize("field", ["timeout", "backoff"])
+    @pytest.mark.parametrize("field", ["timeout", "backoff", "retries"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_numbers(self, field, value):
         """A NaN timeout would switch enforcement off, an infinite
@@ -439,6 +440,13 @@ class TestRunPolicy:
             RunPolicy(**{field: value})
         with pytest.raises(ValueError, match="finite"):
             RunPolicy.from_dict({field: value})
+        # Nor a bool, nor a fractional retry count (one used to
+        # construct, then crash its batch past ``rethrow=False``).
+        for bad in [True] + ([1.5, -0.5] if field == "retries" else []):
+            with pytest.raises(ValueError, match=field):
+                RunPolicy(**{field: bad})
+            with pytest.raises(ValueError, match="invalid run policy values"):
+                RunPolicy.from_dict({field: bad})
 
     def test_from_dict_needs_a_bool_jitter_and_a_finite_retry_count(self):
         with pytest.raises(ValueError, match="jitter must be a bool"):
@@ -536,6 +544,14 @@ class TestRunPolicy:
                 "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
                 "policy": {"timeout": {}},  # non-numeric, not just unknown
             })
+        # Rejected, not truncated: the spec's policy is the one it runs.
+        for policy in ({"retries": 1.5}, {"retries": -0.5}, {"retries": True},
+                       {"timeout": True}, {"backoff": True}):
+            with pytest.raises(ConfigError, match="invalid campaign policy"):
+                CampaignSpec.from_dict({
+                    "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
+                    "policy": policy,
+                })
 
     @pytest.mark.parametrize("policy", [
         '{"backoff": Infinity, "retries": 1}',
