@@ -27,10 +27,10 @@ import numpy as np
 
 from repro.atoms.base import AtomWork
 from repro.core.config import SynapseConfig
-from repro.core.errors import EmulationError
+from repro.core.errors import EmulationError, WorkloadError
 from repro.core.samples import Profile
 from repro.kernels.registry import get_kernel
-from repro.sim.packed import PackedBuilder, PackedWorkload
+from repro.sim.packed import PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.telemetry.spans import span
 
@@ -379,9 +379,13 @@ class EmulationPlan:
         becomes a concurrent stream inside it.  Compute demands carry the
         selected kernel's workload class and the target cycle budget, so
         the machine's calibration bias applies exactly as on real
-        hardware.  The demands go straight into columns: a plan of
-        thousands of samples never materialises per-demand objects.
-        The build does not depend on ``machine``.  Emits one
+        hardware.  The build is one Python pass over the samples into
+        plain row lists, turned into columns at the end (see
+        :meth:`_build`): a plan of thousands of samples never
+        materialises per-demand objects, nor calls a builder per
+        demand.  The build does not depend on ``machine``, so an
+        emulation on several machines builds once (and the run service
+        lays the result out once for all of them).  Emits one
         ``emulate.compile`` span (``samples=``, ``demands=``).
 
         The artificial loads of §4.3 are built in here.  ``cpu_load``
@@ -400,77 +404,125 @@ class EmulationPlan:
         return workload
 
     def _build(self, settings: BuildSettings) -> PackedWorkload:
+        """The workload of :meth:`build_packed_workload`, in one pass
+        over the samples into plain per-kind row lists, which
+        :meth:`PackedWorkload.from_rows` unzips into columns (as it does
+        for :func:`~repro.sim.packed.pack_workload`).  Columns, name
+        tables and errors are those
+        :class:`~repro.sim.packed.PackedBuilder` makes of the same
+        demands appended one by one (the oracle of
+        ``tests/core/test_plan_compile.py``): a demand's check raises at
+        the first demand that fails it, so a bad setting of a kind of
+        demand the plan never makes (a zero read block with no I/O
+        sample) raises nothing.
+        """
         kernel = get_kernel(settings.compute_kernel)
-        b = PackedBuilder(
-            f"synapse-emulate {self.command}",
-            base_rss=EMULATOR_BASE_RSS + settings.mem_load,
-            metadata={
-                "emulation_of": self.command,
-                "kernel": kernel.name,
-                "command": f"synapse-emulate {self.command}",
-            },
-        )
-
-        b.phase("emulator-startup")
-        b.stream("driver")
-        b.sleep(EMULATOR_STARTUP_SLEEP)
-        b.compute(
-            instructions=EMULATOR_STARTUP_INSTRUCTIONS,
-            workload_class="app.startup",
-        )
-
+        command = f"synapse-emulate {self.command}"
         # The loop reads plain locals: it runs once per plan sample.
         threads, paradigm = settings.threads, settings.paradigm
         stall_ratio, load_fraction = settings.stall_ratio, settings.cpu_load
-        disk_load = settings.disk_load
-        fs, workload_class = settings.filesystem, kernel.workload_class
+        disk_load, fs = settings.disk_load, settings.filesystem
+        workload_class = kernel.workload_class
         read_block, write_block = settings.read_block, settings.write_block
         mem_block, net_block = settings.mem_block, settings.net_block
-        for index, cycles, flops, alloc, freed, read, written, sent, received in (
+        # What ``PackedBuilder.compute`` checks of every kernel demand
+        # alike, in its order (the flops fraction comes between).
+        threads_error = "threads must be >= 1" if threads < 1 else None
+        stall_error = (
+            "stall_ratio must be non-negative"
+            if stall_ratio is not None and stall_ratio < 0 else None
+        )
+
+        # The driver stream of the startup phase: sleep, then compute.
+        c_rows: list[tuple] = [(
+            1, EMULATOR_STARTUP_INSTRUCTIONS, None, "app.startup", 0.0, 1,
+            "serial", None,
+        )]
+        i_rows: list[tuple] = []
+        m_rows: list[tuple] = []
+        n_rows: list[tuple] = []
+        stream_phase, stream_first = [0], [0]
+        n, n_phases = 2, 1
+        for _, cycles, flops, alloc, freed, read, written, sent, received in (
             self.samples.rows()
         ):
             # ``AtomWork.empty``: nothing but (possibly) flops.
             if not (cycles or alloc or freed or read or written or sent or received):
                 continue
-            b.phase(f"sample-{index}")
+            phase = n_phases
+            n_phases += 1
             if cycles > 0:
-                b.stream("compute")
-                b.compute(
-                    instructions=0.0,
-                    workload_class=workload_class,
-                    calibrated_cycles=cycles,
-                    flops_per_instruction=min(1.0, flops / cycles),
-                    threads=threads,
-                    paradigm=paradigm,
-                    stall_ratio=stall_ratio,
+                fpi = min(1.0, flops / cycles)
+                if threads_error or stall_error or not 0.0 <= fpi <= 1.0:
+                    raise WorkloadError(threads_error or (
+                        stall_error if 0.0 <= fpi <= 1.0
+                        else "flops_per_instruction must be in [0, 1]"
+                    ))
+                stream_phase.append(phase)
+                stream_first.append(n)
+                c_rows.append(
+                    (n, 0.0, cycles, workload_class, fpi, threads, paradigm, stall_ratio)
                 )
+                n += 1
                 if load_fraction > 0:
                     # Artificial background load (§4.3): co-scheduled CPU
                     # work proportional to the sample's own cycle budget.
-                    b.stream("cpu-load")
-                    b.compute(
-                        instructions=0.0,
-                        workload_class=workload_class,
-                        calibrated_cycles=cycles * load_fraction,
-                    )
+                    stream_phase.append(phase)
+                    stream_first.append(n)
+                    c_rows.append((
+                        n, 0.0, cycles * load_fraction, workload_class, 0.0, 1,
+                        "serial", None,
+                    ))
+                    n += 1
             if read > 0 or written > 0:
-                b.stream("storage")
+                stream_phase.append(phase)
+                stream_first.append(n)
                 if read > 0:
-                    b.io(bytes_read=read, block_size=read_block, filesystem=fs)
+                    if read_block <= 0:
+                        raise WorkloadError("block size must be positive")
+                    i_rows.append((n, read, 0, read_block, fs))
+                    n += 1
                 if written > 0:
-                    b.io(bytes_written=written, block_size=write_block, filesystem=fs)
+                    if write_block <= 0:
+                        raise WorkloadError("block size must be positive")
+                    i_rows.append((n, 0, written, write_block, fs))
+                    n += 1
                 if disk_load > 0:
                     # Its I/O twin: writes sized from the sample's own bytes.
-                    b.stream("disk-load")
-                    b.io(
-                        bytes_written=round((read + written) * disk_load),
-                        block_size=write_block,
-                        filesystem=fs,
-                    )
+                    extra = round((read + written) * disk_load)
+                    if extra < 0:
+                        raise WorkloadError("I/O byte counts must be non-negative")
+                    if write_block <= 0:
+                        raise WorkloadError("block size must be positive")
+                    stream_phase.append(phase)
+                    stream_first.append(n)
+                    i_rows.append((n, 0, extra, write_block, fs))
+                    n += 1
             if alloc > 0 or freed > 0:
-                b.stream("memory")
-                b.memory(allocate=alloc, free=freed, block_size=mem_block)
+                if alloc < 0 or freed < 0:
+                    raise WorkloadError("memory byte counts must be non-negative")
+                if mem_block <= 0:
+                    raise WorkloadError("block size must be positive")
+                stream_phase.append(phase)
+                stream_first.append(n)
+                m_rows.append((n, alloc, freed, mem_block))
+                n += 1
             if sent > 0 or received > 0:
-                b.stream("network")
-                b.network(bytes_sent=sent, bytes_received=received, block_size=net_block)
-        return b.build()
+                if sent < 0 or received < 0:
+                    raise WorkloadError("network byte counts must be non-negative")
+                if net_block <= 0:
+                    raise WorkloadError("block size must be positive")
+                stream_phase.append(phase)
+                stream_first.append(n)
+                n_rows.append((n, sent, received, net_block))
+                n += 1
+        return PackedWorkload.from_rows(
+            command,
+            EMULATOR_BASE_RSS + settings.mem_load,
+            {"emulation_of": self.command, "kernel": kernel.name, "command": command},
+            n,
+            n_phases,
+            # Streams tile the demands in order: each ends where the next starts.
+            (stream_phase, stream_first, stream_first[1:] + [n]),
+            (c_rows, i_rows, m_rows, n_rows, [(0, EMULATOR_STARTUP_SLEEP)]),
+        )

@@ -48,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import numbers
 import os
 import random
 import secrets
@@ -89,6 +90,25 @@ DEFAULT_CHECKPOINT = 8
 #: Attempts per ledger store operation (scans, artifact and marker
 #: writes) before a transient store failure fails the campaign.
 STORE_ATTEMPTS = 3
+
+
+def wave_limits(size_name: str, size: Any, limit: Any = None) -> tuple[int, int | None]:
+    """A campaign loop's wave size and cap, checked: ``size`` (the
+    ``checkpoint`` of :func:`run_campaign`, the ``batch`` of an elastic
+    worker) a whole number >= 1, ``limit`` ``None`` or a whole number
+    >= 0.  A whole float comes back as an ``int``; a bool, a fraction, a
+    non-finite or non-numeric value is a :class:`ConfigError` naming the
+    parameter, raised before the loop touches the store."""
+
+    def whole(name: str, value: Any, least: int) -> int:
+        # ``% 1`` is NaN for infinities; a NaN fails both tests.
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            value >= least and value % 1 == 0
+        ):
+            raise ConfigError(f"{name} must be a whole number >= {least}, not {value!r}")
+        return int(value)
+
+    return whole(size_name, size, 1), None if limit is None else whole("limit", limit, 0)
 
 
 def _store_op(what: str, fn: Callable[[], Any]) -> Any:
@@ -824,15 +844,15 @@ def run_campaign(
     ``campaign.store.retry`` / ``campaign.interrupted`` /
     ``campaign.finish`` events on the process bus.
     """
+    step, limit = wave_limits("checkpoint", checkpoint, limit)
     with _sweep(
         spec, store, member=new_member(), service=service,
         processes=processes, progress=progress,
     ) as sweep:
         pending = sweep.pending()
         if limit is not None and len(pending) > limit:
-            pending = sweep.scope = pending[: max(0, limit)]
+            pending = sweep.scope = pending[:limit]
             sweep.truncated = True
-        step = max(1, checkpoint)
         n_waves = (len(pending) + step - 1) // step
         for wave_no in range(1, n_waves + 1):
             if stop is not None and stop():

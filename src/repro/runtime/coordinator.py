@@ -93,6 +93,7 @@ from repro.runtime.campaign import (
     _sweep,
     completed_cells,
     new_member,
+    wave_limits,
 )
 from repro.runtime.service import RunService, batch_budget
 from repro.telemetry.events import get_bus
@@ -500,7 +501,7 @@ class _Worker:
     ) -> None:
         self.sweep, self.store = sweep, sweep.store
         self.name, self.campaign = sweep.member, sweep.spec.name
-        self.ttl, self.batch, self.limit = ttl, max(1, batch), limit
+        self.ttl, self.batch, self.limit = ttl, batch, limit
         self.stop, self.clock = stop, clock
         self.lock = threading.Lock()
         sweep.store_op = self._op  # ledger reads queue behind the heartbeat
@@ -757,6 +758,7 @@ def elastic_worker(
     if any(c in worker for c in "=,\n"):
         raise ConfigError(f"worker name {worker!r} must be free of '=', ',' and newlines")
     _check_ttl(lease_ttl)
+    batch, limit = wave_limits("batch", batch, limit)
     with _sweep(
         spec, store, member=worker, service=service, processes=processes,
         progress=progress,
@@ -839,6 +841,7 @@ def run_elastic(
     if workers < 1:
         raise ConfigError("run_elastic needs at least one worker")
     _check_ttl(lease_ttl)  # here, not in every child it would kill
+    batch, _ = wave_limits("batch", batch)
     if store_url in ("memory://", "mongo://"):
         raise ConfigError(
             f"a fleet shares state only through the store; {store_url!r} is "

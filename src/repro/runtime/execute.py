@@ -31,7 +31,7 @@ from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
 from repro.runtime.service import RunRequest
 from repro.sim.backend import SimBackend, _noise_for, _resolve_target
-from repro.sim.engine import Engine, block_rows
+from repro.sim.engine import Engine, Layout, block_rows
 from repro.sim.machines import resolve_machine
 from repro.sim.noise import NoiseModel
 from repro.sim.process import SimProcess
@@ -120,24 +120,30 @@ class Emulation:
 
     ``source`` is what the requests name (the scope finds the emulation
     by its identity and the settings), ``plan`` the emulation plan made
-    of it.  :meth:`build_packed` compiles the plan the first time a pair
-    prepares and hands every later pair the same workload, since the
-    build does not depend on the machine.  ``pairs`` counts the scope's
-    live pairs of it.
+    of it.  :meth:`layout` compiles the plan (``workload``) and lays it
+    out for the engine (``laid_out``) the first time a pair prepares,
+    and hands every later pair the same layout: neither step depends on
+    the machine, so an emulation on four machines compiles and lays out
+    once and binds four times.  Both go with the emulation when the
+    scope lets go of it.  ``pairs`` counts the scope's live pairs of it.
     """
 
-    __slots__ = ("source", "plan", "config", "settings", "workload", "pairs")
+    __slots__ = (
+        "source", "plan", "config", "settings", "workload", "laid_out", "pairs",
+    )
 
     def __init__(self, source: Any, plan: EmulationPlan, config: SynapseConfig) -> None:
         self.source, self.plan, self.config = source, plan, config
         self.settings: BuildSettings = plan.build_settings(config)
         self.workload: Any = None
+        self.laid_out: Layout | None = None
         self.pairs = 0
 
-    def build_packed(self, machine: Any) -> Any:
-        if self.workload is None:
+    def layout(self, machine: Any) -> Layout:
+        if self.laid_out is None:
             self.workload = self.plan.build_packed_workload(self.config, machine)
-        return self.workload
+            self.laid_out = Engine.layout(self.workload)
+        return self.laid_out
 
 
 def _emulation_plan(target: Any, config: SynapseConfig) -> EmulationPlan:
@@ -388,8 +394,9 @@ def _replayed(
 
     A request whose record is waiting in its pair's group takes it.
     Otherwise it replays one block itself: the first of a pair to get
-    here resolves the machine, builds the workload and prepares the
-    plan, and every one replays the next
+    here resolves the machine, builds the workload (for an emulation,
+    the layout all its machines share) and prepares the plan, and every
+    one replays the next
     :func:`~repro.sim.engine.block_rows` declared rows from its own on
     (:meth:`PlanGroup.claim`) with
     :meth:`~repro.sim.engine.Engine.replay_many`, keeps its own record
@@ -417,15 +424,18 @@ def _replayed(
     left: list[tuple[NoiseRow, Any]] = []
     if record is None:
         plan = group.plan
+        engine = Engine(resolve_machine(machine) if plan is None else plan.machine)
+        spec = engine.machine
         if plan is None:
-            spec = resolve_machine(machine)
-            plan = Engine(spec).prepare(_resolve_target(target, spec))
-        spec = plan.machine
+            plan = engine.prepare(
+                target.layout(spec) if isinstance(target, Emulation)
+                else _resolve_target(target, spec)
+            )
         rows = group.claim(row, block_rows(plan))
         declared = bool(rows)
         rows = rows or [row]
         try:
-            record, *others = Engine(spec).replay_many(
+            record, *others = engine.replay_many(
                 plan, [_noise_model(each, spec, plan) for each in rows]
             )
         except Exception:
@@ -523,10 +533,10 @@ def _execute_emulate(
     The request's :class:`Emulation` — the scope's, or one of its own —
     is the target of its pair, so the pair replays through
     :func:`_replayed` like any other: the first of the emulation's pairs
-    to prepare compiles the plan, and each pair replays its seeds as
-    blocks.  The record reaches the result through the emulator's
-    ``replay(plan, record)``, which spawns it on a backend in the
-    request's spawn slot.
+    to prepare compiles and lays out the plan, each pair binds that
+    layout to its machine and replays its seeds as blocks.  The record
+    reaches the result through the emulator's ``replay(plan, record)``,
+    which spawns it on a backend in the request's spawn slot.
     """
     config = (
         plans.config(request.config) if plans is not None

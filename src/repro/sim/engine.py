@@ -35,19 +35,25 @@ seed boundary, and the split is the only path:
 
 * :meth:`Engine.prepare` does everything that depends on the
   (workload, machine) pair alone and returns a read-only
-  :class:`Prepared` plan.  Packed workloads *bind* (machine parameters
-  resolved once per distinct class / paradigm / filesystem and fanned
-  out by interned code); object workloads are packed first (one Python
-  pass over the demand objects, :func:`~repro.sim.packed.pack_workload`)
-  and then bound — one way in, one flat per-type view.
-  Batched cost kernels then evaluate every compute / I-O / memory /
-  network demand at once (closed-form per-demand formulas; the scalar
-  reference lives in ``tests/sim/test_cost_oracle.py`` and the
-  analytical predictor mirrors it), phase contention scales the
-  durations, and the noise slot array is laid out: per demand, its
-  duration followed by its counter amounts — the order the scalar engine
-  made its draws in, so seeded runs reproduce its noise stream bit for
-  bit (zero values skip their draw in both).
+  :class:`Prepared` plan, in two steps and only these.
+  :meth:`Engine.layout` does the half that depends on the workload
+  alone — the stream table and timeline segments, the demand positions,
+  the noise slot layout (per demand, its duration followed by its
+  counter amounts: the order the scalar engine made its draws in, so
+  seeded runs reproduce its noise stream bit for bit), the I/O
+  contention factors — and returns a :class:`Layout`; object workloads
+  are packed first (one Python pass over the demand objects,
+  :func:`~repro.sim.packed.pack_workload`), so there is one way in.
+  The *bind* then resolves machine parameters once per distinct class /
+  paradigm / filesystem, fanned out by interned code, counts the CPU
+  contention, and evaluates every compute / I-O / memory / network
+  demand at once with batched cost kernels (closed-form per-demand
+  formulas; the scalar reference lives in
+  ``tests/sim/test_cost_oracle.py`` and the analytical predictor
+  mirrors it) into the contention-scaled slot values, and the table of
+  the slots a replay draws for (zero values skip their draw, as they
+  did in the scalar engine).  A workload emulated on several machines
+  is laid out once and bound once per machine.
 * :meth:`Engine.replay_many` replays a plan under any number of noise
   models — the *rows* of a block.  Each model draws its own row of the
   slot array as one RNG batch; everything after that runs once over
@@ -98,7 +104,7 @@ from repro.telemetry.spans import span
 from repro.util.timeseries import TimeSeries
 
 __all__ = [
-    "Engine", "ExecutionRecord", "IOEvent", "Prepared", "RecordBlock",
+    "Engine", "ExecutionRecord", "IOEvent", "Layout", "Prepared", "RecordBlock",
     "block_rows", "rows_run",
 ]
 
@@ -525,32 +531,57 @@ _COMPUTE, _IO, _MEM, _NET, _SLEEP = range(5)
 _COUNTER_SLOTS = np.array([5, 2, 2, 2, 0], dtype=np.int64)
 
 
-class _Gather:
-    """Flat per-type view of one workload bound to one machine.
+class Layout:
+    """One workload laid out for the engine, on no machine in particular.
 
-    The transient input of the cost stage: :meth:`Engine._bind` produces
-    it, :meth:`Engine.prepare` consumes it and keeps only the
-    :class:`Prepared` plan.
+    Everything :meth:`Engine.prepare` works out that does not depend on
+    the machine: the ``(streams, 3)`` table of ``(phase, first demand,
+    end demand)`` and the segments the timeline walks it in (see
+    :func:`_timeline_layout`), the demand positions per kind, the noise
+    slot layout (``slot_bases``: each demand's duration slot, its
+    counter slots following it; ``slot_durations`` marks the duration
+    slots), the I/O contention factors (streams sharing a filesystem in
+    a phase), how the compute demands cut into streams for the CPU
+    contention count, the seed-independent half of the RSS fold, and the
+    packed columns the bind reads.  Built by :meth:`Engine.layout`;
+    :meth:`Engine.prepare` binds it to a machine, any number of times.
 
-    ``*_pos`` fields hold the global demand index of every demand of one
-    type, in execution order; the companion arrays hold that type's
-    attributes in the same order (the machine-derived ones — ``c_ipc``
-    … ``c_over``, ``i_rlat`` … ``i_wbw`` — only when the type has
-    demands).  ``streams`` is the ``(streams, 3)`` table of ``(phase,
-    first demand, end demand)``; ``contention`` is the per-demand phase
-    slowdown factor (CPU oversubscription for compute, shared-filesystem
-    streams for I/O, 1.0 otherwise).
+    A layout refers to the workload's column arrays instead of copying
+    them (read-only views where a plan hands them on), so it stays valid
+    while nobody writes into those arrays — the rule a plan's views have
+    always followed.  Only its owner keeps it: an
+    :class:`~repro.runtime.execute.Emulation` keeps one for every
+    machine its plan is emulated on, and it goes with the emulation.
     """
 
     __slots__ = (
-        "n", "kinds", "contention", "streams", "n_phases",
-        "c_pos", "c_instr", "c_cc", "c_ipc", "c_bias", "c_sr", "c_ff",
-        "c_fpi", "c_factor", "c_over", "c_workers",
-        "i_pos", "i_read", "i_written", "i_block", "i_fs",
-        "i_rlat", "i_wlat", "i_rblend", "i_wbw",
-        "m_pos", "m_phase", "m_alloc", "m_free", "m_block",
-        "n_pos", "n_sent", "n_recv", "n_block",
-        "s_pos", "s_secs",
+        "name", "base_rss", "metadata", "n", "n_phases", "streams", "segments",
+        "run_phases", "pos", "n_slots", "slot_bases", "slot_durations",
+        "slot_groups", "s_bases", "s_secs",
+        "class_names", "paradigm_names", "c_instr", "c_cc", "c_class", "c_fpi",
+        "c_threads", "c_paradigm", "c_sr", "c_segments", "c_segment_phase", "c_phase",
+        "fs_names", "i_fs_code", "i_read", "i_written", "i_block", "i_fs",
+        "i_contention",
+        "m_alloc", "m_free", "m_block", "m_phase", "m_deltas",
+        "n_sent", "n_recv", "n_block",
+    )
+
+
+class _Gather:
+    """The machine's half of one bind: what :meth:`Engine._lookup`
+    resolves of a :class:`Layout` on the engine's machine, per demand of
+    a kind, in the layout's order — the cost kernels' machine inputs.
+
+    ``c_ipc`` … ``c_over`` come from the workload class and paradigm
+    tables, ``c_workers`` is ``min(threads, cores)`` and
+    ``c_contention`` the phase CPU oversubscription factor of each
+    compute demand; ``i_rlat`` … ``i_wbw`` come from the filesystem
+    table.  A kind's fields are set only when it has demands.
+    """
+
+    __slots__ = (
+        "c_ipc", "c_bias", "c_sr", "c_ff", "c_factor", "c_over", "c_workers",
+        "c_contention", "i_rlat", "i_wlat", "i_rblend", "i_wbw",
     )
 
 
@@ -599,29 +630,39 @@ def _unchanged(workload: SimWorkload, snapshot: tuple) -> bool:
 class Prepared:
     """One workload bound to one machine, costed and laid out.
 
-    Everything :meth:`Engine.run` needs that no seed changes: demand
-    positions per kind, contention-scaled base durations and base
-    counter amounts, the noise slot layout, stream/phase structure (and
-    how the timeline walks it: see :func:`_timeline_layout`) and the
-    seed-independent halves of the level folds.  Built by
-    :meth:`Engine.prepare`; replayed any number of times, by any engine
-    on the same machine, each replay drawing its own noise.
+    Everything :meth:`Engine.run` needs that no seed changes: what the
+    workload's :class:`Layout` holds (demand positions per kind, the
+    noise slot layout, stream/phase structure and how the timeline walks
+    it: see :func:`_timeline_layout`), and what the bind adds on the
+    machine — contention-scaled base durations and base counter amounts
+    (``slot_values``), the draw table, and the machine-dependent half of
+    the thread-level fold.  Built by :meth:`Engine.prepare`; replayed
+    any number of times, by any engine on the same machine, each replay
+    drawing its own noise.
+
+    The draw table says which slots take a noise draw and how:
+    ``draws`` are the slots whose value is nonzero, in slot order, and
+    ``draw_durations`` marks which of those are durations (the others
+    are counter amounts).  :meth:`Engine._draw_noise` draws exactly
+    those, so no slot is ever scaled by ``exp(0)``.
 
     Every array is a read-only view, so a plan shared by the requests
-    of a run-service batch cannot be altered by one of them.  The plan
-    does not track its source: :meth:`Engine.prepare` always builds a
-    new one, and only :meth:`Engine.run` checks a kept plan against the
-    object workload it was built from.  ``streams`` is the raw
-    ``(streams, 3)`` table of ``(phase, first demand, end demand)``; ``segments`` is the same structure cut
-    the way :meth:`Engine._timeline` walks it.  ``replays`` — how many runs have used the plan — is the
-    one field a replay touches; it is what telemetry reads to tell a
-    plan's first use (``built``) from a later one (``reused``).
+    of a run-service batch cannot be altered by one of them; plans bound
+    from one layout share its arrays.  The plan does not track its
+    source: :meth:`Engine.prepare` always builds a new one, and only
+    :meth:`Engine.run` checks a kept plan against the object workload it
+    was built from.  ``streams`` is the raw ``(streams, 3)`` table of
+    ``(phase, first demand, end demand)``; ``segments`` is the same
+    structure cut the way :meth:`Engine._timeline` walks it.
+    ``replays`` — how many runs have used the plan — is the one field a
+    replay touches; it is what telemetry reads to tell a plan's first
+    use (``built``) from a later one (``reused``).
     """
 
     __slots__ = (
         "machine", "name", "base_rss", "metadata",
         "n", "n_phases", "streams", "segments", "run_phases", "pos",
-        "slot_values", "slot_bases", "slot_groups",
+        "slot_values", "slot_bases", "slot_groups", "draws", "draw_durations",
         "m_phase", "m_deltas", "t_pos", "t_extra",
         "i_read", "i_written", "i_block", "i_fs",
         "replays", "__weakref__",
@@ -634,7 +675,8 @@ class Prepared:
 class Engine:
     """Executes workloads against one machine model.
 
-    :meth:`prepare` turns a workload into a seed-independent
+    :meth:`prepare` turns a workload (or its machine-free
+    :class:`Layout`, see :meth:`layout`) into a seed-independent
     :class:`Prepared` plan for this machine; :meth:`run` replays a plan
     (preparing first when handed a workload) under this engine's noise
     model, :meth:`replay_many` under as many noise models as it is
@@ -651,65 +693,149 @@ class Engine:
         # replaced whole, so a shared engine can at worst prepare twice.
         self._memo: tuple[tuple, Prepared] | None = None
 
+    # -- layout (machine-free) ---------------------------------------------------
+
+    @staticmethod
+    def layout(workload: SimWorkload | PackedWorkload) -> Layout:
+        """Lay a workload out for the engine, on no machine in particular.
+
+        The half of :meth:`prepare` that reads the workload alone (see
+        :class:`Layout`): object workloads are packed first, in one
+        Python pass over the demand objects
+        (:func:`~repro.sim.packed.pack_workload`).  Bind the layout to
+        a machine with :meth:`prepare`; a workload emulated on several
+        machines is laid out once.
+        """
+        p = workload if isinstance(workload, PackedWorkload) else pack_workload(workload)
+        lay = Layout()
+        lay.name = p.name
+        lay.base_rss = float(p.base_rss)
+        lay.metadata = dict(p.metadata)
+        lay.n = p.n
+        lay.n_phases = p.n_phases
+        streams = np.empty((p.stream_phase.size, 3), dtype=np.intp)
+        streams[:, 0] = p.stream_phase
+        streams[:, 1] = p.stream_first
+        streams[:, 2] = p.stream_end
+        lay.streams = _frozen(streams)
+        lay.segments, lay.run_phases = _timeline_layout(p.n_phases, streams)
+        lay.pos = pos = tuple(
+            _frozen(each) for each in (p.c_pos, p.i_pos, p.m_pos, p.net_pos, p.s_pos)
+        )
+        demand_phase = np.repeat(p.stream_phase, p.stream_end - p.stream_first)
+
+        # Noise slot layout, per demand in execution order: its duration,
+        # then its counter amounts in the fixed per-type order.  This is
+        # exactly the order the scalar engine made its ``duration()`` /
+        # ``counter()`` calls in, so seeded runs reproduce the scalar
+        # noise stream bit for bit (zero values skip their draw in both).
+        offsets = np.concatenate(([0], np.cumsum(_COUNTER_SLOTS[p.kinds] + 1)))
+        bases = offsets[:-1]
+        lay.n_slots = int(offsets[-1])
+        lay.slot_bases = _frozen(bases)
+        durations = np.zeros(lay.n_slots, dtype=bool)
+        durations[bases] = True
+        lay.slot_durations = _frozen(durations)
+        lay.slot_groups = {
+            kind: _frozen(bases[each])
+            for kind, each in enumerate(pos[:_SLEEP]) if each.size
+        }
+        lay.s_bases = bases[p.s_pos]
+        lay.s_secs = p.s_secs
+
+        lay.class_names = p.class_names
+        lay.paradigm_names = p.paradigm_names
+        lay.c_instr = p.c_instr
+        lay.c_cc = p.c_cc
+        lay.c_class = p.c_class
+        lay.c_fpi = p.c_fpi
+        lay.c_threads = p.c_threads
+        lay.c_paradigm = p.c_paradigm
+        lay.c_sr = p.c_sr
+        if p.c_pos.size:
+            # The streams compute demands run in, cut where the stream
+            # changes: the bind counts each one's most workers per phase.
+            c_stream = np.searchsorted(p.stream_first, p.c_pos, side="right") - 1
+            lay.c_segments = np.concatenate(
+                ([0], np.flatnonzero(np.diff(c_stream)) + 1)
+            )
+            lay.c_segment_phase = p.stream_phase[c_stream[lay.c_segments]]
+            lay.c_phase = demand_phase[p.c_pos]
+
+        lay.fs_names = p.fs_names
+        lay.i_fs_code = p.i_fs
+        lay.i_read = _frozen(p.i_read)
+        lay.i_written = _frozen(p.i_written)
+        lay.i_block = _frozen(p.i_block)
+        lay.i_fs = _frozen(np.asarray(p.fs_names, dtype=object)[p.i_fs])
+        if p.i_pos.size:
+            # Per-(phase, filesystem) stream counts → I/O contention.
+            n_fs = len(p.fs_names)
+            i_stream = np.searchsorted(p.stream_first, p.i_pos, side="right") - 1
+            pair = np.unique(i_stream * n_fs + p.i_fs)
+            fs_streams = np.zeros((p.n_phases, n_fs))
+            np.add.at(fs_streams, (p.stream_phase[pair // n_fs], pair % n_fs), 1.0)
+            f_io = np.maximum(1.0, fs_streams)
+            lay.i_contention = f_io[demand_phase[p.i_pos], p.i_fs]
+
+        # The seed-independent half of the RSS fold: the signed change
+        # of every memory demand, and its phase.
+        lay.m_alloc = p.m_alloc
+        lay.m_free = p.m_free
+        lay.m_block = p.m_block
+        lay.m_phase = _frozen(demand_phase[p.m_pos])
+        lay.m_deltas = _frozen((p.m_alloc - p.m_free).astype(float))
+        lay.n_sent = p.net_sent
+        lay.n_recv = p.net_recv
+        lay.n_block = p.net_block
+        get_registry().inc("engine.layouts.built")
+        return lay
+
     # -- bind pass ---------------------------------------------------------------
 
-    def _bind(self, p: PackedWorkload) -> _Gather:
-        """Bind packed columns to this machine.
+    def _lookup(self, lay: Layout) -> _Gather:
+        """Resolve a layout's demands on this machine.
 
         A handful of vectorised lookups: machine parameters are resolved
         once per *distinct* workload class / paradigm / filesystem name
-        and fanned out to demands by interned code, and the phase
-        contention factors are counted from the stream table.  Object
-        workloads reach it through :func:`~repro.sim.packed.pack_workload`.
+        and fanned out to demands by interned code, and the phase CPU
+        contention factors are counted from the layout's compute
+        segments.  I/O contention does not depend on the machine: the
+        layout holds it.
         """
         cpu = self.machine.cpu
         cores = cpu.cores
         g = _Gather()
-        g.n = p.n
-        g.n_phases = p.n_phases
-        g.kinds = p.kinds
-        g.streams = np.empty((p.stream_phase.size, 3), dtype=np.intp)
-        g.streams[:, 0] = p.stream_phase
-        g.streams[:, 1] = p.stream_first
-        g.streams[:, 2] = p.stream_end
-        counts = p.stream_end - p.stream_first
-        demand_phase = np.repeat(p.stream_phase, counts)
-        contention = np.ones(p.n)
-
-        g.c_pos = p.c_pos
-        g.c_instr = p.c_instr
-        g.c_cc = p.c_cc
-        g.c_fpi = p.c_fpi
-        g.c_workers = workers = np.minimum(p.c_threads, cores)
-        if p.c_pos.size:
-            n_cls = len(p.class_names)
+        g.c_workers = workers = np.minimum(lay.c_threads, cores)
+        if lay.pos[_COMPUTE].size:
+            n_cls = len(lay.class_names)
             ipc_t = np.empty(n_cls)
             bias_t = np.empty(n_cls)
             sr_t = np.empty(n_cls)
             ff_t = np.empty(n_cls)
-            for code, wc in enumerate(p.class_names):
+            for code, wc in enumerate(lay.class_names):
                 spec = cpu.spec(wc)
                 ipc_t[code] = spec.ipc
                 bias_t[code] = spec.cycle_bias
                 sr_t[code] = spec.stall_ratio
                 ff_t[code] = spec.stall_front_fraction
-            cls = p.c_class
+            cls = lay.c_class
             g.c_ipc = ipc_t[cls]
             g.c_bias = bias_t[cls]
             g.c_ff = ff_t[cls]
-            g.c_sr = np.where(np.isnan(p.c_sr), sr_t[cls], p.c_sr)
+            g.c_sr = np.where(np.isnan(lay.c_sr), sr_t[cls], lay.c_sr)
             factor = np.ones(workers.size)
             over = np.zeros(workers.size)
             multi = workers > 1
             if multi.any():
                 # Resolve scaling once per distinct (paradigm, workers).
-                key = p.c_paradigm[multi] * (cores + 1) + workers[multi]
+                key = lay.c_paradigm[multi] * (cores + 1) + workers[multi]
                 uniq, inv = np.unique(key, return_inverse=True)
                 f_u = np.empty(uniq.size)
                 o_u = np.empty(uniq.size)
                 for u_idx, k in enumerate(uniq.tolist()):
                     scaling = self.machine.scaling_model(
-                        p.paradigm_names[k // (cores + 1)]
+                        lay.paradigm_names[k // (cores + 1)]
                     )
                     w = int(k % (cores + 1))
                     f_u[u_idx] = scaling.time_factor(w)
@@ -720,73 +846,42 @@ class Engine:
             g.c_over = over
 
             # Phase CPU contention: sum of each stream's max worker count.
-            c_stream = np.searchsorted(p.stream_first, p.c_pos, side="right") - 1
-            seg_starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(c_stream)) + 1)
-            )
-            seg_max = np.maximum.reduceat(workers.astype(float), seg_starts)
+            seg_max = np.maximum.reduceat(workers.astype(float), lay.c_segments)
             phase_workers = np.bincount(
-                p.stream_phase[c_stream[seg_starts]],
-                weights=seg_max,
-                minlength=p.n_phases,
+                lay.c_segment_phase, weights=seg_max, minlength=lay.n_phases
             )
             f_cpu = np.maximum(1.0, phase_workers / cores)
-            contention[p.c_pos] = f_cpu[demand_phase[p.c_pos]]
+            g.c_contention = f_cpu[lay.c_phase]
 
-        g.i_pos = p.i_pos
-        g.i_read = p.i_read
-        g.i_written = p.i_written
-        g.i_block = p.i_block
-        g.i_fs = np.asarray(p.fs_names, dtype=object)[p.i_fs]
-        if p.i_pos.size:
-            n_fs = len(p.fs_names)
+        if lay.pos[_IO].size:
+            n_fs = len(lay.fs_names)
             rlat = np.empty(n_fs)
             wlat = np.empty(n_fs)
             rblend = np.empty(n_fs)
             wbw = np.empty(n_fs)
-            for code, fs_name in enumerate(p.fs_names):
+            for code, fs_name in enumerate(lay.fs_names):
                 fs = self.machine.filesystem(fs_name)
                 hit = fs.cache_hit_fraction
                 rlat[code] = fs.read_latency
                 wlat[code] = fs.write_latency
                 rblend[code] = hit / fs.cache_bandwidth + (1.0 - hit) / fs.read_bandwidth
                 wbw[code] = fs.write_bandwidth
-            g.i_rlat = rlat[p.i_fs]
-            g.i_wlat = wlat[p.i_fs]
-            g.i_rblend = rblend[p.i_fs]
-            g.i_wbw = wbw[p.i_fs]
-
-            # Per-(phase, filesystem) stream counts → I/O contention.
-            i_stream = np.searchsorted(p.stream_first, p.i_pos, side="right") - 1
-            pair = np.unique(i_stream * n_fs + p.i_fs)
-            fs_streams = np.zeros((p.n_phases, n_fs))
-            np.add.at(fs_streams, (p.stream_phase[pair // n_fs], pair % n_fs), 1.0)
-            f_io = np.maximum(1.0, fs_streams)
-            contention[p.i_pos] = f_io[demand_phase[p.i_pos], p.i_fs]
-
-        g.m_pos = p.m_pos
-        g.m_alloc = p.m_alloc
-        g.m_free = p.m_free
-        g.m_block = p.m_block
-        g.m_phase = demand_phase[p.m_pos]
-        g.n_pos = p.net_pos
-        g.n_sent = p.net_sent
-        g.n_recv = p.net_recv
-        g.n_block = p.net_block
-        g.s_pos = p.s_pos
-        g.s_secs = p.s_secs
-        g.contention = contention
+            fs_code = lay.i_fs_code
+            g.i_rlat = rlat[fs_code]
+            g.i_wlat = wlat[fs_code]
+            g.i_rblend = rblend[fs_code]
+            g.i_wbw = wbw[fs_code]
         return g
 
     # -- batched cost kernels ----------------------------------------------------
 
-    def _compute_costs(self, g: _Gather) -> dict[str, np.ndarray]:
+    def _compute_costs(self, lay: Layout, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every compute demand."""
-        cc, ipc = g.c_cc, g.c_ipc
+        cc, ipc = lay.c_cc, g.c_ipc
         with np.errstate(invalid="ignore"):
             has_cc = ~np.isnan(cc)
-            cycles = np.where(has_cc, cc * g.c_bias, g.c_instr / ipc)
-            instructions = np.where(has_cc, cycles * ipc, g.c_instr)
+            cycles = np.where(has_cc, cc * g.c_bias, lay.c_instr / ipc)
+            instructions = np.where(has_cc, cycles * ipc, lay.c_instr)
         cycles_total = cycles * (1.0 + g.c_over)
         instr_total = instructions * (1.0 + g.c_over)
         duration = (cycles / self.machine.cpu.frequency) * g.c_factor
@@ -798,15 +893,15 @@ class Engine:
             "cpu.cycles_used": cycles_total,
             "cpu.cycles_stalled_front": stalled * front_fraction,
             "cpu.cycles_stalled_back": stalled * (1.0 - front_fraction),
-            "cpu.flops": instr_total * g.c_fpi,
+            "cpu.flops": instr_total * lay.c_fpi,
         }
 
     @staticmethod
-    def _io_costs(g: _Gather) -> dict[str, np.ndarray]:
+    def _io_costs(lay: Layout, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every I/O demand."""
-        nread = g.i_read.astype(float)
-        nwritten = g.i_written.astype(float)
-        block = g.i_block.astype(float)
+        nread = lay.i_read.astype(float)
+        nwritten = lay.i_written.astype(float)
+        block = lay.i_block.astype(float)
         read_ops = np.ceil(nread / block)
         write_ops = np.ceil(nwritten / block)
         read_time = np.where(nread > 0, read_ops * g.i_rlat + nread * g.i_rblend, 0.0)
@@ -819,10 +914,11 @@ class Engine:
             "io.bytes_written": nwritten,
         }
 
-    def _memory_costs(self, g: _Gather) -> dict[str, np.ndarray]:
+    def _memory_costs(self, lay: Layout, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every memory demand."""
+        del g
         mem = self.machine.memory
-        alloc, freed, block = g.m_alloc, g.m_free, g.m_block
+        alloc, freed, block = lay.m_alloc, lay.m_free, lay.m_block
         alloc_ops = np.maximum(1, -(-alloc // block))
         free_ops = np.maximum(1, -(-freed // block))
         alloc_time = np.where(
@@ -835,11 +931,12 @@ class Engine:
             "mem.freed": freed.astype(float),
         }
 
-    def _network_costs(self, g: _Gather) -> dict[str, np.ndarray]:
+    def _network_costs(self, lay: Layout, g: _Gather) -> dict[str, np.ndarray]:
         """Duration and counter amounts of every network demand."""
-        sent, recv = g.n_sent, g.n_recv
+        del g
+        sent, recv = lay.n_sent, lay.n_recv
         nbytes = sent + recv
-        ops = -(-nbytes // g.n_block)
+        ops = -(-nbytes // lay.n_block)
         duration = ops * self.machine.net_latency + nbytes / self.machine.net_bandwidth
         return {
             "duration": duration,
@@ -849,79 +946,85 @@ class Engine:
 
     # -- prepare (seed-independent) ---------------------------------------------
 
-    def prepare(self, workload: SimWorkload | PackedWorkload) -> Prepared:
+    def prepare(self, workload: SimWorkload | PackedWorkload | Layout) -> Prepared:
         """Bind, cost and lay out a workload for this engine's machine.
 
         Everything here depends on (workload, machine) alone, so one
         plan serves every seed: replay it with :meth:`run` on any
-        engine over the same machine.  Accepts the columnar form
-        (:class:`~repro.sim.packed.PackedWorkload`, bound without
-        touching a demand object) and the object form (``SimWorkload``,
-        packed in one Python pass first) — the plans, and so the
-        records, are bit-identical.
+        engine over the same machine.  The one path is the bind of the
+        workload's :class:`Layout` — :meth:`layout` of a workload
+        handed in, or a layout made earlier, which is how a workload
+        emulated on several machines is laid out once.  Accepts the
+        columnar form (:class:`~repro.sim.packed.PackedWorkload`, laid
+        out without touching a demand object) and the object form
+        (``SimWorkload``, packed in one Python pass first) — the plans,
+        and so the records, are bit-identical.
         """
-        if not isinstance(workload, PackedWorkload):
-            workload = pack_workload(workload)
-        g = self._bind(workload)
+        if not isinstance(workload, Layout):
+            workload = self.layout(workload)
+        return self._bind(workload)
+
+    def _bind(self, lay: Layout) -> Prepared:
+        """A layout on this machine: the lookups (:meth:`_lookup`), the
+        cost kernels, the contention-scaled slot values, the draw table
+        and the thread-level half of the level folds."""
+        g = self._lookup(lay)
         plan = Prepared()
         plan.machine = self.machine
-        plan.name = workload.name
-        plan.base_rss = float(workload.base_rss)
-        plan.metadata = dict(workload.metadata)
-        plan.n = g.n
-        plan.n_phases = g.n_phases
-        plan.streams = _frozen(g.streams)
-        plan.segments, plan.run_phases = _timeline_layout(g.n_phases, g.streams)
-        plan.pos = tuple(
-            _frozen(pos) for pos in (g.c_pos, g.i_pos, g.m_pos, g.n_pos, g.s_pos)
-        )
+        plan.name = lay.name
+        plan.base_rss = lay.base_rss
+        plan.metadata = dict(lay.metadata)
+        plan.n = lay.n
+        plan.n_phases = lay.n_phases
+        plan.streams = lay.streams
+        plan.segments = lay.segments
+        plan.run_phases = lay.run_phases
+        plan.pos = lay.pos
 
-        # Noise slot layout, per demand in execution order: its duration,
-        # then its counter amounts in the fixed per-type order.  This is
-        # exactly the order the scalar engine made its ``duration()`` /
-        # ``counter()`` calls in, so seeded runs reproduce the scalar
-        # noise stream bit for bit (zero values skip their draw in both).
-        slots = _COUNTER_SLOTS[g.kinds] + 1
-        offsets = np.concatenate(([0], np.cumsum(slots)))
-        bases = offsets[:-1]
-        values = np.zeros(int(offsets[-1]))
-        groups: dict[int, np.ndarray] = {}
+        # Durations scale by their phase contention: CPU oversubscription
+        # for compute, shared-filesystem streams for I/O, none otherwise.
+        values = np.zeros(lay.n_slots)
         for kind, cost in (
             (_COMPUTE, self._compute_costs),
             (_IO, self._io_costs),
             (_MEM, self._memory_costs),
             (_NET, self._network_costs),
         ):
-            pos = plan.pos[kind]
-            if pos.size:
-                costs = cost(g)
-                group_bases = bases[pos]
-                values[group_bases] = costs["duration"]
-                for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
-                    values[group_bases + slot] = costs[name]
-                groups[kind] = _frozen(group_bases)
-        if g.s_pos.size:
-            values[bases[g.s_pos]] = g.s_secs
-        values[bases] *= g.contention
+            group_bases = lay.slot_groups.get(kind)
+            if group_bases is None:
+                continue
+            costs = cost(lay, g)
+            duration = costs["duration"]
+            if kind == _COMPUTE:
+                duration = duration * g.c_contention
+            elif kind == _IO:
+                duration = duration * lay.i_contention
+            values[group_bases] = duration
+            for slot, name in enumerate(_KIND_COUNTERS[kind], start=1):
+                values[group_bases + slot] = costs[name]
+        values[lay.s_bases] = lay.s_secs
         plan.slot_values = _frozen(values)
-        plan.slot_bases = _frozen(bases)
-        plan.slot_groups = groups
+        plan.slot_bases = lay.slot_bases
+        plan.slot_groups = lay.slot_groups
+        draws = np.flatnonzero(values)
+        plan.draws = _frozen(draws)
+        plan.draw_durations = _frozen(lay.slot_durations[draws])
 
-        # Seed-independent halves of the level folds: signed RSS change
-        # per memory demand, extra workers per multi-threaded compute.
-        plan.m_phase = _frozen(g.m_phase)
-        plan.m_deltas = _frozen((g.m_alloc - g.m_free).astype(float))
+        plan.m_phase = lay.m_phase
+        plan.m_deltas = lay.m_deltas
+        # Extra workers per multi-threaded compute demand.
         workers = g.c_workers.astype(float)
         multi = workers > 1
-        plan.t_pos = _frozen(g.c_pos[multi])
+        plan.t_pos = _frozen(lay.pos[_COMPUTE][multi])
         plan.t_extra = _frozen(workers[multi] - 1.0)
 
-        plan.i_read = _frozen(g.i_read)
-        plan.i_written = _frozen(g.i_written)
-        plan.i_block = _frozen(g.i_block)
-        plan.i_fs = _frozen(g.i_fs)
+        plan.i_read = lay.i_read
+        plan.i_written = lay.i_written
+        plan.i_block = lay.i_block
+        plan.i_fs = lay.i_fs
         get_registry().inc("engine.plans.built")
         return plan
+
 
     # -- execution ---------------------------------------------------------------
 
@@ -1144,30 +1247,35 @@ class Engine:
     @staticmethod
     def _draw_noise(plan: Prepared, noises: Sequence[NoiseModel]) -> np.ndarray:
         """The plan's slot array under each noise model, one row each
-        (see :meth:`prepare` for the layout).
+        (see :meth:`layout` for the layout).
 
         Every model draws for itself, in row order — one
         ``standard_normal`` batch over the slots whose value and sigma
         are both nonzero, exactly the draws :meth:`NoiseModel.apply`
-        makes — and the rows are then scaled together.  Slots without a
-        draw keep a zero exponent, so they come through unchanged.
+        makes.  Those slots come from the plan's draw table (see
+        :class:`Prepared`): all of its slots for a model with both
+        sigmas, its duration or its counter slots for a model with one,
+        none for a silent one.  The slots drawn are scaled by
+        ``exp(sigma · z)``, the sigmas and values of each distinct
+        (duration, counter) sigma pair picked once per block; every
+        other slot comes through as it is.
         """
         values = plan.slot_values
         shape = (len(noises), values.size)
         if all(noise.silent_model for noise in noises):
             return np.broadcast_to(values, shape)
-        is_duration = np.zeros(values.size, dtype=bool)
-        is_duration[plan.slot_bases] = True
-        sigmas = np.where(
-            is_duration,
-            np.array([[noise.duration_sigma] for noise in noises]),
-            np.array([[noise.counter_sigma] for noise in noises]),
-        )
-        drawn = (values != 0.0) & (sigmas != 0.0)
-        z = np.zeros(shape)
+        noisy = np.empty(shape)
+        noisy[:] = values
+        tables: dict[tuple[float, float], tuple[np.ndarray, Any, np.ndarray]] = {}
         for row, noise in enumerate(noises):
-            z[row, drawn[row]] = noise.normals(int(np.count_nonzero(drawn[row])))
-        return values * np.exp(sigmas * z)
+            pair = (noise.duration_sigma, noise.counter_sigma)
+            table = tables.get(pair)
+            if table is None:
+                table = tables[pair] = _draw_table(plan, *pair)
+            slots, sigmas, base = table
+            if slots.size:
+                noisy[row, slots] = base * np.exp(sigmas * noise.normals(slots.size))
+        return noisy
 
     # -- timeline ----------------------------------------------------------------
 
@@ -1467,6 +1575,24 @@ def _fold_rows(
 def block_rows(plan: Prepared) -> int:
     """How many rows of ``plan`` one replay block may hold (at least 1)."""
     return max(1, _BLOCK_ELEMENTS // max(1, plan.slot_values.size))
+
+
+def _draw_table(
+    plan: Prepared, duration_sigma: float, counter_sigma: float
+) -> tuple[np.ndarray, Any, np.ndarray]:
+    """The slots a noise model with these sigmas draws for, in slot
+    order; the sigma of each (one number when they share it); and the
+    plan's values there."""
+    draws, durations = plan.draws, plan.draw_durations
+    if duration_sigma and counter_sigma:
+        sigmas = np.where(durations, float(duration_sigma), float(counter_sigma))
+    elif duration_sigma:
+        draws, sigmas = draws[durations], float(duration_sigma)
+    elif counter_sigma:
+        draws, sigmas = draws[~durations], float(counter_sigma)
+    else:
+        draws, sigmas = draws[:0], 0.0
+    return draws, sigmas, plan.slot_values[draws]
 
 
 class _Run(NamedTuple):

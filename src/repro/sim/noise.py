@@ -11,6 +11,7 @@ indices give independent draws.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -35,6 +36,10 @@ class NoiseModel:
         Relative scatter of demand durations (system background).
     counter_sigma:
         Relative scatter of counter readings (measurement noise).
+
+    Both sigmas must be finite and non-negative: every noisy run of the
+    sim plane draws through a model, so this is where a bad sigma (a
+    machine's ``noise_sigma`` included) is stopped, naming the field.
     """
 
     def __init__(
@@ -43,11 +48,27 @@ class NoiseModel:
         duration_sigma: float = 0.01,
         counter_sigma: float = 0.003,
     ) -> None:
-        if duration_sigma < 0 or counter_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name, sigma in (
+            ("duration_sigma", duration_sigma), ("counter_sigma", counter_sigma)
+        ):
+            if not math.isfinite(sigma):
+                raise ValueError(f"noise {name} must be finite, not {sigma!r}")
+            if sigma < 0:
+                raise ValueError(f"noise {name} must be non-negative, not {sigma!r}")
         self.duration_sigma = duration_sigma
         self.counter_sigma = counter_sigma
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        # A silent model never draws: it seeds its generator only if
+        # somebody asks for its state.
+        self._generator: np.random.Generator | None = (
+            None if self.silent_model else np.random.default_rng(seed)
+        )
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed)
+        return self._generator
 
     def duration(self, value: float) -> float:
         """Noisy version of a duration (never negative)."""
@@ -137,7 +158,7 @@ class NoiseModel:
         rng_state = state["rng"]
         bit_gen = getattr(np.random, rng_state["bit_generator"])()
         bit_gen.state = rng_state
-        model._rng = np.random.Generator(bit_gen)
+        model._generator = np.random.Generator(bit_gen)
         return model
 
     @classmethod

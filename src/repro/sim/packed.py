@@ -12,12 +12,13 @@ Who builds the columns:
 
 * :func:`pack_workload` compiles an object workload in one pass: every
   application model's ``build_packed`` is the pack of its
-  ``build_workload``, and ``Engine.prepare`` packs object workloads
-  itself;
+  ``build_workload``, and ``Engine.layout`` packs object workloads
+  itself.  An emulation plan's ``build_packed_workload`` makes one pass
+  of its own over the plan's samples; both hand their plain row lists
+  to :meth:`PackedWorkload.from_rows`;
 * :class:`PackedBuilder` appends demands with the same
-  phase/stream/demand vocabulary as ``SimWorkload``: emulation plans'
-  ``build_packed_workload`` uses it (a few demands per profile sample,
-  with no objects in between);
+  phase/stream/demand vocabulary as ``SimWorkload``, one call per
+  demand;
 * :meth:`PackedBuilder.compute_many` & friends append whole column
   chunks at once, and :mod:`repro.traffic.workload` fills the columns
   itself: bulk request traffic and benchmarks build million-demand
@@ -135,6 +136,61 @@ class PackedWorkload:
     def empty(self) -> bool:
         """Whether the workload holds no demands."""
         return self.n == 0
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        base_rss: int,
+        metadata: dict[str, Any],
+        n: int,
+        n_phases: int,
+        streams: tuple[list[int], list[int], list[int]],
+        rows: tuple[list[tuple], ...],
+    ) -> "PackedWorkload":
+        """The columns of one pass's plain lists.
+
+        ``streams`` holds the phase, first demand and end demand of
+        every stream; ``rows`` the compute, I/O, memory, network and
+        sleep demands, one tuple each in demand order, with the fields
+        of the ``*Demand`` class in :func:`pack_workload`'s order
+        (names as strings, ``None`` for an unset optional).  Unzipped
+        field by field: ``None`` optionals become NaN in their float64
+        columns (a column nobody set is filled at once: NumPy's
+        per-element ``None`` conversion is the slow one), names become
+        codes in first-seen order — the columns and name tables
+        :class:`PackedBuilder` makes of the same demands.
+        """
+        columns: dict[str, Any] = {}
+        kinds = np.zeros(n, dtype=_I64)
+        for kind_code, (kind_rows, fields) in enumerate(zip(rows, _FIELDS)):
+            if not kind_rows:
+                continue
+            for (column, dtype), values in zip(fields, zip(*kind_rows)):
+                if isinstance(dtype, str):
+                    codes = {each: code for code, each in enumerate(dict.fromkeys(values))}
+                    columns[dtype] = tuple(codes)
+                    columns[column] = np.fromiter(
+                        map(codes.__getitem__, values), _IDX, len(values)
+                    )
+                elif values[0] is None and values.count(None) == len(values):
+                    columns[column] = np.full(len(values), np.nan)
+                else:
+                    columns[column] = np.array(values, dtype=dtype)
+            kinds[columns[fields[0][0]]] = kind_code
+        stream_phase, stream_first, stream_end = streams
+        return cls(
+            name=name,
+            base_rss=base_rss,
+            metadata=metadata,
+            n=n,
+            n_phases=n_phases,
+            kinds=kinds,
+            stream_phase=np.array(stream_phase, dtype=_IDX),
+            stream_first=np.array(stream_first, dtype=_IDX),
+            stream_end=np.array(stream_end, dtype=_IDX),
+            **columns,
+        )
 
     def column_arrays(self) -> dict[str, np.ndarray]:
         """All array columns by field name (tests compare these)."""
@@ -582,6 +638,8 @@ _N_FIELDS = (
     ("net_pos", _IDX), ("net_sent", _I64), ("net_recv", _I64), ("net_block", _I64),
 )
 _S_FIELDS = (("s_pos", _IDX), ("s_secs", _F64))
+#: The fields of every kind, in ``KIND_*`` order.
+_FIELDS = (_C_FIELDS, _I_FIELDS, _M_FIELDS, _N_FIELDS, _S_FIELDS)
 
 
 def _demand_type(demand: object) -> type:
@@ -644,42 +702,10 @@ def pack_workload(workload: SimWorkload) -> PackedWorkload:
                 n += len(demands)
                 stream_end.append(n)
 
-        # Unzipped field by field: ``None`` optionals become NaN in their
-        # float64 columns (a column nobody set is filled at once: NumPy's
-        # per-element ``None`` conversion is the slow one), names become
-        # codes in first-seen order.
-        columns: dict[str, Any] = {}
-        kinds = np.zeros(n, dtype=_I64)
-        for rows, kind_code, fields in (
-            (c_rows, KIND_COMPUTE, _C_FIELDS), (i_rows, KIND_IO, _I_FIELDS),
-            (m_rows, KIND_MEM, _M_FIELDS), (n_rows, KIND_NET, _N_FIELDS),
-            (s_rows, KIND_SLEEP, _S_FIELDS),
-        ):
-            if not rows:
-                continue
-            for (name, dtype), values in zip(fields, zip(*rows)):
-                if isinstance(dtype, str):
-                    codes = {each: code for code, each in enumerate(dict.fromkeys(values))}
-                    columns[dtype] = tuple(codes)
-                    columns[name] = np.fromiter(
-                        map(codes.__getitem__, values), _IDX, len(values)
-                    )
-                elif values[0] is None and values.count(None) == len(values):
-                    columns[name] = np.full(len(values), np.nan)
-                else:
-                    columns[name] = np.array(values, dtype=dtype)
-            kinds[columns[fields[0][0]]] = kind_code
-        packed = PackedWorkload(
-            name=workload.name,
-            base_rss=workload.base_rss,
-            metadata=dict(workload.metadata),
-            n=n,
-            n_phases=len(workload.phases),
-            kinds=kinds,
-            stream_phase=np.array(stream_phase, dtype=_IDX),
-            stream_first=np.array(stream_first, dtype=_IDX),
-            stream_end=np.array(stream_end, dtype=_IDX),
-            **columns,
+        packed = PackedWorkload.from_rows(
+            workload.name, workload.base_rss, dict(workload.metadata), n,
+            len(workload.phases), (stream_phase, stream_first, stream_end),
+            (c_rows, i_rows, m_rows, n_rows, s_rows),
         )
         sp.set(demands=packed.n, nbytes=packed.nbytes())
     return packed

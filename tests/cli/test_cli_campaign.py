@@ -146,6 +146,18 @@ class TestElasticFlag:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["-3", "-1"])
+    @pytest.mark.parametrize("elastic", [[], ["--elastic"]], ids=["lone", "elastic"])
+    def test_negative_limit_exits_1(self, tmp_path, capsys, limit, elastic):
+        """It used to exit 0 with "executed 0, remaining N"."""
+        code, text = run_cli(
+            "--store", f"file://{tmp_path / 'store'}", "campaign",
+            _spec_file(tmp_path), "--limit", limit, *elastic,
+        )
+        assert code == 1
+        assert "error: limit must be a whole number >= 0" in capsys.readouterr().err
+        assert "executed" not in text
+
     def test_elastic_flag_validation(self, tmp_path, capsys):
         spec = _spec_file(tmp_path)
         code, _ = run_cli("campaign", spec, "--workers", "2")

@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.apps import GromacsModel
 from repro.core.config import SynapseConfig
 from repro.core.profiler import Profiler
 from repro.faults import ENV_VAR, reset
 from repro.sim.backend import SimBackend
+
+#: The wide search of the emulation-layout properties —
+#: ``tests/sim/test_layout.py`` (layout bound per machine, the draw
+#: table) and ``tests/core/test_plan_compile.py`` (the one-pass
+#: compile); tier-1 runs a small derandomized set of each:
+#: ``--hypothesis-profile=emulation-layout --hypothesis-seed=N``.
+#: Registered here, before pytest loads the profile named on its
+#: command line.
+settings.register_profile(
+    "emulation-layout", max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture(autouse=True)

@@ -425,3 +425,38 @@ class TestPending:
                 cell for cell in sweep.scope if cell.digest not in sweep.done
             ]
         assert sweep.pending() == []
+
+
+class TestWaveLimits:
+    """A wave size or cap that is not a whole number in range is a
+    configuration error naming the parameter, raised before the store is
+    touched: ``checkpoint=1.5`` and ``limit=1.5`` used to raise a bare
+    ``TypeError`` mid-sweep, and ``checkpoint=0``/``-1``/``True`` were
+    silently clamped to waves of one."""
+
+    @pytest.mark.parametrize(
+        "checkpoint", [0, -1, 1.5, True, False, float("nan"), float("inf"), "8"],
+        ids=repr,
+    )
+    def test_run_campaign_rejects_a_bad_checkpoint(self, checkpoint):
+        store = MemoryStore()
+        with pytest.raises(ConfigError, match="checkpoint must be a whole number >= 1"):
+            run_campaign(SPEC, store, checkpoint=checkpoint)
+        assert store.count() == 0
+
+    @pytest.mark.parametrize(
+        "limit", [-1, -3, 1.5, True, float("nan"), float("inf"), "2"], ids=repr
+    )
+    def test_run_campaign_rejects_a_bad_limit(self, limit):
+        store = MemoryStore()
+        with pytest.raises(ConfigError, match="limit must be a whole number >= 0"):
+            run_campaign(SPEC, store, limit=limit)
+        assert store.count() == 0
+
+    def test_whole_floats_and_a_zero_limit_are_accepted(self):
+        store = MemoryStore()
+        report = run_campaign(SPEC, store, limit=0)
+        assert report.executed == 0 and report.truncated
+        report = run_campaign(SPEC, store, limit=3.0, checkpoint=2.0)
+        assert report.executed == 3
+        assert len(ledger(store, SPEC["name"])) == 3

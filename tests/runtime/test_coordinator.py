@@ -1084,3 +1084,37 @@ class TestMonotoneLedger:
             0, 0, 0, 1, 1, 1, 1, 1,
         ]
         assert store.calls["entries"] == 3
+
+
+class TestWaveLimits:
+    """``batch`` and ``limit`` go through the campaign loops' one check
+    (``wave_limits``): ``batch=0``/``-2``/``1.5``/``True`` used to run
+    with a silently clamped batch, ``limit=1.5`` executed 2 of 3 cells
+    and ``limit=-1`` executed nothing and reported success."""
+
+    @pytest.mark.parametrize("batch", [0, -2, 1.5, True, float("nan")], ids=repr)
+    def test_elastic_worker_rejects_a_bad_batch(self, tmp_path, batch):
+        store = FileStore(tmp_path / "s")
+        with pytest.raises(ConfigError, match="batch must be a whole number >= 1"):
+            elastic_worker(SPEC, store, lease_ttl=5.0, batch=batch, service=serial())
+        assert store.count() == 0 and marker_count(store, SPEC["name"]) == 0
+
+    @pytest.mark.parametrize("limit", [-1, 1.5, False, float("inf")], ids=repr)
+    def test_elastic_worker_rejects_a_bad_limit(self, tmp_path, limit):
+        store = FileStore(tmp_path / "s")
+        with pytest.raises(ConfigError, match="limit must be a whole number >= 0"):
+            elastic_worker(SPEC, store, lease_ttl=5.0, limit=limit, service=serial())
+        assert store.count() == 0 and marker_count(store, SPEC["name"]) == 0
+
+    @pytest.mark.parametrize("batch", [0, 2.5, True], ids=repr)
+    def test_run_elastic_rejects_before_spawning(self, tmp_path, batch):
+        with pytest.raises(ConfigError, match="batch must be a whole number >= 1"):
+            run_elastic(SPEC, f"file://{tmp_path / 's'}", batch=batch)
+        assert not (tmp_path / "s").exists()  # the store was never opened
+
+    def test_a_whole_float_limit_caps_the_worker(self, tmp_path):
+        store = FileStore(tmp_path / "s")
+        report = elastic_worker(
+            SPEC, store, lease_ttl=5.0, limit=2.0, batch=1.0, service=serial()
+        )
+        assert report.executed == 2 and report.truncated

@@ -70,6 +70,34 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(duration_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["duration_sigma", "counter_sigma"])
+    @pytest.mark.parametrize(
+        "sigma", [float("nan"), float("inf"), float("-inf"), -0.5], ids=repr
+    )
+    def test_non_finite_or_negative_sigma_is_rejected_by_name(self, field, sigma):
+        with pytest.raises(ValueError, match=f"noise {field} must be"):
+            NoiseModel(seed=1, **{field: sigma})
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01], ids=repr)
+    def test_a_bad_machine_sigma_fails_the_first_noisy_spawn_by_name(self, sigma):
+        """A NaN machine sigma used to make every noisy Tx NaN."""
+        import dataclasses
+
+        from repro.apps import SleeperApp
+        from repro.sim.backend import SimBackend
+        from repro.sim.machines import get_machine
+
+        machine = dataclasses.replace(get_machine("thinkie"), noise_sigma=sigma)
+        with pytest.raises(ValueError, match="noise duration_sigma must be"):
+            SimBackend(machine, noisy=True).spawn(SleeperApp(sleep_seconds=1.0))
+        silent = SimBackend(machine, noisy=False).spawn(SleeperApp(sleep_seconds=1.0))
+        assert silent.record.duration > 0
+
+    def test_a_silent_model_keeps_its_state_contract(self):
+        state = NoiseModel.silent().state_dict()
+        restored = NoiseModel.from_state(state)
+        assert restored.silent_model and restored.state_dict() == state
+
     def test_scatter_scale(self):
         noise = NoiseModel(seed=11, duration_sigma=0.01)
         values = [noise.duration(1.0) for _ in range(500)]

@@ -153,23 +153,21 @@ def test_batched_cost_kernels_match_the_scalar_oracle(seed, machine_name):
     machine = get_machine(machine_name)
     workload = random_workload(np.random.default_rng(seed), machine)
     engine = Engine(machine)
-    g = engine._bind(pack_workload(workload))
+    lay = Engine.layout(pack_workload(workload))
+    g = engine._lookup(lay)
     kernels = {
         ComputeDemand: engine._compute_costs,
         IODemand: engine._io_costs,
         MemoryDemand: engine._memory_costs,
         NetworkDemand: engine._network_costs,
     }
-    positions = {
-        ComputeDemand: g.c_pos, IODemand: g.i_pos,
-        MemoryDemand: g.m_pos, NetworkDemand: g.n_pos,
-    }
+    positions = dict(zip(kernels, lay.pos))
     demands = [demand for _, demand in _demands(workload)]
     for kind, kernel in kernels.items():
         pos = positions[kind]
         if not pos.size:
             continue
-        group = kernel(g)
+        group = kernel(lay, g)
         for row, index in enumerate(pos.tolist()):
             assert isinstance(demands[index], kind)
             duration, counters = cost(machine, demands[index])
