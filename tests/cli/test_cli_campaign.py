@@ -76,6 +76,20 @@ class TestCampaignCommand:
         code, _ = run_cli("campaign", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("field", [
+        {"seeds": "12"}, {"repeats": 2.9}, {"config": {"nope": 1}},
+    ], ids=["seeds", "repeats", "config"])
+    def test_malformed_spec_field_exits_1_before_any_cell(self, tmp_path, capsys, field):
+        """``"seeds": "12"`` used to run seeds (1, 2); a bad profile
+        config used to fail every cell."""
+        store = tmp_path / "store"
+        code, text = run_cli(
+            "--store", f"file://{store}", "campaign", _spec_file(tmp_path, **field),
+        )
+        assert code == 1
+        assert f"error: campaign {next(iter(field))}" in capsys.readouterr().err
+        assert "executed" not in text and not store.exists()
+
 
     def test_mode_dependent_flags_fail_fast(self, tmp_path, capsys):
         """Report-only / execution-only flags outside their mode must

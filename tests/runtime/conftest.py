@@ -35,6 +35,13 @@ settings.register_profile(
     DETERMINISM_PROFILE, max_examples=300, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The wide search of ``test_ledger_digest.py``, the same way:
+#: ``--hypothesis-profile=ledger-digest --hypothesis-seed=N``.
+LEDGER_DIGEST_PROFILE = "ledger-digest"
+settings.register_profile(
+    LEDGER_DIGEST_PROFILE, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def comparable_profile(profile) -> dict:

@@ -97,10 +97,41 @@ class TestSpec:
         ("config", 5),
         ("tags", ["x"]),
         ("tags", 1),
+        # Appended, so the cases above keep their ids.
+        ("seeds", "12"),
+        ("seeds", {"3": 1, "4": 2}),
+        ("seeds", [2.7]),
+        ("seeds", [True]),
+        ("seeds", [float("inf")]),
+        ("seeds", [float("nan")]),
+        ("repeats", 2.9),
+        ("repeats", "3"),
+        ("repeats", True),
+        ("repeats", float("inf")),
+        ("repeats", float("nan")),
+        ("repeats", 0),
+        ("config", {"nope": 1}),
+        ("config", {"sample_rate": -2}),
+        ("config", {"sample_rate": "fast"}),
     ])
     def test_malformed_field_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"campaign {key}"):
             CampaignSpec.from_dict({**SPEC, key: value})
+
+    def test_whole_floats_keep_digests(self):
+        digests = [c.digest for c in CampaignSpec.from_dict(SPEC).cells()]
+        spec = CampaignSpec.from_dict({
+            **SPEC, "seeds": [float(s) for s in SPEC["seeds"]],
+            "repeats": float(SPEC["repeats"]),
+        })
+        assert spec.seeds == tuple(SPEC["seeds"]) and type(spec.repeats) is int
+        assert [c.digest for c in spec.cells()] == digests
+
+    def test_run_specs_do_not_check_config(self):
+        """A ``run`` cell builds no :class:`SynapseConfig`: its config
+        only labels the stored artifact."""
+        spec = CampaignSpec.from_dict({**SPEC, "kind": "run", "config": {"nope": 1}})
+        assert spec.config == {"nope": 1}
 
     def test_well_formed_noisy_keeps_digests(self):
         digest = CampaignSpec.from_dict(SPEC).cells()[0].digest
