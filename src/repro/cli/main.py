@@ -24,10 +24,7 @@ methods" (§4).  Subcommands:
   ``--report`` aggregates a finished (or partial) ledger into the
   paper-style consistency/error tables (``--format table|json|csv``).
   SIGTERM/SIGINT drain gracefully: the in-flight wave finishes and is
-  checkpointed, leases are released, and the run resumes later;
-* ``synapse migrate``                            — rewrite a ``file://``
-  store written in an older on-disk format as v3 segments, the only
-  format the store reads (:mod:`repro.storage.migrate`).
+  checkpointed, leases are released, and the run resumes later.
 
 Every subcommand also accepts ``--faults PLAN`` (JSON file or inline
 JSON), activating the deterministic fault-injection plane
@@ -51,11 +48,11 @@ from repro.core.api import emulate as api_emulate
 from repro.core.api import profile as api_profile
 from repro.core.api import stats as api_stats
 from repro.core.config import SynapseConfig
-from repro.core.errors import ProfileNotFoundError, StoreError
+from repro.core.errors import ProfileNotFoundError
 from repro.core.metrics import table1_rows
 from repro.core.samples import Profile
 from repro.sim.machines import get_machine, list_machines
-from repro.storage import FileStore, open_store
+from repro.storage import open_store
 from repro.telemetry import configure as configure_telemetry
 from repro.telemetry import get_bus
 from repro.telemetry.events import LEVELS
@@ -348,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, help="write the full report JSON here"
     )
 
-    add_parser(
-        "migrate",
-        help="rewrite a file:// store's v1 groups and v2 segments as v3 segments",
-    )
     add_parser("machines", help="list simulated machine models")
     add_parser("metrics", help="print the Table 1 metric inventory")
     add_parser("kernels", help="list available compute kernels")
@@ -821,21 +814,6 @@ def _cmd_traffic(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_migrate(args: argparse.Namespace, out) -> int:
-    from repro.storage.migrate import migrate  # noqa: PLC0415 (lazy)
-
-    store = open_store(args.store)
-    if not isinstance(store, FileStore):
-        raise StoreError(f"{args.store}: only a file:// store has older formats")
-    done = migrate(store.root, store.durability)
-    print(
-        f"rewrote {done.segments} v2 segment(s) and {done.groups} v1 group(s), "
-        f"{done.profiles} profile(s): {store.root} holds only v3 segments",
-        file=out,
-    )
-    return 0
-
-
 def _cmd_machines(args: argparse.Namespace, out) -> int:
     table = Table(["name", "cores", "clock", "memory", "filesystems", "description"])
     for name in sorted(list_machines()):
@@ -888,7 +866,6 @@ _COMMANDS = {
     "place": _cmd_place,
     "campaign": _cmd_campaign,
     "traffic": _cmd_traffic,
-    "migrate": _cmd_migrate,
     "machines": _cmd_machines,
     "metrics": _cmd_metrics,
     "kernels": _cmd_kernels,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -111,6 +112,19 @@ class SynapseConfig:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if type(value) in (float, int) or value is None and name == "efficiency_target":
+                continue  # the common case, without the slower ABC check
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("watchers", "atoms"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(item, str) for item in value
+            ):
+                raise ConfigError(f"{name} must be a list of names, got {value!r}")
+            setattr(self, name, tuple(value))
         if not (0.0 < self.sample_rate <= MAX_SAMPLE_RATE):
             raise ConfigError(
                 f"sample_rate must be in (0, {MAX_SAMPLE_RATE}] Hz, got {self.sample_rate}"
@@ -185,14 +199,15 @@ class SynapseConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SynapseConfig":
         """Inverse of :meth:`to_dict` (unknown keys are ignored)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "watchers" in kwargs:
-            kwargs["watchers"] = tuple(kwargs["watchers"])
-        if "atoms" in kwargs:
-            kwargs["atoms"] = tuple(kwargs["atoms"])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in data.items() if k in _FIELD_NAMES})
 
 
 #: Field names in declaration order (the key order of :meth:`to_dict`).
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SynapseConfig))
+#: Fields that must hold a number (a bool is none); ``efficiency_target``
+#: may also be ``None``.
+_NUMBER_FIELDS = (
+    "sample_rate", "adaptive_initial_rate", "adaptive_settle_seconds",
+    "openmp_threads", "mpi_processes", "cpu_load", "disk_load", "io_file_count",
+    "efficiency_target",
+)

@@ -24,6 +24,10 @@ exception:
 
 from __future__ import annotations
 
+import math
+import numbers
+from typing import Any
+
 __all__ = [
     "SynapseError",
     "ConfigError",
@@ -41,6 +45,7 @@ __all__ = [
     "FatalError",
     "PoisonRequestError",
     "is_retryable",
+    "whole_number",
 ]
 
 
@@ -161,3 +166,17 @@ def is_retryable(exc: BaseException) -> bool:
     if flag is not None:
         return bool(flag)
     return not isinstance(exc, _FATAL_TYPES)
+
+
+def whole_number(name: str, value: Any, least: float = -math.inf) -> int:
+    """``value`` as an ``int`` when it is a whole number >= ``least`` (a
+    whole float comes back as an ``int``); a bool, a fraction, a
+    non-finite or non-numeric value is a :class:`ConfigError` naming
+    ``name``."""
+    # ``% 1`` is NaN for infinities; a NaN fails both tests.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        value >= least and value % 1 == 0
+    ):
+        bound = "" if least == -math.inf else f" >= {least}"
+        raise ConfigError(f"{name} must be a whole number{bound}, not {value!r}")
+    return int(value)

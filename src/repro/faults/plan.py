@@ -55,11 +55,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.errors import ConfigError, RetryableError
+from repro.core.errors import ConfigError, RetryableError, whole_number
 
 __all__ = ["FaultPlan", "FaultRule", "InjectedFault"]
 
@@ -114,14 +116,28 @@ class FaultRule:
             raise ConfigError(
                 "fault rules take at most one of 'probability', 'at', 'every'"
             )
-        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
-            raise ConfigError("fault rule probability must be in [0, 1]")
-        if self.at is not None and self.at < 1:
-            raise ConfigError("fault rule 'at' must be >= 1 (1-based hit)")
-        if self.every is not None and self.every < 1:
-            raise ConfigError("fault rule 'every' must be >= 1")
-        if self.delay < 0:
-            raise ConfigError("fault rule delay must be >= 0")
+        # A whole float is stored as an ``int``; ``at`` is a 1-based hit.
+        for name in ("at", "every"):
+            value = getattr(self, name)
+            if value is not None:
+                value = whole_number(f"fault rule {name!r}", value, 1)
+                object.__setattr__(self, name, value)
+        object.__setattr__(
+            self, "exit_code", whole_number("fault rule exit_code", self.exit_code)
+        )
+        if self.probability is not None and not (
+            _real(self.probability) and 0.0 <= self.probability <= 1.0
+        ):
+            raise ConfigError(
+                f"fault rule probability must be a number in [0, 1], "
+                f"not {self.probability!r}"
+            )
+        if not (_real(self.delay) and 0.0 <= self.delay < math.inf):
+            raise ConfigError(
+                f"fault rule delay must be a finite number >= 0, not {self.delay!r}"
+            )
+        if not isinstance(self.once, bool):
+            raise ConfigError(f"fault rule once must be true or false, not {self.once!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
@@ -136,25 +152,20 @@ class FaultRule:
             return cls(
                 point=str(data["point"]),
                 mode=str(data.get("mode", "error")),
-                probability=(
-                    float(data["probability"])
-                    if data.get("probability") is not None else None
-                ),
-                at=int(data["at"]) if data.get("at") is not None else None,
-                every=(
-                    int(data["every"]) if data.get("every") is not None else None
-                ),
+                probability=data.get("probability"),
+                at=data.get("at"),
+                every=data.get("every"),
                 match_key=(
                     str(data["match_key"])
                     if data.get("match_key") is not None else None
                 ),
-                once=bool(data.get("once", False)),
+                once=data.get("once", False),
                 fuse=str(data["fuse"]) if data.get("fuse") is not None else None,
-                delay=float(data.get("delay", 0.05)),
+                delay=data.get("delay", 0.05),
                 error=str(data.get("error", "fault")),
-                exit_code=int(data.get("exit_code", 13)),
+                exit_code=data.get("exit_code", 13),
             )
-        except (TypeError, ValueError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"invalid fault rule values: {exc}") from exc
 
     def matches(self, point: str, key: str | None) -> bool:
@@ -195,6 +206,11 @@ class FaultRule:
         return doc
 
 
+def _real(value: Any) -> bool:
+    """Whether ``value`` is a number (a bool is none)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _fraction(*parts: Any) -> float:
     """Deterministic uniform fraction in [0, 1) from hashable parts."""
     payload = "|".join(str(part) for part in parts).encode("utf-8")
@@ -211,6 +227,9 @@ class FaultPlan:
     #: Free-form label surfaced in telemetry (plan file name, test id).
     name: str = "faults"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", whole_number("fault plan seed", self.seed))
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         if not isinstance(data, Mapping):
@@ -225,7 +244,7 @@ class FaultPlan:
             raise ConfigError("fault plan 'rules' must be a list")
         return cls(
             rules=tuple(FaultRule.from_dict(rule) for rule in rules),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             name=str(data.get("name", "faults")),
         )
 

@@ -48,8 +48,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
-import numbers
 import os
 import random
 import secrets
@@ -60,10 +58,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.core.config import SynapseConfig
-from repro.core.errors import ConfigError, is_retryable
+from repro.core.errors import ConfigError, is_retryable, whole_number
 from repro.core.samples import Profile
 from repro.runtime.execute import PlanScope, plan_scope
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
+from repro.sim.machines import resolve_machine
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
@@ -95,26 +94,14 @@ DEFAULT_CHECKPOINT = 8
 STORE_ATTEMPTS = 3
 
 
-def _whole(name: str, value: Any, least: float = -math.inf) -> int:
-    """``value`` as an ``int`` when it is a whole number >= ``least`` (a
-    whole float comes back as an ``int``); a bool, a fraction, a
-    non-finite or non-numeric value is a :class:`ConfigError` naming
-    ``name``."""
-    # ``% 1`` is NaN for infinities; a NaN fails both tests.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        value >= least and value % 1 == 0
-    ):
-        bound = "" if least == -math.inf else f" >= {least}"
-        raise ConfigError(f"{name} must be a whole number{bound}, not {value!r}")
-    return int(value)
-
-
 def wave_limits(size_name: str, size: Any, limit: Any = None) -> tuple[int, int | None]:
     """A campaign loop's wave size and cap, checked: ``size`` (the
     ``checkpoint`` of :func:`run_campaign`, the ``batch`` of an elastic
     worker) a whole number >= 1, ``limit`` ``None`` or a whole number
-    >= 0, both by :func:`_whole`, before the loop touches the store."""
-    return _whole(size_name, size, 1), None if limit is None else _whole("limit", limit, 0)
+    >= 0, both by :func:`~repro.core.errors.whole_number`, before the
+    loop touches the store."""
+    cap = None if limit is None else whole_number("limit", limit, 0)
+    return whole_number(size_name, size, 1), cap
 
 
 def _store_op(what: str, fn: Callable[[], Any]) -> Any:
@@ -151,16 +138,18 @@ def _store_op(what: str, fn: Callable[[], Any]) -> Any:
 def _str_list(value: Any, what: str) -> tuple[str, ...]:
     if isinstance(value, str) or not isinstance(value, (list, tuple)):
         raise ConfigError(f"campaign {what} must be a list of strings")
-    items = tuple(str(item) for item in value)
-    if not items:
+    if not value:
         raise ConfigError(f"campaign {what} must not be empty")
-    return items
+    for item in value:
+        if not isinstance(item, str):
+            raise ConfigError(f"campaign {what} entry {item!r} is not a string")
+    return tuple(value)
 
 
 def _seeds(value: Any) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"campaign seeds must be a list of whole numbers, not {value!r}")
-    return tuple(_whole("campaign seeds entry", seed) for seed in value)
+    return tuple(whole_number("campaign seeds entry", seed) for seed in value)
 
 
 def _converted(
@@ -194,12 +183,19 @@ class CampaignSpec:
     )
 
     def __post_init__(self) -> None:
+        """Every field a cell needs is checked here, so a spec that is
+        built at all runs: each app parses (into :attr:`_models`), each
+        machine resolves and a ``profile`` spec's ``config`` makes one
+        valid :class:`SynapseConfig` whose watchers are registered.  A
+        bad field is a :class:`ConfigError` naming it and its entry."""
         if not self.name or any(c in self.name for c in "=,\n"):
             raise ConfigError(
                 f"campaign name {self.name!r} must be non-empty and free of '=', ','"
             )
         if self.kind not in _KINDS:
             raise ConfigError(f"campaign kind must be one of {_KINDS}, not {self.kind!r}")
+        object.__setattr__(self, "apps", _str_list(self.apps, "apps"))
+        object.__setattr__(self, "machines", _str_list(self.machines, "machines"))
         if self.repeats < 1:
             raise ConfigError("campaign repeats must be >= 1")
         if not self.seeds:
@@ -213,17 +209,34 @@ class CampaignSpec:
         ):
             if len(set(values)) != len(values):
                 raise ConfigError(f"campaign {what} must not contain duplicates")
+        for app in self.apps:
+            try:
+                self.app_model(app)
+            except ConfigError as exc:
+                raise ConfigError(f"campaign apps entry {app!r}: {exc}") from exc
+        for machine in self.machines:
+            try:
+                resolve_machine(machine)
+            except ConfigError as exc:
+                raise ConfigError(f"campaign machines entry {machine!r}: {exc}") from exc
+        if self.kind == "profile":
+            from repro.watchers.registry import get_watcher  # noqa: PLC0415 (lazy)
+
+            try:
+                for watcher in SynapseConfig(**self.config).watchers:
+                    get_watcher(watcher)
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"campaign config is invalid: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         """The spec of a JSON-shaped mapping, every field checked before
         a cell runs: ``seeds`` a list of whole numbers, ``repeats`` a
         whole number >= 1 (a whole float is stored as an ``int``, so it
-        keeps the cell digests), and a ``profile`` spec's ``config`` the
-        keyword arguments of one valid :class:`SynapseConfig`.  A ``run``
-        spec builds no config — its ``config`` only labels the stored
-        artifacts — so it is not checked there.  A bad field is a
-        :class:`ConfigError` naming it."""
+        keeps the cell digests), and the rest as :meth:`__post_init__`
+        checks them.  A ``run`` spec builds no config — its ``config``
+        only labels the stored artifacts — so it is not checked there.
+        A bad field is a :class:`ConfigError` naming it."""
         unknown = set(data) - _SPEC_KEYS
         if unknown:
             raise ConfigError(f"unknown campaign spec keys: {sorted(unknown)}")
@@ -238,22 +251,15 @@ class CampaignSpec:
         noisy = data.get("noisy", True)
         if not isinstance(noisy, bool):
             raise ConfigError(f"campaign noisy must be true or false, not {noisy!r}")
-        kind = str(data.get("kind", "profile"))
-        config = _converted(data, "config", dict, {})
-        if kind == "profile":
-            try:
-                SynapseConfig(**config)
-            except (ConfigError, TypeError, ValueError) as exc:
-                raise ConfigError(f"campaign config is invalid: {exc}") from exc
         return cls(
             name=str(data["name"]),
-            apps=_str_list(data["apps"], "apps"),
-            machines=_str_list(data["machines"], "machines"),
-            kind=kind,
+            apps=data["apps"],
+            machines=data["machines"],
+            kind=str(data.get("kind", "profile")),
             seeds=_seeds(data.get("seeds", (0,))),
-            repeats=_whole("campaign repeats", data.get("repeats", 1), 1),
+            repeats=whole_number("campaign repeats", data.get("repeats", 1), 1),
             noisy=noisy,
-            config=config,
+            config=_converted(data, "config", dict, {}),
             tags=_converted(data, "tags", dict, {}),
             policy=policy,
         )
@@ -783,10 +789,9 @@ class _Sweep:
     ) -> None:
         """Execute one wave and persist it, then say so.
 
-        Builds the cells' requests (a cell whose request cannot be built
-        fails here, like one whose run fails), runs them through the
-        service inside the sweep's plan scope, stores the artifacts of
-        the ones that succeeded in one ``put_many`` and emits the wave's
+        Builds the cells' requests, runs them through the service inside
+        the sweep's plan scope, stores the artifacts of the ones that
+        succeeded in one ``put_many`` and emits the wave's
         ``campaign.wave.finish`` summary (also handed to ``progress``).
         ``held(requests)`` is a context manager around the run and the
         store: what the caller keeps alive meanwhile.
@@ -801,20 +806,14 @@ class _Sweep:
             "campaign.wave", level="info", campaign=name, member=self.member,
             wave=wave_no, waves=n_waves, cells=len(wave),
         ) as wave_span:
-            requests, runnable = [], []
-            for cell in wave:
-                try:
-                    requests.append(cell.to_request())
-                    runnable.append(cell)
-                except Exception as exc:  # unknown app spec, bad config, ...
-                    self._fail(cell, repr(exc))
+            requests = [cell.to_request() for cell in wave]
             with held(requests):
-                self._declare(runnable, requests)
+                self._declare(wave, requests)
                 results = self.service.run(
                     requests, processes=self.processes, rethrow=False
                 )
                 artifacts, stored = [], []
-                for cell, result in zip(runnable, results):
+                for cell, result in zip(wave, results):
                     if result.ok:
                         artifacts.append(cell.artifact(result.value))
                         stored.append(cell.digest)

@@ -4,8 +4,7 @@ The paper's profiler writes profiles "on disk or in a MongoDB database"
 (§4).  :func:`open_store` resolves a store URL:
 
 * ``memory://``            — volatile in-process store;
-* ``file:///some/dir``     — one segment file per put (no sample limit;
-  :mod:`repro.storage.migrate` rewrites older on-disk formats);
+* ``file:///some/dir``     — one segment file per put (no sample limit);
 * ``mongo:///some/file``   — embedded Mongo-like DB (16 MB document limit);
 * ``mongo://``             — in-memory Mongo-like DB (still limit-enforcing).
 

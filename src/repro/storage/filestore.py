@@ -39,12 +39,12 @@ parsing a number per sample and metric.
 Version 3 is the only format written or read.  An index line with any
 other version reads as no segment at all, except for the two older
 layouts, which a query refuses with a :class:`~repro.core.errors.StoreError`
-naming ``repro migrate`` (:mod:`repro.storage.migrate` rewrites them as
-v3): a *v2 segment*, whose index line is a bare JSON list of rows and
-whose records hold ``to_dict`` documents, and a *v1 group*, a non-dot
-directory holding one ``*.json`` file per profile and an ``index.jsonl``
-journal.  ``find(query=...)`` matches every record in its ``to_dict``
-shape.
+saying the layout is no longer read: a *v2 segment*, whose index line is
+a bare JSON list of rows, and a *v1 group*, a non-dot directory holding
+``*.json`` profile files or an ``index.jsonl`` journal.  Commit
+``8cf855c`` is the last whose ``repro --store file://ROOT migrate``
+rewrites them as v3.  ``find(query=...)`` matches every record in its
+``to_dict`` shape.
 
 A segment is written to ``<name>.seg.tmp``, renamed into place and
 never changed afterwards, so a segment is either absent or complete: a
@@ -151,9 +151,6 @@ FORMAT_VERSION = 3
 #: ``json.dumps`` without the cycle check: a record is a tree.
 _dumps = json.JSONEncoder(check_circular=False).encode
 
-#: The journal a v1 group kept beside its payload files.
-V1_INDEX_NAME = "index.jsonl"
-
 #: Decoded-payload LRU capacity (documents, not bytes).  Segments are
 #: immutable once renamed into place, so a cached parse stays valid for
 #: as long as the ``(mtime_ns, size)`` stat signature of the segment
@@ -255,11 +252,8 @@ def _decode_samples(samples: Mapping[str, Any]) -> SampleTable:
     )
 
 
-def _decode(
-    pid: str, data: bytes, expected: str | None, samples=_decode_samples
-) -> dict[str, Any]:
-    """One record's document, its ``samples`` decoded into a table by
-    ``samples`` (a v3 columns object by default).
+def _decode(pid: str, data: bytes, expected: str | None) -> dict[str, Any]:
+    """One record's document, its columns object decoded into a table.
 
     The bytes are first re-hashed against the digest recorded with them
     (``None``: none to check); a mismatch is **fatal** — re-reading
@@ -279,7 +273,7 @@ def _decode(
         )
     try:
         doc = json.loads(data)
-        doc["samples"] = samples(doc["samples"])  # TypeError unless an object
+        doc["samples"] = _decode_samples(doc["samples"])  # TypeError unless an object
         return doc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifactError(
@@ -303,40 +297,46 @@ def _is_v1_group(root: str | os.PathLike, name: str) -> bool:
         held = os.listdir(os.path.join(root, name))
     except OSError:  # a file, or gone
         return False
-    return any(n.endswith(".json") or n == V1_INDEX_NAME for n in held)
+    return any(n.endswith(".json") or n == "index.jsonl" for n in held)
 
 
-def _unmigrated(root: str | os.PathLike, name: str) -> StoreError:
-    """The refusal of a root entry in an older on-disk format."""
+def _refused(root: str | os.PathLike, name: str) -> StoreError:
+    """The refusal of a root entry in an older on-disk layout."""
     return StoreError(
-        f"{os.path.join(root, name)} is in an older on-disk format; rewrite "
-        f"the store as v3 with `repro --store file://{root} migrate` first"
+        f"{os.path.join(root, name)} is in an on-disk layout that is no longer "
+        f"read; commit 8cf855c is the last whose `repro --store file://{root} "
+        f"migrate` rewrites it as v3"
     )
 
 
-def _read_index(root: str | os.PathLike, name: str) -> tuple[int, list[_Record]]:
-    """``(format version, records)`` of segment ``name``; ``(0, [])`` if
-    it is not a complete segment.
+def _read_index(root: str | os.PathLike, name: str) -> list[_Record]:
+    """The records of root entry ``name``; none unless it is a complete
+    v3 segment.
 
     A missing file, a missing or malformed footer, a footer pointing
-    outside the file, an index line that is neither a v3 one nor a bare
-    v2 list and one that does not describe records inside the file all
-    read as "no segment here".
+    outside the file, an index line of another version and one that
+    does not describe records inside the file all read as "no segment
+    here".  This is the one check on the older layouts: a v1 group and
+    a complete v2 segment (a bare list of rows) raise :func:`_refused`.
     """
+    if not name.endswith(SEGMENT_SUFFIX):
+        if _is_v1_group(root, name):
+            raise _refused(root, name)
+        return []
     try:
         with open(os.path.join(root, name), "rb") as handle:
             body = handle.seek(0, os.SEEK_END) - _FOOTER_LEN
             if body < 0:
-                return 0, []
+                return []
             handle.seek(body)
             footer = handle.read(_FOOTER_LEN)
             at = int(footer[-21:])
             if footer != _FOOTER % at or not 0 <= at < body:
-                return 0, []
+                return []
             handle.seek(at)
             index = json.loads(handle.read(body - at))
-            version = 2  # a bare list of rows
-            if isinstance(index, dict):
+            old = not isinstance(index, dict)  # v2: a bare list of rows
+            if not old:
                 version = index.get("version")
                 index = index["records"] if version == FORMAT_VERSION else []
             records = [
@@ -350,19 +350,13 @@ def _read_index(root: str | os.PathLike, name: str) -> tuple[int, list[_Record]]
                 for n, row in enumerate(index)
             ]
     except (OSError, ValueError, KeyError, TypeError):
-        return 0, []
+        return []
     if not records or any(
         r.offset < 0 or r.length < 0 or r.offset + r.length > at for r in records
     ):
-        return 0, []
-    return version, records
-
-
-def _current_records(root: str | os.PathLike, name: str) -> list[_Record]:
-    """Segment ``name``'s records, refusing a v2 segment."""
-    version, records = _read_index(root, name)
-    if version != FORMAT_VERSION and records:
-        raise _unmigrated(root, name)
+        return []
+    if old:
+        raise _refused(root, name)
     return records
 
 
@@ -671,9 +665,9 @@ class FileStore(ProfileStore):
         """Bring the cached index in line with one listing of the root.
 
         Names only: segments are immutable, so a name seen before is
-        never opened again.  A new name in an older on-disk format — a
+        never opened again.  A new name in an older on-disk layout — a
         v2 segment, a v1 group — raises :class:`StoreError`, and does so
-        again on every later call until ``repro migrate`` rewrites it.
+        again on every later call while it is there.
         """
         try:
             listing = set(os.listdir(self.root))
@@ -692,14 +686,14 @@ class FileStore(ProfileStore):
                     moved += self._forget(
                         self._files.get(segment, {}), f"{segment}/{n}"
                     )
-                elif _is_v1_group(self.root, name):
-                    raise _unmigrated(self.root, name)
+                else:
+                    _read_index(self.root, name)  # refuses a v1 group
             self._listing = listing
         get_registry().inc("store.index.miss" if moved else "store.index.hit")
 
     def _load_segment(self, name: str, listing: set[str]) -> int:
         get_registry().inc("store.segments.loaded")
-        records = _current_records(self.root, name)
+        records = _read_index(self.root, name)
         # A refresh cut short by a refusal may have loaded it already.
         moved = self._drop(name) if name in self._files else 0
         self._files[name] = {}
@@ -778,14 +772,13 @@ class FileStore(ProfileStore):
         names = sorted(os.listdir(self.root))
         tombstones = {name for name in names if name.endswith(TOMBSTONE_SUFFIX)}
         for name in names:
-            if _is_v1_group(self.root, name):
-                raise _unmigrated(self.root, name)
-            if not name.endswith(SEGMENT_SUFFIX):
+            records = _read_index(self.root, name)
+            if not records:
                 continue
             path = os.path.join(self.root, name)
             try:
                 with open(path, "rb") as handle:
-                    for record in _current_records(self.root, name):
+                    for record in records:
                         pid = record.entry.id
                         if _tombstone(pid) in tombstones:
                             continue

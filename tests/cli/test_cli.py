@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_migrate_is_an_unknown_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--store", f"file://{tmp_path}", "migrate"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+
     def test_profile_args(self):
         args = build_parser().parse_args(
             ["profile", "sleep 1", "--tags", "a=1", "--rate", "2.0"]
@@ -97,34 +103,3 @@ class TestWorkflow:
     def test_show_missing_profile_errors(self, tmp_path):
         code, _ = run_cli(f"--store=file://{tmp_path}/p", "show", "ghost")
         assert code == 1
-
-
-class TestMigrate:
-    def test_refused_until_migrated(self, tmp_path, capsys):
-        """A store holding a v2 segment and a v1 group is refused with a
-        pointer to ``migrate``; ``migrate`` rewrites both, once."""
-        import shutil
-        from pathlib import Path
-
-        from repro.core.samples import Profile
-        from tests.storage.conftest import write_v1
-
-        root = tmp_path / "s"
-        fixture = Path(__file__).parents[1] / "storage" / "fixtures" / "v2_ledger"
-        shutil.copytree(fixture, root)
-        write_v1(root, [Profile(command="old app", created=5.0)])
-        url = f"file://{root}"
-        assert run_cli("--store", url, "list")[0] == 1
-        assert f"repro --store {url} migrate" in capsys.readouterr().err
-        code, text = run_cli("--store", url, "migrate")
-        assert code == 0
-        assert "rewrote 1 v2 segment(s) and 1 v1 group(s), 3 profile(s)" in text
-        code, text = run_cli("--store", url, "list")
-        assert code == 0 and "old app" in text
-        assert "rewrote 0 v2 segment(s) and 0 v1 group(s), 0 profile(s)" in (
-            run_cli("--store", url, "migrate")[1]
-        )
-
-    def test_only_file_stores(self, capsys):
-        assert run_cli("--store", "memory://", "migrate")[0] == 1
-        assert "only a file:// store" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.cli.main import main
+from repro.runtime import CampaignSpec
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -67,8 +68,13 @@ class TestCampaignCommand:
 
     def test_failed_cells_exit_nonzero(self, tmp_path):
         store = f"file://{tmp_path / 'store'}"
-        spec = _spec_file(tmp_path, apps=["nosuchapp"])
-        code, text = run_cli("--store", store, "campaign", spec)
+        spec = _spec_file(tmp_path)
+        [cell, *_] = CampaignSpec.from_json(spec).cells()
+        plan = {"rules": [{"point": "worker.execute", "match_key": cell.digest}]}
+        code, text = run_cli(
+            "--store", store, "--faults", json.dumps(plan),
+            "campaign", spec, "--processes", "1",
+        )
         assert code == 1
         assert "failed cell" in text
 
@@ -78,10 +84,11 @@ class TestCampaignCommand:
 
     @pytest.mark.parametrize("field", [
         {"seeds": "12"}, {"repeats": 2.9}, {"config": {"nope": 1}},
-    ], ids=["seeds", "repeats", "config"])
+        {"apps": [None, 3]}, {"machines": ["nosuch"]},
+    ], ids=["seeds", "repeats", "config", "apps", "machines"])
     def test_malformed_spec_field_exits_1_before_any_cell(self, tmp_path, capsys, field):
         """``"seeds": "12"`` used to run seeds (1, 2); a bad profile
-        config used to fail every cell."""
+        config, app or machine used to fail every cell."""
         store = tmp_path / "store"
         code, text = run_cli(
             "--store", f"file://{store}", "campaign", _spec_file(tmp_path, **field),

@@ -63,6 +63,16 @@ class TestValidation:
         ("adaptive_settle_seconds", float("inf")),
         ("io_file_count", 2),
         ("io_file_count", 0),
+        # A string used to iterate as one watcher per character, a bool
+        # to run as 1, and a numeric string to escape as a TypeError.
+        ("watchers", "cpu"),
+        ("atoms", "compute"),
+        ("watchers", ["cpu", 3]),
+        ("sample_rate", True),
+        ("sample_rate", "2"),
+        ("openmp_threads", True),
+        ("cpu_load", "0.5"),
+        ("efficiency_target", True),
     ])
     def test_values_that_would_fail_mid_run_fail_at_construction(self, field, value):
         """Each used to pass construction: an infinite load made the
@@ -94,6 +104,11 @@ class TestValidation:
 
     def test_efficiency_target_valid(self):
         assert SynapseConfig(efficiency_target=0.8).efficiency_target == 0.8
+
+    def test_from_dict_does_not_split_a_string(self):
+        with pytest.raises(ConfigError, match="watchers"):
+            SynapseConfig.from_dict({"watchers": "cpu"})
+        assert SynapseConfig.from_dict({"watchers": ["cpu"]}).watchers == ("cpu",)
 
     def test_empty_watchers_rejected(self):
         with pytest.raises(ConfigError):

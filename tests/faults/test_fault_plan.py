@@ -45,6 +45,18 @@ class TestFaultRuleValidation:
         with pytest.raises(ConfigError, match="mappings"):
             FaultRule.from_dict(["store.put"])
 
+    @pytest.mark.parametrize("key, value", [
+        ("once", "false"),
+        ("at", 1.5),
+        ("probability", True),
+        ("delay", float("nan")),
+    ])
+    def test_from_dict_coerces_nothing(self, key, value):
+        """Each used to load: ``"false"`` as ``once=True``, 1.5 as hit 1,
+        ``true`` as probability 1.0, and a NaN delay as given."""
+        with pytest.raises(ConfigError, match=f"fault rule '?{key}'? must be"):
+            FaultRule.from_dict({"point": "store.put", key: value})
+
     def test_round_trips_through_to_dict(self):
         rule = FaultRule.from_dict({
             "point": "worker.execute", "mode": "crash", "at": 1,
@@ -104,6 +116,14 @@ class TestFaultPlan:
             FaultPlan.from_dict({"rules": {"point": "p"}})
         with pytest.raises(ConfigError, match="JSON objects"):
             FaultPlan.from_dict([1])
+
+    @pytest.mark.parametrize("seed", [2.7, "abc"])
+    def test_seed_is_a_whole_number(self, seed):
+        """2.7 used to load as seed 2 and ``"abc"`` to escape as a bare
+        ``ValueError``."""
+        with pytest.raises(ConfigError, match="fault plan seed must be a whole number"):
+            FaultPlan.from_dict({"seed": seed})
+        assert FaultPlan.from_dict({"seed": 3.0}).seed == 3
 
     def test_from_json_inline_and_file(self, tmp_path):
         inline = FaultPlan.from_json(

@@ -44,6 +44,18 @@ settings.register_profile(
 )
 
 
+def failing(spec, app):
+    """A fault plan under which every cell of ``spec`` running ``app``
+    fails: one ``worker.execute`` error rule per cell, keyed by its
+    digest (a spec that loads has no cell that fails on its own)."""
+    from repro.faults import FaultPlan, FaultRule
+
+    return FaultPlan(rules=tuple(
+        FaultRule("worker.execute", match_key=cell.digest)
+        for cell in spec.cells() if cell.app == app
+    ))
+
+
 def comparable_profile(profile) -> dict:
     """Profile dict minus transient run identity.
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
+from repro.faults import injected_faults
 from repro.runtime import (
     CampaignSpec,
     RunService,
@@ -22,7 +23,7 @@ from repro.runtime import (
 from repro.runtime.campaign import _Sweep
 from repro.storage.base import MemoryStore
 
-from tests.runtime.conftest import DyingService
+from tests.runtime.conftest import DyingService, failing
 from tests.runtime.conftest import comparable_profile as _comparable
 
 GOLDEN = json.loads(
@@ -113,6 +114,12 @@ class TestSpec:
         ("config", {"nope": 1}),
         ("config", {"sample_rate": -2}),
         ("config", {"sample_rate": "fast"}),
+        ("apps", [None, 3]),
+        ("machines", ["nosuch"]),
+        ("config", {"watchers": "cpu"}),
+        ("config", {"watchers": ["nosuch"]}),
+        ("config", {"sample_rate": True}),
+        ("config", {"sample_rate": "2"}),
     ])
     def test_malformed_field_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"campaign {key}"):
@@ -126,6 +133,22 @@ class TestSpec:
         })
         assert spec.seeds == tuple(SPEC["seeds"]) and type(spec.repeats) is int
         assert [c.digest for c in spec.cells()] == digests
+
+    @pytest.mark.parametrize("kind", ["profile", "run"])
+    def test_a_spec_that_builds_runs(self, kind):
+        """Apps parse and machines resolve when the spec is built, by
+        ``from_dict`` or directly, for both kinds."""
+        with pytest.raises(ConfigError, match="campaign apps entry None"):
+            CampaignSpec.from_dict({
+                "name": "x", "kind": kind, "apps": [None, 3],
+                "machines": ["nosuch"], "seeds": [0],
+            })
+        with pytest.raises(ConfigError, match="campaign apps entry 'nosuchapp'"):
+            CampaignSpec("x", ("nosuchapp",), ("thinkie",), kind=kind)
+        with pytest.raises(ConfigError, match="campaign machines entry 'nosuch'"):
+            CampaignSpec("x", ("sleeper",), ("nosuch",), kind=kind)
+        spec = CampaignSpec("x", ["sleeper"], ["thinkie"], kind=kind)
+        assert spec.apps == ("sleeper",) and list(spec._models) == ["sleeper"]
 
     def test_run_specs_do_not_check_config(self):
         """A ``run`` cell builds no :class:`SynapseConfig`: its config
@@ -222,12 +245,12 @@ class TestRunCampaign:
         assert again.complete
 
     def test_failed_cells_are_not_recorded_as_complete(self):
-        spec = CampaignSpec.from_dict(
-            {**SPEC, "apps": ["gromacs:iterations=20000", "nosuchapp"]}
-        )
+        spec = CampaignSpec.from_dict(SPEC)
         store = MemoryStore()
-        report = run_campaign(spec, store)
-        assert len(report.failed) == 4  # nosuchapp x 2 machines x 2 seeds
+        plan = failing(spec, "sleeper:sleep_seconds=1")
+        with RunService(processes=1) as svc, injected_faults(plan):
+            report = run_campaign(spec, store, service=svc)
+        assert len(report.failed) == 4  # sleeper x 2 machines x 2 seeds
         assert report.executed == 4
         assert not report.complete
         assert len(completed_cells(store, spec.name)) == 4
@@ -382,12 +405,12 @@ class TestOneWaveBody:
     """``run_campaign`` and ``elastic_worker`` choose waves differently
     and execute them through the same body."""
 
-    SPEC = {**SPEC, "name": "body", "apps": ["gromacs:iterations=20000", "nosuchapp"]}
+    SPEC = {**SPEC, "name": "body"}
 
     def run_both(self):
         spec = CampaignSpec.from_dict(self.SPEC)
-        outcomes = []
-        with RunService(processes=1) as svc:
+        outcomes, plan = [], failing(spec, "sleeper:sleep_seconds=1")
+        with RunService(processes=1) as svc, injected_faults(plan):
             for loop, waves in (
                 (run_campaign, {"checkpoint": 3}),
                 (elastic_worker, {"batch": 3, "worker": "w"}),
@@ -419,7 +442,10 @@ class TestOneWaveBody:
     def test_a_failing_request_build_is_recorded_identically(self):
         (lone, _, _), (worker, _, _) = self.run_both()
         assert lone.failed == worker.failed and len(lone.failed) == 4
-        assert all("nosuchapp" in failure["error"] for failure in lone.failed)
+        assert all(
+            f"injected fault at worker.execute (key={failure['cell']})" in failure["error"]
+            for failure in lone.failed
+        )
         assert lone.to_dict().keys() == worker.to_dict().keys()
         assert (lone.executed, lone.remaining) == (worker.executed, worker.remaining)
 

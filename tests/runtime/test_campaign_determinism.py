@@ -2,8 +2,7 @@
 
 Each example draws one execution of the 8-cell ``ci-smoke`` spec and
 runs it with the real code: a backend (``MemoryStore``, a ``FileStore``
-— optionally started from the migrated v2 fixture — or a file-backed
-``mongo://``); a topology (a lone ``run_campaign``, a 2-process pool,
+or a file-backed ``mongo://``); a topology (a lone ``run_campaign``, a 2-process pool,
 1–3 ``elastic_worker``s splitting the sweep with ``limit``, or rarely a
 2-worker ``run_elastic`` spawn fleet); waves of 1–4 cells; an
 interruption (none, a ``stop`` drain after wave *k*, or a kill after *k*
@@ -63,7 +62,6 @@ from repro.runtime.coordinator import STALE_MARKER_FACTOR, _Worker
 from repro.storage import open_store
 from repro.storage.base import MemoryStore
 from repro.storage.filestore import SEGMENT_SUFFIX, TOMBSTONE_SUFFIX
-from repro.storage.migrate import migrate
 
 from tests.runtime.conftest import DETERMINISM_PROFILE, DyingService, VirtualClock
 
@@ -73,9 +71,6 @@ SPEC = CampaignSpec.from_dict({
     "machines": ["thinkie", "comet"],
     "seeds": [0, 1], "repeats": 1, "config": {"sample_rate": 2.0},
 })
-#: 2 of :data:`SPEC`'s cells in the last v2 writer's format (cell
-#: digests do not hash the seed list).
-V2_LEDGER = Path(__file__).parents[1] / "storage" / "fixtures" / "v2_ledger"
 SERIAL = RunService(processes=1)
 #: The late joiner's lease TTL; its clock starts past the garbage
 #: horizon of every marker written before it joined.
@@ -103,8 +98,6 @@ class Execution:
     fault_seed: int = 0
     #: ``pool``: one ``worker.execute`` crash, behind a fuse.
     crash: bool = False
-    #: ``file``: start from the migrated v2 ledger.
-    v2: bool = False
 
 
 @st.composite
@@ -140,7 +133,6 @@ def executions(draw) -> Execution:
         # A single-request batch runs in the parent, where a crash would
         # kill the test: only waves of two cells or more crash a worker.
         crash=topology == "pool" and wave > 1 and draw(st.booleans()),
-        v2=backend == "file" and draw(st.booleans()),
     )
 
 
@@ -173,9 +165,6 @@ class Run:
     def __init__(self, execution: Execution, root: Path) -> None:
         self.execution, self.root = execution, root
         if execution.backend == "file":
-            if execution.v2:
-                shutil.copytree(V2_LEDGER, root / "store")
-                migrate(root / "store")
             self.url = f"file://{root / 'store'}"
         elif execution.backend == "mongo":
             self.url = f"mongo://{root / 'db.json'}"
@@ -326,9 +315,9 @@ DERANDOMIZED = settings(
 @example(Execution(backend="file", topology="pool", wave=3, crash=True,
                    faults=(("store.put", 0.05), ("store.entries", 0.05)),
                    fault_seed=7))
-# A drained first worker, a migrated v2 start and a second worker.
+# A drained first worker, then a second worker.
 @example(Execution(backend="file", topology="workers", limits=(2,), wave=1,
-                   interruption="stop", v2=True))
+                   interruption="stop"))
 # A spawned fleet.
 @example(Execution(backend="file", topology="fleet", wave=2))
 # A kill on Mongo, resumed by a lone run.

@@ -56,7 +56,7 @@ from repro.storage.mongostore import MongoLite, MongoStore
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
 
-from tests.runtime.conftest import VirtualClock
+from tests.runtime.conftest import VirtualClock, failing
 from tests.runtime.conftest import ledger_dict as _ledger_dict
 
 SPEC = {
@@ -504,10 +504,11 @@ class TestElasticWorkerSingle:
     def test_mixed_failures_recorded_not_stored(self, tmp_path):
         spec = CampaignSpec.from_dict(
             dict(SPEC, name="elastic-bad", apps=["sleeper:sleep_seconds=1",
-                                                 "nosuchapp:x=1"])
+                                                 "sleeper:sleep_seconds=2"])
         )
         store = FileStore(tmp_path / "s")
-        report = elastic_worker(spec, store, lease_ttl=5.0, service=serial())
+        with injected_faults(failing(spec, "sleeper:sleep_seconds=2")):
+            report = elastic_worker(spec, store, lease_ttl=5.0, service=serial())
         assert report.executed == spec.n_cells // 2
         assert len(report.failed) == spec.n_cells // 2
         assert not report.complete

@@ -641,19 +641,23 @@ class TestFailureContext:
     def test_campaign_failures_record_the_enriched_message(self):
         """End to end: a failing campaign cell's ledger entry names the
         cell digest and attempt, not just the raw exception."""
+        from repro.faults import injected_faults
         from repro.runtime import CampaignSpec, run_campaign
         from repro.storage.base import MemoryStore
+        from tests.runtime.conftest import failing
 
         spec = CampaignSpec.from_dict({
             "name": "ctx", "kind": "profile",
             "apps": ["sleeper:sleep_seconds=1"],
-            "machines": ["nosuchmachine"],  # fails at dispatch, not parse
+            "machines": ["thinkie"],
             "policy": {"retries": 1},
         })
-        report = run_campaign(spec, MemoryStore())
+        plan = failing(spec, "sleeper:sleep_seconds=1")
+        with RunService(processes=1) as service, injected_faults(plan):
+            report = run_campaign(spec, MemoryStore(), service=service)
         assert len(report.failed) == 1
         failure = report.failed[0]
         message = failure["error"]
         assert f"key={failure['cell']}" in message
-        assert "attempt 1/2" in message  # an unknown machine is fatal
+        assert "attempt 2/2" in message  # an injected fault is retried once
         assert "profile request" in message

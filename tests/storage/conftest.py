@@ -1,10 +1,10 @@
 """Hand-written on-disk states for the FileStore tests.
 
-Nothing here calls into the product's write or read path: the v1 layout
-is what stores written before segments look like, v2 segments what
-stores written before binary sample columns look like, the v3 record
+Nothing here calls into the product's write or read path: the v3 record
 coder is written from the format's description with ``struct`` (not
-NumPy), and the damage helpers edit stored bytes the way bit rot would.
+NumPy), a segment's index line can carry any version or be a bare list
+(the v2 layout), and the damage helpers edit stored bytes the way bit
+rot would.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-
-V1_INDEX_NAME = "index.jsonl"
 
 
 def segment_files(root) -> list[Path]:
@@ -30,10 +28,9 @@ def read_segment(path) -> tuple[list[dict], list[bytes]]:
     footer, index_line = lines[-1], lines[-2]
     at = int(footer.rpartition(b"@")[2])
     assert data[at:at + len(index_line)] == index_line
-    rows = json.loads(index_line)
-    if isinstance(rows, dict):
-        assert rows["version"] == 3
-        rows = rows["records"]
+    index = json.loads(index_line)
+    assert index["version"] == 3
+    rows = index["records"]
     return rows, [data[r["offset"]:r["offset"] + r["length"]] for r in rows]
 
 
@@ -77,11 +74,9 @@ def encode_samples(samples: list[dict]) -> dict:
 
 
 def decode_record(data: bytes) -> dict:
-    """One stored record (either version) in its ``to_dict`` shape."""
+    """One stored record in its ``to_dict`` shape."""
     doc = json.loads(data)
     columns = doc["samples"]
-    if isinstance(columns, list):
-        return doc
     samples = [
         {"index": index, "t": t, "dt": dt, "values": {}, "watcher_times": {}}
         for index, t, dt in zip(
@@ -112,63 +107,30 @@ def decode_record(data: bytes) -> dict:
 def damage_record(root, pid: str, old: bytes, new: bytes) -> Path:
     """Swap ``old`` for same-length ``new`` inside one stored record.
 
-    Works on both layouts: the record of a segment id ``<segment>/<n>``
-    sits before the segment's index line (so the first occurrence is the
-    record's), a v1 id ``<group>/<file>.json`` is the file itself.
+    The record of id ``<segment>/<n>`` sits before the segment's index
+    line, so the first occurrence is the record's.
     """
     assert len(old) == len(new)
-    path = Path(root) / pid
-    if not path.is_file():
-        path = path.parent
+    path = Path(root) / pid.rpartition("/")[0]
     data = path.read_bytes()
     assert old in data
     path.write_bytes(data.replace(old, new, 1))
     return path
 
 
-def write_v1(root, profiles, sums: bool = True, journal: bool = True) -> list[str]:
-    """Store ``profiles`` in the v1 layout by hand; returns their ids.
-
-    One directory per ``(command, tags)`` key, one ``*.json`` payload per
-    profile, one ``index.jsonl`` line per profile (``sums=False``: the
-    lines predate the ``sum`` field; ``journal=False``: no journal).
-    """
-    root = Path(root)
-    ids = []
-    for seq, profile in enumerate(profiles, 1):
-        key = json.dumps([profile.command, list(profile.tags)]).encode("utf-8")
-        group = root / hashlib.sha256(key).hexdigest()[:16]
-        group.mkdir(parents=True, exist_ok=True)
-        name = f"{int(profile.created * 1e9):020d}-v1writer-{seq:06d}.json"
-        data = json.dumps(profile.to_dict()).encode("utf-8")
-        (group / name).write_bytes(data)
-        pid = f"{group.name}/{name}"
-        row = {
-            "id": pid, "command": profile.command,
-            "tags": list(profile.tags), "created": profile.created,
-        }
-        if sums:
-            row["sum"] = hashlib.blake2b(data, digest_size=16).hexdigest()
-        if journal:
-            with open(group / V1_INDEX_NAME, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row) + "\n")
-        ids.append(pid)
-    return ids
-
-
-def encode_record(profile, version: int = 3) -> bytes:
-    """The bytes a segment of ``version`` stores ``profile`` as."""
+def encode_record(profile) -> bytes:
+    """The bytes a v3 segment stores ``profile`` as."""
     doc = profile.to_dict()
-    if version == 3:
-        doc["samples"] = encode_samples(doc["samples"])
+    doc["samples"] = encode_samples(doc["samples"])
     return json.dumps(doc).encode("utf-8")
 
 
 def build_segment(profiles, version: int = 3, records=None) -> bytes:
     """The bytes of a complete segment holding ``profiles``, by hand
-    (``records``: their bytes, if not :func:`encode_record`'s)."""
+    (``records``: their bytes, if not :func:`encode_record`'s;
+    ``version=2``: the index line a bare list of rows, as v2 wrote it)."""
     if records is None:
-        records = [encode_record(profile, version) for profile in profiles]
+        records = [encode_record(profile) for profile in profiles]
     body, rows = b"", []
     for profile, data in zip(profiles, records):
         rows.append({

@@ -1,10 +1,8 @@
 """FileStore payload integrity: recorded checksums + CorruptArtifactError.
 
 Every ``put`` records a blake2b digest of each record's exact bytes in
-its segment's index line (v1 groups kept theirs in an ``index.jsonl``
-journal, which ``migrate`` checks); payload reads (cache misses) re-hash
-the bytes and raise a **fatal**
-:class:`CorruptArtifactError` on mismatch.  These tests flip bits on
+its segment's index line; payload reads (cache misses) re-hash the
+bytes and raise a **fatal** :class:`CorruptArtifactError` on mismatch.  These tests flip bits on
 disk the way bit rot / torn overwrites would and assert the damage is
 surfaced, typed, non-retryable, and observable.
 """
@@ -18,14 +16,12 @@ import pytest
 from repro.core.errors import CorruptArtifactError, StoreError, is_retryable
 from repro.core.samples import Profile, Sample
 from repro.storage import FileStore
-from repro.storage.migrate import migrate
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
 from tests.storage.conftest import (
     damage_record,
     read_segment,
     segment_files,
-    write_v1,
 )
 
 
@@ -77,16 +73,6 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptArtifactError):
             store.get_many([pid])
 
-    def test_fresh_store_detects_corruption_via_journal(self, store):
-        """``migrate`` judges a v1 payload against the digest its
-        group's journal recorded instead of sealing damaged bytes under
-        a fresh one, and leaves the group as it was."""
-        [pid] = write_v1(store.root, [make_profile()])
-        corrupt_file(store, pid)
-        with pytest.raises(CorruptArtifactError):
-            migrate(store.root)
-        assert (store.root / pid).is_file() and segment_files(store.root) == []
-
     def test_direct_get_without_prior_index_load_detects(self, store):
         """``get_many`` by raw id on a cold store loads the segment's
         index line before reading the payload, so corruption is still
@@ -130,21 +116,6 @@ class TestCorruptionDetection:
 
 
 class TestCompatibilityAndCaching:
-    def test_legacy_journal_without_sums_still_reads(self, store):
-        """A v1 journal written before the ``sum`` field has nothing to
-        check: ``migrate`` rewrites the profile under a fresh digest,
-        which then pins every read."""
-        write_v1(store.root, [make_profile()], sums=False)
-        migrate(store.root)
-        fresh = FileStore(store.root)
-        [pid] = fresh.find_ids()
-        assert fresh.get_many([pid])[0].command == "app x"
-        # ... and the sealed digest now guards against later damage.
-        fresh._payloads.clear()
-        corrupt_file(store, pid)
-        with pytest.raises(CorruptArtifactError):
-            fresh.get_many([pid])
-
     def test_cached_payloads_are_not_reverified(self, store):
         """Verification runs on cache misses only — same-size damage
         under an unchanged ``(mtime_ns, size)`` signature rides the LRU

@@ -23,7 +23,6 @@ from repro.faults.inject import injected_faults
 from repro.faults.plan import FaultPlan
 from repro.storage import FileStore, Marker, MemoryStore, MongoLite, MongoStore
 from repro.storage.filestore import MARKER_DIR
-from repro.storage.migrate import migrate
 from repro.telemetry.metrics import get_registry
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -231,7 +230,7 @@ class TestFileLayout:
 
     def test_dot_directories_are_not_groups(self, tmp_path):
         """An empty ``.markers`` tree must neither count as a v1 profile
-        group (to the store or to ``migrate``) nor be swept away."""
+        group (the store refuses those) nor be swept away."""
         root = tmp_path / "s"
         store = FileStore(root)
         pid = store.put(Profile(command="app"))
@@ -241,7 +240,6 @@ class TestFileLayout:
         assert fresh.count() == 1
         assert fresh.keys() == [("app", (), 1)]
         assert [p for p, _ in fresh._iter_profiles()] == [pid]
-        assert migrate(root) == (0, 0, 0)
         assert (root / MARKER_DIR / mid.split("/")[0]).is_dir()
 
     def test_second_process_sees_marker_on_next_scan(self, tmp_path):

@@ -6,8 +6,7 @@ loads and tests every profile.  These tests pin that on randomized
 stores across all three backends, check that the index plane loads no
 payload and that a second handle sees the first's changes on every
 backend, then exercise the FileStore segment index: its layout, rival
-writers and deleters, the migration of v1 groups with a torn, missing or
-garbage journal, and the no-payload guarantees of the index plane.
+writers and deleters, and the no-payload guarantees of the index plane.
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ from repro.core.errors import ProfileNotFoundError, StoreError
 from repro.core.samples import Profile, Sample
 from repro.storage import FileStore, MemoryStore, MongoStore, filestore
 from repro.storage.base import ReferenceScan, StoreEntry
-from repro.storage.migrate import migrate
 from tests.storage.conftest import (
-    V1_INDEX_NAME,
     decode_record,
     encode_record,
     read_segment,
     segment_files,
-    write_v1,
 )
 
 COMMANDS = ("app alpha", "app beta", "gmx mdrun")
@@ -200,8 +196,7 @@ class TestIndexedEquivalence:
 
 
 class TestFileStoreSidecarIndex:
-    """The segment index: layout, cross-process visibility, debris, and
-    the migration of v1 groups whose journal is damaged."""
+    """The segment index: layout, cross-process visibility and debris."""
 
     def test_sidecar_journal_layout(self, tmp_path):
         """One put is one segment: the document, then the index line
@@ -279,35 +274,6 @@ class TestFileStoreSidecarIndex:
             writer_b.get_many([pair[0]])
         with pytest.raises(StoreError):
             writer_b.delete(pair[0])  # already deleted: the tombstone is there
-
-    def test_truncated_journal_line_replays(self, tmp_path):
-        """``migrate`` rewrites every file of a v1 group whose journal
-        ends in a torn line (the torn line's digest is not checked)."""
-        root = tmp_path / "p"
-        write_v1(root, [make_profile(created=float(i)) for i in range(3)])
-        [index_path] = root.glob(f"*/{V1_INDEX_NAME}")
-        text = index_path.read_text(encoding="utf-8")
-        index_path.write_text(text[: text.rfind('"created"')], encoding="utf-8")
-        assert migrate(root).profiles == 3
-        fresh = FileStore(root)
-        assert fresh.count() == 3
-        assert [p.created for p in fresh.find("app x")] == [0.0, 1.0, 2.0]
-
-    def test_missing_journal_rebuilds_from_files(self, tmp_path):
-        root = tmp_path / "p"
-        write_v1(root, [make_profile(created=float(i)) for i in range(3)], journal=False)
-        assert migrate(root).profiles == 3
-        assert [p.created for p in FileStore(root).find("app x")] == [0.0, 1.0, 2.0]
-
-    def test_garbage_journal_rebuilds(self, tmp_path):
-        root = tmp_path / "p"
-        write_v1(root, [make_profile(created=float(i)) for i in range(2)])
-        [index_path] = root.glob(f"*/{V1_INDEX_NAME}")
-        index_path.write_text("not json at all\n{\n", encoding="utf-8")
-        assert migrate(root).profiles == 2
-        fresh = FileStore(root)
-        assert fresh.count() == 2
-        assert len(fresh.find("app x")) == 2
 
     def test_delete_edits_the_cached_index_in_place(self, tmp_path):
         """Deleting one record of a live segment must not throw the
