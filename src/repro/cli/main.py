@@ -48,7 +48,7 @@ from repro.core.api import emulate as api_emulate
 from repro.core.api import profile as api_profile
 from repro.core.api import stats as api_stats
 from repro.core.config import SynapseConfig
-from repro.core.errors import ProfileNotFoundError
+from repro.core.errors import ProfileNotFoundError, whole_number
 from repro.core.metrics import table1_rows
 from repro.core.samples import Profile
 from repro.sim.machines import get_machine, list_machines
@@ -522,6 +522,14 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                 )
                 return 2
     spec = CampaignSpec.from_json(args.spec)
+    # Counts are checked before the store opens (a file store makes its
+    # directory): a bad one runs and stores nothing.
+    for field, value, least in (
+        ("processes", args.processes, 1), ("workers", args.workers, 1),
+        ("limit", args.limit, 0),
+    ):
+        if value is not None:
+            whole_number(field, value, least)
     store = open_store(args.store)
     if args.report:
         from repro.runtime.analyze import analyze_campaign  # noqa: PLC0415 (lazy)

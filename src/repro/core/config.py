@@ -33,12 +33,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, flag, mapping, names, number, text, whole_number
 from repro.util.units import parse_bytes
 
 __all__ = ["SynapseConfig", "MAX_SAMPLE_RATE", "DEFAULT_WATCHERS", "DEFAULT_ATOMS"]
@@ -112,67 +110,51 @@ class SynapseConfig:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if type(value) in (float, int) or value is None and name == "efficiency_target":
-                continue  # the common case, without the slower ABC check
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("watchers", "atoms"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise ConfigError(f"{name} must be a list of names, got {value!r}")
-            setattr(self, name, tuple(value))
-        if not (0.0 < self.sample_rate <= MAX_SAMPLE_RATE):
-            raise ConfigError(
-                f"sample_rate must be in (0, {MAX_SAMPLE_RATE}] Hz, got {self.sample_rate}"
-            )
+        number("sample_rate", self.sample_rate, above=0.0, most=MAX_SAMPLE_RATE)
+        self.watchers = names("watchers", self.watchers)
+        self.atoms = names("atoms", self.atoms)
+        flag("drain_final_sample", self.drain_final_sample)
+        for name in ("compute_kernel", "io_filesystem"):
+            text(name, getattr(self, name))
         blocks = [
             name for name in ("io_block_size_read", "io_block_size_write")
             if getattr(self, name) != "auto"
         ] + ["mem_block_size", "net_block_size"]
         for name in (*blocks, "mem_load"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                number(name, value, 0)
             try:
-                setattr(self, name, parse_bytes(getattr(self, name)))
-            except (ValueError, OverflowError) as exc:
+                setattr(self, name, parse_bytes(value))
+            except (ValueError, OverflowError) as exc:  # a malformed byte string
                 raise ConfigError(f"{name}: {exc}") from exc
         for name in blocks:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("openmp_threads", "mpi_processes"):
-            value = getattr(self, name)
-            # ``% 1`` is NaN for infinities; a NaN fails both tests.
-            if not (value >= 1 and value % 1 == 0):
-                raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
-        for name in ("cpu_load", "disk_load"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-        if self.io_file_count != 1:
+        # Checked, not converted: a whole float stays a float, as every
+        # stored config (and so every ledger digest) carries it.
+        whole_number("openmp_threads", self.openmp_threads, 1)
+        whole_number("mpi_processes", self.mpi_processes, 1)
+        number("cpu_load", self.cpu_load, 0.0)
+        number("disk_load", self.disk_load, 0.0)
+        if number("io_file_count", self.io_file_count) != 1:
             raise ConfigError(
                 f"io_file_count must be 1 (the storage atom writes one file), "
                 f"got {self.io_file_count!r}"
             )
-        if self.efficiency_target is not None and not (0.0 < self.efficiency_target <= 1.0):
-            raise ConfigError("efficiency_target must be in (0, 1]")
-        if not self.watchers:
-            raise ConfigError("at least one watcher must be enabled")
+        if self.efficiency_target is not None:
+            number("efficiency_target", self.efficiency_target, above=0.0, most=1.0)
         if self.sampling_policy not in ("constant", "adaptive"):
             raise ConfigError(
                 f"sampling_policy must be 'constant' or 'adaptive', "
                 f"got {self.sampling_policy!r}"
             )
-        if not (0.0 < self.adaptive_initial_rate <= MAX_SAMPLE_RATE):
-            raise ConfigError(
-                f"adaptive_initial_rate must be in (0, {MAX_SAMPLE_RATE}]"
-            )
-        if not 0.0 <= self.adaptive_settle_seconds < math.inf:
-            raise ConfigError(
-                "adaptive_settle_seconds must be finite and non-negative, "
-                f"got {self.adaptive_settle_seconds!r}"
-            )
+        number(
+            "adaptive_initial_rate", self.adaptive_initial_rate,
+            above=0.0, most=MAX_SAMPLE_RATE,
+        )
+        number("adaptive_settle_seconds", self.adaptive_settle_seconds, 0.0)
+        mapping("extra", self.extra)
         if self.sampling_policy == "adaptive":
             # The profiler builds the policy only once a run starts.
             from repro.core.sampling import policy_from_config  # noqa: PLC0415 (cycle)
@@ -204,10 +186,3 @@ class SynapseConfig:
 
 #: Field names in declaration order (the key order of :meth:`to_dict`).
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SynapseConfig))
-#: Fields that must hold a number (a bool is none); ``efficiency_target``
-#: may also be ``None``.
-_NUMBER_FIELDS = (
-    "sample_rate", "adaptive_initial_rate", "adaptive_settle_seconds",
-    "openmp_threads", "mpi_processes", "cpu_load", "disk_load", "io_file_count",
-    "efficiency_target",
-)

@@ -20,12 +20,27 @@ exception:
   their cause is the request itself, not the environment;
 * everything else is presumed transient and retryable (I/O hiccups,
   store contention, injected faults, timeouts).
+
+Input checks
+------------
+
+Every input surface (a config, a campaign spec, a run policy, a fault
+plan, an arrival spec, the service's and the traffic plane's arguments)
+checks its fields with the functions below, called directly: each
+returns the value it checked (a whole number as an ``int``, nothing else
+converted) or raises :class:`ConfigError` naming the field, so NaN, ±inf,
+a bool for a number, a fraction for a count, ``null`` or a misspelt key
+fail when the input loads, not when it runs.  The checks are
+:func:`number`, :func:`whole_number`, :func:`flag` (a JSON bool),
+:func:`text`, :func:`names` (a non-empty list of distinct strings) and
+:func:`mapping` (a JSON object, optionally with known keys only).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Collection, Mapping
 from typing import Any
 
 __all__ = [
@@ -45,6 +60,11 @@ __all__ = [
     "FatalError",
     "PoisonRequestError",
     "is_retryable",
+    "flag",
+    "mapping",
+    "names",
+    "number",
+    "text",
     "whole_number",
 ]
 
@@ -168,15 +188,92 @@ def is_retryable(exc: BaseException) -> bool:
     return not isinstance(exc, _FATAL_TYPES)
 
 
-def whole_number(name: str, value: Any, least: float = -math.inf) -> int:
+def number(
+    name: str, value: Any, least: Any = None, most: Any = None,
+    *, above: Any = None, below: Any = None,
+) -> Any:
+    """``value`` when it is a finite real number (a bool is none) that is
+    ``>= least``, ``<= most``, ``> above`` and ``< below`` (each bound
+    optional); otherwise a :class:`ConfigError` naming ``name``."""
+    kind = type(value)
+    # A NaN fails the finiteness test (every comparison with it is False).
+    if (
+        (kind is float or kind is int or (
+            kind is not bool and isinstance(value, numbers.Real)
+        ))
+        and -math.inf < value < math.inf
+        and (least is None or value >= least) and (most is None or value <= most)
+        and (above is None or value > above) and (below is None or value < below)
+    ):
+        return value
+    bounds = " and ".join(
+        f"{op} {bound}" for op, bound in
+        ((">=", least), (">", above), ("<=", most), ("<", below)) if bound is not None
+    )
+    bounds = f" {bounds}" if bounds else ""
+    raise ConfigError(f"{name} must be a finite number{bounds}, not {value!r}")
+
+
+def whole_number(name: str, value: Any, least: int | None = None) -> int:
     """``value`` as an ``int`` when it is a whole number >= ``least`` (a
     whole float comes back as an ``int``); a bool, a fraction, a
     non-finite or non-numeric value is a :class:`ConfigError` naming
     ``name``."""
+    if type(value) is int:
+        if least is None or value >= least:
+            return value
     # ``% 1`` is NaN for infinities; a NaN fails both tests.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        value >= least and value % 1 == 0
+    elif not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+        value % 1 == 0 and (least is None or value >= least)
     ):
-        bound = "" if least == -math.inf else f" >= {least}"
-        raise ConfigError(f"{name} must be a whole number{bound}, not {value!r}")
-    return int(value)
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise ConfigError(f"{name} must be a whole number{bound}, not {value!r}")
+
+
+def flag(name: str, value: Any) -> bool:
+    """``value`` when it is ``True`` or ``False``; anything else (``0``,
+    ``"false"``, ``None``) is a :class:`ConfigError` naming ``name``."""
+    if value is True or value is False:
+        return value
+    raise ConfigError(f"{name} must be true or false, not {value!r}")
+
+
+def text(name: str, value: Any) -> str:
+    """``value`` when it is a string; a :class:`ConfigError` naming
+    ``name`` otherwise (nothing is turned into one with ``str()``)."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be a string, not {value!r}")
+
+
+def names(name: str, value: Any) -> tuple[str, ...]:
+    """``value`` as a tuple when it is a non-empty list (or tuple) of
+    distinct strings; a :class:`ConfigError` naming ``name`` otherwise.
+    A lone string is no list of names."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of strings, not {value!r}")
+    for item in value:
+        if not isinstance(item, str):
+            raise ConfigError(f"{name} entry {item!r} is not a string")
+    if not value:
+        raise ConfigError(f"{name} must not be empty")
+    if len(set(value)) != len(value):
+        raise ConfigError(f"{name} must not contain duplicates, not {list(value)!r}")
+    return tuple(value)
+
+
+def mapping(name: str, value: Any, keys: Collection[str] | None = None) -> Mapping:
+    """``value`` when it is a mapping (a JSON object) whose keys, when
+    ``keys`` is given, are all among them; a :class:`ConfigError` naming
+    ``name`` (and every unknown key) otherwise."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a mapping (a JSON object), not {value!r}")
+    if keys is not None:
+        unknown = [key for key in value if key not in keys]
+        if unknown:
+            raise ConfigError(
+                f"unknown {name} keys: {sorted(unknown, key=str)}; "
+                f"known: {sorted(keys)}"
+            )
+    return value

@@ -16,13 +16,12 @@ exactly the property the paper claims of the original codebase.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import MAX_SAMPLE_RATE, SynapseConfig
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, number
 
 __all__ = [
     "SamplingPolicy",
@@ -67,10 +66,7 @@ class ConstantRate(SamplingPolicy):
     rate: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rate <= MAX_SAMPLE_RATE):
-            raise ConfigError(
-                f"sampling rate must be in (0, {MAX_SAMPLE_RATE}], got {self.rate}"
-            )
+        number("sampling rate", self.rate, above=0.0, most=MAX_SAMPLE_RATE)
 
     def interval_at(self, elapsed: float) -> float:
         return 1.0 / self.rate
@@ -99,17 +95,11 @@ class AdaptiveRate(SamplingPolicy):
     base_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, rate in (("initial_rate", self.initial_rate), ("base_rate", self.base_rate)):
-            if not (0.0 < rate <= MAX_SAMPLE_RATE):
-                raise ConfigError(
-                    f"{name} must be in (0, {MAX_SAMPLE_RATE}], got {rate}"
-                )
+        number("initial_rate", self.initial_rate, above=0.0, most=MAX_SAMPLE_RATE)
+        number("base_rate", self.base_rate, above=0.0, most=MAX_SAMPLE_RATE)
         if self.initial_rate < self.base_rate:
             raise ConfigError("initial_rate must be >= base_rate")
-        if not 0.0 <= self.settle_seconds < math.inf:
-            raise ConfigError(
-                f"settle_seconds must be finite and non-negative, got {self.settle_seconds!r}"
-            )
+        number("settle_seconds", self.settle_seconds, 0.0)
 
     def interval_at(self, elapsed: float) -> float:
         # The epsilon absorbs float accumulation when grid timestamps are

@@ -36,7 +36,9 @@ Point inventory (grep for ``inject(`` to verify):
 ========================  ====================================================
 
 Hit counters are per process: a pool worker forked from the parent
-inherits the active plan but counts its own hits.  Rules needing
+inherits the active plan but counts its own hits.  The run service ships
+the parent's active plan with every pooled chunk, so a worker that
+started before a plan was activated (or dropped) takes it then.  Rules needing
 exactly-one-firing semantics *across* processes (e.g. one worker crash
 per campaign) use a ``fuse`` file — see :mod:`repro.faults.plan`.
 

@@ -55,22 +55,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.errors import ConfigError, RetryableError, whole_number
+from repro.core.errors import (
+    ConfigError,
+    RetryableError,
+    flag,
+    mapping,
+    number,
+    text,
+    whole_number,
+)
 
 __all__ = ["FaultPlan", "FaultRule", "InjectedFault"]
 
 _MODES = ("error", "delay", "crash")
 _ERROR_KINDS = ("fault", "store", "os")
-_RULE_KEYS = frozenset(
-    {"point", "mode", "probability", "at", "every", "match_key", "once",
-     "fuse", "delay", "error", "exit_code"}
-)
 
 
 class InjectedFault(RetryableError):
@@ -98,7 +100,7 @@ class FaultRule:
     exit_code: int = 13
 
     def __post_init__(self) -> None:
-        if not self.point:
+        if not text("fault rule point", self.point):
             raise ConfigError("fault rules need a non-empty 'point'")
         if self.mode not in _MODES:
             raise ConfigError(
@@ -125,48 +127,20 @@ class FaultRule:
         object.__setattr__(
             self, "exit_code", whole_number("fault rule exit_code", self.exit_code)
         )
-        if self.probability is not None and not (
-            _real(self.probability) and 0.0 <= self.probability <= 1.0
-        ):
-            raise ConfigError(
-                f"fault rule probability must be a number in [0, 1], "
-                f"not {self.probability!r}"
-            )
-        if not (_real(self.delay) and 0.0 <= self.delay < math.inf):
-            raise ConfigError(
-                f"fault rule delay must be a finite number >= 0, not {self.delay!r}"
-            )
-        if not isinstance(self.once, bool):
-            raise ConfigError(f"fault rule once must be true or false, not {self.once!r}")
+        if self.probability is not None:
+            number("fault rule probability", self.probability, 0.0, 1.0)
+        number("fault rule delay", self.delay, 0.0)
+        flag("fault rule once", self.once)
+        for name in ("match_key", "fuse"):
+            if getattr(self, name) is not None:
+                text(f"fault rule {name}", getattr(self, name))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"fault rules must be mappings, not {data!r}")
-        unknown = set(data) - _RULE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown fault rule keys: {sorted(unknown)}")
+        mapping("fault rule", data, cls.__dataclass_fields__)
         if "point" not in data:
             raise ConfigError("fault rules need a 'point'")
-        try:
-            return cls(
-                point=str(data["point"]),
-                mode=str(data.get("mode", "error")),
-                probability=data.get("probability"),
-                at=data.get("at"),
-                every=data.get("every"),
-                match_key=(
-                    str(data["match_key"])
-                    if data.get("match_key") is not None else None
-                ),
-                once=data.get("once", False),
-                fuse=str(data["fuse"]) if data.get("fuse") is not None else None,
-                delay=data.get("delay", 0.05),
-                error=str(data.get("error", "fault")),
-                exit_code=data.get("exit_code", 13),
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"invalid fault rule values: {exc}") from exc
+        return cls(**data)
 
     def matches(self, point: str, key: str | None) -> bool:
         """Whether a call at ``point`` with context ``key`` hits this rule."""
@@ -206,11 +180,6 @@ class FaultRule:
         return doc
 
 
-def _real(value: Any) -> bool:
-    """Whether ``value`` is a number (a bool is none)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
 def _fraction(*parts: Any) -> float:
     """Deterministic uniform fraction in [0, 1) from hashable parts."""
     payload = "|".join(str(part) for part in parts).encode("utf-8")
@@ -229,24 +198,19 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", whole_number("fault plan seed", self.seed))
+        text("fault plan name", self.name)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        if not isinstance(data, Mapping):
-            raise ConfigError("fault plans must be JSON objects")
-        unknown = set(data) - {"seed", "rules", "name"}
-        if unknown:
-            raise ConfigError(f"unknown fault plan keys: {sorted(unknown)}")
+        mapping("fault plan", data, cls.__dataclass_fields__)
         rules = data.get("rules", ())
-        if isinstance(rules, (str, Mapping)) or not isinstance(
-            rules, (list, tuple)
+        if not isinstance(rules, (list, tuple)) or not all(
+            isinstance(rule, Mapping) for rule in rules
         ):
-            raise ConfigError("fault plan 'rules' must be a list")
-        return cls(
-            rules=tuple(FaultRule.from_dict(rule) for rule in rules),
-            seed=data.get("seed", 0),
-            name=str(data.get("name", "faults")),
-        )
+            raise ConfigError(
+                f"fault plan 'rules' must be a list of mappings, not {rules!r}"
+            )
+        return cls(**{**data, "rules": tuple(FaultRule.from_dict(rule) for rule in rules)})
 
     @classmethod
     def from_json(cls, text_or_path: str | Path) -> "FaultPlan":

@@ -53,12 +53,20 @@ import random
 import secrets
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.core.config import SynapseConfig
-from repro.core.errors import ConfigError, is_retryable, whole_number
+from repro.core.errors import (
+    ConfigError,
+    flag,
+    is_retryable,
+    mapping,
+    names,
+    text,
+    whole_number,
+)
 from repro.core.samples import Profile
 from repro.runtime.execute import PlanScope, plan_scope
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
@@ -135,32 +143,15 @@ def _store_op(what: str, fn: Callable[[], Any]) -> Any:
             )
 
 
-def _str_list(value: Any, what: str) -> tuple[str, ...]:
-    if isinstance(value, str) or not isinstance(value, (list, tuple)):
-        raise ConfigError(f"campaign {what} must be a list of strings")
-    if not value:
-        raise ConfigError(f"campaign {what} must not be empty")
-    for item in value:
-        if not isinstance(item, str):
-            raise ConfigError(f"campaign {what} entry {item!r} is not a string")
-    return tuple(value)
-
-
 def _seeds(value: Any) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"campaign seeds must be a list of whole numbers, not {value!r}")
-    return tuple(whole_number("campaign seeds entry", seed) for seed in value)
-
-
-def _converted(
-    data: Mapping[str, Any], key: str, convert: Callable[[Any], Any], default: Any
-) -> Any:
-    """``convert`` of spec field ``key`` (or of ``default``); a value it
-    cannot convert is a :class:`ConfigError` naming the key."""
-    try:
-        return convert(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"campaign {key} is malformed: {exc}") from exc
+    seeds = tuple(whole_number("campaign seeds entry", seed) for seed in value)
+    if not seeds:
+        raise ConfigError("campaign seeds must not be empty")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("campaign seeds must not contain duplicates")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -183,32 +174,34 @@ class CampaignSpec:
     )
 
     def __post_init__(self) -> None:
-        """Every field a cell needs is checked here, so a spec that is
-        built at all runs: each app parses (into :attr:`_models`), each
-        machine resolves and a ``profile`` spec's ``config`` makes one
-        valid :class:`SynapseConfig` whose watchers are registered.  A
-        bad field is a :class:`ConfigError` naming it and its entry."""
-        if not self.name or any(c in self.name for c in "=,\n"):
+        """Every field is checked here, so a spec that is built at all
+        runs: each app parses (into :attr:`_models`), each machine
+        resolves and a ``profile`` spec's ``config`` makes one valid
+        :class:`SynapseConfig` whose watchers are registered.  ``seeds``
+        and ``repeats`` are whole numbers (a whole float is stored as an
+        ``int``, so it keeps the cell digests), ``policy`` a
+        :class:`RunPolicy` or its mapping.  A bad field is a
+        :class:`ConfigError` naming it (and its entry)."""
+        name = text("campaign name", self.name)
+        if not name or any(c in name for c in "=,\n"):
             raise ConfigError(
-                f"campaign name {self.name!r} must be non-empty and free of '=', ','"
+                f"campaign name {name!r} must be non-empty and free of '=', ','"
             )
         if self.kind not in _KINDS:
             raise ConfigError(f"campaign kind must be one of {_KINDS}, not {self.kind!r}")
-        object.__setattr__(self, "apps", _str_list(self.apps, "apps"))
-        object.__setattr__(self, "machines", _str_list(self.machines, "machines"))
-        if self.repeats < 1:
-            raise ConfigError("campaign repeats must be >= 1")
-        if not self.seeds:
-            raise ConfigError("campaign seeds must not be empty")
         # Duplicates would expand to digest-identical cells: one stored
         # artifact would then pose as several independent measurements
         # (n inflated, std 0) in the campaign analysis.
-        for what, values in (
-            ("apps", self.apps), ("machines", self.machines),
-            ("seeds", self.seeds),
-        ):
-            if len(set(values)) != len(values):
-                raise ConfigError(f"campaign {what} must not contain duplicates")
+        set_field = partial(object.__setattr__, self)
+        set_field("apps", names("campaign apps", self.apps))
+        set_field("machines", names("campaign machines", self.machines))
+        set_field("seeds", _seeds(self.seeds))
+        set_field("repeats", whole_number("campaign repeats", self.repeats, 1))
+        flag("campaign noisy", self.noisy)
+        set_field("config", dict(mapping("campaign config", self.config)))
+        set_field("tags", dict(mapping("campaign tags", self.tags)))
+        if self.policy is not None:
+            set_field("policy", RunPolicy.from_dict(self.policy))
         for app in self.apps:
             try:
                 self.app_model(app)
@@ -223,46 +216,23 @@ class CampaignSpec:
             from repro.watchers.registry import get_watcher  # noqa: PLC0415 (lazy)
 
             try:
+                mapping("config", self.config, SynapseConfig.__dataclass_fields__)
                 for watcher in SynapseConfig(**self.config).watchers:
                     get_watcher(watcher)
-            except (ConfigError, TypeError, ValueError) as exc:
-                raise ConfigError(f"campaign config is invalid: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"campaign config: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """The spec of a JSON-shaped mapping, every field checked before
-        a cell runs: ``seeds`` a list of whole numbers, ``repeats`` a
-        whole number >= 1 (a whole float is stored as an ``int``, so it
-        keeps the cell digests), and the rest as :meth:`__post_init__`
-        checks them.  A ``run`` spec builds no config — its ``config``
-        only labels the stored artifacts — so it is not checked there.
-        A bad field is a :class:`ConfigError` naming it."""
-        unknown = set(data) - _SPEC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown campaign spec keys: {sorted(unknown)}")
+        """The spec of a JSON-shaped mapping: its keys checked here, its
+        values as :meth:`__post_init__` checks them.  A ``run`` spec
+        builds no config — its ``config`` only labels the stored
+        artifacts — so its keys are not checked.  A bad field is a
+        :class:`ConfigError` naming it."""
+        mapping("campaign spec", data, _SPEC_KEYS)
         if "name" not in data or "apps" not in data or "machines" not in data:
             raise ConfigError("campaign specs need 'name', 'apps' and 'machines'")
-        policy = data.get("policy")
-        if policy is not None:
-            try:
-                policy = RunPolicy.from_dict(policy)
-            except ValueError as exc:
-                raise ConfigError(f"invalid campaign policy: {exc}") from exc
-        noisy = data.get("noisy", True)
-        if not isinstance(noisy, bool):
-            raise ConfigError(f"campaign noisy must be true or false, not {noisy!r}")
-        return cls(
-            name=str(data["name"]),
-            apps=data["apps"],
-            machines=data["machines"],
-            kind=str(data.get("kind", "profile")),
-            seeds=_seeds(data.get("seeds", (0,))),
-            repeats=whole_number("campaign repeats", data.get("repeats", 1), 1),
-            noisy=noisy,
-            config=_converted(data, "config", dict, {}),
-            tags=_converted(data, "tags", dict, {}),
-            policy=policy,
-        )
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignSpec":

@@ -83,7 +83,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, number, text, whole_number
 from repro.faults import inject
 from repro.runtime.campaign import (
     DEFAULT_CHECKPOINT,
@@ -720,9 +720,7 @@ def _check_ttl(ttl: float) -> None:
     """A lease TTL must be positive, finite and short enough for the
     heartbeat's longest wait (its ``4/3 · ttl`` join) to be a timeout
     :mod:`threading` accepts."""
-    if not 0 < ttl <= threading.TIMEOUT_MAX * 0.75:
-        limit = threading.TIMEOUT_MAX * 0.75
-        raise ConfigError(f"lease_ttl must be in (0, {limit:.3g}] seconds, not {ttl!r}")
+    number("lease_ttl", ttl, above=0, most=threading.TIMEOUT_MAX * 0.75)
 
 
 def elastic_worker(
@@ -754,7 +752,7 @@ def elastic_worker(
     Returns a :class:`CampaignReport` whose ``remaining`` counts
     sweep-wide missing cells.
     """
-    worker = new_member() if worker is None else worker
+    worker = new_member() if worker is None else text("worker", worker)
     if any(c in worker for c in "=,\n"):
         raise ConfigError(f"worker name {worker!r} must be free of '=', ',' and newlines")
     _check_ttl(lease_ttl)
@@ -838,8 +836,7 @@ def run_elastic(
 
     if not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
-    if workers < 1:
-        raise ConfigError("run_elastic needs at least one worker")
+    workers = whole_number("workers", workers, 1)
     _check_ttl(lease_ttl)  # here, not in every child it would kill
     batch, _ = wave_limits("batch", batch)
     if store_url in ("memory://", "mongo://"):

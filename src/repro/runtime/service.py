@@ -40,7 +40,6 @@ fails a batch because of pool infrastructure.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import random
 import time
@@ -48,7 +47,15 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.errors import PoisonRequestError, is_retryable
+from repro.core.errors import (
+    PoisonRequestError,
+    flag,
+    is_retryable,
+    mapping,
+    number,
+    whole_number,
+)
+from repro.faults import activate, active_plan, deactivate
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import activate_context, pack_context, span
@@ -138,24 +145,13 @@ class RunPolicy:
     jitter: bool = True
 
     def __post_init__(self) -> None:
-        # Comparisons are False for NaN (and ``inf % 1`` is NaN), so the
-        # non-finite fail the checks too; a bool is no count or duration.
-        if isinstance(self.retries, bool) or not (
-            self.retries >= 0 and self.retries % 1 == 0
-        ):
-            raise ValueError(
-                f"RunPolicy retries must be a finite whole number >= 0, "
-                f"got {self.retries!r}"
-            )
-        object.__setattr__(self, "retries", int(self.retries))
-        if isinstance(self.timeout, bool) or isinstance(self.backoff, bool):
-            raise ValueError("RunPolicy timeout and backoff must be numbers, not bools")
-        if self.timeout is not None and not 0 < self.timeout < math.inf:
-            raise ValueError(
-                "RunPolicy timeout must be positive and finite (or None)"
-            )
-        if not 0 <= self.backoff < math.inf:
-            raise ValueError("RunPolicy backoff must be finite and >= 0")
+        retries = whole_number("run policy retries", self.retries, 0)
+        if retries is not self.retries:  # a whole float: stored as an int
+            object.__setattr__(self, "retries", retries)
+        if self.timeout is not None:
+            number("run policy timeout", self.timeout, above=0)
+        number("run policy backoff", self.backoff, 0)
+        flag("run policy jitter", self.jitter)
 
     @property
     def attempts(self) -> int:
@@ -178,24 +174,7 @@ class RunPolicy:
         """Build a policy from a spec mapping (campaign JSON specs)."""
         if isinstance(data, RunPolicy):
             return data
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"run policy must be a mapping, not {type(data).__name__}"
-            )
-        unknown = set(data) - {"retries", "timeout", "backoff", "jitter"}
-        if unknown:
-            raise ValueError(f"unknown run policy keys: {sorted(unknown)}")
-        jitter = data.get("jitter", True)
-        if not isinstance(jitter, bool):
-            raise ValueError(f"run policy jitter must be a bool, not {jitter!r}")
-        try:
-            return cls(
-                retries=data.get("retries", 0), timeout=data.get("timeout"),
-                backoff=data.get("backoff", 0.0), jitter=jitter,
-            )
-        # Non-numeric and out-of-range values -> one error type.
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"invalid run policy values: {exc}") from exc
+        return cls(**mapping("run policy", data, cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -380,7 +359,7 @@ def _run_chunk(payload: bytes) -> tuple[list[Outcome], list[Any]]:
     """Worker-side chunk executor.
 
     ``payload`` is the parent-pickled ``(targets, machines, plans, chunk,
-    telemetry)`` tuple; each packed request of ``chunk`` runs against
+    telemetry, faults)`` tuple; each packed request of ``chunk`` runs against
     the batch's target and machine tables and the chunk's plan scope
     (see :func:`_pack`).  Pickling in the parent (instead of the
     executor's queue-feeder thread) turns an unpicklable payload into a
@@ -395,10 +374,17 @@ def _run_chunk(payload: bytes) -> tuple[list[Outcome], list[Any]]:
     the outcomes so the parent can replay them into its sinks — that is
     how spans opened inside pool workers stitch under the span that
     submitted the batch.
+
+    ``faults`` is the parent's active fault plan (or ``None``): a worker
+    whose own plan differs — it started before the parent activated one,
+    or after the parent dropped it — takes the parent's.  An unchanged
+    plan is left alone, so hit counters stay per process.
     """
     import pickle  # noqa: PLC0415 - worker side
 
-    targets, machines, plans, chunk, telemetry = pickle.loads(payload)
+    targets, machines, plans, chunk, telemetry, faults = pickle.loads(payload)
+    if faults != active_plan():
+        activate(faults) if faults is not None else deactivate()
     with activate_context(telemetry) as events:
         outcomes: list[Outcome] = []
         for request, target, machine in chunk:
@@ -662,6 +648,7 @@ class _SupervisedRun:
         self.bus = get_bus()
         self.registry = get_registry()
         self.telemetry = pack_context()
+        self.faults = active_plan()
 
     def execute(self) -> list[Outcome | None]:
         while self.remaining and self.usable:
@@ -747,7 +734,7 @@ class _SupervisedRun:
             (chunk, pickle.dumps((
                 self.targets, self.machines,
                 PlanScope().declare_requests([self.requests[i] for i in chunk]),
-                [self.items[i] for i in chunk], self.telemetry,
+                [self.items[i] for i in chunk], self.telemetry, self.faults,
             )))
             for chunk in chunks
         ]
@@ -840,6 +827,11 @@ class _SupervisedRun:
         self.bus.event(event, level=level, **attrs)
 
 
+def _processes(processes: Any) -> int | None:
+    """A worker-count ceiling: ``None`` (all cores) or a whole number >= 1."""
+    return None if processes is None else whole_number("processes", processes, 1)
+
+
 class RunService:
     """Executes batches of :class:`RunRequest` on a persistent pool.
 
@@ -847,7 +839,8 @@ class RunService:
     ----------
     processes:
         Default worker-count ceiling for batches that do not pass their
-        own ``processes`` (``None`` = all cores).  Worker counts are
+        own ``processes``: a whole number >= 1, or ``None`` for all cores
+        (anything else is a :class:`~repro.core.errors.ConfigError`).  Worker counts are
         always additionally clamped to the batch size; a resolved count
         of 1 runs serially in-parent with zero pool overhead.
 
@@ -866,7 +859,7 @@ class RunService:
     POISON_CRASH_LIMIT = 3
 
     def __init__(self, processes: int | None = None) -> None:
-        self._processes = processes
+        self._processes = _processes(processes)
         self._pool: Any = None
         self._pool_workers = 0
         # The supervisor's seams (a test overrides them; no public
@@ -954,6 +947,7 @@ class RunService:
         """
         from repro.runtime.execute import plan_scope  # noqa: PLC0415 (cycle)
 
+        processes = _processes(processes)
         requests = list(requests)
         self.stats["batches"] += 1
         self.stats["requests"] += len(requests)

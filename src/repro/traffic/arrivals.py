@@ -44,6 +44,8 @@ from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.errors import ConfigError, mapping, number, text
+
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
@@ -143,10 +145,8 @@ class PoissonProcess(ArrivalProcess):
     _BLOCK = 4096
 
     def __init__(self, rate: float, seed: int = 0) -> None:
-        if rate <= 0:
-            raise ValueError(f"poisson rate must be positive, got {rate}")
         super().__init__(seed)
-        self.rate = float(rate)
+        self.rate = float(number("poisson rate", rate, above=0.0))
 
     def rate_at(self, t: float) -> float:
         return self.rate
@@ -178,12 +178,12 @@ class MMPPProcess(ArrivalProcess):
         dwells: Sequence[float] = (10.0, 2.0),
         seed: int = 0,
     ) -> None:
-        rates = [float(r) for r in rates]
-        dwells = [float(d) for d in dwells]
+        rates = [float(number("mmpp rates entry", r, 0.0)) for r in rates]
+        dwells = [float(number("mmpp dwells entry", d, above=0.0)) for d in dwells]
         if len(rates) != len(dwells) or not rates:
-            raise ValueError("mmpp needs matching non-empty rates/dwells")
-        if max(rates) <= 0 or min(rates) < 0 or min(dwells) <= 0:
-            raise ValueError("mmpp rates must be >= 0 (one > 0), dwells > 0")
+            raise ConfigError("mmpp needs matching non-empty rates/dwells")
+        if max(rates) <= 0:
+            raise ConfigError(f"mmpp rates need one entry > 0, not {rates!r}")
         super().__init__(seed)
         self.rates = rates
         self.dwells = dwells
@@ -233,17 +233,11 @@ class DiurnalProcess(ArrivalProcess):
         phase: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"diurnal rate must be positive, got {rate}")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError(f"diurnal amplitude must be in [0, 1), got {amplitude}")
-        if period <= 0:
-            raise ValueError(f"diurnal period must be positive, got {period}")
         super().__init__(seed)
-        self.rate = float(rate)
-        self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.phase = float(phase)
+        self.rate = float(number("diurnal rate", rate, above=0.0))
+        self.amplitude = float(number("diurnal amplitude", amplitude, 0.0, below=1.0))
+        self.period = float(number("diurnal period", period, above=0.0))
+        self.phase = float(number("diurnal phase", phase))
 
     def rate_at(self, t: float) -> float:
         return self.rate * (
@@ -312,20 +306,36 @@ _SPEC_HELP = (
 )
 
 
-def _parse_kv(text: str) -> Dict[str, Any]:
+#: The options of each parametric process kind, with their defaults.
+_SPEC_OPTIONS: Dict[str, Dict[str, Any]] = {
+    "poisson": {"rate": 100.0},
+    "mmpp": {"rates": [50.0, 500.0], "dwells": [10.0, 2.0]},
+    "diurnal": {"rate": 100.0, "amplitude": 0.5, "period": 86400.0, "phase": 0.0},
+}
+_SPEC_KINDS = {"poisson": PoissonProcess, "mmpp": MMPPProcess, "diurnal": DiurnalProcess}
+
+
+def _parse_kv(kind: str, text: str) -> Dict[str, Any]:
+    """The ``k=v,...`` options of a ``kind`` spec over its defaults; a
+    value is a number or ``/``-separated numbers.  A malformed piece,
+    an unknown key or a value that is no number is a
+    :class:`~repro.core.errors.ConfigError` naming it."""
     out: Dict[str, Any] = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         if "=" not in piece:
-            raise ValueError(f"bad process option {piece!r}: {_SPEC_HELP}")
-        key, value = piece.split("=", 1)
-        if "/" in value:
-            out[key.strip()] = [float(v) for v in value.split("/")]
-        else:
-            out[key.strip()] = float(value)
-    return out
+            raise ConfigError(f"bad process option {piece!r}: {_SPEC_HELP}")
+        key, value = (part.strip() for part in piece.split("=", 1))
+        try:
+            values = [float(v) for v in value.split("/")]
+        except ValueError:
+            raise ConfigError(
+                f"{kind} option {key} must be a number (or N1/N2/...), not {value!r}"
+            ) from None
+        out[key] = values if "/" in value else values[0]
+    return {**_SPEC_OPTIONS[kind], **mapping(f"{kind} spec", out, _SPEC_OPTIONS[kind])}
 
 
 def _load_trace(path: str) -> np.ndarray:
@@ -335,35 +345,25 @@ def _load_trace(path: str) -> np.ndarray:
 
 
 def make_process(spec: str, seed: int = 0) -> ArrivalProcess:
-    """Build an arrival process from a spec string like ``poisson:rate=500``."""
-    kind, _, rest = spec.partition(":")
+    """Build an arrival process from a spec string like ``poisson:rate=500``.
+
+    An unknown kind or option, or an option value that is no finite
+    number in range, is a :class:`~repro.core.errors.ConfigError` naming it.
+    """
+    kind, _, rest = text("arrival spec", spec).partition(":")
     kind = kind.strip().lower()
-    if kind == "poisson":
-        opts = _parse_kv(rest)
-        return PoissonProcess(rate=opts.pop("rate", 100.0), seed=seed)
-    if kind == "mmpp":
-        opts = _parse_kv(rest)
-        rates = opts.pop("rates", [50.0, 500.0])
-        dwells = opts.pop("dwells", [10.0, 2.0])
-        if not isinstance(rates, list):
-            rates = [rates]
-        if not isinstance(dwells, list):
-            dwells = [dwells]
-        return MMPPProcess(rates=rates, dwells=dwells, seed=seed)
-    if kind == "diurnal":
-        opts = _parse_kv(rest)
-        return DiurnalProcess(
-            rate=opts.pop("rate", 100.0),
-            amplitude=opts.pop("amplitude", 0.5),
-            period=opts.pop("period", 86400.0),
-            phase=opts.pop("phase", 0.0),
-            seed=seed,
-        )
     if kind == "trace":
         if not rest:
-            raise ValueError(f"trace spec needs a path: {_SPEC_HELP}")
+            raise ConfigError(f"trace spec needs a path: {_SPEC_HELP}")
         return TraceReplay(_load_trace(rest), seed=seed)
-    raise ValueError(f"unknown arrival process {kind!r}: {_SPEC_HELP}")
+    if kind not in _SPEC_KINDS:
+        raise ConfigError(f"unknown arrival process {kind!r}: {_SPEC_HELP}")
+    opts = _parse_kv(kind, rest)
+    if kind == "mmpp":
+        # A lone number is a one-state list.
+        opts = {key: value if isinstance(value, list) else [value]
+                for key, value in opts.items()}
+    return _SPEC_KINDS[kind](**opts, seed=seed)
 
 
 def restore_process(state: Dict[str, Any], trace: Sequence[float] | None = None) -> ArrivalProcess:

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.errors import ConfigError, number
 from repro.sim.machines import resolve_machine
 from repro.sim.noise import NoiseModel, seed_from
 from repro.sim.resource import MachineSpec
@@ -314,17 +315,15 @@ class Fleet:
         name: str = "traffic",
     ) -> None:
         if not machines:
-            raise ValueError("a fleet needs at least one machine")
+            raise ConfigError("a fleet needs at least one machine")
         if discipline not in ("fifo", "ps"):
-            raise ValueError(f"unknown queue discipline {discipline!r} (fifo|ps)")
+            raise ConfigError(f"unknown queue discipline {discipline!r} (fifo|ps)")
         if dispatch not in ("eft", "rr"):
-            raise ValueError(f"unknown dispatch policy {dispatch!r} (eft|rr)")
-        if alloc_cost < 0:
-            raise ValueError("alloc_cost must be non-negative")
+            raise ConfigError(f"unknown dispatch policy {dispatch!r} (eft|rr)")
         self.mix = mix
         self.discipline = discipline
         self.dispatch = dispatch
-        self.alloc_cost = float(alloc_cost)
+        self.alloc_cost = float(number("alloc_cost", alloc_cost, 0.0))
         self.engine_enabled = bool(engine)
         self.noise_seed = noise_seed
         self.name = name

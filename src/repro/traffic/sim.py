@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.errors import number, whole_number
 from repro.sim.noise import seed_from
 from repro.sim.resource import MachineSpec
 from repro.telemetry.events import get_bus
@@ -70,16 +71,11 @@ class AutoscalePolicy:
     cooldown: int = 2
 
     def __post_init__(self) -> None:
-        if self.slo_p99 <= 0:
-            raise ValueError("slo_p99 must be positive")
-        if self.max_machines < 1:
-            raise ValueError("max_machines must be >= 1")
-        if self.every < 1:
-            raise ValueError("every must be >= 1")
-        if not 0.0 <= self.scale_down_margin < 1.0:
-            raise ValueError("scale_down_margin must be in [0, 1)")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
+        number("slo_p99", self.slo_p99, above=0.0)
+        whole_number("max_machines", self.max_machines, 1)
+        whole_number("every", self.every, 1)
+        number("scale_down_margin", self.scale_down_margin, 0.0, below=1.0)
+        whole_number("cooldown", self.cooldown, 0)
 
 
 class TrafficReport:
@@ -239,12 +235,11 @@ class TrafficSim:
         """
         if self._finished:
             raise RuntimeError("cannot feed a finished traffic simulation")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
+        remaining = whole_number("requests", requests, 0)
+        chunk = whole_number("chunk", chunk, 1)
         bus = get_bus()
         registry = get_registry()
         started = time.perf_counter()
-        remaining = int(requests)
         while remaining > 0:
             k = min(chunk, remaining)
             if self.autoscale:
@@ -407,15 +402,11 @@ class ClosedLoopSim:
         seed: int = 0,
         name: str = "closed-loop",
     ) -> None:
-        if clients < 1:
-            raise ValueError("clients must be >= 1")
-        if think < 0:
-            raise ValueError("think time must be non-negative")
         if mix is None:
             mix = default_mix(seed=seed_from("traffic.mix", seed))
         self.mix = mix
-        self.clients = int(clients)
-        self.think = float(think)
+        self.clients = whole_number("clients", clients, 1)
+        self.think = float(number("think", think, 0.0))
         self.name = name
         self._rng = np.random.Generator(np.random.PCG64(seed_from("traffic.think", seed)))
         self.fleet = Fleet(
@@ -432,6 +423,7 @@ class ClosedLoopSim:
 
     def run(self, requests: int) -> TrafficReport:
         """Drive the client population until ``requests`` complete."""
+        requests = whole_number("requests", requests, 0)
         started = time.perf_counter()
         registry = get_registry()
         # All clients start thinking at t=0 (staggered by the think
@@ -442,7 +434,7 @@ class ClosedLoopSim:
                 heap, (float(self._rng.exponential(self.think)), client)
             )
         one = np.empty(1, dtype=np.float64)
-        for rid in range(int(requests)):
+        for rid in range(requests):
             t, client = heapq.heappop(heap)
             classes, sizes = self.mix.draw(1)
             one[0] = t
@@ -452,6 +444,6 @@ class ClosedLoopSim:
             heapq.heappush(heap, (finish + pause, client))
             if (rid + 1) % 1024 == 0:
                 registry.inc("traffic.requests", 1024)
-        registry.inc("traffic.requests", int(requests) % 1024)
+        registry.inc("traffic.requests", requests % 1024)
         wall = time.perf_counter() - started
-        return _build_report(self.name, self.fleet, int(requests), wall, [])
+        return _build_report(self.name, self.fleet, requests, wall, [])

@@ -9,6 +9,7 @@ producing a wrong workload.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -70,6 +71,7 @@ def _split(text: str) -> tuple[float, str]:
     return float(match.group(1)), match.group(2).lower()
 
 
+@functools.lru_cache(maxsize=1024)  # every SynapseConfig parses the same few
 def parse_bytes(value: str | int | float) -> int:
     """Parse a byte quantity (``"4KB"``, ``"1.5MiB"``, ``4096``) to bytes.
 

@@ -8,14 +8,9 @@ import json
 
 import pytest
 
-from repro.cli.main import main
+from conftest import run_cli
+
 from repro.runtime import CampaignSpec
-
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
 
 
 def _spec_file(tmp_path, **overrides) -> str:

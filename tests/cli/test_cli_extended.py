@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import io
 import json
 
-from repro.cli.main import main
-
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
+from conftest import run_cli
 
 
 class TestProfileApp:

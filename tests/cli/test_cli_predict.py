@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import io
-
 import pytest
+
+from conftest import run_cli
 
 import repro
 from repro.cli.main import build_parser, main
-
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
 
 
 @pytest.fixture

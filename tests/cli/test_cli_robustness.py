@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import signal
@@ -10,14 +9,11 @@ import subprocess
 import sys
 import time
 
-from repro.cli.main import main
+import pytest
+
+from conftest import run_cli
+
 from repro.faults import ENV_VAR, active_plan
-
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
 
 
 def _spec_file(tmp_path, **overrides) -> str:
@@ -70,6 +66,33 @@ class TestFaultsFlag:
         )
         assert code == 0
         assert active_plan() is None
+
+
+class TestBadInputs:
+    """Each used to run (on NaN, a misspelt option, a negative count,
+    zero workers) or to fail naming no field: now exit 1 before
+    anything runs, the error naming the flag or key, no store made."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["traffic", "poisson:rte=10"], "rte"),
+        (["traffic", "diurnal:rate=10,amplitud=0.9"], "amplitud"),
+        (["traffic", "poisson:rate=nan"], "rate"),
+        (["traffic", "mmpp:rates=inf/5,dwells=1/1"], "rates"),
+        (["traffic", "--closed-loop", "2", "--think", "nan"], "think"),
+        (["traffic", "--requests", "-5"], "requests"),
+        (["campaign", "SPEC", "--processes", "0"], "processes"),
+        (["campaign", "SPEC", "--processes", "-3"], "processes"),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(value[1:]))
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, argv, named):
+        store = tmp_path / "store"
+        argv = [_spec_file(tmp_path) if arg == "SPEC" else arg for arg in argv]
+        if argv[0] == "traffic":
+            argv += ["--machines", "thinkie", "--json", str(tmp_path / "t.json")]
+        code, out = run_cli("--store", f"file://{store}", *argv)
+        err = capsys.readouterr().err
+        assert code == 1, out
+        assert err.startswith("error: ") and named in err, err
+        assert not store.exists() and not (tmp_path / "t.json").exists()
 
 
 class TestSigtermDrain:

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import io
 import json
 
-from repro.cli.main import main
+import pytest
 
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
+from conftest import run_cli
 
 
 class TestTrafficCommand:
@@ -37,13 +32,19 @@ class TestTrafficCommand:
         assert doc["latency"]["p99"] > 0
         assert len(doc["latency_digest"]) == 32
 
-    def test_seed_reproducibility(self, tmp_path):
+    @pytest.mark.parametrize("process, machines, requests", [
+        ("poisson:rate=150", ["thinkie"], "1500"),
+        ("poisson:rate=200", ["thinkie", "comet"], "3000"),
+    ], ids=["thinkie", "thinkie-comet"])
+    def test_seed_reproducibility(self, tmp_path, process, machines, requests):
+        """The same seed gives the same latency and engine-ledger digests
+        (engine accounting on)."""
         digests = []
         for run in range(2):
             path = tmp_path / f"r{run}.json"
             code, _ = run_cli(
-                "traffic", "poisson:rate=150", "--machines", "thinkie",
-                "--requests", "1500", "--seed", "7", "--json", str(path),
+                "traffic", process, "--machines", *machines,
+                "--requests", requests, "--seed", "7", "--json", str(path),
             )
             assert code == 0
             doc = json.loads(path.read_text(encoding="utf-8"))

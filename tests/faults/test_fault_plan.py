@@ -40,9 +40,9 @@ class TestFaultRuleValidation:
     def test_from_dict_rejects_unknown_keys_and_bad_values(self):
         with pytest.raises(ConfigError, match="unknown fault rule keys"):
             FaultRule.from_dict({"point": "store.put", "porbability": 0.1})
-        with pytest.raises(ConfigError, match="invalid fault rule values"):
+        with pytest.raises(ConfigError, match="fault rule 'at'"):
             FaultRule.from_dict({"point": "store.put", "at": {}})
-        with pytest.raises(ConfigError, match="mappings"):
+        with pytest.raises(ConfigError, match="mapping"):
             FaultRule.from_dict(["store.put"])
 
     @pytest.mark.parametrize("key, value", [
@@ -114,7 +114,7 @@ class TestFaultPlan:
             FaultPlan.from_dict({"seeds": 1})
         with pytest.raises(ConfigError, match="'rules' must be a list"):
             FaultPlan.from_dict({"rules": {"point": "p"}})
-        with pytest.raises(ConfigError, match="JSON objects"):
+        with pytest.raises(ConfigError, match="JSON object"):
             FaultPlan.from_dict([1])
 
     @pytest.mark.parametrize("seed", [2.7, "abc"])

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.api import profile
+from repro.core.errors import ConfigError
 from repro.core.config import SynapseConfig
 from repro.core.emulator import Emulator
 from repro.core.profiler import Profiler
@@ -409,26 +410,26 @@ class TestRunPolicy:
         assert RunPolicy().attempts == 1
         assert RunPolicy(retries=2).attempts == 3
         assert type(RunPolicy(retries=2.0).retries) is int
-        with pytest.raises(ValueError, match="retries"):
+        with pytest.raises(ConfigError, match="retries"):
             RunPolicy(retries=-1)
-        with pytest.raises(ValueError, match="timeout"):
+        with pytest.raises(ConfigError, match="timeout"):
             RunPolicy(timeout=0.0)
-        with pytest.raises(ValueError, match="backoff"):
+        with pytest.raises(ConfigError, match="backoff"):
             RunPolicy(backoff=-0.1)
 
     def test_from_dict(self):
         policy = RunPolicy.from_dict({"retries": 2, "timeout": 1.5})
         assert policy == RunPolicy(retries=2, timeout=1.5, backoff=0.0)
         assert RunPolicy.from_dict(policy) is policy
-        with pytest.raises(ValueError, match="unknown run policy keys"):
+        with pytest.raises(ConfigError, match="unknown run policy keys"):
             RunPolicy.from_dict({"retires": 1})
-        with pytest.raises(ValueError, match="mapping"):
+        with pytest.raises(ConfigError, match="mapping"):
             RunPolicy.from_dict([1, 2])
-        # Non-numeric values raise ValueError too (never a raw
-        # TypeError), so spec validation wraps them as ConfigError.
-        with pytest.raises(ValueError, match="invalid run policy values"):
+        # Non-numeric values are a ConfigError naming the field (never
+        # a raw TypeError).
+        with pytest.raises(ConfigError, match="run policy timeout"):
             RunPolicy.from_dict({"timeout": {}})
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             RunPolicy.from_dict({"retries": [1]})
 
     @pytest.mark.parametrize("field", ["timeout", "backoff", "retries"])
@@ -436,22 +437,22 @@ class TestRunPolicy:
     def test_rejects_non_finite_numbers(self, field, value):
         """A NaN timeout would switch enforcement off, an infinite
         backoff would sleep forever (or overflow ``time.sleep``)."""
-        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        with pytest.raises(ConfigError, match=f"{field} must be .*(finite|whole)"):
             RunPolicy(**{field: value})
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ConfigError, match=f"run policy {field}"):
             RunPolicy.from_dict({field: value})
         # Nor a bool, nor a fractional retry count (one used to
         # construct, then crash its batch past ``rethrow=False``).
         for bad in [True] + ([1.5, -0.5] if field == "retries" else []):
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ConfigError, match=field):
                 RunPolicy(**{field: bad})
-            with pytest.raises(ValueError, match="invalid run policy values"):
+            with pytest.raises(ConfigError, match=f"run policy {field}"):
                 RunPolicy.from_dict({field: bad})
 
     def test_from_dict_needs_a_bool_jitter_and_a_finite_retry_count(self):
-        with pytest.raises(ValueError, match="jitter must be a bool"):
+        with pytest.raises(ConfigError, match="jitter must be true or false"):
             RunPolicy.from_dict({"jitter": "false"})
-        with pytest.raises(ValueError, match="invalid run policy values"):
+        with pytest.raises(ConfigError, match="run policy retries"):
             RunPolicy.from_dict({"retries": float("inf")})
         assert RunPolicy.from_dict({"jitter": False}).jitter is False
 
@@ -531,15 +532,14 @@ class TestRunPolicy:
         assert request.policy == RunPolicy(retries=1, backoff=0.5)
 
     def test_campaign_spec_rejects_bad_policy(self):
-        from repro.core.errors import ConfigError
         from repro.runtime import CampaignSpec
 
-        with pytest.raises(ConfigError, match="invalid campaign policy"):
+        with pytest.raises(ConfigError, match="unknown run policy keys"):
             CampaignSpec.from_dict({
                 "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
                 "policy": {"retires": 1},
             })
-        with pytest.raises(ConfigError, match="invalid campaign policy"):
+        with pytest.raises(ConfigError, match="run policy timeout"):
             CampaignSpec.from_dict({
                 "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
                 "policy": {"timeout": {}},  # non-numeric, not just unknown
@@ -547,7 +547,7 @@ class TestRunPolicy:
         # Rejected, not truncated: the spec's policy is the one it runs.
         for policy in ({"retries": 1.5}, {"retries": -0.5}, {"retries": True},
                        {"timeout": True}, {"backoff": True}):
-            with pytest.raises(ConfigError, match="invalid campaign policy"):
+            with pytest.raises(ConfigError, match=f"run policy {next(iter(policy))}"):
                 CampaignSpec.from_dict({
                     "name": "pol", "apps": ["sleeper"], "machines": ["thinkie"],
                     "policy": policy,
@@ -563,14 +563,13 @@ class TestRunPolicy:
     def test_campaign_spec_rejects_non_finite_policy(self, policy):
         """Python's ``json`` parses ``NaN`` and ``Infinity``, so a spec
         file can carry them; the spec fails instead of a run."""
-        from repro.core.errors import ConfigError
         from repro.runtime import CampaignSpec
 
         spec = json.loads(
             '{"name": "pol", "apps": ["sleeper"], "machines": ["thinkie"], '
             f'"policy": {policy}}}'
         )
-        with pytest.raises(ConfigError, match="invalid campaign policy"):
+        with pytest.raises(ConfigError, match="run policy (backoff|timeout|jitter)"):
             CampaignSpec.from_dict(spec)
 
 
@@ -661,3 +660,19 @@ class TestFailureContext:
         assert f"key={failure['cell']}" in message
         assert "attempt 2/2" in message  # an injected fault is retried once
         assert "profile request" in message
+
+
+class TestFaultPlansReachThePool:
+    def test_a_plan_activated_after_the_pool_started_reaches_its_workers(self):
+        """Each chunk carries the parent's active plan: workers that
+        started before it was activated fire it, and drop it with it."""
+        service = get_service()
+        assert all(r.ok for r in service.run(_engine_requests(4), processes=2))
+        assert service.pool_workers >= 2
+        with _faults({}):
+            results = service.run(_engine_requests(4), processes=2, rethrow=False)
+        assert service.pool_workers >= 2  # the same, warm pool ran them
+        assert all(
+            not r.ok and "injected fault at worker.execute" in r.error for r in results
+        )
+        assert all(r.ok for r in service.run(_engine_requests(4), processes=2))

@@ -15,6 +15,8 @@ import json
 import struct
 from pathlib import Path
 
+from repro.core.samples import Profile, Sample
+
 
 def segment_files(root) -> list[Path]:
     """The segment files under a store root, oldest name first."""
@@ -143,3 +145,15 @@ def build_segment(profiles, version: int = 3, records=None) -> bytes:
     index = rows if version == 2 else {"version": version, "records": rows}
     index_line = json.dumps(index).encode("utf-8") + b"\n"
     return body + index_line + b"synapse-segment-index@%020d\n" % len(body)
+
+
+def make_profile(command="app x", tags=("k=1",), n_samples=3, created=None):
+    """A small profile: ``n_samples`` one-second samples whose
+    ``cpu.cycles_used`` is the sample index (``created`` defaults to
+    the profile's own clock)."""
+    samples = [
+        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
+        for i in range(n_samples)
+    ]
+    kwargs = {} if created is None else {"created": created}
+    return Profile(command=command, tags=tags, samples=samples, **kwargs)

@@ -14,23 +14,15 @@ import hashlib
 import pytest
 
 from repro.core.errors import CorruptArtifactError, StoreError, is_retryable
-from repro.core.samples import Profile, Sample
 from repro.storage import FileStore
 from repro.telemetry import MemorySink, get_bus
 from repro.telemetry.metrics import get_registry
 from tests.storage.conftest import (
     damage_record,
+    make_profile,
     read_segment,
     segment_files,
 )
-
-
-def make_profile(command="app x", tags=("k=1",), created=1.0):
-    samples = [
-        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
-        for i in range(3)
-    ]
-    return Profile(command=command, tags=tags, samples=samples, created=created)
 
 
 def corrupt_file(store, pid):
@@ -50,7 +42,7 @@ def counter(name: str) -> float:
 class TestChecksumRecording:
     def test_put_records_sum_in_journal(self, store):
         """The journal of a put is its segment's index line."""
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         [segment] = segment_files(store.root)
         [row], [data] = read_segment(segment)
         assert pid == f"{segment.name}/000000"
@@ -68,7 +60,7 @@ class TestChecksumRecording:
 
 class TestCorruptionDetection:
     def test_same_store_detects_corruption(self, store):
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         corrupt_file(store, pid)
         with pytest.raises(CorruptArtifactError):
             store.get_many([pid])
@@ -77,14 +69,14 @@ class TestCorruptionDetection:
         """``get_many`` by raw id on a cold store loads the segment's
         index line before reading the payload, so corruption is still
         caught."""
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         corrupt_file(store, pid)
         fresh = FileStore(store.root)
         with pytest.raises(CorruptArtifactError):
             fresh.get_many([pid])  # no find()/entries() beforehand
 
     def test_corruption_is_fatal_not_retryable(self, store):
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         corrupt_file(store, pid)
         with pytest.raises(CorruptArtifactError) as err:
             store.get_many([pid])
@@ -92,7 +84,7 @@ class TestCorruptionDetection:
         assert isinstance(err.value, StoreError)
 
     def test_corruption_emits_event_and_metric(self, store):
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         corrupt_file(store, pid)
         sink = get_bus().add_sink(MemorySink())
         before = counter("store.corrupt")
@@ -108,7 +100,7 @@ class TestCorruptionDetection:
         assert event.attrs["expected"] != event.attrs["actual"]
 
     def test_find_detects_corruption(self, store):
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         corrupt_file(store, pid)
         fresh = FileStore(store.root)
         with pytest.raises(CorruptArtifactError):
@@ -122,7 +114,7 @@ class TestCompatibilityAndCaching:
         hit path unseen, and is caught the moment the entry drops."""
         import os
 
-        pid = store.put(make_profile())
+        pid = store.put(make_profile(created=1.0))
         assert store.get_many([pid])[0].command == "app x"
         [path] = segment_files(store.root)
         st = os.stat(path)

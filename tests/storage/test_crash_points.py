@@ -28,11 +28,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import CorruptArtifactError, StoreError
-from repro.core.samples import Profile, Sample
 from repro.faults import FaultPlan, InjectedFault, injected_faults
 from repro.storage import FileStore
 from repro.storage.base import ReferenceScan
-from tests.storage.conftest import build_segment, encode_record
+from tests.storage.conftest import build_segment, encode_record, make_profile
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -40,16 +39,13 @@ OLD = "00000000001000000000-0a0a0a0a-000001.seg"
 NEW = "00000000002000000000-0b0b0b0b-000001.seg"
 
 
-def make_profile(command="app x", created=1.0, n_samples=2):
-    samples = [
-        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
-        for i in range(n_samples)
-    ]
-    return Profile(command=command, tags=("k=1",), samples=samples, created=created)
-
-
-OLD_WAVE = [make_profile("old a", 1.0), make_profile("old b", 1.5)]
-NEW_WAVE = [make_profile(f"new {c}", 2.0 + i) for i, c in enumerate("abc")]
+OLD_WAVE = [
+    make_profile("old a", n_samples=2, created=1.0),
+    make_profile("old b", n_samples=2, created=1.5),
+]
+NEW_WAVE = [
+    make_profile(f"new {c}", n_samples=2, created=2.0 + i) for i, c in enumerate("abc")
+]
 
 
 @pytest.fixture
@@ -298,7 +294,7 @@ class TestFailedPutLeavesNoTrace:
         store = FileStore(root)
         before = self.listing(root)
         wave = list(NEW_WAVE)
-        wave[position] = make_profile("no stamp", created)
+        wave[position] = make_profile("no stamp", n_samples=2, created=created)
         with pytest.raises(StoreError, match="not a finite stamp"):
             store.put_many(wave)
         assert self.listing(root) == before
@@ -367,7 +363,7 @@ class TestSampleColumns:
     def test_mixed_root_reads_consistently(self, tmp_path):
         """v3 older than v2 (a downgrade and back), then a put through
         the store: refused on every read path."""
-        put = make_profile("put c", 9.0)
+        put = make_profile("put c", n_samples=2, created=9.0)
         (tmp_path / OLD).write_bytes(build_segment(OLD_WAVE, version=3))
         (tmp_path / NEW).write_bytes(build_segment(NEW_WAVE, version=2))
         FileStore(tmp_path).put_many([put])

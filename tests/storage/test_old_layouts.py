@@ -17,10 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import StoreError
-from repro.core.samples import Profile, Sample
 from repro.runtime import ledger_digest, run_campaign
 from repro.storage import FileStore
-from tests.storage.conftest import build_segment, segment_files
+from tests.storage.conftest import build_segment, make_profile, segment_files
 
 REFUSAL = (
     r"is in an on-disk layout that is no longer read; commit 8cf855c is the "
@@ -32,11 +31,6 @@ SPEC = {
     "apps": ["sleeper:sleep_seconds=1"], "machines": ["thinkie"],
     "seeds": [0], "config": {"sample_rate": 2.0},
 }
-
-
-def make_profile(command="app x", created=1.0):
-    samples = [Sample(index=0, t=0.0, dt=1.0, values={"cpu.cycles_used": 1.0})]
-    return Profile(command=command, tags=("k=1",), samples=samples, created=created)
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -68,7 +62,7 @@ def assert_refused(root: Path) -> None:
 def assert_put_lands(root: Path) -> None:
     """A put beside the old layout writes one v3 segment, still refused."""
     segments = set(segment_files(root))
-    FileStore(root).put(make_profile("put", 9.0))
+    FileStore(root).put(make_profile("put", n_samples=1, created=9.0))
     [written] = set(segment_files(root)) - segments
     index = json.loads(written.read_bytes().splitlines()[-2])
     assert index["version"] == 3
@@ -78,7 +72,7 @@ def assert_put_lands(root: Path) -> None:
 
 def test_a_v2_segment_is_refused(tmp_path):
     (tmp_path / "00000000001000000000-0a0a0a0a-000001.seg").write_bytes(
-        build_segment([make_profile(created=1.0), make_profile(created=2.0)], version=2)
+        build_segment([make_profile(n_samples=1, created=1.0), make_profile(n_samples=1, created=2.0)], version=2)
     )
     assert_refused(tmp_path)
     assert_put_lands(tmp_path)
@@ -90,7 +84,7 @@ def test_a_v1_group_is_refused(tmp_path, held):
     group.mkdir()
     if held == "profiles":
         name = "00000000001000000000-v1writer-000001.json"
-        (group / name).write_text(json.dumps(make_profile().to_dict()))
+        (group / name).write_text(json.dumps(make_profile(n_samples=1, created=1.0).to_dict()))
     else:
         (group / "index.jsonl").write_text("")
     assert_refused(tmp_path)
@@ -103,7 +97,7 @@ def test_stranger_files_in_the_root_are_not_groups(tmp_path):
     (tmp_path / "emptydir").mkdir()
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "notes.txt").write_text("hello")
-    pid = FileStore(tmp_path).put(make_profile())
+    pid = FileStore(tmp_path).put(make_profile(n_samples=1, created=1.0))
     fresh = FileStore(tmp_path)
     assert fresh.find_ids() == [pid]
     assert [p for p, _ in fresh._iter_profiles()] == [pid]

@@ -7,19 +7,10 @@ import os
 import pytest
 
 from repro.core.errors import StoreError
-from repro.core.samples import Profile, Sample
 from repro.storage import FileStore
 from repro.storage.filestore import PAYLOAD_CACHE_SIZE
 from repro.telemetry.metrics import get_registry
-from tests.storage.conftest import damage_record
-
-
-def make_profile(command="app x", tags=("k=1",), n_samples=3):
-    samples = [
-        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
-        for i in range(n_samples)
-    ]
-    return Profile(command=command, tags=tags, samples=samples)
+from tests.storage.conftest import damage_record, make_profile
 
 
 def counter(name: str) -> float:

@@ -22,6 +22,7 @@ from repro.storage.base import ReferenceScan, StoreEntry
 from tests.storage.conftest import (
     decode_record,
     encode_record,
+    make_profile,
     read_segment,
     segment_files,
 )
@@ -62,15 +63,6 @@ def random_profile(rng: random.Random, created: float) -> Profile:
         statics={"sys.cores": rng.randint(1, 8)},
         created=created,
     )
-
-
-def make_profile(command="app x", tags=("k=1",), n_samples=3, created=None):
-    samples = [
-        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
-        for i in range(n_samples)
-    ]
-    kwargs = {} if created is None else {"created": created}
-    return Profile(command=command, tags=tags, samples=samples, **kwargs)
 
 
 @pytest.fixture(params=["memory", "file", "mongo"])

@@ -5,20 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import DocumentTooLargeError, ProfileNotFoundError, StoreError
-from repro.core.samples import Profile, Sample
 from repro.faults import FaultPlan, InjectedFault
 from repro.faults.inject import injected_faults
 from repro.storage import FileStore, MemoryStore, MongoStore, open_store
 from repro.storage.mongostore import MongoLite
-
-
-def make_profile(command="app x", tags=("k=1",), n_samples=3, created=None):
-    samples = [
-        Sample(index=i, t=float(i), dt=1.0, values={"cpu.cycles_used": float(i)})
-        for i in range(n_samples)
-    ]
-    kwargs = {} if created is None else {"created": created}
-    return Profile(command=command, tags=tags, samples=samples, **kwargs)
+from tests.storage.conftest import make_profile
 
 
 @pytest.fixture(params=["memory", "file", "mongo"])

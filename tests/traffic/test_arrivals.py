@@ -15,6 +15,7 @@ import pytest
 
 from conftest import assert_stat_close
 
+from repro.core.errors import ConfigError
 from repro.traffic.arrivals import (
     DiurnalProcess,
     MMPPProcess,
@@ -56,7 +57,7 @@ class TestPoisson:
         assert np.all(np.diff(times) > 0)
 
     def test_rejects_non_positive_rate(self):
-        with pytest.raises(ValueError, match="rate must be positive"):
+        with pytest.raises(ConfigError, match="poisson rate must be a finite number > 0"):
             PoissonProcess(rate=0.0)
 
 
@@ -83,9 +84,9 @@ class TestMMPP:
         assert np.all(np.diff(times) >= 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="matching non-empty"):
+        with pytest.raises(ConfigError, match="matching non-empty"):
             MMPPProcess(rates=(1.0,), dwells=(1.0, 2.0))
-        with pytest.raises(ValueError, match="dwells > 0"):
+        with pytest.raises(ConfigError, match="dwells entry must be a finite number > 0"):
             MMPPProcess(rates=(1.0, 2.0), dwells=(1.0, 0.0))
 
 
@@ -132,7 +133,7 @@ class TestDiurnal:
         assert diurnal_process.rate_at(3 * 86400.0 / 4) == pytest.approx(20.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="amplitude"):
+        with pytest.raises(ConfigError, match="amplitude"):
             DiurnalProcess(rate=10.0, amplitude=1.0)
 
 
@@ -203,11 +204,11 @@ class TestSpecParsing:
         assert np.array_equal(process.take(3), [0.5, 1.5, 2.5])
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown arrival process"):
+        with pytest.raises(ConfigError, match="unknown arrival process"):
             make_process("weibull:rate=1")
 
     def test_bad_option_raises(self):
-        with pytest.raises(ValueError, match="bad process option"):
+        with pytest.raises(ConfigError, match="bad process option"):
             make_process("poisson:rate")
 
     def test_trace_restore_requires_trace(self):

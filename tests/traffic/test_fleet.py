@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.errors import ConfigError
 from repro.traffic.fleet import Fleet, LatencyHistogram, LatencyRecorder
 from repro.traffic.sim import AutoscalePolicy, TrafficSim
 from repro.traffic.workload import default_mix
@@ -151,13 +152,13 @@ class TestFleetDispatch:
 
     def test_validation(self):
         mix = default_mix(seed=0)
-        with pytest.raises(ValueError, match="at least one machine"):
+        with pytest.raises(ConfigError, match="at least one machine"):
             Fleet([], mix)
-        with pytest.raises(ValueError, match="discipline"):
+        with pytest.raises(ConfigError, match="discipline"):
             Fleet(["thinkie"], mix, discipline="lifo")
-        with pytest.raises(ValueError, match="dispatch"):
+        with pytest.raises(ConfigError, match="dispatch"):
             Fleet(["thinkie"], mix, dispatch="random")
-        with pytest.raises(ValueError, match="alloc_cost"):
+        with pytest.raises(ConfigError, match="alloc_cost"):
             Fleet(["thinkie"], mix, alloc_cost=-1.0)
 
     def test_alloc_cost_floors_latency(self):
@@ -243,13 +244,13 @@ class TestEngineLedger:
 
 class TestAutoscale:
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="slo_p99"):
+        with pytest.raises(ConfigError, match="slo_p99"):
             AutoscalePolicy(slo_p99=0.0, max_machines=4)
-        with pytest.raises(ValueError, match="max_machines"):
+        with pytest.raises(ConfigError, match="max_machines"):
             AutoscalePolicy(slo_p99=1.0, max_machines=0)
-        with pytest.raises(ValueError, match="every"):
+        with pytest.raises(ConfigError, match="every"):
             AutoscalePolicy(slo_p99=1.0, max_machines=4, every=0)
-        with pytest.raises(ValueError, match="scale_down_margin"):
+        with pytest.raises(ConfigError, match="scale_down_margin"):
             AutoscalePolicy(slo_p99=1.0, max_machines=4, scale_down_margin=1.0)
 
     def test_overloaded_fleet_scales_up_to_latency_relief(self):
