@@ -522,14 +522,18 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
                 )
                 return 2
     spec = CampaignSpec.from_json(args.spec)
-    # Counts are checked before the store opens (a file store makes its
-    # directory): a bad one runs and stores nothing.
+    # Counts and the lease TTL are checked before the store opens (a
+    # file store makes its directory): a bad one runs and stores nothing.
     for field, value, least in (
         ("processes", args.processes, 1), ("workers", args.workers, 1),
         ("limit", args.limit, 0),
     ):
         if value is not None:
             whole_number(field, value, least)
+    if args.lease_ttl is not None:
+        from repro.runtime.coordinator import check_lease_ttl  # noqa: PLC0415 (lazy)
+
+        check_lease_ttl(args.lease_ttl)
     store = open_store(args.store)
     if args.report:
         from repro.runtime.analyze import analyze_campaign  # noqa: PLC0415 (lazy)

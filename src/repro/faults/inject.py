@@ -21,7 +21,7 @@ Point inventory (grep for ``inject(`` to verify):
 
 ========================  ====================================================
 ``store.put``             profile writes (every store)
-``store.get``             payload reads (``get_many``)
+``store.get``             payload reads (``get_many``; each chunk of a ``scan``)
 ``store.entries``         index-plane scans
 ``worker.execute``        request dispatch (parent or pool worker); the
                           context key is the request key (cell digest)

@@ -41,6 +41,7 @@ from repro.runtime.campaign import (
     CampaignSpec,
     comparable_artifact,
     completed_cells,
+    iter_ledger,
     ledger,
     ledger_digest,
     run_campaign,
@@ -89,6 +90,7 @@ __all__ = [
     "completed_cells",
     "elastic_worker",
     "get_service",
+    "iter_ledger",
     "lease_records",
     "ledger",
     "ledger_digest",

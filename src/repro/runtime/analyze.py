@@ -12,10 +12,11 @@ in the spec) — the cross-resource analogue of the paper's
 emulation-vs-application comparisons.
 
 The ledger is read through the store's batched APIs: cell digests
-resolve on the index plane (tag scans, no payloads) and
-``store.get_many`` then loads exactly the artifact documents the report
-aggregates — a report build touches each payload once, never the whole
-store.
+resolve on the index plane (tag scans, no payloads) and one
+``store.scan`` then reads exactly the artifact documents the report
+aggregates, in spec-cell order — a report build touches each payload
+once, never the whole store, and holds one group's profiles at a time
+(plus one scan chunk), not the ledger.
 
 Entry points: :func:`analyze_campaign` (library),
 ``core.api.campaign_report`` (public API) and
@@ -24,6 +25,7 @@ Entry points: :func:`analyze_campaign` (library),
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from typing import Any, Mapping
 from repro.core.errors import SynapseError
 from repro.core.samples import Profile
 from repro.core.statistics import MetricStats, aggregate, error_percent
-from repro.runtime.campaign import CampaignSpec, ledger
+from repro.runtime.campaign import CampaignSpec, ledger_ids
 from repro.util.tables import Table
 
 __all__ = [
@@ -308,18 +310,18 @@ def analyze_campaign(
             f"reference machine {reference!r} is not part of the campaign "
             f"(machines: {list(spec.machines)})"
         )
-    entries = ledger(store, spec.name)
+    newest = ledger_ids(store, spec.name)
+    # Spec order keeps each (app, machine) group's cells together, and
+    # a campaign writes them so: one scan reads the groups in turn.
+    groups: list[tuple[GroupStats, list[str]]] = []
+    for (app, machine), cells in itertools.groupby(
+        spec.cells(), key=lambda cell: (cell.app, cell.machine)
+    ):
+        cells = list(cells)
+        ids = [newest[cell.digest] for cell in cells if cell.digest in newest]
+        groups.append((GroupStats(app, machine, len(cells), len(ids)), ids))
 
-    by_group: dict[tuple[str, str], list[Profile]] = {}
-    expected: dict[tuple[str, str], int] = {}
-    for cell in spec.cells():
-        key = (cell.app, cell.machine)
-        expected[key] = expected.get(key, 0) + 1
-        profile = entries.get(cell.digest)
-        if profile is not None:
-            by_group.setdefault(key, []).append(profile)
-
-    present_cells = sum(len(profiles) for profiles in by_group.values())
+    present_cells = sum(group.present for group, _ids in groups)
     if present_cells == 0:
         raise SynapseError(
             f"campaign {spec.name!r} has no completed cells in the ledger; "
@@ -327,49 +329,33 @@ def analyze_campaign(
         )
 
     # One aggregation pass per populated group (the full-sample scans
-    # dominate report builds); the reference anchors read out of the
-    # same results instead of re-aggregating the reference groups.
-    group_stats = {
-        key: aggregate(profiles) for key, profiles in by_group.items()
-    }
-    ref_means: dict[str, dict[str, float]] = {
-        app: {
-            name: stat.mean
-            for name, stat in group_stats[(app, reference)].metrics.items()
-        }
-        for app in spec.apps
-        if (app, reference) in group_stats
-    }
-
-    groups: list[GroupStats] = []
-    for app in spec.apps:
-        for machine in spec.machines:
-            key = (app, machine)
-            profiles = by_group.get(key, [])
-            group = GroupStats(
-                app=app,
-                machine=machine,
-                expected=expected[key],
-                present=len(profiles),
-            )
-            if profiles:
-                anchors = ref_means.get(app, {})
-                group.metrics = {
-                    name: _line(stat, anchors.get(name))
-                    for name, stat in group_stats[key].metrics.items()
-                }
-                group.samples_mean = (
-                    sum(p.n_samples for p in profiles) / len(profiles)
-                )
-                group.sample_rate = profiles[0].sample_rate
-                group.overhead_pct = _overhead_pct(profiles)
-            groups.append(group)
+    # dominate report builds), holding that group's profiles only; the
+    # reference anchors read out of the same results once every group
+    # is in, instead of re-aggregating the reference groups.
+    profiles = store.scan([pid for _group, ids in groups for pid in ids])
+    group_stats: dict[tuple[str, str], dict[str, MetricStats]] = {}
+    for group, ids in groups:
+        if not ids:
+            continue
+        members = list(itertools.islice(profiles, len(ids)))
+        group_stats[group.app, group.machine] = aggregate(members).metrics
+        group.samples_mean = sum(p.n_samples for p in members) / len(members)
+        group.sample_rate = members[0].sample_rate
+        group.overhead_pct = _overhead_pct(members)
+    for group, _ids in groups:
+        stats = group_stats.get((group.app, group.machine))
+        if stats is not None:
+            anchors = group_stats.get((group.app, reference), {})
+            group.metrics = {
+                name: _line(stat, anchors[name].mean if name in anchors else None)
+                for name, stat in stats.items()
+            }
 
     return CampaignAnalysis(
         name=spec.name,
         kind=spec.kind,
         reference=reference,
-        groups=groups,
+        groups=[group for group, _ids in groups],
         expected_cells=spec.n_cells,
         present_cells=present_cells,
     )

@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.config import SynapseConfig
 from repro.core.errors import (
@@ -82,8 +82,10 @@ __all__ = [
     "CampaignSpec",
     "comparable_artifact",
     "completed_cells",
+    "iter_ledger",
     "ledger",
     "ledger_digest",
+    "ledger_ids",
     "run_campaign",
 ]
 
@@ -493,16 +495,34 @@ def completed_cells(store: Any, name: str) -> set[str]:
     return {digest for digest, _pid in _ledger_ids(store, name)}
 
 
-def ledger(store: Any, name: str) -> dict[str, Any]:
-    """The campaign's ledger: cell digest -> stored artifact profile.
+def ledger_ids(store: Any, name: str) -> dict[str, str]:
+    """Cell digest -> store id of its newest ledger entry.
 
-    Resolves digests on the index plane, then batch-loads exactly the
-    artifact payloads via ``get_many`` (duplicate digests — racing
-    invocations' bit-identical artifacts — dedupe to the newest entry).
+    Index-plane only.  Duplicate digests — racing invocations'
+    bit-identical artifacts — resolve to the entry written last.
     """
-    pairs = _ledger_ids(store, name)
-    profiles = store.get_many([pid for _digest, pid in pairs])
-    return {digest: profile for (digest, _pid), profile in zip(pairs, profiles)}
+    return dict(_ledger_ids(store, name))
+
+
+def iter_ledger(store: Any, name: str) -> Iterator[tuple[str, Any]]:
+    """``(cell digest, stored artifact profile)`` of every cell of the
+    campaign's ledger, in sorted digest order, the newest entry per cell.
+
+    The digests resolve on the index plane; the artifacts come through
+    one :meth:`~repro.storage.base.ProfileStore.scan`, so a reader that
+    goes through them holds at most one scan chunk of them, and a file
+    store's payload cache is left as it was.
+    """
+    pairs = sorted(ledger_ids(store, name).items())
+    profiles = store.scan([pid for _digest, pid in pairs])
+    for (digest, _pid), profile in zip(pairs, profiles):
+        yield digest, profile
+
+
+def ledger(store: Any, name: str) -> dict[str, Any]:
+    """The campaign's ledger: cell digest -> stored artifact profile,
+    in sorted digest order (:func:`iter_ledger`, held whole)."""
+    return dict(iter_ledger(store, name))
 
 
 def comparable_artifact(profile: Any) -> dict[str, Any]:
@@ -596,25 +616,26 @@ def ledger_digest(store: Any, name: str) -> str:
 
     The value is the SHA-256 of ``json.dumps({digest:
     comparable_artifact(profile), ...}, sort_keys=True, default=str)``
-    over the :func:`ledger`, but that string is never built: the hash is
-    fed ``{``, then per cell in sorted digest order (``", "`` between
-    cells) the JSON digest, ``": "`` and the cell's comparable text,
-    then ``}``.  Each artifact is serialised once (one ``to_dict`` and
-    one ``dumps``; ≈ 0.3 ms an E12 cell on a 2-vCPU x86 guest), so the
-    memory beyond the ledger read is one artifact's document and text,
-    not the ledger's.
+    over the :func:`ledger`, but neither that string nor the ledger is
+    ever built: the hash is fed ``{``, then per cell of
+    :func:`iter_ledger` (sorted digest order; ``", "`` between cells)
+    the JSON digest, ``": "`` and the cell's comparable text, then
+    ``}``.  Each artifact is serialised once (one ``to_dict`` and one
+    ``dumps``; ≈ 0.3 ms an E12 cell on a 2-vCPU x86 guest), so the
+    digest holds one scan chunk of artifacts
+    (:data:`~repro.storage.base.SCAN_CHUNK`) and one artifact's
+    document and text, whatever the ledger's size.
     A document whose keys are not all exactly strings, or whose ``info``
     or ``info["process"]`` is not a dict, falls back to
     :func:`comparable_artifact`'s round trip — same text, or the same
     exception — and counts in ``campaign.digest.fallbacks``; real
     ``profile`` and ``run`` ledgers take none.
     """
-    led = ledger(store, name)
     sha = hashlib.sha256(b"{")
-    for n, digest in enumerate(sorted(led)):
+    for n, (digest, profile) in enumerate(iter_ledger(store, name)):
         head = f"{', ' if n else ''}{json.dumps(digest)}: "
         sha.update(head.encode("utf-8"))
-        sha.update(_comparable_text(led[digest]).encode("utf-8"))
+        sha.update(_comparable_text(profile).encode("utf-8"))
     sha.update(b"}")
     return sha.hexdigest()
 

@@ -104,6 +104,7 @@ __all__ = [
     "LEASE_KIND",
     "MEMBER_KIND",
     "LeaseRecord",
+    "check_lease_ttl",
     "elastic_worker",
     "lease_records",
     "live_members",
@@ -716,7 +717,7 @@ class _Worker:
         self.phase = "scan"
 
 
-def _check_ttl(ttl: float) -> None:
+def check_lease_ttl(ttl: float) -> None:
     """A lease TTL must be positive, finite and short enough for the
     heartbeat's longest wait (its ``4/3 · ttl`` join) to be a timeout
     :mod:`threading` accepts."""
@@ -755,7 +756,7 @@ def elastic_worker(
     worker = new_member() if worker is None else text("worker", worker)
     if any(c in worker for c in "=,\n"):
         raise ConfigError(f"worker name {worker!r} must be free of '=', ',' and newlines")
-    _check_ttl(lease_ttl)
+    check_lease_ttl(lease_ttl)
     batch, limit = wave_limits("batch", batch, limit)
     with _sweep(
         spec, store, member=worker, service=service, processes=processes,
@@ -837,7 +838,7 @@ def run_elastic(
     if not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
     workers = whole_number("workers", workers, 1)
-    _check_ttl(lease_ttl)  # here, not in every child it would kill
+    check_lease_ttl(lease_ttl)  # here, not in every child it would kill
     batch, _ = wave_limits("batch", batch)
     if store_url in ("memory://", "mongo://"):
         raise ConfigError(

@@ -219,8 +219,9 @@ class RecordBlock:
     Rows that turn out ragged there (see :class:`_Ragged`) fold as
     smaller blocks of their own: :meth:`part` says where a row ended up,
     and a block that was cut has no ``series`` itself.  ``ends`` holds
-    the fold's per-row window end state ``(carries, rss_end,
-    peak_end)`` — what a streamed window hands to the next.
+    the fold's window end state ``(carries, rss_end, peak_end)`` — the
+    counters' ``(rows, 3)`` end carries by name, then per-row lists —
+    what a streamed window hands to the next (:meth:`carries`).
     """
 
     __slots__ = (
@@ -235,7 +236,7 @@ class RecordBlock:
     ) -> None:
         self.durations = durations
         self.levels: Sequence[str] = _LEVELS
-        self.ends: tuple[list, list, list] | None = None
+        self.ends: tuple[dict, list, list] | None = None
         self._series = series
         self._parts: list[tuple["RecordBlock", int]] | None = None
         #: ``(plan, t0, t1, noisy, window)`` of a block still to fold.
@@ -271,6 +272,13 @@ class RecordBlock:
         if self._pending is not None:
             self._fold()
         return self._series  # type: ignore[return-value]
+
+    def carries(self, row: int) -> dict[str, tuple[float, float, float]]:
+        """Row ``row``'s counter end carries ``(raw, guarded, rate)`` by
+        name, in sorted-name order: what the next streamed window of
+        that row starts from.  Built when asked; only a stream asks."""
+        counters = self.ends[0]  # type: ignore[index]
+        return {name: tuple(ends[row].tolist()) for name, ends in counters.items()}
 
     def part(self, row: int) -> tuple["RecordBlock", int]:
         """The block that holds the series of this block's ``row``, and
@@ -1352,8 +1360,7 @@ class Engine:
         t_hi: np.ndarray,
         initial: dict[str, tuple[float, float, float]] | None = None,
     ) -> tuple[
-        dict[str, tuple[np.ndarray, np.ndarray]],
-        list[dict[str, tuple[float, float, float]]],
+        dict[str, tuple[np.ndarray, np.ndarray]], dict[str, np.ndarray]
     ]:
         """Turn accrual spans into piecewise-linear cumulative series.
 
@@ -1364,8 +1371,10 @@ class Engine:
         guarded value floors the monotonic guard and the running rate
         seeds the rate fold, so streamed windows reproduce the
         uninterrupted series bit for bit.  Returns the series as
-        ``(rows, breakpoints)`` time and value tables and, per row, this
-        window's end carries, both in sorted-name order.
+        ``(rows, breakpoints)`` time and value tables and, per counter,
+        this window's end carries as a ``(rows, 3)`` array, both in
+        sorted-name order (:meth:`RecordBlock.carries` makes one row's
+        dict of them, for the stream that asks).
         """
         rows = len(noisy)
         if initial is None:
@@ -1386,8 +1395,10 @@ class Engine:
         carried = set(initial).difference(*(group[0] for group in groups))
         for name in carried.union(idle):
             # Nothing accrues in this window: carry the level flat.
-            carry = initial.get(name, none)
-            folded[name] = (edges, np.full((rows, 2), carry[1]), [carry] * rows)
+            carry = np.array(initial.get(name, none))
+            folded[name] = (
+                edges, np.full((rows, 2), carry[1]), np.broadcast_to(carry, (rows, 3))
+            )
         kind_spans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for names, kind, cols, slots in groups:
             spans = kind_spans.get(kind)
@@ -1407,18 +1418,12 @@ class Engine:
                     np.array([initial.get(name, none) for name in part]),
                 )
                 for lane, name in enumerate(part):
-                    folded[name] = (
-                        grid.bps, values[:, lane], ends[:, lane].tolist()
-                    )
+                    folded[name] = (grid.bps, values[:, lane], ends[:, lane])
         tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        carries: list[dict[str, tuple[float, float, float]]] = [
-            {} for _ in range(rows)
-        ]
+        carries: dict[str, np.ndarray] = {}
         for name in sorted(folded):
-            times, values, ends = folded[name]
+            times, values, carries[name] = folded[name]
             tables[name] = (times, values)
-            for row in range(rows):
-                carries[row][name] = tuple(ends[row])
         return tables, carries
 
     # -- level timelines -----------------------------------------------------------

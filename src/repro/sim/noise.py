@@ -11,10 +11,11 @@ indices give independent draws.
 
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
+
+from repro.core.errors import number
 
 __all__ = ["NoiseModel", "seed_from"]
 
@@ -37,9 +38,10 @@ class NoiseModel:
     counter_sigma:
         Relative scatter of counter readings (measurement noise).
 
-    Both sigmas must be finite and non-negative: every noisy run of the
-    sim plane draws through a model, so this is where a bad sigma (a
-    machine's ``noise_sigma`` included) is stopped, naming the field.
+    Both sigmas must be finite non-negative numbers: every noisy run of
+    the sim plane draws through a model, so this is where a bad sigma (a
+    machine's ``noise_sigma`` included) is stopped, naming the field, with
+    a :class:`~repro.core.errors.ConfigError`.
     """
 
     def __init__(
@@ -48,15 +50,8 @@ class NoiseModel:
         duration_sigma: float = 0.01,
         counter_sigma: float = 0.003,
     ) -> None:
-        for name, sigma in (
-            ("duration_sigma", duration_sigma), ("counter_sigma", counter_sigma)
-        ):
-            if not math.isfinite(sigma):
-                raise ValueError(f"noise {name} must be finite, not {sigma!r}")
-            if sigma < 0:
-                raise ValueError(f"noise {name} must be non-negative, not {sigma!r}")
-        self.duration_sigma = duration_sigma
-        self.counter_sigma = counter_sigma
+        self.duration_sigma = number("noise duration_sigma", duration_sigma, least=0)
+        self.counter_sigma = number("noise counter_sigma", counter_sigma, least=0)
         self._seed = seed
         # A silent model never draws: it seeds its generator only if
         # somebody asks for its state.

@@ -87,11 +87,12 @@ class EngineStream:
         )
         # The next batch continues from where this one's folds end, so
         # a streamed record is folded at once.
-        carries, rss_end, peak_end = record.block.ends
+        block, row = record.block, record.row
+        _, rss_end, peak_end = block.ends
         self.t = record.duration
-        self._rss = rss_end[record.row]
-        self._peak = peak_end[record.row]
-        self._carries = carries[record.row]
+        self._rss = rss_end[row]
+        self._peak = peak_end[row]
+        self._carries = block.carries(row)
         self.phases_done += len(record.phase_bounds)
         self.batches_done = index + 1
         get_bus().event(

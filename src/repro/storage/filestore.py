@@ -154,7 +154,8 @@ _dumps = json.JSONEncoder(check_circular=False).encode
 #: Decoded-payload LRU capacity (documents, not bytes).  Segments are
 #: immutable once renamed into place, so a cached parse stays valid for
 #: as long as the ``(mtime_ns, size)`` stat signature of the segment
-#: holding it matches.
+#: holding it matches.  Point reads (``get``, ``find``, ``get_many``)
+#: fill it; a :meth:`~repro.storage.base.ProfileStore.scan` only reads it.
 PAYLOAD_CACHE_SIZE = 512
 
 #: Directory under the store root holding the marker plane.
@@ -704,7 +705,9 @@ class FileStore(ProfileStore):
 
     # -- payload plane --------------------------------------------------------
 
-    def _docs(self, pids: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
+    def _docs(
+        self, pids: Iterable[str], keep: bool = True
+    ) -> Iterator[tuple[str, dict[str, Any]]]:
         """``(pid, decoded document)`` of live records, via the payload LRU.
 
         Grouped by file, so each segment is stat'ed once and opened at
@@ -712,9 +715,12 @@ class FileStore(ProfileStore):
         change in place (writes are rename-only), so a ``(mtime_ns,
         size)`` stat signature decides reuse: a match skips read, parse
         and integrity verification; any mismatch — or a replaced file —
-        re-reads, re-verifies and refreshes the cache.  Callers must not
-        mutate the documents (``Profile.from_dict`` copies what it keeps
-        but the sample table, which nobody changes in place).
+        re-reads, re-verifies and refreshes the cache.  ``keep=False``
+        (a :meth:`scan` chunk) still serves what the cache holds but
+        leaves it as it was: a hit is not moved to the front, a document
+        read is not kept.  Callers must not mutate the documents
+        (``Profile.from_dict`` copies what it keeps but the sample
+        table, which nobody changes in place).
         """
         by_file: dict[str, list[_Record]] = {}
         for pid in pids:
@@ -734,7 +740,8 @@ class FileStore(ProfileStore):
                     pid = record.entry.id
                     cached = self._payloads.get(pid)
                     if cached is not None and cached[0] == sig:
-                        self._payloads.move_to_end(pid)
+                        if keep:
+                            self._payloads.move_to_end(pid)
                         registry.inc("store.payload.hit")
                         yield pid, cached[1]
                         continue
@@ -743,9 +750,10 @@ class FileStore(ProfileStore):
                         handle = open(path, "rb")
                     handle.seek(record.offset)
                     doc = _decode(pid, handle.read(record.length), record.sum)
-                    self._payloads[pid] = (sig, doc)
-                    while len(self._payloads) > PAYLOAD_CACHE_SIZE:
-                        self._payloads.popitem(last=False)
+                    if keep:
+                        self._payloads[pid] = (sig, doc)
+                        while len(self._payloads) > PAYLOAD_CACHE_SIZE:
+                            self._payloads.popitem(last=False)
                     yield pid, doc
             except FileNotFoundError as exc:
                 raise StoreError(
@@ -757,9 +765,12 @@ class FileStore(ProfileStore):
                 if handle is not None:
                     handle.close()
 
-    def _load_many(self, ids):
-        docs = dict(self._docs(ids))
+    def _load_many(self, ids, keep=True):
+        docs = dict(self._docs(ids, keep))
         return [Profile.from_dict(docs[pid]) for pid in ids]
+
+    def _scan_many(self, ids):
+        return self._load_many(ids, keep=False)
 
     def _documents(self, ids):
         for pid, doc in self._docs(ids):

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.errors import ConfigError, number, text
 from repro.predict.models import DemandVector
 from repro.sim.packed import (
     KIND_COMPUTE,
@@ -62,14 +63,12 @@ class RequestClass:
     size_cv: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("request class name must be non-empty")
-        if self.weight <= 0:
-            raise ValueError(f"request class weight must be positive, got {self.weight}")
-        if self.size_cv < 0:
-            raise ValueError(f"size_cv must be non-negative, got {self.size_cv}")
+        if not text("request class name", self.name):
+            raise ConfigError("request class name must be non-empty")
+        number(f"request class {self.name!r} weight", self.weight, above=0)
+        number(f"request class {self.name!r} size_cv", self.size_cv, least=0)
         if self.vector.empty:
-            raise ValueError(f"request class {self.name!r} has an empty demand vector")
+            raise ConfigError(f"request class {self.name!r} has an empty demand vector")
 
 
 class RequestMix:

@@ -82,6 +82,8 @@ class TestBadInputs:
         (["traffic", "--requests", "-5"], "requests"),
         (["campaign", "SPEC", "--processes", "0"], "processes"),
         (["campaign", "SPEC", "--processes", "-3"], "processes"),
+        (["campaign", "SPEC", "--elastic", "--join", "w", "--lease-ttl", "nan"],
+         "lease_ttl"),
     ], ids=lambda value: value if isinstance(value, str) else " ".join(value[1:]))
     def test_exits_1_naming_the_field(self, tmp_path, capsys, argv, named):
         store = tmp_path / "store"

@@ -2,14 +2,14 @@
 
 Each example takes a valid JSON-shaped input of one surface — a campaign
 spec, a :class:`SynapseConfig`, a run policy, a fault plan, an arrival
-spec string or an autoscale policy — and applies one mutation at one
+spec string, an autoscale policy or a traffic request class — and applies one mutation at one
 place in it: a value of the wrong type, a bool for a number, a fraction,
 NaN or ±inf, ``null``, an empty or duplicated list, or a misspelt key.
 Then either building the input raises a :class:`ConfigError` that names
 the key, or a minimal use of it succeeds with finite results: a one-cell
 ``run_campaign`` on a ``MemoryStore`` with no failed cell (campaign,
 config, run policy, fault plan), or a 50-request ``TrafficSim`` whose
-report holds no NaN (arrival spec, autoscale policy).
+report holds no NaN (arrival spec, autoscale policy, request class).
 
 The explicit examples are inputs that loaded and then ran wrong (or
 failed naming no field) before the surfaces shared one set of checks
@@ -32,6 +32,7 @@ from repro.faults import FaultPlan, injected_faults
 from repro.runtime import CampaignSpec, RunPolicy, RunService, run_campaign
 from repro.storage.base import MemoryStore
 from repro.traffic.sim import AutoscalePolicy, TrafficSim
+from repro.traffic.workload import RequestClass, RequestMix, default_mix
 
 SERIAL = RunService(processes=1)
 
@@ -65,10 +66,12 @@ SURFACES: dict[str, dict[str, Any]] = {
         "slo_p99": 0.05, "max_machines": 2, "every": 10,
         "scale_down_margin": 0.25, "cooldown": 2,
     },
+    # Its demand vector is not JSON: the default mix's first class's.
+    "request_class": {"name": "probe", "weight": 1.0, "size_cv": 0.4},
 }
 #: Surfaces built with keyword arguments, where an unknown key is
 #: Python's own ``TypeError`` (a campaign's ``config`` checks its keys).
-KEYWORD_SURFACES = ("config", "autoscale")
+KEYWORD_SURFACES = ("config", "autoscale", "request_class")
 ARRIVALS = ("poisson", "mmpp", "diurnal")
 
 #: The wrong type for each kind of value: what a loose loader coerced.
@@ -156,6 +159,8 @@ def build(surface: str, data: dict) -> Any:
         return FaultPlan.from_dict(data)
     if surface == "autoscale":
         return AutoscalePolicy(**data)
+    if surface == "request_class":
+        return RequestClass(**data, vector=default_mix(seed=0).classes[0].vector)
     return _spec_string(surface, data)
 
 
@@ -167,11 +172,14 @@ def use(surface: str, built: Any) -> None:
         with injected_faults(built):
             report = run_campaign(_campaign(), MemoryStore(), service=SERIAL)
     else:
-        sim = (
-            TrafficSim("poisson:rate=100", ["thinkie"], engine=False, autoscale=built)
-            if surface == "autoscale"
-            else TrafficSim(built, ["thinkie"], engine=False)
-        )
+        if surface == "autoscale":
+            sim = TrafficSim("poisson:rate=100", ["thinkie"], engine=False,
+                             autoscale=built)
+        elif surface == "request_class":
+            sim = TrafficSim("poisson:rate=100", ["thinkie"], RequestMix([built]),
+                             engine=False)
+        else:
+            sim = TrafficSim(built, ["thinkie"], engine=False)
         assert _finite(sim.run(50).to_dict())
         return
     assert report.failed == [] and report.complete, report.failed
@@ -213,6 +221,10 @@ def _finite(value: Any) -> bool:
 @example(("faults", ("rules", 0, "match_key"), "type"))
 # SynapseConfig(extra=...) took anything.
 @example(("config", ("extra",), "type"))
+# A request class with size_cv=nan drew NaN size factors, one with
+# weight=nan a mix that drew only its first class.
+@example(("request_class", ("size_cv",), "nan"))
+@example(("request_class", ("weight",), "nan"))
 def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
     surface, path, kind = mutation
     data, key = mutated(surface, path, kind)

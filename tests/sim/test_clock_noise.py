@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigError
 from repro.sim.clock import VirtualClock
 from repro.sim.noise import NoiseModel, seed_from
 
@@ -67,15 +68,16 @@ class TestNoiseModel:
         assert all(noise.duration(1.0) > 0 for _ in range(100))
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             NoiseModel(duration_sigma=-0.1)
 
     @pytest.mark.parametrize("field", ["duration_sigma", "counter_sigma"])
     @pytest.mark.parametrize(
-        "sigma", [float("nan"), float("inf"), float("-inf"), -0.5], ids=repr
+        "sigma", [float("nan"), float("inf"), float("-inf"), -0.5, True, "0.1"],
+        ids=repr,
     )
     def test_non_finite_or_negative_sigma_is_rejected_by_name(self, field, sigma):
-        with pytest.raises(ValueError, match=f"noise {field} must be"):
+        with pytest.raises(ConfigError, match=f"noise {field} must be"):
             NoiseModel(seed=1, **{field: sigma})
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01], ids=repr)
@@ -88,7 +90,7 @@ class TestNoiseModel:
         from repro.sim.machines import get_machine
 
         machine = dataclasses.replace(get_machine("thinkie"), noise_sigma=sigma)
-        with pytest.raises(ValueError, match="noise duration_sigma must be"):
+        with pytest.raises(ConfigError, match="noise duration_sigma must be"):
             SimBackend(machine, noisy=True).spawn(SleeperApp(sleep_seconds=1.0))
         silent = SimBackend(machine, noisy=False).spawn(SleeperApp(sleep_seconds=1.0))
         assert silent.record.duration > 0
