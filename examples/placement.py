@@ -88,8 +88,7 @@ def main() -> None:
     )
     print(
         f"eft makespan {format_duration(eft.makespan)} vs "
-        f"min-makespan {format_duration(lpt.makespan)} "
-        f"(cache: {predictor.cache_info()})\n"
+        f"min-makespan {format_duration(lpt.makespan)}\n"
     )
 
     # 4. Closed-loop validation on the simulation plane.

@@ -22,7 +22,6 @@ into task graphs without running them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -121,27 +120,6 @@ class DemandVector:
             net_bytes=self.net_bytes * factor,
             sleep_seconds=self.sleep_seconds * factor,
         )
-
-    def digest(self) -> str:
-        """Stable content hash; the predictor's cache key component."""
-        payload = "|".join(
-            (
-                f"{self.instructions:.6e}",
-                f"{self.flops:.6e}",
-                f"{self.io_read_bytes:.6e}",
-                f"{self.io_write_bytes:.6e}",
-                f"{self.mem_alloc_bytes:.6e}",
-                f"{self.mem_free_bytes:.6e}",
-                f"{self.net_bytes:.6e}",
-                f"{self.sleep_seconds:.6e}",
-                self.workload_class,
-                str(self.threads),
-                self.paradigm,
-                str(self.io_block_size),
-                str(self.net_block_size),
-            )
-        )
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
     def to_demands(
         self,

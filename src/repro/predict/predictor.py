@@ -11,15 +11,11 @@ equals the noise-free emulated runtime of the same vector — the
 property the closed-loop validation in :mod:`repro.predict.validate`
 measures.
 
-Two performance features make the predictor usable as a planner inner
-loop:
-
-* a digest-keyed LRU cache over ``(vector, machine, filesystem)``
-  triples — planners re-evaluate the same pair many times;
-* :meth:`Predictor.predict_many`, a vectorised batch API evaluating a
-  full ``workloads × machines`` cost matrix in one numpy pass
-  (thousands of pairs per millisecond, see
-  ``tests/paper/test_e6_placement.py``).
+:meth:`Predictor.predict` evaluates one pair each call (a few
+microseconds, cheaper than any key a cache could hash); for a planner's
+inner loop, :meth:`Predictor.predict_many` evaluates a full
+``workloads × machines`` cost matrix in one numpy pass (thousands of
+pairs per millisecond, see ``tests/paper/test_e6_placement.py``).
 
 ``calibrated=True`` additionally charges each machine's kernel
 calibration bias (``calib_ipc / ipc``, set per machine and workload
@@ -29,22 +25,17 @@ emulation kernel rather than a real application (E.3 semantics).
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.errors import flag
 from repro.predict.models import DemandVector
 from repro.sim.machines import resolve_machine
 from repro.sim.resource import MachineSpec
 
 __all__ = ["Prediction", "Predictor"]
-
-#: Bound on the machine-fingerprint memo, so long ablation sweeps over
-#: many replace()'d specs do not pin every variant in memory.
-_MACHINE_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -86,44 +77,13 @@ class Predictor:
 
     Parameters
     ----------
-    cache_size:
-        Maximum number of ``(vector, machine, filesystem)`` predictions
-        kept in the LRU cache (0 disables caching).
     calibrated:
         Charge the per-class kernel calibration bias on compute time
         (the E.3 systematic error; off for application-class vectors).
     """
 
-    def __init__(self, cache_size: int = 4096, calibrated: bool = False) -> None:
-        if cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
-        self.cache_size = cache_size
-        self.calibrated = calibrated
-        self._cache: OrderedDict[tuple[str, str, str], Prediction] = OrderedDict()
-        #: id(machine) -> (machine, content fingerprint), FIFO-bounded.
-        #: Keeping the strong reference makes the id-based memo safe
-        #: against id reuse while an entry lives.
-        self._machine_keys: OrderedDict[int, tuple[MachineSpec, str]] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-
-    def _machine_fingerprint(self, machine: MachineSpec) -> str:
-        """Content hash of a machine spec (cache key component).
-
-        Keying on content rather than ``machine.name`` keeps the cache
-        correct when callers compare tweaked variants of one machine
-        (e.g. ``dataclasses.replace`` ablations) under the same name.
-        """
-        entry = self._machine_keys.get(id(machine))
-        if entry is not None and entry[0] is machine:
-            return entry[1]
-        digest = hashlib.blake2b(
-            repr(machine).encode("utf-8"), digest_size=12
-        ).hexdigest()
-        self._machine_keys[id(machine)] = (machine, digest)
-        while len(self._machine_keys) > _MACHINE_MEMO_SIZE:
-            self._machine_keys.popitem(last=False)
-        return digest
+    def __init__(self, calibrated: bool = False) -> None:
+        self.calibrated = flag("calibrated", calibrated)
 
     # -- single-pair API -----------------------------------------------------
 
@@ -136,23 +96,12 @@ class Predictor:
         """Predict the uncontended runtime of ``demand`` on ``machine``.
 
         ``filesystem`` selects the I/O target mount (default mount when
-        ``None``); results are cached by content digest.
+        ``None``).
         """
         machine = resolve_machine(machine)
-        fs_name = filesystem if filesystem else machine.default_fs
-        key = (demand.digest(), self._machine_fingerprint(machine), fs_name)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            self._cache.move_to_end(key)
-            return cached
-        self._misses += 1
-        prediction = self._evaluate(demand, machine, fs_name)
-        if self.cache_size:
-            self._cache[key] = prediction
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return prediction
+        return self._evaluate(
+            demand, machine, filesystem if filesystem else machine.default_fs
+        )
 
     def _evaluate(
         self, demand: DemandVector, machine: MachineSpec, fs_name: str
@@ -273,21 +222,3 @@ class Predictor:
             t_net = net_ops * machine.net_latency + net / machine.net_bandwidth
             out[:, j] = t_cpu + t_io + t_mem + t_net + sleep
         return out
-
-    # -- cache introspection -------------------------------------------------
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters of the prediction cache."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._cache),
-            "max_size": self.cache_size,
-        }
-
-    def clear_cache(self) -> None:
-        """Drop all cached predictions and reset the counters."""
-        self._cache.clear()
-        self._machine_keys.clear()
-        self._hits = 0
-        self._misses = 0

@@ -510,8 +510,7 @@ def iter_ledger(store: Any, name: str) -> Iterator[tuple[str, Any]]:
 
     The digests resolve on the index plane; the artifacts come through
     one :meth:`~repro.storage.base.ProfileStore.scan`, so a reader that
-    goes through them holds at most one scan chunk of them, and a file
-    store's payload cache is left as it was.
+    goes through them holds at most one scan chunk of them.
     """
     pairs = sorted(ledger_ids(store, name).items())
     profiles = store.scan([pid for _digest, pid in pairs])

@@ -10,7 +10,7 @@ Three access planes, one contract:
 * **Payload plane** — :meth:`ProfileStore.find` / :meth:`get` /
   :meth:`get_many` return full :class:`~repro.core.samples.Profile`
   objects (samples and all); :meth:`ProfileStore.scan` reads many of
-  them a chunk at a time, leaving any payload cache as it found it.
+  them a chunk at a time.
 * **Index plane** — :meth:`ProfileStore.entries` / :meth:`ids_for` /
   :meth:`find_ids` / :meth:`count` / :meth:`keys` answer "which profiles
   match" from the ``(command, tags)`` index as lightweight
@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, NamedTuple
 
 from repro.core.errors import ProfileNotFoundError, StoreError
@@ -300,39 +300,31 @@ class ProfileStore(ABC):
         the index plane first, then load only the payloads needed.
         Fires the ``store.get`` fault point (keyed by the first id).
         """
-        return self._read(list(ids), self._load_many)
+        return self._read(list(ids))
 
     def scan(self, ids) -> Iterator[Profile]:
         """Profiles for store ids, in the order given, read
         :data:`SCAN_CHUNK` at a time: the bulk read of a reader that
         goes through many profiles once (a whole campaign ledger).
 
-        At most one chunk of profiles is held at once, and a backend
-        with a payload cache neither adds to it nor reorders it (the
-        file store still serves a document it already holds).  Each
-        chunk is a read as :meth:`get_many` makes one — the
-        ``store.get`` fault point fires and ``store.get.seconds`` times
-        once per chunk, not once per scan — so an unknown id raises
+        At most one chunk of profiles is held at once.  Each chunk is a
+        read as :meth:`get_many` makes one — the ``store.get`` fault
+        point fires and ``store.get.seconds`` times once per chunk, not
+        once per scan — so an unknown id raises
         :class:`~repro.core.errors.StoreError` when its chunk is read.
         """
         ids = list(ids)
         for at in range(0, len(ids), SCAN_CHUNK):
-            yield from self._read(ids[at : at + SCAN_CHUNK], self._scan_many)
+            yield from self._read(ids[at : at + SCAN_CHUNK])
 
-    def _read(
-        self, ids: list[str], load: Callable[[list[str]], list[Profile]]
-    ) -> list[Profile]:
-        """One payload read: the fault point, the timer, then ``load``."""
+    def _read(self, ids: list[str]) -> list[Profile]:
+        """One payload read: the fault point, the timer, then
+        :meth:`_load_many`."""
         if ids:
             inject("store.get", key=str(ids[0]))
         with timed("store.get.seconds"):
             self._sync()
-            return load(ids)
-
-    def _scan_many(self, ids: list[str]) -> list[Profile]:
-        """Payloads of one :meth:`scan` chunk; a backend with a payload
-        cache keeps none of them.  Without one it is :meth:`_load_many`."""
-        return self._load_many(ids)
+            return self._load_many(ids)
 
     def get(self, command: object, tags: object = None) -> Profile:
         """The most recent matching profile (raises if none exists).

@@ -59,8 +59,7 @@ Record ids are ``<segment file name>/<n>``, ``n`` zero-padded, so
 ``(created, id)`` order is write order; a profile whose ``created`` is
 not a finite stamp is refused with :class:`~repro.core.errors.StoreError`
 and nothing is written.  ``sum`` is the blake2b-128 of the record's
-exact bytes: the first payload read of a record (cache misses only —
-the decoded-payload LRU never re-verifies) re-hashes them against it
+exact bytes: every payload read of a record re-hashes them against it
 and raises :class:`~repro.core.errors.CorruptArtifactError` on mismatch
 (bit rot, a torn overwrite, tampering), emitting a ``store.corrupt``
 event.  Bytes that hash right but do not decode (a writer's bug: a torn
@@ -117,7 +116,6 @@ import hashlib
 import json
 import os
 import secrets
-from collections import OrderedDict
 from collections.abc import Mapping
 from itertools import chain
 from operator import itemgetter
@@ -134,7 +132,7 @@ from repro.storage.base import Marker, ProfileStore, StoreEntry
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry, timed
 
-__all__ = ["FileStore", "PAYLOAD_CACHE_SIZE"]
+__all__ = ["FileStore"]
 
 #: File name suffixes of segments, tombstones and in-flight writes.
 SEGMENT_SUFFIX = ".seg"
@@ -150,13 +148,6 @@ FORMAT_VERSION = 3
 
 #: ``json.dumps`` without the cycle check: a record is a tree.
 _dumps = json.JSONEncoder(check_circular=False).encode
-
-#: Decoded-payload LRU capacity (documents, not bytes).  Segments are
-#: immutable once renamed into place, so a cached parse stays valid for
-#: as long as the ``(mtime_ns, size)`` stat signature of the segment
-#: holding it matches.  Point reads (``get``, ``find``, ``get_many``)
-#: fill it; a :meth:`~repro.storage.base.ProfileStore.scan` only reads it.
-PAYLOAD_CACHE_SIZE = 512
 
 #: Directory under the store root holding the marker plane.
 MARKER_DIR = ".markers"
@@ -505,10 +496,6 @@ class FileStore(ProfileStore):
         #: nothing live (or nothing readable) keeps an empty dict, so it
         #: is not loaded again.
         self._files: dict[str, dict[str, _Record]] = {}
-        #: pid -> ((mtime_ns, size) of its file, decoded document), LRU-ordered.
-        self._payloads: OrderedDict[str, tuple[tuple[int, int], dict[str, Any]]] = (
-            OrderedDict()
-        )
 
     # -- writes ---------------------------------------------------------------
 
@@ -654,7 +641,6 @@ class FileStore(ProfileStore):
         if record is None:
             return 0
         self._unindex(record.entry)
-        self._payloads.pop(pid, None)
         return 1
 
     def _drop(self, container: str) -> int:
@@ -705,22 +691,12 @@ class FileStore(ProfileStore):
 
     # -- payload plane --------------------------------------------------------
 
-    def _docs(
-        self, pids: Iterable[str], keep: bool = True
-    ) -> Iterator[tuple[str, dict[str, Any]]]:
-        """``(pid, decoded document)`` of live records, via the payload LRU.
+    def _docs(self, pids: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
+        """``(pid, decoded document)`` of live records, each read,
+        verified against its recorded sum and decoded.
 
-        Grouped by file, so each segment is stat'ed once and opened at
-        most once however many of its records are wanted.  Files never
-        change in place (writes are rename-only), so a ``(mtime_ns,
-        size)`` stat signature decides reuse: a match skips read, parse
-        and integrity verification; any mismatch — or a replaced file —
-        re-reads, re-verifies and refreshes the cache.  ``keep=False``
-        (a :meth:`scan` chunk) still serves what the cache holds but
-        leaves it as it was: a hit is not moved to the front, a document
-        read is not kept.  Callers must not mutate the documents
-        (``Profile.from_dict`` copies what it keeps but the sample
-        table, which nobody changes in place).
+        Grouped by file, so each segment is opened at most once however
+        many of its records are wanted.
         """
         by_file: dict[str, list[_Record]] = {}
         for pid in pids:
@@ -729,57 +705,36 @@ class FileStore(ProfileStore):
             if record is None:
                 raise StoreError(f"no stored profile {pid!r}")
             by_file.setdefault(container, []).append(record)
-        registry = get_registry()
         for fname, records in by_file.items():
             path = os.path.join(self.root, fname)
-            handle = None
             try:
-                st = os.stat(path)
-                sig = (st.st_mtime_ns, st.st_size)
-                for record in records:
-                    pid = record.entry.id
-                    cached = self._payloads.get(pid)
-                    if cached is not None and cached[0] == sig:
-                        if keep:
-                            self._payloads.move_to_end(pid)
-                        registry.inc("store.payload.hit")
-                        yield pid, cached[1]
-                        continue
-                    registry.inc("store.payload.miss")
-                    if handle is None:
-                        handle = open(path, "rb")
-                    handle.seek(record.offset)
-                    doc = _decode(pid, handle.read(record.length), record.sum)
-                    if keep:
-                        self._payloads[pid] = (sig, doc)
-                        while len(self._payloads) > PAYLOAD_CACHE_SIZE:
-                            self._payloads.popitem(last=False)
-                    yield pid, doc
+                with open(path, "rb") as handle:
+                    for record in records:
+                        handle.seek(record.offset)
+                        data = handle.read(record.length)
+                        yield record.entry.id, _decode(
+                            record.entry.id, data, record.sum
+                        )
             except FileNotFoundError as exc:
                 raise StoreError(
                     f"no stored profile {records[0].entry.id!r}"
                 ) from exc
             except OSError as exc:
                 raise StoreError(f"cannot read {path}: {exc}") from exc
-            finally:
-                if handle is not None:
-                    handle.close()
 
-    def _load_many(self, ids, keep=True):
-        docs = dict(self._docs(ids, keep))
+    def _load_many(self, ids):
+        docs = dict(self._docs(ids))
         return [Profile.from_dict(docs[pid]) for pid in ids]
-
-    def _scan_many(self, ids):
-        return self._load_many(ids, keep=False)
 
     def _documents(self, ids):
         for pid, doc in self._docs(ids):
-            yield pid, {**doc, "samples": doc["samples"].to_dicts()}
+            doc["samples"] = doc["samples"].to_dicts()
+            yield pid, doc
 
     # -- brute-force reference ------------------------------------------------
 
     def _iter_profiles(self):
-        """Every live profile, straight off the disk (no cache, no sums)."""
+        """Every live profile, straight off the disk (no cached index, no sums)."""
         names = sorted(os.listdir(self.root))
         tombstones = {name for name in names if name.endswith(TOMBSTONE_SUFFIX)}
         for name in names:

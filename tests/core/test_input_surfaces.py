@@ -2,14 +2,16 @@
 
 Each example takes a valid JSON-shaped input of one surface — a campaign
 spec, a :class:`SynapseConfig`, a run policy, a fault plan, an arrival
-spec string, an autoscale policy or a traffic request class — and applies one mutation at one
-place in it: a value of the wrong type, a bool for a number, a fraction,
+spec string, an autoscale policy, a traffic request class or the
+predictor's settings — and applies one mutation at one place in it: a value of the wrong type, a bool for a number, a fraction,
 NaN or ±inf, ``null``, an empty or duplicated list, or a misspelt key.
 Then either building the input raises a :class:`ConfigError` that names
 the key, or a minimal use of it succeeds with finite results: a one-cell
 ``run_campaign`` on a ``MemoryStore`` with no failed cell (campaign,
 config, run policy, fault plan), or a 50-request ``TrafficSim`` whose
-report holds no NaN (arrival spec, autoscale policy, request class).
+report holds no NaN (arrival spec, autoscale policy, request class), or
+one prediction that charges calibration exactly when the setting says
+``true`` (predictor).
 
 The explicit examples are inputs that loaded and then ran wrong (or
 failed naming no field) before the surfaces shared one set of checks
@@ -29,6 +31,8 @@ from hypothesis import strategies as st
 from repro.core.config import SynapseConfig
 from repro.core.errors import ConfigError
 from repro.faults import FaultPlan, injected_faults
+from repro.predict.models import DemandVector
+from repro.predict.predictor import Predictor
 from repro.runtime import CampaignSpec, RunPolicy, RunService, run_campaign
 from repro.storage.base import MemoryStore
 from repro.traffic.sim import AutoscalePolicy, TrafficSim
@@ -68,10 +72,11 @@ SURFACES: dict[str, dict[str, Any]] = {
     },
     # Its demand vector is not JSON: the default mix's first class's.
     "request_class": {"name": "probe", "weight": 1.0, "size_cv": 0.4},
+    "predictor": {"calibrated": False},
 }
 #: Surfaces built with keyword arguments, where an unknown key is
 #: Python's own ``TypeError`` (a campaign's ``config`` checks its keys).
-KEYWORD_SURFACES = ("config", "autoscale", "request_class")
+KEYWORD_SURFACES = ("config", "autoscale", "request_class", "predictor")
 ARRIVALS = ("poisson", "mmpp", "diurnal")
 
 #: The wrong type for each kind of value: what a loose loader coerced.
@@ -161,11 +166,20 @@ def build(surface: str, data: dict) -> Any:
         return AutoscalePolicy(**data)
     if surface == "request_class":
         return RequestClass(**data, vector=default_mix(seed=0).classes[0].vector)
+    if surface == "predictor":
+        return Predictor(**data)
     return _spec_string(surface, data)
 
 
 def use(surface: str, built: Any) -> None:
     """The minimal use of a built input: it must succeed, finitely."""
+    if isinstance(built, Predictor):
+        vector = DemandVector(instructions=1e9, workload_class="kernel.asm")
+        seconds = built.predict(vector, "thinkie").seconds
+        # Calibration is on exactly when the setting is ``True``.
+        named = Predictor(calibrated=built.calibrated is True)
+        assert seconds == named.predict(vector, "thinkie").seconds
+        return
     if isinstance(built, CampaignSpec):
         report = run_campaign(built, MemoryStore(), service=SERIAL)
     elif isinstance(built, FaultPlan):
@@ -225,6 +239,8 @@ def _finite(value: Any) -> bool:
 # weight=nan a mix that drew only its first class.
 @example(("request_class", ("size_cv",), "nan"))
 @example(("request_class", ("weight",), "nan"))
+# Predictor(calibrated="false") charged the calibration bias.
+@example(("predictor", ("calibrated",), "type"))
 def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
     surface, path, kind = mutation
     data, key = mutated(surface, path, kind)

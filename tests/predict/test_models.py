@@ -42,14 +42,6 @@ class TestDemandVector:
         with pytest.raises(ValueError):
             DemandVector(instructions=-1.0)
 
-    def test_digest_is_content_addressed(self):
-        a = DemandVector(instructions=1e9)
-        b = DemandVector(instructions=1e9)
-        c = DemandVector(instructions=2e9)
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
-        assert a.digest() != DemandVector(instructions=1e9, threads=2).digest()
-
     def test_scaled(self):
         vector = DemandVector(instructions=1e9, io_read_bytes=100.0)
         half = vector.scaled(0.5)

@@ -12,7 +12,6 @@ from repro.predict.placement import (
     plan_greedy_eft,
     plan_min_makespan,
 )
-from repro.predict.predictor import Predictor
 
 #: A deliberately heterogeneous 3-machine set: Titan is the slow AMD node,
 #: Comet and Supermic the fast Xeon nodes (paper §5 platforms).
@@ -201,11 +200,3 @@ class TestPlanIntrospection:
         text = result.table().render()
         assert "makespan" in text
         assert "t0" in text
-
-    def test_shared_predictor_cache_is_reused(self):
-        predictor = Predictor()
-        plan_greedy_eft(ensemble_tasks(8), HETERO, predictor=predictor)
-        info = predictor.cache_info()
-        # 8 identical tasks x 3 machines -> only 3 distinct evaluations.
-        assert info["misses"] == 3
-        assert info["hits"] > info["misses"]

@@ -71,29 +71,26 @@ class TestPredictionAccuracy:
         assert total == pytest.approx(sum(parts.values()), rel=1e-12)
 
 
-class TestCache:
-    def test_cache_hits_on_equal_vectors(self):
-        predictor = Predictor()
-        a = DemandVector(instructions=1e9)
-        b = DemandVector(instructions=1e9)  # equal content, distinct object
-        first = predictor.predict(a, "titan")
-        second = predictor.predict(b, "titan")
-        assert first == second
-        info = predictor.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 1
+class TestSharedPredictor:
+    """One instance answers each call from its own vector and machine."""
 
-    def test_cache_distinguishes_machines_and_filesystems(self):
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_vectors_equal_to_seven_digits_predict_apart(self, order):
+        # ``instructions`` 4e9 and 4e9 + 100 agree to 7 significant
+        # digits (``.6e``); each still gets its own prediction.
+        vectors = [
+            DemandVector(instructions=4e9),
+            DemandVector(instructions=4e9 + 100),
+        ]
         predictor = Predictor()
-        vector = DemandVector(io_write_bytes=1 << 20)
-        predictor.predict(vector, "supermic")
-        predictor.predict(vector, "titan")
-        predictor.predict(vector, "supermic", filesystem="local")
-        assert predictor.cache_info()["misses"] == 3
+        shared = {i: predictor.predict(vectors[i], "titan") for i in order}
+        for i, vector in enumerate(vectors):
+            assert shared[i] == Predictor().predict(vector, "titan")
+        assert shared[0].seconds != shared[1].seconds
 
-    def test_cache_keys_on_spec_content_not_name(self):
+    def test_a_variant_spec_under_the_same_name_predicts_its_own(self):
         # An ablated spec sharing the registry machine's name must not
-        # hit the original's cached prediction.
+        # get the original's prediction.
         from dataclasses import replace
 
         predictor = Predictor()
@@ -105,24 +102,6 @@ class TestCache:
         assert slow_prediction.compute_seconds == pytest.approx(
             2 * fast_prediction.compute_seconds, rel=1e-9
         )
-        assert predictor.cache_info()["misses"] == 2
-
-    def test_lru_eviction(self):
-        predictor = Predictor(cache_size=2)
-        for exponent in range(4):
-            predictor.predict(DemandVector(instructions=10.0**exponent), "titan")
-        assert predictor.cache_info()["size"] == 2
-
-    def test_clear_cache(self):
-        predictor = Predictor()
-        predictor.predict(DemandVector(instructions=1e9), "titan")
-        predictor.clear_cache()
-        assert predictor.cache_info() == {
-            "hits": 0,
-            "misses": 0,
-            "size": 0,
-            "max_size": 4096,
-        }
 
 
 class TestPredictMany:

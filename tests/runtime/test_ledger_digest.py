@@ -251,8 +251,7 @@ def test_file_ledgers_digest_as_the_oracle(waves):
         for wave in waves:
             store.put_many(wave)
         _assert_same_digest(store)
-        # Twice on the warm handle (its payload cache must be intact),
-        # once on a cold one.
+        # Twice on the warm handle, once on a cold one.
         _assert_same_digest(store)
         _assert_same_digest(FileStore(root))
 

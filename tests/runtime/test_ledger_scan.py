@@ -3,8 +3,7 @@
 :func:`~repro.runtime.campaign.iter_ledger` reads the ledger through one
 ``store.scan``, so :func:`ledger_digest` and :func:`analyze_campaign`
 hold one scan chunk of artifacts (the report: one ``(app, machine)``
-group) instead of the ledger, and leave a file store's payload cache as
-they found it.  The oracles are the readers they replaced: ``ledger()``
+group) instead of the ledger.  The oracles are the readers they replaced: ``ledger()``
 as one ``get_many`` over every entry, and the report built from that
 whole ledger.
 """
@@ -35,7 +34,6 @@ from repro.runtime import (
 from repro.runtime.analyze import CampaignAnalysis, GroupStats, _line, _overhead_pct
 from repro.runtime.campaign import _ledger_ids
 from repro.storage import FileStore, MemoryStore, base
-from repro.telemetry.metrics import get_registry
 
 NAME = "scan"
 #: A few cell digests: drawing from so few makes duplicates common.
@@ -49,10 +47,6 @@ def oracle_ledger(store: Any, name: str) -> dict[str, Any]:
     pairs = _ledger_ids(store, name)
     profiles = store.get_many([pid for _digest, pid in pairs])
     return {digest: profile for (digest, _pid), profile in zip(pairs, profiles)}
-
-
-def counter(name: str) -> float:
-    return get_registry().snapshot().get("counters", {}).get(name, 0.0)
 
 
 # -- iter_ledger against the old ledger() --------------------------------------
@@ -150,15 +144,15 @@ def _digest_peak(store: FileStore) -> int:
 
 
 def test_the_digest_peak_does_not_grow_with_the_ledger(tmp_path):
-    """The whole-ledger read held every artifact and kept them in the
-    payload cache: 0.37 MB traced on 64 cells, 1.33 MB on 256 (3.6×).
+    """The whole-ledger read held every artifact (and a payload cache
+    kept them): 0.37 MB traced on 64 cells, 1.33 MB on 256 (3.6×).
     A scan holds one chunk: 0.30 MB and 0.33 MB (1.1×)."""
     small = _digest_peak(_profile_ledger(tmp_path / "64", 64))
     large = _digest_peak(_profile_ledger(tmp_path / "256", 256))
     assert large < 1.3 * small, (small, large)
 
 
-# -- the payload cache ---------------------------------------------------------
+# -- the report against the whole-ledger build ---------------------------------
 
 
 def _spec(**fields: Any) -> CampaignSpec:
@@ -169,26 +163,6 @@ def _spec(**fields: Any) -> CampaignSpec:
         "seeds": [0, 1], "repeats": 2, "config": {"sample_rate": 2.0},
         **fields,
     })
-
-
-def test_whole_ledger_reads_leave_the_payload_cache_as_they_found_it(tmp_path):
-    spec = _spec(machines=["thinkie", "comet"], seeds=[0])
-    store = FileStore(tmp_path / "store")
-    assert run_campaign(spec, store, service=SERIAL).complete
-    store.put(Profile(command="someone else", tags=("k=1",)))
-    store = FileStore(tmp_path / "store")
-    store.get("someone else")  # the one cached document
-    before = list(store._payloads)
-    hits, misses = counter("store.payload.hit"), counter("store.payload.miss")
-    ledger_digest(store, NAME)
-    analyze_campaign(spec, store)
-    ledger_digest(store, NAME)
-    assert list(store._payloads) == before
-    assert counter("store.payload.hit") == hits
-    assert counter("store.payload.miss") == misses + 3 * spec.n_cells
-
-
-# -- the report against the whole-ledger build ---------------------------------
 
 
 def oracle_analyze(spec: CampaignSpec, store: Any, reference: str | None = None):

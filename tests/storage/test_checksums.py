@@ -1,8 +1,8 @@
 """FileStore payload integrity: recorded checksums + CorruptArtifactError.
 
 Every ``put`` records a blake2b digest of each record's exact bytes in
-its segment's index line; payload reads (cache misses) re-hash the
-bytes and raise a **fatal** :class:`CorruptArtifactError` on mismatch.  These tests flip bits on
+its segment's index line; every payload read re-hashes the
+bytes and raises a **fatal** :class:`CorruptArtifactError` on mismatch.  These tests flip bits on
 disk the way bit rot / torn overwrites would and assert the damage is
 surfaced, typed, non-retryable, and observable.
 """
@@ -108,10 +108,10 @@ class TestCorruptionDetection:
 
 
 class TestCompatibilityAndCaching:
-    def test_cached_payloads_are_not_reverified(self, store):
-        """Verification runs on cache misses only — same-size damage
-        under an unchanged ``(mtime_ns, size)`` signature rides the LRU
-        hit path unseen, and is caught the moment the entry drops."""
+    def test_damage_after_a_read_is_caught_on_the_next_read(self, store):
+        """A read that succeeded once keeps nothing that would serve the
+        record again unverified: same-size damage with the segment's
+        ``(mtime_ns, size)`` kept is caught on the next read."""
         import os
 
         pid = store.put(make_profile(created=1.0))
@@ -119,9 +119,21 @@ class TestCompatibilityAndCaching:
         [path] = segment_files(store.root)
         st = os.stat(path)
         damage_record(store.root, pid, b"app x", b"zpp x")  # one byte, same size
-        os.utime(path, ns=(st.st_mtime_ns, st.st_mtime_ns))
-        assert store.get_many([pid])[0].command == "app x"  # stale hit
-        store._payloads.clear()  # the entry drops (LRU eviction)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_mtime_ns == st.st_mtime_ns
+        with pytest.raises(CorruptArtifactError):
+            store.get_many([pid])
+
+    def test_a_replaced_segment_is_refused(self, store):
+        """A segment swapped behind the store's back after a read (new
+        bytes, new mtime) no longer hashes to the sums recorded at put
+        time."""
+        import os
+
+        pid = store.put(make_profile(command="mut", created=1.0))
+        assert store.get_many([pid])[0].n_samples == 3
+        path = damage_record(store.root, pid, b'"mut"', b'"MUT"')
+        os.utime(path, ns=(1, 1))
         with pytest.raises(CorruptArtifactError):
             store.get_many([pid])
 

@@ -114,6 +114,14 @@ class TestFileStore:
         store.delete(pid)
         assert store.count() == 0
 
+    def test_a_deleted_record_cannot_be_read(self, tmp_path):
+        store = FileStore(tmp_path / "p")
+        pid = store.put(make_profile(command="gone"))
+        store.get_many([pid])
+        store.delete(pid)
+        with pytest.raises(StoreError):
+            store.get_many([pid])
+
     def test_one_segment_per_put(self, tmp_path):
         """Whatever the keys: a call is a file, never a directory."""
         root = tmp_path / "p"
