@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.core.errors import WorkloadError
 from repro.sim.packed import PackedWorkload, pack_workload
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
@@ -41,16 +40,13 @@ class ApplicationModel(ABC):
         """Columnar form of :meth:`build_workload` (same demands), which
         the engine executes bit-identically.
 
-        A demand the model's parameters make invalid raises
-        :class:`WorkloadError`, not the demand's ``ValueError``: the
-        failure is the request's own, and a retry policy must not
-        re-attempt it.
+        A model checks its parameters when it is constructed (a
+        :class:`~repro.core.errors.ConfigError` naming the parameter),
+        and each demand it emits checks itself (a
+        :class:`~repro.core.errors.WorkloadError` naming the field): both
+        are the request's own failure, which no retry policy re-attempts.
         """
-        try:
-            workload = self.build_workload(machine)
-        except ValueError as exc:
-            raise WorkloadError(str(exc)) from exc
-        return pack_workload(workload)
+        return pack_workload(self.build_workload(machine))
 
     def command(self) -> str:
         """The command string under which profiles of this app are indexed."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
+from repro.core.errors import ConfigError, number, text, whole_number
 from repro.sim.demands import ComputeDemand, IODemand
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
@@ -30,10 +31,10 @@ class EnsembleStage:
     workload_class: str = "app.md"
 
     def __post_init__(self) -> None:
-        if self.tasks < 1:
-            raise ValueError("tasks must be >= 1")
-        if self.instructions < 0:
-            raise ValueError("instructions must be non-negative")
+        whole_number("tasks", self.tasks, 1)
+        number("instructions", self.instructions, 0)
+        whole_number("bytes_written", self.bytes_written, 0)
+        text("workload_class", self.workload_class)
 
 
 @dataclass
@@ -54,12 +55,12 @@ class EnsembleApp(ApplicationModel):
 
     def __post_init__(self) -> None:
         if not self.stages:
-            raise ValueError("at least one stage is required")
+            raise ConfigError("stages must not be empty")
 
     def build_workload(self, machine: MachineSpec) -> SimWorkload:
         workload = SimWorkload(name=self.command(), metadata={"app": "ensemble"})
-        for number, stage in enumerate(self.stages):
-            phase = workload.phase(f"stage-{number}")
+        for index, stage in enumerate(self.stages):
+            phase = workload.phase(f"stage-{index}")
             for task in range(stage.tasks):
                 stream = phase.stream(f"task-{task}")
                 stream.add(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
+from repro.core.errors import mapping, number, text, whole_number
 from repro.sim.demands import ComputeDemand, IODemand, MemoryDemand
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
@@ -88,12 +89,13 @@ class GromacsModel(ApplicationModel):
     )
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.chunks < 1:
-            raise ValueError("chunks must be >= 1")
+        # Checked, not converted: a whole float stays in the command.
+        whole_number("iterations", self.iterations, 1)
+        whole_number("threads", self.threads, 1)
+        text("paradigm", self.paradigm)
+        whole_number("chunks", self.chunks, 1)
+        for machine, factor in mapping("compiled_factor", self.compiled_factor).items():
+            number(f"compiled_factor {machine!r}", factor, above=0)
 
     # -- demand model ------------------------------------------------------
 

@@ -9,12 +9,17 @@ The CLI profiles simulation-plane applications by *spec string*::
     ensemble:width=8,stages=3,instructions=6e9
 
 Values are coerced: integers, floats (scientific notation allowed),
-booleans, byte quantities with suffixes (``64MB``), else strings.
+booleans, byte quantities with suffixes (``64MB``), else strings.  A
+parameter the factory does not take, and a value its model's checks
+refuse (:mod:`repro.core.errors`: NaN, ±inf, a bool for a number, a
+fraction for a count), is a :class:`ConfigError` naming it.
 Third-party models register a factory with :func:`register_app`.
 """
 
 from __future__ import annotations
 
+import inspect
+from functools import partial
 from typing import Callable
 
 from repro.apps.base import ApplicationModel
@@ -22,7 +27,7 @@ from repro.apps.ensemble import EnsembleApp, EnsembleStage
 from repro.apps.gromacs import GromacsModel
 from repro.apps.sleeper import SleeperApp
 from repro.apps.synthetic import SyntheticApp
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, mapping, number, whole_number
 from repro.util.units import parse_bytes
 
 __all__ = ["register_app", "parse_app", "list_apps"]
@@ -75,12 +80,12 @@ def parse_app(spec: str) -> ApplicationModel:
             if not sep:
                 raise ConfigError(f"malformed app parameter {item!r} (expected k=v)")
             kwargs[key.strip()] = _coerce(value)
-    try:
-        return _FACTORIES[name](**kwargs)
-    except (TypeError, ValueError) as exc:
-        # A model's own ValueError is as much the spec's fault as an
-        # unknown parameter; retry policies count a bare one transient.
-        raise ConfigError(f"bad parameters for app {name!r}: {exc}") from exc
+    factory = _FACTORIES[name]
+    known = inspect.signature(factory).parameters
+    if any(each.kind is each.VAR_KEYWORD for each in known.values()):
+        known = None  # a factory that takes any keyword checks its own
+    mapping(f"app {name!r} parameter", kwargs, known)
+    return factory(**kwargs)
 
 
 def _ensemble_factory(
@@ -91,8 +96,10 @@ def _ensemble_factory(
 ) -> EnsembleApp:
     """Symmetric ensemble: ``stages`` stages of ``width`` tasks each,
     with a single-task analysis stage in every odd position."""
-    if stages < 1:
-        raise ConfigError("stages must be >= 1")
+    width = whole_number("width", width, 1)
+    stages = whole_number("stages", stages, 1)
+    number("instructions", instructions, 0)
+    bytes_written = whole_number("bytes_written", bytes_written, 0)
     built = []
     for index in range(stages):
         if index % 2 == 1:
@@ -102,19 +109,15 @@ def _ensemble_factory(
         else:
             built.append(
                 EnsembleStage(
-                    tasks=int(width), instructions=instructions, bytes_written=int(bytes_written)
+                    tasks=width, instructions=instructions, bytes_written=bytes_written
                 )
             )
     return EnsembleApp(stages=tuple(built))
 
 
-def _synthetic_factory(**kwargs: object) -> SyntheticApp:
-    """Synthetic app with a non-empty default (1e9 instructions), so a
-    bare ``synthetic`` spec produces a runnable workload."""
-    return SyntheticApp(**{"instructions": 1e9, **kwargs})  # type: ignore[arg-type]
-
-
 register_app("gromacs", GromacsModel)
-register_app("synthetic", _synthetic_factory)
+# A non-empty default (1e9 instructions), so a bare ``synthetic`` spec
+# produces a runnable workload.
+register_app("synthetic", partial(SyntheticApp, instructions=1e9))
 register_app("sleeper", SleeperApp)
 register_app("ensemble", _ensemble_factory)

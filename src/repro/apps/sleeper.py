@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
+from repro.core.errors import number
 from repro.sim.demands import ComputeDemand, SleepDemand
 from repro.sim.resource import MachineSpec
 from repro.sim.workload import SimWorkload
@@ -32,8 +33,8 @@ class SleeperApp(ApplicationModel):
     name: str = field(default="sleeper", repr=False)
 
     def __post_init__(self) -> None:
-        if self.sleep_seconds < 0:
-            raise ValueError("sleep_seconds must be non-negative")
+        number("sleep_seconds", self.sleep_seconds, 0)
+        number("instructions", self.instructions, 0)
 
     def build_workload(self, machine: MachineSpec) -> SimWorkload:
         workload = SimWorkload(name=self.command(), metadata={"app": "sleeper"})

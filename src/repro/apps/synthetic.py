@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
+from repro.core.errors import flag, number, text, whole_number
 from repro.sim.demands import (
     ComputeDemand,
     IODemand,
@@ -55,10 +56,17 @@ class SyntheticApp(ApplicationModel):
     name: str = field(default="synapse_synthetic", repr=False)
 
     def __post_init__(self) -> None:
-        if self.chunks < 1:
-            raise ValueError("chunks must be >= 1")
-        if self.instructions < 0:
-            raise ValueError("instructions must be non-negative")
+        # Checked, not converted: the values are the app's tags.
+        for name in ("instructions", "sleep_seconds"):
+            number(name, getattr(self, name), 0)
+        number("flop_fraction", self.flop_fraction, 0, 1)
+        for name in ("bytes_read", "bytes_written", "memory_bytes", "net_sent", "net_received"):
+            whole_number(name, getattr(self, name), 0)
+        for name in ("io_block_size", "mem_block_size", "threads", "chunks"):
+            whole_number(name, getattr(self, name), 1)
+        for name in ("workload_class", "filesystem", "paradigm"):
+            text(name, getattr(self, name))
+        flag("overlap_io", self.overlap_io)
 
     def build_workload(self, machine: MachineSpec) -> SimWorkload:
         workload = SimWorkload(

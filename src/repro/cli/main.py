@@ -409,8 +409,8 @@ def _cmd_profile_app(args: argparse.Namespace, out) -> int:
     from repro.apps.registry import parse_app  # noqa: PLC0415 (lazy)
     from repro.sim.backend import SimBackend  # noqa: PLC0415
 
+    app = parse_app(args.spec)  # a bad spec fails before a store is made
     store = open_store(args.store)
-    app = parse_app(args.spec)
     config = SynapseConfig(sample_rate=args.rate)
     tags = dict(item.split("=", 1) for item in args.tags if "=" in item)
     merged_tags = {**app.tags(), **tags}

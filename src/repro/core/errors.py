@@ -25,15 +25,19 @@ Input checks
 ------------
 
 Every input surface (a config, a campaign spec, a run policy, a fault
-plan, an arrival spec, the service's and the traffic plane's arguments)
-checks its fields with the functions below, called directly: each
-returns the value it checked (a whole number as an ``int``, nothing else
-converted) or raises :class:`ConfigError` naming the field, so NaN, ±inf,
-a bool for a number, a fraction for a count, ``null`` or a misspelt key
-fail when the input loads, not when it runs.  The checks are
-:func:`number`, :func:`whole_number`, :func:`flag` (a JSON bool),
-:func:`text`, :func:`names` (a non-empty list of distinct strings) and
-:func:`mapping` (a JSON object, optionally with known keys only).
+plan, an arrival spec, an app spec and the parameters of its model, a
+machine model, a prediction's demand vector, the service's and the
+traffic plane's arguments) checks its fields with the functions below,
+called directly: each returns the value it checked (a whole number as an
+``int``, nothing else converted) or raises :class:`ConfigError` naming
+the field, so NaN, ±inf, a bool for a number, a fraction for a count,
+``null`` or a misspelt key fail when the input loads, not when it runs.
+The checks are :func:`number`, :func:`whole_number`, :func:`flag` (a
+JSON bool), :func:`text`, :func:`names` (a non-empty list of distinct
+strings) and :func:`mapping` (a JSON object, optionally with known keys
+only).  An app model, whose parameters are its tags, discards what they
+return.  Demands have one check per kind instead, in
+:mod:`repro.sim.demands`, raising :class:`WorkloadError`.
 """
 
 from __future__ import annotations

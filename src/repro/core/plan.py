@@ -27,9 +27,10 @@ import numpy as np
 
 from repro.atoms.base import AtomWork
 from repro.core.config import SynapseConfig
-from repro.core.errors import EmulationError, WorkloadError
+from repro.core.errors import EmulationError
 from repro.core.samples import Profile
 from repro.kernels.registry import get_kernel
+from repro.sim.demands import check_compute, check_io, check_memory, check_network
 from repro.sim.packed import PackedWorkload
 from repro.sim.resource import MachineSpec
 from repro.telemetry.spans import span
@@ -411,10 +412,11 @@ class EmulationPlan:
         tables and errors are those
         :class:`~repro.sim.packed.PackedBuilder` makes of the same
         demands appended one by one (the oracle of
-        ``tests/core/test_plan_compile.py``): a demand's check raises at
-        the first demand that fails it, so a bad setting of a kind of
-        demand the plan never makes (a zero read block with no I/O
-        sample) raises nothing.
+        ``tests/core/test_plan_compile.py``): each demand goes through
+        its kind's one check in :mod:`repro.sim.demands` as it is made,
+        so the first demand that fails raises, and a bad setting of a
+        kind of demand the plan never makes (a zero read block with no
+        I/O sample) raises nothing.
         """
         kernel = get_kernel(settings.compute_kernel)
         command = f"synapse-emulate {self.command}"
@@ -425,13 +427,6 @@ class EmulationPlan:
         workload_class = kernel.workload_class
         read_block, write_block = settings.read_block, settings.write_block
         mem_block, net_block = settings.mem_block, settings.net_block
-        # What ``PackedBuilder.compute`` checks of every kernel demand
-        # alike, in its order (the flops fraction comes between).
-        threads_error = "threads must be >= 1" if threads < 1 else None
-        stall_error = (
-            "stall_ratio must be non-negative"
-            if stall_ratio is not None and stall_ratio < 0 else None
-        )
 
         # The driver stream of the startup phase: sleep, then compute.
         c_rows: list[tuple] = [(
@@ -453,11 +448,7 @@ class EmulationPlan:
             n_phases += 1
             if cycles > 0:
                 fpi = min(1.0, flops / cycles)
-                if threads_error or stall_error or not 0.0 <= fpi <= 1.0:
-                    raise WorkloadError(threads_error or (
-                        stall_error if 0.0 <= fpi <= 1.0
-                        else "flops_per_instruction must be in [0, 1]"
-                    ))
+                check_compute(0.0, fpi, threads, cycles, stall_ratio)
                 stream_phase.append(phase)
                 stream_first.append(n)
                 c_rows.append(
@@ -467,51 +458,39 @@ class EmulationPlan:
                 if load_fraction > 0:
                     # Artificial background load (§4.3): co-scheduled CPU
                     # work proportional to the sample's own cycle budget.
+                    load = cycles * load_fraction
+                    check_compute(0.0, 0.0, 1, load, None)
                     stream_phase.append(phase)
                     stream_first.append(n)
-                    c_rows.append((
-                        n, 0.0, cycles * load_fraction, workload_class, 0.0, 1,
-                        "serial", None,
-                    ))
+                    c_rows.append((n, 0.0, load, workload_class, 0.0, 1, "serial", None))
                     n += 1
             if read > 0 or written > 0:
                 stream_phase.append(phase)
                 stream_first.append(n)
                 if read > 0:
-                    if read_block <= 0:
-                        raise WorkloadError("block size must be positive")
+                    check_io(read, 0, read_block)
                     i_rows.append((n, read, 0, read_block, fs))
                     n += 1
                 if written > 0:
-                    if write_block <= 0:
-                        raise WorkloadError("block size must be positive")
+                    check_io(0, written, write_block)
                     i_rows.append((n, 0, written, write_block, fs))
                     n += 1
                 if disk_load > 0:
                     # Its I/O twin: writes sized from the sample's own bytes.
                     extra = round((read + written) * disk_load)
-                    if extra < 0:
-                        raise WorkloadError("I/O byte counts must be non-negative")
-                    if write_block <= 0:
-                        raise WorkloadError("block size must be positive")
+                    check_io(0, extra, write_block)
                     stream_phase.append(phase)
                     stream_first.append(n)
                     i_rows.append((n, 0, extra, write_block, fs))
                     n += 1
             if alloc > 0 or freed > 0:
-                if alloc < 0 or freed < 0:
-                    raise WorkloadError("memory byte counts must be non-negative")
-                if mem_block <= 0:
-                    raise WorkloadError("block size must be positive")
+                check_memory(alloc, freed, mem_block)
                 stream_phase.append(phase)
                 stream_first.append(n)
                 m_rows.append((n, alloc, freed, mem_block))
                 n += 1
             if sent > 0 or received > 0:
-                if sent < 0 or received < 0:
-                    raise WorkloadError("network byte counts must be non-negative")
-                if net_block <= 0:
-                    raise WorkloadError("block size must be positive")
+                check_network(sent, received, net_block)
                 stream_phase.append(phase)
                 stream_first.append(n)
                 n_rows.append((n, sent, received, net_block))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.core.errors import whole_number
 from repro.kernels.base import Calibration, ComputeKernel
 
 __all__ = ["OpenMPKernel"]
@@ -23,8 +24,7 @@ class OpenMPKernel(ComputeKernel):
     description = "thread-parallel wrapper around another kernel"
 
     def __init__(self, inner: ComputeKernel, threads: int = 2) -> None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
+        whole_number("threads", threads, 1)
         self.inner = inner
         self.threads = threads
         self.name = f"openmp:{inner.name}"

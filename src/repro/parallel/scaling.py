@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import number
+
 __all__ = ["ScalingModel"]
 
 
@@ -29,10 +31,8 @@ class ScalingModel:
     overhead_per_worker: float = 0.004
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.parallel_fraction <= 1.0):
-            raise ValueError("parallel_fraction must be in [0, 1]")
-        if self.overhead_per_worker < 0:
-            raise ValueError("overhead_per_worker must be non-negative")
+        number("parallel_fraction", self.parallel_fraction, 0, 1)
+        number("overhead_per_worker", self.overhead_per_worker, 0)
 
     def time_factor(self, workers: int) -> float:
         """T(n)/T(1) for ``workers`` parallel workers."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.errors import ProfileNotFoundError, WorkloadError
+from repro.core.errors import ProfileNotFoundError, WorkloadError, number, whole_number
 from repro.core.samples import Profile
 from repro.core.statistics import aggregate
 from repro.sim.demands import (
@@ -85,12 +85,10 @@ class DemandVector:
             "net_bytes",
             "sleep_seconds",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.io_block_size <= 0 or self.net_block_size <= 0:
-            raise ValueError("block sizes must be positive")
+            number(name, getattr(self, name), 0)
+        whole_number("threads", self.threads, 1)
+        whole_number("io_block_size", self.io_block_size, 1)
+        whole_number("net_block_size", self.net_block_size, 1)
 
     @property
     def empty(self) -> bool:
@@ -107,8 +105,7 @@ class DemandVector:
 
     def scaled(self, factor: float) -> "DemandVector":
         """Copy with all consumption components multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        number("scale factor", factor, 0)
         return replace(
             self,
             instructions=self.instructions * factor,
@@ -286,8 +283,8 @@ def tasks_from_ensemble(app: "EnsembleApp") -> list[Task]:  # noqa: F821
         raise WorkloadError(f"expected an EnsembleApp, got {type(app).__name__}")
     tasks: list[Task] = []
     previous: tuple[str, ...] = ()
-    for number, stage in enumerate(app.stages):
-        names = tuple(f"stage{number}-task{i}" for i in range(stage.tasks))
+    for index, stage in enumerate(app.stages):
+        names = tuple(f"stage{index}-task{i}" for i in range(stage.tasks))
         vector = DemandVector(
             instructions=stage.instructions,
             flops=stage.instructions * 0.3,

@@ -5,11 +5,21 @@ simulation-plane counterpart of what an emulation atom does on the host
 plane (§3.3 of the paper).  Virtual applications and emulation plans are
 both expressed as sequences of demands, so the profiler observes the two
 through exactly the same counters.
+
+Each kind of demand states its rules once, in one ``check_*`` function
+below, which every path that builds a demand calls once per demand (see
+:mod:`repro.sim.packed`).  Its ``not lo <= x < inf`` tests fail NaN and
+±inf, and it raises :class:`~repro.core.errors.WorkloadError` naming
+the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
+
+from repro.core.errors import WorkloadError
 
 __all__ = [
     "Demand",
@@ -18,7 +28,66 @@ __all__ = [
     "MemoryDemand",
     "NetworkDemand",
     "SleepDemand",
+    "check_compute",
+    "check_io",
+    "check_memory",
+    "check_network",
+    "check_sleep",
 ]
+
+_INF = float("inf")
+#: The rules, as the error messages state them.
+_AT_LEAST_0 = "a finite number >= 0"
+_AT_LEAST_1 = "a finite number >= 1"
+_ABOVE_0 = "a finite number > 0"
+_FRACTION = "a number in [0, 1]"
+
+
+def _bad(field: str, value: Any, rule: str) -> WorkloadError:
+    value = value.item() if hasattr(value, "item") else value  # a NumPy scalar
+    return WorkloadError(f"{field} must be {rule}, not {value!r}")
+
+
+def check_compute(
+    instructions: Any, flops_per_instruction: Any, threads: Any,
+    calibrated_cycles: Any, stall_ratio: Any,
+) -> None:
+    """The rules of one compute demand (``None`` leaves an optional unset)."""
+    if not 0 <= instructions < _INF:
+        raise _bad("instructions", instructions, _AT_LEAST_0)
+    if not 1 <= threads < _INF:
+        raise _bad("threads", threads, _AT_LEAST_1)
+    if not 0 <= flops_per_instruction <= 1:
+        raise _bad("flops_per_instruction", flops_per_instruction, _FRACTION)
+    if calibrated_cycles is not None and not 0 <= calibrated_cycles < _INF:
+        raise _bad("calibrated_cycles", calibrated_cycles, _AT_LEAST_0)
+    if stall_ratio is not None and not 0 <= stall_ratio < _INF:
+        raise _bad("stall_ratio", stall_ratio, _AT_LEAST_0)
+
+
+def _check_transfer(
+    names: tuple[str, str, str], first: Any, second: Any, block_size: Any
+) -> None:
+    """The rules of two byte counts and a block size, the fields named
+    ``names``: one I/O, memory or network demand."""
+    if not 0 <= first < _INF:
+        raise _bad(names[0], first, _AT_LEAST_0)
+    if not 0 <= second < _INF:
+        raise _bad(names[1], second, _AT_LEAST_0)
+    if not 0 < block_size < _INF:
+        raise _bad(names[2], block_size, _ABOVE_0)
+
+
+#: ``check_io(bytes_read, bytes_written, block_size)`` and its twins.
+check_io = partial(_check_transfer, ("bytes_read", "bytes_written", "block_size"))
+check_memory = partial(_check_transfer, ("allocate", "free", "block_size"))
+check_network = partial(_check_transfer, ("bytes_sent", "bytes_received", "block_size"))
+
+
+def check_sleep(seconds: Any) -> None:
+    """The rule of one sleep demand."""
+    if not 0 <= seconds < _INF:
+        raise _bad("seconds", seconds, _AT_LEAST_0)
 
 
 class Demand:
@@ -53,14 +122,10 @@ class ComputeDemand(Demand):
     stall_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        if self.instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not (0.0 <= self.flops_per_instruction <= 1.0):
-            raise ValueError("flops_per_instruction must be in [0, 1]")
-        if self.stall_ratio is not None and self.stall_ratio < 0:
-            raise ValueError("stall_ratio must be non-negative")
+        check_compute(
+            self.instructions, self.flops_per_instruction, self.threads,
+            self.calibrated_cycles, self.stall_ratio,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +138,7 @@ class IODemand(Demand):
     filesystem: str = "local"
 
     def __post_init__(self) -> None:
-        if self.bytes_read < 0 or self.bytes_written < 0:
-            raise ValueError("I/O byte counts must be non-negative")
-        if self.block_size <= 0:
-            raise ValueError("block size must be positive")
+        check_io(self.bytes_read, self.bytes_written, self.block_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,10 +150,7 @@ class MemoryDemand(Demand):
     block_size: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.allocate < 0 or self.free < 0:
-            raise ValueError("memory byte counts must be non-negative")
-        if self.block_size <= 0:
-            raise ValueError("block size must be positive")
+        check_memory(self.allocate, self.free, self.block_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,10 +163,7 @@ class NetworkDemand(Demand):
     endpoint: str = "peer"
 
     def __post_init__(self) -> None:
-        if self.bytes_sent < 0 or self.bytes_received < 0:
-            raise ValueError("network byte counts must be non-negative")
-        if self.block_size <= 0:
-            raise ValueError("block size must be positive")
+        check_network(self.bytes_sent, self.bytes_received, self.block_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,5 +177,4 @@ class SleepDemand(Demand):
     seconds: float
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("sleep duration must be non-negative")
+        check_sleep(self.seconds)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.core.errors import number
+
 __all__ = ["FilesystemModel"]
 
 
@@ -56,14 +58,12 @@ class FilesystemModel:
     cache_hit_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.read_latency < 0 or self.write_latency < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.cache_bandwidth <= 0:
-            raise ValueError("cache bandwidth must be positive")
-        if not (0.0 <= self.cache_hit_fraction <= 1.0):
-            raise ValueError("cache_hit_fraction must be in [0, 1]")
+        number("read_latency", self.read_latency, 0)
+        number("write_latency", self.write_latency, 0)
+        number("read_bandwidth", self.read_bandwidth, above=0)
+        number("write_bandwidth", self.write_bandwidth, above=0)
+        number("cache_bandwidth", self.cache_bandwidth, above=0)
+        number("cache_hit_fraction", self.cache_hit_fraction, 0, 1)
 
     # -- costing -----------------------------------------------------------
 

@@ -24,6 +24,14 @@ Who builds the columns:
   itself: bulk request traffic and benchmarks build million-demand
   workloads in milliseconds.
 
+Every path runs each demand through its kind's one check in
+:mod:`repro.sim.demands` once: a ``*Demand`` object when it is
+constructed, the scalar appends and the plan compile per demand, the
+``*_many`` appends on each column's minimum and maximum (the rules are
+ranges, and ``min`` / ``max`` carry a NaN along).  The traffic plane's
+columns scale checked :class:`~repro.predict.models.DemandVector`
+numbers.
+
 String-valued demand attributes (workload class, paradigm, filesystem)
 are interned into small name tables with integer codes per demand, so
 machine-model resolution happens once per distinct name instead of once
@@ -48,6 +56,11 @@ from repro.sim.demands import (
     MemoryDemand,
     NetworkDemand,
     SleepDemand,
+    check_compute,
+    check_io,
+    check_memory,
+    check_network,
+    check_sleep,
 )
 from repro.sim.workload import SimWorkload
 from repro.telemetry.spans import span
@@ -330,14 +343,9 @@ class PackedBuilder:
         stall_ratio: float | None = None,
     ) -> "PackedBuilder":
         """Append one compute demand (``ComputeDemand`` semantics)."""
-        if instructions < 0:
-            raise WorkloadError("instructions must be non-negative")
-        if threads < 1:
-            raise WorkloadError("threads must be >= 1")
-        if not (0.0 <= flops_per_instruction <= 1.0):
-            raise WorkloadError("flops_per_instruction must be in [0, 1]")
-        if stall_ratio is not None and stall_ratio < 0:
-            raise WorkloadError("stall_ratio must be non-negative")
+        check_compute(
+            instructions, flops_per_instruction, threads, calibrated_cycles, stall_ratio
+        )
         c = self._c
         c["pos"].append(self._slot())
         self._kinds.append(KIND_COMPUTE)
@@ -358,10 +366,7 @@ class PackedBuilder:
         filesystem: str = "local",
     ) -> "PackedBuilder":
         """Append one I/O demand (``IODemand`` semantics)."""
-        if bytes_read < 0 or bytes_written < 0:
-            raise WorkloadError("I/O byte counts must be non-negative")
-        if block_size <= 0:
-            raise WorkloadError("block size must be positive")
+        check_io(bytes_read, bytes_written, block_size)
         i = self._i
         i["pos"].append(self._slot())
         self._kinds.append(KIND_IO)
@@ -375,10 +380,7 @@ class PackedBuilder:
         self, allocate: int = 0, free: int = 0, block_size: int = 1 << 20
     ) -> "PackedBuilder":
         """Append one memory demand (``MemoryDemand`` semantics)."""
-        if allocate < 0 or free < 0:
-            raise WorkloadError("memory byte counts must be non-negative")
-        if block_size <= 0:
-            raise WorkloadError("block size must be positive")
+        check_memory(allocate, free, block_size)
         m = self._m
         m["pos"].append(self._slot())
         self._kinds.append(KIND_MEM)
@@ -391,10 +393,7 @@ class PackedBuilder:
         self, bytes_sent: int = 0, bytes_received: int = 0, block_size: int = 64 << 10
     ) -> "PackedBuilder":
         """Append one network demand (``NetworkDemand`` semantics)."""
-        if bytes_sent < 0 or bytes_received < 0:
-            raise WorkloadError("network byte counts must be non-negative")
-        if block_size <= 0:
-            raise WorkloadError("block size must be positive")
+        check_network(bytes_sent, bytes_received, block_size)
         n = self._net
         n["pos"].append(self._slot())
         self._kinds.append(KIND_NET)
@@ -405,8 +404,7 @@ class PackedBuilder:
 
     def sleep(self, seconds: float) -> "PackedBuilder":
         """Append one sleep demand (``SleepDemand`` semantics)."""
-        if seconds < 0:
-            raise WorkloadError("sleep duration must be non-negative")
+        check_sleep(seconds)
         s = self._s
         s["pos"].append(self._slot())
         self._kinds.append(KIND_SLEEP)
@@ -435,36 +433,55 @@ class PackedBuilder:
         count = instr.size
         if count == 0:
             return self
-        if instr.min() < 0:
-            raise WorkloadError("instructions must be non-negative")
         fpi = np.broadcast_to(np.asarray(flops_per_instruction, dtype=float), (count,))
-        if fpi.min() < 0 or fpi.max() > 1.0:
-            raise WorkloadError("flops_per_instruction must be in [0, 1]")
-        thr = np.broadcast_to(np.asarray(threads, dtype=np.int64), (count,))
-        if thr.min() < 1:
-            raise WorkloadError("threads must be >= 1")
-        if calibrated_cycles is None:
-            cc = np.full(count, np.nan)
-        else:
+        thr = np.broadcast_to(np.asarray(threads), (count,))
+        cc = sr = None
+        if calibrated_cycles is not None:
             cc = np.broadcast_to(np.asarray(calibrated_cycles, dtype=float), (count,))
-        if stall_ratio is None:
-            sr = np.full(count, np.nan)
-        else:
+        if stall_ratio is not None:
             sr = np.broadcast_to(np.asarray(stall_ratio, dtype=float), (count,))
-            if np.nanmin(sr) < 0:
-                raise WorkloadError("stall_ratio must be non-negative")
+        for extreme in (np.min, np.max):
+            check_compute(
+                extreme(instr), extreme(fpi), extreme(thr),
+                None if cc is None else extreme(cc),
+                None if sr is None else extreme(sr),
+            )
         first = self._bulk_slots(count)
         c = self._c
         c["pos"].extend(range(first, first + count))
         self._kinds.extend([KIND_COMPUTE] * count)
         c["instr"].extend(instr.tolist())
-        c["cc"].extend(np.asarray(cc).tolist())
+        c["cc"].extend([np.nan] * count if cc is None else cc.tolist())
         c["cls"].extend([self._classes(workload_class)] * count)
-        c["fpi"].extend(np.asarray(fpi).tolist())
-        c["threads"].extend(np.asarray(thr).tolist())
+        c["fpi"].extend(fpi.tolist())
+        c["threads"].extend(thr.astype(np.int64).tolist())
         c["paradigm"].extend([self._paradigms(paradigm)] * count)
-        c["sr"].extend(np.asarray(sr).tolist())
+        c["sr"].extend([np.nan] * count if sr is None else sr.tolist())
         return self
+
+    def _transfers(
+        self, kind: int, columns: dict[str, list], check: Any,
+        first: object, second: object, block_size: object, count: int | None,
+    ) -> int:
+        """Append a checked chunk of two byte-count columns and a block
+        size column (arrays broadcast like NumPy); the demands appended."""
+        first, second = np.asarray(first).ravel(), np.asarray(second).ravel()
+        if count is None:
+            count = max(first.size, second.size)
+        if count == 0:
+            return 0
+        chunk = [
+            np.broadcast_to(column if column.size > 1 else column[:1], (count,))
+            for column in (first, second, np.asarray(block_size).ravel())
+        ]
+        for extreme in (np.min, np.max):
+            check(*map(extreme, chunk))
+        start = self._bulk_slots(count)
+        columns["pos"].extend(range(start, start + count))
+        self._kinds.extend([kind] * count)
+        for key, column in zip(list(columns)[1:], chunk):
+            columns[key].extend(column.astype(np.int64).tolist())
+        return count
 
     def io_many(
         self,
@@ -475,29 +492,11 @@ class PackedBuilder:
         count: int | None = None,
     ) -> "PackedBuilder":
         """Append a chunk of I/O demands (arrays broadcast like NumPy)."""
-        read = np.asarray(bytes_read, dtype=np.int64).ravel()
-        written = np.asarray(bytes_written, dtype=np.int64).ravel()
-        if count is None:
-            count = max(read.size, written.size)
-        if count == 0:
-            return self
-        read = np.broadcast_to(read if read.size > 1 else read.reshape(-1)[:1], (count,))
-        written = np.broadcast_to(
-            written if written.size > 1 else written.reshape(-1)[:1], (count,)
+        count = self._transfers(
+            KIND_IO, self._i, check_io, bytes_read, bytes_written, block_size, count
         )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if read.min() < 0 or written.min() < 0:
-            raise WorkloadError("I/O byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        i = self._i
-        i["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_IO] * count)
-        i["read"].extend(np.asarray(read).tolist())
-        i["written"].extend(np.asarray(written).tolist())
-        i["block"].extend(np.asarray(block).tolist())
-        i["fs"].extend([self._fs(filesystem)] * count)
+        if count:
+            self._i["fs"].extend([self._fs(filesystem)] * count)
         return self
 
     def memory_many(
@@ -508,30 +507,7 @@ class PackedBuilder:
         count: int | None = None,
     ) -> "PackedBuilder":
         """Append a chunk of memory demands (arrays broadcast like NumPy)."""
-        alloc = np.asarray(allocate, dtype=np.int64).ravel()
-        freed = np.asarray(free, dtype=np.int64).ravel()
-        if count is None:
-            count = max(alloc.size, freed.size)
-        if count == 0:
-            return self
-        alloc = np.broadcast_to(
-            alloc if alloc.size > 1 else alloc.reshape(-1)[:1], (count,)
-        )
-        freed = np.broadcast_to(
-            freed if freed.size > 1 else freed.reshape(-1)[:1], (count,)
-        )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if alloc.min() < 0 or freed.min() < 0:
-            raise WorkloadError("memory byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        m = self._m
-        m["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_MEM] * count)
-        m["alloc"].extend(np.asarray(alloc).tolist())
-        m["free"].extend(np.asarray(freed).tolist())
-        m["block"].extend(np.asarray(block).tolist())
+        self._transfers(KIND_MEM, self._m, check_memory, allocate, free, block_size, count)
         return self
 
     def network_many(
@@ -542,30 +518,10 @@ class PackedBuilder:
         count: int | None = None,
     ) -> "PackedBuilder":
         """Append a chunk of network demands (arrays broadcast like NumPy)."""
-        sent = np.asarray(bytes_sent, dtype=np.int64).ravel()
-        recv = np.asarray(bytes_received, dtype=np.int64).ravel()
-        if count is None:
-            count = max(sent.size, recv.size)
-        if count == 0:
-            return self
-        sent = np.broadcast_to(
-            sent if sent.size > 1 else sent.reshape(-1)[:1], (count,)
+        self._transfers(
+            KIND_NET, self._net, check_network, bytes_sent, bytes_received, block_size,
+            count,
         )
-        recv = np.broadcast_to(
-            recv if recv.size > 1 else recv.reshape(-1)[:1], (count,)
-        )
-        block = np.broadcast_to(np.asarray(block_size, dtype=np.int64), (count,))
-        if sent.min() < 0 or recv.min() < 0:
-            raise WorkloadError("network byte counts must be non-negative")
-        if block.min() <= 0:
-            raise WorkloadError("block size must be positive")
-        first = self._bulk_slots(count)
-        n = self._net
-        n["pos"].extend(range(first, first + count))
-        self._kinds.extend([KIND_NET] * count)
-        n["sent"].extend(np.asarray(sent).tolist())
-        n["recv"].extend(np.asarray(recv).tolist())
-        n["block"].extend(np.asarray(block).tolist())
         return self
 
     # -- finalisation -------------------------------------------------------
@@ -658,8 +614,8 @@ def pack_workload(workload: SimWorkload) -> PackedWorkload:
     exactly, so seeded noisy runs of the packed and object forms draw
     the same RNG stream and produce the same record.  The columns and
     name tables are those :class:`PackedBuilder` makes of the same
-    demands; demands validated themselves when they were constructed, so
-    the pass does not check them again.
+    demands.  Every ``*Demand`` ran its kind's check when it was
+    constructed (:mod:`repro.sim.demands`), so the pass checks nothing.
     """
     with span("engine.pack", workload=workload.name) as sp:
         c_rows: list[tuple] = []

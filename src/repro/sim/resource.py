@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import UnknownNameError
+from repro.core.errors import UnknownNameError, number, whole_number
 from repro.parallel.scaling import ScalingModel
 from repro.sim.filesystem import FilesystemModel
 
@@ -52,14 +52,11 @@ class WorkloadClassSpec:
     stall_front_fraction: float = 0.45
 
     def __post_init__(self) -> None:
-        if self.ipc <= 0:
-            raise ValueError("ipc must be positive")
-        if self.calib_ipc is not None and self.calib_ipc <= 0:
-            raise ValueError("calib_ipc must be positive")
-        if self.stall_ratio < 0:
-            raise ValueError("stall_ratio must be non-negative")
-        if not (0.0 <= self.stall_front_fraction <= 1.0):
-            raise ValueError("stall_front_fraction must be in [0, 1]")
+        number("ipc", self.ipc, above=0)
+        if self.calib_ipc is not None:
+            number("calib_ipc", self.calib_ipc, above=0)
+        number("stall_ratio", self.stall_ratio, 0)
+        number("stall_front_fraction", self.stall_front_fraction, 0, 1)
 
     @property
     def cycle_bias(self) -> float:
@@ -79,10 +76,8 @@ class CPUModel:
     default_class: WorkloadClassSpec = WorkloadClassSpec(ipc=1.5)
 
     def __post_init__(self) -> None:
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
+        number("frequency", self.frequency, above=0)
+        whole_number("cores", self.cores, 1)
 
     def spec(self, workload_class: str) -> WorkloadClassSpec:
         """Class spec lookup with fallback to the machine default."""
@@ -107,10 +102,9 @@ class MemoryModel:
     touch_bandwidth: float = 8e9
 
     def __post_init__(self) -> None:
-        if self.alloc_latency < 0 or self.free_latency < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.touch_bandwidth <= 0:
-            raise ValueError("touch bandwidth must be positive")
+        number("alloc_latency", self.alloc_latency, 0)
+        number("free_latency", self.free_latency, 0)
+        number("touch_bandwidth", self.touch_bandwidth, above=0)
 
     def alloc_time(self, nbytes: int, block_size: int) -> float:
         """Seconds to allocate-and-touch ``nbytes`` in blocks."""
@@ -146,10 +140,9 @@ class MachineSpec:
     noise_sigma: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
-        if self.net_bandwidth <= 0:
-            raise ValueError("net_bandwidth must be positive")
+        whole_number("memory_bytes", self.memory_bytes, 1)
+        number("net_latency", self.net_latency, 0)
+        number("net_bandwidth", self.net_bandwidth, above=0)
 
     def filesystem(self, name: str | None = None) -> FilesystemModel:
         """Look up a mounted filesystem (``None``/"default" -> default)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import EnsembleApp, EnsembleStage, GromacsModel, SleeperApp, SyntheticApp
-from repro.core.errors import WorkloadError
+from repro.core.errors import ConfigError, WorkloadError
 from repro.runtime import RunRequest, RunService
 from repro.runtime.service import RunPolicy
 from repro.sim.demands import ComputeDemand, IODemand
@@ -92,9 +92,9 @@ class TestGromacsModel:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="iterations"):
             GromacsModel(iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="threads"):
             GromacsModel(threads=0)
 
 
@@ -190,33 +190,45 @@ class TestEnsembleApp:
         assert record.totals()["cpu.instructions"] == pytest.approx(6e9)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="stages"):
             EnsembleApp(stages=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="tasks"):
             EnsembleStage(tasks=0, instructions=1.0)
 
 
-#: Apps whose constructor accepts them but whose demands are invalid.
+#: Parameters that make invalid demands: a valid app, and what is set on
+#: it after construction (the constructor refuses the second part).
 INVALID_DEMANDS = {
-    "threads=0": dict(instructions=1e9, threads=0),
-    "flop_fraction=2": dict(instructions=1e9, flop_fraction=2),
-    "memory_bytes=-1": dict(memory_bytes=-1),
-    "sleep_seconds=-1": dict(sleep_seconds=-1),
-    "io_block_size=0": dict(bytes_written=1 << 20, io_block_size=0),
-    "net_sent=-3": dict(net_sent=-3),
+    "threads=0": (dict(instructions=1e9), dict(threads=0)),
+    "flop_fraction=2": (dict(instructions=1e9), dict(flop_fraction=2)),
+    "memory_bytes=-1": ({}, dict(memory_bytes=-1)),
+    "sleep_seconds=-1": ({}, dict(sleep_seconds=-1)),
+    "io_block_size=0": (dict(bytes_written=1 << 20), dict(io_block_size=0)),
+    "net_sent=-3": ({}, dict(net_sent=-3)),
 }
 
 
 class TestInvalidDemands:
     """An app whose demands are invalid fails the same way every time:
-    ``build_packed`` raises :class:`WorkloadError`, which no retry
-    policy re-attempts."""
+    its constructor raises :class:`ConfigError` naming the parameter,
+    and if the parameter is set after construction, ``build_packed``
+    raises :class:`WorkloadError`, which no retry policy re-attempts."""
+
+    @pytest.mark.parametrize("params", INVALID_DEMANDS.values(), ids=INVALID_DEMANDS)
+    def test_the_constructor_names_the_parameter(self, params):
+        valid, invalid = params
+        (name,) = invalid
+        with pytest.raises(ConfigError, match=name):
+            SyntheticApp(**valid, **invalid)
 
     @pytest.mark.parametrize("kind", ["profile", "engine"])
     @pytest.mark.parametrize("params", INVALID_DEMANDS.values(), ids=INVALID_DEMANDS)
     def test_request_fails_after_one_attempt(self, params, kind):
+        valid, invalid = params
+        app = SyntheticApp(**valid)
+        vars(app).update(invalid)
         request = RunRequest(
-            kind=kind, target=SyntheticApp(**params), machine="thinkie",
+            kind=kind, target=app, machine="thinkie",
             config={"sample_rate": 2.0} if kind == "profile" else None,
             key="bad", policy=RunPolicy(retries=2),
         )

@@ -84,6 +84,8 @@ class TestBadInputs:
         (["campaign", "SPEC", "--processes", "-3"], "processes"),
         (["campaign", "SPEC", "--elastic", "--join", "w", "--lease-ttl", "nan"],
          "lease_ttl"),
+        (["profile-app", "sleeper:sleep_seconds=nan"], "sleep_seconds"),
+        (["profile-app", "gromacs:iterations=0"], "iterations"),
     ], ids=lambda value: value if isinstance(value, str) else " ".join(value[1:]))
     def test_exits_1_naming_the_field(self, tmp_path, capsys, argv, named):
         store = tmp_path / "store"

@@ -2,25 +2,35 @@
 
 Each example takes a valid JSON-shaped input of one surface — a campaign
 spec, a :class:`SynapseConfig`, a run policy, a fault plan, an arrival
-spec string, an autoscale policy, a traffic request class or the
-predictor's settings — and applies one mutation at one place in it: a value of the wrong type, a bool for a number, a fraction,
-NaN or ±inf, ``null``, an empty or duplicated list, or a misspelt key.
-Then either building the input raises a :class:`ConfigError` that names
-the key, or a minimal use of it succeeds with finite results: a one-cell
-``run_campaign`` on a ``MemoryStore`` with no failed cell (campaign,
-config, run policy, fault plan), or a 50-request ``TrafficSim`` whose
-report holds no NaN (arrival spec, autoscale policy, request class), or
-one prediction that charges calibration exactly when the setting says
+spec string, an app spec string (one surface per registered app, its
+numeric parameters), an autoscale policy, a traffic request class or
+the predictor's settings — and applies one mutation at one place in it:
+a value of the wrong type, a bool for a number, a fraction, NaN or
+±inf, ``null``, an empty or duplicated list, or a misspelt key.  Then
+either building the input raises a :class:`ConfigError` that names the
+key, or a minimal use of it succeeds with finite results: a one-cell
+``run_campaign`` on a ``MemoryStore`` with no failed cell and a finite
+Tx and totals in every stored artifact (campaign, config, run policy,
+fault plan, app spec), or a 50-request ``TrafficSim`` whose report holds
+no NaN (arrival spec, autoscale policy, request class), or one
+prediction that charges calibration exactly when the setting says
 ``true`` (predictor).
 
 The explicit examples are inputs that loaded and then ran wrong (or
 failed naming no field) before the surfaces shared one set of checks
 (:mod:`repro.core.errors`).
+
+A last test holds the demand plane to its one check per kind
+(:mod:`repro.sim.demands`): a NaN or infinite field fails as a
+:class:`WorkloadError` naming it, built as an object demand, by a
+:class:`PackedBuilder` scalar append, or in one entry of a ``*_many``
+column.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 from typing import Any, Iterator
 
@@ -28,12 +38,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.registry import _FACTORIES, list_apps, parse_app
 from repro.core.config import SynapseConfig
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, WorkloadError
 from repro.faults import FaultPlan, injected_faults
 from repro.predict.models import DemandVector
 from repro.predict.predictor import Predictor
 from repro.runtime import CampaignSpec, RunPolicy, RunService, run_campaign
+from repro.sim.demands import (
+    ComputeDemand,
+    IODemand,
+    MemoryDemand,
+    NetworkDemand,
+    SleepDemand,
+)
+from repro.sim.packed import PackedBuilder
 from repro.storage.base import MemoryStore
 from repro.traffic.sim import AutoscalePolicy, TrafficSim
 from repro.traffic.workload import RequestClass, RequestMix, default_mix
@@ -74,6 +93,18 @@ SURFACES: dict[str, dict[str, Any]] = {
     "request_class": {"name": "probe", "weight": 1.0, "size_cv": 0.4},
     "predictor": {"calibrated": False},
 }
+
+#: Each registered app's numeric parameters, at their defaults: its spec
+#: string's options, as an arrival spec's.
+APPS = {
+    name: {
+        key: parameter.default
+        for key, parameter in inspect.signature(_FACTORIES[name]).parameters.items()
+        if type(parameter.default) in (int, float)
+    }
+    for name in list_apps()
+}
+SURFACES.update((name, options) for name, options in APPS.items() if options)
 #: Surfaces built with keyword arguments, where an unknown key is
 #: Python's own ``TypeError`` (a campaign's ``config`` checks its keys).
 KEYWORD_SURFACES = ("config", "autoscale", "request_class", "predictor")
@@ -168,7 +199,11 @@ def build(surface: str, data: dict) -> Any:
         return RequestClass(**data, vector=default_mix(seed=0).classes[0].vector)
     if surface == "predictor":
         return Predictor(**data)
-    return _spec_string(surface, data)
+    spec = _spec_string(surface, data)
+    if surface in APPS:
+        parse_app(spec)  # the model's own error, not the campaign's
+        return _campaign(apps=[spec])
+    return spec
 
 
 def use(surface: str, built: Any) -> None:
@@ -180,11 +215,12 @@ def use(surface: str, built: Any) -> None:
         named = Predictor(calibrated=built.calibrated is True)
         assert seconds == named.predict(vector, "thinkie").seconds
         return
+    store = MemoryStore()
     if isinstance(built, CampaignSpec):
-        report = run_campaign(built, MemoryStore(), service=SERIAL)
+        report = run_campaign(built, store, service=SERIAL)
     elif isinstance(built, FaultPlan):
         with injected_faults(built):
-            report = run_campaign(_campaign(), MemoryStore(), service=SERIAL)
+            report = run_campaign(_campaign(), store, service=SERIAL)
     else:
         if surface == "autoscale":
             sim = TrafficSim("poisson:rate=100", ["thinkie"], engine=False,
@@ -197,6 +233,9 @@ def use(surface: str, built: Any) -> None:
         assert _finite(sim.run(50).to_dict())
         return
     assert report.failed == [] and report.complete, report.failed
+    # A cell that stores a NaN Tx has not failed: read the artifacts.
+    for profile in store.get_many(store.ids_for()):
+        assert _finite({"tx": profile.tx, **profile.totals()}), profile.command
 
 
 def _finite(value: Any) -> bool:
@@ -210,7 +249,7 @@ def _finite(value: Any) -> bool:
 
 
 @settings(
-    max_examples=40, deadline=None, derandomize=True,
+    max_examples=60, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(mutation=mutations())
@@ -241,6 +280,15 @@ def _finite(value: Any) -> bool:
 @example(("request_class", ("weight",), "nan"))
 # Predictor(calibrated="false") charged the calibration bias.
 @example(("predictor", ("calibrated",), "type"))
+# A campaign of "sleeper:sleep_seconds=nan" and "synthetic:instructions=inf"
+# executed both cells and stored a Tx of nan and of inf.
+@example(("sleeper", ("sleep_seconds",), "nan"))
+@example(("synthetic", ("instructions",), "inf"))
+# "gromacs:iterations=2.5" and "gromacs:iterations=1e400" loaded, and
+# "sleeper:sleep_seconds=true" slept one second.
+@example(("gromacs", ("iterations",), "fraction"))
+@example(("gromacs", ("iterations",), "inf"))
+@example(("sleeper", ("sleep_seconds",), "bool"))
 def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
     surface, path, kind = mutation
     data, key = mutated(surface, path, kind)
@@ -257,3 +305,47 @@ def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
 @pytest.mark.parametrize("surface", sorted(SURFACES))
 def test_every_valid_input_runs(surface):
     use(surface, build(surface, copy.deepcopy(SURFACES[surface])))
+
+
+#: Per kind of demand: its class, its scalar append, its column append
+#: (``None``: there is none) and valid values of its numeric fields.
+DEMANDS = {
+    "compute": (ComputeDemand, "compute", "compute_many", {
+        "instructions": 1e6, "flops_per_instruction": 0.5, "threads": 2,
+        "calibrated_cycles": 1e6, "stall_ratio": 0.5,
+    }),
+    "io": (IODemand, "io", "io_many",
+           {"bytes_read": 4096, "bytes_written": 4096, "block_size": 1024}),
+    "memory": (MemoryDemand, "memory", "memory_many",
+               {"allocate": 4096, "free": 4096, "block_size": 1024}),
+    "network": (NetworkDemand, "network", "network_many",
+                {"bytes_sent": 4096, "bytes_received": 4096, "block_size": 1024}),
+    "sleep": (SleepDemand, "sleep", None, {"seconds": 1.0}),
+}
+
+
+def _build_demand(kind: str, field: str, bad: float, path: str) -> None:
+    """Build a ``kind`` demand with ``bad`` in ``field`` along ``path``."""
+    demand, append, append_many, valid = DEMANDS[kind]
+    fields = {**valid, field: bad}
+    if path == "object":
+        demand(**fields)
+    elif path == "append":
+        getattr(PackedBuilder("probe"), append)(**fields)
+    else:
+        # One bad entry in the middle of a column of valid ones; the
+        # first field fixes the chunk's length.
+        first = next(iter(valid))
+        column = {first: [valid[first]] * 3, field: [valid[field], bad, valid[field]]}
+        getattr(PackedBuilder("probe"), append_many)(**column)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, field, path", [
+    (kind, field, path)
+    for kind, (_, _, append_many, valid) in DEMANDS.items() for field in valid
+    for path in ("object", "append", "many")[: 3 if append_many else 2]
+])
+def test_a_bad_demand_field_fails_on_every_build_path(kind, field, path, bad):
+    with pytest.raises(WorkloadError, match=f"^{field} must be"):
+        _build_demand(kind, field, bad, path)

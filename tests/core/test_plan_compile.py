@@ -277,8 +277,8 @@ def test_a_nan_or_negative_sample_still_opens_its_phase(quantum):
 
 def test_the_first_bad_demand_names_the_error():
     plan = plan_of(sample(cycles=1.0, flops=-3.0), sample(alloc=-1, free=2))
-    with pytest.raises(WorkloadError, match=r"flops_per_instruction must be in \[0, 1\]"):
+    with pytest.raises(WorkloadError, match=r"flops_per_instruction must be a number in \[0, 1\]"):
         plan.build_packed_workload(SynapseConfig())
     plan = plan_of(sample(alloc=-1, free=2), sample(cycles=1.0, flops=-3.0))
-    with pytest.raises(WorkloadError, match="memory byte counts must be non-negative"):
+    with pytest.raises(WorkloadError, match="allocate must be a finite number >= 0, not -1"):
         plan.build_packed_workload(SynapseConfig())

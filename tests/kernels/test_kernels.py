@@ -156,7 +156,7 @@ class TestOpenMPKernel:
         OpenMPKernel(AsmKernel(), threads=2).execute_units(0)
 
     def test_invalid_threads(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="threads"):
             OpenMPKernel(AsmKernel(), threads=0)
 
     def test_calibration_delegates(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigError
 from repro.kernels.asm import AsmKernel
 from repro.parallel import (
     ScalingModel,
@@ -35,9 +36,9 @@ class TestScalingModel:
         assert times[-1] > min(times)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="parallel_fraction"):
             ScalingModel(parallel_fraction=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="overhead_per_worker"):
             ScalingModel(overhead_per_worker=-0.1)
         with pytest.raises(ValueError):
             ScalingModel().time_factor(0)

@@ -8,7 +8,7 @@ from repro.apps.ensemble import EnsembleApp, EnsembleStage
 from repro.apps.skeleton import fan_out_fan_in
 from repro.apps.synthetic import SyntheticApp
 from repro.core.config import SynapseConfig
-from repro.core.errors import ProfileNotFoundError, WorkloadError
+from repro.core.errors import ConfigError, ProfileNotFoundError, WorkloadError
 from repro.core.profiler import Profiler
 from repro.predict.models import (
     DemandVector,
@@ -39,7 +39,7 @@ def _profile(repeat: int = 0, noisy: bool = False):
 
 class TestDemandVector:
     def test_rejects_negative_components(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="instructions"):
             DemandVector(instructions=-1.0)
 
     def test_scaled(self):

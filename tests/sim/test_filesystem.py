@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigError
 from repro.sim.filesystem import FilesystemModel
 
 
@@ -70,15 +71,15 @@ class TestCosting:
 
 class TestValidation:
     def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FilesystemModel(name="x", read_latency=-1.0)
 
     def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FilesystemModel(name="x", write_bandwidth=0.0)
 
     def test_cache_fraction_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FilesystemModel(name="x", cache_hit_fraction=1.5)
 
 

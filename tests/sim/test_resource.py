@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import ConfigError
 from repro.sim.resource import CPUModel, MemoryModel, WorkloadClassSpec
 
 
@@ -22,7 +23,7 @@ class TestWorkloadClassSpec:
         {"ipc": 2.0, "stall_front_fraction": 1.2},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             WorkloadClassSpec(**kwargs)
 
 
@@ -44,9 +45,9 @@ class TestCPUModel:
         assert cpu.seconds_for_cycles(4e9) == pytest.approx(2.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CPUModel(frequency=0, cores=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CPUModel(frequency=1e9, cores=0)
 
 
@@ -66,7 +67,7 @@ class TestMemoryModel:
         assert mem.alloc_time(1 << 20, 4096) > mem.alloc_time(1 << 20, 1 << 20)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MemoryModel(alloc_latency=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MemoryModel(touch_bandwidth=0)
