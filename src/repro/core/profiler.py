@@ -26,6 +26,7 @@ merged onto the nominal grid and the profile is optionally stored.
 from __future__ import annotations
 
 import threading
+import time
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -42,6 +43,7 @@ from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
 from repro.watchers.base import (
     PerRow,
+    PerRowMap,
     WatcherBase,
     WatcherContext,
     WatcherResult,
@@ -49,7 +51,7 @@ from repro.watchers.base import (
 )
 from repro.watchers.registry import get_watcher
 
-__all__ = ["Profiler"]
+__all__ = ["Profiler", "ProfileBlock"]
 
 
 #: The hooks a watcher class may override only with a
@@ -94,7 +96,7 @@ class Profiler:
             sp.set(
                 command=profile.command,
                 samples=profile.n_samples,
-                exit_code=int(profile.info.get("exit_code", 0)),
+                exit_code=profile.exit_code,
             )
         return profile
 
@@ -212,10 +214,13 @@ class Profiler:
             now = self.backend.now() - t0
             for watcher in watchers:
                 self._safe_sample(watcher, now)
-        return self._assembled(
-            handle, exit_code, *self._merged_alone(self._finalized(watchers), policy),
-            command, tags, policy, machine_info,
+        statics, info, samples, offset = self._merged_alone(
+            self._finalized(watchers), policy
         )
+        return self._profiles(
+            [handle], [exit_code], PerRow([statics]), info, [(samples, offset)],
+            command, tags, policy, machine_info,
+        )[0]
 
     def _watch_block(
         self,
@@ -292,12 +297,12 @@ class Profiler:
                     )
         results = self._finalized(watchers)
 
-        statics: dict[str, Any] = {}
+        statics = PerRowMap()
         watcher_info: dict[str, Any] = {}
         for name, result in results.items():
             statics.update(result.statics)
             if result.info:
-                watcher_info[f"watcher.{name}"] = result.info
+                watcher_info[f"watcher.{name}"] = PerRowMap(result.info)
         covered = ticks[-1] if ticks else 0.0
         if not starts:  # what ``policy.grid`` covers no runtime with
             starts, dts = [0.0], [policy.interval_at(0.0)]
@@ -306,25 +311,23 @@ class Profiler:
             merged = self._merged_rows(
                 results, statics, times, counts, drain, starts, dts, covered
             )
-        profiles = []
-        for row, (process, exit_code) in enumerate(zip(block.processes, exit_codes)):
-            if merged is None:
-                # Off the grid: each row on its own, as a lone watcher's.
+        if merged is None:
+            # Off the grid: each row on its own, as a lone watcher's.
+            profiles = []
+            for row, (process, exit_code) in enumerate(zip(block.processes, exit_codes)):
                 row_statics, row_info, samples, offset = self._merged_alone(
                     {name: result.row(row) for name, result in results.items()},
                     policy,
                 )
-            else:
-                row_statics = row_of(statics, row)
-                row_info = {
-                    key: row_of(value, row) for key, value in watcher_info.items()
-                }
-                samples, offset = merged[row]
-            profiles.append(self._assembled(
-                process, exit_code, row_statics, row_info, samples, offset,
-                command, tags, policy, self.backend.machine_info(),
-            ))
-        return profiles
+                profiles += self._profiles(
+                    [process], [exit_code], PerRow([row_statics]), row_info,
+                    [(samples, offset)], command, tags, policy, machine_info,
+                )
+            return profiles
+        return self._profiles(
+            block.processes, exit_codes, statics, watcher_info, merged, command,
+            tags, policy, machine_info,
+        )
 
     def _finalized(self, watchers: Sequence[WatcherBase]) -> dict[str, WatcherResult]:
         """Post-process and finalise; a failing ``finalize`` is
@@ -483,42 +486,77 @@ class Profiler:
             drain, [name for name, result in results.items() if result.counts is not None],
         )
 
-    def _assembled(
-        self,
-        handle: ProcessHandle,
-        exit_code: int,
-        statics: dict[str, Any],
-        watcher_info: dict[str, Any],
-        samples: SampleTable,
-        first_sample_offset: float,
-        command: str | None,
-        tags: object,
-        policy: SamplingPolicy,
-        machine_info: dict[str, Any],
-    ) -> Profile:
+    def _profiles(
+        self, handles: Sequence[ProcessHandle], exit_codes: Sequence[int],
+        statics: Any, watcher_info: dict[str, Any],
+        merged: Sequence[tuple[SampleTable, float]], command: str | None,
+        tags: object, policy: SamplingPolicy, machine_info: dict[str, Any],
+    ) -> list[Profile]:
+        """One profile per handle, the rows of one :class:`ProfileBlock`:
+        ``statics`` and ``watcher_info`` as the block reads them per row,
+        ``merged`` each row's samples and first sample offset."""
         config = self.config
-        info: dict[str, Any] = {"exit_code": exit_code, "backend": self.backend.name}
-        info.update(watcher_info)
-        info["run"] = {
-            "n_samples": len(samples),
-            "sample_rate": config.sample_rate,
-            "sampling": policy.describe(),
-            "first_sample_offset": first_sample_offset,
-            "watchers": list(config.watchers),
-        }
-        handle_info = handle.info()
-        if handle_info:
-            info["process"] = handle_info
-        return Profile(
-            command=command if command is not None else _target_command(handle, info),
-            tags=normalize_tags(tags),
-            machine=dict(machine_info),
-            config=config.to_dict(),
-            sample_rate=config.sample_rate,
-            samples=samples,
-            statics=statics,
-            info=info,
+        processes = [handle.info() or None for handle in handles]
+        block = ProfileBlock(
+            {
+                "machine": dict(machine_info),
+                "config": config.to_dict(),
+                "statics": statics,
+                "info": PerRowMap({
+                    "exit_code": PerRow(exit_codes),
+                    "backend": self.backend.name,
+                    **watcher_info,
+                    "run": PerRowMap({
+                        "n_samples": PerRow(len(samples) for samples, _ in merged),
+                        "sample_rate": config.sample_rate,
+                        "sampling": policy.describe(),
+                        "first_sample_offset": PerRow(offset for _, offset in merged),
+                        "watchers": list(config.watchers),
+                    }),
+                    "process": PerRow(processes),
+                }),
+            },
+            merged[0][0],
         )
+        command = None if command is None else normalize_command(command)
+        held = {
+            "tags": normalize_tags(tags), "sample_rate": config.sample_rate,
+            "truncated": False, "created": time.time(),
+        }
+        return [
+            Profile._in_block(
+                block, row, samples=samples, **held,
+                command=_target_command(handle, process) if command is None else command,
+            )
+            for row, (handle, process, (samples, _)) in enumerate(zip(handles, processes, merged))
+        ]
+
+
+class ProfileBlock:
+    """What the profiles of one watched block of processes share, once.
+
+    Each profile is a row: it holds its command, tags, sample rate,
+    samples and ``created`` stamp, and builds its machine, config,
+    statics and info on first access from ``documents`` — read per row
+    as :func:`row_of` reads a block's statics — with containers of its
+    own.  ``documents`` also holds the sample column names (``"metrics"``,
+    ``"watchers"``) of row 0, which a store encodes once for the rows
+    that share them, as it does what the rows share of a document.
+    """
+
+    def __init__(self, documents: dict[str, Any], samples: SampleTable) -> None:
+        self.documents = {
+            **documents, "metrics": samples.metrics, "watchers": samples.watchers,
+        }
+
+    def document(self, name: str, row: int) -> Any:
+        """Row ``row``'s document ``name``, with containers of its own."""
+        return row_of({name: self.documents[name]}, row)[name]
+
+    def peek(self, name: str, row: int, key: str) -> Any:
+        """``document(name, row).get(key)``, neither built nor copied."""
+        value = self.documents[name].get(key)
+        return value[row] if type(value) is PerRow else value
 
 
 def _watches_rows(cls: type[WatcherBase]) -> bool:
@@ -543,11 +581,11 @@ def _watches_rows(cls: type[WatcherBase]) -> bool:
     return True
 
 
-def _target_command(handle: ProcessHandle, info: dict[str, Any]) -> str:
+def _target_command(handle: ProcessHandle, process: dict[str, Any] | None) -> str:
     """Best-effort command string for handles that know their target."""
-    meta = info.get("process", {}).get("metadata")
+    meta = (process or {}).get("metadata")
     if isinstance(meta, dict) and "command" in meta:
-        return str(meta["command"])
+        return normalize_command(str(meta["command"]))
     record = getattr(handle, "record", None)
     if record is not None and getattr(record, "metadata", None) is not None:
         name = record.metadata.get("workload_name")

@@ -345,12 +345,18 @@ def _fold(name: str, found: list[float]) -> float:
     return total
 
 
+#: The documents a profile of a block builds on first access.
+_DOCUMENTS = ("machine", "config", "statics", "info")
+
+
 @dataclass
 class Profile:
     """A stored profiling result for one application run.
 
     ``samples`` is held as a :class:`SampleTable`; a ``list[Sample]``
-    handed to the constructor is converted.
+    handed to the constructor is converted.  A profile the profiler
+    made builds its machine, config, statics and info on first access,
+    from its :class:`~repro.core.profiler.ProfileBlock`.
     """
 
     command: str
@@ -372,6 +378,55 @@ class Profile:
         self.tags = normalize_tags(self.tags)
         if not isinstance(self.samples, SampleTable):
             self.samples = SampleTable.from_samples(self.samples)
+
+    @classmethod
+    def _in_block(cls, block: Any, row: int, **held: Any) -> "Profile":
+        """Row ``row`` of ``block``, holding every field but the
+        documents (normalised already)."""
+        profile = cls.__new__(cls)
+        profile.__dict__.update(held, _row=(block, row))
+        return profile
+
+    def __getattr__(self, name: str) -> Any:
+        """A block's profile builds a document on first access."""
+        row = self.__dict__.get("_row")
+        if row is None or name not in _DOCUMENTS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = row[0].document(name, row[1])
+        return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        """A block's profile pickles (and copies) as the profile it is,
+        its documents built, without its block."""
+        for name in _DOCUMENTS:
+            getattr(self, name)
+        return {key: value for key, value in self.__dict__.items() if key != "_row"}
+
+    def unread(self, name: str) -> tuple[Any, int] | None:
+        """``(block, row)`` while this row of a block holds document
+        ``name`` (or the samples' ``"metrics"`` / ``"watchers"``) only in
+        its block — unread and unreplaced — else ``None``."""
+        row = self.__dict__.get("_row")
+        if row is None or name in self.__dict__:
+            return None
+        if name in ("metrics", "watchers"):
+            return row if getattr(self.samples, name) is row[0].documents[name] else None
+        return row
+
+    def _info(self, key: str) -> Any:
+        """``info.get(key)`` (not copied) without building the info."""
+        row = self.unread("info")
+        return self.info.get(key) if row is None else row[0].peek("info", row[1], key)
+
+    @property
+    def exit_code(self) -> int:
+        """The profiled process's exit code (0 when none was recorded)."""
+        return int(self._info("exit_code") or 0)
+
+    def stamp(self, pid: int) -> None:
+        """Make this the run of a process started now, as ``pid``."""
+        self.created = _time.time()
+        self._info("process")["pid"] = pid
 
     # -- basic queries ------------------------------------------------------
 
@@ -469,18 +524,13 @@ class Profile:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise the full profile to a JSON-compatible dict."""
-        return self.document(self.samples.to_dicts())
-
-    def document(self, samples: Any) -> dict[str, Any]:
-        """:meth:`to_dict` with ``samples`` in place of its sample list:
-        the record of a store that encodes samples its own way."""
         return {
             "command": self.command,
             "tags": list(self.tags),
             "machine": dict(self.machine),
             "config": dict(self.config),
             "sample_rate": self.sample_rate,
-            "samples": samples,
+            "samples": self.samples.to_dicts(),
             "statics": dict(self.statics),
             "info": dict(self.info),
             "truncated": self.truncated,

@@ -54,6 +54,7 @@ import secrets
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -70,7 +71,7 @@ from repro.core.errors import (
 from repro.core.samples import Profile
 from repro.runtime.execute import PlanScope, plan_scope
 from repro.runtime.service import RunPolicy, RunRequest, RunService, get_service
-from repro.sim.machines import resolve_machine
+from repro.sim.machines import get_machine, resolve_machine
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import span
@@ -258,12 +259,24 @@ class CampaignSpec:
         — sees a wave of cells that differ only in ``(seed, rep)`` as
         one target.
         """
-        from repro.apps.registry import parse_app  # noqa: PLC0415 (cycle)
-
         model = self._models.get(app)
         if model is None:
+            from repro.apps.registry import parse_app  # noqa: PLC0415 (cycle)
+
             model = self._models[app] = parse_app(app)
         return model
+
+    @cached_property
+    def _cell_parts(self) -> tuple[str, str]:
+        """Every cell digest's JSON payload before and after the cell."""
+        head, tail = (json.dumps(part, sort_keys=True, default=str) for part in (
+            [self.name, self.kind],
+            [
+                bool(self.noisy), sorted(self.config.items()),
+                sorted((str(k), str(v)) for k, v in self.tags.items()),
+            ],
+        ))
+        return head[:-1] + ", ", ", " + tail[1:]
 
     def cells(self) -> list["CampaignCell"]:
         """Expand the sweep into its cells, in deterministic spec order."""
@@ -295,22 +308,14 @@ class CampaignCell:
         tags), so editing the spec invalidates — rather than silently
         reuses — old cells.  The run policy is deliberately *not*
         hashed: retries/timeouts change how stubbornly a cell executes,
-        never what it produces.
+        never what it produces.  The payload is the JSON of ``[name,
+        kind, app, machine, seed, rep, noisy, sorted config items,
+        sorted tag pairs]``, whose spec-wide parts the spec encodes once.
         """
-        payload = json.dumps(
-            [
-                self.spec.name,
-                self.spec.kind,
-                self.app,
-                self.machine,
-                self.seed,
-                self.rep,
-                bool(self.spec.noisy),
-                sorted(self.spec.config.items()),
-                sorted((str(k), str(v)) for k, v in self.spec.tags.items()),
-            ],
-            sort_keys=True,
-            default=str,
+        head, tail = self.spec._cell_parts
+        payload = (
+            f"{head}{encode_basestring_ascii(self.app)}, "
+            f"{encode_basestring_ascii(self.machine)}, {self.seed:d}, {self.rep:d}{tail}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -368,8 +373,6 @@ class CampaignCell:
         a summary profile (statics only) so both kinds live in the same
         store and resume the same way.
         """
-        from repro.sim.machines import get_machine  # noqa: PLC0415 (cycle)
-
         if self.spec.kind == "profile":
             return value
         statics = dict(value["totals"])

@@ -16,7 +16,6 @@ engine; nothing below the run service calls back up into it.
 from __future__ import annotations
 
 import contextlib
-import time
 from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from typing import Any
@@ -512,14 +511,13 @@ def _execute_profile(
             for (row, _), other in zip(left, others):
                 group.profiles.setdefault(row, []).append(other)
         else:
-            profile.created = time.time()
-            profile.info["process"]["pid"] = SimProcess.next_pid()
+            profile.stamp(SimProcess.next_pid())
         profile.tags = normalize_tags(request.tags)
         if request.command is not None:
             profile.command = normalize_command(request.command)
         sp.set(
             command=profile.command, samples=profile.n_samples,
-            exit_code=int(profile.info.get("exit_code", 0)),
+            exit_code=profile.exit_code,
         )
     return _reduced(request, profile)
 

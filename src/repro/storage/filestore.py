@@ -122,6 +122,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote, unquote
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -131,6 +132,7 @@ from repro.faults import inject
 from repro.storage.base import Marker, ProfileStore, StoreEntry
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry, timed
+from repro.watchers.base import PerRow, PerRowMap
 
 __all__ = ["FileStore"]
 
@@ -208,22 +210,90 @@ def _unb64(text: str, dtype: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text, validate=True), dtype)
 
 
-def _encode_samples(samples: SampleTable) -> dict[str, Any]:
-    """The columns object a v3 record holds in place of its samples."""
-    columns = {
-        "metrics": list(samples.metrics),
-        "watchers": list(samples.watchers),
-        "index": _b64(samples.index, "<i8"),
-        "t": _b64(samples.t, "<f8"),
-        "dt": _b64(samples.dt, "<f8"),
-        "values": _b64(samples.values, "<f8"),
-        "times": _b64(samples.times, "<f8"),
-    }
-    if samples.has_values is not None:
-        columns["has_values"] = _b64(samples.has_values, "u1")
-    if samples.has_times is not None:
-        columns["has_times"] = _b64(samples.has_times, "u1")
-    return columns
+#: A v3 record, its columns object included, with a slot per part.
+_RECORD = (
+    '{"command": %s, "tags": %s, "machine": %s, "config": %s, "sample_rate": %s, '
+    '"samples": {"metrics": %s, "watchers": %s, "index": "%s", "t": "%s", '
+    '"dt": "%s", "values": "%s", "times": "%s"%s}, "statics": %s, "info": %s, '
+    '"truncated": %s, "created": %s}'
+)
+
+
+#: Per profile block, by document name, its pieces (:func:`_pieces`).
+_BLOCK_PIECES: WeakKeyDictionary[Any, dict[str, list[Any]]] = WeakKeyDictionary()
+
+
+def _pieces(template: Any) -> Iterator[Any]:
+    """A block's document as :data:`_dumps` writes it, in pieces: the
+    text every row shares (a shared ``None``, which ``row_of`` drops,
+    left out) and, per value picked per row, its :class:`PerRow` — or
+    the list of its texts when they are numbers, encoded all at once."""
+    if type(template) is PerRow:
+        numbers = all(type(value) is int or type(value) is float for value in template)
+        yield _dumps(template)[1:-1].split(", ") if numbers else template
+    elif type(template) is not PerRowMap:
+        yield _dumps(template)
+    else:
+        separator = "{"
+        for key, value in template.items():
+            if value is not None:
+                # An object key is a string: ``{0: x}`` is written ``{"0": x}``.
+                key = _dumps(key) if type(key) is str else _dumps({key: None})[1:-7]
+                yield f"{separator}{key}: "
+                yield from _pieces(value)
+                separator = ", "
+        yield "}" if separator == ", " else "{}"
+
+
+def _part(profile: Profile, name: str) -> str:
+    """``_dumps`` of the profile's document ``name`` (or column names):
+    from its block's pieces, encoded once, while the row has not read it."""
+    unread = profile.unread(name)
+    if unread is None:
+        names = name in ("metrics", "watchers")
+        return _dumps(getattr(profile.samples if names else profile, name))
+    block, row = unread
+    by_name = _BLOCK_PIECES.setdefault(block, {})
+    pieces = by_name.get(name)
+    if pieces is None:
+        pieces = by_name[name] = []
+        for piece in _pieces(block.documents[name]):
+            if type(piece) is str and pieces and type(pieces[-1]) is str:
+                pieces[-1] += piece
+            else:
+                pieces.append(piece)
+    parts = []
+    for piece in pieces:
+        if type(piece) is PerRow:
+            if piece[row] is None:  # not in this row's document: write it whole
+                return _dumps(block.document(name, row))
+            piece = _dumps(piece[row])
+        elif type(piece) is list:
+            piece = piece[row]
+        parts.append(piece)
+    return "".join(parts)
+
+
+def _record(profile: Profile) -> bytes:
+    """A profile's v3 record, written a part at a time: its own, its
+    block's (:func:`_part`) and the columns, base64 text which JSON
+    quotes as it is.  The bytes are those of encoding the whole
+    document in one call."""
+    samples = profile.samples
+    masks = "".join(
+        f', "{name}": "{_b64(mask, "u1")}"'
+        for name, mask in (("has_values", samples.has_values), ("has_times", samples.has_times))
+        if mask is not None
+    )
+    return (_RECORD % (
+        _dumps(profile.command), _dumps(profile.tags), _part(profile, "machine"),
+        _part(profile, "config"), _dumps(profile.sample_rate),
+        _part(profile, "metrics"), _part(profile, "watchers"),
+        _b64(samples.index, "<i8"), _b64(samples.t, "<f8"), _b64(samples.dt, "<f8"),
+        _b64(samples.values, "<f8"), _b64(samples.times, "<f8"), masks,
+        _part(profile, "statics"), _part(profile, "info"),
+        _dumps(profile.truncated), _dumps(profile.created),
+    )).encode("utf-8")
 
 
 def _decode_samples(samples: Mapping[str, Any]) -> SampleTable:
@@ -372,9 +442,7 @@ def _write_segment(
             for profile in profiles:
                 inject("store.put", key=profile.command)
                 _stamp(profile.created)
-                data = _dumps(
-                    profile.document(_encode_samples(profile.samples))
-                ).encode("utf-8")
+                data = _record(profile)
                 handle.write(data)
                 handle.write(b"\n")
                 entry = StoreEntry(

@@ -44,7 +44,7 @@ from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.traffic.arrivals import ArrivalProcess, make_process, restore_process
 from repro.traffic.fleet import Fleet, LatencyHistogram
-from repro.traffic.workload import RequestMix, default_mix, restore_mix
+from repro.traffic.workload import RequestMix, default_mix
 
 __all__ = ["AutoscalePolicy", "TrafficSim", "ClosedLoopSim", "TrafficReport"]
 

@@ -45,8 +45,8 @@ from repro.core.config import SynapseConfig
 from repro.util.timeseries import SeriesRows, TimeSeries
 
 __all__ = [
-    "WatcherBase", "WatcherResult", "WatcherContext", "PerRow", "per_row",
-    "rowwise",
+    "WatcherBase", "WatcherResult", "WatcherContext", "PerRow", "PerRowMap",
+    "per_row", "rowwise",
 ]
 
 
@@ -61,17 +61,21 @@ class PerRow(list):
     one entry per row, ``None`` where a row has none."""
 
 
+class PerRowMap(dict):
+    """A mapping of a block's values that :func:`row_of` reads per row."""
+
+
 def per_row(values: Any, where: Any = True) -> Any:
     """``values`` where ``where`` holds, else nothing: the value itself
     or ``None`` for a lone process, a :class:`PerRow` for the ``(rows,)``
     arrays of a block (``where`` is then ``True`` or an array like
-    them).  A ``dict`` of such values becomes one ``dict`` per row.
+    them).  A ``dict`` of such values becomes a :class:`PerRowMap`.
     """
     if type(values) is dict:
         columns = [per_row(value) for value in values.values()]
         if not columns or type(columns[0]) is not PerRow:
             return dict(values)
-        return PerRow(dict(zip(values, row)) for row in zip(*columns))
+        return PerRowMap(zip(values, columns))
     if not isinstance(values, np.ndarray):
         return values if where else None
     if where is True:
@@ -127,10 +131,12 @@ class WatcherResult:
 def row_of(values: Mapping[str, Any], index: int) -> dict[str, Any]:
     """Row ``index`` of a block's series, statics or info: series cut,
     :class:`PerRow` values picked (and dropped where the row has none),
-    every container copied so that no two rows share one."""
+    :class:`PerRowMap` values read the same way, every container copied
+    so that no two rows share one."""
     picked = {
         key: value[index] if type(value) is PerRow
-        else value.row(index) if type(value) is SeriesRows else value
+        else value.row(index) if type(value) is SeriesRows
+        else row_of(value, index) if type(value) is PerRowMap else value
         for key, value in values.items()
     }
     return {key: _own(value) for key, value in picked.items() if value is not None}

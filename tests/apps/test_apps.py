@@ -8,7 +8,6 @@ from repro.apps import EnsembleApp, EnsembleStage, GromacsModel, SleeperApp, Syn
 from repro.core.errors import ConfigError, WorkloadError
 from repro.runtime import RunRequest, RunService
 from repro.runtime.service import RunPolicy
-from repro.sim.demands import ComputeDemand, IODemand
 from repro.sim.engine import Engine
 from repro.sim.machines import get_machine
 from repro.sim.noise import NoiseModel

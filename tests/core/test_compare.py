@@ -81,7 +81,6 @@ class TestEndToEnd:
     def test_app_vs_emulation_comparison(self, gromacs_profile):
         """The E.2 sanity-check workflow through the comparison API."""
         from repro.core.config import SynapseConfig
-        from repro.core.emulator import Emulator
         from repro.core.plan import EmulationPlan
         from repro.core.profiler import Profiler
 

@@ -14,7 +14,6 @@ from repro.core.emulator import Emulator
 from repro.core.errors import ConfigError, EmulationError
 from repro.core.plan import EmulationPlan, PlanSample
 from repro.core.profiler import Profiler
-from repro.core.samples import Profile, Sample
 from repro.runtime import RunRequest, RunService
 from repro.sim.backend import SimBackend
 from repro.storage import MemoryStore

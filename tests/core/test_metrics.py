@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.metrics import (
     REGISTRY,
-    MetricKind,
     Support,
     cumulative_metrics,
     derive_metrics,

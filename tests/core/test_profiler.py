@@ -9,8 +9,7 @@ from repro.core.api import profile
 from repro.core.config import SynapseConfig
 from repro.core.errors import ProfilingError
 from repro.core.profiler import Profiler
-from repro.sim.backend import SimBackend
-from repro.sim.demands import ComputeDemand, SleepDemand
+from repro.sim.demands import SleepDemand
 from repro.sim.workload import SimWorkload
 
 from tests.conftest import make_backend

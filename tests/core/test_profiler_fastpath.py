@@ -353,6 +353,44 @@ class TestBlocksOfRows:
                 doc["info"]["process"].pop("pid")
             assert got == want
 
+    def test_a_scribble_reaches_the_store_only_before_the_put(self, tmp_path):
+        """A row written to a FileStore keeps its stored bytes whatever is
+        done to it afterwards, and a row scribbled on before the put is
+        stored as scribbled — documents read or not."""
+        from repro.storage.filestore import FileStore
+
+        from tests.storage.conftest import read_segment, segment_files
+
+        config = SynapseConfig(
+            sample_rate=10.0, extra={"nested": {"list": [1, 2]}},
+            watchers=("system", "cpu", "memory", "storage", "rusage", "network"),
+        )
+        records = replayed_block(GromacsModel(iterations=20_000))
+        rows = Profiler(SimBackend("comet"), config=config).run_many(records)
+        store = FileStore(tmp_path)
+        kept = store.put_many(rows[:2])
+        (segment,) = segment_files(tmp_path)
+        stored = segment.read_bytes()
+        pristine = [profile.to_dict() for profile in store.get_many(kept)]
+        for part in (rows[0].config, rows[0].machine, rows[0].statics, rows[0].info):
+            scribble(part)
+        assert segment.read_bytes() == stored
+        assert [profile.to_dict() for profile in store.get_many(kept)] == pristine
+        # Before the put: one row with every document scribbled on, one
+        # with only its info — the rest of it is written from the block.
+        for part in (rows[2].config, rows[2].machine, rows[2].statics, rows[2].info):
+            scribble(part)
+        scribble(rows[3].info)
+        later = store.put_many(rows[2:4])
+        for profile, row in zip(store.get_many(later), rows[2:4]):
+            assert profile.to_dict() == row.to_dict()
+        assert store.get_many(later[1:])[0].config == rows[4].config
+        (records_of_later,) = [
+            read_segment(path)[1] for path in segment_files(tmp_path)
+            if path != segment
+        ]
+        assert b'"scribbled": true' in records_of_later[0]
+
     def test_custom_sample_watcher_sends_the_call_to_lockstep(self, monkeypatch):
         import pytest
 

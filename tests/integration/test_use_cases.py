@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import EnsembleApp, EnsembleStage, GromacsModel, SyntheticApp
+from repro.apps import EnsembleApp, EnsembleStage, GromacsModel
 from repro.core.api import emulate, profile, stats
 from repro.core.config import SynapseConfig
 from repro.core.plan import EmulationPlan
