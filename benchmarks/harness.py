@@ -1,7 +1,7 @@
-"""Shared experiment harness used by the paper's figure and table checks
-(``tests/paper``) and the throughput benchmarks.
+"""Shared experiment harness of the paper's figure and table checks
+(``tests/paper``).
 
-All benchmarks run on the simulation plane with deterministic noise:
+Every check runs on the simulation plane with deterministic noise:
 ``repeat`` indices seed independent draws, so means and confidence
 intervals are reproducible run-to-run (the paper's E.3 reports 99 % CIs
 over repeated runs).
@@ -17,12 +17,9 @@ exactly what a fresh per-repeat backend drew before).
 
 from __future__ import annotations
 
-import json
-import platform
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,61 +29,9 @@ from repro.core.emulator import EmulationResult
 from repro.core.samples import Profile
 from repro.runtime import RunRequest, get_service
 from repro.sim.backend import SimBackend
-from repro.telemetry import get_registry
 
-#: Machine-readable benchmark results land here (one JSON per benchmark).
+#: Each figure's result table lands here as ``<figure>.txt``.
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def telemetry_stats() -> dict:
-    """Runtime telemetry accumulated while this benchmark process ran.
-
-    The metrics registry is always on, so by the time a benchmark calls
-    :func:`write_json_result` every request that went through the run
-    service has already been observed — per-request latency percentiles
-    and pool utilization come for free, no instrumentation in the
-    benchmark scripts themselves.
-    """
-    registry = get_registry()
-    stats: dict = {
-        "requests_ok": registry.counter("service.requests.ok"),
-        "requests_failed": registry.counter("service.requests.failed"),
-    }
-    latency = registry.histogram("service.request.seconds")
-    if latency is not None:
-        stats["request_latency_seconds"] = latency.to_dict()
-    utilization = registry.histogram("service.pool.utilization")
-    if utilization is not None:
-        stats["pool_utilization"] = utilization.to_dict()
-    store_put = registry.histogram("store.put.seconds")
-    if store_put is not None:
-        stats["store_put_seconds"] = store_put.to_dict()
-    return stats
-
-
-def write_json_result(name: str, payload: dict, out: str | Path | None = None) -> Path:
-    """Write one benchmark's results as machine-readable JSON.
-
-    Every benchmark that wants its numbers diffable across PRs calls
-    this with a stable ``name`` (e.g. ``"BENCH_e7_throughput"``) and a
-    plain-data payload; the file lands at
-    ``benchmarks/results/<name>.json`` (or ``out`` when given) with an
-    environment header plus the process's accumulated telemetry
-    (request p50/p99, pool utilization), so future runs can be compared
-    mechanically.
-    """
-    doc = {
-        "benchmark": name,
-        "created_unix": time.time(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "telemetry": telemetry_stats(),
-        "results": payload,
-    }
-    path = Path(out) if out is not None else RESULTS_DIR / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 #: Result tables registered by :func:`report`, in registration order.
@@ -108,8 +53,7 @@ def report(title: str, text: str) -> None:
 
 
 def print_reports(terminalreporter) -> None:
-    """Print the registered tables in pytest's terminal summary, once:
-    a second conftest calling it finds nothing left."""
+    """Print the registered tables in pytest's terminal summary."""
     if not REPORTS:
         return
     terminalreporter.write_line("")
@@ -121,7 +65,6 @@ def print_reports(terminalreporter) -> None:
         terminalreporter.write_line(f"== {title} ==")
         for line in text.splitlines():
             terminalreporter.write_line(line)
-    REPORTS.clear()
 
 
 #: Iteration sweep of E.1/E.2 (Fig 4-7).
@@ -138,18 +81,15 @@ def backend(machine: str, repeat: int = 0, noisy: bool = True) -> SimBackend:
     return SimBackend(machine, noisy=noisy, seed=repeat)
 
 
-def submit(requests: Iterable[RunRequest], processes: int | None = None) -> list:
+def submit(requests: Iterable[RunRequest]) -> list:
     """Run a batch of requests through the shared service; returns values.
 
-    The request-level entry point for benchmarks that sweep (sizes x
+    The request-level entry point for checks that sweep (sizes x
     repeats x machines): build all requests up front, submit once, and
     the service fans them over its persistent pool — or runs serially
     on one core — with bit-identical results either way.
     """
-    return [
-        result.value
-        for result in get_service().run(list(requests), processes=processes)
-    ]
+    return [result.value for result in get_service().run(list(requests))]
 
 
 def _duration(record) -> float:
@@ -211,11 +151,6 @@ def run_app(machine: str, iterations: int, repeat: int = 0, threads: int = 1,
     return tx
 
 
-def run_apps(machine: str, iterations: int, repeats: Sequence[int], **kwargs) -> list[float]:
-    """Native executions across repeat seeds, as one service batch."""
-    return submit([app_request(machine, iterations, r, **kwargs) for r in repeats])
-
-
 def profile_app(
     machine: str,
     iterations: int,
@@ -225,16 +160,6 @@ def profile_app(
     """Profile one Gromacs run."""
     [prof] = submit([profile_request(machine, iterations, rate, repeat)])
     return prof
-
-
-def profile_apps(
-    machine: str,
-    iterations: int,
-    repeats: Sequence[int],
-    rate: float = 1.0,
-) -> list[Profile]:
-    """Profiles across repeat seeds, as one service batch."""
-    return submit([profile_request(machine, iterations, rate, r) for r in repeats])
 
 
 def emulate_profile(

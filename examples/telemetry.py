@@ -7,7 +7,7 @@ events, the stores time every ``put``/``find``/``get``.  All of it is
 dark by default: until a sink is attached the event bus short-circuits
 and an instrumented hot path pays ~2 µs per span, so instrumentation
 stays on in production.  The metrics registry is the exception — always
-on, feeding latency percentiles into the benchmark harness.
+on; step 3 below reads its latency percentiles.
 
 This example walks the surface:
 

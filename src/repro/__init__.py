@@ -41,8 +41,8 @@ through the simulation engine to report predicted-vs-emulated error.
 The CLI mirrors both calls as ``repro predict`` and ``repro place``.
 
 See README.md for the architecture, plane by plane (*Performance*,
-*Traffic*, *Observability*, *Robustness*), and ``benchmarks/`` — the
-paper's experiments E.1–E.6, committed results under
+*Traffic*, *Observability*, *Robustness*), and ``tests/paper/`` — the
+paper's experiments E.1–E.6 as tier-1 checks, each table written under
 ``benchmarks/results/`` — for the paper-versus-measured record.
 """
 

@@ -371,7 +371,7 @@ class Profile:
     info: dict[str, Any] = field(default_factory=dict)
     #: True when a store dropped trailing samples (16 MB document limit).
     truncated: bool = False
-    created: float = field(default_factory=_time.time)
+    created: float = field(default_factory=lambda: _time.time())
 
     def __post_init__(self) -> None:
         self.command = normalize_command(self.command)

@@ -974,8 +974,7 @@ class RunService:
             ]
             sp.set(workers=workers)
 
-        # Telemetry-derived service metrics (always on; the benchmark
-        # harness folds these into its committed results): per-request
+        # Telemetry-derived service metrics (always on): per-request
         # latency and — for pooled batches — pool utilization, i.e. the
         # fraction of worker*wall capacity spent inside requests.
         busy = 0.0

@@ -40,8 +40,8 @@ becomes a :class:`~repro.core.samples.Profile`.
 
 :class:`ReferenceScan` is not a default but the correctness reference:
 it answers the same queries by loading and testing every profile
-through :meth:`ProfileStore._iter_profiles`.  The store test suite and
-``benchmarks/bench_e9_store.py`` pin the indexed answers to it.
+through :meth:`ProfileStore._iter_profiles`.  The store test suite
+pins the indexed answers to it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ from any layer and any pool worker):
   ``activate_context`` carry the tree across the run service's worker
   pool so pooled per-request spans stitch under their submitting span;
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — always-on
-  counters/gauges/histograms feeding the benchmark harness and the
-  campaign progress surface;
+  counters/gauges/histograms feeding the campaign progress surface;
 * sinks (:mod:`repro.telemetry.sinks`): stderr log lines (text or
   JSONL), JSONL files, in-memory buffers for tests, and a Chrome-trace
   collector that reuses :mod:`repro.export.trace`'s event format.

@@ -3,9 +3,9 @@
 Unlike the event bus — which is dark until a sink is attached — the
 metrics registry is always on: a counter bump or histogram observation
 is a couple of dict operations, cheap enough for the store and service
-hot paths, and the accumulated aggregates are what the benchmark
-harness folds into its committed ``BENCH_*.json`` results (per-request
-p50/p99 latency, pool utilization) without any sink plumbing.
+hot paths, and the accumulated aggregates (per-request p50/p99 latency,
+pool utilization) are readable through :meth:`MetricsRegistry.snapshot`
+without any sink plumbing.
 
 Histograms keep exact ``count``/``sum``/``min``/``max`` plus a bounded
 reservoir of the most recent observations for percentile estimates —

@@ -1,8 +1,7 @@
 """Minimal fixed-width ASCII table renderer.
 
-The CLI, the examples and every benchmark print result rows; a single
-renderer keeps the output format uniform (and diff-able in
-``bench_output.txt``).
+The CLI and the examples print result rows; a single renderer keeps
+the output format uniform and diff-able.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -417,3 +419,10 @@ class TestNormalisationOnInit:
     def test_tags_normalised(self):
         profile = Profile(command="x", tags={"k": 1})
         assert profile.tags == ("k=1",)
+
+    def test_created_reads_the_clock_at_construction(self):
+        """The default looks ``time.time`` up per profile: a factory bound
+        when the class was made ignored a patched clock (1.79e9 under a
+        patch returning 123.0)."""
+        with mock.patch("time.time", return_value=123.0):
+            assert Profile(command="x").created == 123.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,3 +311,28 @@ class TestAutoscale:
         assert d["requests"] == 2_000
         assert 0 < d["latency"]["p50"] <= d["latency"]["p99"]
         assert "thinkie" in report.table()
+
+
+def _feed_peak(requests: int) -> int:
+    """Traced peak bytes of feeding ``requests`` Poisson arrivals through
+    a two-machine fleet in 2 048-request chunks."""
+    sim = TrafficSim("poisson:rate=2000", ["thinkie", "comet"])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sim.feed(requests, chunk=2_048)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_traffic_peak_does_not_grow_with_the_requests():
+    """A fleet keeps its histograms and ledger totals, not its requests,
+    so four times the requests peak at about one chunk's memory: 1.06 MB
+    on 8 192 and 1.18 MB on 32 768 (1.1×).  A fleet that kept every
+    latency record (``keep_records=True``) read 1.49 MB and 2.93 MB
+    (2.0×)."""
+    _feed_peak(2_048)  # warm-up: first-use allocations are not the fleet
+    small = _feed_peak(8_192)
+    large = _feed_peak(32_768)
+    assert large < 1.5 * small, (small, large)
