@@ -363,7 +363,6 @@ class CampaignCell:
             reduce=_engine_summary,
             key=self.digest,
             policy=self.spec.policy,
-            metadata={"command": app.command()},
         )
 
     def artifact(self, value: Any):

@@ -359,16 +359,6 @@ def _as_config(config: Any) -> SynapseConfig:
     )
 
 
-def _sim_backend(request: RunRequest, machine: Any):
-    """Fresh sim backend reproducing the request's spawn-slot identity."""
-    return SimBackend(
-        machine,
-        noisy=request.noisy,
-        seed=request.seed,
-        spawn_offset=request.index - 1,
-    )
-
-
 def _noise_model(row: NoiseRow, spec: Any, workload: Any):
     """The noise model of one row: the spawn-slot derivation of
     :func:`repro.sim.backend._noise_for`, which ``noise_seed`` overrides
@@ -498,9 +488,9 @@ def _execute_profile(
         # Every row on the clock of a backend of its own: at zero.
         block = Profiler(SimBackend(record.machine), config=config)
     if profile is None and not (block is not None and block.watches_rows):
-        # The backend spawns the already replayed history: the run is
-        # this request's spawn slot either way.
-        profile = Profiler(_sim_backend(request, record.machine), config=config).run(
+        # The backend spawns the already replayed history, which drew
+        # this request's spawn-slot noise: the backend draws none.
+        profile = Profiler(SimBackend(record.machine), config=config).run(
             record, tags=request.tags, command=request.command
         )
         return _reduced(request, profile)
@@ -534,7 +524,7 @@ def _execute_emulate(
     to prepare compiles and lays out the plan, each pair binds that
     layout to its machine and replays its seeds as blocks.  The record
     reaches the result through the emulator's ``replay(plan, record)``,
-    which spawns it on a backend in the request's spawn slot.
+    which spawns it, noise already drawn, on a backend of its own.
     """
     config = (
         plans.config(request.config) if plans is not None
@@ -545,5 +535,5 @@ def _execute_emulate(
         else Emulation(target, _emulation_plan(target, config), config)
     )
     record = _replayed(request, emulation, machine, plans)[0]
-    emulator = Emulator(backend=_sim_backend(request, record.machine), config=config)
+    emulator = Emulator(backend=SimBackend(record.machine), config=config)
     return _reduced(request, emulator.replay(emulation.plan, record))

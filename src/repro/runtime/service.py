@@ -44,12 +44,11 @@ import os
 import random
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import (
     PoisonRequestError,
-    flag,
     is_retryable,
     mapping,
     number,
@@ -127,22 +126,18 @@ class RunPolicy:
         the whole policy budget is spent), checked post-attempt for
         in-parent ones.  ``None`` disables the budget.
     backoff:
-        Base sleep between attempts: attempt *k* (1-based) allows up to
-        ``backoff * k`` seconds before the next attempt.
-    jitter:
-        With jitter (the default) the actual sleep is drawn uniformly
-        from ``[0, backoff * k)`` — *full jitter*, so many workers
-        retrying the same contended resource desynchronise instead of
-        thundering-herding in lockstep.  The draw is seeded from the
-        request's own identity (key, seed, index, attempt), never from
-        global RNG state, so determinism goldens stay pinned.
-        ``jitter=False`` restores the fixed linear schedule.
+        Base sleep between attempts: after attempt *k* (1-based) the
+        sleep is drawn uniformly from ``[0, backoff * k)`` — *full
+        jitter*, so many workers retrying the same contended resource
+        desynchronise instead of thundering-herding in lockstep.  The
+        draw is seeded from the request's own identity (key, seed,
+        index, attempt), never from global RNG state, so determinism
+        goldens stay pinned.
     """
 
     retries: int = 0
     timeout: float | None = None
     backoff: float = 0.0
-    jitter: bool = True
 
     def __post_init__(self) -> None:
         retries = whole_number("run policy retries", self.retries, 0)
@@ -151,7 +146,6 @@ class RunPolicy:
         if self.timeout is not None:
             number("run policy timeout", self.timeout, above=0)
         number("run policy backoff", self.backoff, 0)
-        flag("run policy jitter", self.jitter)
 
     @property
     def attempts(self) -> int:
@@ -221,8 +215,6 @@ class RunRequest:
         re-ship payloads.  Determinism is preserved: each attempt draws
         the same request-derived noise stream, so a retried success is
         bit-identical to a first-attempt one.
-    metadata:
-        Free-form extras; not interpreted by the service.
     """
 
     kind: str
@@ -238,7 +230,6 @@ class RunRequest:
     reduce: Callable[[Any], Any] | None = None
     key: str | None = None
     policy: RunPolicy | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -470,16 +461,14 @@ def _attempt_request(
 def _backoff_sleep(policy: RunPolicy, request: RunRequest, attempt: int) -> float:
     """The sleep before the attempt after ``attempt`` (full jitter).
 
-    With ``policy.jitter`` the sleep is uniform in ``[0, backoff*k)``,
-    drawn from an RNG seeded by the request's own identity — no global
-    RNG state is read or advanced, so campaign results stay
-    bit-reproducible and pool workers never correlate their draws.
+    The sleep is uniform in ``[0, backoff*k)``, drawn from an RNG seeded
+    by the request's own identity — no global RNG state is read or
+    advanced, so campaign results stay bit-reproducible and pool workers
+    never correlate their draws.
     """
     ceiling = policy.backoff * attempt
     if ceiling <= 0:
         return 0.0
-    if not policy.jitter:
-        return ceiling
     rng = random.Random(
         f"{request.key}|{request.seed}|{request.index}|{attempt}"
     )

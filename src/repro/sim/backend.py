@@ -89,9 +89,8 @@ class SimBackend(ExecutionBackend):
         experiment repeats draw independent noise.
     spawn_offset:
         Number of spawn slots to skip: the first spawn draws the noise
-        of slot ``spawn_offset + 1``.  The run service uses this to
-        rebuild, inside a worker, a backend whose next spawn is
-        bit-identical to slot *k* of a sequential run.
+        of slot ``spawn_offset + 1``, so a fresh backend's next spawn
+        is bit-identical to slot *k* of a sequential run.
     """
 
     name = "sim"

@@ -1232,24 +1232,6 @@ class Engine:
 
         return EngineStream(self, name=name, base_rss=base_rss, metadata=metadata)
 
-    def run_stream(
-        self,
-        arrivals: Iterable[SimWorkload | PackedWorkload],
-        name: str = "stream",
-        base_rss: int = 2 << 20,
-        metadata: dict[str, Any] | None = None,
-    ):
-        """Execute an arrival stream of demand batches incrementally.
-
-        A generator of per-batch :class:`ExecutionRecord` deltas (times
-        are absolute, counter values cumulative across batches), so a
-        million-demand run holds only one batch in memory at a time.
-        Batches are complete phase groups: each starts at a barrier.
-        """
-        stream = self.open_stream(name=name, base_rss=base_rss, metadata=metadata)
-        for batch in arrivals:
-            yield stream.feed(batch)
-
     # -- batched noise ----------------------------------------------------------
 
     @staticmethod

@@ -109,10 +109,6 @@ class Collection:
         self.version += 1
         return doc_id
 
-    def insert_many(self, documents) -> list[int]:
-        """Insert several documents; returns their ids."""
-        return [self.insert_one(doc) for doc in documents]
-
     def delete_many(self, query: Mapping[str, Any] | None = None) -> int:
         """Delete matching documents; returns the number removed."""
         match = compile_query(query)
@@ -123,53 +119,12 @@ class Collection:
             self.version += 1
         return len(doomed)
 
-    def replace_one(self, query: Mapping[str, Any], document: Mapping[str, Any]) -> bool:
-        """Replace the first matching document; returns True if replaced."""
-        match = compile_query(query)
-        for doc_id, doc in self._docs.items():
-            if match(doc):
-                new_doc = dict(document)
-                new_doc["_id"] = doc_id
-                size = document_bytes(new_doc)
-                if size > self.limit_bytes:
-                    raise DocumentTooLargeError(
-                        f"replacement document of {size} bytes exceeds the limit"
-                    )
-                self._docs[doc_id] = new_doc
-                self.version += 1
-                return True
-        return False
-
     # -- reads ------------------------------------------------------------------
 
     def find(self, query: Mapping[str, Any] | None = None) -> list[dict[str, Any]]:
         """All documents matching the Mongo-style query (insertion order)."""
         match = compile_query(query)
         return [dict(doc) for doc in self._docs.values() if match(doc)]
-
-    def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
-        """First matching document or ``None``."""
-        match = compile_query(query)
-        for doc in self._docs.values():
-            if match(doc):
-                return dict(doc)
-        return None
-
-    def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
-        """Number of matching documents."""
-        match = compile_query(query)
-        return sum(1 for doc in self._docs.values() if match(doc))
-
-    def distinct(self, path: str) -> list[Any]:
-        """Distinct values of a (dotted) field across all documents."""
-        from repro.storage.query import get_path, _MISSING  # noqa: PLC0415
-
-        seen: list[Any] = []
-        for doc in self._docs.values():
-            value = get_path(doc, path)
-            if value is not _MISSING and value not in seen:
-                seen.append(value)
-        return seen
 
     # -- persistence ---------------------------------------------------------------
 
@@ -219,14 +174,6 @@ class MongoLite:
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
-
-    def collection_names(self) -> list[str]:
-        """Names of all existing collections."""
-        return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> None:
-        """Remove a collection entirely (no-op when absent)."""
-        self._collections.pop(name, None)
 
     def dump(self) -> None:
         """Persist the database to ``self.path`` (no-op when in-memory)."""

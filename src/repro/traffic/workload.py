@@ -210,11 +210,6 @@ def _pattern(vector: DemandVector) -> List[int]:
     return kinds
 
 
-_EMPTY_IDX = np.zeros(0, dtype=np.intp)
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_F64 = np.zeros(0, dtype=np.float64)
-
-
 def batch_for_class(
     cls: RequestClass, sizes: np.ndarray, name: str = "traffic"
 ) -> PackedWorkload:

@@ -65,7 +65,7 @@ SURFACES: dict[str, dict[str, Any]] = {
         "name": "probe", "kind": "profile", "apps": ["sleeper:sleep_seconds=1"],
         "machines": ["thinkie"], "seeds": [0], "repeats": 1, "noisy": True,
         "config": {"sample_rate": 2.0}, "tags": {"experiment": "probe"},
-        "policy": {"retries": 1, "backoff": 0.0, "jitter": True},
+        "policy": {"retries": 1, "timeout": 60.0, "backoff": 0.0},
     },
     "config": {
         "sample_rate": 2.0, "watchers": ["system", "cpu", "rusage"],
@@ -76,7 +76,7 @@ SURFACES: dict[str, dict[str, Any]] = {
         "mpi_processes": 1, "cpu_load": 0.0, "mem_load": 0, "disk_load": 0.0,
         "efficiency_target": 0.8, "extra": {"note": "probe"},
     },
-    "policy": {"retries": 1, "backoff": 0.0, "jitter": True},
+    "policy": {"retries": 1, "timeout": 60.0, "backoff": 0.0},
     "faults": {
         "seed": 3, "name": "probe",
         "rules": [{"point": "worker.execute", "mode": "delay", "delay": 0.0,
@@ -299,6 +299,7 @@ def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
     except ConfigError as exc:
         assert key in str(exc), (key, str(exc))
         return
+    assert kind != "bool", f"{key}: a bool loaded as a number"
     use(surface, built)
 
 

@@ -310,39 +310,6 @@ class TestScopeShapes:
         assert report.complete and report.executed == 32
         assert ledger_digest(store, spec.name) == reference
 
-    def test_sweep_interrupted_mid_pair_and_resumed(self, reference):
-        spec = CampaignSpec.from_dict(self.SPEC)
-        store = MemoryStore()
-        stops = iter([False, False, True])
-        with RunService(processes=1) as svc:
-            # 5 of the first pair's 8 cells; then two waves of 3 into the
-            # next pair and a drain; then whatever is left.
-            assert run_campaign(spec, store, service=svc, limit=5).executed == 5
-            drained = run_campaign(
-                spec, store, service=svc, checkpoint=3, stop=lambda: next(stops)
-            )
-            assert drained.interrupted and drained.executed == 6
-            assert run_campaign(spec, store, service=svc).complete
-        assert store.count() == 32
-        assert ledger_digest(store, spec.name) == reference
-
-    def test_two_worker_union_equals_lone(self, reference):
-        """Two invocations that split the sweep mid-pair — elastic
-        workers, the way invocations share one — fill the same ledger."""
-        spec = CampaignSpec.from_dict(self.SPEC)
-        store = MemoryStore()
-        with RunService(processes=1) as svc:
-            reports = [
-                elastic_worker(
-                    spec, store, worker=worker, service=svc, batch=3, limit=limit
-                )
-                for worker, limit in (("a", 13), ("b", None))
-            ]
-        assert [report.executed for report in reports] == [13, 19]
-        assert store.count() == 32
-        assert store.markers(spec.name) == []
-        assert ledger_digest(store, spec.name) == reference
-
 
 class TestSeedGoldens:
     """Pin the digest scheme and per-cell noise-seed derivation: a

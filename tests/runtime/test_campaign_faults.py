@@ -17,7 +17,6 @@ import pytest
 from repro.core.samples import Profile
 from repro.runtime import (
     CampaignSpec,
-    RunService,
     completed_cells,
     ledger_digest,
     run_campaign,
@@ -25,7 +24,6 @@ from repro.runtime import (
 from repro.storage import FileStore
 from repro.storage.base import MemoryStore
 
-from tests.runtime.conftest import DyingService
 from tests.runtime.conftest import ledger_dict as _ledger_dict
 
 SPEC = {
@@ -106,23 +104,6 @@ class TestCorruptLedgerEntries:
         assert _ledger_dict(store, spec.name) == expected
 
 
-class TestShardCrashRecovery:
-    def test_shard_killed_mid_wave_resumes(self, reference):
-        """An invocation killed mid-wave loses that wave only, and a
-        re-run completes exactly the rest."""
-        spec, expected = reference
-        store = MemoryStore()
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(spec, store, service=DyingService(1), checkpoint=2)
-        survived = len(completed_cells(store, spec.name))
-        assert survived == 2  # exactly the checkpointed first wave
-        resumed = run_campaign(spec, store)
-        assert resumed.skipped == survived
-        assert resumed.executed == spec.n_cells - survived
-        assert resumed.complete
-        assert _ledger_dict(store, spec.name) == expected
-
-
 class TestParentStores:
     """Stores written before the claim protocol was deleted may hold its
     leftover marker documents (command ``synapse:campaign-claim``, tags
@@ -179,32 +160,6 @@ class TestChaosConvergence:
         with injected_faults(plan):
             report = run_campaign(spec, faulted)
         assert report.complete
-        assert ledger_digest(faulted, spec.name) == reference_digest
-
-    def test_injected_worker_crash_converges(self, reference, tmp_path):
-        """A worker crash mid-campaign (fuse-limited to exactly one):
-        the supervisor restarts the pool, the wave completes, and the
-        ledger digest still matches the fault-free run."""
-        from repro.faults import FaultPlan, injected_faults
-        from repro.runtime import ledger_digest
-
-        spec, _ = reference
-        clean = MemoryStore()
-        assert run_campaign(spec, clean).complete
-        reference_digest = ledger_digest(clean, spec.name)
-
-        plan = FaultPlan.from_dict({"rules": [
-            {"point": "worker.execute", "mode": "crash",
-             "fuse": str(tmp_path / "campaign-crash.fuse")},
-        ]})
-        faulted = MemoryStore()
-        with injected_faults(plan):
-            # A fresh service whose pool forks after plan activation.
-            with RunService(processes=2) as service:
-                report = run_campaign(spec, faulted, service=service)
-        assert report.complete
-        assert (tmp_path / "campaign-crash.fuse").exists()
-        assert service.stats["pool_crashes"] >= 1
         assert ledger_digest(faulted, spec.name) == reference_digest
 
     def test_ledger_digest_ignores_run_identity_only(self, reference):

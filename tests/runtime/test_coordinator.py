@@ -447,16 +447,6 @@ class TestLeaseMarkers:
 
 
 class TestElasticWorkerSingle:
-    def test_converges_to_reference_ledger(self, tmp_path, reference):
-        spec, expected = reference
-        store = FileStore(tmp_path / "s")
-        report = elastic_worker(
-            spec, store, worker="solo", lease_ttl=5.0, service=serial()
-        )
-        assert report.complete and report.executed == spec.n_cells
-        assert _ledger_dict(store, spec.name) == expected
-        assert marker_count(store, spec.name) == 0
-
     def test_resume_skips_ledger_cells(self, tmp_path, reference):
         spec, _ = reference
         store = FileStore(tmp_path / "s")
@@ -623,81 +613,45 @@ class TestPlanScopes:
 
 
 class TestTakeover:
-    def age(self, ttl: float) -> float:
-        """Stale against ``ttl`` but fresher than the GC horizon."""
-        return ttl * 2.5
+    """A dead worker's lease, 2.5 s old against a 1 s TTL: stale, but
+    inside the garbage horizon, on a clock only the test moves."""
 
     def test_steals_dead_workers_lease(self, tmp_path, sink, reference):
         spec, expected = reference
-        store = FileStore(tmp_path / "s")
+        store, clock = FileStore(tmp_path / "s"), VirtualClock()
         cell = spec.cells()[0]
-        now = time.time()
-        put_member(store, spec.name, "dead", now - self.age(1.0))
-        put_lease(store, spec.name, cell.digest, "dead", 1, now - self.age(1.0))
+        put_member(store, spec.name, "dead", clock() - 2.5)
+        put_lease(store, spec.name, cell.digest, "dead", 1, clock() - 2.5)
         before = get_registry().counter("coordinator.steals")
-        report = elastic_worker(
-            spec, store, worker="thief", lease_ttl=1.0, service=serial()
-        )
-        assert report.complete
-        steals = [
-            event for event in sink.named("campaign.member.steal")
-            if event.attrs["cell"] == cell.digest
-        ]
-        assert steals and steals[0].attrs["from_owner"] == "dead"
-        assert steals[0].attrs["epoch"] == 2  # victim's epoch + 1
-        after = get_registry().counter("coordinator.steals")
-        assert after >= before + 1
+        assert drive(spec, store, clock, "thief", ttl=1.0).complete
+        [steal] = sink.named("campaign.member.steal")
+        assert steal.attrs["cell"] == cell.digest
+        assert steal.attrs["from_owner"] == "dead"
+        assert steal.attrs["epoch"] == 2  # the victim's epoch + 1
+        assert steal.attrs["lease_age"] == 2.5
+        assert get_registry().counter("coordinator.steals") == before + 1
         assert _ledger_dict(store, spec.name) == expected
-        # The thief deregistered cleanly; the dead worker's markers are
-        # stale but still inside the several-TTL GC horizon, so only
-        # they may linger.
+        # The thief left cleanly; only the dead worker's markers may
+        # linger until the garbage horizon.
         owners = {
             marker.fields.get("member", marker.fields.get("owner"))
             for marker in store.markers(spec.name)
         }
         assert owners <= {"dead"}
 
-    def test_defers_to_live_rival_then_takes_over(
-        self, tmp_path, sink, reference
-    ):
-        """A fresh foreign lease defers the cell; once its owner stops
-        renewing (a hang), the survivor takes it over and converges."""
+    def test_failed_steal_write_defers_then_retries(self, tmp_path, sink, reference):
         spec, expected = reference
-        store = FileStore(tmp_path / "s")
+        store, clock = FileStore(tmp_path / "s"), VirtualClock()
         cell = spec.cells()[0]
-        now = time.time()
-        put_member(store, spec.name, "hung", now)
-        put_lease(store, spec.name, cell.digest, "hung", 1, now)
-        report = elastic_worker(
-            spec, store, worker="survivor", lease_ttl=0.4, service=serial()
-        )
-        assert report.complete
-        # The fresh lease forced a wait (the cell was not free), and the
-        # takeover happened only after the rival's lease went stale.
-        steals = [
-            event for event in sink.named("campaign.member.steal")
-            if event.attrs["cell"] == cell.digest
-        ]
-        assert steals and steals[0].attrs["from_owner"] == "hung"
-        assert steals[0].attrs["lease_age"] >= 0.4
-        assert _ledger_dict(store, spec.name) == expected
-
-    def test_failed_steal_write_defers_then_retries(self, tmp_path, reference):
-        spec, expected = reference
-        store = FileStore(tmp_path / "s")
-        cell = spec.cells()[0]
-        put_lease(
-            store, spec.name, cell.digest, "dead", 3,
-            time.time() - self.age(1.0),
-        )
+        put_lease(store, spec.name, cell.digest, "dead", 3, clock() - 2.5)
         plan = FaultPlan.from_dict({
             "rules": [{"point": "coordinator.steal", "mode": "error", "at": 1}],
         })
         with injected_faults(plan):
-            report = elastic_worker(
-                spec, store, worker="w", lease_ttl=1.0, service=serial()
-            )
-        assert report.complete and report.deferred >= 1
+            report = drive(spec, store, clock, "w", ttl=1.0)
+        assert report.complete and report.deferred == 1
+        # The rescan steals it after all, at the victim's epoch + 1.
+        assert [event.attrs["epoch"] for event in sink.named("campaign.member.steal")] == [4]
         assert _ledger_dict(store, spec.name) == expected
 
     def test_resurrected_duplicate_artifact_is_harmless(
@@ -715,129 +669,6 @@ class TestTakeover:
         store.put(artifact)  # the resurrected worker's late write
         assert _ledger_dict(store, spec.name) == expected
         assert len(completed_cells(store, spec.name)) == spec.n_cells
-
-
-class TestThreadFleet:
-    """Worker threads, each with its own FileStore handle on one root —
-    the same sharing model as separate processes/hosts, minus the spawn
-    overhead, so races are actually exercised."""
-
-    def run_fleet(self, root, spec, workers, ttl=2.0, batch=2, staggered=False):
-        """``staggered``: each worker joins once the one before it has
-        persisted a wave (or left) — a fleet of late joiners."""
-        reports = [None] * workers
-        errors = []
-        ready = [threading.Event() for _ in range(workers)]
-
-        def work(index: int) -> None:
-            try:
-                if staggered and index:
-                    assert ready[index - 1].wait(timeout=120)
-                reports[index] = elastic_worker(
-                    spec, FileStore(root), worker=f"t{index}",
-                    lease_ttl=ttl, batch=batch, service=serial(),
-                    progress=lambda summary: ready[index].set(),
-                )
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-            finally:
-                ready[index].set()
-
-        threads = [
-            threading.Thread(target=work, args=(index,))
-            for index in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not errors, errors
-        assert all(report is not None for report in reports)
-        return reports
-
-    def test_three_workers_converge_bit_identically(self, tmp_path, reference):
-        """The determinism golden: an elastic 3-worker race produces the
-        same ledger as the fault-free unsharded reference."""
-        spec, expected = reference
-        root = tmp_path / "s"
-        reports = self.run_fleet(root, spec, workers=3)
-        # At-least-once execution (an acquisition race can briefly
-        # double-run a cell), exactly-once ledger: every cell ran, and
-        # any duplicates are bit-identical entries deduped by digest.
-        assert sum(report.executed for report in reports) >= spec.n_cells
-        store = FileStore(root)
-        assert _ledger_dict(store, spec.name) == expected
-        assert marker_count(store, spec.name) == 0
-
-    def test_late_joiner_attaches_and_helps(self, tmp_path, reference):
-        spec, expected = reference
-        root = tmp_path / "s"
-        self.run_fleet(root, spec, workers=3, staggered=True)
-        store = FileStore(root)
-        assert _ledger_dict(store, spec.name) == expected
-
-    def test_dropped_heartbeats_trigger_steal_and_still_converge(
-        self, tmp_path, sink, reference
-    ):
-        """The resurrection race end to end, two threads on one virtual
-        clock under a seeded FaultPlan: the victim t0 leases every cell
-        in one wave and pauses before executing it; its heartbeats are
-        dropped, so once the clock passes the TTL it looks dead and the
-        thief t1 steals the whole wave.  Only then does t0 execute: both
-        run every cell, t0's late artifacts are bit-identical duplicates
-        and the ledger matches the reference."""
-        spec, expected = reference
-        root = tmp_path / "s"
-        clock, ttl = VirtualClock(), 0.3
-        acquired, stolen = threading.Event(), threading.Event()
-        plan = FaultPlan.from_dict({
-            "seed": 11,
-            "rules": [{"point": "coordinator.heartbeat", "mode": "error",
-                       "match_key": "t0"}],
-        })
-        reports = {}
-
-        def victim() -> None:
-            def pause(steps) -> None:
-                if steps.phase == "execute" and not acquired.is_set():
-                    steps.heartbeat.beat()  # dropped: the member ages
-                    acquired.set()
-                    assert stolen.wait(timeout=120)
-
-            reports["t0"] = drive(
-                spec, FileStore(root), clock, "t0", ttl, spec.n_cells,
-                after_step=pause,
-            )
-
-        def thief() -> None:
-            assert acquired.wait(timeout=120)
-            clock.advance(ttl * 1.5)
-            reports["t1"] = drive(
-                spec, FileStore(root), clock, "t1", ttl, spec.n_cells,
-                after_step=lambda steps: steps.phase == "execute" and stolen.set(),
-            )
-
-        with injected_faults(plan):
-            threads = [threading.Thread(target=victim),
-                       threading.Thread(target=thief)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        assert set(reports) == {"t0", "t1"}
-        steals = [
-            event for event in sink.named("campaign.member.steal")
-            if event.attrs["member"] == "t1"
-            and event.attrs["from_owner"] == "t0"
-        ]
-        assert len(steals) == spec.n_cells
-        assert {event.attrs["epoch"] for event in steals} == {2}
-        # Both workers executed every cell; the ledger dedupes the
-        # duplicates and equals the fault-free reference.
-        assert [reports[w].executed for w in ("t0", "t1")] == [spec.n_cells] * 2
-        store = FileStore(root)
-        assert _ledger_dict(store, spec.name) == expected
-        assert marker_count(store, spec.name) == 0
 
 
 class TestMarkerBudget:

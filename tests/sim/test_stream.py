@@ -110,21 +110,6 @@ def test_stream_accepts_packed_batches():
     assert_stream_matches_full(records, full, machine)
 
 
-def test_run_stream_generator():
-    machine = get_machine("thinkie")
-    workload = random_workload(np.random.default_rng(6), machine)
-    batches = split_phases(workload, 2)
-    engine = Engine(machine, NoiseModel.silent())
-    records = list(
-        engine.run_stream(batches, name=workload.name, base_rss=workload.base_rss)
-    )
-    assert len(records) == len(batches)
-    for index, record in enumerate(records):
-        assert record.metadata["stream_batch"] == index
-    full = Engine(machine, NoiseModel.silent()).run(workload)
-    assert records[-1].duration == full.duration
-
-
 @pytest.mark.parametrize("noisy", [False, True], ids=["silent", "noisy"])
 def test_checkpoint_restore_is_bit_identical(noisy):
     machine = get_machine("stampede")
