@@ -38,8 +38,9 @@ def normalize_tags(tags: object) -> tuple[str, ...]:
         items = [str(tag) for tag in tags]
     else:
         raise TypeError(f"unsupported tag specification: {type(tags).__name__}")
-    cleaned = sorted({item.strip() for item in items if str(item).strip()})
-    return tuple(cleaned)
+    cleaned = {item.strip() for item in items}
+    cleaned.discard("")
+    return tuple(sorted(cleaned))
 
 
 def normalize_command(command: object) -> str:

@@ -4,9 +4,9 @@ kind actually runs.
 These functions are the worker-side half of the run service.  They are
 deliberately *declarative-in, deterministic-out*: a request plus its
 (unpacked) target and machine fully determine the result, including the
-noise stream — ``seed_from(machine, workload, seed, index)`` is exactly
-the per-spawn-slot derivation :meth:`repro.sim.backend.SimBackend.spawn`
-uses, so service execution is bit-identical to the sequential paths it
+noise stream, drawn through the per-spawn-slot derivation
+:meth:`repro.sim.backend.SimBackend.spawn` uses (``_noise_for_many``),
+so service execution is bit-identical to the sequential paths it
 replaced, regardless of worker count or chunking.
 
 The executors call down into the profiler, the emulator and the sim
@@ -29,15 +29,15 @@ from repro.core.samples import Profile
 from repro.core.tags import normalize_command, normalize_tags
 from repro.faults import inject
 from repro.runtime.service import RunRequest
-from repro.sim.backend import SimBackend, _noise_for, _resolve_target
+from repro.sim.backend import SimBackend, _noise_for_many, _resolve_target
 from repro.sim.engine import Engine, Layout, block_rows
 from repro.sim.machines import resolve_machine
-from repro.sim.noise import NoiseModel
 from repro.sim.process import SimProcess
 from repro.telemetry.spans import span
 
 __all__ = [
-    "Emulation", "PlanGroup", "PlanScope", "dispatch", "noise_row", "plan_scope",
+    "Block", "Emulation", "PlanGroup", "PlanScope", "blocks", "dispatch", "noise_row",
+    "plan_scope",
 ]
 
 #: What determines a record given the plan: ``(noisy, seed, index,
@@ -48,8 +48,9 @@ NoiseRow = tuple[bool, int, int, int | None]
 
 def noise_row(request: RunRequest) -> NoiseRow:
     """The noise identity of an ``engine``/``profile`` request
-    (``noise_seed`` only overrides the derivation of ``engine`` ones,
-    see :func:`_noise_model`)."""
+    (``noise_seed`` only overrides the derivation of ``engine`` ones: a
+    profile is a spawn on a rebuilt backend, and has always drawn its
+    slot's noise; see :func:`repro.sim.backend._noise_for_many`)."""
     return (
         request.noisy, request.seed, request.index,
         request.noise_seed if request.kind == "engine" else None,
@@ -216,9 +217,11 @@ class PlanScope:
                 except Exception:  # noqa: BLE001 - the request's own failure
                     continue
                 self._keep(target)
-            pairs.setdefault(
-                (id(target), id(request.machine)), (target, request.machine, [])
-            )[2].append(noise_row(request))
+            key = (id(target), id(request.machine))
+            if key not in self.groups:  # a live pair keeps its rows
+                pairs.setdefault(key, (target, request.machine, []))[2].append(
+                    noise_row(request)
+                )
         for target, machine, rows in pairs.values():
             self.declare(target, machine, rows)
         return self
@@ -265,7 +268,7 @@ class PlanScope:
         if not isinstance(config, Mapping):
             return _as_config(config)
         try:
-            key = frozenset((k, type(v), v) for k, v in config.items())
+            key = _config_key(config)
             resolved = self._configs.get(key)
         except TypeError:
             return _as_config(config)
@@ -316,30 +319,178 @@ def plan_scope() -> Iterator[PlanScope]:
         plans.close()
 
 
+def blocks(
+    rows: Iterable[tuple[RunRequest, Any, Any]],
+) -> Iterator[tuple[list[RunRequest], Any, Any]]:
+    """``(request, target, machine)`` rows cut into the runs of
+    consecutive rows that one :class:`Block` attempts: one target and
+    machine (by identity), kind, ``reduce``, policy with no timeout (a
+    budget is its request's own) and config as the scope resolves it."""
+    run: list[RunRequest] = []
+    for request, target, machine in rows:
+        policy, config = request.policy, request.config
+        try:
+            config = _config_key(config) if isinstance(config, Mapping) else id(config)
+        except TypeError:  # resolved per request
+            config = object()
+        key = (id(target), id(machine), request.kind, request.reduce, policy, config)
+        if run and key == run_key and (policy is None or policy.timeout is None):
+            run.append(request)
+            continue
+        if run:
+            yield run, run_target, run_machine
+        run, run_key, run_target, run_machine = [request], key, target, machine
+    if run:
+        yield run, run_target, run_machine
+
+
+def _config_key(config: Mapping) -> frozenset:
+    """A config mapping as the scope resolves it: by the types and
+    values of its items (``TypeError`` for an unhashable value)."""
+    return frozenset((k, type(v), v) for k, v in config.items())
+
+
+class Block:
+    """Requests attempted as one block (a run of :func:`blocks`).
+
+    The first request's first attempt past its fault point fetches the
+    block (:meth:`_fetch`): one config resolution and group lookup, its
+    record (replayed and profiled with the pair's next declared rows,
+    one ``replay_many`` and one ``run_many``, when none waits), then the
+    record and profile waiting for each request after it, up to the
+    first with none: the block's :attr:`size`.  A :meth:`row` does what
+    differs per request.  A fetch that fails leaves the first request
+    alone; an attempt that fails after its row took its part retries as
+    a block of one.
+    """
+
+    __slots__ = ("requests", "target", "machine", "plans", "parts", "config", "emulation")
+
+    def __init__(
+        self, requests: list[RunRequest], target: Any, machine: Any,
+        plans: PlanScope | None = None,
+    ) -> None:
+        self.requests, self.target, self.machine, self.plans = requests, target, machine, plans
+        #: Per request, ``(record, profile, stamp)`` until its row takes it.
+        self.parts: list[Any] | None = None
+        self.config = self.emulation = None
+
+    @property
+    def size(self) -> int:
+        return 1 if self.parts is None else len(self.parts)
+
+    def row(self, i: int) -> Any:
+        """One attempt of request ``i``: its value."""
+        request = self.requests[i]
+        # Chaos plane: fires in whichever process executes the request —
+        # a pool worker for pooled requests (so ``crash`` rules emulate
+        # real worker death), the parent otherwise.
+        inject("worker.execute", key=request.key)
+        block = self
+        if self.parts is None:
+            self.parts = self._fetch()
+        elif self.parts[i] is None:  # an earlier attempt took it: retry alone
+            block = Block([request], self.target, self.machine, self.plans)
+            block.parts, i = block._fetch(), 0
+        part, block.parts[i] = block.parts[i], None
+        return block._finish(request, *part)
+
+    def _fetch(self) -> list[Any]:
+        lead, plans, target = self.requests[0], self.plans, self.target
+        if lead.kind != "engine":
+            self.config = (
+                plans.config(lead.config) if plans is not None
+                else _as_config(lead.config)
+            )
+        if lead.kind == "emulate":
+            target = self.emulation = (
+                plans.emulation(target, self.config) if plans is not None
+                else Emulation(target, _emulation_plan(target, self.config), self.config)
+            )
+        group = plans.group(target, self.machine) if plans is not None else None
+        if group is None:
+            group = PlanGroup(target, self.machine)  # shares nothing
+        record, profile = group.take(noise_row(lead))
+        declared, stamp = record is not None, True
+        if record is None:
+            record, left, declared = _replayed(group, noise_row(lead))
+            if left and lead.kind == "profile":
+                profile = self._profile(group, record, left)
+                stamp = profile is None
+        parts = [(record, profile, stamp)]
+        for request in self.requests[1:]:
+            record, profile = group.take(noise_row(request))
+            if record is None:
+                break
+            parts.append((record, profile, True))
+        if group.config is not self.config:  # profiled under another config
+            parts = [(record, None, True) for record, _, _ in parts]
+        if (declared or len(parts) > 1) and plans is not None \
+                and not (group.pending or group.records):
+            plans.drop(group)  # its last declared row was taken
+        return parts
+
+    def _profile(self, group: PlanGroup, record: Any, left: list) -> Any:
+        """The first profile of one ``run_many`` over a replayed block,
+        the others left waiting beside their records (``None`` when the
+        watchers cannot watch rows)."""
+        profiler = Profiler(SimBackend(record.machine), config=self.config)
+        if not profiler.watches_rows:
+            return None
+        lead = self.requests[0]
+        with span("profile.run", backend="sim") as sp:
+            profile, *others = profiler.run_many([record, *(each for _, each in left)])
+            sp.set(
+                command=profile.command if lead.command is None
+                else normalize_command(lead.command),
+                samples=profile.n_samples, exit_code=profile.exit_code,
+            )
+        group.config = self.config
+        for (row, _), other in zip(left, others):
+            group.profiles.setdefault(row, []).append(other)
+        return profile
+
+    def _finish(self, request: RunRequest, record: Any, profile: Any, stamp: bool) -> Any:
+        if request.kind == "engine":
+            # A record returned as it is leaves folded: an unfolded one
+            # holds the plan and the noise of its replay block.
+            outcome = _reduced(request, record)
+            if outcome is record:
+                record.block  # noqa: B018 (read for the fold)
+            return outcome
+        if request.kind == "emulate":
+            # Spawned, noise already drawn, on a backend of its own.
+            emulator = Emulator(backend=SimBackend(record.machine), config=self.config)
+            return _reduced(request, emulator.replay(self.emulation.plan, record))
+        if profile is None:
+            # The backend spawns the replayed history, which drew this
+            # request's spawn-slot noise: the backend draws none.
+            profile = Profiler(SimBackend(record.machine), config=self.config).run(
+                record, tags=request.tags, command=request.command
+            )
+            return _reduced(request, profile)
+        if stamp:  # this request's process, started now
+            profile.stamp(SimProcess.next_pid())
+        profile.tags = normalize_tags(request.tags)
+        if request.command is not None:
+            profile.command = normalize_command(request.command)
+        return _reduced(request, profile)
+
+
 def dispatch(
     request: RunRequest, target: Any, machine: Any,
     plans: PlanScope | None = None,
 ) -> Any:
-    """Execute one request; ``target``/``machine`` are passed separately
-    because pooled requests ship them in their chunk's tables.
+    """Execute one request, a :class:`Block` of one; ``target`` and
+    ``machine`` are passed separately because pooled requests ship them
+    in their chunk's tables.
 
-    ``plans`` is the scope the request executes in (see
-    :func:`_replayed`): the run service passes it so that requests
-    sharing (target, machine) prepare once and replay their seeds in
-    blocks.  Without it the request prepares and replays for itself
-    alone.
+    ``plans`` is the scope the request executes in: the run service
+    passes it so that requests sharing (target, machine) prepare once
+    and replay their seeds in blocks.  Without it the request prepares
+    and replays for itself alone.
     """
-    # Chaos plane: fires in whichever process executes the request — a
-    # pool worker for pooled requests (so ``crash`` rules emulate real
-    # worker death), the parent otherwise.
-    inject("worker.execute", key=request.key)
-    if request.kind == "engine":
-        return _execute_engine(request, target, machine, plans)
-    if request.kind == "profile":
-        return _execute_profile(request, target, machine, plans)
-    if request.kind == "emulate":
-        return _execute_emulate(request, target, machine, plans)
-    raise WorkloadError(f"cannot execute run kind {request.kind!r}")
+    return Block([request], target, machine, plans).row(0)
 
 
 def _reduced(request: RunRequest, outcome: Any) -> Any:
@@ -359,181 +510,45 @@ def _as_config(config: Any) -> SynapseConfig:
     )
 
 
-def _noise_model(row: NoiseRow, spec: Any, workload: Any):
-    """The noise model of one row: the spawn-slot derivation of
-    :func:`repro.sim.backend._noise_for`, which ``noise_seed`` overrides
-    for ``engine`` requests (a profile is a spawn on a rebuilt backend,
-    and has always drawn its slot's noise)."""
-    noisy, seed, index, noise_seed = row
-    if noisy and noise_seed is not None:
-        return NoiseModel(
-            seed=noise_seed,
-            duration_sigma=spec.noise_sigma,
-            counter_sigma=spec.noise_sigma / 3.0,
-        )
-    return _noise_for(spec, workload, noisy, seed, index)
-
-
 def _replayed(
-    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None
-) -> tuple[Any, Any, PlanGroup, list[tuple[NoiseRow, Any]]]:
-    """The request's ``ExecutionRecord``; with it the profile that
-    waited beside it (or ``None``), the pair's group, and the rows and
-    records this call replayed and left waiting in the group.
+    group: PlanGroup, row: NoiseRow
+) -> tuple[Any, list[tuple[NoiseRow, Any]], bool]:
+    """Replay a block from ``row`` on: its record, the rows and records
+    it left waiting in ``group``, and whether ``row`` was declared.
 
-    A request whose record is waiting in its pair's group takes it.
-    Otherwise it replays one block itself: the first of a pair to get
-    here resolves the machine, builds the workload (for an emulation,
-    the layout all its machines share) and prepares the plan, and every
-    one replays the next
-    :func:`~repro.sim.engine.block_rows` declared rows from its own on
-    (:meth:`PlanGroup.claim`) with
-    :meth:`~repro.sim.engine.Engine.replay_many`, keeps its own record
-    and leaves the others waiting.  A request whose row is not pending —
-    its pair was never declared, or it took its record and is being
-    retried — replays alone.  A new block replaces what the one before
-    left (rows nobody came for, and their profiles), so under a block
-    of records wait per pair, and the pair is dropped from the scope
-    with its plan when its last declared row is taken.
-
-    All of it runs inside the request's attempt: a failure is that
-    request's failure, is retried under its policy, and stores nothing.
-    A failed *build* leaves the group as it was, so the next attempt
-    builds again.  A failed *block* is not tried twice: the pair's
-    pending rows are forgotten, so the next attempt and every other
-    request of the pair replay alone (sharing the plan the first of
-    them prepares), and one request's trouble cannot fail the others.
+    The first of a pair to get here builds the workload (for an
+    emulation, the layout all its machines share) and prepares the plan;
+    every one replays the next :func:`~repro.sim.engine.block_rows`
+    declared rows from its own on (:meth:`PlanGroup.claim`), or its row
+    alone when it is not pending (never declared, or a retry).  A new
+    block replaces what the one before left, so under a block of records
+    wait per pair.  A failed build leaves the group as it was; a failed
+    block forgets the pair's pending rows, so the rest of the pair
+    replay alone (sharing the plan) and one request's trouble cannot
+    fail the others.
     """
-    group = plans.group(target, machine) if plans is not None else None
-    if group is None:
-        group = PlanGroup(target, machine)  # shares nothing
-    row = noise_row(request)
-    record, profile = group.take(row)
-    declared = record is not None
+    plan = group.plan
+    engine = Engine(resolve_machine(group.machine) if plan is None else plan.machine)
+    spec = engine.machine
+    if plan is None:
+        target = group.target
+        plan = engine.prepare(
+            target.layout(spec) if isinstance(target, Emulation)
+            else _resolve_target(target, spec)
+        )
+    rows = group.claim(row, block_rows(plan))
+    declared = bool(rows)
+    rows = rows or [row]
+    try:
+        record, *others = engine.replay_many(plan, _noise_for_many(spec, plan, rows))
+    except Exception:
+        group.pending = []
+        raise
+    group.plan = plan
     left: list[tuple[NoiseRow, Any]] = []
-    if record is None:
-        plan = group.plan
-        engine = Engine(resolve_machine(machine) if plan is None else plan.machine)
-        spec = engine.machine
-        if plan is None:
-            plan = engine.prepare(
-                target.layout(spec) if isinstance(target, Emulation)
-                else _resolve_target(target, spec)
-            )
-        rows = group.claim(row, block_rows(plan))
-        declared = bool(rows)
-        rows = rows or [row]
-        try:
-            record, *others = engine.replay_many(
-                plan, [_noise_model(each, spec, plan) for each in rows]
-            )
-        except Exception:
-            group.pending = []
-            raise
-        group.plan = plan
-        if declared:
-            group.records, group.profiles = {}, {}
-            left = list(zip(rows[1:], others))
-            for each, other in left:
-                group.records.setdefault(each, []).append(other)
-    if declared and plans is not None and not (group.pending or group.records):
-        plans.drop(group)  # its last declared row was taken
-    return record, profile, group, left
-
-
-def _execute_engine(
-    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
-) -> Any:
-    """Raw engine execution; yields an ``ExecutionRecord`` (or its
-    ``reduce``-tion), noise-seeded exactly like ``SimBackend.spawn``.
-
-    A ``reduce`` that reads only ``duration`` / ``phase_bounds`` /
-    ``io_events`` / ``metadata`` never pays for the counter and level
-    folds.  A record returned as it is — no ``reduce``, or one that hands
-    it back — leaves folded: an unfolded one holds the plan and the noise
-    of its replay block, and those go with the batch."""
-    record = _replayed(request, target, machine, plans)[0]
-    outcome = _reduced(request, record)
-    if outcome is record:
-        record.block  # noqa: B018 (read for the fold)
-    return outcome
-
-
-def _execute_profile(
-    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
-) -> Any:
-    """A full profiling run; yields a ``Profile`` (or its reduction).
-
-    On the sim plane the request that replays a block also profiles it
-    — its own record and the ones it leaves waiting, in one
-    :meth:`~repro.core.profiler.Profiler.run_many` under its config —
-    and leaves the profiles waiting beside the records.  A request
-    whose record waits with a profile taken under the config it asks
-    for takes both, and the profile is its own from there on: its tags
-    and command go on it, and the time and the pid of the process it
-    would have started now.  Anything else — another config, a retry,
-    watchers that cannot watch rows — profiles its record alone, and a
-    block pass that fails is the failure of the request that made it:
-    the records stay, the rest of the pair profile alone.
-    """
-    config = (
-        plans.config(request.config) if plans is not None
-        else _as_config(request.config)
-    )
-    record, profile, group, left = _replayed(request, target, machine, plans)
-    if profile is not None and group.config is not config:
-        profile = None  # taken under another config
-    block = None
-    if profile is None and left:
-        # Every row on the clock of a backend of its own: at zero.
-        block = Profiler(SimBackend(record.machine), config=config)
-    if profile is None and not (block is not None and block.watches_rows):
-        # The backend spawns the already replayed history, which drew
-        # this request's spawn-slot noise: the backend draws none.
-        profile = Profiler(SimBackend(record.machine), config=config).run(
-            record, tags=request.tags, command=request.command
-        )
-        return _reduced(request, profile)
-    with span("profile.run", backend="sim") as sp:
-        if profile is None:
-            profile, *others = block.run_many([record, *(each for _, each in left)])
-            group.config = config
-            for (row, _), other in zip(left, others):
-                group.profiles.setdefault(row, []).append(other)
-        else:
-            profile.stamp(SimProcess.next_pid())
-        profile.tags = normalize_tags(request.tags)
-        if request.command is not None:
-            profile.command = normalize_command(request.command)
-        sp.set(
-            command=profile.command, samples=profile.n_samples,
-            exit_code=profile.exit_code,
-        )
-    return _reduced(request, profile)
-
-
-def _execute_emulate(
-    request: RunRequest, target: Any, machine: Any, plans: PlanScope | None = None
-) -> Any:
-    """Replay a profile or plan; yields an ``EmulationResult`` (or its
-    reduction).
-
-    The request's :class:`Emulation` — the scope's, or one of its own —
-    is the target of its pair, so the pair replays through
-    :func:`_replayed` like any other: the first of the emulation's pairs
-    to prepare compiles and lays out the plan, each pair binds that
-    layout to its machine and replays its seeds as blocks.  The record
-    reaches the result through the emulator's ``replay(plan, record)``,
-    which spawns it, noise already drawn, on a backend of its own.
-    """
-    config = (
-        plans.config(request.config) if plans is not None
-        else _as_config(request.config)
-    )
-    emulation = (
-        plans.emulation(target, config) if plans is not None
-        else Emulation(target, _emulation_plan(target, config), config)
-    )
-    record = _replayed(request, emulation, machine, plans)[0]
-    emulator = Emulator(backend=SimBackend(record.machine), config=config)
-    return _reduced(request, emulator.replay(emulation.plan, record))
+    if declared:
+        group.records, group.profiles = {}, {}
+        left = list(zip(rows[1:], others))
+        for each, other in left:
+            group.records.setdefault(each, []).append(other)
+    return record, left, declared

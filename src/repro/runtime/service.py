@@ -7,10 +7,14 @@ stack: the profiler, the emulator and the sim backend below it never
 call it.  Batches fan out over the service's **persistent** process
 pool — the pool survives across batches, so repeated batches and
 campaign waves pay worker startup once per service instead of once per
-batch.  A batch that resolves to one worker runs in the parent.  There
-is one way to run a request in the parent (:func:`_attempt_request` on
-the request's own target and machine) and one in a pool worker (the
-same call, on the chunk's unpickled tables: :func:`_run_chunk`).
+batch.  A batch that resolves to one worker runs in the parent.  The
+unit of execution is the **block** (:class:`~repro.runtime.execute.Block`):
+consecutive requests of one kind, target, machine, config and
+``reduce`` with no timeout — a campaign wave of one pair — whose first
+attempt does once what they share, while each request keeps its own
+attempts, ``run.request`` span and outcome.  :func:`_attempt_blocks` is
+the one way to run requests, in the parent and (on a chunk's unpickled
+tables, :func:`_run_chunk`) in a pool worker.
 
 Determinism: each request carries ``(seed, index)`` (or an explicit
 ``noise_seed``) from which its noise stream derives, so results are
@@ -342,7 +346,7 @@ def _worker_init() -> None:
 
 #: What running one request resolves to: ``(ok, seconds,
 #: value_or_exception, attempt, attempt_seconds)`` — see
-#: :func:`_attempt_request`.
+#: :func:`_attempt`.
 Outcome = tuple[bool, float, Any, int, float | None]
 
 
@@ -377,25 +381,38 @@ def _run_chunk(payload: bytes) -> tuple[list[Outcome], list[Any]]:
     if faults != active_plan():
         activate(faults) if faults is not None else deactivate()
     with activate_context(telemetry) as events:
-        outcomes: list[Outcome] = []
-        for request, target, machine in chunk:
-            try:
-                outcomes.append(_attempt_request(
-                    request, targets[target], machines[machine], plans
-                ))
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-                outcomes.append(_failed(request, exc))
+        rows = [(request, targets[t], machines[m]) for request, t, m in chunk]
+        outcomes = _attempt_blocks(rows, plans, contain=True)
         return outcomes, list(events) if events is not None else []
 
 
-def _attempt_request(
-    request: RunRequest, target: Any, machine: Any, plans: Any
-) -> Outcome:
-    """Execute one request under its policy.
+def _attempt_blocks(
+    rows: Sequence[tuple[RunRequest, Any, Any]], plans: Any, contain: bool = False
+) -> list[Outcome]:
+    """The outcomes of ``(request, target, machine)`` rows attempted in
+    order, block by block, in the plan scope ``plans``.  With ``contain``
+    an exception that escapes a request's retry loop fails that request,
+    not the rows after it (a pool worker's chunk)."""
+    from repro.runtime.execute import Block, blocks  # noqa: PLC0415 (cycle)
 
-    ``plans`` is the plan scope the request executes in;
-    :func:`~repro.runtime.execute.dispatch` fills and reads it inside
-    the attempt.
+    outcomes: list[Outcome] = []
+    for requests, target, machine in blocks(rows):
+        while requests:
+            block, i = Block(requests, target, machine, plans), 0
+            while i < block.size:  # the lead alone until it fetched
+                try:
+                    outcomes.append(_attempt(requests[i], block.row, i))
+                except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+                    if not contain:
+                        raise
+                    outcomes.append(_failed(requests[i], exc))
+                i += 1
+            requests = requests[block.size:]
+    return outcomes
+
+
+def _attempt(request: RunRequest, call: Callable[[int], Any], row: int) -> Outcome:
+    """Execute one request under its policy: ``call(row)`` per attempt.
 
     Returns ``(ok, seconds, value_or_exception, attempt, attempt_seconds)``
     where ``attempt`` is the 1-based attempt that produced the outcome,
@@ -412,8 +429,6 @@ def _attempt_request(
     attempt, retry/timeout outcome) — in the pool worker for pooled
     requests, whence it stitches under the submitting batch's span.
     """
-    from repro.runtime.execute import dispatch  # noqa: PLC0415 (cycle)
-
     policy = _policy(request)
     with span("run.request", kind=request.kind, key=request.key) as sp:
         start = time.perf_counter()
@@ -423,7 +438,7 @@ def _attempt_request(
         for attempt in range(1, policy.attempts + 1):
             attempt_start = time.perf_counter()
             try:
-                value = dispatch(request, target, machine, plans)
+                value = call(row)
                 attempt_elapsed = time.perf_counter() - attempt_start
                 if policy.timeout is not None and attempt_elapsed > policy.timeout:
                     raise RunTimeoutError(
@@ -504,9 +519,12 @@ def _failed(request: RunRequest, exc: BaseException, seconds: float = 0.0) -> Ou
     return False, seconds, exc, _policy(request).attempts, None
 
 
+_DEFAULT_POLICY = RunPolicy()
+
+
 def _policy(request: RunRequest) -> RunPolicy:
     """The policy ``request`` runs under (the default one when it has none)."""
-    return request.policy if request.policy is not None else RunPolicy()
+    return request.policy if request.policy is not None else _DEFAULT_POLICY
 
 
 def _result(request: RunRequest, outcome: Outcome, rethrow: bool) -> RunResult:
@@ -953,10 +971,9 @@ class RunService:
             # whose pool was unusable) runs here, in the active scope.
             left = [i for i, outcome in enumerate(outcomes) if outcome is None]
             plans.declare_requests([requests[i] for i in left])
-            for i in left:
-                outcomes[i] = _attempt_request(
-                    requests[i], requests[i].target, requests[i].machine, plans
-                )
+            rows = [(requests[i], requests[i].target, requests[i].machine) for i in left]
+            for i, outcome in zip(left, _attempt_blocks(rows, plans)):
+                outcomes[i] = outcome
             results = [
                 _result(request, outcome, rethrow)
                 for request, outcome in zip(requests, outcomes)

@@ -15,7 +15,7 @@ engine runs over a worker pool.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.core.backend import ExecutionBackend, ProcessHandle
 from repro.core.errors import WorkloadError
@@ -37,21 +37,35 @@ def _noise_for(
     seed: int,
     index: int,
 ) -> NoiseModel:
-    """The deterministic noise model of spawn number ``index``.
+    """The deterministic noise model of spawn number ``index``
+    (:func:`_noise_for_many` of one row)."""
+    return _noise_for_many(machine, workload, [(noisy, seed, index, None)])[0]
+
+
+def _noise_for_many(
+    machine: MachineSpec,
+    workload: SimWorkload | PackedWorkload | Prepared,
+    rows: Sequence[tuple[bool, int, int, int | None]],
+) -> list[NoiseModel]:
+    """The noise model of each ``(noisy, seed, index, noise_seed)`` row:
+    silent unless ``noisy``, else seeded from spawn slot ``index`` of
+    ``seed`` on ``machine`` — or ``noise_seed`` where that is not
+    ``None`` — with the machine's ``noise_sigma`` on durations and a
+    third of it on counters, checked once for all rows.
 
     This derivation is the noise contract of the whole sim plane: the
-    run service's engine executor
-    (:mod:`repro.runtime.execute`) reproduces it bit-exactly from a
-    request's ``(seed, index)``, which is what makes service execution
-    interchangeable with sequential spawning.
+    run service (:mod:`repro.runtime.execute`) draws a block's noise
+    through it from its requests' ``(seed, index)``, which is what makes
+    service execution interchangeable with sequential spawning.
     """
-    if not noisy:
-        return NoiseModel.silent()
-    return NoiseModel(
-        seed=seed_from(machine.name, workload.name, seed, index),
-        duration_sigma=machine.noise_sigma,
-        counter_sigma=machine.noise_sigma / 3.0,
-    )
+    seeds = [
+        seed_from(machine.name, workload.name, seed, index) if noise_seed is None
+        else noise_seed
+        for noisy, seed, index, noise_seed in rows if noisy
+    ]
+    sigma = machine.noise_sigma
+    models = iter(NoiseModel.many(seeds, sigma, sigma / 3.0) if seeds else ())
+    return [next(models) if row[0] else NoiseModel.silent() for row in rows]
 
 
 def _resolve_target(target: Any, machine: MachineSpec) -> SimWorkload | PackedWorkload:

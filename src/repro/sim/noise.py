@@ -12,6 +12,7 @@ indices give independent draws.
 from __future__ import annotations
 
 import zlib
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,13 @@ def seed_from(*parts: object) -> int:
     """Stable 32-bit seed derived from arbitrary identifying parts."""
     text = "\x1f".join(str(p) for p in parts)
     return zlib.crc32(text.encode("utf-8"))
+
+
+def _sigmas(duration_sigma: float, counter_sigma: float) -> tuple[float, float]:
+    return (
+        number("noise duration_sigma", duration_sigma, least=0),
+        number("noise counter_sigma", counter_sigma, least=0),
+    )
 
 
 class NoiseModel:
@@ -50,8 +58,22 @@ class NoiseModel:
         duration_sigma: float = 0.01,
         counter_sigma: float = 0.003,
     ) -> None:
-        self.duration_sigma = number("noise duration_sigma", duration_sigma, least=0)
-        self.counter_sigma = number("noise counter_sigma", counter_sigma, least=0)
+        self._made(seed, *_sigmas(duration_sigma, counter_sigma))
+
+    @classmethod
+    def many(
+        cls, seeds: Sequence[int], duration_sigma: float, counter_sigma: float
+    ) -> list["NoiseModel"]:
+        """``NoiseModel(seed, duration_sigma, counter_sigma)`` per seed,
+        the sigmas checked once for all of them."""
+        sigmas = _sigmas(duration_sigma, counter_sigma)
+        models = [object.__new__(cls) for _ in seeds]
+        for model, seed in zip(models, seeds):
+            model._made(seed, *sigmas)
+        return models
+
+    def _made(self, seed: int, duration_sigma: float, counter_sigma: float) -> None:
+        self.duration_sigma, self.counter_sigma = duration_sigma, counter_sigma
         self._seed = seed
         # A silent model never draws: it seeds its generator only if
         # somebody asks for its state.

@@ -28,7 +28,7 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Any, Iterator
 
@@ -60,11 +60,15 @@ def _new_span_id() -> str:
 class Span:
     """One open span; use :meth:`set` to attach attributes mid-flight."""
 
-    __slots__ = ("name", "span_id", "parent_id", "level", "attrs", "_t0", "_c0", "_ts")
+    __slots__ = (
+        "name", "span_id", "parent_id", "level", "attrs", "_t0", "_c0", "_ts", "_bus", "_token",
+    )
 
     def __init__(
-        self, name: str, level: str, parent_id: str | None, attrs: dict[str, Any]
+        self, name: str, level: str, parent_id: str | None, attrs: dict[str, Any],
+        bus: Any = None,
     ) -> None:
+        self._bus = bus
         self.name = name
         self.span_id = _new_span_id()
         self.parent_id = parent_id
@@ -77,6 +81,17 @@ class Span:
     def set(self, **attrs: Any) -> None:
         """Attach attributes to the span (recorded at span exit)."""
         self.attrs.update(attrs)
+
+    def __enter__(self) -> "Span":
+        self._token = _current_span.set(self.span_id)
+        return self
+
+    def __exit__(self, kind: Any, exc: BaseException | None, tb: Any) -> None:
+        if exc is not None:
+            self.attrs.setdefault("status", "error")
+            self.attrs.setdefault("error", repr(exc))
+        _current_span.reset(self._token)
+        self._bus.emit(self._finish())
 
     def _finish(self) -> Event:
         return Event(
@@ -106,11 +121,12 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+_DARK = nullcontext(_NULL_SPAN)
 
 
-@contextmanager
-def span(name: str, level: str = "debug", **attrs: Any) -> Iterator[Any]:
-    """Open a nested, timed span; emits one span event at exit.
+def span(name: str, level: str = "debug", **attrs: Any) -> Any:
+    """Open a nested, timed span (a ``with`` block); emits one span event
+    at exit.
 
     The span event records wall (``dur``) and CPU (``cpu``) seconds, the
     attributes given here plus any added via :meth:`Span.set`, and the
@@ -121,19 +137,8 @@ def span(name: str, level: str = "debug", **attrs: Any) -> Iterator[Any]:
     """
     bus = get_bus()
     if not bus.active:
-        yield _NULL_SPAN
-        return
-    sp = Span(name, level, _current_span.get(), dict(attrs))
-    token = _current_span.set(sp.span_id)
-    try:
-        yield sp
-    except BaseException as exc:
-        sp.attrs.setdefault("status", "error")
-        sp.attrs.setdefault("error", repr(exc))
-        raise
-    finally:
-        _current_span.reset(token)
-        bus.emit(sp._finish())
+        return _DARK
+    return Span(name, level, _current_span.get(), attrs, bus)
 
 
 def pack_context() -> dict[str, Any] | None:

@@ -1,4 +1,6 @@
-"""Shared helpers for the CLI tests."""
+"""Shared helpers for the CLI tests (a module of its own, not a
+``conftest``: test modules import it by a name no other directory
+uses, so any selection of test files collects)."""
 
 from __future__ import annotations
 

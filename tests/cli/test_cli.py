@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_cli
-
 from repro.cli.main import build_parser, main
+
+from tests.cli.cli_helpers import run_cli
 
 
 class TestParser:

@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from conftest import run_cli
-
 from repro.runtime import CampaignSpec
+
+from tests.cli.cli_helpers import run_cli
 
 
 def _spec_file(tmp_path, **overrides) -> str:

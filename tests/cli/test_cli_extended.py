@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from conftest import run_cli
+from tests.cli.cli_helpers import run_cli
+
 
 
 class TestProfileApp:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_cli
 
 import repro
 from repro.cli.main import build_parser, main
+
+from tests.cli.cli_helpers import run_cli
 
 
 @pytest.fixture

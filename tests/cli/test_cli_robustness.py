@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from conftest import run_cli
-
 from repro.faults import ENV_VAR, active_plan
+
+from tests.cli.cli_helpers import run_cli
 
 
 def _spec_file(tmp_path, **overrides) -> str:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from tests.cli.cli_helpers import run_cli
+
 
 
 class TestTrafficCommand:

@@ -8,7 +8,8 @@ the predictor's settings — and applies one mutation at one place in it:
 a value of the wrong type, a bool for a number, a fraction, NaN or
 ±inf, ``null``, an empty or duplicated list, or a misspelt key.  Then
 either building the input raises a :class:`ConfigError` that names the
-key, or a minimal use of it succeeds with finite results: a one-cell
+key — as it must for a bool loaded as a number and a fraction loaded as
+a count — or a minimal use of it succeeds with finite results: a one-cell
 ``run_campaign`` on a ``MemoryStore`` with no failed cell and a finite
 Tx and totals in every stored artifact (campaign, config, run policy,
 fault plan, app spec), or a 50-request ``TrafficSim`` whose report holds
@@ -109,6 +110,10 @@ SURFACES.update((name, options) for name, options in APPS.items() if options)
 #: Python's own ``TypeError`` (a campaign's ``config`` checks its keys).
 KEYWORD_SURFACES = ("config", "autoscale", "request_class", "predictor")
 ARRIVALS = ("poisson", "mmpp", "diurnal")
+
+#: Fields whose valid value is an int but that are not counts: a byte
+#: quantity rounds a fraction (:func:`repro.util.units.parse_bytes`).
+ROUNDED = {("config", "mem_load")}
 
 #: The wrong type for each kind of value: what a loose loader coerced.
 WRONG_TYPE = {str: 12, bool: "false", int: "7", float: "7", list: "x", dict: [["a", "b"]]}
@@ -300,7 +305,17 @@ def test_a_bad_field_fails_at_load_or_the_input_runs(mutation):
         assert key in str(exc), (key, str(exc))
         return
     assert kind != "bool", f"{key}: a bool loaded as a number"
+    # An int-valued field is a count: a fraction there must not load.
+    assert kind != "fraction" or (surface, path[-1]) in ROUNDED or type(
+        _value(surface, path)) is not int, f"{key}: a fraction loaded as a count"
     use(surface, built)
+
+
+def _value(surface: str, path: tuple) -> Any:
+    value = SURFACES[surface]
+    for step in path:
+        value = value[step]
+    return value
 
 
 @pytest.mark.parametrize("surface", sorted(SURFACES))

@@ -82,10 +82,9 @@ ROWS = (
     Row("steal-at-the-victims-epoch", "repro.runtime.coordinator:_Worker.deal",
         "(digest, state.epoch + 1, state)", "(digest, state.epoch, state)",
         DETERMINISM, "the late joiner did not terminate"),
-    Row("request-index-from-the-wave", "repro.runtime.campaign:_Sweep.run_wave",
-        "[cell.to_request() for cell in wave]",
-        "[RunRequest(**{**vars(cell.to_request()), 'index': place + 1})"
-        " for place, cell in enumerate(wave)]",
+    # A wave of one pair is one block: the index from its place there.
+    Row("request-index-from-the-wave", "repro.runtime.execute:blocks",
+        "run.append(request)", "run.append(RunRequest(**{**vars(request), 'index': len(run) + 1}))",
         DETERMINISM, "b4c735ab"),
     Row("release-leaves-the-lease-markers", "repro.runtime.coordinator:_Worker.release",
         "self._delete(self.heartbeat.release() + self.garbage)",
@@ -103,7 +102,7 @@ ROWS = (
         "self.in_flight.clear()", "pass", SUPERVISOR, "in_flight"),
     Row("a-second-requeue-record", "repro.runtime.service:_SupervisedRun._deadline",
         "self._requeue()", "self._record('requeued', 1, 'info', count=1)\n        self._requeue()",
-        SUPERVISOR, "('requeued', 2, 1, 2, 2.0)"),
+        SUPERVISOR, "('requeued', 1, 0, 1, 1.0)"),
     Row("probe-every-suspect", "repro.runtime.service:_SupervisedRun._plan",
         "[:1] or pending", " or pending", SUPERVISOR, "== [[0]]"),
     Row("a-deadline-kill-strikes-bystanders", "repro.runtime.service:_SupervisedRun._deadline",
@@ -120,12 +119,14 @@ ROWS = (
     Row("a-crash-quarantines-at-once", "repro.runtime.service:_SupervisedRun._crash",
         "if self.crashes[i] >= limit:", "if self.crashes[i] >= 1:",
         SUPERVISOR, "set(survivors) <= run.remaining"),
-    # The run service's batch-equals-direct property.
-    Row("request-noise-from-the-next-slot", "repro.runtime.execute:_noise_model",
-        "noisy, seed, index)", "noisy, seed, index + 1)",
+    # The run service's batch-equals-direct property, on the block path.
+    Row("request-noise-from-the-next-slot", "repro.runtime.execute:noise_row",
+        "request.index,", "request.index + 1,", BATCHES, "batch == singles == sequential"),
+    Row("a-profile-request-drops-its-config", "repro.runtime.execute:Block._fetch",
+        "plans.config(lead.config) if", "SynapseConfig() if",
         BATCHES, "batch == singles == sequential"),
-    Row("a-profile-request-drops-its-config", "repro.runtime.execute:_execute_profile",
-        "plans.config(request.config) if", "SynapseConfig() if",
+    Row("a-block-row-takes-the-leads-record", "repro.runtime.execute:Block._fetch",
+        "parts.append((record, profile, True))", "parts.append(parts[0])",
         BATCHES, "batch == singles == sequential"),
     # PR 39: the emulation layout, draw table and one-pass compile.
     Row("duration-rows-draw-every-slot", "repro.sim.engine:_draw_table",
@@ -172,6 +173,14 @@ ROWS = (
         SURFACES, "a bool loaded as a number"),
     Row("mapping-accepts-unknown-keys", "repro.core.errors:mapping",
         "if unknown:", "if False:", SURFACES, "unexpected keyword argument"),
+    Row("whole-number-accepts-fractions", "repro.core.errors:whole_number",
+        "value % 1 == 0", "value == value", SURFACES, "a fraction loaded as a count"),
+    # A campaign's store op retries a transient failure.
+    Row("store-op-never-retries", "repro.runtime.campaign:_store_op",
+        "if attempt >= STORE_ATTEMPTS or not is_retryable(exc):", "if True:",
+        "tests/runtime/test_campaign_faults.py::TestChaosConvergence"
+        "::test_a_failed_store_put_is_retried_once",
+        "injected fault at store.put"),
     # PR 44: every payload read re-verifies its record.
     Row("payload-read-skips-the-rehash", "repro.storage.filestore:FileStore._docs",
         "data, record.sum", "data, None",

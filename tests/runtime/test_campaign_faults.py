@@ -162,6 +162,27 @@ class TestChaosConvergence:
         assert report.complete
         assert ledger_digest(faulted, spec.name) == reference_digest
 
+    def test_a_failed_store_put_is_retried_once(self, reference):
+        """One ``store.put`` fault inside a campaign: the wave's store op
+        retries it, once, and the campaign completes to the reference."""
+        from repro.faults import FaultPlan, injected_faults
+        from repro.telemetry import MemorySink, get_bus
+
+        spec, expected = reference
+        plan = FaultPlan.from_dict({"rules": [
+            {"point": "store.put", "mode": "error", "at": 1},
+        ]})
+        store, sink = MemoryStore(), get_bus().add_sink(MemorySink())
+        try:
+            with injected_faults(plan):
+                report = run_campaign(spec, store)
+        finally:
+            get_bus().remove_sink(sink)
+        assert report.complete
+        [retry] = sink.named("campaign.store.retry")
+        assert (retry.attrs["op"], retry.attrs["attempt"]) == ("artifacts.put", 1)
+        assert _ledger_dict(store, spec.name) == expected
+
     def test_ledger_digest_ignores_run_identity_only(self, reference):
         """Two independent executions digest identically; a changed
         result would not."""

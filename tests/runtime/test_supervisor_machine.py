@@ -5,14 +5,16 @@ its steps (:meth:`~_SupervisedRun.settle`, then
 :meth:`~_SupervisedRun.fill`) on the service's three seams: a fake pool
 whose futures only the machine resolves, a wait that returns what is
 done, and a :class:`VirtualClock`.  It draws the worker count (2–3),
-the batch (1–8 tiny engine requests on two machines) and which requests
-carry a :class:`RunPolicy` timeout.  A rule completes an in-flight chunk
-(by running ``_run_chunk`` on its payload, in-process), loses a chunk's
-result (a generic error: fallback), breaks the pool (every in-flight
-chunk gets ``BrokenProcessPool``), poisons a request (every pool it is
-in flight in breaks), hangs a budgeted singleton, moves the clock,
-moves it to a budgeted singleton's deadline or just past it, or makes
-the next ``submit`` or pool start fail (fallback).
+the batch (1–8 tiny engine requests on two machines, drawn as runs of
+one machine and policy, so a chunk's run without a timeout is one block;
+a run may be one request, so any sequence can be drawn) and which
+requests carry a :class:`RunPolicy` timeout.  A rule completes an
+in-flight chunk (by running ``_run_chunk`` on its payload, in-process),
+loses a chunk's result (a generic error: fallback), breaks the pool
+(every in-flight chunk gets ``BrokenProcessPool``), poisons a request
+(every pool it is in flight in breaks), hangs a budgeted singleton,
+moves the clock, moves it to a budgeted singleton's deadline or just
+past it, or makes the next ``submit`` or pool start fail (fallback).
 
 Each step is *start, step, then state equal*: before it, the machine
 predicts from what it did what the supervisor must do; after it, it
@@ -210,10 +212,16 @@ class Supervision(RuleBasedStateMachine):
 
     @initialize(
         workers=st.integers(min_value=2, max_value=3),
+        # Runs of consecutive requests of one machine and policy (of any
+        # length, so every sequence of up to 8 is drawable): a pooled chunk
+        # runs those with no timeout as one block.
         batch=st.lists(
-            st.tuples(st.sampled_from(MACHINES), st.sampled_from(list(POLICIES))),
+            st.tuples(
+                st.sampled_from(MACHINES), st.sampled_from(list(POLICIES)),
+                st.integers(min_value=1, max_value=8),
+            ),
             min_size=1, max_size=8,
-        ),
+        ).map(lambda runs: [(m, policy) for m, policy, n in runs for _ in range(n)][:8]),
     )
     def start(self, workers: int, batch: list) -> None:
         self.clock = VirtualClock()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,8 +104,6 @@ class TestNoiseModel:
     def test_scatter_scale(self):
         noise = NoiseModel(seed=11, duration_sigma=0.01)
         values = [noise.duration(1.0) for _ in range(500)]
-        import numpy as np
-
         assert np.std(values) == pytest.approx(0.01, rel=0.35)
 
 
@@ -113,8 +112,6 @@ class TestBatchedDraws:
     like the equivalent sequence of scalar calls (zero slots skip)."""
 
     def test_durations_match_scalar_stream(self):
-        import numpy as np
-
         values = [1.0, 0.0, 2.5, 3.0, 0.0, 4.0]
         batch = NoiseModel(seed=9).durations(values)
         scalar = [NoiseModel(seed=9)]  # fresh model, same seed
@@ -122,16 +119,12 @@ class TestBatchedDraws:
         np.testing.assert_array_equal(batch, expected)
 
     def test_counters_match_scalar_stream(self):
-        import numpy as np
-
         values = [5.0, 0.0, 7.0]
         batch = NoiseModel(seed=4).counters(values)
         fresh = NoiseModel(seed=4)
         np.testing.assert_array_equal(batch, [fresh.counter(v) for v in values])
 
     def test_apply_interleaves_mixed_sigmas(self):
-        import numpy as np
-
         batched = NoiseModel(seed=2)
         scalar = NoiseModel(seed=2)
         values = np.array([1.0, 10.0, 0.0, 3.0])
@@ -149,8 +142,6 @@ class TestBatchedDraws:
         np.testing.assert_array_equal(out, expected)
 
     def test_silent_model_draws_nothing(self):
-        import numpy as np
-
         noise = NoiseModel.silent()
         assert noise.silent_model
         values = np.array([1.0, 2.0])
@@ -168,3 +159,23 @@ class TestSeedFrom:
 
     def test_returns_32bit(self):
         assert 0 <= seed_from("anything", 42) < 2**32
+
+
+class TestManyModels:
+    """A block's noise models are made together: each the model its seed
+    alone makes, the sigmas checked once."""
+
+    def test_a_block_of_models_draws_what_each_model_draws(self):
+        seeds = list(range(2**32 - 20, 2**32)) + [2**40, -0]
+        for seed, model in zip(seeds, NoiseModel.many(seeds, 0.02, 0.01)):
+            alone = NoiseModel(seed, 0.02, 0.01)
+            assert vars(model).keys() == vars(alone).keys()
+            assert model.normals(3).tolist() == alone.normals(3).tolist()
+
+    def test_a_silent_block_seeds_nothing(self):
+        (model,) = NoiseModel.many([5], 0.0, 0.0)
+        assert model.silent_model and model._generator is None
+
+    def test_a_block_checks_its_sigmas(self):
+        with pytest.raises(ConfigError, match="noise counter_sigma must be"):
+            NoiseModel.many([1, 2], 0.02, float("nan"))

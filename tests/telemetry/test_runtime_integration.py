@@ -85,6 +85,26 @@ class TestPoolSpanStitching:
         assert request.attrs["ok"] is True
         assert request.attrs["attempt"] == 1
 
+    def test_a_profile_block_span_sets_what_profiler_run_sets(self, sink):
+        """A block's one ``profile.run`` carries its first request's
+        command, samples and exit code, as a direct ``Profiler.run``'s."""
+        workload = _workload()
+        with RunService(processes=1) as service:
+            (first, *_) = service.run([
+                RunRequest(
+                    kind="profile", target=workload, machine="thinkie",
+                    index=index, command="tel   run",
+                )
+                for index in (1, 2, 3)
+            ])
+        (block,) = sink.spans("profile.run")
+        assert len(sink.spans("run.request")) == 3
+        profile = first.value
+        assert {k: block.attrs[k] for k in ("command", "samples", "exit_code")} == {
+            "command": "tel run", "samples": profile.n_samples,
+            "exit_code": profile.exit_code,
+        }
+
 
 class TestCampaignEvents:
     def test_wave_events_track_progress(self, sink):

@@ -2,7 +2,7 @@
 
 Every assertion runs against a *seeded* stream, so these tests are
 deterministic; tolerances come from ``assert_stat_close`` (see
-conftest), which scales them with sample size.
+``traffic_stats``), which scales them with sample size.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_stat_close
-
 from repro.core.errors import ConfigError
 from repro.traffic.arrivals import (
     DiurnalProcess,
@@ -24,6 +22,8 @@ from repro.traffic.arrivals import (
     make_process,
     restore_process,
 )
+
+from tests.traffic.traffic_stats import assert_stat_close
 
 
 class TestPoisson:

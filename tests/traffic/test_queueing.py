@@ -13,8 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_stat_close
-
 from repro.traffic.arrivals import PoissonProcess
 from repro.traffic.queueing import (
     BlockDigest,
@@ -25,6 +23,8 @@ from repro.traffic.queueing import (
 )
 from repro.traffic.sim import ClosedLoopSim, TrafficSim
 from repro.traffic.workload import default_mix, unit_seconds
+
+from tests.traffic.traffic_stats import assert_stat_close
 
 
 class TestFifoQueue:
