@@ -47,6 +47,7 @@ from repro.watchers.base import (
     WatcherBase,
     WatcherContext,
     WatcherResult,
+    per_row,
     row_of,
 )
 from repro.watchers.registry import get_watcher
@@ -218,7 +219,7 @@ class Profiler:
             self._finalized(watchers), policy
         )
         return self._profiles(
-            [handle], [exit_code], PerRow([statics]), info, [(samples, offset)],
+            handle, [exit_code], PerRow([statics]), info, [(samples, offset)],
             command, tags, policy, machine_info,
         )[0]
 
@@ -320,12 +321,12 @@ class Profiler:
                     policy,
                 )
                 profiles += self._profiles(
-                    [process], [exit_code], PerRow([row_statics]), row_info,
+                    process, [exit_code], PerRow([row_statics]), row_info,
                     [(samples, offset)], command, tags, policy, machine_info,
                 )
             return profiles
         return self._profiles(
-            block.processes, exit_codes, statics, watcher_info, merged, command,
+            block, exit_codes, statics, watcher_info, merged, command,
             tags, policy, machine_info,
         )
 
@@ -487,16 +488,21 @@ class Profiler:
         )
 
     def _profiles(
-        self, handles: Sequence[ProcessHandle], exit_codes: Sequence[int],
+        self, handle: Any, exit_codes: Sequence[int],
         statics: Any, watcher_info: dict[str, Any],
         merged: Sequence[tuple[SampleTable, float]], command: str | None,
         tags: object, policy: SamplingPolicy, machine_info: dict[str, Any],
     ) -> list[Profile]:
-        """One profile per handle, the rows of one :class:`ProfileBlock`:
-        ``statics`` and ``watcher_info`` as the block reads them per row,
-        ``merged`` each row's samples and first sample offset."""
+        """One profile per process of ``handle`` (a lone one or a block),
+        the rows of one :class:`ProfileBlock`: ``statics`` and
+        ``watcher_info`` as the block reads them per row, ``merged`` each
+        row's samples and first sample offset."""
         config = self.config
-        processes = [handle.info() or None for handle in handles]
+        processes = getattr(handle, "processes", None)
+        if processes is None:
+            lead, process = handle, PerRow([handle.info() or None])
+        else:
+            lead, process = processes[0], per_row(handle.info())
         block = ProfileBlock(
             {
                 "machine": dict(machine_info),
@@ -513,22 +519,18 @@ class Profiler:
                         "first_sample_offset": PerRow(offset for _, offset in merged),
                         "watchers": list(config.watchers),
                     }),
-                    "process": PerRow(processes),
+                    "process": process,
                 }),
             },
-            merged[0][0],
         )
-        command = None if command is None else normalize_command(command)
+        command = _target_command(lead) if command is None else normalize_command(command)
         held = {
             "tags": normalize_tags(tags), "sample_rate": config.sample_rate,
             "truncated": False, "created": time.time(),
         }
         return [
-            Profile._in_block(
-                block, row, samples=samples, **held,
-                command=_target_command(handle, process) if command is None else command,
-            )
-            for row, (handle, process, (samples, _)) in enumerate(zip(handles, processes, merged))
+            Profile._in_block(block, row, samples=samples, command=command, **held)
+            for row, (samples, _) in enumerate(merged)
         ]
 
 
@@ -539,15 +541,11 @@ class ProfileBlock:
     samples and ``created`` stamp, and builds its machine, config,
     statics and info on first access from ``documents`` — read per row
     as :func:`row_of` reads a block's statics — with containers of its
-    own.  ``documents`` also holds the sample column names (``"metrics"``,
-    ``"watchers"``) of row 0, which a store encodes once for the rows
-    that share them, as it does what the rows share of a document.
+    own.  A store encodes what the rows share of a document once.
     """
 
-    def __init__(self, documents: dict[str, Any], samples: SampleTable) -> None:
-        self.documents = {
-            **documents, "metrics": samples.metrics, "watchers": samples.watchers,
-        }
+    def __init__(self, documents: dict[str, Any]) -> None:
+        self.documents = documents
 
     def document(self, name: str, row: int) -> Any:
         """Row ``row``'s document ``name``, with containers of its own."""
@@ -581,9 +579,9 @@ def _watches_rows(cls: type[WatcherBase]) -> bool:
     return True
 
 
-def _target_command(handle: ProcessHandle, process: dict[str, Any] | None) -> str:
+def _target_command(handle: ProcessHandle) -> str:
     """Best-effort command string for handles that know their target."""
-    meta = (process or {}).get("metadata")
+    meta = (handle.info() or {}).get("metadata")
     if isinstance(meta, dict) and "command" in meta:
         return normalize_command(str(meta["command"]))
     record = getattr(handle, "record", None)

@@ -402,21 +402,12 @@ class Profile:
             getattr(self, name)
         return {key: value for key, value in self.__dict__.items() if key != "_row"}
 
-    def unread(self, name: str) -> tuple[Any, int] | None:
-        """``(block, row)`` while this row of a block holds document
-        ``name`` (or the samples' ``"metrics"`` / ``"watchers"``) only in
-        its block — unread and unreplaced — else ``None``."""
-        row = self.__dict__.get("_row")
-        if row is None or name in self.__dict__:
-            return None
-        if name in ("metrics", "watchers"):
-            return row if getattr(self.samples, name) is row[0].documents[name] else None
-        return row
-
     def _info(self, key: str) -> Any:
         """``info.get(key)`` (not copied) without building the info."""
-        row = self.unread("info")
-        return self.info.get(key) if row is None else row[0].peek("info", row[1], key)
+        row = self.__dict__.get("_row")
+        if row is None or "info" in self.__dict__:
+            return self.info.get(key)
+        return row[0].peek("info", row[1], key)
 
     @property
     def exit_code(self) -> int:
@@ -426,7 +417,11 @@ class Profile:
     def stamp(self, pid: int) -> None:
         """Make this the run of a process started now, as ``pid``."""
         self.created = _time.time()
-        self._info("process")["pid"] = pid
+        process = self._info("process")
+        if isinstance(process["pid"], list):  # its block's pid column
+            process["pid"][self._row[1]] = pid
+        else:
+            process["pid"] = pid
 
     # -- basic queries ------------------------------------------------------
 

@@ -337,14 +337,15 @@ class CampaignCell:
         return (self.spec.noisy, self.seed, self.rep + 1, None)
 
     def to_request(self) -> RunRequest:
-        """The declarative run request this cell executes as."""
+        """The declarative run request this cell executes as (a profile
+        request holds the spec's config mapping, which nothing writes to)."""
         app = self.spec.app_model(self.app)
         if self.spec.kind == "profile":
             return RunRequest(
                 kind="profile",
                 target=app,
                 machine=self.machine,
-                config=dict(self.spec.config),
+                config=self.spec.config,
                 noisy=self.spec.noisy,
                 seed=self.seed,
                 index=self.rep + 1,

@@ -327,13 +327,17 @@ def blocks(
     machine (by identity), kind, ``reduce``, policy with no timeout (a
     budget is its request's own) and config as the scope resolves it."""
     run: list[RunRequest] = []
+    seen = config_key = object()
     for request, target, machine in rows:
         policy, config = request.policy, request.config
-        try:
-            config = _config_key(config) if isinstance(config, Mapping) else id(config)
-        except TypeError:  # resolved per request
-            config = object()
-        key = (id(target), id(machine), request.kind, request.reduce, policy, config)
+        if config is not seen:  # a config shared by the rows is keyed once
+            seen = config
+            try:
+                config_key = _config_key(config) if isinstance(config, Mapping) else id(config)
+            except TypeError:  # resolved per request
+                config_key = None
+        key = (id(target), id(machine), request.kind, request.reduce, policy,
+               object() if config_key is None else config_key)
         if run and key == run_key and (policy is None or policy.timeout is None):
             run.append(request)
             continue

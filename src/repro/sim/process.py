@@ -164,5 +164,8 @@ class SimProcessBlock:
             "mem.peak": self._fold.total("mem.peak", self._run),
         }
 
-    def info(self) -> list[dict[str, Any]]:
-        return [process.info() for process in self.processes]
+    def info(self) -> dict[str, Any]:
+        """:meth:`SimProcess.info` of every process (they share all of it
+        but the pid), the pids one array."""
+        first = self.processes[0]
+        return {**first.info(), "pid": np.array([process.pid for process in self.processes])}

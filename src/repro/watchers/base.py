@@ -73,7 +73,7 @@ def per_row(values: Any, where: Any = True) -> Any:
     """
     if type(values) is dict:
         columns = [per_row(value) for value in values.values()]
-        if not columns or type(columns[0]) is not PerRow:
+        if all(type(column) is not PerRow for column in columns):
             return dict(values)
         return PerRowMap(zip(values, columns))
     if not isinstance(values, np.ndarray):

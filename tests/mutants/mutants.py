@@ -74,6 +74,10 @@ SURFACES = "tests/core/test_input_surfaces.py::test_a_bad_field_fails_at_load_or
 LEDGERS = "tests/runtime/test_ledger_digest.py::test_memory_ledgers_digest_as_the_oracle"
 FALLBACKS = "tests/runtime/test_ledger_digest.py::test_only_non_str_keys_fall_back"
 ENCODER = "tests/storage/test_record_encoder.py::test_a_block_row_is_encoded_as_its_whole_document"
+SEGMENTS = ("tests/storage/test_record_encoder.py"
+            "::test_a_segment_of_mixed_rows_is_written_as_their_whole_documents")
+STAMPED = ("tests/storage/test_record_encoder.py"
+           "::test_a_row_stamped_after_its_block_was_first_written_keeps_its_own_pid")
 TAKEOVER = "tests/runtime/test_coordinator.py::TestTakeover"
 SAME_DIGEST = "outcome(ledger_digest, store) == outcome(oracle_ledger_digest, store)"
 
@@ -197,8 +201,20 @@ ROWS = (
         "type(value) is int or type(value) is float", "type(value) in (int, float, bool, str)",
         ENCODER, "encoded == [_oracle(profile) for profile in profiles]"),
     Row("number-texts-in-reversed-row-order", "repro.storage.filestore:_pieces",
-        '.split(", ") if', '.split(", ")[::-1] if',
+        '.split(", ")', '.split(", ")[::-1]',
         ENCODER, "encoded == [_oracle(profile) for profile in profiles]"),
+    # PR 52: a record compiled once per block, rows filled into it.
+    Row("a-slot-filled-from-the-neighbouring-row", "repro.storage.filestore:_pieces",
+        "texts[row]", "texts[row - 1]",
+        ENCODER, "encoded == [_oracle(profile) for profile in profiles]"),
+    Row("a-pid-encoded-once-per-block", "repro.storage.filestore:_pieces",
+        'key != "pid" and all(', "all(", STAMPED, "== oracle_record(rows[1])"),
+    Row("a-read-row-filled-into-its-blocks-record", "repro.storage.filestore:_parts",
+        'block is not None and held.keys().isdisjoint(("machine", "config", "statics", "info"))',
+        "block is not None",
+        ENCODER, "encoded == [_oracle(profile) for profile in profiles]"),
+    Row("an-index-row-with-the-records-command-as-its-tags", "repro.storage.filestore:_write_segment",
+        '"tags": {parts[3]}', '"tags": {parts[1]}', SEGMENTS, "== want"),
     # PR 49: the flat-memory bounds.
     Row("stream-keeps-every-record", "repro.sim.stream:EngineStream.feed",
         "self.batches_done = index + 1",

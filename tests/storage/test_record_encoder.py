@@ -9,7 +9,10 @@ The property draws lone profiles and rows of drawn blocks, each row with
 a drawn set of its documents read (and some of those scribbled on)
 before the encode: values hold −0.0, NaN, ±inf, huge ints, non-ASCII
 text, keys that are not strings, shared and per-row ``None`` values
-(which a row drops), and sample tables that are empty or ragged.
+(which a row drops), and sample tables that are empty or ragged.  A
+second property writes segments of rows of two blocks and lone
+profiles in turn, some rows stamped with a pid between the writes and
+some with a document replaced, and checks every record and index line.
 
 Tier-1 runs a small derandomized set; the wide search runs with
 ``test_ledger_digest.py`` under its profile::
@@ -32,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core.profiler import ProfileBlock
 from repro.core.samples import Profile, SampleTable
-from repro.storage.filestore import _record
+from repro.storage.filestore import _FOOTER_LEN, _payload_sum, _record, _write_segment
 from repro.watchers.base import PerRow, PerRowMap
 
 from tests.runtime.conftest import LEDGER_DIGEST_PROFILE
@@ -110,11 +113,14 @@ documents = st.dictionaries(keys, values, max_size=4)
 
 
 @st.composite
-def tables(draw: Any) -> SampleTable:
-    """A sample table: possibly empty, possibly ragged, special floats."""
+def tables(draw: Any, names: Any = None) -> SampleTable:
+    """A sample table: possibly empty, possibly ragged, special floats;
+    its column names ``names`` (the lists a block's rows share) or drawn."""
     n = draw(st.integers(0, 3))
-    metrics = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
-    watchers = draw(st.lists(st.sampled_from(["cpu", "memory", "io"]), max_size=2, unique=True))
+    metrics, watchers = names or (
+        draw(st.lists(st.text(max_size=3), max_size=3, unique=True)),
+        draw(st.lists(st.sampled_from(["cpu", "memory", "io"]), max_size=2, unique=True)),
+    )
     cells = st.lists(floats, min_size=n, max_size=n)
 
     def grid(width: int) -> Any:
@@ -166,6 +172,16 @@ def templates(rows: int) -> Any:
     )
 
 
+def processes(rows: int) -> Any:
+    """A block's ``info["process"]``: the profiler's pid column beside
+    shared values, or a whole dict per row."""
+    pids = st.lists(st.integers(0, 2**40), min_size=rows, max_size=rows).map(PerRow)
+    return st.one_of(
+        st.builds(lambda pid, rest: PerRowMap({"pid": pid, **rest}), pids, documents),
+        pids.map(lambda pid: PerRow({"pid": each} for each in pid)),
+    )
+
+
 @st.composite
 def block_rows(draw: Any) -> list[Profile]:
     """The rows of a drawn block, with some of their documents read —
@@ -173,13 +189,18 @@ def block_rows(draw: Any) -> list[Profile]:
     rows = draw(st.integers(1, 3))
     mapping = st.dictionaries(keys, templates(rows), max_size=4).map(PerRowMap)
     whole = st.lists(documents, min_size=rows, max_size=rows).map(PerRow)
-    samples = [draw(tables()) for _ in range(rows)]
+    first = draw(tables())
+    # As the profiler's rows do, most rows share the first's column names.
+    shared = (first.metrics, first.watchers)
+    samples = [first, *(draw(tables(draw(st.sampled_from([shared, shared, None]))))
+                        for _ in range(rows - 1))]
+    info = draw(mapping)
+    info["process"] = draw(processes(rows))
     block = ProfileBlock(
         {
             "machine": draw(documents), "config": draw(documents),
-            "statics": draw(st.one_of(mapping, whole)), "info": draw(mapping),
+            "statics": draw(st.one_of(mapping, whole)), "info": info,
         },
-        samples[0],
     )
     profiles = [
         Profile._in_block(
@@ -195,6 +216,8 @@ def block_rows(draw: Any) -> list[Profile]:
             document = getattr(profile, name)
             if draw(st.booleans()):
                 document["scribbled"] = draw(values)
+            elif draw(st.booleans()):
+                setattr(profile, name, {**draw(documents), "process": {"pid": 1}})
     return profiles
 
 
@@ -228,3 +251,69 @@ def test_a_block_row_is_encoded_as_its_whole_document(profiles):
     # Each row before the oracle reads (and so builds) its documents.
     encoded = [_encoded(profile) for profile in profiles]
     assert encoded == [_oracle(profile) for profile in profiles]
+
+
+def _index_row(profile: Profile, data: bytes, offset: int) -> dict[str, Any]:
+    return {
+        "command": profile.command, "tags": profile.tags, "created": profile.created,
+        "sum": _payload_sum(data), "offset": offset, "length": len(data),
+    }
+
+
+@st.composite
+def waves(draw: Any) -> list[list[tuple[Profile, int | None]]]:
+    """Rows of two blocks and lone profiles in a drawn order, cut into
+    waves; each row with the pid it is stamped with just before its
+    wave is written (``None``: not stamped)."""
+    rows = [*draw(block_rows()), *draw(block_rows())]
+    for profile in draw(st.lists(lone_profiles(), max_size=2)):
+        profile.info["process"] = {"pid": 0}
+        rows.append(profile)
+    rows = draw(st.permutations(rows))
+    for profile in rows:  # a segment names its first row's stamp
+        profile.created = draw(st.floats(0.0, 4e9))
+    pids = st.one_of(st.none(), st.integers(0, 2**40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return [
+        [(profile, draw(pids)) for profile in rows[start:end]]
+        for start, end in zip([0, *cuts], [*cuts, len(rows)])
+    ]
+
+
+@property_settings(60)
+@given(segments=waves())
+def test_a_segment_of_mixed_rows_is_written_as_their_whole_documents(tmp_path_factory, segments):
+    root = tmp_path_factory.mktemp("segments")
+    for n, wave in enumerate(segments):
+        for profile, pid in wave:
+            if pid is not None:
+                profile.stamp(pid)
+        profiles = [profile for profile, _ in wave]
+        _write_segment(root, f"{n}.seg", profiles, False)
+        body = (root / f"{n}.seg").read_bytes()[:-_FOOTER_LEN]
+        want, offset, index = [], 0, []
+        for profile in profiles:
+            data = oracle_record(profile)
+            want.append(data)
+            index.append(_index_row(profile, data, offset))
+            offset += len(data) + 1
+        want.append(_dumps({"version": 3, "records": index}).encode("utf-8"))
+        assert body.split(b"\n")[:-1] == want
+
+
+def test_a_row_stamped_after_its_block_was_first_written_keeps_its_own_pid(tmp_path):
+    # The waves of a campaign: a block's first rows are written, then a
+    # later row is stamped with the pid of the request that took it.
+    table = SampleTable(["m"], ["cpu"], [0], [0.0], [0.5], [[1.0]], [[0.5]])
+    block = ProfileBlock(
+        {"machine": {}, "config": {}, "statics": {},
+         "info": PerRowMap({"process": PerRowMap({"pid": PerRow([7, 8]), "machine": "m"})})},
+    )
+    rows = [Profile._in_block(block, row, command="c", tags=(), sample_rate=1.0,
+                              samples=table, truncated=False, created=1.0) for row in (0, 1)]
+    _write_segment(tmp_path, "0.seg", rows[:1], False)
+    rows[1].stamp(9)
+    _write_segment(tmp_path, "1.seg", rows[1:], False)
+    record = (tmp_path / "1.seg").read_bytes().split(b"\n")[0]
+    assert record == oracle_record(rows[1])
+    assert json.loads(record)["info"]["process"] == {"pid": 9, "machine": "m"}
