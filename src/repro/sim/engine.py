@@ -89,6 +89,7 @@ same two steps, one row at a time with its carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import copysign
 from operator import is_
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -1391,8 +1392,8 @@ class Engine:
                 spans = (spans[0][:, cols], spans[1][:, cols])
             grid = _Grid(*spans, edges)
             # Counters on one grid fold as lanes of one array, as many
-            # at a time as the element budget allows.
-            lanes = max(1, _BLOCK_ELEMENTS // spans[0].size)
+            # at a time as keeps each temporary inside the fold budget.
+            lanes = max(1, _FOLD_ELEMENTS // (spans[0].size * 2 + 2 * rows))
             for first in range(0, len(names), lanes):
                 part = names[first : first + lanes]
                 values, ends = grid.accumulate(
@@ -1522,6 +1523,12 @@ _KIND_COUNTERS: dict[int, tuple[str, ...]] = {
 #: elements, ~1 MB each), so stacking seeds never scales memory with
 #: demand count: a plan with more slots than this replays row by row.
 _BLOCK_ELEMENTS = 1 << 17
+
+#: Most ``rows × lanes × points`` one call of :meth:`_Grid.accumulate`
+#: folds (one lane at least): each temporary stays within 64 KiB, where
+#: lanes batched up to the replay budget faulted ≈ 2 500 times in the fold
+#: of an E12 ``campaign_unsharded`` pass (``docs/perf/53-fold-layout.md``).
+_FOLD_ELEMENTS = 1 << 13
 
 
 def _fold_rows(
@@ -1705,54 +1712,107 @@ class _Grid:
     Built from ``(rows, k)`` span starts and ends and the ``(rows, 2)``
     window edges: ``bps`` are each row's sorted distinct breakpoints
     (``t_lo``, ``t_hi`` and every span boundary — what ``np.unique``
-    returns for that row, found here with a per-row stable argsort and
-    an adjacent-duplicate mask so that the rows stay one array), with
-    every span's start and end located on them.  :meth:`accumulate`
-    folds counters' amounts over the grid.
+    returns for that row).  The rows of a block share one *layout*, read
+    off the first row: the order that sorts its points, which of them
+    tie, and so the bin every span starts and ends in and the intervals
+    no span covers.  One gather and one comparison check every row
+    against it.  A row it does not fit (streams that finish in another
+    order) is sorted from it on its own — a nearly sorted row sorts in
+    one pass, and tied points share a bin, so the order among ties
+    changes nothing — and the layout arrays then carry one row per row
+    instead of one row that every row shares.  :meth:`accumulate` folds
+    counters' amounts over the grid by gathers from the layout.
     """
 
-    __slots__ = ("bps", "widths", "lengths", "idle", "bins", "n_bins")
+    __slots__ = ("bps", "widths", "lengths", "entries", "picks")
 
     def __init__(self, t0a: np.ndarray, t1a: np.ndarray, edges: np.ndarray) -> None:
         rows, k = t0a.shape
         t1a = np.maximum(t1a, t0a + 1e-12)
         points = np.concatenate((edges, t0a, t1a), axis=1)
-        width = 2 * k + 2
-        order = points.argsort(axis=1, kind="stable")
-        if rows > 1:
-            order += np.arange(0, rows * width, width)[:, None]
-        ranked = points.ravel()[order]
-        fresh = np.empty(points.shape, dtype=bool)
-        fresh[:, 0] = True
-        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=fresh[:, 1:])
+        order = points[0].argsort(kind="stable")[None]
+        ranked = points.take(order[0], axis=1)
+        fresh = np.ones((1, 2 * k + 2), dtype=bool)
+        np.not_equal(ranked[:1, 1:], ranked[:1, :-1], out=fresh[:, 1:])
+        # A row fits when its points rise where the first row's do and
+        # tie where they tie: one comparison of the signs of its steps.
+        fits = (np.sign(_steps(ranked)) == fresh).all(axis=1) if rows > 1 else [True]
+        if not np.all(fits):
+            off = np.flatnonzero(~fits)
+            resort = ranked[off].argsort(axis=1, kind="stable")
+            ranked[off] = np.take_along_axis(ranked[off], resort, axis=1)
+            order = np.repeat(order, rows, axis=0)
+            order[off] = order[0][resort]
+            fresh = np.repeat(fresh, rows, axis=0)
+            fresh[off, 1:] = ranked[off, 1:] != ranked[off, :-1]
         rank = fresh.cumsum(axis=1)
         n_bps = int(rank[0, -1])
-        if rows > 1 and (rank[:, -1] != n_bps).any():
+        if len(rank) > 1 and (rank[:, -1] != n_bps).any():
             raise _Ragged(rank[:, -1])
-        # Position of every point on its row's grid, one-based: the
-        # inverse ``np.unique(return_inverse=True)`` gives, row by row.
-        index = np.empty(points.shape, dtype=np.intp)
-        index.ravel()[order.ravel()] = rank.ravel()
-        self.bps = ranked[fresh].reshape(rows, n_bps)
-        self.widths = self.bps[:, 1:] - self.bps[:, :-1]
+        self.bps = (
+            ranked.compress(fresh[0], axis=1) if len(fresh) == 1
+            else ranked[fresh].reshape(rows, n_bps)
+        )
+        self.widths = _steps(self.bps)
         self.lengths = t1a - t0a
+        # Breakpoint of every point: the inverse ``np.unique(return_inverse=True)``
+        # gives, per layout row.
+        layouts = np.arange(len(order))[:, None]
+        index = np.empty_like(order)
+        index[layouts, order] = rank - 1
         # Two bins per breakpoint — span *ends* fold before span
         # *starts* at the same timestamp.  This keeps the running rate a
         # pure left fold that batch boundaries (always phase barriers)
         # split cleanly, so streamed windows seeded with the carried
-        # running rate continue it bit for bit.
-        self.n_bins = 2 * n_bps
-        self.bins = bins = 2 * index[:, 2:] - 2
+        # running rate continue it bit for bit.  Only the bins some span
+        # falls in are kept: an empty one adds +0.0, which changes no
+        # rate once the fold starts from +0.0 (see :meth:`accumulate`).
+        bins = 2 * index[:, 2:]
         bins[:, :k] += 1
-        # The active-span count is exact integer arithmetic, so idle
-        # intervals are identified identically by a full run and by its
-        # streamed windows — which is what lets both pin their rates to
-        # exactly zero.
-        lanes = np.arange(0, rows * self.n_bins, self.n_bins)[:, None]
         hits = np.bincount(
-            (bins + lanes).ravel(), minlength=rows * self.n_bins
-        ).reshape(rows, n_bps, 2)
-        self.idle = (hits[:, :-1, 1] - hits[:, :-1, 0]).cumsum(axis=1) == 0
+            (bins + layouts * 2 * n_bps).ravel(), minlength=len(bins) * 2 * n_bps
+        ).reshape(len(bins), n_bps, 2)
+        used = np.zeros(2 * n_bps + 1, dtype=np.intp)
+        np.minimum(hits.max(axis=0).ravel(), 1, out=used[1:])
+        np.cumsum(used, out=used)
+        bins = used[bins]
+        n_bins = int(used[-1])
+        # Round ``q`` adds each bin's ``q``-th entry in span order — the
+        # accumulation of a weighted ``bincount`` — as a gather of the
+        # weights ``[rates, -rates, start rate, 0]``: round 0 also
+        # gathers the start rate before the bins and a zero after them,
+        # and an entry a bin lacks is the zero.
+        if bins.shape == (1, n_bins):  # one layout row, one entry a bin
+            self.entries = np.full((1, 1, n_bins + 2), 2 * k + 1)
+            self.entries[0, 0, bins[0] + 1] = np.arange(2 * k)
+        else:
+            # Each bin's entries together, in span order: as the first
+            # row's stable order lists them (a bin is the starts or the
+            # ends at one breakpoint), or sorted per layout row.
+            if len(bins) == 1:
+                by_bin = (order[0][order[0] >= 2] - 2)[None]
+            else:
+                by_bin = bins.argsort(axis=1, kind="stable")
+            bins = _by_row(bins, by_bin)
+            keys = (bins + layouts * n_bins).ravel()
+            heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            nth = np.arange(keys.size) - np.repeat(heads, np.diff(heads, append=keys.size))
+            nth = nth.reshape(bins.shape)
+            self.entries = np.full((int(nth.max()) + 1, len(bins), n_bins + 2), 2 * k + 1)
+            self.entries[nth, layouts, bins + 1] = by_bin
+        self.entries[0, :, 0] = 2 * k
+        # Overlapping spans leave ~1-ulp fold residue after they all
+        # end.  The active-span count is exact integer arithmetic, so
+        # idle intervals are identified identically by a full run and by
+        # its streamed windows — which is what lets both pin their rates
+        # to exactly zero (and make them exactly flat): an idle interval
+        # reads the zero after the bins, over a width of one.  Interval
+        # ``j`` runs at the rate after breakpoint ``j``'s starts; the
+        # first column is the start value, set apart.
+        idle = (hits[:, :-1, 1] - hits[:, :-1, 0]).cumsum(axis=1) == 0
+        self.picks = np.full((len(idle), n_bps), n_bins + 1)
+        np.copyto(self.picks[:, 1:], used[2:-1:2], where=~idle)
+        np.copyto(self.widths[:, 1:], 1.0, where=idle)
 
     def accumulate(
         self, amounts: np.ndarray, start: np.ndarray
@@ -1764,41 +1824,59 @@ class _Grid:
         and the end carries ``(rows, counters, 3)``.
         """
         rows, lanes, k = amounts.shape
-        rates = amounts / self.lengths[:, None, :]
-        weights = np.empty((rows, lanes, 2 * k))
-        weights[:, :, :k] = rates
-        np.negative(rates, out=weights[:, :, k:])
-        bins = self.bins[:, None, :] + np.arange(
-            0, rows * lanes * self.n_bins, self.n_bins
-        ).reshape(rows, lanes, 1)
-        # Weighted ``bincount`` adds a bin's weights in index order from
-        # zero — the accumulation ``np.add.at`` makes.
-        running = np.empty((rows, lanes, self.n_bins + 1))
-        running[:, :, 0] = start[:, 2]
-        running[:, :, 1:] = np.bincount(
-            bins.ravel(), weights=weights.ravel(),
-            minlength=rows * lanes * self.n_bins,
-        ).reshape(rows, lanes, self.n_bins)
-        running = running.cumsum(axis=2)
-        values = np.empty((rows, lanes, self.n_bins // 2))
+        weights = np.empty((rows, lanes, 2 * k + 2))
+        np.divide(amounts, self.lengths[:, None, :], out=weights[:, :, :k])
+        np.negative(weights[:, :, :k], out=weights[:, :, k:-2])
+        # The running rate starts from the carry plus +0.0, so it is
+        # never -0.0: then adding a bin's first entry equals adding the
+        # bin's sum from zero, and an empty bin's +0.0 changes nothing.
+        weights[:, :, -2] = start[:, 2] + 0.0
+        weights[:, :, -1] = 0.0
+        first, *later = self.entries
+        running = _along(weights, first)
+        for entries in later:
+            running += _along(weights, entries)
+        del weights
+        np.cumsum(running[:, :, :-1], axis=2, out=running[:, :, :-1])
+        values = _along(running, self.picks)
+        values *= self.widths[:, None, :]
         values[:, :, 0] = start[:, 0]
-        np.multiply(
-            running[:, :, 2:-1:2], self.widths[:, None, :], out=values[:, :, 1:]
-        )
-        # Overlapping spans leave ~1-ulp fold residue after they all
-        # end; the exact integer span count pins idle intervals to a
-        # rate of exactly zero (and makes them exactly flat).
-        np.copyto(values[:, :, 1:], 0.0, where=self.idle[:, None, :])
-        values = values.cumsum(axis=2)
+        climbing = (values >= 0.0).all()
         ends = np.empty((rows, lanes, 3))
+        ends[:, :, 2] = running[:, :, -2]
+        del running
+        np.cumsum(values, axis=2, out=values)
         ends[:, :, 0] = values[:, :, -1]
-        ends[:, :, 2] = running[:, :, -1]
-        # Guard against tiny negative drift from float cancellation.
-        values = np.maximum.accumulate(
-            np.maximum(values, start[:, 1][:, None]), axis=2
-        )
+        # Guard against tiny negative drift from float cancellation —
+        # unless nothing can fall: no value is negative, no step either,
+        # and every start is at or above a guard of positive sign, so
+        # the guard would hand back every value as it is.
+        if not (climbing and all(
+            guarded <= raw and copysign(1.0, raw) == copysign(1.0, guarded) == 1.0
+            for raw, guarded, _ in start.tolist()
+        )):
+            values = np.maximum.accumulate(
+                np.maximum(values, start[:, 1][:, None]), axis=2
+            )
         ends[:, :, 1] = values[:, :, -1]
         return values, ends
+
+
+def _steps(table: np.ndarray) -> np.ndarray:
+    """The steps along each row of a C-contiguous ``(rows, n)`` table, and
+    1.0 before the first: one subtraction over the flat array."""
+    steps = np.empty(table.shape)
+    flat = table.ravel()
+    np.subtract(flat[1:], flat[:-1], out=steps.ravel()[1:])
+    steps[:, 0] = 1.0
+    return steps
+
+
+def _along(array: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``array``'s last axis gathered at ``index``'s one row, or row by row."""
+    if len(index) == 1:
+        return array.take(index[0], axis=-1)
+    return np.take_along_axis(array, index[:, None, :], axis=-1)
 
 
 def _accrual(

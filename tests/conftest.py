@@ -22,6 +22,16 @@ settings.register_profile(
     "emulation-layout", max_examples=400, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The wide search of the counter fold's properties —
+#: ``tests/sim/test_fold_oracle.py`` (the fold against its per-row
+#: oracle), ``tests/sim/test_replay_many.py`` (a block against its rows
+#: run one by one) and ``tests/sim/test_record_block.py`` (the block
+#: sampler against ``np.interp``): ``--hypothesis-profile=fold
+#: --hypothesis-seed=N``.
+settings.register_profile(
+    "fold", max_examples=1000, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture(autouse=True)

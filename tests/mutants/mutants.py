@@ -79,6 +79,7 @@ SEGMENTS = ("tests/storage/test_record_encoder.py"
 STAMPED = ("tests/storage/test_record_encoder.py"
            "::test_a_row_stamped_after_its_block_was_first_written_keeps_its_own_pid")
 TAKEOVER = "tests/runtime/test_coordinator.py::TestTakeover"
+FOLD = "tests/sim/test_fold_oracle.py::test_the_block_fold_is_the_per_row_fold"
 SAME_DIGEST = "outcome(ledger_digest, store) == outcome(oracle_ledger_digest, store)"
 
 ROWS = (
@@ -215,6 +216,21 @@ ROWS = (
         ENCODER, "encoded == [_oracle(profile) for profile in profiles]"),
     Row("an-index-row-with-the-records-command-as-its-tags", "repro.storage.filestore:_write_segment",
         '"tags": {parts[3]}', '"tags": {parts[1]}', SEGMENTS, "== want"),
+    # The counter fold against its per-row oracle: one breakpoint layout
+    # per block, bins past the empty ones, idle intervals, the guard.
+    Row("a-row-off-the-layout-folded-on-it", "repro.sim.engine:_Grid.__init__",
+        "if not np.all(fits):", "if False:", FOLD, "times', array("),
+    Row("a-start-bin-folded-before-its-end-bin", "repro.sim.engine:_Grid.__init__",
+        "bins[:, :k] += 1", "bins[:, k:] += 1", FOLD, "carries', array("),
+    Row("idle-intervals-left-unpinned", "repro.sim.engine:_Grid.__init__",
+        "hits[:, :-1, 0]).cumsum(axis=1) == 0", "hits[:, :-1, 0]).cumsum(axis=1) < 0", FOLD,
+        "values', array("),
+    Row("the-guard-skipped-below-its-carry", "repro.sim.engine:_Grid.accumulate",
+        "guarded <= raw and ", "", FOLD, "values', array("),
+    Row("the-rate-kept-a-carried-negative-zero", "repro.sim.engine:_Grid.accumulate",
+        "start[:, 2] + 0.0", "start[:, 2]",
+        "tests/sim/test_fold_oracle.py::test_a_carried_negative_zero_rate_folds_from_zero",
+        "cpu.instructions values', array([-0., -0.,  0.])"),
     # PR 49: the flat-memory bounds.
     Row("stream-keeps-every-record", "repro.sim.stream:EngineStream.feed",
         "self.batches_done = index + 1",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import GromacsModel, SleeperApp
@@ -24,6 +24,7 @@ from repro.sim.engine import Engine, ExecutionRecord, RecordBlock
 from repro.sim.machines import get_machine
 from repro.sim.noise import NoiseModel
 from repro.util.timeseries import TimeSeries
+from test_fold_oracle import property_settings
 
 # Times on a coarse lattice, so that queries land on breakpoints and
 # breakpoints on each other (the duplicates a step series has).
@@ -72,7 +73,7 @@ def assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@property_settings(300)
 @given(case=blocks(), picked=st.data())
 def test_block_sampler_equals_values_at_bit_for_bit(case, picked):
     block, queries = case

@@ -18,8 +18,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from test_fold_oracle import property_settings
 from test_packed import assert_records_identical, random_workload
 
 from repro.sim import engine as engine_module
@@ -95,7 +96,7 @@ sigmas = st.sampled_from([0.0, 0.003, 0.02, 0.4])
 # -- the property ----------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@property_settings(60)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     machine_name=st.sampled_from(MACHINES),
